@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -165,12 +164,23 @@ def _write_report(path, command: str, inputs, results, status: int) -> None:
     }
     canonical = json.dumps(_strip_wall_time(doc), sort_keys=True, separators=(",", ":"))
     doc["digest"] = hashlib.sha256(canonical.encode()).hexdigest()
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
+
+
+def _write(path, data: bytes) -> None:
+    """Write an output file; an unwritable path is an input error (exit 2)."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        _fail_usage(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _fail_usage(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(EXIT_USAGE)
+
+
+JOBS_HELP = "accepted for compatibility and ignored: checks run serially"
 
 
 @click.group()
@@ -186,9 +196,10 @@ LEVELS = ("algebra", "coalgebra", "bialgebra", "hopf", "quasitriangular")
 @click.argument("source")
 @click.option("--level", type=click.Choice(LEVELS), default="hopf", show_default=True)
 @click.option("--report", "report_path", type=click.Path(), default=None)
-@click.option("--jobs", type=int, default=1, show_default=True, help="sweep parallelism hint")
+@click.option("--jobs", type=int, default=1, show_default=True, help=JOBS_HELP)
 def check(source, level, report_path, jobs):
     """Run the axiom checkers for LEVEL on SOURCE (file or catalog name)."""
+    del jobs
     try:
         bundle, raw, entry = _load_input(source)
         rec = bundle.object()
@@ -212,16 +223,10 @@ def check(source, level, report_path, jobs):
             r = bundle.rmatrix(blocks[0])
             host = rec.hom_bialgebra()
             tasks.append(lambda: check_quasitriangular(host, r))
-    except (HomHopfError, click.UsageError) as exc:
+    except (HomHopfError, click.UsageError, OSError) as exc:
         _fail_usage(str(exc))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(t) for t in tasks]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [t() for t in tasks]
-    combined = merge_reports(*reports)
+    combined = merge_reports(*(t() for t in tasks))
     _print_report(combined)
     status = EXIT_PASS if combined.ok else EXIT_FAIL
     click.echo(("all checks passed" if combined.ok else "some checks failed"))
@@ -324,7 +329,7 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
     out_file = AlgebraFile(SCHEMA_VERSION, (result,), ())
     data = serialize(out_file)
     if out_path:
-        Path(out_path).write_bytes(data)
+        _write(out_path, data)
         click.echo(f"wrote {result.name} (dim {result.dim}) to {out_path}")
     else:
         sys.stdout.write(data.decode())
@@ -339,10 +344,10 @@ SUITES = ("thm2.6", "cor2.9", "prop2.19", "thm4.5", "dual-pair", "prop4.7")
 @click.argument("suite", type=click.Choice(SUITES))
 @click.option("--algebra", "source", required=True, help="catalog name or definition file")
 @click.option("--report", "report_path", type=click.Path(), default=None)
-@click.option("--jobs", type=int, default=1, show_default=True, help="sweep parallelism hint")
+@click.option("--jobs", type=int, default=1, show_default=True, help=JOBS_HELP)
 def verify(suite, source, report_path, jobs):
     """Run a named verification suite on an algebra."""
-    del jobs  # sweeps are deterministic and already fast at desk scale
+    del jobs
     try:
         bundle, raw, entry = _load_input(source)
         rec = bundle.object()
@@ -371,7 +376,7 @@ def verify(suite, source, report_path, jobs):
             result = verify_dual_pair_route(hopf)
         else:
             result = verify_prop_4_7(hopf)
-    except (HomHopfError, click.UsageError) as exc:
+    except (HomHopfError, click.UsageError, OSError) as exc:
         _fail_usage(str(exc))
 
     _print_suite(result)
@@ -391,7 +396,7 @@ def export(name, out_path):
         _fail_usage(str(exc))
     data = serialize(bundle_of_entry(entry))
     if out_path:
-        Path(out_path).write_bytes(data)
+        _write(out_path, data)
         click.echo(f"wrote {name} to {out_path}")
     else:
         sys.stdout.write(data.decode())

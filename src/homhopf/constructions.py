@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import (
     CrossCheckFailed,
@@ -30,16 +31,21 @@ from .exactlin import (
     Matrix,
     Tensor3,
     Vector,
-    add_scaled,
     alpha_power,
+    apply_kron,
     apply_map,
     bilinear_apply,
+    comul_matrix,
     identity,
     kron,
+    linear_combination,
     mat_compose,
     mat_inverse,
     matrix_from_entries,
+    mul_matrix,
     nonzeros,
+    tensor3_from_entries,
+    terms,
     transpose,
 )
 from .structures import (
@@ -54,6 +60,8 @@ from .structures import (
     PairingForm,
     RMatrix,
     TwoCocycle,
+    _op_comul,
+    _sweep,
     algebra_of,
     bialgebra_of,
     check_cocycle,
@@ -63,6 +71,7 @@ from .structures import (
     check_matched_pair,
     check_module_algebra,
     coalgebra_of,
+    cocycle_products,
     hopf_algebra,
     merge_reports,
 )
@@ -70,32 +79,22 @@ from .structures import (
 Entries3 = dict[tuple[int, int, int], Fraction]
 
 
-def _dense3(n1: int, n2: int, n3: int, entries: Entries3) -> Tensor3:
-    return tuple(
-        tuple(tuple(entries.get((i, j, k), ZERO) for k in range(n3)) for j in range(n2))
-        for i in range(n1)
-    )
-
-
 def _acc3(entries: Entries3, i: int, j: int, k: int, c: Fraction) -> None:
     if c:
         entries[i, j, k] = entries.get((i, j, k), ZERO) + c
 
 
-def _kron_vec(u: Vector, v: Vector) -> Vector:
-    return tuple(a * b for a in u for b in v)
+def _flip(n1: int, n2: int) -> Matrix:
+    """The flip ``e_i (x) e_j -> e_j (x) e_i`` from an n1*n2 to an n2*n1 pair space."""
+    return matrix_from_entries(
+        n1 * n2, n2 * n1, {(i * n2 + j, j * n1 + i): ONE for i in range(n1) for j in range(n2)}
+    )
 
 
-def _basis(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def _pair_product_rows(u: Vector, v: Vector, n2: int):
-    """Nonzero entries of u (x) v on the flattened pair space."""
-    for p, cp in nonzeros(u):
-        base = p * n2
-        for q, cq in nonzeros(v):
-            yield base + q, cp * cq
+def _tensor_coalgebra(C, D) -> HomCoalgebra:
+    """The tensor-product coalgebra ``delta(c (x) d) = c_1 (x) d_1 (x) c_2 (x) d_2``:
+    the cotwist coproduct of the flip."""
+    return cotwist_coproduct(C, D, _flip(C.dim, D.dim), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +121,9 @@ def yau_twist(classical: HomHopfAlgebra, endo: Matrix) -> HomHopfAlgebra:
         for j in range(n):
             if apply_map(endo, mul[i][j]) != bilinear_apply(mul, endo[i], endo[j]):
                 raise NotAMorphism("endo(ab) = endo(a) endo(b)")
-    from .structures import comul_of_vector
-
+    delta = comul_matrix(comul)
     for i in range(n):
-        lhs = comul_of_vector(comul, endo[i], n)
-        rhs = [ZERO] * (n * n)
-        for j, row in enumerate(comul[i]):
-            for k, c in nonzeros(row):
-                for p, q_c in _pair_product_rows(endo[j], endo[k], n):
-                    rhs[p] += c * q_c
-        if lhs != tuple(rhs):
+        if apply_map(delta, endo[i]) != apply_kron(endo, endo, delta[i]):
             raise NotAMorphism("delta(endo(a)) = (endo (x) endo) delta(a)")
         if sum((c * counit[t] for t, c in nonzeros(endo[i])), ZERO) != counit[i]:
             raise NotAMorphism("counit(endo(a)) = counit(a)")
@@ -179,24 +171,14 @@ def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
     """
     n = h.dim
     ainv2 = alpha_power(h.alpha, -2)
-    mul_entries: Entries3 = {}
-    for k in range(n):
-        for a, row in enumerate(h.comul[k]):
-            for b, c in nonzeros(row):
-                for i, ca in nonzeros(ainv2[a]):
-                    for j, cb in nonzeros(ainv2[b]):
-                        _acc3(mul_entries, i, j, k, c * ca * cb)
-    comul_entries: Entries3 = {}
-    for p in range(n):
-        for q in range(n):
-            for c_idx, c in nonzeros(h.mul[p][q]):
-                for i, ci in nonzeros(ainv2[c_idx]):
-                    _acc3(comul_entries, i, p, q, c * ci)
+    # row (i, j): the coefficients of e^i e^j; row i: those of delta(e^i)
+    products = transpose(tuple(apply_kron(ainv2, ainv2, d) for d in comul_matrix(h.comul)))
+    coproducts = transpose(mat_compose(mul_matrix(h.mul), ainv2))
     return hopf_algebra(
         n,
-        _dense3(n, n, n, mul_entries),
+        tuple(products[i * n : (i + 1) * n] for i in range(n)),
         h.counit,
-        _dense3(n, n, n, comul_entries),
+        tuple(tuple(row[p * n : (p + 1) * n] for p in range(n)) for row in coproducts),
         h.unit,
         transpose(alpha_power(h.alpha, -1)),
         transpose(h.antipode),
@@ -220,29 +202,29 @@ def smash_product(A, H, act: ModuleAction, check: bool = True) -> HomAlgebra:
     ah_i1 = alpha_power(bi.alpha, -1)
     ah_i2 = alpha_power(bi.alpha, -2)
     aa_i1 = alpha_power(alg.alpha, -1)
-    nd = na * nh
-    entries: Entries3 = {}
-    for a in range(na):
-        for hh in range(nh):
-            row_idx = a * nh + hh
-            for b in range(na):
-                for k in range(nh):
-                    col_idx = b * nh + k
-                    out = [ZERO] * nd
-                    for h1, roww in enumerate(bi.comul[hh]):
-                        for h2, c in nonzeros(roww):
-                            inner = bilinear_apply(act.act, ah_i2[h1], aa_i1[b])
-                            first = bilinear_apply(alg.mul, _basis(na, a), inner)
-                            second = bilinear_apply(bi.mul, ah_i1[h2], _basis(nh, k))
-                            for pos, v in _pair_product_rows(first, second, nh):
-                                out[pos] += c * v
-                    for pos, v in enumerate(out):
-                        if v:
-                            entries[row_idx, col_idx, pos] = v
-    mul = _dense3(nd, nd, nd, entries)
-    return HomAlgebra(
-        nd, mul, _kron_vec(alg.unit, bi.unit), kron(alg.alpha, bi.alpha)
+    e_a, e_h = identity(na), identity(nh)
+    delta = comul_matrix(bi.comul)
+    # first[a][b] maps h_1 to a (alpha_H^-2(h_1) . alpha_A^-1(b)),
+    # second[k] maps h_2 to alpha_H^-1(h_2) k
+    first = [
+        [
+            tuple(
+                bilinear_apply(alg.mul, e_a[a], bilinear_apply(act.act, ah_i2[h1], aa_i1[b]))
+                for h1 in range(nh)
+            )
+            for b in range(na)
+        ]
+        for a in range(na)
+    ]
+    second = [
+        tuple(bilinear_apply(bi.mul, ah_i1[h2], e_h[k]) for h2 in range(nh)) for k in range(nh)
+    ]
+    mul = tuple(
+        tuple(apply_kron(first[a][b], second[k], delta[hh]) for b in range(na) for k in range(nh))
+        for a in range(na)
+        for hh in range(nh)
     )
+    return HomAlgebra(na * nh, mul, kron((alg.unit,), (bi.unit,))[0], kron(alg.alpha, bi.alpha))
 
 
 def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> Matrix:
@@ -258,18 +240,13 @@ def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> Matrix:
     ac_i1 = alpha_power(carrier.alpha, -1)
     ah_i1 = alpha_power(coactor.alpha, -1)
     ah_i2 = alpha_power(coactor.alpha, -2)
-    rows: dict[tuple[int, int], Fraction] = {}
-    for h in range(nh):
-        for c in range(nc):
-            r = h * nc + c
-            for c0, row in enumerate(co.coact[c]):
-                for c1, v in nonzeros(row):
-                    first = ac_i1[c0]
-                    second = bilinear_apply(coactor.mul, ah_i1[h], ah_i2[c1])
-                    for pos, w in _pair_product_rows(first, second, nh):
-                        key = (r, pos)
-                        rows[key] = rows.get(key, ZERO) + v * w
-    phi = matrix_from_entries(nh * nc, nc * nh, rows)
+    rho = comul_matrix(co.coact)
+    # second[h] maps c_(1) to alpha_H^-1(h) alpha_H^-2(c_(1))
+    second = [
+        tuple(bilinear_apply(coactor.mul, ah_i1[h], ah_i2[c]) for c in range(nh))
+        for h in range(nh)
+    ]
+    phi = tuple(apply_kron(ac_i1, second[h], rho[c]) for h in range(nh) for c in range(nc))
     if check:
         report = check_cotwisting(coactor, carrier, phi)
         if not report.ok:
@@ -288,28 +265,19 @@ def cotwist_coproduct(C, D, phi: Matrix, check: bool = True) -> HomCoalgebra:
             raise PreconditionFailed("not a cotwisting map", report)
     nc, nd = Cc.dim, Dc.dim
     ncd = nc * nd
+    d_terms = terms(Dc.comul)
     entries: Entries3 = {}
-    for c in range(nc):
-        for d in range(nd):
-            r = c * nd + d
-            for c1, rowc in enumerate(Cc.comul[c]):
-                for c2, vc in nonzeros(rowc):
-                    for d1, rowd in enumerate(Dc.comul[d]):
-                        for d2, vd in nonzeros(rowd):
-                            coeff = vc * vd
-                            for t, vphi in nonzeros(phi[c2 * nd + d1]):
-                                dp, cp = divmod(t, nc)
-                                _acc3(
-                                    entries,
-                                    r,
-                                    c1 * nd + dp,
-                                    cp * nd + d2,
-                                    coeff * vphi,
-                                )
+    for c, c_row in enumerate(terms(Cc.comul)):
+        for d, d_row in enumerate(d_terms):
+            for c1, c2, vc in c_row:
+                for d1, d2, vd in d_row:
+                    for t, vphi in nonzeros(phi[c2 * nd + d1]):
+                        dp, cp = divmod(t, nc)
+                        _acc3(entries, c * nd + d, c1 * nd + dp, cp * nd + d2, vc * vd * vphi)
     return HomCoalgebra(
         ncd,
-        _dense3(ncd, ncd, ncd, entries),
-        _kron_vec(Cc.counit, Dc.counit),
+        tensor3_from_entries((ncd, ncd, ncd), entries),
+        kron((Cc.counit,), (Dc.counit,))[0],
         kron(Cc.alpha, Dc.alpha),
     )
 
@@ -321,117 +289,95 @@ def cotwist_coproduct(C, D, phi: Matrix, check: bool = True) -> HomCoalgebra:
 def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckReport:
     """The three compatibility hypotheses between the action of H on A and
     the coaction of A on H, each reported separately."""
-    from .structures import CheckEntry, Witness, comul_of_vector
-
     alg = algebra_of(A)
     coa = coalgebra_of(A)
     bi = bialgebra_of(H)
     na, nh = alg.dim, bi.dim
     ah_i1 = alpha_power(bi.alpha, -1)
     aa_i1 = alpha_power(alg.alpha, -1)
-    coact = co.coact
     action = act.act
-    counit_a = coa.counit
-    counit_h = bi.counit
-
-    def first_failure(axiom_id, indices, lhs_fn, rhs_fn):
-        for idx in indices:
-            lhs, rhs = lhs_fn(*idx), rhs_fn(*idx)
-            if lhs != rhs:
-                return CheckEntry(axiom_id, False, Witness(idx, tuple(lhs), tuple(rhs)))
-        return CheckEntry(axiom_id, True)
-
-    from itertools import product as iproduct
-
-    def hyp1_lhs(h, b):
-        return comul_of_vector(coa.comul, action[h][b], na)
+    e_a, e_h = identity(na), identity(nh)
+    h_terms, co_terms = terms(bi.comul), terms(co.coact)
+    delta_a = comul_matrix(coa.comul)
+    rho = comul_matrix(co.coact)
+    # Legs as maps of a basis vector: acted[h] is b -> alpha^-1(h) . b,
+    # times[h] is g -> alpha^-1(h) g, and twisted[a][h] is
+    # b -> alpha^-1(a) (alpha^-1(h) . alpha^-1(b)).
+    acted = [tuple(bilinear_apply(action, ah_i1[h], e_a[b]) for b in range(na)) for h in range(nh)]
+    times = [tuple(bilinear_apply(bi.mul, ah_i1[h], e_h[g]) for g in range(nh)) for h in range(nh)]
+    twisted = [
+        [
+            tuple(
+                bilinear_apply(alg.mul, aa_i1[a], bilinear_apply(action, ah_i1[h], aa_i1[b]))
+                for b in range(na)
+            )
+            for h in range(nh)
+        ]
+        for a in range(na)
+    ]
 
     def hyp1_rhs(h, b):
-        out = [ZERO] * (na * na)
-        for h1, rowh in enumerate(bi.comul[h]):
-            for h2, vh in nonzeros(rowh):
-                for h10, rowco in enumerate(coact[h1]):
-                    for h11, vco in nonzeros(rowco):
-                        for b1, rowb in enumerate(coa.comul[b]):
-                            for b2, vb in nonzeros(rowb):
-                                coeff = vh * vco * vb
-                                first = bilinear_apply(action, ah_i1[h10], _basis(na, b1))
-                                inner = bilinear_apply(action, ah_i1[h2], aa_i1[b2])
-                                second = bilinear_apply(alg.mul, aa_i1[h11], inner)
-                                for pos, v in _pair_product_rows(first, second, na):
-                                    out[pos] += coeff * v
-        return tuple(out)
-
-    def hyp1_counit(h, b):
-        return (sum((v * counit_a[t] for t, v in nonzeros(action[h][b])), ZERO),)
-
-    def coact_of_vector(v):
-        out = [ZERO] * (nh * na)
-        for t, c in nonzeros(v):
-            for h0, row in enumerate(coact[t]):
-                base = h0 * na
-                for a1, vv in nonzeros(row):
-                    out[base + a1] += c * vv
-        return tuple(out)
-
-    def hyp2_lhs(h, g):
-        return coact_of_vector(bi.mul[h][g])
+        # (alpha^-1(h_1(0)) . b_1) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(b_2))
+        return linear_combination(
+            na * na,
+            (
+                (vh * vco, apply_kron(acted[h10], twisted[h11][h2], delta_a[b]))
+                for h1, h2, vh in h_terms[h]
+                for h10, h11, vco in co_terms[h1]
+            ),
+        )
 
     def hyp2_rhs(h, g):
-        out = [ZERO] * (nh * na)
-        for h1, rowh in enumerate(bi.comul[h]):
-            for h2, vh in nonzeros(rowh):
-                for h10, rowco in enumerate(coact[h1]):
-                    for h11, vco in nonzeros(rowco):
-                        for g0, rowg in enumerate(coact[g]):
-                            for g1, vg in nonzeros(rowg):
-                                coeff = vh * vco * vg
-                                first = bilinear_apply(bi.mul, ah_i1[h10], _basis(nh, g0))
-                                inner = bilinear_apply(action, ah_i1[h2], aa_i1[g1])
-                                second = bilinear_apply(alg.mul, aa_i1[h11], inner)
-                                for pos, v in _pair_product_rows(first, second, na):
-                                    out[pos] += coeff * v
-        return tuple(out)
+        # alpha^-1(h_1(0)) g_(0) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(g_(1)))
+        return linear_combination(
+            nh * na,
+            (
+                (vh * vco, apply_kron(times[h10], twisted[h11][h2], rho[g]))
+                for h1, h2, vh in h_terms[h]
+                for h10, h11, vco in co_terms[h1]
+            ),
+        )
 
     def hyp3_lhs(h, b):
-        out = [ZERO] * (nh * na)
-        for h1, rowh in enumerate(bi.comul[h]):
-            for h2, vh in nonzeros(rowh):
-                for h20, rowco in enumerate(coact[h2]):
-                    for h21, vco in nonzeros(rowco):
-                        coeff = vh * vco
-                        second = bilinear_apply(alg.mul, action[h1][b], _basis(na, h21))
-                        for q, cq in nonzeros(second):
-                            out[h20 * na + q] += coeff * cq
-        return tuple(out)
+        # h_2(0) (x) (h_1 . b) h_2(1)
+        def times(x):
+            return [bilinear_apply(alg.mul, action[x][b], a) for a in e_a]
+
+        return linear_combination(
+            nh * na, ((vh, apply_kron(e_h, times(h1), rho[h2])) for h1, h2, vh in h_terms[h])
+        )
 
     def hyp3_rhs(h, b):
-        out = [ZERO] * (nh * na)
-        for h1, rowh in enumerate(bi.comul[h]):
-            for h2, vh in nonzeros(rowh):
-                for h10, rowco in enumerate(coact[h1]):
-                    for h11, vco in nonzeros(rowco):
-                        coeff = vh * vco
-                        second = bilinear_apply(alg.mul, _basis(na, h11), action[h2][b])
-                        for q, cq in nonzeros(second):
-                            out[h10 * na + q] += coeff * cq
-        return tuple(out)
+        # h_1(0) (x) h_1(1) (h_2 . b)
+        def times(x):
+            return [bilinear_apply(alg.mul, a, action[x][b]) for a in e_a]
 
+        return linear_combination(
+            nh * na, ((vh, apply_kron(e_h, times(h2), rho[h1])) for h1, h2, vh in h_terms[h])
+        )
+
+    counit_a = transpose((coa.counit,))
     checks = (
-        first_failure(
-            "bicross.action-comultiplicative", iproduct(range(nh), range(na)), hyp1_lhs, hyp1_rhs
+        _sweep(
+            "bicross.action-comultiplicative",
+            product(range(nh), range(na)),
+            lambda h, b: apply_map(delta_a, action[h][b]),
+            hyp1_rhs,
         ),
-        first_failure(
+        _sweep(
             "bicross.action-counit",
-            iproduct(range(nh), range(na)),
-            hyp1_counit,
-            lambda h, b: (counit_a[b] * counit_h[h],),
+            product(range(nh), range(na)),
+            lambda h, b: apply_map(counit_a, action[h][b]),
+            lambda h, b: (coa.counit[b] * bi.counit[h],),
         ),
-        first_failure(
-            "bicross.coaction-multiplicative", iproduct(range(nh), range(nh)), hyp2_lhs, hyp2_rhs
+        _sweep(
+            "bicross.coaction-multiplicative",
+            product(range(nh), range(nh)),
+            lambda h, g: apply_map(rho, bi.mul[h][g]),
+            hyp2_rhs,
         ),
-        first_failure(
-            "bicross.action-coaction-exchange", iproduct(range(nh), range(na)), hyp3_lhs, hyp3_rhs
+        _sweep(
+            "bicross.action-coaction-exchange", product(range(nh), range(na)), hyp3_lhs, hyp3_rhs
         ),
     )
     return CheckReport(checks)
@@ -442,7 +388,11 @@ def bicrossproduct(
 ) -> HomHopfAlgebra:
     """The bicrossproduct Hom-Hopf algebra on ``A (x) H`` built from a
     module-algebra action of H on A and a comodule-coalgebra coaction of A on
-    H satisfying the three compatibility hypotheses."""
+    H satisfying the three compatibility hypotheses.
+
+    Its coproduct is the cotwist coproduct of the cotwisting map the coaction
+    induces: ``a_1 (x) alpha_H^-1(h_1(0)) (x) alpha_A^-1(a_2) alpha_A^-2(h_1(1)) (x) h_2``.
+    """
     if check:
         mod_report = check_module_algebra(act)
         if not mod_report.ok:
@@ -457,62 +407,29 @@ def bicrossproduct(
 
     na, nh = A.dim, H.dim
     nd = na * nh
-    ah_i1 = alpha_power(H.alpha, -1)
     ah_i2 = alpha_power(H.alpha, -2)
-    ah_i2_mat = ah_i2
-    aa_i1 = alpha_power(A.alpha, -1)
     aa_i2 = alpha_power(A.alpha, -2)
     aa_i3 = alpha_power(A.alpha, -3)
-    coact = co.coact
-    action = act.act
+    mul = smash_product(A, H, act, check=False).mul
+    coalg = cotwist_coproduct(A, H, comodule_cotwist(co, check=False), check=False)
 
-    smash = smash_product(A, H, act, check=False)
-    mul = smash.mul
-
-    comul_entries: Entries3 = {}
-    for a in range(na):
-        for hh in range(nh):
-            r = a * nh + hh
-            for a1, rowa in enumerate(A.comul[a]):
-                for a2, va in nonzeros(rowa):
-                    for h1, rowh in enumerate(H.comul[hh]):
-                        for h2, vh in nonzeros(rowh):
-                            for h10, rowco in enumerate(coact[h1]):
-                                for h11, vco in nonzeros(rowco):
-                                    coeff = va * vh * vco
-                                    third = bilinear_apply(A.mul, aa_i1[a2], aa_i2[h11])
-                                    for t, ct in nonzeros(ah_i1[h10]):
-                                        left_idx = a1 * nh + t
-                                        for y, cy in nonzeros(third):
-                                            _acc3(
-                                                comul_entries,
-                                                r,
-                                                left_idx,
-                                                y * nh + h2,
-                                                coeff * ct * cy,
-                                            )
-    comul = _dense3(nd, nd, nd, comul_entries)
-
-    antipode_rows = []
-    for a in range(na):
-        for hh in range(nh):
-            out = [ZERO] * nd
-            for h0, rowco in enumerate(coact[hh]):
-                for h1, vco in nonzeros(rowco):
-                    left = _kron_vec(A.unit, apply_map(H.antipode, ah_i2_mat[h0]))
-                    inner = bilinear_apply(A.mul, aa_i2[a], aa_i3[h1])
-                    right = _kron_vec(apply_map(A.antipode, inner), H.unit)
-                    add_scaled(out, vco, bilinear_apply(mul, left, right))
-            antipode_rows.append(tuple(out))
-
+    # S(a (x) h) = (1 (x) S_H alpha_H^-2(h_(0))) (S_A(alpha_A^-2(a) alpha_A^-3(h_(1))) (x) 1)
+    co_terms = terms(co.coact)
+    s_h = mat_compose(mat_compose(ah_i2, H.antipode), kron((A.unit,), identity(nh)))
+    s_then_1 = mat_compose(A.antipode, kron(identity(na), (H.unit,)))
+    s_a = [
+        [apply_map(s_then_1, bilinear_apply(A.mul, aa_i2[a], aa_i3[x])) for x in range(na)]
+        for a in range(na)
+    ]
+    antipode = tuple(
+        linear_combination(
+            nd, ((v, bilinear_apply(mul, s_h[h0], s_a[a][h1])) for h0, h1, v in co_terms[hh])
+        )
+        for a in range(na)
+        for hh in range(nh)
+    )
     return hopf_algebra(
-        nd,
-        mul,
-        _kron_vec(A.unit, H.unit),
-        comul,
-        _kron_vec(A.counit, H.counit),
-        kron(A.alpha, H.alpha),
-        tuple(antipode_rows),
+        nd, mul, kron((A.unit,), (H.unit,))[0], coalg.comul, coalg.counit, coalg.alpha, antipode
     )
 
 
@@ -524,35 +441,34 @@ def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, 
     hop = opposite_hopf(H)
     ainv1 = alpha_power(H.alpha, -1)
     ainv2 = alpha_power(H.alpha, -2)
-    S = H.antipode
+    s_ainv2 = mat_compose(ainv2, H.antipode)  # rows S(alpha^-2(e_h))
+    h_terms = terms(H.comul)
 
-    act_entries: Entries3 = {}
-    for h in range(n):
-        for a in range(n):
-            out = [ZERO] * n
-            for h1, row in enumerate(H.comul[h]):
-                for h2, c in nonzeros(row):
-                    w1 = bilinear_apply(H.mul, apply_map(S, ainv2[h1]), ainv1[a])
-                    add_scaled(out, c, bilinear_apply(H.mul, w1, ainv1[h2]))
-            for k, v in enumerate(out):
-                if v:
-                    act_entries[h, a, k] = v
+    def acts(h, a):
+        return linear_combination(
+            n,
+            (
+                (c, bilinear_apply(H.mul, bilinear_apply(H.mul, s_ainv2[h1], ainv1[a]), ainv1[h2]))
+                for h1, h2, c in h_terms[h]
+            ),
+        )
+
+    act = tuple(tuple(acts(h, a) for a in range(n)) for h in range(n))
 
     coact_entries: Entries3 = {}
     for h in range(n):
-        for h1, row in enumerate(H.comul[h]):
-            for h2, c in nonzeros(row):
-                for h11, row2 in enumerate(H.comul[h1]):
-                    for h12, c2 in nonzeros(row2):
-                        coeff = c * c2
-                        second = bilinear_apply(H.mul, apply_map(S, ainv2[h11]), ainv1[h2])
-                        for p, cp in nonzeros(ainv1[h12]):
-                            for q, cq in nonzeros(second):
-                                _acc3(coact_entries, h, p, q, coeff * cp * cq)
+        for h1, h2, c in h_terms[h]:
+            for h11, h12, c2 in h_terms[h1]:
+                second = bilinear_apply(H.mul, s_ainv2[h11], ainv1[h2])
+                for p, cp in nonzeros(ainv1[h12]):
+                    for q, cq in nonzeros(second):
+                        _acc3(coact_entries, h, p, q, c * c2 * cp * cq)
 
-    act = ModuleAction(hop, H, _dense3(n, n, n, act_entries))
-    co = ComoduleCoaction(H, hop, _dense3(n, n, n, coact_entries))
-    return hop, act, co
+    return (
+        hop,
+        ModuleAction(hop, H, act),
+        ComoduleCoaction(H, hop, tensor3_from_entries((n, n, n), coact_entries)),
+    )
 
 
 def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
@@ -567,31 +483,36 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
     ainv2 = alpha_power(H.alpha, -2)
     ainv3 = alpha_power(H.alpha, -3)
     ainv4 = alpha_power(H.alpha, -4)
-    S = H.antipode
+    s_ainv4 = mat_compose(ainv4, H.antipode)  # rows S(alpha^-4(e_h))
+    e = identity(n)
+    h_terms = terms(H.comul)
+    delta = comul_matrix(H.comul)
 
     # closed form of the product:
-    # (a x h)(b x k) = a[(S(alpha^-4(h_11)) alpha^-2(b)) alpha^-3(h_12)] x k alpha^-1(h_2)
-    mul_entries: Entries3 = {}
-    for a in range(n):
-        for h in range(n):
-            r = a * n + h
-            for b in range(n):
-                for k in range(n):
-                    cidx = b * n + k
-                    for h1, row in enumerate(H.comul[h]):
-                        for h2, c in nonzeros(row):
-                            for h11, row2 in enumerate(H.comul[h1]):
-                                for h12, c2 in nonzeros(row2):
-                                    coeff = c * c2
-                                    w = bilinear_apply(
-                                        H.mul, apply_map(S, ainv4[h11]), ainv2[b]
-                                    )
-                                    w = bilinear_apply(H.mul, w, ainv3[h12])
-                                    first = bilinear_apply(H.mul, _basis(n, a), w)
-                                    second = bilinear_apply(H.mul, _basis(n, k), ainv1[h2])
-                                    for pos, v in _pair_product_rows(first, second, n):
-                                        _acc3(mul_entries, r, cidx, pos, coeff * v)
-    closed_mul = _dense3(nd, nd, nd, mul_entries)
+    # (a x h)(b x k) = a[(S(alpha^-4(h_11)) alpha^-2(b)) alpha^-3(h_12)] x k alpha^-1(h_2);
+    # first[a][b] maps h_11 (x) h_12 and second[k] maps h_2 to their legs
+    first = [
+        [
+            tuple(
+                bilinear_apply(
+                    H.mul,
+                    e[a],
+                    bilinear_apply(H.mul, bilinear_apply(H.mul, s_ainv4[x], ainv2[b]), ainv3[y]),
+                )
+                for x in range(n)
+                for y in range(n)
+            )
+            for b in range(n)
+        ]
+        for a in range(n)
+    ]
+    second = [tuple(bilinear_apply(H.mul, e[k], ainv1[z]) for z in range(n)) for k in range(n)]
+    twice = [apply_kron(delta, e, d) for d in delta]  # h_11 (x) h_12 (x) h_2
+    closed_mul = tuple(
+        tuple(apply_kron(first[a][b], second[k], twice[h]) for b in range(n) for k in range(n))
+        for a in range(n)
+        for h in range(n)
+    )
     if closed_mul != built.mul:
         raise CrossCheckFailed("closed-form product disagrees with the generic route")
 
@@ -599,33 +520,23 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
     # delta(a x h) = a_1 x alpha^-2(h_112)
     #   (x) alpha^-1(a_2)(S(alpha^-4(h_111)) alpha^-3(h_12)) x h_2
     comul_entries: Entries3 = {}
-    for a in range(n):
-        for h in range(n):
-            r = a * n + h
-            for a1, rowa in enumerate(H.comul[a]):
-                for a2, va in nonzeros(rowa):
-                    for h1, rowh in enumerate(H.comul[h]):
-                        for h2, vh in nonzeros(rowh):
-                            for h11, row11 in enumerate(H.comul[h1]):
-                                for h12, v11 in nonzeros(row11):
-                                    for h111, row111 in enumerate(H.comul[h11]):
-                                        for h112, v111 in nonzeros(row111):
-                                            coeff = va * vh * v11 * v111
-                                            inner = bilinear_apply(
-                                                H.mul, apply_map(S, ainv4[h111]), ainv3[h12]
-                                            )
-                                            third = bilinear_apply(H.mul, ainv1[a2], inner)
-                                            for t, ct in nonzeros(ainv2[h112]):
-                                                left_idx = a1 * n + t
-                                                for y, cy in nonzeros(third):
-                                                    _acc3(
-                                                        comul_entries,
-                                                        r,
-                                                        left_idx,
-                                                        y * n + h2,
-                                                        coeff * ct * cy,
-                                                    )
-    closed_comul = _dense3(nd, nd, nd, comul_entries)
+    for (a, a_row), (h, h_row) in product(enumerate(h_terms), repeat=2):
+        for a1, a2, va in a_row:
+            for h1, h2, vh in h_row:
+                for h11, h12, v11 in h_terms[h1]:
+                    for h111, h112, v111 in h_terms[h11]:
+                        inner = bilinear_apply(H.mul, s_ainv4[h111], ainv3[h12])
+                        third = bilinear_apply(H.mul, ainv1[a2], inner)
+                        for t, ct in nonzeros(ainv2[h112]):
+                            for y, cy in nonzeros(third):
+                                _acc3(
+                                    comul_entries,
+                                    a * n + h,
+                                    a1 * n + t,
+                                    y * n + h2,
+                                    va * vh * v11 * v111 * ct * cy,
+                                )
+    closed_comul = tensor3_from_entries((nd, nd, nd), comul_entries)
     if closed_comul != built.comul:
         raise CrossCheckFailed("closed-form coproduct disagrees with the generic route")
     return built
@@ -650,71 +561,37 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     ah_i2 = alpha_power(H.alpha, -2)
     aa_i2 = alpha_power(A.alpha, -2)
     left, right = mp.left_action, mp.right_action
+    e_a, e_h = identity(na), identity(nh)
+    h_terms = terms(H.comul)
+    delta_a = comul_matrix(A.comul)
 
-    def l_act(hvec, avec):
-        out = [ZERO] * na
-        for h, ch in nonzeros(hvec):
-            for a, ca in nonzeros(avec):
-                add_scaled(out, ch * ca, left[h][a])
-        return tuple(out)
+    # (a (x) h)(b (x) g)
+    #   = a (alpha^-2(h_1) -> alpha^-2(b_1)) (x) (alpha^-2(h_2) <- alpha^-2(b_2)) g;
+    # first[a][h_1] and second[g][h_2] are the two legs as maps of b_1 and b_2
+    lefts = [[bilinear_apply(left, x, y) for y in aa_i2] for x in ah_i2]
+    rights = [[bilinear_apply(right, x, y) for y in aa_i2] for x in ah_i2]
+    first = [[tuple(bilinear_apply(A.mul, e, v) for v in row) for row in lefts] for e in e_a]
+    second = [[tuple(bilinear_apply(H.mul, v, e) for v in row) for row in rights] for e in e_h]
+    mul = tuple(
+        tuple(
+            linear_combination(
+                nd,
+                ((v, apply_kron(first[a][x], second[g][y], delta_a[b])) for x, y, v in h_terms[h]),
+            )
+            for b in range(na)
+            for g in range(nh)
+        )
+        for a in range(na)
+        for h in range(nh)
+    )
+    coalg = _tensor_coalgebra(A, H)
 
-    def r_act(hvec, avec):
-        out = [ZERO] * nh
-        for h, ch in nonzeros(hvec):
-            for a, ca in nonzeros(avec):
-                add_scaled(out, ch * ca, right[h][a])
-        return tuple(out)
-
-    mul_entries: Entries3 = {}
-    for a in range(na):
-        for h in range(nh):
-            r = a * nh + h
-            for b in range(na):
-                for g in range(nh):
-                    cidx = b * nh + g
-                    for h1, rowh in enumerate(H.comul[h]):
-                        for h2, vh in nonzeros(rowh):
-                            for b1, rowb in enumerate(A.comul[b]):
-                                for b2, vb in nonzeros(rowb):
-                                    coeff = vh * vb
-                                    first = bilinear_apply(
-                                        A.mul, _basis(na, a), l_act(ah_i2[h1], aa_i2[b1])
-                                    )
-                                    second = bilinear_apply(
-                                        H.mul, r_act(ah_i2[h2], aa_i2[b2]), _basis(nh, g)
-                                    )
-                                    for pos, v in _pair_product_rows(first, second, nh):
-                                        _acc3(mul_entries, r, cidx, pos, coeff * v)
-    mul = _dense3(nd, nd, nd, mul_entries)
-
-    comul_entries: Entries3 = {}
-    for a in range(na):
-        for h in range(nh):
-            r = a * nh + h
-            for a1, rowa in enumerate(A.comul[a]):
-                for a2, va in nonzeros(rowa):
-                    for h1, rowh in enumerate(H.comul[h]):
-                        for h2, vh in nonzeros(rowh):
-                            _acc3(comul_entries, r, a1 * nh + h1, a2 * nh + h2, va * vh)
-    comul = _dense3(nd, nd, nd, comul_entries)
-
-    ah_i1 = alpha_power(H.alpha, -1)
-    aa_i1 = alpha_power(A.alpha, -1)
-    antipode_rows = []
-    for a in range(na):
-        for h in range(nh):
-            lvec = _kron_vec(A.unit, apply_map(H.antipode, ah_i1[h]))
-            rvec = _kron_vec(apply_map(A.antipode, aa_i1[a]), H.unit)
-            antipode_rows.append(bilinear_apply(mul, lvec, rvec))
-
+    # the two antipode factors as maps: h -> 1 (x) S_H alpha_H^-1(h), a -> S_A alpha_A^-1(a) (x) 1
+    s_h = mat_compose(mat_compose(alpha_power(H.alpha, -1), H.antipode), kron((A.unit,), e_h))
+    s_a = mat_compose(mat_compose(alpha_power(A.alpha, -1), A.antipode), kron(e_a, (H.unit,)))
+    antipode = tuple(bilinear_apply(mul, s_h[h], s_a[a]) for a in range(na) for h in range(nh))
     return hopf_algebra(
-        nd,
-        mul,
-        _kron_vec(A.unit, H.unit),
-        comul,
-        _kron_vec(A.counit, H.counit),
-        kron(A.alpha, H.alpha),
-        tuple(antipode_rows),
+        nd, mul, kron((A.unit,), (H.unit,))[0], coalg.comul, coalg.counit, coalg.alpha, antipode
     )
 
 
@@ -732,33 +609,14 @@ def dual_matched_pair(
         if not combined.ok:
             raise PreconditionFailed("bicrossproduct preconditions fail", combined)
     na, nh = A.dim, H.dim
-    astar = dual(A)
     aa_i2 = alpha_power(A.alpha, -2)
-
-    left_entries: Entries3 = {}
-    for j in range(na):
-        for h in range(nh):
-            for h0, row in enumerate(co.coact[h]):
-                if row[j]:
-                    _acc3(left_entries, j, h, h0, row[j])
-
-    right_entries: Entries3 = {}
-    for j in range(na):
-        for h in range(nh):
-            for a in range(na):
-                total = ZERO
-                for t, ct in nonzeros(aa_i2[a]):
-                    if act.act[h][t][j]:
-                        total += ct * act.act[h][t][j]
-                if total:
-                    right_entries[j, h, a] = total
-
-    return MatchedPairData(
-        H,
-        astar,
-        _dense3(na, nh, nh, left_entries),
-        _dense3(na, nh, na, right_entries),
+    # column j of alpha^-2 followed by the action of h is <e^j < h, .>
+    acted = [transpose(mat_compose(aa_i2, act.act[h])) for h in range(nh)]
+    left = tuple(
+        tuple(tuple(co.coact[h][h0][j] for h0 in range(nh)) for h in range(nh)) for j in range(na)
     )
+    right = tuple(tuple(acted[h][j] for h in range(nh)) for j in range(na))
+    return MatchedPairData(H, dual(A), left, right)
 
 
 @dataclass(frozen=True)
@@ -775,32 +633,34 @@ class HarpoonContext:
     def build(cls, host: HomHopfAlgebra) -> "HarpoonContext":
         n = host.dim
         ainv2 = alpha_power(host.alpha, -2)
-        right_mats = []
-        left_mats = []
-        for h in range(n):
-            rm = []
-            lm = []
-            for k in range(n):
-                rm.append(bilinear_apply(host.mul, _basis(n, h), ainv2[k]))
-                lm.append(bilinear_apply(host.mul, ainv2[k], _basis(n, h)))
-            # (f <- e_h)_k = f(e_h alpha^-2(e_k)); store as row-image matrix on covectors
-            right_mats.append(transpose(tuple(rm)))
-            left_mats.append(transpose(tuple(lm)))
-        return cls(host, tuple(right_mats), tuple(left_mats))
+        e = identity(n)
+        # (f <- e_h)_k = f(e_h alpha^-2(e_k)); store as row-image matrix on covectors
+        right_mats = tuple(
+            transpose(tuple(bilinear_apply(host.mul, e[h], a) for a in ainv2)) for h in range(n)
+        )
+        left_mats = tuple(
+            transpose(tuple(bilinear_apply(host.mul, a, e[h]) for a in ainv2)) for h in range(n)
+        )
+        return cls(host, right_mats, left_mats)
 
     def feed_right(self, f: Vector, hvec: Vector) -> Vector:
         """``f <- hvec`` extended bilinearly."""
-        out = [ZERO] * len(f)
-        for h, c in nonzeros(hvec):
-            add_scaled(out, c, apply_map(self.right_mats[h], f))
-        return tuple(out)
+        mats = self.right_mats
+        return linear_combination(len(f), ((c, apply_map(mats[h], f)) for h, c in nonzeros(hvec)))
 
     def feed_left(self, hvec: Vector, f: Vector) -> Vector:
         """``hvec -> f`` extended bilinearly."""
-        out = [ZERO] * len(f)
-        for h, c in nonzeros(hvec):
-            add_scaled(out, c, apply_map(self.left_mats[h], f))
-        return tuple(out)
+        mats = self.left_mats
+        return linear_combination(len(f), ((c, apply_map(mats[h], f)) for h, c in nonzeros(hvec)))
+
+
+def _double_terms(comul: Tensor3) -> tuple[list[tuple[int, int, int, Fraction]], ...]:
+    """The twice-iterated Sweedler terms ``(x_1, x_21, x_22, coefficient)``
+    of every basis vector."""
+    sw = terms(comul)
+    return tuple(
+        [(x1, x21, x22, c * c2) for x1, x2, c in row for x21, x22, c2 in sw[x2]] for row in sw
+    )
 
 
 def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
@@ -819,84 +679,43 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     ainv3 = alpha_power(H.alpha, -3)
     a2t = transpose(alpha_power(H.alpha, 2))
     S = H.antipode
+    s_ainv3 = mat_compose(ainv3, S)  # rows S(alpha^-3(e_k))
     nd = n * n
+    e = identity(n)
+    shifted = [[bilinear_apply(H.mul, a, x) for x in e] for a in ainv2]  # alpha^-2(e_k) e_h
 
-    mul_entries: Entries3 = {}
-    for m in range(n):
-        # Sweedler terms of the middle factor: k_1, k_21, k_22
-        terms = []
-        for k1, row in enumerate(H.comul[m]):
-            for k2, c in nonzeros(row):
-                for k21, row2 in enumerate(H.comul[k2]):
-                    for k22, c2 in nonzeros(row2):
-                        terms.append((k1, k21, k22, c * c2))
+    cells = {}
+    for m, sweedler in enumerate(_double_terms(H.comul)):
         for j in range(n):
+            # f = alpha^-3(k_22) -> ((alpha*)^2(e^j) <- S alpha^-3(k_1)), kept as l -> f l
             dressed = []
-            for k1, k21, k22, coeff in terms:
-                f = harpoons.feed_right(a2t[j], apply_map(S, ainv3[k1]))
-                f = harpoons.feed_left(ainv3[k22], f)
-                dressed.append((k21, coeff, f))
-            for h in range(n):
-                for l in range(n):
-                    out = [ZERO] * nd
-                    for k21, coeff, f in dressed:
-                        first = bilinear_apply(H.mul, ainv2[k21], _basis(n, h))
-                        second = bilinear_apply(hst.mul, f, _basis(n, l))
-                        for pos, v in _pair_product_rows(first, second, n):
-                            out[pos] += coeff * v
-                    r = h * n + j
-                    cidx = m * n + l
-                    for pos, v in enumerate(out):
-                        if v:
-                            mul_entries[r, cidx, pos] = v
-    mul = _dense3(nd, nd, nd, mul_entries)
+            for k1, k21, k22, coeff in sweedler:
+                f = harpoons.feed_left(ainv3[k22], harpoons.feed_right(a2t[j], s_ainv3[k1]))
+                dressed.append((k21, coeff, [bilinear_apply(hst.mul, f, x) for x in e]))
+            for h, l in product(range(n), repeat=2):
+                cells[h * n + j, m * n + l] = linear_combination(
+                    nd, ((c, kron((shifted[k][h],), (times[l],))[0]) for k, c, times in dressed)
+                )
+    mul = tuple(tuple(cells[r, c] for c in range(nd)) for r in range(nd))
+    coalg = _tensor_coalgebra(H, hst)
 
-    comul_entries: Entries3 = {}
-    for h in range(n):
-        for j in range(n):
-            r = h * n + j
-            for h1, rowh in enumerate(H.comul[h]):
-                for h2, vh in nonzeros(rowh):
-                    for j1, rowj in enumerate(hst.comul[j]):
-                        for j2, vj in nonzeros(rowj):
-                            _acc3(comul_entries, r, h1 * n + j1, h2 * n + j2, vh * vj)
-    comul = _dense3(nd, nd, nd, comul_entries)
-
-    unit_d = _kron_vec(H.unit, hst.unit)
-    counit_d = _kron_vec(H.counit, hst.counit)
-    alpha_d = kron(H.alpha, hst.alpha)
-
-    s_inv = mat_inverse(S)
-    ainv1 = alpha_power(H.alpha, -1)
-    alpha_t = transpose(H.alpha)
-    antipode_rows = []
-    for h in range(n):
-        for j in range(n):
-            lvec = _kron_vec(H.unit, apply_map(hst.antipode, alpha_t[j]))
-            rvec = _kron_vec(apply_map(s_inv, ainv1[h]), H.counit)
-            antipode_rows.append(bilinear_apply(mul, lvec, rvec))
-
-    return hopf_algebra(nd, mul, unit_d, comul, counit_d, alpha_d, tuple(antipode_rows))
+    # S(h (x) f) = (1 (x) S*(alpha*(f))) (S^-1(alpha^-1(h)) (x) counit), factor by factor
+    s_f = mat_compose(mat_compose(transpose(H.alpha), hst.antipode), kron((H.unit,), e))
+    s_h = mat_compose(mat_compose(alpha_power(H.alpha, -1), mat_inverse(S)), kron(e, (H.counit,)))
+    antipode = tuple(bilinear_apply(mul, s_f[j], s_h[h]) for h in range(n) for j in range(n))
+    return hopf_algebra(
+        nd, mul, kron((H.unit,), (hst.unit,))[0], coalg.comul, coalg.counit, coalg.alpha, antipode
+    )
 
 
 def canonical_r_matrix(H: HomHopfAlgebra, double: HomHopfAlgebra | None = None) -> RMatrix:
     """The canonical quasitriangular structure on the double:
     ``R = sum_i (1 (x) (alpha^-1)*(e^i)) (x) (S^-1(e_i) (x) counit)``."""
-    n = H.dim
     if double is None:
         double = drinfeld_double(H)
-    alpha_st = transpose(alpha_power(H.alpha, -1))
-    s_inv = mat_inverse(H.antipode)
-    nd = n * n
-    entries: dict[tuple[int, int], Fraction] = {}
-    for i in range(n):
-        first = _kron_vec(H.unit, alpha_st[i])
-        second = _kron_vec(s_inv[i], H.counit)
-        for p, cp in nonzeros(first):
-            for q, cq in nonzeros(second):
-                key = (p, q)
-                entries[key] = entries.get(key, ZERO) + cp * cq
-    return RMatrix(double.bialgebra, matrix_from_entries(nd, nd, entries))
+    first = kron((H.unit,), transpose(alpha_power(H.alpha, -1)))
+    second = kron(mat_inverse(H.antipode), (H.counit,))
+    return RMatrix(double.bialgebra, mat_compose(transpose(first), second))
 
 
 def evaluation_pairing(H: HomHopfAlgebra) -> PairingForm:
@@ -940,42 +759,25 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
     bb_i2 = alpha_power(B.alpha, -2)
     sa_inv = mat_inverse(A.antipode)
     sb_inv = mat_inverse(B.antipode)
-
-    def pair(u: Vector, v: Vector) -> Fraction:
-        total = ZERO
-        for i, ci in nonzeros(u):
-            row = gram[i]
-            for j, cj in nonzeros(v):
-                if row[j]:
-                    total += ci * cj * row[j]
-        return total
+    a_terms, b_terms = terms(A.comul), terms(B.comul)
+    e_a, e_b = identity(na), identity(nb)
 
     def half_braiding(select_first: bool, antipode: Matrix | None) -> Matrix:
-        entries: dict[tuple[int, int], Fraction] = {}
-        for a in range(na):
-            for b in range(nb):
-                r = a * nb + b
-                for a1, rowa in enumerate(A.comul[a]):
-                    for a2, va in nonzeros(rowa):
-                        for b1, rowb in enumerate(B.comul[b]):
-                            for b2, vb in nonzeros(rowb):
-                                if select_first:
-                                    paired_a, kept_a = a2, a1
-                                    paired_b, kept_b = b1, b2
-                                else:
-                                    paired_a, kept_a = a1, a2
-                                    paired_b, kept_b = b2, b1
-                                w = apply_map(A.alpha, _basis(na, paired_a))
-                                if antipode is not None:
-                                    w = apply_map(antipode, w)
-                                coeff = va * vb * pair(w, _basis(nb, paired_b))
-                                if not coeff:
-                                    continue
-                                for p, cp in nonzeros(aa_i1[kept_a]):
-                                    for q, cq in nonzeros(bb_i1[kept_b]):
-                                        key = (r, p * nb + q)
-                                        entries[key] = entries.get(key, ZERO) + coeff * cp * cq
-        return matrix_from_entries(nd, nd, entries)
+        # <(antipode) alpha(a_paired), b_paired> alpha^-1(a_kept) (x) alpha^-1(b_kept)
+        weight = mat_compose(A.alpha if antipode is None else mat_compose(A.alpha, antipode), gram)
+
+        def row(a, b):
+            kept = [ZERO] * nd
+            for a1, a2, va in a_terms[a]:
+                for b1, b2, vb in b_terms[b]:
+                    if select_first:
+                        (pa, ka), (pb, kb) = (a2, a1), (b1, b2)
+                    else:
+                        (pa, ka), (pb, kb) = (a1, a2), (b2, b1)
+                    kept[ka * nb + kb] += va * vb * weight[pa][pb]
+            return apply_kron(aa_i1, bb_i1, tuple(kept))
+
+        return tuple(row(a, b) for a in range(na) for b in range(nb))
 
     r1 = half_braiding(True, None)
     r2 = half_braiding(False, None)
@@ -984,77 +786,39 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
     closed_r1_inv = half_braiding(True, sa_inv)
     closed_r2_inv = half_braiding(False, sa_inv)
     inverses_match = (closed_r1_inv == r1_inv, closed_r2_inv == r2_inv)
+    twisting = mat_compose(mat_compose(_flip(nb, na), r2_inv), r1)
 
-    tau_ba = matrix_from_entries(
-        nb * na, nd, {(b * na + a, a * nb + b): ONE for a in range(na) for b in range(nb)}
+    # the scalar weight of a'_21 (x) b_12 for each (a', b)
+    weight1 = mat_compose(mat_compose(A.alpha, sa_inv), gram)  # <S^-1 alpha_A(a), b>
+    weight2 = mat_compose(gram, transpose(bb_i1))  # <a, alpha_B^-1(b)>
+
+    def middle(ap, b):
+        out = [ZERO] * nd
+        for a1, a2, va in a_terms[ap]:
+            for a21, a22, va2 in a_terms[a2]:
+                for b1, b2, vb in b_terms[b]:
+                    for b11, b12, vb1 in b_terms[b1]:
+                        c = weight1[a1][b2] * weight2[a22][b11]
+                        out[a21 * nb + b12] += va * va2 * vb * vb1 * c
+        return tuple(out)
+
+    middles = {(ap, b): middle(ap, b) for ap in range(na) for b in range(nb)}
+    # first[a] maps a'_21 to a alpha_A^-2(a'_21), second[b'] maps b_12 to alpha_B^-2(b_12) b'
+    first = [tuple(bilinear_apply(A.mul, e_a[a], x) for x in aa_i2) for a in range(na)]
+    second = [tuple(bilinear_apply(B.mul, x, e_b[bp]) for x in bb_i2) for bp in range(nb)]
+    mul = tuple(
+        tuple(
+            apply_kron(first[a], second[bp], middles[ap, b]) for ap in range(na) for bp in range(nb)
+        )
+        for a in range(na)
+        for b in range(nb)
     )
-    twisting = mat_compose(mat_compose(tau_ba, r2_inv), r1)
-
-    mul_entries: Entries3 = {}
-    for a in range(na):
-        for b in range(nb):
-            r = a * nb + b
-            for ap in range(na):
-                for bp in range(nb):
-                    cidx = ap * nb + bp
-                    out = [ZERO] * nd
-                    for a1, rowa in enumerate(A.comul[ap]):
-                        for a2, va in nonzeros(rowa):
-                            for a21, rowa2 in enumerate(A.comul[a2]):
-                                for a22, va2 in nonzeros(rowa2):
-                                    for b1, rowb in enumerate(B.comul[b]):
-                                        for b2, vb in nonzeros(rowb):
-                                            for b11, rowb1 in enumerate(B.comul[b1]):
-                                                for b12, vb1 in nonzeros(rowb1):
-                                                    c1 = pair(
-                                                        apply_map(sa_inv, A.alpha[a1]),
-                                                        _basis(nb, b2),
-                                                    )
-                                                    if not c1:
-                                                        continue
-                                                    c2 = pair(_basis(na, a22), bb_i1[b11])
-                                                    if not c2:
-                                                        continue
-                                                    coeff = va * va2 * vb * vb1 * c1 * c2
-                                                    first = bilinear_apply(
-                                                        A.mul, _basis(na, a), aa_i2[a21]
-                                                    )
-                                                    second = bilinear_apply(
-                                                        B.mul, bb_i2[b12], _basis(nb, bp)
-                                                    )
-                                                    for pos, v in _pair_product_rows(
-                                                        first, second, nb
-                                                    ):
-                                                        out[pos] += coeff * v
-                    for pos, v in enumerate(out):
-                        if v:
-                            mul_entries[r, cidx, pos] = v
-    mul = _dense3(nd, nd, nd, mul_entries)
-
-    comul_entries: Entries3 = {}
-    for a in range(na):
-        for b in range(nb):
-            r = a * nb + b
-            for a1, rowa in enumerate(A.comul[a]):
-                for a2, va in nonzeros(rowa):
-                    for b1, rowb in enumerate(B.comul[b]):
-                        for b2, vb in nonzeros(rowb):
-                            _acc3(comul_entries, r, a1 * nb + b2, a2 * nb + b1, va * vb)
-    comul = _dense3(nd, nd, nd, comul_entries)
-
-    tau_ab = matrix_from_entries(
-        nd, nb * na, {(a * nb + b, b * na + a): ONE for a in range(na) for b in range(nb)}
-    )
-    antipode = mat_compose(mat_compose(kron(A.antipode, sb_inv), tau_ab), twisting)
+    # a_1 (x) b_2 (x) a_2 (x) b_1: the tensor coproduct with B's co-opposite
+    coalg = _tensor_coalgebra(A, HomCoalgebra(nb, _op_comul(B.comul), B.counit, B.alpha))
+    antipode = mat_compose(mat_compose(kron(A.antipode, sb_inv), _flip(na, nb)), twisting)
 
     hopf = hopf_algebra(
-        nd,
-        mul,
-        _kron_vec(A.unit, B.unit),
-        comul,
-        _kron_vec(A.counit, B.counit),
-        kron(A.alpha, B.alpha),
-        antipode,
+        nd, mul, kron((A.unit,), (B.unit,))[0], coalg.comul, coalg.counit, coalg.alpha, antipode
     )
     return PairedDouble(hopf, twisting, inverses_match)
 
@@ -1066,13 +830,10 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
 def regular_action(h: HomHopfAlgebra) -> ModuleAction:
     """The left regular action of the dual: ``f -> b = f(b_2) b_1``."""
     n = h.dim
-    hst = dual(h)
-    entries: Entries3 = {}
-    for b in range(n):
-        for b1, row in enumerate(h.comul[b]):
-            for j, c in nonzeros(row):
-                _acc3(entries, j, b, b1, c)
-    return ModuleAction(hst, h, _dense3(n, n, n, entries))
+    act = tuple(
+        tuple(tuple(h.comul[b][b1][j] for b1 in range(n)) for b in range(n)) for j in range(n)
+    )
+    return ModuleAction(dual(h), h, act)
 
 
 def heisenberg_double(A: HomHopfAlgebra) -> HomAlgebra:
@@ -1103,53 +864,26 @@ def drinfeld_double_tilde(A: HomHopfAlgebra) -> HomBialgebra:
     ainv2 = alpha_power(A.alpha, -2)
     ainv3 = alpha_power(A.alpha, -3)
     a2t = transpose(alpha_power(A.alpha, 2))
-    s_inv = mat_inverse(A.antipode)
+    s_inv_ainv3 = mat_compose(ainv3, mat_inverse(A.antipode))  # rows S^-1(alpha^-3(e_k))
     nd = n * n
+    e = identity(n)
+    shifted = [[bilinear_apply(A.mul, a, x) for x in e] for a in ainv2]  # alpha^-2(e_k) e_b
 
-    mul_entries: Entries3 = {}
-    for a in range(n):
-        terms = []
-        for a1, row in enumerate(A.comul[a]):
-            for a2, c in nonzeros(row):
-                for a21, row2 in enumerate(A.comul[a2]):
-                    for a22, c2 in nonzeros(row2):
-                        terms.append((a1, a21, a22, c * c2))
+    cells = {}
+    for a, sweedler in enumerate(_double_terms(A.comul)):
         for l in range(n):
+            # the dual leg (alpha^-3(a_1) -> (alpha^2)*(e^l)) <- S^-1 alpha^-3(a_22) as j -> e^j g
             dressed = []
-            for a1, a21, a22, coeff in terms:
-                g = harpoons.feed_left(ainv3[a1], a2t[l])
-                g = harpoons.feed_right(g, apply_map(s_inv, ainv3[a22]))
-                dressed.append((a21, coeff, g))
-            for j in range(n):
-                for b in range(n):
-                    out = [ZERO] * nd
-                    for a21, coeff, g in dressed:
-                        func_leg = bilinear_apply(fst.mul, _basis(n, j), g)
-                        alg_leg = bilinear_apply(A.mul, ainv2[a21], _basis(n, b))
-                        for pos, v in _pair_product_rows(func_leg, alg_leg, n):
-                            out[pos] += coeff * v
-                    r = j * n + a
-                    cidx = l * n + b
-                    for pos, v in enumerate(out):
-                        if v:
-                            mul_entries[r, cidx, pos] = v
-    mul = _dense3(nd, nd, nd, mul_entries)
-
-    comul_entries: Entries3 = {}
-    for j in range(n):
-        for a in range(n):
-            r = j * n + a
-            for j1, rowj in enumerate(fst.comul[j]):
-                for j2, vj in nonzeros(rowj):
-                    for a1, rowa in enumerate(A.comul[a]):
-                        for a2, va in nonzeros(rowa):
-                            _acc3(comul_entries, r, j1 * n + a1, j2 * n + a2, vj * va)
-    comul = _dense3(nd, nd, nd, comul_entries)
-
-    return HomBialgebra(
-        HomAlgebra(nd, mul, _kron_vec(fst.unit, A.unit), kron(fst.alpha, A.alpha)),
-        HomCoalgebra(nd, comul, _kron_vec(fst.counit, A.counit), kron(fst.alpha, A.alpha)),
-    )
+            for a1, a21, a22, coeff in sweedler:
+                g = harpoons.feed_right(harpoons.feed_left(ainv3[a1], a2t[l]), s_inv_ainv3[a22])
+                dressed.append((a21, coeff, [bilinear_apply(fst.mul, x, g) for x in e]))
+            for j, b in product(range(n), repeat=2):
+                cells[j * n + a, l * n + b] = linear_combination(
+                    nd, ((c, kron((times[j],), (shifted[k][b],))[0]) for k, c, times in dressed)
+                )
+    mul = tuple(tuple(cells[r, c] for c in range(nd)) for r in range(nd))
+    coalg = _tensor_coalgebra(fst, A)
+    return HomBialgebra(HomAlgebra(nd, mul, kron((fst.unit,), (A.unit,))[0], coalg.alpha), coalg)
 
 
 def cocycle_twist(B, sigma: TwoCocycle, check: bool = True) -> HomAlgebra:
@@ -1163,31 +897,9 @@ def cocycle_twist(B, sigma: TwoCocycle, check: bool = True) -> HomAlgebra:
         report = check_cocycle(sigma)
         if not report.ok:
             raise PreconditionFailed("not a normal cocycle", report)
-    n = bi.dim
     ainv1 = alpha_power(bi.alpha, -1)
-    gram = sigma.gram
-    left = sigma.side == "left"
-    entries: Entries3 = {}
-    for h in range(n):
-        for k in range(n):
-            out = [ZERO] * n
-            for h1, rowh in enumerate(bi.comul[h]):
-                for h2, vh in nonzeros(rowh):
-                    for k1, rowk in enumerate(bi.comul[k]):
-                        for k2, vk in nonzeros(rowk):
-                            if left:
-                                c = gram[h1][k1]
-                                prod = bi.mul[h2][k2]
-                            else:
-                                c = gram[h2][k2]
-                                prod = bi.mul[h1][k1]
-                            if not c:
-                                continue
-                            add_scaled(out, vh * vk * c, apply_map(ainv1, prod))
-            for pos, v in enumerate(out):
-                if v:
-                    entries[h, k, pos] = v
-    return HomAlgebra(n, _dense3(n, n, n, entries), bi.unit, bi.alpha)
+    mul = tuple(tuple(apply_map(ainv1, w) for w in row) for row in cocycle_products(sigma))
+    return HomAlgebra(bi.dim, mul, bi.unit, bi.alpha)
 
 
 def canonical_cocycles(
@@ -1204,33 +916,15 @@ def canonical_cocycles(
         double = drinfeld_double(A)
     if double_tilde is None:
         double_tilde = drinfeld_double_tilde(A)
-    nd = n * n
-    sigma_entries: dict[tuple[int, int], Fraction] = {}
-    for h in range(n):
-        if not A.counit[h]:
-            continue
-        for j in range(n):
-            for k in range(n):
-                if not A.alpha[k][j]:
-                    continue
-                for l in range(n):
-                    if A.unit[l]:
-                        sigma_entries[h * n + j, k * n + l] = (
-                            A.counit[h] * A.alpha[k][j] * A.unit[l]
-                        )
-    eta_entries: dict[tuple[int, int], Fraction] = {}
-    for j in range(n):
-        if not A.unit[j]:
-            continue
-        for a in range(n):
-            for l in range(n):
-                if not A.alpha[a][l]:
-                    continue
-                for b in range(n):
-                    if A.counit[b]:
-                        eta_entries[j * n + a, l * n + b] = (
-                            A.unit[j] * A.alpha[a][l] * A.counit[b]
-                        )
-    sigma = TwoCocycle(double.bialgebra, matrix_from_entries(nd, nd, sigma_entries), "left")
-    eta = TwoCocycle(double_tilde, matrix_from_entries(nd, nd, eta_entries), "right")
-    return sigma, eta
+    rng = range(n)
+    sigma = tuple(
+        tuple(A.counit[h] * A.alpha[k][j] * A.unit[l] for k in rng for l in rng)
+        for h in rng
+        for j in rng
+    )
+    eta = tuple(
+        tuple(A.unit[j] * A.alpha[a][l] * A.counit[b] for l in rng for b in rng)
+        for j in rng
+        for a in rng
+    )
+    return TwoCocycle(double.bialgebra, sigma, "left"), TwoCocycle(double_tilde, eta, "right")

@@ -12,6 +12,11 @@ matrices.  Three conventions are fixed package-wide:
 * tensor-product indices flatten row-major: the pair ``(i, j)`` with a
   second factor of dimension ``m`` becomes ``i * m + j``.
 
+Sweedler sums and tensor legs are enumerated here and nowhere else:
+``terms`` lists the nonzero Sweedler terms of a comultiplication or coaction
+tensor, and ``apply_kron`` applies one map to each leg of a vector on a pair
+space.
+
 All functions are pure and all results are hashable, so they are safe to
 share between threads and to memoize.
 """
@@ -79,10 +84,16 @@ def vec_scale(c: Fraction, v: Vector) -> Vector:
     return tuple(c * a for a in v)
 
 
+# Dense tensors and fresh accumulators hold the shared ZERO object in every
+# untouched entry, so the scans below test identity with it before the much
+# slower Fraction truth test; a zero computed by arithmetic still fails the
+# truth test.
+
+
 def nonzeros(v: Iterable[Fraction]) -> Iterator[tuple[int, Fraction]]:
     """Yield ``(index, value)`` for the nonzero entries of a vector."""
     for i, a in enumerate(v):
-        if a:
+        if a is not ZERO and a:
             yield i, a
 
 
@@ -91,8 +102,16 @@ def add_scaled(acc: list[Fraction], c: Fraction, v: Vector) -> None:
     if not c:
         return
     for i, a in enumerate(v):
-        if a:
+        if a is not ZERO and a:
             acc[i] += c * a
+
+
+def linear_combination(n: int, scaled: Iterable[tuple[Fraction, Vector]]) -> Vector:
+    """The length-``n`` vector ``sum c * v`` over the ``(c, v)`` pairs of ``scaled``."""
+    acc = [ZERO] * n
+    for c, v in scaled:
+        add_scaled(acc, c, v)
+    return tuple(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +231,31 @@ def kron(f: Matrix, g: Matrix) -> Matrix:
     out = []
     for frow in f:
         for grow in g:
-            out.append(tuple(a * b for a in frow for b in grow))
+            out.append(tuple(ZERO if a is ZERO or b is ZERO else a * b for a in frow for b in grow))
     return tuple(out)
+
+
+def apply_kron(f: Matrix, g: Matrix, v: Vector) -> Vector:
+    """``apply_map(kron(f, g), v)`` without building ``kron(f, g)``.
+
+    ``v`` lives on the flattened pair space of the two sources, so this
+    applies ``f`` to the first tensor leg and ``g`` to the second.
+    """
+    m, q = len(g), len(g[0])
+    if len(v) != len(f) * m:
+        raise DimensionMismatch(
+            f"cannot apply {mat_shape(f)} (x) {mat_shape(g)} to length-{len(v)} vector"
+        )
+    acc = [ZERO] * (len(f[0]) * q)
+    for p, c in nonzeros(v):
+        i, j = divmod(p, m)
+        grow = g[j]
+        for a, ca in nonzeros(f[i]):
+            base = a * q
+            cca = c * ca
+            for b, cb in nonzeros(grow):
+                acc[base + b] += cca * cb
+    return tuple(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +291,28 @@ def bilinear_apply(t: Tensor3, x: Vector, y: Vector) -> Vector:
     return tuple(acc)
 
 
-def tensor3_entries(t: Tensor3) -> Iterator[tuple[int, int, int, Fraction]]:
-    for i, plane in enumerate(t):
-        for j, row in enumerate(plane):
-            for k, c in enumerate(row):
-                if c:
-                    yield i, j, k, c
+def terms(t: Tensor3) -> tuple[tuple[tuple[int, int, Fraction], ...], ...]:
+    """For each first index ``i``, the nonzero ``(j, k, t[i][j][k])`` in row-major order.
+
+    On a comultiplication tensor ``terms(comul)[i]`` lists the Sweedler terms
+    ``(i_1, i_2, coefficient)`` of ``delta(e_i)``; on a coaction tensor the
+    terms ``(m_(0), c_(1), coefficient)`` of ``rho(e_i)``.  Computing the table
+    once per tensor keeps zero entries out of every Sweedler sum.
+    """
+    return tuple(
+        tuple(
+            (j, k, c)
+            for j, row in enumerate(plane)
+            for k, c in enumerate(row)
+            if c is not ZERO and c
+        )
+        for plane in t
+    )
 
 
 def flatten_pair(row_of_rows: Matrix) -> Vector:
     """Flatten an n2 x n3 coefficient block into a vector on the product space."""
     return tuple(chain.from_iterable(row_of_rows))
-
-
-def comul_vector(comul: Tensor3, i: int) -> Vector:
-    """Coefficients of ``delta(e_i)`` as a dense vector on the tensor square."""
-    return flatten_pair(comul[i])
 
 
 def mul_matrix(mul: Tensor3) -> Matrix:

@@ -41,6 +41,7 @@ from .exactlin import (
     Vector,
     format_scalar,
     matrix_from_entries,
+    nonzeros,
     parse_scalar,
     tensor3_from_entries,
     vector_from_entries,
@@ -58,6 +59,11 @@ from .structures import (
 )
 
 SCHEMA_VERSION = 1
+
+# Largest accepted ``dim``: an object of dimension n is held as dense n^3
+# tensors, so the declared size is checked before anything is allocated.
+# The largest object the catalog or the constructions produce is 36-dim.
+MAX_DIM = 128
 
 
 @dataclass(frozen=True)
@@ -325,9 +331,13 @@ def parse(data: bytes | str) -> AlgebraFile:
                 if head2 == "dim":
                     if dim is not None:
                         raise DuplicateEntry("dim declared twice", lineno2, 1)
-                    if len(toks2) != 2 or not toks2[1].isdigit() or int(toks2[1]) < 1:
+                    text = toks2[1].lstrip("0") if len(toks2) == 2 else ""
+                    if not (text.isascii() and text.isdigit()):
                         fail("expected 'dim <positive integer>'", lineno2, line2, 1)
-                    dim = int(toks2[1])
+                    # compare lengths first: int() refuses strings of thousands of digits
+                    if len(text) > len(str(MAX_DIM)) or int(text) > MAX_DIM:
+                        fail(f"declared dim exceeds the limit of {MAX_DIM}", lineno2, line2, 1)
+                    dim = int(text)
                     continue
                 if head2 == "basis":
                     if basis is not None:
@@ -466,25 +476,12 @@ def _emit_entries(lines, keyword, indexed):
             lines.append(f"{keyword} {' '.join(str(i) for i in idx)} {format_scalar(value)}")
 
 
-def _tensor_items(t: Tensor3):
-    for i, plane in enumerate(t):
-        for j, row in enumerate(plane):
-            for k, c in enumerate(row):
-                if c:
-                    yield (i, j, k), c
-
-
-def _matrix_items(m: Matrix):
-    for i, row in enumerate(m):
-        for j, c in enumerate(row):
-            if c:
-                yield (i, j), c
-
-
-def _vector_items(v: Vector):
-    for i, c in enumerate(v):
-        if c:
-            yield (i,), c
+def _items(dense) -> list[tuple[tuple[int, ...], Fraction]]:
+    """The nonzero entries of a vector, matrix or rank-3 tensor with their
+    index tuples, in sorted (row-major) order."""
+    if dense and isinstance(dense[0], tuple):
+        return [((i, *idx), c) for i, sub in enumerate(dense) for idx, c in _items(sub)]
+    return [((i,), c) for i, c in nonzeros(dense)]
 
 
 def serialize(file: AlgebraFile) -> bytes:
@@ -495,17 +492,10 @@ def serialize(file: AlgebraFile) -> bytes:
         lines.append(f"object {rec.name}")
         lines.append(f"dim {rec.dim}")
         lines.append("basis " + " ".join(rec.basis))
-        if rec.mul is not None:
-            _emit_entries(lines, "mul", sorted(_tensor_items(rec.mul)))
-        if rec.comul is not None:
-            _emit_entries(lines, "comul", sorted(_tensor_items(rec.comul)))
-        _emit_entries(lines, "alpha", sorted(_matrix_items(rec.alpha)))
-        if rec.antipode is not None:
-            _emit_entries(lines, "antipode", sorted(_matrix_items(rec.antipode)))
-        if rec.unit is not None:
-            _emit_entries(lines, "unit", sorted(_vector_items(rec.unit)))
-        if rec.counit is not None:
-            _emit_entries(lines, "counit", sorted(_vector_items(rec.counit)))
+        for keyword in ("mul", "comul", "alpha", "antipode", "unit", "counit"):
+            dense = getattr(rec, keyword)
+            if dense is not None:
+                _emit_entries(lines, keyword, _items(dense))
         lines.append("end")
     for block in file.blocks:
         lines.append(f"{block.kind} {block.name} {' '.join(block.refs)}")
@@ -534,11 +524,7 @@ def object_record(name: str, obj, basis: tuple[str, ...] | None = None) -> Objec
 
 
 def block_record(kind: str, name: str, refs: tuple[str, ...], dense) -> BlockRecord:
-    if kind in ("action", "coaction"):
-        entries = tuple(sorted(_tensor_items(dense)))
-    else:
-        entries = tuple(sorted(_matrix_items(dense)))
-    return BlockRecord(kind, name, refs, entries)
+    return BlockRecord(kind, name, refs, tuple(_items(dense)))
 
 
 def bundle_of_entry(entry) -> AlgebraFile:

@@ -14,7 +14,6 @@ objects can be built deliberately to exercise the checkers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .errors import DimensionMismatch, SingularMatrixError
@@ -24,18 +23,24 @@ from .exactlin import (
     Matrix,
     Tensor3,
     Vector,
-    add_scaled,
     alpha_power,
+    apply_kron,
     apply_map,
     bilinear_apply,
-    comul_vector,
+    comul_matrix,
     identity,
     is_invertible,
     kron,
+    linear_combination,
     mat_compose,
+    mat_inverse,
     mat_shape,
+    mul_matrix,
     nonzeros,
     tensor3_shape,
+    terms,
+    transpose,
+    vec_scale,
 )
 
 # ---------------------------------------------------------------------------
@@ -375,8 +380,28 @@ def _sweep(axiom_id: str, indices, lhs_fn, rhs_fn) -> CheckEntry:
     return CheckEntry(axiom_id, True)
 
 
-def _scalar(x: Fraction) -> Vector:
-    return (x,)
+def _as_map(covector: Vector) -> Matrix:
+    """A covector as a row-image map to the one-dimensional space."""
+    return transpose((covector,))
+
+
+def _op_comul(comul: Tensor3) -> Tensor3:
+    """The co-opposite comultiplication ``delta(e_i) = sum e_i2 (x) e_i1``."""
+    return tuple(transpose(plane) for plane in comul)
+
+
+def _form(gram: Matrix) -> Tensor3:
+    """A bilinear form as a bilinear map to the one-dimensional space."""
+    return tuple(tuple((g,) for g in row) for row in gram)
+
+
+def _partial_forms(gram: Matrix, alpha_left: Matrix, alpha_right: Matrix):
+    """For a bilinear form ``<,>`` with Gram matrix ``gram``, the maps
+    ``x -> <alpha_left(e_i), x>`` (one per ``i``) and ``x -> <x, alpha_right(e_j)>``
+    (one per ``j``) to the one-dimensional space."""
+    first = tuple(_as_map(row) for row in mat_compose(alpha_left, gram))
+    second = tuple(_as_map(row) for row in mat_compose(alpha_right, transpose(gram)))
+    return first, second
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +447,31 @@ def tensor_cube_product(mul: Tensor3, n: int, u: Vector, v: Vector) -> Vector:
     return tuple(out)
 
 
-def comul_of_vector(comul: Tensor3, v: Vector, n: int) -> Vector:
-    """Coefficients of ``delta(v)`` on the tensor square."""
-    out = [ZERO] * (n * n)
-    for i, c in nonzeros(v):
-        add_scaled(out, c, comul_vector(comul, i))
-    return tuple(out)
+def cocycle_products(sigma: TwoCocycle) -> Tensor3:
+    """``sigma(h_1, k_1) h_2 k_2`` for a left cocycle and ``sigma(h_2, k_2) h_1 k_1``
+    for a right one, at every basis pair ``(h, k)``.
+
+    Both sides of the cocycle condition pair these with ``alpha^2`` of the
+    third argument, and the cocycle twist applies ``alpha^-1`` to them.
+    """
+    B, gram = sigma.algebra, sigma.gram
+    n = B.dim
+    # a right cocycle pairs the second Sweedler legs: swap the legs
+    sw = terms(B.comul if sigma.side == "left" else _op_comul(B.comul))
+    return tuple(
+        tuple(
+            linear_combination(
+                n,
+                (
+                    (vh * vk * gram[h1][k1], B.mul[h2][k2])
+                    for h1, h2, vh in sw[h]
+                    for k1, k2, vk in sw[k]
+                ),
+            )
+            for k in range(n)
+        )
+        for h in range(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +484,7 @@ def check_hom_algebra(obj) -> CheckReport:
     A = algebra_of(obj)
     n, mul, unit, alpha = A.dim, A.mul, A.unit, A.alpha
     rng = range(n)
+    e = identity(n)
 
     checks = [
         _sweep(
@@ -457,13 +502,13 @@ def check_hom_algebra(obj) -> CheckReport:
         _sweep(
             "algebra.left-unit",
             product(rng),
-            lambda i: bilinear_apply(mul, unit, _basis(n, i)),
+            lambda i: bilinear_apply(mul, unit, e[i]),
             lambda i: alpha[i],
         ),
         _sweep(
             "algebra.right-unit",
             product(rng),
-            lambda i: bilinear_apply(mul, _basis(n, i), unit),
+            lambda i: bilinear_apply(mul, e[i], unit),
             lambda i: alpha[i],
         ),
         _sweep(
@@ -476,86 +521,46 @@ def check_hom_algebra(obj) -> CheckReport:
     return CheckReport(tuple(checks))
 
 
-def _basis(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
 def check_hom_coalgebra(obj) -> CheckReport:
     """Counital Hom-coassociativity of a coalgebra."""
     C = coalgebra_of(obj)
-    n, comul, counit, alpha = C.dim, C.comul, C.counit, C.alpha
+    n, counit, alpha = C.dim, C.counit, C.alpha
     rng = range(n)
-
-    def counit_of(v: Vector) -> Fraction:
-        return sum((c * counit[i] for i, c in nonzeros(v)), ZERO)
-
-    def left_counit(i):
-        out = [ZERO] * n
-        for j, row in enumerate(comul[i]):
-            if counit[j]:
-                add_scaled(out, counit[j], row)
-        return tuple(out)
-
-    def right_counit(i):
-        out = [ZERO] * n
-        for j, row in enumerate(comul[i]):
-            for k, c in nonzeros(row):
-                if counit[k]:
-                    out[j] += c * counit[k]
-        return tuple(out)
-
-    def comul_alpha(i):
-        out = [ZERO] * (n * n)
-        for t, c in nonzeros(alpha[i]):
-            add_scaled(out, c, comul_vector(comul, t))
-        return tuple(out)
-
-    def alpha_alpha_comul(i):
-        out = [ZERO] * (n * n)
-        for j, row in enumerate(comul[i]):
-            for k, c in nonzeros(row):
-                for a, ca in nonzeros(alpha[j]):
-                    base = a * n
-                    cca = c * ca
-                    for b, cb in nonzeros(alpha[k]):
-                        out[base + b] += cca * cb
-        return tuple(out)
-
-    def coassoc_left(i):
-        # (delta (x) alpha) of delta(e_i)
-        out = [ZERO] * (n * n * n)
-        for j, row in enumerate(comul[i]):
-            for k, c in nonzeros(row):
-                dj = comul_vector(comul, j)
-                for p, cp in nonzeros(dj):
-                    base = p * n
-                    for q, cq in nonzeros(alpha[k]):
-                        out[base + q] += c * cp * cq
-        return tuple(out)
-
-    def coassoc_right(i):
-        # (alpha (x) delta) of delta(e_i)
-        out = [ZERO] * (n * n * n)
-        for j, row in enumerate(comul[i]):
-            for k, c in nonzeros(row):
-                dk = comul_vector(comul, k)
-                for p, cp in nonzeros(alpha[j]):
-                    base = p * n * n
-                    for q, cq in nonzeros(dk):
-                        out[base + q] += c * cp * cq
-        return tuple(out)
+    e = identity(n)
+    delta = comul_matrix(C.comul)
+    eps = _as_map(counit)
 
     checks = [
         _sweep(
             "coalgebra.counit-alpha",
             product(rng),
-            lambda i: _scalar(counit_of(alpha[i])),
-            lambda i: _scalar(counit[i]),
+            lambda i: apply_map(eps, alpha[i]),
+            lambda i: (counit[i],),
         ),
-        _sweep("coalgebra.alpha-comultiplicative", product(rng), comul_alpha, alpha_alpha_comul),
-        _sweep("coalgebra.left-counit", product(rng), left_counit, lambda i: alpha[i]),
-        _sweep("coalgebra.right-counit", product(rng), right_counit, lambda i: alpha[i]),
-        _sweep("coalgebra.hom-coassociative", product(rng), coassoc_left, coassoc_right),
+        _sweep(
+            "coalgebra.alpha-comultiplicative",
+            product(rng),
+            lambda i: apply_map(delta, alpha[i]),
+            lambda i: apply_kron(alpha, alpha, delta[i]),
+        ),
+        _sweep(
+            "coalgebra.left-counit",
+            product(rng),
+            lambda i: apply_kron(eps, e, delta[i]),
+            lambda i: alpha[i],
+        ),
+        _sweep(
+            "coalgebra.right-counit",
+            product(rng),
+            lambda i: apply_kron(e, eps, delta[i]),
+            lambda i: alpha[i],
+        ),
+        _sweep(
+            "coalgebra.hom-coassociative",
+            product(rng),
+            lambda i: apply_kron(delta, alpha, delta[i]),
+            lambda i: apply_kron(alpha, delta, delta[i]),
+        ),
     ]
     return CheckReport(tuple(checks))
 
@@ -563,40 +568,35 @@ def check_hom_coalgebra(obj) -> CheckReport:
 def check_hom_bialgebra(obj) -> CheckReport:
     """Comultiplication and counit are morphisms of Hom-algebras."""
     B = bialgebra_of(obj)
-    n, mul, unit, comul, counit = B.dim, B.mul, B.unit, B.comul, B.counit
+    n, mul, unit, counit = B.dim, B.mul, B.unit, B.counit
     rng = range(n)
-
-    def counit_of(v: Vector) -> Fraction:
-        return sum((c * counit[i] for i, c in nonzeros(v)), ZERO)
-
-    unit_sq = tuple(a * b for a in unit for b in unit)
+    delta = comul_matrix(B.comul)
+    eps = _as_map(counit)
 
     checks = [
         _sweep(
             "bialgebra.comul-multiplicative",
             product(rng, rng),
-            lambda i, j: comul_of_vector(comul, mul[i][j], n),
-            lambda i, j: tensor_square_product(
-                mul, n, comul_vector(comul, i), comul_vector(comul, j)
-            ),
+            lambda i, j: apply_map(delta, mul[i][j]),
+            lambda i, j: tensor_square_product(mul, n, delta[i], delta[j]),
         ),
         _sweep(
             "bialgebra.comul-unit",
             [()],
-            lambda: comul_of_vector(comul, unit, n),
-            lambda: unit_sq,
+            lambda: apply_map(delta, unit),
+            lambda: kron((unit,), (unit,))[0],
         ),
         _sweep(
             "bialgebra.counit-multiplicative",
             product(rng, rng),
-            lambda i, j: _scalar(counit_of(mul[i][j])),
-            lambda i, j: _scalar(counit[i] * counit[j]),
+            lambda i, j: apply_map(eps, mul[i][j]),
+            lambda i, j: (counit[i] * counit[j],),
         ),
         _sweep(
             "bialgebra.counit-unit",
             [()],
-            lambda: _scalar(counit_of(unit)),
-            lambda: _scalar(ONE),
+            lambda: apply_map(eps, unit),
+            lambda: (ONE,),
         ),
     ]
     return CheckReport(tuple(checks))
@@ -604,46 +604,13 @@ def check_hom_bialgebra(obj) -> CheckReport:
 
 def check_antipode(H: HomHopfAlgebra) -> CheckReport:
     """Antipode identities plus the derived anti-(co)morphism properties."""
-    n, mul, unit, comul, counit, alpha, S = (
-        H.dim,
-        H.mul,
-        H.unit,
-        H.comul,
-        H.counit,
-        H.alpha,
-        H.antipode,
-    )
+    n, mul, unit, counit, alpha, S = H.dim, H.mul, H.unit, H.counit, H.alpha, H.antipode
     rng = range(n)
-
-    def convolve_left(i):
-        # S(h_1) h_2
-        out = [ZERO] * n
-        for j, row in enumerate(comul[i]):
-            for k, c in nonzeros(row):
-                add_scaled(out, c, bilinear_apply(mul, S[j], _basis(n, k)))
-        return tuple(out)
-
-    def convolve_right(i):
-        # h_1 S(h_2)
-        out = [ZERO] * n
-        for j, row in enumerate(comul[i]):
-            for k, c in nonzeros(row):
-                add_scaled(out, c, bilinear_apply(mul, _basis(n, j), S[k]))
-        return tuple(out)
-
-    def anti_comul_lhs(i):
-        return comul_of_vector(comul, S[i], n)
-
-    def anti_comul_rhs(i):
-        # S(h_2) (x) S(h_1)
-        out = [ZERO] * (n * n)
-        for j, row in enumerate(comul[i]):
-            for k, c in nonzeros(row):
-                for a, ca in nonzeros(S[k]):
-                    base = a * n
-                    for b, cb in nonzeros(S[j]):
-                        out[base + b] += c * ca * cb
-        return tuple(out)
+    e = identity(n)
+    m = mul_matrix(mul)
+    delta = comul_matrix(H.comul)
+    delta_op = comul_matrix(_op_comul(H.comul))
+    eps = _as_map(counit)
 
     checks = [
         _sweep(
@@ -655,16 +622,21 @@ def check_antipode(H: HomHopfAlgebra) -> CheckReport:
         _sweep(
             "antipode.left",
             product(rng),
-            convolve_left,
-            lambda i: tuple(counit[i] * u for u in unit),
+            lambda i: apply_map(m, apply_kron(S, e, delta[i])),  # S(h_1) h_2
+            lambda i: vec_scale(counit[i], unit),
         ),
         _sweep(
             "antipode.right",
             product(rng),
-            convolve_right,
-            lambda i: tuple(counit[i] * u for u in unit),
+            lambda i: apply_map(m, apply_kron(e, S, delta[i])),  # h_1 S(h_2)
+            lambda i: vec_scale(counit[i], unit),
         ),
-        _sweep("antipode.anti-comultiplicative", product(rng), anti_comul_lhs, anti_comul_rhs),
+        _sweep(
+            "antipode.anti-comultiplicative",
+            product(rng),
+            lambda i: apply_map(delta, S[i]),
+            lambda i: apply_kron(S, S, delta_op[i]),  # S(h_2) (x) S(h_1)
+        ),
         _sweep(
             "antipode.anti-multiplicative",
             product(rng, rng),
@@ -674,8 +646,8 @@ def check_antipode(H: HomHopfAlgebra) -> CheckReport:
         _sweep(
             "antipode.preserves-counit",
             product(rng),
-            lambda i: _scalar(sum((c * counit[t] for t, c in nonzeros(S[i])), ZERO)),
-            lambda i: _scalar(counit[i]),
+            lambda i: apply_map(eps, S[i]),
+            lambda i: (counit[i],),
         ),
     ]
     return CheckReport(tuple(checks))
@@ -698,12 +670,13 @@ def check_module(m: ModuleAction) -> CheckReport:
     alpha_m = m.carrier.alpha
     na, nm = actor.dim, m.carrier.dim
     ra, rm = range(na), range(nm)
+    e = identity(nm)
 
     checks = [
         _sweep(
             "module.unit-acts-as-alpha",
             product(rm),
-            lambda i: bilinear_apply(act, actor.unit, _basis(nm, i)),
+            lambda i: bilinear_apply(act, actor.unit, e[i]),
             lambda i: alpha_m[i],
         ),
         _sweep(
@@ -729,32 +702,28 @@ def check_module_algebra(m: ModuleAction) -> CheckReport:
     act = m.act
     na, nc = actor.dim, carrier.dim
     alpha2 = alpha_power(actor.alpha, 2)
-
-    def acts_on_product(h, a, b):
-        return bilinear_apply(act, alpha2[h], carrier.mul[a][b])
-
-    def product_of_actions(h, a, b):
-        out = [ZERO] * nc
-        for j, row in enumerate(actor.comul[h]):
-            for k, c in nonzeros(row):
-                add_scaled(out, c, bilinear_apply(carrier.mul, act[j][a], act[k][b]))
-        return tuple(out)
+    e = identity(na)
+    cmul = mul_matrix(carrier.mul)
+    delta = comul_matrix(actor.comul)
+    # acting_on[a] is the map h -> h . e_a
+    acting_on = tuple(tuple(act[h][a] for h in range(na)) for a in range(nc))
 
     checks = list(check_module(m).checks)
     checks.append(
         _sweep(
             "module-algebra.multiplicative",
             product(range(na), range(nc), range(nc)),
-            acts_on_product,
-            product_of_actions,
+            lambda h, a, b: bilinear_apply(act, alpha2[h], carrier.mul[a][b]),
+            # (h_1 . a)(h_2 . b)
+            lambda h, a, b: apply_map(cmul, apply_kron(acting_on[a], acting_on[b], delta[h])),
         )
     )
     checks.append(
         _sweep(
             "module-algebra.unit",
             product(range(na)),
-            lambda h: bilinear_apply(act, _basis(na, h), carrier.unit),
-            lambda h: tuple(actor.counit[h] * u for u in carrier.unit),
+            lambda h: bilinear_apply(act, e[h], carrier.unit),
+            lambda h: vec_scale(actor.counit[h], carrier.unit),
         )
     )
     return CheckReport(tuple(checks))
@@ -763,66 +732,32 @@ def check_module_algebra(m: ModuleAction) -> CheckReport:
 def check_comodule(c: ComoduleCoaction) -> CheckReport:
     """Right comodule axioms for a coaction ``rho: M -> M (x) C``."""
     coactor = coalgebra_of(c.coactor)
-    coact = c.coact
     alpha_m = c.carrier.alpha
-    nm, nc = c.carrier.dim, coactor.dim
-    rm = range(nm)
-
-    def counit_reduces(i):
-        out = [ZERO] * nm
-        for a, row in enumerate(coact[i]):
-            for b, v in nonzeros(row):
-                if coactor.counit[b]:
-                    out[a] += v * coactor.counit[b]
-        return tuple(out)
-
-    def equivariant_lhs(i):
-        # (alpha_M (x) alpha_C) rho(e_i)
-        out = [ZERO] * (nm * nc)
-        for a, row in enumerate(coact[i]):
-            for b, v in nonzeros(row):
-                for p, cp in nonzeros(alpha_m[a]):
-                    base = p * nc
-                    for q, cq in nonzeros(coactor.alpha[b]):
-                        out[base + q] += v * cp * cq
-        return tuple(out)
-
-    def equivariant_rhs(i):
-        out = [ZERO] * (nm * nc)
-        for t, ct in nonzeros(alpha_m[i]):
-            for a, row in enumerate(coact[t]):
-                for b, v in nonzeros(row):
-                    out[a * nc + b] += ct * v
-        return tuple(out)
-
-    def coassoc_lhs(i):
-        # (rho (x) alpha_C) rho(e_i) in M (x) C (x) C
-        out = [ZERO] * (nm * nc * nc)
-        for a, row in enumerate(coact[i]):
-            for b, v in nonzeros(row):
-                for a2, row2 in enumerate(coact[a]):
-                    for c1, v2 in nonzeros(row2):
-                        base = (a2 * nc + c1) * nc
-                        for c2, v3 in nonzeros(coactor.alpha[b]):
-                            out[base + c2] += v * v2 * v3
-        return tuple(out)
-
-    def coassoc_rhs(i):
-        # (alpha_M (x) delta_C) rho(e_i)
-        out = [ZERO] * (nm * nc * nc)
-        for a, row in enumerate(coact[i]):
-            for b, v in nonzeros(row):
-                for p, cp in nonzeros(alpha_m[a]):
-                    for c1, rowc in enumerate(coactor.comul[b]):
-                        base = (p * nc + c1) * nc
-                        for c2, cc in nonzeros(rowc):
-                            out[base + c2] += v * cp * cc
-        return tuple(out)
+    rm = range(c.carrier.dim)
+    e = identity(c.carrier.dim)
+    eps = _as_map(coactor.counit)
+    rho = comul_matrix(c.coact)
+    delta = comul_matrix(coactor.comul)
 
     checks = [
-        _sweep("comodule.counit-reduces-to-alpha", product(rm), counit_reduces, lambda i: alpha_m[i]),
-        _sweep("comodule.alpha-equivariant", product(rm), equivariant_lhs, equivariant_rhs),
-        _sweep("comodule.hom-coassociative", product(rm), coassoc_lhs, coassoc_rhs),
+        _sweep(
+            "comodule.counit-reduces-to-alpha",
+            product(rm),
+            lambda i: apply_kron(e, eps, rho[i]),
+            lambda i: alpha_m[i],
+        ),
+        _sweep(
+            "comodule.alpha-equivariant",
+            product(rm),
+            lambda i: apply_kron(alpha_m, coactor.alpha, rho[i]),
+            lambda i: apply_map(rho, alpha_m[i]),
+        ),
+        _sweep(
+            "comodule.hom-coassociative",
+            product(rm),
+            lambda i: apply_kron(rho, coactor.alpha, rho[i]),
+            lambda i: apply_kron(alpha_m, delta, rho[i]),
+        ),
     ]
     return CheckReport(tuple(checks))
 
@@ -831,41 +766,24 @@ def check_comodule_coalgebra(c: ComoduleCoaction) -> CheckReport:
     """Comodule axioms plus the comodule Hom-coalgebra compatibilities."""
     coactor = bialgebra_of(c.coactor)
     carrier = coalgebra_of(c.carrier)
-    coact = c.coact
     nm, nh = carrier.dim, coactor.dim
     alpha2 = alpha_power(coactor.alpha, 2)
-
-    def counit_condition(i):
-        out = [ZERO] * nh
-        for a, row in enumerate(coact[i]):
-            if carrier.counit[a]:
-                add_scaled(out, carrier.counit[a], row)
-        return tuple(out)
-
-    def comul_lhs(i):
-        # c_(0)1 (x) c_(0)2 (x) alpha_H^2(c_(1))
-        out = [ZERO] * (nm * nm * nh)
-        for a, row in enumerate(coact[i]):
-            for b, v in nonzeros(row):
-                for m1, rowm in enumerate(carrier.comul[a]):
-                    for m2, vm in nonzeros(rowm):
-                        base = (m1 * nm + m2) * nh
-                        for h, vh in nonzeros(alpha2[b]):
-                            out[base + h] += v * vm * vh
-        return tuple(out)
+    rho = comul_matrix(c.coact)
+    rho_terms = terms(c.coact)
+    comul_terms = terms(carrier.comul)
+    delta = comul_matrix(carrier.comul)
+    eps = _as_map(carrier.counit)
+    e = identity(nh)
 
     def comul_rhs(i):
         # c_1(0) (x) c_2(0) (x) c_1(1) c_2(1)
         out = [ZERO] * (nm * nm * nh)
-        for c1, rowc in enumerate(carrier.comul[i]):
-            for c2, vc in nonzeros(rowc):
-                for d1, row1 in enumerate(coact[c1]):
-                    for h1, v1 in nonzeros(row1):
-                        for d2, row2 in enumerate(coact[c2]):
-                            for h2, v2 in nonzeros(row2):
-                                base = (d1 * nm + d2) * nh
-                                coeff = vc * v1 * v2
-                                add_scaled_slice(out, base, coeff, coactor.mul[h1][h2])
+        for c1, c2, vc in comul_terms[i]:
+            for d1, h1, v1 in rho_terms[c1]:
+                for d2, h2, v2 in rho_terms[c2]:
+                    base = (d1 * nm + d2) * nh
+                    for h, vh in nonzeros(coactor.mul[h1][h2]):
+                        out[base + h] += vc * v1 * v2 * vh
         return tuple(out)
 
     checks = list(check_comodule(c).checks)
@@ -873,22 +791,20 @@ def check_comodule_coalgebra(c: ComoduleCoaction) -> CheckReport:
         _sweep(
             "comodule-coalgebra.counit",
             product(range(nm)),
-            counit_condition,
-            lambda i: tuple(carrier.counit[i] * u for u in coactor.unit),
+            lambda i: apply_kron(eps, e, rho[i]),
+            lambda i: vec_scale(carrier.counit[i], coactor.unit),
         )
     )
     checks.append(
-        _sweep("comodule-coalgebra.comultiplicative", product(range(nm)), comul_lhs, comul_rhs)
+        _sweep(
+            "comodule-coalgebra.comultiplicative",
+            product(range(nm)),
+            # c_(0)1 (x) c_(0)2 (x) alpha_H^2(c_(1))
+            lambda i: apply_kron(delta, alpha2, rho[i]),
+            comul_rhs,
+        )
     )
     return CheckReport(tuple(checks))
-
-
-def add_scaled_slice(acc: list, base: int, c: Fraction, v: Vector) -> None:
-    if not c:
-        return
-    for i, a in enumerate(v):
-        if a:
-            acc[base + i] += c * a
 
 
 def check_module_coalgebra(m: ModuleAction) -> CheckReport:
@@ -897,42 +813,29 @@ def check_module_coalgebra(m: ModuleAction) -> CheckReport:
     carrier = coalgebra_of(m.carrier)
     act = m.act
     nh, nc = actor.dim, carrier.dim
-
-    def comul_of_action(h, c):
-        return comul_of_vector(carrier.comul, act[h][c], nc)
-
-    def action_of_comul(h, c):
-        out = [ZERO] * (nc * nc)
-        for h1, rowh in enumerate(actor.comul[h]):
-            for h2, vh in nonzeros(rowh):
-                for c1, rowc in enumerate(carrier.comul[c]):
-                    for c2, vc in nonzeros(rowc):
-                        v1 = act[h1][c1]
-                        v2 = act[h2][c2]
-                        coeff = vh * vc
-                        for a, ca in nonzeros(v1):
-                            base = a * nc
-                            for b, cb in nonzeros(v2):
-                                out[base + b] += coeff * ca * cb
-        return tuple(out)
+    actor_terms = terms(actor.comul)
+    delta = comul_matrix(carrier.comul)
+    eps = _as_map(carrier.counit)
 
     checks = list(check_module(m).checks)
     checks.append(
         _sweep(
             "module-coalgebra.comultiplicative",
             product(range(nh), range(nc)),
-            comul_of_action,
-            action_of_comul,
+            lambda h, c: apply_map(delta, act[h][c]),
+            # h_1 . c_1 (x) h_2 . c_2
+            lambda h, c: linear_combination(
+                nc * nc,
+                ((v, apply_kron(act[h1], act[h2], delta[c])) for h1, h2, v in actor_terms[h]),
+            ),
         )
     )
     checks.append(
         _sweep(
             "module-coalgebra.counit",
             product(range(nh), range(nc)),
-            lambda h, c: _scalar(
-                sum((v * carrier.counit[d] for d, v in nonzeros(act[h][c])), ZERO)
-            ),
-            lambda h, c: _scalar(actor.counit[h] * carrier.counit[c]),
+            lambda h, c: apply_map(eps, act[h][c]),
+            lambda h, c: (actor.counit[h] * carrier.counit[c],),
         )
     )
     return CheckReport(tuple(checks))
@@ -944,11 +847,11 @@ def check_cotwisting(C, D, phi: Matrix) -> CheckReport:
     D = coalgebra_of(D)
     nc, nd = C.dim, D.dim
     _require(mat_shape(phi) == (nc * nd, nd * nc), "cotwisting map shape")
-    from .exactlin import comul_matrix
 
     cmat = comul_matrix(C.comul)
     dmat = comul_matrix(D.comul)
     i_c, i_d = identity(nc), identity(nd)
+    eps_c, eps_d = _as_map(C.counit), _as_map(D.counit)
 
     lhs1 = mat_compose(phi, kron(dmat, C.alpha))
     rhs1 = mat_compose(mat_compose(kron(C.alpha, dmat), kron(phi, i_d)), kron(i_d, phi))
@@ -961,23 +864,6 @@ def check_cotwisting(C, D, phi: Matrix) -> CheckReport:
 
     def row(m, c, d):
         return m[c * nd + d]
-
-    def counit_first(c, d):
-        # kill the C-leg of the output: eps_C(c^phi) d^phi
-        out = [ZERO] * nd
-        for t, v in nonzeros(phi[c * nd + d]):
-            dp, cp = divmod(t, nc)
-            if C.counit[cp]:
-                out[dp] += v * C.counit[cp]
-        return tuple(out)
-
-    def counit_second(c, d):
-        out = [ZERO] * nc
-        for t, v in nonzeros(phi[c * nd + d]):
-            dp, cp = divmod(t, nc)
-            if D.counit[dp]:
-                out[cp] += v * D.counit[dp]
-        return tuple(out)
 
     checks = [
         _sweep(
@@ -1001,14 +887,15 @@ def check_cotwisting(C, D, phi: Matrix) -> CheckReport:
         _sweep(
             "cotwisting.counit-first-factor",
             pairs,
-            counit_first,
-            lambda c, d: tuple(C.counit[c] * x for x in _basis(nd, d)),
+            # kill the C-leg of the output: eps_C(c^phi) d^phi
+            lambda c, d: apply_kron(i_d, eps_c, row(phi, c, d)),
+            lambda c, d: vec_scale(C.counit[c], i_d[d]),
         ),
         _sweep(
             "cotwisting.counit-second-factor",
             pairs,
-            counit_second,
-            lambda c, d: tuple(D.counit[d] * x for x in _basis(nc, c)),
+            lambda c, d: apply_kron(eps_d, i_c, row(phi, c, d)),
+            lambda c, d: vec_scale(D.counit[d], i_c[c]),
         ),
     ]
     return CheckReport(tuple(checks))
@@ -1020,7 +907,6 @@ def check_twisting(A, B, t: Matrix) -> CheckReport:
     B = algebra_of(B)
     na, nb = A.dim, B.dim
     _require(mat_shape(t) == (nb * na, na * nb), "twisting map shape")
-    from .exactlin import mul_matrix
 
     amat = mul_matrix(A.mul)
     bmat = mul_matrix(B.mul)
@@ -1062,6 +948,11 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
     aa_i1 = alpha_power(A.alpha, -1)
     aa_i2 = alpha_power(A.alpha, -2)
     aa_i3 = alpha_power(A.alpha, -3)
+    h_terms, a_terms = terms(H.comul), terms(A.comul)
+    delta_h, delta_a = comul_matrix(H.comul), comul_matrix(A.comul)
+    delta_a_op = comul_matrix(_op_comul(A.comul))
+    eps_h = _as_map(H.counit)
+    e_a = identity(na)
 
     checks = list(
         _prefixed(
@@ -1073,18 +964,11 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
     # right module Hom-coalgebra axioms for the action of A on H
     rh, ra = range(nh), range(na)
 
-    def r_act(hvec: Vector, avec: Vector) -> Vector:
-        out = [ZERO] * nh
-        for h, ch in nonzeros(hvec):
-            for a, ca in nonzeros(avec):
-                add_scaled(out, ch * ca, right[h][a])
-        return tuple(out)
-
     checks.append(
         _sweep(
             "matched-pair.right-action.unit",
             product(rh),
-            lambda h: r_act(_basis(nh, h), A.unit),
+            lambda h: apply_map(right[h], A.unit),
             lambda h: H.alpha[h],
         )
     )
@@ -1093,127 +977,104 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
             "matched-pair.right-action.alpha-equivariant",
             product(rh, ra),
             lambda h, a: apply_map(H.alpha, right[h][a]),
-            lambda h, a: r_act(H.alpha[h], A.alpha[a]),
+            lambda h, a: bilinear_apply(right, H.alpha[h], A.alpha[a]),
         )
     )
     checks.append(
         _sweep(
             "matched-pair.right-action.hom-associative",
             product(rh, ra, ra),
-            lambda h, a, b: r_act(right[h][a], A.alpha[b]),
-            lambda h, a, b: r_act(H.alpha[h], A.mul[a][b]),
+            lambda h, a, b: bilinear_apply(right, right[h][a], A.alpha[b]),
+            lambda h, a, b: bilinear_apply(right, H.alpha[h], A.mul[a][b]),
         )
     )
     checks.append(
         _sweep(
             "matched-pair.right-action.comultiplicative",
             product(rh, ra),
-            lambda h, a: comul_of_vector(H.comul, right[h][a], nh),
-            lambda h, a: _pairwise_action(H.comul[h], A.comul[a], right, nh),
+            lambda h, a: apply_map(delta_h, right[h][a]),
+            # h_1 <- a_1 (x) h_2 <- a_2
+            lambda h, a: linear_combination(
+                nh * nh,
+                ((v, apply_kron(right[h1], right[h2], delta_a[a])) for h1, h2, v in h_terms[h]),
+            ),
         )
     )
     checks.append(
         _sweep(
             "matched-pair.right-action.counit",
             product(rh, ra),
-            lambda h, a: _scalar(sum((v * H.counit[t] for t, v in nonzeros(right[h][a])), ZERO)),
-            lambda h, a: _scalar(H.counit[h] * A.counit[a]),
+            lambda h, a: apply_map(eps_h, right[h][a]),
+            lambda h, a: (H.counit[h] * A.counit[a],),
         )
     )
 
-    def l_act(hvec: Vector, avec: Vector) -> Vector:
-        out = [ZERO] * na
-        for h, ch in nonzeros(hvec):
-            for a, ca in nonzeros(avec):
-                add_scaled(out, ch * ca, left[h][a])
-        return tuple(out)
-
-    def product_acts_right(h, g, a):
-        # (hg) <- a
-        return r_act(H.mul[h][g], _basis(na, a))
-
     def product_acts_right_rhs(h, g, a):
-        out = [ZERO] * nh
-        for g1, rowg in enumerate(H.comul[g]):
-            for g2, vg in nonzeros(rowg):
-                for a1, rowa in enumerate(A.comul[a]):
-                    for a2, va in nonzeros(rowa):
-                        inner = l_act(ah_i2[g1], aa_i3[a1])
-                        first = r_act(_basis(nh, h), inner)
-                        second = r_act(ah_i1[g2], aa_i2[a2])
-                        add_scaled(out, vg * va, bilinear_apply(H.mul, first, second))
-        return tuple(out)
-
-    def acts_on_product(h, a, b):
-        return l_act(_basis(nh, h), A.mul[a][b])
+        return linear_combination(
+            nh,
+            (
+                (
+                    vg * va,
+                    bilinear_apply(
+                        H.mul,
+                        apply_map(right[h], bilinear_apply(left, ah_i2[g1], aa_i3[a1])),
+                        bilinear_apply(right, ah_i1[g2], aa_i2[a2]),
+                    ),
+                )
+                for g1, g2, vg in h_terms[g]
+                for a1, a2, va in a_terms[a]
+            ),
+        )
 
     def acts_on_product_rhs(h, a, b):
-        out = [ZERO] * na
-        for h1, rowh in enumerate(H.comul[h]):
-            for h2, vh in nonzeros(rowh):
-                for a1, rowa in enumerate(A.comul[a]):
-                    for a2, va in nonzeros(rowa):
-                        first = l_act(ah_i2[h1], aa_i1[a1])
-                        second = l_act(r_act(ah_i3[h2], aa_i2[a2]), _basis(na, b))
-                        add_scaled(out, vh * va, bilinear_apply(A.mul, first, second))
-        return tuple(out)
-
-    def exchange(h, a, flip: bool):
-        out = [ZERO] * (nh * na)
-        for h1, rowh in enumerate(H.comul[h]):
-            for h2, vh in nonzeros(rowh):
-                for a1, rowa in enumerate(A.comul[a]):
-                    for a2, va in nonzeros(rowa):
-                        if flip:
-                            u = right[h2][a2]
-                            v = left[h1][a1]
-                        else:
-                            u = right[h1][a1]
-                            v = left[h2][a2]
-                        coeff = vh * va
-                        for p, cp in nonzeros(u):
-                            base = p * na
-                            for q, cq in nonzeros(v):
-                                out[base + q] += coeff * cp * cq
-        return tuple(out)
+        return linear_combination(
+            na,
+            (
+                (
+                    vh * va,
+                    bilinear_apply(
+                        A.mul,
+                        bilinear_apply(left, ah_i2[h1], aa_i1[a1]),
+                        bilinear_apply(left, bilinear_apply(right, ah_i3[h2], aa_i2[a2]), e_a[b]),
+                    ),
+                )
+                for h1, h2, vh in h_terms[h]
+                for a1, a2, va in a_terms[a]
+            ),
+        )
 
     checks.append(
         _sweep(
             "matched-pair.product-acts-right",
             product(rh, rh, ra),
-            product_acts_right,
+            lambda h, g, a: bilinear_apply(right, H.mul[h][g], e_a[a]),
             product_acts_right_rhs,
         )
     )
     checks.append(
         _sweep(
-            "matched-pair.acts-on-product", product(rh, ra, ra), acts_on_product, acts_on_product_rhs
+            "matched-pair.acts-on-product",
+            product(rh, ra, ra),
+            lambda h, a, b: apply_map(left[h], A.mul[a][b]),
+            acts_on_product_rhs,
         )
     )
     checks.append(
         _sweep(
             "matched-pair.exchange-symmetry",
             product(rh, ra),
-            lambda h, a: exchange(h, a, False),
-            lambda h, a: exchange(h, a, True),
+            # h_1 <- a_1 (x) h_2 -> a_2  against  h_2 <- a_2 (x) h_1 -> a_1
+            lambda h, a: linear_combination(
+                nh * na,
+                ((v, apply_kron(right[h1], left[h2], delta_a[a])) for h1, h2, v in h_terms[h]),
+            ),
+            lambda h, a: linear_combination(
+                nh * na,
+                ((v, apply_kron(right[h2], left[h1], delta_a_op[a])) for h1, h2, v in h_terms[h]),
+            ),
         )
     )
     return CheckReport(tuple(checks))
-
-
-def _pairwise_action(comul_h_plane: Matrix, comul_a_plane: Matrix, right: Tensor3, nh: int) -> Vector:
-    # h_1 <- a_1 (x) h_2 <- a_2 summed over both comultiplications
-    out = [ZERO] * (nh * nh)
-    for h1, rowh in enumerate(comul_h_plane):
-        for h2, vh in nonzeros(rowh):
-            for a1, rowa in enumerate(comul_a_plane):
-                for a2, va in nonzeros(rowa):
-                    coeff = vh * va
-                    for p, cp in nonzeros(right[h1][a1]):
-                        base = p * nh
-                        for q, cq in nonzeros(right[h2][a2]):
-                            out[base + q] += coeff * cp * cq
-    return tuple(out)
 
 
 def _prefixed(prefix: str, checks) -> list[CheckEntry]:
@@ -1230,87 +1091,60 @@ def check_dual_pair(P: PairingForm) -> CheckReport:
     """
     A, B, gram = P.left, P.right, P.gram
     na, nb = A.dim, B.dim
-    a2 = alpha_power(A.alpha, 2)
-    b2 = alpha_power(B.alpha, 2)
-    sb_inv = mat_compose(identity(nb), _safe_inverse(B.antipode))
-
-    def pair(u: Vector, v: Vector) -> Fraction:
-        total = ZERO
-        for i, ci in nonzeros(u):
-            for j, cj in nonzeros(v):
-                total += ci * cj * gram[i][j]
-        return total
-
     ra, rb = range(na), range(nb)
-    a2gram = mat_compose(a2, gram)
-    gramb2t = mat_compose(gram, tuple(zip(*b2)))
-
-    def mul_left(i, ip, j):
-        return _scalar(pair(A.mul[i][ip], _basis(nb, j)))
-
-    def mul_left_rhs(i, ip, j):
-        total = ZERO
-        for b1, row in enumerate(B.comul[j]):
-            for bb2, v in nonzeros(row):
-                total += v * a2gram[i][b1] * a2gram[ip][bb2]
-        return _scalar(total)
-
-    def mul_right(i, j, jp):
-        return _scalar(pair(_basis(na, i), B.mul[j][jp]))
-
-    def mul_right_rhs(i, j, jp):
-        total = ZERO
-        for a1, row in enumerate(A.comul[i]):
-            for aa2, v in nonzeros(row):
-                total += v * gramb2t[a1][j] * gramb2t[aa2][jp]
-        return _scalar(total)
-
-    def mul_right_swapped(i, j, jp):
-        total = ZERO
-        for a1, row in enumerate(A.comul[i]):
-            for aa2, v in nonzeros(row):
-                total += v * gramb2t[a1][jp] * gramb2t[aa2][j]
-        return _scalar(total)
+    e_a, e_b = identity(na), identity(nb)
+    sb_inv = mat_inverse(B.antipode)
+    form = _form(gram)
+    # x -> <alpha^2(a_i), x> on B and x -> <x, alpha^2(b_j)> on A
+    with_a, with_b = _partial_forms(gram, alpha_power(A.alpha, 2), alpha_power(B.alpha, 2))
+    delta_a, delta_b = comul_matrix(A.comul), comul_matrix(B.comul)
 
     checks = [
         make_entry("pairing.non-degenerate", is_invertible(gram)),
         _sweep(
             "pairing.unit-right",
             product(ra),
-            lambda i: _scalar(pair(_basis(na, i), B.unit)),
-            lambda i: _scalar(A.counit[i]),
+            lambda i: bilinear_apply(form, e_a[i], B.unit),
+            lambda i: (A.counit[i],),
         ),
         _sweep(
             "pairing.unit-left",
             product(rb),
-            lambda j: _scalar(pair(A.unit, _basis(nb, j))),
-            lambda j: _scalar(B.counit[j]),
+            lambda j: bilinear_apply(form, A.unit, e_b[j]),
+            lambda j: (B.counit[j],),
         ),
         _sweep(
             "pairing.alpha-invariant",
             product(ra, rb),
-            lambda i, j: _scalar(pair(A.alpha[i], B.alpha[j])),
-            lambda i, j: _scalar(gram[i][j]),
+            lambda i, j: bilinear_apply(form, A.alpha[i], B.alpha[j]),
+            lambda i, j: (gram[i][j],),
         ),
-        _sweep("pairing.mul-comul-left", product(ra, ra, rb), mul_left, mul_left_rhs),
-        _sweep("pairing.mul-comul-right", product(ra, rb, rb), mul_right, mul_right_rhs),
         _sweep(
-            "pairing.mul-comul-right-swapped", product(ra, rb, rb), mul_right, mul_right_swapped
+            "pairing.mul-comul-left",
+            product(ra, ra, rb),
+            lambda i, ip, j: bilinear_apply(form, A.mul[i][ip], e_b[j]),
+            lambda i, ip, j: apply_kron(with_a[i], with_a[ip], delta_b[j]),
+        ),
+        _sweep(
+            "pairing.mul-comul-right",
+            product(ra, rb, rb),
+            lambda i, j, jp: bilinear_apply(form, e_a[i], B.mul[j][jp]),
+            lambda i, j, jp: apply_kron(with_b[j], with_b[jp], delta_a[i]),
+        ),
+        _sweep(
+            "pairing.mul-comul-right-swapped",
+            product(ra, rb, rb),
+            lambda i, j, jp: bilinear_apply(form, e_a[i], B.mul[j][jp]),
+            lambda i, j, jp: apply_kron(with_b[jp], with_b[j], delta_a[i]),
         ),
         _sweep(
             "pairing.antipode",
             product(ra, rb),
-            lambda i, j: _scalar(pair(A.antipode[i], _basis(nb, j))),
-            lambda i, j: _scalar(pair(_basis(na, i), sb_inv[j])),
+            lambda i, j: bilinear_apply(form, A.antipode[i], e_b[j]),
+            lambda i, j: bilinear_apply(form, e_a[i], sb_inv[j]),
         ),
     ]
     return CheckReport(tuple(checks))
-
-
-def _safe_inverse(m: Matrix) -> Matrix:
-    from .exactlin import mat_inverse
-
-    return mat_inverse(m)
 
 
 def check_cocycle(sigma: TwoCocycle) -> CheckReport:
@@ -1318,88 +1152,39 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
     normality, each as a separate verdict."""
     B = sigma.algebra
     gram = sigma.gram
-    n = B.dim
+    rng = range(B.dim)
     alpha2 = alpha_power(B.alpha, 2)
-    rng = range(n)
-
-    def sig(u: Vector, v: Vector) -> Fraction:
-        total = ZERO
-        for i, ci in nonzeros(u):
-            row = gram[i]
-            for j, cj in nonzeros(v):
-                if row[j]:
-                    total += ci * cj * row[j]
-        return total
-
-    def alpha_invariant(i, j):
-        return _scalar(sig(B.alpha[i], B.alpha[j]))
-
-    def left_lhs(h, l, k):
-        # sigma(l1, k1) sigma(alpha^2(h), l2 k2)
-        total = ZERO
-        for l1, rowl in enumerate(B.comul[l]):
-            for l2, vl in nonzeros(rowl):
-                for k1, rowk in enumerate(B.comul[k]):
-                    for k2, vk in nonzeros(rowk):
-                        if gram[l1][k1]:
-                            total += vl * vk * gram[l1][k1] * sig(alpha2[h], B.mul[l2][k2])
-        return _scalar(total)
-
-    def left_rhs(h, l, k):
-        # sigma(h1, l1) sigma(h2 l2, alpha^2(k))
-        total = ZERO
-        for h1, rowh in enumerate(B.comul[h]):
-            for h2, vh in nonzeros(rowh):
-                for l1, rowl in enumerate(B.comul[l]):
-                    for l2, vl in nonzeros(rowl):
-                        if gram[h1][l1]:
-                            total += vh * vl * gram[h1][l1] * sig(B.mul[h2][l2], alpha2[k])
-        return _scalar(total)
-
-    def right_lhs(h, l, k):
-        # sigma(alpha^2(h), l1 k1) sigma(l2, k2)
-        total = ZERO
-        for l1, rowl in enumerate(B.comul[l]):
-            for l2, vl in nonzeros(rowl):
-                for k1, rowk in enumerate(B.comul[k]):
-                    for k2, vk in nonzeros(rowk):
-                        if gram[l2][k2]:
-                            total += vl * vk * gram[l2][k2] * sig(alpha2[h], B.mul[l1][k1])
-        return _scalar(total)
-
-    def right_rhs(h, l, k):
-        # sigma(h1 l1, alpha^2(k)) sigma(h2, l2)
-        total = ZERO
-        for h1, rowh in enumerate(B.comul[h]):
-            for h2, vh in nonzeros(rowh):
-                for l1, rowl in enumerate(B.comul[l]):
-                    for l2, vl in nonzeros(rowl):
-                        if gram[h2][l2]:
-                            total += vh * vl * gram[h2][l2] * sig(B.mul[h1][l1], alpha2[k])
-        return _scalar(total)
+    form = _form(gram)
+    with_h, with_k = _partial_forms(gram, alpha2, alpha2)
+    # left: sigma(l_1, k_1) l_2 k_2; right: sigma(l_2, k_2) l_1 k_1
+    w = cocycle_products(sigma)
+    unit_left = apply_map(gram, B.unit)
+    unit_right = apply_map(transpose(gram), B.unit)
 
     checks = [
         _sweep(
             "cocycle.alpha-invariant",
             product(rng, rng),
-            alpha_invariant,
-            lambda i, j: _scalar(gram[i][j]),
-        )
-    ]
-    if sigma.side == "left":
-        checks.append(_sweep("cocycle.left-condition", product(rng, rng, rng), left_lhs, left_rhs))
-    else:
-        checks.append(
-            _sweep("cocycle.right-condition", product(rng, rng, rng), right_lhs, right_rhs)
-        )
-    checks.append(
+            lambda i, j: bilinear_apply(form, B.alpha[i], B.alpha[j]),
+            lambda i, j: (gram[i][j],),
+        ),
+        # left:  sigma(alpha^2(h), l_2 k_2) sigma(l_1, k_1)
+        #          = sigma(h_2 l_2, alpha^2(k)) sigma(h_1, l_1)
+        # right: sigma(alpha^2(h), l_1 k_1) sigma(l_2, k_2)
+        #          = sigma(h_1 l_1, alpha^2(k)) sigma(h_2, l_2)
+        _sweep(
+            f"cocycle.{sigma.side}-condition",
+            product(rng, rng, rng),
+            lambda h, l, k: apply_map(with_h[h], w[l][k]),
+            lambda h, l, k: apply_map(with_k[k], w[h][l]),
+        ),
         _sweep(
             "cocycle.normal",
             product(rng),
-            lambda h: (sig(B.unit, _basis(n, h)), sig(_basis(n, h), B.unit)),
+            lambda h: (unit_left[h], unit_right[h]),
             lambda h: (B.counit[h], B.counit[h]),
-        )
-    )
+        ),
+    ]
     return CheckReport(tuple(checks))
 
 
@@ -1407,80 +1192,37 @@ def check_quasitriangular(H, R: RMatrix) -> CheckReport:
     """The three quasitriangularity axioms; products are taken componentwise
     in the tensor-square and tensor-cube Hom-algebras."""
     B = bialgebra_of(H)
-    n, mul, comul, alpha = B.dim, B.mul, B.comul, B.alpha
+    n, mul, alpha = B.dim, B.mul, B.alpha
     rvec = R.as_vector()
-    n2 = n * n
-    rng = range(n)
+    e = identity(n)
+    delta = comul_matrix(B.comul)
+    delta_op = comul_matrix(_op_comul(B.comul))
+    with_unit = kron(e, (B.unit,))  # x -> x (x) 1
+    unit_with = kron((B.unit,), e)  # x -> 1 (x) x
 
-    def comul_op(i):
-        out = [ZERO] * n2
-        for j, row in enumerate(comul[i]):
-            for k, c in nonzeros(row):
-                out[k * n + j] += c
-        return tuple(out)
-
-    def intertwine_lhs(i):
-        return tensor_square_product(mul, n, comul_op(i), rvec)
-
-    def intertwine_rhs(i):
-        return tensor_square_product(mul, n, rvec, comul_vector(comul, i))
-
-    # (delta (x) alpha) R and (alpha (x) delta) R on the tensor cube
-    def comul_alpha_r():
-        out = [ZERO] * (n2 * n)
-        for p, c in nonzeros(rvec):
-            p0, p1 = divmod(p, n)
-            dp = comul_vector(comul, p0)
-            for t, ct in nonzeros(dp):
-                base = t * n
-                for q, cq in nonzeros(alpha[p1]):
-                    out[base + q] += c * ct * cq
-        return tuple(out)
-
-    def alpha_comul_r():
-        out = [ZERO] * (n2 * n)
-        for p, c in nonzeros(rvec):
-            p0, p1 = divmod(p, n)
-            dp = comul_vector(comul, p1)
-            for t, ct in nonzeros(alpha[p0]):
-                base = t * n2
-                for q, cq in nonzeros(dp):
-                    out[base + q] += c * ct * cq
-        return tuple(out)
-
-    def r13(u: Vector) -> Vector:
-        out = [ZERO] * (n2 * n)
-        for p, c in nonzeros(u):
-            p0, p1 = divmod(p, n)
-            for m, cm in nonzeros(B.unit):
-                out[(p0 * n + m) * n + p1] += c * cm
-        return tuple(out)
-
-    def r23(u: Vector) -> Vector:
-        out = [ZERO] * (n2 * n)
-        for p, c in nonzeros(u):
-            p0, p1 = divmod(p, n)
-            for m, cm in nonzeros(B.unit):
-                out[(m * n + p0) * n + p1] += c * cm
-        return tuple(out)
-
-    def r12(u: Vector) -> Vector:
-        out = [ZERO] * (n2 * n)
-        for p, c in nonzeros(u):
-            p0, p1 = divmod(p, n)
-            for m, cm in nonzeros(B.unit):
-                out[(p0 * n + p1) * n + m] += c * cm
-        return tuple(out)
-
-    lhs2 = comul_alpha_r()
-    rhs2 = tensor_cube_product(mul, n, r13(rvec), r23(rvec))
-    lhs3 = alpha_comul_r()
-    rhs3 = tensor_cube_product(mul, n, r13(rvec), r12(rvec))
+    r13 = apply_kron(with_unit, e, rvec)
+    r23 = apply_kron(unit_with, e, rvec)
+    r12 = apply_kron(e, with_unit, rvec)
 
     checks = [
-        _sweep("quasitriangular.intertwines-comul", product(rng), intertwine_lhs, intertwine_rhs),
-        _sweep("quasitriangular.left-hexagon", [()], lambda: lhs2, lambda: rhs2),
-        _sweep("quasitriangular.right-hexagon", [()], lambda: lhs3, lambda: rhs3),
+        _sweep(
+            "quasitriangular.intertwines-comul",
+            product(range(n)),
+            lambda i: tensor_square_product(mul, n, delta_op[i], rvec),
+            lambda i: tensor_square_product(mul, n, rvec, delta[i]),
+        ),
+        _sweep(
+            "quasitriangular.left-hexagon",
+            [()],
+            lambda: apply_kron(delta, alpha, rvec),
+            lambda: tensor_cube_product(mul, n, r13, r23),
+        ),
+        _sweep(
+            "quasitriangular.right-hexagon",
+            [()],
+            lambda: apply_kron(alpha, delta, rvec),
+            lambda: tensor_cube_product(mul, n, r13, r12),
+        ),
     ]
     return CheckReport(tuple(checks))
 
@@ -1490,47 +1232,29 @@ def check_comodule_algebra(A, c: ComoduleCoaction) -> CheckReport:
     coaction on a Hom-algebra carrier."""
     alg = algebra_of(A)
     coactor = bialgebra_of(c.coactor)
-    coact = c.coact
     nm, nh = alg.dim, coactor.dim
-
-    def coact_of_vector(v: Vector) -> Vector:
-        out = [ZERO] * (nm * nh)
-        for i, ci in nonzeros(v):
-            for a, row in enumerate(coact[i]):
-                base = a * nh
-                for b, vv in nonzeros(row):
-                    out[base + b] += ci * vv
-        return tuple(out)
-
-    def mult_lhs(i, j):
-        return coact_of_vector(alg.mul[i][j])
-
-    def mult_rhs(i, j):
-        # a_(0) b_(0) (x) a_(1) b_(1)
-        out = [ZERO] * (nm * nh)
-        for a1, rowa in enumerate(coact[i]):
-            for h1, va in nonzeros(rowa):
-                for b1, rowb in enumerate(coact[j]):
-                    for h2, vb in nonzeros(rowb):
-                        coeff = va * vb
-                        for p, cp in nonzeros(alg.mul[a1][b1]):
-                            base = p * nh
-                            for q, cq in nonzeros(coactor.mul[h1][h2]):
-                                out[base + q] += coeff * cp * cq
-        return tuple(out)
-
-    unit_image = tuple(a * b for a in alg.unit for b in coactor.unit)
+    rho = comul_matrix(c.coact)
+    rho_terms = terms(c.coact)
 
     checks = list(check_comodule(c).checks)
     checks.append(
-        _sweep("comodule-algebra.multiplicative", product(range(nm), range(nm)), mult_lhs, mult_rhs)
+        _sweep(
+            "comodule-algebra.multiplicative",
+            product(range(nm), range(nm)),
+            lambda i, j: apply_map(rho, alg.mul[i][j]),
+            # a_(0) b_(0) (x) a_(1) b_(1)
+            lambda i, j: linear_combination(
+                nm * nh,
+                ((v, apply_kron(alg.mul[a], coactor.mul[h], rho[j])) for a, h, v in rho_terms[i]),
+            ),
+        )
     )
     checks.append(
         _sweep(
             "comodule-algebra.unit",
             [()],
-            lambda: coact_of_vector(alg.unit),
-            lambda: unit_image,
+            lambda: apply_map(rho, alg.unit),
+            lambda: kron((alg.unit,), (coactor.unit,))[0],
         )
     )
     return CheckReport(tuple(checks))
@@ -1547,95 +1271,45 @@ def check_left_comodule_algebra(A, coactor, coact: Tensor3) -> CheckReport:
     nm, nh = alg.dim, co.dim
     alpha_m = alg.alpha
     rm = range(nm)
-
-    def counit_reduces(i):
-        out = [ZERO] * nm
-        for b, row in enumerate(coact[i]):
-            if co.counit[b]:
-                add_scaled(out, co.counit[b], row)
-        return tuple(out)
-
-    def equivariant_lhs(i):
-        out = [ZERO] * (nh * nm)
-        for b, row in enumerate(coact[i]):
-            for a, v in nonzeros(row):
-                for q, cq in nonzeros(co.alpha[b]):
-                    base = q * nm
-                    for p, cp in nonzeros(alpha_m[a]):
-                        out[base + p] += v * cq * cp
-        return tuple(out)
-
-    def equivariant_rhs(i):
-        out = [ZERO] * (nh * nm)
-        for t, ct in nonzeros(alpha_m[i]):
-            for b, row in enumerate(coact[t]):
-                for a, v in nonzeros(row):
-                    out[b * nm + a] += ct * v
-        return tuple(out)
-
-    def coassoc_lhs(i):
-        # (delta_C (x) alpha_M) rho(e_i)
-        out = [ZERO] * (nh * nh * nm)
-        for b, row in enumerate(coact[i]):
-            for a, v in nonzeros(row):
-                for c1, rowc in enumerate(co.comul[b]):
-                    for c2, vc in nonzeros(rowc):
-                        base = (c1 * nh + c2) * nm
-                        for p, cp in nonzeros(alpha_m[a]):
-                            out[base + p] += v * vc * cp
-        return tuple(out)
-
-    def coassoc_rhs(i):
-        # (alpha_C (x) rho) rho(e_i)
-        out = [ZERO] * (nh * nh * nm)
-        for b, row in enumerate(coact[i]):
-            for a, v in nonzeros(row):
-                for c1, vc in nonzeros(co.alpha[b]):
-                    for c2, rowa in enumerate(coact[a]):
-                        base = (c1 * nh + c2) * nm
-                        for p, cp in nonzeros(rowa):
-                            out[base + p] += v * vc * cp
-        return tuple(out)
-
-    def coact_of_vector(v: Vector) -> Vector:
-        out = [ZERO] * (nh * nm)
-        for i, ci in nonzeros(v):
-            for b, row in enumerate(coact[i]):
-                base = b * nm
-                for a, vv in nonzeros(row):
-                    out[base + a] += ci * vv
-        return tuple(out)
-
-    def mult_rhs(i, j):
-        out = [ZERO] * (nh * nm)
-        for b1, rowa in enumerate(coact[i]):
-            for a1, va in nonzeros(rowa):
-                for b2, rowb in enumerate(coact[j]):
-                    for a2, vb in nonzeros(rowb):
-                        coeff = va * vb
-                        for q, cq in nonzeros(co.mul[b1][b2]):
-                            base = q * nm
-                            for p, cp in nonzeros(alg.mul[a1][a2]):
-                                out[base + p] += coeff * cq * cp
-        return tuple(out)
-
-    unit_image = tuple(b * a for b in co.unit for a in alg.unit)
+    e = identity(nm)
+    eps = _as_map(co.counit)
+    rho = comul_matrix(coact)
+    rho_terms = terms(coact)
+    delta = comul_matrix(co.comul)
 
     checks = [
-        _sweep("left-comodule.counit-reduces-to-alpha", product(rm), counit_reduces, lambda i: alpha_m[i]),
-        _sweep("left-comodule.alpha-equivariant", product(rm), equivariant_lhs, equivariant_rhs),
-        _sweep("left-comodule.hom-coassociative", product(rm), coassoc_lhs, coassoc_rhs),
+        _sweep(
+            "left-comodule.counit-reduces-to-alpha",
+            product(rm),
+            lambda i: apply_kron(eps, e, rho[i]),
+            lambda i: alpha_m[i],
+        ),
+        _sweep(
+            "left-comodule.alpha-equivariant",
+            product(rm),
+            lambda i: apply_kron(co.alpha, alpha_m, rho[i]),
+            lambda i: apply_map(rho, alpha_m[i]),
+        ),
+        _sweep(
+            "left-comodule.hom-coassociative",
+            product(rm),
+            lambda i: apply_kron(delta, alpha_m, rho[i]),
+            lambda i: apply_kron(co.alpha, rho, rho[i]),
+        ),
         _sweep(
             "left-comodule-algebra.multiplicative",
             product(rm, rm),
-            lambda i, j: coact_of_vector(alg.mul[i][j]),
-            mult_rhs,
+            lambda i, j: apply_map(rho, alg.mul[i][j]),
+            lambda i, j: linear_combination(
+                nh * nm,
+                ((v, apply_kron(co.mul[b], alg.mul[a], rho[j])) for b, a, v in rho_terms[i]),
+            ),
         ),
         _sweep(
             "left-comodule-algebra.unit",
             [()],
-            lambda: coact_of_vector(alg.unit),
-            lambda: unit_image,
+            lambda: apply_map(rho, alg.unit),
+            lambda: kron((co.unit,), (alg.unit,))[0],
         ),
     ]
     return CheckReport(tuple(checks))

@@ -52,6 +52,15 @@ class TestCheckCommand:
         result = invoke("check", str(tmp_path / "bad.alg"))
         assert result.exit_code == 2
 
+    def test_declared_dim_over_the_limit_exits_two(self, tmp_path, monkeypatch):
+        from homhopf import fileformat
+
+        monkeypatch.setattr(fileformat, "MAX_DIM", 3)
+        (tmp_path / "big.alg").write_text("homhopf 1\nchar 0\nobject big\ndim 4\nalpha 0 0 1\nend\n")
+        result = invoke("check", str(tmp_path / "big.alg"))
+        assert result.exit_code == 2
+        assert "exceeds the limit" in result.output
+
     def test_jobs_flag_does_not_change_output(self):
         a = invoke("check", "cyclic:4", "--level", "hopf", "--jobs", "1")
         b = invoke("check", "cyclic:4", "--level", "hopf", "--jobs", "4")
@@ -233,6 +242,32 @@ class TestReports:
         assert doc["inputs"][0]["source"] == "ax1"
         assert len(doc["inputs"][0]["sha256"]) == 64
         assert doc["results"][0]["checks"][0]["axiom"] == "algebra.alpha-multiplicative"
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is an input error: exit 2."""
+
+    def test_check_report(self, tmp_path):
+        result = invoke("check", "cyclic:2", "--report", str(tmp_path / "missing" / "r.json"))
+        assert result.exit_code == 2
+        assert "error:" in result.output
+
+    def test_construct_out(self, tmp_path):
+        result = invoke("construct", "dual", "cyclic:2", "--out", str(tmp_path / "missing" / "d.alg"))
+        assert result.exit_code == 2
+        assert "error:" in result.output
+
+    def test_verify_report(self, tmp_path):
+        result = invoke(
+            "verify", "prop2.19", "--algebra", "cyclic:2", "--report", str(tmp_path / "missing" / "r.json")
+        )
+        assert result.exit_code == 2
+        assert "error:" in result.output
+
+    def test_export_out(self, tmp_path):
+        result = invoke("export", "ax1", "--out", str(tmp_path / "missing" / "ax1.alg"))
+        assert result.exit_code == 2
+        assert "error:" in result.output
 
 
 class TestExportCommand:

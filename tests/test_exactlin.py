@@ -9,17 +9,25 @@ from hypothesis import strategies as st
 from homhopf.catalog import catalog_ax1, catalog_cyclic
 from homhopf.errors import DimensionMismatch, SingularMatrixError
 from homhopf.exactlin import (
+    ZERO,
     alpha_power,
+    apply_kron,
     apply_map,
     basis_vector,
     bilinear_apply,
     format_scalar,
     identity,
     kron,
+    linear_combination,
     mat_compose,
     mat_inverse,
     matrix_from_rows,
+    nonzeros,
     parse_scalar,
+    tensor3_from_entries,
+    terms,
+    vec_add,
+    vec_scale,
 )
 
 F = Fraction
@@ -33,6 +41,19 @@ def square(n):
     return st.lists(
         st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n
     ).map(matrix_from_rows)
+
+
+def rect(rows, cols):
+    return st.lists(
+        st.lists(rationals, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(matrix_from_rows)
+
+
+def vectors(n):
+    return st.lists(rationals, min_size=n, max_size=n).map(tuple)
+
+
+dims = st.integers(1, 3)
 
 
 class TestScalars:
@@ -163,3 +184,43 @@ class TestBilinear:
         ax1 = catalog_ax1().hopf
         with pytest.raises(DimensionMismatch):
             bilinear_apply(ax1.mul, basis_vector(3, 0), basis_vector(2, 0))
+
+
+class TestApplyKron:
+    @given(dims, dims, dims, dims, st.data())
+    @settings(max_examples=60)
+    def test_matches_dense_kron_on_rectangular_maps(self, p, q, r, s, data):
+        f, g = data.draw(rect(p, q)), data.draw(rect(r, s))
+        v = data.draw(vectors(p * r))
+        assert apply_kron(f, g, v) == apply_map(kron(f, g), v)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            apply_kron(identity(2), identity(2), (F(1),) * 3)
+
+
+class TestTerms:
+    @given(dims, dims, dims, st.data())
+    @settings(max_examples=60)
+    def test_rebuilds_the_tensor_in_row_major_order(self, n1, n2, n3, data):
+        t = tuple(tuple(data.draw(vectors(n3)) for _ in range(n2)) for _ in range(n1))
+        rows = terms(t)
+        assert len(rows) == n1
+        for row in rows:
+            assert [(j, k) for j, k, _ in row] == sorted({(j, k) for j, k, _ in row})
+            assert all(c for _, _, c in row)
+        entries = {(i, j, k): c for i, row in enumerate(rows) for j, k, c in row}
+        assert tensor3_from_entries((n1, n2, n3), entries) == t
+
+
+class TestLinearCombination:
+    @given(st.lists(st.tuples(rationals, vectors(3)), max_size=4))
+    @settings(max_examples=40)
+    def test_matches_scaled_sum(self, scaled):
+        expected = (ZERO,) * 3
+        for c, v in scaled:
+            expected = vec_add(expected, vec_scale(c, v))
+        assert linear_combination(3, scaled) == expected
+
+    def test_zeros_computed_by_arithmetic_are_skipped(self):
+        assert list(nonzeros((F(1, 2) - F(1, 2), ZERO, F(2)))) == [(2, F(2))]

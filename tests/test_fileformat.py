@@ -135,6 +135,20 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse(bad)
 
+    def test_declared_dim_over_the_limit(self, monkeypatch):
+        from homhopf import fileformat
+
+        monkeypatch.setattr(fileformat, "MAX_DIM", 3)
+        head = "homhopf 1\nchar 0\nobject big\ndim {}\nalpha 0 0 1\nend\n"
+        assert parse(head.format(3)).object().dim == 3
+        assert parse(head.format("003")).object().dim == 3
+        for declared in ("4", "9" * 5000):
+            with pytest.raises(ParseError, match="exceeds the limit"):
+                parse(head.format(declared))
+        for malformed in ("0", "x", "\u00b2"):
+            with pytest.raises(ParseError, match="positive integer"):
+                parse(head.format(malformed))
+
     def test_not_utf8(self):
         with pytest.raises(ParseError):
             parse(b"\xff\xfe homhopf")
