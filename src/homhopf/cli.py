@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .catalog import catalog_ex27_expected, get_entry
+from .catalog import catalog_ex27_expected, catalog_names, get_entry
 from .constructions import (
     bicrossproduct,
     cocycle_twist,
@@ -30,7 +30,7 @@ from .constructions import (
     self_bicross,
 )
 from .errors import HomHopfError, InvalidParameter, PreconditionFailed
-from .exactlin import format_scalar
+from .exactlin import format_scalar, matrix_from_entries
 from .fileformat import (
     SCHEMA_VERSION,
     AlgebraFile,
@@ -41,6 +41,7 @@ from .fileformat import (
 )
 from .structures import (
     CheckReport,
+    TwoCocycle,
     check_antipode,
     check_hom_algebra,
     check_hom_bialgebra,
@@ -72,8 +73,6 @@ def _load_input(source: str) -> tuple[AlgebraFile, bytes, object]:
     try:
         entry = get_entry(source)
     except InvalidParameter:
-        from .catalog import catalog_names
-
         raise click.UsageError(
             f"{source!r} is neither an existing file nor a catalog name "
             f"(catalog: {', '.join(catalog_names())})"
@@ -305,9 +304,6 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
             host = rec.hom_bialgebra()
             if cfile.object(block.refs[0]).dim != host.dim:
                 _fail_usage("cocycle host dimension differs from the input algebra")
-            from .exactlin import matrix_from_entries
-            from .structures import TwoCocycle
-
             gram = matrix_from_entries(
                 host.dim, host.dim, {(i, j): v for (i, j), v in block.entries}
             )

@@ -14,8 +14,9 @@ matrices.  Three conventions are fixed package-wide:
 
 Sweedler sums and tensor legs are enumerated here and nowhere else:
 ``terms`` lists the nonzero Sweedler terms of a comultiplication or coaction
-tensor, and ``apply_kron`` applies one map to each leg of a vector on a pair
-space.
+tensor, ``apply_kron`` applies one map to each leg of a vector on a pair
+space, and ``tensor_power_product`` multiplies two vectors of a tensor power
+leg by leg.
 
 All functions are pure and all results are hashable, so they are safe to
 share between threads and to memoize.
@@ -288,6 +289,39 @@ def bilinear_apply(t: Tensor3, x: Vector, y: Vector) -> Vector:
         ti = t[i]
         for j, yj in nonzeros(y):
             add_scaled(acc, xi * yj, ti[j])
+    return tuple(acc)
+
+
+def tensor_power_product(mul: Tensor3, legs: int, u: Vector, v: Vector) -> Vector:
+    """The componentwise product ``(x_1 (x) x_2 ...)(y_1 (x) y_2 ...) = x_1 y_1 (x) x_2 y_2 ...``
+    on the ``legs``-fold tensor power of the algebra with multiplication ``mul``.
+    """
+    n = len(mul)
+    size = n**legs
+    if len(u) != size or len(v) != size:
+        raise DimensionMismatch(
+            f"{legs}-leg tensor power of dimension {n} applied to lengths {len(u)}, {len(v)}"
+        )
+
+    weights = [n**k for k in reversed(range(legs))]
+
+    def legs_of(p: int) -> tuple[int, ...]:
+        return tuple(p // w % n for w in weights)
+
+    products: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+    v_terms = [(legs_of(q), cv) for q, cv in nonzeros(v)]
+    acc = [ZERO] * size
+    for p, cu in nonzeros(u):
+        p_legs = legs_of(p)
+        for q_legs, cv in v_terms:
+            partial = [(0, cu * cv)]
+            for pair in zip(p_legs, q_legs):
+                leg = products.get(pair)
+                if leg is None:
+                    leg = products[pair] = tuple(nonzeros(mul[pair[0]][pair[1]]))
+                partial = [(base * n + k, c * ck) for base, c in partial for k, ck in leg]
+            for k, c in partial:
+                acc[k] += c
     return tuple(acc)
 
 

@@ -132,12 +132,14 @@ class AlgebraFile:
     def blocks_of(self, kind: str) -> tuple[BlockRecord, ...]:
         return tuple(b for b in self.blocks if b.kind == kind)
 
+    def _first_block(self, kind: str) -> BlockRecord:
+        blocks = self.blocks_of(kind)
+        if not blocks:
+            raise ParseError(f"file defines no {kind} block")
+        return blocks[0]
+
     def module_action(self, block: BlockRecord | None = None) -> ModuleAction:
-        if block is None:
-            blocks = self.blocks_of("action")
-            if not blocks:
-                raise ParseError("file defines no action block")
-            block = blocks[0]
+        block = block or self._first_block("action")
         actor = self.object(block.refs[0])
         carrier = self.object(block.refs[1])
         act = tensor3_from_entries(
@@ -146,11 +148,7 @@ class AlgebraFile:
         return ModuleAction(_richest(actor), _richest(carrier), act)
 
     def comodule_coaction(self, block: BlockRecord | None = None) -> ComoduleCoaction:
-        if block is None:
-            blocks = self.blocks_of("coaction")
-            if not blocks:
-                raise ParseError("file defines no coaction block")
-            block = blocks[0]
+        block = block or self._first_block("coaction")
         coactor = self.object(block.refs[0])
         carrier = self.object(block.refs[1])
         coact = tensor3_from_entries(
@@ -159,11 +157,7 @@ class AlgebraFile:
         return ComoduleCoaction(_richest(coactor), _richest(carrier), coact)
 
     def pairing(self, block: BlockRecord | None = None) -> PairingForm:
-        if block is None:
-            blocks = self.blocks_of("pairing")
-            if not blocks:
-                raise ParseError("file defines no pairing block")
-            block = blocks[0]
+        block = block or self._first_block("pairing")
         left = self.object(block.refs[0]).hom_hopf()
         right = self.object(block.refs[1]).hom_hopf()
         gram = matrix_from_entries(
@@ -172,11 +166,7 @@ class AlgebraFile:
         return PairingForm(left, right, gram)
 
     def cocycle(self, block: BlockRecord | None = None) -> TwoCocycle:
-        if block is None:
-            blocks = self.blocks_of("cocycle")
-            if not blocks:
-                raise ParseError("file defines no cocycle block")
-            block = blocks[0]
+        block = block or self._first_block("cocycle")
         host = self.object(block.refs[0]).hom_bialgebra()
         gram = matrix_from_entries(
             host.dim, host.dim, {(i, j): v for (i, j), v in block.entries}
@@ -184,11 +174,7 @@ class AlgebraFile:
         return TwoCocycle(host, gram, block.refs[1])
 
     def rmatrix(self, block: BlockRecord | None = None) -> RMatrix:
-        if block is None:
-            blocks = self.blocks_of("rmatrix")
-            if not blocks:
-                raise ParseError("file defines no rmatrix block")
-            block = blocks[0]
+        block = block or self._first_block("rmatrix")
         host = self.object(block.refs[0]).hom_bialgebra()
         entries = matrix_from_entries(
             host.dim, host.dim, {(i, j): v for (i, j), v in block.entries}

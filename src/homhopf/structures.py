@@ -19,7 +19,6 @@ from itertools import product
 from .errors import DimensionMismatch, SingularMatrixError
 from .exactlin import (
     ONE,
-    ZERO,
     Matrix,
     Tensor3,
     Vector,
@@ -36,8 +35,8 @@ from .exactlin import (
     mat_inverse,
     mat_shape,
     mul_matrix,
-    nonzeros,
     tensor3_shape,
+    tensor_power_product,
     terms,
     transpose,
     vec_scale,
@@ -404,49 +403,6 @@ def _partial_forms(gram: Matrix, alpha_left: Matrix, alpha_right: Matrix):
     return first, second
 
 
-# ---------------------------------------------------------------------------
-# products on tensor powers
-
-# The tensor square of a Hom-algebra carries the componentwise product with
-# structure map alpha (x) alpha; the tensor cube analogously.  The helpers
-# below evaluate those products on dense vectors, skipping zero entries.
-
-
-def tensor_square_product(mul: Tensor3, n: int, u: Vector, v: Vector) -> Vector:
-    out = [ZERO] * (n * n)
-    for p, cu in nonzeros(u):
-        p0, p1 = divmod(p, n)
-        for q, cv in nonzeros(v):
-            q0, q1 = divmod(q, n)
-            c = cu * cv
-            for a, ca in nonzeros(mul[p0][q0]):
-                base = a * n
-                cca = c * ca
-                for b, cb in nonzeros(mul[p1][q1]):
-                    out[base + b] += cca * cb
-    return tuple(out)
-
-
-def tensor_cube_product(mul: Tensor3, n: int, u: Vector, v: Vector) -> Vector:
-    n2 = n * n
-    out = [ZERO] * (n * n2)
-    for p, cu in nonzeros(u):
-        p0, rest = divmod(p, n2)
-        p1, p2 = divmod(rest, n)
-        for q, cv in nonzeros(v):
-            q0, qrest = divmod(q, n2)
-            q1, q2 = divmod(qrest, n)
-            c = cu * cv
-            for a, ca in nonzeros(mul[p0][q0]):
-                ca_ = c * ca
-                for b, cb in nonzeros(mul[p1][q1]):
-                    cb_ = ca_ * cb
-                    base = a * n2 + b * n
-                    for d, cd in nonzeros(mul[p2][q2]):
-                        out[base + d] += cb_ * cd
-    return tuple(out)
-
-
 def cocycle_products(sigma: TwoCocycle) -> Tensor3:
     """``sigma(h_1, k_1) h_2 k_2`` for a left cocycle and ``sigma(h_2, k_2) h_1 k_1``
     for a right one, at every basis pair ``(h, k)``.
@@ -578,7 +534,7 @@ def check_hom_bialgebra(obj) -> CheckReport:
             "bialgebra.comul-multiplicative",
             product(rng, rng),
             lambda i, j: apply_map(delta, mul[i][j]),
-            lambda i, j: tensor_square_product(mul, n, delta[i], delta[j]),
+            lambda i, j: tensor_power_product(mul, 2, delta[i], delta[j]),
         ),
         _sweep(
             "bialgebra.comul-unit",
@@ -774,17 +730,8 @@ def check_comodule_coalgebra(c: ComoduleCoaction) -> CheckReport:
     delta = comul_matrix(carrier.comul)
     eps = _as_map(carrier.counit)
     e = identity(nh)
-
-    def comul_rhs(i):
-        # c_1(0) (x) c_2(0) (x) c_1(1) c_2(1)
-        out = [ZERO] * (nm * nm * nh)
-        for c1, c2, vc in comul_terms[i]:
-            for d1, h1, v1 in rho_terms[c1]:
-                for d2, h2, v2 in rho_terms[c2]:
-                    base = (d1 * nm + d2) * nh
-                    for h, vh in nonzeros(coactor.mul[h1][h2]):
-                        out[base + h] += vc * v1 * v2 * vh
-        return tuple(out)
+    em = identity(nm)
+    embed = tuple(kron((row,), em) for row in em)  # embed[d] is m -> e_d (x) m
 
     checks = list(check_comodule(c).checks)
     checks.append(
@@ -801,7 +748,15 @@ def check_comodule_coalgebra(c: ComoduleCoaction) -> CheckReport:
             product(range(nm)),
             # c_(0)1 (x) c_(0)2 (x) alpha_H^2(c_(1))
             lambda i: apply_kron(delta, alpha2, rho[i]),
-            comul_rhs,
+            # c_1(0) (x) c_2(0) (x) c_1(1) c_2(1)
+            lambda i: linear_combination(
+                nm * nm * nh,
+                (
+                    (vc * v1, apply_kron(embed[d1], coactor.mul[h1], rho[c2]))
+                    for c1, c2, vc in comul_terms[i]
+                    for d1, h1, v1 in rho_terms[c1]
+                ),
+            ),
         )
     )
     return CheckReport(tuple(checks))
@@ -1208,20 +1163,20 @@ def check_quasitriangular(H, R: RMatrix) -> CheckReport:
         _sweep(
             "quasitriangular.intertwines-comul",
             product(range(n)),
-            lambda i: tensor_square_product(mul, n, delta_op[i], rvec),
-            lambda i: tensor_square_product(mul, n, rvec, delta[i]),
+            lambda i: tensor_power_product(mul, 2, delta_op[i], rvec),
+            lambda i: tensor_power_product(mul, 2, rvec, delta[i]),
         ),
         _sweep(
             "quasitriangular.left-hexagon",
             [()],
             lambda: apply_kron(delta, alpha, rvec),
-            lambda: tensor_cube_product(mul, n, r13, r23),
+            lambda: tensor_power_product(mul, 3, r13, r23),
         ),
         _sweep(
             "quasitriangular.right-hexagon",
             [()],
             lambda: apply_kron(alpha, delta, rvec),
-            lambda: tensor_cube_product(mul, n, r13, r12),
+            lambda: tensor_power_product(mul, 3, r13, r12),
         ),
     ]
     return CheckReport(tuple(checks))

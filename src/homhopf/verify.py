@@ -20,6 +20,7 @@ from .catalog import BicrossGolden, GroupData
 from .constructions import (
     PairedDouble,
     bicross_hypotheses,
+    bicrossproduct,
     canonical_cocycles,
     canonical_r_matrix,
     cocycle_twist,
@@ -39,14 +40,14 @@ from .exactlin import (
     ZERO,
     Matrix,
     Tensor3,
-    Vector,
     apply_map,
     basis_vector,
     bilinear_apply,
-    flatten_pair,
+    comul_matrix,
     identity,
     kron,
     mat_inverse,
+    tensor3_shape,
 )
 from .structures import (
     CheckEntry,
@@ -65,6 +66,7 @@ from .structures import (
     check_twisting,
     merge_reports,
     run_hopf_suite,
+    _sweep,
 )
 
 
@@ -97,24 +99,14 @@ def _timed(suite: str, steps: list[SuiteStep], started: float) -> SuiteResult:
 
 
 def _tensor_equal(axiom_id: str, lhs: Tensor3, rhs: Tensor3) -> CheckEntry:
-    for i, plane in enumerate(lhs):
-        for j, row in enumerate(plane):
-            if row != rhs[i][j]:
-                return make_entry(axiom_id, False, (i, j), row, rhs[i][j])
-    return CheckEntry(axiom_id, True)
+    n1, n2, _ = tensor3_shape(lhs)
+    return _sweep(
+        axiom_id, product(range(n1), range(n2)), lambda i, j: lhs[i][j], lambda i, j: rhs[i][j]
+    )
 
 
 def _matrix_equal(axiom_id: str, lhs: Matrix, rhs: Matrix) -> CheckEntry:
-    for i, row in enumerate(lhs):
-        if row != rhs[i]:
-            return make_entry(axiom_id, False, (i,), row, rhs[i])
-    return CheckEntry(axiom_id, True)
-
-
-def _vector_equal(axiom_id: str, lhs: Vector, rhs: Vector) -> CheckEntry:
-    if lhs != rhs:
-        return make_entry(axiom_id, False, (), lhs, rhs)
-    return CheckEntry(axiom_id, True)
+    return _sweep(axiom_id, product(range(len(lhs))), lambda i: lhs[i], lambda i: rhs[i])
 
 
 def _algebra_agrees(prefix: str, lhs, rhs) -> CheckReport:
@@ -122,7 +114,7 @@ def _algebra_agrees(prefix: str, lhs, rhs) -> CheckReport:
     return CheckReport(
         (
             _tensor_equal(prefix + ".mul", lhs.mul, rhs.mul),
-            _vector_equal(prefix + ".unit", lhs.unit, rhs.unit),
+            _sweep(prefix + ".unit", [()], lambda: lhs.unit, lambda: rhs.unit),
             _matrix_equal(prefix + ".alpha", lhs.alpha, rhs.alpha),
         )
     )
@@ -144,46 +136,18 @@ def verify_thm_2_6(
         SuiteStep("comodule-coalgebra coaction", check_comodule_coalgebra(co)),
         SuiteStep("compatibility hypotheses", bicross_hypotheses(A, H, act, co)),
     ]
-    from .constructions import bicrossproduct
-
     built = bicrossproduct(A, H, act, co, check=False)
     steps.append(SuiteStep("hopf suite on the bicrossproduct", run_hopf_suite(built)))
     if golden is not None:
-        na, nh = A.dim, H.dim
-        prod_checks = []
-        for i in range(na * nh):
-            for j in range(na * nh):
-                want = golden.products[i][j]
-                if built.mul[i][j] != want:
-                    prod_checks.append(
-                        make_entry("golden.products", False, (i, j), built.mul[i][j], want)
-                    )
-                    break
-            else:
-                continue
-            break
-        else:
-            prod_checks.append(make_entry("golden.products", True))
-        cop = next(
-            (
-                make_entry("golden.coproducts", False, (i,), flatten_pair(built.comul[i]), golden.coproducts[i])
-                for i in range(na * nh)
-                if flatten_pair(built.comul[i]) != golden.coproducts[i]
-            ),
-            make_entry("golden.coproducts", True),
-        )
-        ant = next(
-            (
-                make_entry("golden.antipodes", False, (i,), built.antipode[i], golden.antipodes[i])
-                for i in range(na * nh)
-                if built.antipode[i] != golden.antipodes[i]
-            ),
-            make_entry("golden.antipodes", True),
+        golden_checks = (
+            _tensor_equal("golden.products", built.mul, golden.products),
+            _matrix_equal("golden.coproducts", comul_matrix(built.comul), golden.coproducts),
+            _matrix_equal("golden.antipodes", built.antipode, golden.antipodes),
         )
         steps.append(
             SuiteStep(
                 "golden tables",
-                CheckReport(tuple(prod_checks) + (cop, ant)),
+                CheckReport(golden_checks),
                 note="expected tables on the basis (a, h) -> a * dim_H + h",
             )
         )
@@ -205,29 +169,24 @@ def verify_cor_2_9(H: HomHopfAlgebra, group: GroupData | None = None) -> SuiteRe
         built = self_bicross(H, check=False)
         cross = CheckReport((make_entry("self-bicross.closed-forms-agree", True),))
     except CrossCheckFailed:
-        from .constructions import bicrossproduct
-
         built = bicrossproduct(H, hop, act, co, check=False)
         cross = CheckReport((make_entry("self-bicross.closed-forms-agree", False),))
     steps.append(SuiteStep("closed-form cross-check", cross))
     steps.append(SuiteStep("hopf suite on the bicrossproduct", run_hopf_suite(built)))
     if group is not None:
-        n = group.order
-        entry = make_entry("self-bicross.group-like-product", True)
-        for a, h, b, k in product(range(n), repeat=4):
-            p = group.automorphism[
-                group.table[group.table[group.table[a][group.inverse[h]]][b]][h]
-            ]
-            q = group.automorphism[group.table[k][h]]
-            want = tuple(
-                ONE if t == p * n + q else ZERO for t in range(n * n)
-            )
-            got = built.mul[a * n + h][b * n + k]
-            if got != want:
-                entry = make_entry(
-                    "self-bicross.group-like-product", False, (a, h, b, k), got, want
-                )
-                break
+        n, mul, inv, phi = group.order, group.table, group.inverse, group.automorphism
+
+        def closed_form(a, h, b, k):
+            p = phi[mul[mul[mul[a][inv[h]]][b]][h]]
+            q = phi[mul[k][h]]
+            return basis_vector(n * n, p * n + q)
+
+        entry = _sweep(
+            "self-bicross.group-like-product",
+            product(range(n), repeat=4),
+            lambda a, h, b, k: built.mul[a * n + h][b * n + k],
+            closed_form,
+        )
         steps.append(
             SuiteStep(
                 "group-like closed form",
@@ -254,21 +213,12 @@ def verify_prop_2_19(H: HomHopfAlgebra, group: GroupData | None = None) -> Suite
             for s in range(n):
                 q = group.inverse[g] * n + s
                 expected[p, q] = expected.get((p, q), ZERO) + ONE
-        entry = make_entry("canonical-r.group-closed-form", True)
-        for p in range(n * n):
-            row = r.entries[p]
-            for q in range(n * n):
-                if row[q] != expected.get((p, q), ZERO):
-                    entry = make_entry(
-                        "canonical-r.group-closed-form",
-                        False,
-                        (p, q),
-                        (row[q],),
-                        (expected.get((p, q), ZERO),),
-                    )
-                    break
-            if not entry.passed:
-                break
+        entry = _sweep(
+            "canonical-r.group-closed-form",
+            product(range(n * n), repeat=2),
+            lambda p, q: (r.entries[p][q],),
+            lambda p, q: (expected.get((p, q), ZERO),),
+        )
         steps.append(SuiteStep("closed-form R", CheckReport((entry,))))
     return _timed("canonical-r-matrix", steps, started)
 
@@ -346,37 +296,32 @@ def verify_dual_pair_route(H: HomHopfAlgebra) -> SuiteResult:
 
     A, B = pairing.left, pairing.right
     na, nb = A.dim, B.dim
-    nd = na * nb
     embed_a = kron(identity(na), (B.unit,))  # a -> a (x) 1
     embed_b = kron((A.unit,), identity(nb))  # b -> 1 (x) b
 
-    entries = []
-    entry = make_entry("pair-double.first-factor-embedding", True)
-    for a, ap in product(range(na), repeat=2):
-        got = bilinear_apply(paired.hopf.mul, embed_a[a], embed_a[ap])
-        want = apply_map(embed_a, A.mul[a][ap])
-        if got != want:
-            entry = make_entry("pair-double.first-factor-embedding", False, (a, ap), got, want)
-            break
-    entries.append(entry)
-    entry = make_entry("pair-double.second-factor-embedding", True)
-    for b, bp in product(range(nb), repeat=2):
-        got = bilinear_apply(paired.hopf.mul, embed_b[b], embed_b[bp])
-        want = apply_map(embed_b, B.mul[b][bp])
-        if got != want:
-            entry = make_entry("pair-double.second-factor-embedding", False, (b, bp), got, want)
-            break
-    entries.append(entry)
+    mul = paired.hopf.mul
     alpha_inv = mat_inverse(kron(A.alpha, B.alpha))
-    entry = make_entry("pair-double.mixed-embedding", True)
-    for a, b in product(range(na), range(nb)):
-        got = apply_map(alpha_inv, bilinear_apply(paired.hopf.mul, embed_a[a], embed_b[b]))
-        want = basis_vector(nd, a * nb + b)
-        if got != want:
-            entry = make_entry("pair-double.mixed-embedding", False, (a, b), got, want)
-            break
-    entries.append(entry)
-    steps.append(SuiteStep("embedding identities", CheckReport(tuple(entries))))
+    embeddings = (
+        _sweep(
+            "pair-double.first-factor-embedding",
+            product(range(na), repeat=2),
+            lambda a, ap: bilinear_apply(mul, embed_a[a], embed_a[ap]),
+            lambda a, ap: apply_map(embed_a, A.mul[a][ap]),
+        ),
+        _sweep(
+            "pair-double.second-factor-embedding",
+            product(range(nb), repeat=2),
+            lambda b, bp: bilinear_apply(mul, embed_b[b], embed_b[bp]),
+            lambda b, bp: apply_map(embed_b, B.mul[b][bp]),
+        ),
+        _sweep(
+            "pair-double.mixed-embedding",
+            product(range(na), range(nb)),
+            lambda a, b: apply_map(alpha_inv, bilinear_apply(mul, embed_a[a], embed_b[b])),
+            lambda a, b: basis_vector(na * nb, a * nb + b),
+        ),
+    )
+    steps.append(SuiteStep("embedding identities", CheckReport(embeddings)))
 
     closed = drinfeld_double(H)
     steps.append(

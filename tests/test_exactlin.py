@@ -1,12 +1,13 @@
 """Exact linear algebra: inverses, powers, Kronecker products, contractions."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homhopf.catalog import catalog_ax1, catalog_cyclic
+from homhopf.catalog import catalog_ax1, catalog_cyclic, get_entry
 from homhopf.errors import DimensionMismatch, SingularMatrixError
 from homhopf.exactlin import (
     ZERO,
@@ -25,6 +26,7 @@ from homhopf.exactlin import (
     nonzeros,
     parse_scalar,
     tensor3_from_entries,
+    tensor_power_product,
     terms,
     vec_add,
     vec_scale,
@@ -197,6 +199,37 @@ class TestApplyKron:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             apply_kron(identity(2), identity(2), (F(1),) * 3)
+
+
+def pure(*legs):
+    """The pure tensor ``legs[0] (x) legs[1] (x) ...`` as a flattened vector."""
+    return reduce(lambda u, v: kron((u,), (v,))[0], legs)
+
+
+catalog_muls = st.sampled_from(["ax1", "kz2", "sweedler_hom", "cyclic:3"]).map(
+    lambda name: get_entry(name).hopf.mul
+)
+
+
+class TestTensorPowerProduct:
+    @given(catalog_muls, st.data())
+    @settings(max_examples=30)
+    def test_one_leg_is_the_product(self, mul, data):
+        u, v = data.draw(vectors(len(mul))), data.draw(vectors(len(mul)))
+        assert tensor_power_product(mul, 1, u, v) == bilinear_apply(mul, u, v)
+
+    @given(catalog_muls, st.integers(2, 3), st.data())
+    @settings(max_examples=30)
+    def test_pure_tensors_multiply_leg_by_leg(self, mul, legs, data):
+        xs = [data.draw(vectors(len(mul))) for _ in range(legs)]
+        ys = [data.draw(vectors(len(mul))) for _ in range(legs)]
+        expected = pure(*(bilinear_apply(mul, x, y) for x, y in zip(xs, ys)))
+        assert tensor_power_product(mul, legs, pure(*xs), pure(*ys)) == expected
+
+    def test_shape_mismatch(self):
+        mul = catalog_ax1().hopf.mul
+        with pytest.raises(DimensionMismatch):
+            tensor_power_product(mul, 2, basis_vector(4, 0), basis_vector(2, 0))
 
 
 class TestTerms:

@@ -152,3 +152,18 @@ class TestParsing:
     def test_not_utf8(self):
         with pytest.raises(ParseError):
             parse(b"\xff\xfe homhopf")
+
+    @pytest.mark.parametrize(
+        "accessor, kind",
+        [
+            ("module_action", "action"),
+            ("comodule_coaction", "coaction"),
+            ("pairing", "pairing"),
+            ("cocycle", "cocycle"),
+            ("rmatrix", "rmatrix"),
+        ],
+    )
+    def test_missing_block(self, accessor, kind):
+        bundle = parse(GOOD)
+        with pytest.raises(ParseError, match=f"^file defines no {kind} block$"):
+            getattr(bundle, accessor)()

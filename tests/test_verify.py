@@ -1,11 +1,12 @@
 """Theorem-level suites: green paths, documented red paths, determinism."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from homhopf.catalog import catalog_ax1, catalog_ex27_expected, catalog_kz2, get_entry
-from homhopf.exactlin import tensor3_from_entries
+from homhopf.exactlin import basis_vector, tensor3_from_entries, vec_add, zeros
 from homhopf.structures import ComoduleCoaction, ModuleAction
 from homhopf.verify import (
     verify_cor_2_9,
@@ -21,6 +22,25 @@ O = Fraction(1)
 
 def failing_steps(result):
     return [s.name for s in result.steps if not s.passed]
+
+
+def only_failure(result):
+    """The name of the single failing step and its single failing entry."""
+    (step,) = [s for s in result.steps if not s.passed]
+    (entry,) = step.report.failures()
+    return step.name, entry
+
+
+def bumped(v):
+    """``v`` with its first coordinate increased by one."""
+    return vec_add(v, basis_vector(len(v), 0))
+
+
+def bumped_at(rows, index):
+    """``rows`` with the vector at the nested ``index`` bumped."""
+    i, *rest = index
+    inner = bumped_at(rows[i], rest) if rest else bumped(rows[i])
+    return rows[:i] + (inner,) + rows[i + 1 :]
 
 
 class TestBicrossSuite:
@@ -65,6 +85,34 @@ class TestBicrossSuite:
         result = verify_thm_2_6(ax.hopf, ax.partner, bad, ax.coaction)
         assert "module-algebra action" in failing_steps(result)
 
+    @pytest.mark.parametrize(
+        "table, index, axiom_id",
+        [
+            ("products", (2, 1), "golden.products"),
+            ("coproducts", (1,), "golden.coproducts"),
+            ("antipodes", (3,), "golden.antipodes"),
+        ],
+    )
+    def test_perturbed_golden_table_is_witnessed(self, table, index, axiom_id):
+        ax = catalog_ax1()
+        golden = catalog_ex27_expected()
+        rows = getattr(golden, table)
+        want = rows[index[0]] if len(index) == 1 else rows[index[0]][index[1]]
+        result = verify_thm_2_6(
+            ax.hopf,
+            ax.partner,
+            ax.action,
+            ax.coaction,
+            replace(golden, **{table: bumped_at(rows, index)}),
+        )
+        step = result.steps[-1]
+        assert step.name == "golden tables"
+        (entry,) = step.report.failures()
+        assert entry.axiom_id == axiom_id
+        assert entry.witness.index == index
+        assert entry.witness.lhs == want
+        assert entry.witness.rhs == bumped(want)
+
 
 class TestSelfBicrossSuite:
     @pytest.mark.parametrize("name", ["one", "sweedler_hom", "cyclic:3"])
@@ -77,6 +125,16 @@ class TestSelfBicrossSuite:
         result = verify_cor_2_9(entry.hopf, entry.group)
         assert "group-like closed form" in [s.name for s in result.steps]
         assert result.passed
+
+    def test_wrong_automorphism_fails_group_like_closed_form(self):
+        entry = get_entry("cyclic:3")
+        group = replace(entry.group, automorphism=(0, 1, 2))
+        name, failed = only_failure(verify_cor_2_9(entry.hopf, group))
+        assert name == "group-like closed form"
+        assert failed.axiom_id == "self-bicross.group-like-product"
+        assert failed.witness.index == (0, 0, 0, 1)
+        assert failed.witness.lhs == basis_vector(9, 2)
+        assert failed.witness.rhs == basis_vector(9, 1)
 
 
 class TestCanonicalRSuite:
@@ -92,6 +150,16 @@ class TestCanonicalRSuite:
         assert "closed-form R" in [s.name for s in result.steps]
         assert result.passed
 
+    def test_wrong_automorphism_fails_closed_form_r(self):
+        entry = get_entry("cyclic:3")
+        group = replace(entry.group, automorphism=(0, 1, 2))
+        name, failed = only_failure(verify_prop_2_19(entry.hopf, group))
+        assert name == "closed-form R"
+        assert failed.axiom_id == "canonical-r.group-closed-form"
+        assert failed.witness.index == (1, 3)
+        assert failed.witness.lhs == (O,)
+        assert failed.witness.rhs == (Fraction(0),)
+
 
 class TestTwistSuite:
     @pytest.mark.parametrize(
@@ -99,6 +167,18 @@ class TestTwistSuite:
     )
     def test_passes(self, name):
         assert verify_thm_4_5(get_entry(name).hopf).passed
+
+    def test_s3_inner_fails_only_the_right_twist_identity(self):
+        # as built: one entry of the right twist's product differs from the
+        # dual Heisenberg double; both cocycles, the left-twist identity and
+        # the unit and structure map of the right twist agree
+        result = verify_thm_4_5(get_entry("s3_inner").hopf)
+        name, failed = only_failure(result)
+        assert name == "right twist equals dual Heisenberg double"
+        assert failed.axiom_id == "twist-vs-heisenberg.mul"
+        assert failed.witness.index == (3, 24)
+        assert failed.witness.lhs == basis_vector(36, 4)
+        assert failed.witness.rhs == zeros(36)
 
 
 class TestDualPairSuite:
