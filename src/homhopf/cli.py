@@ -30,7 +30,7 @@ from .constructions import (
     self_bicross,
 )
 from .errors import HomHopfError, InvalidParameter, PreconditionFailed
-from .exactlin import format_scalar, matrix_from_entries
+from .exactlin import format_scalar
 from .fileformat import (
     SCHEMA_VERSION,
     AlgebraFile,
@@ -296,18 +296,12 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
                 _fail_usage("twist needs --cocycle <file>")
             craw = Path(cocycle_path).read_bytes()
             inputs.append((cocycle_path, craw))
-            cfile = parse(craw)
-            cblocks = cfile.blocks_of("cocycle")
-            if not cblocks:
-                _fail_usage("cocycle file defines no cocycle block")
-            block = cblocks[0]
+            given = parse(craw).cocycle()
             host = rec.hom_bialgebra()
-            if cfile.object(block.refs[0]).dim != host.dim:
+            if given.algebra.dim != host.dim:
                 _fail_usage("cocycle host dimension differs from the input algebra")
-            gram = matrix_from_entries(
-                host.dim, host.dim, {(i, j): v for (i, j), v in block.entries}
-            )
-            sigma = TwoCocycle(host, gram, side or block.refs[1])
+            # the input algebra hosts the twist; --side overrides the block's side
+            sigma = TwoCocycle(host, given.gram, side or given.side)
             result = object_record(f"twist_{base}", cocycle_twist(host, sigma, check=check_flag))
         else:  # pragma: no cover
             raise AssertionError(kind)

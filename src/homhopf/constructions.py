@@ -16,7 +16,6 @@ unless ``check=False`` (outputs are then unvalidated).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .errors import (
@@ -29,13 +28,13 @@ from .exactlin import (
     ONE,
     ZERO,
     Matrix,
-    Tensor3,
     Vector,
     alpha_power,
     apply_kron,
     apply_map,
     bilinear_apply,
     comul_matrix,
+    comul_tensor,
     identity,
     kron,
     linear_combination,
@@ -43,8 +42,6 @@ from .exactlin import (
     mat_inverse,
     matrix_from_entries,
     mul_matrix,
-    nonzeros,
-    tensor3_from_entries,
     terms,
     transpose,
 )
@@ -75,14 +72,6 @@ from .structures import (
     hopf_algebra,
     merge_reports,
 )
-
-Entries3 = dict[tuple[int, int, int], Fraction]
-
-
-def _acc3(entries: Entries3, i: int, j: int, k: int, c: Fraction) -> None:
-    if c:
-        entries[i, j, k] = entries.get((i, j, k), ZERO) + c
-
 
 def _flip(n1: int, n2: int) -> Matrix:
     """The flip ``e_i (x) e_j -> e_j (x) e_i`` from an n1*n2 to an n2*n1 pair space."""
@@ -122,28 +111,18 @@ def yau_twist(classical: HomHopfAlgebra, endo: Matrix) -> HomHopfAlgebra:
             if apply_map(endo, mul[i][j]) != bilinear_apply(mul, endo[i], endo[j]):
                 raise NotAMorphism("endo(ab) = endo(a) endo(b)")
     delta = comul_matrix(comul)
+    twisted_delta = mat_compose(endo, delta)  # rows delta(endo(e_i))
+    counit_map = transpose((counit,))
     for i in range(n):
-        if apply_map(delta, endo[i]) != apply_kron(endo, endo, delta[i]):
+        if twisted_delta[i] != apply_kron(endo, endo, delta[i]):
             raise NotAMorphism("delta(endo(a)) = (endo (x) endo) delta(a)")
-        if sum((c * counit[t] for t, c in nonzeros(endo[i])), ZERO) != counit[i]:
+        if apply_map(counit_map, endo[i]) != (counit[i],):
             raise NotAMorphism("counit(endo(a)) = counit(a)")
         if apply_map(endo, S[i]) != apply_map(S, endo[i]):
             raise NotAMorphism("endo(S(a)) = S(endo(a))")
 
-    twisted_mul = tuple(
-        tuple(apply_map(endo, mul[i][j]) for j in range(n)) for i in range(n)
-    )
-    twisted_comul = tuple(
-        tuple(
-            tuple(
-                sum((c * comul[t][j][k] for t, c in nonzeros(endo[i])), ZERO)
-                for k in range(n)
-            )
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return hopf_algebra(n, twisted_mul, unit, twisted_comul, counit, endo, S)
+    twisted_mul = tuple(tuple(apply_map(endo, mul[i][j]) for j in range(n)) for i in range(n))
+    return hopf_algebra(n, twisted_mul, unit, comul_tensor(twisted_delta, n), counit, endo, S)
 
 
 def opposite(h: HomHopfAlgebra) -> HomHopfAlgebra:
@@ -158,6 +137,14 @@ def opposite(h: HomHopfAlgebra) -> HomHopfAlgebra:
 def opposite_hopf(h: HomHopfAlgebra) -> HomHopfAlgebra:
     """The opposite with the inverse antipode, which is again Hom-Hopf."""
     return HomHopfAlgebra(opposite(h).bialgebra, mat_inverse(h.antipode))
+
+
+def co_opposite(h: HomHopfAlgebra) -> HomHopfAlgebra:
+    """The co-opposite ``delta(a) = a_2 (x) a_1`` with the inverse antipode,
+    which is again Hom-Hopf."""
+    return hopf_algebra(
+        h.dim, h.mul, h.unit, _op_comul(h.comul), h.counit, h.alpha, mat_inverse(h.antipode)
+    )
 
 
 def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
@@ -178,7 +165,7 @@ def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
         n,
         tuple(products[i * n : (i + 1) * n] for i in range(n)),
         h.counit,
-        tuple(tuple(row[p * n : (p + 1) * n] for p in range(n)) for row in coproducts),
+        comul_tensor(coproducts, n),
         h.unit,
         transpose(alpha_power(h.alpha, -1)),
         transpose(h.antipode),
@@ -264,19 +251,14 @@ def cotwist_coproduct(C, D, phi: Matrix, check: bool = True) -> HomCoalgebra:
         if not report.ok:
             raise PreconditionFailed("not a cotwisting map", report)
     nc, nd = Cc.dim, Dc.dim
-    ncd = nc * nd
-    d_terms = terms(Dc.comul)
-    entries: Entries3 = {}
-    for c, c_row in enumerate(terms(Cc.comul)):
-        for d, d_row in enumerate(d_terms):
-            for c1, c2, vc in c_row:
-                for d1, d2, vd in d_row:
-                    for t, vphi in nonzeros(phi[c2 * nd + d1]):
-                        dp, cp = divmod(t, nc)
-                        _acc3(entries, c * nd + d, c1 * nd + dp, cp * nd + d2, vc * vd * vphi)
+    e_c, e_d = identity(nc), identity(nd)
+    # (id (x) phi (x) id)(delta_C (x) delta_D) in two steps: phi_d maps
+    # c_2 (x) d to phi(c_2 (x) d_1) (x) d_2, and c (x) d goes to c_1 (x) phi_d(c_2 (x) d)
+    phi_d = tuple(apply_kron(phi, e_d, row) for row in kron(e_c, comul_matrix(Dc.comul)))
+    comul = tuple(apply_kron(e_c, phi_d, row) for row in kron(comul_matrix(Cc.comul), e_d))
     return HomCoalgebra(
-        ncd,
-        tensor3_from_entries((ncd, ncd, ncd), entries),
+        nc * nd,
+        comul_tensor(comul, nc * nd),
         kron((Cc.counit,), (Dc.counit,))[0],
         kron(Cc.alpha, Dc.alpha),
     )
@@ -455,20 +437,17 @@ def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, 
 
     act = tuple(tuple(acts(h, a) for a in range(n)) for h in range(n))
 
-    coact_entries: Entries3 = {}
-    for h in range(n):
-        for h1, h2, c in h_terms[h]:
-            for h11, h12, c2 in h_terms[h1]:
-                second = bilinear_apply(H.mul, s_ainv2[h11], ainv1[h2])
-                for p, cp in nonzeros(ainv1[h12]):
-                    for q, cq in nonzeros(second):
-                        _acc3(coact_entries, h, p, q, c * c2 * cp * cq)
-
-    return (
-        hop,
-        ModuleAction(hop, H, act),
-        ComoduleCoaction(H, hop, tensor3_from_entries((n, n, n), coact_entries)),
+    # rho(h) applies alpha^-1 (x) second[h_2] to h_12 (x) h_11, the co-opposite
+    # coproduct of h_1; second[h_2] maps h_11 to S(alpha^-2(h_11)) alpha^-1(h_2)
+    op_delta = comul_matrix(_op_comul(H.comul))
+    second = [tuple(bilinear_apply(H.mul, x, y) for x in s_ainv2) for y in ainv1]
+    coact = tuple(
+        linear_combination(
+            n * n, ((c, apply_kron(ainv1, second[h2], op_delta[h1])) for h1, h2, c in h_terms[h])
+        )
+        for h in range(n)
     )
+    return hop, ModuleAction(hop, H, act), ComoduleCoaction(H, hop, comul_tensor(coact, n))
 
 
 def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
@@ -518,25 +497,22 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
 
     # closed form of the coproduct:
     # delta(a x h) = a_1 x alpha^-2(h_112)
-    #   (x) alpha^-1(a_2)(S(alpha^-4(h_111)) alpha^-3(h_12)) x h_2
-    comul_entries: Entries3 = {}
-    for (a, a_row), (h, h_row) in product(enumerate(h_terms), repeat=2):
-        for a1, a2, va in a_row:
-            for h1, h2, vh in h_row:
-                for h11, h12, v11 in h_terms[h1]:
-                    for h111, h112, v111 in h_terms[h11]:
-                        inner = bilinear_apply(H.mul, s_ainv4[h111], ainv3[h12])
-                        third = bilinear_apply(H.mul, ainv1[a2], inner)
-                        for t, ct in nonzeros(ainv2[h112]):
-                            for y, cy in nonzeros(third):
-                                _acc3(
-                                    comul_entries,
-                                    a * n + h,
-                                    a1 * n + t,
-                                    y * n + h2,
-                                    va * vh * v11 * v111 * ct * cy,
-                                )
-    closed_comul = tensor3_from_entries((nd, nd, nd), comul_entries)
+    #   (x) alpha^-1(a_2)(S(alpha^-4(h_111)) alpha^-3(h_12)) x h_2,
+    # the cotwist coproduct of the map closed_phi from a_2 (x) h_1 to the middle two
+    # legs: alpha^-2 (x) third[a_2][h_12] applied to h_112 (x) h_111, the co-opposite
+    # coproduct of h_11, where third[a_2][h_12] maps h_111 to the last leg
+    op_delta = comul_matrix(_op_comul(H.comul))
+    inner = [[bilinear_apply(H.mul, x, y) for x in s_ainv4] for y in ainv3]
+    third = [[tuple(bilinear_apply(H.mul, a, v) for v in row) for row in inner] for a in ainv1]
+    closed_phi = tuple(
+        linear_combination(
+            nd,
+            ((v, apply_kron(ainv2, third[a2][h12], op_delta[h11])) for h11, h12, v in h_terms[h1]),
+        )
+        for a2 in range(n)
+        for h1 in range(n)
+    )
+    closed_comul = cotwist_coproduct(H, H, closed_phi, check=False).comul
     if closed_comul != built.comul:
         raise CrossCheckFailed("closed-form coproduct disagrees with the generic route")
     return built
@@ -619,50 +595,6 @@ def dual_matched_pair(
     return MatchedPairData(H, dual(A), left, right)
 
 
-@dataclass(frozen=True)
-class HarpoonContext:
-    """Precomputed left and right regular actions of a Hom-Hopf algebra on
-    its dual: ``<f <- h, k> = <f, h alpha^-2(k)>`` and
-    ``<h -> f, k> = <f, alpha^-2(k) h>``."""
-
-    host: HomHopfAlgebra
-    right_mats: tuple[Matrix, ...]
-    left_mats: tuple[Matrix, ...]
-
-    @classmethod
-    def build(cls, host: HomHopfAlgebra) -> "HarpoonContext":
-        n = host.dim
-        ainv2 = alpha_power(host.alpha, -2)
-        e = identity(n)
-        # (f <- e_h)_k = f(e_h alpha^-2(e_k)); store as row-image matrix on covectors
-        right_mats = tuple(
-            transpose(tuple(bilinear_apply(host.mul, e[h], a) for a in ainv2)) for h in range(n)
-        )
-        left_mats = tuple(
-            transpose(tuple(bilinear_apply(host.mul, a, e[h]) for a in ainv2)) for h in range(n)
-        )
-        return cls(host, right_mats, left_mats)
-
-    def feed_right(self, f: Vector, hvec: Vector) -> Vector:
-        """``f <- hvec`` extended bilinearly."""
-        mats = self.right_mats
-        return linear_combination(len(f), ((c, apply_map(mats[h], f)) for h, c in nonzeros(hvec)))
-
-    def feed_left(self, hvec: Vector, f: Vector) -> Vector:
-        """``hvec -> f`` extended bilinearly."""
-        mats = self.left_mats
-        return linear_combination(len(f), ((c, apply_map(mats[h], f)) for h, c in nonzeros(hvec)))
-
-
-def _double_terms(comul: Tensor3) -> tuple[list[tuple[int, int, int, Fraction]], ...]:
-    """The twice-iterated Sweedler terms ``(x_1, x_21, x_22, coefficient)``
-    of every basis vector."""
-    sw = terms(comul)
-    return tuple(
-        [(x1, x21, x22, c * c2) for x1, x2, c in row for x21, x22, c2 in sw[x2]] for row in sw
-    )
-
-
 def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     """The Drinfel'd double on ``H_op (x) H_dual`` with multiplication
 
@@ -674,7 +606,6 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     ``alpha (x) (alpha^-1)*``."""
     n = H.dim
     hst = dual(H)
-    harpoons = HarpoonContext.build(H)
     ainv2 = alpha_power(H.alpha, -2)
     ainv3 = alpha_power(H.alpha, -3)
     a2t = transpose(alpha_power(H.alpha, 2))
@@ -683,15 +614,21 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     nd = n * n
     e = identity(n)
     shifted = [[bilinear_apply(H.mul, a, x) for x in e] for a in ainv2]  # alpha^-2(e_k) e_h
+    # the regular actions on the dual as bilinear maps of (h, f):
+    # <f <- h, k> = <f, h alpha^-2(k)> and <h -> f, k> = <f, alpha^-2(k) h>
+    right = tuple(transpose(tuple(bilinear_apply(H.mul, x, a) for a in ainv2)) for x in e)
+    left = tuple(transpose(tuple(bilinear_apply(H.mul, a, x) for a in ainv2)) for x in e)
+    h_terms = terms(H.comul)
 
     cells = {}
-    for m, sweedler in enumerate(_double_terms(H.comul)):
+    for m, sweedler in enumerate(h_terms):
         for j in range(n):
             # f = alpha^-3(k_22) -> ((alpha*)^2(e^j) <- S alpha^-3(k_1)), kept as l -> f l
             dressed = []
-            for k1, k21, k22, coeff in sweedler:
-                f = harpoons.feed_left(ainv3[k22], harpoons.feed_right(a2t[j], s_ainv3[k1]))
-                dressed.append((k21, coeff, [bilinear_apply(hst.mul, f, x) for x in e]))
+            for k1, k2, c1 in sweedler:
+                for k21, k22, c2 in h_terms[k2]:
+                    f = bilinear_apply(left, ainv3[k22], bilinear_apply(right, s_ainv3[k1], a2t[j]))
+                    dressed.append((k21, c1 * c2, [bilinear_apply(hst.mul, f, x) for x in e]))
             for h, l in product(range(n), repeat=2):
                 cells[h * n + j, m * n + l] = linear_combination(
                     nd, ((c, kron((shifted[k][h],), (times[l],))[0]) for k, c, times in dressed)
@@ -814,7 +751,7 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
         for b in range(nb)
     )
     # a_1 (x) b_2 (x) a_2 (x) b_1: the tensor coproduct with B's co-opposite
-    coalg = _tensor_coalgebra(A, HomCoalgebra(nb, _op_comul(B.comul), B.counit, B.alpha))
+    coalg = _tensor_coalgebra(A, co_opposite(B))
     antipode = mat_compose(mat_compose(kron(A.antipode, sb_inv), _flip(na, nb)), twisting)
 
     hopf = hopf_algebra(
@@ -856,34 +793,26 @@ def drinfeld_double_tilde(A: HomHopfAlgebra) -> HomBialgebra:
         f[(alpha^-3(a_1) -> (alpha^2)*(g)) <- S^-1 alpha^-3(a_22)]
         (x) alpha^-2(a_21) b``.
 
-    The tensor coproduct and counit are attached so the result can host a
-    cocycle; only the algebra part is asserted Hom-associative."""
+    It is the double of the co-opposite, ``D = drinfeld_double(A^cop)``,
+    with the opposite product and the co-opposite coproduct, carried to
+    ``(A_op)_dual (x) A`` by the flip ``h (x) f -> f (x) h``.  The tensor
+    coproduct and counit are attached so the result can host a cocycle;
+    only the algebra part is asserted Hom-associative."""
     n = A.dim
-    fst = dual(opposite(A))
-    harpoons = HarpoonContext.build(A)
-    ainv2 = alpha_power(A.alpha, -2)
-    ainv3 = alpha_power(A.alpha, -3)
-    a2t = transpose(alpha_power(A.alpha, 2))
-    s_inv_ainv3 = mat_compose(ainv3, mat_inverse(A.antipode))  # rows S^-1(alpha^-3(e_k))
-    nd = n * n
-    e = identity(n)
-    shifted = [[bilinear_apply(A.mul, a, x) for x in e] for a in ainv2]  # alpha^-2(e_k) e_b
+    d = drinfeld_double(co_opposite(A))
+    # basis vector q here is the double's basis vector flip[q]; the flip is an involution
+    flip = [q % n * n + q // n for q in range(n * n)]
 
-    cells = {}
-    for a, sweedler in enumerate(_double_terms(A.comul)):
-        for l in range(n):
-            # the dual leg (alpha^-3(a_1) -> (alpha^2)*(e^l)) <- S^-1 alpha^-3(a_22) as j -> e^j g
-            dressed = []
-            for a1, a21, a22, coeff in sweedler:
-                g = harpoons.feed_right(harpoons.feed_left(ainv3[a1], a2t[l]), s_inv_ainv3[a22])
-                dressed.append((a21, coeff, [bilinear_apply(fst.mul, x, g) for x in e]))
-            for j, b in product(range(n), repeat=2):
-                cells[j * n + a, l * n + b] = linear_combination(
-                    nd, ((c, kron((times[j],), (shifted[k][b],))[0]) for k, c, times in dressed)
-                )
-    mul = tuple(tuple(cells[r, c] for c in range(nd)) for r in range(nd))
-    coalg = _tensor_coalgebra(fst, A)
-    return HomBialgebra(HomAlgebra(nd, mul, kron((fst.unit,), (A.unit,))[0], coalg.alpha), coalg)
+    def moved(v: Vector) -> Vector:
+        return tuple(v[p] for p in flip)
+
+    mul = tuple(tuple(moved(d.mul[pc][pr]) for pc in flip) for pr in flip)
+    comul = tuple(tuple(tuple(d.comul[pr][pb][pa] for pb in flip) for pa in flip) for pr in flip)
+    alpha = tuple(moved(d.alpha[p]) for p in flip)
+    return HomBialgebra(
+        HomAlgebra(n * n, mul, moved(d.unit), alpha),
+        HomCoalgebra(n * n, comul, moved(d.counit), alpha),
+    )
 
 
 def cocycle_twist(B, sigma: TwoCocycle, check: bool = True) -> HomAlgebra:

@@ -357,3 +357,9 @@ def mul_matrix(mul: Tensor3) -> Matrix:
 def comul_matrix(comul: Tensor3) -> Matrix:
     """The comultiplication tensor as a row-image map ``H -> H (x) H``."""
     return tuple(flatten_pair(plane) for plane in comul)
+
+
+def comul_tensor(m: Matrix, n2: int) -> Tensor3:
+    """The inverse of ``comul_matrix``: a map to a pair space whose second
+    factor has dimension ``n2``, as a rank-3 tensor."""
+    return tuple(tuple(row[p : p + n2] for p in range(0, len(row), n2)) for row in m)

@@ -178,6 +178,34 @@ class TestConstructCommand:
         result = invoke("construct", "twist", "cyclic:2")
         assert result.exit_code == 2
 
+    def test_twist_with_cocycle_file_without_block_is_usage_error(self, tmp_path):
+        assert invoke("export", "cyclic:2", "--out", str(tmp_path / "c2.alg")).exit_code == 0
+        result = invoke("construct", "twist", "cyclic:2", "--cocycle", str(tmp_path / "c2.alg"))
+        assert result.exit_code == 2
+        assert "error: file defines no cocycle block" in result.output
+
+    def test_twist_with_cocycle_on_a_non_bialgebra_is_usage_error(self, tmp_path):
+        from homhopf.catalog import get_entry
+        from homhopf.fileformat import (
+            SCHEMA_VERSION,
+            AlgebraFile,
+            block_record,
+            object_record,
+            serialize,
+        )
+
+        h = get_entry("cyclic:2").hopf
+        trivial = tuple(tuple(a * b for b in h.counit) for a in h.counit)
+        bundle = AlgebraFile(
+            SCHEMA_VERSION,
+            (object_record("c2", h.bialgebra.algebra),),
+            (block_record("cocycle", "sigma", ("c2", "left"), trivial),),
+        )
+        (tmp_path / "sigma.alg").write_bytes(serialize(bundle))
+        result = invoke("construct", "twist", "cyclic:2", "--cocycle", str(tmp_path / "sigma.alg"))
+        assert result.exit_code == 2
+        assert "has no coalgebra structure" in result.output
+
     def test_unknown_kind_is_usage_error(self):
         result = invoke("construct", "frobnicate", "ax1")
         assert result.exit_code == 2

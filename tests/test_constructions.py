@@ -1,9 +1,11 @@
 """Constructions: duals, twists, smash products, doubles, cocycles."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from click.testing import CliRunner
 
 from homhopf.catalog import (
     catalog_ax1,
@@ -13,8 +15,8 @@ from homhopf.catalog import (
     catalog_sweedler_hom,
     get_entry,
 )
+from homhopf.cli import main
 from homhopf.constructions import (
-    HarpoonContext,
     bicrossproduct,
     canonical_cocycles,
     canonical_r_matrix,
@@ -308,7 +310,7 @@ class TestMatchedPairRoute:
         assert check_matched_pair(mp).ok
 
     def test_pipeline_reproduces_the_double(self):
-        for name in ("ax1", "cyclic:2", "sweedler_hom"):
+        for name in ("ax1", "cyclic:2", "sweedler_hom", "s3_inner"):
             h = get_entry(name).hopf
             hop, act, co = self_bicross_data(h)
             mp = dual_matched_pair(h, hop, act, co, check=False)
@@ -445,24 +447,6 @@ class TestCanonicalRMatrix:
         assert check_quasitriangular(d, r).ok
 
 
-class TestHarpoons:
-    def test_defining_identities(self):
-        from homhopf.exactlin import alpha_power
-
-        h = catalog_sweedler_hom().hopf
-        ctx = HarpoonContext.build(h)
-        ainv2 = alpha_power(h.alpha, -2)
-        n = 4
-        for j, hh, k in product(range(n), repeat=3):
-            f = basis_vector(n, j)
-            fed = ctx.feed_right(f, basis_vector(n, hh))
-            want = bilinear_apply(h.mul, basis_vector(n, hh), ainv2[k])[j]
-            assert fed[k] == want
-            fed = ctx.feed_left(basis_vector(n, hh), f)
-            want = bilinear_apply(h.mul, ainv2[k], basis_vector(n, hh))[j]
-            assert fed[k] == want
-
-
 class TestDualPairDouble:
     def test_one_dimensional(self):
         one = catalog_one().hopf
@@ -522,6 +506,19 @@ class TestDoubleTilde:
         for t in range(4):
             v = basis_vector(4, t)
             assert bilinear_apply(dt.mul, dt.unit, v) == apply_map(dt.alpha, v)
+
+    @pytest.mark.parametrize(
+        "name, sha256",
+        [
+            ("s3_inner", "227bc875c691abb76deb4d776a089e3d71edb1a38692a764874a3878f4e12659"),
+            ("cyclic:4", "83826d1a3858580514c219a7ce210d65aae223f38bd3f6ec946ef7f19073dff3"),
+        ],
+    )
+    def test_constructed_file_is_pinned(self, tmp_path, name, sha256):
+        out = tmp_path / "dt.alg"
+        result = CliRunner().invoke(main, ["construct", "double-tilde", name, "--out", str(out)])
+        assert result.exit_code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 class TestCocycleTwist:

@@ -16,6 +16,8 @@ from homhopf.exactlin import (
     apply_map,
     basis_vector,
     bilinear_apply,
+    comul_matrix,
+    comul_tensor,
     format_scalar,
     identity,
     kron,
@@ -244,6 +246,14 @@ class TestTerms:
             assert all(c for _, _, c in row)
         entries = {(i, j, k): c for i, row in enumerate(rows) for j, k, c in row}
         assert tensor3_from_entries((n1, n2, n3), entries) == t
+
+
+class TestComulTensor:
+    @given(dims, dims, dims, st.data())
+    @settings(max_examples=40)
+    def test_inverts_comul_matrix(self, n1, n2, n3, data):
+        t = tuple(tuple(data.draw(vectors(n3)) for _ in range(n2)) for _ in range(n1))
+        assert comul_tensor(comul_matrix(t), n3) == t
 
 
 class TestLinearCombination:

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from homhopf.catalog import catalog_ax1, catalog_ex27_expected, catalog_kz2, get_entry
+from homhopf.catalog import (
+    catalog_ax1,
+    catalog_ex27_expected,
+    catalog_group,
+    catalog_kz2,
+    cyclic_table,
+    get_entry,
+    symmetric3_data,
+)
 from homhopf.exactlin import basis_vector, tensor3_from_entries, vec_add, zeros
 from homhopf.structures import ComoduleCoaction, ModuleAction
 from homhopf.verify import (
@@ -179,6 +187,22 @@ class TestTwistSuite:
         assert failed.witness.index == (3, 24)
         assert failed.witness.lhs == basis_vector(36, 4)
         assert failed.witness.rhs == zeros(36)
+
+    def test_commutative_input_with_alpha_squared_not_identity_fails(self):
+        # the trigger is alpha^2 != id, not noncommutativity: the order-5
+        # group twisted by g -> g^2 (alpha of order 4) fails the same step
+        result = verify_thm_4_5(catalog_group(cyclic_table(5), (0, 2, 4, 1, 3)).hopf)
+        name, failed = only_failure(result)
+        assert name == "right twist equals dual Heisenberg double"
+        assert failed.axiom_id == "twist-vs-heisenberg.mul"
+        assert failed.witness.index == (1, 10)
+        assert failed.witness.lhs == basis_vector(25, 2)
+        assert failed.witness.rhs == zeros(25)
+
+    def test_noncommutative_input_with_involutive_alpha_passes(self):
+        # S3 conjugated by a transposition: noncommutative, alpha^2 = id
+        table, _ = symmetric3_data()
+        assert verify_thm_4_5(catalog_group(table, (0, 2, 1, 3, 5, 4)).hopf).passed
 
 
 class TestDualPairSuite:
