@@ -26,13 +26,13 @@ from .errors import (
 )
 from .exactlin import (
     ONE,
-    ZERO,
     Matrix,
     Vector,
     alpha_power,
     apply_kron,
     apply_map,
     bilinear_apply,
+    cells,
     comul_matrix,
     comul_tensor,
     identity,
@@ -42,6 +42,8 @@ from .exactlin import (
     mat_inverse,
     matrix_from_entries,
     mul_matrix,
+    rows,
+    sparse,
     terms,
     transpose,
 )
@@ -104,24 +106,25 @@ def yau_twist(classical: HomHopfAlgebra, endo: Matrix) -> HomHopfAlgebra:
         classical.counit,
         classical.antipode,
     )
-    if apply_map(endo, unit) != unit:
+    er, mc, sr = rows(endo), cells(mul), rows(S)
+    if apply_map(er, sparse(unit)) != unit:
         raise NotAMorphism("endo(1) = 1")
     for i in range(n):
         for j in range(n):
-            if apply_map(endo, mul[i][j]) != bilinear_apply(mul, endo[i], endo[j]):
+            if apply_map(er, mc[i][j]) != bilinear_apply(mc, er[i], er[j]):
                 raise NotAMorphism("endo(ab) = endo(a) endo(b)")
     delta = comul_matrix(comul)
     twisted_delta = mat_compose(endo, delta)  # rows delta(endo(e_i))
-    counit_map = transpose((counit,))
+    dr, counit_map = rows(delta), rows(transpose((counit,)))
     for i in range(n):
-        if twisted_delta[i] != apply_kron(endo, endo, delta[i]):
+        if twisted_delta[i] != apply_kron(er, er, dr[i]):
             raise NotAMorphism("delta(endo(a)) = (endo (x) endo) delta(a)")
-        if apply_map(counit_map, endo[i]) != (counit[i],):
+        if apply_map(counit_map, er[i]) != (counit[i],):
             raise NotAMorphism("counit(endo(a)) = counit(a)")
-        if apply_map(endo, S[i]) != apply_map(S, endo[i]):
+        if apply_map(er, sr[i]) != apply_map(sr, er[i]):
             raise NotAMorphism("endo(S(a)) = S(endo(a))")
 
-    twisted_mul = tuple(tuple(apply_map(endo, mul[i][j]) for j in range(n)) for i in range(n))
+    twisted_mul = tuple(tuple(apply_map(er, mc[i][j]) for j in range(n)) for i in range(n))
     return hopf_algebra(n, twisted_mul, unit, comul_tensor(twisted_delta, n), counit, endo, S)
 
 
@@ -158,8 +161,9 @@ def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
     """
     n = h.dim
     ainv2 = alpha_power(h.alpha, -2)
+    a2 = rows(ainv2)
     # row (i, j): the coefficients of e^i e^j; row i: those of delta(e^i)
-    products = transpose(tuple(apply_kron(ainv2, ainv2, d) for d in comul_matrix(h.comul)))
+    products = transpose(tuple(apply_kron(a2, a2, d) for d in rows(comul_matrix(h.comul))))
     coproducts = transpose(mat_compose(mul_matrix(h.mul), ainv2))
     return hopf_algebra(
         n,
@@ -186,26 +190,20 @@ def smash_product(A, H, act: ModuleAction, check: bool = True) -> HomAlgebra:
         if not report.ok:
             raise PreconditionFailed("action is not a module-algebra action", report)
     na, nh = alg.dim, bi.dim
-    ah_i1 = alpha_power(bi.alpha, -1)
-    ah_i2 = alpha_power(bi.alpha, -2)
-    aa_i1 = alpha_power(alg.alpha, -1)
-    e_a, e_h = identity(na), identity(nh)
-    delta = comul_matrix(bi.comul)
+    ah_i1 = rows(alpha_power(bi.alpha, -1))
+    ah_i2 = rows(alpha_power(bi.alpha, -2))
+    aa_i1 = rows(alpha_power(alg.alpha, -1))
+    e_a, e_h = rows(identity(na)), rows(identity(nh))
+    amul, hmul, action = cells(alg.mul), cells(bi.mul), cells(act.act)
+    delta = rows(comul_matrix(bi.comul))
     # first[a][b] maps h_1 to a (alpha_H^-2(h_1) . alpha_A^-1(b)),
     # second[k] maps h_2 to alpha_H^-1(h_2) k
+    acted = [[sparse(bilinear_apply(action, x, y)) for x in ah_i2] for y in aa_i1]
     first = [
-        [
-            tuple(
-                bilinear_apply(alg.mul, e_a[a], bilinear_apply(act.act, ah_i2[h1], aa_i1[b]))
-                for h1 in range(nh)
-            )
-            for b in range(na)
-        ]
+        [rows(tuple(bilinear_apply(amul, e_a[a], x) for x in acted[b])) for b in range(na)]
         for a in range(na)
     ]
-    second = [
-        tuple(bilinear_apply(bi.mul, ah_i1[h2], e_h[k]) for h2 in range(nh)) for k in range(nh)
-    ]
+    second = [rows(tuple(bilinear_apply(hmul, x, e_h[k]) for x in ah_i1)) for k in range(nh)]
     mul = tuple(
         tuple(apply_kron(first[a][b], second[k], delta[hh]) for b in range(na) for k in range(nh))
         for a in range(na)
@@ -224,15 +222,13 @@ def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> Matrix:
     coactor = bialgebra_of(co.coactor)
     carrier = coalgebra_of(co.carrier)
     nh, nc = coactor.dim, carrier.dim
-    ac_i1 = alpha_power(carrier.alpha, -1)
-    ah_i1 = alpha_power(coactor.alpha, -1)
-    ah_i2 = alpha_power(coactor.alpha, -2)
-    rho = comul_matrix(co.coact)
+    ac_i1 = rows(alpha_power(carrier.alpha, -1))
+    ah_i1 = rows(alpha_power(coactor.alpha, -1))
+    ah_i2 = rows(alpha_power(coactor.alpha, -2))
+    hmul = cells(coactor.mul)
+    rho = rows(comul_matrix(co.coact))
     # second[h] maps c_(1) to alpha_H^-1(h) alpha_H^-2(c_(1))
-    second = [
-        tuple(bilinear_apply(coactor.mul, ah_i1[h], ah_i2[c]) for c in range(nh))
-        for h in range(nh)
-    ]
+    second = [rows(tuple(bilinear_apply(hmul, x, y) for y in ah_i2)) for x in ah_i1]
     phi = tuple(apply_kron(ac_i1, second[h], rho[c]) for h in range(nh) for c in range(nc))
     if check:
         report = check_cotwisting(coactor, carrier, phi)
@@ -252,10 +248,13 @@ def cotwist_coproduct(C, D, phi: Matrix, check: bool = True) -> HomCoalgebra:
             raise PreconditionFailed("not a cotwisting map", report)
     nc, nd = Cc.dim, Dc.dim
     e_c, e_d = identity(nc), identity(nd)
+    ec, ed, phi_rows = rows(e_c), rows(e_d), rows(phi)
     # (id (x) phi (x) id)(delta_C (x) delta_D) in two steps: phi_d maps
     # c_2 (x) d to phi(c_2 (x) d_1) (x) d_2, and c (x) d goes to c_1 (x) phi_d(c_2 (x) d)
-    phi_d = tuple(apply_kron(phi, e_d, row) for row in kron(e_c, comul_matrix(Dc.comul)))
-    comul = tuple(apply_kron(e_c, phi_d, row) for row in kron(comul_matrix(Cc.comul), e_d))
+    phi_d = rows(
+        tuple(apply_kron(phi_rows, ed, row) for row in rows(kron(e_c, comul_matrix(Dc.comul))))
+    )
+    comul = tuple(apply_kron(ec, phi_d, row) for row in rows(kron(comul_matrix(Cc.comul), e_d)))
     return HomCoalgebra(
         nc * nd,
         comul_tensor(comul, nc * nd),
@@ -275,27 +274,28 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
     coa = coalgebra_of(A)
     bi = bialgebra_of(H)
     na, nh = alg.dim, bi.dim
-    ah_i1 = alpha_power(bi.alpha, -1)
-    aa_i1 = alpha_power(alg.alpha, -1)
-    action = act.act
-    e_a, e_h = identity(na), identity(nh)
+    ah_i1 = rows(alpha_power(bi.alpha, -1))
+    aa_i1 = rows(alpha_power(alg.alpha, -1))
+    action, amul, hmul = cells(act.act), cells(alg.mul), cells(bi.mul)
+    e_a, e_h = rows(identity(na)), rows(identity(nh))
     h_terms, co_terms = terms(bi.comul), terms(co.coact)
-    delta_a = comul_matrix(coa.comul)
-    rho = comul_matrix(co.coact)
+    delta_a = rows(comul_matrix(coa.comul))
+    rho = rows(comul_matrix(co.coact))
     # Legs as maps of a basis vector: acted[h] is b -> alpha^-1(h) . b,
     # times[h] is g -> alpha^-1(h) g, and twisted[a][h] is
     # b -> alpha^-1(a) (alpha^-1(h) . alpha^-1(b)).
-    acted = [tuple(bilinear_apply(action, ah_i1[h], e_a[b]) for b in range(na)) for h in range(nh)]
-    times = [tuple(bilinear_apply(bi.mul, ah_i1[h], e_h[g]) for g in range(nh)) for h in range(nh)]
+    acted = [rows(tuple(bilinear_apply(action, x, y) for y in e_a)) for x in ah_i1]
+    times = [rows(tuple(bilinear_apply(hmul, x, y) for y in e_h)) for x in ah_i1]
+    acted_twice = [[sparse(bilinear_apply(action, h, b)) for b in aa_i1] for h in ah_i1]
     twisted = [
-        [
-            tuple(
-                bilinear_apply(alg.mul, aa_i1[a], bilinear_apply(action, ah_i1[h], aa_i1[b]))
-                for b in range(na)
-            )
-            for h in range(nh)
-        ]
-        for a in range(na)
+        [rows(tuple(bilinear_apply(amul, a, x) for x in row)) for row in acted_twice] for a in aa_i1
+    ]
+    # acted_then[x][b] is a -> (x . b) a and then_acted[x][b] is a -> a (x . b)
+    acted_then = [
+        [rows(tuple(bilinear_apply(amul, xb, a) for a in e_a)) for xb in plane] for plane in action
+    ]
+    then_acted = [
+        [rows(tuple(bilinear_apply(amul, a, xb) for a in e_a)) for xb in plane] for plane in action
     ]
 
     def hyp1_rhs(h, b):
@@ -322,23 +322,19 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
 
     def hyp3_lhs(h, b):
         # h_2(0) (x) (h_1 . b) h_2(1)
-        def times(x):
-            return [bilinear_apply(alg.mul, action[x][b], a) for a in e_a]
-
         return linear_combination(
-            nh * na, ((vh, apply_kron(e_h, times(h1), rho[h2])) for h1, h2, vh in h_terms[h])
+            nh * na,
+            ((vh, apply_kron(e_h, acted_then[h1][b], rho[h2])) for h1, h2, vh in h_terms[h]),
         )
 
     def hyp3_rhs(h, b):
         # h_1(0) (x) h_1(1) (h_2 . b)
-        def times(x):
-            return [bilinear_apply(alg.mul, a, action[x][b]) for a in e_a]
-
         return linear_combination(
-            nh * na, ((vh, apply_kron(e_h, times(h2), rho[h1])) for h1, h2, vh in h_terms[h])
+            nh * na,
+            ((vh, apply_kron(e_h, then_acted[h2][b], rho[h1])) for h1, h2, vh in h_terms[h]),
         )
 
-    counit_a = transpose((coa.counit,))
+    counit_a = rows(transpose((coa.counit,)))
     checks = (
         _sweep(
             "bicross.action-comultiplicative",
@@ -355,7 +351,7 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
         _sweep(
             "bicross.coaction-multiplicative",
             product(range(nh), range(nh)),
-            lambda h, g: apply_map(rho, bi.mul[h][g]),
+            lambda h, g: apply_map(rho, hmul[h][g]),
             hyp2_rhs,
         ),
         _sweep(
@@ -390,22 +386,23 @@ def bicrossproduct(
     na, nh = A.dim, H.dim
     nd = na * nh
     ah_i2 = alpha_power(H.alpha, -2)
-    aa_i2 = alpha_power(A.alpha, -2)
-    aa_i3 = alpha_power(A.alpha, -3)
+    aa_i2 = rows(alpha_power(A.alpha, -2))
+    aa_i3 = rows(alpha_power(A.alpha, -3))
     mul = smash_product(A, H, act, check=False).mul
     coalg = cotwist_coproduct(A, H, comodule_cotwist(co, check=False), check=False)
 
     # S(a (x) h) = (1 (x) S_H alpha_H^-2(h_(0))) (S_A(alpha_A^-2(a) alpha_A^-3(h_(1))) (x) 1)
     co_terms = terms(co.coact)
-    s_h = mat_compose(mat_compose(ah_i2, H.antipode), kron((A.unit,), identity(nh)))
-    s_then_1 = mat_compose(A.antipode, kron(identity(na), (H.unit,)))
+    mc, amul = cells(mul), cells(A.mul)
+    s_h = rows(mat_compose(mat_compose(ah_i2, H.antipode), kron((A.unit,), identity(nh))))
+    s_then_1 = rows(mat_compose(A.antipode, kron(identity(na), (H.unit,))))
     s_a = [
-        [apply_map(s_then_1, bilinear_apply(A.mul, aa_i2[a], aa_i3[x])) for x in range(na)]
-        for a in range(na)
+        [sparse(apply_map(s_then_1, sparse(bilinear_apply(amul, a, x)))) for x in aa_i3]
+        for a in aa_i2
     ]
     antipode = tuple(
         linear_combination(
-            nd, ((v, bilinear_apply(mul, s_h[h0], s_a[a][h1])) for h0, h1, v in co_terms[hh])
+            nd, ((v, bilinear_apply(mc, s_h[h0], s_a[a][h1])) for h0, h1, v in co_terms[hh])
         )
         for a in range(na)
         for hh in range(nh)
@@ -421,16 +418,21 @@ def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, 
     by ``rho(h) = alpha^-1(h_12) (x) S(alpha^-2(h_11)) alpha^-1(h_2)``."""
     n = H.dim
     hop = opposite_hopf(H)
-    ainv1 = alpha_power(H.alpha, -1)
-    ainv2 = alpha_power(H.alpha, -2)
-    s_ainv2 = mat_compose(ainv2, H.antipode)  # rows S(alpha^-2(e_h))
+    ainv1 = rows(alpha_power(H.alpha, -1))
+    s_ainv2 = rows(mat_compose(alpha_power(H.alpha, -2), H.antipode))  # rows S(alpha^-2(e_h))
+    hmul = cells(H.mul)
     h_terms = terms(H.comul)
 
     def acts(h, a):
         return linear_combination(
             n,
             (
-                (c, bilinear_apply(H.mul, bilinear_apply(H.mul, s_ainv2[h1], ainv1[a]), ainv1[h2]))
+                (
+                    c,
+                    bilinear_apply(
+                        hmul, sparse(bilinear_apply(hmul, s_ainv2[h1], ainv1[a])), ainv1[h2]
+                    ),
+                )
                 for h1, h2, c in h_terms[h]
             ),
         )
@@ -439,8 +441,8 @@ def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, 
 
     # rho(h) applies alpha^-1 (x) second[h_2] to h_12 (x) h_11, the co-opposite
     # coproduct of h_1; second[h_2] maps h_11 to S(alpha^-2(h_11)) alpha^-1(h_2)
-    op_delta = comul_matrix(_op_comul(H.comul))
-    second = [tuple(bilinear_apply(H.mul, x, y) for x in s_ainv2) for y in ainv1]
+    op_delta = rows(comul_matrix(_op_comul(H.comul)))
+    second = [rows(tuple(bilinear_apply(hmul, x, y) for x in s_ainv2)) for y in ainv1]
     coact = tuple(
         linear_combination(
             n * n, ((c, apply_kron(ainv1, second[h2], op_delta[h1])) for h1, h2, c in h_terms[h])
@@ -458,35 +460,27 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
 
     n = H.dim
     nd = n * n
-    ainv1 = alpha_power(H.alpha, -1)
-    ainv2 = alpha_power(H.alpha, -2)
-    ainv3 = alpha_power(H.alpha, -3)
-    ainv4 = alpha_power(H.alpha, -4)
-    s_ainv4 = mat_compose(ainv4, H.antipode)  # rows S(alpha^-4(e_h))
-    e = identity(n)
+    ainv1, ainv2, ainv3 = (rows(alpha_power(H.alpha, -k)) for k in (1, 2, 3))
+    s_ainv4 = rows(mat_compose(alpha_power(H.alpha, -4), H.antipode))  # rows S(alpha^-4(e_h))
+    e = rows(identity(n))
+    hmul = cells(H.mul)
     h_terms = terms(H.comul)
-    delta = comul_matrix(H.comul)
+    delta = rows(comul_matrix(H.comul))
 
     # closed form of the product:
     # (a x h)(b x k) = a[(S(alpha^-4(h_11)) alpha^-2(b)) alpha^-3(h_12)] x k alpha^-1(h_2);
     # first[a][b] maps h_11 (x) h_12 and second[k] maps h_2 to their legs
-    first = [
+    dressed = [
         [
-            tuple(
-                bilinear_apply(
-                    H.mul,
-                    e[a],
-                    bilinear_apply(H.mul, bilinear_apply(H.mul, s_ainv4[x], ainv2[b]), ainv3[y]),
-                )
-                for x in range(n)
-                for y in range(n)
-            )
-            for b in range(n)
+            sparse(bilinear_apply(hmul, sparse(bilinear_apply(hmul, x, b)), y))
+            for x in s_ainv4
+            for y in ainv3
         ]
-        for a in range(n)
+        for b in ainv2
     ]
-    second = [tuple(bilinear_apply(H.mul, e[k], ainv1[z]) for z in range(n)) for k in range(n)]
-    twice = [apply_kron(delta, e, d) for d in delta]  # h_11 (x) h_12 (x) h_2
+    first = [[rows(tuple(bilinear_apply(hmul, a, v) for v in row)) for row in dressed] for a in e]
+    second = [rows(tuple(bilinear_apply(hmul, k, z) for z in ainv1)) for k in e]
+    twice = [sparse(apply_kron(delta, e, d)) for d in delta]  # h_11 (x) h_12 (x) h_2
     closed_mul = tuple(
         tuple(apply_kron(first[a][b], second[k], twice[h]) for b in range(n) for k in range(n))
         for a in range(n)
@@ -501,9 +495,9 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
     # the cotwist coproduct of the map closed_phi from a_2 (x) h_1 to the middle two
     # legs: alpha^-2 (x) third[a_2][h_12] applied to h_112 (x) h_111, the co-opposite
     # coproduct of h_11, where third[a_2][h_12] maps h_111 to the last leg
-    op_delta = comul_matrix(_op_comul(H.comul))
-    inner = [[bilinear_apply(H.mul, x, y) for x in s_ainv4] for y in ainv3]
-    third = [[tuple(bilinear_apply(H.mul, a, v) for v in row) for row in inner] for a in ainv1]
+    op_delta = rows(comul_matrix(_op_comul(H.comul)))
+    inner = [[sparse(bilinear_apply(hmul, x, y)) for x in s_ainv4] for y in ainv3]
+    third = [[rows(tuple(bilinear_apply(hmul, a, v) for v in row)) for row in inner] for a in ainv1]
     closed_phi = tuple(
         linear_combination(
             nd,
@@ -534,20 +528,25 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     H = mp.H
     na, nh = A.dim, H.dim
     nd = na * nh
-    ah_i2 = alpha_power(H.alpha, -2)
-    aa_i2 = alpha_power(A.alpha, -2)
-    left, right = mp.left_action, mp.right_action
+    ah_i2 = rows(alpha_power(H.alpha, -2))
+    aa_i2 = rows(alpha_power(A.alpha, -2))
+    left, right = cells(mp.left_action), cells(mp.right_action)
+    amul, hmul = cells(A.mul), cells(H.mul)
     e_a, e_h = identity(na), identity(nh)
     h_terms = terms(H.comul)
-    delta_a = comul_matrix(A.comul)
+    delta_a = rows(comul_matrix(A.comul))
 
     # (a (x) h)(b (x) g)
     #   = a (alpha^-2(h_1) -> alpha^-2(b_1)) (x) (alpha^-2(h_2) <- alpha^-2(b_2)) g;
     # first[a][h_1] and second[g][h_2] are the two legs as maps of b_1 and b_2
-    lefts = [[bilinear_apply(left, x, y) for y in aa_i2] for x in ah_i2]
-    rights = [[bilinear_apply(right, x, y) for y in aa_i2] for x in ah_i2]
-    first = [[tuple(bilinear_apply(A.mul, e, v) for v in row) for row in lefts] for e in e_a]
-    second = [[tuple(bilinear_apply(H.mul, v, e) for v in row) for row in rights] for e in e_h]
+    lefts = [[sparse(bilinear_apply(left, x, y)) for y in aa_i2] for x in ah_i2]
+    rights = [[sparse(bilinear_apply(right, x, y)) for y in aa_i2] for x in ah_i2]
+    first = [
+        [rows(tuple(bilinear_apply(amul, e, v) for v in row)) for row in lefts] for e in rows(e_a)
+    ]
+    second = [
+        [rows(tuple(bilinear_apply(hmul, v, e) for v in row)) for row in rights] for e in rows(e_h)
+    ]
     mul = tuple(
         tuple(
             linear_combination(
@@ -563,9 +562,10 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     coalg = _tensor_coalgebra(A, H)
 
     # the two antipode factors as maps: h -> 1 (x) S_H alpha_H^-1(h), a -> S_A alpha_A^-1(a) (x) 1
-    s_h = mat_compose(mat_compose(alpha_power(H.alpha, -1), H.antipode), kron((A.unit,), e_h))
-    s_a = mat_compose(mat_compose(alpha_power(A.alpha, -1), A.antipode), kron(e_a, (H.unit,)))
-    antipode = tuple(bilinear_apply(mul, s_h[h], s_a[a]) for a in range(na) for h in range(nh))
+    s_h = rows(mat_compose(mat_compose(alpha_power(H.alpha, -1), H.antipode), kron((A.unit,), e_h)))
+    s_a = rows(mat_compose(mat_compose(alpha_power(A.alpha, -1), A.antipode), kron(e_a, (H.unit,))))
+    mc = cells(mul)
+    antipode = tuple(bilinear_apply(mc, s_h[h], s_a[a]) for a in range(na) for h in range(nh))
     return hopf_algebra(
         nd, mul, kron((A.unit,), (H.unit,))[0], coalg.comul, coalg.counit, coalg.alpha, antipode
     )
@@ -606,40 +606,47 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     ``alpha (x) (alpha^-1)*``."""
     n = H.dim
     hst = dual(H)
-    ainv2 = alpha_power(H.alpha, -2)
-    ainv3 = alpha_power(H.alpha, -3)
-    a2t = transpose(alpha_power(H.alpha, 2))
+    ainv2 = rows(alpha_power(H.alpha, -2))
+    ainv3 = rows(alpha_power(H.alpha, -3))
+    a2t = rows(transpose(alpha_power(H.alpha, 2)))
     S = H.antipode
-    s_ainv3 = mat_compose(ainv3, S)  # rows S(alpha^-3(e_k))
+    s_ainv3 = rows(mat_compose(alpha_power(H.alpha, -3), S))  # rows S(alpha^-3(e_k))
     nd = n * n
     e = identity(n)
-    shifted = [[bilinear_apply(H.mul, a, x) for x in e] for a in ainv2]  # alpha^-2(e_k) e_h
+    er, hmul, hst_mul = rows(e), cells(H.mul), cells(hst.mul)
     # the regular actions on the dual as bilinear maps of (h, f):
     # <f <- h, k> = <f, h alpha^-2(k)> and <h -> f, k> = <f, alpha^-2(k) h>
-    right = tuple(transpose(tuple(bilinear_apply(H.mul, x, a) for a in ainv2)) for x in e)
-    left = tuple(transpose(tuple(bilinear_apply(H.mul, a, x) for a in ainv2)) for x in e)
+    right = cells(tuple(transpose(tuple(bilinear_apply(hmul, x, a) for a in ainv2)) for x in er))
+    left = cells(tuple(transpose(tuple(bilinear_apply(hmul, a, x) for a in ainv2)) for x in er))
+    # shifted[h] maps e_k to alpha^-2(e_k) e_h and times[l] maps f to f e^l
+    shifted = [rows(tuple(bilinear_apply(hmul, a, x) for a in ainv2)) for x in er]
+    times = [rows(tuple(bilinear_apply(hst_mul, f, x) for f in er)) for x in er]
     h_terms = terms(H.comul)
 
-    cells = {}
+    blocks = {}
     for m, sweedler in enumerate(h_terms):
         for j in range(n):
-            # f = alpha^-3(k_22) -> ((alpha*)^2(e^j) <- S alpha^-3(k_1)), kept as l -> f l
-            dressed = []
+            # the sum over the Sweedler terms of k_21 (x) f, where
+            # f = alpha^-3(k_22) -> ((alpha*)^2(e^j) <- S alpha^-3(k_1))
+            pure = []
             for k1, k2, c1 in sweedler:
+                acted = sparse(bilinear_apply(right, s_ainv3[k1], a2t[j]))
                 for k21, k22, c2 in h_terms[k2]:
-                    f = bilinear_apply(left, ainv3[k22], bilinear_apply(right, s_ainv3[k1], a2t[j]))
-                    dressed.append((k21, c1 * c2, [bilinear_apply(hst.mul, f, x) for x in e]))
+                    f = bilinear_apply(left, ainv3[k22], acted)
+                    pure.append((c1 * c2, kron((e[k21],), (f,))[0]))
+            dressed = sparse(linear_combination(nd, pure))
             for h, l in product(range(n), repeat=2):
-                cells[h * n + j, m * n + l] = linear_combination(
-                    nd, ((c, kron((shifted[k][h],), (times[l],))[0]) for k, c, times in dressed)
-                )
-    mul = tuple(tuple(cells[r, c] for c in range(nd)) for r in range(nd))
+                blocks[h * n + j, m * n + l] = apply_kron(shifted[h], times[l], dressed)
+    mul = tuple(tuple(blocks[r, c] for c in range(nd)) for r in range(nd))
     coalg = _tensor_coalgebra(H, hst)
 
     # S(h (x) f) = (1 (x) S*(alpha*(f))) (S^-1(alpha^-1(h)) (x) counit), factor by factor
-    s_f = mat_compose(mat_compose(transpose(H.alpha), hst.antipode), kron((H.unit,), e))
-    s_h = mat_compose(mat_compose(alpha_power(H.alpha, -1), mat_inverse(S)), kron(e, (H.counit,)))
-    antipode = tuple(bilinear_apply(mul, s_f[j], s_h[h]) for h in range(n) for j in range(n))
+    s_f = rows(mat_compose(mat_compose(transpose(H.alpha), hst.antipode), kron((H.unit,), e)))
+    s_h = rows(
+        mat_compose(mat_compose(alpha_power(H.alpha, -1), mat_inverse(S)), kron(e, (H.counit,)))
+    )
+    mc = cells(mul)
+    antipode = tuple(bilinear_apply(mc, s_f[j], s_h[h]) for h in range(n) for j in range(n))
     return hopf_algebra(
         nd, mul, kron((H.unit,), (hst.unit,))[0], coalg.comul, coalg.counit, coalg.alpha, antipode
     )
@@ -690,62 +697,53 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
     A, B, gram = P.left, P.right, P.gram
     na, nb = A.dim, B.dim
     nd = na * nb
-    aa_i1 = alpha_power(A.alpha, -1)
-    aa_i2 = alpha_power(A.alpha, -2)
+    aa_i2 = rows(alpha_power(A.alpha, -2))
     bb_i1 = alpha_power(B.alpha, -1)
-    bb_i2 = alpha_power(B.alpha, -2)
+    bb_i2 = rows(alpha_power(B.alpha, -2))
     sa_inv = mat_inverse(A.antipode)
     sb_inv = mat_inverse(B.antipode)
-    a_terms, b_terms = terms(A.comul), terms(B.comul)
     e_a, e_b = identity(na), identity(nb)
 
-    def half_braiding(select_first: bool, antipode: Matrix | None) -> Matrix:
-        # <(antipode) alpha(a_paired), b_paired> alpha^-1(a_kept) (x) alpha^-1(b_kept)
-        weight = mat_compose(A.alpha if antipode is None else mat_compose(A.alpha, antipode), gram)
+    def paired(weight: Matrix, first: bool, a_then: Matrix, b_then: Matrix) -> Matrix:
+        """The map on ``A (x) B`` that pairs one Sweedler leg of ``a`` with one of
+        ``b`` through ``weight`` and keeps the other two, then applies
+        ``a_then (x) b_then``: ``a_1 (x) <a_2, b_1> b_2`` if ``first``, else
+        ``a_2 (x) <a_1, b_2> b_1``."""
+        a_comul, b_comul = (A.comul, B.comul) if first else (_op_comul(A.comul), _op_comul(B.comul))
+        legs, kept = rows(comul_matrix(a_comul)), rows(a_then)
+        # through[b] maps the paired leg of a to the kept leg of b
+        through = [rows(mat_compose(mat_compose(weight, plane), b_then)) for plane in b_comul]
+        return tuple(apply_kron(kept, through[b], legs[a]) for a in range(na) for b in range(nb))
 
-        def row(a, b):
-            kept = [ZERO] * nd
-            for a1, a2, va in a_terms[a]:
-                for b1, b2, vb in b_terms[b]:
-                    if select_first:
-                        (pa, ka), (pb, kb) = (a2, a1), (b1, b2)
-                    else:
-                        (pa, ka), (pb, kb) = (a1, a2), (b2, b1)
-                    kept[ka * nb + kb] += va * vb * weight[pa][pb]
-            return apply_kron(aa_i1, bb_i1, tuple(kept))
+    def weight(antipode: Matrix | None) -> Matrix:
+        # <(antipode) alpha_A(a), b>
+        return mat_compose(A.alpha if antipode is None else mat_compose(A.alpha, antipode), gram)
 
-        return tuple(row(a, b) for a in range(na) for b in range(nb))
-
-    r1 = half_braiding(True, None)
-    r2 = half_braiding(False, None)
+    aa_i1 = alpha_power(A.alpha, -1)
+    r1 = paired(weight(None), True, aa_i1, bb_i1)
+    r2 = paired(weight(None), False, aa_i1, bb_i1)
     r1_inv = mat_inverse(r1)
     r2_inv = mat_inverse(r2)
-    closed_r1_inv = half_braiding(True, sa_inv)
-    closed_r2_inv = half_braiding(False, sa_inv)
+    closed_r1_inv = paired(weight(sa_inv), True, aa_i1, bb_i1)
+    closed_r2_inv = paired(weight(sa_inv), False, aa_i1, bb_i1)
     inverses_match = (closed_r1_inv == r1_inv, closed_r2_inv == r2_inv)
     twisting = mat_compose(mat_compose(_flip(nb, na), r2_inv), r1)
 
-    # the scalar weight of a'_21 (x) b_12 for each (a', b)
-    weight1 = mat_compose(mat_compose(A.alpha, sa_inv), gram)  # <S^-1 alpha_A(a), b>
+    # a' (x) b goes to <S^-1 alpha_A(a'_1), b_2> a'_2 (x) b_1, and then a'_2 (x) b_1 to
+    # <a'_22, alpha_B^-1(b_11)> a'_21 (x) b_12
     weight2 = mat_compose(gram, transpose(bb_i1))  # <a, alpha_B^-1(b)>
-
-    def middle(ap, b):
-        out = [ZERO] * nd
-        for a1, a2, va in a_terms[ap]:
-            for a21, a22, va2 in a_terms[a2]:
-                for b1, b2, vb in b_terms[b]:
-                    for b11, b12, vb1 in b_terms[b1]:
-                        c = weight1[a1][b2] * weight2[a22][b11]
-                        out[a21 * nb + b12] += va * va2 * vb * vb1 * c
-        return tuple(out)
-
-    middles = {(ap, b): middle(ap, b) for ap in range(na) for b in range(nb)}
+    middles = rows(
+        mat_compose(paired(weight(sa_inv), False, e_a, e_b), paired(weight2, True, e_a, e_b))
+    )
     # first[a] maps a'_21 to a alpha_A^-2(a'_21), second[b'] maps b_12 to alpha_B^-2(b_12) b'
-    first = [tuple(bilinear_apply(A.mul, e_a[a], x) for x in aa_i2) for a in range(na)]
-    second = [tuple(bilinear_apply(B.mul, x, e_b[bp]) for x in bb_i2) for bp in range(nb)]
+    amul, bmul = cells(A.mul), cells(B.mul)
+    first = [rows(tuple(bilinear_apply(amul, a, x) for x in aa_i2)) for a in rows(e_a)]
+    second = [rows(tuple(bilinear_apply(bmul, x, bp) for x in bb_i2)) for bp in rows(e_b)]
     mul = tuple(
         tuple(
-            apply_kron(first[a], second[bp], middles[ap, b]) for ap in range(na) for bp in range(nb)
+            apply_kron(first[a], second[bp], middles[ap * nb + b])
+            for ap in range(na)
+            for bp in range(nb)
         )
         for a in range(na)
         for b in range(nb)
@@ -826,8 +824,8 @@ def cocycle_twist(B, sigma: TwoCocycle, check: bool = True) -> HomAlgebra:
         report = check_cocycle(sigma)
         if not report.ok:
             raise PreconditionFailed("not a normal cocycle", report)
-    ainv1 = alpha_power(bi.alpha, -1)
-    mul = tuple(tuple(apply_map(ainv1, w) for w in row) for row in cocycle_products(sigma))
+    ainv1 = rows(alpha_power(bi.alpha, -1))
+    mul = tuple(tuple(apply_map(ainv1, w) for w in row) for row in cells(cocycle_products(sigma)))
     return HomAlgebra(bi.dim, mul, bi.unit, bi.alpha)
 
 

@@ -1,8 +1,11 @@
 """Exact rational linear and multilinear algebra on immutable nested tuples.
 
-Every value is built from `fractions.Fraction` scalars: vectors are tuples
-of scalars, matrices are tuples of row tuples, rank-3 tensors are tuples of
-matrices.  Three conventions are fixed package-wide:
+Every value is built from exact rational scalars, ``int | Fraction``:
+integral scalars are Python ``int`` and only proper fractions are
+``Fraction`` (arithmetic mixes the two exactly, and ``==`` and ``hash``
+agree across them).  Vectors are tuples of scalars, matrices are tuples of
+row tuples, rank-3 tensors are tuples of matrices.  Three conventions are
+fixed package-wide:
 
 * matrices are row-image maps: ``m[i][j]`` is the ``e_j``-coefficient of the
   image of basis vector ``e_i``; maps therefore compose left to right, and
@@ -11,6 +14,16 @@ matrices.  Three conventions are fixed package-wide:
   comultiplication tensor stores ``delta(e_i) = sum t[i][j][k] e_j (x) e_k``;
 * tensor-product indices flatten row-major: the pair ``(i, j)`` with a
   second factor of dimension ``m`` becomes ``i * m + j``.
+
+The four kernels ``apply_map``, ``apply_kron``, ``bilinear_apply`` and
+``tensor_power_product`` take sparse operands and return dense vectors.  A
+sparse vector (``sparse``) is the tuple of the nonzero ``(index, scalar)``
+pairs of a vector, with the vector's length as ``dim``; a sparse matrix
+(``rows``) is the tuple of its sparse rows, and a sparse rank-3 tensor
+(``cells``) the tuple of the sparse matrices of its first-index planes.
+Callers build these tables once per map, before any sweep over basis
+cases, so no kernel call scans a zero of a structure tensor; the kernels
+check only that the lengths of their operands fit together.
 
 Sweedler sums and tensor legs are enumerated here and nowhere else:
 ``terms`` lists the nonzero Sweedler terms of a comultiplication or coaction
@@ -31,16 +44,26 @@ from typing import Iterable, Iterator
 
 from .errors import DimensionMismatch, SingularMatrixError
 
-Scalar = Fraction
-Vector = tuple[Fraction, ...]
+Scalar = int | Fraction
+Vector = tuple[Scalar, ...]
 Matrix = tuple[Vector, ...]
 Tensor3 = tuple[Matrix, ...]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
-def parse_scalar(text: str) -> Fraction:
+def _normal(q: Fraction) -> Scalar:
+    """``q`` as an ``int`` when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _quotient(x: Scalar, p: Scalar) -> Scalar:
+    """``x / p``, exactly: the package's only division (``int / int`` would be a float)."""
+    return _normal(Fraction(x) / p)
+
+
+def parse_scalar(text: str) -> Scalar:
     """Parse an exact rational written as ``p`` or ``p/q`` (q > 0 after reduction)."""
     text = text.strip()
     if "/" in text:
@@ -48,11 +71,11 @@ def parse_scalar(text: str) -> Fraction:
         d = int(den)
         if d == 0:
             raise ValueError(f"zero denominator in scalar {text!r}")
-        return Fraction(int(num), d)
-    return Fraction(int(text))
+        return _normal(Fraction(int(num), d))
+    return int(text)
 
 
-def format_scalar(value: Fraction) -> str:
+def format_scalar(value: Scalar) -> str:
     """Canonical text form of a scalar: ``p`` for integers, else ``p/q``."""
     if value.denominator == 1:
         return str(value.numerator)
@@ -71,7 +94,7 @@ def basis_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vector_from_entries(n: int, entries: dict[int, Fraction]) -> Vector:
+def vector_from_entries(n: int, entries: dict[int, Scalar]) -> Vector:
     return tuple(entries.get(i, ZERO) for i in range(n))
 
 
@@ -79,40 +102,74 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_scale(c: Fraction, v: Vector) -> Vector:
+def vec_scale(c: Scalar, v: Vector) -> Vector:
     if c == ONE:
         return v
     return tuple(c * a for a in v)
 
 
-# Dense tensors and fresh accumulators hold the shared ZERO object in every
-# untouched entry, so the scans below test identity with it before the much
-# slower Fraction truth test; a zero computed by arithmetic still fails the
-# truth test.
-
-
-def nonzeros(v: Iterable[Fraction]) -> Iterator[tuple[int, Fraction]]:
+def nonzeros(v: Iterable[Scalar]) -> Iterator[tuple[int, Scalar]]:
     """Yield ``(index, value)`` for the nonzero entries of a vector."""
     for i, a in enumerate(v):
-        if a is not ZERO and a:
+        if a:
             yield i, a
 
 
-def add_scaled(acc: list[Fraction], c: Fraction, v: Vector) -> None:
-    """In-place ``acc += c * v`` skipping zero entries."""
-    if not c:
-        return
-    for i, a in enumerate(v):
-        if a is not ZERO and a:
-            acc[i] += c * a
-
-
-def linear_combination(n: int, scaled: Iterable[tuple[Fraction, Vector]]) -> Vector:
+def linear_combination(n: int, scaled: Iterable[tuple[Scalar, Vector]]) -> Vector:
     """The length-``n`` vector ``sum c * v`` over the ``(c, v)`` pairs of ``scaled``."""
     acc = [ZERO] * n
     for c, v in scaled:
-        add_scaled(acc, c, v)
+        if c:
+            for i, a in enumerate(v):
+                if a:
+                    acc[i] += c * a
     return tuple(acc)
+
+
+# ---------------------------------------------------------------------------
+# sparse operands
+
+
+class Sparse(tuple):
+    """The nonzero ``(index, scalar)`` pairs of a vector of length ``dim``, by index.
+
+    Each length has its own subclass (``_sparse_type``) that holds ``dim`` as a
+    class attribute, so a sparse vector takes no more memory than the plain
+    tuple of its pairs.
+    """
+
+    __slots__ = ()
+    dim: int
+
+
+SparseMatrix = tuple[Sparse, ...]
+SparseTensor3 = tuple[SparseMatrix, ...]
+
+
+@lru_cache(maxsize=None)
+def _sparse_type(dim: int) -> type[Sparse]:
+    """The subclass of ``Sparse`` for vectors of length ``dim``; there is one per
+    vector length in use, never one per vector."""
+    return type(Sparse.__name__, (Sparse,), {"__slots__": (), "dim": dim})
+
+
+def sparse(v: Vector) -> Sparse:
+    """The nonzero entries of the vector ``v``."""
+    return _sparse_type(len(v))(nonzeros(v))
+
+
+def rows(m: Matrix) -> SparseMatrix:
+    """The nonzero entries of each row of the matrix ``m``."""
+    return tuple(sparse(row) for row in m)
+
+
+def cells(t: Tensor3) -> SparseTensor3:
+    """The nonzero entries of each cell ``t[i][j]`` of the rank-3 tensor ``t``."""
+    return tuple(rows(plane) for plane in t)
+
+
+def _mismatch(what: str, *lengths: int) -> DimensionMismatch:
+    return DimensionMismatch(f"{what} applied to lengths {', '.join(map(str, lengths))}")
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +180,12 @@ def identity(n: int) -> Matrix:
     return tuple(basis_vector(n, i) for i in range(n))
 
 
-def matrix_from_entries(rows: int, cols: int, entries: dict[tuple[int, int], Fraction]) -> Matrix:
+def matrix_from_entries(rows: int, cols: int, entries: dict[tuple[int, int], Scalar]) -> Matrix:
     return tuple(tuple(entries.get((i, j), ZERO) for j in range(cols)) for i in range(rows))
 
 
 def matrix_from_rows(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(_normal(Fraction(x)) for x in row) for row in rows)
 
 
 def mat_shape(m: Matrix) -> tuple[int, int]:
@@ -139,13 +196,14 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
 
-def apply_map(m: Matrix, v: Vector) -> Vector:
-    """Image of the vector ``v`` under the row-image map ``m``."""
-    if len(v) != len(m):
-        raise DimensionMismatch(f"cannot apply {mat_shape(m)} map to length-{len(v)} vector")
-    acc = [ZERO] * len(m[0])
-    for i, c in nonzeros(v):
-        add_scaled(acc, c, m[i])
+def apply_map(m: SparseMatrix, v: Sparse) -> Vector:
+    """Image of the vector ``v`` under the row-image map ``m`` (both sparse)."""
+    if v.dim != len(m):
+        raise _mismatch(f"{len(m)}-row map", v.dim)
+    acc = [ZERO] * m[0].dim
+    for i, c in v:
+        for j, a in m[i]:
+            acc[j] += c * a
     return tuple(acc)
 
 
@@ -155,14 +213,8 @@ def mat_compose(f: Matrix, g: Matrix) -> Matrix:
         raise DimensionMismatch(
             f"cannot compose {mat_shape(f)} with {mat_shape(g)}: inner dimensions differ"
         )
-    cols = len(g[0])
-    out = []
-    for row in f:
-        acc = [ZERO] * cols
-        for k, c in nonzeros(row):
-            add_scaled(acc, c, g[k])
-        out.append(tuple(acc))
-    return tuple(out)
+    gr = rows(g)
+    return tuple(apply_map(gr, row) for row in rows(f))
 
 
 def mat_inverse(m: Matrix) -> Matrix:
@@ -184,8 +236,8 @@ def mat_inverse(m: Matrix) -> Matrix:
         inv[rank], inv[pivot] = inv[pivot], inv[rank]
         p = a[rank][col]
         if p != ONE:
-            a[rank] = [x / p for x in a[rank]]
-            inv[rank] = [x / p for x in inv[rank]]
+            a[rank] = [_quotient(x, p) for x in a[rank]]
+            inv[rank] = [_quotient(x, p) for x in inv[rank]]
         for r in range(n):
             if r != rank and a[r][col]:
                 c = a[r][col]
@@ -236,25 +288,24 @@ def kron(f: Matrix, g: Matrix) -> Matrix:
     return tuple(out)
 
 
-def apply_kron(f: Matrix, g: Matrix, v: Vector) -> Vector:
-    """``apply_map(kron(f, g), v)`` without building ``kron(f, g)``.
+def apply_kron(f: SparseMatrix, g: SparseMatrix, v: Sparse) -> Vector:
+    """``apply_map(rows(kron(f, g)), v)`` without building ``kron(f, g)``.
 
     ``v`` lives on the flattened pair space of the two sources, so this
     applies ``f`` to the first tensor leg and ``g`` to the second.
     """
-    m, q = len(g), len(g[0])
-    if len(v) != len(f) * m:
-        raise DimensionMismatch(
-            f"cannot apply {mat_shape(f)} (x) {mat_shape(g)} to length-{len(v)} vector"
-        )
-    acc = [ZERO] * (len(f[0]) * q)
-    for p, c in nonzeros(v):
+    m = len(g)
+    if v.dim != len(f) * m:
+        raise _mismatch(f"{len(f)}-row (x) {m}-row map", v.dim)
+    q = g[0].dim
+    acc = [ZERO] * (f[0].dim * q)
+    for p, c in v:
         i, j = divmod(p, m)
         grow = g[j]
-        for a, ca in nonzeros(f[i]):
+        for a, ca in f[i]:
             base = a * q
             cca = c * ca
-            for b, cb in nonzeros(grow):
+            for b, cb in grow:
                 acc[base + b] += cca * cb
     return tuple(acc)
 
@@ -264,7 +315,7 @@ def apply_kron(f: Matrix, g: Matrix, v: Vector) -> Vector:
 
 
 def tensor3_from_entries(
-    shape: tuple[int, int, int], entries: dict[tuple[int, int, int], Fraction]
+    shape: tuple[int, int, int], entries: dict[tuple[int, int, int], Scalar]
 ) -> Tensor3:
     n1, n2, n3 = shape
     return tuple(
@@ -277,55 +328,78 @@ def tensor3_shape(t: Tensor3) -> tuple[int, int, int]:
     return len(t), len(t[0]) if t else 0, len(t[0][0]) if t and t[0] else 0
 
 
-def bilinear_apply(t: Tensor3, x: Vector, y: Vector) -> Vector:
+def bilinear_apply(t: SparseTensor3, x: Sparse, y: Sparse) -> Vector:
     """Evaluate the bilinear map ``t`` on a pair of vectors: sum x_i y_j t[i][j][.]."""
-    n1, n2, n3 = tensor3_shape(t)
-    if len(x) != n1 or len(y) != n2:
-        raise DimensionMismatch(
-            f"bilinear map of shape {(n1, n2, n3)} applied to lengths {len(x)}, {len(y)}"
-        )
-    acc = [ZERO] * n3
-    for i, xi in nonzeros(x):
+    if x.dim != len(t) or y.dim != len(t[0]):
+        raise _mismatch(f"bilinear map on {len(t)} x {len(t[0])}", x.dim, y.dim)
+    acc = [ZERO] * t[0][0].dim
+    for i, xi in x:
         ti = t[i]
-        for j, yj in nonzeros(y):
-            add_scaled(acc, xi * yj, ti[j])
+        for j, yj in y:
+            c = xi * yj
+            for k, a in ti[j]:
+                acc[k] += c * a
     return tuple(acc)
 
 
-def tensor_power_product(mul: Tensor3, legs: int, u: Vector, v: Vector) -> Vector:
+def tensor_power_product(mul: SparseTensor3, legs: int, u: Sparse, v: Sparse) -> Vector:
     """The componentwise product ``(x_1 (x) x_2 ...)(y_1 (x) y_2 ...) = x_1 y_1 (x) x_2 y_2 ...``
     on the ``legs``-fold tensor power of the algebra with multiplication ``mul``.
     """
     n = len(mul)
     size = n**legs
-    if len(u) != size or len(v) != size:
-        raise DimensionMismatch(
-            f"{legs}-leg tensor power of dimension {n} applied to lengths {len(u)}, {len(v)}"
-        )
-
-    weights = [n**k for k in reversed(range(legs))]
-
-    def legs_of(p: int) -> tuple[int, ...]:
-        return tuple(p // w % n for w in weights)
-
-    products: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
-    v_terms = [(legs_of(q), cv) for q, cv in nonzeros(v)]
+    if u.dim != size or v.dim != size:
+        raise _mismatch(f"{legs}-leg tensor power of dimension {n}", u.dim, v.dim)
     acc = [ZERO] * size
-    for p, cu in nonzeros(u):
-        p_legs = legs_of(p)
-        for q_legs, cv in v_terms:
-            partial = [(0, cu * cv)]
-            for pair in zip(p_legs, q_legs):
-                leg = products.get(pair)
-                if leg is None:
-                    leg = products[pair] = tuple(nonzeros(mul[pair[0]][pair[1]]))
-                partial = [(base * n + k, c * ck) for base, c in partial for k, ck in leg]
-            for k, c in partial:
-                acc[k] += c
+    for k, c in _power_product(mul, size // n, u, v).items():
+        acc[k] = c
     return tuple(acc)
 
 
-def terms(t: Tensor3) -> tuple[tuple[tuple[int, int, Fraction], ...], ...]:
+Pairs = Iterable[tuple[int, Scalar]]
+
+
+def _power_product(mul: SparseTensor3, weight: int, u: Pairs, v: Pairs) -> dict[int, Scalar]:
+    """The product of ``u`` and ``v``, given by their nonzero ``(index, scalar)``
+    pairs on a tensor power whose first leg has place value ``weight``, as
+    ``{index: coefficient}``.
+
+    The pairs are grouped by first leg, so the rest of the legs multiply once
+    per pair of first legs with a nonzero product, not once per pair of pairs.
+    """
+    out: dict[int, Scalar] = {}
+    if weight == 1:
+        for a, cu in u:
+            row = mul[a]
+            for b, cv in v:
+                c = cu * cv
+                for k, ck in row[b]:
+                    out[k] = out.get(k, ZERO) + c * ck
+        return out
+    v_legs = _by_first_leg(v, weight).items()
+    for a, u_rest in _by_first_leg(u, weight).items():
+        row = mul[a]
+        for b, v_rest in v_legs:
+            if not row[b]:
+                continue
+            rest = _power_product(mul, weight // len(mul), u_rest, v_rest)
+            for k, ck in row[b]:
+                base = k * weight
+                for r, cr in rest.items():
+                    out[base + r] = out.get(base + r, ZERO) + ck * cr
+    return out
+
+
+def _by_first_leg(pairs: Pairs, weight: int) -> dict[int, list[tuple[int, Scalar]]]:
+    """``pairs`` grouped by first leg: ``{first leg: [(rest index, coefficient), ...]}``."""
+    groups: dict[int, list[tuple[int, Scalar]]] = {}
+    for p, c in pairs:
+        a, r = divmod(p, weight)
+        groups.setdefault(a, []).append((r, c))
+    return groups
+
+
+def terms(t: Tensor3) -> tuple[tuple[tuple[int, int, Scalar], ...], ...]:
     """For each first index ``i``, the nonzero ``(j, k, t[i][j][k])`` in row-major order.
 
     On a comultiplication tensor ``terms(comul)[i]`` lists the Sweedler terms
@@ -334,13 +408,7 @@ def terms(t: Tensor3) -> tuple[tuple[tuple[int, int, Fraction], ...], ...]:
     once per tensor keeps zero entries out of every Sweedler sum.
     """
     return tuple(
-        tuple(
-            (j, k, c)
-            for j, row in enumerate(plane)
-            for k, c in enumerate(row)
-            if c is not ZERO and c
-        )
-        for plane in t
+        tuple((j, k, c) for j, row in enumerate(plane) for k, c in nonzeros(row)) for plane in t
     )
 
 

@@ -20,12 +20,15 @@ from .errors import DimensionMismatch, SingularMatrixError
 from .exactlin import (
     ONE,
     Matrix,
+    SparseMatrix,
+    SparseTensor3,
     Tensor3,
     Vector,
     alpha_power,
     apply_kron,
     apply_map,
     bilinear_apply,
+    cells,
     comul_matrix,
     identity,
     is_invertible,
@@ -35,6 +38,8 @@ from .exactlin import (
     mat_inverse,
     mat_shape,
     mul_matrix,
+    rows,
+    sparse,
     tensor3_shape,
     tensor_power_product,
     terms,
@@ -379,9 +384,9 @@ def _sweep(axiom_id: str, indices, lhs_fn, rhs_fn) -> CheckEntry:
     return CheckEntry(axiom_id, True)
 
 
-def _as_map(covector: Vector) -> Matrix:
+def _as_map(covector: Vector) -> SparseMatrix:
     """A covector as a row-image map to the one-dimensional space."""
-    return transpose((covector,))
+    return rows(transpose((covector,)))
 
 
 def _op_comul(comul: Tensor3) -> Tensor3:
@@ -389,9 +394,9 @@ def _op_comul(comul: Tensor3) -> Tensor3:
     return tuple(transpose(plane) for plane in comul)
 
 
-def _form(gram: Matrix) -> Tensor3:
+def _form(gram: Matrix) -> SparseTensor3:
     """A bilinear form as a bilinear map to the one-dimensional space."""
-    return tuple(tuple((g,) for g in row) for row in gram)
+    return cells(tuple(tuple((g,) for g in row) for row in gram))
 
 
 def _partial_forms(gram: Matrix, alpha_left: Matrix, alpha_right: Matrix):
@@ -438,40 +443,40 @@ def check_hom_algebra(obj) -> CheckReport:
     """Unital Hom-associativity: alpha multiplicativity, twisted units and
     the Hom-associative law alpha(a)(bc) = (ab)alpha(c)."""
     A = algebra_of(obj)
-    n, mul, unit, alpha = A.dim, A.mul, A.unit, A.alpha
+    n, alpha = A.dim, A.alpha
     rng = range(n)
-    e = identity(n)
+    mc, ar, e, unit = cells(A.mul), rows(alpha), rows(identity(n)), sparse(A.unit)
 
     checks = [
         _sweep(
             "algebra.alpha-multiplicative",
             product(rng, rng),
-            lambda i, j: apply_map(alpha, mul[i][j]),
-            lambda i, j: bilinear_apply(mul, alpha[i], alpha[j]),
+            lambda i, j: apply_map(ar, mc[i][j]),
+            lambda i, j: bilinear_apply(mc, ar[i], ar[j]),
         ),
         _sweep(
             "algebra.alpha-fixes-unit",
             [()],
-            lambda: apply_map(alpha, unit),
-            lambda: unit,
+            lambda: apply_map(ar, unit),
+            lambda: A.unit,
         ),
         _sweep(
             "algebra.left-unit",
             product(rng),
-            lambda i: bilinear_apply(mul, unit, e[i]),
+            lambda i: bilinear_apply(mc, unit, e[i]),
             lambda i: alpha[i],
         ),
         _sweep(
             "algebra.right-unit",
             product(rng),
-            lambda i: bilinear_apply(mul, e[i], unit),
+            lambda i: bilinear_apply(mc, e[i], unit),
             lambda i: alpha[i],
         ),
         _sweep(
             "algebra.hom-associative",
             product(rng, rng, rng),
-            lambda i, j, k: bilinear_apply(mul, alpha[i], mul[j][k]),
-            lambda i, j, k: bilinear_apply(mul, mul[i][j], alpha[k]),
+            lambda i, j, k: bilinear_apply(mc, ar[i], mc[j][k]),
+            lambda i, j, k: bilinear_apply(mc, mc[i][j], ar[k]),
         ),
     ]
     return CheckReport(tuple(checks))
@@ -482,22 +487,21 @@ def check_hom_coalgebra(obj) -> CheckReport:
     C = coalgebra_of(obj)
     n, counit, alpha = C.dim, C.counit, C.alpha
     rng = range(n)
-    e = identity(n)
-    delta = comul_matrix(C.comul)
-    eps = _as_map(counit)
+    ar, e, eps = rows(alpha), rows(identity(n)), _as_map(counit)
+    delta = rows(comul_matrix(C.comul))
 
     checks = [
         _sweep(
             "coalgebra.counit-alpha",
             product(rng),
-            lambda i: apply_map(eps, alpha[i]),
+            lambda i: apply_map(eps, ar[i]),
             lambda i: (counit[i],),
         ),
         _sweep(
             "coalgebra.alpha-comultiplicative",
             product(rng),
-            lambda i: apply_map(delta, alpha[i]),
-            lambda i: apply_kron(alpha, alpha, delta[i]),
+            lambda i: apply_map(delta, ar[i]),
+            lambda i: apply_kron(ar, ar, delta[i]),
         ),
         _sweep(
             "coalgebra.left-counit",
@@ -514,8 +518,8 @@ def check_hom_coalgebra(obj) -> CheckReport:
         _sweep(
             "coalgebra.hom-coassociative",
             product(rng),
-            lambda i: apply_kron(delta, alpha, delta[i]),
-            lambda i: apply_kron(alpha, delta, delta[i]),
+            lambda i: apply_kron(delta, ar, delta[i]),
+            lambda i: apply_kron(ar, delta, delta[i]),
         ),
     ]
     return CheckReport(tuple(checks))
@@ -524,34 +528,35 @@ def check_hom_coalgebra(obj) -> CheckReport:
 def check_hom_bialgebra(obj) -> CheckReport:
     """Comultiplication and counit are morphisms of Hom-algebras."""
     B = bialgebra_of(obj)
-    n, mul, unit, counit = B.dim, B.mul, B.unit, B.counit
+    n, unit, counit = B.dim, B.unit, B.counit
     rng = range(n)
-    delta = comul_matrix(B.comul)
+    mc, su = cells(B.mul), sparse(unit)
+    delta = rows(comul_matrix(B.comul))
     eps = _as_map(counit)
 
     checks = [
         _sweep(
             "bialgebra.comul-multiplicative",
             product(rng, rng),
-            lambda i, j: apply_map(delta, mul[i][j]),
-            lambda i, j: tensor_power_product(mul, 2, delta[i], delta[j]),
+            lambda i, j: apply_map(delta, mc[i][j]),
+            lambda i, j: tensor_power_product(mc, 2, delta[i], delta[j]),
         ),
         _sweep(
             "bialgebra.comul-unit",
             [()],
-            lambda: apply_map(delta, unit),
+            lambda: apply_map(delta, su),
             lambda: kron((unit,), (unit,))[0],
         ),
         _sweep(
             "bialgebra.counit-multiplicative",
             product(rng, rng),
-            lambda i, j: apply_map(eps, mul[i][j]),
+            lambda i, j: apply_map(eps, mc[i][j]),
             lambda i, j: (counit[i] * counit[j],),
         ),
         _sweep(
             "bialgebra.counit-unit",
             [()],
-            lambda: apply_map(eps, unit),
+            lambda: apply_map(eps, su),
             lambda: (ONE,),
         ),
     ]
@@ -560,31 +565,31 @@ def check_hom_bialgebra(obj) -> CheckReport:
 
 def check_antipode(H: HomHopfAlgebra) -> CheckReport:
     """Antipode identities plus the derived anti-(co)morphism properties."""
-    n, mul, unit, counit, alpha, S = H.dim, H.mul, H.unit, H.counit, H.alpha, H.antipode
+    n, unit, counit = H.dim, H.unit, H.counit
     rng = range(n)
-    e = identity(n)
-    m = mul_matrix(mul)
-    delta = comul_matrix(H.comul)
-    delta_op = comul_matrix(_op_comul(H.comul))
+    mc, ar, S, e = cells(H.mul), rows(H.alpha), rows(H.antipode), rows(identity(n))
+    m = rows(mul_matrix(H.mul))
+    delta = rows(comul_matrix(H.comul))
+    delta_op = rows(comul_matrix(_op_comul(H.comul)))
     eps = _as_map(counit)
 
     checks = [
         _sweep(
             "antipode.commutes-with-alpha",
             product(rng),
-            lambda i: apply_map(S, alpha[i]),
-            lambda i: apply_map(alpha, S[i]),
+            lambda i: apply_map(S, ar[i]),
+            lambda i: apply_map(ar, S[i]),
         ),
         _sweep(
             "antipode.left",
             product(rng),
-            lambda i: apply_map(m, apply_kron(S, e, delta[i])),  # S(h_1) h_2
+            lambda i: apply_map(m, sparse(apply_kron(S, e, delta[i]))),  # S(h_1) h_2
             lambda i: vec_scale(counit[i], unit),
         ),
         _sweep(
             "antipode.right",
             product(rng),
-            lambda i: apply_map(m, apply_kron(e, S, delta[i])),  # h_1 S(h_2)
+            lambda i: apply_map(m, sparse(apply_kron(e, S, delta[i]))),  # h_1 S(h_2)
             lambda i: vec_scale(counit[i], unit),
         ),
         _sweep(
@@ -596,8 +601,8 @@ def check_antipode(H: HomHopfAlgebra) -> CheckReport:
         _sweep(
             "antipode.anti-multiplicative",
             product(rng, rng),
-            lambda i, j: apply_map(S, mul[i][j]),
-            lambda i, j: bilinear_apply(mul, S[j], S[i]),
+            lambda i, j: apply_map(S, mc[i][j]),
+            lambda i, j: bilinear_apply(mc, S[j], S[i]),
         ),
         _sweep(
             "antipode.preserves-counit",
@@ -621,31 +626,31 @@ def run_hopf_suite(H: HomHopfAlgebra) -> CheckReport:
 
 def check_module(m: ModuleAction) -> CheckReport:
     """Left module axioms for an action of a Hom-algebra."""
-    act = m.act
     actor = algebra_of(m.actor)
     alpha_m = m.carrier.alpha
     na, nm = actor.dim, m.carrier.dim
     ra, rm = range(na), range(nm)
-    e = identity(nm)
+    act, am, e = cells(m.act), rows(alpha_m), rows(identity(nm))
+    aa, amul, unit = rows(actor.alpha), cells(actor.mul), sparse(actor.unit)
 
     checks = [
         _sweep(
             "module.unit-acts-as-alpha",
             product(rm),
-            lambda i: bilinear_apply(act, actor.unit, e[i]),
+            lambda i: bilinear_apply(act, unit, e[i]),
             lambda i: alpha_m[i],
         ),
         _sweep(
             "module.alpha-equivariant",
             product(ra, rm),
-            lambda a, i: apply_map(alpha_m, act[a][i]),
-            lambda a, i: bilinear_apply(act, actor.alpha[a], alpha_m[i]),
+            lambda a, i: apply_map(am, act[a][i]),
+            lambda a, i: bilinear_apply(act, aa[a], am[i]),
         ),
         _sweep(
             "module.hom-associative",
             product(ra, ra, rm),
-            lambda a, b, i: bilinear_apply(act, actor.alpha[a], act[b][i]),
-            lambda a, b, i: bilinear_apply(act, actor.mul[a][b], alpha_m[i]),
+            lambda a, b, i: bilinear_apply(act, aa[a], act[b][i]),
+            lambda a, b, i: bilinear_apply(act, amul[a][b], am[i]),
         ),
     ]
     return CheckReport(tuple(checks))
@@ -655,30 +660,32 @@ def check_module_algebra(m: ModuleAction) -> CheckReport:
     """Module axioms plus the module Hom-algebra compatibilities."""
     actor = bialgebra_of(m.actor)
     carrier = algebra_of(m.carrier)
-    act = m.act
     na, nc = actor.dim, carrier.dim
-    alpha2 = alpha_power(actor.alpha, 2)
-    e = identity(na)
-    cmul = mul_matrix(carrier.mul)
-    delta = comul_matrix(actor.comul)
+    act, cmc = cells(m.act), cells(carrier.mul)
+    alpha2 = rows(alpha_power(actor.alpha, 2))
+    e, unit = rows(identity(na)), sparse(carrier.unit)
+    cmul = rows(mul_matrix(carrier.mul))
+    delta = rows(comul_matrix(actor.comul))
     # acting_on[a] is the map h -> h . e_a
-    acting_on = tuple(tuple(act[h][a] for h in range(na)) for a in range(nc))
+    acting_on = tuple(rows(tuple(m.act[h][a] for h in range(na))) for a in range(nc))
 
     checks = list(check_module(m).checks)
     checks.append(
         _sweep(
             "module-algebra.multiplicative",
             product(range(na), range(nc), range(nc)),
-            lambda h, a, b: bilinear_apply(act, alpha2[h], carrier.mul[a][b]),
+            lambda h, a, b: bilinear_apply(act, alpha2[h], cmc[a][b]),
             # (h_1 . a)(h_2 . b)
-            lambda h, a, b: apply_map(cmul, apply_kron(acting_on[a], acting_on[b], delta[h])),
+            lambda h, a, b: apply_map(
+                cmul, sparse(apply_kron(acting_on[a], acting_on[b], delta[h]))
+            ),
         )
     )
     checks.append(
         _sweep(
             "module-algebra.unit",
             product(range(na)),
-            lambda h: bilinear_apply(act, e[h], carrier.unit),
+            lambda h: bilinear_apply(act, e[h], unit),
             lambda h: vec_scale(actor.counit[h], carrier.unit),
         )
     )
@@ -690,10 +697,10 @@ def check_comodule(c: ComoduleCoaction) -> CheckReport:
     coactor = coalgebra_of(c.coactor)
     alpha_m = c.carrier.alpha
     rm = range(c.carrier.dim)
-    e = identity(c.carrier.dim)
+    am, ac, e = rows(alpha_m), rows(coactor.alpha), rows(identity(c.carrier.dim))
     eps = _as_map(coactor.counit)
-    rho = comul_matrix(c.coact)
-    delta = comul_matrix(coactor.comul)
+    rho = rows(comul_matrix(c.coact))
+    delta = rows(comul_matrix(coactor.comul))
 
     checks = [
         _sweep(
@@ -705,14 +712,14 @@ def check_comodule(c: ComoduleCoaction) -> CheckReport:
         _sweep(
             "comodule.alpha-equivariant",
             product(rm),
-            lambda i: apply_kron(alpha_m, coactor.alpha, rho[i]),
-            lambda i: apply_map(rho, alpha_m[i]),
+            lambda i: apply_kron(am, ac, rho[i]),
+            lambda i: apply_map(rho, am[i]),
         ),
         _sweep(
             "comodule.hom-coassociative",
             product(rm),
-            lambda i: apply_kron(rho, coactor.alpha, rho[i]),
-            lambda i: apply_kron(alpha_m, delta, rho[i]),
+            lambda i: apply_kron(rho, ac, rho[i]),
+            lambda i: apply_kron(am, delta, rho[i]),
         ),
     ]
     return CheckReport(tuple(checks))
@@ -723,15 +730,16 @@ def check_comodule_coalgebra(c: ComoduleCoaction) -> CheckReport:
     coactor = bialgebra_of(c.coactor)
     carrier = coalgebra_of(c.carrier)
     nm, nh = carrier.dim, coactor.dim
-    alpha2 = alpha_power(coactor.alpha, 2)
-    rho = comul_matrix(c.coact)
+    alpha2 = rows(alpha_power(coactor.alpha, 2))
+    rho = rows(comul_matrix(c.coact))
     rho_terms = terms(c.coact)
     comul_terms = terms(carrier.comul)
-    delta = comul_matrix(carrier.comul)
+    delta = rows(comul_matrix(carrier.comul))
     eps = _as_map(carrier.counit)
-    e = identity(nh)
+    e = rows(identity(nh))
     em = identity(nm)
-    embed = tuple(kron((row,), em) for row in em)  # embed[d] is m -> e_d (x) m
+    embed = tuple(rows(kron((row,), em)) for row in em)  # embed[d] is m -> e_d (x) m
+    hmul = cells(coactor.mul)
 
     checks = list(check_comodule(c).checks)
     checks.append(
@@ -752,7 +760,7 @@ def check_comodule_coalgebra(c: ComoduleCoaction) -> CheckReport:
             lambda i: linear_combination(
                 nm * nm * nh,
                 (
-                    (vc * v1, apply_kron(embed[d1], coactor.mul[h1], rho[c2]))
+                    (vc * v1, apply_kron(embed[d1], hmul[h1], rho[c2]))
                     for c1, c2, vc in comul_terms[i]
                     for d1, h1, v1 in rho_terms[c1]
                 ),
@@ -766,10 +774,10 @@ def check_module_coalgebra(m: ModuleAction) -> CheckReport:
     """Module axioms plus comultiplicativity of a coalgebra-valued action."""
     actor = bialgebra_of(m.actor)
     carrier = coalgebra_of(m.carrier)
-    act = m.act
     nh, nc = actor.dim, carrier.dim
+    act = cells(m.act)
     actor_terms = terms(actor.comul)
-    delta = comul_matrix(carrier.comul)
+    delta = rows(comul_matrix(carrier.comul))
     eps = _as_map(carrier.counit)
 
     checks = list(check_module(m).checks)
@@ -806,7 +814,9 @@ def check_cotwisting(C, D, phi: Matrix) -> CheckReport:
     cmat = comul_matrix(C.comul)
     dmat = comul_matrix(D.comul)
     i_c, i_d = identity(nc), identity(nd)
+    ic, id_ = rows(i_c), rows(i_d)
     eps_c, eps_d = _as_map(C.counit), _as_map(D.counit)
+    phi_rows = rows(phi)
 
     lhs1 = mat_compose(phi, kron(dmat, C.alpha))
     rhs1 = mat_compose(mat_compose(kron(C.alpha, dmat), kron(phi, i_d)), kron(i_d, phi))
@@ -843,13 +853,13 @@ def check_cotwisting(C, D, phi: Matrix) -> CheckReport:
             "cotwisting.counit-first-factor",
             pairs,
             # kill the C-leg of the output: eps_C(c^phi) d^phi
-            lambda c, d: apply_kron(i_d, eps_c, row(phi, c, d)),
+            lambda c, d: apply_kron(id_, eps_c, row(phi_rows, c, d)),
             lambda c, d: vec_scale(C.counit[c], i_d[d]),
         ),
         _sweep(
             "cotwisting.counit-second-factor",
             pairs,
-            lambda c, d: apply_kron(eps_d, i_c, row(phi, c, d)),
+            lambda c, d: apply_kron(eps_d, ic, row(phi_rows, c, d)),
             lambda c, d: vec_scale(D.counit[d], i_c[c]),
         ),
     ]
@@ -896,23 +906,20 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
     A = bialgebra_of(mp.A)
     H = bialgebra_of(mp.H)
     na, nh = A.dim, H.dim
-    left, right = mp.left_action, mp.right_action
-    ah_i1 = alpha_power(H.alpha, -1)
-    ah_i2 = alpha_power(H.alpha, -2)
-    ah_i3 = alpha_power(H.alpha, -3)
-    aa_i1 = alpha_power(A.alpha, -1)
-    aa_i2 = alpha_power(A.alpha, -2)
-    aa_i3 = alpha_power(A.alpha, -3)
+    left, right = cells(mp.left_action), cells(mp.right_action)
+    ah_i1, ah_i2, ah_i3 = (rows(alpha_power(H.alpha, -k)) for k in (1, 2, 3))
+    aa_i1, aa_i2, aa_i3 = (rows(alpha_power(A.alpha, -k)) for k in (1, 2, 3))
+    ah, aa, amul, hmul = rows(H.alpha), rows(A.alpha), cells(A.mul), cells(H.mul)
     h_terms, a_terms = terms(H.comul), terms(A.comul)
-    delta_h, delta_a = comul_matrix(H.comul), comul_matrix(A.comul)
-    delta_a_op = comul_matrix(_op_comul(A.comul))
+    delta_h, delta_a = rows(comul_matrix(H.comul)), rows(comul_matrix(A.comul))
+    delta_a_op = rows(comul_matrix(_op_comul(A.comul)))
     eps_h = _as_map(H.counit)
-    e_a = identity(na)
+    e_a, a_unit = rows(identity(na)), sparse(A.unit)
 
     checks = list(
         _prefixed(
             "matched-pair.left-action.",
-            check_module_coalgebra(ModuleAction(H, A, left)).checks,
+            check_module_coalgebra(ModuleAction(H, A, mp.left_action)).checks,
         )
     )
 
@@ -923,7 +930,7 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
         _sweep(
             "matched-pair.right-action.unit",
             product(rh),
-            lambda h: apply_map(right[h], A.unit),
+            lambda h: apply_map(right[h], a_unit),
             lambda h: H.alpha[h],
         )
     )
@@ -931,16 +938,16 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
         _sweep(
             "matched-pair.right-action.alpha-equivariant",
             product(rh, ra),
-            lambda h, a: apply_map(H.alpha, right[h][a]),
-            lambda h, a: bilinear_apply(right, H.alpha[h], A.alpha[a]),
+            lambda h, a: apply_map(ah, right[h][a]),
+            lambda h, a: bilinear_apply(right, ah[h], aa[a]),
         )
     )
     checks.append(
         _sweep(
             "matched-pair.right-action.hom-associative",
             product(rh, ra, ra),
-            lambda h, a, b: bilinear_apply(right, right[h][a], A.alpha[b]),
-            lambda h, a, b: bilinear_apply(right, H.alpha[h], A.mul[a][b]),
+            lambda h, a, b: bilinear_apply(right, right[h][a], aa[b]),
+            lambda h, a, b: bilinear_apply(right, ah[h], amul[a][b]),
         )
     )
     checks.append(
@@ -964,6 +971,9 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
         )
     )
 
+    # lefts[g][a] is alpha^-2(g) -> alpha^-3(a)
+    lefts = [[sparse(bilinear_apply(left, x, y)) for y in aa_i3] for x in ah_i2]
+
     def product_acts_right_rhs(h, g, a):
         return linear_combination(
             nh,
@@ -971,9 +981,9 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
                 (
                     vg * va,
                     bilinear_apply(
-                        H.mul,
-                        apply_map(right[h], bilinear_apply(left, ah_i2[g1], aa_i3[a1])),
-                        bilinear_apply(right, ah_i1[g2], aa_i2[a2]),
+                        hmul,
+                        sparse(apply_map(right[h], lefts[g1][a1])),
+                        sparse(bilinear_apply(right, ah_i1[g2], aa_i2[a2])),
                     ),
                 )
                 for g1, g2, vg in h_terms[g]
@@ -988,9 +998,13 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
                 (
                     vh * va,
                     bilinear_apply(
-                        A.mul,
-                        bilinear_apply(left, ah_i2[h1], aa_i1[a1]),
-                        bilinear_apply(left, bilinear_apply(right, ah_i3[h2], aa_i2[a2]), e_a[b]),
+                        amul,
+                        sparse(bilinear_apply(left, ah_i2[h1], aa_i1[a1])),
+                        sparse(
+                            bilinear_apply(
+                                left, sparse(bilinear_apply(right, ah_i3[h2], aa_i2[a2])), e_a[b]
+                            )
+                        ),
                     ),
                 )
                 for h1, h2, vh in h_terms[h]
@@ -1002,7 +1016,7 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
         _sweep(
             "matched-pair.product-acts-right",
             product(rh, rh, ra),
-            lambda h, g, a: bilinear_apply(right, H.mul[h][g], e_a[a]),
+            lambda h, g, a: bilinear_apply(right, hmul[h][g], e_a[a]),
             product_acts_right_rhs,
         )
     )
@@ -1010,7 +1024,7 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
         _sweep(
             "matched-pair.acts-on-product",
             product(rh, ra, ra),
-            lambda h, a, b: apply_map(left[h], A.mul[a][b]),
+            lambda h, a, b: apply_map(left[h], amul[a][b]),
             acts_on_product_rhs,
         )
     )
@@ -1047,55 +1061,57 @@ def check_dual_pair(P: PairingForm) -> CheckReport:
     A, B, gram = P.left, P.right, P.gram
     na, nb = A.dim, B.dim
     ra, rb = range(na), range(nb)
-    e_a, e_b = identity(na), identity(nb)
-    sb_inv = mat_inverse(B.antipode)
+    e_a, e_b = rows(identity(na)), rows(identity(nb))
+    a_mul, b_mul, a_alpha, b_alpha = cells(A.mul), cells(B.mul), rows(A.alpha), rows(B.alpha)
+    a_unit, b_unit, s_a = sparse(A.unit), sparse(B.unit), rows(A.antipode)
+    sb_inv = rows(mat_inverse(B.antipode))
     form = _form(gram)
     # x -> <alpha^2(a_i), x> on B and x -> <x, alpha^2(b_j)> on A
     with_a, with_b = _partial_forms(gram, alpha_power(A.alpha, 2), alpha_power(B.alpha, 2))
-    delta_a, delta_b = comul_matrix(A.comul), comul_matrix(B.comul)
+    delta_a, delta_b = rows(comul_matrix(A.comul)), rows(comul_matrix(B.comul))
 
     checks = [
         make_entry("pairing.non-degenerate", is_invertible(gram)),
         _sweep(
             "pairing.unit-right",
             product(ra),
-            lambda i: bilinear_apply(form, e_a[i], B.unit),
+            lambda i: bilinear_apply(form, e_a[i], b_unit),
             lambda i: (A.counit[i],),
         ),
         _sweep(
             "pairing.unit-left",
             product(rb),
-            lambda j: bilinear_apply(form, A.unit, e_b[j]),
+            lambda j: bilinear_apply(form, a_unit, e_b[j]),
             lambda j: (B.counit[j],),
         ),
         _sweep(
             "pairing.alpha-invariant",
             product(ra, rb),
-            lambda i, j: bilinear_apply(form, A.alpha[i], B.alpha[j]),
+            lambda i, j: bilinear_apply(form, a_alpha[i], b_alpha[j]),
             lambda i, j: (gram[i][j],),
         ),
         _sweep(
             "pairing.mul-comul-left",
             product(ra, ra, rb),
-            lambda i, ip, j: bilinear_apply(form, A.mul[i][ip], e_b[j]),
+            lambda i, ip, j: bilinear_apply(form, a_mul[i][ip], e_b[j]),
             lambda i, ip, j: apply_kron(with_a[i], with_a[ip], delta_b[j]),
         ),
         _sweep(
             "pairing.mul-comul-right",
             product(ra, rb, rb),
-            lambda i, j, jp: bilinear_apply(form, e_a[i], B.mul[j][jp]),
+            lambda i, j, jp: bilinear_apply(form, e_a[i], b_mul[j][jp]),
             lambda i, j, jp: apply_kron(with_b[j], with_b[jp], delta_a[i]),
         ),
         _sweep(
             "pairing.mul-comul-right-swapped",
             product(ra, rb, rb),
-            lambda i, j, jp: bilinear_apply(form, e_a[i], B.mul[j][jp]),
+            lambda i, j, jp: bilinear_apply(form, e_a[i], b_mul[j][jp]),
             lambda i, j, jp: apply_kron(with_b[jp], with_b[j], delta_a[i]),
         ),
         _sweep(
             "pairing.antipode",
             product(ra, rb),
-            lambda i, j: bilinear_apply(form, A.antipode[i], e_b[j]),
+            lambda i, j: bilinear_apply(form, s_a[i], e_b[j]),
             lambda i, j: bilinear_apply(form, e_a[i], sb_inv[j]),
         ),
     ]
@@ -1109,18 +1125,24 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
     gram = sigma.gram
     rng = range(B.dim)
     alpha2 = alpha_power(B.alpha, 2)
-    form = _form(gram)
-    with_h, with_k = _partial_forms(gram, alpha2, alpha2)
+    form, alpha = _form(gram), rows(B.alpha)
     # left: sigma(l_1, k_1) l_2 k_2; right: sigma(l_2, k_2) l_1 k_1
-    w = cocycle_products(sigma)
-    unit_left = apply_map(gram, B.unit)
-    unit_right = apply_map(transpose(gram), B.unit)
+    w = cells(cocycle_products(sigma))
+    # x -> (sigma(alpha^2(e_h), x))_h and x -> (sigma(x, alpha^2(e_k)))_k
+    with_h = rows(transpose(mat_compose(alpha2, gram)))
+    with_k = rows(mat_compose(gram, transpose(alpha2)))
+    # paired_h[l][k][h] and paired_k[h][l][k], the two sides of the cocycle law
+    paired_h = [[apply_map(with_h, x) for x in row] for row in w]
+    paired_k = [[apply_map(with_k, x) for x in row] for row in w]
+    unit = sparse(B.unit)
+    unit_left = apply_map(rows(gram), unit)
+    unit_right = apply_map(rows(transpose(gram)), unit)
 
     checks = [
         _sweep(
             "cocycle.alpha-invariant",
             product(rng, rng),
-            lambda i, j: bilinear_apply(form, B.alpha[i], B.alpha[j]),
+            lambda i, j: bilinear_apply(form, alpha[i], alpha[j]),
             lambda i, j: (gram[i][j],),
         ),
         # left:  sigma(alpha^2(h), l_2 k_2) sigma(l_1, k_1)
@@ -1130,8 +1152,8 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
         _sweep(
             f"cocycle.{sigma.side}-condition",
             product(rng, rng, rng),
-            lambda h, l, k: apply_map(with_h[h], w[l][k]),
-            lambda h, l, k: apply_map(with_k[k], w[h][l]),
+            lambda h, l, k: (paired_h[l][k][h],),
+            lambda h, l, k: (paired_k[h][l][k],),
         ),
         _sweep(
             "cocycle.normal",
@@ -1147,36 +1169,37 @@ def check_quasitriangular(H, R: RMatrix) -> CheckReport:
     """The three quasitriangularity axioms; products are taken componentwise
     in the tensor-square and tensor-cube Hom-algebras."""
     B = bialgebra_of(H)
-    n, mul, alpha = B.dim, B.mul, B.alpha
-    rvec = R.as_vector()
-    e = identity(n)
-    delta = comul_matrix(B.comul)
-    delta_op = comul_matrix(_op_comul(B.comul))
-    with_unit = kron(e, (B.unit,))  # x -> x (x) 1
-    unit_with = kron((B.unit,), e)  # x -> 1 (x) x
+    n = B.dim
+    mc, alpha = cells(B.mul), rows(B.alpha)
+    rvec = sparse(R.as_vector())
+    e = rows(identity(n))
+    delta = rows(comul_matrix(B.comul))
+    delta_op = rows(comul_matrix(_op_comul(B.comul)))
+    with_unit = rows(kron(identity(n), (B.unit,)))  # x -> x (x) 1
+    unit_with = rows(kron((B.unit,), identity(n)))  # x -> 1 (x) x
 
-    r13 = apply_kron(with_unit, e, rvec)
-    r23 = apply_kron(unit_with, e, rvec)
-    r12 = apply_kron(e, with_unit, rvec)
+    r13 = sparse(apply_kron(with_unit, e, rvec))
+    r23 = sparse(apply_kron(unit_with, e, rvec))
+    r12 = sparse(apply_kron(e, with_unit, rvec))
 
     checks = [
         _sweep(
             "quasitriangular.intertwines-comul",
             product(range(n)),
-            lambda i: tensor_power_product(mul, 2, delta_op[i], rvec),
-            lambda i: tensor_power_product(mul, 2, rvec, delta[i]),
+            lambda i: tensor_power_product(mc, 2, delta_op[i], rvec),
+            lambda i: tensor_power_product(mc, 2, rvec, delta[i]),
         ),
         _sweep(
             "quasitriangular.left-hexagon",
             [()],
             lambda: apply_kron(delta, alpha, rvec),
-            lambda: tensor_power_product(mul, 3, r13, r23),
+            lambda: tensor_power_product(mc, 3, r13, r23),
         ),
         _sweep(
             "quasitriangular.right-hexagon",
             [()],
             lambda: apply_kron(alpha, delta, rvec),
-            lambda: tensor_power_product(mul, 3, r13, r12),
+            lambda: tensor_power_product(mc, 3, r13, r12),
         ),
     ]
     return CheckReport(tuple(checks))
@@ -1188,19 +1211,20 @@ def check_comodule_algebra(A, c: ComoduleCoaction) -> CheckReport:
     alg = algebra_of(A)
     coactor = bialgebra_of(c.coactor)
     nm, nh = alg.dim, coactor.dim
-    rho = comul_matrix(c.coact)
+    rho = rows(comul_matrix(c.coact))
     rho_terms = terms(c.coact)
+    amul, hmul = cells(alg.mul), cells(coactor.mul)
 
     checks = list(check_comodule(c).checks)
     checks.append(
         _sweep(
             "comodule-algebra.multiplicative",
             product(range(nm), range(nm)),
-            lambda i, j: apply_map(rho, alg.mul[i][j]),
+            lambda i, j: apply_map(rho, amul[i][j]),
             # a_(0) b_(0) (x) a_(1) b_(1)
             lambda i, j: linear_combination(
                 nm * nh,
-                ((v, apply_kron(alg.mul[a], coactor.mul[h], rho[j])) for a, h, v in rho_terms[i]),
+                ((v, apply_kron(amul[a], hmul[h], rho[j])) for a, h, v in rho_terms[i]),
             ),
         )
     )
@@ -1208,7 +1232,7 @@ def check_comodule_algebra(A, c: ComoduleCoaction) -> CheckReport:
         _sweep(
             "comodule-algebra.unit",
             [()],
-            lambda: apply_map(rho, alg.unit),
+            lambda: apply_map(rho, sparse(alg.unit)),
             lambda: kron((alg.unit,), (coactor.unit,))[0],
         )
     )
@@ -1226,11 +1250,12 @@ def check_left_comodule_algebra(A, coactor, coact: Tensor3) -> CheckReport:
     nm, nh = alg.dim, co.dim
     alpha_m = alg.alpha
     rm = range(nm)
-    e = identity(nm)
+    am, ac, e = rows(alpha_m), rows(co.alpha), rows(identity(nm))
+    amul, hmul = cells(alg.mul), cells(co.mul)
     eps = _as_map(co.counit)
-    rho = comul_matrix(coact)
+    rho = rows(comul_matrix(coact))
     rho_terms = terms(coact)
-    delta = comul_matrix(co.comul)
+    delta = rows(comul_matrix(co.comul))
 
     checks = [
         _sweep(
@@ -1242,28 +1267,28 @@ def check_left_comodule_algebra(A, coactor, coact: Tensor3) -> CheckReport:
         _sweep(
             "left-comodule.alpha-equivariant",
             product(rm),
-            lambda i: apply_kron(co.alpha, alpha_m, rho[i]),
-            lambda i: apply_map(rho, alpha_m[i]),
+            lambda i: apply_kron(ac, am, rho[i]),
+            lambda i: apply_map(rho, am[i]),
         ),
         _sweep(
             "left-comodule.hom-coassociative",
             product(rm),
-            lambda i: apply_kron(delta, alpha_m, rho[i]),
-            lambda i: apply_kron(co.alpha, rho, rho[i]),
+            lambda i: apply_kron(delta, am, rho[i]),
+            lambda i: apply_kron(ac, rho, rho[i]),
         ),
         _sweep(
             "left-comodule-algebra.multiplicative",
             product(rm, rm),
-            lambda i, j: apply_map(rho, alg.mul[i][j]),
+            lambda i, j: apply_map(rho, amul[i][j]),
             lambda i, j: linear_combination(
                 nh * nm,
-                ((v, apply_kron(co.mul[b], alg.mul[a], rho[j])) for b, a, v in rho_terms[i]),
+                ((v, apply_kron(hmul[b], amul[a], rho[j])) for b, a, v in rho_terms[i]),
             ),
         ),
         _sweep(
             "left-comodule-algebra.unit",
             [()],
-            lambda: apply_map(rho, alg.unit),
+            lambda: apply_map(rho, sparse(alg.unit)),
             lambda: kron((co.unit,), (alg.unit,))[0],
         ),
     ]

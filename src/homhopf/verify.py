@@ -43,10 +43,13 @@ from .exactlin import (
     apply_map,
     basis_vector,
     bilinear_apply,
+    cells,
     comul_matrix,
     identity,
     kron,
     mat_inverse,
+    rows,
+    sparse,
     tensor3_shape,
 )
 from .structures import (
@@ -296,28 +299,28 @@ def verify_dual_pair_route(H: HomHopfAlgebra) -> SuiteResult:
 
     A, B = pairing.left, pairing.right
     na, nb = A.dim, B.dim
-    embed_a = kron(identity(na), (B.unit,))  # a -> a (x) 1
-    embed_b = kron((A.unit,), identity(nb))  # b -> 1 (x) b
+    embed_a = rows(kron(identity(na), (B.unit,)))  # a -> a (x) 1
+    embed_b = rows(kron((A.unit,), identity(nb)))  # b -> 1 (x) b
 
-    mul = paired.hopf.mul
-    alpha_inv = mat_inverse(kron(A.alpha, B.alpha))
+    mul, a_mul, b_mul = cells(paired.hopf.mul), cells(A.mul), cells(B.mul)
+    alpha_inv = rows(mat_inverse(kron(A.alpha, B.alpha)))
     embeddings = (
         _sweep(
             "pair-double.first-factor-embedding",
             product(range(na), repeat=2),
             lambda a, ap: bilinear_apply(mul, embed_a[a], embed_a[ap]),
-            lambda a, ap: apply_map(embed_a, A.mul[a][ap]),
+            lambda a, ap: apply_map(embed_a, a_mul[a][ap]),
         ),
         _sweep(
             "pair-double.second-factor-embedding",
             product(range(nb), repeat=2),
             lambda b, bp: bilinear_apply(mul, embed_b[b], embed_b[bp]),
-            lambda b, bp: apply_map(embed_b, B.mul[b][bp]),
+            lambda b, bp: apply_map(embed_b, b_mul[b][bp]),
         ),
         _sweep(
             "pair-double.mixed-embedding",
             product(range(na), range(nb)),
-            lambda a, b: apply_map(alpha_inv, bilinear_apply(mul, embed_a[a], embed_b[b])),
+            lambda a, b: apply_map(alpha_inv, sparse(bilinear_apply(mul, embed_a[a], embed_b[b]))),
             lambda a, b: basis_vector(na * nb, a * nb + b),
         ),
     )

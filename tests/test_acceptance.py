@@ -45,11 +45,14 @@ from homhopf.exactlin import (
     apply_map,
     basis_vector,
     bilinear_apply,
+    cells,
     flatten_pair,
     kron,
     mat_inverse,
     matrix_from_entries,
     nonzeros,
+    rows,
+    sparse,
     tensor3_from_entries,
 )
 from homhopf.fileformat import (
@@ -335,7 +338,9 @@ def test_criterion_08_embedding_identity(name):
         v = [Z] * nd
         for p, c in nonzeros(A.unit):
             v[p * nb + b] = c
-        w = apply_map(alpha_inv, bilinear_apply(paired.hopf.mul, tuple(u), tuple(v)))
+        w = apply_map(
+            rows(alpha_inv), sparse(bilinear_apply(cells(paired.hopf.mul), sparse(u), sparse(v)))
+        )
         assert w == basis_vector(nd, a * nb + b), (a, b)
     announce("criterion 8", f"embedding identity for {name}", True)
 

@@ -1,7 +1,8 @@
-"""Exact linear algebra: inverses, powers, Kronecker products, contractions."""
+"""Exact linear algebra: inverses, powers, Kronecker products, sparse kernels."""
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from homhopf.exactlin import (
     apply_map,
     basis_vector,
     bilinear_apply,
+    cells,
     comul_matrix,
     comul_tensor,
     format_scalar,
@@ -27,6 +29,8 @@ from homhopf.exactlin import (
     matrix_from_rows,
     nonzeros,
     parse_scalar,
+    rows,
+    sparse,
     tensor3_from_entries,
     tensor_power_product,
     terms,
@@ -57,6 +61,22 @@ def vectors(n):
     return st.lists(rationals, min_size=n, max_size=n).map(tuple)
 
 
+# mostly zero entries, as in structure tensors: int 0 and zeros computed as Fraction(0)
+sparse_rationals = st.one_of(st.just(0), st.just(F(1, 2) - F(1, 2)), rationals)
+
+
+def sparse_vectors(n):
+    return st.lists(sparse_rationals, min_size=n, max_size=n).map(tuple)
+
+
+def sparse_rect(r, c):
+    return st.lists(sparse_vectors(c), min_size=r, max_size=r).map(tuple)
+
+
+def sparse_tensors(n1, n2, n3):
+    return st.lists(sparse_rect(n2, n3), min_size=n1, max_size=n1).map(tuple)
+
+
 dims = st.integers(1, 3)
 
 
@@ -71,6 +91,18 @@ class TestScalars:
     def test_zero_denominator(self):
         with pytest.raises(ValueError):
             parse_scalar("1/0")
+
+    def test_integral_scalars_are_int(self):
+        for text, value in [("3", 3), ("-7", -7), ("4/2", 2), ("0/5", 0)]:
+            assert type(parse_scalar(text)) is int and parse_scalar(text) == value
+        assert type(parse_scalar("3/4")) is F
+        m = matrix_from_rows([[1, F(2, 2)], [F(1, 2), 0]])
+        assert [[type(x) for x in row] for row in m] == [[int, int], [F, int]]
+
+    def test_inverse_divides_exactly(self):
+        assert mat_inverse(((2,),)) == ((F(1, 2),),)
+        assert type(mat_inverse(((2,),))[0][0]) is F
+        assert [type(x) for row in mat_inverse(((F(1, 2), 0), (0, -1))) for x in row] == [int] * 4
 
 
 class TestCompose:
@@ -166,41 +198,106 @@ class TestKron:
         assert kron(kron(a, b), c) == kron(a, kron(b, c))
 
 
+def dense_apply(m, v):
+    """The reference image ``sum_i v[i] m[i]`` of ``v`` under a dense row-image map."""
+    return tuple(sum((v[i] * m[i][j] for i in range(len(m))), ZERO) for j in range(len(m[0])))
+
+
+def dense_bilinear(t, x, y):
+    """The reference value ``sum_ij x_i y_j t[i][j]`` of a dense bilinear map."""
+    n3 = len(t[0][0])
+    return tuple(
+        sum((x[i] * y[j] * t[i][j][k] for i in range(len(t)) for j in range(len(t[0]))), ZERO)
+        for k in range(n3)
+    )
+
+
+def dense(s):
+    """The dense vector of a sparse one."""
+    out = [ZERO] * s.dim
+    for i, a in s:
+        out[i] = a
+    return tuple(out)
+
+
+class TestSparse:
+    @given(dims, st.data())
+    @settings(max_examples=40)
+    def test_sparse_round_trips_and_keeps_only_nonzeros(self, n, data):
+        v = data.draw(sparse_vectors(n))
+        s = sparse(v)
+        assert s.dim == n and dense(s) == v
+        assert [i for i, _ in s] == [i for i, a in enumerate(v) if a]
+        assert all(a for _, a in s)
+
+    @given(dims, dims, dims, st.data())
+    @settings(max_examples=40)
+    def test_rows_and_cells_round_trip(self, n1, n2, n3, data):
+        t = data.draw(sparse_tensors(n1, n2, n3))
+        assert tuple(dense(r) for r in rows(t[0])) == t[0]
+        assert tuple(tuple(dense(c) for c in plane) for plane in cells(t)) == t
+        assert all(a for plane in cells(t) for c in plane for _, a in c)
+
+    def test_computed_zeros_are_dropped(self):
+        s = sparse((F(1, 2) - F(1, 2), ZERO, F(2)))
+        assert s == ((2, F(2)),) and s.dim == 3
+
+
+class TestApplyMap:
+    @given(dims, dims, st.data())
+    @settings(max_examples=60)
+    def test_matches_dense_reference_on_rectangular_maps(self, p, q, data):
+        m, v = data.draw(sparse_rect(p, q)), data.draw(sparse_vectors(p))
+        assert apply_map(rows(m), sparse(v)) == dense_apply(m, v)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            apply_map(rows(identity(2)), sparse((F(1),) * 3))
+
+
 class TestBilinear:
     def test_square_zero_element(self):
         ax1 = catalog_ax1().hopf
-        x = basis_vector(2, 1)
-        assert bilinear_apply(ax1.mul, x, x) == (F(0), F(0))
+        x = sparse(basis_vector(2, 1))
+        assert bilinear_apply(cells(ax1.mul), x, x) == (F(0), F(0))
 
     def test_unit_acts_by_alpha(self):
         ax1 = catalog_ax1().hopf
+        mul, alpha, unit = cells(ax1.mul), rows(ax1.alpha), sparse(ax1.unit)
         for i in range(2):
-            v = basis_vector(2, i)
-            assert bilinear_apply(ax1.mul, ax1.unit, v) == apply_map(ax1.alpha, v)
-            assert bilinear_apply(ax1.mul, v, ax1.unit) == apply_map(ax1.alpha, v)
+            v = sparse(basis_vector(2, i))
+            assert bilinear_apply(mul, unit, v) == apply_map(alpha, v)
+            assert bilinear_apply(mul, v, unit) == apply_map(alpha, v)
 
     def test_cyclic_product_closed_form(self):
         c3 = catalog_cyclic(3).hopf
         g1 = basis_vector(3, 1)
-        assert bilinear_apply(c3.mul, g1, g1) == g1
+        assert bilinear_apply(cells(c3.mul), sparse(g1), sparse(g1)) == g1
+
+    @given(dims, dims, dims, st.data())
+    @settings(max_examples=60)
+    def test_matches_dense_reference_on_rectangular_tensors(self, n1, n2, n3, data):
+        t = data.draw(sparse_tensors(n1, n2, n3))
+        x, y = data.draw(sparse_vectors(n1)), data.draw(sparse_vectors(n2))
+        assert bilinear_apply(cells(t), sparse(x), sparse(y)) == dense_bilinear(t, x, y)
 
     def test_shape_mismatch(self):
         ax1 = catalog_ax1().hopf
         with pytest.raises(DimensionMismatch):
-            bilinear_apply(ax1.mul, basis_vector(3, 0), basis_vector(2, 0))
+            bilinear_apply(cells(ax1.mul), sparse(basis_vector(3, 0)), sparse(basis_vector(2, 0)))
 
 
 class TestApplyKron:
     @given(dims, dims, dims, dims, st.data())
     @settings(max_examples=60)
     def test_matches_dense_kron_on_rectangular_maps(self, p, q, r, s, data):
-        f, g = data.draw(rect(p, q)), data.draw(rect(r, s))
-        v = data.draw(vectors(p * r))
-        assert apply_kron(f, g, v) == apply_map(kron(f, g), v)
+        f, g = data.draw(sparse_rect(p, q)), data.draw(sparse_rect(r, s))
+        v = data.draw(sparse_vectors(p * r))
+        assert apply_kron(rows(f), rows(g), sparse(v)) == dense_apply(kron(f, g), v)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            apply_kron(identity(2), identity(2), (F(1),) * 3)
+            apply_kron(rows(identity(2)), rows(identity(2)), sparse((F(1),) * 3))
 
 
 def pure(*legs):
@@ -213,25 +310,53 @@ catalog_muls = st.sampled_from(["ax1", "kz2", "sweedler_hom", "cyclic:3"]).map(
 )
 
 
+def dense_power_product(mul, legs, u, v):
+    """The reference componentwise product on a tensor power: every pair of
+    basis tensors multiplied leg by leg with the dense ``mul``, then summed."""
+    n = len(mul)
+    size = n**legs
+
+    def legs_of(p):
+        return [p // n**k % n for k in reversed(range(legs))]
+
+    out = [ZERO] * size
+    for p, q in product(range(size), repeat=2):
+        w = (u[p] * v[q],)
+        for a, b in zip(legs_of(p), legs_of(q)):
+            w = tuple(x * y for x in w for y in mul[a][b])
+        out = [o + x for o, x in zip(out, w)]
+    return tuple(out)
+
+
 class TestTensorPowerProduct:
     @given(catalog_muls, st.data())
     @settings(max_examples=30)
     def test_one_leg_is_the_product(self, mul, data):
-        u, v = data.draw(vectors(len(mul))), data.draw(vectors(len(mul)))
-        assert tensor_power_product(mul, 1, u, v) == bilinear_apply(mul, u, v)
+        u, v = sparse(data.draw(vectors(len(mul)))), sparse(data.draw(vectors(len(mul))))
+        assert tensor_power_product(cells(mul), 1, u, v) == bilinear_apply(cells(mul), u, v)
 
     @given(catalog_muls, st.integers(2, 3), st.data())
     @settings(max_examples=30)
     def test_pure_tensors_multiply_leg_by_leg(self, mul, legs, data):
+        mc = cells(mul)
         xs = [data.draw(vectors(len(mul))) for _ in range(legs)]
         ys = [data.draw(vectors(len(mul))) for _ in range(legs)]
-        expected = pure(*(bilinear_apply(mul, x, y) for x, y in zip(xs, ys)))
-        assert tensor_power_product(mul, legs, pure(*xs), pure(*ys)) == expected
+        expected = pure(*(bilinear_apply(mc, sparse(x), sparse(y)) for x, y in zip(xs, ys)))
+        assert tensor_power_product(mc, legs, sparse(pure(*xs)), sparse(pure(*ys))) == expected
+
+    @given(st.sampled_from(["ax1", "kz2", "cyclic:3"]), st.integers(2, 3), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_dense_reference(self, name, legs, data):
+        mul = get_entry(name).hopf.mul
+        u, v = (data.draw(sparse_vectors(len(mul) ** legs)) for _ in range(2))
+        assert tensor_power_product(cells(mul), legs, sparse(u), sparse(v)) == (
+            dense_power_product(mul, legs, u, v)
+        )
 
     def test_shape_mismatch(self):
-        mul = catalog_ax1().hopf.mul
+        mul = cells(catalog_ax1().hopf.mul)
         with pytest.raises(DimensionMismatch):
-            tensor_power_product(mul, 2, basis_vector(4, 0), basis_vector(2, 0))
+            tensor_power_product(mul, 2, sparse(basis_vector(4, 0)), sparse(basis_vector(2, 0)))
 
 
 class TestTerms:

@@ -1,0 +1,91 @@
+"""Exactness guards: every scalar is an ``int`` or a ``Fraction``, never a float.
+
+Integral scalars are stored as ``int`` and only proper fractions as
+``Fraction``.  Python's ``int / int`` is a float, so the package divides in
+exactly one place, ``exactlin._quotient``; the tooling test below fails on
+any other true division in the source.
+"""
+
+from __future__ import annotations
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import homhopf
+from homhopf.catalog import get_entry
+from homhopf.constructions import (
+    drinfeld_double,
+    drinfeld_double_tilde,
+    dual,
+    dual_pair_double,
+    evaluation_pairing,
+    heisenberg_double,
+)
+from homhopf.structures import check_hom_algebra, run_hopf_suite
+
+ENTRIES = ("one", "ax1", "kz2", "sweedler_hom", *(f"cyclic:{n}" for n in range(2, 7)), "s3_inner")
+FIELDS = ("mul", "unit", "comul", "counit", "alpha", "antipode")
+
+
+def scalars(value):
+    """The leaves of a nested tuple."""
+    if isinstance(value, tuple):
+        for x in value:
+            yield from scalars(x)
+    else:
+        yield value
+
+
+def structure(obj) -> tuple:
+    """Every structure tensor an algebra, coalgebra or Hopf object carries."""
+    return tuple(getattr(obj, field) for field in FIELDS if hasattr(obj, field))
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_constructions_and_witnesses_hold_only_exact_scalars(name):
+    h = get_entry(name).hopf
+    double = drinfeld_double(h)
+    mirrored = drinfeld_double_tilde(h)
+    h_dual = dual(h)
+    heisenberg = heisenberg_double(h)
+    paired = dual_pair_double(evaluation_pairing(h), check=False)
+    reports = [run_hopf_suite(x) for x in (double, h_dual, paired.hopf)]
+    reports += [check_hom_algebra(x) for x in (mirrored.algebra, heisenberg)]
+
+    values = [structure(x) for x in (double, mirrored, h_dual, heisenberg, paired.hopf)]
+    values.append(paired.twisting)
+    values += [(e.witness.lhs, e.witness.rhs) for r in reports for e in r.failures()]
+    assert {type(c) for c in scalars(tuple(values))} <= {int, Fraction}
+
+
+class _Divisions(ast.NodeVisitor):
+    """Collects ``(module, enclosing function, source)`` of each true division."""
+
+    def __init__(self, module: str):
+        self.module = module
+        self.scope: list[str] = []
+        self.found: list[tuple[str, str, str]] = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_BinOp(self, node):  # also ``x /= y``, through visit_AugAssign
+        if isinstance(node.op, ast.Div):
+            self.found.append((self.module, ".".join(self.scope), ast.unparse(node)))
+        self.generic_visit(node)
+
+    visit_AugAssign = visit_BinOp
+
+
+def test_true_division_only_in_the_exact_quotient():
+    found = []
+    for path in sorted(Path(homhopf.__file__).parent.glob("*.py")):
+        visitor = _Divisions(path.stem)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        found += visitor.found
+    assert found == [("exactlin", "_quotient", "Fraction(x) / p")]
