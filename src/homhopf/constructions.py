@@ -31,10 +31,13 @@ from .exactlin import (
     alpha_power,
     apply_kron,
     apply_map,
+    basis,
     bilinear_apply,
     cells,
     comul_matrix,
     comul_tensor,
+    dense,
+    dense_rows,
     identity,
     kron,
     linear_combination,
@@ -59,6 +62,7 @@ from .structures import (
     PairingForm,
     RMatrix,
     TwoCocycle,
+    _as_map,
     _op_comul,
     _sweep,
     algebra_of,
@@ -74,6 +78,12 @@ from .structures import (
     hopf_algebra,
     merge_reports,
 )
+
+def _dense_kron(f: Matrix, g: Matrix) -> Matrix:
+    """The Kronecker product of two dense matrices as a dense matrix, for the
+    structure map and the unit of a product space."""
+    return dense_rows(kron(rows(f), rows(g)))
+
 
 def _flip(n1: int, n2: int) -> Matrix:
     """The flip ``e_i (x) e_j -> e_j (x) e_i`` from an n1*n2 to an n2*n1 pair space."""
@@ -106,26 +116,26 @@ def yau_twist(classical: HomHopfAlgebra, endo: Matrix) -> HomHopfAlgebra:
         classical.counit,
         classical.antipode,
     )
-    er, mc, sr = rows(endo), cells(mul), rows(S)
-    if apply_map(er, sparse(unit)) != unit:
+    er, mc, sr, su = rows(endo), cells(mul), rows(S), sparse(unit)
+    if apply_map(er, su) != su:
         raise NotAMorphism("endo(1) = 1")
     for i in range(n):
         for j in range(n):
             if apply_map(er, mc[i][j]) != bilinear_apply(mc, er[i], er[j]):
                 raise NotAMorphism("endo(ab) = endo(a) endo(b)")
-    delta = comul_matrix(comul)
-    twisted_delta = mat_compose(endo, delta)  # rows delta(endo(e_i))
-    dr, counit_map = rows(delta), rows(transpose((counit,)))
+    dr, eps = rows(comul_matrix(comul)), _as_map(counit)
+    twisted_delta = tuple(apply_map(dr, x) for x in er)  # delta(endo(e_i))
     for i in range(n):
         if twisted_delta[i] != apply_kron(er, er, dr[i]):
             raise NotAMorphism("delta(endo(a)) = (endo (x) endo) delta(a)")
-        if apply_map(counit_map, er[i]) != (counit[i],):
+        if apply_map(eps, er[i]) != eps[i]:
             raise NotAMorphism("counit(endo(a)) = counit(a)")
         if apply_map(er, sr[i]) != apply_map(sr, er[i]):
             raise NotAMorphism("endo(S(a)) = S(endo(a))")
 
-    twisted_mul = tuple(tuple(apply_map(er, mc[i][j]) for j in range(n)) for i in range(n))
-    return hopf_algebra(n, twisted_mul, unit, comul_tensor(twisted_delta, n), counit, endo, S)
+    twisted_mul = tuple(tuple(dense(apply_map(er, mc[i][j])) for j in range(n)) for i in range(n))
+    twisted_comul = comul_tensor(dense_rows(twisted_delta), n)
+    return hopf_algebra(n, twisted_mul, unit, twisted_comul, counit, endo, S)
 
 
 def opposite(h: HomHopfAlgebra) -> HomHopfAlgebra:
@@ -163,7 +173,9 @@ def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
     ainv2 = alpha_power(h.alpha, -2)
     a2 = rows(ainv2)
     # row (i, j): the coefficients of e^i e^j; row i: those of delta(e^i)
-    products = transpose(tuple(apply_kron(a2, a2, d) for d in rows(comul_matrix(h.comul))))
+    products = transpose(
+        tuple(dense(apply_kron(a2, a2, d)) for d in rows(comul_matrix(h.comul)))
+    )
     coproducts = transpose(mat_compose(mul_matrix(h.mul), ainv2))
     return hopf_algebra(
         n,
@@ -193,23 +205,28 @@ def smash_product(A, H, act: ModuleAction, check: bool = True) -> HomAlgebra:
     ah_i1 = rows(alpha_power(bi.alpha, -1))
     ah_i2 = rows(alpha_power(bi.alpha, -2))
     aa_i1 = rows(alpha_power(alg.alpha, -1))
-    e_a, e_h = rows(identity(na)), rows(identity(nh))
+    e_a, e_h = basis(na), basis(nh)
     amul, hmul, action = cells(alg.mul), cells(bi.mul), cells(act.act)
     delta = rows(comul_matrix(bi.comul))
     # first[a][b] maps h_1 to a (alpha_H^-2(h_1) . alpha_A^-1(b)),
     # second[k] maps h_2 to alpha_H^-1(h_2) k
-    acted = [[sparse(bilinear_apply(action, x, y)) for x in ah_i2] for y in aa_i1]
+    acted = [[bilinear_apply(action, x, y) for x in ah_i2] for y in aa_i1]
     first = [
-        [rows(tuple(bilinear_apply(amul, e_a[a], x) for x in acted[b])) for b in range(na)]
+        [tuple(bilinear_apply(amul, e_a[a], x) for x in acted[b]) for b in range(na)]
         for a in range(na)
     ]
-    second = [rows(tuple(bilinear_apply(hmul, x, e_h[k]) for x in ah_i1)) for k in range(nh)]
+    second = [tuple(bilinear_apply(hmul, x, e_h[k]) for x in ah_i1) for k in range(nh)]
     mul = tuple(
-        tuple(apply_kron(first[a][b], second[k], delta[hh]) for b in range(na) for k in range(nh))
+        tuple(
+            dense(apply_kron(first[a][b], second[k], delta[hh]))
+            for b in range(na)
+            for k in range(nh)
+        )
         for a in range(na)
         for hh in range(nh)
     )
-    return HomAlgebra(na * nh, mul, kron((alg.unit,), (bi.unit,))[0], kron(alg.alpha, bi.alpha))
+    unit = _dense_kron((alg.unit,), (bi.unit,))[0]
+    return HomAlgebra(na * nh, mul, unit, _dense_kron(alg.alpha, bi.alpha))
 
 
 def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> Matrix:
@@ -228,8 +245,10 @@ def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> Matrix:
     hmul = cells(coactor.mul)
     rho = rows(comul_matrix(co.coact))
     # second[h] maps c_(1) to alpha_H^-1(h) alpha_H^-2(c_(1))
-    second = [rows(tuple(bilinear_apply(hmul, x, y) for y in ah_i2)) for x in ah_i1]
-    phi = tuple(apply_kron(ac_i1, second[h], rho[c]) for h in range(nh) for c in range(nc))
+    second = [tuple(bilinear_apply(hmul, x, y) for y in ah_i2) for x in ah_i1]
+    phi = tuple(
+        dense(apply_kron(ac_i1, second[h], rho[c])) for h in range(nh) for c in range(nc)
+    )
     if check:
         report = check_cotwisting(coactor, carrier, phi)
         if not report.ok:
@@ -247,19 +266,20 @@ def cotwist_coproduct(C, D, phi: Matrix, check: bool = True) -> HomCoalgebra:
         if not report.ok:
             raise PreconditionFailed("not a cotwisting map", report)
     nc, nd = Cc.dim, Dc.dim
-    e_c, e_d = identity(nc), identity(nd)
-    ec, ed, phi_rows = rows(e_c), rows(e_d), rows(phi)
+    ec, ed, phi_rows = basis(nc), basis(nd), rows(phi)
     # (id (x) phi (x) id)(delta_C (x) delta_D) in two steps: phi_d maps
     # c_2 (x) d to phi(c_2 (x) d_1) (x) d_2, and c (x) d goes to c_1 (x) phi_d(c_2 (x) d)
-    phi_d = rows(
-        tuple(apply_kron(phi_rows, ed, row) for row in rows(kron(e_c, comul_matrix(Dc.comul))))
+    phi_d = tuple(
+        apply_kron(phi_rows, ed, row) for row in kron(ec, rows(comul_matrix(Dc.comul)))
     )
-    comul = tuple(apply_kron(ec, phi_d, row) for row in rows(kron(comul_matrix(Cc.comul), e_d)))
+    comul = tuple(
+        dense(apply_kron(ec, phi_d, row)) for row in kron(rows(comul_matrix(Cc.comul)), ed)
+    )
     return HomCoalgebra(
         nc * nd,
         comul_tensor(comul, nc * nd),
-        kron((Cc.counit,), (Dc.counit,))[0],
-        kron(Cc.alpha, Dc.alpha),
+        _dense_kron((Cc.counit,), (Dc.counit,))[0],
+        _dense_kron(Cc.alpha, Dc.alpha),
     )
 
 
@@ -277,25 +297,25 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
     ah_i1 = rows(alpha_power(bi.alpha, -1))
     aa_i1 = rows(alpha_power(alg.alpha, -1))
     action, amul, hmul = cells(act.act), cells(alg.mul), cells(bi.mul)
-    e_a, e_h = rows(identity(na)), rows(identity(nh))
+    e_a, e_h = basis(na), basis(nh)
     h_terms, co_terms = terms(bi.comul), terms(co.coact)
     delta_a = rows(comul_matrix(coa.comul))
     rho = rows(comul_matrix(co.coact))
     # Legs as maps of a basis vector: acted[h] is b -> alpha^-1(h) . b,
     # times[h] is g -> alpha^-1(h) g, and twisted[a][h] is
     # b -> alpha^-1(a) (alpha^-1(h) . alpha^-1(b)).
-    acted = [rows(tuple(bilinear_apply(action, x, y) for y in e_a)) for x in ah_i1]
-    times = [rows(tuple(bilinear_apply(hmul, x, y) for y in e_h)) for x in ah_i1]
-    acted_twice = [[sparse(bilinear_apply(action, h, b)) for b in aa_i1] for h in ah_i1]
+    acted = [tuple(bilinear_apply(action, x, y) for y in e_a) for x in ah_i1]
+    times = [tuple(bilinear_apply(hmul, x, y) for y in e_h) for x in ah_i1]
+    acted_twice = [[bilinear_apply(action, h, b) for b in aa_i1] for h in ah_i1]
     twisted = [
-        [rows(tuple(bilinear_apply(amul, a, x) for x in row)) for row in acted_twice] for a in aa_i1
+        [tuple(bilinear_apply(amul, a, x) for x in row) for row in acted_twice] for a in aa_i1
     ]
     # acted_then[x][b] is a -> (x . b) a and then_acted[x][b] is a -> a (x . b)
     acted_then = [
-        [rows(tuple(bilinear_apply(amul, xb, a) for a in e_a)) for xb in plane] for plane in action
+        [tuple(bilinear_apply(amul, xb, a) for a in e_a) for xb in plane] for plane in action
     ]
     then_acted = [
-        [rows(tuple(bilinear_apply(amul, a, xb) for a in e_a)) for xb in plane] for plane in action
+        [tuple(bilinear_apply(amul, a, xb) for a in e_a) for xb in plane] for plane in action
     ]
 
     def hyp1_rhs(h, b):
@@ -334,7 +354,7 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
             ((vh, apply_kron(e_h, then_acted[h2][b], rho[h1])) for h1, h2, vh in h_terms[h]),
         )
 
-    counit_a = rows(transpose((coa.counit,)))
+    counit_a = _as_map(coa.counit)
     checks = (
         _sweep(
             "bicross.action-comultiplicative",
@@ -346,7 +366,7 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
             "bicross.action-counit",
             product(range(nh), range(na)),
             lambda h, b: apply_map(counit_a, action[h][b]),
-            lambda h, b: (coa.counit[b] * bi.counit[h],),
+            lambda h, b: sparse((coa.counit[b] * bi.counit[h],)),
         ),
         _sweep(
             "bicross.coaction-multiplicative",
@@ -385,7 +405,6 @@ def bicrossproduct(
 
     na, nh = A.dim, H.dim
     nd = na * nh
-    ah_i2 = alpha_power(H.alpha, -2)
     aa_i2 = rows(alpha_power(A.alpha, -2))
     aa_i3 = rows(alpha_power(A.alpha, -3))
     mul = smash_product(A, H, act, check=False).mul
@@ -394,22 +413,21 @@ def bicrossproduct(
     # S(a (x) h) = (1 (x) S_H alpha_H^-2(h_(0))) (S_A(alpha_A^-2(a) alpha_A^-3(h_(1))) (x) 1)
     co_terms = terms(co.coact)
     mc, amul = cells(mul), cells(A.mul)
-    s_h = rows(mat_compose(mat_compose(ah_i2, H.antipode), kron((A.unit,), identity(nh))))
-    s_then_1 = rows(mat_compose(A.antipode, kron(identity(na), (H.unit,))))
-    s_a = [
-        [sparse(apply_map(s_then_1, sparse(bilinear_apply(amul, a, x)))) for x in aa_i3]
-        for a in aa_i2
-    ]
+    # h -> 1 (x) S_H(alpha_H^-2(h)) and a -> S_A(a) (x) 1
+    s_h = kron((sparse(A.unit),), rows(mat_compose(alpha_power(H.alpha, -2), H.antipode)))
+    s_then_1 = kron(rows(A.antipode), (sparse(H.unit),))
+    s_a = [[apply_map(s_then_1, bilinear_apply(amul, a, x)) for x in aa_i3] for a in aa_i2]
     antipode = tuple(
-        linear_combination(
-            nd, ((v, bilinear_apply(mc, s_h[h0], s_a[a][h1])) for h0, h1, v in co_terms[hh])
+        dense(
+            linear_combination(
+                nd, ((v, bilinear_apply(mc, s_h[h0], s_a[a][h1])) for h0, h1, v in co_terms[hh])
+            )
         )
         for a in range(na)
         for hh in range(nh)
     )
-    return hopf_algebra(
-        nd, mul, kron((A.unit,), (H.unit,))[0], coalg.comul, coalg.counit, coalg.alpha, antipode
-    )
+    unit = _dense_kron((A.unit,), (H.unit,))[0]
+    return hopf_algebra(nd, mul, unit, coalg.comul, coalg.counit, coalg.alpha, antipode)
 
 
 def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, ComoduleCoaction]:
@@ -427,25 +445,23 @@ def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, 
         return linear_combination(
             n,
             (
-                (
-                    c,
-                    bilinear_apply(
-                        hmul, sparse(bilinear_apply(hmul, s_ainv2[h1], ainv1[a])), ainv1[h2]
-                    ),
-                )
+                (c, bilinear_apply(hmul, bilinear_apply(hmul, s_ainv2[h1], ainv1[a]), ainv1[h2]))
                 for h1, h2, c in h_terms[h]
             ),
         )
 
-    act = tuple(tuple(acts(h, a) for a in range(n)) for h in range(n))
+    act = tuple(tuple(dense(acts(h, a)) for a in range(n)) for h in range(n))
 
     # rho(h) applies alpha^-1 (x) second[h_2] to h_12 (x) h_11, the co-opposite
     # coproduct of h_1; second[h_2] maps h_11 to S(alpha^-2(h_11)) alpha^-1(h_2)
     op_delta = rows(comul_matrix(_op_comul(H.comul)))
-    second = [rows(tuple(bilinear_apply(hmul, x, y) for x in s_ainv2)) for y in ainv1]
+    second = [tuple(bilinear_apply(hmul, x, y) for x in s_ainv2) for y in ainv1]
     coact = tuple(
-        linear_combination(
-            n * n, ((c, apply_kron(ainv1, second[h2], op_delta[h1])) for h1, h2, c in h_terms[h])
+        dense(
+            linear_combination(
+                n * n,
+                ((c, apply_kron(ainv1, second[h2], op_delta[h1])) for h1, h2, c in h_terms[h]),
+            )
         )
         for h in range(n)
     )
@@ -462,7 +478,7 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
     nd = n * n
     ainv1, ainv2, ainv3 = (rows(alpha_power(H.alpha, -k)) for k in (1, 2, 3))
     s_ainv4 = rows(mat_compose(alpha_power(H.alpha, -4), H.antipode))  # rows S(alpha^-4(e_h))
-    e = rows(identity(n))
+    e = basis(n)
     hmul = cells(H.mul)
     h_terms = terms(H.comul)
     delta = rows(comul_matrix(H.comul))
@@ -471,18 +487,18 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
     # (a x h)(b x k) = a[(S(alpha^-4(h_11)) alpha^-2(b)) alpha^-3(h_12)] x k alpha^-1(h_2);
     # first[a][b] maps h_11 (x) h_12 and second[k] maps h_2 to their legs
     dressed = [
-        [
-            sparse(bilinear_apply(hmul, sparse(bilinear_apply(hmul, x, b)), y))
-            for x in s_ainv4
-            for y in ainv3
-        ]
+        [bilinear_apply(hmul, bilinear_apply(hmul, x, b), y) for x in s_ainv4 for y in ainv3]
         for b in ainv2
     ]
-    first = [[rows(tuple(bilinear_apply(hmul, a, v) for v in row)) for row in dressed] for a in e]
-    second = [rows(tuple(bilinear_apply(hmul, k, z) for z in ainv1)) for k in e]
-    twice = [sparse(apply_kron(delta, e, d)) for d in delta]  # h_11 (x) h_12 (x) h_2
+    first = [[tuple(bilinear_apply(hmul, a, v) for v in row) for row in dressed] for a in e]
+    second = [tuple(bilinear_apply(hmul, k, z) for z in ainv1) for k in e]
+    twice = [apply_kron(delta, e, d) for d in delta]  # h_11 (x) h_12 (x) h_2
     closed_mul = tuple(
-        tuple(apply_kron(first[a][b], second[k], twice[h]) for b in range(n) for k in range(n))
+        tuple(
+            dense(apply_kron(first[a][b], second[k], twice[h]))
+            for b in range(n)
+            for k in range(n)
+        )
         for a in range(n)
         for h in range(n)
     )
@@ -496,12 +512,17 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
     # legs: alpha^-2 (x) third[a_2][h_12] applied to h_112 (x) h_111, the co-opposite
     # coproduct of h_11, where third[a_2][h_12] maps h_111 to the last leg
     op_delta = rows(comul_matrix(_op_comul(H.comul)))
-    inner = [[sparse(bilinear_apply(hmul, x, y)) for x in s_ainv4] for y in ainv3]
-    third = [[rows(tuple(bilinear_apply(hmul, a, v) for v in row)) for row in inner] for a in ainv1]
+    inner = [[bilinear_apply(hmul, x, y) for x in s_ainv4] for y in ainv3]
+    third = [[tuple(bilinear_apply(hmul, a, v) for v in row) for row in inner] for a in ainv1]
     closed_phi = tuple(
-        linear_combination(
-            nd,
-            ((v, apply_kron(ainv2, third[a2][h12], op_delta[h11])) for h11, h12, v in h_terms[h1]),
+        dense(
+            linear_combination(
+                nd,
+                (
+                    (v, apply_kron(ainv2, third[a2][h12], op_delta[h11]))
+                    for h11, h12, v in h_terms[h1]
+                ),
+            )
         )
         for a2 in range(n)
         for h1 in range(n)
@@ -532,26 +553,26 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     aa_i2 = rows(alpha_power(A.alpha, -2))
     left, right = cells(mp.left_action), cells(mp.right_action)
     amul, hmul = cells(A.mul), cells(H.mul)
-    e_a, e_h = identity(na), identity(nh)
     h_terms = terms(H.comul)
     delta_a = rows(comul_matrix(A.comul))
 
     # (a (x) h)(b (x) g)
     #   = a (alpha^-2(h_1) -> alpha^-2(b_1)) (x) (alpha^-2(h_2) <- alpha^-2(b_2)) g;
     # first[a][h_1] and second[g][h_2] are the two legs as maps of b_1 and b_2
-    lefts = [[sparse(bilinear_apply(left, x, y)) for y in aa_i2] for x in ah_i2]
-    rights = [[sparse(bilinear_apply(right, x, y)) for y in aa_i2] for x in ah_i2]
-    first = [
-        [rows(tuple(bilinear_apply(amul, e, v) for v in row)) for row in lefts] for e in rows(e_a)
-    ]
-    second = [
-        [rows(tuple(bilinear_apply(hmul, v, e) for v in row)) for row in rights] for e in rows(e_h)
-    ]
+    lefts = [[bilinear_apply(left, x, y) for y in aa_i2] for x in ah_i2]
+    rights = [[bilinear_apply(right, x, y) for y in aa_i2] for x in ah_i2]
+    first = [[tuple(bilinear_apply(amul, e, v) for v in row) for row in lefts] for e in basis(na)]
+    second = [[tuple(bilinear_apply(hmul, v, e) for v in row) for row in rights] for e in basis(nh)]
     mul = tuple(
         tuple(
-            linear_combination(
-                nd,
-                ((v, apply_kron(first[a][x], second[g][y], delta_a[b])) for x, y, v in h_terms[h]),
+            dense(
+                linear_combination(
+                    nd,
+                    (
+                        (v, apply_kron(first[a][x], second[g][y], delta_a[b]))
+                        for x, y, v in h_terms[h]
+                    ),
+                )
             )
             for b in range(na)
             for g in range(nh)
@@ -562,13 +583,14 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     coalg = _tensor_coalgebra(A, H)
 
     # the two antipode factors as maps: h -> 1 (x) S_H alpha_H^-1(h), a -> S_A alpha_A^-1(a) (x) 1
-    s_h = rows(mat_compose(mat_compose(alpha_power(H.alpha, -1), H.antipode), kron((A.unit,), e_h)))
-    s_a = rows(mat_compose(mat_compose(alpha_power(A.alpha, -1), A.antipode), kron(e_a, (H.unit,))))
+    s_h = kron((sparse(A.unit),), rows(mat_compose(alpha_power(H.alpha, -1), H.antipode)))
+    s_a = kron(rows(mat_compose(alpha_power(A.alpha, -1), A.antipode)), (sparse(H.unit),))
     mc = cells(mul)
-    antipode = tuple(bilinear_apply(mc, s_h[h], s_a[a]) for a in range(na) for h in range(nh))
-    return hopf_algebra(
-        nd, mul, kron((A.unit,), (H.unit,))[0], coalg.comul, coalg.counit, coalg.alpha, antipode
+    antipode = tuple(
+        dense(bilinear_apply(mc, s_h[h], s_a[a])) for a in range(na) for h in range(nh)
     )
+    unit = _dense_kron((A.unit,), (H.unit,))[0]
+    return hopf_algebra(nd, mul, unit, coalg.comul, coalg.counit, coalg.alpha, antipode)
 
 
 def dual_matched_pair(
@@ -612,15 +634,16 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     S = H.antipode
     s_ainv3 = rows(mat_compose(alpha_power(H.alpha, -3), S))  # rows S(alpha^-3(e_k))
     nd = n * n
-    e = identity(n)
-    er, hmul, hst_mul = rows(e), cells(H.mul), cells(hst.mul)
+    er, hmul, hst_mul = basis(n), cells(H.mul), cells(hst.mul)
+    # shifted[h] maps e_k to alpha^-2(e_k) e_h and times[l] maps f to f e^l
+    shifted = [tuple(bilinear_apply(hmul, a, x) for a in ainv2) for x in er]
+    times = [tuple(bilinear_apply(hst_mul, f, x) for f in er) for x in er]
     # the regular actions on the dual as bilinear maps of (h, f):
     # <f <- h, k> = <f, h alpha^-2(k)> and <h -> f, k> = <f, alpha^-2(k) h>
-    right = cells(tuple(transpose(tuple(bilinear_apply(hmul, x, a) for a in ainv2)) for x in er))
-    left = cells(tuple(transpose(tuple(bilinear_apply(hmul, a, x) for a in ainv2)) for x in er))
-    # shifted[h] maps e_k to alpha^-2(e_k) e_h and times[l] maps f to f e^l
-    shifted = [rows(tuple(bilinear_apply(hmul, a, x) for a in ainv2)) for x in er]
-    times = [rows(tuple(bilinear_apply(hst_mul, f, x) for f in er)) for x in er]
+    right = cells(
+        tuple(transpose(tuple(dense(bilinear_apply(hmul, x, a)) for a in ainv2)) for x in er)
+    )
+    left = cells(tuple(transpose(dense_rows(row)) for row in shifted))
     h_terms = terms(H.comul)
 
     blocks = {}
@@ -630,26 +653,23 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
             # f = alpha^-3(k_22) -> ((alpha*)^2(e^j) <- S alpha^-3(k_1))
             pure = []
             for k1, k2, c1 in sweedler:
-                acted = sparse(bilinear_apply(right, s_ainv3[k1], a2t[j]))
+                acted = bilinear_apply(right, s_ainv3[k1], a2t[j])
                 for k21, k22, c2 in h_terms[k2]:
                     f = bilinear_apply(left, ainv3[k22], acted)
-                    pure.append((c1 * c2, kron((e[k21],), (f,))[0]))
-            dressed = sparse(linear_combination(nd, pure))
+                    pure.append((c1 * c2, kron((er[k21],), (f,))[0]))
+            dressed = linear_combination(nd, pure)
             for h, l in product(range(n), repeat=2):
-                blocks[h * n + j, m * n + l] = apply_kron(shifted[h], times[l], dressed)
+                blocks[h * n + j, m * n + l] = dense(apply_kron(shifted[h], times[l], dressed))
     mul = tuple(tuple(blocks[r, c] for c in range(nd)) for r in range(nd))
     coalg = _tensor_coalgebra(H, hst)
 
     # S(h (x) f) = (1 (x) S*(alpha*(f))) (S^-1(alpha^-1(h)) (x) counit), factor by factor
-    s_f = rows(mat_compose(mat_compose(transpose(H.alpha), hst.antipode), kron((H.unit,), e)))
-    s_h = rows(
-        mat_compose(mat_compose(alpha_power(H.alpha, -1), mat_inverse(S)), kron(e, (H.counit,)))
-    )
+    s_f = kron((sparse(H.unit),), rows(mat_compose(transpose(H.alpha), hst.antipode)))
+    s_h = kron(rows(mat_compose(alpha_power(H.alpha, -1), mat_inverse(S))), (sparse(H.counit),))
     mc = cells(mul)
-    antipode = tuple(bilinear_apply(mc, s_f[j], s_h[h]) for h in range(n) for j in range(n))
-    return hopf_algebra(
-        nd, mul, kron((H.unit,), (hst.unit,))[0], coalg.comul, coalg.counit, coalg.alpha, antipode
-    )
+    antipode = tuple(dense(bilinear_apply(mc, s_f[j], s_h[h])) for h in range(n) for j in range(n))
+    unit = _dense_kron((H.unit,), (hst.unit,))[0]
+    return hopf_algebra(nd, mul, unit, coalg.comul, coalg.counit, coalg.alpha, antipode)
 
 
 def canonical_r_matrix(H: HomHopfAlgebra, double: HomHopfAlgebra | None = None) -> RMatrix:
@@ -657,8 +677,8 @@ def canonical_r_matrix(H: HomHopfAlgebra, double: HomHopfAlgebra | None = None) 
     ``R = sum_i (1 (x) (alpha^-1)*(e^i)) (x) (S^-1(e_i) (x) counit)``."""
     if double is None:
         double = drinfeld_double(H)
-    first = kron((H.unit,), transpose(alpha_power(H.alpha, -1)))
-    second = kron(mat_inverse(H.antipode), (H.counit,))
+    first = _dense_kron((H.unit,), transpose(alpha_power(H.alpha, -1)))
+    second = _dense_kron(mat_inverse(H.antipode), (H.counit,))
     return RMatrix(double.bialgebra, mat_compose(transpose(first), second))
 
 
@@ -713,7 +733,9 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
         legs, kept = rows(comul_matrix(a_comul)), rows(a_then)
         # through[b] maps the paired leg of a to the kept leg of b
         through = [rows(mat_compose(mat_compose(weight, plane), b_then)) for plane in b_comul]
-        return tuple(apply_kron(kept, through[b], legs[a]) for a in range(na) for b in range(nb))
+        return tuple(
+            dense(apply_kron(kept, through[b], legs[a])) for a in range(na) for b in range(nb)
+        )
 
     def weight(antipode: Matrix | None) -> Matrix:
         # <(antipode) alpha_A(a), b>
@@ -737,11 +759,11 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
     )
     # first[a] maps a'_21 to a alpha_A^-2(a'_21), second[b'] maps b_12 to alpha_B^-2(b_12) b'
     amul, bmul = cells(A.mul), cells(B.mul)
-    first = [rows(tuple(bilinear_apply(amul, a, x) for x in aa_i2)) for a in rows(e_a)]
-    second = [rows(tuple(bilinear_apply(bmul, x, bp) for x in bb_i2)) for bp in rows(e_b)]
+    first = [tuple(bilinear_apply(amul, a, x) for x in aa_i2) for a in basis(na)]
+    second = [tuple(bilinear_apply(bmul, x, bp) for x in bb_i2) for bp in basis(nb)]
     mul = tuple(
         tuple(
-            apply_kron(first[a], second[bp], middles[ap * nb + b])
+            dense(apply_kron(first[a], second[bp], middles[ap * nb + b]))
             for ap in range(na)
             for bp in range(nb)
         )
@@ -750,11 +772,9 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
     )
     # a_1 (x) b_2 (x) a_2 (x) b_1: the tensor coproduct with B's co-opposite
     coalg = _tensor_coalgebra(A, co_opposite(B))
-    antipode = mat_compose(mat_compose(kron(A.antipode, sb_inv), _flip(na, nb)), twisting)
-
-    hopf = hopf_algebra(
-        nd, mul, kron((A.unit,), (B.unit,))[0], coalg.comul, coalg.counit, coalg.alpha, antipode
-    )
+    antipode = mat_compose(mat_compose(_dense_kron(A.antipode, sb_inv), _flip(na, nb)), twisting)
+    unit = _dense_kron((A.unit,), (B.unit,))[0]
+    hopf = hopf_algebra(nd, mul, unit, coalg.comul, coalg.counit, coalg.alpha, antipode)
     return PairedDouble(hopf, twisting, inverses_match)
 
 
@@ -825,7 +845,7 @@ def cocycle_twist(B, sigma: TwoCocycle, check: bool = True) -> HomAlgebra:
         if not report.ok:
             raise PreconditionFailed("not a normal cocycle", report)
     ainv1 = rows(alpha_power(bi.alpha, -1))
-    mul = tuple(tuple(apply_map(ainv1, w) for w in row) for row in cells(cocycle_products(sigma)))
+    mul = tuple(tuple(dense(apply_map(ainv1, w)) for w in row) for row in cocycle_products(sigma))
     return HomAlgebra(bi.dim, mul, bi.unit, bi.alpha)
 
 

@@ -1,4 +1,5 @@
-"""Exact rational linear and multilinear algebra on immutable nested tuples.
+"""Exact rational linear and multilinear algebra on dense nested tuples and
+sparse coefficient dicts.
 
 Every value is built from exact rational scalars, ``int | Fraction``:
 integral scalars are Python ``int`` and only proper fractions are
@@ -9,21 +10,25 @@ fixed package-wide:
 
 * matrices are row-image maps: ``m[i][j]`` is the ``e_j``-coefficient of the
   image of basis vector ``e_i``; maps therefore compose left to right, and
-  ``apply_map(m, v)[j] == sum_i v[i] * m[i][j]``;
+  ``dense(apply_map(rows(m), sparse(v)))[j] == sum_i v[i] * m[i][j]``;
 * a multiplication tensor stores ``e_i . e_j = sum_k t[i][j][k] e_k`` and a
   comultiplication tensor stores ``delta(e_i) = sum t[i][j][k] e_j (x) e_k``;
 * tensor-product indices flatten row-major: the pair ``(i, j)`` with a
   second factor of dimension ``m`` becomes ``i * m + j``.
 
 The four kernels ``apply_map``, ``apply_kron``, ``bilinear_apply`` and
-``tensor_power_product`` take sparse operands and return dense vectors.  A
-sparse vector (``sparse``) is the tuple of the nonzero ``(index, scalar)``
-pairs of a vector, with the vector's length as ``dim``; a sparse matrix
-(``rows``) is the tuple of its sparse rows, and a sparse rank-3 tensor
-(``cells``) the tuple of the sparse matrices of its first-index planes.
-Callers build these tables once per map, before any sweep over basis
-cases, so no kernel call scans a zero of a structure tensor; the kernels
-check only that the lengths of their operands fit together.
+``tensor_power_product``, and ``linear_combination`` and ``kron`` with them,
+take sparse operands and return sparse results.  A sparse vector
+(``Sparse``) is the dict ``{index: scalar}`` of the nonzero coefficients of
+a vector, with the vector's length as ``dim``; a sparse matrix (``rows``) is
+the tuple of its sparse rows, and a sparse rank-3 tensor (``cells``) the
+tuple of the sparse matrices of its first-index planes.  No result keeps a
+coefficient that cancelled to zero, so two sparse vectors of the same
+length are equal exactly when their dense vectors (``dense``) are.  Callers
+build their operand tables once per map, before any sweep over basis cases,
+feed kernel results straight into further kernels, and make a result dense
+only where it fills a dense structure tensor or a failure witness.  The
+kernels check only that the lengths of their operands fit together.
 
 Sweedler sums and tensor legs are enumerated here and nowhere else:
 ``terms`` lists the nonzero Sweedler terms of a comultiplication or coaction
@@ -31,8 +36,8 @@ tensor, ``apply_kron`` applies one map to each leg of a vector on a pair
 space, and ``tensor_power_product`` multiplies two vectors of a tensor power
 leg by leg.
 
-All functions are pure and all results are hashable, so they are safe to
-share between threads and to memoize.
+All functions are pure.  Dense values are nested tuples and hashable;
+sparse vectors are dicts, so they are not.
 """
 
 from __future__ import annotations
@@ -86,26 +91,12 @@ def format_scalar(value: Scalar) -> str:
 # vectors
 
 
-def zeros(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def basis_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def vector_from_entries(n: int, entries: dict[int, Scalar]) -> Vector:
     return tuple(entries.get(i, ZERO) for i in range(n))
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, v: Vector) -> Vector:
-    if c == ONE:
-        return v
-    return tuple(c * a for a in v)
 
 
 def nonzeros(v: Iterable[Scalar]) -> Iterator[tuple[int, Scalar]]:
@@ -115,47 +106,59 @@ def nonzeros(v: Iterable[Scalar]) -> Iterator[tuple[int, Scalar]]:
             yield i, a
 
 
-def linear_combination(n: int, scaled: Iterable[tuple[Scalar, Vector]]) -> Vector:
-    """The length-``n`` vector ``sum c * v`` over the ``(c, v)`` pairs of ``scaled``."""
-    acc = [ZERO] * n
-    for c, v in scaled:
-        if c:
-            for i, a in enumerate(v):
-                if a:
-                    acc[i] += c * a
-    return tuple(acc)
-
-
 # ---------------------------------------------------------------------------
-# sparse operands
+# sparse vectors
 
 
-class Sparse(tuple):
-    """The nonzero ``(index, scalar)`` pairs of a vector of length ``dim``, by index.
+class Sparse(dict):
+    """The nonzero coefficients ``{index: scalar}`` of a vector of length ``dim``."""
 
-    Each length has its own subclass (``_sparse_type``) that holds ``dim`` as a
-    class attribute, so a sparse vector takes no more memory than the plain
-    tuple of its pairs.
-    """
-
-    __slots__ = ()
-    dim: int
+    __slots__ = ("dim",)
 
 
 SparseMatrix = tuple[Sparse, ...]
 SparseTensor3 = tuple[SparseMatrix, ...]
 
 
-@lru_cache(maxsize=None)
-def _sparse_type(dim: int) -> type[Sparse]:
-    """The subclass of ``Sparse`` for vectors of length ``dim``; there is one per
-    vector length in use, never one per vector."""
-    return type(Sparse.__name__, (Sparse,), {"__slots__": (), "dim": dim})
+def _empty(dim: int) -> Sparse:
+    """The zero vector of length ``dim``, to accumulate a result in."""
+    out = Sparse()
+    out.dim = dim
+    return out
+
+
+def _zero_free(out: Sparse) -> Sparse:
+    """``out`` without the coefficients that cancelled to zero."""
+    if not all(out.values()):
+        for i in [i for i, c in out.items() if not c]:
+            del out[i]
+    return out
 
 
 def sparse(v: Vector) -> Sparse:
     """The nonzero entries of the vector ``v``."""
-    return _sparse_type(len(v))(nonzeros(v))
+    out = Sparse(nonzeros(v))
+    out.dim = len(v)
+    return out
+
+
+def dense(v: Sparse) -> Vector:
+    """The dense vector of the sparse vector ``v``: the one place where a
+    sparse value is spread over a dense list."""
+    out = [ZERO] * v.dim
+    for i, c in v.items():
+        out[i] = c
+    return tuple(out)
+
+
+def basis(n: int) -> SparseMatrix:
+    """The standard basis of an ``n``-dimensional space: the rows of the identity map."""
+    out = []
+    for i in range(n):
+        e = _empty(n)
+        e[i] = ONE
+        out.append(e)
+    return tuple(out)
 
 
 def rows(m: Matrix) -> SparseMatrix:
@@ -163,9 +166,24 @@ def rows(m: Matrix) -> SparseMatrix:
     return tuple(sparse(row) for row in m)
 
 
+def dense_rows(m: SparseMatrix) -> Matrix:
+    """The dense matrix of the sparse matrix ``m``."""
+    return tuple(dense(row) for row in m)
+
+
 def cells(t: Tensor3) -> SparseTensor3:
     """The nonzero entries of each cell ``t[i][j]`` of the rank-3 tensor ``t``."""
     return tuple(rows(plane) for plane in t)
+
+
+def linear_combination(n: int, scaled: Iterable[tuple[Scalar, Sparse]]) -> Sparse:
+    """The length-``n`` vector ``sum c * v`` over the ``(c, v)`` pairs of ``scaled``."""
+    out = _empty(n)
+    for c, v in scaled:
+        if c:
+            for i, a in v.items():
+                out[i] = out.get(i, ZERO) + c * a
+    return _zero_free(out)
 
 
 def _mismatch(what: str, *lengths: int) -> DimensionMismatch:
@@ -196,15 +214,15 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
 
-def apply_map(m: SparseMatrix, v: Sparse) -> Vector:
-    """Image of the vector ``v`` under the row-image map ``m`` (both sparse)."""
+def apply_map(m: SparseMatrix, v: Sparse) -> Sparse:
+    """Image of the vector ``v`` under the row-image map ``m``."""
     if v.dim != len(m):
         raise _mismatch(f"{len(m)}-row map", v.dim)
-    acc = [ZERO] * m[0].dim
-    for i, c in v:
-        for j, a in m[i]:
-            acc[j] += c * a
-    return tuple(acc)
+    out = _empty(m[0].dim)
+    for i, c in v.items():
+        for j, a in m[i].items():
+            out[j] = out.get(j, ZERO) + c * a
+    return _zero_free(out)
 
 
 def mat_compose(f: Matrix, g: Matrix) -> Matrix:
@@ -214,7 +232,7 @@ def mat_compose(f: Matrix, g: Matrix) -> Matrix:
             f"cannot compose {mat_shape(f)} with {mat_shape(g)}: inner dimensions differ"
         )
     gr = rows(g)
-    return tuple(apply_map(gr, row) for row in rows(f))
+    return tuple(dense(apply_map(gr, row)) for row in rows(f))
 
 
 def mat_inverse(m: Matrix) -> Matrix:
@@ -279,17 +297,23 @@ def alpha_power(alpha: Matrix, k: int) -> Matrix:
     return mat_compose(alpha_power(alpha, k - 1), alpha)
 
 
-def kron(f: Matrix, g: Matrix) -> Matrix:
+def kron(f: SparseMatrix, g: SparseMatrix) -> SparseMatrix:
     """Kronecker product under row-major pair indexing ``p = i * dim(g) + j``."""
+    q = g[0].dim
     out = []
     for frow in f:
         for grow in g:
-            out.append(tuple(ZERO if a is ZERO or b is ZERO else a * b for a in frow for b in grow))
+            row = _empty(frow.dim * q)
+            for a, ca in frow.items():
+                base = a * q
+                for b, cb in grow.items():
+                    row[base + b] = ca * cb
+            out.append(row)
     return tuple(out)
 
 
-def apply_kron(f: SparseMatrix, g: SparseMatrix, v: Sparse) -> Vector:
-    """``apply_map(rows(kron(f, g)), v)`` without building ``kron(f, g)``.
+def apply_kron(f: SparseMatrix, g: SparseMatrix, v: Sparse) -> Sparse:
+    """``apply_map(kron(f, g), v)`` without building ``kron(f, g)``.
 
     ``v`` lives on the flattened pair space of the two sources, so this
     applies ``f`` to the first tensor leg and ``g`` to the second.
@@ -298,16 +322,16 @@ def apply_kron(f: SparseMatrix, g: SparseMatrix, v: Sparse) -> Vector:
     if v.dim != len(f) * m:
         raise _mismatch(f"{len(f)}-row (x) {m}-row map", v.dim)
     q = g[0].dim
-    acc = [ZERO] * (f[0].dim * q)
-    for p, c in v:
+    out = _empty(f[0].dim * q)
+    for p, c in v.items():
         i, j = divmod(p, m)
-        grow = g[j]
-        for a, ca in f[i]:
+        grow = g[j].items()
+        for a, ca in f[i].items():
             base = a * q
             cca = c * ca
             for b, cb in grow:
-                acc[base + b] += cca * cb
-    return tuple(acc)
+                out[base + b] = out.get(base + b, ZERO) + cca * cb
+    return _zero_free(out)
 
 
 # ---------------------------------------------------------------------------
@@ -328,21 +352,22 @@ def tensor3_shape(t: Tensor3) -> tuple[int, int, int]:
     return len(t), len(t[0]) if t else 0, len(t[0][0]) if t and t[0] else 0
 
 
-def bilinear_apply(t: SparseTensor3, x: Sparse, y: Sparse) -> Vector:
+def bilinear_apply(t: SparseTensor3, x: Sparse, y: Sparse) -> Sparse:
     """Evaluate the bilinear map ``t`` on a pair of vectors: sum x_i y_j t[i][j][.]."""
     if x.dim != len(t) or y.dim != len(t[0]):
         raise _mismatch(f"bilinear map on {len(t)} x {len(t[0])}", x.dim, y.dim)
-    acc = [ZERO] * t[0][0].dim
-    for i, xi in x:
+    out = _empty(t[0][0].dim)
+    ys = y.items()
+    for i, xi in x.items():
         ti = t[i]
-        for j, yj in y:
+        for j, yj in ys:
             c = xi * yj
-            for k, a in ti[j]:
-                acc[k] += c * a
-    return tuple(acc)
+            for k, a in ti[j].items():
+                out[k] = out.get(k, ZERO) + c * a
+    return _zero_free(out)
 
 
-def tensor_power_product(mul: SparseTensor3, legs: int, u: Sparse, v: Sparse) -> Vector:
+def tensor_power_product(mul: SparseTensor3, legs: int, u: Sparse, v: Sparse) -> Sparse:
     """The componentwise product ``(x_1 (x) x_2 ...)(y_1 (x) y_2 ...) = x_1 y_1 (x) x_2 y_2 ...``
     on the ``legs``-fold tensor power of the algebra with multiplication ``mul``.
     """
@@ -350,10 +375,9 @@ def tensor_power_product(mul: SparseTensor3, legs: int, u: Sparse, v: Sparse) ->
     size = n**legs
     if u.dim != size or v.dim != size:
         raise _mismatch(f"{legs}-leg tensor power of dimension {n}", u.dim, v.dim)
-    acc = [ZERO] * size
-    for k, c in _power_product(mul, size // n, u, v).items():
-        acc[k] = c
-    return tuple(acc)
+    out = Sparse(_power_product(mul, size // n, u.items(), v.items()))
+    out.dim = size
+    return _zero_free(out)
 
 
 Pairs = Iterable[tuple[int, Scalar]]
@@ -373,7 +397,7 @@ def _power_product(mul: SparseTensor3, weight: int, u: Pairs, v: Pairs) -> dict[
             row = mul[a]
             for b, cv in v:
                 c = cu * cv
-                for k, ck in row[b]:
+                for k, ck in row[b].items():
                     out[k] = out.get(k, ZERO) + c * ck
         return out
     v_legs = _by_first_leg(v, weight).items()
@@ -383,7 +407,7 @@ def _power_product(mul: SparseTensor3, weight: int, u: Pairs, v: Pairs) -> dict[
             if not row[b]:
                 continue
             rest = _power_product(mul, weight // len(mul), u_rest, v_rest)
-            for k, ck in row[b]:
+            for k, ck in row[b].items():
                 base = k * weight
                 for r, cr in rest.items():
                     out[base + r] = out.get(base + r, ZERO) + ck * cr

@@ -19,7 +19,9 @@ from itertools import product
 from .errors import DimensionMismatch, SingularMatrixError
 from .exactlin import (
     ONE,
+    ZERO,
     Matrix,
+    Sparse,
     SparseMatrix,
     SparseTensor3,
     Tensor3,
@@ -27,10 +29,11 @@ from .exactlin import (
     alpha_power,
     apply_kron,
     apply_map,
+    basis,
     bilinear_apply,
     cells,
     comul_matrix,
-    identity,
+    dense,
     is_invertible,
     kron,
     linear_combination,
@@ -44,7 +47,6 @@ from .exactlin import (
     tensor_power_product,
     terms,
     transpose,
-    vec_scale,
 )
 
 # ---------------------------------------------------------------------------
@@ -375,18 +377,46 @@ def merge_reports(*reports: CheckReport) -> CheckReport:
 
 
 def _sweep(axiom_id: str, indices, lhs_fn, rhs_fn) -> CheckEntry:
-    """Compare two basis-indexed expressions, recording the first failure."""
+    """Compare two basis-indexed sparse expressions, recording the first
+    failure with both sides made dense."""
     for idx in indices:
         lhs = lhs_fn(*idx)
         rhs = rhs_fn(*idx)
+        if lhs.dim != rhs.dim:
+            raise DimensionMismatch(
+                f"{axiom_id} at {idx}: sides of lengths {lhs.dim} and {rhs.dim}"
+            )
         if lhs != rhs:
-            return CheckEntry(axiom_id, False, Witness(idx, tuple(lhs), tuple(rhs)))
+            return CheckEntry(axiom_id, False, Witness(idx, dense(lhs), dense(rhs)))
     return CheckEntry(axiom_id, True)
+
+
+def _associative_cases(first: SparseTensor3, second: SparseTensor3):
+    """The basis triples ``(a, b, c)`` of a Hom-associativity sweep whose
+    right side reads the cell ``first[a][b]`` and whose left side reads
+    ``second[b][c]``, in lexicographic order, without those where both cells
+    are empty: there both sides are zero, so the law holds."""
+    filled = [[c for c, cell in enumerate(plane) if cell] for plane in second]
+    every = range(len(second[0]))
+    for a, plane in enumerate(first):
+        for b, cell in enumerate(plane):
+            for c in every if cell else filled[b]:
+                yield a, b, c
+
+
+def _entries(v: Sparse) -> dict[int, Sparse]:
+    """The nonzero entries of ``v``, each as a one-entry vector."""
+    return {i: sparse((c,)) for i, c in v.items()}
 
 
 def _as_map(covector: Vector) -> SparseMatrix:
     """A covector as a row-image map to the one-dimensional space."""
     return rows(transpose((covector,)))
+
+
+def _from_scalars(v: Vector) -> SparseMatrix:
+    """A vector as the row-image map ``c -> c v`` from the one-dimensional space."""
+    return (sparse(v),)
 
 
 def _op_comul(comul: Tensor3) -> Tensor3:
@@ -408,7 +438,7 @@ def _partial_forms(gram: Matrix, alpha_left: Matrix, alpha_right: Matrix):
     return first, second
 
 
-def cocycle_products(sigma: TwoCocycle) -> Tensor3:
+def cocycle_products(sigma: TwoCocycle) -> SparseTensor3:
     """``sigma(h_1, k_1) h_2 k_2`` for a left cocycle and ``sigma(h_2, k_2) h_1 k_1``
     for a right one, at every basis pair ``(h, k)``.
 
@@ -417,6 +447,7 @@ def cocycle_products(sigma: TwoCocycle) -> Tensor3:
     """
     B, gram = sigma.algebra, sigma.gram
     n = B.dim
+    mc = cells(B.mul)
     # a right cocycle pairs the second Sweedler legs: swap the legs
     sw = terms(B.comul if sigma.side == "left" else _op_comul(B.comul))
     return tuple(
@@ -424,7 +455,7 @@ def cocycle_products(sigma: TwoCocycle) -> Tensor3:
             linear_combination(
                 n,
                 (
-                    (vh * vk * gram[h1][k1], B.mul[h2][k2])
+                    (vh * vk * gram[h1][k1], mc[h2][k2])
                     for h1, h2, vh in sw[h]
                     for k1, k2, vk in sw[k]
                 ),
@@ -443,9 +474,9 @@ def check_hom_algebra(obj) -> CheckReport:
     """Unital Hom-associativity: alpha multiplicativity, twisted units and
     the Hom-associative law alpha(a)(bc) = (ab)alpha(c)."""
     A = algebra_of(obj)
-    n, alpha = A.dim, A.alpha
+    n = A.dim
     rng = range(n)
-    mc, ar, e, unit = cells(A.mul), rows(alpha), rows(identity(n)), sparse(A.unit)
+    mc, ar, e, unit = cells(A.mul), rows(A.alpha), basis(n), sparse(A.unit)
 
     checks = [
         _sweep(
@@ -458,23 +489,23 @@ def check_hom_algebra(obj) -> CheckReport:
             "algebra.alpha-fixes-unit",
             [()],
             lambda: apply_map(ar, unit),
-            lambda: A.unit,
+            lambda: unit,
         ),
         _sweep(
             "algebra.left-unit",
             product(rng),
             lambda i: bilinear_apply(mc, unit, e[i]),
-            lambda i: alpha[i],
+            lambda i: ar[i],
         ),
         _sweep(
             "algebra.right-unit",
             product(rng),
             lambda i: bilinear_apply(mc, e[i], unit),
-            lambda i: alpha[i],
+            lambda i: ar[i],
         ),
         _sweep(
             "algebra.hom-associative",
-            product(rng, rng, rng),
+            _associative_cases(mc, mc),
             lambda i, j, k: bilinear_apply(mc, ar[i], mc[j][k]),
             lambda i, j, k: bilinear_apply(mc, mc[i][j], ar[k]),
         ),
@@ -485,9 +516,9 @@ def check_hom_algebra(obj) -> CheckReport:
 def check_hom_coalgebra(obj) -> CheckReport:
     """Counital Hom-coassociativity of a coalgebra."""
     C = coalgebra_of(obj)
-    n, counit, alpha = C.dim, C.counit, C.alpha
+    n = C.dim
     rng = range(n)
-    ar, e, eps = rows(alpha), rows(identity(n)), _as_map(counit)
+    ar, e, eps = rows(C.alpha), basis(n), _as_map(C.counit)
     delta = rows(comul_matrix(C.comul))
 
     checks = [
@@ -495,7 +526,7 @@ def check_hom_coalgebra(obj) -> CheckReport:
             "coalgebra.counit-alpha",
             product(rng),
             lambda i: apply_map(eps, ar[i]),
-            lambda i: (counit[i],),
+            lambda i: eps[i],
         ),
         _sweep(
             "coalgebra.alpha-comultiplicative",
@@ -507,13 +538,13 @@ def check_hom_coalgebra(obj) -> CheckReport:
             "coalgebra.left-counit",
             product(rng),
             lambda i: apply_kron(eps, e, delta[i]),
-            lambda i: alpha[i],
+            lambda i: ar[i],
         ),
         _sweep(
             "coalgebra.right-counit",
             product(rng),
             lambda i: apply_kron(e, eps, delta[i]),
-            lambda i: alpha[i],
+            lambda i: ar[i],
         ),
         _sweep(
             "coalgebra.hom-coassociative",
@@ -528,9 +559,9 @@ def check_hom_coalgebra(obj) -> CheckReport:
 def check_hom_bialgebra(obj) -> CheckReport:
     """Comultiplication and counit are morphisms of Hom-algebras."""
     B = bialgebra_of(obj)
-    n, unit, counit = B.dim, B.unit, B.counit
+    n, counit = B.dim, B.counit
     rng = range(n)
-    mc, su = cells(B.mul), sparse(unit)
+    mc, unit = cells(B.mul), sparse(B.unit)
     delta = rows(comul_matrix(B.comul))
     eps = _as_map(counit)
 
@@ -544,20 +575,20 @@ def check_hom_bialgebra(obj) -> CheckReport:
         _sweep(
             "bialgebra.comul-unit",
             [()],
-            lambda: apply_map(delta, su),
+            lambda: apply_map(delta, unit),
             lambda: kron((unit,), (unit,))[0],
         ),
         _sweep(
             "bialgebra.counit-multiplicative",
             product(rng, rng),
             lambda i, j: apply_map(eps, mc[i][j]),
-            lambda i, j: (counit[i] * counit[j],),
+            lambda i, j: sparse((counit[i] * counit[j],)),
         ),
         _sweep(
             "bialgebra.counit-unit",
             [()],
-            lambda: apply_map(eps, su),
-            lambda: (ONE,),
+            lambda: apply_map(eps, unit),
+            lambda: sparse((ONE,)),
         ),
     ]
     return CheckReport(tuple(checks))
@@ -565,13 +596,13 @@ def check_hom_bialgebra(obj) -> CheckReport:
 
 def check_antipode(H: HomHopfAlgebra) -> CheckReport:
     """Antipode identities plus the derived anti-(co)morphism properties."""
-    n, unit, counit = H.dim, H.unit, H.counit
+    n = H.dim
     rng = range(n)
-    mc, ar, S, e = cells(H.mul), rows(H.alpha), rows(H.antipode), rows(identity(n))
+    mc, ar, S, e = cells(H.mul), rows(H.alpha), rows(H.antipode), basis(n)
     m = rows(mul_matrix(H.mul))
     delta = rows(comul_matrix(H.comul))
     delta_op = rows(comul_matrix(_op_comul(H.comul)))
-    eps = _as_map(counit)
+    eps, eta = _as_map(H.counit), _from_scalars(H.unit)
 
     checks = [
         _sweep(
@@ -583,14 +614,14 @@ def check_antipode(H: HomHopfAlgebra) -> CheckReport:
         _sweep(
             "antipode.left",
             product(rng),
-            lambda i: apply_map(m, sparse(apply_kron(S, e, delta[i]))),  # S(h_1) h_2
-            lambda i: vec_scale(counit[i], unit),
+            lambda i: apply_map(m, apply_kron(S, e, delta[i])),  # S(h_1) h_2
+            lambda i: apply_map(eta, eps[i]),
         ),
         _sweep(
             "antipode.right",
             product(rng),
-            lambda i: apply_map(m, sparse(apply_kron(e, S, delta[i]))),  # h_1 S(h_2)
-            lambda i: vec_scale(counit[i], unit),
+            lambda i: apply_map(m, apply_kron(e, S, delta[i])),  # h_1 S(h_2)
+            lambda i: apply_map(eta, eps[i]),
         ),
         _sweep(
             "antipode.anti-comultiplicative",
@@ -608,7 +639,7 @@ def check_antipode(H: HomHopfAlgebra) -> CheckReport:
             "antipode.preserves-counit",
             product(rng),
             lambda i: apply_map(eps, S[i]),
-            lambda i: (counit[i],),
+            lambda i: eps[i],
         ),
     ]
     return CheckReport(tuple(checks))
@@ -627,10 +658,9 @@ def run_hopf_suite(H: HomHopfAlgebra) -> CheckReport:
 def check_module(m: ModuleAction) -> CheckReport:
     """Left module axioms for an action of a Hom-algebra."""
     actor = algebra_of(m.actor)
-    alpha_m = m.carrier.alpha
     na, nm = actor.dim, m.carrier.dim
     ra, rm = range(na), range(nm)
-    act, am, e = cells(m.act), rows(alpha_m), rows(identity(nm))
+    act, am, e = cells(m.act), rows(m.carrier.alpha), basis(nm)
     aa, amul, unit = rows(actor.alpha), cells(actor.mul), sparse(actor.unit)
 
     checks = [
@@ -638,7 +668,7 @@ def check_module(m: ModuleAction) -> CheckReport:
             "module.unit-acts-as-alpha",
             product(rm),
             lambda i: bilinear_apply(act, unit, e[i]),
-            lambda i: alpha_m[i],
+            lambda i: am[i],
         ),
         _sweep(
             "module.alpha-equivariant",
@@ -648,7 +678,7 @@ def check_module(m: ModuleAction) -> CheckReport:
         ),
         _sweep(
             "module.hom-associative",
-            product(ra, ra, rm),
+            _associative_cases(amul, act),
             lambda a, b, i: bilinear_apply(act, aa[a], act[b][i]),
             lambda a, b, i: bilinear_apply(act, amul[a][b], am[i]),
         ),
@@ -663,7 +693,8 @@ def check_module_algebra(m: ModuleAction) -> CheckReport:
     na, nc = actor.dim, carrier.dim
     act, cmc = cells(m.act), cells(carrier.mul)
     alpha2 = rows(alpha_power(actor.alpha, 2))
-    e, unit = rows(identity(na)), sparse(carrier.unit)
+    e, unit = basis(na), sparse(carrier.unit)
+    eps, eta = _as_map(actor.counit), _from_scalars(carrier.unit)
     cmul = rows(mul_matrix(carrier.mul))
     delta = rows(comul_matrix(actor.comul))
     # acting_on[a] is the map h -> h . e_a
@@ -676,9 +707,7 @@ def check_module_algebra(m: ModuleAction) -> CheckReport:
             product(range(na), range(nc), range(nc)),
             lambda h, a, b: bilinear_apply(act, alpha2[h], cmc[a][b]),
             # (h_1 . a)(h_2 . b)
-            lambda h, a, b: apply_map(
-                cmul, sparse(apply_kron(acting_on[a], acting_on[b], delta[h]))
-            ),
+            lambda h, a, b: apply_map(cmul, apply_kron(acting_on[a], acting_on[b], delta[h])),
         )
     )
     checks.append(
@@ -686,7 +715,7 @@ def check_module_algebra(m: ModuleAction) -> CheckReport:
             "module-algebra.unit",
             product(range(na)),
             lambda h: bilinear_apply(act, e[h], unit),
-            lambda h: vec_scale(actor.counit[h], carrier.unit),
+            lambda h: apply_map(eta, eps[h]),
         )
     )
     return CheckReport(tuple(checks))
@@ -695,9 +724,8 @@ def check_module_algebra(m: ModuleAction) -> CheckReport:
 def check_comodule(c: ComoduleCoaction) -> CheckReport:
     """Right comodule axioms for a coaction ``rho: M -> M (x) C``."""
     coactor = coalgebra_of(c.coactor)
-    alpha_m = c.carrier.alpha
     rm = range(c.carrier.dim)
-    am, ac, e = rows(alpha_m), rows(coactor.alpha), rows(identity(c.carrier.dim))
+    am, ac, e = rows(c.carrier.alpha), rows(coactor.alpha), basis(c.carrier.dim)
     eps = _as_map(coactor.counit)
     rho = rows(comul_matrix(c.coact))
     delta = rows(comul_matrix(coactor.comul))
@@ -707,7 +735,7 @@ def check_comodule(c: ComoduleCoaction) -> CheckReport:
             "comodule.counit-reduces-to-alpha",
             product(rm),
             lambda i: apply_kron(e, eps, rho[i]),
-            lambda i: alpha_m[i],
+            lambda i: am[i],
         ),
         _sweep(
             "comodule.alpha-equivariant",
@@ -735,10 +763,9 @@ def check_comodule_coalgebra(c: ComoduleCoaction) -> CheckReport:
     rho_terms = terms(c.coact)
     comul_terms = terms(carrier.comul)
     delta = rows(comul_matrix(carrier.comul))
-    eps = _as_map(carrier.counit)
-    e = rows(identity(nh))
-    em = identity(nm)
-    embed = tuple(rows(kron((row,), em)) for row in em)  # embed[d] is m -> e_d (x) m
+    eps, eta = _as_map(carrier.counit), _from_scalars(coactor.unit)
+    e, em = basis(nh), basis(nm)
+    embed = tuple(kron((row,), em) for row in em)  # embed[d] is m -> e_d (x) m
     hmul = cells(coactor.mul)
 
     checks = list(check_comodule(c).checks)
@@ -747,7 +774,7 @@ def check_comodule_coalgebra(c: ComoduleCoaction) -> CheckReport:
             "comodule-coalgebra.counit",
             product(range(nm)),
             lambda i: apply_kron(eps, e, rho[i]),
-            lambda i: vec_scale(carrier.counit[i], coactor.unit),
+            lambda i: apply_map(eta, eps[i]),
         )
     )
     checks.append(
@@ -798,104 +825,114 @@ def check_module_coalgebra(m: ModuleAction) -> CheckReport:
             "module-coalgebra.counit",
             product(range(nh), range(nc)),
             lambda h, c: apply_map(eps, act[h][c]),
-            lambda h, c: (actor.counit[h] * carrier.counit[c],),
+            lambda h, c: sparse((actor.counit[h] * carrier.counit[c],)),
         )
     )
     return CheckReport(tuple(checks))
 
 
 def check_cotwisting(C, D, phi: Matrix) -> CheckReport:
-    """The four coherence conditions of a cotwisting map ``C (x) D -> D (x) C``."""
+    """The four coherence conditions of a cotwisting map ``C (x) D -> D (x) C``.
+
+    At each basis pair ``(c, d)`` the left side is a row-image map applied to
+    ``phi(c (x) d)`` and the right side a chain of them applied to
+    ``c (x) d``, leg by leg.
+    """
     C = coalgebra_of(C)
     D = coalgebra_of(D)
     nc, nd = C.dim, D.dim
     _require(mat_shape(phi) == (nc * nd, nd * nc), "cotwisting map shape")
 
-    cmat = comul_matrix(C.comul)
-    dmat = comul_matrix(D.comul)
-    i_c, i_d = identity(nc), identity(nd)
-    ic, id_ = rows(i_c), rows(i_d)
+    cm, dm = rows(comul_matrix(C.comul)), rows(comul_matrix(D.comul))
+    ac, ad = rows(C.alpha), rows(D.alpha)
+    ic, id_, e = basis(nc), basis(nd), basis(nc * nd)
     eps_c, eps_d = _as_map(C.counit), _as_map(D.counit)
-    phi_rows = rows(phi)
+    ph = rows(phi)
 
-    lhs1 = mat_compose(phi, kron(dmat, C.alpha))
-    rhs1 = mat_compose(mat_compose(kron(C.alpha, dmat), kron(phi, i_d)), kron(i_d, phi))
-    lhs2 = mat_compose(phi, kron(D.alpha, cmat))
-    rhs2 = mat_compose(mat_compose(kron(cmat, D.alpha), kron(i_c, phi)), kron(phi, i_c))
-    lhs3 = mat_compose(phi, kron(D.alpha, C.alpha))
-    rhs3 = mat_compose(kron(C.alpha, D.alpha), phi)
-
-    pairs = list(product(range(nc), range(nd)))
-
-    def row(m, c, d):
-        return m[c * nd + d]
+    def sweep(axiom_id, after_phi, rhs):
+        return _sweep(
+            axiom_id,
+            product(range(nc), range(nd)),
+            lambda c, d: after_phi(ph[c * nd + d]),
+            lambda c, d: rhs(e[c * nd + d]),
+        )
 
     checks = [
-        _sweep(
+        sweep(
             "cotwisting.comul-second-factor",
-            pairs,
-            lambda c, d: row(lhs1, c, d),
-            lambda c, d: row(rhs1, c, d),
+            lambda v: apply_kron(dm, ac, v),
+            # alpha_C (x) delta_D, then phi (x) id_D, then id_D (x) phi
+            lambda v: apply_kron(id_, ph, apply_kron(ph, id_, apply_kron(ac, dm, v))),
         ),
-        _sweep(
+        sweep(
             "cotwisting.comul-first-factor",
-            pairs,
-            lambda c, d: row(lhs2, c, d),
-            lambda c, d: row(rhs2, c, d),
+            lambda v: apply_kron(ad, cm, v),
+            # delta_C (x) alpha_D, then id_C (x) phi, then phi (x) id_C
+            lambda v: apply_kron(ph, ic, apply_kron(ic, ph, apply_kron(cm, ad, v))),
         ),
-        _sweep(
+        sweep(
             "cotwisting.alpha-compatible",
-            pairs,
-            lambda c, d: row(lhs3, c, d),
-            lambda c, d: row(rhs3, c, d),
+            lambda v: apply_kron(ad, ac, v),
+            lambda v: apply_map(ph, apply_kron(ac, ad, v)),
         ),
-        _sweep(
+        # kill the C-leg of the output: eps_C(c^phi) d^phi = eps_C(c) d
+        sweep(
             "cotwisting.counit-first-factor",
-            pairs,
-            # kill the C-leg of the output: eps_C(c^phi) d^phi
-            lambda c, d: apply_kron(id_, eps_c, row(phi_rows, c, d)),
-            lambda c, d: vec_scale(C.counit[c], i_d[d]),
+            lambda v: apply_kron(id_, eps_c, v),
+            lambda v: apply_kron(eps_c, id_, v),
         ),
-        _sweep(
+        sweep(
             "cotwisting.counit-second-factor",
-            pairs,
-            lambda c, d: apply_kron(eps_d, ic, row(phi_rows, c, d)),
-            lambda c, d: vec_scale(D.counit[d], i_c[c]),
+            lambda v: apply_kron(eps_d, ic, v),
+            lambda v: apply_kron(ic, eps_d, v),
         ),
     ]
     return CheckReport(tuple(checks))
 
 
 def check_twisting(A, B, t: Matrix) -> CheckReport:
-    """The three conditions of a twisting map ``B (x) A -> A (x) B``."""
+    """The three conditions of a twisting map ``B (x) A -> A (x) B``.
+
+    Each side is a chain of row-image maps applied to one basis vector of
+    its domain, leg by leg, so no map on a triple tensor product is built.
+    """
     A = algebra_of(A)
     B = algebra_of(B)
     na, nb = A.dim, B.dim
     _require(mat_shape(t) == (nb * na, na * nb), "twisting map shape")
 
-    amat = mul_matrix(A.mul)
-    bmat = mul_matrix(B.mul)
-    i_a, i_b = identity(na), identity(nb)
+    am, bm = rows(mul_matrix(A.mul)), rows(mul_matrix(B.mul))
+    aa, ba = rows(A.alpha), rows(B.alpha)
+    ia, ib = basis(na), basis(nb)
+    tr = rows(t)
 
-    lhs1 = mat_compose(t, kron(A.alpha, B.alpha))
-    rhs1 = mat_compose(kron(B.alpha, A.alpha), t)
-    lhs2 = mat_compose(kron(bmat, A.alpha), t)
-    rhs2 = mat_compose(mat_compose(kron(i_b, t), kron(t, i_b)), kron(A.alpha, bmat))
-    lhs3 = mat_compose(kron(B.alpha, amat), t)
-    rhs3 = mat_compose(mat_compose(kron(t, i_a), kron(i_a, t)), kron(amat, B.alpha))
-
-    def sweep_matrix(axiom_id, lhs, rhs):
-        return _sweep(
-            axiom_id,
-            [(i,) for i in range(len(lhs))],
-            lambda i: lhs[i],
-            lambda i: rhs[i],
-        )
+    def sweep(axiom_id, dim, lhs, rhs):
+        e = basis(dim)
+        return _sweep(axiom_id, product(range(dim)), lambda i: lhs(e[i]), lambda i: rhs(e[i]))
 
     checks = [
-        sweep_matrix("twisting.alpha-compatible", lhs1, rhs1),
-        sweep_matrix("twisting.second-factor-product", lhs2, rhs2),
-        sweep_matrix("twisting.first-factor-product", lhs3, rhs3),
+        sweep(
+            "twisting.alpha-compatible",
+            nb * na,
+            lambda v: apply_kron(aa, ba, apply_map(tr, v)),
+            lambda v: apply_map(tr, apply_kron(ba, aa, v)),
+        ),
+        # on B (x) B (x) A: mu_B (x) alpha_A, then t, against
+        # id_B (x) t, then t (x) id_B, then alpha_A (x) mu_B
+        sweep(
+            "twisting.second-factor-product",
+            nb * nb * na,
+            lambda v: apply_map(tr, apply_kron(bm, aa, v)),
+            lambda v: apply_kron(aa, bm, apply_kron(tr, ib, apply_kron(ib, tr, v))),
+        ),
+        # on B (x) A (x) A: alpha_B (x) mu_A, then t, against
+        # t (x) id_A, then id_A (x) t, then mu_A (x) alpha_B
+        sweep(
+            "twisting.first-factor-product",
+            nb * na * na,
+            lambda v: apply_map(tr, apply_kron(ba, am, v)),
+            lambda v: apply_kron(am, ba, apply_kron(ia, tr, apply_kron(tr, ia, v))),
+        ),
     ]
     return CheckReport(tuple(checks))
 
@@ -914,7 +951,7 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
     delta_h, delta_a = rows(comul_matrix(H.comul)), rows(comul_matrix(A.comul))
     delta_a_op = rows(comul_matrix(_op_comul(A.comul)))
     eps_h = _as_map(H.counit)
-    e_a, a_unit = rows(identity(na)), sparse(A.unit)
+    e_a, a_unit = basis(na), sparse(A.unit)
 
     checks = list(
         _prefixed(
@@ -931,7 +968,7 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
             "matched-pair.right-action.unit",
             product(rh),
             lambda h: apply_map(right[h], a_unit),
-            lambda h: H.alpha[h],
+            lambda h: ah[h],
         )
     )
     checks.append(
@@ -945,7 +982,7 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
     checks.append(
         _sweep(
             "matched-pair.right-action.hom-associative",
-            product(rh, ra, ra),
+            _associative_cases(right, amul),
             lambda h, a, b: bilinear_apply(right, right[h][a], aa[b]),
             lambda h, a, b: bilinear_apply(right, ah[h], amul[a][b]),
         )
@@ -967,12 +1004,12 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
             "matched-pair.right-action.counit",
             product(rh, ra),
             lambda h, a: apply_map(eps_h, right[h][a]),
-            lambda h, a: (H.counit[h] * A.counit[a],),
+            lambda h, a: sparse((H.counit[h] * A.counit[a],)),
         )
     )
 
     # lefts[g][a] is alpha^-2(g) -> alpha^-3(a)
-    lefts = [[sparse(bilinear_apply(left, x, y)) for y in aa_i3] for x in ah_i2]
+    lefts = [[bilinear_apply(left, x, y) for y in aa_i3] for x in ah_i2]
 
     def product_acts_right_rhs(h, g, a):
         return linear_combination(
@@ -982,8 +1019,8 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
                     vg * va,
                     bilinear_apply(
                         hmul,
-                        sparse(apply_map(right[h], lefts[g1][a1])),
-                        sparse(bilinear_apply(right, ah_i1[g2], aa_i2[a2])),
+                        apply_map(right[h], lefts[g1][a1]),
+                        bilinear_apply(right, ah_i1[g2], aa_i2[a2]),
                     ),
                 )
                 for g1, g2, vg in h_terms[g]
@@ -999,12 +1036,8 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
                     vh * va,
                     bilinear_apply(
                         amul,
-                        sparse(bilinear_apply(left, ah_i2[h1], aa_i1[a1])),
-                        sparse(
-                            bilinear_apply(
-                                left, sparse(bilinear_apply(right, ah_i3[h2], aa_i2[a2])), e_a[b]
-                            )
-                        ),
+                        bilinear_apply(left, ah_i2[h1], aa_i1[a1]),
+                        bilinear_apply(left, bilinear_apply(right, ah_i3[h2], aa_i2[a2]), e_a[b]),
                     ),
                 )
                 for h1, h2, vh in h_terms[h]
@@ -1061,7 +1094,8 @@ def check_dual_pair(P: PairingForm) -> CheckReport:
     A, B, gram = P.left, P.right, P.gram
     na, nb = A.dim, B.dim
     ra, rb = range(na), range(nb)
-    e_a, e_b = rows(identity(na)), rows(identity(nb))
+    e_a, e_b = basis(na), basis(nb)
+    eps_a, eps_b = _as_map(A.counit), _as_map(B.counit)
     a_mul, b_mul, a_alpha, b_alpha = cells(A.mul), cells(B.mul), rows(A.alpha), rows(B.alpha)
     a_unit, b_unit, s_a = sparse(A.unit), sparse(B.unit), rows(A.antipode)
     sb_inv = rows(mat_inverse(B.antipode))
@@ -1076,19 +1110,19 @@ def check_dual_pair(P: PairingForm) -> CheckReport:
             "pairing.unit-right",
             product(ra),
             lambda i: bilinear_apply(form, e_a[i], b_unit),
-            lambda i: (A.counit[i],),
+            lambda i: eps_a[i],
         ),
         _sweep(
             "pairing.unit-left",
             product(rb),
             lambda j: bilinear_apply(form, a_unit, e_b[j]),
-            lambda j: (B.counit[j],),
+            lambda j: eps_b[j],
         ),
         _sweep(
             "pairing.alpha-invariant",
             product(ra, rb),
             lambda i, j: bilinear_apply(form, a_alpha[i], b_alpha[j]),
-            lambda i, j: (gram[i][j],),
+            lambda i, j: form[i][j],
         ),
         _sweep(
             "pairing.mul-comul-left",
@@ -1127,13 +1161,15 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
     alpha2 = alpha_power(B.alpha, 2)
     form, alpha = _form(gram), rows(B.alpha)
     # left: sigma(l_1, k_1) l_2 k_2; right: sigma(l_2, k_2) l_1 k_1
-    w = cells(cocycle_products(sigma))
+    w = cocycle_products(sigma)
     # x -> (sigma(alpha^2(e_h), x))_h and x -> (sigma(x, alpha^2(e_k)))_k
     with_h = rows(transpose(mat_compose(alpha2, gram)))
     with_k = rows(mat_compose(gram, transpose(alpha2)))
-    # paired_h[l][k][h] and paired_k[h][l][k], the two sides of the cocycle law
-    paired_h = [[apply_map(with_h, x) for x in row] for row in w]
-    paired_k = [[apply_map(with_k, x) for x in row] for row in w]
+    # paired_h[l][k][h] and paired_k[h][l][k], the two sides of the cocycle law,
+    # as one-entry vectors; a missing entry is the shared zero vector
+    zero = sparse((ZERO,))
+    paired_h = [[_entries(apply_map(with_h, x)) for x in row] for row in w]
+    paired_k = [[_entries(apply_map(with_k, x)) for x in row] for row in w]
     unit = sparse(B.unit)
     unit_left = apply_map(rows(gram), unit)
     unit_right = apply_map(rows(transpose(gram)), unit)
@@ -1143,7 +1179,7 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
             "cocycle.alpha-invariant",
             product(rng, rng),
             lambda i, j: bilinear_apply(form, alpha[i], alpha[j]),
-            lambda i, j: (gram[i][j],),
+            lambda i, j: form[i][j],
         ),
         # left:  sigma(alpha^2(h), l_2 k_2) sigma(l_1, k_1)
         #          = sigma(h_2 l_2, alpha^2(k)) sigma(h_1, l_1)
@@ -1151,15 +1187,16 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
         #          = sigma(h_1 l_1, alpha^2(k)) sigma(h_2, l_2)
         _sweep(
             f"cocycle.{sigma.side}-condition",
-            product(rng, rng, rng),
-            lambda h, l, k: (paired_h[l][k][h],),
-            lambda h, l, k: (paired_k[h][l][k],),
+            # the sides read w[l][k] and w[h][l]
+            _associative_cases(w, w),
+            lambda h, l, k: paired_h[l][k].get(h, zero),
+            lambda h, l, k: paired_k[h][l].get(k, zero),
         ),
         _sweep(
             "cocycle.normal",
             product(rng),
-            lambda h: (unit_left[h], unit_right[h]),
-            lambda h: (B.counit[h], B.counit[h]),
+            lambda h: sparse((unit_left.get(h, ZERO), unit_right.get(h, ZERO))),
+            lambda h: sparse((B.counit[h], B.counit[h])),
         ),
     ]
     return CheckReport(tuple(checks))
@@ -1172,15 +1209,15 @@ def check_quasitriangular(H, R: RMatrix) -> CheckReport:
     n = B.dim
     mc, alpha = cells(B.mul), rows(B.alpha)
     rvec = sparse(R.as_vector())
-    e = rows(identity(n))
+    e, unit = basis(n), _from_scalars(B.unit)
     delta = rows(comul_matrix(B.comul))
     delta_op = rows(comul_matrix(_op_comul(B.comul)))
-    with_unit = rows(kron(identity(n), (B.unit,)))  # x -> x (x) 1
-    unit_with = rows(kron((B.unit,), identity(n)))  # x -> 1 (x) x
+    with_unit = kron(e, unit)  # x -> x (x) 1
+    unit_with = kron(unit, e)  # x -> 1 (x) x
 
-    r13 = sparse(apply_kron(with_unit, e, rvec))
-    r23 = sparse(apply_kron(unit_with, e, rvec))
-    r12 = sparse(apply_kron(e, with_unit, rvec))
+    r13 = apply_kron(with_unit, e, rvec)
+    r23 = apply_kron(unit_with, e, rvec)
+    r12 = apply_kron(e, with_unit, rvec)
 
     checks = [
         _sweep(
@@ -1233,7 +1270,7 @@ def check_comodule_algebra(A, c: ComoduleCoaction) -> CheckReport:
             "comodule-algebra.unit",
             [()],
             lambda: apply_map(rho, sparse(alg.unit)),
-            lambda: kron((alg.unit,), (coactor.unit,))[0],
+            lambda: kron(_from_scalars(alg.unit), _from_scalars(coactor.unit))[0],
         )
     )
     return CheckReport(tuple(checks))
@@ -1248,9 +1285,8 @@ def check_left_comodule_algebra(A, coactor, coact: Tensor3) -> CheckReport:
     alg = algebra_of(A)
     co = bialgebra_of(coactor)
     nm, nh = alg.dim, co.dim
-    alpha_m = alg.alpha
     rm = range(nm)
-    am, ac, e = rows(alpha_m), rows(co.alpha), rows(identity(nm))
+    am, ac, e = rows(alg.alpha), rows(co.alpha), basis(nm)
     amul, hmul = cells(alg.mul), cells(co.mul)
     eps = _as_map(co.counit)
     rho = rows(comul_matrix(coact))
@@ -1262,7 +1298,7 @@ def check_left_comodule_algebra(A, coactor, coact: Tensor3) -> CheckReport:
             "left-comodule.counit-reduces-to-alpha",
             product(rm),
             lambda i: apply_kron(eps, e, rho[i]),
-            lambda i: alpha_m[i],
+            lambda i: am[i],
         ),
         _sweep(
             "left-comodule.alpha-equivariant",
@@ -1289,7 +1325,7 @@ def check_left_comodule_algebra(A, coactor, coact: Tensor3) -> CheckReport:
             "left-comodule-algebra.unit",
             [()],
             lambda: apply_map(rho, sparse(alg.unit)),
-            lambda: kron((co.unit,), (alg.unit,))[0],
+            lambda: kron(_from_scalars(co.unit), _from_scalars(alg.unit))[0],
         ),
     ]
     return CheckReport(tuple(checks))

@@ -17,7 +17,7 @@ from homhopf.catalog import (
 )
 from homhopf.constructions import dual
 from homhopf.errors import InvalidParameter, NotAGroup, NotAnAutomorphism
-from homhopf.exactlin import apply_map, basis_vector, bilinear_apply, cells, rows, sparse
+from homhopf.exactlin import apply_map, basis_vector, bilinear_apply, cells, dense, rows, sparse
 from homhopf.structures import run_hopf_suite
 
 F = Fraction
@@ -27,8 +27,8 @@ class TestAx1:
     def test_products(self):
         h = catalog_ax1().hopf
         one, x = basis_vector(2, 0), basis_vector(2, 1)
-        assert bilinear_apply(cells(h.mul), sparse(one), sparse(x)) == (F(0), F(-1))
-        assert bilinear_apply(cells(h.mul), sparse(x), sparse(x)) == (F(0), F(0))
+        assert dense(bilinear_apply(cells(h.mul), sparse(one), sparse(x))) == (F(0), F(-1))
+        assert dense(bilinear_apply(cells(h.mul), sparse(x), sparse(x))) == (F(0), F(0))
 
     def test_counit(self):
         assert catalog_ax1().hopf.counit == (F(1), F(0))
@@ -44,16 +44,19 @@ class TestSweedler:
     def test_product_g_x(self):
         h = catalog_sweedler_hom().hopf
         g, x = basis_vector(4, 1), basis_vector(4, 2)
-        assert bilinear_apply(cells(h.mul), sparse(g), sparse(x)) == basis_vector(4, 3)
-        assert bilinear_apply(cells(h.mul), sparse(x), sparse(g)) == (F(0), F(0), F(0), F(-1))
+        assert dense(bilinear_apply(cells(h.mul), sparse(g), sparse(x))) == basis_vector(4, 3)
+        gx = dense(bilinear_apply(cells(h.mul), sparse(x), sparse(g)))
+        assert gx == (F(0), F(0), F(0), F(-1))
 
     def test_alpha_negates_gx(self):
         h = catalog_sweedler_hom().hopf
-        assert apply_map(rows(h.alpha), sparse(basis_vector(4, 3))) == (F(0), F(0), F(0), F(-1))
+        image = dense(apply_map(rows(h.alpha), sparse(basis_vector(4, 3))))
+        assert image == (F(0), F(0), F(0), F(-1))
 
     def test_antipode_of_x(self):
         h = catalog_sweedler_hom().hopf
-        assert apply_map(rows(h.antipode), sparse(basis_vector(4, 2))) == (F(0), F(0), F(0), F(-1))
+        image = dense(apply_map(rows(h.antipode), sparse(basis_vector(4, 2))))
+        assert image == (F(0), F(0), F(0), F(-1))
 
     def test_bundled_r_matrix(self):
         r = catalog_sweedler_hom().rmatrix
@@ -66,14 +69,15 @@ class TestCyclic:
     def test_product(self):
         h = catalog_cyclic(3).hopf
         g1, g2 = basis_vector(3, 1), basis_vector(3, 2)
-        assert bilinear_apply(cells(h.mul), sparse(g1), sparse(g2)) == basis_vector(3, 0)
+        assert dense(bilinear_apply(cells(h.mul), sparse(g1), sparse(g2))) == basis_vector(3, 0)
 
     def test_comul_and_antipode(self):
         h = catalog_cyclic(5).hopf
         for i in range(5):
             j = (5 - i) % 5
             assert h.comul[i][j][j] == F(1)
-            assert apply_map(rows(h.antipode), sparse(basis_vector(5, i))) == basis_vector(5, j)
+            image = dense(apply_map(rows(h.antipode), sparse(basis_vector(5, i))))
+            assert image == basis_vector(5, j)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_equals_twisted_group_algebra(self, n):
@@ -132,7 +136,8 @@ class TestDualTables:
         # counit of the dual evaluates at the group identity
         assert hst.counit == tuple(F(1) if i == 0 else F(0) for i in range(n))
         for i in range(n):
-            assert apply_map(rows(hst.antipode), sparse(basis_vector(n, i))) == basis_vector(n, (n - i) % n)
+            image = dense(apply_map(rows(hst.antipode), sparse(basis_vector(n, i))))
+            assert image == basis_vector(n, (n - i) % n)
 
 
 class TestRegistry:

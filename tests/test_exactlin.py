@@ -15,11 +15,14 @@ from homhopf.exactlin import (
     alpha_power,
     apply_kron,
     apply_map,
+    basis,
     basis_vector,
     bilinear_apply,
     cells,
     comul_matrix,
     comul_tensor,
+    dense,
+    dense_rows,
     format_scalar,
     identity,
     kron,
@@ -34,9 +37,8 @@ from homhopf.exactlin import (
     tensor3_from_entries,
     tensor_power_product,
     terms,
-    vec_add,
-    vec_scale,
 )
+from homhopf.structures import _sweep
 
 F = Fraction
 
@@ -175,27 +177,46 @@ class TestAlphaPower:
         assert alpha_power(m, j + k) == mat_compose(alpha_power(m, j), alpha_power(m, k))
 
 
+def dense_kron(f, g):
+    """The reference Kronecker product of two dense matrices."""
+    return tuple(tuple(a * b for a in frow for b in grow) for frow in f for grow in g)
+
+
+def zero_free(s) -> bool:
+    """Whether a sparse result keeps only nonzero coefficients."""
+    return all(s.values())
+
+
 class TestKron:
     def test_identities(self):
-        assert kron(identity(2), identity(2)) == identity(4)
+        assert kron(basis(2), basis(2)) == basis(4)
 
     def test_diagonal(self):
         d = matrix_from_rows([[1, 0], [0, -1]])
-        assert kron(d, identity(2)) == matrix_from_rows(
+        assert dense_rows(kron(rows(d), basis(2))) == matrix_from_rows(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
         )
+
+    @given(dims, dims, dims, dims, st.data())
+    @settings(max_examples=40)
+    def test_matches_dense_reference_on_rectangular_maps(self, p, q, r, s, data):
+        f, g = data.draw(sparse_rect(p, q)), data.draw(sparse_rect(r, s))
+        k = kron(rows(f), rows(g))
+        assert dense_rows(k) == dense_kron(f, g)
+        assert all(row.dim == q * s and zero_free(row) for row in k)
 
     @given(square(2), square(2), square(2), square(2))
     @settings(max_examples=30)
     def test_mixed_product(self, a, b, c, d):
-        assert mat_compose(kron(a, b), kron(c, d)) == kron(
+        assert mat_compose(dense_kron(a, b), dense_kron(c, d)) == dense_kron(
             mat_compose(a, c), mat_compose(b, d)
         )
 
     @given(square(2), square(2), square(2))
     @settings(max_examples=30)
     def test_associative_under_flattening(self, a, b, c):
-        assert kron(kron(a, b), c) == kron(a, kron(b, c))
+        ra, rb, rc = rows(a), rows(b), rows(c)
+        assert kron(kron(ra, rb), rc) == kron(ra, kron(rb, rc))
 
 
 def dense_apply(m, v):
@@ -212,14 +233,6 @@ def dense_bilinear(t, x, y):
     )
 
 
-def dense(s):
-    """The dense vector of a sparse one."""
-    out = [ZERO] * s.dim
-    for i, a in s:
-        out[i] = a
-    return tuple(out)
-
-
 class TestSparse:
     @given(dims, st.data())
     @settings(max_examples=40)
@@ -227,20 +240,72 @@ class TestSparse:
         v = data.draw(sparse_vectors(n))
         s = sparse(v)
         assert s.dim == n and dense(s) == v
-        assert [i for i, _ in s] == [i for i, a in enumerate(v) if a]
-        assert all(a for _, a in s)
+        assert sorted(s) == [i for i, a in enumerate(v) if a]
+        assert zero_free(s)
 
     @given(dims, dims, dims, st.data())
     @settings(max_examples=40)
     def test_rows_and_cells_round_trip(self, n1, n2, n3, data):
         t = data.draw(sparse_tensors(n1, n2, n3))
-        assert tuple(dense(r) for r in rows(t[0])) == t[0]
-        assert tuple(tuple(dense(c) for c in plane) for plane in cells(t)) == t
-        assert all(a for plane in cells(t) for c in plane for _, a in c)
+        assert dense_rows(rows(t[0])) == t[0]
+        assert tuple(dense_rows(plane) for plane in cells(t)) == t
+        assert all(zero_free(c) for plane in cells(t) for c in plane)
 
     def test_computed_zeros_are_dropped(self):
         s = sparse((F(1, 2) - F(1, 2), ZERO, F(2)))
-        assert s == ((2, F(2)),) and s.dim == 3
+        assert s == {2: F(2)} and s.dim == 3
+
+    def test_basis_is_the_identity(self):
+        assert dense_rows(basis(3)) == identity(3)
+        assert basis(3) == rows(identity(3))
+
+
+class TestCancellation:
+    """Coefficients that cancel leave no zero behind, so an exact zero result
+    is the empty sparse vector of the right length."""
+
+    def test_apply_map(self):
+        # e_0 - e_1 under a map that sends both to the same vector
+        m = rows(matrix_from_rows([[1, 2], [1, 2]]))
+        out = apply_map(m, sparse((1, -1)))
+        assert out == {} and out.dim == 2
+
+    def test_apply_kron(self):
+        m = rows(matrix_from_rows([[1, F(1, 2)], [1, F(1, 2)]]))
+        out = apply_kron(m, basis(2), sparse((1, 0, -1, 0)))
+        assert out == {} and out.dim == 4
+
+    def test_bilinear_apply(self):
+        t = cells(((((1,), (1,)),) * 2))
+        out = bilinear_apply(t, sparse((F(1, 3), -F(1, 3))), sparse((1, 0)))
+        assert out == {} and out.dim == 1
+
+    def test_tensor_power_product(self):
+        # in kz2, where g g = 1: (1 (x) 1 + g (x) g)(1 (x) 1 - g (x) g) = 0
+        mul = cells(get_entry("kz2").hopf.mul)
+        out = tensor_power_product(mul, 2, sparse((1, 0, 0, 1)), sparse((1, 0, 0, -1)))
+        assert out == {} and out.dim == 4
+
+    def test_linear_combination(self):
+        v = sparse((1, F(1, 2), 0))
+        out = linear_combination(3, [(2, v), (-2, v)])
+        assert out == {} and out.dim == 3
+
+    def test_partial_cancellation_keeps_the_rest(self):
+        m = rows(matrix_from_rows([[1, 2], [1, 3]]))
+        assert apply_map(m, sparse((1, -1))) == {1: -1}
+
+
+class TestSweep:
+    def test_sides_of_different_length_are_refused(self):
+        # two zero vectors of different lengths are not equal
+        with pytest.raises(DimensionMismatch):
+            _sweep("x", [()], lambda: sparse((ZERO,) * 2), lambda: sparse((ZERO,) * 4))
+
+    def test_witness_is_dense(self):
+        entry = _sweep("x", [(0,), (1,)], lambda i: basis(3)[i], lambda i: basis(3)[0])
+        assert not entry.passed and entry.witness.index == (1,)
+        assert entry.witness.lhs == (0, 1, 0) and entry.witness.rhs == (1, 0, 0)
 
 
 class TestApplyMap:
@@ -248,43 +313,44 @@ class TestApplyMap:
     @settings(max_examples=60)
     def test_matches_dense_reference_on_rectangular_maps(self, p, q, data):
         m, v = data.draw(sparse_rect(p, q)), data.draw(sparse_vectors(p))
-        assert apply_map(rows(m), sparse(v)) == dense_apply(m, v)
+        out = apply_map(rows(m), sparse(v))
+        assert dense(out) == dense_apply(m, v) and zero_free(out)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            apply_map(rows(identity(2)), sparse((F(1),) * 3))
+            apply_map(basis(2), sparse((F(1),) * 3))
 
 
 class TestBilinear:
     def test_square_zero_element(self):
         ax1 = catalog_ax1().hopf
         x = sparse(basis_vector(2, 1))
-        assert bilinear_apply(cells(ax1.mul), x, x) == (F(0), F(0))
+        assert dense(bilinear_apply(cells(ax1.mul), x, x)) == (F(0), F(0))
 
     def test_unit_acts_by_alpha(self):
         ax1 = catalog_ax1().hopf
         mul, alpha, unit = cells(ax1.mul), rows(ax1.alpha), sparse(ax1.unit)
-        for i in range(2):
-            v = sparse(basis_vector(2, i))
+        for v in basis(2):
             assert bilinear_apply(mul, unit, v) == apply_map(alpha, v)
             assert bilinear_apply(mul, v, unit) == apply_map(alpha, v)
 
     def test_cyclic_product_closed_form(self):
         c3 = catalog_cyclic(3).hopf
-        g1 = basis_vector(3, 1)
-        assert bilinear_apply(cells(c3.mul), sparse(g1), sparse(g1)) == g1
+        g1 = basis(3)[1]
+        assert bilinear_apply(cells(c3.mul), g1, g1) == g1
 
     @given(dims, dims, dims, st.data())
     @settings(max_examples=60)
     def test_matches_dense_reference_on_rectangular_tensors(self, n1, n2, n3, data):
         t = data.draw(sparse_tensors(n1, n2, n3))
         x, y = data.draw(sparse_vectors(n1)), data.draw(sparse_vectors(n2))
-        assert bilinear_apply(cells(t), sparse(x), sparse(y)) == dense_bilinear(t, x, y)
+        out = bilinear_apply(cells(t), sparse(x), sparse(y))
+        assert dense(out) == dense_bilinear(t, x, y) and zero_free(out)
 
     def test_shape_mismatch(self):
         ax1 = catalog_ax1().hopf
         with pytest.raises(DimensionMismatch):
-            bilinear_apply(cells(ax1.mul), sparse(basis_vector(3, 0)), sparse(basis_vector(2, 0)))
+            bilinear_apply(cells(ax1.mul), basis(3)[0], basis(2)[0])
 
 
 class TestApplyKron:
@@ -293,16 +359,17 @@ class TestApplyKron:
     def test_matches_dense_kron_on_rectangular_maps(self, p, q, r, s, data):
         f, g = data.draw(sparse_rect(p, q)), data.draw(sparse_rect(r, s))
         v = data.draw(sparse_vectors(p * r))
-        assert apply_kron(rows(f), rows(g), sparse(v)) == dense_apply(kron(f, g), v)
+        out = apply_kron(rows(f), rows(g), sparse(v))
+        assert dense(out) == dense_apply(dense_kron(f, g), v) and zero_free(out)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            apply_kron(rows(identity(2)), rows(identity(2)), sparse((F(1),) * 3))
+            apply_kron(basis(2), basis(2), sparse((F(1),) * 3))
 
 
 def pure(*legs):
-    """The pure tensor ``legs[0] (x) legs[1] (x) ...`` as a flattened vector."""
-    return reduce(lambda u, v: kron((u,), (v,))[0], legs)
+    """The pure tensor ``legs[0] (x) legs[1] (x) ...`` as a flattened dense vector."""
+    return reduce(lambda u, v: dense_kron((u,), (v,))[0], legs)
 
 
 catalog_muls = st.sampled_from(["ax1", "kz2", "sweedler_hom", "cyclic:3"]).map(
@@ -341,22 +408,22 @@ class TestTensorPowerProduct:
         mc = cells(mul)
         xs = [data.draw(vectors(len(mul))) for _ in range(legs)]
         ys = [data.draw(vectors(len(mul))) for _ in range(legs)]
-        expected = pure(*(bilinear_apply(mc, sparse(x), sparse(y)) for x, y in zip(xs, ys)))
-        assert tensor_power_product(mc, legs, sparse(pure(*xs)), sparse(pure(*ys))) == expected
+        expected = pure(*(dense(bilinear_apply(mc, sparse(x), sparse(y))) for x, y in zip(xs, ys)))
+        out = tensor_power_product(mc, legs, sparse(pure(*xs)), sparse(pure(*ys)))
+        assert dense(out) == expected
 
     @given(st.sampled_from(["ax1", "kz2", "cyclic:3"]), st.integers(2, 3), st.data())
     @settings(max_examples=30, deadline=None)
     def test_matches_dense_reference(self, name, legs, data):
         mul = get_entry(name).hopf.mul
         u, v = (data.draw(sparse_vectors(len(mul) ** legs)) for _ in range(2))
-        assert tensor_power_product(cells(mul), legs, sparse(u), sparse(v)) == (
-            dense_power_product(mul, legs, u, v)
-        )
+        out = tensor_power_product(cells(mul), legs, sparse(u), sparse(v))
+        assert dense(out) == dense_power_product(mul, legs, u, v) and zero_free(out)
 
     def test_shape_mismatch(self):
         mul = cells(catalog_ax1().hopf.mul)
         with pytest.raises(DimensionMismatch):
-            tensor_power_product(mul, 2, sparse(basis_vector(4, 0)), sparse(basis_vector(2, 0)))
+            tensor_power_product(mul, 2, basis(4)[0], basis(2)[0])
 
 
 class TestTerms:
@@ -382,13 +449,14 @@ class TestComulTensor:
 
 
 class TestLinearCombination:
-    @given(st.lists(st.tuples(rationals, vectors(3)), max_size=4))
+    @given(st.lists(st.tuples(rationals, sparse_vectors(3)), max_size=4))
     @settings(max_examples=40)
     def test_matches_scaled_sum(self, scaled):
         expected = (ZERO,) * 3
         for c, v in scaled:
-            expected = vec_add(expected, vec_scale(c, v))
-        assert linear_combination(3, scaled) == expected
+            expected = tuple(a + c * b for a, b in zip(expected, v))
+        out = linear_combination(3, [(c, sparse(v)) for c, v in scaled])
+        assert dense(out) == expected and zero_free(out)
 
     def test_zeros_computed_by_arithmetic_are_skipped(self):
         assert list(nonzeros((F(1, 2) - F(1, 2), ZERO, F(2)))) == [(2, F(2))]

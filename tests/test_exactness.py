@@ -3,7 +3,9 @@
 Integral scalars are stored as ``int`` and only proper fractions as
 ``Fraction``.  Python's ``int / int`` is a float, so the package divides in
 exactly one place, ``exactlin._quotient``; the tooling test below fails on
-any other true division in the source.
+any other true division in the source.  A second tooling test keeps the
+``exactlin`` kernels sparse: only ``dense``, which makes a sparse value
+dense, may allocate a dense list of zeros.
 """
 
 from __future__ import annotations
@@ -89,3 +91,38 @@ def test_true_division_only_in_the_exact_quotient():
         visitor.visit(ast.parse(path.read_text(), filename=str(path)))
         found += visitor.found
     assert found == [("exactlin", "_quotient", "Fraction(x) / p")]
+
+
+class _DenseLists(ast.NodeVisitor):
+    """Collects ``(enclosing function, source)`` of each ``[ZERO] * n`` or
+    ``[0] * n``: a dense list of zeros, the accumulator of a dense kernel."""
+
+    def __init__(self):
+        self.scope: list[str] = []
+        self.found: list[tuple[str, str]] = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_BinOp(self, node):
+        if isinstance(node.op, ast.Mult) and any(map(self._zeros, (node.left, node.right))):
+            self.found.append((".".join(self.scope), ast.unparse(node)))
+        self.generic_visit(node)
+
+    @staticmethod
+    def _zeros(node) -> bool:
+        if not isinstance(node, ast.List) or len(node.elts) != 1:
+            return False
+        (elt,) = node.elts
+        return (isinstance(elt, ast.Name) and elt.id == "ZERO") or (
+            isinstance(elt, ast.Constant) and elt.value == 0
+        )
+
+
+def test_exactlin_kernels_allocate_no_dense_accumulator():
+    path = Path(homhopf.__file__).parent / "exactlin.py"
+    visitor = _DenseLists()
+    visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+    assert visitor.found == [("dense", "[ZERO] * v.dim")]
