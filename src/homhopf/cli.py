@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import click
@@ -41,6 +42,7 @@ from .fileformat import (
 )
 from .structures import (
     CheckReport,
+    HomBialgebra,
     TwoCocycle,
     check_antipode,
     check_hom_algebra,
@@ -202,26 +204,18 @@ def check(source, level, report_path, jobs):
     try:
         bundle, raw, entry = _load_input(source)
         rec = bundle.object()
-        tasks = []
-        if level in ("algebra", "bialgebra", "hopf", "quasitriangular"):
-            alg = rec.hom_algebra()
-            tasks.append(lambda: check_hom_algebra(alg))
-        if level in ("coalgebra", "bialgebra", "hopf", "quasitriangular"):
-            coa = rec.hom_coalgebra()
-            tasks.append(lambda: check_hom_coalgebra(coa))
-        if level in ("bialgebra", "hopf", "quasitriangular"):
-            bia = rec.hom_bialgebra()
-            tasks.append(lambda: check_hom_bialgebra(bia))
-        if level in ("hopf", "quasitriangular"):
-            hopf = rec.hom_hopf()
-            tasks.append(lambda: check_antipode(hopf))
+        # one algebra and one coalgebra, so every checker shares their sparse tables
+        alg = rec.hom_algebra() if level != "coalgebra" else None
+        coa = rec.hom_coalgebra() if level != "algebra" else None
+        bia = HomBialgebra(alg, coa) if alg and coa else None
+        hopf = rec.hom_hopf(bia) if level in ("hopf", "quasitriangular") else None
+        checkers = (check_hom_algebra, check_hom_coalgebra, check_hom_bialgebra, check_antipode)
+        tasks = [partial(f, obj) for f, obj in zip(checkers, (alg, coa, bia, hopf)) if obj]
         if level == "quasitriangular":
             blocks = bundle.blocks_of("rmatrix")
             if not blocks:
                 _fail_usage("quasitriangular level needs an rmatrix block")
-            r = bundle.rmatrix(blocks[0])
-            host = rec.hom_bialgebra()
-            tasks.append(lambda: check_quasitriangular(host, r))
+            tasks.append(partial(check_quasitriangular, bia, bundle.rmatrix(blocks[0])))
     except (HomHopfError, click.UsageError, OSError) as exc:
         _fail_usage(str(exc))
 

@@ -34,7 +34,6 @@ from .exactlin import (
     basis,
     bilinear_apply,
     cells,
-    comul_matrix,
     comul_tensor,
     dense,
     dense_rows,
@@ -44,10 +43,8 @@ from .exactlin import (
     mat_compose,
     mat_inverse,
     matrix_from_entries,
-    mul_matrix,
     rows,
     sparse,
-    terms,
     transpose,
 )
 from .structures import (
@@ -62,7 +59,6 @@ from .structures import (
     PairingForm,
     RMatrix,
     TwoCocycle,
-    _as_map,
     _op_comul,
     _sweep,
     algebra_of,
@@ -109,21 +105,15 @@ def yau_twist(classical: HomHopfAlgebra, endo: Matrix) -> HomHopfAlgebra:
     n = classical.dim
     if classical.alpha != identity(n):
         raise PreconditionFailed("input must be classical: its structure map must be the identity")
-    mul, unit, comul, counit, S = (
-        classical.mul,
-        classical.unit,
-        classical.comul,
-        classical.counit,
-        classical.antipode,
-    )
-    er, mc, sr, su = rows(endo), cells(mul), rows(S), sparse(unit)
+    A, C = classical.algebra, classical.coalgebra
+    er, mc, sr, su = rows(endo), A.mul_cells, classical.antipode_rows, A.unit_vector
     if apply_map(er, su) != su:
         raise NotAMorphism("endo(1) = 1")
     for i in range(n):
         for j in range(n):
             if apply_map(er, mc[i][j]) != bilinear_apply(mc, er[i], er[j]):
                 raise NotAMorphism("endo(ab) = endo(a) endo(b)")
-    dr, eps = rows(comul_matrix(comul)), _as_map(counit)
+    dr, eps = C.comul_rows, C.counit_map
     twisted_delta = tuple(apply_map(dr, x) for x in er)  # delta(endo(e_i))
     for i in range(n):
         if twisted_delta[i] != apply_kron(er, er, dr[i]):
@@ -135,7 +125,7 @@ def yau_twist(classical: HomHopfAlgebra, endo: Matrix) -> HomHopfAlgebra:
 
     twisted_mul = tuple(tuple(dense(apply_map(er, mc[i][j])) for j in range(n)) for i in range(n))
     twisted_comul = comul_tensor(dense_rows(twisted_delta), n)
-    return hopf_algebra(n, twisted_mul, unit, twisted_comul, counit, endo, S)
+    return hopf_algebra(n, twisted_mul, A.unit, twisted_comul, C.counit, endo, classical.antipode)
 
 
 def opposite(h: HomHopfAlgebra) -> HomHopfAlgebra:
@@ -173,10 +163,8 @@ def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
     ainv2 = alpha_power(h.alpha, -2)
     a2 = rows(ainv2)
     # row (i, j): the coefficients of e^i e^j; row i: those of delta(e^i)
-    products = transpose(
-        tuple(dense(apply_kron(a2, a2, d)) for d in rows(comul_matrix(h.comul)))
-    )
-    coproducts = transpose(mat_compose(mul_matrix(h.mul), ainv2))
+    products = transpose(tuple(dense(apply_kron(a2, a2, d)) for d in h.coalgebra.comul_rows))
+    coproducts = transpose(tuple(dense(apply_map(a2, row)) for row in h.algebra.mul_map))
     return hopf_algebra(
         n,
         tuple(products[i * n : (i + 1) * n] for i in range(n)),
@@ -206,8 +194,8 @@ def smash_product(A, H, act: ModuleAction, check: bool = True) -> HomAlgebra:
     ah_i2 = rows(alpha_power(bi.alpha, -2))
     aa_i1 = rows(alpha_power(alg.alpha, -1))
     e_a, e_h = basis(na), basis(nh)
-    amul, hmul, action = cells(alg.mul), cells(bi.mul), cells(act.act)
-    delta = rows(comul_matrix(bi.comul))
+    amul, hmul, action = alg.mul_cells, bi.algebra.mul_cells, act.act_cells
+    delta = bi.coalgebra.comul_rows
     # first[a][b] maps h_1 to a (alpha_H^-2(h_1) . alpha_A^-1(b)),
     # second[k] maps h_2 to alpha_H^-1(h_2) k
     acted = [[bilinear_apply(action, x, y) for x in ah_i2] for y in aa_i1]
@@ -242,8 +230,7 @@ def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> Matrix:
     ac_i1 = rows(alpha_power(carrier.alpha, -1))
     ah_i1 = rows(alpha_power(coactor.alpha, -1))
     ah_i2 = rows(alpha_power(coactor.alpha, -2))
-    hmul = cells(coactor.mul)
-    rho = rows(comul_matrix(co.coact))
+    hmul, rho = coactor.algebra.mul_cells, co.coact_rows
     # second[h] maps c_(1) to alpha_H^-1(h) alpha_H^-2(c_(1))
     second = [tuple(bilinear_apply(hmul, x, y) for y in ah_i2) for x in ah_i1]
     phi = tuple(
@@ -269,12 +256,8 @@ def cotwist_coproduct(C, D, phi: Matrix, check: bool = True) -> HomCoalgebra:
     ec, ed, phi_rows = basis(nc), basis(nd), rows(phi)
     # (id (x) phi (x) id)(delta_C (x) delta_D) in two steps: phi_d maps
     # c_2 (x) d to phi(c_2 (x) d_1) (x) d_2, and c (x) d goes to c_1 (x) phi_d(c_2 (x) d)
-    phi_d = tuple(
-        apply_kron(phi_rows, ed, row) for row in kron(ec, rows(comul_matrix(Dc.comul)))
-    )
-    comul = tuple(
-        dense(apply_kron(ec, phi_d, row)) for row in kron(rows(comul_matrix(Cc.comul)), ed)
-    )
+    phi_d = tuple(apply_kron(phi_rows, ed, row) for row in kron(ec, Dc.comul_rows))
+    comul = tuple(dense(apply_kron(ec, phi_d, row)) for row in kron(Cc.comul_rows, ed))
     return HomCoalgebra(
         nc * nd,
         comul_tensor(comul, nc * nd),
@@ -296,11 +279,10 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
     na, nh = alg.dim, bi.dim
     ah_i1 = rows(alpha_power(bi.alpha, -1))
     aa_i1 = rows(alpha_power(alg.alpha, -1))
-    action, amul, hmul = cells(act.act), cells(alg.mul), cells(bi.mul)
+    action, amul, hmul = act.act_cells, alg.mul_cells, bi.algebra.mul_cells
     e_a, e_h = basis(na), basis(nh)
-    h_terms, co_terms = terms(bi.comul), terms(co.coact)
-    delta_a = rows(comul_matrix(coa.comul))
-    rho = rows(comul_matrix(co.coact))
+    h_terms, co_terms = bi.coalgebra.comul_terms, co.coact_terms
+    delta_a, rho, counit_a = coa.comul_rows, co.coact_rows, coa.counit_map
     # Legs as maps of a basis vector: acted[h] is b -> alpha^-1(h) . b,
     # times[h] is g -> alpha^-1(h) g, and twisted[a][h] is
     # b -> alpha^-1(a) (alpha^-1(h) . alpha^-1(b)).
@@ -354,7 +336,6 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
             ((vh, apply_kron(e_h, then_acted[h2][b], rho[h1])) for h1, h2, vh in h_terms[h]),
         )
 
-    counit_a = _as_map(coa.counit)
     checks = (
         _sweep(
             "bicross.action-comultiplicative",
@@ -407,15 +388,14 @@ def bicrossproduct(
     nd = na * nh
     aa_i2 = rows(alpha_power(A.alpha, -2))
     aa_i3 = rows(alpha_power(A.alpha, -3))
-    mul = smash_product(A, H, act, check=False).mul
+    smash = smash_product(A, H, act, check=False)
     coalg = cotwist_coproduct(A, H, comodule_cotwist(co, check=False), check=False)
 
     # S(a (x) h) = (1 (x) S_H alpha_H^-2(h_(0))) (S_A(alpha_A^-2(a) alpha_A^-3(h_(1))) (x) 1)
-    co_terms = terms(co.coact)
-    mc, amul = cells(mul), cells(A.mul)
+    co_terms, mc, amul = co.coact_terms, smash.mul_cells, A.algebra.mul_cells
     # h -> 1 (x) S_H(alpha_H^-2(h)) and a -> S_A(a) (x) 1
-    s_h = kron((sparse(A.unit),), rows(mat_compose(alpha_power(H.alpha, -2), H.antipode)))
-    s_then_1 = kron(rows(A.antipode), (sparse(H.unit),))
+    s_h = kron((A.algebra.unit_vector,), rows(mat_compose(alpha_power(H.alpha, -2), H.antipode)))
+    s_then_1 = kron(A.antipode_rows, (H.algebra.unit_vector,))
     s_a = [[apply_map(s_then_1, bilinear_apply(amul, a, x)) for x in aa_i3] for a in aa_i2]
     antipode = tuple(
         dense(
@@ -426,8 +406,7 @@ def bicrossproduct(
         for a in range(na)
         for hh in range(nh)
     )
-    unit = _dense_kron((A.unit,), (H.unit,))[0]
-    return hopf_algebra(nd, mul, unit, coalg.comul, coalg.counit, coalg.alpha, antipode)
+    return HomHopfAlgebra(HomBialgebra(smash, coalg), antipode)
 
 
 def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, ComoduleCoaction]:
@@ -438,8 +417,7 @@ def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, 
     hop = opposite_hopf(H)
     ainv1 = rows(alpha_power(H.alpha, -1))
     s_ainv2 = rows(mat_compose(alpha_power(H.alpha, -2), H.antipode))  # rows S(alpha^-2(e_h))
-    hmul = cells(H.mul)
-    h_terms = terms(H.comul)
+    hmul, h_terms = H.algebra.mul_cells, H.coalgebra.comul_terms
 
     def acts(h, a):
         return linear_combination(
@@ -454,7 +432,7 @@ def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, 
 
     # rho(h) applies alpha^-1 (x) second[h_2] to h_12 (x) h_11, the co-opposite
     # coproduct of h_1; second[h_2] maps h_11 to S(alpha^-2(h_11)) alpha^-1(h_2)
-    op_delta = rows(comul_matrix(_op_comul(H.comul)))
+    op_delta = H.coalgebra.comul_op_rows
     second = [tuple(bilinear_apply(hmul, x, y) for x in s_ainv2) for y in ainv1]
     coact = tuple(
         dense(
@@ -478,10 +456,8 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
     nd = n * n
     ainv1, ainv2, ainv3 = (rows(alpha_power(H.alpha, -k)) for k in (1, 2, 3))
     s_ainv4 = rows(mat_compose(alpha_power(H.alpha, -4), H.antipode))  # rows S(alpha^-4(e_h))
-    e = basis(n)
-    hmul = cells(H.mul)
-    h_terms = terms(H.comul)
-    delta = rows(comul_matrix(H.comul))
+    e, hmul, Hc = basis(n), H.algebra.mul_cells, H.coalgebra
+    h_terms, delta, op_delta = Hc.comul_terms, Hc.comul_rows, Hc.comul_op_rows
 
     # closed form of the product:
     # (a x h)(b x k) = a[(S(alpha^-4(h_11)) alpha^-2(b)) alpha^-3(h_12)] x k alpha^-1(h_2);
@@ -511,7 +487,6 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
     # the cotwist coproduct of the map closed_phi from a_2 (x) h_1 to the middle two
     # legs: alpha^-2 (x) third[a_2][h_12] applied to h_112 (x) h_111, the co-opposite
     # coproduct of h_11, where third[a_2][h_12] maps h_111 to the last leg
-    op_delta = rows(comul_matrix(_op_comul(H.comul)))
     inner = [[bilinear_apply(hmul, x, y) for x in s_ainv4] for y in ainv3]
     third = [[tuple(bilinear_apply(hmul, a, v) for v in row) for row in inner] for a in ainv1]
     closed_phi = tuple(
@@ -551,10 +526,9 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     nd = na * nh
     ah_i2 = rows(alpha_power(H.alpha, -2))
     aa_i2 = rows(alpha_power(A.alpha, -2))
-    left, right = cells(mp.left_action), cells(mp.right_action)
-    amul, hmul = cells(A.mul), cells(H.mul)
-    h_terms = terms(H.comul)
-    delta_a = rows(comul_matrix(A.comul))
+    left, right = mp.left_cells, mp.right_cells
+    amul, hmul = A.algebra.mul_cells, H.algebra.mul_cells
+    h_terms, delta_a = H.coalgebra.comul_terms, A.coalgebra.comul_rows
 
     # (a (x) h)(b (x) g)
     #   = a (alpha^-2(h_1) -> alpha^-2(b_1)) (x) (alpha^-2(h_2) <- alpha^-2(b_2)) g;
@@ -581,16 +555,15 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
         for h in range(nh)
     )
     coalg = _tensor_coalgebra(A, H)
+    alg = HomAlgebra(nd, mul, _dense_kron((A.unit,), (H.unit,))[0], coalg.alpha)
 
     # the two antipode factors as maps: h -> 1 (x) S_H alpha_H^-1(h), a -> S_A alpha_A^-1(a) (x) 1
-    s_h = kron((sparse(A.unit),), rows(mat_compose(alpha_power(H.alpha, -1), H.antipode)))
-    s_a = kron(rows(mat_compose(alpha_power(A.alpha, -1), A.antipode)), (sparse(H.unit),))
-    mc = cells(mul)
+    s_h = kron((A.algebra.unit_vector,), rows(mat_compose(alpha_power(H.alpha, -1), H.antipode)))
+    s_a = kron(rows(mat_compose(alpha_power(A.alpha, -1), A.antipode)), (H.algebra.unit_vector,))
     antipode = tuple(
-        dense(bilinear_apply(mc, s_h[h], s_a[a])) for a in range(na) for h in range(nh)
+        dense(bilinear_apply(alg.mul_cells, s_h[h], s_a[a])) for a in range(na) for h in range(nh)
     )
-    unit = _dense_kron((A.unit,), (H.unit,))[0]
-    return hopf_algebra(nd, mul, unit, coalg.comul, coalg.counit, coalg.alpha, antipode)
+    return HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
 
 
 def dual_matched_pair(
@@ -634,7 +607,7 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     S = H.antipode
     s_ainv3 = rows(mat_compose(alpha_power(H.alpha, -3), S))  # rows S(alpha^-3(e_k))
     nd = n * n
-    er, hmul, hst_mul = basis(n), cells(H.mul), cells(hst.mul)
+    er, hmul, hst_mul = basis(n), H.algebra.mul_cells, hst.algebra.mul_cells
     # shifted[h] maps e_k to alpha^-2(e_k) e_h and times[l] maps f to f e^l
     shifted = [tuple(bilinear_apply(hmul, a, x) for a in ainv2) for x in er]
     times = [tuple(bilinear_apply(hst_mul, f, x) for f in er) for x in er]
@@ -644,7 +617,7 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
         tuple(transpose(tuple(dense(bilinear_apply(hmul, x, a)) for a in ainv2)) for x in er)
     )
     left = cells(tuple(transpose(dense_rows(row)) for row in shifted))
-    h_terms = terms(H.comul)
+    h_terms = H.coalgebra.comul_terms
 
     blocks = {}
     for m, sweedler in enumerate(h_terms):
@@ -662,14 +635,15 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
                 blocks[h * n + j, m * n + l] = dense(apply_kron(shifted[h], times[l], dressed))
     mul = tuple(tuple(blocks[r, c] for c in range(nd)) for r in range(nd))
     coalg = _tensor_coalgebra(H, hst)
+    alg = HomAlgebra(nd, mul, _dense_kron((H.unit,), (hst.unit,))[0], coalg.alpha)
 
     # S(h (x) f) = (1 (x) S*(alpha*(f))) (S^-1(alpha^-1(h)) (x) counit), factor by factor
-    s_f = kron((sparse(H.unit),), rows(mat_compose(transpose(H.alpha), hst.antipode)))
-    s_h = kron(rows(mat_compose(alpha_power(H.alpha, -1), mat_inverse(S))), (sparse(H.counit),))
-    mc = cells(mul)
+    counit = hst.algebra.unit_vector  # the counit of H is the unit of its dual
+    s_f = kron((H.algebra.unit_vector,), rows(mat_compose(transpose(H.alpha), hst.antipode)))
+    s_h = kron(rows(mat_compose(alpha_power(H.alpha, -1), mat_inverse(S))), (counit,))
+    mc = alg.mul_cells
     antipode = tuple(dense(bilinear_apply(mc, s_f[j], s_h[h])) for h in range(n) for j in range(n))
-    unit = _dense_kron((H.unit,), (hst.unit,))[0]
-    return hopf_algebra(nd, mul, unit, coalg.comul, coalg.counit, coalg.alpha, antipode)
+    return HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
 
 
 def canonical_r_matrix(H: HomHopfAlgebra, double: HomHopfAlgebra | None = None) -> RMatrix:
@@ -729,8 +703,8 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
         ``b`` through ``weight`` and keeps the other two, then applies
         ``a_then (x) b_then``: ``a_1 (x) <a_2, b_1> b_2`` if ``first``, else
         ``a_2 (x) <a_1, b_2> b_1``."""
-        a_comul, b_comul = (A.comul, B.comul) if first else (_op_comul(A.comul), _op_comul(B.comul))
-        legs, kept = rows(comul_matrix(a_comul)), rows(a_then)
+        legs = A.coalgebra.comul_rows if first else A.coalgebra.comul_op_rows
+        b_comul, kept = (B.comul if first else _op_comul(B.comul)), rows(a_then)
         # through[b] maps the paired leg of a to the kept leg of b
         through = [rows(mat_compose(mat_compose(weight, plane), b_then)) for plane in b_comul]
         return tuple(
@@ -758,7 +732,7 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
         mat_compose(paired(weight(sa_inv), False, e_a, e_b), paired(weight2, True, e_a, e_b))
     )
     # first[a] maps a'_21 to a alpha_A^-2(a'_21), second[b'] maps b_12 to alpha_B^-2(b_12) b'
-    amul, bmul = cells(A.mul), cells(B.mul)
+    amul, bmul = A.algebra.mul_cells, B.algebra.mul_cells
     first = [tuple(bilinear_apply(amul, a, x) for x in aa_i2) for a in basis(na)]
     second = [tuple(bilinear_apply(bmul, x, bp) for x in bb_i2) for bp in basis(nb)]
     mul = tuple(

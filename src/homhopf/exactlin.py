@@ -24,11 +24,12 @@ a vector, with the vector's length as ``dim``; a sparse matrix (``rows``) is
 the tuple of its sparse rows, and a sparse rank-3 tensor (``cells``) the
 tuple of the sparse matrices of its first-index planes.  No result keeps a
 coefficient that cancelled to zero, so two sparse vectors of the same
-length are equal exactly when their dense vectors (``dense``) are.  Callers
-build their operand tables once per map, before any sweep over basis cases,
-feed kernel results straight into further kernels, and make a result dense
-only where it fills a dense structure tensor or a failure witness.  The
-kernels check only that the lengths of their operands fit together.
+length are equal exactly when their dense vectors (``dense``) are.  The
+operand tables of structure constants belong to the domain types of
+``structures``, which build each once, on first use; callers feed kernel
+results straight into further kernels and make a result dense only where it
+fills a dense structure tensor or a failure witness.  The kernels check only
+that the lengths of their operands fit together.
 
 Sweedler sums and tensor legs are enumerated here and nowhere else:
 ``terms`` lists the nonzero Sweedler terms of a comultiplication or coaction
@@ -43,7 +44,6 @@ sparse vectors are dicts, so they are not.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -275,14 +275,8 @@ def is_invertible(m: Matrix) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _cached_inverse(m: Matrix) -> Matrix:
-    return mat_inverse(m)
-
-
-@lru_cache(maxsize=None)
 def alpha_power(alpha: Matrix, k: int) -> Matrix:
-    """Exact k-th power of a structure map, memoized per ``(alpha, k)``.
+    """Exact k-th power of a structure map.
 
     Negative powers require invertibility and raise SingularMatrixError
     otherwise.  ``alpha_power(a, 0)`` is the identity.
@@ -291,7 +285,7 @@ def alpha_power(alpha: Matrix, k: int) -> Matrix:
     if k == 0:
         return identity(n)
     if k < 0:
-        return alpha_power(_cached_inverse(alpha), -k)
+        return alpha_power(mat_inverse(alpha), -k)
     if k == 1:
         return alpha
     return mat_compose(alpha_power(alpha, k - 1), alpha)
@@ -439,11 +433,6 @@ def terms(t: Tensor3) -> tuple[tuple[tuple[int, int, Scalar], ...], ...]:
 def flatten_pair(row_of_rows: Matrix) -> Vector:
     """Flatten an n2 x n3 coefficient block into a vector on the product space."""
     return tuple(chain.from_iterable(row_of_rows))
-
-
-def mul_matrix(mul: Tensor3) -> Matrix:
-    """The multiplication tensor as a row-image map ``H (x) H -> H``."""
-    return tuple(chain.from_iterable(mul))
 
 
 def comul_matrix(comul: Tensor3) -> Matrix:

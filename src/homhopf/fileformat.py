@@ -62,6 +62,8 @@ SCHEMA_VERSION = 1
 
 # Largest accepted ``dim``: an object of dimension n is held as dense n^3
 # tensors, so the declared size is checked before anything is allocated.
+# The objects of one file together may declare at most MAX_DIM^3 (the sum
+# of dim^3), so a file holds no more than one largest object's tensors.
 # The largest object the catalog or the constructions produce is 36-dim.
 MAX_DIM = 128
 
@@ -91,10 +93,11 @@ class ObjectRecord:
     def hom_bialgebra(self) -> HomBialgebra:
         return HomBialgebra(self.hom_algebra(), self.hom_coalgebra())
 
-    def hom_hopf(self) -> HomHopfAlgebra:
+    def hom_hopf(self, bialgebra: HomBialgebra | None = None) -> HomHopfAlgebra:
+        """The Hopf object, on ``bialgebra`` if given (built from this record)."""
         if self.antipode is None:
             raise ParseError(f"object {self.name!r} has no antipode")
-        return HomHopfAlgebra(self.hom_bialgebra(), self.antipode)
+        return HomHopfAlgebra(bialgebra or self.hom_bialgebra(), self.antipode)
 
 
 @dataclass(frozen=True)
@@ -273,6 +276,7 @@ def parse(data: bytes | str) -> AlgebraFile:
     objects: list[ObjectRecord] = []
     blocks: list[BlockRecord] = []
     dims: dict[str, int] = {}
+    declared = 0  # the sum of dim^3 over the objects so far
 
     def parse_scalar_tok(tok, lineno, line, ti) -> Fraction:
         try:
@@ -324,6 +328,9 @@ def parse(data: bytes | str) -> AlgebraFile:
                     if len(text) > len(str(MAX_DIM)) or int(text) > MAX_DIM:
                         fail(f"declared dim exceeds the limit of {MAX_DIM}", lineno2, line2, 1)
                     dim = int(text)
+                    declared += dim**3
+                    if declared > MAX_DIM**3:
+                        fail(f"sum of dim^3 exceeds the limit of {MAX_DIM}^3", lineno2, line2, 1)
                     continue
                 if head2 == "basis":
                     if basis is not None:

@@ -9,12 +9,29 @@ both sides' full coefficient vectors.
 Structural invariants (shapes, invertibility of structure maps) are enforced
 at construction; algebraic axioms are only ever checker verdicts, so broken
 objects can be built deliberately to exercise the checkers.
+
+The dense fields are the public contract of each domain type.  Each type
+also owns read-only sparse views of them, the operand tables of the
+``exactlin`` kernels: ``HomAlgebra.mul_cells``, ``mul_map``, ``alpha_rows``
+and ``unit_vector``; ``HomCoalgebra.comul_rows``, ``comul_op_rows``,
+``comul_terms``, ``counit_map`` and ``alpha_rows``;
+``HomHopfAlgebra.antipode_rows``; ``ModuleAction.act_cells``;
+``ComoduleCoaction.coact_rows`` and ``coact_terms``; the ``form`` of a
+``PairingForm`` or ``TwoCocycle``; ``RMatrix.vector``; and the
+``left_cells`` and ``right_cells`` of a ``MatchedPairData``.  A view is
+built on first use and kept in the instance ``__dict__``
+(``functools.cached_property``): it is built once per object and freed with
+it, and it is not a dataclass field, so ``==``, ``hash``, ``repr`` and
+``dataclasses.replace`` see only the dense fields.  Checkers and
+constructions read these views; none converts a dense field itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import chain, product
+from operator import attrgetter
 
 from .errors import DimensionMismatch, SingularMatrixError
 from .exactlin import (
@@ -34,13 +51,13 @@ from .exactlin import (
     cells,
     comul_matrix,
     dense,
+    flatten_pair,
     is_invertible,
     kron,
     linear_combination,
     mat_compose,
     mat_inverse,
     mat_shape,
-    mul_matrix,
     rows,
     sparse,
     tensor3_shape,
@@ -56,6 +73,21 @@ from .exactlin import (
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise DimensionMismatch(message)
+
+
+def _path(dotted: str) -> property:
+    """A read-only property that reads the attribute path ``dotted`` of ``self``."""
+    return property(attrgetter(dotted))
+
+
+def _as_map(covector: Vector) -> SparseMatrix:
+    """A covector as a row-image map to the one-dimensional space."""
+    return rows(transpose((covector,)))
+
+
+def _op_comul(comul: Tensor3) -> Tensor3:
+    """The co-opposite comultiplication ``delta(e_i) = sum e_i2 (x) e_i1``."""
+    return tuple(transpose(plane) for plane in comul)
 
 
 @dataclass(frozen=True)
@@ -80,6 +112,23 @@ class HomAlgebra:
         if not is_invertible(self.alpha):
             raise SingularMatrixError("structure map must be invertible")
 
+    @cached_property
+    def mul_cells(self) -> SparseTensor3:
+        return cells(self.mul)
+
+    @cached_property
+    def mul_map(self) -> SparseMatrix:
+        """The multiplication as a row-image map ``H (x) H -> H``: the cells, flattened."""
+        return tuple(chain.from_iterable(self.mul_cells))
+
+    @cached_property
+    def alpha_rows(self) -> SparseMatrix:
+        return rows(self.alpha)
+
+    @cached_property
+    def unit_vector(self) -> Sparse:
+        return sparse(self.unit)
+
 
 @dataclass(frozen=True)
 class HomCoalgebra:
@@ -102,6 +151,28 @@ class HomCoalgebra:
         if not is_invertible(self.alpha):
             raise SingularMatrixError("structure map must be invertible")
 
+    @cached_property
+    def comul_rows(self) -> SparseMatrix:
+        """The comultiplication as a row-image map ``C -> C (x) C``."""
+        return rows(comul_matrix(self.comul))
+
+    @cached_property
+    def comul_op_rows(self) -> SparseMatrix:
+        return rows(comul_matrix(_op_comul(self.comul)))
+
+    @cached_property
+    def comul_terms(self):
+        """The Sweedler terms of each ``delta(e_i)`` (see ``exactlin.terms``)."""
+        return terms(self.comul)
+
+    @cached_property
+    def counit_map(self) -> SparseMatrix:
+        return _as_map(self.counit)
+
+    @cached_property
+    def alpha_rows(self) -> SparseMatrix:
+        return rows(self.alpha)
+
 
 @dataclass(frozen=True)
 class HomBialgebra:
@@ -112,29 +183,13 @@ class HomBialgebra:
         _require(self.algebra.dim == self.coalgebra.dim, "bialgebra factor dimensions")
         _require(self.algebra.alpha == self.coalgebra.alpha, "bialgebra structure maps")
 
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
-
-    @property
-    def mul(self) -> Tensor3:
-        return self.algebra.mul
-
-    @property
-    def unit(self) -> Vector:
-        return self.algebra.unit
-
-    @property
-    def comul(self) -> Tensor3:
-        return self.coalgebra.comul
-
-    @property
-    def counit(self) -> Vector:
-        return self.coalgebra.counit
-
-    @property
-    def alpha(self) -> Matrix:
-        return self.algebra.alpha
+    dim = _path("algebra.dim")
+    mul = _path("algebra.mul")
+    unit = _path("algebra.unit")
+    comul = _path("coalgebra.comul")
+    counit = _path("coalgebra.counit")
+    alpha = _path("algebra.alpha")
+    alpha_rows = _path("algebra.alpha_rows")
 
 
 @dataclass(frozen=True)
@@ -146,37 +201,19 @@ class HomHopfAlgebra:
         n = self.bialgebra.dim
         _require(mat_shape(self.antipode) == (n, n), "antipode shape")
 
-    @property
-    def dim(self) -> int:
-        return self.bialgebra.dim
+    dim = _path("bialgebra.algebra.dim")
+    mul = _path("bialgebra.algebra.mul")
+    unit = _path("bialgebra.algebra.unit")
+    comul = _path("bialgebra.coalgebra.comul")
+    counit = _path("bialgebra.coalgebra.counit")
+    alpha = _path("bialgebra.algebra.alpha")
+    alpha_rows = _path("bialgebra.algebra.alpha_rows")
+    algebra = _path("bialgebra.algebra")
+    coalgebra = _path("bialgebra.coalgebra")
 
-    @property
-    def mul(self) -> Tensor3:
-        return self.bialgebra.mul
-
-    @property
-    def unit(self) -> Vector:
-        return self.bialgebra.unit
-
-    @property
-    def comul(self) -> Tensor3:
-        return self.bialgebra.comul
-
-    @property
-    def counit(self) -> Vector:
-        return self.bialgebra.counit
-
-    @property
-    def alpha(self) -> Matrix:
-        return self.bialgebra.alpha
-
-    @property
-    def algebra(self) -> HomAlgebra:
-        return self.bialgebra.algebra
-
-    @property
-    def coalgebra(self) -> HomCoalgebra:
-        return self.bialgebra.coalgebra
+    @cached_property
+    def antipode_rows(self) -> SparseMatrix:
+        return rows(self.antipode)
 
 
 def hopf_algebra(
@@ -242,6 +279,10 @@ class ModuleAction:
         if not is_invertible(self.carrier.alpha):
             raise SingularMatrixError("carrier structure map must be invertible")
 
+    @cached_property
+    def act_cells(self) -> SparseTensor3:
+        return cells(self.act)
+
 
 @dataclass(frozen=True)
 class ComoduleCoaction:
@@ -258,9 +299,28 @@ class ComoduleCoaction:
         nc, nm = self.coactor.dim, self.carrier.dim
         _require(tensor3_shape(self.coact) == (nm, nm, nc), "coaction tensor shape")
 
+    @cached_property
+    def coact_rows(self) -> SparseMatrix:
+        """The coaction as a row-image map ``M -> M (x) C``."""
+        return rows(comul_matrix(self.coact))
+
+    @cached_property
+    def coact_terms(self):
+        """The terms ``(m_(0), c_(1), coefficient)`` of each ``rho(e_m)``."""
+        return terms(self.coact)
+
+
+class _GramForm:
+    """The ``form`` view of a Gram matrix field ``gram``."""
+
+    @cached_property
+    def form(self) -> SparseTensor3:
+        """The bilinear form as a bilinear map to the one-dimensional space."""
+        return cells(tuple(tuple((g,) for g in row) for row in self.gram))
+
 
 @dataclass(frozen=True)
-class PairingForm:
+class PairingForm(_GramForm):
     """A non-degenerate bilinear form linking two Hom-Hopf algebras.
 
     ``gram[i][j]`` is the pairing of the i-th basis vector of ``left`` with
@@ -278,7 +338,7 @@ class PairingForm:
 
 
 @dataclass(frozen=True)
-class TwoCocycle:
+class TwoCocycle(_GramForm):
     """A bilinear form on a Hom-bialgebra, tagged left or right."""
 
     algebra: HomBialgebra
@@ -303,8 +363,10 @@ class RMatrix:
         n = self.host.dim
         _require(mat_shape(self.entries) == (n, n), "R-matrix shape")
 
-    def as_vector(self) -> Vector:
-        return tuple(c for row in self.entries for c in row)
+    @cached_property
+    def vector(self) -> Sparse:
+        """``R`` as a sparse vector on the flattened pair space."""
+        return sparse(flatten_pair(self.entries))
 
 
 @dataclass(frozen=True)
@@ -324,6 +386,14 @@ class MatchedPairData:
         na, nh = self.A.dim, self.H.dim
         _require(tensor3_shape(self.left_action) == (nh, na, na), "left action shape")
         _require(tensor3_shape(self.right_action) == (nh, na, nh), "right action shape")
+
+    @cached_property
+    def left_cells(self) -> SparseTensor3:
+        return cells(self.left_action)
+
+    @cached_property
+    def right_cells(self) -> SparseTensor3:
+        return cells(self.right_action)
 
 
 @dataclass(frozen=True)
@@ -409,26 +479,6 @@ def _entries(v: Sparse) -> dict[int, Sparse]:
     return {i: sparse((c,)) for i, c in v.items()}
 
 
-def _as_map(covector: Vector) -> SparseMatrix:
-    """A covector as a row-image map to the one-dimensional space."""
-    return rows(transpose((covector,)))
-
-
-def _from_scalars(v: Vector) -> SparseMatrix:
-    """A vector as the row-image map ``c -> c v`` from the one-dimensional space."""
-    return (sparse(v),)
-
-
-def _op_comul(comul: Tensor3) -> Tensor3:
-    """The co-opposite comultiplication ``delta(e_i) = sum e_i2 (x) e_i1``."""
-    return tuple(transpose(plane) for plane in comul)
-
-
-def _form(gram: Matrix) -> SparseTensor3:
-    """A bilinear form as a bilinear map to the one-dimensional space."""
-    return cells(tuple(tuple((g,) for g in row) for row in gram))
-
-
 def _partial_forms(gram: Matrix, alpha_left: Matrix, alpha_right: Matrix):
     """For a bilinear form ``<,>`` with Gram matrix ``gram``, the maps
     ``x -> <alpha_left(e_i), x>`` (one per ``i``) and ``x -> <x, alpha_right(e_j)>``
@@ -446,10 +496,9 @@ def cocycle_products(sigma: TwoCocycle) -> SparseTensor3:
     third argument, and the cocycle twist applies ``alpha^-1`` to them.
     """
     B, gram = sigma.algebra, sigma.gram
-    n = B.dim
-    mc = cells(B.mul)
-    # a right cocycle pairs the second Sweedler legs: swap the legs
-    sw = terms(B.comul if sigma.side == "left" else _op_comul(B.comul))
+    n, mc, sw = B.dim, B.algebra.mul_cells, B.coalgebra.comul_terms
+    if sigma.side == "right":  # a right cocycle pairs the second Sweedler legs: swap the legs
+        sw = tuple(tuple((b, a, c) for a, b, c in row) for row in sw)
     return tuple(
         tuple(
             linear_combination(
@@ -476,7 +525,7 @@ def check_hom_algebra(obj) -> CheckReport:
     A = algebra_of(obj)
     n = A.dim
     rng = range(n)
-    mc, ar, e, unit = cells(A.mul), rows(A.alpha), basis(n), sparse(A.unit)
+    mc, ar, e, unit = A.mul_cells, A.alpha_rows, basis(n), A.unit_vector
 
     checks = [
         _sweep(
@@ -518,8 +567,7 @@ def check_hom_coalgebra(obj) -> CheckReport:
     C = coalgebra_of(obj)
     n = C.dim
     rng = range(n)
-    ar, e, eps = rows(C.alpha), basis(n), _as_map(C.counit)
-    delta = rows(comul_matrix(C.comul))
+    ar, e, eps, delta = C.alpha_rows, basis(n), C.counit_map, C.comul_rows
 
     checks = [
         _sweep(
@@ -561,9 +609,8 @@ def check_hom_bialgebra(obj) -> CheckReport:
     B = bialgebra_of(obj)
     n, counit = B.dim, B.counit
     rng = range(n)
-    mc, unit = cells(B.mul), sparse(B.unit)
-    delta = rows(comul_matrix(B.comul))
-    eps = _as_map(counit)
+    mc, unit = B.algebra.mul_cells, B.algebra.unit_vector
+    delta, eps = B.coalgebra.comul_rows, B.coalgebra.counit_map
 
     checks = [
         _sweep(
@@ -598,11 +645,9 @@ def check_antipode(H: HomHopfAlgebra) -> CheckReport:
     """Antipode identities plus the derived anti-(co)morphism properties."""
     n = H.dim
     rng = range(n)
-    mc, ar, S, e = cells(H.mul), rows(H.alpha), rows(H.antipode), basis(n)
-    m = rows(mul_matrix(H.mul))
-    delta = rows(comul_matrix(H.comul))
-    delta_op = rows(comul_matrix(_op_comul(H.comul)))
-    eps, eta = _as_map(H.counit), _from_scalars(H.unit)
+    A, C = H.algebra, H.coalgebra
+    mc, m, ar, S, e = A.mul_cells, A.mul_map, A.alpha_rows, H.antipode_rows, basis(n)
+    delta, delta_op, eps, eta = C.comul_rows, C.comul_op_rows, C.counit_map, (A.unit_vector,)
 
     checks = [
         _sweep(
@@ -660,8 +705,8 @@ def check_module(m: ModuleAction) -> CheckReport:
     actor = algebra_of(m.actor)
     na, nm = actor.dim, m.carrier.dim
     ra, rm = range(na), range(nm)
-    act, am, e = cells(m.act), rows(m.carrier.alpha), basis(nm)
-    aa, amul, unit = rows(actor.alpha), cells(actor.mul), sparse(actor.unit)
+    act, am, e = m.act_cells, m.carrier.alpha_rows, basis(nm)
+    aa, amul, unit = actor.alpha_rows, actor.mul_cells, actor.unit_vector
 
     checks = [
         _sweep(
@@ -691,14 +736,12 @@ def check_module_algebra(m: ModuleAction) -> CheckReport:
     actor = bialgebra_of(m.actor)
     carrier = algebra_of(m.carrier)
     na, nc = actor.dim, carrier.dim
-    act, cmc = cells(m.act), cells(carrier.mul)
+    act, cmc, cmul = m.act_cells, carrier.mul_cells, carrier.mul_map
     alpha2 = rows(alpha_power(actor.alpha, 2))
-    e, unit = basis(na), sparse(carrier.unit)
-    eps, eta = _as_map(actor.counit), _from_scalars(carrier.unit)
-    cmul = rows(mul_matrix(carrier.mul))
-    delta = rows(comul_matrix(actor.comul))
+    e, unit, eta = basis(na), carrier.unit_vector, (carrier.unit_vector,)
+    eps, delta = actor.coalgebra.counit_map, actor.coalgebra.comul_rows
     # acting_on[a] is the map h -> h . e_a
-    acting_on = tuple(rows(tuple(m.act[h][a] for h in range(na))) for a in range(nc))
+    acting_on = tuple(tuple(plane[a] for plane in act) for a in range(nc))
 
     checks = list(check_module(m).checks)
     checks.append(
@@ -725,10 +768,8 @@ def check_comodule(c: ComoduleCoaction) -> CheckReport:
     """Right comodule axioms for a coaction ``rho: M -> M (x) C``."""
     coactor = coalgebra_of(c.coactor)
     rm = range(c.carrier.dim)
-    am, ac, e = rows(c.carrier.alpha), rows(coactor.alpha), basis(c.carrier.dim)
-    eps = _as_map(coactor.counit)
-    rho = rows(comul_matrix(c.coact))
-    delta = rows(comul_matrix(coactor.comul))
+    am, ac, e = c.carrier.alpha_rows, coactor.alpha_rows, basis(c.carrier.dim)
+    eps, rho, delta = coactor.counit_map, c.coact_rows, coactor.comul_rows
 
     checks = [
         _sweep(
@@ -759,14 +800,11 @@ def check_comodule_coalgebra(c: ComoduleCoaction) -> CheckReport:
     carrier = coalgebra_of(c.carrier)
     nm, nh = carrier.dim, coactor.dim
     alpha2 = rows(alpha_power(coactor.alpha, 2))
-    rho = rows(comul_matrix(c.coact))
-    rho_terms = terms(c.coact)
-    comul_terms = terms(carrier.comul)
-    delta = rows(comul_matrix(carrier.comul))
-    eps, eta = _as_map(carrier.counit), _from_scalars(coactor.unit)
+    rho, rho_terms, hmul = c.coact_rows, c.coact_terms, coactor.algebra.mul_cells
+    comul_terms, delta, eps = carrier.comul_terms, carrier.comul_rows, carrier.counit_map
+    eta = (coactor.algebra.unit_vector,)
     e, em = basis(nh), basis(nm)
     embed = tuple(kron((row,), em) for row in em)  # embed[d] is m -> e_d (x) m
-    hmul = cells(coactor.mul)
 
     checks = list(check_comodule(c).checks)
     checks.append(
@@ -802,10 +840,8 @@ def check_module_coalgebra(m: ModuleAction) -> CheckReport:
     actor = bialgebra_of(m.actor)
     carrier = coalgebra_of(m.carrier)
     nh, nc = actor.dim, carrier.dim
-    act = cells(m.act)
-    actor_terms = terms(actor.comul)
-    delta = rows(comul_matrix(carrier.comul))
-    eps = _as_map(carrier.counit)
+    act, actor_terms = m.act_cells, actor.coalgebra.comul_terms
+    delta, eps = carrier.comul_rows, carrier.counit_map
 
     checks = list(check_module(m).checks)
     checks.append(
@@ -843,10 +879,9 @@ def check_cotwisting(C, D, phi: Matrix) -> CheckReport:
     nc, nd = C.dim, D.dim
     _require(mat_shape(phi) == (nc * nd, nd * nc), "cotwisting map shape")
 
-    cm, dm = rows(comul_matrix(C.comul)), rows(comul_matrix(D.comul))
-    ac, ad = rows(C.alpha), rows(D.alpha)
+    cm, dm, ac, ad = C.comul_rows, D.comul_rows, C.alpha_rows, D.alpha_rows
     ic, id_, e = basis(nc), basis(nd), basis(nc * nd)
-    eps_c, eps_d = _as_map(C.counit), _as_map(D.counit)
+    eps_c, eps_d = C.counit_map, D.counit_map
     ph = rows(phi)
 
     def sweep(axiom_id, after_phi, rhs):
@@ -901,8 +936,7 @@ def check_twisting(A, B, t: Matrix) -> CheckReport:
     na, nb = A.dim, B.dim
     _require(mat_shape(t) == (nb * na, na * nb), "twisting map shape")
 
-    am, bm = rows(mul_matrix(A.mul)), rows(mul_matrix(B.mul))
-    aa, ba = rows(A.alpha), rows(B.alpha)
+    am, bm, aa, ba = A.mul_map, B.mul_map, A.alpha_rows, B.alpha_rows
     ia, ib = basis(na), basis(nb)
     tr = rows(t)
 
@@ -943,15 +977,14 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
     A = bialgebra_of(mp.A)
     H = bialgebra_of(mp.H)
     na, nh = A.dim, H.dim
-    left, right = cells(mp.left_action), cells(mp.right_action)
+    left, right = mp.left_cells, mp.right_cells
     ah_i1, ah_i2, ah_i3 = (rows(alpha_power(H.alpha, -k)) for k in (1, 2, 3))
     aa_i1, aa_i2, aa_i3 = (rows(alpha_power(A.alpha, -k)) for k in (1, 2, 3))
-    ah, aa, amul, hmul = rows(H.alpha), rows(A.alpha), cells(A.mul), cells(H.mul)
-    h_terms, a_terms = terms(H.comul), terms(A.comul)
-    delta_h, delta_a = rows(comul_matrix(H.comul)), rows(comul_matrix(A.comul))
-    delta_a_op = rows(comul_matrix(_op_comul(A.comul)))
-    eps_h = _as_map(H.counit)
-    e_a, a_unit = basis(na), sparse(A.unit)
+    ah, aa, amul, hmul = H.alpha_rows, A.alpha_rows, A.algebra.mul_cells, H.algebra.mul_cells
+    h_terms, a_terms = H.coalgebra.comul_terms, A.coalgebra.comul_terms
+    delta_h, delta_a = H.coalgebra.comul_rows, A.coalgebra.comul_rows
+    delta_a_op, eps_h = A.coalgebra.comul_op_rows, H.coalgebra.counit_map
+    e_a, a_unit = basis(na), A.algebra.unit_vector
 
     checks = list(
         _prefixed(
@@ -1094,15 +1127,14 @@ def check_dual_pair(P: PairingForm) -> CheckReport:
     A, B, gram = P.left, P.right, P.gram
     na, nb = A.dim, B.dim
     ra, rb = range(na), range(nb)
-    e_a, e_b = basis(na), basis(nb)
-    eps_a, eps_b = _as_map(A.counit), _as_map(B.counit)
-    a_mul, b_mul, a_alpha, b_alpha = cells(A.mul), cells(B.mul), rows(A.alpha), rows(B.alpha)
-    a_unit, b_unit, s_a = sparse(A.unit), sparse(B.unit), rows(A.antipode)
-    sb_inv = rows(mat_inverse(B.antipode))
-    form = _form(gram)
+    e_a, e_b, a_alpha, b_alpha = basis(na), basis(nb), A.alpha_rows, B.alpha_rows
+    eps_a, eps_b = A.coalgebra.counit_map, B.coalgebra.counit_map
+    a_mul, b_mul = A.algebra.mul_cells, B.algebra.mul_cells
+    a_unit, b_unit, s_a = A.algebra.unit_vector, B.algebra.unit_vector, A.antipode_rows
+    sb_inv, form = rows(mat_inverse(B.antipode)), P.form
     # x -> <alpha^2(a_i), x> on B and x -> <x, alpha^2(b_j)> on A
     with_a, with_b = _partial_forms(gram, alpha_power(A.alpha, 2), alpha_power(B.alpha, 2))
-    delta_a, delta_b = rows(comul_matrix(A.comul)), rows(comul_matrix(B.comul))
+    delta_a, delta_b = A.coalgebra.comul_rows, B.coalgebra.comul_rows
 
     checks = [
         make_entry("pairing.non-degenerate", is_invertible(gram)),
@@ -1159,7 +1191,7 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
     gram = sigma.gram
     rng = range(B.dim)
     alpha2 = alpha_power(B.alpha, 2)
-    form, alpha = _form(gram), rows(B.alpha)
+    form, alpha = sigma.form, B.alpha_rows
     # left: sigma(l_1, k_1) l_2 k_2; right: sigma(l_2, k_2) l_1 k_1
     w = cocycle_products(sigma)
     # x -> (sigma(alpha^2(e_h), x))_h and x -> (sigma(x, alpha^2(e_k)))_k
@@ -1170,7 +1202,7 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
     zero = sparse((ZERO,))
     paired_h = [[_entries(apply_map(with_h, x)) for x in row] for row in w]
     paired_k = [[_entries(apply_map(with_k, x)) for x in row] for row in w]
-    unit = sparse(B.unit)
+    unit = B.algebra.unit_vector
     unit_left = apply_map(rows(gram), unit)
     unit_right = apply_map(rows(transpose(gram)), unit)
 
@@ -1207,11 +1239,9 @@ def check_quasitriangular(H, R: RMatrix) -> CheckReport:
     in the tensor-square and tensor-cube Hom-algebras."""
     B = bialgebra_of(H)
     n = B.dim
-    mc, alpha = cells(B.mul), rows(B.alpha)
-    rvec = sparse(R.as_vector())
-    e, unit = basis(n), _from_scalars(B.unit)
-    delta = rows(comul_matrix(B.comul))
-    delta_op = rows(comul_matrix(_op_comul(B.comul)))
+    mc, alpha, rvec = B.algebra.mul_cells, B.alpha_rows, R.vector
+    e, unit = basis(n), (B.algebra.unit_vector,)
+    delta, delta_op = B.coalgebra.comul_rows, B.coalgebra.comul_op_rows
     with_unit = kron(e, unit)  # x -> x (x) 1
     unit_with = kron(unit, e)  # x -> 1 (x) x
 
@@ -1248,9 +1278,8 @@ def check_comodule_algebra(A, c: ComoduleCoaction) -> CheckReport:
     alg = algebra_of(A)
     coactor = bialgebra_of(c.coactor)
     nm, nh = alg.dim, coactor.dim
-    rho = rows(comul_matrix(c.coact))
-    rho_terms = terms(c.coact)
-    amul, hmul = cells(alg.mul), cells(coactor.mul)
+    rho, rho_terms = c.coact_rows, c.coact_terms
+    amul, hmul = alg.mul_cells, coactor.algebra.mul_cells
 
     checks = list(check_comodule(c).checks)
     checks.append(
@@ -1269,8 +1298,8 @@ def check_comodule_algebra(A, c: ComoduleCoaction) -> CheckReport:
         _sweep(
             "comodule-algebra.unit",
             [()],
-            lambda: apply_map(rho, sparse(alg.unit)),
-            lambda: kron(_from_scalars(alg.unit), _from_scalars(coactor.unit))[0],
+            lambda: apply_map(rho, alg.unit_vector),
+            lambda: kron((alg.unit_vector,), (coactor.algebra.unit_vector,))[0],
         )
     )
     return CheckReport(tuple(checks))
@@ -1286,12 +1315,10 @@ def check_left_comodule_algebra(A, coactor, coact: Tensor3) -> CheckReport:
     co = bialgebra_of(coactor)
     nm, nh = alg.dim, co.dim
     rm = range(nm)
-    am, ac, e = rows(alg.alpha), rows(co.alpha), basis(nm)
-    amul, hmul = cells(alg.mul), cells(co.mul)
-    eps = _as_map(co.counit)
-    rho = rows(comul_matrix(coact))
-    rho_terms = terms(coact)
-    delta = rows(comul_matrix(co.comul))
+    am, ac, e = alg.alpha_rows, co.alpha_rows, basis(nm)
+    amul, hmul = alg.mul_cells, co.algebra.mul_cells
+    eps, delta = co.coalgebra.counit_map, co.coalgebra.comul_rows
+    rho, rho_terms = rows(comul_matrix(coact)), terms(coact)
 
     checks = [
         _sweep(
@@ -1324,8 +1351,8 @@ def check_left_comodule_algebra(A, coactor, coact: Tensor3) -> CheckReport:
         _sweep(
             "left-comodule-algebra.unit",
             [()],
-            lambda: apply_map(rho, sparse(alg.unit)),
-            lambda: kron(_from_scalars(co.unit), _from_scalars(alg.unit))[0],
+            lambda: apply_map(rho, alg.unit_vector),
+            lambda: kron((co.algebra.unit_vector,), (alg.unit_vector,))[0],
         ),
     ]
     return CheckReport(tuple(checks))

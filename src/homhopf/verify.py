@@ -45,7 +45,6 @@ from .exactlin import (
     basis,
     basis_vector,
     bilinear_apply,
-    cells,
     comul_matrix,
     kron,
     rows,
@@ -97,8 +96,6 @@ class SuiteResult:
 
 def _timed(suite: str, steps: list[SuiteStep], started: float) -> SuiteResult:
     return SuiteResult(suite, tuple(steps), time.perf_counter() - started)
-
-
 
 
 def _dense_sweep(axiom_id: str, indices, lhs_fn, rhs_fn) -> CheckEntry:
@@ -308,11 +305,11 @@ def verify_dual_pair_route(H: HomHopfAlgebra) -> SuiteResult:
 
     A, B = pairing.left, pairing.right
     na, nb = A.dim, B.dim
-    embed_a = kron(basis(na), (sparse(B.unit),))  # a -> a (x) 1
-    embed_b = kron((sparse(A.unit),), basis(nb))  # b -> 1 (x) b
+    embed_a = kron(basis(na), (B.algebra.unit_vector,))  # a -> a (x) 1
+    embed_b = kron((A.algebra.unit_vector,), basis(nb))  # b -> 1 (x) b
     e = basis(na * nb)
 
-    mul, a_mul, b_mul = cells(paired.hopf.mul), cells(A.mul), cells(B.mul)
+    mul, a_mul, b_mul = paired.hopf.algebra.mul_cells, A.algebra.mul_cells, B.algebra.mul_cells
     alpha_inv = kron(rows(alpha_power(A.alpha, -1)), rows(alpha_power(B.alpha, -1)))
     embeddings = (
         _sweep(

@@ -61,6 +61,21 @@ class TestCheckCommand:
         assert result.exit_code == 2
         assert "exceeds the limit" in result.output
 
+    def test_declared_dims_together_over_the_limit_exits_two(self, tmp_path, monkeypatch):
+        from homhopf import fileformat
+
+        monkeypatch.setattr(fileformat, "MAX_DIM", 3)
+        obj = "object {}\ndim 3\nalpha 0 0 1\nend\n"
+        (tmp_path / "one.alg").write_text("homhopf 1\nchar 0\n" + obj.format("a"))
+        (tmp_path / "two.alg").write_text("homhopf 1\nchar 0\n" + obj.format("a") + obj.format("b"))
+        # one 3-dim object parses (and then lacks an algebra structure)
+        result = invoke("check", str(tmp_path / "one.alg"))
+        assert result.exit_code == 2
+        assert "has no algebra structure" in result.output
+        result = invoke("check", str(tmp_path / "two.alg"))
+        assert result.exit_code == 2
+        assert "sum of dim^3 exceeds the limit of 3^3" in result.output
+
     def test_jobs_flag_does_not_change_output(self):
         a = invoke("check", "cyclic:4", "--level", "hopf", "--jobs", "1")
         b = invoke("check", "cyclic:4", "--level", "hopf", "--jobs", "4")

@@ -5,7 +5,10 @@ Integral scalars are stored as ``int`` and only proper fractions as
 exactly one place, ``exactlin._quotient``; the tooling test below fails on
 any other true division in the source.  A second tooling test keeps the
 ``exactlin`` kernels sparse: only ``dense``, which makes a sparse value
-dense, may allocate a dense list of zeros.
+dense, may allocate a dense list of zeros.  Two more keep the sparse
+operand tables with the domain objects: a second Hopf suite on one object
+converts no structure tensor again, and the source has no module-level
+cache.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import homhopf
+from homhopf import exactlin
 from homhopf.catalog import get_entry
 from homhopf.constructions import (
     drinfeld_double,
@@ -26,6 +30,7 @@ from homhopf.constructions import (
     evaluation_pairing,
     heisenberg_double,
 )
+from homhopf.exactlin import nonzeros
 from homhopf.structures import check_hom_algebra, run_hopf_suite
 
 ENTRIES = ("one", "ax1", "kz2", "sweedler_hom", *(f"cyclic:{n}" for n in range(2, 7)), "s3_inner")
@@ -126,3 +131,60 @@ def test_exactlin_kernels_allocate_no_dense_accumulator():
     visitor = _DenseLists()
     visitor.visit(ast.parse(path.read_text(), filename=str(path)))
     assert visitor.found == [("dense", "[ZERO] * v.dim")]
+
+
+def test_second_hopf_suite_converts_no_structure_tensor(monkeypatch):
+    """Operand tables belong to the domain objects: a second run of the Hopf
+    suite on the same 36-dim double reads them and converts nothing of length
+    36 or more.  Every dense-to-sparse conversion goes through ``nonzeros``."""
+    double = drinfeld_double(get_entry("s3_inner").hopf)
+    assert run_hopf_suite(double).ok
+    lengths = []
+
+    def counted(v):
+        v = tuple(v)
+        lengths.append(len(v))
+        return nonzeros(v)
+
+    monkeypatch.setattr(exactlin, "nonzeros", counted)
+    assert run_hopf_suite(double).ok
+    assert lengths and max(lengths) < double.dim
+
+
+class _Caches(ast.NodeVisitor):
+    """Collects ``(module, function)`` of each ``functools.lru_cache`` or
+    ``functools.cache`` decorator or call."""
+
+    NAMES = ("lru_cache", "cache")
+
+    def __init__(self, module: str):
+        self.module = module
+        self.found: list[tuple[str, str]] = []
+
+    def _check(self, node, where: str) -> None:
+        target = node.func if isinstance(node, ast.Call) else node
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name in self.NAMES:
+            self.found.append((self.module, where))
+
+    def visit_FunctionDef(self, node):
+        for decorator in node.decorator_list:
+            self._check(decorator, node.name)
+        self.generic_visit(node)
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        self._check(node, ast.unparse(node))
+        self.generic_visit(node)
+
+
+def test_no_module_level_caches():
+    """Tables live with their objects (``cached_property``), not in
+    process-wide caches keyed by structure constants."""
+    found = []
+    for path in sorted(Path(homhopf.__file__).parent.glob("*.py")):
+        visitor = _Caches(path.stem)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        found += visitor.found
+    assert found == []

@@ -149,6 +149,23 @@ class TestParsing:
             with pytest.raises(ParseError, match="positive integer"):
                 parse(head.format(malformed))
 
+    def test_declared_dims_together_over_the_limit(self, monkeypatch):
+        from homhopf import fileformat
+
+        monkeypatch.setattr(fileformat, "MAX_DIM", 3)
+        head = "homhopf 1\nchar 0\n"
+        obj = "object {}\ndim {}\nalpha 0 0 1\nend\n"
+        assert parse(head + obj.format("a", 3)).object().dim == 3
+        # the sum of dim^3 may reach MAX_DIM^3 = 27: 8 + 8 + 8 + 1 + 1 + 1
+        small = "".join(obj.format(f"o{i}", d) for i, d in enumerate((2, 2, 2, 1, 1, 1)))
+        assert len(parse(head + small).objects) == 6
+        for dims in ((3, 3), (3, 1), (1, 3)):
+            text = head + "".join(obj.format(f"o{i}", d) for i, d in enumerate(dims))
+            with pytest.raises(ParseError, match="sum of dim") as err:
+                parse(text)
+            # refused at the second object's dim line, before its tensors exist
+            assert (err.value.line, err.value.column) == (8, 5)
+
     def test_not_utf8(self):
         with pytest.raises(ParseError):
             parse(b"\xff\xfe homhopf")

@@ -1,6 +1,7 @@
 """Axiom checkers: passing instances, deliberately broken ones, witnesses."""
 
 
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -11,15 +12,34 @@ from homhopf.catalog import (
     catalog_kz2,
     catalog_one,
     catalog_sweedler_hom,
+    get_entry,
 )
-from homhopf.constructions import comodule_cotwist, self_bicross_data
+from homhopf.constructions import (
+    canonical_cocycles,
+    canonical_r_matrix,
+    comodule_cotwist,
+    drinfeld_double,
+    dual,
+    dual_matched_pair,
+    evaluation_pairing,
+    self_bicross_data,
+)
 from homhopf.errors import SingularMatrixError
 from homhopf.exactlin import (
+    Sparse,
+    cells,
+    comul_matrix,
+    dense,
     identity,
     matrix_from_entries,
     matrix_from_rows,
+    rows,
+    sparse,
     tensor3_from_entries,
+    terms,
+    transpose,
 )
+from homhopf.fileformat import bundle_of_entry, parse, serialize
 from homhopf.structures import (
     ComoduleCoaction,
     HomAlgebra,
@@ -29,6 +49,8 @@ from homhopf.structures import (
     ModuleAction,
     PairingForm,
     TwoCocycle,
+    algebra_of,
+    bialgebra_of,
     check_antipode,
     check_comodule,
     check_comodule_coalgebra,
@@ -41,7 +63,9 @@ from homhopf.structures import (
     check_module,
     check_module_algebra,
     check_module_coalgebra,
+    coalgebra_of,
     hopf_algebra,
+    run_hopf_suite,
 )
 
 F = Fraction
@@ -319,3 +343,112 @@ class TestStructuralInvariants:
         r1 = check_hom_algebra(broken)
         r2 = check_hom_algebra(broken)
         assert r1 == r2
+
+
+# ---------------------------------------------------------------------------
+# sparse views of the domain types
+
+VIEW_ENTRIES = ("one", "ax1", "kz2", "sweedler_hom", *(f"cyclic:{n}" for n in range(2, 7)), "s3_inner")
+
+
+def as_dense(table):
+    """A view with every sparse vector made dense, so vector lengths count too."""
+    if isinstance(table, Sparse):
+        return dense(table)
+    if isinstance(table, tuple):
+        return tuple(as_dense(x) for x in table)
+    return table
+
+
+def hopf_views(H):
+    """Every view of a Hopf object and of its algebra and coalgebra, by name."""
+    A, C = H.algebra, H.coalgebra
+    names = {
+        A: ("mul_cells", "mul_map", "alpha_rows", "unit_vector"),
+        C: ("comul_rows", "comul_op_rows", "comul_terms", "counit_map", "alpha_rows"),
+        H: ("antipode_rows",),
+    }
+    return {(type(obj).__name__, name): getattr(obj, name) for obj, ns in names.items() for name in ns}
+
+
+def hopf_conversions(H):
+    """The conversions of the dense fields that the views of ``hopf_views`` replace."""
+    co_opposite = tuple(transpose(plane) for plane in H.comul)
+    return {
+        ("HomAlgebra", "mul_cells"): cells(H.mul),
+        ("HomAlgebra", "mul_map"): rows(tuple(row for plane in H.mul for row in plane)),
+        ("HomAlgebra", "alpha_rows"): rows(H.alpha),
+        ("HomAlgebra", "unit_vector"): sparse(H.unit),
+        ("HomCoalgebra", "comul_rows"): rows(comul_matrix(H.comul)),
+        ("HomCoalgebra", "comul_op_rows"): rows(comul_matrix(co_opposite)),
+        ("HomCoalgebra", "comul_terms"): terms(H.comul),
+        ("HomCoalgebra", "counit_map"): rows(transpose((H.counit,))),
+        ("HomCoalgebra", "alpha_rows"): rows(H.alpha),
+        ("HomHopfAlgebra", "antipode_rows"): rows(H.antipode),
+    }
+
+
+def objects_of(name):
+    """A catalog entry's Hopf object, its double and its dual."""
+    h = get_entry(name).hopf
+    return {"entry": h, "double": drinfeld_double(h), "dual": dual(h)}
+
+
+@pytest.mark.parametrize("name", VIEW_ENTRIES)
+class TestViews:
+    def test_each_view_equals_the_conversion_it_replaces(self, name):
+        for H in objects_of(name).values():
+            views, expected = hopf_views(H), hopf_conversions(H)
+            assert views.keys() == expected.keys()
+            for key, view in views.items():
+                assert as_dense(view) == as_dense(expected[key]), key
+
+    def test_views_are_built_once_and_shared(self, name):
+        H = objects_of(name)["double"]
+        A = H.algebra
+        assert A.mul_cells is A.mul_cells and algebra_of(H).mul_cells is A.mul_cells
+        assert coalgebra_of(H).comul_rows is bialgebra_of(H).coalgebra.comul_rows
+        assert H.alpha_rows is A.alpha_rows
+        # the flattened map reuses the cells' sparse vectors
+        n = A.dim
+        assert all(A.mul_map[i * n + j] is A.mul_cells[i][j] for i in range(n) for j in range(n))
+
+    def test_reading_views_changes_no_equality_hash_or_repr(self, name):
+        for H in objects_of(name).values():
+            objects = (H, H.bialgebra, H.algebra, H.coalgebra)
+            before = [(hash(x), repr(x)) for x in objects]
+            twin = replace(H, bialgebra=replace(H.bialgebra))
+            hopf_views(H)
+            assert [(hash(x), repr(x)) for x in objects] == before
+            assert H == twin and twin == H and hash(H) == hash(twin)
+            assert "mul_cells" not in replace(H.algebra).__dict__
+            assert {f.name for f in fields(H.algebra)} == {"dim", "mul", "unit", "alpha"}
+            assert {f.name for f in fields(H.coalgebra)} == {"dim", "comul", "counit", "alpha"}
+
+    def test_block_views(self, name):
+        entry, h = get_entry(name), get_entry(name).hopf
+        pairing = evaluation_pairing(h)
+        sigma, eta = canonical_cocycles(h)
+        for form in (pairing, sigma, eta):
+            gram = form.gram
+            assert as_dense(form.form) == tuple(tuple((g,) for g in row) for row in gram)
+        r = canonical_r_matrix(h)
+        assert dense(r.vector) == tuple(c for row in r.entries for c in row)
+        if entry.action is not None:
+            act, co = entry.action, entry.coaction
+            assert as_dense(act.act_cells) == act.act
+            assert as_dense(co.coact_rows) == as_dense(rows(comul_matrix(co.coact)))
+            assert co.coact_terms == terms(co.coact)
+            mp = dual_matched_pair(h, entry.partner, act, co, check=False)
+            assert as_dense(mp.left_cells) == mp.left_action
+            assert as_dense(mp.right_cells) == mp.right_action
+
+
+def test_thm26_golden_gate_still_matches_after_views_are_read():
+    """``verify thm2.6`` compares the parsed carrier with the catalog's by ``==``."""
+    ax1 = get_entry("ax1")
+    act = parse(serialize(bundle_of_entry(ax1))).module_action()
+    check_module_algebra(act)  # reads the views of the action, its actor and its carrier
+    run_hopf_suite(act.carrier)
+    assert act.carrier == ax1.hopf and act.actor == ax1.partner
+    assert hash(act.carrier) == hash(ax1.hopf)
