@@ -212,9 +212,9 @@ def check(source, level, report_path, jobs):
         checkers = (check_hom_algebra, check_hom_coalgebra, check_hom_bialgebra, check_antipode)
         tasks = [partial(f, obj) for f, obj in zip(checkers, (alg, coa, bia, hopf)) if obj]
         if level == "quasitriangular":
-            blocks = bundle.blocks_of("rmatrix")
+            blocks = [b for b in bundle.blocks_of("rmatrix") if b.refs[0] == rec.name]
             if not blocks:
-                _fail_usage("quasitriangular level needs an rmatrix block")
+                _fail_usage(f"quasitriangular level needs an rmatrix block on {rec.name!r}")
             tasks.append(partial(check_quasitriangular, bia, bundle.rmatrix(blocks[0])))
     except (HomHopfError, click.UsageError, OSError) as exc:
         _fail_usage(str(exc))

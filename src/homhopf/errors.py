@@ -11,6 +11,11 @@ class DimensionMismatch(HomHopfError):
     """Shapes of operands do not line up."""
 
 
+class MissingStructure(HomHopfError, TypeError):
+    """An object lacks the algebra, coalgebra or bialgebra structure an
+    operation needs; also a ``TypeError``, so callers catching that still do."""
+
+
 class SingularMatrixError(HomHopfError):
     """A matrix that must be invertible is not."""
 

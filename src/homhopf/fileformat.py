@@ -21,9 +21,10 @@ sequence of sections, each closed by ``end``:
     cocycle <name> <host-object> <left|right>          entry i j p/q
     rmatrix <name> <host-object>                       entry i j p/q
 
-Unspecified entries are zero; a repeated index tuple is an error (there is no
-implicit summation); every index is validated against the declared
-dimensions; scalars are exact rationals ``p`` or ``p/q``.  Serialization is
+Unspecified entries are zero; a repeated index tuple is an error whatever
+its values, zero included (there is no implicit summation); every index is
+validated against the declared dimensions; scalars are exact rationals ``p``
+or ``p/q``.  Serialization is
 canonical: sections in the order above, entries sorted by index tuple, zero
 entries omitted, fractions reduced, so equal objects produce byte-identical
 files and parsing a serialized bundle reproduces it exactly.
@@ -31,6 +32,7 @@ files and parsing a serialized bundle reproduces it exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,6 +110,20 @@ class BlockRecord:
     entries: tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
+# For each block kind, the position in the block's object references of the
+# object whose dim bounds each entry index: an action entry ``h m m'`` runs
+# over (actor, carrier, carrier), a coaction entry ``m m' c`` over (carrier,
+# carrier, coactor).  A block names max(positions) + 1 objects; a cocycle
+# also names its side.
+_BLOCK_POSITIONS = {
+    "action": (0, 1, 1),
+    "coaction": (1, 1, 0),
+    "pairing": (0, 1),
+    "cocycle": (0, 0),
+    "rmatrix": (0, 0),
+}
+
+
 @dataclass(frozen=True)
 class AlgebraFile:
     schema_version: int
@@ -135,54 +151,41 @@ class AlgebraFile:
     def blocks_of(self, kind: str) -> tuple[BlockRecord, ...]:
         return tuple(b for b in self.blocks if b.kind == kind)
 
-    def _first_block(self, kind: str) -> BlockRecord:
-        blocks = self.blocks_of(kind)
-        if not blocks:
-            raise ParseError(f"file defines no {kind} block")
-        return blocks[0]
+    def _block(self, kind: str, block: BlockRecord | None):
+        """``block`` (by default the first of ``kind``), the objects it names
+        and its entries as a dense matrix or rank-3 tensor."""
+        if block is None:
+            blocks = self.blocks_of(kind)
+            if not blocks:
+                raise ParseError(f"file defines no {kind} block")
+            block = blocks[0]
+        positions = _BLOCK_POSITIONS[kind]
+        objs = tuple(self.object(ref) for ref in block.refs[: max(positions) + 1])
+        shape = tuple(objs[p].dim for p in positions)
+        entries = dict(block.entries)
+        if len(shape) == 3:
+            return block, objs, tensor3_from_entries(shape, entries)
+        return block, objs, matrix_from_entries(*shape, entries)
 
     def module_action(self, block: BlockRecord | None = None) -> ModuleAction:
-        block = block or self._first_block("action")
-        actor = self.object(block.refs[0])
-        carrier = self.object(block.refs[1])
-        act = tensor3_from_entries(
-            (actor.dim, carrier.dim, carrier.dim), {idx: v for idx, v in block.entries}
-        )
+        _, (actor, carrier), act = self._block("action", block)
         return ModuleAction(_richest(actor), _richest(carrier), act)
 
     def comodule_coaction(self, block: BlockRecord | None = None) -> ComoduleCoaction:
-        block = block or self._first_block("coaction")
-        coactor = self.object(block.refs[0])
-        carrier = self.object(block.refs[1])
-        coact = tensor3_from_entries(
-            (carrier.dim, carrier.dim, coactor.dim), {idx: v for idx, v in block.entries}
-        )
+        _, (coactor, carrier), coact = self._block("coaction", block)
         return ComoduleCoaction(_richest(coactor), _richest(carrier), coact)
 
     def pairing(self, block: BlockRecord | None = None) -> PairingForm:
-        block = block or self._first_block("pairing")
-        left = self.object(block.refs[0]).hom_hopf()
-        right = self.object(block.refs[1]).hom_hopf()
-        gram = matrix_from_entries(
-            left.dim, right.dim, {(i, j): v for (i, j), v in block.entries}
-        )
-        return PairingForm(left, right, gram)
+        _, (left, right), gram = self._block("pairing", block)
+        return PairingForm(left.hom_hopf(), right.hom_hopf(), gram)
 
     def cocycle(self, block: BlockRecord | None = None) -> TwoCocycle:
-        block = block or self._first_block("cocycle")
-        host = self.object(block.refs[0]).hom_bialgebra()
-        gram = matrix_from_entries(
-            host.dim, host.dim, {(i, j): v for (i, j), v in block.entries}
-        )
-        return TwoCocycle(host, gram, block.refs[1])
+        block, (host,), gram = self._block("cocycle", block)
+        return TwoCocycle(host.hom_bialgebra(), gram, block.refs[1])
 
     def rmatrix(self, block: BlockRecord | None = None) -> RMatrix:
-        block = block or self._first_block("rmatrix")
-        host = self.object(block.refs[0]).hom_bialgebra()
-        entries = matrix_from_entries(
-            host.dim, host.dim, {(i, j): v for (i, j), v in block.entries}
-        )
-        return RMatrix(host, entries)
+        _, (host,), entries = self._block("rmatrix", block)
+        return RMatrix(host.hom_bialgebra(), entries)
 
 
 def _richest(rec: ObjectRecord):
@@ -199,262 +202,183 @@ def _richest(rec: ObjectRecord):
 # ---------------------------------------------------------------------------
 # parsing
 
-_BLOCK_ARITY = {"action": 3, "coaction": 3, "pairing": 3, "cocycle": 3, "rmatrix": 2}
-_OBJ_SECTIONS = {"mul": 3, "comul": 3, "alpha": 2, "antipode": 2, "unit": 1, "counit": 1}
+_ENTRY_ARITY = {"mul": 3, "comul": 3, "alpha": 2, "antipode": 2, "unit": 1, "counit": 1}
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def next_tokens(self):
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos]
-            self.pos += 1
-            stripped = line.split("#", 1)[0]
-            if stripped.strip():
-                yield self.pos, stripped
+def _lines(text: str):
+    """``(lineno, text, tokens)`` for each line holding a token, comments cut."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("#", 1)[0]
+        tokens = line.split()
+        if tokens:
+            yield lineno, line, tokens
 
 
-def _token_column(line_text: str, token_index: int) -> int:
-    col = 0
-    seen = 0
-    i = 0
-    text = line_text.split("#", 1)[0]
-    while i < len(text):
-        if not text[i].isspace():
-            start = i
-            while i < len(text) and not text[i].isspace():
-                i += 1
-            if seen == token_index:
-                return start + 1
-            seen += 1
-        else:
-            i += 1
-    return len(line_text) + 1
+def _token_column(text: str, index: int) -> int:
+    """The 1-based column of token ``index`` of ``text``, or one past its end."""
+    starts = [m.start() + 1 for m in re.finditer(r"\S+", text)]
+    return starts[index] if index < len(starts) else len(text) + 1
 
 
 def parse(data: bytes | str) -> AlgebraFile:
     """Parse and fully validate a definition file."""
     if isinstance(data, bytes):
         try:
-            text = data.decode("utf-8")
+            data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text: {exc}") from None
-    else:
-        text = data
+    stream = _lines(data)
 
-    cursor = _Cursor(text)
-    stream = cursor.next_tokens()
+    def fail(message, line, token, error=ParseError):
+        raise error(message, line[0], _token_column(line[1], token))
 
-    def fail(message, lineno, tokens_line, token_index):
-        raise ParseError(message, lineno, _token_column(tokens_line, token_index))
+    def body(section: str, start: int):
+        """The lines of the section opened on line ``start``, up to its ``end``."""
+        for line in stream:
+            if line[2][0] == "end":
+                return
+            yield line
+        raise ParseError(f"{section} not closed by 'end'", start, 1)
 
-    try:
-        lineno, line = next(stream)
-    except StopIteration:
-        raise ParseError("empty file") from None
-    toks = line.split()
+    def entry(line, bounds, table, takes: str, duplicate: str) -> None:
+        """Read ``<keyword> <index>... <scalar>`` into ``table``, zero values
+        included, so a repeated index is refused whatever its first value."""
+        toks = line[2]
+        if len(toks) != len(bounds) + 2:
+            fail(f"{takes} {len(bounds)} indices and one scalar", line, 0)
+        idx = []
+        for t, bound in enumerate(bounds, 1):
+            try:
+                i = int(toks[t])
+            except ValueError:
+                fail(f"bad index {toks[t]!r}", line, t)
+            if not 0 <= i < bound:
+                fail(f"index {i} out of range for dimension {bound}", line, t, RangeError)
+            idx.append(i)
+        try:
+            value = parse_scalar(toks[-1])
+        except ValueError as exc:
+            fail(str(exc), line, len(bounds) + 1)
+        idx = tuple(idx)
+        if idx in table:
+            raise DuplicateEntry(f"{duplicate} at {idx}", line[0], 1)
+        table[idx] = value
+
+    header = next(stream, None)
+    if header is None:
+        raise ParseError("empty file")
+    toks = header[2]
     if len(toks) != 2 or toks[0] != "homhopf":
-        fail("expected header 'homhopf <schema-version>'", lineno, line, 0)
+        fail("expected header 'homhopf <schema-version>'", header, 0)
     try:
         version = int(toks[1])
     except ValueError:
-        fail(f"bad schema version {toks[1]!r}", lineno, line, 1)
+        fail(f"bad schema version {toks[1]!r}", header, 1)
     if version != SCHEMA_VERSION:
-        fail(f"unsupported schema version {version}", lineno, line, 1)
-
-    try:
-        lineno, line = next(stream)
-    except StopIteration:
-        raise ParseError("missing 'char 0' line") from None
-    toks = line.split()
-    if toks != ["char", "0"]:
-        fail("expected 'char 0' (only characteristic zero is supported)", lineno, line, 0)
+        fail(f"unsupported schema version {version}", header, 1)
+    char = next(stream, None)
+    if char is None:
+        raise ParseError("missing 'char 0' line")
+    if char[2] != ["char", "0"]:
+        fail("expected 'char 0' (only characteristic zero is supported)", char, 0)
 
     objects: list[ObjectRecord] = []
     blocks: list[BlockRecord] = []
     dims: dict[str, int] = {}
     declared = 0  # the sum of dim^3 over the objects so far
 
-    def parse_scalar_tok(tok, lineno, line, ti) -> Fraction:
-        try:
-            return parse_scalar(tok)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno, _token_column(line, ti)) from None
-
-    def parse_index(tok, bound, lineno, line, ti) -> int:
-        try:
-            idx = int(tok)
-        except ValueError:
-            fail(f"bad index {tok!r}", lineno, line, ti)
-        if not (0 <= idx < bound):
-            raise RangeError(
-                f"index {idx} out of range for dimension {bound}",
-                lineno,
-                _token_column(line, ti),
-            )
-        return idx
-
-    for lineno, line in stream:
-        toks = line.split()
-        head = toks[0]
+    for line in stream:
+        lineno, _, (head, *args) = line
         if head == "object":
-            if len(toks) != 2:
-                fail("expected 'object <name>'", lineno, line, 0)
-            name = toks[1]
+            if len(args) != 1:
+                fail("expected 'object <name>'", line, 0)
+            name = args[0]
             if name in dims:
                 raise DuplicateEntry(f"object {name!r} defined twice", lineno, 1)
-            dim = None
-            basis: tuple[str, ...] | None = None
-            sparse: dict[str, dict[tuple[int, ...], Fraction]] = {
-                key: {} for key in _OBJ_SECTIONS
-            }
-            closed = False
-            for lineno2, line2 in stream:
-                toks2 = line2.split()
-                head2 = toks2[0]
-                if head2 == "end":
-                    closed = True
-                    break
-                if head2 == "dim":
+            dim = basis = None
+            tables: dict[str, dict] = {key: {} for key in _ENTRY_ARITY}
+            for item in body(f"object {name!r}", lineno):
+                key, *values = item[2]
+                if key == "dim":
                     if dim is not None:
-                        raise DuplicateEntry("dim declared twice", lineno2, 1)
-                    text = toks2[1].lstrip("0") if len(toks2) == 2 else ""
-                    if not (text.isascii() and text.isdigit()):
-                        fail("expected 'dim <positive integer>'", lineno2, line2, 1)
+                        raise DuplicateEntry("dim declared twice", item[0], 1)
+                    digits = values[0].lstrip("0") if len(values) == 1 else ""
+                    if not (digits.isascii() and digits.isdigit()):
+                        fail("expected 'dim <positive integer>'", item, 1)
                     # compare lengths first: int() refuses strings of thousands of digits
-                    if len(text) > len(str(MAX_DIM)) or int(text) > MAX_DIM:
-                        fail(f"declared dim exceeds the limit of {MAX_DIM}", lineno2, line2, 1)
-                    dim = int(text)
+                    if len(digits) > len(str(MAX_DIM)) or int(digits) > MAX_DIM:
+                        fail(f"declared dim exceeds the limit of {MAX_DIM}", item, 1)
+                    dim = int(digits)
                     declared += dim**3
                     if declared > MAX_DIM**3:
-                        fail(f"sum of dim^3 exceeds the limit of {MAX_DIM}^3", lineno2, line2, 1)
-                    continue
-                if head2 == "basis":
+                        fail(f"sum of dim^3 exceeds the limit of {MAX_DIM}^3", item, 1)
+                elif key == "basis":
                     if basis is not None:
-                        raise DuplicateEntry("basis declared twice", lineno2, 1)
-                    basis = tuple(toks2[1:])
-                    continue
-                if head2 not in _OBJ_SECTIONS:
-                    fail(f"unknown object line {head2!r}", lineno2, line2, 0)
-                if dim is None:
-                    fail("dim must be declared before entries", lineno2, line2, 0)
-                arity = _OBJ_SECTIONS[head2]
-                if len(toks2) != arity + 2:
-                    fail(
-                        f"'{head2}' takes {arity} indices and one scalar",
-                        lineno2,
-                        line2,
-                        0,
-                    )
-                idx = tuple(
-                    parse_index(toks2[1 + t], dim, lineno2, line2, 1 + t)
-                    for t in range(arity)
-                )
-                value = parse_scalar_tok(toks2[-1], lineno2, line2, arity + 1)
-                if idx in sparse[head2]:
-                    raise DuplicateEntry(
-                        f"duplicate {head2} entry at {idx}", lineno2, 1
-                    )
-                if value:
-                    sparse[head2][idx] = value
-            if not closed:
-                raise ParseError(f"object {name!r} not closed by 'end'", lineno, 1)
+                        raise DuplicateEntry("basis declared twice", item[0], 1)
+                    basis = tuple(values)
+                elif key not in _ENTRY_ARITY:
+                    fail(f"unknown object line {key!r}", item, 0)
+                elif dim is None:
+                    fail("dim must be declared before entries", item, 0)
+                else:
+                    bounds = (dim,) * _ENTRY_ARITY[key]
+                    entry(item, bounds, tables[key], f"'{key}' takes", f"duplicate {key} entry")
             if dim is None:
                 raise ParseError(f"object {name!r} has no dim", lineno, 1)
             if basis is None:
                 basis = tuple(f"e{i}" for i in range(dim))
             if len(basis) != dim:
                 raise ParseError(
-                    f"object {name!r} basis has {len(basis)} labels for dim {dim}",
-                    lineno,
-                    1,
+                    f"object {name!r} basis has {len(basis)} labels for dim {dim}", lineno, 1
                 )
-            if not sparse["alpha"]:
+            nz = {key: {idx: v for idx, v in table.items() if v} for key, table in tables.items()}
+            if not nz["alpha"]:
                 raise ParseError(f"object {name!r} has no structure map", lineno, 1)
-            has_algebra = bool(sparse["mul"]) or bool(sparse["unit"])
-            has_coalgebra = bool(sparse["comul"]) or bool(sparse["counit"])
-            record = ObjectRecord(
-                name,
-                dim,
-                basis,
-                matrix_from_entries(dim, dim, sparse["alpha"]),
-                mul=tensor3_from_entries((dim, dim, dim), sparse["mul"])
-                if has_algebra
-                else None,
-                unit=vector_from_entries(dim, {i: v for (i,), v in sparse["unit"].items()})
-                if has_algebra
-                else None,
-                comul=tensor3_from_entries((dim, dim, dim), sparse["comul"])
-                if has_coalgebra
-                else None,
-                counit=vector_from_entries(dim, {i: v for (i,), v in sparse["counit"].items()})
-                if has_coalgebra
-                else None,
-                antipode=matrix_from_entries(dim, dim, sparse["antipode"])
-                if sparse["antipode"]
-                else None,
-            )
-            objects.append(record)
-            dims[name] = dim
-            continue
-        if head in _BLOCK_ARITY:
-            want = _BLOCK_ARITY[head]
-            if len(toks) != want + 1:
-                fail(f"'{head}' header takes a name and {want - 1} arguments", lineno, line, 0)
-            name = toks[1]
-            refs = tuple(toks[2:])
-            if head == "cocycle":
-                if refs[1] not in ("left", "right"):
-                    fail("cocycle side must be 'left' or 'right'", lineno, line, 3)
-                ref_objs = refs[:1]
-            else:
-                ref_objs = refs
-            for ti, ref in enumerate(ref_objs):
-                if ref not in dims:
-                    fail(f"unknown object {ref!r}", lineno, line, 2 + ti)
-            if head == "action":
-                bounds = (dims[refs[0]], dims[refs[1]], dims[refs[1]])
-            elif head == "coaction":
-                bounds = (dims[refs[1]], dims[refs[1]], dims[refs[0]])
-            elif head == "pairing":
-                bounds = (dims[refs[0]], dims[refs[1]])
-            else:
-                bounds = (dims[refs[0]], dims[refs[0]])
-            entries: dict[tuple[int, ...], Fraction] = {}
-            closed = False
-            for lineno2, line2 in stream:
-                toks2 = line2.split()
-                if toks2[0] == "end":
-                    closed = True
-                    break
-                if toks2[0] != "entry":
-                    fail(f"expected 'entry' or 'end' in {head} block", lineno2, line2, 0)
-                if len(toks2) != len(bounds) + 2:
-                    fail(
-                        f"'{head}' entries take {len(bounds)} indices and one scalar",
-                        lineno2,
-                        line2,
-                        0,
-                    )
-                idx = tuple(
-                    parse_index(toks2[1 + t], bounds[t], lineno2, line2, 1 + t)
-                    for t in range(len(bounds))
+            algebra = nz["mul"] or nz["unit"]
+            coalgebra = nz["comul"] or nz["counit"]
+            cube = (dim, dim, dim)
+            objects.append(
+                ObjectRecord(
+                    name,
+                    dim,
+                    basis,
+                    matrix_from_entries(dim, dim, nz["alpha"]),
+                    mul=tensor3_from_entries(cube, nz["mul"]) if algebra else None,
+                    unit=vector_from_entries(dim, {i: v for (i,), v in nz["unit"].items()})
+                    if algebra
+                    else None,
+                    comul=tensor3_from_entries(cube, nz["comul"]) if coalgebra else None,
+                    counit=vector_from_entries(dim, {i: v for (i,), v in nz["counit"].items()})
+                    if coalgebra
+                    else None,
+                    antipode=matrix_from_entries(dim, dim, nz["antipode"])
+                    if nz["antipode"]
+                    else None,
                 )
-                value = parse_scalar_tok(toks2[-1], lineno2, line2, len(bounds) + 1)
-                if idx in entries:
-                    raise DuplicateEntry(f"duplicate entry at {idx}", lineno2, 1)
-                if value:
-                    entries[idx] = value
-            if not closed:
-                raise ParseError(f"{head} block {name!r} not closed by 'end'", lineno, 1)
-            blocks.append(
-                BlockRecord(head, name, refs, tuple(sorted(entries.items())))
             )
-            continue
-        fail(f"unknown section {head!r}", lineno, line, 0)
+            dims[name] = dim
+        elif head in _BLOCK_POSITIONS:
+            positions = _BLOCK_POSITIONS[head]
+            named = max(positions) + 1
+            wanted = named + (head == "cocycle")
+            if len(args) != 1 + wanted:
+                fail(f"'{head}' header takes a name and {wanted} arguments", line, 0)
+            name, refs = args[0], tuple(args[1:])
+            if head == "cocycle" and refs[1] not in ("left", "right"):
+                fail("cocycle side must be 'left' or 'right'", line, 3)
+            for t, ref in enumerate(refs[:named], 2):
+                if ref not in dims:
+                    fail(f"unknown object {ref!r}", line, t)
+            bounds = tuple(dims[refs[p]] for p in positions)
+            table: dict = {}
+            for item in body(f"{head} block {name!r}", lineno):
+                if item[2][0] != "entry":
+                    fail(f"expected 'entry' or 'end' in {head} block", item, 0)
+                entry(item, bounds, table, f"'{head}' entries take", "duplicate entry")
+            entries = tuple(sorted((idx, v) for idx, v in table.items() if v))
+            blocks.append(BlockRecord(head, name, refs, entries))
+        else:
+            fail(f"unknown section {head!r}", line, 0)
 
     return AlgebraFile(version, tuple(objects), tuple(blocks))
 

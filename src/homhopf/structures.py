@@ -18,11 +18,11 @@ and ``unit_vector``; ``HomCoalgebra.comul_rows``, ``comul_op_rows``,
 ``HomHopfAlgebra.antipode_rows``; ``ModuleAction.act_cells``;
 ``ComoduleCoaction.coact_rows`` and ``coact_terms``; the ``form`` of a
 ``PairingForm`` or ``TwoCocycle``; ``RMatrix.vector``; and the
-``left_cells`` and ``right_cells`` of a ``MatchedPairData``.  A view is
-built on first use and kept in the instance ``__dict__``
-(``functools.cached_property``): it is built once per object and freed with
-it, and it is not a dataclass field, so ``==``, ``hash``, ``repr`` and
-``dataclasses.replace`` see only the dense fields.  Checkers and
+``left_module`` (which holds ``left_cells``) and ``right_cells`` of a
+``MatchedPairData``.  A view is built on first use and kept in the instance
+``__dict__`` (``functools.cached_property``): it is built once per object
+and freed with it, and it is not a dataclass field, so ``==``, ``hash``,
+``repr`` and ``dataclasses.replace`` see only the dense fields.  Checkers and
 constructions read these views; none converts a dense field itself.
 """
 
@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import chain, product
 from operator import attrgetter
 
-from .errors import DimensionMismatch, SingularMatrixError
+from .errors import DimensionMismatch, MissingStructure, SingularMatrixError
 from .exactlin import (
     ONE,
     ZERO,
@@ -243,7 +243,7 @@ def algebra_of(obj) -> HomAlgebra:
         return obj.algebra
     if isinstance(obj, HomHopfAlgebra):
         return obj.bialgebra.algebra
-    raise TypeError(f"no algebra structure on {type(obj).__name__}")
+    raise MissingStructure(f"no algebra structure on {type(obj).__name__}")
 
 
 def coalgebra_of(obj) -> HomCoalgebra:
@@ -254,7 +254,7 @@ def coalgebra_of(obj) -> HomCoalgebra:
         return obj.coalgebra
     if isinstance(obj, HomHopfAlgebra):
         return obj.bialgebra.coalgebra
-    raise TypeError(f"no coalgebra structure on {type(obj).__name__}")
+    raise MissingStructure(f"no coalgebra structure on {type(obj).__name__}")
 
 
 def bialgebra_of(obj) -> HomBialgebra:
@@ -262,7 +262,7 @@ def bialgebra_of(obj) -> HomBialgebra:
         return obj
     if isinstance(obj, HomHopfAlgebra):
         return obj.bialgebra
-    raise TypeError(f"no bialgebra structure on {type(obj).__name__}")
+    raise MissingStructure(f"no bialgebra structure on {type(obj).__name__}")
 
 
 @dataclass(frozen=True)
@@ -388,8 +388,13 @@ class MatchedPairData:
         _require(tensor3_shape(self.right_action) == (nh, na, nh), "right action shape")
 
     @cached_property
+    def left_module(self) -> ModuleAction:
+        """The left action as a ``ModuleAction`` of H on A; it holds ``left_cells``."""
+        return ModuleAction(self.H, self.A, self.left_action)
+
+    @cached_property
     def left_cells(self) -> SparseTensor3:
-        return cells(self.left_action)
+        return self.left_module.act_cells
 
     @cached_property
     def right_cells(self) -> SparseTensor3:
@@ -989,7 +994,7 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
     checks = list(
         _prefixed(
             "matched-pair.left-action.",
-            check_module_coalgebra(ModuleAction(H, A, mp.left_action)).checks,
+            check_module_coalgebra(mp.left_module).checks,
         )
     )
 
@@ -1305,12 +1310,10 @@ def check_comodule_algebra(A, c: ComoduleCoaction) -> CheckReport:
     return CheckReport(tuple(checks))
 
 
-def check_left_comodule_algebra(A, coactor, coact: Tensor3) -> CheckReport:
-    """Mirrored, left-sided comodule Hom-algebra conditions.
-
-    ``coact[m][c][m']`` holds the ``e_c (x) e_m'`` coefficient of
-    ``rho(e_m)`` for a coaction ``rho: M -> C (x) M``.
-    """
+def check_left_comodule_algebra(A, coactor) -> CheckReport:
+    """Mirrored, left-sided comodule Hom-algebra conditions on the algebra
+    ``A`` for the coaction ``rho: A -> C (x) A`` that is the coproduct of
+    ``coactor`` (so both have one dimension)."""
     alg = algebra_of(A)
     co = bialgebra_of(coactor)
     nm, nh = alg.dim, co.dim
@@ -1318,7 +1321,7 @@ def check_left_comodule_algebra(A, coactor, coact: Tensor3) -> CheckReport:
     am, ac, e = alg.alpha_rows, co.alpha_rows, basis(nm)
     amul, hmul = alg.mul_cells, co.algebra.mul_cells
     eps, delta = co.coalgebra.counit_map, co.coalgebra.comul_rows
-    rho, rho_terms = rows(comul_matrix(coact)), terms(coact)
+    rho, rho_terms = delta, co.coalgebra.comul_terms
 
     checks = [
         _sweep(

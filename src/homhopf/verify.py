@@ -373,7 +373,7 @@ def verify_prop_4_7(A: HomHopfAlgebra) -> SuiteResult:
     steps.append(
         SuiteStep(
             "left comodule-algebra over the mirrored double",
-            check_left_comodule_algebra(right_twist, tilde, tilde.comul),
+            check_left_comodule_algebra(right_twist, tilde),
             note=(
                 "left-sided comodule-algebra axioms are the mirror images of the "
                 "right-sided ones; stated and checked explicitly here"

@@ -14,6 +14,18 @@ def invoke(*args):
     return runner.invoke(main, list(args))
 
 
+def _ax1_with_coalgebra_partner() -> str:
+    """The ax1 export with ``mul``, ``unit`` and ``antipode`` stripped from
+    ``ax1_partner``, which then holds only a coalgebra."""
+    head, partner = invoke("export", "ax1").output.split("object ax1_partner\n")
+    kept = [
+        line
+        for line in partner.splitlines(keepends=True)
+        if line.split()[0] not in ("mul", "unit", "antipode")
+    ]
+    return head + "object ax1_partner\n" + "".join(kept)
+
+
 class TestCheckCommand:
     def test_passing_catalog_entry(self):
         result = invoke("check", "cyclic:3", "--level", "hopf")
@@ -75,6 +87,34 @@ class TestCheckCommand:
         result = invoke("check", str(tmp_path / "two.alg"))
         assert result.exit_code == 2
         assert "sum of dim^3 exceeds the limit of 3^3" in result.output
+
+    def test_quasitriangular_reads_the_rmatrix_of_the_checked_object(self, tmp_path):
+        from homhopf.catalog import get_entry
+        from homhopf.fileformat import (
+            SCHEMA_VERSION,
+            AlgebraFile,
+            block_record,
+            object_record,
+            serialize,
+        )
+
+        sweedler, cyclic = get_entry("sweedler_hom"), get_entry("cyclic:3")
+        other_r = block_record("rmatrix", "r3", ("c3",), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        own_r = block_record("rmatrix", "r", ("sw",), sweedler.rmatrix.entries)
+        sw, c3 = object_record("sw", sweedler.hopf), object_record("c3", cyclic.hopf)
+        # the first rmatrix block is hosted by the other, 3-dim object
+        (tmp_path / "sw.alg").write_bytes(
+            serialize(AlgebraFile(SCHEMA_VERSION, (sw, c3), (other_r, own_r)))
+        )
+        result = invoke("check", str(tmp_path / "sw.alg"), "--level", "quasitriangular")
+        assert result.exit_code == 0
+        # no rmatrix block is hosted by the checked 3-dim object
+        (tmp_path / "c3.alg").write_bytes(
+            serialize(AlgebraFile(SCHEMA_VERSION, (c3, sw), (own_r,)))
+        )
+        result = invoke("check", str(tmp_path / "c3.alg"), "--level", "quasitriangular")
+        assert result.exit_code == 2
+        assert "error: quasitriangular level needs an rmatrix block" in result.output
 
     def test_jobs_flag_does_not_change_output(self):
         a = invoke("check", "cyclic:4", "--level", "hopf", "--jobs", "1")
@@ -221,6 +261,12 @@ class TestConstructCommand:
         assert result.exit_code == 2
         assert "has no coalgebra structure" in result.output
 
+    def test_bicross_with_a_coalgebra_actor_is_usage_error(self, tmp_path):
+        (tmp_path / "ax1.alg").write_text(_ax1_with_coalgebra_partner())
+        result = invoke("construct", "bicross", str(tmp_path / "ax1.alg"))
+        assert result.exit_code == 2
+        assert "error: no bialgebra structure on HomCoalgebra" in result.output
+
     def test_unknown_kind_is_usage_error(self):
         result = invoke("construct", "frobnicate", "ax1")
         assert result.exit_code == 2
@@ -244,6 +290,12 @@ class TestVerifyCommand:
         result = invoke("verify", "thm2.6", "--algebra", str(tmp_path / "broken.alg"))
         assert result.exit_code == 1
         assert "FAIL" in result.output
+
+    def test_bicross_suite_with_a_coalgebra_actor_is_usage_error(self, tmp_path):
+        (tmp_path / "ax1.alg").write_text(_ax1_with_coalgebra_partner())
+        result = invoke("verify", "thm2.6", "--algebra", str(tmp_path / "ax1.alg"))
+        assert result.exit_code == 2
+        assert "error: no bialgebra structure on HomCoalgebra" in result.output
 
     def test_golden_tables_reported_for_ax1(self):
         result = invoke("verify", "thm2.6", "--algebra", "ax1")

@@ -5,10 +5,10 @@ Integral scalars are stored as ``int`` and only proper fractions as
 exactly one place, ``exactlin._quotient``; the tooling test below fails on
 any other true division in the source.  A second tooling test keeps the
 ``exactlin`` kernels sparse: only ``dense``, which makes a sparse value
-dense, may allocate a dense list of zeros.  Two more keep the sparse
-operand tables with the domain objects: a second Hopf suite on one object
-converts no structure tensor again, and the source has no module-level
-cache.
+dense, may allocate a dense list of zeros.  More keep the sparse operand tables with the domain
+objects: a second Hopf suite on one object, a second matched-pair check and
+a second left comodule-algebra check convert no structure tensor again, and
+the source has no module-level cache.
 """
 
 from __future__ import annotations
@@ -26,12 +26,19 @@ from homhopf.constructions import (
     drinfeld_double,
     drinfeld_double_tilde,
     dual,
+    dual_matched_pair,
     dual_pair_double,
     evaluation_pairing,
     heisenberg_double,
+    self_bicross_data,
 )
 from homhopf.exactlin import nonzeros
-from homhopf.structures import check_hom_algebra, run_hopf_suite
+from homhopf.structures import (
+    check_hom_algebra,
+    check_left_comodule_algebra,
+    check_matched_pair,
+    run_hopf_suite,
+)
 
 ENTRIES = ("one", "ax1", "kz2", "sweedler_hom", *(f"cyclic:{n}" for n in range(2, 7)), "s3_inner")
 FIELDS = ("mul", "unit", "comul", "counit", "alpha", "antipode")
@@ -149,6 +156,45 @@ def test_second_hopf_suite_converts_no_structure_tensor(monkeypatch):
     monkeypatch.setattr(exactlin, "nonzeros", counted)
     assert run_hopf_suite(double).ok
     assert lengths and max(lengths) < double.dim
+
+
+def _converted(monkeypatch) -> list:
+    """The vectors every later dense-to-sparse conversion reads, in order."""
+    seen = []
+
+    def counted(v):
+        v = tuple(v)
+        seen.append(v)
+        return nonzeros(v)
+
+    monkeypatch.setattr(exactlin, "nonzeros", counted)
+    return seen
+
+
+def test_matched_pair_check_reuses_the_left_action_cells(monkeypatch):
+    """The module-coalgebra sub-check of ``check_matched_pair`` reads
+    ``mp.left_module``, whose ``act_cells`` are ``mp.left_cells``: a second
+    check converts no cell of the left action again."""
+    h = get_entry("s3_inner").hopf
+    hop, act, co = self_bicross_data(h)
+    mp = dual_matched_pair(h, hop, act, co, check=False)
+    check_matched_pair(mp)
+    cells = {id(cell) for plane in mp.left_action for cell in plane}
+    seen = _converted(monkeypatch)
+    check_matched_pair(mp)
+    assert mp.left_module.act_cells is mp.left_cells
+    assert seen and not [v for v in seen if id(v) in cells]
+
+
+def test_left_coaction_check_reads_the_coactor_tables(monkeypatch):
+    """``check_left_comodule_algebra`` takes the coactor's own coproduct as
+    the coaction and reads its ``comul_rows`` and ``comul_terms``: a second
+    check converts nothing of the coactor's dimension or more."""
+    tilde = drinfeld_double_tilde(get_entry("cyclic:3").hopf)
+    check_left_comodule_algebra(tilde, tilde)
+    seen = _converted(monkeypatch)
+    check_left_comodule_algebra(tilde, tilde)
+    assert all(len(v) < tilde.dim for v in seen)
 
 
 class _Caches(ast.NodeVisitor):

@@ -1,4 +1,12 @@
-"""Definition files: round trips, canonical form, parse errors."""
+"""Definition files: round trips, canonical form, parse errors, and a lock
+on what ``parse`` does with a thousand mutated files."""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +20,7 @@ from homhopf.constructions import (
 from homhopf.errors import DuplicateEntry, ParseError, RangeError
 from homhopf.fileformat import (
     AlgebraFile,
+    BlockRecord,
     SCHEMA_VERSION,
     bundle_of_entry,
     object_record,
@@ -57,6 +66,17 @@ class TestRoundTrip:
         co = bundle.comodule_coaction()
         assert act.act == entry.action.act
         assert co.coact == entry.coaction.coact
+
+    def test_block_shapes_follow_the_named_objects(self):
+        """Each block kind takes each index bound from the object it names."""
+        bundle = parse(serialize(_mixed_bundle()))
+        act, co = bundle.module_action(), bundle.comodule_coaction()
+        assert (len(act.act), len(act.act[0]), len(act.act[0][0])) == (3, 4, 4)
+        assert (len(co.coact), len(co.coact[0]), len(co.coact[0][0])) == (4, 4, 3)
+        assert len(bundle.cocycle().gram) == 3 and bundle.cocycle().side == "left"
+        assert len(bundle.rmatrix().entries) == 4
+        (block,) = bundle.blocks_of("action")
+        assert all(act.act[h][m][k] == v for (h, m, k), v in block.entries)
 
 
 GOOD = """homhopf 1
@@ -107,6 +127,20 @@ class TestParsing:
         bad = GOOD.replace("mul 0 1 1 -1", "mul 0 0 0 2")
         with pytest.raises(DuplicateEntry):
             parse(bad)
+
+    @pytest.mark.parametrize(
+        "bad, line",
+        [
+            (GOOD.replace("mul 0 1 1 -1", "mul 0 1 1 0\nmul 0 1 1 -1"), 8),
+            (GOOD + "rmatrix r a\nentry 1 1 0\nentry 1 1 1\nend\n", 21),
+        ],
+        ids=["object", "block"],
+    )
+    def test_duplicate_after_a_zero_entry(self, bad, line):
+        """A repeated index is an error whatever the first value was."""
+        with pytest.raises(DuplicateEntry) as err:
+            parse(bad)
+        assert (err.value.line, err.value.column) == (line, 1)
 
     def test_missing_header(self):
         with pytest.raises(ParseError):
@@ -184,3 +218,132 @@ class TestParsing:
         bundle = parse(GOOD)
         with pytest.raises(ParseError, match=f"^file defines no {kind} block$"):
             getattr(bundle, accessor)()
+
+
+# ---------------------------------------------------------------------------
+# Behaviour lock: the outcome of parsing about a thousand mutated exports.
+#
+# ``parse_outcomes.json`` maps each seeded case to a short digest of what
+# ``parse`` did with it: the exception type, message, line and column, or
+# the sha256 of ``serialize(parse(text))``.  Any change to an error, its
+# position or a parsed bundle shows up here.  The fixture is written by
+#
+#     PYTHONPATH=src python tests/test_fileformat.py
+#
+# and is only regenerated when a parse outcome change is intended.
+
+OUTCOMES = Path(__file__).with_name("parse_outcomes.json")
+MUTATION_CASES = 1000
+
+
+def _mixed_bundle() -> AlgebraFile:
+    """Two objects of different dims (4 and 3) and one block of every kind,
+    so a bound taken from the wrong object shows."""
+    big, small = "sweedler", "cyc3"
+    objects = (
+        object_record(big, get_entry("sweedler_hom").hopf),
+        object_record(small, get_entry("cyclic:3").hopf),
+    )
+
+    def entries(shape):
+        cells = [idx for idx in product(*map(range, shape)) if sum(idx) % 3 == 0]
+        return tuple((idx, Fraction(sum(idx) + 1, len(idx))) for idx in cells)
+
+    blocks = (
+        BlockRecord("action", "act", (small, big), entries((3, 4, 4))),
+        BlockRecord("coaction", "coact", (small, big), entries((4, 4, 3))),
+        BlockRecord("pairing", "pair", (big, small), entries((4, 3))),
+        BlockRecord("cocycle", "sigma", (small, "left"), entries((3, 3))),
+        BlockRecord("rmatrix", "r", (big,), entries((4, 4))),
+    )
+    return AlgebraFile(SCHEMA_VERSION, objects, blocks)
+
+
+def _mutation_sources() -> dict[str, list[str]]:
+    texts = {name: serialize(bundle_of_entry(get_entry(name))) for name in CATALOG}
+    texts["mixed"] = serialize(_mixed_bundle())
+    return {name: data.decode().splitlines() for name, data in texts.items()}
+
+
+_TOKENS = (
+    "0", "1", "2", "3", "4", "-1", "1/2", "-3/4", "2/4", "1/0", "-0", "+1", "1_0", "007",
+    "x", "1.5", "99", "", "end", "entry", "mul", "dim", "left", "right", "object",
+)
+_LINES = (
+    "end", "", "   ", "# note", "object extra", "dim 2", "dim 0", "basis a b",
+    "entry 0 0 1", "entry 0 0 0 1", "mul 0 0 0 0", "unit 0 1/2", "alpha 0 0 1",
+    "rmatrix r2 {main}", "cocycle c {main} left", "cocycle c {main} up",
+    "pairing p {main} {main}", "action a {main} {main}", "coaction c {main} {main}",
+    "widget w", "homhopf 1", "char 0",
+)
+
+
+def _retokenise(rng: random.Random, line: str) -> str:
+    toks = line.split()
+    op = rng.randrange(4)
+    i = rng.randrange(len(toks) + (op == 2)) if toks else 0
+    if op == 0 and toks:
+        toks[i] = rng.choice(_TOKENS)
+    elif op == 1 and toks:
+        del toks[i]
+    elif op == 2:
+        toks.insert(i, rng.choice(_TOKENS))
+    elif toks:
+        j = rng.randrange(len(toks))
+        toks[i], toks[j] = toks[j], toks[i]
+    sep = rng.choice((" ", " ", "  ", "\t"))
+    return rng.choice(("", "", " ")) + sep.join(toks)
+
+
+def mutation_cases():
+    """``(case id, text)`` for each seeded mutation of a catalog export:
+    one to three lines deleted, duplicated, retokenised or inserted."""
+    sources = _mutation_sources()
+    names = sorted(sources)
+    for seed in range(MUTATION_CASES):
+        rng = random.Random(seed)
+        name = names[seed % len(names)]
+        lines = list(sources[name])
+        main = lines[2].split()[1]
+        for _ in range(rng.choice((1, 1, 1, 2, 3))):
+            op = rng.randrange(4)
+            at = rng.randrange(len(lines)) if lines else 0
+            if op == 0 and lines:
+                del lines[at]
+            elif op == 1 and lines:
+                lines.insert(rng.randrange(len(lines) + 1), lines[at])
+            elif op == 2 and lines:
+                lines[at] = _retokenise(rng, lines[at])
+            else:
+                other = sources[rng.choice(names)]
+                extra = rng.choice(other) if rng.random() < 0.5 else rng.choice(_LINES)
+                lines.insert(rng.randrange(len(lines) + 1), extra.format(main=main))
+        yield f"{seed:04d} {name}", "\n".join(lines) + "\n"
+
+
+def parse_outcome(text: str) -> str:
+    """What ``parse`` does with ``text``: the error it raises or the
+    canonical bytes of the bundle it returns."""
+    try:
+        data = serialize(parse(text))
+    except Exception as exc:  # any exception type is part of the outcome
+        line, column = getattr(exc, "line", None), getattr(exc, "column", None)
+        return f"{type(exc).__name__}: {exc} @ {line}:{column}"
+    return "ok " + hashlib.sha256(data).hexdigest()
+
+
+def _digest(outcome: str) -> str:
+    return hashlib.sha256(outcome.encode()).hexdigest()[:16]
+
+
+def test_parse_outcomes_are_locked():
+    golden = json.loads(OUTCOMES.read_text())
+    outcomes = {key: parse_outcome(text) for key, text in mutation_cases()}
+    assert sorted(golden) == sorted(outcomes)
+    changed = {key: out for key, out in outcomes.items() if _digest(out) != golden[key]}
+    assert not changed
+
+
+if __name__ == "__main__":
+    locked = {key: _digest(parse_outcome(text)) for key, text in mutation_cases()}
+    OUTCOMES.write_text(json.dumps(locked, indent=0, sort_keys=True) + "\n")
