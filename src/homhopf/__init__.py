@@ -61,16 +61,20 @@ from .constructions import (
     smash_product,
     yau_twist,
 )
-from .catalog import (
-    CatalogEntry,
-    catalog_ax1,
-    catalog_cyclic,
-    catalog_ex27_expected,
-    catalog_group,
-    catalog_kz2,
-    catalog_one,
-    catalog_sweedler_hom,
-    get_entry,
+# The catalog loads on first use, so commands that only read files never compile it.
+_CATALOG_NAMES = (
+    "catalog", "CatalogEntry", "catalog_ax1", "catalog_cyclic", "catalog_ex27_expected",
+    "catalog_group", "catalog_kz2", "catalog_one", "catalog_sweedler_hom", "get_entry",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    if name not in _CATALOG_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    catalog = importlib.import_module(".catalog", __name__)
+    return catalog if name == "catalog" else getattr(catalog, name)
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_CATALOG_NAMES))

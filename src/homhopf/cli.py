@@ -8,16 +8,13 @@ computed over the document with wall-time fields removed.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import sys
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import click
-
+# package before click: click then reuses the heap freed by the package's compile
 from . import __version__
-from .catalog import catalog_ex27_expected, catalog_names, get_entry
 from .constructions import (
     bicrossproduct,
     cocycle_twist,
@@ -51,15 +48,11 @@ from .structures import (
     check_quasitriangular,
     merge_reports,
 )
-from .verify import (
-    SuiteResult,
-    verify_cor_2_9,
-    verify_dual_pair_route,
-    verify_prop_2_19,
-    verify_prop_4_7,
-    verify_thm_2_6,
-    verify_thm_4_5,
-)
+
+import click
+
+if TYPE_CHECKING:
+    from .verify import SuiteResult
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -72,6 +65,8 @@ def _load_input(source: str) -> tuple[AlgebraFile, bytes, object]:
     if path.exists():
         raw = path.read_bytes()
         return parse(raw), raw, None
+    from .catalog import catalog_names, get_entry
+
     try:
         entry = get_entry(source)
     except InvalidParameter:
@@ -152,6 +147,9 @@ def _strip_wall_time(node):
 def _write_report(path, command: str, inputs, results, status: int) -> None:
     if not path:
         return
+    import hashlib
+    import json
+
     doc = {
         "tool": "homhopf",
         "version": __version__,
@@ -272,13 +270,9 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
         elif kind == "self-bicross":
             result = object_record(f"self_bicross_{base}", self_bicross(rec.hom_hopf(), check=check_flag))
         elif kind == "bicross":
-            act = bundle.module_action()
-            co = bundle.comodule_coaction()
-            carrier = act.carrier
-            actor = act.actor
-            result = object_record(
-                f"bicross_{base}", bicrossproduct(carrier, actor, act, co, check=check_flag)
-            )
+            act, co = bundle.module_action(), bundle.comodule_coaction()
+            built = bicrossproduct(act.carrier, act.actor, act, co, check=check_flag)
+            result = object_record(f"bicross_{base}", built)
         elif kind == "dual-pair-double":
             pair_blocks = bundle.blocks_of("pairing")
             pairing = bundle.pairing(pair_blocks[0]) if pair_blocks else evaluation_pairing(rec.hom_hopf())
@@ -332,6 +326,9 @@ SUITES = ("thm2.6", "cor2.9", "prop2.19", "thm4.5", "dual-pair", "prop4.7")
 def verify(suite, source, report_path, jobs):
     """Run a named verification suite on an algebra."""
     del jobs
+    from .verify import verify_cor_2_9, verify_dual_pair_route, verify_prop_2_19, verify_prop_4_7
+    from .verify import verify_thm_2_6, verify_thm_4_5
+
     try:
         bundle, raw, entry = _load_input(source)
         rec = bundle.object()
@@ -340,15 +337,13 @@ def verify(suite, source, report_path, jobs):
         if suite == "thm2.6":
             act = bundle.module_action()
             co = bundle.comodule_coaction()
-            golden = None
+            from .catalog import catalog_ex27_expected, get_entry
+
+            # the golden tables are those of the catalog's ax1 data
             ax1 = get_entry("ax1")
-            if (
-                act.carrier == ax1.hopf
-                and act.actor == ax1.partner
-                and act.act == ax1.action.act
-                and co.coact == ax1.coaction.coact
-            ):
-                golden = catalog_ex27_expected()
+            given = (act.carrier, act.actor, act.act, co.coact)
+            is_ax1 = given == (ax1.hopf, ax1.partner, ax1.action.act, ax1.coaction.coact)
+            golden = catalog_ex27_expected() if is_ax1 else None
             result = verify_thm_2_6(act.carrier, act.actor, act, co, golden)
         elif suite == "cor2.9":
             result = verify_cor_2_9(hopf, group)
@@ -374,6 +369,8 @@ def verify(suite, source, report_path, jobs):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def export(name, out_path):
     """Write a catalog entry (with its bundled blocks) in file format."""
+    from .catalog import get_entry
+
     try:
         entry = get_entry(name)
     except InvalidParameter as exc:

@@ -160,7 +160,7 @@ def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
     antipode is the transpose of the antipode.
     """
     n = h.dim
-    ainv2 = alpha_power(h.alpha, -2)
+    ainv2 = alpha_power(h.alpha_inverse, 2)
     a2 = rows(ainv2)
     # row (i, j): the coefficients of e^i e^j; row i: those of delta(e^i)
     products = transpose(tuple(dense(apply_kron(a2, a2, d)) for d in h.coalgebra.comul_rows))
@@ -171,7 +171,7 @@ def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
         h.counit,
         comul_tensor(coproducts, n),
         h.unit,
-        transpose(alpha_power(h.alpha, -1)),
+        transpose(h.alpha_inverse),
         transpose(h.antipode),
     )
 
@@ -190,9 +190,8 @@ def smash_product(A, H, act: ModuleAction, check: bool = True) -> HomAlgebra:
         if not report.ok:
             raise PreconditionFailed("action is not a module-algebra action", report)
     na, nh = alg.dim, bi.dim
-    ah_i1 = rows(alpha_power(bi.alpha, -1))
-    ah_i2 = rows(alpha_power(bi.alpha, -2))
-    aa_i1 = rows(alpha_power(alg.alpha, -1))
+    ah_i1, ah_i2 = (rows(alpha_power(bi.alpha_inverse, k)) for k in (1, 2))
+    aa_i1 = rows(alg.alpha_inverse)
     e_a, e_h = basis(na), basis(nh)
     amul, hmul, action = alg.mul_cells, bi.algebra.mul_cells, act.act_cells
     delta = bi.coalgebra.comul_rows
@@ -227,9 +226,8 @@ def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> Matrix:
     coactor = bialgebra_of(co.coactor)
     carrier = coalgebra_of(co.carrier)
     nh, nc = coactor.dim, carrier.dim
-    ac_i1 = rows(alpha_power(carrier.alpha, -1))
-    ah_i1 = rows(alpha_power(coactor.alpha, -1))
-    ah_i2 = rows(alpha_power(coactor.alpha, -2))
+    ac_i1 = rows(mat_inverse(carrier.alpha))
+    ah_i1, ah_i2 = (rows(alpha_power(coactor.alpha_inverse, k)) for k in (1, 2))
     hmul, rho = coactor.algebra.mul_cells, co.coact_rows
     # second[h] maps c_(1) to alpha_H^-1(h) alpha_H^-2(c_(1))
     second = [tuple(bilinear_apply(hmul, x, y) for y in ah_i2) for x in ah_i1]
@@ -277,8 +275,8 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
     coa = coalgebra_of(A)
     bi = bialgebra_of(H)
     na, nh = alg.dim, bi.dim
-    ah_i1 = rows(alpha_power(bi.alpha, -1))
-    aa_i1 = rows(alpha_power(alg.alpha, -1))
+    ah_i1 = rows(bi.alpha_inverse)
+    aa_i1 = rows(alg.alpha_inverse)
     action, amul, hmul = act.act_cells, alg.mul_cells, bi.algebra.mul_cells
     e_a, e_h = basis(na), basis(nh)
     h_terms, co_terms = bi.coalgebra.comul_terms, co.coact_terms
@@ -386,15 +384,15 @@ def bicrossproduct(
 
     na, nh = A.dim, H.dim
     nd = na * nh
-    aa_i2 = rows(alpha_power(A.alpha, -2))
-    aa_i3 = rows(alpha_power(A.alpha, -3))
+    aa_i2, aa_i3 = (rows(alpha_power(A.alpha_inverse, k)) for k in (2, 3))
     smash = smash_product(A, H, act, check=False)
     coalg = cotwist_coproduct(A, H, comodule_cotwist(co, check=False), check=False)
 
     # S(a (x) h) = (1 (x) S_H alpha_H^-2(h_(0))) (S_A(alpha_A^-2(a) alpha_A^-3(h_(1))) (x) 1)
     co_terms, mc, amul = co.coact_terms, smash.mul_cells, A.algebra.mul_cells
     # h -> 1 (x) S_H(alpha_H^-2(h)) and a -> S_A(a) (x) 1
-    s_h = kron((A.algebra.unit_vector,), rows(mat_compose(alpha_power(H.alpha, -2), H.antipode)))
+    sh_i2 = rows(mat_compose(alpha_power(H.alpha_inverse, 2), H.antipode))
+    s_h = kron((A.algebra.unit_vector,), sh_i2)
     s_then_1 = kron(A.antipode_rows, (H.algebra.unit_vector,))
     s_a = [[apply_map(s_then_1, bilinear_apply(amul, a, x)) for x in aa_i3] for a in aa_i2]
     antipode = tuple(
@@ -415,8 +413,8 @@ def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, 
     by ``rho(h) = alpha^-1(h_12) (x) S(alpha^-2(h_11)) alpha^-1(h_2)``."""
     n = H.dim
     hop = opposite_hopf(H)
-    ainv1 = rows(alpha_power(H.alpha, -1))
-    s_ainv2 = rows(mat_compose(alpha_power(H.alpha, -2), H.antipode))  # rows S(alpha^-2(e_h))
+    ainv1 = rows(H.alpha_inverse)
+    s_ainv2 = rows(mat_compose(alpha_power(H.alpha_inverse, 2), H.antipode))  # S(alpha^-2(e_h))
     hmul, h_terms = H.algebra.mul_cells, H.coalgebra.comul_terms
 
     def acts(h, a):
@@ -454,8 +452,8 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
 
     n = H.dim
     nd = n * n
-    ainv1, ainv2, ainv3 = (rows(alpha_power(H.alpha, -k)) for k in (1, 2, 3))
-    s_ainv4 = rows(mat_compose(alpha_power(H.alpha, -4), H.antipode))  # rows S(alpha^-4(e_h))
+    ainv1, ainv2, ainv3 = (rows(alpha_power(H.alpha_inverse, k)) for k in (1, 2, 3))
+    s_ainv4 = rows(mat_compose(alpha_power(H.alpha_inverse, 4), H.antipode))  # S(alpha^-4(e_h))
     e, hmul, Hc = basis(n), H.algebra.mul_cells, H.coalgebra
     h_terms, delta, op_delta = Hc.comul_terms, Hc.comul_rows, Hc.comul_op_rows
 
@@ -524,8 +522,8 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     H = mp.H
     na, nh = A.dim, H.dim
     nd = na * nh
-    ah_i2 = rows(alpha_power(H.alpha, -2))
-    aa_i2 = rows(alpha_power(A.alpha, -2))
+    ah_i2 = rows(alpha_power(H.alpha_inverse, 2))
+    aa_i2 = rows(alpha_power(A.alpha_inverse, 2))
     left, right = mp.left_cells, mp.right_cells
     amul, hmul = A.algebra.mul_cells, H.algebra.mul_cells
     h_terms, delta_a = H.coalgebra.comul_terms, A.coalgebra.comul_rows
@@ -558,8 +556,8 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     alg = HomAlgebra(nd, mul, _dense_kron((A.unit,), (H.unit,))[0], coalg.alpha)
 
     # the two antipode factors as maps: h -> 1 (x) S_H alpha_H^-1(h), a -> S_A alpha_A^-1(a) (x) 1
-    s_h = kron((A.algebra.unit_vector,), rows(mat_compose(alpha_power(H.alpha, -1), H.antipode)))
-    s_a = kron(rows(mat_compose(alpha_power(A.alpha, -1), A.antipode)), (H.algebra.unit_vector,))
+    s_h = kron((A.algebra.unit_vector,), rows(mat_compose(H.alpha_inverse, H.antipode)))
+    s_a = kron(rows(mat_compose(A.alpha_inverse, A.antipode)), (H.algebra.unit_vector,))
     antipode = tuple(
         dense(bilinear_apply(alg.mul_cells, s_h[h], s_a[a])) for a in range(na) for h in range(nh)
     )
@@ -580,7 +578,7 @@ def dual_matched_pair(
         if not combined.ok:
             raise PreconditionFailed("bicrossproduct preconditions fail", combined)
     na, nh = A.dim, H.dim
-    aa_i2 = alpha_power(A.alpha, -2)
+    aa_i2 = alpha_power(A.alpha_inverse, 2)
     # column j of alpha^-2 followed by the action of h is <e^j < h, .>
     acted = [transpose(mat_compose(aa_i2, act.act[h])) for h in range(nh)]
     left = tuple(
@@ -601,11 +599,10 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     ``alpha (x) (alpha^-1)*``."""
     n = H.dim
     hst = dual(H)
-    ainv2 = rows(alpha_power(H.alpha, -2))
-    ainv3 = rows(alpha_power(H.alpha, -3))
+    ainv2, ainv3 = (rows(alpha_power(H.alpha_inverse, k)) for k in (2, 3))
     a2t = rows(transpose(alpha_power(H.alpha, 2)))
     S = H.antipode
-    s_ainv3 = rows(mat_compose(alpha_power(H.alpha, -3), S))  # rows S(alpha^-3(e_k))
+    s_ainv3 = rows(mat_compose(alpha_power(H.alpha_inverse, 3), S))  # rows S(alpha^-3(e_k))
     nd = n * n
     er, hmul, hst_mul = basis(n), H.algebra.mul_cells, hst.algebra.mul_cells
     # shifted[h] maps e_k to alpha^-2(e_k) e_h and times[l] maps f to f e^l
@@ -640,7 +637,7 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     # S(h (x) f) = (1 (x) S*(alpha*(f))) (S^-1(alpha^-1(h)) (x) counit), factor by factor
     counit = hst.algebra.unit_vector  # the counit of H is the unit of its dual
     s_f = kron((H.algebra.unit_vector,), rows(mat_compose(transpose(H.alpha), hst.antipode)))
-    s_h = kron(rows(mat_compose(alpha_power(H.alpha, -1), mat_inverse(S))), (counit,))
+    s_h = kron(rows(mat_compose(H.alpha_inverse, mat_inverse(S))), (counit,))
     mc = alg.mul_cells
     antipode = tuple(dense(bilinear_apply(mc, s_f[j], s_h[h])) for h in range(n) for j in range(n))
     return HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
@@ -651,7 +648,7 @@ def canonical_r_matrix(H: HomHopfAlgebra, double: HomHopfAlgebra | None = None) 
     ``R = sum_i (1 (x) (alpha^-1)*(e^i)) (x) (S^-1(e_i) (x) counit)``."""
     if double is None:
         double = drinfeld_double(H)
-    first = _dense_kron((H.unit,), transpose(alpha_power(H.alpha, -1)))
+    first = _dense_kron((H.unit,), transpose(H.alpha_inverse))
     second = _dense_kron(mat_inverse(H.antipode), (H.counit,))
     return RMatrix(double.bialgebra, mat_compose(transpose(first), second))
 
@@ -691,9 +688,9 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
     A, B, gram = P.left, P.right, P.gram
     na, nb = A.dim, B.dim
     nd = na * nb
-    aa_i2 = rows(alpha_power(A.alpha, -2))
-    bb_i1 = alpha_power(B.alpha, -1)
-    bb_i2 = rows(alpha_power(B.alpha, -2))
+    aa_i2 = rows(alpha_power(A.alpha_inverse, 2))
+    bb_i1 = B.alpha_inverse
+    bb_i2 = rows(alpha_power(B.alpha_inverse, 2))
     sa_inv = mat_inverse(A.antipode)
     sb_inv = mat_inverse(B.antipode)
     e_a, e_b = identity(na), identity(nb)
@@ -715,7 +712,7 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
         # <(antipode) alpha_A(a), b>
         return mat_compose(A.alpha if antipode is None else mat_compose(A.alpha, antipode), gram)
 
-    aa_i1 = alpha_power(A.alpha, -1)
+    aa_i1 = A.alpha_inverse
     r1 = paired(weight(None), True, aa_i1, bb_i1)
     r2 = paired(weight(None), False, aa_i1, bb_i1)
     r1_inv = mat_inverse(r1)
@@ -818,7 +815,7 @@ def cocycle_twist(B, sigma: TwoCocycle, check: bool = True) -> HomAlgebra:
         report = check_cocycle(sigma)
         if not report.ok:
             raise PreconditionFailed("not a normal cocycle", report)
-    ainv1 = rows(alpha_power(bi.alpha, -1))
+    ainv1 = rows(bi.alpha_inverse)
     mul = tuple(tuple(dense(apply_map(ainv1, w)) for w in row) for row in cocycle_products(sigma))
     return HomAlgebra(bi.dim, mul, bi.unit, bi.alpha)
 

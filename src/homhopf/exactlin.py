@@ -68,16 +68,24 @@ def _quotient(x: Scalar, p: Scalar) -> Scalar:
     return _normal(Fraction(x) / p)
 
 
+def _integer(text: str) -> int:
+    """``int(text)`` for ASCII digits after an optional ``-`` (``int`` also takes ``+``, ``_``)."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse an exact rational written as ``p`` or ``p/q`` (q > 0 after reduction)."""
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
-        d = int(den)
+        d = _integer(den)
         if d == 0:
             raise ValueError(f"zero denominator in scalar {text!r}")
-        return _normal(Fraction(int(num), d))
-    return int(text)
+        return _normal(Fraction(_integer(num), d))
+    return _integer(text)
 
 
 def format_scalar(value: Scalar) -> str:

@@ -220,6 +220,13 @@ def _token_column(text: str, index: int) -> int:
     return starts[index] if index < len(starts) else len(text) + 1
 
 
+def _natural(token: str) -> int:
+    """An index or the schema version: ASCII digits only (``int`` also takes ``+``, ``_``)."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse(data: bytes | str) -> AlgebraFile:
     """Parse and fully validate a definition file."""
     if isinstance(data, bytes):
@@ -249,7 +256,7 @@ def parse(data: bytes | str) -> AlgebraFile:
         idx = []
         for t, bound in enumerate(bounds, 1):
             try:
-                i = int(toks[t])
+                i = _natural(toks[t])
             except ValueError:
                 fail(f"bad index {toks[t]!r}", line, t)
             if not 0 <= i < bound:
@@ -271,7 +278,7 @@ def parse(data: bytes | str) -> AlgebraFile:
     if len(toks) != 2 or toks[0] != "homhopf":
         fail("expected header 'homhopf <schema-version>'", header, 0)
     try:
-        version = int(toks[1])
+        version = _natural(toks[1])
     except ValueError:
         fail(f"bad schema version {toks[1]!r}", header, 1)
     if version != SCHEMA_VERSION:

@@ -126,6 +126,11 @@ class HomAlgebra:
         return rows(self.alpha)
 
     @cached_property
+    def alpha_inverse(self) -> Matrix:
+        """``alpha^-1``, inverted once: ``alpha_power(alpha_inverse, k)`` is ``alpha^-k``."""
+        return mat_inverse(self.alpha)
+
+    @cached_property
     def unit_vector(self) -> Sparse:
         return sparse(self.unit)
 
@@ -190,6 +195,7 @@ class HomBialgebra:
     counit = _path("coalgebra.counit")
     alpha = _path("algebra.alpha")
     alpha_rows = _path("algebra.alpha_rows")
+    alpha_inverse = _path("algebra.alpha_inverse")
 
 
 @dataclass(frozen=True)
@@ -208,6 +214,7 @@ class HomHopfAlgebra:
     counit = _path("bialgebra.coalgebra.counit")
     alpha = _path("bialgebra.algebra.alpha")
     alpha_rows = _path("bialgebra.algebra.alpha_rows")
+    alpha_inverse = _path("bialgebra.algebra.alpha_inverse")
     algebra = _path("bialgebra.algebra")
     coalgebra = _path("bialgebra.coalgebra")
 
@@ -300,14 +307,20 @@ class ComoduleCoaction:
         _require(tensor3_shape(self.coact) == (nm, nm, nc), "coaction tensor shape")
 
     @cached_property
+    def _coproduct(self) -> HomCoalgebra | None:
+        """The coactor's coalgebra if ``coact`` is its coproduct tensor: its tables are shared."""
+        own = self.coact is getattr(self.coactor, "comul", None)
+        return coalgebra_of(self.coactor) if own else None
+
+    @cached_property
     def coact_rows(self) -> SparseMatrix:
         """The coaction as a row-image map ``M -> M (x) C``."""
-        return rows(comul_matrix(self.coact))
+        return self._coproduct.comul_rows if self._coproduct else rows(comul_matrix(self.coact))
 
     @cached_property
     def coact_terms(self):
         """The terms ``(m_(0), c_(1), coefficient)`` of each ``rho(e_m)``."""
-        return terms(self.coact)
+        return self._coproduct.comul_terms if self._coproduct else terms(self.coact)
 
 
 class _GramForm:
@@ -983,8 +996,8 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
     H = bialgebra_of(mp.H)
     na, nh = A.dim, H.dim
     left, right = mp.left_cells, mp.right_cells
-    ah_i1, ah_i2, ah_i3 = (rows(alpha_power(H.alpha, -k)) for k in (1, 2, 3))
-    aa_i1, aa_i2, aa_i3 = (rows(alpha_power(A.alpha, -k)) for k in (1, 2, 3))
+    ah_i1, ah_i2, ah_i3 = (rows(alpha_power(H.alpha_inverse, k)) for k in (1, 2, 3))
+    aa_i1, aa_i2, aa_i3 = (rows(alpha_power(A.alpha_inverse, k)) for k in (1, 2, 3))
     ah, aa, amul, hmul = H.alpha_rows, A.alpha_rows, A.algebra.mul_cells, H.algebra.mul_cells
     h_terms, a_terms = H.coalgebra.comul_terms, A.coalgebra.comul_terms
     delta_h, delta_a = H.coalgebra.comul_rows, A.coalgebra.comul_rows

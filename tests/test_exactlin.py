@@ -94,6 +94,17 @@ class TestScalars:
         with pytest.raises(ValueError):
             parse_scalar("1/0")
 
+    @pytest.mark.parametrize("text", ["+1", "1_0", "\u0661", "1/+2", "-1_0/1_0", "1/\u0662", "--1", "-", "1/"])
+    def test_parts_are_ascii_digits(self, text):
+        """Each part is ASCII digits after an optional '-'; int() alone would
+        also take a '+', '_' separators and non-ASCII digits."""
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+
+    def test_each_part_keeps_its_minus(self):
+        assert parse_scalar("-3/4") == parse_scalar("3/-4") == F(-3, 4)
+        assert parse_scalar("-3/-4") == F(3, 4)
+
     def test_integral_scalars_are_int(self):
         for text, value in [("3", 3), ("-7", -7), ("4/2", 2), ("0/5", 0)]:
             assert type(parse_scalar(text)) is int and parse_scalar(text) == value

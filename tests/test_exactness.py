@@ -7,8 +7,8 @@ any other true division in the source.  A second tooling test keeps the
 ``exactlin`` kernels sparse: only ``dense``, which makes a sparse value
 dense, may allocate a dense list of zeros.  More keep the sparse operand tables with the domain
 objects: a second Hopf suite on one object, a second matched-pair check and
-a second left comodule-algebra check convert no structure tensor again, and
-the source has no module-level cache.
+a second left or right comodule-algebra check by a coproduct convert no
+structure tensor again, and the source has no module-level cache.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ from homhopf.constructions import (
 )
 from homhopf.exactlin import nonzeros
 from homhopf.structures import (
+    ComoduleCoaction,
+    check_comodule_algebra,
     check_hom_algebra,
     check_left_comodule_algebra,
     check_matched_pair,
@@ -195,6 +197,20 @@ def test_left_coaction_check_reads_the_coactor_tables(monkeypatch):
     seen = _converted(monkeypatch)
     check_left_comodule_algebra(tilde, tilde)
     assert all(len(v) < tilde.dim for v in seen)
+
+
+def test_coproduct_coaction_reads_the_coactor_tables(monkeypatch):
+    """A right coaction whose tensor is its coactor's own coproduct, as in the
+    first step of ``verify prop4.7``, shares the coactor's ``comul_rows`` and
+    ``comul_terms``: once the coactor's tables exist, checking a fresh such
+    coaction converts nothing of the coactor's dimension or more."""
+    double = drinfeld_double(get_entry("cyclic:3").hopf)
+    assert check_comodule_algebra(double, ComoduleCoaction(double.bialgebra, double, double.comul)).ok
+    seen = _converted(monkeypatch)
+    coaction = ComoduleCoaction(double.bialgebra, double, double.comul)
+    assert check_comodule_algebra(double, coaction).ok
+    assert coaction.coact_rows is double.coalgebra.comul_rows
+    assert all(len(v) < double.dim for v in seen)
 
 
 class _Caches(ast.NodeVisitor):

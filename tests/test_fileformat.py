@@ -116,6 +116,27 @@ class TestParsing:
         assert err.value.line == 7
         assert err.value.column == 7
 
+    @pytest.mark.parametrize(
+        "old, new, column",
+        [
+            ("mul 0 1 1 -1", "mul +0 1 1 -1", 5),
+            ("mul 0 1 1 -1", "mul -0 1 1 -1", 5),
+            ("mul 0 1 1 -1", "mul 0 0_1 1 -1", 7),
+            ("mul 0 1 1 -1", "mul 0 \u0661 1 -1", 7),
+            ("mul 0 1 1 -1", "mul 0 1 1 +1", 11),
+            ("mul 0 1 1 -1", "mul 0 1 1 -1_0/1_0", 11),
+            ("mul 0 1 1 -1", "mul 0 1 1 -\u0661", 11),
+            ("homhopf 1", "homhopf +1", 9),
+            ("homhopf 1", "homhopf \u0661", 9),
+        ],
+    )
+    def test_numbers_are_ascii_digits(self, old, new, column):
+        """Indices and the schema version are ASCII digits, a scalar part may
+        also start with '-': spellings that serialize never writes are refused."""
+        with pytest.raises(ParseError) as err:
+            parse(GOOD.replace(old, new))
+        assert err.value.column == column
+
     def test_zero_denominator_scalar(self):
         bad = GOOD.replace("alpha 1 1 -1", "alpha 1 1 1/0")
         with pytest.raises(ParseError) as err:
