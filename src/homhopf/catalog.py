@@ -25,6 +25,7 @@ from .exactlin import (
     tensor3_from_entries,
     vector_from_entries,
 )
+from .fileformat import MAX_DIM
 from .structures import (
     ComoduleCoaction,
     HomHopfAlgebra,
@@ -226,8 +227,8 @@ def catalog_cyclic(n: int) -> CatalogEntry:
     """The twisted cyclic group algebra: the Yau twist of the classical
     order-n group algebra along inversion, so that
     ``g^i . g^j = g^(n-(i+j))`` and ``delta(g^i) = g^(n-i) (x) g^(n-i)``."""
-    if not isinstance(n, int) or n < 2:
-        raise InvalidParameter(f"cyclic order must be an integer >= 2, got {n!r}")
+    if not isinstance(n, int) or not 2 <= n <= MAX_DIM:
+        raise InvalidParameter(f"cyclic order must be an integer from 2 to {MAX_DIM}, got {n!r}")
     classical = catalog_group(cyclic_table(n), tuple(range(n)), name=f"kz{n}").hopf
     inversion = tuple((n - i) % n for i in range(n))
     phi = matrix_from_entries(n, n, {(i, inversion[i]): ONE for i in range(n)})
@@ -318,9 +319,9 @@ def get_entry(name: str) -> CatalogEntry:
         return catalog_group(table, conj, name="s3_inner")
     if name.startswith("cyclic:"):
         param = name.split(":", 1)[1]
-        try:
-            n = int(param)
-        except ValueError:
-            raise InvalidParameter(f"bad cyclic order {param!r}") from None
-        return catalog_cyclic(n)
+        # ASCII digits only (int() also takes "+3", "0_3" and non-ASCII digits),
+        # checked against MAX_DIM before anything of dimension n is built
+        if not (param.isascii() and param.isdigit()) or len(param) > len(str(MAX_DIM)):
+            raise InvalidParameter(f"bad cyclic order {param!r}")
+        return catalog_cyclic(int(param))
     raise InvalidParameter(f"unknown catalog entry {name!r}")

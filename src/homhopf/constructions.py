@@ -59,7 +59,6 @@ from .structures import (
     PairingForm,
     RMatrix,
     TwoCocycle,
-    _op_comul,
     _sweep,
     algebra_of,
     bialgebra_of,
@@ -129,12 +128,10 @@ def yau_twist(classical: HomHopfAlgebra, endo: Matrix) -> HomHopfAlgebra:
 
 
 def opposite(h: HomHopfAlgebra) -> HomHopfAlgebra:
-    """Reverse the multiplication; coproduct, counit, structure map and the
+    """Reverse the multiplication (``h.algebra.op``); the coalgebra and the
     stored antipode are carried over unchanged (the result is consumed as
     algebra-plus-coalgebra data and need not satisfy the antipode law)."""
-    n = h.dim
-    mul_op = tuple(tuple(h.mul[j][i] for j in range(n)) for i in range(n))
-    return hopf_algebra(n, mul_op, h.unit, h.comul, h.counit, h.alpha, h.antipode)
+    return HomHopfAlgebra(HomBialgebra(h.algebra.op, h.coalgebra), h.antipode)
 
 
 def opposite_hopf(h: HomHopfAlgebra) -> HomHopfAlgebra:
@@ -143,11 +140,9 @@ def opposite_hopf(h: HomHopfAlgebra) -> HomHopfAlgebra:
 
 
 def co_opposite(h: HomHopfAlgebra) -> HomHopfAlgebra:
-    """The co-opposite ``delta(a) = a_2 (x) a_1`` with the inverse antipode,
-    which is again Hom-Hopf."""
-    return hopf_algebra(
-        h.dim, h.mul, h.unit, _op_comul(h.comul), h.counit, h.alpha, mat_inverse(h.antipode)
-    )
+    """The co-opposite ``delta(a) = a_2 (x) a_1`` (``h.coalgebra.op``) with the
+    inverse antipode, which is again Hom-Hopf."""
+    return HomHopfAlgebra(HomBialgebra(h.algebra, h.coalgebra.op), mat_inverse(h.antipode))
 
 
 def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
@@ -226,7 +221,7 @@ def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> Matrix:
     coactor = bialgebra_of(co.coactor)
     carrier = coalgebra_of(co.carrier)
     nh, nc = coactor.dim, carrier.dim
-    ac_i1 = rows(mat_inverse(carrier.alpha))
+    ac_i1 = rows(carrier.alpha_inverse)
     ah_i1, ah_i2 = (rows(alpha_power(coactor.alpha_inverse, k)) for k in (1, 2))
     hmul, rho = coactor.algebra.mul_cells, co.coact_rows
     # second[h] maps c_(1) to alpha_H^-1(h) alpha_H^-2(c_(1))
@@ -699,9 +694,9 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
         """The map on ``A (x) B`` that pairs one Sweedler leg of ``a`` with one of
         ``b`` through ``weight`` and keeps the other two, then applies
         ``a_then (x) b_then``: ``a_1 (x) <a_2, b_1> b_2`` if ``first``, else
-        ``a_2 (x) <a_1, b_2> b_1``."""
-        legs = A.coalgebra.comul_rows if first else A.coalgebra.comul_op_rows
-        b_comul, kept = (B.comul if first else _op_comul(B.comul)), rows(a_then)
+        ``a_2 (x) <a_1, b_2> b_1``, the same through the co-opposites."""
+        ca, cb = (A.coalgebra, B.coalgebra) if first else (A.coalgebra.op, B.coalgebra.op)
+        legs, b_comul, kept = ca.comul_rows, cb.comul, rows(a_then)
         # through[b] maps the paired leg of a to the kept leg of b
         through = [rows(mat_compose(mat_compose(weight, plane), b_then)) for plane in b_comul]
         return tuple(
@@ -742,7 +737,7 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
         for b in range(nb)
     )
     # a_1 (x) b_2 (x) a_2 (x) b_1: the tensor coproduct with B's co-opposite
-    coalg = _tensor_coalgebra(A, co_opposite(B))
+    coalg = _tensor_coalgebra(A, B.coalgebra.op)
     antipode = mat_compose(mat_compose(_dense_kron(A.antipode, sb_inv), _flip(na, nb)), twisting)
     unit = _dense_kron((A.unit,), (B.unit,))[0]
     hopf = hopf_algebra(nd, mul, unit, coalg.comul, coalg.counit, coalg.alpha, antipode)

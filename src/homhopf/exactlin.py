@@ -275,14 +275,6 @@ def mat_inverse(m: Matrix) -> Matrix:
     return tuple(tuple(row) for row in inv)
 
 
-def is_invertible(m: Matrix) -> bool:
-    try:
-        mat_inverse(m)
-    except SingularMatrixError:
-        return False
-    return True
-
-
 def alpha_power(alpha: Matrix, k: int) -> Matrix:
     """Exact k-th power of a structure map.
 

@@ -18,12 +18,21 @@ and ``unit_vector``; ``HomCoalgebra.comul_rows``, ``comul_op_rows``,
 ``HomHopfAlgebra.antipode_rows``; ``ModuleAction.act_cells``;
 ``ComoduleCoaction.coact_rows`` and ``coact_terms``; the ``form`` of a
 ``PairingForm`` or ``TwoCocycle``; ``RMatrix.vector``; and the
-``left_module`` (which holds ``left_cells``) and ``right_cells`` of a
-``MatchedPairData``.  A view is built on first use and kept in the instance
-``__dict__`` (``functools.cached_property``): it is built once per object
-and freed with it, and it is not a dataclass field, so ``==``, ``hash``,
-``repr`` and ``dataclasses.replace`` see only the dense fields.  Checkers and
-constructions read these views; none converts a dense field itself.
+``left_module`` and ``right_module`` of a ``MatchedPairData``, whose
+``act_cells`` are its ``left_cells`` and, transposed, its ``right_cells``.
+The ``op`` views are objects too: ``HomAlgebra.op`` is the opposite algebra
+and ``HomCoalgebra.op`` the co-opposite coalgebra, each with views of its
+own.  A view is built on first use and kept in the instance ``__dict__``
+(``functools.cached_property``): it is built once per object and freed with
+it, and it is not a dataclass field, so ``==``, ``hash``, ``repr`` and
+``dataclasses.replace`` see only the dense fields.  Checkers and
+constructions read these views; none converts a dense field itself.  A
+``HomAlgebra`` or ``HomCoalgebra`` also keeps ``alpha_inverse`` in its
+``__dict__``: the inverse found when the structure map is validated.
+
+A mirrored law is checked as the one-sided law of an opposite: a left
+comodule algebra over ``C`` as a right one over ``C^cop``, and a right
+action of ``A`` as a left action of ``A_op``.
 """
 
 from __future__ import annotations
@@ -52,7 +61,6 @@ from .exactlin import (
     comul_matrix,
     dense,
     flatten_pair,
-    is_invertible,
     kron,
     linear_combination,
     mat_compose,
@@ -86,8 +94,20 @@ def _as_map(covector: Vector) -> SparseMatrix:
 
 
 def _op_comul(comul: Tensor3) -> Tensor3:
-    """The co-opposite comultiplication ``delta(e_i) = sum e_i2 (x) e_i1``."""
-    return tuple(transpose(plane) for plane in comul)
+    """The co-opposite comultiplication ``delta(e_i) = sum e_i2 (x) e_i1``.
+
+    Its zero rows are one shared tuple: ``HomCoalgebra.op`` keeps this
+    tensor, and a coproduct has few nonzero rows."""
+    zero = (ZERO,) * len(comul)
+    return tuple(tuple(row if any(row) else zero for row in transpose(plane)) for plane in comul)
+
+
+def _inverse(m: Matrix, message: str = "structure map must be invertible") -> Matrix:
+    """The inverse of ``m``; ``SingularMatrixError(message)`` if there is none."""
+    try:
+        return mat_inverse(m)
+    except SingularMatrixError:
+        raise SingularMatrixError(message) from None
 
 
 @dataclass(frozen=True)
@@ -109,8 +129,13 @@ class HomAlgebra:
         _require(tensor3_shape(self.mul) == (n, n, n), "multiplication tensor shape")
         _require(len(self.unit) == n, "unit vector length")
         _require(mat_shape(self.alpha) == (n, n), "structure map shape")
-        if not is_invertible(self.alpha):
-            raise SingularMatrixError("structure map must be invertible")
+        # kept, not a field: alpha_power(alpha_inverse, k) is alpha^-k
+        object.__setattr__(self, "alpha_inverse", _inverse(self.alpha))
+
+    @cached_property
+    def op(self) -> HomAlgebra:
+        """The opposite algebra, ``e_i . e_j = e_j e_i``."""
+        return HomAlgebra(self.dim, transpose(self.mul), self.unit, self.alpha)
 
     @cached_property
     def mul_cells(self) -> SparseTensor3:
@@ -124,11 +149,6 @@ class HomAlgebra:
     @cached_property
     def alpha_rows(self) -> SparseMatrix:
         return rows(self.alpha)
-
-    @cached_property
-    def alpha_inverse(self) -> Matrix:
-        """``alpha^-1``, inverted once: ``alpha_power(alpha_inverse, k)`` is ``alpha^-k``."""
-        return mat_inverse(self.alpha)
 
     @cached_property
     def unit_vector(self) -> Sparse:
@@ -153,8 +173,13 @@ class HomCoalgebra:
         _require(tensor3_shape(self.comul) == (n, n, n), "comultiplication tensor shape")
         _require(len(self.counit) == n, "counit covector length")
         _require(mat_shape(self.alpha) == (n, n), "structure map shape")
-        if not is_invertible(self.alpha):
-            raise SingularMatrixError("structure map must be invertible")
+        # kept, not a field: alpha_power(alpha_inverse, k) is alpha^-k
+        object.__setattr__(self, "alpha_inverse", _inverse(self.alpha))
+
+    @cached_property
+    def op(self) -> HomCoalgebra:
+        """The co-opposite coalgebra, ``delta(e_i) = sum e_i2 (x) e_i1``."""
+        return HomCoalgebra(self.dim, _op_comul(self.comul), self.counit, self.alpha)
 
     @cached_property
     def comul_rows(self) -> SparseMatrix:
@@ -163,6 +188,7 @@ class HomCoalgebra:
 
     @cached_property
     def comul_op_rows(self) -> SparseMatrix:
+        """``op.comul_rows``, for checkers that read only rows: ``op`` keeps a dense tensor."""
         return rows(comul_matrix(_op_comul(self.comul)))
 
     @cached_property
@@ -283,8 +309,6 @@ class ModuleAction:
     def __post_init__(self):
         na, nc = self.actor.dim, self.carrier.dim
         _require(tensor3_shape(self.act) == (na, nc, nc), "action tensor shape")
-        if not is_invertible(self.carrier.alpha):
-            raise SingularMatrixError("carrier structure map must be invertible")
 
     @cached_property
     def act_cells(self) -> SparseTensor3:
@@ -346,8 +370,7 @@ class PairingForm(_GramForm):
 
     def __post_init__(self):
         _require(mat_shape(self.gram) == (self.left.dim, self.right.dim), "gram shape")
-        if not is_invertible(self.gram):
-            raise SingularMatrixError("pairing must be non-degenerate")
+        _inverse(self.gram, "pairing must be non-degenerate")
 
 
 @dataclass(frozen=True)
@@ -410,8 +433,16 @@ class MatchedPairData:
         return self.left_module.act_cells
 
     @cached_property
+    def right_module(self) -> ModuleAction:
+        """The right action as a left action ``a . h = h <- a`` of ``A_op`` on H."""
+        A = bialgebra_of(self.A)
+        a_op = HomBialgebra(A.algebra.op, A.coalgebra)
+        return ModuleAction(a_op, self.H, transpose(self.right_action))
+
+    @cached_property
     def right_cells(self) -> SparseTensor3:
-        return cells(self.right_action)
+        """``right_cells[h][a]`` is the cell ``right_module.act_cells[a][h]``."""
+        return transpose(self.right_module.act_cells)
 
 
 @dataclass(frozen=True)
@@ -514,9 +545,9 @@ def cocycle_products(sigma: TwoCocycle) -> SparseTensor3:
     third argument, and the cocycle twist applies ``alpha^-1`` to them.
     """
     B, gram = sigma.algebra, sigma.gram
-    n, mc, sw = B.dim, B.algebra.mul_cells, B.coalgebra.comul_terms
-    if sigma.side == "right":  # a right cocycle pairs the second Sweedler legs: swap the legs
-        sw = tuple(tuple((b, a, c) for a, b, c in row) for row in sw)
+    # a right cocycle pairs the second Sweedler legs: the first legs of the co-opposite
+    coalgebra = B.coalgebra.op if sigma.side == "right" else B.coalgebra
+    n, mc, sw = B.dim, B.algebra.mul_cells, coalgebra.comul_terms
     return tuple(
         tuple(
             linear_combination(
@@ -991,73 +1022,23 @@ def check_twisting(A, B, t: Matrix) -> CheckReport:
 
 def check_matched_pair(mp: MatchedPairData) -> CheckReport:
     """Module Hom-coalgebra conditions on both actions plus the three
-    compatibility laws of a matched pair."""
+    compatibility laws of a matched pair.  The right action is checked as the
+    left action of ``A_op`` that it is (``MatchedPairData.right_module``)."""
     A = bialgebra_of(mp.A)
     H = bialgebra_of(mp.H)
     na, nh = A.dim, H.dim
     left, right = mp.left_cells, mp.right_cells
     ah_i1, ah_i2, ah_i3 = (rows(alpha_power(H.alpha_inverse, k)) for k in (1, 2, 3))
     aa_i1, aa_i2, aa_i3 = (rows(alpha_power(A.alpha_inverse, k)) for k in (1, 2, 3))
-    ah, aa, amul, hmul = H.alpha_rows, A.alpha_rows, A.algebra.mul_cells, H.algebra.mul_cells
+    amul, hmul = A.algebra.mul_cells, H.algebra.mul_cells
     h_terms, a_terms = H.coalgebra.comul_terms, A.coalgebra.comul_terms
-    delta_h, delta_a = H.coalgebra.comul_rows, A.coalgebra.comul_rows
-    delta_a_op, eps_h = A.coalgebra.comul_op_rows, H.coalgebra.counit_map
-    e_a, a_unit = basis(na), A.algebra.unit_vector
+    delta_a, delta_a_op = A.coalgebra.comul_rows, A.coalgebra.comul_op_rows
+    e_a, rh, ra = basis(na), range(nh), range(na)
 
-    checks = list(
-        _prefixed(
-            "matched-pair.left-action.",
-            check_module_coalgebra(mp.left_module).checks,
-        )
-    )
-
-    # right module Hom-coalgebra axioms for the action of A on H
-    rh, ra = range(nh), range(na)
-
-    checks.append(
-        _sweep(
-            "matched-pair.right-action.unit",
-            product(rh),
-            lambda h: apply_map(right[h], a_unit),
-            lambda h: ah[h],
-        )
-    )
-    checks.append(
-        _sweep(
-            "matched-pair.right-action.alpha-equivariant",
-            product(rh, ra),
-            lambda h, a: apply_map(ah, right[h][a]),
-            lambda h, a: bilinear_apply(right, ah[h], aa[a]),
-        )
-    )
-    checks.append(
-        _sweep(
-            "matched-pair.right-action.hom-associative",
-            _associative_cases(right, amul),
-            lambda h, a, b: bilinear_apply(right, right[h][a], aa[b]),
-            lambda h, a, b: bilinear_apply(right, ah[h], amul[a][b]),
-        )
-    )
-    checks.append(
-        _sweep(
-            "matched-pair.right-action.comultiplicative",
-            product(rh, ra),
-            lambda h, a: apply_map(delta_h, right[h][a]),
-            # h_1 <- a_1 (x) h_2 <- a_2
-            lambda h, a: linear_combination(
-                nh * nh,
-                ((v, apply_kron(right[h1], right[h2], delta_a[a])) for h1, h2, v in h_terms[h]),
-            ),
-        )
-    )
-    checks.append(
-        _sweep(
-            "matched-pair.right-action.counit",
-            product(rh, ra),
-            lambda h, a: apply_map(eps_h, right[h][a]),
-            lambda h, a: sparse((H.counit[h] * A.counit[a],)),
-        )
-    )
+    checks = [
+        *_prefixed("matched-pair.left-action.", check_module_coalgebra(mp.left_module).checks),
+        *_prefixed("matched-pair.right-action.", check_module_coalgebra(mp.right_module).checks),
+    ]
 
     # lefts[g][a] is alpha^-2(g) -> alpha^-3(a)
     lefts = [[bilinear_apply(left, x, y) for y in aa_i3] for x in ah_i2]
@@ -1155,7 +1136,8 @@ def check_dual_pair(P: PairingForm) -> CheckReport:
     delta_a, delta_b = A.coalgebra.comul_rows, B.coalgebra.comul_rows
 
     checks = [
-        make_entry("pairing.non-degenerate", is_invertible(gram)),
+        # a PairingForm with a singular gram is refused when it is built
+        make_entry("pairing.non-degenerate", True),
         _sweep(
             "pairing.unit-right",
             product(ra),
@@ -1326,49 +1308,10 @@ def check_comodule_algebra(A, c: ComoduleCoaction) -> CheckReport:
 def check_left_comodule_algebra(A, coactor) -> CheckReport:
     """Mirrored, left-sided comodule Hom-algebra conditions on the algebra
     ``A`` for the coaction ``rho: A -> C (x) A`` that is the coproduct of
-    ``coactor`` (so both have one dimension)."""
-    alg = algebra_of(A)
+    ``coactor`` (so both have one dimension): the right-sided conditions for
+    the coaction ``A -> A (x) C^cop`` with the legs exchanged, each id
+    prefixed ``left-``."""
     co = bialgebra_of(coactor)
-    nm, nh = alg.dim, co.dim
-    rm = range(nm)
-    am, ac, e = alg.alpha_rows, co.alpha_rows, basis(nm)
-    amul, hmul = alg.mul_cells, co.algebra.mul_cells
-    eps, delta = co.coalgebra.counit_map, co.coalgebra.comul_rows
-    rho, rho_terms = delta, co.coalgebra.comul_terms
-
-    checks = [
-        _sweep(
-            "left-comodule.counit-reduces-to-alpha",
-            product(rm),
-            lambda i: apply_kron(eps, e, rho[i]),
-            lambda i: am[i],
-        ),
-        _sweep(
-            "left-comodule.alpha-equivariant",
-            product(rm),
-            lambda i: apply_kron(ac, am, rho[i]),
-            lambda i: apply_map(rho, am[i]),
-        ),
-        _sweep(
-            "left-comodule.hom-coassociative",
-            product(rm),
-            lambda i: apply_kron(delta, am, rho[i]),
-            lambda i: apply_kron(ac, rho, rho[i]),
-        ),
-        _sweep(
-            "left-comodule-algebra.multiplicative",
-            product(rm, rm),
-            lambda i, j: apply_map(rho, amul[i][j]),
-            lambda i, j: linear_combination(
-                nh * nm,
-                ((v, apply_kron(hmul[b], amul[a], rho[j])) for b, a, v in rho_terms[i]),
-            ),
-        ),
-        _sweep(
-            "left-comodule-algebra.unit",
-            [()],
-            lambda: apply_map(rho, alg.unit_vector),
-            lambda: kron((co.algebra.unit_vector,), (alg.unit_vector,))[0],
-        ),
-    ]
-    return CheckReport(tuple(checks))
+    cop = HomBialgebra(co.algebra, co.coalgebra.op)
+    report = check_comodule_algebra(A, ComoduleCoaction(cop, A, cop.comul))
+    return CheckReport(tuple(_prefixed("left-", report.checks)))

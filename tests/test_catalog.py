@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from homhopf import catalog
 from homhopf.catalog import (
     catalog_ax1,
     catalog_cyclic,
@@ -18,6 +19,7 @@ from homhopf.catalog import (
 from homhopf.constructions import dual
 from homhopf.errors import InvalidParameter, NotAGroup, NotAnAutomorphism
 from homhopf.exactlin import apply_map, basis_vector, bilinear_apply, cells, dense, rows, sparse
+from homhopf.fileformat import MAX_DIM
 from homhopf.structures import run_hopf_suite
 
 F = Fraction
@@ -151,6 +153,34 @@ class TestRegistry:
             get_entry("nope")
         with pytest.raises(InvalidParameter):
             get_entry("cyclic:x")
+
+
+def _no_group(*args, **kwargs):
+    raise AssertionError("a group algebra was built")
+
+
+class TestCyclicBounds:
+    """``cyclic:<n>`` takes ASCII digits up to ``MAX_DIM`` and refuses
+    anything else before building an object of dimension n."""
+
+    @pytest.mark.parametrize(
+        "param",
+        ["+3", "0_3", "\u0663", " 3", "3 ", "-3", "3.0", "", "1", "129", "100000", "9" * 5000],
+    )
+    def test_refused_before_anything_is_built(self, param, monkeypatch):
+        monkeypatch.setattr(catalog, "catalog_group", _no_group)
+        with pytest.raises(InvalidParameter):
+            get_entry(f"cyclic:{param}")
+
+    def test_orders_up_to_max_dim_are_taken(self, monkeypatch):
+        monkeypatch.setattr(catalog, "catalog_cyclic", lambda n: n)
+        assert get_entry(f"cyclic:{MAX_DIM}") == MAX_DIM
+        assert get_entry("cyclic:03") == 3
+
+    def test_catalog_cyclic_refuses_orders_above_max_dim(self, monkeypatch):
+        monkeypatch.setattr(catalog, "catalog_group", _no_group)
+        with pytest.raises(InvalidParameter, match=f"from 2 to {MAX_DIM}"):
+            catalog_cyclic(MAX_DIM + 1)
 
 
 class TestGolden:

@@ -44,6 +44,17 @@ class TestCheckCommand:
         result = invoke("check", "no_such_file.alg")
         assert result.exit_code == 2
 
+    def test_oversized_cyclic_order_exits_two_before_building(self, monkeypatch):
+        from homhopf import catalog
+
+        def no_group(*args, **kwargs):
+            raise AssertionError("a group algebra was built")
+
+        monkeypatch.setattr(catalog, "catalog_group", no_group)
+        for name in ("cyclic:100000", "cyclic:129", "cyclic:+3"):
+            assert invoke("check", name).exit_code == 2
+            assert invoke("verify", "thm4.5", "--algebra", name).exit_code == 2
+
     def test_known_failure_exits_one_with_witness(self):
         result = invoke("check", "ax1", "--level", "bialgebra")
         assert result.exit_code == 1

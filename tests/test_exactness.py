@@ -6,21 +6,24 @@ exactly one place, ``exactlin._quotient``; the tooling test below fails on
 any other true division in the source.  A second tooling test keeps the
 ``exactlin`` kernels sparse: only ``dense``, which makes a sparse value
 dense, may allocate a dense list of zeros.  More keep the sparse operand tables with the domain
-objects: a second Hopf suite on one object, a second matched-pair check and
-a second left or right comodule-algebra check by a coproduct convert no
-structure tensor again, and the source has no module-level cache.
+objects: a second Hopf suite on one object, a second matched-pair check, a
+second left or right comodule-algebra check by a coproduct and a second
+``verify prop4.7`` on the same objects convert no structure tensor again,
+each structure map is inverted once, and the source has no module-level
+cache.
 """
 
 from __future__ import annotations
 
 import ast
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import homhopf
-from homhopf import exactlin
+from homhopf import constructions, exactlin, structures, verify
 from homhopf.catalog import get_entry
 from homhopf.constructions import (
     drinfeld_double,
@@ -32,7 +35,7 @@ from homhopf.constructions import (
     heisenberg_double,
     self_bicross_data,
 )
-from homhopf.exactlin import nonzeros
+from homhopf.exactlin import mat_inverse, nonzeros
 from homhopf.structures import (
     ComoduleCoaction,
     check_comodule_algebra,
@@ -188,10 +191,26 @@ def test_matched_pair_check_reuses_the_left_action_cells(monkeypatch):
     assert seen and not [v for v in seen if id(v) in cells]
 
 
+def test_matched_pair_check_reuses_the_right_action_cells(monkeypatch):
+    """The right action is checked as ``mp.right_module``, a left action of
+    ``A_op`` whose cells, transposed, are ``mp.right_cells``: a second check
+    converts no cell of the right action again."""
+    h = get_entry("s3_inner").hopf
+    mp = dual_matched_pair(h, *self_bicross_data(h), check=False)
+    check_matched_pair(mp)
+    cells = {id(cell) for plane in mp.right_action for cell in plane}
+    seen = _converted(monkeypatch)
+    check_matched_pair(mp)
+    act = mp.right_module.act_cells
+    assert all(mp.right_cells[g][a] is act[a][g] for a in range(mp.A.dim) for g in range(mp.H.dim))
+    assert seen and not [v for v in seen if id(v) in cells]
+
+
 def test_left_coaction_check_reads_the_coactor_tables(monkeypatch):
     """``check_left_comodule_algebra`` takes the coactor's own coproduct as
-    the coaction and reads its ``comul_rows`` and ``comul_terms``: a second
-    check converts nothing of the coactor's dimension or more."""
+    the coaction and reads the ``comul_rows`` and ``comul_terms`` of its
+    coalgebra's ``op``: a second check converts nothing of the coactor's
+    dimension or more."""
     tilde = drinfeld_double_tilde(get_entry("cyclic:3").hopf)
     check_left_comodule_algebra(tilde, tilde)
     seen = _converted(monkeypatch)
@@ -211,6 +230,43 @@ def test_coproduct_coaction_reads_the_coactor_tables(monkeypatch):
     assert check_comodule_algebra(double, coaction).ok
     assert coaction.coact_rows is double.coalgebra.comul_rows
     assert all(len(v) < double.dim for v in seen)
+
+
+def test_second_prop_4_7_on_the_same_objects_converts_nothing_of_the_double(monkeypatch):
+    """``verify prop4.7`` reads every table through the views of the objects
+    it builds; the right cocycle twist and the left comodule-algebra check
+    share the ``op`` of the mirrored double's coalgebra.  When the
+    constructions hand back the same objects, a second run converts nothing
+    of the double's dimension or more."""
+    for name in ("drinfeld_double", "drinfeld_double_tilde", "cocycle_twist"):
+        monkeypatch.setattr(verify, name, lru_cache(maxsize=None)(getattr(verify, name)))
+    h = get_entry("cyclic:3").hopf
+    first = verify.verify_prop_4_7(h)
+    seen = _converted(monkeypatch)
+    assert verify.verify_prop_4_7(h).steps == first.steps
+    assert all(len(v) < h.dim**2 for v in seen)
+
+
+def test_structure_maps_are_inverted_once_per_object(monkeypatch):
+    """A ``HomAlgebra`` or ``HomCoalgebra`` inverts its structure map once,
+    when it is built, and keeps the inverse as ``alpha_inverse``.  Building
+    the s3_inner entry and its double and running a Hopf suite on the double
+    inverts seven matrices: the structure maps of the algebra and the
+    coalgebra of the entry, of its dual and of the double, and the entry's
+    antipode.  The suite itself inverts none."""
+    inverted = []
+
+    def counted(m):
+        inverted.append(len(m))
+        return mat_inverse(m)
+
+    for module in (exactlin, structures, constructions):
+        monkeypatch.setattr(module, "mat_inverse", counted)
+    double = drinfeld_double(get_entry("s3_inner").hopf)
+    assert sorted(inverted) == [6] * 5 + [36] * 2
+    assert run_hopf_suite(double).ok
+    assert len(inverted) == 7
+    assert double.algebra.alpha_inverse == double.coalgebra.alpha_inverse
 
 
 class _Caches(ast.NodeVisitor):

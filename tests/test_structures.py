@@ -17,11 +17,13 @@ from homhopf.catalog import (
 from homhopf.constructions import (
     canonical_cocycles,
     canonical_r_matrix,
+    co_opposite,
     comodule_cotwist,
     drinfeld_double,
     dual,
     dual_matched_pair,
     evaluation_pairing,
+    opposite,
     self_bicross_data,
 )
 from homhopf.errors import SingularMatrixError
@@ -31,6 +33,7 @@ from homhopf.exactlin import (
     comul_matrix,
     dense,
     identity,
+    mat_compose,
     matrix_from_entries,
     matrix_from_rows,
     rows,
@@ -329,6 +332,15 @@ class TestCocycle:
 
 
 class TestStructuralInvariants:
+    def test_singular_matrix_messages(self):
+        ax1, singular = catalog_ax1().hopf, matrix_from_rows([[1, 0], [0, 0]])
+        with pytest.raises(SingularMatrixError, match="^structure map must be invertible$"):
+            HomAlgebra(2, ax1.mul, ax1.unit, singular)
+        with pytest.raises(SingularMatrixError, match="^structure map must be invertible$"):
+            HomCoalgebra(2, ax1.comul, ax1.counit, singular)
+        with pytest.raises(SingularMatrixError, match="^pairing must be non-degenerate$"):
+            PairingForm(ax1, ax1, singular)
+
     def test_singular_structure_map_rejected(self):
         with pytest.raises(SingularMatrixError):
             HomAlgebra(
@@ -424,6 +436,23 @@ class TestViews:
             assert "mul_cells" not in replace(H.algebra).__dict__
             assert {f.name for f in fields(H.algebra)} == {"dim", "mul", "unit", "alpha"}
             assert {f.name for f in fields(H.coalgebra)} == {"dim", "comul", "counit", "alpha"}
+
+    def test_opposites_are_views_and_involutions(self, name):
+        for H in objects_of(name).values():
+            A, C, n = H.algebra, H.coalgebra, H.dim
+            assert A.op is A.op and C.op is C.op
+            assert A.op.op == A and C.op.op == C
+            assert opposite(opposite(H)) == H and co_opposite(co_opposite(H)) == H
+            assert opposite(H).algebra is A.op and co_opposite(H).coalgebra is C.op
+            assert all(A.op.mul[i][j] == A.mul[j][i] for i in range(n) for j in range(n))
+            assert as_dense(C.op.comul_rows) == as_dense(C.comul_op_rows)
+            assert "op" not in {f.name for f in fields(A)} | {f.name for f in fields(C)}
+
+    def test_structure_map_inverse_is_kept(self, name):
+        for H in objects_of(name).values():
+            for obj in (H.algebra, H.coalgebra):
+                assert mat_compose(obj.alpha, obj.alpha_inverse) == identity(H.dim)
+                assert replace(obj).alpha_inverse == obj.alpha_inverse
 
     def test_block_views(self, name):
         entry, h = get_entry(name), get_entry(name).hopf
