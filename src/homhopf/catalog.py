@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructions import yau_twist
 from .errors import InvalidParameter, NotAGroup, NotAnAutomorphism
 from .exactlin import (
     ONE,
@@ -229,6 +228,8 @@ def catalog_cyclic(n: int) -> CatalogEntry:
     ``g^i . g^j = g^(n-(i+j))`` and ``delta(g^i) = g^(n-i) (x) g^(n-i)``."""
     if not isinstance(n, int) or not 2 <= n <= MAX_DIM:
         raise InvalidParameter(f"cyclic order must be an integer from 2 to {MAX_DIM}, got {n!r}")
+    from .constructions import yau_twist
+
     classical = catalog_group(cyclic_table(n), tuple(range(n)), name=f"kz{n}").hopf
     inversion = tuple((n - i) % n for i in range(n))
     phi = matrix_from_entries(n, n, {(i, inversion[i]): ONE for i in range(n)})

@@ -4,63 +4,32 @@ Exit codes: 0 every check passed, 1 a verified failure (a red axiom, a
 failed precondition, a failed comparison), 2 an input or usage error.
 Reports written with ``--report`` are deterministic: the embedded digest is
 computed over the document with wall-time fields removed.
+
+Each command imports the modules it runs when it runs, so a process compiles
+only those: ``--version`` none of the package beyond ``__init__``, ``check``
+the file format and the checkers, ``construct`` also the constructions, and
+``verify`` also the suites.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
-from functools import partial
-from pathlib import Path
-from typing import TYPE_CHECKING
 
-# package before click: click then reuses the heap freed by the package's compile
 from . import __version__
-from .constructions import (
-    bicrossproduct,
-    cocycle_twist,
-    drinfeld_double,
-    drinfeld_double_tilde,
-    dual,
-    dual_pair_double,
-    evaluation_pairing,
-    heisenberg_double,
-    opposite,
-    self_bicross,
-)
-from .errors import HomHopfError, InvalidParameter, PreconditionFailed
-from .exactlin import format_scalar
-from .fileformat import (
-    SCHEMA_VERSION,
-    AlgebraFile,
-    bundle_of_entry,
-    object_record,
-    parse,
-    serialize,
-)
-from .structures import (
-    CheckReport,
-    HomBialgebra,
-    TwoCocycle,
-    check_antipode,
-    check_hom_algebra,
-    check_hom_bialgebra,
-    check_hom_coalgebra,
-    check_quasitriangular,
-    merge_reports,
-)
-
-import click
-
-if TYPE_CHECKING:
-    from .verify import SuiteResult
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _load_input(source: str) -> tuple[AlgebraFile, bytes, object]:
+def _load_input(source: str):
     """Resolve a path or catalog name to (bundle, raw-bytes, catalog-entry)."""
+    from pathlib import Path
+
+    from .errors import InvalidParameter
+    from .fileformat import bundle_of_entry, parse, serialize
+
     path = Path(source)
     if path.exists():
         raw = path.read_bytes()
@@ -69,53 +38,51 @@ def _load_input(source: str) -> tuple[AlgebraFile, bytes, object]:
 
     try:
         entry = get_entry(source)
-    except InvalidParameter:
-        raise click.UsageError(
-            f"{source!r} is neither an existing file nor a catalog name "
+    except InvalidParameter as exc:
+        raise InvalidParameter(
+            f"{source!r} is neither an existing file nor a catalog name: {exc} "
             f"(catalog: {', '.join(catalog_names())})"
         ) from None
     bundle = bundle_of_entry(entry)
     return bundle, serialize(bundle), entry
 
 
-def _vec_text(v) -> str:
-    return "(" + ", ".join(format_scalar(c) for c in v) + ")"
+def _scalars(v) -> list[str]:
+    from .exactlin import format_scalar
+
+    return [format_scalar(c) for c in v]
 
 
-def _print_report(report: CheckReport, indent: str = "") -> None:
+def _print_report(report, indent: str = "") -> None:
     for entry in report.checks:
         if entry.passed:
-            click.echo(f"{indent}PASS {entry.axiom_id}")
+            print(f"{indent}PASS {entry.axiom_id}")
         else:
             w = entry.witness
-            click.echo(f"{indent}FAIL {entry.axiom_id} at index {w.index}")
-            click.echo(f"{indent}     lhs = {_vec_text(w.lhs)}")
-            click.echo(f"{indent}     rhs = {_vec_text(w.rhs)}")
+            print(f"{indent}FAIL {entry.axiom_id} at index {w.index}")
+            print(f"{indent}     lhs = ({', '.join(_scalars(w.lhs))})")
+            print(f"{indent}     rhs = ({', '.join(_scalars(w.rhs))})")
 
 
-def _print_suite(result: SuiteResult) -> None:
-    click.echo(f"suite {result.suite}")
+def _print_suite(result) -> None:
+    print(f"suite {result.suite}")
     for step in result.steps:
         status = "PASS" if step.passed else "FAIL"
         note = f"  [{step.note}]" if step.note else ""
-        click.echo(f"  {status} {step.name}{note}")
+        print(f"  {status} {step.name}{note}")
         if not step.passed:
             _print_report(step.report, indent="    ")
     verdict = "PASS" if result.passed else "FAIL"
-    click.echo(f"overall {verdict} ({result.wall_time:.3f}s)")
+    print(f"overall {verdict} ({result.wall_time:.3f}s)")
 
 
 def _witness_json(w):
     if w is None:
         return None
-    return {
-        "index": list(w.index),
-        "lhs": [format_scalar(c) for c in w.lhs],
-        "rhs": [format_scalar(c) for c in w.rhs],
-    }
+    return {"index": list(w.index), "lhs": _scalars(w.lhs), "rhs": _scalars(w.rhs)}
 
 
-def _report_json(report: CheckReport):
+def _report_json(report):
     return {
         "checks": [
             {"axiom": c.axiom_id, "passed": c.passed, "witness": _witness_json(c.witness)}
@@ -124,7 +91,7 @@ def _report_json(report: CheckReport):
     }
 
 
-def _suite_json(result: SuiteResult):
+def _suite_json(result):
     return {
         "suite": result.suite,
         "passed": result.passed,
@@ -150,6 +117,8 @@ def _write_report(path, command: str, inputs, results, status: int) -> None:
     import hashlib
     import json
 
+    from .fileformat import SCHEMA_VERSION
+
     doc = {
         "tool": "homhopf",
         "version": __version__,
@@ -168,6 +137,8 @@ def _write_report(path, command: str, inputs, results, status: int) -> None:
 
 def _write(path, data: bytes) -> None:
     """Write an output file; an unwritable path is an input error (exit 2)."""
+    from pathlib import Path
+
     try:
         Path(path).write_bytes(data)
     except OSError as exc:
@@ -175,30 +146,29 @@ def _write(path, data: bytes) -> None:
 
 
 def _fail_usage(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(EXIT_USAGE)
-
-
-JOBS_HELP = "accepted for compatibility and ignored: checks run serially"
-
-
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Exact axiom checking and constructions for Hom-Hopf algebras."""
 
 
 LEVELS = ("algebra", "coalgebra", "bialgebra", "hopf", "quasitriangular")
 
 
-@main.command()
-@click.argument("source")
-@click.option("--level", type=click.Choice(LEVELS), default="hopf", show_default=True)
-@click.option("--report", "report_path", type=click.Path(), default=None)
-@click.option("--jobs", type=int, default=1, show_default=True, help=JOBS_HELP)
 def check(source, level, report_path, jobs):
     """Run the axiom checkers for LEVEL on SOURCE (file or catalog name)."""
     del jobs
+    from functools import partial
+
+    from .errors import HomHopfError
+    from .structures import (
+        HomBialgebra,
+        check_antipode,
+        check_hom_algebra,
+        check_hom_bialgebra,
+        check_hom_coalgebra,
+        check_quasitriangular,
+        merge_reports,
+    )
+
     try:
         bundle, raw, entry = _load_input(source)
         rec = bundle.object()
@@ -214,13 +184,13 @@ def check(source, level, report_path, jobs):
             if not blocks:
                 _fail_usage(f"quasitriangular level needs an rmatrix block on {rec.name!r}")
             tasks.append(partial(check_quasitriangular, bia, bundle.rmatrix(blocks[0])))
-    except (HomHopfError, click.UsageError, OSError) as exc:
+    except (HomHopfError, OSError) as exc:
         _fail_usage(str(exc))
 
     combined = merge_reports(*(t() for t in tasks))
     _print_report(combined)
     status = EXIT_PASS if combined.ok else EXIT_FAIL
-    click.echo(("all checks passed" if combined.ok else "some checks failed"))
+    print("all checks passed" if combined.ok else "some checks failed")
     _write_report(
         report_path, f"check --level {level}", [(source, raw)], [_report_json(combined)], status
     )
@@ -240,16 +210,24 @@ KINDS = (
 )
 
 
-@main.command()
-@click.argument("kind", type=click.Choice(KINDS))
-@click.argument("source")
-@click.option("--cocycle", "cocycle_path", type=click.Path(exists=True), default=None)
-@click.option("--side", type=click.Choice(("left", "right")), default=None)
-@click.option("--out", "out_path", type=click.Path(), default=None)
-@click.option("--force", is_flag=True, help="skip precondition verification")
-@click.option("--report", "report_path", type=click.Path(), default=None)
 def construct(kind, source, cocycle_path, side, out_path, force, report_path):
     """Build the KIND construction from SOURCE and write it in file format."""
+    from .constructions import (
+        bicrossproduct,
+        cocycle_twist,
+        drinfeld_double,
+        drinfeld_double_tilde,
+        dual,
+        dual_pair_double,
+        evaluation_pairing,
+        heisenberg_double,
+        opposite,
+        self_bicross,
+    )
+    from .errors import HomHopfError, PreconditionFailed
+    from .fileformat import SCHEMA_VERSION, AlgebraFile, object_record, parse, serialize
+    from .structures import TwoCocycle
+
     check_flag = not force
     inputs = []
     try:
@@ -282,7 +260,8 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
         elif kind == "twist":
             if cocycle_path is None:
                 _fail_usage("twist needs --cocycle <file>")
-            craw = Path(cocycle_path).read_bytes()
+            with open(cocycle_path, "rb") as fh:
+                craw = fh.read()
             inputs.append((cocycle_path, craw))
             given = parse(craw).cocycle()
             host = rec.hom_bialgebra()
@@ -294,21 +273,21 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
         else:  # pragma: no cover
             raise AssertionError(kind)
     except PreconditionFailed as exc:
-        click.echo(f"precondition failed: {exc}", err=True)
+        print(f"precondition failed: {exc}", file=sys.stderr)
         results = []
         if exc.report is not None:
             _print_report(exc.report)
             results = [_report_json(exc.report)]
         _write_report(report_path, f"construct {kind}", inputs, results, EXIT_FAIL)
         sys.exit(EXIT_FAIL)
-    except (HomHopfError, click.UsageError, OSError) as exc:
+    except (HomHopfError, OSError) as exc:
         _fail_usage(str(exc))
 
     out_file = AlgebraFile(SCHEMA_VERSION, (result,), ())
     data = serialize(out_file)
     if out_path:
         _write(out_path, data)
-        click.echo(f"wrote {result.name} (dim {result.dim}) to {out_path}")
+        print(f"wrote {result.name} (dim {result.dim}) to {out_path}")
     else:
         sys.stdout.write(data.decode())
     _write_report(report_path, f"construct {kind}", inputs, [], EXIT_PASS)
@@ -318,14 +297,10 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
 SUITES = ("thm2.6", "cor2.9", "prop2.19", "thm4.5", "dual-pair", "prop4.7")
 
 
-@main.command()
-@click.argument("suite", type=click.Choice(SUITES))
-@click.option("--algebra", "source", required=True, help="catalog name or definition file")
-@click.option("--report", "report_path", type=click.Path(), default=None)
-@click.option("--jobs", type=int, default=1, show_default=True, help=JOBS_HELP)
 def verify(suite, source, report_path, jobs):
     """Run a named verification suite on an algebra."""
     del jobs
+    from .errors import HomHopfError
     from .verify import verify_cor_2_9, verify_dual_pair_route, verify_prop_2_19, verify_prop_4_7
     from .verify import verify_thm_2_6, verify_thm_4_5
 
@@ -355,7 +330,7 @@ def verify(suite, source, report_path, jobs):
             result = verify_dual_pair_route(hopf)
         else:
             result = verify_prop_4_7(hopf)
-    except (HomHopfError, click.UsageError, OSError) as exc:
+    except (HomHopfError, OSError) as exc:
         _fail_usage(str(exc))
 
     _print_suite(result)
@@ -364,12 +339,11 @@ def verify(suite, source, report_path, jobs):
     sys.exit(status)
 
 
-@main.command()
-@click.argument("name")
-@click.option("--out", "out_path", type=click.Path(), default=None)
 def export(name, out_path):
     """Write a catalog entry (with its bundled blocks) in file format."""
     from .catalog import get_entry
+    from .errors import InvalidParameter
+    from .fileformat import bundle_of_entry, serialize
 
     try:
         entry = get_entry(name)
@@ -378,10 +352,76 @@ def export(name, out_path):
     data = serialize(bundle_of_entry(entry))
     if out_path:
         _write(out_path, data)
-        click.echo(f"wrote {name} to {out_path}")
+        print(f"wrote {name} to {out_path}")
     else:
         sys.stdout.write(data.decode())
     sys.exit(EXIT_PASS)
+
+
+JOBS_HELP = "accepted for compatibility and ignored: checks run serially"
+
+
+def _existing_path(path: str) -> str:
+    import os
+
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
+    return path
+
+
+def _parser(prog: str | None) -> argparse.ArgumentParser:
+    """The command grammar: options by their full name only, and ``--help`` without ``-h``."""
+
+    def with_help(p):
+        p.add_argument("--help", action="help", help="show this message and exit")
+        return p
+
+    top = with_help(argparse.ArgumentParser(prog, description=main.__doc__, add_help=False, allow_abbrev=False))
+    top.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(fn):
+        doc = fn.__doc__
+        sub = commands.add_parser(fn.__name__, help=doc, description=doc, add_help=False, allow_abbrev=False)
+        sub.set_defaults(command=fn)
+        return with_help(sub)
+
+    sub = command(check)
+    sub.add_argument("source", metavar="SOURCE")
+    sub.add_argument("--level", choices=LEVELS, default="hopf")
+    sub.add_argument("--report", dest="report_path", metavar="PATH")
+    sub.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
+
+    sub = command(construct)
+    sub.add_argument("kind", choices=KINDS)
+    sub.add_argument("source", metavar="SOURCE")
+    sub.add_argument("--cocycle", dest="cocycle_path", metavar="PATH", type=_existing_path)
+    sub.add_argument("--side", choices=("left", "right"))
+    sub.add_argument("--out", dest="out_path", metavar="PATH")
+    sub.add_argument("--force", action="store_true", help="skip precondition verification")
+    sub.add_argument("--report", dest="report_path", metavar="PATH")
+
+    sub = command(verify)
+    sub.add_argument("suite", choices=SUITES)
+    sub.add_argument("--algebra", dest="source", required=True, help="catalog name or definition file")
+    sub.add_argument("--report", dest="report_path", metavar="PATH")
+    sub.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
+
+    sub = command(export)
+    sub.add_argument("name", metavar="NAME")
+    sub.add_argument("--out", dest="out_path", metavar="PATH")
+    return top
+
+
+def main(args=None, prog_name=None):
+    """Exact axiom checking and constructions for Hom-Hopf algebras."""
+    if prog_name is None and __name__ == "__main__":
+        prog_name = f"python -m {__spec__.name}"
+    namespace = vars(_parser(prog_name).parse_args(args))
+    # Every command runs on `structures`, the largest module. Compiling it
+    # first, while the heap is smallest, lowers a command's peak RSS.
+    from . import structures  # noqa: F401
+    namespace.pop("command")(**namespace)
 
 
 if __name__ == "__main__":

@@ -18,15 +18,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import run_cli
 from homhopf.catalog import (
     catalog_ax1,
     catalog_cyclic,
     catalog_ex27_expected,
     get_entry,
 )
-from homhopf.cli import main as cli_main
 from homhopf.constructions import (
     canonical_cocycles,
     canonical_r_matrix,
@@ -507,11 +506,10 @@ def test_criterion_11_round_trips():
 
 
 def test_criterion_11_exit_codes():
-    runner = CliRunner()
-    assert runner.invoke(cli_main, ["check", "cyclic:3"]).exit_code == 0
-    assert runner.invoke(cli_main, ["check", "ax1", "--level", "algebra"]).exit_code == 0
-    assert runner.invoke(cli_main, ["check", "ax1", "--level", "hopf"]).exit_code == 1
-    assert runner.invoke(cli_main, ["check", "missing.alg"]).exit_code == 2
-    assert runner.invoke(cli_main, ["verify", "thm4.5", "--algebra", "cyclic:2"]).exit_code == 0
-    assert runner.invoke(cli_main, ["verify", "nope", "--algebra", "cyclic:2"]).exit_code == 2
+    assert run_cli(["check", "cyclic:3"]).exit_code == 0
+    assert run_cli(["check", "ax1", "--level", "algebra"]).exit_code == 0
+    assert run_cli(["check", "ax1", "--level", "hopf"]).exit_code == 1
+    assert run_cli(["check", "missing.alg"]).exit_code == 2
+    assert run_cli(["verify", "thm4.5", "--algebra", "cyclic:2"]).exit_code == 0
+    assert run_cli(["verify", "nope", "--algebra", "cyclic:2"]).exit_code == 2
     announce("criterion 11", "exit-code contract 0/1/2", True)

@@ -2,16 +2,14 @@
 
 import json
 
-from click.testing import CliRunner
+import pytest
 
-from homhopf.cli import main
+from conftest import run_cli
 from homhopf.fileformat import parse
-
-runner = CliRunner()
 
 
 def invoke(*args):
-    return runner.invoke(main, list(args))
+    return run_cli(args)
 
 
 def _ax1_with_coalgebra_partner() -> str:
@@ -54,6 +52,19 @@ class TestCheckCommand:
         for name in ("cyclic:100000", "cyclic:129", "cyclic:+3"):
             assert invoke("check", name).exit_code == 2
             assert invoke("verify", "thm4.5", "--algebra", name).exit_code == 2
+
+    @pytest.mark.parametrize(
+        "name, reason",
+        [
+            ("cyclic:129", "cyclic order must be an integer from 2 to 128, got 129"),
+            ("cyclic:+3", "bad cyclic order '+3'"),
+        ],
+    )
+    def test_bad_catalog_parameter_says_why(self, name, reason):
+        result = invoke("check", name)
+        assert result.exit_code == 2
+        assert f"{name!r} is neither an existing file nor a catalog name" in result.stderr
+        assert reason in result.stderr
 
     def test_known_failure_exits_one_with_witness(self):
         result = invoke("check", "ax1", "--level", "bialgebra")
@@ -388,3 +399,64 @@ class TestExportCommand:
 
     def test_unknown_name(self):
         assert invoke("export", "zilch").exit_code == 2
+
+
+class TestArgumentGrammar:
+    """The parser refuses what it always refused (exit 2) and accepts the
+    same spellings; only its own usage and help text are free to change."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("construct", "frobnicate", "ax1"),
+            ("verify", "thm9.9", "--algebra", "cyclic:2"),
+            ("check", "cyclic:2", "--level", "bogus"),
+            ("construct", "twist", "cyclic:2", "--side", "middle"),
+            ("verify", "thm4.5"),
+            ("construct", "twist", "cyclic:2", "--cocycle", "no_such_cocycle.alg"),
+            ("check", "cyclic:2", "--jobs", "two"),
+            ("check", "cyclic:2", "--lev", "hopf"),
+            ("verify", "thm4.5", "--alg", "cyclic:2"),
+            ("check", "cyclic:2", "-h"),
+            ("frobnicate",),
+            (),
+        ],
+        ids=[
+            "unknown-kind", "unknown-suite", "bad-level", "bad-side", "missing-algebra",
+            "missing-cocycle-file", "non-integer-jobs", "abbreviated-option",
+            "abbreviated-required-option", "short-help", "unknown-command", "no-command",
+        ],
+    )
+    def test_usage_error_exits_two(self, args):
+        result = invoke(*args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr
+
+    @pytest.mark.parametrize(
+        "args", [("--help",), ("check", "--help"), ("construct", "--help"), ("verify", "--help"), ("export", "--help")]
+    )
+    def test_help_exits_zero(self, args):
+        result = invoke(*args)
+        assert result.exit_code == 0
+        assert result.stdout.lower().startswith("usage: homhopf")
+
+    def test_version(self):
+        result = invoke("--version")
+        assert result.exit_code == 0
+        assert result.stdout == "homhopf, version 0.1.0\n"
+
+    def test_options_parse_before_and_after_positionals(self, tmp_path):
+        before = invoke("check", "--level", "algebra", "cyclic:2")
+        after = invoke("check", "cyclic:2", "--level", "algebra")
+        joined = invoke("check", "cyclic:2", "--level=algebra")
+        assert before.exit_code == after.exit_code == joined.exit_code == 0
+        assert before.output == after.output == joined.output
+        out = tmp_path / "d.alg"
+        assert invoke("construct", "--out", str(out), "--force", "dual", "cyclic:2").exit_code == 0
+        assert parse(out.read_bytes()).object().name == "dual_cyclic2"
+        result = invoke("verify", "--algebra", "cyclic:2", "prop2.19", "--jobs", "2")
+        assert result.exit_code == 0
+
+    def test_cocycle_file_must_exist_for_every_kind(self):
+        assert invoke("construct", "dual", "cyclic:2", "--cocycle", "no_such_cocycle.alg").exit_code == 2

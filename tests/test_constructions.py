@@ -5,8 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import run_cli
 from homhopf.catalog import (
     catalog_ax1,
     catalog_cyclic,
@@ -15,7 +15,6 @@ from homhopf.catalog import (
     catalog_sweedler_hom,
     get_entry,
 )
-from homhopf.cli import main
 from homhopf.constructions import (
     bicrossproduct,
     canonical_cocycles,
@@ -522,7 +521,7 @@ class TestDoubleTilde:
     )
     def test_constructed_file_is_pinned(self, tmp_path, name, sha256):
         out = tmp_path / "dt.alg"
-        result = CliRunner().invoke(main, ["construct", "double-tilde", name, "--out", str(out)])
+        result = run_cli(["construct", "double-tilde", name, "--out", str(out)])
         assert result.exit_code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 

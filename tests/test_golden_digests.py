@@ -17,9 +17,8 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from homhopf.cli import main
+from conftest import run_cli
 
 FIXTURE = Path(__file__).with_name("golden_digests.json")
 
@@ -52,7 +51,7 @@ def run(args: tuple[str, ...], workdir: Path) -> dict:
     argv = [*args, "--report", str(report)]
     if args[0] == "construct":
         argv += ["--out", str(out)]
-    result = CliRunner().invoke(main, argv)
+    result = run_cli(argv)
     return {
         "status": result.exit_code,
         "digest": json.loads(report.read_text())["digest"] if report.exists() else None,

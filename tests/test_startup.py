@@ -1,10 +1,10 @@
 """Start-up: the package's public names, and which modules a command loads.
 
 Every ``homhopf`` command is a fresh process, so what it imports is compiled
-and executed on every run.  ``homhopf`` imports ``structures`` and
-``constructions`` eagerly and the catalog on first use; ``cli`` imports
-``verify``, the catalog, ``hashlib`` and ``json`` only in the commands and
-options that use them.  The import-graph tests run each command in a fresh
+and executed on every run.  ``homhopf`` loads each of its public names on
+first use; ``cli`` imports the package modules, ``hashlib`` and ``json`` only
+in the commands and options that use them, and needs nothing outside the
+standard library.  The import-graph tests run each command in a fresh
 interpreter and read ``sys.modules`` after ``main`` exits.
 """
 
@@ -86,7 +86,7 @@ class TestPackageNames:
 
 
 # Runs one command and prints, as its last stdout line, the command's exit
-# status and the names of the watched modules that it loaded.
+# status and the names of all the modules loaded when it ended.
 PROBE = """
 import sys
 from homhopf.cli import main
@@ -94,11 +94,11 @@ try:
     main(args=sys.argv[1:], prog_name="homhopf")
 except SystemExit as exc:
     status = exc.code
-watched = ("homhopf.verify", "homhopf.catalog", "hashlib")
-loaded = [name for name in watched if name in sys.modules]
+loaded = sorted(sys.modules)
 import json
 print(json.dumps([status, loaded]))
 """
+WATCHED = ("homhopf.verify", "homhopf.catalog", "hashlib")
 
 
 @pytest.fixture(scope="module")
@@ -109,10 +109,16 @@ def workdir(tmp_path_factory):
     return path
 
 
+def modules(workdir, *args: str, status: int = 0) -> set[str]:
+    """The modules loaded by one command that exits with ``status``."""
+    got, names = json.loads(_fresh(PROBE, *args, cwd=workdir).splitlines()[-1])
+    assert got == status
+    return set(names)
+
+
 def loaded(workdir, *args: str) -> list[str]:
-    status, names = json.loads(_fresh(PROBE, *args, cwd=workdir).splitlines()[-1])
-    assert status == 0
-    return names
+    names = modules(workdir, *args)
+    return [name for name in WATCHED if name in names]
 
 
 class TestImportGraph:
@@ -135,3 +141,69 @@ class TestImportGraph:
         assert names == ["hashlib"]
         assert json.loads((workdir / "report.json").read_text())["status"] == 0
 
+
+    @pytest.mark.parametrize(
+        "args, status",
+        [(("check", "c2.alg"), 0), (("check", "ax1"), 1), (("export", "ax1"), 0)],
+        ids=["check-file", "check-catalog", "export"],
+    )
+    def test_check_and_export_load_no_constructions(self, workdir, args, status):
+        assert "homhopf.constructions" not in modules(workdir, *args, status=status)
+
+    def test_version_loads_nothing_of_the_package_beyond_init(self, workdir):
+        names = modules(workdir, "--version")
+        assert sorted(n for n in names if n.startswith("homhopf")) == ["homhopf", "homhopf.cli"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--version",),
+            ("check", "c2.alg", "--report", "r.json"),
+            ("construct", "double", "c2.alg", "--out", "d_c2.alg"),
+            ("verify", "prop2.19", "--algebra", "cyclic:2"),
+            ("export", "sweedler_hom"),
+        ],
+        ids=["version", "check", "construct", "verify", "export"],
+    )
+    def test_no_command_loads_click(self, workdir, args):
+        assert not any(n == "click" or n.startswith("click.") for n in modules(workdir, *args))
+
+
+# Runs five commands with ``import click`` refused, and prints their exit codes.
+WITHOUT_CLICK = """
+import sys
+
+
+class RefuseClick:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "click":
+            raise ImportError(f"{name} is refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseClick())
+from homhopf.cli import main
+
+codes = []
+for args in (
+    ["check", "c2.alg"],
+    ["construct", "dual", "c2.alg", "--out", "dual_c2.alg"],
+    ["verify", "thm4.5", "--algebra", "c2.alg"],
+    ["export", "ax1", "--out", "ax1.alg"],
+    ["check", "c2.alg", "--level", "bogus"],
+):
+    try:
+        main(args=args, prog_name="homhopf")
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(codes)
+"""
+
+
+def test_commands_run_with_click_refused(workdir):
+    assert _fresh(WITHOUT_CLICK, cwd=workdir).splitlines()[-1] == "[0, 0, 0, 0, 2]"
+
+
+def test_version_of_the_module_run_as_a_script():
+    code = "import runpy; runpy.run_module('homhopf.cli', run_name='__main__', alter_sys=True)"
+    assert _fresh(code, "--version") == "python -m homhopf.cli, version 0.1.0\n"
