@@ -24,8 +24,8 @@ from .exactlin import (
     tensor3_from_entries,
     vector_from_entries,
 )
-from .fileformat import MAX_DIM
 from .structures import (
+    MAX_DIM,
     ComoduleCoaction,
     HomHopfAlgebra,
     ModuleAction,
@@ -223,22 +223,13 @@ def cyclic_table(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def catalog_cyclic(n: int) -> CatalogEntry:
-    """The twisted cyclic group algebra: the Yau twist of the classical
-    order-n group algebra along inversion, so that
-    ``g^i . g^j = g^(n-(i+j))`` and ``delta(g^i) = g^(n-i) (x) g^(n-i)``."""
+    """The twisted cyclic group algebra along inversion, so that
+    ``g^i . g^j = g^(n-(i+j))`` and ``delta(g^i) = g^(n-i) (x) g^(n-i)``: the
+    Yau twist of the classical order-n group algebra along inversion."""
     if not isinstance(n, int) or not 2 <= n <= MAX_DIM:
         raise InvalidParameter(f"cyclic order must be an integer from 2 to {MAX_DIM}, got {n!r}")
-    from .constructions import yau_twist
-
-    classical = catalog_group(cyclic_table(n), tuple(range(n)), name=f"kz{n}").hopf
     inversion = tuple((n - i) % n for i in range(n))
-    phi = matrix_from_entries(n, n, {(i, inversion[i]): ONE for i in range(n)})
-    twisted = yau_twist(classical, phi)
-    labels = tuple(f"g{i}" for i in range(n))
-    group = GroupData(
-        n, cyclic_table(n), 0, inversion, inversion
-    )
-    return CatalogEntry(f"cyclic:{n}", twisted, labels, group=group)
+    return catalog_group(cyclic_table(n), inversion, name=f"cyclic:{n}")
 
 
 def symmetric3_data() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:

@@ -16,11 +16,12 @@ unless ``check=False`` (outputs are then unvalidated).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .errors import (
     CrossCheckFailed,
     HypothesisFailed,
+    InvalidParameter,
     NotAMorphism,
     PreconditionFailed,
 )
@@ -34,6 +35,7 @@ from .exactlin import (
     basis,
     bilinear_apply,
     cells,
+    compose,
     comul_tensor,
     dense,
     dense_rows,
@@ -44,10 +46,10 @@ from .exactlin import (
     mat_inverse,
     matrix_from_entries,
     rows,
-    sparse,
     transpose,
 )
 from .structures import (
+    MAX_DIM,
     CheckReport,
     ComoduleCoaction,
     HomAlgebra,
@@ -59,6 +61,8 @@ from .structures import (
     PairingForm,
     RMatrix,
     TwoCocycle,
+    _flat,
+    _legs,
     _sweep,
     algebra_of,
     bialgebra_of,
@@ -73,6 +77,16 @@ from .structures import (
     hopf_algebra,
     merge_reports,
 )
+
+def _product_dim(n1: int, n2: int) -> int:
+    """The dimension ``n1 * n2`` of a product space, refused with
+    ``InvalidParameter`` above ``MAX_DIM`` before anything on it is built."""
+    if n1 * n2 > MAX_DIM:
+        raise InvalidParameter(
+            f"the construction would be {n1 * n2}-dim, above the limit of {MAX_DIM}"
+        )
+    return n1 * n2
+
 
 def _dense_kron(f: Matrix, g: Matrix) -> Matrix:
     """The Kronecker product of two dense matrices as a dense matrix, for the
@@ -105,24 +119,21 @@ def yau_twist(classical: HomHopfAlgebra, endo: Matrix) -> HomHopfAlgebra:
     if classical.alpha != identity(n):
         raise PreconditionFailed("input must be classical: its structure map must be the identity")
     A, C = classical.algebra, classical.coalgebra
-    er, mc, sr, su = rows(endo), A.mul_cells, classical.antipode_rows, A.unit_vector
-    if apply_map(er, su) != su:
-        raise NotAMorphism("endo(1) = 1")
-    for i in range(n):
-        for j in range(n):
-            if apply_map(er, mc[i][j]) != bilinear_apply(mc, er[i], er[j]):
-                raise NotAMorphism("endo(ab) = endo(a) endo(b)")
+    er, m, sr, su = rows(endo), A.mul_map, classical.antipode_rows, (A.unit_vector,)
     dr, eps = C.comul_rows, C.counit_map
-    twisted_delta = tuple(apply_map(dr, x) for x in er)  # delta(endo(e_i))
-    for i in range(n):
-        if twisted_delta[i] != apply_kron(er, er, dr[i]):
-            raise NotAMorphism("delta(endo(a)) = (endo (x) endo) delta(a)")
-        if apply_map(eps, er[i]) != eps[i]:
-            raise NotAMorphism("counit(endo(a)) = counit(a)")
-        if apply_map(er, sr[i]) != apply_map(sr, er[i]):
-            raise NotAMorphism("endo(S(a)) = S(endo(a))")
+    twisted_mul, twisted_delta = compose(m, er), compose(er, dr)  # endo(ab), delta(endo(a))
+    laws = (
+        ("endo(1) = 1", compose(su, er), su),
+        ("endo(ab) = endo(a) endo(b)", twisted_mul, compose(kron(er, er), m)),
+        ("delta(endo(a)) = (endo (x) endo) delta(a)", twisted_delta, compose(dr, (er, er))),
+        ("counit(endo(a)) = counit(a)", compose(er, eps), eps),
+        ("endo(S(a)) = S(endo(a))", compose(sr, er), compose(er, sr)),
+    )
+    for law, lhs, rhs in laws:
+        if lhs != rhs:
+            raise NotAMorphism(law)
 
-    twisted_mul = tuple(tuple(dense(apply_map(er, mc[i][j])) for j in range(n)) for i in range(n))
+    twisted_mul = tuple(dense_rows(twisted_mul[i * n : (i + 1) * n]) for i in range(n))
     twisted_comul = comul_tensor(dense_rows(twisted_delta), n)
     return hopf_algebra(n, twisted_mul, A.unit, twisted_comul, C.counit, endo, classical.antipode)
 
@@ -158,8 +169,8 @@ def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
     ainv2 = alpha_power(h.alpha_inverse, 2)
     a2 = rows(ainv2)
     # row (i, j): the coefficients of e^i e^j; row i: those of delta(e^i)
-    products = transpose(tuple(dense(apply_kron(a2, a2, d)) for d in h.coalgebra.comul_rows))
-    coproducts = transpose(tuple(dense(apply_map(a2, row)) for row in h.algebra.mul_map))
+    products = transpose(dense_rows(compose(h.coalgebra.comul_rows, (a2, a2))))
+    coproducts = transpose(dense_rows(compose(h.algebra.mul_map, a2)))
     return hopf_algebra(
         n,
         tuple(products[i * n : (i + 1) * n] for i in range(n)),
@@ -180,24 +191,21 @@ def smash_product(A, H, act: ModuleAction, check: bool = True) -> HomAlgebra:
     ``(a # h)(b # k) = a (alpha_H^-2(h_1) . alpha_A^-1(b)) # alpha_H^-1(h_2) k``."""
     alg = algebra_of(A)
     bi = bialgebra_of(H)
+    na, nh = alg.dim, bi.dim
+    nd = _product_dim(na, nh)
     if check:
         report = check_module_algebra(act)
         if not report.ok:
             raise PreconditionFailed("action is not a module-algebra action", report)
-    na, nh = alg.dim, bi.dim
     ah_i1, ah_i2 = (rows(alpha_power(bi.alpha_inverse, k)) for k in (1, 2))
     aa_i1 = rows(alg.alpha_inverse)
-    e_a, e_h = basis(na), basis(nh)
     amul, hmul, action = alg.mul_cells, bi.algebra.mul_cells, act.act_cells
     delta = bi.coalgebra.comul_rows
     # first[a][b] maps h_1 to a (alpha_H^-2(h_1) . alpha_A^-1(b)),
     # second[k] maps h_2 to alpha_H^-1(h_2) k
     acted = [[bilinear_apply(action, x, y) for x in ah_i2] for y in aa_i1]
-    first = [
-        [tuple(bilinear_apply(amul, e_a[a], x) for x in acted[b]) for b in range(na)]
-        for a in range(na)
-    ]
-    second = [tuple(bilinear_apply(hmul, x, e_h[k]) for x in ah_i1) for k in range(nh)]
+    first = [[compose(row, left) for row in acted] for left in amul]
+    second = [compose(ah_i1, right) for right in transpose(hmul)]
     mul = tuple(
         tuple(
             dense(apply_kron(first[a][b], second[k], delta[hh]))
@@ -208,7 +216,7 @@ def smash_product(A, H, act: ModuleAction, check: bool = True) -> HomAlgebra:
         for hh in range(nh)
     )
     unit = _dense_kron((alg.unit,), (bi.unit,))[0]
-    return HomAlgebra(na * nh, mul, unit, _dense_kron(alg.alpha, bi.alpha))
+    return HomAlgebra(nd, mul, unit, _dense_kron(alg.alpha, bi.alpha))
 
 
 def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> Matrix:
@@ -226,9 +234,7 @@ def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> Matrix:
     hmul, rho = coactor.algebra.mul_cells, co.coact_rows
     # second[h] maps c_(1) to alpha_H^-1(h) alpha_H^-2(c_(1))
     second = [tuple(bilinear_apply(hmul, x, y) for y in ah_i2) for x in ah_i1]
-    phi = tuple(
-        dense(apply_kron(ac_i1, second[h], rho[c])) for h in range(nh) for c in range(nc)
-    )
+    phi = tuple(chain.from_iterable(dense_rows(compose(rho, (ac_i1, s))) for s in second))
     if check:
         report = check_cotwisting(coactor, carrier, phi)
         if not report.ok:
@@ -241,19 +247,20 @@ def cotwist_coproduct(C, D, phi: Matrix, check: bool = True) -> HomCoalgebra:
     ``delta(c (x) d) = c_1 (x) d_1^phi (x) c_2^phi (x) d_2``."""
     Cc = coalgebra_of(C)
     Dc = coalgebra_of(D)
+    nc, nd = Cc.dim, Dc.dim
+    n = _product_dim(nc, nd)
     if check:
         report = check_cotwisting(Cc, Dc, phi)
         if not report.ok:
             raise PreconditionFailed("not a cotwisting map", report)
-    nc, nd = Cc.dim, Dc.dim
     ec, ed, phi_rows = basis(nc), basis(nd), rows(phi)
     # (id (x) phi (x) id)(delta_C (x) delta_D) in two steps: phi_d maps
     # c_2 (x) d to phi(c_2 (x) d_1) (x) d_2, and c (x) d goes to c_1 (x) phi_d(c_2 (x) d)
-    phi_d = tuple(apply_kron(phi_rows, ed, row) for row in kron(ec, Dc.comul_rows))
-    comul = tuple(dense(apply_kron(ec, phi_d, row)) for row in kron(Cc.comul_rows, ed))
+    phi_d = compose(kron(ec, Dc.comul_rows), (phi_rows, ed))
+    comul = dense_rows(compose(kron(Cc.comul_rows, ed), (ec, phi_d)))
     return HomCoalgebra(
-        nc * nd,
-        comul_tensor(comul, nc * nd),
+        n,
+        comul_tensor(comul, n),
         _dense_kron((Cc.counit,), (Dc.counit,))[0],
         _dense_kron(Cc.alpha, Dc.alpha),
     )
@@ -273,84 +280,49 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
     ah_i1 = rows(bi.alpha_inverse)
     aa_i1 = rows(alg.alpha_inverse)
     action, amul, hmul = act.act_cells, alg.mul_cells, bi.algebra.mul_cells
-    e_a, e_h = basis(na), basis(nh)
     h_terms, co_terms = bi.coalgebra.comul_terms, co.coact_terms
-    delta_a, rho, counit_a = coa.comul_rows, co.coact_rows, coa.counit_map
+    delta_a, rho, eps_a = coa.comul_rows, co.coact_rows, coa.counit_map
+    acts, e_h = _flat(action), basis(nh)  # acts maps h (x) b to h . b
+    eps_h, hm = bi.coalgebra.counit_map, bi.algebra.mul_map
     # Legs as maps of a basis vector: acted[h] is b -> alpha^-1(h) . b,
-    # times[h] is g -> alpha^-1(h) g, and twisted[a][h] is
+    # times[h] is g -> alpha^-1(h) g, and twisted[a * nh + h] is
     # b -> alpha^-1(a) (alpha^-1(h) . alpha^-1(b)).
-    acted = [tuple(bilinear_apply(action, x, y) for y in e_a) for x in ah_i1]
-    times = [tuple(bilinear_apply(hmul, x, y) for y in e_h) for x in ah_i1]
+    acted = transpose(tuple(compose(ah_i1, right) for right in transpose(action)))
+    times = transpose(tuple(compose(ah_i1, right) for right in transpose(hmul)))
     acted_twice = [[bilinear_apply(action, h, b) for b in aa_i1] for h in ah_i1]
-    twisted = [
-        [tuple(bilinear_apply(amul, a, x) for x in row) for row in acted_twice] for a in aa_i1
+    twisted = [tuple(bilinear_apply(amul, a, x) for x in row) for a in aa_i1 for row in acted_twice]
+    # at x * na + b, acted_then is a -> (x . b) a and then_acted is a -> a (x . b)
+    acted_then = transpose(tuple(compose(acts, right) for right in transpose(amul)))
+    then_acted = transpose(tuple(compose(acts, left) for left in amul))
+
+    # the terms (h_1(0), (h_1(1), h_2), v) of each h, whose legs are read from acted
+    # or times and from twisted
+    dressed = [
+        [(h10, h11 * nh + h2, vh * vco) for h1, h2, vh in sw for h10, h11, vco in co_terms[h1]]
+        for sw in h_terms
     ]
-    # acted_then[x][b] is a -> (x . b) a and then_acted[x][b] is a -> a (x . b)
-    acted_then = [
-        [tuple(bilinear_apply(amul, xb, a) for a in e_a) for xb in plane] for plane in action
+    # (alpha^-1(h_1(0)) . b_1) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(b_2))
+    hyp1 = tuple(_legs(terms, acted, twisted, delta_a[b]) for terms in dressed for b in range(na))
+    # alpha^-1(h_1(0)) g_(0) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(g_(1)))
+    hyp2 = tuple(_legs(terms, times, twisted, rho[g]) for terms in dressed for g in range(nh))
+    # h_2(0) (x) (h_1 . b) h_2(1) against h_1(0) (x) h_1(1) (h_2 . b)
+    flipped = [[(h2, h1, v) for h1, h2, v in sweedler] for sweedler in h_terms]
+    exchange = [
+        tuple(
+            linear_combination(
+                nh * na, ((v, apply_kron(e_h, legs[x * na + b], rho[y])) for x, y, v in terms)
+            )
+            for terms in sweedlers
+            for b in range(na)
+        )
+        for legs, sweedlers in ((acted_then, h_terms), (then_acted, flipped))
     ]
-    then_acted = [
-        [tuple(bilinear_apply(amul, a, xb) for a in e_a) for xb in plane] for plane in action
-    ]
-
-    def hyp1_rhs(h, b):
-        # (alpha^-1(h_1(0)) . b_1) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(b_2))
-        return linear_combination(
-            na * na,
-            (
-                (vh * vco, apply_kron(acted[h10], twisted[h11][h2], delta_a[b]))
-                for h1, h2, vh in h_terms[h]
-                for h10, h11, vco in co_terms[h1]
-            ),
-        )
-
-    def hyp2_rhs(h, g):
-        # alpha^-1(h_1(0)) g_(0) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(g_(1)))
-        return linear_combination(
-            nh * na,
-            (
-                (vh * vco, apply_kron(times[h10], twisted[h11][h2], rho[g]))
-                for h1, h2, vh in h_terms[h]
-                for h10, h11, vco in co_terms[h1]
-            ),
-        )
-
-    def hyp3_lhs(h, b):
-        # h_2(0) (x) (h_1 . b) h_2(1)
-        return linear_combination(
-            nh * na,
-            ((vh, apply_kron(e_h, acted_then[h1][b], rho[h2])) for h1, h2, vh in h_terms[h]),
-        )
-
-    def hyp3_rhs(h, b):
-        # h_1(0) (x) h_1(1) (h_2 . b)
-        return linear_combination(
-            nh * na,
-            ((vh, apply_kron(e_h, then_acted[h2][b], rho[h1])) for h1, h2, vh in h_terms[h]),
-        )
 
     checks = (
-        _sweep(
-            "bicross.action-comultiplicative",
-            product(range(nh), range(na)),
-            lambda h, b: apply_map(delta_a, action[h][b]),
-            hyp1_rhs,
-        ),
-        _sweep(
-            "bicross.action-counit",
-            product(range(nh), range(na)),
-            lambda h, b: apply_map(counit_a, action[h][b]),
-            lambda h, b: sparse((coa.counit[b] * bi.counit[h],)),
-        ),
-        _sweep(
-            "bicross.coaction-multiplicative",
-            product(range(nh), range(nh)),
-            lambda h, g: apply_map(rho, hmul[h][g]),
-            hyp2_rhs,
-        ),
-        _sweep(
-            "bicross.action-coaction-exchange", product(range(nh), range(na)), hyp3_lhs, hyp3_rhs
-        ),
+        _sweep("bicross.action-comultiplicative", (nh, na), compose(acts, delta_a), hyp1),
+        _sweep("bicross.action-counit", (nh, na), compose(acts, eps_a), kron(eps_h, eps_a)),
+        _sweep("bicross.coaction-multiplicative", (nh, nh), compose(hm, rho), hyp2),
+        _sweep("bicross.action-coaction-exchange", (nh, na), *exchange),
     )
     return CheckReport(checks)
 
@@ -365,6 +337,8 @@ def bicrossproduct(
     Its coproduct is the cotwist coproduct of the cotwisting map the coaction
     induces: ``a_1 (x) alpha_H^-1(h_1(0)) (x) alpha_A^-1(a_2) alpha_A^-2(h_1(1)) (x) h_2``.
     """
+    na, nh = A.dim, H.dim
+    nd = _product_dim(na, nh)
     if check:
         mod_report = check_module_algebra(act)
         if not mod_report.ok:
@@ -377,8 +351,6 @@ def bicrossproduct(
             if not entry.passed:
                 raise HypothesisFailed(label, CheckReport((entry,)))
 
-    na, nh = A.dim, H.dim
-    nd = na * nh
     aa_i2, aa_i3 = (rows(alpha_power(A.alpha_inverse, k)) for k in (2, 3))
     smash = smash_product(A, H, act, check=False)
     coalg = cotwist_coproduct(A, H, comodule_cotwist(co, check=False), check=False)
@@ -442,11 +414,11 @@ def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, 
 def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
     """The bicrossproduct on ``H (x) H_op``, cross-checked against the
     closed product and coproduct formulas stated for it."""
+    n = H.dim
+    nd = _product_dim(n, n)
     hop, act, co = self_bicross_data(H)
     built = bicrossproduct(H, hop, act, co, check=check)
 
-    n = H.dim
-    nd = n * n
     ainv1, ainv2, ainv3 = (rows(alpha_power(H.alpha_inverse, k)) for k in (1, 2, 3))
     s_ainv4 = rows(mat_compose(alpha_power(H.alpha_inverse, 4), H.antipode))  # S(alpha^-4(e_h))
     e, hmul, Hc = basis(n), H.algebra.mul_cells, H.coalgebra
@@ -459,9 +431,9 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
         [bilinear_apply(hmul, bilinear_apply(hmul, x, b), y) for x in s_ainv4 for y in ainv3]
         for b in ainv2
     ]
-    first = [[tuple(bilinear_apply(hmul, a, v) for v in row) for row in dressed] for a in e]
-    second = [tuple(bilinear_apply(hmul, k, z) for z in ainv1) for k in e]
-    twice = [apply_kron(delta, e, d) for d in delta]  # h_11 (x) h_12 (x) h_2
+    first = [[compose(row, left) for row in dressed] for left in hmul]
+    second = [compose(ainv1, left) for left in hmul]
+    twice = compose(delta, (delta, e))  # h_11 (x) h_12 (x) h_2
     closed_mul = tuple(
         tuple(
             dense(apply_kron(first[a][b], second[k], twice[h]))
@@ -509,14 +481,14 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     """The double crossed product on ``A (x) H`` of a matched pair, with the
     tensor coproduct and the antipode
     ``S(a (x) h) = (1 (x) S_H alpha_H^-1(h)) (S_A alpha_A^-1(a) (x) 1)``."""
+    A = mp.A
+    H = mp.H
+    na, nh = A.dim, H.dim
+    nd = _product_dim(na, nh)
     if check:
         report = check_matched_pair(mp)
         if not report.ok:
             raise PreconditionFailed("not a matched pair", report)
-    A = mp.A
-    H = mp.H
-    na, nh = A.dim, H.dim
-    nd = na * nh
     ah_i2 = rows(alpha_power(H.alpha_inverse, 2))
     aa_i2 = rows(alpha_power(A.alpha_inverse, 2))
     left, right = mp.left_cells, mp.right_cells
@@ -528,19 +500,11 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     # first[a][h_1] and second[g][h_2] are the two legs as maps of b_1 and b_2
     lefts = [[bilinear_apply(left, x, y) for y in aa_i2] for x in ah_i2]
     rights = [[bilinear_apply(right, x, y) for y in aa_i2] for x in ah_i2]
-    first = [[tuple(bilinear_apply(amul, e, v) for v in row) for row in lefts] for e in basis(na)]
-    second = [[tuple(bilinear_apply(hmul, v, e) for v in row) for row in rights] for e in basis(nh)]
+    first = [[compose(row, left) for row in lefts] for left in amul]
+    second = [[compose(row, right) for row in rights] for right in transpose(hmul)]
     mul = tuple(
         tuple(
-            dense(
-                linear_combination(
-                    nd,
-                    (
-                        (v, apply_kron(first[a][x], second[g][y], delta_a[b]))
-                        for x, y, v in h_terms[h]
-                    ),
-                )
-            )
+            dense(_legs(h_terms[h], first[a], second[g], delta_a[b]))
             for b in range(na)
             for g in range(nh)
         )
@@ -593,21 +557,19 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     ``h (x) f -> counit(h) f(1)``, and structure map
     ``alpha (x) (alpha^-1)*``."""
     n = H.dim
+    nd = _product_dim(n, n)
     hst = dual(H)
     ainv2, ainv3 = (rows(alpha_power(H.alpha_inverse, k)) for k in (2, 3))
     a2t = rows(transpose(alpha_power(H.alpha, 2)))
     S = H.antipode
     s_ainv3 = rows(mat_compose(alpha_power(H.alpha_inverse, 3), S))  # rows S(alpha^-3(e_k))
-    nd = n * n
-    er, hmul, hst_mul = basis(n), H.algebra.mul_cells, hst.algebra.mul_cells
+    er, hmul = basis(n), H.algebra.mul_cells
     # shifted[h] maps e_k to alpha^-2(e_k) e_h and times[l] maps f to f e^l
-    shifted = [tuple(bilinear_apply(hmul, a, x) for a in ainv2) for x in er]
-    times = [tuple(bilinear_apply(hst_mul, f, x) for f in er) for x in er]
+    shifted = [compose(ainv2, right) for right in transpose(hmul)]
+    times = transpose(hst.algebra.mul_cells)
     # the regular actions on the dual as bilinear maps of (h, f):
     # <f <- h, k> = <f, h alpha^-2(k)> and <h -> f, k> = <f, alpha^-2(k) h>
-    right = cells(
-        tuple(transpose(tuple(dense(bilinear_apply(hmul, x, a)) for a in ainv2)) for x in er)
-    )
+    right = cells(tuple(transpose(dense_rows(compose(ainv2, left))) for left in hmul))
     left = cells(tuple(transpose(dense_rows(row)) for row in shifted))
     h_terms = H.coalgebra.comul_terms
 
@@ -675,14 +637,14 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
     twisting map.  The antipode-based closed forms for the half-braiding
     inverses are evaluated and compared against exact matrix inverses; a
     mismatch is recorded, never fatal."""
+    A, B, gram = P.left, P.right, P.gram
+    na, nb = A.dim, B.dim
+    nd = _product_dim(na, nb)
     if check:
         report = check_dual_pair(P)
         required = [c for c in report.checks if c.axiom_id != "pairing.mul-comul-right-swapped"]
         if not all(c.passed for c in required):
             raise PreconditionFailed("not a dual pair", CheckReport(tuple(required)))
-    A, B, gram = P.left, P.right, P.gram
-    na, nb = A.dim, B.dim
-    nd = na * nb
     aa_i2 = rows(alpha_power(A.alpha_inverse, 2))
     bb_i1 = B.alpha_inverse
     bb_i2 = rows(alpha_power(B.alpha_inverse, 2))
@@ -725,8 +687,8 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
     )
     # first[a] maps a'_21 to a alpha_A^-2(a'_21), second[b'] maps b_12 to alpha_B^-2(b_12) b'
     amul, bmul = A.algebra.mul_cells, B.algebra.mul_cells
-    first = [tuple(bilinear_apply(amul, a, x) for x in aa_i2) for a in basis(na)]
-    second = [tuple(bilinear_apply(bmul, x, bp) for x in bb_i2) for bp in basis(nb)]
+    first = [compose(aa_i2, left) for left in amul]
+    second = [compose(bb_i2, right) for right in transpose(bmul)]
     mul = tuple(
         tuple(
             dense(apply_kron(first[a], second[bp], middles[ap * nb + b]))
@@ -766,6 +728,7 @@ def heisenberg_double(A: HomHopfAlgebra) -> HomAlgebra:
     compatibility, and the smash formula itself only needs an invertible
     structure map.
     """
+    _product_dim(A.dim, A.dim)
     act = regular_action(A)
     return smash_product(A, act.actor, act, check=False)
 

@@ -44,6 +44,7 @@ sparse vectors are dicts, so they are not.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -326,6 +327,22 @@ def apply_kron(f: SparseMatrix, g: SparseMatrix, v: Sparse) -> Sparse:
             for b, cb in grow:
                 out[base + b] = out.get(base + b, ZERO) + cca * cb
     return _zero_free(out)
+
+
+def compose(m: SparseMatrix, *maps) -> SparseMatrix:
+    """The rows of ``m`` sent through each of ``maps`` in turn: the row-image
+    composition ``m``, then ``maps[0]``, then ``maps[1]`` ...
+
+    A factor ``(f, g)`` is ``kron(f, g)``, applied leg by leg (``apply_kron``)
+    and never built.  A zero row stays zero without a kernel call.
+    """
+    for f in maps:
+        if isinstance(f[0], Sparse):
+            dim, step = f[0].dim, partial(apply_map, f)
+        else:
+            dim, step = f[0][0].dim * f[1][0].dim, partial(apply_kron, *f)
+        m = tuple(step(v) if v else _empty(dim) for v in m)
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from .exactlin import (
     vector_from_entries,
 )
 from .structures import (
+    MAX_DIM,
     ComoduleCoaction,
     HomAlgebra,
     HomBialgebra,
@@ -62,12 +63,9 @@ from .structures import (
 
 SCHEMA_VERSION = 1
 
-# Largest accepted ``dim``: an object of dimension n is held as dense n^3
-# tensors, so the declared size is checked before anything is allocated.
-# The objects of one file together may declare at most MAX_DIM^3 (the sum
-# of dim^3), so a file holds no more than one largest object's tensors.
-# The largest object the catalog or the constructions produce is 36-dim.
-MAX_DIM = 128
+# The declared ``dim`` is checked against ``MAX_DIM`` before anything is
+# allocated.  The objects of one file together may declare at most MAX_DIM^3
+# (the sum of dim^3), so a file holds no more than one largest object's tensors.
 
 
 @dataclass(frozen=True)

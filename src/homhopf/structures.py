@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
+from math import prod
 from operator import attrgetter
 
 from .errors import DimensionMismatch, MissingStructure, SingularMatrixError
@@ -59,6 +60,7 @@ from .exactlin import (
     bilinear_apply,
     cells,
     comul_matrix,
+    compose,
     dense,
     flatten_pair,
     kron,
@@ -73,6 +75,11 @@ from .exactlin import (
     terms,
     transpose,
 )
+
+# Largest dimension of an object: the definition-file reader, the catalog and
+# the constructions refuse anything larger before they allocate it.  An object
+# of dimension n is held as dense n^3 tensors.
+MAX_DIM = 128
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -143,8 +150,8 @@ class HomAlgebra:
 
     @cached_property
     def mul_map(self) -> SparseMatrix:
-        """The multiplication as a row-image map ``H (x) H -> H``: the cells, flattened."""
-        return tuple(chain.from_iterable(self.mul_cells))
+        """The multiplication as a row-image map ``H (x) H -> H``."""
+        return _flat(self.mul_cells)
 
     @cached_property
     def alpha_rows(self) -> SparseMatrix:
@@ -495,19 +502,45 @@ def merge_reports(*reports: CheckReport) -> CheckReport:
     return CheckReport(tuple(checks))
 
 
-def _sweep(axiom_id: str, indices, lhs_fn, rhs_fn) -> CheckEntry:
-    """Compare two basis-indexed sparse expressions, recording the first
-    failure with both sides made dense."""
-    for idx in indices:
-        lhs = lhs_fn(*idx)
-        rhs = rhs_fn(*idx)
-        if lhs.dim != rhs.dim:
+def _sweep(axiom_id: str, shape, lhs=None, rhs=None) -> CheckEntry:
+    """Compare the two sides of a law case by case, recording the first
+    failure with both sides made dense.
+
+    Either ``lhs`` and ``rhs`` are two maps on the index space ``shape``: row
+    ``r`` of each is the case at the ``r``-th multi-index of ``shape`` in
+    row-major order, so on ``(n, n)`` row ``i * n + j`` is the case ``(i, j)``,
+    and on ``()`` a one-row map is the one case ``()``.  Or ``shape`` is a
+    stream of ``(index, lhs, rhs)`` cases, read up to the first failure.
+    """
+    if lhs is None:
+        cases = shape
+    else:
+        size = prod(shape)
+        if len(lhs) != size or len(rhs) != size:
             raise DimensionMismatch(
-                f"{axiom_id} at {idx}: sides of lengths {lhs.dim} and {rhs.dim}"
+                f"{axiom_id}: maps of {len(lhs)} and {len(rhs)} rows on {size} cases"
             )
-        if lhs != rhs:
-            return CheckEntry(axiom_id, False, Witness(idx, dense(lhs), dense(rhs)))
+        cases = zip(product(*map(range, shape)), lhs, rhs)
+    for idx, left, right in cases:
+        if left.dim != right.dim:
+            raise DimensionMismatch(
+                f"{axiom_id} at {idx}: sides of lengths {left.dim} and {right.dim}"
+            )
+        if left != right:
+            return CheckEntry(axiom_id, False, Witness(idx, dense(left), dense(right)))
     return CheckEntry(axiom_id, True)
+
+
+def _flat(t: SparseTensor3) -> SparseMatrix:
+    """The bilinear map ``t`` as a row-image map on the pair space: its cells, flattened."""
+    return tuple(chain.from_iterable(t))
+
+
+def _legs(terms, first, second, v: Sparse) -> Sparse:
+    """``sum c * (first[x] (x) second[y])(v)`` over the terms ``(x, y, c)``: a
+    Sweedler sum that picks the maps applied to the two legs of ``v``."""
+    n = first[0][0].dim * second[0][0].dim
+    return linear_combination(n, ((c, apply_kron(first[x], second[y], v)) for x, y, c in terms))
 
 
 def _associative_cases(first: SparseTensor3, second: SparseTensor3):
@@ -573,121 +606,51 @@ def check_hom_algebra(obj) -> CheckReport:
     the Hom-associative law alpha(a)(bc) = (ab)alpha(c)."""
     A = algebra_of(obj)
     n = A.dim
-    rng = range(n)
-    mc, ar, e, unit = A.mul_cells, A.alpha_rows, basis(n), A.unit_vector
-
-    checks = [
-        _sweep(
-            "algebra.alpha-multiplicative",
-            product(rng, rng),
-            lambda i, j: apply_map(ar, mc[i][j]),
-            lambda i, j: bilinear_apply(mc, ar[i], ar[j]),
-        ),
-        _sweep(
-            "algebra.alpha-fixes-unit",
-            [()],
-            lambda: apply_map(ar, unit),
-            lambda: unit,
-        ),
-        _sweep(
-            "algebra.left-unit",
-            product(rng),
-            lambda i: bilinear_apply(mc, unit, e[i]),
-            lambda i: ar[i],
-        ),
-        _sweep(
-            "algebra.right-unit",
-            product(rng),
-            lambda i: bilinear_apply(mc, e[i], unit),
-            lambda i: ar[i],
-        ),
-        _sweep(
-            "algebra.hom-associative",
-            _associative_cases(mc, mc),
-            lambda i, j, k: bilinear_apply(mc, ar[i], mc[j][k]),
-            lambda i, j, k: bilinear_apply(mc, mc[i][j], ar[k]),
-        ),
-    ]
-    return CheckReport(tuple(checks))
+    mc, m, ar, e, unit = A.mul_cells, A.mul_map, A.alpha_rows, basis(n), (A.unit_vector,)
+    associative = (
+        ((i, j, k), bilinear_apply(mc, ar[i], mc[j][k]), bilinear_apply(mc, mc[i][j], ar[k]))
+        for i, j, k in _associative_cases(mc, mc)
+    )
+    checks = (
+        _sweep("algebra.alpha-multiplicative", (n, n), compose(m, ar), compose(kron(ar, ar), m)),
+        _sweep("algebra.alpha-fixes-unit", (), compose(unit, ar), unit),
+        _sweep("algebra.left-unit", (n,), compose(kron(unit, e), m), ar),
+        _sweep("algebra.right-unit", (n,), compose(kron(e, unit), m), ar),
+        _sweep("algebra.hom-associative", associative),
+    )
+    return CheckReport(checks)
 
 
 def check_hom_coalgebra(obj) -> CheckReport:
     """Counital Hom-coassociativity of a coalgebra."""
     C = coalgebra_of(obj)
     n = C.dim
-    rng = range(n)
-    ar, e, eps, delta = C.alpha_rows, basis(n), C.counit_map, C.comul_rows
-
-    checks = [
-        _sweep(
-            "coalgebra.counit-alpha",
-            product(rng),
-            lambda i: apply_map(eps, ar[i]),
-            lambda i: eps[i],
-        ),
-        _sweep(
-            "coalgebra.alpha-comultiplicative",
-            product(rng),
-            lambda i: apply_map(delta, ar[i]),
-            lambda i: apply_kron(ar, ar, delta[i]),
-        ),
-        _sweep(
-            "coalgebra.left-counit",
-            product(rng),
-            lambda i: apply_kron(eps, e, delta[i]),
-            lambda i: ar[i],
-        ),
-        _sweep(
-            "coalgebra.right-counit",
-            product(rng),
-            lambda i: apply_kron(e, eps, delta[i]),
-            lambda i: ar[i],
-        ),
-        _sweep(
-            "coalgebra.hom-coassociative",
-            product(rng),
-            lambda i: apply_kron(delta, ar, delta[i]),
-            lambda i: apply_kron(ar, delta, delta[i]),
-        ),
-    ]
-    return CheckReport(tuple(checks))
+    ar, e, eps, cm = C.alpha_rows, basis(n), C.counit_map, C.comul_rows
+    checks = (
+        _sweep("coalgebra.counit-alpha", (n,), compose(ar, eps), eps),
+        _sweep("coalgebra.alpha-comultiplicative", (n,), compose(ar, cm), compose(cm, (ar, ar))),
+        _sweep("coalgebra.left-counit", (n,), compose(cm, (eps, e)), ar),
+        _sweep("coalgebra.right-counit", (n,), compose(cm, (e, eps)), ar),
+        _sweep("coalgebra.hom-coassociative", (n,), compose(cm, (cm, ar)), compose(cm, (ar, cm))),
+    )
+    return CheckReport(checks)
 
 
 def check_hom_bialgebra(obj) -> CheckReport:
     """Comultiplication and counit are morphisms of Hom-algebras."""
     B = bialgebra_of(obj)
-    n, counit = B.dim, B.counit
-    rng = range(n)
-    mc, unit = B.algebra.mul_cells, B.algebra.unit_vector
+    n = B.dim
+    mc, m, unit = B.algebra.mul_cells, B.algebra.mul_map, (B.algebra.unit_vector,)
     delta, eps = B.coalgebra.comul_rows, B.coalgebra.counit_map
-
-    checks = [
-        _sweep(
-            "bialgebra.comul-multiplicative",
-            product(rng, rng),
-            lambda i, j: apply_map(delta, mc[i][j]),
-            lambda i, j: tensor_power_product(mc, 2, delta[i], delta[j]),
-        ),
-        _sweep(
-            "bialgebra.comul-unit",
-            [()],
-            lambda: apply_map(delta, unit),
-            lambda: kron((unit,), (unit,))[0],
-        ),
-        _sweep(
-            "bialgebra.counit-multiplicative",
-            product(rng, rng),
-            lambda i, j: apply_map(eps, mc[i][j]),
-            lambda i, j: sparse((counit[i] * counit[j],)),
-        ),
-        _sweep(
-            "bialgebra.counit-unit",
-            [()],
-            lambda: apply_map(eps, unit),
-            lambda: sparse((ONE,)),
-        ),
-    ]
-    return CheckReport(tuple(checks))
+    # delta(e_i) delta(e_j) in the tensor-square algebra
+    products = tuple(tensor_power_product(mc, 2, x, y) for x in delta for y in delta)
+    checks = (
+        _sweep("bialgebra.comul-multiplicative", (n, n), compose(m, delta), products),
+        _sweep("bialgebra.comul-unit", (), compose(unit, delta), kron(unit, unit)),
+        _sweep("bialgebra.counit-multiplicative", (n, n), compose(m, eps), kron(eps, eps)),
+        _sweep("bialgebra.counit-unit", (), compose(unit, eps), (sparse((ONE,)),)),
+    )
+    return CheckReport(checks)
 
 
 def check_antipode(H: HomHopfAlgebra) -> CheckReport:
@@ -696,47 +659,20 @@ def check_antipode(H: HomHopfAlgebra) -> CheckReport:
     rng = range(n)
     A, C = H.algebra, H.coalgebra
     mc, m, ar, S, e = A.mul_cells, A.mul_map, A.alpha_rows, H.antipode_rows, basis(n)
-    delta, delta_op, eps, eta = C.comul_rows, C.comul_op_rows, C.counit_map, (A.unit_vector,)
-
-    checks = [
-        _sweep(
-            "antipode.commutes-with-alpha",
-            product(rng),
-            lambda i: apply_map(S, ar[i]),
-            lambda i: apply_map(ar, S[i]),
-        ),
-        _sweep(
-            "antipode.left",
-            product(rng),
-            lambda i: apply_map(m, apply_kron(S, e, delta[i])),  # S(h_1) h_2
-            lambda i: apply_map(eta, eps[i]),
-        ),
-        _sweep(
-            "antipode.right",
-            product(rng),
-            lambda i: apply_map(m, apply_kron(e, S, delta[i])),  # h_1 S(h_2)
-            lambda i: apply_map(eta, eps[i]),
-        ),
-        _sweep(
-            "antipode.anti-comultiplicative",
-            product(rng),
-            lambda i: apply_map(delta, S[i]),
-            lambda i: apply_kron(S, S, delta_op[i]),  # S(h_2) (x) S(h_1)
-        ),
-        _sweep(
-            "antipode.anti-multiplicative",
-            product(rng, rng),
-            lambda i, j: apply_map(S, mc[i][j]),
-            lambda i, j: bilinear_apply(mc, S[j], S[i]),
-        ),
-        _sweep(
-            "antipode.preserves-counit",
-            product(rng),
-            lambda i: apply_map(eps, S[i]),
-            lambda i: eps[i],
-        ),
-    ]
-    return CheckReport(tuple(checks))
+    cm, cm_op, eps, eta = C.comul_rows, C.comul_op_rows, C.counit_map, (A.unit_vector,)
+    # S(e_j) S(e_i), read from the table of H: its opposite would invert alpha again
+    reversed_products = tuple(bilinear_apply(mc, S[j], S[i]) for i in rng for j in rng)
+    counit_unit = compose(eps, eta)  # h -> counit(h) 1
+    checks = (
+        _sweep("antipode.commutes-with-alpha", (n,), compose(ar, S), compose(S, ar)),
+        _sweep("antipode.left", (n,), compose(cm, (S, e), m), counit_unit),  # S(h_1) h_2
+        _sweep("antipode.right", (n,), compose(cm, (e, S), m), counit_unit),  # h_1 S(h_2)
+        # delta(S(h)) against S(h_2) (x) S(h_1)
+        _sweep("antipode.anti-comultiplicative", (n,), compose(S, cm), compose(cm_op, (S, S))),
+        _sweep("antipode.anti-multiplicative", (n, n), compose(m, S), reversed_products),
+        _sweep("antipode.preserves-counit", (n,), compose(S, eps), eps),
+    )
+    return CheckReport(checks)
 
 
 def run_hopf_suite(H: HomHopfAlgebra) -> CheckReport:
@@ -753,31 +689,21 @@ def check_module(m: ModuleAction) -> CheckReport:
     """Left module axioms for an action of a Hom-algebra."""
     actor = algebra_of(m.actor)
     na, nm = actor.dim, m.carrier.dim
-    ra, rm = range(na), range(nm)
     act, am, e = m.act_cells, m.carrier.alpha_rows, basis(nm)
-    aa, amul, unit = actor.alpha_rows, actor.mul_cells, actor.unit_vector
-
-    checks = [
+    aa, amul, unit = actor.alpha_rows, actor.mul_cells, (actor.unit_vector,)
+    acts = _flat(act)  # h (x) x -> h . x
+    associative = (
+        ((a, b, i), bilinear_apply(act, aa[a], act[b][i]), bilinear_apply(act, amul[a][b], am[i]))
+        for a, b, i in _associative_cases(amul, act)
+    )
+    checks = (
+        _sweep("module.unit-acts-as-alpha", (nm,), compose(kron(unit, e), acts), am),
         _sweep(
-            "module.unit-acts-as-alpha",
-            product(rm),
-            lambda i: bilinear_apply(act, unit, e[i]),
-            lambda i: am[i],
+            "module.alpha-equivariant", (na, nm), compose(acts, am), compose(kron(aa, am), acts)
         ),
-        _sweep(
-            "module.alpha-equivariant",
-            product(ra, rm),
-            lambda a, i: apply_map(am, act[a][i]),
-            lambda a, i: bilinear_apply(act, aa[a], am[i]),
-        ),
-        _sweep(
-            "module.hom-associative",
-            _associative_cases(amul, act),
-            lambda a, b, i: bilinear_apply(act, aa[a], act[b][i]),
-            lambda a, b, i: bilinear_apply(act, amul[a][b], am[i]),
-        ),
-    ]
-    return CheckReport(tuple(checks))
+        _sweep("module.hom-associative", associative),
+    )
+    return CheckReport(checks)
 
 
 def check_module_algebra(m: ModuleAction) -> CheckReport:
@@ -787,60 +713,40 @@ def check_module_algebra(m: ModuleAction) -> CheckReport:
     na, nc = actor.dim, carrier.dim
     act, cmc, cmul = m.act_cells, carrier.mul_cells, carrier.mul_map
     alpha2 = rows(alpha_power(actor.alpha, 2))
-    e, unit, eta = basis(na), carrier.unit_vector, (carrier.unit_vector,)
+    e, eta = basis(na), (carrier.unit_vector,)
     eps, delta = actor.coalgebra.counit_map, actor.coalgebra.comul_rows
-    # acting_on[a] is the map h -> h . e_a
-    acting_on = tuple(tuple(plane[a] for plane in act) for a in range(nc))
-
-    checks = list(check_module(m).checks)
-    checks.append(
-        _sweep(
-            "module-algebra.multiplicative",
-            product(range(na), range(nc), range(nc)),
-            lambda h, a, b: bilinear_apply(act, alpha2[h], cmc[a][b]),
+    acting_on = transpose(act)  # acting_on[a] is the map h -> h . e_a
+    multiplicative = (
+        (
+            (h, a, b),
+            bilinear_apply(act, alpha2[h], cmc[a][b]),
             # (h_1 . a)(h_2 . b)
-            lambda h, a, b: apply_map(cmul, apply_kron(acting_on[a], acting_on[b], delta[h])),
+            apply_map(cmul, apply_kron(acting_on[a], acting_on[b], delta[h])),
         )
+        for h, a, b in product(range(na), range(nc), range(nc))
     )
-    checks.append(
-        _sweep(
-            "module-algebra.unit",
-            product(range(na)),
-            lambda h: bilinear_apply(act, e[h], unit),
-            lambda h: apply_map(eta, eps[h]),
-        )
+    checks = (
+        *check_module(m).checks,
+        _sweep("module-algebra.multiplicative", multiplicative),
+        _sweep("module-algebra.unit", (na,), compose(kron(e, eta), _flat(act)), compose(eps, eta)),
     )
-    return CheckReport(tuple(checks))
+    return CheckReport(checks)
 
 
 def check_comodule(c: ComoduleCoaction) -> CheckReport:
     """Right comodule axioms for a coaction ``rho: M -> M (x) C``."""
     coactor = coalgebra_of(c.coactor)
-    rm = range(c.carrier.dim)
-    am, ac, e = c.carrier.alpha_rows, coactor.alpha_rows, basis(c.carrier.dim)
-    eps, rho, delta = coactor.counit_map, c.coact_rows, coactor.comul_rows
-
-    checks = [
+    nm = c.carrier.dim
+    am, ac, e = c.carrier.alpha_rows, coactor.alpha_rows, basis(nm)
+    eps, rho, cm = coactor.counit_map, c.coact_rows, coactor.comul_rows
+    checks = (
+        _sweep("comodule.counit-reduces-to-alpha", (nm,), compose(rho, (e, eps)), am),
+        _sweep("comodule.alpha-equivariant", (nm,), compose(rho, (am, ac)), compose(am, rho)),
         _sweep(
-            "comodule.counit-reduces-to-alpha",
-            product(rm),
-            lambda i: apply_kron(e, eps, rho[i]),
-            lambda i: am[i],
+            "comodule.hom-coassociative", (nm,), compose(rho, (rho, ac)), compose(rho, (am, cm))
         ),
-        _sweep(
-            "comodule.alpha-equivariant",
-            product(rm),
-            lambda i: apply_kron(am, ac, rho[i]),
-            lambda i: apply_map(rho, am[i]),
-        ),
-        _sweep(
-            "comodule.hom-coassociative",
-            product(rm),
-            lambda i: apply_kron(rho, ac, rho[i]),
-            lambda i: apply_kron(am, delta, rho[i]),
-        ),
-    ]
-    return CheckReport(tuple(checks))
+    )
+    return CheckReport(checks)
 
 
 def check_comodule_coalgebra(c: ComoduleCoaction) -> CheckReport:
@@ -850,38 +756,31 @@ def check_comodule_coalgebra(c: ComoduleCoaction) -> CheckReport:
     nm, nh = carrier.dim, coactor.dim
     alpha2 = rows(alpha_power(coactor.alpha, 2))
     rho, rho_terms, hmul = c.coact_rows, c.coact_terms, coactor.algebra.mul_cells
-    comul_terms, delta, eps = carrier.comul_terms, carrier.comul_rows, carrier.counit_map
+    comul_terms, cm, eps = carrier.comul_terms, carrier.comul_rows, carrier.counit_map
     eta = (coactor.algebra.unit_vector,)
     e, em = basis(nh), basis(nm)
     embed = tuple(kron((row,), em) for row in em)  # embed[d] is m -> e_d (x) m
-
-    checks = list(check_comodule(c).checks)
-    checks.append(
-        _sweep(
-            "comodule-coalgebra.counit",
-            product(range(nm)),
-            lambda i: apply_kron(eps, e, rho[i]),
-            lambda i: apply_map(eta, eps[i]),
-        )
-    )
-    checks.append(
-        _sweep(
-            "comodule-coalgebra.comultiplicative",
-            product(range(nm)),
-            # c_(0)1 (x) c_(0)2 (x) alpha_H^2(c_(1))
-            lambda i: apply_kron(delta, alpha2, rho[i]),
-            # c_1(0) (x) c_2(0) (x) c_1(1) c_2(1)
-            lambda i: linear_combination(
-                nm * nm * nh,
-                (
-                    (vc * v1, apply_kron(embed[d1], hmul[h1], rho[c2]))
-                    for c1, c2, vc in comul_terms[i]
-                    for d1, h1, v1 in rho_terms[c1]
-                ),
+    # c_1(0) (x) c_2(0) (x) c_1(1) c_2(1)
+    coproducts = tuple(
+        linear_combination(
+            nm * nm * nh,
+            (
+                (vc * v1, apply_kron(embed[d1], hmul[h1], rho[c2]))
+                for c1, c2, vc in comul_terms[i]
+                for d1, h1, v1 in rho_terms[c1]
             ),
         )
+        for i in range(nm)
     )
-    return CheckReport(tuple(checks))
+    checks = (
+        *check_comodule(c).checks,
+        _sweep("comodule-coalgebra.counit", (nm,), compose(rho, (eps, e)), compose(eps, eta)),
+        # c_(0)1 (x) c_(0)2 (x) alpha_H^2(c_(1))
+        _sweep(
+            "comodule-coalgebra.comultiplicative", (nm,), compose(rho, (cm, alpha2)), coproducts
+        ),
+    )
+    return CheckReport(checks)
 
 
 def check_module_coalgebra(m: ModuleAction) -> CheckReport:
@@ -889,39 +788,24 @@ def check_module_coalgebra(m: ModuleAction) -> CheckReport:
     actor = bialgebra_of(m.actor)
     carrier = coalgebra_of(m.carrier)
     nh, nc = actor.dim, carrier.dim
-    act, actor_terms = m.act_cells, actor.coalgebra.comul_terms
-    delta, eps = carrier.comul_rows, carrier.counit_map
-
-    checks = list(check_module(m).checks)
-    checks.append(
-        _sweep(
-            "module-coalgebra.comultiplicative",
-            product(range(nh), range(nc)),
-            lambda h, c: apply_map(delta, act[h][c]),
-            # h_1 . c_1 (x) h_2 . c_2
-            lambda h, c: linear_combination(
-                nc * nc,
-                ((v, apply_kron(act[h1], act[h2], delta[c])) for h1, h2, v in actor_terms[h]),
-            ),
-        )
+    act, acts, actor_terms = m.act_cells, _flat(m.act_cells), actor.coalgebra.comul_terms
+    cm, eps, actor_eps = carrier.comul_rows, carrier.counit_map, actor.coalgebra.counit_map
+    # h_1 . c_1 (x) h_2 . c_2
+    coproducts = tuple(_legs(actor_terms[h], act, act, cm[c]) for h in range(nh) for c in range(nc))
+    checks = (
+        *check_module(m).checks,
+        _sweep("module-coalgebra.comultiplicative", (nh, nc), compose(acts, cm), coproducts),
+        _sweep("module-coalgebra.counit", (nh, nc), compose(acts, eps), kron(actor_eps, eps)),
     )
-    checks.append(
-        _sweep(
-            "module-coalgebra.counit",
-            product(range(nh), range(nc)),
-            lambda h, c: apply_map(eps, act[h][c]),
-            lambda h, c: sparse((actor.counit[h] * carrier.counit[c],)),
-        )
-    )
-    return CheckReport(tuple(checks))
+    return CheckReport(checks)
 
 
 def check_cotwisting(C, D, phi: Matrix) -> CheckReport:
     """The four coherence conditions of a cotwisting map ``C (x) D -> D (x) C``.
 
-    At each basis pair ``(c, d)`` the left side is a row-image map applied to
-    ``phi(c (x) d)`` and the right side a chain of them applied to
-    ``c (x) d``, leg by leg.
+    Each side is a chain of row-image maps on ``C (x) D``, the left one
+    starting with ``phi``, applied leg by leg; a case ``(c, d)`` is the row
+    ``c (x) d``.
     """
     C = coalgebra_of(C)
     D = coalgebra_of(D)
@@ -929,56 +813,30 @@ def check_cotwisting(C, D, phi: Matrix) -> CheckReport:
     _require(mat_shape(phi) == (nc * nd, nd * nc), "cotwisting map shape")
 
     cm, dm, ac, ad = C.comul_rows, D.comul_rows, C.alpha_rows, D.alpha_rows
-    ic, id_, e = basis(nc), basis(nd), basis(nc * nd)
+    ec, ed = basis(nc), basis(nd)
     eps_c, eps_d = C.counit_map, D.counit_map
-    ph = rows(phi)
-
-    def sweep(axiom_id, after_phi, rhs):
-        return _sweep(
-            axiom_id,
-            product(range(nc), range(nd)),
-            lambda c, d: after_phi(ph[c * nd + d]),
-            lambda c, d: rhs(e[c * nd + d]),
-        )
-
-    checks = [
-        sweep(
-            "cotwisting.comul-second-factor",
-            lambda v: apply_kron(dm, ac, v),
-            # alpha_C (x) delta_D, then phi (x) id_D, then id_D (x) phi
-            lambda v: apply_kron(id_, ph, apply_kron(ph, id_, apply_kron(ac, dm, v))),
-        ),
-        sweep(
-            "cotwisting.comul-first-factor",
-            lambda v: apply_kron(ad, cm, v),
-            # delta_C (x) alpha_D, then id_C (x) phi, then phi (x) id_C
-            lambda v: apply_kron(ph, ic, apply_kron(ic, ph, apply_kron(cm, ad, v))),
-        ),
-        sweep(
-            "cotwisting.alpha-compatible",
-            lambda v: apply_kron(ad, ac, v),
-            lambda v: apply_map(ph, apply_kron(ac, ad, v)),
-        ),
+    ph, cd = rows(phi), (nc, nd)
+    # alpha_C (x) delta_D, then phi (x) id_D, then id_D (x) phi
+    second = compose(kron(ac, dm), (ph, ed), (ed, ph))
+    # delta_C (x) alpha_D, then id_C (x) phi, then phi (x) id_C
+    first = compose(kron(cm, ad), (ec, ph), (ph, ec))
+    checks = (
+        _sweep("cotwisting.comul-second-factor", cd, compose(ph, (dm, ac)), second),
+        _sweep("cotwisting.comul-first-factor", cd, compose(ph, (ad, cm)), first),
+        _sweep("cotwisting.alpha-compatible", cd, compose(ph, (ad, ac)), compose(kron(ac, ad), ph)),
         # kill the C-leg of the output: eps_C(c^phi) d^phi = eps_C(c) d
-        sweep(
-            "cotwisting.counit-first-factor",
-            lambda v: apply_kron(id_, eps_c, v),
-            lambda v: apply_kron(eps_c, id_, v),
-        ),
-        sweep(
-            "cotwisting.counit-second-factor",
-            lambda v: apply_kron(eps_d, ic, v),
-            lambda v: apply_kron(ic, eps_d, v),
-        ),
-    ]
-    return CheckReport(tuple(checks))
+        _sweep("cotwisting.counit-first-factor", cd, compose(ph, (ed, eps_c)), kron(eps_c, ed)),
+        _sweep("cotwisting.counit-second-factor", cd, compose(ph, (eps_d, ec)), kron(ec, eps_d)),
+    )
+    return CheckReport(checks)
 
 
 def check_twisting(A, B, t: Matrix) -> CheckReport:
     """The three conditions of a twisting map ``B (x) A -> A (x) B``.
 
-    Each side is a chain of row-image maps applied to one basis vector of
-    its domain, leg by leg, so no map on a triple tensor product is built.
+    Each side is a chain of row-image maps applied leg by leg, so no map on
+    a triple tensor product is built; a case ``(i,)`` is the ``i``-th basis
+    vector of the domain.
     """
     A = algebra_of(A)
     B = algebra_of(B)
@@ -987,37 +845,20 @@ def check_twisting(A, B, t: Matrix) -> CheckReport:
 
     am, bm, aa, ba = A.mul_map, B.mul_map, A.alpha_rows, B.alpha_rows
     ia, ib = basis(na), basis(nb)
-    tr = rows(t)
-
-    def sweep(axiom_id, dim, lhs, rhs):
-        e = basis(dim)
-        return _sweep(axiom_id, product(range(dim)), lambda i: lhs(e[i]), lambda i: rhs(e[i]))
-
-    checks = [
-        sweep(
-            "twisting.alpha-compatible",
-            nb * na,
-            lambda v: apply_kron(aa, ba, apply_map(tr, v)),
-            lambda v: apply_map(tr, apply_kron(ba, aa, v)),
-        ),
-        # on B (x) B (x) A: mu_B (x) alpha_A, then t, against
-        # id_B (x) t, then t (x) id_B, then alpha_A (x) mu_B
-        sweep(
-            "twisting.second-factor-product",
-            nb * nb * na,
-            lambda v: apply_map(tr, apply_kron(bm, aa, v)),
-            lambda v: apply_kron(aa, bm, apply_kron(tr, ib, apply_kron(ib, tr, v))),
-        ),
-        # on B (x) A (x) A: alpha_B (x) mu_A, then t, against
-        # t (x) id_A, then id_A (x) t, then mu_A (x) alpha_B
-        sweep(
-            "twisting.first-factor-product",
-            nb * na * na,
-            lambda v: apply_map(tr, apply_kron(ba, am, v)),
-            lambda v: apply_kron(am, ba, apply_kron(ia, tr, apply_kron(tr, ia, v))),
-        ),
-    ]
-    return CheckReport(tuple(checks))
+    tr, n = rows(t), nb * na
+    alphas = compose(kron(ba, aa), tr)  # alpha_B (x) alpha_A, then t
+    # on B (x) B (x) A: id_B (x) t, then t (x) id_B, then alpha_A (x) mu_B
+    second = compose(kron(ib, tr), (tr, ib), (aa, bm))
+    # on B (x) A (x) A: t (x) id_A, then id_A (x) t, then mu_A (x) alpha_B
+    first = compose(kron(tr, ia), (ia, tr), (am, ba))
+    checks = (
+        _sweep("twisting.alpha-compatible", (n,), compose(tr, (aa, ba)), alphas),
+        # mu_B (x) alpha_A, then t
+        _sweep("twisting.second-factor-product", (nb * n,), compose(kron(bm, aa), tr), second),
+        # alpha_B (x) mu_A, then t
+        _sweep("twisting.first-factor-product", (n * na,), compose(kron(ba, am), tr), first),
+    )
+    return CheckReport(checks)
 
 
 def check_matched_pair(mp: MatchedPairData) -> CheckReport:
@@ -1035,80 +876,61 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
     delta_a, delta_a_op = A.coalgebra.comul_rows, A.coalgebra.comul_op_rows
     e_a, rh, ra = basis(na), range(nh), range(na)
 
-    checks = [
+    def acted(t: SparseTensor3, hs: SparseMatrix, xs: SparseMatrix):
+        """``acted(t, hs, xs)[h][a]`` is ``t`` applied to ``hs[h]`` and ``xs[a]``."""
+        return [[bilinear_apply(t, x, y) for y in xs] for x in hs]
+
+    # alpha^-2(g) -> alpha^-3(a), alpha^-1(g) <- alpha^-2(a), alpha^-2(h) -> alpha^-1(a)
+    # and alpha^-3(h) <- alpha^-2(a), at [g][a] or [h][a]
+    l23, r12 = acted(left, ah_i2, aa_i3), acted(right, ah_i1, aa_i2)
+    l21, r32 = acted(left, ah_i2, aa_i1), acted(right, ah_i3, aa_i2)
+    acts_on = transpose(left)  # acts_on[b] is x -> (x -> e_b)
+    # (h g) <- a  against  (h <- (g_1 -> a_1)) (g_2 <- a_2), and
+    # h -> (a b)  against  (h_1 -> a_1) ((h_2 <- a_2) -> b), up to structure-map powers
+    products_act = (
+        (
+            (h, g, a),
+            bilinear_apply(right, hmul[h][g], e_a[a]),
+            linear_combination(
+                nh,
+                (
+                    (vg * va, bilinear_apply(hmul, apply_map(right[h], l23[g1][a1]), r12[g2][a2]))
+                    for g1, g2, vg in h_terms[g]
+                    for a1, a2, va in a_terms[a]
+                ),
+            ),
+        )
+        for h, g, a in product(rh, rh, ra)
+    )
+    acting_on_products = (
+        (
+            (h, a, b),
+            apply_map(left[h], amul[a][b]),
+            linear_combination(
+                na,
+                (
+                    (vh * va, bilinear_apply(amul, l21[h1][a1], apply_map(acts_on[b], r32[h2][a2])))
+                    for h1, h2, vh in h_terms[h]
+                    for a1, a2, va in a_terms[a]
+                ),
+            ),
+        )
+        for h, a, b in product(rh, ra, ra)
+    )
+    # h_1 <- a_1 (x) h_2 -> a_2  against  h_2 <- a_2 (x) h_1 -> a_1
+    flipped = [[(h2, h1, v) for h1, h2, v in t] for t in h_terms]
+    exchange = [
+        tuple(_legs(terms[h], right, left, comul[a]) for h in rh for a in ra)
+        for terms, comul in ((h_terms, delta_a), (flipped, delta_a_op))
+    ]
+    checks = (
         *_prefixed("matched-pair.left-action.", check_module_coalgebra(mp.left_module).checks),
         *_prefixed("matched-pair.right-action.", check_module_coalgebra(mp.right_module).checks),
-    ]
-
-    # lefts[g][a] is alpha^-2(g) -> alpha^-3(a)
-    lefts = [[bilinear_apply(left, x, y) for y in aa_i3] for x in ah_i2]
-
-    def product_acts_right_rhs(h, g, a):
-        return linear_combination(
-            nh,
-            (
-                (
-                    vg * va,
-                    bilinear_apply(
-                        hmul,
-                        apply_map(right[h], lefts[g1][a1]),
-                        bilinear_apply(right, ah_i1[g2], aa_i2[a2]),
-                    ),
-                )
-                for g1, g2, vg in h_terms[g]
-                for a1, a2, va in a_terms[a]
-            ),
-        )
-
-    def acts_on_product_rhs(h, a, b):
-        return linear_combination(
-            na,
-            (
-                (
-                    vh * va,
-                    bilinear_apply(
-                        amul,
-                        bilinear_apply(left, ah_i2[h1], aa_i1[a1]),
-                        bilinear_apply(left, bilinear_apply(right, ah_i3[h2], aa_i2[a2]), e_a[b]),
-                    ),
-                )
-                for h1, h2, vh in h_terms[h]
-                for a1, a2, va in a_terms[a]
-            ),
-        )
-
-    checks.append(
-        _sweep(
-            "matched-pair.product-acts-right",
-            product(rh, rh, ra),
-            lambda h, g, a: bilinear_apply(right, hmul[h][g], e_a[a]),
-            product_acts_right_rhs,
-        )
+        _sweep("matched-pair.product-acts-right", products_act),
+        _sweep("matched-pair.acts-on-product", acting_on_products),
+        _sweep("matched-pair.exchange-symmetry", (nh, na), *exchange),
     )
-    checks.append(
-        _sweep(
-            "matched-pair.acts-on-product",
-            product(rh, ra, ra),
-            lambda h, a, b: apply_map(left[h], amul[a][b]),
-            acts_on_product_rhs,
-        )
-    )
-    checks.append(
-        _sweep(
-            "matched-pair.exchange-symmetry",
-            product(rh, ra),
-            # h_1 <- a_1 (x) h_2 -> a_2  against  h_2 <- a_2 (x) h_1 -> a_1
-            lambda h, a: linear_combination(
-                nh * na,
-                ((v, apply_kron(right[h1], left[h2], delta_a[a])) for h1, h2, v in h_terms[h]),
-            ),
-            lambda h, a: linear_combination(
-                nh * na,
-                ((v, apply_kron(right[h2], left[h1], delta_a_op[a])) for h1, h2, v in h_terms[h]),
-            ),
-        )
-    )
-    return CheckReport(tuple(checks))
+    return CheckReport(checks)
 
 
 def _prefixed(prefix: str, checks) -> list[CheckEntry]:
@@ -1125,63 +947,51 @@ def check_dual_pair(P: PairingForm) -> CheckReport:
     """
     A, B, gram = P.left, P.right, P.gram
     na, nb = A.dim, B.dim
-    ra, rb = range(na), range(nb)
     e_a, e_b, a_alpha, b_alpha = basis(na), basis(nb), A.alpha_rows, B.alpha_rows
     eps_a, eps_b = A.coalgebra.counit_map, B.coalgebra.counit_map
     a_mul, b_mul = A.algebra.mul_cells, B.algebra.mul_cells
-    a_unit, b_unit, s_a = A.algebra.unit_vector, B.algebra.unit_vector, A.antipode_rows
-    sb_inv, form = rows(mat_inverse(B.antipode)), P.form
+    a_unit, b_unit, s_a = (A.algebra.unit_vector,), (B.algebra.unit_vector,), A.antipode_rows
+    form = P.form
+    pair = _flat(form)  # a (x) b -> <a, b>
+    s_b_inverse = compose(kron(e_a, rows(mat_inverse(B.antipode))), pair)
     # x -> <alpha^2(a_i), x> on B and x -> <x, alpha^2(b_j)> on A
     with_a, with_b = _partial_forms(gram, alpha_power(A.alpha, 2), alpha_power(B.alpha, 2))
     delta_a, delta_b = A.coalgebra.comul_rows, B.coalgebra.comul_rows
 
-    checks = [
+    def mul_comul_right(swapped: bool):
+        """``<a, b b'>`` against ``<a_1, alpha^2(b)> <a_2, alpha^2(b')>``, or
+        with ``b`` and ``b'`` exchanged on the right if ``swapped``."""
+        return (
+            (
+                (i, j, jp),
+                bilinear_apply(form, e_a[i], b_mul[j][jp]),
+                apply_kron(with_b[x], with_b[y], delta_a[i]),
+            )
+            for i, j, jp in product(range(na), range(nb), range(nb))
+            for x, y in [(jp, j) if swapped else (j, jp)]
+        )
+
+    mul_comul_left = (
+        (
+            (i, ip, j),
+            bilinear_apply(form, a_mul[i][ip], e_b[j]),
+            apply_kron(with_a[i], with_a[ip], delta_b[j]),
+        )
+        for i, ip, j in product(range(na), range(na), range(nb))
+    )
+    checks = (
         # a PairingForm with a singular gram is refused when it is built
         make_entry("pairing.non-degenerate", True),
-        _sweep(
-            "pairing.unit-right",
-            product(ra),
-            lambda i: bilinear_apply(form, e_a[i], b_unit),
-            lambda i: eps_a[i],
-        ),
-        _sweep(
-            "pairing.unit-left",
-            product(rb),
-            lambda j: bilinear_apply(form, a_unit, e_b[j]),
-            lambda j: eps_b[j],
-        ),
-        _sweep(
-            "pairing.alpha-invariant",
-            product(ra, rb),
-            lambda i, j: bilinear_apply(form, a_alpha[i], b_alpha[j]),
-            lambda i, j: form[i][j],
-        ),
-        _sweep(
-            "pairing.mul-comul-left",
-            product(ra, ra, rb),
-            lambda i, ip, j: bilinear_apply(form, a_mul[i][ip], e_b[j]),
-            lambda i, ip, j: apply_kron(with_a[i], with_a[ip], delta_b[j]),
-        ),
-        _sweep(
-            "pairing.mul-comul-right",
-            product(ra, rb, rb),
-            lambda i, j, jp: bilinear_apply(form, e_a[i], b_mul[j][jp]),
-            lambda i, j, jp: apply_kron(with_b[j], with_b[jp], delta_a[i]),
-        ),
-        _sweep(
-            "pairing.mul-comul-right-swapped",
-            product(ra, rb, rb),
-            lambda i, j, jp: bilinear_apply(form, e_a[i], b_mul[j][jp]),
-            lambda i, j, jp: apply_kron(with_b[jp], with_b[j], delta_a[i]),
-        ),
-        _sweep(
-            "pairing.antipode",
-            product(ra, rb),
-            lambda i, j: bilinear_apply(form, s_a[i], e_b[j]),
-            lambda i, j: bilinear_apply(form, e_a[i], sb_inv[j]),
-        ),
-    ]
-    return CheckReport(tuple(checks))
+        _sweep("pairing.unit-right", (na,), compose(kron(e_a, b_unit), pair), eps_a),
+        _sweep("pairing.unit-left", (nb,), compose(kron(a_unit, e_b), pair), eps_b),
+        _sweep("pairing.alpha-invariant", (na, nb), compose(kron(a_alpha, b_alpha), pair), pair),
+        _sweep("pairing.mul-comul-left", mul_comul_left),
+        _sweep("pairing.mul-comul-right", mul_comul_right(False)),
+        _sweep("pairing.mul-comul-right-swapped", mul_comul_right(True)),
+        # <S_A(a), b> against <a, S_B^-1(b)>
+        _sweep("pairing.antipode", (na, nb), compose(kron(s_a, e_b), pair), s_b_inverse),
+    )
+    return CheckReport(checks)
 
 
 def check_cocycle(sigma: TwoCocycle) -> CheckReport:
@@ -1189,9 +999,9 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
     normality, each as a separate verdict."""
     B = sigma.algebra
     gram = sigma.gram
-    rng = range(B.dim)
+    n = B.dim
     alpha2 = alpha_power(B.alpha, 2)
-    form, alpha = sigma.form, B.alpha_rows
+    alpha, pair = B.alpha_rows, _flat(sigma.form)
     # left: sigma(l_1, k_1) l_2 k_2; right: sigma(l_2, k_2) l_1 k_1
     w = cocycle_products(sigma)
     # x -> (sigma(alpha^2(e_h), x))_h and x -> (sigma(x, alpha^2(e_k)))_k
@@ -1202,36 +1012,25 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
     zero = sparse((ZERO,))
     paired_h = [[_entries(apply_map(with_h, x)) for x in row] for row in w]
     paired_k = [[_entries(apply_map(with_k, x)) for x in row] for row in w]
+    # the sides read w[l][k] and w[h][l]
+    condition = (
+        ((h, l, k), paired_h[l][k].get(h, zero), paired_k[h][l].get(k, zero))
+        for h, l, k in _associative_cases(w, w)
+    )
+    # h -> (sigma(1, h), sigma(h, 1)) against h -> (counit(h), counit(h))
     unit = B.algebra.unit_vector
-    unit_left = apply_map(rows(gram), unit)
-    unit_right = apply_map(rows(transpose(gram)), unit)
+    normal = (dense(apply_map(rows(gram), unit)), dense(apply_map(rows(transpose(gram)), unit)))
 
-    checks = [
-        _sweep(
-            "cocycle.alpha-invariant",
-            product(rng, rng),
-            lambda i, j: bilinear_apply(form, alpha[i], alpha[j]),
-            lambda i, j: form[i][j],
-        ),
+    checks = (
+        _sweep("cocycle.alpha-invariant", (n, n), compose(kron(alpha, alpha), pair), pair),
         # left:  sigma(alpha^2(h), l_2 k_2) sigma(l_1, k_1)
         #          = sigma(h_2 l_2, alpha^2(k)) sigma(h_1, l_1)
         # right: sigma(alpha^2(h), l_1 k_1) sigma(l_2, k_2)
         #          = sigma(h_1 l_1, alpha^2(k)) sigma(h_2, l_2)
-        _sweep(
-            f"cocycle.{sigma.side}-condition",
-            # the sides read w[l][k] and w[h][l]
-            _associative_cases(w, w),
-            lambda h, l, k: paired_h[l][k].get(h, zero),
-            lambda h, l, k: paired_k[h][l].get(k, zero),
-        ),
-        _sweep(
-            "cocycle.normal",
-            product(rng),
-            lambda h: sparse((unit_left.get(h, ZERO), unit_right.get(h, ZERO))),
-            lambda h: sparse((B.counit[h], B.counit[h])),
-        ),
-    ]
-    return CheckReport(tuple(checks))
+        _sweep(f"cocycle.{sigma.side}-condition", condition),
+        _sweep("cocycle.normal", (n,), rows(transpose(normal)), rows(transpose((B.counit,) * 2))),
+    )
+    return CheckReport(checks)
 
 
 def check_quasitriangular(H, R: RMatrix) -> CheckReport:
@@ -1239,37 +1038,24 @@ def check_quasitriangular(H, R: RMatrix) -> CheckReport:
     in the tensor-square and tensor-cube Hom-algebras."""
     B = bialgebra_of(H)
     n = B.dim
-    mc, alpha, rvec = B.algebra.mul_cells, B.alpha_rows, R.vector
+    mc, alpha, rvec, r = B.algebra.mul_cells, B.alpha_rows, R.vector, (R.vector,)
     e, unit = basis(n), (B.algebra.unit_vector,)
-    delta, delta_op = B.coalgebra.comul_rows, B.coalgebra.comul_op_rows
+    cm, cm_op = B.coalgebra.comul_rows, B.coalgebra.comul_op_rows
     with_unit = kron(e, unit)  # x -> x (x) 1
     unit_with = kron(unit, e)  # x -> 1 (x) x
-
     r13 = apply_kron(with_unit, e, rvec)
     r23 = apply_kron(unit_with, e, rvec)
     r12 = apply_kron(e, with_unit, rvec)
-
-    checks = [
-        _sweep(
-            "quasitriangular.intertwines-comul",
-            product(range(n)),
-            lambda i: tensor_power_product(mc, 2, delta_op[i], rvec),
-            lambda i: tensor_power_product(mc, 2, rvec, delta[i]),
-        ),
-        _sweep(
-            "quasitriangular.left-hexagon",
-            [()],
-            lambda: apply_kron(delta, alpha, rvec),
-            lambda: tensor_power_product(mc, 3, r13, r23),
-        ),
-        _sweep(
-            "quasitriangular.right-hexagon",
-            [()],
-            lambda: apply_kron(alpha, delta, rvec),
-            lambda: tensor_power_product(mc, 3, r13, r12),
-        ),
-    ]
-    return CheckReport(tuple(checks))
+    # delta^op(h) R against R delta(h), and R_13 R_23 and R_13 R_12
+    op_r = tuple(tensor_power_product(mc, 2, d, rvec) for d in cm_op)
+    r_comul = tuple(tensor_power_product(mc, 2, rvec, d) for d in cm)
+    r13_r23, r13_r12 = (tensor_power_product(mc, 3, r13, x) for x in (r23, r12))
+    checks = (
+        _sweep("quasitriangular.intertwines-comul", (n,), op_r, r_comul),
+        _sweep("quasitriangular.left-hexagon", (), compose(r, (cm, alpha)), (r13_r23,)),
+        _sweep("quasitriangular.right-hexagon", (), compose(r, (alpha, cm)), (r13_r12,)),
+    )
+    return CheckReport(checks)
 
 
 def check_comodule_algebra(A, c: ComoduleCoaction) -> CheckReport:
@@ -1280,29 +1066,15 @@ def check_comodule_algebra(A, c: ComoduleCoaction) -> CheckReport:
     nm, nh = alg.dim, coactor.dim
     rho, rho_terms = c.coact_rows, c.coact_terms
     amul, hmul = alg.mul_cells, coactor.algebra.mul_cells
-
-    checks = list(check_comodule(c).checks)
-    checks.append(
-        _sweep(
-            "comodule-algebra.multiplicative",
-            product(range(nm), range(nm)),
-            lambda i, j: apply_map(rho, amul[i][j]),
-            # a_(0) b_(0) (x) a_(1) b_(1)
-            lambda i, j: linear_combination(
-                nm * nh,
-                ((v, apply_kron(amul[a], hmul[h], rho[j])) for a, h, v in rho_terms[i]),
-            ),
-        )
+    # a_(0) b_(0) (x) a_(1) b_(1)
+    products = tuple(_legs(rho_terms[i], amul, hmul, rho[j]) for i in range(nm) for j in range(nm))
+    unit, coactor_unit = (alg.unit_vector,), (coactor.algebra.unit_vector,)
+    checks = (
+        *check_comodule(c).checks,
+        _sweep("comodule-algebra.multiplicative", (nm, nm), compose(alg.mul_map, rho), products),
+        _sweep("comodule-algebra.unit", (), compose(unit, rho), kron(unit, coactor_unit)),
     )
-    checks.append(
-        _sweep(
-            "comodule-algebra.unit",
-            [()],
-            lambda: apply_map(rho, alg.unit_vector),
-            lambda: kron((alg.unit_vector,), (coactor.algebra.unit_vector,))[0],
-        )
-    )
-    return CheckReport(tuple(checks))
+    return CheckReport(checks)
 
 
 def check_left_comodule_algebra(A, coactor) -> CheckReport:

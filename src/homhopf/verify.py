@@ -40,11 +40,10 @@ from .exactlin import (
     ZERO,
     Matrix,
     Tensor3,
-    apply_map,
     basis,
     basis_vector,
-    bilinear_apply,
     comul_matrix,
+    compose,
     kron,
     rows,
     sparse,
@@ -103,10 +102,9 @@ def _timed(suite: str, steps: list[SuiteStep], started: float) -> SuiteResult:
 def _dense_sweep(axiom_id: str, indices, lhs_fn, rhs_fn) -> CheckEntry:
     """``_sweep`` over two basis-indexed dense expressions: only the cases
     whose dense sides differ are made sparse and compared."""
-    differ = (idx for idx in indices if lhs_fn(*idx) != rhs_fn(*idx))
-    return _sweep(
-        axiom_id, differ, lambda *idx: sparse(lhs_fn(*idx)), lambda *idx: sparse(rhs_fn(*idx))
-    )
+    cases = ((idx, lhs_fn(*idx), rhs_fn(*idx)) for idx in indices)
+    differ = ((idx, lhs, rhs) for idx, lhs, rhs in cases if lhs != rhs)
+    return _sweep(axiom_id, ((idx, sparse(lhs), sparse(rhs)) for idx, lhs, rhs in differ))
 
 
 def _tensor_equal(axiom_id: str, lhs: Tensor3, rhs: Tensor3) -> CheckEntry:
@@ -309,28 +307,27 @@ def verify_dual_pair_route(H: HomHopfAlgebra) -> SuiteResult:
     na, nb = A.dim, B.dim
     embed_a = kron(basis(na), (B.algebra.unit_vector,))  # a -> a (x) 1
     embed_b = kron((A.algebra.unit_vector,), basis(nb))  # b -> 1 (x) b
-    e = basis(na * nb)
 
-    mul, a_mul, b_mul = paired.hopf.algebra.mul_cells, A.algebra.mul_cells, B.algebra.mul_cells
-    alpha_inv = kron(rows(A.alpha_inverse), rows(B.alpha_inverse))
+    mul = paired.hopf.algebra.mul_map
+    alpha_inv = (rows(A.alpha_inverse), rows(B.alpha_inverse))
     embeddings = (
         _sweep(
             "pair-double.first-factor-embedding",
-            product(range(na), repeat=2),
-            lambda a, ap: bilinear_apply(mul, embed_a[a], embed_a[ap]),
-            lambda a, ap: apply_map(embed_a, a_mul[a][ap]),
+            (na, na),
+            compose(kron(embed_a, embed_a), mul),
+            compose(A.algebra.mul_map, embed_a),
         ),
         _sweep(
             "pair-double.second-factor-embedding",
-            product(range(nb), repeat=2),
-            lambda b, bp: bilinear_apply(mul, embed_b[b], embed_b[bp]),
-            lambda b, bp: apply_map(embed_b, b_mul[b][bp]),
+            (nb, nb),
+            compose(kron(embed_b, embed_b), mul),
+            compose(B.algebra.mul_map, embed_b),
         ),
         _sweep(
             "pair-double.mixed-embedding",
-            product(range(na), range(nb)),
-            lambda a, b: apply_map(alpha_inv, bilinear_apply(mul, embed_a[a], embed_b[b])),
-            lambda a, b: e[a * nb + b],
+            (na, nb),
+            compose(kron(embed_a, embed_b), mul, alpha_inv),
+            basis(na * nb),
         ),
     )
     steps.append(SuiteStep("embedding identities", CheckReport(embeddings)))

@@ -16,9 +16,18 @@ from homhopf.catalog import (
     get_entry,
     symmetric3_data,
 )
-from homhopf.constructions import dual
+from homhopf.constructions import dual, yau_twist
 from homhopf.errors import InvalidParameter, NotAGroup, NotAnAutomorphism
-from homhopf.exactlin import apply_map, basis_vector, bilinear_apply, cells, dense, rows, sparse
+from homhopf.exactlin import (
+    apply_map,
+    basis_vector,
+    bilinear_apply,
+    cells,
+    dense,
+    matrix_from_entries,
+    rows,
+    sparse,
+)
 from homhopf.fileformat import MAX_DIM
 from homhopf.structures import run_hopf_suite
 
@@ -83,9 +92,10 @@ class TestCyclic:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_equals_twisted_group_algebra(self, n):
-        inversion = tuple((n - i) % n for i in range(n))
-        direct = catalog_group(cyclic_table(n), inversion).hopf
-        assert catalog_cyclic(n).hopf == direct
+        """``cyclic:<n>`` is the Yau twist of the classical group algebra along inversion."""
+        classical = catalog_group(cyclic_table(n), tuple(range(n))).hopf
+        inversion = matrix_from_entries(n, n, {(i, (n - i) % n): 1 for i in range(n)})
+        assert yau_twist(classical, inversion) == catalog_cyclic(n).hopf
 
     def test_rejects_small_order(self):
         with pytest.raises(InvalidParameter):

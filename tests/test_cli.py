@@ -289,6 +289,19 @@ class TestConstructCommand:
         assert result.exit_code == 2
         assert "error: no bialgebra structure on HomCoalgebra" in result.output
 
+    def test_double_above_the_dimension_limit_exits_two_and_writes_no_file(self, tmp_path):
+        out = tmp_path / "double_c12.alg"
+        result = invoke("construct", "double", "cyclic:12", "--out", str(out))
+        assert result.exit_code == 2
+        assert "144-dim" in result.stderr and "limit of 128" in result.stderr
+        assert not out.exists()
+
+    def test_double_within_the_dimension_limit_is_built(self, tmp_path):
+        out = tmp_path / "double_c11.alg"
+        result = invoke("construct", "double", "cyclic:11", "--out", str(out))
+        assert result.exit_code == 0
+        assert parse(out.read_bytes()).object().dim == 121
+
     def test_unknown_kind_is_usage_error(self):
         result = invoke("construct", "frobnicate", "ax1")
         assert result.exit_code == 2
@@ -318,6 +331,17 @@ class TestVerifyCommand:
         result = invoke("verify", "thm2.6", "--algebra", str(tmp_path / "ax1.alg"))
         assert result.exit_code == 2
         assert "error: no bialgebra structure on HomCoalgebra" in result.output
+
+    def test_double_above_the_dimension_limit_is_refused_before_it_is_built(self, monkeypatch):
+        from homhopf import constructions
+
+        def no_dual(h):
+            raise AssertionError("the double was started")
+
+        monkeypatch.setattr(constructions, "dual", no_dual)
+        result = invoke("verify", "prop2.19", "--algebra", "cyclic:128")
+        assert result.exit_code == 2
+        assert "16384-dim" in result.stderr and "limit of 128" in result.stderr
 
     def test_golden_tables_reported_for_ax1(self):
         result = invoke("verify", "thm2.6", "--algebra", "ax1")

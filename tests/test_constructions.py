@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from conftest import run_cli
+from homhopf import constructions
 from homhopf.catalog import (
     catalog_ax1,
     catalog_cyclic,
@@ -36,7 +37,7 @@ from homhopf.constructions import (
     smash_product,
     yau_twist,
 )
-from homhopf.errors import HypothesisFailed, NotAMorphism, PreconditionFailed
+from homhopf.errors import HypothesisFailed, InvalidParameter, NotAMorphism, PreconditionFailed
 from homhopf.exactlin import (
     apply_map,
     basis_vector,
@@ -558,3 +559,38 @@ class TestCocycleTwist:
 
         assert check_cocycle(sigma).entry("cocycle.normal").passed
         assert check_cocycle(eta).entry("cocycle.normal").passed
+
+
+def _bounded_constructions():
+    """Each construction on a product space, called on 2-dim inputs (a 4-dim output)."""
+    ax = catalog_ax1()
+    h = get_entry("cyclic:2").hopf
+    hop, act, co = self_bicross_data(h)
+    mp = dual_matched_pair(h, hop, act, co, check=False)
+    flip = matrix_from_entries(4, 4, {(0, 0): O, (1, 2): O, (2, 1): O, (3, 3): O})
+    return {
+        "smash_product": lambda: smash_product(ax.hopf, ax.partner, ax.action),
+        "cotwist_coproduct": lambda: cotwist_coproduct(h, h, flip),
+        "bicrossproduct": lambda: bicrossproduct(ax.hopf, ax.partner, ax.action, ax.coaction),
+        "self_bicross": lambda: self_bicross(h),
+        "double_cross_product": lambda: double_cross_product(mp),
+        "drinfeld_double": lambda: drinfeld_double(h),
+        "drinfeld_double_tilde": lambda: drinfeld_double_tilde(h),
+        "heisenberg_double": lambda: heisenberg_double(h),
+        "dual_pair_double": lambda: dual_pair_double(evaluation_pairing(h)).hopf,
+    }
+
+
+@pytest.mark.parametrize("name", list(_bounded_constructions()))
+def test_constructions_refuse_outputs_above_max_dim_before_checking(name, monkeypatch):
+    """Every product-space construction checks its output dimension first: a
+    4-dim output is built with the limit at 4, and with the limit at 3 it is
+    refused before any precondition check runs."""
+    build = _bounded_constructions()[name]
+    monkeypatch.setattr(constructions, "MAX_DIM", 4)
+    assert build().dim == 4
+    monkeypatch.setattr(constructions, "MAX_DIM", 3)
+    for check in ("check_module_algebra", "check_cotwisting", "check_matched_pair", "check_dual_pair"):
+        monkeypatch.setattr(constructions, check, None)
+    with pytest.raises(InvalidParameter, match="4-dim, above the limit of 3"):
+        build()

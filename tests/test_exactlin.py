@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homhopf import exactlin
 from homhopf.catalog import catalog_ax1, catalog_cyclic, get_entry
 from homhopf.errors import DimensionMismatch, SingularMatrixError
 from homhopf.exactlin import (
@@ -21,6 +22,7 @@ from homhopf.exactlin import (
     cells,
     comul_matrix,
     comul_tensor,
+    compose,
     dense,
     dense_rows,
     format_scalar,
@@ -311,12 +313,44 @@ class TestSweep:
     def test_sides_of_different_length_are_refused(self):
         # two zero vectors of different lengths are not equal
         with pytest.raises(DimensionMismatch):
-            _sweep("x", [()], lambda: sparse((ZERO,) * 2), lambda: sparse((ZERO,) * 4))
+            _sweep("x", (), (sparse((ZERO,) * 2),), (sparse((ZERO,) * 4),))
+        with pytest.raises(DimensionMismatch):
+            _sweep("x", iter([((), sparse((ZERO,) * 2), sparse((ZERO,) * 4))]))
 
     def test_witness_is_dense(self):
-        entry = _sweep("x", [(0,), (1,)], lambda i: basis(3)[i], lambda i: basis(3)[0])
+        e = basis(3)
+        entry = _sweep("x", (2,), e[:2], (e[0], e[0]))
         assert not entry.passed and entry.witness.index == (1,)
         assert entry.witness.lhs == (0, 1, 0) and entry.witness.rhs == (1, 0, 0)
+
+    def test_witness_index_is_the_first_differing_row_unflattened(self):
+        e = basis(6)
+        entry = _sweep("x", (2, 3), e, e[:4] + (e[0], e[5]))
+        assert entry.witness.index == (1, 1)
+        assert _sweep("x", (2, 3), e, e).passed
+
+    def test_row_count_must_match_the_index_space(self):
+        e = basis(3)
+        for lhs, rhs in ((e, e), (e, e[:2]), (e[:2], e)):
+            with pytest.raises(DimensionMismatch):
+                _sweep("x", (2,), lhs, rhs)
+
+
+class TestComposeRows:
+    def test_pair_factor_is_the_kronecker_product(self):
+        f, g = rows(matrix_from_rows([[1, 2], [0, 3]])), rows(matrix_from_rows([[0, 1], [F(1, 2), 0]]))
+        v = rows(matrix_from_rows([[1, 0, 0, 1], [0, 0, 0, 0], [0, 2, -1, 0]]))
+        assert compose(v, (f, g)) == compose(v, kron(f, g))
+        assert compose(v, (f, g), kron(f, g)) == compose(compose(v, kron(f, g)), kron(f, g))
+
+    def test_zero_row_stays_zero_without_a_kernel_call(self, monkeypatch):
+        m = rows(matrix_from_rows([[0, 0], [1, 1]]))
+        target = rows(matrix_from_rows([[1, 0, 2], [0, 1, 0]]))
+        calls = []
+        monkeypatch.setattr(exactlin, "apply_map", lambda f, v: calls.append(v) or apply_map(f, v))
+        out = compose(m, target)
+        assert calls == [m[1]]
+        assert out[0] == {} and out[0].dim == 3 and dense(out[1]) == (1, 1, 2)
 
 
 class TestApplyMap:

@@ -144,8 +144,14 @@ class TestImportGraph:
 
     @pytest.mark.parametrize(
         "args, status",
-        [(("check", "c2.alg"), 0), (("check", "ax1"), 1), (("export", "ax1"), 0)],
-        ids=["check-file", "check-catalog", "export"],
+        [
+            (("check", "c2.alg"), 0),
+            (("check", "ax1"), 1),
+            (("export", "ax1"), 0),
+            (("export", "cyclic:4"), 0),
+            (("check", "cyclic:3"), 0),
+        ],
+        ids=["check-file", "check-catalog", "export", "export-cyclic", "check-cyclic"],
     )
     def test_check_and_export_load_no_constructions(self, workdir, args, status):
         assert "homhopf.constructions" not in modules(workdir, *args, status=status)
