@@ -10,7 +10,10 @@ Tensor-factor ordering is fixed per construction: a double lives on
 ``H_op (x) H_dual``, the tilde variant on ``(A_op)_dual (x) A``, a double
 built from a pairing on ``A (x) B``, and every product space flattens
 row-major (first factor major).  Preconditions are verified before building
-unless ``check=False`` (outputs are then unvalidated).
+unless ``check=False`` (outputs are then unvalidated); an output above
+``MAX_DIM`` dimensions is refused before either.  Leg tables compose with
+``lm = mul_cells[x]``, left multiplication by ``e_x``, and with
+``rm = transpose(mul_cells)[y]``, right multiplication by ``e_y``.
 """
 
 from __future__ import annotations
@@ -204,8 +207,8 @@ def smash_product(A, H, act: ModuleAction, check: bool = True) -> HomAlgebra:
     # first[a][b] maps h_1 to a (alpha_H^-2(h_1) . alpha_A^-1(b)),
     # second[k] maps h_2 to alpha_H^-1(h_2) k
     acted = [[bilinear_apply(action, x, y) for x in ah_i2] for y in aa_i1]
-    first = [[compose(row, left) for row in acted] for left in amul]
-    second = [compose(ah_i1, right) for right in transpose(hmul)]
+    first = [[compose(row, lm) for row in acted] for lm in amul]
+    second = [compose(ah_i1, rm) for rm in transpose(hmul)]
     mul = tuple(
         tuple(
             dense(apply_kron(first[a][b], second[k], delta[hh]))
@@ -287,13 +290,13 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
     # Legs as maps of a basis vector: acted[h] is b -> alpha^-1(h) . b,
     # times[h] is g -> alpha^-1(h) g, and twisted[a * nh + h] is
     # b -> alpha^-1(a) (alpha^-1(h) . alpha^-1(b)).
-    acted = transpose(tuple(compose(ah_i1, right) for right in transpose(action)))
-    times = transpose(tuple(compose(ah_i1, right) for right in transpose(hmul)))
+    acted = transpose(tuple(compose(ah_i1, rm) for rm in transpose(action)))
+    times = transpose(tuple(compose(ah_i1, rm) for rm in transpose(hmul)))
     acted_twice = [[bilinear_apply(action, h, b) for b in aa_i1] for h in ah_i1]
     twisted = [tuple(bilinear_apply(amul, a, x) for x in row) for a in aa_i1 for row in acted_twice]
     # at x * na + b, acted_then is a -> (x . b) a and then_acted is a -> a (x . b)
-    acted_then = transpose(tuple(compose(acts, right) for right in transpose(amul)))
-    then_acted = transpose(tuple(compose(acts, left) for left in amul))
+    acted_then = transpose(tuple(compose(acts, rm) for rm in transpose(amul)))
+    then_acted = transpose(tuple(compose(acts, lm) for lm in amul))
 
     # the terms (h_1(0), (h_1(1), h_2), v) of each h, whose legs are read from acted
     # or times and from twisted
@@ -379,6 +382,7 @@ def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, 
     by ``h . a = (S(alpha^-2(h_1)) alpha^-1(a)) alpha^-1(h_2)`` and H coacts
     by ``rho(h) = alpha^-1(h_12) (x) S(alpha^-2(h_11)) alpha^-1(h_2)``."""
     n = H.dim
+    _product_dim(n, n)  # the bicrossproduct these data build
     hop = opposite_hopf(H)
     ainv1 = rows(H.alpha_inverse)
     s_ainv2 = rows(mat_compose(alpha_power(H.alpha_inverse, 2), H.antipode))  # S(alpha^-2(e_h))
@@ -431,8 +435,8 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
         [bilinear_apply(hmul, bilinear_apply(hmul, x, b), y) for x in s_ainv4 for y in ainv3]
         for b in ainv2
     ]
-    first = [[compose(row, left) for row in dressed] for left in hmul]
-    second = [compose(ainv1, left) for left in hmul]
+    first = [[compose(row, lm) for row in dressed] for lm in hmul]
+    second = [compose(ainv1, lm) for lm in hmul]
     twice = compose(delta, (delta, e))  # h_11 (x) h_12 (x) h_2
     closed_mul = tuple(
         tuple(
@@ -500,8 +504,8 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     # first[a][h_1] and second[g][h_2] are the two legs as maps of b_1 and b_2
     lefts = [[bilinear_apply(left, x, y) for y in aa_i2] for x in ah_i2]
     rights = [[bilinear_apply(right, x, y) for y in aa_i2] for x in ah_i2]
-    first = [[compose(row, left) for row in lefts] for left in amul]
-    second = [[compose(row, right) for row in rights] for right in transpose(hmul)]
+    first = [[compose(row, lm) for row in lefts] for lm in amul]
+    second = [[compose(row, rm) for row in rights] for rm in transpose(hmul)]
     mul = tuple(
         tuple(
             dense(_legs(h_terms[h], first[a], second[g], delta_a[b]))
@@ -565,11 +569,11 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     s_ainv3 = rows(mat_compose(alpha_power(H.alpha_inverse, 3), S))  # rows S(alpha^-3(e_k))
     er, hmul = basis(n), H.algebra.mul_cells
     # shifted[h] maps e_k to alpha^-2(e_k) e_h and times[l] maps f to f e^l
-    shifted = [compose(ainv2, right) for right in transpose(hmul)]
+    shifted = [compose(ainv2, rm) for rm in transpose(hmul)]
     times = transpose(hst.algebra.mul_cells)
     # the regular actions on the dual as bilinear maps of (h, f):
     # <f <- h, k> = <f, h alpha^-2(k)> and <h -> f, k> = <f, alpha^-2(k) h>
-    right = cells(tuple(transpose(dense_rows(compose(ainv2, left))) for left in hmul))
+    right = cells(tuple(transpose(dense_rows(compose(ainv2, lm))) for lm in hmul))
     left = cells(tuple(transpose(dense_rows(row)) for row in shifted))
     h_terms = H.coalgebra.comul_terms
 
@@ -687,8 +691,8 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
     )
     # first[a] maps a'_21 to a alpha_A^-2(a'_21), second[b'] maps b_12 to alpha_B^-2(b_12) b'
     amul, bmul = A.algebra.mul_cells, B.algebra.mul_cells
-    first = [compose(aa_i2, left) for left in amul]
-    second = [compose(bb_i2, right) for right in transpose(bmul)]
+    first = [compose(aa_i2, lm) for lm in amul]
+    second = [compose(bb_i2, rm) for rm in transpose(bmul)]
     mul = tuple(
         tuple(
             dense(apply_kron(first[a], second[bp], middles[ap * nb + b]))

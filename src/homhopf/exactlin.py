@@ -35,7 +35,9 @@ Sweedler sums and tensor legs are enumerated here and nowhere else:
 ``terms`` lists the nonzero Sweedler terms of a comultiplication or coaction
 tensor, ``apply_kron`` applies one map to each leg of a vector on a pair
 space, and ``tensor_power_product`` multiplies two vectors of a tensor power
-leg by leg.
+leg by leg.  ``compose`` chains ``apply_map`` and ``apply_kron`` over the
+rows of a map, so a composite such as ``mu o (S (x) id) o delta`` is one
+call.
 
 All functions are pure.  Dense values are nested tuples and hashable;
 sparse vectors are dicts, so they are not.

@@ -6,6 +6,18 @@ and returns a CheckReport.  A failing identity is data, not an error: the
 report entry records the lexicographically first failing index together with
 both sides' full coefficient vectors.
 
+An axiom is two composed maps (``exactlin.compose``) compared row by row by
+``_sweep``: row ``r`` of each side is the basis case at the ``r``-th
+multi-index of the law's index space in row-major order, so the first
+differing row is the first failing index.  Laws over three basis indices
+(Hom-associativity, module-algebra multiplicativity, the cocycle condition,
+two matched-pair laws and the pairing's product-coproduct laws) are instead
+a lazy stream of per-case sides through the same ``_sweep``, which stops at
+the first failure and skips the cases that are structurally zero.  As whole
+maps, one per leading index, they would hold n^3 rows, and Hom-associativity
+alone took 0.069 s on the 36-dim double of ``s3_inner`` against 0.053 s for
+the whole per-case algebra checker.
+
 Structural invariants (shapes, invertibility of structure maps) are enforced
 at construction; algebraic axioms are only ever checker verdicts, so broken
 objects can be built deliberately to exercise the checkers.

@@ -103,8 +103,7 @@ def _dense_sweep(axiom_id: str, indices, lhs_fn, rhs_fn) -> CheckEntry:
     """``_sweep`` over two basis-indexed dense expressions: only the cases
     whose dense sides differ are made sparse and compared."""
     cases = ((idx, lhs_fn(*idx), rhs_fn(*idx)) for idx in indices)
-    differ = ((idx, lhs, rhs) for idx, lhs, rhs in cases if lhs != rhs)
-    return _sweep(axiom_id, ((idx, sparse(lhs), sparse(rhs)) for idx, lhs, rhs in differ))
+    return _sweep(axiom_id, ((idx, sparse(a), sparse(b)) for idx, a, b in cases if a != b))
 
 
 def _tensor_equal(axiom_id: str, lhs: Tensor3, rhs: Tensor3) -> CheckEntry:
@@ -273,6 +272,7 @@ def verify_dual_pair_route(H: HomHopfAlgebra) -> SuiteResult:
     with the closed-form double."""
     started = time.perf_counter()
     pairing = evaluation_pairing(H)
+    paired: PairedDouble = dual_pair_double(pairing, check=False)
     report = check_dual_pair(pairing)
     required = tuple(c for c in report.checks if c.axiom_id != "pairing.mul-comul-right-swapped")
     swapped = report.entry("pairing.mul-comul-right-swapped")
@@ -283,7 +283,6 @@ def verify_dual_pair_route(H: HomHopfAlgebra) -> SuiteResult:
             note=f"alternative swapped coproduct-side reading holds: {swapped.passed}",
         )
     ]
-    paired: PairedDouble = dual_pair_double(pairing, check=False)
     steps.append(SuiteStep("hopf suite on the pair double", run_hopf_suite(paired.hopf)))
     steps.append(
         SuiteStep(

@@ -343,6 +343,12 @@ class TestVerifyCommand:
         assert result.exit_code == 2
         assert "16384-dim" in result.stderr and "limit of 128" in result.stderr
 
+    @pytest.mark.parametrize("suite", ["cor2.9", "prop2.19", "thm4.5", "dual-pair", "prop4.7"])
+    def test_suites_refuse_a_double_above_the_dimension_limit(self, suite):
+        result = invoke("verify", suite, "--algebra", "cyclic:12")
+        assert result.exit_code == 2
+        assert "144-dim, above the limit of 128" in result.stderr
+
     def test_golden_tables_reported_for_ax1(self):
         result = invoke("verify", "thm2.6", "--algebra", "ax1")
         assert "PASS golden tables" in result.output
