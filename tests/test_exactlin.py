@@ -338,9 +338,12 @@ class TestSweep:
 
 class TestComposeRows:
     def test_pair_factor_is_the_kronecker_product(self):
-        f, g = rows(matrix_from_rows([[1, 2], [0, 3]])), rows(matrix_from_rows([[0, 1], [F(1, 2), 0]]))
+        f = rows(matrix_from_rows([[1, 2], [0, 3]]))
+        g = rows(matrix_from_rows([[0, 1], [F(1, 2), 0]]))
         v = rows(matrix_from_rows([[1, 0, 0, 1], [0, 0, 0, 0], [0, 2, -1, 0]]))
-        assert compose(v, (f, g)) == compose(v, kron(f, g))
+        out = compose(v, (f, g))
+        assert out == compose(v, kron(f, g)) and [row.dim for row in out] == [4, 4, 4]
+        # maps apply in turn, left to right
         assert compose(v, (f, g), kron(f, g)) == compose(compose(v, kron(f, g)), kron(f, g))
 
     def test_zero_row_stays_zero_without_a_kernel_call(self, monkeypatch):
