@@ -11,7 +11,6 @@ twisted group algebras, and the expected bicrossproduct tables for the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameter, NotAGroup, NotAnAutomorphism
@@ -29,6 +28,7 @@ from .structures import (
     ComoduleCoaction,
     HomHopfAlgebra,
     ModuleAction,
+    Record,
     RMatrix,
     hopf_algebra,
 )
@@ -36,8 +36,7 @@ from .structures import (
 F = Fraction
 
 
-@dataclass(frozen=True)
-class GroupData:
+class GroupData(Record):
     """A finite group as an index table, plus the twisting automorphism."""
 
     order: int
@@ -47,8 +46,7 @@ class GroupData:
     automorphism: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     hopf: HomHopfAlgebra
     basis: tuple[str, ...]
@@ -254,8 +252,7 @@ def symmetric3_data() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     return table, conj
 
 
-@dataclass(frozen=True)
-class BicrossGolden:
+class BicrossGolden(Record):
     """Expected multiplication, comultiplication and antipode tables for the
     bicrossproduct built from the ``ax1`` data, on the ordered basis
     (1#1, 1#g, x#1, x#g).

@@ -18,7 +18,6 @@ unless ``check=False`` (outputs are then unvalidated); an output above
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, product
 
 from .errors import (
@@ -62,6 +61,7 @@ from .structures import (
     MatchedPairData,
     ModuleAction,
     PairingForm,
+    Record,
     RMatrix,
     TwoCocycle,
     _flat,
@@ -620,8 +620,7 @@ def evaluation_pairing(H: HomHopfAlgebra) -> PairingForm:
     return PairingForm(opposite_hopf(H), dual(H), identity(H.dim))
 
 
-@dataclass(frozen=True)
-class PairedDouble:
+class PairedDouble(Record):
     """A double built from a dual pairing, with its twisting map and the
     outcome of comparing the closed-form antipode inverses of the two
     half-braidings against their exact matrix inverses."""

@@ -67,6 +67,10 @@ SCHEMA_VERSION = 1
 # allocated.  The objects of one file together may declare at most MAX_DIM^3
 # (the sum of dim^3), so a file holds no more than one largest object's tensors.
 
+# The file records stay dataclasses, unlike the ``structures.Record`` value
+# types: the benchmark's input generator (``perfbench/inputs.py``) derives
+# variant files from them with ``dataclasses.replace``.
+
 
 @dataclass(frozen=True)
 class ObjectRecord:

@@ -36,8 +36,8 @@ The ``op`` views are objects too: ``HomAlgebra.op`` is the opposite algebra
 and ``HomCoalgebra.op`` the co-opposite coalgebra, each with views of its
 own.  A view is built on first use and kept in the instance ``__dict__``
 (``functools.cached_property``): it is built once per object and freed with
-it, and it is not a dataclass field, so ``==``, ``hash``, ``repr`` and
-``dataclasses.replace`` see only the dense fields.  Checkers and
+it, and it is not a ``Record`` field, so ``==``, ``hash``, ``repr`` and a
+copy built from ``__match_args__`` see only the dense fields.  Checkers and
 constructions read these views; none converts a dense field itself.  A
 ``HomAlgebra`` or ``HomCoalgebra`` also keeps ``alpha_inverse`` in its
 ``__dict__``: the inverse found when the structure map is validated.
@@ -49,7 +49,6 @@ action of ``A`` as a left action of ``A_op``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 from math import prod
@@ -57,7 +56,6 @@ from operator import attrgetter
 
 from .errors import DimensionMismatch, MissingStructure, SingularMatrixError
 from .exactlin import (
-    ONE,
     ZERO,
     Matrix,
     Sparse,
@@ -102,6 +100,65 @@ def _require(cond: bool, message: str) -> None:
         raise DimensionMismatch(message)
 
 
+class Record:
+    """A frozen value type whose fields are the names annotated in its class
+    body, in order after a ``Record`` base's, and named by ``__match_args__``.
+
+    It behaves as ``dataclass(frozen=True)`` (construction by position or
+    keyword with class defaults, then ``__post_init__``; ``==`` within one
+    class, ``hash`` and ``repr`` over the fields; no assignment or deletion)
+    but generates no code when a subclass is defined: a dataclass ``exec``s
+    its methods, about 1 ms per class in every process.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls):
+        own = tuple(vars(cls).get("__annotations__", ()))
+        cls.__match_args__ += own
+        cls._defaults = {**cls._defaults, **{f: vars(cls)[f] for f in own if f in vars(cls)}}
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__qualname__, self.__match_args__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional arguments, not {len(args)}")
+        for field in kwargs:
+            if field not in fields[len(args) :]:
+                problem = "multiple values for" if field in fields else "an unexpected keyword"
+                raise TypeError(f"{name}() got {problem} argument {field!r}")
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        for field in fields:
+            if field not in values:
+                raise TypeError(f"{name}() missing required argument: {field!r}")
+            self.__dict__[field] = values[field]
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[f] for f in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__qualname__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__qualname__} is frozen: cannot delete {name!r}")
+
+
 def _path(dotted: str) -> property:
     """A read-only property that reads the attribute path ``dotted`` of ``self``."""
     return property(attrgetter(dotted))
@@ -129,8 +186,7 @@ def _inverse(m: Matrix, message: str = "structure map must be invertible") -> Ma
         raise SingularMatrixError(message) from None
 
 
-@dataclass(frozen=True)
-class HomAlgebra:
+class HomAlgebra(Record):
     """A unital Hom-associative algebra by structure constants.
 
     ``mul[i][j][k]`` is the ``e_k``-coefficient of ``e_i . e_j``; ``unit`` is
@@ -174,8 +230,7 @@ class HomAlgebra:
         return sparse(self.unit)
 
 
-@dataclass(frozen=True)
-class HomCoalgebra:
+class HomCoalgebra(Record):
     """A counital Hom-coassociative coalgebra by structure constants.
 
     ``comul[i][j][k]`` is the ``e_j (x) e_k``-coefficient of ``delta(e_i)``;
@@ -224,8 +279,7 @@ class HomCoalgebra:
         return rows(self.alpha)
 
 
-@dataclass(frozen=True)
-class HomBialgebra:
+class HomBialgebra(Record):
     algebra: HomAlgebra
     coalgebra: HomCoalgebra
 
@@ -243,8 +297,7 @@ class HomBialgebra:
     alpha_inverse = _path("algebra.alpha_inverse")
 
 
-@dataclass(frozen=True)
-class HomHopfAlgebra:
+class HomHopfAlgebra(Record):
     bialgebra: HomBialgebra
     antipode: Matrix
 
@@ -317,8 +370,7 @@ def bialgebra_of(obj) -> HomBialgebra:
     raise MissingStructure(f"no bialgebra structure on {type(obj).__name__}")
 
 
-@dataclass(frozen=True)
-class ModuleAction:
+class ModuleAction(Record):
     """A left action of ``actor`` on ``carrier``: ``act[h][m][m']``."""
 
     actor: object
@@ -334,8 +386,7 @@ class ModuleAction:
         return cells(self.act)
 
 
-@dataclass(frozen=True)
-class ComoduleCoaction:
+class ComoduleCoaction(Record):
     """A right coaction ``rho: M -> M (x) C`` of ``coactor`` on ``carrier``.
 
     ``coact[m][m'][c]`` is the ``e_m' (x) e_c``-coefficient of ``rho(e_m)``.
@@ -366,7 +417,7 @@ class ComoduleCoaction:
         return self._coproduct.comul_terms if self._coproduct else terms(self.coact)
 
 
-class _GramForm:
+class _GramForm(Record):
     """The ``form`` view of a Gram matrix field ``gram``."""
 
     @cached_property
@@ -375,7 +426,6 @@ class _GramForm:
         return cells(tuple(tuple((g,) for g in row) for row in self.gram))
 
 
-@dataclass(frozen=True)
 class PairingForm(_GramForm):
     """A non-degenerate bilinear form linking two Hom-Hopf algebras.
 
@@ -392,7 +442,6 @@ class PairingForm(_GramForm):
         _inverse(self.gram, "pairing must be non-degenerate")
 
 
-@dataclass(frozen=True)
 class TwoCocycle(_GramForm):
     """A bilinear form on a Hom-bialgebra, tagged left or right."""
 
@@ -407,8 +456,7 @@ class TwoCocycle(_GramForm):
             raise ValueError(f"cocycle side must be 'left' or 'right', got {self.side!r}")
 
 
-@dataclass(frozen=True)
-class RMatrix:
+class RMatrix(Record):
     """An element ``R = sum entries[i][j] e_i (x) e_j`` of ``H (x) H``."""
 
     host: HomBialgebra
@@ -424,8 +472,7 @@ class RMatrix:
         return sparse(flatten_pair(self.entries))
 
 
-@dataclass(frozen=True)
-class MatchedPairData:
+class MatchedPairData(Record):
     """Two Hom-bialgebras acting on each other.
 
     ``left_action[h][a][a']`` is the A-valued action of H on A and
@@ -464,15 +511,13 @@ class MatchedPairData:
         return transpose(self.right_module.act_cells)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     index: tuple[int, ...]
     lhs: Vector
     rhs: Vector
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(Record):
     axiom_id: str
     passed: bool
     witness: Witness | None = None
@@ -489,8 +534,7 @@ def make_entry(axiom_id: str, passed: bool, index=(), lhs=(), rhs=()) -> CheckEn
     return CheckEntry(axiom_id, False, Witness(tuple(index), tuple(lhs), tuple(rhs)))
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     checks: tuple[CheckEntry, ...]
 
     @property
@@ -660,7 +704,7 @@ def check_hom_bialgebra(obj) -> CheckReport:
         _sweep("bialgebra.comul-multiplicative", (n, n), compose(m, delta), products),
         _sweep("bialgebra.comul-unit", (), compose(unit, delta), kron(unit, unit)),
         _sweep("bialgebra.counit-multiplicative", (n, n), compose(m, eps), kron(eps, eps)),
-        _sweep("bialgebra.counit-unit", (), compose(unit, eps), (sparse((ONE,)),)),
+        _sweep("bialgebra.counit-unit", (), compose(unit, eps), basis(1)),
     )
     return CheckReport(checks)
 

@@ -12,13 +12,13 @@ failed comparison distinguishes a wrong identity from a wrong identification.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING
 
 from .constructions import (
     PairedDouble,
+    _product_dim,
     bicross_hypotheses,
     bicrossproduct,
     canonical_cocycles,
@@ -56,6 +56,7 @@ from .structures import (
     ComoduleCoaction,
     HomHopfAlgebra,
     ModuleAction,
+    Record,
     check_cocycle,
     check_comodule_algebra,
     check_comodule_coalgebra,
@@ -73,8 +74,7 @@ if TYPE_CHECKING:
     from .catalog import BicrossGolden, GroupData
 
 
-@dataclass(frozen=True)
-class SuiteStep:
+class SuiteStep(Record):
     name: str
     report: CheckReport
     note: str = ""
@@ -84,8 +84,7 @@ class SuiteStep:
         return self.report.ok
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Record):
     suite: str
     steps: tuple[SuiteStep, ...]
     wall_time: float
@@ -139,6 +138,7 @@ def verify_thm_2_6(
     construction, its full Hopf suite, and optionally a diff against golden
     tables."""
     started = time.perf_counter()
+    _product_dim(A.dim, H.dim)  # refused before the O(n^3) precondition sweeps
     steps = [
         SuiteStep("module-algebra action", check_module_algebra(act)),
         SuiteStep("comodule-coalgebra coaction", check_comodule_coalgebra(co)),

@@ -43,3 +43,10 @@ def run_cli(args) -> CliResult:
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
     return CliResult(code, out.getvalue(), err.getvalue(), output.getvalue())
+
+
+def replaced(obj, **changes):
+    """A new value of the type of ``obj`` with the fields in ``changes``
+    replaced, built by its constructor as ``dataclasses.replace`` builds one;
+    ``obj.__match_args__`` names the fields of a ``homhopf`` value type."""
+    return type(obj)(**{**{f: getattr(obj, f) for f in obj.__match_args__}, **changes})

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
-from conftest import run_cli
-from homhopf.fileformat import parse
+from conftest import replaced, run_cli
+from homhopf.catalog import get_entry
+from homhopf.exactlin import tensor3_from_entries
+from homhopf.fileformat import bundle_of_entry, parse, serialize
+from homhopf.structures import ComoduleCoaction, ModuleAction
 
 
 def invoke(*args):
@@ -342,6 +345,32 @@ class TestVerifyCommand:
         result = invoke("verify", "prop2.19", "--algebra", "cyclic:128")
         assert result.exit_code == 2
         assert "16384-dim" in result.stderr and "limit of 128" in result.stderr
+
+    def test_bicross_suite_above_the_dimension_limit_is_refused_before_any_sweep(
+        self, tmp_path, monkeypatch
+    ):
+        from homhopf import verify
+
+        def no_sweep(act):
+            raise AssertionError("the module-algebra sweep was started")
+
+        entry, n = get_entry("cyclic:12"), 12
+        shape = (n, n, n)
+        trivial = tensor3_from_entries(shape, {(i, j, j): 1 for i in range(n) for j in range(n)})
+        coact = tensor3_from_entries(shape, {(j, j, 0): 1 for j in range(n)})
+        h = entry.hopf
+        entry = replaced(
+            entry,
+            partner=h,
+            partner_basis=entry.basis,
+            action=ModuleAction(h, h, trivial),
+            coaction=ComoduleCoaction(h, h, coact),
+        )
+        (tmp_path / "c12.alg").write_bytes(serialize(bundle_of_entry(entry)))
+        monkeypatch.setattr(verify, "check_module_algebra", no_sweep)
+        result = invoke("verify", "thm2.6", "--algebra", str(tmp_path / "c12.alg"))
+        assert result.exit_code == 2
+        assert "144-dim, above the limit of 128" in result.stderr
 
     @pytest.mark.parametrize("suite", ["cor2.9", "prop2.19", "thm4.5", "dual-pair", "prop4.7"])
     def test_suites_refuse_a_double_above_the_dimension_limit(self, suite):

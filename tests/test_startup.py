@@ -85,6 +85,36 @@ class TestPackageNames:
         assert _fresh(code).split() == ["False", "True", "True"]
 
 
+# Prints every class that a ``homhopf`` module defines as a dataclass.
+DATACLASSES = """
+import dataclasses, sys
+import homhopf.structures, homhopf.constructions, homhopf.verify, homhopf.catalog
+import homhopf.fileformat
+for name, module in sorted(sys.modules.items()):
+    if name.startswith("homhopf"):
+        for key, value in sorted(vars(module).items()):
+            if isinstance(value, type) and value.__module__ == name:
+                if dataclasses.is_dataclass(value):
+                    print(f"{name}.{key}")
+"""
+
+
+class TestValueTypes:
+    """A dataclass ``exec``s generated methods when its class is defined, in
+    every process; the value types are ``structures.Record`` subclasses."""
+
+    def test_only_the_file_records_are_dataclasses(self):
+        assert _fresh(DATACLASSES).split() == [
+            "homhopf.fileformat.AlgebraFile",
+            "homhopf.fileformat.BlockRecord",
+            "homhopf.fileformat.ObjectRecord",
+        ]
+
+    def test_structures_loads_no_dataclasses(self):
+        code = "import sys, homhopf.structures\nprint('dataclasses' in sys.modules)\n"
+        assert _fresh(code).split() == ["False"]
+
+
 # Runs one command and prints, as its last stdout line, the command's exit
 # status and the names of all the modules loaded when it ended.
 PROBE = """

@@ -1,12 +1,16 @@
 """Axiom checkers: passing instances, deliberately broken ones, witnesses."""
 
 
-from dataclasses import fields, replace
+from dataclasses import make_dataclass
 from fractions import Fraction
 
 import pytest
 
+from conftest import replaced
 from homhopf.catalog import (
+    BicrossGolden,
+    CatalogEntry,
+    GroupData,
     catalog_ax1,
     catalog_cyclic,
     catalog_kz2,
@@ -15,6 +19,7 @@ from homhopf.catalog import (
     get_entry,
 )
 from homhopf.constructions import (
+    PairedDouble,
     canonical_cocycles,
     canonical_r_matrix,
     co_opposite,
@@ -26,7 +31,7 @@ from homhopf.constructions import (
     opposite,
     self_bicross_data,
 )
-from homhopf.errors import SingularMatrixError
+from homhopf.errors import DimensionMismatch, SingularMatrixError
 from homhopf.exactlin import (
     Sparse,
     cells,
@@ -44,14 +49,19 @@ from homhopf.exactlin import (
 )
 from homhopf.fileformat import bundle_of_entry, parse, serialize
 from homhopf.structures import (
+    CheckEntry,
+    CheckReport,
     ComoduleCoaction,
     HomAlgebra,
     HomBialgebra,
     HomCoalgebra,
     HomHopfAlgebra,
+    MatchedPairData,
     ModuleAction,
     PairingForm,
+    RMatrix,
     TwoCocycle,
+    Witness,
     algebra_of,
     bialgebra_of,
     check_antipode,
@@ -70,6 +80,7 @@ from homhopf.structures import (
     hopf_algebra,
     run_hopf_suite,
 )
+from homhopf.verify import SuiteResult, SuiteStep
 
 F = Fraction
 ONE = F(1)
@@ -358,6 +369,142 @@ class TestStructuralInvariants:
 
 
 # ---------------------------------------------------------------------------
+# frozen value types
+
+H1 = catalog_one().hopf
+T1, M1 = (((1,),),), ((1,),)
+W1 = Witness((0,), (1,), (0,))
+ALG = "HomAlgebra(dim=1, mul=(((1,),),), unit=(1,), alpha=((1,),))"
+COALG = "HomCoalgebra(dim=1, comul=(((1,),),), counit=(1,), alpha=((1,),))"
+BIALG = f"HomBialgebra(algebra={ALG}, coalgebra={COALG})"
+HOPF = f"HomHopfAlgebra(bialgebra={BIALG}, antipode=((1,),))"
+WIT = "Witness(index=(0,), lhs=(1,), rhs=(0,))"
+PASSED = "CheckEntry(axiom_id='a', passed=True, witness=None)"
+STEP = "SuiteStep(name='s', report=CheckReport(checks=()), note='n')"
+# One value of each frozen value type and its repr as a frozen dataclass printed it.
+RECORDS = [
+    (H1.algebra, ALG),
+    (H1.coalgebra, COALG),
+    (H1.bialgebra, BIALG),
+    (H1, HOPF),
+    (ModuleAction(H1, H1, T1), f"ModuleAction(actor={HOPF}, carrier={HOPF}, act=(((1,),),))"),
+    (
+        ComoduleCoaction(H1, H1, T1),
+        f"ComoduleCoaction(coactor={HOPF}, carrier={HOPF}, coact=(((1,),),))",
+    ),
+    (PairingForm(H1, H1, M1), f"PairingForm(left={HOPF}, right={HOPF}, gram=((1,),))"),
+    (
+        TwoCocycle(H1.bialgebra, M1, "left"),
+        f"TwoCocycle(algebra={BIALG}, gram=((1,),), side='left')",
+    ),
+    (RMatrix(H1.bialgebra, M1), f"RMatrix(host={BIALG}, entries=((1,),))"),
+    (
+        MatchedPairData(H1, H1, T1, T1),
+        f"MatchedPairData(A={HOPF}, H={HOPF}, left_action=(((1,),),), right_action=(((1,),),))",
+    ),
+    (W1, WIT),
+    (CheckEntry("a", False, W1), f"CheckEntry(axiom_id='a', passed=False, witness={WIT})"),
+    (CheckEntry("a", True), PASSED),
+    (CheckReport((CheckEntry("a", True),)), f"CheckReport(checks=({PASSED},))"),
+    (SuiteStep("s", CheckReport(()), "n"), STEP),
+    (
+        SuiteResult("x", (SuiteStep("s", CheckReport(()), "n"),), 0.5),
+        f"SuiteResult(suite='x', steps=({STEP},), wall_time=0.5)",
+    ),
+    (
+        GroupData(1, ((0,),), 0, (0,), (0,)),
+        "GroupData(order=1, table=((0,),), identity=0, inverse=(0,), automorphism=(0,))",
+    ),
+    (
+        CatalogEntry("one", H1, ("1",)),
+        f"CatalogEntry(name='one', hopf={HOPF}, basis=('1',), partner=None, partner_basis=(),"
+        " action=None, coaction=None, rmatrix=None, group=None)",
+    ),
+    (
+        BicrossGolden(T1, M1, M1),
+        "BicrossGolden(products=(((1,),),), coproducts=((1,),), antipodes=((1,),))",
+    ),
+    (
+        PairedDouble(H1, M1, (True, False)),
+        f"PairedDouble(hopf={HOPF}, twisting=((1,),), closed_form_inverses_match=(True, False))",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "value, text", RECORDS, ids=[f"{type(v).__name__}-{i}" for i, (v, _) in enumerate(RECORDS)]
+)
+class TestRecordValues:
+    def test_repr_is_the_dataclass_repr(self, value, text):
+        assert repr(value) == text
+
+    def test_equality_and_hash_are_those_of_the_dataclass(self, value, text):
+        names = value.__match_args__
+        fields = tuple(getattr(value, f) for f in names)
+        twin = make_dataclass(type(value).__name__, names, frozen=True)(*fields)
+        assert repr(twin) == repr(value) and hash(twin) == hash(value)
+        assert hash(value) == hash(fields)
+        by_position, by_keyword = type(value)(*fields), type(value)(**dict(zip(names, fields)))
+        assert value == by_position == by_keyword and by_keyword == value
+        assert hash(by_position) == hash(by_keyword) == hash(value)
+        assert value != fields and value != twin and twin != value
+
+    def test_assignment_and_deletion_raise(self, value, text):
+        for name in (value.__match_args__[0], "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert repr(value) == text
+
+
+class TestRecord:
+    def test_fields_are_the_annotated_names_in_order(self):
+        assert HomAlgebra.__match_args__ == ("dim", "mul", "unit", "alpha")
+        assert PairingForm.__match_args__ == ("left", "right", "gram")
+        assert CheckEntry.__match_args__ == ("axiom_id", "passed", "witness")
+
+    def test_positional_keyword_and_default_construction(self):
+        assert CheckEntry("a", True) == CheckEntry(axiom_id="a", passed=True)
+        assert CheckEntry("a", False, W1) == CheckEntry("a", False, witness=W1)
+        assert CheckEntry(witness=W1, passed=False, axiom_id="a") == CheckEntry("a", False, W1)
+        assert CheckEntry("a", True).witness is None
+        assert SuiteStep("s", CheckReport(())).note == ""
+        entry = CatalogEntry("one", H1, ("1",))
+        assert (entry.partner, entry.partner_basis, entry.group) == (None, (), None)
+        assert CatalogEntry("one", H1, ("1",), group=None) == entry
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            (((0,), (1,)), {}, "missing .*argument: 'rhs'"),
+            (((0,), (1,), (0,), (1,)), {}, "positional arguments"),
+            (((0,), (1,), (0,)), {"extra": 1}, "unexpected keyword argument 'extra'"),
+            (((0,), (1,), (0,)), {"index": (1,)}, "multiple values for argument 'index'"),
+        ],
+        ids=["missing", "extra", "unknown", "duplicate"],
+    )
+    def test_a_wrong_argument_list_is_a_type_error(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            Witness(*args, **kwargs)
+
+    def test_post_init_validation_still_raises(self):
+        with pytest.raises(ValueError, match="witness exactly when it fails"):
+            CheckEntry("a", True, W1)
+        with pytest.raises(ValueError, match="witness exactly when it fails"):
+            CheckEntry("a", passed=False)
+        with pytest.raises(DimensionMismatch, match="multiplication tensor shape"):
+            HomAlgebra(2, T1, (1,), M1)
+        with pytest.raises(ValueError, match="cocycle side"):
+            TwoCocycle(H1.bialgebra, M1, side="middle")
+
+    def test_types_with_equal_fields_are_unequal(self):
+        algebra, coalgebra = HomAlgebra(1, T1, (1,), M1), HomCoalgebra(1, T1, (1,), M1)
+        assert algebra != coalgebra and coalgebra != algebra
+        assert algebra == H1.algebra and algebra != HomAlgebra(1, T1, (1,), ((-1,),))
+
+
+# ---------------------------------------------------------------------------
 # sparse views of the domain types
 
 VIEW_ENTRIES = ("one", "ax1", "kz2", "sweedler_hom", *(f"cyclic:{n}" for n in range(2, 7)), "s3_inner")
@@ -429,13 +576,13 @@ class TestViews:
         for H in objects_of(name).values():
             objects = (H, H.bialgebra, H.algebra, H.coalgebra)
             before = [(hash(x), repr(x)) for x in objects]
-            twin = replace(H, bialgebra=replace(H.bialgebra))
+            twin = replaced(H, bialgebra=replaced(H.bialgebra))
             hopf_views(H)
             assert [(hash(x), repr(x)) for x in objects] == before
             assert H == twin and twin == H and hash(H) == hash(twin)
-            assert "mul_cells" not in replace(H.algebra).__dict__
-            assert {f.name for f in fields(H.algebra)} == {"dim", "mul", "unit", "alpha"}
-            assert {f.name for f in fields(H.coalgebra)} == {"dim", "comul", "counit", "alpha"}
+            assert "mul_cells" not in replaced(H.algebra).__dict__
+            assert H.algebra.__match_args__ == ("dim", "mul", "unit", "alpha")
+            assert H.coalgebra.__match_args__ == ("dim", "comul", "counit", "alpha")
 
     def test_opposites_are_views_and_involutions(self, name):
         for H in objects_of(name).values():
@@ -446,13 +593,13 @@ class TestViews:
             assert opposite(H).algebra is A.op and co_opposite(H).coalgebra is C.op
             assert all(A.op.mul[i][j] == A.mul[j][i] for i in range(n) for j in range(n))
             assert as_dense(C.op.comul_rows) == as_dense(C.comul_op_rows)
-            assert "op" not in {f.name for f in fields(A)} | {f.name for f in fields(C)}
+            assert "op" not in A.__match_args__ + C.__match_args__
 
     def test_structure_map_inverse_is_kept(self, name):
         for H in objects_of(name).values():
             for obj in (H.algebra, H.coalgebra):
                 assert mat_compose(obj.alpha, obj.alpha_inverse) == identity(H.dim)
-                assert replace(obj).alpha_inverse == obj.alpha_inverse
+                assert replaced(obj).alpha_inverse == obj.alpha_inverse
 
     def test_block_views(self, name):
         entry, h = get_entry(name), get_entry(name).hopf

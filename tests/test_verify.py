@@ -1,10 +1,10 @@
 """Theorem-level suites: green paths, documented red paths, determinism."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from conftest import replaced
 from homhopf.catalog import (
     catalog_ax1,
     catalog_ex27_expected,
@@ -111,7 +111,7 @@ class TestBicrossSuite:
             ax.partner,
             ax.action,
             ax.coaction,
-            replace(golden, **{table: bumped_at(rows, index)}),
+            replaced(golden, **{table: bumped_at(rows, index)}),
         )
         step = result.steps[-1]
         assert step.name == "golden tables"
@@ -136,7 +136,7 @@ class TestSelfBicrossSuite:
 
     def test_wrong_automorphism_fails_group_like_closed_form(self):
         entry = get_entry("cyclic:3")
-        group = replace(entry.group, automorphism=(0, 1, 2))
+        group = replaced(entry.group, automorphism=(0, 1, 2))
         name, failed = only_failure(verify_cor_2_9(entry.hopf, group))
         assert name == "group-like closed form"
         assert failed.axiom_id == "self-bicross.group-like-product"
@@ -160,7 +160,7 @@ class TestCanonicalRSuite:
 
     def test_wrong_automorphism_fails_closed_form_r(self):
         entry = get_entry("cyclic:3")
-        group = replace(entry.group, automorphism=(0, 1, 2))
+        group = replaced(entry.group, automorphism=(0, 1, 2))
         name, failed = only_failure(verify_prop_2_19(entry.hopf, group))
         assert name == "closed-form R"
         assert failed.axiom_id == "canonical-r.group-closed-form"
