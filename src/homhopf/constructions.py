@@ -11,14 +11,15 @@ Tensor-factor ordering is fixed per construction: a double lives on
 built from a pairing on ``A (x) B``, and every product space flattens
 row-major (first factor major).  Preconditions are verified before building
 unless ``check=False`` (outputs are then unvalidated); an output above
-``MAX_DIM`` dimensions is refused before either.  Leg tables compose with
-``lm = mul_cells[x]``, left multiplication by ``e_x``, and with
-``rm = transpose(mul_cells)[y]``, right multiplication by ``e_y``.
+``MAX_DIM`` dimensions is refused before either.  A product on a pair space
+comes from ``_pair_product`` and an exchange map that swaps the two inner
+legs; a coproduct on a pair space comes from ``cotwist_coproduct`` and a
+cotwisting map.
 """
 
 from __future__ import annotations
 
-from itertools import chain, product
+from itertools import chain
 
 from .errors import (
     CrossCheckFailed,
@@ -30,6 +31,7 @@ from .errors import (
 from .exactlin import (
     ONE,
     Matrix,
+    Tensor3,
     Vector,
     alpha_power,
     apply_kron,
@@ -101,6 +103,21 @@ def _flip(n1: int, n2: int) -> Matrix:
     """The flip ``e_i (x) e_j -> e_j (x) e_i`` from an n1*n2 to an n2*n1 pair space."""
     return matrix_from_entries(
         n1 * n2, n2 * n1, {(i * n2 + j, j * n1 + i): ONE for i in range(n1) for j in range(n2)}
+    )
+
+
+def _pair_product(left, right, tau) -> Tensor3:
+    """The multiplication tensor on a pair space ``X (x) Y`` whose product of
+    ``e_(x, y)`` and ``e_(x', y')`` is ``(left[x] (x) right[y'])(tau[y][x'])``.
+
+    ``tau[y][x']`` is the exchange map ``Y (x) X -> X (x) Y`` on the inner legs
+    ``e_y (x) e_x'``; ``left[x]`` then acts on its first leg and ``right[y']``
+    on its second, both as row-image maps.
+    """
+    return tuple(
+        tuple(dense(apply_kron(lm, rm, v)) for v in row for rm in right)
+        for lm in left
+        for row in tau
     )
 
 
@@ -202,22 +219,12 @@ def smash_product(A, H, act: ModuleAction, check: bool = True) -> HomAlgebra:
             raise PreconditionFailed("action is not a module-algebra action", report)
     ah_i1, ah_i2 = (rows(alpha_power(bi.alpha_inverse, k)) for k in (1, 2))
     aa_i1 = rows(alg.alpha_inverse)
-    amul, hmul, action = alg.mul_cells, bi.algebra.mul_cells, act.act_cells
-    delta = bi.coalgebra.comul_rows
-    # first[a][b] maps h_1 to a (alpha_H^-2(h_1) . alpha_A^-1(b)),
-    # second[k] maps h_2 to alpha_H^-1(h_2) k
+    action, delta = act.act_cells, bi.coalgebra.comul_rows
+    # acted[b] maps h_1 to alpha_H^-2(h_1) . alpha_A^-1(b), and tau[h][b] is
+    # (alpha_H^-2(h_1) . alpha_A^-1(b)) (x) alpha_H^-1(h_2)
     acted = [[bilinear_apply(action, x, y) for x in ah_i2] for y in aa_i1]
-    first = [[compose(row, lm) for row in acted] for lm in amul]
-    second = [compose(ah_i1, rm) for rm in transpose(hmul)]
-    mul = tuple(
-        tuple(
-            dense(apply_kron(first[a][b], second[k], delta[hh]))
-            for b in range(na)
-            for k in range(nh)
-        )
-        for a in range(na)
-        for hh in range(nh)
-    )
+    tau = [[apply_kron(row, ah_i1, v) for row in acted] for v in delta]
+    mul = _pair_product(alg.mul_cells, transpose(bi.algebra.mul_cells), tau)
     unit = _dense_kron((alg.unit,), (bi.unit,))[0]
     return HomAlgebra(nd, mul, unit, _dense_kron(alg.alpha, bi.alpha))
 
@@ -430,24 +437,15 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
 
     # closed form of the product:
     # (a x h)(b x k) = a[(S(alpha^-4(h_11)) alpha^-2(b)) alpha^-3(h_12)] x k alpha^-1(h_2);
-    # first[a][b] maps h_11 (x) h_12 and second[k] maps h_2 to their legs
+    # dressed[b] maps h_11 (x) h_12 to the bracket, and tau[h][b] is
+    # [(S(alpha^-4(h_11)) alpha^-2(b)) alpha^-3(h_12)] (x) alpha^-1(h_2)
     dressed = [
         [bilinear_apply(hmul, bilinear_apply(hmul, x, b), y) for x in s_ainv4 for y in ainv3]
         for b in ainv2
     ]
-    first = [[compose(row, lm) for row in dressed] for lm in hmul]
-    second = [compose(ainv1, lm) for lm in hmul]
     twice = compose(delta, (delta, e))  # h_11 (x) h_12 (x) h_2
-    closed_mul = tuple(
-        tuple(
-            dense(apply_kron(first[a][b], second[k], twice[h]))
-            for b in range(n)
-            for k in range(n)
-        )
-        for a in range(n)
-        for h in range(n)
-    )
-    if closed_mul != built.mul:
+    tau = [[apply_kron(row, ainv1, v) for row in dressed] for v in twice]
+    if _pair_product(hmul, hmul, tau) != built.mul:
         raise CrossCheckFailed("closed-form product disagrees with the generic route")
 
     # closed form of the coproduct:
@@ -496,25 +494,15 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     ah_i2 = rows(alpha_power(H.alpha_inverse, 2))
     aa_i2 = rows(alpha_power(A.alpha_inverse, 2))
     left, right = mp.left_cells, mp.right_cells
-    amul, hmul = A.algebra.mul_cells, H.algebra.mul_cells
     h_terms, delta_a = H.coalgebra.comul_terms, A.coalgebra.comul_rows
 
     # (a (x) h)(b (x) g)
     #   = a (alpha^-2(h_1) -> alpha^-2(b_1)) (x) (alpha^-2(h_2) <- alpha^-2(b_2)) g;
-    # first[a][h_1] and second[g][h_2] are the two legs as maps of b_1 and b_2
+    # lefts[h_1] and rights[h_2] map b_1 and b_2 to the two legs of tau[h][b]
     lefts = [[bilinear_apply(left, x, y) for y in aa_i2] for x in ah_i2]
     rights = [[bilinear_apply(right, x, y) for y in aa_i2] for x in ah_i2]
-    first = [[compose(row, lm) for row in lefts] for lm in amul]
-    second = [[compose(row, rm) for row in rights] for rm in transpose(hmul)]
-    mul = tuple(
-        tuple(
-            dense(_legs(h_terms[h], first[a], second[g], delta_a[b]))
-            for b in range(na)
-            for g in range(nh)
-        )
-        for a in range(na)
-        for h in range(nh)
-    )
+    tau = [[_legs(terms, lefts, rights, v) for v in delta_a] for terms in h_terms]
+    mul = _pair_product(A.algebra.mul_cells, transpose(H.algebra.mul_cells), tau)
     coalg = _tensor_coalgebra(A, H)
     alg = HomAlgebra(nd, mul, _dense_kron((A.unit,), (H.unit,))[0], coalg.alpha)
 
@@ -577,21 +565,19 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     left = cells(tuple(transpose(dense_rows(row)) for row in shifted))
     h_terms = H.coalgebra.comul_terms
 
-    blocks = {}
-    for m, sweedler in enumerate(h_terms):
-        for j in range(n):
-            # the sum over the Sweedler terms of k_21 (x) f, where
-            # f = alpha^-3(k_22) -> ((alpha*)^2(e^j) <- S alpha^-3(k_1))
-            pure = []
-            for k1, k2, c1 in sweedler:
-                acted = bilinear_apply(right, s_ainv3[k1], a2t[j])
-                for k21, k22, c2 in h_terms[k2]:
-                    f = bilinear_apply(left, ainv3[k22], acted)
-                    pure.append((c1 * c2, kron((er[k21],), (f,))[0]))
-            dressed = linear_combination(nd, pure)
-            for h, l in product(range(n), repeat=2):
-                blocks[h * n + j, m * n + l] = dense(apply_kron(shifted[h], times[l], dressed))
-    mul = tuple(tuple(blocks[r, c] for c in range(nd)) for r in range(nd))
+    def dressed(j: int, sweedler):
+        """The exchange of ``e^j (x) e_k`` for the Sweedler terms of ``k``: the
+        sum of ``k_21 (x) [alpha^-3(k_22) -> ((alpha*)^2(e^j) <- S alpha^-3(k_1))]``."""
+        pure = []
+        for k1, k2, c1 in sweedler:
+            acted = bilinear_apply(right, s_ainv3[k1], a2t[j])
+            for k21, k22, c2 in h_terms[k2]:
+                f = bilinear_apply(left, ainv3[k22], acted)
+                pure.append((c1 * c2, kron((er[k21],), (f,))[0]))
+        return linear_combination(nd, pure)
+
+    tau = [[dressed(j, sweedler) for sweedler in h_terms] for j in range(n)]
+    mul = _pair_product(shifted, times, tau)
     coalg = _tensor_coalgebra(H, hst)
     alg = HomAlgebra(nd, mul, _dense_kron((H.unit,), (hst.unit,))[0], coalg.alpha)
 
@@ -689,23 +675,15 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
         mat_compose(paired(weight(sa_inv), False, e_a, e_b), paired(weight2, True, e_a, e_b))
     )
     # first[a] maps a'_21 to a alpha_A^-2(a'_21), second[b'] maps b_12 to alpha_B^-2(b_12) b'
-    amul, bmul = A.algebra.mul_cells, B.algebra.mul_cells
-    first = [compose(aa_i2, lm) for lm in amul]
-    second = [compose(bb_i2, rm) for rm in transpose(bmul)]
-    mul = tuple(
-        tuple(
-            dense(apply_kron(first[a], second[bp], middles[ap * nb + b]))
-            for ap in range(na)
-            for bp in range(nb)
-        )
-        for a in range(na)
-        for b in range(nb)
-    )
+    first = [compose(aa_i2, lm) for lm in A.algebra.mul_cells]
+    second = [compose(bb_i2, rm) for rm in transpose(B.algebra.mul_cells)]
+    tau = [[middles[ap * nb + b] for ap in range(na)] for b in range(nb)]
     # a_1 (x) b_2 (x) a_2 (x) b_1: the tensor coproduct with B's co-opposite
     coalg = _tensor_coalgebra(A, B.coalgebra.op)
     antipode = mat_compose(mat_compose(_dense_kron(A.antipode, sb_inv), _flip(na, nb)), twisting)
     unit = _dense_kron((A.unit,), (B.unit,))[0]
-    hopf = hopf_algebra(nd, mul, unit, coalg.comul, coalg.counit, coalg.alpha, antipode)
+    alg = HomAlgebra(nd, _pair_product(first, second, tau), unit, coalg.alpha)
+    hopf = HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
     return PairedDouble(hopf, twisting, inverses_match)
 
 

@@ -265,8 +265,8 @@ def mat_inverse(m: Matrix) -> Matrix:
         inv[rank], inv[pivot] = inv[pivot], inv[rank]
         p = a[rank][col]
         if p != ONE:
-            a[rank] = [_quotient(x, p) for x in a[rank]]
-            inv[rank] = [_quotient(x, p) for x in inv[rank]]
+            a[rank] = [_quotient(x, p) if x else ZERO for x in a[rank]]
+            inv[rank] = [_quotient(x, p) if x else ZERO for x in inv[rank]]
         for r in range(n):
             if r != rank and a[r][col]:
                 c = a[r][col]

@@ -11,15 +11,18 @@ from homhopf import constructions
 from homhopf.catalog import (
     catalog_ax1,
     catalog_cyclic,
+    catalog_group,
     catalog_kz2,
     catalog_one,
     catalog_sweedler_hom,
+    cyclic_table,
     get_entry,
 )
 from homhopf.constructions import (
     bicrossproduct,
     canonical_cocycles,
     canonical_r_matrix,
+    co_opposite,
     cocycle_twist,
     comodule_cotwist,
     cotwist_coproduct,
@@ -313,15 +316,25 @@ class TestMatchedPairRoute:
         assert check_matched_pair(mp).ok
 
     def test_pipeline_reproduces_the_double(self):
-        for name in ("ax1", "cyclic:2", "sweedler_hom", "s3_inner"):
-            h = get_entry(name).hopf
+        inputs = [
+            get_entry(name).hopf for name in ("ax1", "cyclic:2", "cyclic:4", "sweedler_hom", "s3_inner")
+        ]
+        inputs += [
+            catalog_group(cyclic_table(5), (0, 2, 4, 1, 3)).hopf,  # Z5 twisted by g -> g^2
+            co_opposite(catalog_sweedler_hom().hopf),
+            dual(get_entry("s3_inner").hopf),
+        ]
+        for h in inputs:
             hop, act, co = self_bicross_data(h)
             mp = dual_matched_pair(h, hop, act, co, check=False)
             assert check_matched_pair(mp).ok
             built = double_cross_product(mp, check=False)
             closed = drinfeld_double(h)
             assert built.mul == closed.mul
+            assert built.unit == closed.unit
             assert built.comul == closed.comul
+            assert built.counit == closed.counit
+            assert built.alpha == closed.alpha
             assert built.antipode == closed.antipode
 
     def test_trivial_matched_pair_gives_tensor_hopf(self):

@@ -118,6 +118,16 @@ class TestScalars:
         assert mat_inverse(((2,),)) == ((F(1, 2),),)
         assert type(mat_inverse(((2,),))[0][0]) is F
         assert [type(x) for row in mat_inverse(((F(1, 2), 0), (0, -1))) for x in row] == [int] * 4
+        # a signed 16-dim diagonal, like the structure maps of the sweedler_hom doubles
+        diagonal = [(-1) ** i * F(i % 3 + 1, 2) for i in range(16)]
+        m = tuple(tuple(d if j == i else 0 for j in range(16)) for i, d in enumerate(diagonal))
+        inv = mat_inverse(m)
+        assert inv == matrix_from_rows(
+            [[1 / d if j == i else 0 for j in range(16)] for i, d in enumerate(diagonal)]
+        )
+        assert [type(x) for row in inv for x in row] == [
+            int if x.denominator == 1 else F for row in inv for x in row
+        ]
 
 
 class TestCompose:
