@@ -31,9 +31,9 @@ from .errors import (
 from .exactlin import (
     ONE,
     Matrix,
+    SparseMatrix,
     Tensor3,
     Vector,
-    alpha_power,
     apply_kron,
     apply_map,
     basis,
@@ -167,13 +167,13 @@ def opposite(h: HomHopfAlgebra) -> HomHopfAlgebra:
 
 def opposite_hopf(h: HomHopfAlgebra) -> HomHopfAlgebra:
     """The opposite with the inverse antipode, which is again Hom-Hopf."""
-    return HomHopfAlgebra(opposite(h).bialgebra, mat_inverse(h.antipode))
+    return HomHopfAlgebra(opposite(h).bialgebra, h.antipode_inverse)
 
 
 def co_opposite(h: HomHopfAlgebra) -> HomHopfAlgebra:
     """The co-opposite ``delta(a) = a_2 (x) a_1`` (``h.coalgebra.op``) with the
     inverse antipode, which is again Hom-Hopf."""
-    return HomHopfAlgebra(HomBialgebra(h.algebra, h.coalgebra.op), mat_inverse(h.antipode))
+    return HomHopfAlgebra(HomBialgebra(h.algebra, h.coalgebra.op), h.antipode_inverse)
 
 
 def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
@@ -186,8 +186,7 @@ def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
     antipode is the transpose of the antipode.
     """
     n = h.dim
-    ainv2 = alpha_power(h.alpha_inverse, 2)
-    a2 = rows(ainv2)
+    a2 = h.power(-2)
     # row (i, j): the coefficients of e^i e^j; row i: those of delta(e^i)
     products = transpose(dense_rows(compose(h.coalgebra.comul_rows, (a2, a2))))
     coproducts = transpose(dense_rows(compose(h.algebra.mul_map, a2)))
@@ -217,8 +216,7 @@ def smash_product(A, H, act: ModuleAction, check: bool = True) -> HomAlgebra:
         report = check_module_algebra(act)
         if not report.ok:
             raise PreconditionFailed("action is not a module-algebra action", report)
-    ah_i1, ah_i2 = (rows(alpha_power(bi.alpha_inverse, k)) for k in (1, 2))
-    aa_i1 = rows(alg.alpha_inverse)
+    ah_i1, ah_i2, aa_i1 = bi.power(-1), bi.power(-2), alg.power(-1)
     action, delta = act.act_cells, bi.coalgebra.comul_rows
     # acted[b] maps h_1 to alpha_H^-2(h_1) . alpha_A^-1(b), and tau[h][b] is
     # (alpha_H^-2(h_1) . alpha_A^-1(b)) (x) alpha_H^-1(h_2)
@@ -239,8 +237,7 @@ def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> Matrix:
     coactor = bialgebra_of(co.coactor)
     carrier = coalgebra_of(co.carrier)
     nh, nc = coactor.dim, carrier.dim
-    ac_i1 = rows(carrier.alpha_inverse)
-    ah_i1, ah_i2 = (rows(alpha_power(coactor.alpha_inverse, k)) for k in (1, 2))
+    ac_i1, ah_i1, ah_i2 = carrier.power(-1), coactor.power(-1), coactor.power(-2)
     hmul, rho = coactor.algebra.mul_cells, co.coact_rows
     # second[h] maps c_(1) to alpha_H^-1(h) alpha_H^-2(c_(1))
     second = [tuple(bilinear_apply(hmul, x, y) for y in ah_i2) for x in ah_i1]
@@ -287,8 +284,7 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
     coa = coalgebra_of(A)
     bi = bialgebra_of(H)
     na, nh = alg.dim, bi.dim
-    ah_i1 = rows(bi.alpha_inverse)
-    aa_i1 = rows(alg.alpha_inverse)
+    ah_i1, aa_i1 = bi.power(-1), alg.power(-1)
     action, amul, hmul = act.act_cells, alg.mul_cells, bi.algebra.mul_cells
     h_terms, co_terms = bi.coalgebra.comul_terms, co.coact_terms
     delta_a, rho, eps_a = coa.comul_rows, co.coact_rows, coa.counit_map
@@ -361,14 +357,14 @@ def bicrossproduct(
             if not entry.passed:
                 raise HypothesisFailed(label, CheckReport((entry,)))
 
-    aa_i2, aa_i3 = (rows(alpha_power(A.alpha_inverse, k)) for k in (2, 3))
+    aa_i2, aa_i3 = A.power(-2), A.power(-3)
     smash = smash_product(A, H, act, check=False)
     coalg = cotwist_coproduct(A, H, comodule_cotwist(co, check=False), check=False)
 
     # S(a (x) h) = (1 (x) S_H alpha_H^-2(h_(0))) (S_A(alpha_A^-2(a) alpha_A^-3(h_(1))) (x) 1)
     co_terms, mc, amul = co.coact_terms, smash.mul_cells, A.algebra.mul_cells
     # h -> 1 (x) S_H(alpha_H^-2(h)) and a -> S_A(a) (x) 1
-    sh_i2 = rows(mat_compose(alpha_power(H.alpha_inverse, 2), H.antipode))
+    sh_i2 = compose(H.power(-2), H.antipode_rows)
     s_h = kron((A.algebra.unit_vector,), sh_i2)
     s_then_1 = kron(A.antipode_rows, (H.algebra.unit_vector,))
     s_a = [[apply_map(s_then_1, bilinear_apply(amul, a, x)) for x in aa_i3] for a in aa_i2]
@@ -391,8 +387,8 @@ def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, 
     n = H.dim
     _product_dim(n, n)  # the bicrossproduct these data build
     hop = opposite_hopf(H)
-    ainv1 = rows(H.alpha_inverse)
-    s_ainv2 = rows(mat_compose(alpha_power(H.alpha_inverse, 2), H.antipode))  # S(alpha^-2(e_h))
+    ainv1 = H.power(-1)
+    s_ainv2 = compose(H.power(-2), H.antipode_rows)  # S(alpha^-2(e_h))
     hmul, h_terms = H.algebra.mul_cells, H.coalgebra.comul_terms
 
     def acts(h, a):
@@ -430,8 +426,8 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
     hop, act, co = self_bicross_data(H)
     built = bicrossproduct(H, hop, act, co, check=check)
 
-    ainv1, ainv2, ainv3 = (rows(alpha_power(H.alpha_inverse, k)) for k in (1, 2, 3))
-    s_ainv4 = rows(mat_compose(alpha_power(H.alpha_inverse, 4), H.antipode))  # S(alpha^-4(e_h))
+    ainv1, ainv2, ainv3 = (H.power(-k) for k in (1, 2, 3))
+    s_ainv4 = compose(H.power(-4), H.antipode_rows)  # S(alpha^-4(e_h))
     e, hmul, Hc = basis(n), H.algebra.mul_cells, H.coalgebra
     h_terms, delta, op_delta = Hc.comul_terms, Hc.comul_rows, Hc.comul_op_rows
 
@@ -491,8 +487,7 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
         report = check_matched_pair(mp)
         if not report.ok:
             raise PreconditionFailed("not a matched pair", report)
-    ah_i2 = rows(alpha_power(H.alpha_inverse, 2))
-    aa_i2 = rows(alpha_power(A.alpha_inverse, 2))
+    ah_i2, aa_i2 = H.power(-2), A.power(-2)
     left, right = mp.left_cells, mp.right_cells
     h_terms, delta_a = H.coalgebra.comul_terms, A.coalgebra.comul_rows
 
@@ -507,8 +502,8 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     alg = HomAlgebra(nd, mul, _dense_kron((A.unit,), (H.unit,))[0], coalg.alpha)
 
     # the two antipode factors as maps: h -> 1 (x) S_H alpha_H^-1(h), a -> S_A alpha_A^-1(a) (x) 1
-    s_h = kron((A.algebra.unit_vector,), rows(mat_compose(H.alpha_inverse, H.antipode)))
-    s_a = kron(rows(mat_compose(A.alpha_inverse, A.antipode)), (H.algebra.unit_vector,))
+    s_h = kron((A.algebra.unit_vector,), compose(H.power(-1), H.antipode_rows))
+    s_a = kron(compose(A.power(-1), A.antipode_rows), (H.algebra.unit_vector,))
     antipode = tuple(
         dense(bilinear_apply(alg.mul_cells, s_h[h], s_a[a])) for a in range(na) for h in range(nh)
     )
@@ -529,9 +524,8 @@ def dual_matched_pair(
         if not combined.ok:
             raise PreconditionFailed("bicrossproduct preconditions fail", combined)
     na, nh = A.dim, H.dim
-    aa_i2 = alpha_power(A.alpha_inverse, 2)
     # column j of alpha^-2 followed by the action of h is <e^j < h, .>
-    acted = [transpose(mat_compose(aa_i2, act.act[h])) for h in range(nh)]
+    acted = [transpose(dense_rows(compose(A.power(-2), plane))) for plane in act.act_cells]
     left = tuple(
         tuple(tuple(co.coact[h][h0][j] for h0 in range(nh)) for h in range(nh)) for j in range(na)
     )
@@ -551,10 +545,10 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     n = H.dim
     nd = _product_dim(n, n)
     hst = dual(H)
-    ainv2, ainv3 = (rows(alpha_power(H.alpha_inverse, k)) for k in (2, 3))
-    a2t = rows(transpose(alpha_power(H.alpha, 2)))
-    S = H.antipode
-    s_ainv3 = rows(mat_compose(alpha_power(H.alpha_inverse, 3), S))  # rows S(alpha^-3(e_k))
+    ainv2, ainv3 = H.power(-2), H.power(-3)
+    # hst.power(-k) is transpose(alpha^k): the dual's structure map is transpose(alpha^-1)
+    a2t = hst.power(-2)
+    s_ainv3 = compose(ainv3, H.antipode_rows)  # rows S(alpha^-3(e_k))
     er, hmul = basis(n), H.algebra.mul_cells
     # shifted[h] maps e_k to alpha^-2(e_k) e_h and times[l] maps f to f e^l
     shifted = [compose(ainv2, rm) for rm in transpose(hmul)]
@@ -583,8 +577,8 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
 
     # S(h (x) f) = (1 (x) S*(alpha*(f))) (S^-1(alpha^-1(h)) (x) counit), factor by factor
     counit = hst.algebra.unit_vector  # the counit of H is the unit of its dual
-    s_f = kron((H.algebra.unit_vector,), rows(mat_compose(transpose(H.alpha), hst.antipode)))
-    s_h = kron(rows(mat_compose(H.alpha_inverse, mat_inverse(S))), (counit,))
+    s_f = kron((H.algebra.unit_vector,), compose(hst.power(-1), hst.antipode_rows))
+    s_h = kron(compose(H.power(-1), rows(H.antipode_inverse)), (counit,))
     mc = alg.mul_cells
     antipode = tuple(dense(bilinear_apply(mc, s_f[j], s_h[h])) for h in range(n) for j in range(n))
     return HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
@@ -596,7 +590,7 @@ def canonical_r_matrix(H: HomHopfAlgebra, double: HomHopfAlgebra | None = None) 
     if double is None:
         double = drinfeld_double(H)
     first = _dense_kron((H.unit,), transpose(H.alpha_inverse))
-    second = _dense_kron(mat_inverse(H.antipode), (H.counit,))
+    second = _dense_kron(H.antipode_inverse, (H.counit,))
     return RMatrix(double.bialgebra, mat_compose(transpose(first), second))
 
 
@@ -634,46 +628,38 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
         required = [c for c in report.checks if c.axiom_id != "pairing.mul-comul-right-swapped"]
         if not all(c.passed for c in required):
             raise PreconditionFailed("not a dual pair", CheckReport(tuple(required)))
-    aa_i2 = rows(alpha_power(A.alpha_inverse, 2))
-    bb_i1 = B.alpha_inverse
-    bb_i2 = rows(alpha_power(B.alpha_inverse, 2))
-    sa_inv = mat_inverse(A.antipode)
-    sb_inv = mat_inverse(B.antipode)
-    e_a, e_b = identity(na), identity(nb)
+    aa_i1, aa_i2, bb_i1, bb_i2 = A.power(-1), A.power(-2), B.alpha_inverse, B.power(-2)
+    sa_inv, sb_inv = A.antipode_inverse, B.antipode_inverse
+    e_a, e_b = basis(na), identity(nb)
 
-    def paired(weight: Matrix, first: bool, a_then: Matrix, b_then: Matrix) -> Matrix:
+    def paired(weight: Matrix, first: bool, a_then: SparseMatrix, b_then: Matrix) -> Matrix:
         """The map on ``A (x) B`` that pairs one Sweedler leg of ``a`` with one of
         ``b`` through ``weight`` and keeps the other two, then applies
         ``a_then (x) b_then``: ``a_1 (x) <a_2, b_1> b_2`` if ``first``, else
         ``a_2 (x) <a_1, b_2> b_1``, the same through the co-opposites."""
         ca, cb = (A.coalgebra, B.coalgebra) if first else (A.coalgebra.op, B.coalgebra.op)
-        legs, b_comul, kept = ca.comul_rows, cb.comul, rows(a_then)
+        legs, b_comul = ca.comul_rows, cb.comul
         # through[b] maps the paired leg of a to the kept leg of b
         through = [rows(mat_compose(mat_compose(weight, plane), b_then)) for plane in b_comul]
         return tuple(
-            dense(apply_kron(kept, through[b], legs[a])) for a in range(na) for b in range(nb)
+            dense(apply_kron(a_then, through[b], legs[a])) for a in range(na) for b in range(nb)
         )
 
-    def weight(antipode: Matrix | None) -> Matrix:
-        # <(antipode) alpha_A(a), b>
-        return mat_compose(A.alpha if antipode is None else mat_compose(A.alpha, antipode), gram)
-
-    aa_i1 = A.alpha_inverse
-    r1 = paired(weight(None), True, aa_i1, bb_i1)
-    r2 = paired(weight(None), False, aa_i1, bb_i1)
+    # <alpha_A(a), b> and <S_A^-1 alpha_A(a), b>
+    plain, inverse = mat_compose(A.alpha, gram), mat_compose(mat_compose(A.alpha, sa_inv), gram)
+    r1 = paired(plain, True, aa_i1, bb_i1)
+    r2 = paired(plain, False, aa_i1, bb_i1)
     r1_inv = mat_inverse(r1)
     r2_inv = mat_inverse(r2)
-    closed_r1_inv = paired(weight(sa_inv), True, aa_i1, bb_i1)
-    closed_r2_inv = paired(weight(sa_inv), False, aa_i1, bb_i1)
+    closed_r1_inv = paired(inverse, True, aa_i1, bb_i1)
+    closed_r2_inv = paired(inverse, False, aa_i1, bb_i1)
     inverses_match = (closed_r1_inv == r1_inv, closed_r2_inv == r2_inv)
     twisting = mat_compose(mat_compose(_flip(nb, na), r2_inv), r1)
 
     # a' (x) b goes to <S^-1 alpha_A(a'_1), b_2> a'_2 (x) b_1, and then a'_2 (x) b_1 to
     # <a'_22, alpha_B^-1(b_11)> a'_21 (x) b_12
     weight2 = mat_compose(gram, transpose(bb_i1))  # <a, alpha_B^-1(b)>
-    middles = rows(
-        mat_compose(paired(weight(sa_inv), False, e_a, e_b), paired(weight2, True, e_a, e_b))
-    )
+    middles = rows(mat_compose(paired(inverse, False, e_a, e_b), paired(weight2, True, e_a, e_b)))
     # first[a] maps a'_21 to a alpha_A^-2(a'_21), second[b'] maps b_12 to alpha_B^-2(b_12) b'
     first = [compose(aa_i2, lm) for lm in A.algebra.mul_cells]
     second = [compose(bb_i2, rm) for rm in transpose(B.algebra.mul_cells)]
@@ -754,7 +740,7 @@ def cocycle_twist(B, sigma: TwoCocycle, check: bool = True) -> HomAlgebra:
         report = check_cocycle(sigma)
         if not report.ok:
             raise PreconditionFailed("not a normal cocycle", report)
-    ainv1 = rows(bi.alpha_inverse)
+    ainv1 = bi.power(-1)
     mul = tuple(tuple(dense(apply_map(ainv1, w)) for w in row) for row in cocycle_products(sigma))
     return HomAlgebra(bi.dim, mul, bi.unit, bi.alpha)
 

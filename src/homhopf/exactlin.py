@@ -278,22 +278,6 @@ def mat_inverse(m: Matrix) -> Matrix:
     return tuple(tuple(row) for row in inv)
 
 
-def alpha_power(alpha: Matrix, k: int) -> Matrix:
-    """Exact k-th power of a structure map.
-
-    Negative powers require invertibility and raise SingularMatrixError
-    otherwise.  ``alpha_power(a, 0)`` is the identity.
-    """
-    n = len(alpha)
-    if k == 0:
-        return identity(n)
-    if k < 0:
-        return alpha_power(mat_inverse(alpha), -k)
-    if k == 1:
-        return alpha
-    return mat_compose(alpha_power(alpha, k - 1), alpha)
-
-
 def kron(f: SparseMatrix, g: SparseMatrix) -> SparseMatrix:
     """Kronecker product under row-major pair indexing ``p = i * dim(g) + j``."""
     q = g[0].dim

@@ -24,10 +24,11 @@ objects can be built deliberately to exercise the checkers.
 
 The dense fields are the public contract of each domain type.  Each type
 also owns read-only sparse views of them, the operand tables of the
-``exactlin`` kernels: ``HomAlgebra.mul_cells``, ``mul_map``, ``alpha_rows``
-and ``unit_vector``; ``HomCoalgebra.comul_rows``, ``comul_op_rows``,
-``comul_terms``, ``counit_map`` and ``alpha_rows``;
-``HomHopfAlgebra.antipode_rows``; ``ModuleAction.act_cells``;
+``exactlin`` kernels: ``HomAlgebra.mul_cells``, ``mul_map`` and
+``unit_vector``; ``HomCoalgebra.comul_rows``, ``comul_op_rows``,
+``comul_terms`` and ``counit_map``; ``alpha_rows`` and ``power(k)``, the
+rows of ``alpha^k``, of both; ``HomHopfAlgebra.antipode_rows`` and the dense
+``antipode_inverse``; ``ModuleAction.act_cells``;
 ``ComoduleCoaction.coact_rows`` and ``coact_terms``; the ``form`` of a
 ``PairingForm`` or ``TwoCocycle``; ``RMatrix.vector``; and the
 ``left_module`` and ``right_module`` of a ``MatchedPairData``, whose
@@ -35,12 +36,13 @@ and ``unit_vector``; ``HomCoalgebra.comul_rows``, ``comul_op_rows``,
 The ``op`` views are objects too: ``HomAlgebra.op`` is the opposite algebra
 and ``HomCoalgebra.op`` the co-opposite coalgebra, each with views of its
 own.  A view is built on first use and kept in the instance ``__dict__``
-(``functools.cached_property``): it is built once per object and freed with
-it, and it is not a ``Record`` field, so ``==``, ``hash``, ``repr`` and a
-copy built from ``__match_args__`` see only the dense fields.  Checkers and
-constructions read these views; none converts a dense field itself.  A
-``HomAlgebra`` or ``HomCoalgebra`` also keeps ``alpha_inverse`` in its
-``__dict__``: the inverse found when the structure map is validated.
+(``functools.cached_property``; ``power`` keeps one dict of powers): it is
+built once per object and freed with it, and it is not a ``Record`` field,
+so ``==``, ``hash``, ``repr`` and a copy built from ``__match_args__`` see
+only the dense fields.  Checkers and constructions read these views; none
+converts a dense field itself.  A ``HomAlgebra`` or ``HomCoalgebra`` also
+keeps ``alpha_inverse`` in its ``__dict__``: the inverse found when the
+structure map is validated.
 
 A mirrored law is checked as the one-sided law of an opposite: a left
 comodule algebra over ``C`` as a right one over ``C^cop``, and a right
@@ -63,7 +65,6 @@ from .exactlin import (
     SparseTensor3,
     Tensor3,
     Vector,
-    alpha_power,
     apply_kron,
     apply_map,
     basis,
@@ -72,6 +73,7 @@ from .exactlin import (
     comul_matrix,
     compose,
     dense,
+    dense_rows,
     flatten_pair,
     kron,
     linear_combination,
@@ -186,7 +188,38 @@ def _inverse(m: Matrix, message: str = "structure map must be invertible") -> Ma
         raise SingularMatrixError(message) from None
 
 
-class HomAlgebra(Record):
+class _HomSpace(Record):
+    """What a Hom-algebra and a Hom-coalgebra share: the invertible structure
+    map ``alpha`` of a ``dim``-dimensional space, its inverse and its powers."""
+
+    def __post_init__(self):
+        _require(mat_shape(self.alpha) == (self.dim, self.dim), "structure map shape")
+        # kept, not a field: its rows are power(-1)
+        object.__setattr__(self, "alpha_inverse", _inverse(self.alpha))
+
+    @cached_property
+    def alpha_rows(self) -> SparseMatrix:
+        return rows(self.alpha)
+
+    @cached_property
+    def _powers(self) -> dict[int, SparseMatrix]:
+        return {}
+
+    def power(self, k: int) -> SparseMatrix:
+        """The rows of ``alpha^k``, composed from the rows of ``alpha`` or of
+        ``alpha_inverse`` (``power(0)`` as ``alpha`` then ``alpha^-1``); each
+        power is built once."""
+        powers = self._powers
+        if k not in powers:
+            step = 1 if k > 0 else -1
+            if k == step:
+                powers[k] = self.alpha_rows if k == 1 else rows(self.alpha_inverse)
+            else:
+                powers[k] = compose(self.power(k - step), self.power(step))
+        return powers[k]
+
+
+class HomAlgebra(_HomSpace):
     """A unital Hom-associative algebra by structure constants.
 
     ``mul[i][j][k]`` is the ``e_k``-coefficient of ``e_i . e_j``; ``unit`` is
@@ -203,9 +236,7 @@ class HomAlgebra(Record):
         n = self.dim
         _require(tensor3_shape(self.mul) == (n, n, n), "multiplication tensor shape")
         _require(len(self.unit) == n, "unit vector length")
-        _require(mat_shape(self.alpha) == (n, n), "structure map shape")
-        # kept, not a field: alpha_power(alpha_inverse, k) is alpha^-k
-        object.__setattr__(self, "alpha_inverse", _inverse(self.alpha))
+        super().__post_init__()
 
     @cached_property
     def op(self) -> HomAlgebra:
@@ -222,15 +253,11 @@ class HomAlgebra(Record):
         return _flat(self.mul_cells)
 
     @cached_property
-    def alpha_rows(self) -> SparseMatrix:
-        return rows(self.alpha)
-
-    @cached_property
     def unit_vector(self) -> Sparse:
         return sparse(self.unit)
 
 
-class HomCoalgebra(Record):
+class HomCoalgebra(_HomSpace):
     """A counital Hom-coassociative coalgebra by structure constants.
 
     ``comul[i][j][k]`` is the ``e_j (x) e_k``-coefficient of ``delta(e_i)``;
@@ -246,9 +273,7 @@ class HomCoalgebra(Record):
         n = self.dim
         _require(tensor3_shape(self.comul) == (n, n, n), "comultiplication tensor shape")
         _require(len(self.counit) == n, "counit covector length")
-        _require(mat_shape(self.alpha) == (n, n), "structure map shape")
-        # kept, not a field: alpha_power(alpha_inverse, k) is alpha^-k
-        object.__setattr__(self, "alpha_inverse", _inverse(self.alpha))
+        super().__post_init__()
 
     @cached_property
     def op(self) -> HomCoalgebra:
@@ -274,10 +299,6 @@ class HomCoalgebra(Record):
     def counit_map(self) -> SparseMatrix:
         return _as_map(self.counit)
 
-    @cached_property
-    def alpha_rows(self) -> SparseMatrix:
-        return rows(self.alpha)
-
 
 class HomBialgebra(Record):
     algebra: HomAlgebra
@@ -295,6 +316,7 @@ class HomBialgebra(Record):
     alpha = _path("algebra.alpha")
     alpha_rows = _path("algebra.alpha_rows")
     alpha_inverse = _path("algebra.alpha_inverse")
+    power = _path("algebra.power")
 
 
 class HomHopfAlgebra(Record):
@@ -313,12 +335,17 @@ class HomHopfAlgebra(Record):
     alpha = _path("bialgebra.algebra.alpha")
     alpha_rows = _path("bialgebra.algebra.alpha_rows")
     alpha_inverse = _path("bialgebra.algebra.alpha_inverse")
+    power = _path("bialgebra.algebra.power")
     algebra = _path("bialgebra.algebra")
     coalgebra = _path("bialgebra.coalgebra")
 
     @cached_property
     def antipode_rows(self) -> SparseMatrix:
         return rows(self.antipode)
+
+    @cached_property
+    def antipode_inverse(self) -> Matrix:
+        return mat_inverse(self.antipode)
 
 
 def hopf_algebra(
@@ -768,7 +795,7 @@ def check_module_algebra(m: ModuleAction) -> CheckReport:
     carrier = algebra_of(m.carrier)
     na, nc = actor.dim, carrier.dim
     act, cmc, cmul = m.act_cells, carrier.mul_cells, carrier.mul_map
-    alpha2 = rows(alpha_power(actor.alpha, 2))
+    alpha2 = actor.power(2)
     e, eta = basis(na), (carrier.unit_vector,)
     eps, delta = actor.coalgebra.counit_map, actor.coalgebra.comul_rows
     acting_on = transpose(act)  # acting_on[a] is the map h -> h . e_a
@@ -810,7 +837,7 @@ def check_comodule_coalgebra(c: ComoduleCoaction) -> CheckReport:
     coactor = bialgebra_of(c.coactor)
     carrier = coalgebra_of(c.carrier)
     nm, nh = carrier.dim, coactor.dim
-    alpha2 = rows(alpha_power(coactor.alpha, 2))
+    alpha2 = coactor.power(2)
     rho, rho_terms, hmul = c.coact_rows, c.coact_terms, coactor.algebra.mul_cells
     comul_terms, cm, eps = carrier.comul_terms, carrier.comul_rows, carrier.counit_map
     eta = (coactor.algebra.unit_vector,)
@@ -925,8 +952,8 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
     H = bialgebra_of(mp.H)
     na, nh = A.dim, H.dim
     left, right = mp.left_cells, mp.right_cells
-    ah_i1, ah_i2, ah_i3 = (rows(alpha_power(H.alpha_inverse, k)) for k in (1, 2, 3))
-    aa_i1, aa_i2, aa_i3 = (rows(alpha_power(A.alpha_inverse, k)) for k in (1, 2, 3))
+    ah_i1, ah_i2, ah_i3 = (H.power(-k) for k in (1, 2, 3))
+    aa_i1, aa_i2, aa_i3 = (A.power(-k) for k in (1, 2, 3))
     amul, hmul = A.algebra.mul_cells, H.algebra.mul_cells
     h_terms, a_terms = H.coalgebra.comul_terms, A.coalgebra.comul_terms
     delta_a, delta_a_op = A.coalgebra.comul_rows, A.coalgebra.comul_op_rows
@@ -1009,9 +1036,9 @@ def check_dual_pair(P: PairingForm) -> CheckReport:
     a_unit, b_unit, s_a = (A.algebra.unit_vector,), (B.algebra.unit_vector,), A.antipode_rows
     form = P.form
     pair = _flat(form)  # a (x) b -> <a, b>
-    s_b_inverse = compose(kron(e_a, rows(mat_inverse(B.antipode))), pair)
+    s_b_inverse = compose(kron(e_a, rows(B.antipode_inverse)), pair)
     # x -> <alpha^2(a_i), x> on B and x -> <x, alpha^2(b_j)> on A
-    with_a, with_b = _partial_forms(gram, alpha_power(A.alpha, 2), alpha_power(B.alpha, 2))
+    with_a, with_b = _partial_forms(gram, dense_rows(A.power(2)), dense_rows(B.power(2)))
     delta_a, delta_b = A.coalgebra.comul_rows, B.coalgebra.comul_rows
 
     def mul_comul_right(swapped: bool):
@@ -1056,7 +1083,7 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
     B = sigma.algebra
     gram = sigma.gram
     n = B.dim
-    alpha2 = alpha_power(B.alpha, 2)
+    alpha2 = dense_rows(B.power(2))
     alpha, pair = B.alpha_rows, _flat(sigma.form)
     # left: sigma(l_1, k_1) l_2 k_2; right: sigma(l_2, k_2) l_1 k_1
     w = cocycle_products(sigma)

@@ -45,7 +45,6 @@ from .exactlin import (
     comul_matrix,
     compose,
     kron,
-    rows,
     sparse,
     tensor3_shape,
 )
@@ -308,7 +307,6 @@ def verify_dual_pair_route(H: HomHopfAlgebra) -> SuiteResult:
     embed_b = kron((A.algebra.unit_vector,), basis(nb))  # b -> 1 (x) b
 
     mul = paired.hopf.algebra.mul_map
-    alpha_inv = (rows(A.alpha_inverse), rows(B.alpha_inverse))
     embeddings = (
         _sweep(
             "pair-double.first-factor-embedding",
@@ -325,7 +323,7 @@ def verify_dual_pair_route(H: HomHopfAlgebra) -> SuiteResult:
         _sweep(
             "pair-double.mixed-embedding",
             (na, nb),
-            compose(kron(embed_a, embed_b), mul, alpha_inv),
+            compose(kron(embed_a, embed_b), mul, (A.power(-1), B.power(-1))),
             basis(na * nb),
         ),
     )

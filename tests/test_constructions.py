@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -192,16 +193,21 @@ class TestComoduleCotwist:
         assert phi == flip
 
     def test_opposite_coaction_matches_direct_formula(self):
-        from homhopf.exactlin import alpha_power, nonzeros
+        from homhopf.exactlin import mat_compose, mat_inverse, nonzeros
 
         sw = catalog_sweedler_hom().hopf
         _, _, co = self_bicross_data(sw)
         phi = comodule_cotwist(co)
         n = 4
-        ai = rows(alpha_power(sw.alpha, -1))
-        ai2 = alpha_power(sw.alpha, -2)
-        ai3 = rows(alpha_power(sw.alpha, -3))
-        ai4 = rows(alpha_power(sw.alpha, -4))
+
+        def inverse_power(k):
+            """alpha^-k as a dense matrix, independent of ``power``."""
+            return reduce(mat_compose, [mat_inverse(sw.alpha)] * k)
+
+        ai = rows(inverse_power(1))
+        ai2 = inverse_power(2)
+        ai3 = rows(inverse_power(3))
+        ai4 = rows(inverse_power(4))
         mul, antipode = cells(sw.mul), rows(sw.antipode)
         entries = {}
         for k in range(n):

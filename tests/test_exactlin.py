@@ -1,4 +1,4 @@
-"""Exact linear algebra: inverses, powers, Kronecker products, sparse kernels."""
+"""Exact linear algebra: inverses, structure-map powers, Kronecker products, sparse kernels."""
 
 from fractions import Fraction
 from functools import reduce
@@ -13,7 +13,6 @@ from homhopf.catalog import catalog_ax1, catalog_cyclic, get_entry
 from homhopf.errors import DimensionMismatch, SingularMatrixError
 from homhopf.exactlin import (
     ZERO,
-    alpha_power,
     apply_kron,
     apply_map,
     basis,
@@ -40,7 +39,7 @@ from homhopf.exactlin import (
     tensor_power_product,
     terms,
 )
-from homhopf.structures import _sweep
+from homhopf.structures import HomAlgebra, _sweep
 
 F = Fraction
 
@@ -172,23 +171,33 @@ class TestInverse:
         assert mat_compose(inv, m) == identity(3)
 
 
+def zero_product(m):
+    """A Hom-algebra with the zero product on the structure map ``m``, for its ``power`` views."""
+    n = len(m)
+    return HomAlgebra(n, (((ZERO,) * n,) * n,) * n, (ZERO,) * n, m)
+
+
 class TestAlphaPower:
+    """Powers of a structure map, read through ``HomAlgebra.power``."""
+
     def test_ax1_beta_squared(self):
         beta = catalog_ax1().hopf.alpha
-        assert alpha_power(beta, 2) == identity(2)
+        assert dense_rows(zero_product(beta).power(2)) == identity(2)
 
     def test_zeroth_power(self):
-        m = matrix_from_rows([[2, 1], [1, 1]])
-        assert alpha_power(m, 0) == identity(2)
+        A = zero_product(matrix_from_rows([[2, 1], [1, 1]]))
+        for k in (1, 2, 3):
+            assert dense_rows(compose(A.power(k), A.power(-k))) == identity(2)
+        assert dense_rows(A.power(0)) == identity(2)
 
     def test_cyclic_inversion_is_involutive(self):
         phi = catalog_cyclic(3).hopf.alpha
-        assert alpha_power(phi, -1) == phi
+        assert dense_rows(zero_product(phi).power(-1)) == phi
         assert mat_compose(phi, phi) == identity(3)
 
     def test_negative_power_of_singular(self):
         with pytest.raises(SingularMatrixError):
-            alpha_power(matrix_from_rows([[1, 0], [0, 0]]), -1)
+            zero_product(matrix_from_rows([[1, 0], [0, 0]])).power(-1)
 
     @given(square(2), st.integers(-7, 7), st.integers(-7, 7))
     @settings(max_examples=40)
@@ -197,7 +206,8 @@ class TestAlphaPower:
             mat_inverse(m)
         except SingularMatrixError:
             return
-        assert alpha_power(m, j + k) == mat_compose(alpha_power(m, j), alpha_power(m, k))
+        A = zero_product(m)
+        assert dense_rows(A.power(j + k)) == dense_rows(compose(A.power(j), A.power(k)))
 
 
 def dense_kron(f, g):

@@ -9,8 +9,9 @@ dense, may allocate a dense list of zeros.  More keep the sparse operand tables 
 objects: a second Hopf suite on one object, a second matched-pair check, a
 second left or right comodule-algebra check by a coproduct and a second
 ``verify prop4.7`` on the same objects convert no structure tensor again,
-each structure map is inverted once, and the source has no module-level
-cache.
+each structure map and each antipode is inverted once, and the source has
+no module-level cache.  A last tooling test keeps the powers of a structure
+map and the inverse antipode views of the objects.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import homhopf
 from homhopf import constructions, exactlin, structures, verify
 from homhopf.catalog import get_entry
 from homhopf.constructions import (
+    canonical_r_matrix,
+    co_opposite,
     drinfeld_double,
     drinfeld_double_tilde,
     dual,
@@ -33,6 +36,7 @@ from homhopf.constructions import (
     dual_pair_double,
     evaluation_pairing,
     heisenberg_double,
+    opposite_hopf,
     self_bicross_data,
 )
 from homhopf.exactlin import mat_inverse, nonzeros
@@ -184,32 +188,34 @@ def _converted(monkeypatch) -> list:
 
 def test_matched_pair_check_reuses_the_left_action_cells(monkeypatch):
     """The module-coalgebra sub-check of ``check_matched_pair`` reads
-    ``mp.left_module``, whose ``act_cells`` are ``mp.left_cells``: a second
-    check converts no cell of the left action again."""
+    ``mp.left_module``, whose ``act_cells`` are ``mp.left_cells``, and the
+    structure-map powers are views of the two bialgebras: a second check
+    converts nothing at all.  The one conversion made after it shows that
+    the count is live."""
     h = get_entry("s3_inner").hopf
     hop, act, co = self_bicross_data(h)
     mp = dual_matched_pair(h, hop, act, co, check=False)
     check_matched_pair(mp)
-    cells = {id(cell) for plane in mp.left_action for cell in plane}
     seen = _converted(monkeypatch)
     check_matched_pair(mp)
+    exactlin.sparse((1,))
     assert mp.left_module.act_cells is mp.left_cells
-    assert seen and not [v for v in seen if id(v) in cells]
+    assert seen == [(1,)]
 
 
 def test_matched_pair_check_reuses_the_right_action_cells(monkeypatch):
     """The right action is checked as ``mp.right_module``, a left action of
     ``A_op`` whose cells, transposed, are ``mp.right_cells``: a second check
-    converts no cell of the right action again."""
+    converts nothing at all, the right action included."""
     h = get_entry("s3_inner").hopf
     mp = dual_matched_pair(h, *self_bicross_data(h), check=False)
     check_matched_pair(mp)
-    cells = {id(cell) for plane in mp.right_action for cell in plane}
     seen = _converted(monkeypatch)
     check_matched_pair(mp)
+    exactlin.sparse((1,))
     act = mp.right_module.act_cells
     assert all(mp.right_cells[g][a] is act[a][g] for a in range(mp.A.dim) for g in range(mp.H.dim))
-    assert seen and not [v for v in seen if id(v) in cells]
+    assert seen == [(1,)]
 
 
 def test_left_coaction_check_reads_the_coactor_tables(monkeypatch):
@@ -275,6 +281,31 @@ def test_structure_maps_are_inverted_once_per_object(monkeypatch):
     assert double.algebra.alpha_inverse == double.coalgebra.alpha_inverse
 
 
+def test_the_antipode_is_inverted_once_per_object(monkeypatch):
+    """``HomHopfAlgebra.antipode_inverse`` is found on first use and kept:
+    the double, the opposite and co-opposite Hopf algebras and the canonical
+    R-matrix of one object invert its antipode once between them."""
+    h = get_entry("s3_inner").hopf
+    inverted = []
+
+    def counted(m):
+        inverted.append(m)
+        return mat_inverse(m)
+
+    for module in (exactlin, structures, constructions):
+        monkeypatch.setattr(module, "mat_inverse", counted)
+    double = drinfeld_double(h)
+    opposite_hopf(h)
+    co_opposite(h)
+    canonical_r_matrix(h, double)
+    assert [m for m in inverted if m is h.antipode] == [h.antipode]
+
+
+def _name(target) -> str:
+    """The name an expression reads: ``f`` in ``f`` and in ``m.f``."""
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+
+
 class _Caches(ast.NodeVisitor):
     """Collects ``(module, function)`` of each ``functools.lru_cache`` or
     ``functools.cache`` decorator or call."""
@@ -286,9 +317,7 @@ class _Caches(ast.NodeVisitor):
         self.found: list[tuple[str, str]] = []
 
     def _check(self, node, where: str) -> None:
-        target = node.func if isinstance(node, ast.Call) else node
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-        if name in self.NAMES:
+        if _name(node.func if isinstance(node, ast.Call) else node) in self.NAMES:
             self.found.append((self.module, where))
 
     def visit_FunctionDef(self, node):
@@ -311,4 +340,24 @@ def test_no_module_level_caches():
         visitor = _Caches(path.stem)
         visitor.visit(ast.parse(path.read_text(), filename=str(path)))
         found += visitor.found
+    assert found == []
+
+
+def test_powers_and_the_inverse_antipode_are_views():
+    """A power of a structure map is ``power(k)`` and the inverse of an
+    antipode is ``HomHopfAlgebra.antipode_inverse``, each built once per
+    object: no module defines or calls ``alpha_power``, and no module but
+    ``structures`` calls ``mat_inverse`` on an attribute ``antipode`` or
+    ``alpha``."""
+    found = []
+    for path in sorted(Path(homhopf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "alpha_power":
+                found.append((path.stem, f"def {node.name}"))
+            elif isinstance(node, ast.Call) and _name(node.func) == "alpha_power":
+                found.append((path.stem, ast.unparse(node)))
+            elif isinstance(node, ast.Call) and _name(node.func) == "mat_inverse":
+                inverts = [a for a in node.args if getattr(a, "attr", "") in ("antipode", "alpha")]
+                if inverts and path.stem != "structures":
+                    found.append((path.stem, ast.unparse(node)))
     assert found == []

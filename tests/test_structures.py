@@ -3,6 +3,7 @@
 
 from dataclasses import make_dataclass
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -39,6 +40,7 @@ from homhopf.exactlin import (
     dense,
     identity,
     mat_compose,
+    mat_inverse,
     matrix_from_entries,
     matrix_from_rows,
     rows,
@@ -519,21 +521,35 @@ def as_dense(table):
     return table
 
 
+POWERS = (1, -1, 2, -2, 3, -3, 4, -4)
+
+
 def hopf_views(H):
     """Every view of a Hopf object and of its algebra and coalgebra, by name."""
     A, C = H.algebra, H.coalgebra
     names = {
         A: ("mul_cells", "mul_map", "alpha_rows", "unit_vector"),
         C: ("comul_rows", "comul_op_rows", "comul_terms", "counit_map", "alpha_rows"),
-        H: ("antipode_rows",),
+        H: ("antipode_rows", "antipode_inverse"),
     }
-    return {(type(obj).__name__, name): getattr(obj, name) for obj, ns in names.items() for name in ns}
+    views = {(type(obj).__name__, name): getattr(obj, name) for obj, ns in names.items() for name in ns}
+    views.update({(type(x).__name__, f"power({k})"): x.power(k) for x in (A, C) for k in POWERS})
+    return views
+
+
+def dense_power(alpha, k):
+    """``alpha^k`` for a nonzero ``k`` as a dense matrix, by ``mat_inverse`` and ``mat_compose``."""
+    return reduce(mat_compose, [alpha if k > 0 else mat_inverse(alpha)] * abs(k))
 
 
 def hopf_conversions(H):
     """The conversions of the dense fields that the views of ``hopf_views`` replace."""
     co_opposite = tuple(transpose(plane) for plane in H.comul)
+    powers = {f"power({k})": rows(dense_power(H.alpha, k)) for k in POWERS}
     return {
+        **{("HomAlgebra", name): power for name, power in powers.items()},
+        **{("HomCoalgebra", name): power for name, power in powers.items()},
+        ("HomHopfAlgebra", "antipode_inverse"): mat_inverse(H.antipode),
         ("HomAlgebra", "mul_cells"): cells(H.mul),
         ("HomAlgebra", "mul_map"): rows(tuple(row for plane in H.mul for row in plane)),
         ("HomAlgebra", "alpha_rows"): rows(H.alpha),
@@ -568,6 +584,12 @@ class TestViews:
         assert A.mul_cells is A.mul_cells and algebra_of(H).mul_cells is A.mul_cells
         assert coalgebra_of(H).comul_rows is bialgebra_of(H).coalgebra.comul_rows
         assert H.alpha_rows is A.alpha_rows
+        C, B = H.coalgebra, H.bialgebra
+        assert A.power(1) is A.alpha_rows and C.power(1) is C.alpha_rows
+        for k in POWERS:
+            assert A.power(k) is A.power(k) and C.power(k) is C.power(k)
+            assert H.power(k) is A.power(k) and B.power(k) is A.power(k)
+        assert H.antipode_inverse is H.antipode_inverse
         # the flattened map reuses the cells' sparse vectors
         n = A.dim
         assert all(A.mul_map[i * n + j] is A.mul_cells[i][j] for i in range(n) for j in range(n))
