@@ -15,7 +15,7 @@ from homhopf.catalog import (
     symmetric3_data,
 )
 from homhopf.exactlin import basis_vector, tensor3_from_entries
-from homhopf.structures import ComoduleCoaction, ModuleAction
+from homhopf.structures import ComoduleCoaction, ModuleAction, Witness
 from homhopf.verify import (
     verify_cor_2_9,
     verify_dual_pair_route,
@@ -223,6 +223,21 @@ class TestDualPairSuite:
     def test_swapped_reading_reported(self):
         result = verify_dual_pair_route(get_entry("cyclic:2").hopf)
         assert "swapped" in result.steps[0].note
+
+    def test_s3_inner_closed_form_comparison_witnesses(self):
+        """The pair double and the closed-form double of s3_inner differ in
+        product, coproduct and antipode; each first witness is pinned, the
+        coproduct's as a first-leg slice ``(i, j)`` of ``delta(e_i)``."""
+        result = verify_dual_pair_route(get_entry("s3_inner").hopf)
+        step = next(s for s in result.steps if s.name == "comparison with the closed-form double")
+        e = [basis_vector(36, k) for k in range(36)]
+        assert [(c.axiom_id, c.witness) for c in step.report.checks] == [
+            ("pair-vs-closed.mul", Witness((3, 10), (0,) * 36, e[11])),
+            ("pair-vs-closed.unit", None),
+            ("pair-vs-closed.alpha", None),
+            ("pair-vs-closed.comul", Witness((1, 3), e[5], e[4])),
+            ("pair-vs-closed.antipode", Witness((9,), e[16], e[17])),
+        ]
 
 
 class TestComoduleAlgebraSuite:
