@@ -628,19 +628,19 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
         required = [c for c in report.checks if c.axiom_id != "pairing.mul-comul-right-swapped"]
         if not all(c.passed for c in required):
             raise PreconditionFailed("not a dual pair", CheckReport(tuple(required)))
-    aa_i1, aa_i2, bb_i1, bb_i2 = A.power(-1), A.power(-2), B.alpha_inverse, B.power(-2)
+    aa_i1, aa_i2, bb_i1, bb_i2 = A.power(-1), A.power(-2), B.power(-1), B.power(-2)
     sa_inv, sb_inv = A.antipode_inverse, B.antipode_inverse
-    e_a, e_b = basis(na), identity(nb)
+    e_a, e_b = basis(na), basis(nb)
 
-    def paired(weight: Matrix, first: bool, a_then: SparseMatrix, b_then: Matrix) -> Matrix:
+    def paired(weight: Matrix, first: bool, a_then: SparseMatrix, b_then: SparseMatrix) -> Matrix:
         """The map on ``A (x) B`` that pairs one Sweedler leg of ``a`` with one of
         ``b`` through ``weight`` and keeps the other two, then applies
         ``a_then (x) b_then``: ``a_1 (x) <a_2, b_1> b_2`` if ``first``, else
         ``a_2 (x) <a_1, b_2> b_1``, the same through the co-opposites."""
         ca, cb = (A.coalgebra, B.coalgebra) if first else (A.coalgebra.op, B.coalgebra.op)
-        legs, b_comul = ca.comul_rows, cb.comul
+        legs, w = ca.comul_rows, rows(weight)
         # through[b] maps the paired leg of a to the kept leg of b
-        through = [rows(mat_compose(mat_compose(weight, plane), b_then)) for plane in b_comul]
+        through = [compose(w, rows(plane), b_then) for plane in cb.comul]
         return tuple(
             dense(apply_kron(a_then, through[b], legs[a])) for a in range(na) for b in range(nb)
         )
@@ -658,7 +658,7 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
 
     # a' (x) b goes to <S^-1 alpha_A(a'_1), b_2> a'_2 (x) b_1, and then a'_2 (x) b_1 to
     # <a'_22, alpha_B^-1(b_11)> a'_21 (x) b_12
-    weight2 = mat_compose(gram, transpose(bb_i1))  # <a, alpha_B^-1(b)>
+    weight2 = mat_compose(gram, transpose(B.alpha_inverse))  # <a, alpha_B^-1(b)>
     middles = rows(mat_compose(paired(inverse, False, e_a, e_b), paired(weight2, True, e_a, e_b)))
     # first[a] maps a'_21 to a alpha_A^-2(a'_21), second[b'] maps b_12 to alpha_B^-2(b_12) b'
     first = [compose(aa_i2, lm) for lm in A.algebra.mul_cells]

@@ -338,9 +338,14 @@ def compose(m: SparseMatrix, *maps) -> SparseMatrix:
 def tensor3_from_entries(
     shape: tuple[int, int, int], entries: dict[tuple[int, int, int], Scalar]
 ) -> Tensor3:
+    """The tensor of ``shape`` with ``entries``; its zero rows are one shared tuple."""
     n1, n2, n3 = shape
+    zero, filled = (ZERO,) * n3, {(i, j) for i, j, _ in entries}
     return tuple(
-        tuple(tuple(entries.get((i, j, k), ZERO) for k in range(n3)) for j in range(n2))
+        tuple(
+            tuple(entries.get((i, j, k), ZERO) for k in range(n3)) if (i, j) in filled else zero
+            for j in range(n2)
+        )
         for i in range(n1)
     )
 
@@ -444,6 +449,10 @@ def comul_matrix(comul: Tensor3) -> Matrix:
 
 
 def comul_tensor(m: Matrix, n2: int) -> Tensor3:
-    """The inverse of ``comul_matrix``: a map to a pair space whose second
-    factor has dimension ``n2``, as a rank-3 tensor."""
-    return tuple(tuple(row[p : p + n2] for p in range(0, len(row), n2)) for row in m)
+    """The inverse of ``comul_matrix``: a map to a pair space whose second factor
+    has dimension ``n2``, as a rank-3 tensor; its zero rows are one shared tuple."""
+    zero = (ZERO,) * n2
+    return tuple(
+        tuple(s if any(s) else zero for s in (row[p : p + n2] for p in range(0, len(row), n2)))
+        for row in m
+    )

@@ -16,7 +16,8 @@ a lazy stream of per-case sides through the same ``_sweep``, which stops at
 the first failure and skips the cases that are structurally zero.  As whole
 maps, one per leading index, they would hold n^3 rows, and Hom-associativity
 alone took 0.069 s on the 36-dim double of ``s3_inner`` against 0.053 s for
-the whole per-case algebra checker.
+the whole per-case algebra checker.  ``check_morphism`` compares two objects
+through a map ``phi: X -> Y`` by the same sweeps.
 
 Structural invariants (shapes, invertibility of structure maps) are enforced
 at construction; algebraic axioms are only ever checker verdicts, so broken
@@ -75,6 +76,7 @@ from .exactlin import (
     dense,
     dense_rows,
     flatten_pair,
+    identity,
     kron,
     linear_combination,
     mat_compose,
@@ -766,6 +768,43 @@ def run_hopf_suite(H: HomHopfAlgebra) -> CheckReport:
         check_hom_bialgebra(H),
         check_antipode(H),
     )
+
+
+def check_morphism(prefix: str, X, Y, phi: SparseMatrix) -> CheckReport:
+    """The row-image map ``phi: X -> Y`` as a morphism: ``phi(x y) = phi(x) phi(y)``,
+    ``phi(1) = 1``, ``phi alpha_X = alpha_Y phi`` and, of two Hom-Hopf algebras,
+    ``(phi (x) phi) delta_X = delta_Y phi`` and ``phi S_X = S_Y phi``.  Products
+    and coproducts are made as the sweep reads them; a coproduct case ``(i, j)``
+    is the first-leg slice ``j`` of both sides on ``e_i``."""
+    A, B = algebra_of(X), algebra_of(Y)
+    n, m = A.dim, B.dim
+    _require(len(phi) == n and phi[0].dim == m, "morphism shape")
+    xc, yc = A.mul_cells, B.mul_cells
+    products = (
+        ((i, j), apply_map(phi, xc[i][j]), bilinear_apply(yc, phi[i], phi[j]))
+        for i, j in product(range(n), repeat=2)
+    )
+    checks = [
+        _sweep(prefix + ".mul", products),
+        _sweep(prefix + ".unit", (), compose((A.unit_vector,), phi), (B.unit_vector,)),
+        _sweep(prefix + ".alpha", (n,), compose(A.alpha_rows, phi), compose(phi, B.alpha_rows)),
+    ]
+    if isinstance(X, HomHopfAlgebra) and isinstance(Y, HomHopfAlgebra):
+        xd, yd, e = X.coalgebra.comul_rows, Y.coalgebra.comul_rows, basis(m)
+        # (picks[j] (x) id)(v) is the first-leg slice j of v: picks[j] is the covector e_j^*
+        picks = [_as_map(row) for row in identity(m)]
+        images = ((i, apply_kron(phi, phi, xd[i]), apply_map(yd, phi[i])) for i in range(n))
+        coproducts = (
+            ((i, j), apply_kron(pick, e, lhs), apply_kron(pick, e, rhs))
+            for i, lhs, rhs in images
+            for j, pick in enumerate(picks)
+        )
+        S, T = X.antipode_rows, Y.antipode_rows
+        checks += (
+            _sweep(prefix + ".comul", coproducts),
+            _sweep(prefix + ".antipode", (n,), compose(S, phi), compose(phi, T)),
+        )
+    return CheckReport(tuple(checks))
 
 
 def check_module(m: ModuleAction) -> CheckReport:

@@ -3,17 +3,17 @@
 Each suite composes constructions with the generic checkers and returns a
 SuiteResult: a named list of CheckReports, one per step, plus the overall
 verdict and wall time.  Suites never trust construction code: every composite
-object they build is pushed through the generic axiom checkers, and tensor
-comparisons are entrywise over all structure constants.  Identification maps
-between differently ordered tensor factors are recorded in step notes so a
-failed comparison distinguishes a wrong identity from a wrong identification.
+object they build is pushed through the generic axiom checkers, and two objects
+are compared as composed-map laws through an identification ``phi: X -> Y``
+(``structures.check_morphism``, with the identity where both live on one space
+in one order).  The identification is recorded in the step note, so a failed
+comparison distinguishes a wrong identity from a wrong identification.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
-from itertools import product
 from typing import TYPE_CHECKING
 
 from .constructions import (
@@ -35,21 +35,8 @@ from .constructions import (
     self_bicross_data,
 )
 from .errors import CrossCheckFailed
-from .exactlin import (
-    ONE,
-    ZERO,
-    Matrix,
-    Tensor3,
-    basis,
-    basis_vector,
-    comul_matrix,
-    compose,
-    kron,
-    sparse,
-    tensor3_shape,
-)
+from .exactlin import ONE, ZERO, basis, cells, compose, kron, rows, sparse
 from .structures import (
-    CheckEntry,
     CheckReport,
     make_entry,
     ComoduleCoaction,
@@ -62,10 +49,11 @@ from .structures import (
     check_dual_pair,
     check_left_comodule_algebra,
     check_module_algebra,
+    check_morphism,
     check_quasitriangular,
     check_twisting,
-    merge_reports,
     run_hopf_suite,
+    _flat,
     _sweep,
 )
 
@@ -97,35 +85,6 @@ def _timed(suite: str, steps: list[SuiteStep], started: float) -> SuiteResult:
     return SuiteResult(suite, tuple(steps), time.perf_counter() - started)
 
 
-def _dense_sweep(axiom_id: str, indices, lhs_fn, rhs_fn) -> CheckEntry:
-    """``_sweep`` over two basis-indexed dense expressions: only the cases
-    whose dense sides differ are made sparse and compared."""
-    cases = ((idx, lhs_fn(*idx), rhs_fn(*idx)) for idx in indices)
-    return _sweep(axiom_id, ((idx, sparse(a), sparse(b)) for idx, a, b in cases if a != b))
-
-
-def _tensor_equal(axiom_id: str, lhs: Tensor3, rhs: Tensor3) -> CheckEntry:
-    n1, n2, _ = tensor3_shape(lhs)
-    return _dense_sweep(
-        axiom_id, product(range(n1), range(n2)), lambda i, j: lhs[i][j], lambda i, j: rhs[i][j]
-    )
-
-
-def _matrix_equal(axiom_id: str, lhs: Matrix, rhs: Matrix) -> CheckEntry:
-    return _dense_sweep(axiom_id, product(range(len(lhs))), lambda i: lhs[i], lambda i: rhs[i])
-
-
-def _algebra_agrees(prefix: str, lhs, rhs) -> CheckReport:
-    """Entrywise agreement of two Hom-algebras on the same space."""
-    return CheckReport(
-        (
-            _tensor_equal(prefix + ".mul", lhs.mul, rhs.mul),
-            _dense_sweep(prefix + ".unit", [()], lambda: lhs.unit, lambda: rhs.unit),
-            _matrix_equal(prefix + ".alpha", lhs.alpha, rhs.alpha),
-        )
-    )
-
-
 def verify_thm_2_6(
     A: HomHopfAlgebra,
     H: HomHopfAlgebra,
@@ -146,10 +105,11 @@ def verify_thm_2_6(
     built = bicrossproduct(A, H, act, co, check=False)
     steps.append(SuiteStep("hopf suite on the bicrossproduct", run_hopf_suite(built)))
     if golden is not None:
+        n = built.dim
         golden_checks = (
-            _tensor_equal("golden.products", built.mul, golden.products),
-            _matrix_equal("golden.coproducts", comul_matrix(built.comul), golden.coproducts),
-            _matrix_equal("golden.antipodes", built.antipode, golden.antipodes),
+            _sweep("golden.products", (n, n), built.algebra.mul_map, _flat(cells(golden.products))),
+            _sweep("golden.coproducts", (n,), built.coalgebra.comul_rows, rows(golden.coproducts)),
+            _sweep("golden.antipodes", (n,), built.antipode_rows, rows(golden.antipodes)),
         )
         steps.append(
             SuiteStep(
@@ -182,18 +142,16 @@ def verify_cor_2_9(H: HomHopfAlgebra, group: GroupData | None = None) -> SuiteRe
     steps.append(SuiteStep("hopf suite on the bicrossproduct", run_hopf_suite(built)))
     if group is not None:
         n, mul, inv, phi = group.order, group.table, group.inverse, group.automorphism
-
-        def closed_form(a, h, b, k):
-            p = phi[mul[mul[mul[a][inv[h]]][b]][h]]
-            q = phi[mul[k][h]]
-            return basis_vector(n * n, p * n + q)
-
-        entry = _dense_sweep(
-            "self-bicross.group-like-product",
-            product(range(n), repeat=4),
-            lambda a, h, b, k: built.mul[a * n + h][b * n + k],
-            closed_form,
+        e, g = basis(n * n), range(n)
+        # row (a, h, b, k) of the product map is (a x h)(b x k)
+        closed = tuple(
+            e[phi[mul[mul[mul[a][inv[h]]][b]][h]] * n + phi[mul[k][h]]]
+            for a in g
+            for h in g
+            for b in g
+            for k in g
         )
+        entry = _sweep("self-bicross.group-like-product", (n,) * 4, built.algebra.mul_map, closed)
         steps.append(
             SuiteStep(
                 "group-like closed form",
@@ -220,12 +178,12 @@ def verify_prop_2_19(H: HomHopfAlgebra, group: GroupData | None = None) -> Suite
             for s in range(n):
                 q = group.inverse[g] * n + s
                 expected[p, q] = expected.get((p, q), ZERO) + ONE
-        entry = _dense_sweep(
-            "canonical-r.group-closed-form",
-            product(range(n * n), repeat=2),
-            lambda p, q: (r.entries[p][q],),
-            lambda p, q: (expected.get((p, q), ZERO),),
+        cases = (
+            ((p, q), sparse((r.entries[p][q],)), sparse((expected.get((p, q), ZERO),)))
+            for p in range(n * n)
+            for q in range(n * n)
         )
+        entry = _sweep("canonical-r.group-closed-form", cases)
         steps.append(SuiteStep("closed-form R", CheckReport((entry,))))
     return _timed("canonical-r-matrix", steps, started)
 
@@ -234,7 +192,7 @@ def verify_thm_4_5(A: HomHopfAlgebra) -> SuiteResult:
     """The twist theorem: the left twist of the double by the canonical left
     cocycle equals the Heisenberg double of the opposite, and the right twist
     of the mirrored double by the canonical right cocycle equals the
-    Heisenberg double of the dual, entrywise."""
+    Heisenberg double of the dual, each through the identity map."""
     started = time.perf_counter()
     double = drinfeld_double(A)
     tilde = drinfeld_double_tilde(A)
@@ -250,14 +208,14 @@ def verify_thm_4_5(A: HomHopfAlgebra) -> SuiteResult:
     steps.append(
         SuiteStep(
             "left twist equals opposite Heisenberg double",
-            _algebra_agrees("twist-vs-heisenberg", left_twist, h_op),
+            check_morphism("twist-vs-heisenberg", left_twist, h_op, basis(A.dim**2)),
             note="identity identification: both live on A (x) A_dual",
         )
     )
     steps.append(
         SuiteStep(
             "right twist equals dual Heisenberg double",
-            _algebra_agrees("twist-vs-heisenberg", right_twist, h_dual),
+            check_morphism("twist-vs-heisenberg", right_twist, h_dual, basis(A.dim**2)),
             note="identity identification: both live on A_dual (x) A",
         )
     )
@@ -267,8 +225,8 @@ def verify_thm_4_5(A: HomHopfAlgebra) -> SuiteResult:
 def verify_dual_pair_route(H: HomHopfAlgebra) -> SuiteResult:
     """The pairing route to the double: dual-pair conditions for the
     evaluation pairing, the Hopf suite on the resulting double, the twisting
-    map conditions, the embedding identities, and an entrywise comparison
-    with the closed-form double."""
+    map conditions, the embedding identities, and a comparison with the
+    closed-form double through the identity map."""
     started = time.perf_counter()
     pairing = evaluation_pairing(H)
     paired: PairedDouble = dual_pair_double(pairing, check=False)
@@ -333,15 +291,7 @@ def verify_dual_pair_route(H: HomHopfAlgebra) -> SuiteResult:
     steps.append(
         SuiteStep(
             "comparison with the closed-form double",
-            merge_reports(
-                _algebra_agrees("pair-vs-closed", paired.hopf, closed),
-                CheckReport(
-                    (
-                        _tensor_equal("pair-vs-closed.comul", paired.hopf.comul, closed.comul),
-                        _matrix_equal("pair-vs-closed.antipode", paired.hopf.antipode, closed.antipode),
-                    )
-                ),
-            ),
+            check_morphism("pair-vs-closed", paired.hopf, closed, basis(closed.dim)),
             note="identity identification: both doubles live on H_op (x) H_dual in the same order",
         )
     )

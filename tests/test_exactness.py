@@ -10,8 +10,9 @@ objects: a second Hopf suite on one object, a second matched-pair check, a
 second left or right comodule-algebra check by a coproduct and a second
 ``verify prop4.7`` on the same objects convert no structure tensor again,
 each structure map and each antipode is inverted once, and the source has
-no module-level cache.  A last tooling test keeps the powers of a structure
-map and the inverse antipode views of the objects.
+no module-level cache.  Two last tooling tests keep the powers of a
+structure map and the inverse antipode views of the objects, and keep every
+comparison of two objects' tables in the checkers of ``structures``.
 """
 
 from __future__ import annotations
@@ -359,5 +360,36 @@ def test_powers_and_the_inverse_antipode_are_views():
             elif isinstance(node, ast.Call) and _name(node.func) == "mat_inverse":
                 inverts = [a for a in node.args if getattr(a, "attr", "") in ("antipode", "alpha")]
                 if inverts and path.stem != "structures":
+                    found.append((path.stem, ast.unparse(node)))
+    assert found == []
+
+
+def _dense_field(node) -> bool:
+    """Whether ``node`` reads a dense ``mul``, ``comul`` or ``antipode`` field, or an entry of one."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr in ("mul", "comul", "antipode")
+
+
+def test_identifications_are_checked_by_structures():
+    """``verify`` compares two objects through ``structures.check_morphism``
+    or ``_sweep``: it defines none of the dense comparison helpers it once
+    had and imports no ``comul_matrix``, and no module but ``structures``
+    compares two objects' dense product, coproduct or antipode fields with
+    ``!=``."""
+    helpers = ("_dense_sweep", "_tensor_equal", "_matrix_equal", "_algebra_agrees")
+    found = []
+    tree = ast.parse(Path(verify.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in helpers:
+            found.append(("verify", f"def {node.name}"))
+        elif isinstance(node, ast.ImportFrom) and "comul_matrix" in [a.name for a in node.names]:
+            found.append(("verify", "import comul_matrix"))
+    for path in sorted(Path(homhopf.__file__).parent.glob("*.py")):
+        if path.stem == "structures":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare) and any(isinstance(o, ast.NotEq) for o in node.ops):
+                if all(_dense_field(x) for x in (node.left, *node.comparators)):
                     found.append((path.stem, ast.unparse(node)))
     assert found == []

@@ -78,6 +78,7 @@ from homhopf.structures import (
     check_module,
     check_module_algebra,
     check_module_coalgebra,
+    check_morphism,
     coalgebra_of,
     hopf_algebra,
     run_hopf_suite,
@@ -342,6 +343,32 @@ class TestCocycle:
         )
         for side in ("left", "right"):
             assert check_cocycle(TwoCocycle(h.bialgebra, gram, side)).ok
+
+
+class TestMorphism:
+    def test_identity_entries_on_algebras_and_on_hopf_algebras(self):
+        h = get_entry("s3_inner").hopf
+        e = rows(identity(6))
+        ids = ["id.mul", "id.unit", "id.alpha"]
+        assert [c.axiom_id for c in check_morphism("id", h.algebra, h.algebra, e).checks] == ids
+        report = check_morphism("id", h, h, e)
+        assert [c.axiom_id for c in report.checks] == ids + ["id.comul", "id.antipode"]
+        assert report.ok
+
+    def test_structure_map_is_a_morphism(self):
+        h = catalog_sweedler_hom().hopf
+        assert check_morphism("alpha", h, h, h.alpha_rows).ok
+
+    def test_zero_map_fails_only_the_unit(self):
+        h = catalog_sweedler_hom().hopf
+        zero = tuple(sparse((0,) * 4) for _ in range(4))
+        (entry,) = check_morphism("zero", h, h, zero).failures()
+        assert entry == CheckEntry("zero.unit", False, Witness((), (0,) * 4, h.unit))
+
+    def test_map_shape_is_checked(self):
+        h = catalog_sweedler_hom().hopf
+        with pytest.raises(DimensionMismatch):
+            check_morphism("short", h, h, rows(identity(4))[:3])
 
 
 class TestStructuralInvariants:

@@ -14,8 +14,16 @@ from homhopf.catalog import (
     get_entry,
     symmetric3_data,
 )
-from homhopf.exactlin import basis_vector, tensor3_from_entries
-from homhopf.structures import ComoduleCoaction, ModuleAction, Witness
+from homhopf.constructions import (
+    canonical_cocycles,
+    cocycle_twist,
+    drinfeld_double,
+    drinfeld_double_tilde,
+    dual,
+    heisenberg_double,
+)
+from homhopf.exactlin import basis, basis_vector, kron, tensor3_from_entries
+from homhopf.structures import ComoduleCoaction, ModuleAction, Witness, check_morphism
 from homhopf.verify import (
     verify_cor_2_9,
     verify_dual_pair_route,
@@ -203,6 +211,35 @@ class TestTwistSuite:
         # S3 conjugated by a transposition: noncommutative, alpha^2 = id
         table, _ = symmetric3_data()
         assert verify_thm_4_5(catalog_group(table, (0, 2, 1, 3, 5, 4)).hopf).passed
+
+    @pytest.mark.parametrize(
+        "make, identity_failure",
+        [
+            (lambda: get_entry("s3_inner").hopf, (3, 24)),
+            (lambda: catalog_group(cyclic_table(5), (0, 2, 4, 1, 3)).hopf, (1, 10)),  # g -> g^2
+            (lambda: catalog_group(cyclic_table(7), (0, 3, 6, 2, 5, 1, 4)).hopf, (1, 21)),  # g^3
+            (lambda: get_entry("sweedler_hom").hopf, None),
+            (lambda: get_entry("cyclic:6").hopf, None),
+            (lambda: dual(get_entry("s3_inner").hopf), (0, 22)),
+        ],
+        ids=["s3_inner", "z5_square", "z7_cube", "sweedler_hom", "cyclic:6", "dual_s3_inner"],
+    )
+    def test_right_twist_is_the_dual_heisenberg_double_up_to_alpha_squared(
+        self, make, identity_failure
+    ):
+        # psi = id (x) alpha^2 identifies the right twist with the dual
+        # Heisenberg double where the identity map fails the product
+        A = make()
+        n = A.dim
+        tilde = drinfeld_double_tilde(A)
+        _, eta = canonical_cocycles(A, drinfeld_double(A), tilde)
+        right_twist = cocycle_twist(tilde, eta, check=False)
+        h_dual = heisenberg_double(dual(A))
+        psi = kron(basis(n), A.power(2))
+        assert check_morphism("psi", right_twist, h_dual, psi).ok
+        plain = check_morphism("id", right_twist, h_dual, basis(n * n))
+        failures = [(c.axiom_id, c.witness.index) for c in plain.failures()]
+        assert failures == ([("id.mul", identity_failure)] if identity_failure else [])
 
 
 class TestDualPairSuite:
