@@ -78,7 +78,6 @@ from .structures import (
     check_matched_pair,
     check_module_algebra,
     coalgebra_of,
-    cocycle_products,
     hopf_algebra,
     merge_reports,
 )
@@ -741,7 +740,7 @@ def cocycle_twist(B, sigma: TwoCocycle, check: bool = True) -> HomAlgebra:
         if not report.ok:
             raise PreconditionFailed("not a normal cocycle", report)
     ainv1 = bi.power(-1)
-    mul = tuple(tuple(dense(apply_map(ainv1, w)) for w in row) for row in cocycle_products(sigma))
+    mul = tuple(tuple(dense(apply_map(ainv1, w)) for w in row) for row in sigma.products)
     return HomAlgebra(bi.dim, mul, bi.unit, bi.alpha)
 
 

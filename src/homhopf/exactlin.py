@@ -17,7 +17,7 @@ fixed package-wide:
   second factor of dimension ``m`` becomes ``i * m + j``.
 
 The four kernels ``apply_map``, ``apply_kron``, ``bilinear_apply`` and
-``tensor_power_product``, and ``linear_combination`` and ``kron`` with them,
+``tensor_power_products``, and ``linear_combination`` and ``kron`` with them,
 take sparse operands and return sparse results.  A sparse vector
 (``Sparse``) is the dict ``{index: scalar}`` of the nonzero coefficients of
 a vector, with the vector's length as ``dim``; a sparse matrix (``rows``) is
@@ -34,10 +34,12 @@ that the lengths of their operands fit together.
 Sweedler sums and tensor legs are enumerated here and nowhere else:
 ``terms`` lists the nonzero Sweedler terms of a comultiplication or coaction
 tensor, ``apply_kron`` applies one map to each leg of a vector on a pair
-space, and ``tensor_power_product`` multiplies two vectors of a tensor power
-leg by leg.  ``compose`` chains ``apply_map`` and ``apply_kron`` over the
+space, and ``tensor_power_products`` multiplies vectors of a tensor power leg by
+leg.  ``compose`` chains ``apply_map`` and ``apply_kron`` over the
 rows of a map, so a composite such as ``mu o (S (x) id) o delta`` is one
-call.
+call.  ``product_cases`` reads, from the supports alone, at which basis
+indices two bilinear expressions can be nonzero, so that a law is swept
+only there.
 
 All functions are pure.  Dense values are nested tuples and hashable;
 sparse vectors are dicts, so they are not.
@@ -45,9 +47,11 @@ sparse vectors are dicts, so they are not.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from functools import partial
-from itertools import chain
+from functools import partial, reduce
+from itertools import chain, product
+from operator import or_
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatch, SingularMatrixError
@@ -369,31 +373,32 @@ def bilinear_apply(t: SparseTensor3, x: Sparse, y: Sparse) -> Sparse:
     return _zero_free(out)
 
 
-def tensor_power_product(mul: SparseTensor3, legs: int, u: Sparse, v: Sparse) -> Sparse:
-    """The componentwise product ``(x_1 (x) x_2 ...)(y_1 (x) y_2 ...) = x_1 y_1 (x) x_2 y_2 ...``
-    on the ``legs``-fold tensor power of the algebra with multiplication ``mul``.
+def tensor_power_products(mul: SparseTensor3, legs: int, us, vs) -> SparseMatrix:
+    """The componentwise products ``(x_1 (x) x_2 ...)(y_1 (x) y_2 ...) = x_1 y_1 (x) x_2 y_2 ...``
+    on the ``legs``-fold tensor power of the algebra with multiplication ``mul``:
+    each vector of ``us`` times each of ``vs``, row-major.  Each vector is
+    grouped by legs once, not once per product.
     """
     n = len(mul)
-    size = n**legs
-    if u.dim != size or v.dim != size:
-        raise _mismatch(f"{legs}-leg tensor power of dimension {n}", u.dim, v.dim)
-    out = Sparse(_power_product(mul, size // n, u.items(), v.items()))
-    out.dim = size
-    return _zero_free(out)
+    size, weight = n**legs, n ** (legs - 1)
+    if bad := [w.dim for w in chain(us, vs) if w.dim != size]:
+        raise _mismatch(f"{legs}-leg tensor power of dimension {n}", *bad)
+    us, vs = ([_by_first_leg(w.items(), weight, n) for w in ws] for ws in (us, vs))
+    products = (_power_product(mul, weight, u, v, _empty(size)) for u in us for v in vs)
+    return tuple(map(_zero_free, products))
 
 
 Pairs = Iterable[tuple[int, Scalar]]
 
 
-def _power_product(mul: SparseTensor3, weight: int, u: Pairs, v: Pairs) -> dict[int, Scalar]:
-    """The product of ``u`` and ``v``, given by their nonzero ``(index, scalar)``
-    pairs on a tensor power whose first leg has place value ``weight``, as
+def _power_product(mul: SparseTensor3, weight: int, u, v, out: dict) -> dict[int, Scalar]:
+    """``out`` plus the product of ``u`` and ``v``, grouped by ``_by_first_leg``
+    on a tensor power whose first leg has place value ``weight``, as
     ``{index: coefficient}``.
 
-    The pairs are grouped by first leg, so the rest of the legs multiply once
-    per pair of first legs with a nonzero product, not once per pair of pairs.
+    The rest of the legs multiply once per pair of first legs with a nonzero
+    product, not once per pair of terms.
     """
-    out: dict[int, Scalar] = {}
     if weight == 1:
         for a, cu in u:
             row = mul[a]
@@ -402,13 +407,13 @@ def _power_product(mul: SparseTensor3, weight: int, u: Pairs, v: Pairs) -> dict[
                 for k, ck in row[b].items():
                     out[k] = out.get(k, ZERO) + c * ck
         return out
-    v_legs = _by_first_leg(v, weight).items()
-    for a, u_rest in _by_first_leg(u, weight).items():
+    v_legs = v.items()
+    for a, u_rest in u.items():
         row = mul[a]
         for b, v_rest in v_legs:
             if not row[b]:
                 continue
-            rest = _power_product(mul, weight // len(mul), u_rest, v_rest)
+            rest = _power_product(mul, weight // len(mul), u_rest, v_rest, {})
             for k, ck in row[b].items():
                 base = k * weight
                 for r, cr in rest.items():
@@ -416,13 +421,64 @@ def _power_product(mul: SparseTensor3, weight: int, u: Pairs, v: Pairs) -> dict[
     return out
 
 
-def _by_first_leg(pairs: Pairs, weight: int) -> dict[int, list[tuple[int, Scalar]]]:
-    """``pairs`` grouped by first leg: ``{first leg: [(rest index, coefficient), ...]}``."""
+def _by_first_leg(pairs: Pairs, weight: int, n: int):
+    """``pairs`` of a vector on a tensor power of dimension ``n`` whose first
+    leg has place value ``weight``, grouped leg by leg: ``{first leg: the rest,
+    grouped}``, down to ``(last leg, coefficient)`` pairs."""
+    if weight == 1:
+        return pairs
     groups: dict[int, list[tuple[int, Scalar]]] = {}
     for p, c in pairs:
         a, r = divmod(p, weight)
         groups.setdefault(a, []).append((r, c))
-    return groups
+    if weight == n:
+        return groups
+    return {a: _by_first_leg(rest, weight // n, n) for a, rest in groups.items()}
+
+
+def _union(masks, indices) -> int:
+    """The union of the bit sets ``masks[i]`` over ``indices``."""
+    return reduce(or_, map(masks.__getitem__, indices), 0)
+
+
+def _bits(mask: int):
+    """The members of the bit set ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _hits(filled, ys: SparseMatrix) -> list[int]:
+    """The bit sets ``{c : t(e_x, ys[c]) has a nonzero term}``, one per ``x``, of
+    a bilinear map ``t`` whose row ``x`` has nonzero cells exactly at ``filled[x]``."""
+    cols: defaultdict[int, int] = defaultdict(int)  # the c with y in the support of ys[c]
+    for c, v in enumerate(ys):
+        for y in v:
+            cols[y] |= 1 << c
+    return [_union(cols, ys_of_x) for ys_of_x in filled]
+
+
+def product_cases(left, right):
+    """The cases ``(a, b, c)`` of a law with sides ``s(f[a], u[b][c])`` and
+    ``t(v[a][b], g[c])``, for ``left = (s, f, u)`` and ``right = (t, v, g)``,
+    where a side has a nonzero term, read from the filled cells of ``s`` and
+    ``t`` and the supports of the vectors: in lexicographic order, as pairs
+    ``((a, b), cs)``, a full ``cs`` as ``range``.  Both sides of every other
+    case are zero."""
+    (s, f, u), (t, v, g) = left, right
+    t_filled = [[y for y, cell in enumerate(row) if cell] for row in t]
+    s_filled = t_filled if s is t else [[y for y, cell in enumerate(row) if cell] for row in s]
+    right_hits, left_hits, n = _hits(t_filled, g), {}, len(g)
+    full = (1 << n) - 1
+    for a, b in product(range(len(v)), range(len(u))):
+        cs = _union(right_hits, v[a][b])
+        if cs != full:
+            if b not in left_hits:  # built only where the right side leaves a gap
+                left_hits[b] = _hits(s_filled, u[b])
+            cs |= _union(left_hits[b], f[a])
+        if cs:
+            yield (a, b), range(n) if cs == full else _bits(cs)
 
 
 def terms(t: Tensor3) -> tuple[tuple[tuple[int, int, Scalar], ...], ...]:

@@ -13,11 +13,12 @@ differing row is the first failing index.  Laws over three basis indices
 (Hom-associativity, module-algebra multiplicativity, the cocycle condition,
 two matched-pair laws and the pairing's product-coproduct laws) are instead
 a lazy stream of per-case sides through the same ``_sweep``, which stops at
-the first failure and skips the cases that are structurally zero.  As whole
-maps, one per leading index, they would hold n^3 rows, and Hom-associativity
-alone took 0.069 s on the 36-dim double of ``s3_inner`` against 0.053 s for
-the whole per-case algebra checker.  ``check_morphism`` compares two objects
-through a map ``phi: X -> Y`` by the same sweeps.
+the first failure; as whole maps they would hold n^3 rows.  A product law
+(Hom-associativity, module Hom-associativity, the cocycle condition and the
+product laws of a morphism and of the antipode) visits only the cases where
+a side has a nonzero term (``exactlin.product_cases``): both sides of every
+other case are zero.  ``check_morphism`` compares two objects through a map
+``phi: X -> Y`` by the same sweeps.
 
 Structural invariants (shapes, invertibility of structure maps) are enforced
 at construction; algebraic axioms are only ever checker verdicts, so broken
@@ -31,7 +32,8 @@ also owns read-only sparse views of them, the operand tables of the
 rows of ``alpha^k``, of both; ``HomHopfAlgebra.antipode_rows`` and the dense
 ``antipode_inverse``; ``ModuleAction.act_cells``;
 ``ComoduleCoaction.coact_rows`` and ``coact_terms``; the ``form`` of a
-``PairingForm`` or ``TwoCocycle``; ``RMatrix.vector``; and the
+``PairingForm`` or ``TwoCocycle`` and ``TwoCocycle.products``, read by the
+cocycle law and the cocycle twist; ``RMatrix.vector``; and the
 ``left_module`` and ``right_module`` of a ``MatchedPairData``, whose
 ``act_cells`` are its ``left_cells`` and, transposed, its ``right_cells``.
 The ``op`` views are objects too: ``HomAlgebra.op`` is the opposite algebra
@@ -82,10 +84,11 @@ from .exactlin import (
     mat_compose,
     mat_inverse,
     mat_shape,
+    product_cases,
     rows,
     sparse,
     tensor3_shape,
-    tensor_power_product,
+    tensor_power_products,
     terms,
     transpose,
 )
@@ -484,6 +487,33 @@ class TwoCocycle(_GramForm):
         if self.side not in ("left", "right"):
             raise ValueError(f"cocycle side must be 'left' or 'right', got {self.side!r}")
 
+    @cached_property
+    def products(self) -> SparseTensor3:
+        """``sigma(h_1, k_1) h_2 k_2`` for a left cocycle and ``sigma(h_2, k_2) h_1 k_1``
+        for a right one, at every basis pair ``(h, k)``.
+
+        Both sides of the cocycle condition pair these with ``alpha^2`` of the
+        third argument, and the cocycle twist applies ``alpha^-1`` to them.
+        """
+        B, gram = self.algebra, self.gram
+        # a right cocycle pairs the second Sweedler legs: the first legs of the co-opposite
+        coalgebra = B.coalgebra.op if self.side == "right" else B.coalgebra
+        n, mc, sw = B.dim, B.algebra.mul_cells, coalgebra.comul_terms
+        return tuple(
+            tuple(
+                linear_combination(
+                    n,
+                    (
+                        (vh * vk * gram[h1][k1], mc[h2][k2])
+                        for h1, h2, vh in sw[h]
+                        for k1, k2, vk in sw[k]
+                    ),
+                )
+                for k in range(n)
+            )
+            for h in range(n)
+        )
+
 
 class RMatrix(Record):
     """An element ``R = sum entries[i][j] e_i (x) e_j`` of ``H (x) H``."""
@@ -628,22 +658,16 @@ def _legs(terms, first, second, v: Sparse) -> Sparse:
     return linear_combination(n, ((c, apply_kron(first[x], second[y], v)) for x, y, c in terms))
 
 
-def _associative_cases(first: SparseTensor3, second: SparseTensor3):
-    """The basis triples ``(a, b, c)`` of a Hom-associativity sweep whose
-    right side reads the cell ``first[a][b]`` and whose left side reads
-    ``second[b][c]``, in lexicographic order, without those where both cells
-    are empty: there both sides are zero, so the law holds."""
-    filled = [[c for c, cell in enumerate(plane) if cell] for plane in second]
-    every = range(len(second[0]))
-    for a, plane in enumerate(first):
-        for b, cell in enumerate(plane):
-            for c in every if cell else filled[b]:
-                yield a, b, c
-
-
-def _entries(v: Sparse) -> dict[int, Sparse]:
-    """The nonzero entries of ``v``, each as a one-entry vector."""
-    return {i: sparse((c,)) for i, c in v.items()}
+def _morphism_products(phi: SparseMatrix, xc: SparseTensor3, yc: SparseTensor3):
+    """The cases ``((i, j), phi(x_i x_j), phi(x_i) phi(x_j))`` of a product law,
+    products read from ``xc`` and ``yc``, where a side has a nonzero term:
+    ``phi(w)`` is the bilinear map ``(phi,)`` at ``(e_0, w)``."""
+    cases = product_cases(((phi,), [(0,)], xc), (yc, [phi], phi))
+    return (
+        ((i, j), apply_map(phi, xc[i][j]), bilinear_apply(yc, phi[i], phi[j]))
+        for (_, i), js in cases
+        for j in js
+    )
 
 
 def _partial_forms(gram: Matrix, alpha_left: Matrix, alpha_right: Matrix):
@@ -653,33 +677,6 @@ def _partial_forms(gram: Matrix, alpha_left: Matrix, alpha_right: Matrix):
     first = tuple(_as_map(row) for row in mat_compose(alpha_left, gram))
     second = tuple(_as_map(row) for row in mat_compose(alpha_right, transpose(gram)))
     return first, second
-
-
-def cocycle_products(sigma: TwoCocycle) -> SparseTensor3:
-    """``sigma(h_1, k_1) h_2 k_2`` for a left cocycle and ``sigma(h_2, k_2) h_1 k_1``
-    for a right one, at every basis pair ``(h, k)``.
-
-    Both sides of the cocycle condition pair these with ``alpha^2`` of the
-    third argument, and the cocycle twist applies ``alpha^-1`` to them.
-    """
-    B, gram = sigma.algebra, sigma.gram
-    # a right cocycle pairs the second Sweedler legs: the first legs of the co-opposite
-    coalgebra = B.coalgebra.op if sigma.side == "right" else B.coalgebra
-    n, mc, sw = B.dim, B.algebra.mul_cells, coalgebra.comul_terms
-    return tuple(
-        tuple(
-            linear_combination(
-                n,
-                (
-                    (vh * vk * gram[h1][k1], mc[h2][k2])
-                    for h1, h2, vh in sw[h]
-                    for k1, k2, vk in sw[k]
-                ),
-            )
-            for k in range(n)
-        )
-        for h in range(n)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +691,8 @@ def check_hom_algebra(obj) -> CheckReport:
     mc, m, ar, e, unit = A.mul_cells, A.mul_map, A.alpha_rows, basis(n), (A.unit_vector,)
     associative = (
         ((i, j, k), bilinear_apply(mc, ar[i], mc[j][k]), bilinear_apply(mc, mc[i][j], ar[k]))
-        for i, j, k in _associative_cases(mc, mc)
+        for (i, j), ks in product_cases((mc, ar, mc), (mc, mc, ar))
+        for k in ks
     )
     checks = (
         _sweep("algebra.alpha-multiplicative", (n, n), compose(m, ar), compose(kron(ar, ar), m)),
@@ -728,7 +726,7 @@ def check_hom_bialgebra(obj) -> CheckReport:
     mc, m, unit = B.algebra.mul_cells, B.algebra.mul_map, (B.algebra.unit_vector,)
     delta, eps = B.coalgebra.comul_rows, B.coalgebra.counit_map
     # delta(e_i) delta(e_j) in the tensor-square algebra
-    products = tuple(tensor_power_product(mc, 2, x, y) for x in delta for y in delta)
+    products = tensor_power_products(mc, 2, delta, delta)
     checks = (
         _sweep("bialgebra.comul-multiplicative", (n, n), compose(m, delta), products),
         _sweep("bialgebra.comul-unit", (), compose(unit, delta), kron(unit, unit)),
@@ -741,12 +739,9 @@ def check_hom_bialgebra(obj) -> CheckReport:
 def check_antipode(H: HomHopfAlgebra) -> CheckReport:
     """Antipode identities plus the derived anti-(co)morphism properties."""
     n = H.dim
-    rng = range(n)
     A, C = H.algebra, H.coalgebra
     mc, m, ar, S, e = A.mul_cells, A.mul_map, A.alpha_rows, H.antipode_rows, basis(n)
     cm, cm_op, eps, eta = C.comul_rows, C.comul_op_rows, C.counit_map, (A.unit_vector,)
-    # S(e_j) S(e_i), read from the table of H: its opposite would invert alpha again
-    reversed_products = tuple(bilinear_apply(mc, S[j], S[i]) for i in rng for j in rng)
     counit_unit = compose(eps, eta)  # h -> counit(h) 1
     checks = (
         _sweep("antipode.commutes-with-alpha", (n,), compose(ar, S), compose(S, ar)),
@@ -754,7 +749,8 @@ def check_antipode(H: HomHopfAlgebra) -> CheckReport:
         _sweep("antipode.right", (n,), compose(cm, (e, S), m), counit_unit),  # h_1 S(h_2)
         # delta(S(h)) against S(h_2) (x) S(h_1)
         _sweep("antipode.anti-comultiplicative", (n,), compose(S, cm), compose(cm_op, (S, S))),
-        _sweep("antipode.anti-multiplicative", (n, n), compose(m, S), reversed_products),
+        # S(e_i e_j) against S(e_j) S(e_i), from the transposed table (H.op inverts alpha)
+        _sweep("antipode.anti-multiplicative", _morphism_products(S, mc, transpose(mc))),
         _sweep("antipode.preserves-counit", (n,), compose(S, eps), eps),
     )
     return CheckReport(checks)
@@ -779,13 +775,8 @@ def check_morphism(prefix: str, X, Y, phi: SparseMatrix) -> CheckReport:
     A, B = algebra_of(X), algebra_of(Y)
     n, m = A.dim, B.dim
     _require(len(phi) == n and phi[0].dim == m, "morphism shape")
-    xc, yc = A.mul_cells, B.mul_cells
-    products = (
-        ((i, j), apply_map(phi, xc[i][j]), bilinear_apply(yc, phi[i], phi[j]))
-        for i, j in product(range(n), repeat=2)
-    )
     checks = [
-        _sweep(prefix + ".mul", products),
+        _sweep(prefix + ".mul", _morphism_products(phi, A.mul_cells, B.mul_cells)),
         _sweep(prefix + ".unit", (), compose((A.unit_vector,), phi), (B.unit_vector,)),
         _sweep(prefix + ".alpha", (n,), compose(A.alpha_rows, phi), compose(phi, B.alpha_rows)),
     ]
@@ -816,7 +807,8 @@ def check_module(m: ModuleAction) -> CheckReport:
     acts = _flat(act)  # h (x) x -> h . x
     associative = (
         ((a, b, i), bilinear_apply(act, aa[a], act[b][i]), bilinear_apply(act, amul[a][b], am[i]))
-        for a, b, i in _associative_cases(amul, act)
+        for (a, b), cs in product_cases((act, aa, act), (act, amul, am))
+        for i in cs
     )
     checks = (
         _sweep("module.unit-acts-as-alpha", (nm,), compose(kron(unit, e), acts), am),
@@ -1122,22 +1114,15 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
     B = sigma.algebra
     gram = sigma.gram
     n = B.dim
-    alpha2 = dense_rows(B.power(2))
-    alpha, pair = B.alpha_rows, _flat(sigma.form)
+    form = sigma.form
+    alpha, pair, a2 = B.alpha_rows, _flat(form), B.power(2)
     # left: sigma(l_1, k_1) l_2 k_2; right: sigma(l_2, k_2) l_1 k_1
-    w = cocycle_products(sigma)
-    # x -> (sigma(alpha^2(e_h), x))_h and x -> (sigma(x, alpha^2(e_k)))_k
-    with_h = rows(transpose(mat_compose(alpha2, gram)))
-    with_k = rows(mat_compose(gram, transpose(alpha2)))
-    # paired_h[l][k][h] and paired_k[h][l][k], the two sides of the cocycle law,
-    # as one-entry vectors; a missing entry is the shared zero vector
-    zero = sparse((ZERO,))
-    paired_h = [[_entries(apply_map(with_h, x)) for x in row] for row in w]
-    paired_k = [[_entries(apply_map(with_k, x)) for x in row] for row in w]
-    # the sides read w[l][k] and w[h][l]
+    w = sigma.products
+    # sigma(alpha^2(e_h), w[l][k]) against sigma(w[h][l], alpha^2(e_k))
     condition = (
-        ((h, l, k), paired_h[l][k].get(h, zero), paired_k[h][l].get(k, zero))
-        for h, l, k in _associative_cases(w, w)
+        ((h, l, k), bilinear_apply(form, a2[h], w[l][k]), bilinear_apply(form, w[h][l], a2[k]))
+        for (h, l), ks in product_cases((form, a2, w), (form, w, a2))
+        for k in ks
     )
     # h -> (sigma(1, h), sigma(h, 1)) against h -> (counit(h), counit(h))
     unit = B.algebra.unit_vector
@@ -1169,9 +1154,9 @@ def check_quasitriangular(H, R: RMatrix) -> CheckReport:
     r23 = apply_kron(unit_with, e, rvec)
     r12 = apply_kron(e, with_unit, rvec)
     # delta^op(h) R against R delta(h), and R_13 R_23 and R_13 R_12
-    op_r = tuple(tensor_power_product(mc, 2, d, rvec) for d in cm_op)
-    r_comul = tuple(tensor_power_product(mc, 2, rvec, d) for d in cm)
-    r13_r23, r13_r12 = (tensor_power_product(mc, 3, r13, x) for x in (r23, r12))
+    op_r = tensor_power_products(mc, 2, cm_op, r)
+    r_comul = tensor_power_products(mc, 2, r, cm)
+    r13_r23, r13_r12 = tensor_power_products(mc, 3, (r13,), (r23, r12))
     checks = (
         _sweep("quasitriangular.intertwines-comul", (n,), op_r, r_comul),
         _sweep("quasitriangular.left-hexagon", (), compose(r, (cm, alpha)), (r13_r23,)),

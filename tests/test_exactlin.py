@@ -36,7 +36,7 @@ from homhopf.exactlin import (
     rows,
     sparse,
     tensor3_from_entries,
-    tensor_power_product,
+    tensor_power_products,
     terms,
 )
 from homhopf.structures import HomAlgebra, _sweep
@@ -445,6 +445,11 @@ catalog_muls = st.sampled_from(["ax1", "kz2", "sweedler_hom", "cyclic:3"]).map(
 )
 
 
+def tensor_power_product(mul, legs, u, v):
+    """The one componentwise product of ``u`` and ``v``."""
+    return tensor_power_products(mul, legs, (u,), (v,))[0]
+
+
 def dense_power_product(mul, legs, u, v):
     """The reference componentwise product on a tensor power: every pair of
     basis tensors multiplied leg by leg with the dense ``mul``, then summed."""
@@ -492,6 +497,21 @@ class TestTensorPowerProduct:
         mul = cells(catalog_ax1().hopf.mul)
         with pytest.raises(DimensionMismatch):
             tensor_power_product(mul, 2, basis(4)[0], basis(2)[0])
+        with pytest.raises(DimensionMismatch, match="lengths 2$"):
+            tensor_power_products(mul, 2, basis(4), (basis(4)[1], basis(2)[0]))
+
+    @given(st.sampled_from(["kz2", "cyclic:3"]), st.integers(1, 2), st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_products_are_the_pairwise_products_row_major(self, name, legs, data):
+        mul = get_entry(name).hopf.mul
+        size = len(mul) ** legs
+        us, vs = (
+            [data.draw(sparse_vectors(size)) for _ in range(data.draw(st.integers(0, 2)))]
+            for _ in range(2)
+        )
+        out = tensor_power_products(cells(mul), legs, [*map(sparse, us)], [*map(sparse, vs)])
+        expected = [dense_power_product(mul, legs, u, v) for u in us for v in vs]
+        assert [dense(w) for w in out] == expected
 
 
 class TestTerms:
