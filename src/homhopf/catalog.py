@@ -18,9 +18,11 @@ from .exactlin import (
     ONE,
     ZERO,
     Vector,
+    basis,
     identity,
     matrix_from_entries,
-    tensor3_from_entries,
+    pair_cells,
+    rows_from_entries,
     vector_from_entries,
 )
 from .structures import (
@@ -30,7 +32,7 @@ from .structures import (
     ModuleAction,
     Record,
     RMatrix,
-    hopf_algebra,
+    hopf_of_tables,
 )
 
 F = Fraction
@@ -58,17 +60,19 @@ class CatalogEntry(Record):
     group: GroupData | None = None
 
 
+def _hopf(n: int, mul, unit: Vector, comul, counit: Vector, alpha, antipode) -> HomHopfAlgebra:
+    """The Hom-Hopf algebra of dimension ``n`` whose product, coproduct and
+    antipode have the nonzero entries ``mul``, ``comul`` and ``antipode``,
+    ``{index tuple: scalar}``; its tables are built from them."""
+    cube = (n, n, n)
+    mul, comul = pair_cells(rows_from_entries(cube, mul), n), rows_from_entries(cube, comul)
+    return hopf_of_tables(mul, unit, comul, counit, alpha, rows_from_entries((n, n), antipode))
+
+
 def catalog_one() -> CatalogEntry:
     """The one-dimensional Hom-Hopf algebra (the ground field)."""
-    one = hopf_algebra(
-        1,
-        (((ONE,),),),
-        (ONE,),
-        (((ONE,),),),
-        (ONE,),
-        ((ONE,),),
-        ((ONE,),),
-    )
+    e = basis(1)
+    one = hopf_of_tables((e,), (ONE,), e, (ONE,), identity(1), e)
     return CatalogEntry("one", one, ("1",))
 
 
@@ -77,29 +81,17 @@ def catalog_ax1() -> CatalogEntry:
     element x, with structure map x -> -x, bundled with the order-two group
     algebra action (g . x = x) and coaction (rho(g) = g (x) 1)."""
     n = 2
-    mul = tensor3_from_entries(
-        (n, n, n), {(0, 0, 0): ONE, (0, 1, 1): -ONE, (1, 0, 1): -ONE}
-    )
-    comul = tensor3_from_entries(
-        (n, n, n), {(0, 0, 0): ONE, (1, 1, 0): -ONE, (1, 0, 1): -ONE}
-    )
-    beta = matrix_from_entries(n, n, {(0, 0): ONE, (1, 1): -ONE})
-    ax1 = hopf_algebra(n, mul, (ONE, ZERO), comul, (ONE, ZERO), beta, beta)
+    mul = {(0, 0, 0): ONE, (0, 1, 1): -ONE, (1, 0, 1): -ONE}
+    comul = {(0, 0, 0): ONE, (1, 1, 0): -ONE, (1, 0, 1): -ONE}
+    sign = {(0, 0): ONE, (1, 1): -ONE}
+    beta = matrix_from_entries(n, n, sign)
+    ax1 = _hopf(n, mul, (ONE, ZERO), comul, (ONE, ZERO), beta, sign)
 
     kz2 = catalog_kz2().hopf
-    act = ModuleAction(
-        kz2,
-        ax1,
-        tensor3_from_entries(
-            (2, 2, 2),
-            {(0, 0, 0): ONE, (0, 1, 1): -ONE, (1, 0, 0): ONE, (1, 1, 1): ONE},
-        ),
-    )
-    coact = ComoduleCoaction(
-        ax1,
-        kz2,
-        tensor3_from_entries((2, 2, 2), {(0, 0, 0): ONE, (1, 1, 0): ONE}),
-    )
+    acting = {(0, 0, 0): ONE, (0, 1, 1): -ONE, (1, 0, 0): ONE, (1, 1, 1): ONE}
+    act = ModuleAction.from_cells(kz2, ax1, pair_cells(rows_from_entries((n, n, n), acting), n))
+    coacting = rows_from_entries((n, n, n), {(0, 0, 0): ONE, (1, 1, 0): ONE})
+    coact = ComoduleCoaction.from_rows(ax1, kz2, coacting)
     return CatalogEntry(
         "ax1", ax1, ("1", "x"), partner=kz2, partner_basis=("1", "g"), action=act, coaction=coact
     )
@@ -108,11 +100,9 @@ def catalog_ax1() -> CatalogEntry:
 def catalog_kz2() -> CatalogEntry:
     """The classical group algebra of the order-two group (structure map
     the identity, involutive group-like generator)."""
-    mul = tensor3_from_entries(
-        (2, 2, 2), {(0, 0, 0): ONE, (0, 1, 1): ONE, (1, 0, 1): ONE, (1, 1, 0): ONE}
-    )
-    comul = tensor3_from_entries((2, 2, 2), {(0, 0, 0): ONE, (1, 1, 1): ONE})
-    h = hopf_algebra(2, mul, (ONE, ZERO), comul, (ONE, ONE), identity(2), identity(2))
+    mul = {(0, 0, 0): ONE, (0, 1, 1): ONE, (1, 0, 1): ONE, (1, 1, 0): ONE}
+    comul = {(0, 0, 0): ONE, (1, 1, 1): ONE}
+    h = _hopf(2, mul, (ONE, ZERO), comul, (ONE, ONE), identity(2), {(0, 0): ONE, (1, 1): ONE})
     return CatalogEntry("kz2", h, ("1", "g"))
 
 
@@ -127,24 +117,18 @@ def catalog_sweedler_hom() -> CatalogEntry:
         (2, 0, 2): -ONE, (2, 1, 3): -ONE,
         (3, 0, 3): -ONE, (3, 1, 2): -ONE,
     }
-    mul = tensor3_from_entries((n, n, n), e)
-    comul = tensor3_from_entries(
-        (n, n, n),
-        {
-            (0, 0, 0): ONE,
-            (1, 1, 1): ONE,
-            (2, 2, 1): -ONE, (2, 0, 2): -ONE,
-            (3, 3, 0): -ONE, (3, 1, 3): -ONE,
-        },
-    )
+    comul = {
+        (0, 0, 0): ONE,
+        (1, 1, 1): ONE,
+        (2, 2, 1): -ONE, (2, 0, 2): -ONE,
+        (3, 3, 0): -ONE, (3, 1, 3): -ONE,
+    }
     alpha = matrix_from_entries(
         n, n, {(0, 0): ONE, (1, 1): ONE, (2, 2): -ONE, (3, 3): -ONE}
     )
-    antipode = matrix_from_entries(
-        n, n, {(0, 0): ONE, (1, 1): ONE, (2, 3): -ONE, (3, 2): ONE}
-    )
-    h = hopf_algebra(
-        n, mul, vector_from_entries(n, {0: ONE}), comul, (ONE, ONE, ZERO, ZERO), alpha, antipode
+    antipode = {(0, 0): ONE, (1, 1): ONE, (2, 3): -ONE, (3, 2): ONE}
+    h = _hopf(
+        n, e, vector_from_entries(n, {0: ONE}), comul, (ONE, ONE, ZERO, ZERO), alpha, antipode
     )
     half = F(1, 2)
     r = RMatrix(
@@ -196,13 +180,11 @@ def catalog_group(table, automorphism, name: str = "group") -> CatalogEntry:
             if phi[table[a][b]] != table[phi[a]][phi[b]]:
                 raise NotAnAutomorphism(f"does not respect the product at ({a}, {b})")
 
-    mul = tensor3_from_entries(
-        (n, n, n), {(a, b, phi[table[a][b]]): ONE for a in range(n) for b in range(n)}
-    )
-    comul = tensor3_from_entries((n, n, n), {(a, phi[a], phi[a]): ONE for a in range(n)})
+    mul = {(a, b, phi[table[a][b]]): ONE for a in range(n) for b in range(n)}
+    comul = {(a, phi[a], phi[a]): ONE for a in range(n)}
     alpha = matrix_from_entries(n, n, {(a, phi[a]): ONE for a in range(n)})
-    antipode = matrix_from_entries(n, n, {(a, inverse[a]): ONE for a in range(n)})
-    h = hopf_algebra(
+    antipode = {(a, inverse[a]): ONE for a in range(n)}
+    h = _hopf(
         n,
         mul,
         vector_from_entries(n, {ident: ONE}),

@@ -174,7 +174,7 @@ def check(source, level, report_path, jobs):
         rec = bundle.object()
         # one algebra and one coalgebra, so every checker shares their sparse tables
         alg = rec.hom_algebra() if level != "coalgebra" else None
-        coa = rec.hom_coalgebra() if level != "algebra" else None
+        coa = rec.hom_coalgebra(alg and alg.alpha_inverse) if level != "algebra" else None
         bia = HomBialgebra(alg, coa) if alg and coa else None
         hopf = rec.hom_hopf(bia) if level in ("hopf", "quasitriangular") else None
         checkers = (check_hom_algebra, check_hom_coalgebra, check_hom_bialgebra, check_antipode)

@@ -29,28 +29,28 @@ from .errors import (
     PreconditionFailed,
 )
 from .exactlin import (
-    ONE,
     Matrix,
     SparseMatrix,
-    Tensor3,
+    SparseTensor3,
     Vector,
     apply_kron,
     apply_map,
     basis,
     bilinear_apply,
-    cells,
     compose,
-    comul_tensor,
     dense,
     dense_rows,
+    flip,
     identity,
     kron,
     linear_combination,
     mat_compose,
     mat_inverse,
-    matrix_from_entries,
+    pair_cells,
     rows,
+    rows_from_entries,
     transpose,
+    transpose_rows,
 )
 from .structures import (
     MAX_DIM,
@@ -78,7 +78,7 @@ from .structures import (
     check_matched_pair,
     check_module_algebra,
     coalgebra_of,
-    hopf_algebra,
+    hopf_of_tables,
     merge_reports,
 )
 
@@ -98,15 +98,14 @@ def _dense_kron(f: Matrix, g: Matrix) -> Matrix:
     return dense_rows(kron(rows(f), rows(g)))
 
 
-def _flip(n1: int, n2: int) -> Matrix:
-    """The flip ``e_i (x) e_j -> e_j (x) e_i`` from an n1*n2 to an n2*n1 pair space."""
-    return matrix_from_entries(
-        n1 * n2, n2 * n1, {(i * n2 + j, j * n1 + i): ONE for i in range(n1) for j in range(n2)}
-    )
+def _product_alpha(X, Y) -> tuple[Matrix, Matrix]:
+    """The structure map ``alpha_X (x) alpha_Y`` of a product space and its
+    inverse, the product of the inverses."""
+    return tuple(dense_rows(kron(X.power(k), Y.power(k))) for k in (1, -1))
 
 
-def _pair_product(left, right, tau) -> Tensor3:
-    """The multiplication tensor on a pair space ``X (x) Y`` whose product of
+def _pair_product(left, right, tau) -> SparseTensor3:
+    """The product table on a pair space ``X (x) Y`` whose product of
     ``e_(x, y)`` and ``e_(x', y')`` is ``(left[x] (x) right[y'])(tau[y][x'])``.
 
     ``tau[y][x']`` is the exchange map ``Y (x) X -> X (x) Y`` on the inner legs
@@ -114,7 +113,7 @@ def _pair_product(left, right, tau) -> Tensor3:
     on its second, both as row-image maps.
     """
     return tuple(
-        tuple(dense(apply_kron(lm, rm, v)) for v in row for rm in right)
+        tuple(apply_kron(lm, rm, v) for v in row for rm in right)
         for lm in left
         for row in tau
     )
@@ -123,7 +122,7 @@ def _pair_product(left, right, tau) -> Tensor3:
 def _tensor_coalgebra(C, D) -> HomCoalgebra:
     """The tensor-product coalgebra ``delta(c (x) d) = c_1 (x) d_1 (x) c_2 (x) d_2``:
     the cotwist coproduct of the flip."""
-    return cotwist_coproduct(C, D, _flip(C.dim, D.dim), check=False)
+    return cotwist_coproduct(C, D, dense_rows(flip(C.dim, D.dim)), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -152,27 +151,26 @@ def yau_twist(classical: HomHopfAlgebra, endo: Matrix) -> HomHopfAlgebra:
         if lhs != rhs:
             raise NotAMorphism(law)
 
-    twisted_mul = tuple(dense_rows(twisted_mul[i * n : (i + 1) * n]) for i in range(n))
-    twisted_comul = comul_tensor(dense_rows(twisted_delta), n)
-    return hopf_algebra(n, twisted_mul, A.unit, twisted_comul, C.counit, endo, classical.antipode)
+    twisted_mul = tuple(twisted_mul[i * n : (i + 1) * n] for i in range(n))
+    return hopf_of_tables(twisted_mul, A.unit, twisted_delta, C.counit, endo, sr)
 
 
 def opposite(h: HomHopfAlgebra) -> HomHopfAlgebra:
     """Reverse the multiplication (``h.algebra.op``); the coalgebra and the
     stored antipode are carried over unchanged (the result is consumed as
     algebra-plus-coalgebra data and need not satisfy the antipode law)."""
-    return HomHopfAlgebra(HomBialgebra(h.algebra.op, h.coalgebra), h.antipode)
+    return HomHopfAlgebra.from_rows(HomBialgebra(h.algebra.op, h.coalgebra), h.antipode_rows)
 
 
 def opposite_hopf(h: HomHopfAlgebra) -> HomHopfAlgebra:
     """The opposite with the inverse antipode, which is again Hom-Hopf."""
-    return HomHopfAlgebra(opposite(h).bialgebra, h.antipode_inverse)
+    return HomHopfAlgebra.from_rows(opposite(h).bialgebra, rows(h.antipode_inverse))
 
 
 def co_opposite(h: HomHopfAlgebra) -> HomHopfAlgebra:
     """The co-opposite ``delta(a) = a_2 (x) a_1`` (``h.coalgebra.op``) with the
     inverse antipode, which is again Hom-Hopf."""
-    return HomHopfAlgebra(HomBialgebra(h.algebra, h.coalgebra.op), h.antipode_inverse)
+    return HomHopfAlgebra.from_rows(HomBialgebra(h.algebra, h.coalgebra.op), rows(h.antipode_inverse))
 
 
 def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
@@ -181,22 +179,22 @@ def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
     Multiplication pairs against the twisted coproduct,
     ``(f.g)(h) = f(alpha^-2(h_1)) g(alpha^-2(h_2))``, the coproduct against
     the twisted product, ``<delta(f), h (x) k> = f(alpha^-2(hk))``, the
-    structure map is the transpose of the inverse structure map, and the
-    antipode is the transpose of the antipode.
+    structure map is the transpose of the inverse structure map (its inverse
+    the transpose of alpha), and the antipode is the transpose of the antipode.
     """
     n = h.dim
     a2 = h.power(-2)
     # row (i, j): the coefficients of e^i e^j; row i: those of delta(e^i)
-    products = transpose(dense_rows(compose(h.coalgebra.comul_rows, (a2, a2))))
-    coproducts = transpose(dense_rows(compose(h.algebra.mul_map, a2)))
-    return hopf_algebra(
-        n,
+    products = transpose_rows(compose(h.coalgebra.comul_rows, (a2, a2)))
+    coproducts = transpose_rows(compose(h.algebra.mul_map, a2))
+    return hopf_of_tables(
         tuple(products[i * n : (i + 1) * n] for i in range(n)),
         h.counit,
-        comul_tensor(coproducts, n),
+        coproducts,
         h.unit,
         transpose(h.alpha_inverse),
-        transpose(h.antipode),
+        transpose_rows(h.antipode_rows),
+        transpose(h.alpha),
     )
 
 
@@ -210,7 +208,7 @@ def smash_product(A, H, act: ModuleAction, check: bool = True) -> HomAlgebra:
     alg = algebra_of(A)
     bi = bialgebra_of(H)
     na, nh = alg.dim, bi.dim
-    nd = _product_dim(na, nh)
+    _product_dim(na, nh)
     if check:
         report = check_module_algebra(act)
         if not report.ok:
@@ -223,7 +221,7 @@ def smash_product(A, H, act: ModuleAction, check: bool = True) -> HomAlgebra:
     tau = [[apply_kron(row, ah_i1, v) for row in acted] for v in delta]
     mul = _pair_product(alg.mul_cells, transpose(bi.algebra.mul_cells), tau)
     unit = _dense_kron((alg.unit,), (bi.unit,))[0]
-    return HomAlgebra(nd, mul, unit, _dense_kron(alg.alpha, bi.alpha))
+    return HomAlgebra.from_cells(mul, unit, *_product_alpha(alg, bi))
 
 
 def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> Matrix:
@@ -254,7 +252,7 @@ def cotwist_coproduct(C, D, phi: Matrix, check: bool = True) -> HomCoalgebra:
     Cc = coalgebra_of(C)
     Dc = coalgebra_of(D)
     nc, nd = Cc.dim, Dc.dim
-    n = _product_dim(nc, nd)
+    _product_dim(nc, nd)
     if check:
         report = check_cotwisting(Cc, Dc, phi)
         if not report.ok:
@@ -263,13 +261,9 @@ def cotwist_coproduct(C, D, phi: Matrix, check: bool = True) -> HomCoalgebra:
     # (id (x) phi (x) id)(delta_C (x) delta_D) in two steps: phi_d maps
     # c_2 (x) d to phi(c_2 (x) d_1) (x) d_2, and c (x) d goes to c_1 (x) phi_d(c_2 (x) d)
     phi_d = compose(kron(ec, Dc.comul_rows), (phi_rows, ed))
-    comul = dense_rows(compose(kron(Cc.comul_rows, ed), (ec, phi_d)))
-    return HomCoalgebra(
-        n,
-        comul_tensor(comul, n),
-        _dense_kron((Cc.counit,), (Dc.counit,))[0],
-        _dense_kron(Cc.alpha, Dc.alpha),
-    )
+    comul = compose(kron(Cc.comul_rows, ed), (ec, phi_d))
+    counit = _dense_kron((Cc.counit,), (Dc.counit,))[0]
+    return HomCoalgebra.from_rows(comul, counit, *_product_alpha(Cc, Dc))
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +362,13 @@ def bicrossproduct(
     s_then_1 = kron(A.antipode_rows, (H.algebra.unit_vector,))
     s_a = [[apply_map(s_then_1, bilinear_apply(amul, a, x)) for x in aa_i3] for a in aa_i2]
     antipode = tuple(
-        dense(
-            linear_combination(
-                nd, ((v, bilinear_apply(mc, s_h[h0], s_a[a][h1])) for h0, h1, v in co_terms[hh])
-            )
+        linear_combination(
+            nd, ((v, bilinear_apply(mc, s_h[h0], s_a[a][h1])) for h0, h1, v in co_terms[hh])
         )
         for a in range(na)
         for hh in range(nh)
     )
-    return HomHopfAlgebra(HomBialgebra(smash, coalg), antipode)
+    return HomHopfAlgebra.from_rows(HomBialgebra(smash, coalg), antipode)
 
 
 def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, ComoduleCoaction]:
@@ -399,22 +391,19 @@ def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, 
             ),
         )
 
-    act = tuple(tuple(dense(acts(h, a)) for a in range(n)) for h in range(n))
+    act = tuple(tuple(acts(h, a) for a in range(n)) for h in range(n))
 
     # rho(h) applies alpha^-1 (x) second[h_2] to h_12 (x) h_11, the co-opposite
     # coproduct of h_1; second[h_2] maps h_11 to S(alpha^-2(h_11)) alpha^-1(h_2)
     op_delta = H.coalgebra.comul_op_rows
     second = [tuple(bilinear_apply(hmul, x, y) for x in s_ainv2) for y in ainv1]
     coact = tuple(
-        dense(
-            linear_combination(
-                n * n,
-                ((c, apply_kron(ainv1, second[h2], op_delta[h1])) for h1, h2, c in h_terms[h]),
-            )
+        linear_combination(
+            n * n, ((c, apply_kron(ainv1, second[h2], op_delta[h1])) for h1, h2, c in h_terms[h])
         )
         for h in range(n)
     )
-    return hop, ModuleAction(hop, H, act), ComoduleCoaction(H, hop, comul_tensor(coact, n))
+    return hop, ModuleAction.from_cells(hop, H, act), ComoduleCoaction.from_rows(H, hop, coact)
 
 
 def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
@@ -440,7 +429,7 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
     ]
     twice = compose(delta, (delta, e))  # h_11 (x) h_12 (x) h_2
     tau = [[apply_kron(row, ainv1, v) for row in dressed] for v in twice]
-    if _pair_product(hmul, hmul, tau) != built.mul:
+    if _pair_product(hmul, hmul, tau) != built.algebra.mul_cells:
         raise CrossCheckFailed("closed-form product disagrees with the generic route")
 
     # closed form of the coproduct:
@@ -464,8 +453,8 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
         for a2 in range(n)
         for h1 in range(n)
     )
-    closed_comul = cotwist_coproduct(H, H, closed_phi, check=False).comul
-    if closed_comul != built.comul:
+    closed_comul = cotwist_coproduct(H, H, closed_phi, check=False).comul_rows
+    if closed_comul != built.coalgebra.comul_rows:
         raise CrossCheckFailed("closed-form coproduct disagrees with the generic route")
     return built
 
@@ -481,7 +470,7 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     A = mp.A
     H = mp.H
     na, nh = A.dim, H.dim
-    nd = _product_dim(na, nh)
+    _product_dim(na, nh)
     if check:
         report = check_matched_pair(mp)
         if not report.ok:
@@ -498,15 +487,16 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     tau = [[_legs(terms, lefts, rights, v) for v in delta_a] for terms in h_terms]
     mul = _pair_product(A.algebra.mul_cells, transpose(H.algebra.mul_cells), tau)
     coalg = _tensor_coalgebra(A, H)
-    alg = HomAlgebra(nd, mul, _dense_kron((A.unit,), (H.unit,))[0], coalg.alpha)
+    unit = _dense_kron((A.unit,), (H.unit,))[0]
+    alg = HomAlgebra.from_cells(mul, unit, coalg.alpha, coalg.alpha_inverse)
 
     # the two antipode factors as maps: h -> 1 (x) S_H alpha_H^-1(h), a -> S_A alpha_A^-1(a) (x) 1
     s_h = kron((A.algebra.unit_vector,), compose(H.power(-1), H.antipode_rows))
     s_a = kron(compose(A.power(-1), A.antipode_rows), (H.algebra.unit_vector,))
     antipode = tuple(
-        dense(bilinear_apply(alg.mul_cells, s_h[h], s_a[a])) for a in range(na) for h in range(nh)
+        bilinear_apply(alg.mul_cells, s_h[h], s_a[a]) for a in range(na) for h in range(nh)
     )
-    return HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
+    return HomHopfAlgebra.from_rows(HomBialgebra(alg, coalg), antipode)
 
 
 def dual_matched_pair(
@@ -554,8 +544,8 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     times = transpose(hst.algebra.mul_cells)
     # the regular actions on the dual as bilinear maps of (h, f):
     # <f <- h, k> = <f, h alpha^-2(k)> and <h -> f, k> = <f, alpha^-2(k) h>
-    right = cells(tuple(transpose(dense_rows(compose(ainv2, lm))) for lm in hmul))
-    left = cells(tuple(transpose(dense_rows(row)) for row in shifted))
+    right = tuple(transpose_rows(compose(ainv2, lm)) for lm in hmul)
+    left = tuple(map(transpose_rows, shifted))
     h_terms = H.coalgebra.comul_terms
 
     def dressed(j: int, sweedler):
@@ -572,15 +562,16 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     tau = [[dressed(j, sweedler) for sweedler in h_terms] for j in range(n)]
     mul = _pair_product(shifted, times, tau)
     coalg = _tensor_coalgebra(H, hst)
-    alg = HomAlgebra(nd, mul, _dense_kron((H.unit,), (hst.unit,))[0], coalg.alpha)
+    unit = _dense_kron((H.unit,), (hst.unit,))[0]
+    alg = HomAlgebra.from_cells(mul, unit, coalg.alpha, coalg.alpha_inverse)
 
     # S(h (x) f) = (1 (x) S*(alpha*(f))) (S^-1(alpha^-1(h)) (x) counit), factor by factor
     counit = hst.algebra.unit_vector  # the counit of H is the unit of its dual
     s_f = kron((H.algebra.unit_vector,), compose(hst.power(-1), hst.antipode_rows))
     s_h = kron(compose(H.power(-1), rows(H.antipode_inverse)), (counit,))
     mc = alg.mul_cells
-    antipode = tuple(dense(bilinear_apply(mc, s_f[j], s_h[h])) for h in range(n) for j in range(n))
-    return HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
+    antipode = tuple(bilinear_apply(mc, s_f[j], s_h[h]) for h in range(n) for j in range(n))
+    return HomHopfAlgebra.from_rows(HomBialgebra(alg, coalg), antipode)
 
 
 def canonical_r_matrix(H: HomHopfAlgebra, double: HomHopfAlgebra | None = None) -> RMatrix:
@@ -621,7 +612,7 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
     mismatch is recorded, never fatal."""
     A, B, gram = P.left, P.right, P.gram
     na, nb = A.dim, B.dim
-    nd = _product_dim(na, nb)
+    _product_dim(na, nb)
     if check:
         report = check_dual_pair(P)
         required = [c for c in report.checks if c.axiom_id != "pairing.mul-comul-right-swapped"]
@@ -653,7 +644,7 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
     closed_r1_inv = paired(inverse, True, aa_i1, bb_i1)
     closed_r2_inv = paired(inverse, False, aa_i1, bb_i1)
     inverses_match = (closed_r1_inv == r1_inv, closed_r2_inv == r2_inv)
-    twisting = mat_compose(mat_compose(_flip(nb, na), r2_inv), r1)
+    twisting = mat_compose(mat_compose(dense_rows(flip(nb, na)), r2_inv), r1)
 
     # a' (x) b goes to <S^-1 alpha_A(a'_1), b_2> a'_2 (x) b_1, and then a'_2 (x) b_1 to
     # <a'_22, alpha_B^-1(b_11)> a'_21 (x) b_12
@@ -665,10 +656,11 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
     tau = [[middles[ap * nb + b] for ap in range(na)] for b in range(nb)]
     # a_1 (x) b_2 (x) a_2 (x) b_1: the tensor coproduct with B's co-opposite
     coalg = _tensor_coalgebra(A, B.coalgebra.op)
-    antipode = mat_compose(mat_compose(_dense_kron(A.antipode, sb_inv), _flip(na, nb)), twisting)
+    antipode = compose(kron(A.antipode_rows, rows(sb_inv)), flip(na, nb), rows(twisting))
     unit = _dense_kron((A.unit,), (B.unit,))[0]
-    alg = HomAlgebra(nd, _pair_product(first, second, tau), unit, coalg.alpha)
-    hopf = HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
+    mul = _pair_product(first, second, tau)
+    alg = HomAlgebra.from_cells(mul, unit, coalg.alpha, coalg.alpha_inverse)
+    hopf = HomHopfAlgebra.from_rows(HomBialgebra(alg, coalg), antipode)
     return PairedDouble(hopf, twisting, inverses_match)
 
 
@@ -679,10 +671,10 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
 def regular_action(h: HomHopfAlgebra) -> ModuleAction:
     """The left regular action of the dual: ``f -> b = f(b_2) b_1``."""
     n = h.dim
-    act = tuple(
-        tuple(tuple(h.comul[b][b1][j] for b1 in range(n)) for b in range(n)) for j in range(n)
-    )
-    return ModuleAction(dual(h), h, act)
+    # e^j -> e_b is the sum of c e_b1 over the Sweedler terms (b1, j, c) of e_b
+    terms = h.coalgebra.comul_terms
+    entries = {(j, b, b1): c for b, sweedler in enumerate(terms) for b1, j, c in sweedler}
+    return ModuleAction.from_cells(dual(h), h, pair_cells(rows_from_entries((n,) * 3, entries), n))
 
 
 def heisenberg_double(A: HomHopfAlgebra) -> HomAlgebra:
@@ -713,18 +705,20 @@ def drinfeld_double_tilde(A: HomHopfAlgebra) -> HomBialgebra:
     only the algebra part is asserted Hom-associative."""
     n = A.dim
     d = drinfeld_double(co_opposite(A))
-    # basis vector q here is the double's basis vector flip[q]; the flip is an involution
-    flip = [q % n * n + q // n for q in range(n * n)]
+    # basis vector q here is the double's order[q]; the flip f is an involution
+    f = flip(n, n)
+    order = [q % n * n + q // n for q in range(n * n)]
 
     def moved(v: Vector) -> Vector:
-        return tuple(v[p] for p in flip)
+        return tuple(v[p] for p in order)
 
-    mul = tuple(tuple(moved(d.mul[pc][pr]) for pc in flip) for pr in flip)
-    comul = tuple(tuple(tuple(d.comul[pr][pb][pa] for pb in flip) for pa in flip) for pr in flip)
-    alpha = tuple(moved(d.alpha[p]) for p in flip)
+    op = transpose(d.algebra.mul_cells)
+    mul = tuple(compose([op[pr][pc] for pc in order], f) for pr in order)
+    comul = compose([d.coalgebra.comul_op_rows[p] for p in order], (f, f))
+    alpha, alpha_inverse = (tuple(moved(m[p]) for p in order) for m in (d.alpha, d.alpha_inverse))
     return HomBialgebra(
-        HomAlgebra(n * n, mul, moved(d.unit), alpha),
-        HomCoalgebra(n * n, comul, moved(d.counit), alpha),
+        HomAlgebra.from_cells(mul, moved(d.unit), alpha, alpha_inverse),
+        HomCoalgebra.from_rows(comul, moved(d.counit), alpha, alpha_inverse),
     )
 
 
@@ -740,8 +734,8 @@ def cocycle_twist(B, sigma: TwoCocycle, check: bool = True) -> HomAlgebra:
         if not report.ok:
             raise PreconditionFailed("not a normal cocycle", report)
     ainv1 = bi.power(-1)
-    mul = tuple(tuple(dense(apply_map(ainv1, w)) for w in row) for row in sigma.products)
-    return HomAlgebra(bi.dim, mul, bi.unit, bi.alpha)
+    mul = tuple(tuple(apply_map(ainv1, w) for w in row) for row in sigma.products)
+    return HomAlgebra.from_cells(mul, bi.unit, bi.alpha, bi.alpha_inverse)
 
 
 def canonical_cocycles(

@@ -25,21 +25,21 @@ the tuple of its sparse rows, and a sparse rank-3 tensor (``cells``) the
 tuple of the sparse matrices of its first-index planes.  No result keeps a
 coefficient that cancelled to zero, so two sparse vectors of the same
 length are equal exactly when their dense vectors (``dense``) are.  The
-operand tables of structure constants belong to the domain types of
-``structures``, which build each once, on first use; callers feed kernel
-results straight into further kernels and make a result dense only where it
-fills a dense structure tensor or a failure witness.  The kernels check only
+tables of structure constants are built sparse (``rows_from_entries``, the
+kernels) and handed to the domain types of ``structures``; a dense tensor is
+made from a table (``dense_rows``, ``pair_cells``), not the other way round,
+except where an object is built from dense fields.  The kernels check only
 that the lengths of their operands fit together.
 
 Sweedler sums and tensor legs are enumerated here and nowhere else:
-``terms`` lists the nonzero Sweedler terms of a comultiplication or coaction
-tensor, ``apply_kron`` applies one map to each leg of a vector on a pair
+``terms`` lists the nonzero Sweedler terms of the rows of a comultiplication
+or coaction, ``apply_kron`` applies one map to each leg of a vector on a pair
 space, and ``tensor_power_products`` multiplies vectors of a tensor power leg by
 leg.  ``compose`` chains ``apply_map`` and ``apply_kron`` over the
 rows of a map, so a composite such as ``mu o (S (x) id) o delta`` is one
-call.  ``product_cases`` reads, from the supports alone, at which basis
-indices two bilinear expressions can be nonzero, so that a law is swept
-only there.
+call.  ``product_cases`` and ``square_cases`` read, from the supports alone,
+at which basis indices the sides of a law can be nonzero, so that it is
+swept only there.
 
 All functions are pure.  Dense values are nested tuples and hashable;
 sparse vectors are dicts, so they are not.
@@ -51,6 +51,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, product
+from math import prod
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -182,8 +183,27 @@ def rows(m: Matrix) -> SparseMatrix:
 
 
 def dense_rows(m: SparseMatrix) -> Matrix:
-    """The dense matrix of the sparse matrix ``m``."""
-    return tuple(dense(row) for row in m)
+    """The dense matrix of the sparse matrix ``m``; its zero rows are one shared tuple."""
+    zero = (ZERO,) * m[0].dim if m else ()
+    return tuple(dense(row) if row else zero for row in m)
+
+
+def rows_from_entries(shape: tuple[int, ...], entries: dict) -> SparseMatrix:
+    """The rows of the matrix or rank-3 tensor of ``shape`` with the nonzero ``entries``
+    ``{index tuple: scalar}``, a tensor ``t`` as the map ``e_i -> sum t[i][j][k] e_j (x) e_k``."""
+    n1, *rest = shape
+    out = tuple(_empty(prod(rest)) for _ in range(n1))
+    for (i, *idx), c in sorted(entries.items()):
+        if c:
+            out[i][idx[0] * rest[-1] + idx[-1] if len(idx) == 2 else idx[0]] = c
+    return out
+
+
+def pair_cells(m: SparseMatrix, n2: int) -> SparseTensor3:
+    """The map ``m`` to a pair space whose second factor has dimension ``n2`` as the
+    cells of a rank-3 tensor: ``t[i][j][k]`` is the ``e_j (x) e_k`` coefficient of ``m[i]``."""
+    cut = (((v.dim // n2, n2), {divmod(p, n2): c for p, c in v.items()}) for v in m)
+    return tuple(rows_from_entries(*args) for args in cut)
 
 
 def cells(t: Tensor3) -> SparseTensor3:
@@ -227,6 +247,18 @@ def mat_shape(m: Matrix) -> tuple[int, int]:
 
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
+
+
+def transpose_rows(m: SparseMatrix) -> SparseMatrix:
+    """The transpose of the sparse matrix ``m``."""
+    entries = {(j, i): c for i, row in enumerate(m) for j, c in row.items()}
+    return rows_from_entries((m[0].dim, len(m)), entries)
+
+
+def flip(n1: int, n2: int) -> SparseMatrix:
+    """The flip ``e_i (x) e_j -> e_j (x) e_i`` from an n1*n2 to an n2*n1 pair space."""
+    e = basis(n1 * n2)
+    return tuple(e[p % n2 * n1 + p // n2] for p in range(n1 * n2))
 
 
 def apply_map(m: SparseMatrix, v: Sparse) -> Sparse:
@@ -339,21 +371,6 @@ def compose(m: SparseMatrix, *maps) -> SparseMatrix:
 # rank-3 tensors
 
 
-def tensor3_from_entries(
-    shape: tuple[int, int, int], entries: dict[tuple[int, int, int], Scalar]
-) -> Tensor3:
-    """The tensor of ``shape`` with ``entries``; its zero rows are one shared tuple."""
-    n1, n2, n3 = shape
-    zero, filled = (ZERO,) * n3, {(i, j) for i, j, _ in entries}
-    return tuple(
-        tuple(
-            tuple(entries.get((i, j, k), ZERO) for k in range(n3)) if (i, j) in filled else zero
-            for j in range(n2)
-        )
-        for i in range(n1)
-    )
-
-
 def tensor3_shape(t: Tensor3) -> tuple[int, int, int]:
     return len(t), len(t[0]) if t else 0, len(t[0][0]) if t and t[0] else 0
 
@@ -373,18 +390,19 @@ def bilinear_apply(t: SparseTensor3, x: Sparse, y: Sparse) -> Sparse:
     return _zero_free(out)
 
 
-def tensor_power_products(mul: SparseTensor3, legs: int, us, vs) -> SparseMatrix:
+def tensor_power_products(mul: SparseTensor3, legs: int, us, vs, pairs=None) -> SparseMatrix:
     """The componentwise products ``(x_1 (x) x_2 ...)(y_1 (x) y_2 ...) = x_1 y_1 (x) x_2 y_2 ...``
     on the ``legs``-fold tensor power of the algebra with multiplication ``mul``:
-    each vector of ``us`` times each of ``vs``, row-major.  Each vector is
-    grouped by legs once, not once per product.
+    each vector of ``us`` times each of ``vs``, row-major, or only at the index
+    pairs ``pairs``.  Each vector is grouped by legs once, not once per product.
     """
     n = len(mul)
     size, weight = n**legs, n ** (legs - 1)
     if bad := [w.dim for w in chain(us, vs) if w.dim != size]:
         raise _mismatch(f"{legs}-leg tensor power of dimension {n}", *bad)
     us, vs = ([_by_first_leg(w.items(), weight, n) for w in ws] for ws in (us, vs))
-    products = (_power_product(mul, weight, u, v, _empty(size)) for u in us for v in vs)
+    pairs = product(range(len(us)), range(len(vs))) if pairs is None else pairs
+    products = (_power_product(mul, weight, us[a], vs[b], _empty(size)) for a, b in pairs)
     return tuple(map(_zero_free, products))
 
 
@@ -481,34 +499,33 @@ def product_cases(left, right):
             yield (a, b), range(n) if cs == full else _bits(cs)
 
 
-def terms(t: Tensor3) -> tuple[tuple[tuple[int, int, Scalar], ...], ...]:
-    """For each first index ``i``, the nonzero ``(j, k, t[i][j][k])`` in row-major order.
+def square_cases(mul: SparseTensor3, delta: SparseMatrix):
+    """The cases ``(i, j)`` of ``delta(e_i e_j) = delta(e_i) delta(e_j)``, in
+    lexicographic order, where a side has a nonzero term: where ``mul[i][j]`` is
+    filled, or terms ``e_x1 (x) e_x2`` of ``delta[i]`` and ``e_y1 (x) e_y2`` of
+    ``delta[j]`` fill ``mul[x1][y1]`` and ``mul[x2][y2]``; both sides are zero elsewhere."""
+    n = len(mul)
+    filled = [sum(1 << y for y, cell in enumerate(row) if cell) for row in mul]
+    supports = [sum(1 << p for p in v) for v in delta]
+    for i, u in enumerate(delta):
+        # the bit set of the pair-space terms e_y1 (x) e_y2 whose products with a term of u fill cells
+        reach = reduce(or_, (filled[p % n] << y * n for p in u for y in _bits(filled[p // n])), 0)
+        js = filled[i] | sum(1 << j for j, s in enumerate(supports) if reach & s)
+        yield from ((i, j) for j in _bits(js))
 
-    On a comultiplication tensor ``terms(comul)[i]`` lists the Sweedler terms
-    ``(i_1, i_2, coefficient)`` of ``delta(e_i)``; on a coaction tensor the
-    terms ``(m_(0), c_(1), coefficient)`` of ``rho(e_i)``.  Computing the table
-    once per tensor keeps zero entries out of every Sweedler sum.
+
+def terms(m: SparseMatrix, n2: int) -> tuple[tuple[tuple[int, int, Scalar], ...], ...]:
+    """For each row of a map ``m`` to a pair space with second factor of dimension
+    ``n2``, the nonzero ``(j, k, coefficient)`` of ``e_j (x) e_k``, row-major.
+
+    On a comultiplication ``terms(comul_rows, n)[i]`` lists the Sweedler terms
+    ``(i_1, i_2, coefficient)`` of ``delta(e_i)``; on a coaction the terms
+    ``(m_(0), c_(1), coefficient)`` of ``rho(e_i)``.  Computing the table once
+    per map keeps zero entries out of every Sweedler sum.
     """
-    return tuple(
-        tuple((j, k, c) for j, row in enumerate(plane) for k, c in nonzeros(row)) for plane in t
-    )
+    return tuple(tuple((p // n2, p % n2, c) for p, c in sorted(row.items())) for row in m)
 
 
 def flatten_pair(row_of_rows: Matrix) -> Vector:
     """Flatten an n2 x n3 coefficient block into a vector on the product space."""
     return tuple(chain.from_iterable(row_of_rows))
-
-
-def comul_matrix(comul: Tensor3) -> Matrix:
-    """The comultiplication tensor as a row-image map ``H -> H (x) H``."""
-    return tuple(flatten_pair(plane) for plane in comul)
-
-
-def comul_tensor(m: Matrix, n2: int) -> Tensor3:
-    """The inverse of ``comul_matrix``: a map to a pair space whose second factor
-    has dimension ``n2``, as a rank-3 tensor; its zero rows are one shared tuple."""
-    zero = (ZERO,) * n2
-    return tuple(
-        tuple(s if any(s) else zero for s in (row[p : p + n2] for p in range(0, len(row), n2)))
-        for row in m
-    )

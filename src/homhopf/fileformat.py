@@ -41,11 +41,13 @@ from .exactlin import (
     Matrix,
     Tensor3,
     Vector,
+    dense_rows,
     format_scalar,
     matrix_from_entries,
     nonzeros,
+    pair_cells,
     parse_scalar,
-    tensor3_from_entries,
+    rows_from_entries,
     vector_from_entries,
 )
 from .structures import (
@@ -59,6 +61,7 @@ from .structures import (
     PairingForm,
     RMatrix,
     TwoCocycle,
+    with_tables,
 )
 
 SCHEMA_VERSION = 1
@@ -69,7 +72,8 @@ SCHEMA_VERSION = 1
 
 # The file records stay dataclasses, unlike the ``structures.Record`` value
 # types: the benchmark's input generator (``perfbench/inputs.py``) derives
-# variant files from them with ``dataclasses.replace``.
+# variant files from them with ``dataclasses.replace``: so the tables ``parse``
+# builds are attributes, not fields, and a record made by ``replace`` has none.
 
 
 @dataclass(frozen=True)
@@ -84,24 +88,32 @@ class ObjectRecord:
     counit: Vector | None = None
     antipode: Matrix | None = None
 
+    def _built(self, cls, fields: tuple, view: str, **tables):
+        """A ``cls`` of ``fields`` that keeps the table ``view`` ``parse`` built, if any."""
+        return with_tables(cls, fields, **{view: vars(self).get(view)}, **tables)
+
     def hom_algebra(self) -> HomAlgebra:
         if self.mul is None or self.unit is None:
             raise ParseError(f"object {self.name!r} has no algebra structure")
-        return HomAlgebra(self.dim, self.mul, self.unit, self.alpha)
+        return self._built(HomAlgebra, (self.dim, self.mul, self.unit, self.alpha), "mul_cells")
 
-    def hom_coalgebra(self) -> HomCoalgebra:
+    def hom_coalgebra(self, alpha_inverse: Matrix | None = None) -> HomCoalgebra:
+        """The coalgebra, with the inverse of its structure map if it is known."""
         if self.comul is None or self.counit is None:
             raise ParseError(f"object {self.name!r} has no coalgebra structure")
-        return HomCoalgebra(self.dim, self.comul, self.counit, self.alpha)
+        fields = (self.dim, self.comul, self.counit, self.alpha)
+        return self._built(HomCoalgebra, fields, "comul_rows", alpha_inverse=alpha_inverse)
 
     def hom_bialgebra(self) -> HomBialgebra:
-        return HomBialgebra(self.hom_algebra(), self.hom_coalgebra())
+        algebra = self.hom_algebra()
+        return HomBialgebra(algebra, self.hom_coalgebra(algebra.alpha_inverse))
 
     def hom_hopf(self, bialgebra: HomBialgebra | None = None) -> HomHopfAlgebra:
         """The Hopf object, on ``bialgebra`` if given (built from this record)."""
         if self.antipode is None:
             raise ParseError(f"object {self.name!r} has no antipode")
-        return HomHopfAlgebra(bialgebra or self.hom_bialgebra(), self.antipode)
+        fields = (bialgebra or self.hom_bialgebra(), self.antipode)
+        return self._built(HomHopfAlgebra, fields, "antipode_rows")
 
 
 @dataclass(frozen=True)
@@ -155,7 +167,7 @@ class AlgebraFile:
 
     def _block(self, kind: str, block: BlockRecord | None):
         """``block`` (by default the first of ``kind``), the objects it names
-        and its entries as a dense matrix or rank-3 tensor."""
+        and its entries as a dense matrix or the rows of a rank-3 tensor."""
         if block is None:
             blocks = self.blocks_of(kind)
             if not blocks:
@@ -166,16 +178,16 @@ class AlgebraFile:
         shape = tuple(objs[p].dim for p in positions)
         entries = dict(block.entries)
         if len(shape) == 3:
-            return block, objs, tensor3_from_entries(shape, entries)
+            return block, objs, rows_from_entries(shape, entries)
         return block, objs, matrix_from_entries(*shape, entries)
 
     def module_action(self, block: BlockRecord | None = None) -> ModuleAction:
         _, (actor, carrier), act = self._block("action", block)
-        return ModuleAction(_richest(actor), _richest(carrier), act)
+        return ModuleAction.from_cells(_richest(actor), _richest(carrier), pair_cells(act, carrier.dim))
 
     def comodule_coaction(self, block: BlockRecord | None = None) -> ComoduleCoaction:
         _, (coactor, carrier), coact = self._block("coaction", block)
-        return ComoduleCoaction(_richest(coactor), _richest(carrier), coact)
+        return ComoduleCoaction.from_rows(_richest(coactor), _richest(carrier), coact)
 
     def pairing(self, block: BlockRecord | None = None) -> PairingForm:
         _, (left, right), gram = self._block("pairing", block)
@@ -346,25 +358,27 @@ def parse(data: bytes | str) -> AlgebraFile:
             algebra = nz["mul"] or nz["unit"]
             coalgebra = nz["comul"] or nz["counit"]
             cube = (dim, dim, dim)
-            objects.append(
-                ObjectRecord(
-                    name,
-                    dim,
-                    basis,
-                    matrix_from_entries(dim, dim, nz["alpha"]),
-                    mul=tensor3_from_entries(cube, nz["mul"]) if algebra else None,
-                    unit=vector_from_entries(dim, {i: v for (i,), v in nz["unit"].items()})
-                    if algebra
-                    else None,
-                    comul=tensor3_from_entries(cube, nz["comul"]) if coalgebra else None,
-                    counit=vector_from_entries(dim, {i: v for (i,), v in nz["counit"].items()})
-                    if coalgebra
-                    else None,
-                    antipode=matrix_from_entries(dim, dim, nz["antipode"])
-                    if nz["antipode"]
-                    else None,
-                )
+            # the tables the objects of the record keep, and the dense fields made from them
+            mul = pair_cells(rows_from_entries(cube, nz["mul"]), dim) if algebra else None
+            comul = rows_from_entries(cube, nz["comul"]) if coalgebra else None
+            antipode = rows_from_entries((dim, dim), nz["antipode"]) if nz["antipode"] else None
+            record = ObjectRecord(
+                name,
+                dim,
+                basis,
+                matrix_from_entries(dim, dim, nz["alpha"]),
+                mul=mul and tuple(map(dense_rows, mul)),
+                unit=vector_from_entries(dim, {i: v for (i,), v in nz["unit"].items()})
+                if algebra
+                else None,
+                comul=comul and tuple(map(dense_rows, pair_cells(comul, dim))),
+                counit=vector_from_entries(dim, {i: v for (i,), v in nz["counit"].items()})
+                if coalgebra
+                else None,
+                antipode=antipode and dense_rows(antipode),
             )
+            vars(record).update(mul_cells=mul, comul_rows=comul, antipode_rows=antipode)
+            objects.append(record)
             dims[name] = dim
         elif head in _BLOCK_POSITIONS:
             positions = _BLOCK_POSITIONS[head]

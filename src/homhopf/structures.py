@@ -24,28 +24,25 @@ Structural invariants (shapes, invertibility of structure maps) are enforced
 at construction; algebraic axioms are only ever checker verdicts, so broken
 objects can be built deliberately to exercise the checkers.
 
-The dense fields are the public contract of each domain type.  Each type
-also owns read-only sparse views of them, the operand tables of the
-``exactlin`` kernels: ``HomAlgebra.mul_cells``, ``mul_map`` and
+Each domain type keeps sparse tables, the operand tables of the ``exactlin``
+kernels, as read-only views: ``HomAlgebra.mul_cells``, ``mul_map`` and
 ``unit_vector``; ``HomCoalgebra.comul_rows``, ``comul_op_rows``,
-``comul_terms`` and ``counit_map``; ``alpha_rows`` and ``power(k)``, the
-rows of ``alpha^k``, of both; ``HomHopfAlgebra.antipode_rows`` and the dense
-``antipode_inverse``; ``ModuleAction.act_cells``;
+``comul_terms`` and ``counit_map``; ``alpha_rows``, ``alpha_inverse`` and
+``power(k)``, the rows of ``alpha^k``, of both; ``HomHopfAlgebra.antipode_rows``
+and the dense ``antipode_inverse``; ``ModuleAction.act_cells``;
 ``ComoduleCoaction.coact_rows`` and ``coact_terms``; the ``form`` of a
-``PairingForm`` or ``TwoCocycle`` and ``TwoCocycle.products``, read by the
-cocycle law and the cocycle twist; ``RMatrix.vector``; and the
-``left_module`` and ``right_module`` of a ``MatchedPairData``, whose
-``act_cells`` are its ``left_cells`` and, transposed, its ``right_cells``.
-The ``op`` views are objects too: ``HomAlgebra.op`` is the opposite algebra
-and ``HomCoalgebra.op`` the co-opposite coalgebra, each with views of its
-own.  A view is built on first use and kept in the instance ``__dict__``
-(``functools.cached_property``; ``power`` keeps one dict of powers): it is
-built once per object and freed with it, and it is not a ``Record`` field,
-so ``==``, ``hash``, ``repr`` and a copy built from ``__match_args__`` see
-only the dense fields.  Checkers and constructions read these views; none
-converts a dense field itself.  A ``HomAlgebra`` or ``HomCoalgebra`` also
-keeps ``alpha_inverse`` in its ``__dict__``: the inverse found when the
-structure map is validated.
+``PairingForm`` or ``TwoCocycle`` and ``TwoCocycle.products``;
+``RMatrix.vector``; and the ``left_module`` and ``right_module`` of a
+``MatchedPairData``.  ``HomAlgebra.op`` and ``HomCoalgebra.op`` are objects
+built from transposed or leg-swapped tables.  A builder hands the tables it
+made, and a structure-map inverse it knows, to the object it builds
+(``with_tables``; ``from_cells``, ``from_rows`` and ``hopf_of_tables`` also
+make the dense fields from the tables, zero rows shared).  The dense fields
+are what ``==``, ``hash``, ``repr`` and ``__match_args__`` read; an object
+built from them alone (the dense constructors) converts each view from them
+once, on first use.  Views live in the instance ``__dict__``
+(``functools.cached_property``; ``power`` keeps one dict of powers), not in
+``Record`` fields, so they are freed with the object.
 
 A mirrored law is checked as the one-sided law of an opposite: a left
 comodule algebra over ``C`` as a right one over ``C^cop``, and a right
@@ -61,7 +58,6 @@ from operator import attrgetter
 
 from .errors import DimensionMismatch, MissingStructure, SingularMatrixError
 from .exactlin import (
-    ZERO,
     Matrix,
     Sparse,
     SparseMatrix,
@@ -73,20 +69,22 @@ from .exactlin import (
     basis,
     bilinear_apply,
     cells,
-    comul_matrix,
     compose,
     dense,
     dense_rows,
     flatten_pair,
+    flip,
     identity,
     kron,
     linear_combination,
     mat_compose,
     mat_inverse,
     mat_shape,
+    pair_cells,
     product_cases,
     rows,
     sparse,
+    square_cases,
     tensor3_shape,
     tensor_power_products,
     terms,
@@ -176,13 +174,13 @@ def _as_map(covector: Vector) -> SparseMatrix:
     return rows(transpose((covector,)))
 
 
-def _op_comul(comul: Tensor3) -> Tensor3:
-    """The co-opposite comultiplication ``delta(e_i) = sum e_i2 (x) e_i1``.
-
-    Its zero rows are one shared tuple: ``HomCoalgebra.op`` keeps this
-    tensor, and a coproduct has few nonzero rows."""
-    zero = (ZERO,) * len(comul)
-    return tuple(tuple(row if any(row) else zero for row in transpose(plane)) for plane in comul)
+def with_tables(cls, fields: tuple, **tables):
+    """A ``cls`` of the dense ``fields`` that keeps ``tables``, views or an
+    ``alpha_inverse`` its builder holds, instead of converting its fields."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update((name, t) for name, t in tables.items() if t is not None)
+    obj.__init__(*fields)
+    return obj
 
 
 def _inverse(m: Matrix, message: str = "structure map must be invertible") -> Matrix:
@@ -200,7 +198,8 @@ class _HomSpace(Record):
     def __post_init__(self):
         _require(mat_shape(self.alpha) == (self.dim, self.dim), "structure map shape")
         # kept, not a field: its rows are power(-1)
-        object.__setattr__(self, "alpha_inverse", _inverse(self.alpha))
+        if "alpha_inverse" not in self.__dict__:
+            self.__dict__["alpha_inverse"] = _inverse(self.alpha)
 
     @cached_property
     def alpha_rows(self) -> SparseMatrix:
@@ -243,10 +242,16 @@ class HomAlgebra(_HomSpace):
         _require(len(self.unit) == n, "unit vector length")
         super().__post_init__()
 
+    @classmethod
+    def from_cells(cls, mul_cells: SparseTensor3, unit: Vector, alpha: Matrix, alpha_inverse=None):
+        """The algebra whose product table is ``mul_cells``; ``mul`` is made from it."""
+        fields = (len(mul_cells), tuple(map(dense_rows, mul_cells)), unit, alpha)
+        return with_tables(cls, fields, mul_cells=mul_cells, alpha_inverse=alpha_inverse)
+
     @cached_property
     def op(self) -> HomAlgebra:
         """The opposite algebra, ``e_i . e_j = e_j e_i``."""
-        return HomAlgebra(self.dim, transpose(self.mul), self.unit, self.alpha)
+        return HomAlgebra.from_cells(transpose(self.mul_cells), self.unit, self.alpha, self.alpha_inverse)
 
     @cached_property
     def mul_cells(self) -> SparseTensor3:
@@ -280,25 +285,32 @@ class HomCoalgebra(_HomSpace):
         _require(len(self.counit) == n, "counit covector length")
         super().__post_init__()
 
+    @classmethod
+    def from_rows(cls, comul_rows: SparseMatrix, counit: Vector, alpha: Matrix, alpha_inverse=None):
+        """The coalgebra whose coproduct table is ``comul_rows``; ``comul`` is made from it."""
+        n = len(comul_rows)
+        fields = (n, tuple(map(dense_rows, pair_cells(comul_rows, n))), counit, alpha)
+        return with_tables(cls, fields, comul_rows=comul_rows, alpha_inverse=alpha_inverse)
+
     @cached_property
     def op(self) -> HomCoalgebra:
         """The co-opposite coalgebra, ``delta(e_i) = sum e_i2 (x) e_i1``."""
-        return HomCoalgebra(self.dim, _op_comul(self.comul), self.counit, self.alpha)
+        return HomCoalgebra.from_rows(self.comul_op_rows, self.counit, self.alpha, self.alpha_inverse)
 
     @cached_property
     def comul_rows(self) -> SparseMatrix:
         """The comultiplication as a row-image map ``C -> C (x) C``."""
-        return rows(comul_matrix(self.comul))
+        return rows(map(flatten_pair, self.comul))
 
     @cached_property
     def comul_op_rows(self) -> SparseMatrix:
-        """``op.comul_rows``, for checkers that read only rows: ``op`` keeps a dense tensor."""
-        return rows(comul_matrix(_op_comul(self.comul)))
+        """``op.comul_rows``: ``comul_rows``, then the flip of the two legs."""
+        return compose(self.comul_rows, flip(self.dim, self.dim))
 
     @cached_property
     def comul_terms(self):
         """The Sweedler terms of each ``delta(e_i)`` (see ``exactlin.terms``)."""
-        return terms(self.comul)
+        return terms(self.comul_rows, self.dim)
 
     @cached_property
     def counit_map(self) -> SparseMatrix:
@@ -344,6 +356,11 @@ class HomHopfAlgebra(Record):
     algebra = _path("bialgebra.algebra")
     coalgebra = _path("bialgebra.coalgebra")
 
+    @classmethod
+    def from_rows(cls, bialgebra: HomBialgebra, antipode_rows: SparseMatrix):
+        """The Hopf algebra whose antipode table is ``antipode_rows``, made dense as ``antipode``."""
+        return with_tables(cls, (bialgebra, dense_rows(antipode_rows)), antipode_rows=antipode_rows)
+
     @cached_property
     def antipode_rows(self) -> SparseMatrix:
         return rows(self.antipode)
@@ -363,13 +380,17 @@ def hopf_algebra(
     antipode: Matrix,
 ) -> HomHopfAlgebra:
     """Assemble a HomHopfAlgebra from flat structure constants."""
-    return HomHopfAlgebra(
-        HomBialgebra(
-            HomAlgebra(dim, mul, unit, alpha),
-            HomCoalgebra(dim, comul, counit, alpha),
-        ),
-        antipode,
-    )
+    algebra = HomAlgebra(dim, mul, unit, alpha)
+    coalgebra = with_tables(HomCoalgebra, (dim, comul, counit, alpha), alpha_inverse=algebra.alpha_inverse)
+    return HomHopfAlgebra(HomBialgebra(algebra, coalgebra), antipode)
+
+
+def hopf_of_tables(mul_cells, unit, comul_rows, counit, alpha, antipode_rows, alpha_inverse=None):
+    """Assemble a HomHopfAlgebra from its product, coproduct and antipode
+    tables, kept as its views; the dense fields are made from them."""
+    algebra = HomAlgebra.from_cells(mul_cells, unit, alpha, alpha_inverse)
+    coalgebra = HomCoalgebra.from_rows(comul_rows, counit, alpha, algebra.alpha_inverse)
+    return HomHopfAlgebra.from_rows(HomBialgebra(algebra, coalgebra), antipode_rows)
 
 
 def algebra_of(obj) -> HomAlgebra:
@@ -413,6 +434,11 @@ class ModuleAction(Record):
         na, nc = self.actor.dim, self.carrier.dim
         _require(tensor3_shape(self.act) == (na, nc, nc), "action tensor shape")
 
+    @classmethod
+    def from_cells(cls, actor, carrier, act_cells: SparseTensor3) -> ModuleAction:
+        """The action whose table is ``act_cells``; ``act`` is made from it."""
+        return with_tables(cls, (actor, carrier, tuple(map(dense_rows, act_cells))), act_cells=act_cells)
+
     @cached_property
     def act_cells(self) -> SparseTensor3:
         return cells(self.act)
@@ -432,6 +458,12 @@ class ComoduleCoaction(Record):
         nc, nm = self.coactor.dim, self.carrier.dim
         _require(tensor3_shape(self.coact) == (nm, nm, nc), "coaction tensor shape")
 
+    @classmethod
+    def from_rows(cls, coactor, carrier, coact_rows: SparseMatrix) -> ComoduleCoaction:
+        """The coaction whose table is ``coact_rows``; ``coact`` is made from it."""
+        coact = tuple(map(dense_rows, pair_cells(coact_rows, coactor.dim)))
+        return with_tables(cls, (coactor, carrier, coact), coact_rows=coact_rows)
+
     @cached_property
     def _coproduct(self) -> HomCoalgebra | None:
         """The coactor's coalgebra if ``coact`` is its coproduct tensor: its tables are shared."""
@@ -441,12 +473,12 @@ class ComoduleCoaction(Record):
     @cached_property
     def coact_rows(self) -> SparseMatrix:
         """The coaction as a row-image map ``M -> M (x) C``."""
-        return self._coproduct.comul_rows if self._coproduct else rows(comul_matrix(self.coact))
+        return self._coproduct.comul_rows if self._coproduct else rows(map(flatten_pair, self.coact))
 
     @cached_property
     def coact_terms(self):
         """The terms ``(m_(0), c_(1), coefficient)`` of each ``rho(e_m)``."""
-        return self._coproduct.comul_terms if self._coproduct else terms(self.coact)
+        return self._coproduct.comul_terms if self._coproduct else terms(self.coact_rows, self.coactor.dim)
 
 
 class _GramForm(Record):
@@ -725,10 +757,12 @@ def check_hom_bialgebra(obj) -> CheckReport:
     n = B.dim
     mc, m, unit = B.algebra.mul_cells, B.algebra.mul_map, (B.algebra.unit_vector,)
     delta, eps = B.coalgebra.comul_rows, B.coalgebra.counit_map
-    # delta(e_i) delta(e_j) in the tensor-square algebra
-    products = tensor_power_products(mc, 2, delta, delta)
+    # delta(e_i e_j) against delta(e_i) delta(e_j) in the tensor-square algebra
+    cases = list(square_cases(mc, delta))
+    products = tensor_power_products(mc, 2, delta, delta, cases)
+    multiplicative = (((i, j), apply_map(delta, mc[i][j]), w) for (i, j), w in zip(cases, products))
     checks = (
-        _sweep("bialgebra.comul-multiplicative", (n, n), compose(m, delta), products),
+        _sweep("bialgebra.comul-multiplicative", multiplicative),
         _sweep("bialgebra.comul-unit", (), compose(unit, delta), kron(unit, unit)),
         _sweep("bialgebra.counit-multiplicative", (n, n), compose(m, eps), kron(eps, eps)),
         _sweep("bialgebra.counit-unit", (), compose(unit, eps), basis(1)),

@@ -50,3 +50,13 @@ def replaced(obj, **changes):
     replaced, built by its constructor as ``dataclasses.replace`` builds one;
     ``obj.__match_args__`` names the fields of a ``homhopf`` value type."""
     return type(obj)(**{**{f: getattr(obj, f) for f in obj.__match_args__}, **changes})
+
+
+def tensor3_from_entries(shape, entries):
+    """The dense rank-3 tensor of ``shape`` whose entries are ``entries``,
+    ``{(i, j, k): scalar}``, and zero elsewhere: the tests' dense fixtures."""
+    n1, n2, n3 = shape
+    return tuple(
+        tuple(tuple(entries.get((i, j, k), 0) for k in range(n3)) for j in range(n2))
+        for i in range(n1)
+    )

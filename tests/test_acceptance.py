@@ -19,7 +19,7 @@ from itertools import product
 
 import pytest
 
-from conftest import run_cli
+from conftest import run_cli, tensor3_from_entries
 from homhopf.catalog import (
     catalog_ax1,
     catalog_cyclic,
@@ -54,7 +54,6 @@ from homhopf.exactlin import (
     nonzeros,
     rows,
     sparse,
-    tensor3_from_entries,
 )
 from homhopf.fileformat import (
     SCHEMA_VERSION,

@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from conftest import replaced, run_cli
+from conftest import replaced, run_cli, tensor3_from_entries
 from homhopf.catalog import get_entry
-from homhopf.exactlin import tensor3_from_entries
 from homhopf.fileformat import bundle_of_entry, parse, serialize
 from homhopf.structures import ComoduleCoaction, ModuleAction
 

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from conftest import run_cli
+from conftest import run_cli, tensor3_from_entries
 from homhopf import constructions
 from homhopf.catalog import (
     catalog_ax1,
@@ -52,7 +52,6 @@ from homhopf.exactlin import (
     matrix_from_entries,
     rows,
     sparse,
-    tensor3_from_entries,
 )
 from homhopf.structures import (
     ComoduleCoaction,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tensor3_from_entries
 from homhopf import exactlin
 from homhopf.catalog import catalog_ax1, catalog_cyclic, get_entry
 from homhopf.errors import DimensionMismatch, SingularMatrixError
@@ -19,11 +20,11 @@ from homhopf.exactlin import (
     basis_vector,
     bilinear_apply,
     cells,
-    comul_matrix,
-    comul_tensor,
     compose,
     dense,
     dense_rows,
+    flatten_pair,
+    flip,
     format_scalar,
     identity,
     kron,
@@ -32,12 +33,15 @@ from homhopf.exactlin import (
     mat_inverse,
     matrix_from_rows,
     nonzeros,
+    pair_cells,
     parse_scalar,
     rows,
+    rows_from_entries,
     sparse,
-    tensor3_from_entries,
     tensor_power_products,
     terms,
+    transpose,
+    transpose_rows,
 )
 from homhopf.structures import HomAlgebra, _sweep
 
@@ -519,21 +523,60 @@ class TestTerms:
     @settings(max_examples=60)
     def test_rebuilds_the_tensor_in_row_major_order(self, n1, n2, n3, data):
         t = tuple(tuple(data.draw(vectors(n3)) for _ in range(n2)) for _ in range(n1))
-        rows = terms(t)
-        assert len(rows) == n1
-        for row in rows:
+        rows_of_terms = terms(rows(map(flatten_pair, t)), n3)
+        assert len(rows_of_terms) == n1
+        for row in rows_of_terms:
             assert [(j, k) for j, k, _ in row] == sorted({(j, k) for j, k, _ in row})
             assert all(c for _, _, c in row)
-        entries = {(i, j, k): c for i, row in enumerate(rows) for j, k, c in row}
+        entries = {(i, j, k): c for i, row in enumerate(rows_of_terms) for j, k, c in row}
         assert tensor3_from_entries((n1, n2, n3), entries) == t
 
 
-class TestComulTensor:
+class TestTables:
+    """The sparse tables a builder hands over, and the dense tensors made from them."""
+
     @given(dims, dims, dims, st.data())
     @settings(max_examples=40)
-    def test_inverts_comul_matrix(self, n1, n2, n3, data):
-        t = tuple(tuple(data.draw(vectors(n3)) for _ in range(n2)) for _ in range(n1))
-        assert comul_tensor(comul_matrix(t), n3) == t
+    def test_pair_cells_invert_flattening(self, n1, n2, n3, data):
+        t = data.draw(sparse_tensors(n1, n2, n3))
+        cut = pair_cells(rows(map(flatten_pair, t)), n3)
+        assert tuple(map(dense_rows, cut)) == t
+        assert all(c.dim == n3 and zero_free(c) for plane in cut for c in plane)
+
+    @given(dims, dims, dims, st.data())
+    @settings(max_examples=40)
+    def test_entries_build_the_rows(self, n1, n2, n3, data):
+        t = data.draw(sparse_tensors(n1, n2, n3))
+        entries = {
+            (i, j, k): c
+            for i, plane in enumerate(t)
+            for j, row in enumerate(plane)
+            for k, c in enumerate(row)
+        }
+        flat = rows_from_entries((n1, n2, n3), entries)
+        assert flat == rows(map(flatten_pair, t)) and all(map(zero_free, flat))
+        first = {(i, j): c for (i, j, k), c in entries.items() if k == 0}
+        assert dense_rows(rows_from_entries((n1, n2), first)) == tuple(
+            tuple(row[0] for row in plane) for plane in t
+        )
+
+    def test_zero_rows_are_one_shared_tuple(self):
+        m = dense_rows(rows_from_entries((3, 2), {(1, 0): 1}))
+        assert m == ((0, 0), (1, 0), (0, 0)) and m[0] is m[2]
+
+    @given(dims, dims, st.data())
+    @settings(max_examples=40)
+    def test_transpose_rows_is_the_transpose(self, n1, n2, data):
+        m = data.draw(sparse_rect(n1, n2))
+        out = transpose_rows(rows(m))
+        assert dense_rows(out) == transpose(m) and all(map(zero_free, out))
+
+    @given(dims, dims, st.data())
+    @settings(max_examples=40)
+    def test_flip_exchanges_the_legs(self, n1, n2, data):
+        v = data.draw(sparse_vectors(n1 * n2))
+        flipped = tuple(v[q % n1 * n2 + q // n1] for q in range(n1 * n2))
+        assert dense(apply_map(flip(n1, n2), sparse(v))) == flipped
 
 
 class TestLinearCombination:

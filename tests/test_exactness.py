@@ -10,9 +10,10 @@ objects: a second Hopf suite on one object, a second matched-pair check, a
 second left or right comodule-algebra check by a coproduct and a second
 ``verify prop4.7`` on the same objects convert no structure tensor again,
 each structure map and each antipode is inverted once, and the source has
-no module-level cache.  Two last tooling tests keep the powers of a
-structure map and the inverse antipode views of the objects, and keep every
-comparison of two objects' tables in the checkers of ``structures``.
+no module-level cache.  The last tooling tests keep the powers of a
+structure map and the inverse antipode views of the objects, keep every
+comparison of two objects' tables in the checkers of ``structures``, and
+keep the helpers of the old dense round trip out of the source.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from homhopf.constructions import (
     opposite_hopf,
     self_bicross_data,
 )
-from homhopf.exactlin import mat_inverse, nonzeros
+from homhopf.exactlin import identity, mat_compose, mat_inverse, nonzeros
 from homhopf.structures import (
     ComoduleCoaction,
     check_comodule_algebra,
@@ -262,11 +263,13 @@ def test_second_prop_4_7_on_the_same_objects_converts_nothing_of_the_double(monk
 
 def test_structure_maps_are_inverted_once_per_object(monkeypatch):
     """A ``HomAlgebra`` or ``HomCoalgebra`` inverts its structure map once,
-    when it is built, and keeps the inverse as ``alpha_inverse``.  Building
-    the s3_inner entry and its double and running a Hopf suite on the double
-    inverts seven matrices: the structure maps of the algebra and the
-    coalgebra of the entry, of its dual and of the double, and the entry's
-    antipode.  The suite itself inverts none."""
+    when it is built, and keeps the inverse as ``alpha_inverse``; the algebra
+    and the coalgebra of one Hopf object share one inverse, and a builder
+    that knows the inverse hands it over: the dual's is the transpose of the
+    structure map and a product space's the Kronecker product of the
+    factors' inverses.  Building the s3_inner entry and its double and
+    running a Hopf suite on the double inverts two 6-dim matrices: the
+    entry's structure map and its antipode.  The suite itself inverts none."""
     inverted = []
 
     def counted(m):
@@ -275,11 +278,14 @@ def test_structure_maps_are_inverted_once_per_object(monkeypatch):
 
     for module in (exactlin, structures, constructions):
         monkeypatch.setattr(module, "mat_inverse", counted)
-    double = drinfeld_double(get_entry("s3_inner").hopf)
-    assert sorted(inverted) == [6] * 5 + [36] * 2
+    h = get_entry("s3_inner").hopf
+    double = drinfeld_double(h)
+    assert sorted(inverted) == [6, 6]
     assert run_hopf_suite(double).ok
-    assert len(inverted) == 7
-    assert double.algebra.alpha_inverse == double.coalgebra.alpha_inverse
+    assert len(inverted) == 2
+    for obj in (h, double):
+        assert obj.algebra.alpha_inverse is obj.coalgebra.alpha_inverse
+        assert mat_compose(obj.alpha, obj.alpha_inverse) == identity(obj.dim)
 
 
 def test_the_antipode_is_inverted_once_per_object(monkeypatch):
@@ -392,4 +398,22 @@ def test_identifications_are_checked_by_structures():
             if isinstance(node, ast.Compare) and any(isinstance(o, ast.NotEq) for o in node.ops):
                 if all(_dense_field(x) for x in (node.left, *node.comparators)):
                     found.append((path.stem, ast.unparse(node)))
+    assert found == []
+
+
+def test_dense_round_trip_helpers_are_gone():
+    """Builders hand their sparse tables to the objects they build, and the
+    dense fields are made from the tables: no module defines, imports or
+    reads ``comul_matrix``, ``comul_tensor``, ``_op_comul`` or
+    ``tensor3_from_entries``, the helpers of the old dense round trip."""
+    gone = {"comul_matrix", "comul_tensor", "_op_comul", "tensor3_from_entries"}
+    found = []
+    for path in sorted(Path(homhopf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name in gone:
+                found.append((path.stem, f"def {node.name}"))
+            elif isinstance(node, ast.ImportFrom):
+                found += [(path.stem, f"import {a.name}") for a in node.names if a.name in gone]
+            elif isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in gone:
+                found.append((path.stem, ast.unparse(node)))
     assert found == []

@@ -7,7 +7,7 @@ from functools import reduce
 
 import pytest
 
-from conftest import replaced
+from conftest import replaced, tensor3_from_entries
 from homhopf.catalog import (
     BicrossGolden,
     CatalogEntry,
@@ -36,7 +36,6 @@ from homhopf.errors import DimensionMismatch, SingularMatrixError
 from homhopf.exactlin import (
     Sparse,
     cells,
-    comul_matrix,
     dense,
     identity,
     mat_compose,
@@ -45,8 +44,6 @@ from homhopf.exactlin import (
     matrix_from_rows,
     rows,
     sparse,
-    tensor3_from_entries,
-    terms,
     transpose,
 )
 from homhopf.fileformat import bundle_of_entry, parse, serialize
@@ -569,6 +566,19 @@ def dense_power(alpha, k):
     return reduce(mat_compose, [alpha if k > 0 else mat_inverse(alpha)] * abs(k))
 
 
+def flat_rows(t):
+    """A rank-3 tensor as the rows of the map ``e_i -> sum t[i][j][k] e_j (x) e_k``."""
+    return rows(tuple(tuple(c for row in plane for c in row) for plane in t))
+
+
+def dense_terms(t):
+    """The nonzero ``(j, k, t[i][j][k])`` of each plane ``t[i]`` of a rank-3 tensor, row-major."""
+    return tuple(
+        tuple((j, k, c) for j, row in enumerate(plane) for k, c in enumerate(row) if c)
+        for plane in t
+    )
+
+
 def hopf_conversions(H):
     """The conversions of the dense fields that the views of ``hopf_views`` replace."""
     co_opposite = tuple(transpose(plane) for plane in H.comul)
@@ -581,9 +591,9 @@ def hopf_conversions(H):
         ("HomAlgebra", "mul_map"): rows(tuple(row for plane in H.mul for row in plane)),
         ("HomAlgebra", "alpha_rows"): rows(H.alpha),
         ("HomAlgebra", "unit_vector"): sparse(H.unit),
-        ("HomCoalgebra", "comul_rows"): rows(comul_matrix(H.comul)),
-        ("HomCoalgebra", "comul_op_rows"): rows(comul_matrix(co_opposite)),
-        ("HomCoalgebra", "comul_terms"): terms(H.comul),
+        ("HomCoalgebra", "comul_rows"): flat_rows(H.comul),
+        ("HomCoalgebra", "comul_op_rows"): flat_rows(co_opposite),
+        ("HomCoalgebra", "comul_terms"): dense_terms(H.comul),
         ("HomCoalgebra", "counit_map"): rows(transpose((H.counit,))),
         ("HomCoalgebra", "alpha_rows"): rows(H.alpha),
         ("HomHopfAlgebra", "antipode_rows"): rows(H.antipode),
@@ -662,8 +672,8 @@ class TestViews:
         if entry.action is not None:
             act, co = entry.action, entry.coaction
             assert as_dense(act.act_cells) == act.act
-            assert as_dense(co.coact_rows) == as_dense(rows(comul_matrix(co.coact)))
-            assert co.coact_terms == terms(co.coact)
+            assert as_dense(co.coact_rows) == as_dense(flat_rows(co.coact))
+            assert co.coact_terms == dense_terms(co.coact)
             mp = dual_matched_pair(h, entry.partner, act, co, check=False)
             assert as_dense(mp.left_cells) == mp.left_action
             assert as_dense(mp.right_cells) == mp.right_action

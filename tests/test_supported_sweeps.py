@@ -8,10 +8,12 @@ visits every basis multi-index and skips nothing. The two must give the same
 ``CheckEntry``: the same verdict and the same witness. The laws are
 ``algebra.hom-associative``, ``module.hom-associative``, the cocycle
 condition, ``antipode.anti-multiplicative`` and ``check_morphism``'s
-``.mul``.
+``.mul``.  ``bialgebra.comul-multiplicative`` is read the same way from
+``exactlin.square_cases`` and compared with the full product table.
 
-Also pinned: how many cases the sweeps visit, how often a tensor-power
-product groups an operand, and that a cocycle's products are built once.
+Also pinned: how many cases the sweeps visit and how many products they
+form, how often a tensor-power product groups an operand, and that a
+cocycle's products are built once.
 """
 
 from __future__ import annotations
@@ -39,7 +41,15 @@ from homhopf.constructions import (
     self_bicross,
 )
 from homhopf.errors import SingularMatrixError
-from homhopf.exactlin import apply_map, basis, bilinear_apply, dense, rows, sparse
+from homhopf.exactlin import (
+    apply_map,
+    basis,
+    bilinear_apply,
+    dense,
+    rows,
+    sparse,
+    tensor_power_products,
+)
 from homhopf.structures import (
     CheckEntry,
     HomAlgebra,
@@ -134,9 +144,23 @@ def morphism_mul(prefix: str, X, Y, phi) -> CheckEntry:
     )
 
 
+def comul_multiplicative(obj) -> CheckEntry:
+    """delta(e_i e_j) against delta(e_i) delta(e_j), from the full product table."""
+    mc, delta, n = obj.algebra.mul_cells, obj.coalgebra.comul_rows, obj.dim
+    products = tensor_power_products(mc, 2, delta, delta)
+    return full_sweep(
+        "bialgebra.comul-multiplicative",
+        (n, n),
+        lambda i, j: (apply_map(delta, mc[i][j]), products[i * n + j]),
+    )
+
+
 def assert_product_laws_match(obj) -> None:
     """Every product law of ``obj`` that applies gives the reference's entry."""
     assert check_hom_algebra(obj).entry("algebra.hom-associative") == hom_associative(obj)
+    if isinstance(obj, HomHopfAlgebra):
+        entry = check_hom_bialgebra(obj).entry("bialgebra.comul-multiplicative")
+        assert entry == comul_multiplicative(obj)
     for prefix, phi in (("id", basis(obj.dim)), ("alpha", obj.alpha_rows)):
         got = check_morphism(prefix, obj, obj, phi).entry(prefix + ".mul")
         assert got == morphism_mul(prefix, obj, obj, phi)
@@ -202,7 +226,7 @@ PERTURBED = 8  # seeded single-entry perturbations per input and field
 
 
 @pytest.mark.parametrize("name", ("sweedler_hom", "cyclic:3", "s3_inner"))
-@pytest.mark.parametrize("field", ("mul", "alpha", "antipode"))
+@pytest.mark.parametrize("field", ("mul", "comul", "alpha", "antipode"))
 def test_perturbed_hopf_algebras(name, field):
     h = get_entry(name).hopf
     rng = random.Random(f"{name} {field}")
@@ -338,6 +362,25 @@ def test_a_dense_table_is_swept_in_full(monkeypatch):
     bicross = self_bicross(get_entry("cyclic:4").hopf, check=False)
     counts = visited(monkeypatch, lambda: check_hom_algebra(bicross))
     assert counts["algebra.hom-associative"] == 16**3
+
+
+def test_comul_multiplicativity_forms_only_the_products_a_side_needs(monkeypatch):
+    """On the 36-dim s3_inner double 216 of the 1,296 pairs have a filled
+    product cell or Sweedler terms whose leg products are both filled cells:
+    exactly the 216 filled cells.  Only their products are formed and swept."""
+    double = derived("double", "s3_inner")
+    formed = []
+    products = structures.tensor_power_products
+
+    def counting(*args):
+        out = products(*args)
+        formed.append(len(out))
+        return out
+
+    monkeypatch.setattr(structures, "tensor_power_products", counting)
+    counts = visited(monkeypatch, lambda: check_hom_bialgebra(double))
+    assert formed == [216] and counts["bialgebra.comul-multiplicative"] == 216
+    assert sum(1 for plane in double.algebra.mul_cells for cell in plane if cell) == 216
 
 
 def test_comul_multiplicativity_groups_each_coproduct_row_once(monkeypatch):

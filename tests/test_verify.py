@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import replaced
+from conftest import replaced, tensor3_from_entries
 from homhopf.catalog import (
     catalog_ax1,
     catalog_ex27_expected,
@@ -22,7 +22,7 @@ from homhopf.constructions import (
     dual,
     heisenberg_double,
 )
-from homhopf.exactlin import basis, basis_vector, kron, tensor3_from_entries
+from homhopf.exactlin import basis, basis_vector, kron
 from homhopf.structures import ComoduleCoaction, ModuleAction, Witness, check_morphism
 from homhopf.verify import (
     verify_cor_2_9,
