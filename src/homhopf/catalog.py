@@ -89,9 +89,9 @@ def catalog_ax1() -> CatalogEntry:
 
     kz2 = catalog_kz2().hopf
     acting = {(0, 0, 0): ONE, (0, 1, 1): -ONE, (1, 0, 0): ONE, (1, 1, 1): ONE}
-    act = ModuleAction.from_cells(kz2, ax1, pair_cells(rows_from_entries((n, n, n), acting), n))
+    act = ModuleAction(kz2, ax1, pair_cells(rows_from_entries((n, n, n), acting), n))
     coacting = rows_from_entries((n, n, n), {(0, 0, 0): ONE, (1, 1, 0): ONE})
-    coact = ComoduleCoaction.from_rows(ax1, kz2, coacting)
+    coact = ComoduleCoaction(ax1, kz2, coacting)
     return CatalogEntry(
         "ax1", ax1, ("1", "x"), partner=kz2, partner_basis=("1", "g"), action=act, coaction=coact
     )

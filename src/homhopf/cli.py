@@ -30,9 +30,8 @@ def _load_input(source: str):
     from .errors import InvalidParameter
     from .fileformat import bundle_of_entry, parse, serialize
 
-    path = Path(source)
-    if path.exists():
-        raw = path.read_bytes()
+    if Path(source).exists():
+        raw = _read(source)
         return parse(raw), raw, None
     from .catalog import catalog_names, get_entry
 
@@ -135,6 +134,16 @@ def _write_report(path, command: str, inputs, results, status: int) -> None:
     _write(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
 
 
+def _read(path) -> bytes:
+    """Read an input file; an unreadable path is an input error (exit 2)."""
+    from pathlib import Path
+
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        _fail_usage(f"cannot read {path}: {exc.strerror or exc}")
+
+
 def _write(path, data: bytes) -> None:
     """Write an output file; an unwritable path is an input error (exit 2)."""
     from pathlib import Path
@@ -170,7 +179,7 @@ def check(source, level, report_path, jobs):
     )
 
     try:
-        bundle, raw, entry = _load_input(source)
+        bundle, raw, _ = _load_input(source)
         rec = bundle.object()
         # one algebra and one coalgebra, so every checker shares their sparse tables
         alg = rec.hom_algebra() if level != "coalgebra" else None
@@ -186,6 +195,7 @@ def check(source, level, report_path, jobs):
             tasks.append(partial(check_quasitriangular, bia, bundle.rmatrix(blocks[0])))
     except (HomHopfError, OSError) as exc:
         _fail_usage(str(exc))
+    del bundle, rec  # the record's dense tensors are not read again: free them before the sweeps
 
     combined = merge_reports(*(t() for t in tasks))
     _print_report(combined)
@@ -260,8 +270,7 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
         elif kind == "twist":
             if cocycle_path is None:
                 _fail_usage("twist needs --cocycle <file>")
-            with open(cocycle_path, "rb") as fh:
-                craw = fh.read()
+            craw = _read(cocycle_path)
             inputs.append((cocycle_path, craw))
             given = parse(craw).cocycle()
             host = rec.hom_bialgebra()
@@ -314,11 +323,12 @@ def verify(suite, source, report_path, jobs):
             co = bundle.comodule_coaction()
             from .catalog import catalog_ex27_expected, get_entry
 
-            # the golden tables are those of the catalog's ax1 data
+            # the golden tables are those of the catalog's ax1 data (a coaction's
+            # rows fix its shape with the coactor's dimension)
             ax1 = get_entry("ax1")
-            given = (act.carrier, act.actor, act.act, co.coact)
-            is_ax1 = given == (ax1.hopf, ax1.partner, ax1.action.act, ax1.coaction.coact)
-            golden = catalog_ex27_expected() if is_ax1 else None
+            given = (act.carrier, act.actor, act.act_cells, co.coactor.dim, co.coact_rows)
+            want = (ax1.hopf, ax1.partner, ax1.action.act_cells, ax1.hopf.dim, ax1.coaction.coact_rows)
+            golden = catalog_ex27_expected() if given == want else None
             result = verify_thm_2_6(act.carrier, act.actor, act, co, golden)
         elif suite == "cor2.9":
             result = verify_cor_2_9(hopf, group)

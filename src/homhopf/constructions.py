@@ -159,18 +159,18 @@ def opposite(h: HomHopfAlgebra) -> HomHopfAlgebra:
     """Reverse the multiplication (``h.algebra.op``); the coalgebra and the
     stored antipode are carried over unchanged (the result is consumed as
     algebra-plus-coalgebra data and need not satisfy the antipode law)."""
-    return HomHopfAlgebra.from_rows(HomBialgebra(h.algebra.op, h.coalgebra), h.antipode_rows)
+    return HomHopfAlgebra(HomBialgebra(h.algebra.op, h.coalgebra), h.antipode_rows)
 
 
 def opposite_hopf(h: HomHopfAlgebra) -> HomHopfAlgebra:
     """The opposite with the inverse antipode, which is again Hom-Hopf."""
-    return HomHopfAlgebra.from_rows(opposite(h).bialgebra, rows(h.antipode_inverse))
+    return HomHopfAlgebra(opposite(h).bialgebra, rows(h.antipode_inverse))
 
 
 def co_opposite(h: HomHopfAlgebra) -> HomHopfAlgebra:
     """The co-opposite ``delta(a) = a_2 (x) a_1`` (``h.coalgebra.op``) with the
     inverse antipode, which is again Hom-Hopf."""
-    return HomHopfAlgebra.from_rows(HomBialgebra(h.algebra, h.coalgebra.op), rows(h.antipode_inverse))
+    return HomHopfAlgebra(HomBialgebra(h.algebra, h.coalgebra.op), rows(h.antipode_inverse))
 
 
 def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
@@ -221,7 +221,8 @@ def smash_product(A, H, act: ModuleAction, check: bool = True) -> HomAlgebra:
     tau = [[apply_kron(row, ah_i1, v) for row in acted] for v in delta]
     mul = _pair_product(alg.mul_cells, transpose(bi.algebra.mul_cells), tau)
     unit = _dense_kron((alg.unit,), (bi.unit,))[0]
-    return HomAlgebra.from_cells(mul, unit, *_product_alpha(alg, bi))
+    alpha, inverse = _product_alpha(alg, bi)
+    return HomAlgebra(na * nh, mul, unit, alpha, alpha_inverse=inverse)
 
 
 def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> Matrix:
@@ -263,7 +264,8 @@ def cotwist_coproduct(C, D, phi: Matrix, check: bool = True) -> HomCoalgebra:
     phi_d = compose(kron(ec, Dc.comul_rows), (phi_rows, ed))
     comul = compose(kron(Cc.comul_rows, ed), (ec, phi_d))
     counit = _dense_kron((Cc.counit,), (Dc.counit,))[0]
-    return HomCoalgebra.from_rows(comul, counit, *_product_alpha(Cc, Dc))
+    alpha, inverse = _product_alpha(Cc, Dc)
+    return HomCoalgebra(nc * nd, comul, counit, alpha, alpha_inverse=inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +370,7 @@ def bicrossproduct(
         for a in range(na)
         for hh in range(nh)
     )
-    return HomHopfAlgebra.from_rows(HomBialgebra(smash, coalg), antipode)
+    return HomHopfAlgebra(HomBialgebra(smash, coalg), antipode)
 
 
 def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, ComoduleCoaction]:
@@ -403,7 +405,7 @@ def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, 
         )
         for h in range(n)
     )
-    return hop, ModuleAction.from_cells(hop, H, act), ComoduleCoaction.from_rows(H, hop, coact)
+    return hop, ModuleAction(hop, H, act), ComoduleCoaction(H, hop, coact)
 
 
 def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
@@ -488,7 +490,7 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     mul = _pair_product(A.algebra.mul_cells, transpose(H.algebra.mul_cells), tau)
     coalg = _tensor_coalgebra(A, H)
     unit = _dense_kron((A.unit,), (H.unit,))[0]
-    alg = HomAlgebra.from_cells(mul, unit, coalg.alpha, coalg.alpha_inverse)
+    alg = HomAlgebra(coalg.dim, mul, unit, coalg.alpha, alpha_inverse=coalg.alpha_inverse)
 
     # the two antipode factors as maps: h -> 1 (x) S_H alpha_H^-1(h), a -> S_A alpha_A^-1(a) (x) 1
     s_h = kron((A.algebra.unit_vector,), compose(H.power(-1), H.antipode_rows))
@@ -496,7 +498,7 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     antipode = tuple(
         bilinear_apply(alg.mul_cells, s_h[h], s_a[a]) for a in range(na) for h in range(nh)
     )
-    return HomHopfAlgebra.from_rows(HomBialgebra(alg, coalg), antipode)
+    return HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
 
 
 def dual_matched_pair(
@@ -513,12 +515,12 @@ def dual_matched_pair(
         if not combined.ok:
             raise PreconditionFailed("bicrossproduct preconditions fail", combined)
     na, nh = A.dim, H.dim
+    # e^j > e_h is the sum of c e_h0 over the terms (h0, j, c) of rho(e_h)
+    entries = {(j, h, h0): c for h, terms in enumerate(co.coact_terms) for h0, j, c in terms}
+    left = pair_cells(rows_from_entries((na, nh, nh), entries), nh)
     # column j of alpha^-2 followed by the action of h is <e^j < h, .>
-    acted = [transpose(dense_rows(compose(A.power(-2), plane))) for plane in act.act_cells]
-    left = tuple(
-        tuple(tuple(co.coact[h][h0][j] for h0 in range(nh)) for h in range(nh)) for j in range(na)
-    )
-    right = tuple(tuple(acted[h][j] for h in range(nh)) for j in range(na))
+    acted = [transpose_rows(compose(A.power(-2), plane)) for plane in act.act_cells]
+    right = tuple(tuple(columns[j] for columns in acted) for j in range(na))
     return MatchedPairData(H, dual(A), left, right)
 
 
@@ -563,7 +565,7 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     mul = _pair_product(shifted, times, tau)
     coalg = _tensor_coalgebra(H, hst)
     unit = _dense_kron((H.unit,), (hst.unit,))[0]
-    alg = HomAlgebra.from_cells(mul, unit, coalg.alpha, coalg.alpha_inverse)
+    alg = HomAlgebra(coalg.dim, mul, unit, coalg.alpha, alpha_inverse=coalg.alpha_inverse)
 
     # S(h (x) f) = (1 (x) S*(alpha*(f))) (S^-1(alpha^-1(h)) (x) counit), factor by factor
     counit = hst.algebra.unit_vector  # the counit of H is the unit of its dual
@@ -571,7 +573,7 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     s_h = kron(compose(H.power(-1), rows(H.antipode_inverse)), (counit,))
     mc = alg.mul_cells
     antipode = tuple(bilinear_apply(mc, s_f[j], s_h[h]) for h in range(n) for j in range(n))
-    return HomHopfAlgebra.from_rows(HomBialgebra(alg, coalg), antipode)
+    return HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
 
 
 def canonical_r_matrix(H: HomHopfAlgebra, double: HomHopfAlgebra | None = None) -> RMatrix:
@@ -630,7 +632,7 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
         ca, cb = (A.coalgebra, B.coalgebra) if first else (A.coalgebra.op, B.coalgebra.op)
         legs, w = ca.comul_rows, rows(weight)
         # through[b] maps the paired leg of a to the kept leg of b
-        through = [compose(w, rows(plane), b_then) for plane in cb.comul]
+        through = [compose(w, plane, b_then) for plane in pair_cells(cb.comul_rows, nb)]
         return tuple(
             dense(apply_kron(a_then, through[b], legs[a])) for a in range(na) for b in range(nb)
         )
@@ -659,8 +661,8 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
     antipode = compose(kron(A.antipode_rows, rows(sb_inv)), flip(na, nb), rows(twisting))
     unit = _dense_kron((A.unit,), (B.unit,))[0]
     mul = _pair_product(first, second, tau)
-    alg = HomAlgebra.from_cells(mul, unit, coalg.alpha, coalg.alpha_inverse)
-    hopf = HomHopfAlgebra.from_rows(HomBialgebra(alg, coalg), antipode)
+    alg = HomAlgebra(coalg.dim, mul, unit, coalg.alpha, alpha_inverse=coalg.alpha_inverse)
+    hopf = HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
     return PairedDouble(hopf, twisting, inverses_match)
 
 
@@ -674,7 +676,7 @@ def regular_action(h: HomHopfAlgebra) -> ModuleAction:
     # e^j -> e_b is the sum of c e_b1 over the Sweedler terms (b1, j, c) of e_b
     terms = h.coalgebra.comul_terms
     entries = {(j, b, b1): c for b, sweedler in enumerate(terms) for b1, j, c in sweedler}
-    return ModuleAction.from_cells(dual(h), h, pair_cells(rows_from_entries((n,) * 3, entries), n))
+    return ModuleAction(dual(h), h, pair_cells(rows_from_entries((n,) * 3, entries), n))
 
 
 def heisenberg_double(A: HomHopfAlgebra) -> HomAlgebra:
@@ -717,8 +719,8 @@ def drinfeld_double_tilde(A: HomHopfAlgebra) -> HomBialgebra:
     comul = compose([d.coalgebra.comul_op_rows[p] for p in order], (f, f))
     alpha, alpha_inverse = (tuple(moved(m[p]) for p in order) for m in (d.alpha, d.alpha_inverse))
     return HomBialgebra(
-        HomAlgebra.from_cells(mul, moved(d.unit), alpha, alpha_inverse),
-        HomCoalgebra.from_rows(comul, moved(d.counit), alpha, alpha_inverse),
+        HomAlgebra(d.dim, mul, moved(d.unit), alpha, alpha_inverse=alpha_inverse),
+        HomCoalgebra(d.dim, comul, moved(d.counit), alpha, alpha_inverse=alpha_inverse),
     )
 
 
@@ -735,7 +737,7 @@ def cocycle_twist(B, sigma: TwoCocycle, check: bool = True) -> HomAlgebra:
             raise PreconditionFailed("not a normal cocycle", report)
     ainv1 = bi.power(-1)
     mul = tuple(tuple(apply_map(ainv1, w) for w in row) for row in sigma.products)
-    return HomAlgebra.from_cells(mul, bi.unit, bi.alpha, bi.alpha_inverse)
+    return HomAlgebra(bi.dim, mul, bi.unit, bi.alpha, alpha_inverse=bi.alpha_inverse)
 
 
 def canonical_cocycles(

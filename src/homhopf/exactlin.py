@@ -26,10 +26,11 @@ tuple of the sparse matrices of its first-index planes.  No result keeps a
 coefficient that cancelled to zero, so two sparse vectors of the same
 length are equal exactly when their dense vectors (``dense``) are.  The
 tables of structure constants are built sparse (``rows_from_entries``, the
-kernels) and handed to the domain types of ``structures``; a dense tensor is
-made from a table (``dense_rows``, ``pair_cells``), not the other way round,
-except where an object is built from dense fields.  The kernels check only
-that the lengths of their operands fit together.
+kernels) and are the fields of the domain types of ``structures``; a dense
+tensor is made from a table (``dense_rows``, ``pair_cells``) where a dense
+value is wanted, and a table from dense constants (``rows``, ``cells``) only
+where they come in dense.  The kernels check only that the lengths of their
+operands fit together.
 
 Sweedler sums and tensor legs are enumerated here and nowhere else:
 ``terms`` lists the nonzero Sweedler terms of the rows of a comultiplication
@@ -41,8 +42,8 @@ call.  ``product_cases`` and ``square_cases`` read, from the supports alone,
 at which basis indices the sides of a law can be nonzero, so that it is
 swept only there.
 
-All functions are pure.  Dense values are nested tuples and hashable;
-sparse vectors are dicts, so they are not.
+All functions are pure.  Dense values are nested tuples; sparse vectors are
+dicts that hash by their items.  Both are hashable.
 """
 
 from __future__ import annotations
@@ -127,9 +128,15 @@ def nonzeros(v: Iterable[Scalar]) -> Iterator[tuple[int, Scalar]]:
 
 
 class Sparse(dict):
-    """The nonzero coefficients ``{index: scalar}`` of a vector of length ``dim``."""
+    """The nonzero coefficients ``{index: scalar}`` of a vector of length ``dim``.
+
+    Its hash is that of its items, so a table of sparse vectors hashes as the
+    domain types' fields must; a vector is not changed once it is built."""
 
     __slots__ = ("dim",)
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
 
 
 SparseMatrix = tuple[Sparse, ...]
@@ -211,6 +218,11 @@ def cells(t: Tensor3) -> SparseTensor3:
     return tuple(rows(plane) for plane in t)
 
 
+def dense_cells(t: SparseTensor3) -> Tensor3:
+    """The dense rank-3 tensor of the cells ``t``; its zero rows are shared plane by plane."""
+    return tuple(map(dense_rows, t))
+
+
 def linear_combination(n: int, scaled: Iterable[tuple[Scalar, Sparse]]) -> Sparse:
     """The length-``n`` vector ``sum c * v`` over the ``(c, v)`` pairs of ``scaled``."""
     out = _empty(n)
@@ -235,10 +247,6 @@ def identity(n: int) -> Matrix:
 
 def matrix_from_entries(rows: int, cols: int, entries: dict[tuple[int, int], Scalar]) -> Matrix:
     return tuple(tuple(entries.get((i, j), ZERO) for j in range(cols)) for i in range(rows))
-
-
-def matrix_from_rows(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(tuple(_normal(Fraction(x)) for x in row) for row in rows)
 
 
 def mat_shape(m: Matrix) -> tuple[int, int]:
@@ -369,10 +377,6 @@ def compose(m: SparseMatrix, *maps) -> SparseMatrix:
 
 # ---------------------------------------------------------------------------
 # rank-3 tensors
-
-
-def tensor3_shape(t: Tensor3) -> tuple[int, int, int]:
-    return len(t), len(t[0]) if t else 0, len(t[0][0]) if t and t[0] else 0
 
 
 def bilinear_apply(t: SparseTensor3, x: Sparse, y: Sparse) -> Sparse:

@@ -41,12 +41,15 @@ from .exactlin import (
     Matrix,
     Tensor3,
     Vector,
-    dense_rows,
+    cells,
+    dense_cells,
+    flatten_pair,
     format_scalar,
     matrix_from_entries,
     nonzeros,
     pair_cells,
     parse_scalar,
+    rows,
     rows_from_entries,
     vector_from_entries,
 )
@@ -61,7 +64,6 @@ from .structures import (
     PairingForm,
     RMatrix,
     TwoCocycle,
-    with_tables,
 )
 
 SCHEMA_VERSION = 1
@@ -70,10 +72,11 @@ SCHEMA_VERSION = 1
 # allocated.  The objects of one file together may declare at most MAX_DIM^3
 # (the sum of dim^3), so a file holds no more than one largest object's tensors.
 
-# The file records stay dataclasses, unlike the ``structures.Record`` value
-# types: the benchmark's input generator (``perfbench/inputs.py``) derives
-# variant files from them with ``dataclasses.replace``: so the tables ``parse``
-# builds are attributes, not fields, and a record made by ``replace`` has none.
+# The file records stay dataclasses of dense fields, unlike the
+# ``structures.Record`` value types: the benchmark's input generator
+# (``perfbench/inputs.py``) derives variant files from them with
+# ``dataclasses.replace``.  An object a record builds converts its dense
+# fields to its tables.
 
 
 @dataclass(frozen=True)
@@ -88,21 +91,17 @@ class ObjectRecord:
     counit: Vector | None = None
     antipode: Matrix | None = None
 
-    def _built(self, cls, fields: tuple, view: str, **tables):
-        """A ``cls`` of ``fields`` that keeps the table ``view`` ``parse`` built, if any."""
-        return with_tables(cls, fields, **{view: vars(self).get(view)}, **tables)
-
     def hom_algebra(self) -> HomAlgebra:
         if self.mul is None or self.unit is None:
             raise ParseError(f"object {self.name!r} has no algebra structure")
-        return self._built(HomAlgebra, (self.dim, self.mul, self.unit, self.alpha), "mul_cells")
+        return HomAlgebra(self.dim, cells(self.mul), self.unit, self.alpha)
 
     def hom_coalgebra(self, alpha_inverse: Matrix | None = None) -> HomCoalgebra:
         """The coalgebra, with the inverse of its structure map if it is known."""
         if self.comul is None or self.counit is None:
             raise ParseError(f"object {self.name!r} has no coalgebra structure")
-        fields = (self.dim, self.comul, self.counit, self.alpha)
-        return self._built(HomCoalgebra, fields, "comul_rows", alpha_inverse=alpha_inverse)
+        comul_rows = rows(map(flatten_pair, self.comul))
+        return HomCoalgebra(self.dim, comul_rows, self.counit, self.alpha, alpha_inverse=alpha_inverse)
 
     def hom_bialgebra(self) -> HomBialgebra:
         algebra = self.hom_algebra()
@@ -112,8 +111,7 @@ class ObjectRecord:
         """The Hopf object, on ``bialgebra`` if given (built from this record)."""
         if self.antipode is None:
             raise ParseError(f"object {self.name!r} has no antipode")
-        fields = (bialgebra or self.hom_bialgebra(), self.antipode)
-        return self._built(HomHopfAlgebra, fields, "antipode_rows")
+        return HomHopfAlgebra(bialgebra or self.hom_bialgebra(), rows(self.antipode))
 
 
 @dataclass(frozen=True)
@@ -183,11 +181,11 @@ class AlgebraFile:
 
     def module_action(self, block: BlockRecord | None = None) -> ModuleAction:
         _, (actor, carrier), act = self._block("action", block)
-        return ModuleAction.from_cells(_richest(actor), _richest(carrier), pair_cells(act, carrier.dim))
+        return ModuleAction(_richest(actor), _richest(carrier), pair_cells(act, carrier.dim))
 
     def comodule_coaction(self, block: BlockRecord | None = None) -> ComoduleCoaction:
         _, (coactor, carrier), coact = self._block("coaction", block)
-        return ComoduleCoaction.from_rows(_richest(coactor), _richest(carrier), coact)
+        return ComoduleCoaction(_richest(coactor), _richest(carrier), coact)
 
     def pairing(self, block: BlockRecord | None = None) -> PairingForm:
         _, (left, right), gram = self._block("pairing", block)
@@ -217,6 +215,11 @@ def _richest(rec: ObjectRecord):
 # parsing
 
 _ENTRY_ARITY = {"mul": 3, "comul": 3, "alpha": 2, "antipode": 2, "unit": 1, "counit": 1}
+
+
+def _tensor(dim: int, entries: dict) -> Tensor3:
+    """The dense rank-3 tensor of dimension ``dim`` with the nonzero ``entries``, its zero rows shared."""
+    return dense_cells(pair_cells(rows_from_entries((dim,) * 3, entries), dim))
 
 
 def _lines(text: str):
@@ -357,27 +360,21 @@ def parse(data: bytes | str) -> AlgebraFile:
                 raise ParseError(f"object {name!r} has no structure map", lineno, 1)
             algebra = nz["mul"] or nz["unit"]
             coalgebra = nz["comul"] or nz["counit"]
-            cube = (dim, dim, dim)
-            # the tables the objects of the record keep, and the dense fields made from them
-            mul = pair_cells(rows_from_entries(cube, nz["mul"]), dim) if algebra else None
-            comul = rows_from_entries(cube, nz["comul"]) if coalgebra else None
-            antipode = rows_from_entries((dim, dim), nz["antipode"]) if nz["antipode"] else None
             record = ObjectRecord(
                 name,
                 dim,
                 basis,
                 matrix_from_entries(dim, dim, nz["alpha"]),
-                mul=mul and tuple(map(dense_rows, mul)),
+                mul=_tensor(dim, nz["mul"]) if algebra else None,
                 unit=vector_from_entries(dim, {i: v for (i,), v in nz["unit"].items()})
                 if algebra
                 else None,
-                comul=comul and tuple(map(dense_rows, pair_cells(comul, dim))),
+                comul=_tensor(dim, nz["comul"]) if coalgebra else None,
                 counit=vector_from_entries(dim, {i: v for (i,), v in nz["counit"].items()})
                 if coalgebra
                 else None,
-                antipode=antipode and dense_rows(antipode),
+                antipode=matrix_from_entries(dim, dim, nz["antipode"]) if nz["antipode"] else None,
             )
-            vars(record).update(mul_cells=mul, comul_rows=comul, antipode_rows=antipode)
             objects.append(record)
             dims[name] = dim
         elif head in _BLOCK_POSITIONS:

@@ -24,25 +24,26 @@ Structural invariants (shapes, invertibility of structure maps) are enforced
 at construction; algebraic axioms are only ever checker verdicts, so broken
 objects can be built deliberately to exercise the checkers.
 
-Each domain type keeps sparse tables, the operand tables of the ``exactlin``
-kernels, as read-only views: ``HomAlgebra.mul_cells``, ``mul_map`` and
-``unit_vector``; ``HomCoalgebra.comul_rows``, ``comul_op_rows``,
-``comul_terms`` and ``counit_map``; ``alpha_rows``, ``alpha_inverse`` and
-``power(k)``, the rows of ``alpha^k``, of both; ``HomHopfAlgebra.antipode_rows``
-and the dense ``antipode_inverse``; ``ModuleAction.act_cells``;
-``ComoduleCoaction.coact_rows`` and ``coact_terms``; the ``form`` of a
-``PairingForm`` or ``TwoCocycle`` and ``TwoCocycle.products``;
+Each domain type holds its structure constants as sparse tables, the operand
+tables of the ``exactlin`` kernels, in its fields: ``HomAlgebra.mul_cells``,
+``HomCoalgebra.comul_rows``, ``HomHopfAlgebra.antipode_rows``,
+``ModuleAction.act_cells``, ``ComoduleCoaction.coact_rows`` and the
+``left_cells`` and ``right_cells`` of a ``MatchedPairData``; structure maps,
+units, counits and two-index blocks (Gram matrices, R-matrix entries) stay
+dense.  ``==``, ``hash``, ``repr`` and ``__match_args__`` read the fields.  The
+dense tensors ``mul``, ``comul``, ``antipode``, ``act`` and ``coact`` are
+made from the tables on each read, for a file record or a caller that wants
+them; ``hopf_algebra`` is the one constructor from dense constants.  Derived
+views are cached in the instance ``__dict__`` (``functools.cached_property``;
+``power`` keeps one dict of powers), so they are freed with the object:
+``mul_map`` and ``unit_vector``; ``comul_op_rows``, ``comul_terms`` and
+``counit_map``; ``alpha_rows``, ``alpha_inverse`` and ``power(k)``, the rows
+of ``alpha^k``; the dense ``antipode_inverse``; ``coact_terms``; the ``form``
+of a ``PairingForm`` or ``TwoCocycle`` and ``TwoCocycle.products``;
 ``RMatrix.vector``; and the ``left_module`` and ``right_module`` of a
 ``MatchedPairData``.  ``HomAlgebra.op`` and ``HomCoalgebra.op`` are objects
-built from transposed or leg-swapped tables.  A builder hands the tables it
-made, and a structure-map inverse it knows, to the object it builds
-(``with_tables``; ``from_cells``, ``from_rows`` and ``hopf_of_tables`` also
-make the dense fields from the tables, zero rows shared).  The dense fields
-are what ``==``, ``hash``, ``repr`` and ``__match_args__`` read; an object
-built from them alone (the dense constructors) converts each view from them
-once, on first use.  Views live in the instance ``__dict__``
-(``functools.cached_property``; ``power`` keeps one dict of powers), not in
-``Record`` fields, so they are freed with the object.
+built from transposed or leg-swapped tables.  A builder that knows the inverse of a structure map
+hands it over (``alpha_inverse=``) instead of having it inverted again.
 
 A mirrored law is checked as the one-sided law of an opposite: a left
 comodule algebra over ``C`` as a right one over ``C^cop``, and a right
@@ -71,6 +72,7 @@ from .exactlin import (
     cells,
     compose,
     dense,
+    dense_cells,
     dense_rows,
     flatten_pair,
     flip,
@@ -85,15 +87,14 @@ from .exactlin import (
     rows,
     sparse,
     square_cases,
-    tensor3_shape,
     tensor_power_products,
     terms,
     transpose,
 )
 
 # Largest dimension of an object: the definition-file reader, the catalog and
-# the constructions refuse anything larger before they allocate it.  An object
-# of dimension n is held as dense n^3 tensors.
+# the constructions refuse anything larger before they allocate it.  A file
+# record of dimension n holds dense n^3 tensors.
 MAX_DIM = 128
 
 # ---------------------------------------------------------------------------
@@ -174,13 +175,12 @@ def _as_map(covector: Vector) -> SparseMatrix:
     return rows(transpose((covector,)))
 
 
-def with_tables(cls, fields: tuple, **tables):
-    """A ``cls`` of the dense ``fields`` that keeps ``tables``, views or an
-    ``alpha_inverse`` its builder holds, instead of converting its fields."""
-    obj = cls.__new__(cls)
-    obj.__dict__.update((name, t) for name, t in tables.items() if t is not None)
-    obj.__init__(*fields)
-    return obj
+def _shape(t) -> tuple[int, ...]:
+    """The shape of a sparse table, read from its first entries: rows as
+    ``(len, dim)``, cells as ``(len, len, dim)``."""
+    if not t:
+        return (0,)
+    return (len(t), *_shape(t[0])) if isinstance(t[0], tuple) else (len(t), t[0].dim)
 
 
 def _inverse(m: Matrix, message: str = "structure map must be invertible") -> Matrix:
@@ -193,7 +193,13 @@ def _inverse(m: Matrix, message: str = "structure map must be invertible") -> Ma
 
 class _HomSpace(Record):
     """What a Hom-algebra and a Hom-coalgebra share: the invertible structure
-    map ``alpha`` of a ``dim``-dimensional space, its inverse and its powers."""
+    map ``alpha`` of a ``dim``-dimensional space, its inverse and its powers.
+    A builder that knows the inverse hands it over as ``alpha_inverse``."""
+
+    def __init__(self, *args, alpha_inverse: Matrix | None = None, **kwargs):
+        if alpha_inverse is not None:
+            self.__dict__["alpha_inverse"] = alpha_inverse
+        super().__init__(*args, **kwargs)
 
     def __post_init__(self):
         _require(mat_shape(self.alpha) == (self.dim, self.dim), "structure map shape")
@@ -226,36 +232,32 @@ class _HomSpace(Record):
 class HomAlgebra(_HomSpace):
     """A unital Hom-associative algebra by structure constants.
 
-    ``mul[i][j][k]`` is the ``e_k``-coefficient of ``e_i . e_j``; ``unit`` is
-    the coordinate vector of the unit element; ``alpha`` is the (invertible)
+    ``mul_cells[i][j]`` is the product ``e_i . e_j``; ``unit`` is the
+    coordinate vector of the unit element; ``alpha`` is the (invertible)
     structure map as a row-image matrix.
     """
 
     dim: int
-    mul: Tensor3
+    mul_cells: SparseTensor3
     unit: Vector
     alpha: Matrix
 
     def __post_init__(self):
         n = self.dim
-        _require(tensor3_shape(self.mul) == (n, n, n), "multiplication tensor shape")
+        _require(_shape(self.mul_cells) == (n, n, n), "multiplication tensor shape")
         _require(len(self.unit) == n, "unit vector length")
         super().__post_init__()
 
-    @classmethod
-    def from_cells(cls, mul_cells: SparseTensor3, unit: Vector, alpha: Matrix, alpha_inverse=None):
-        """The algebra whose product table is ``mul_cells``; ``mul`` is made from it."""
-        fields = (len(mul_cells), tuple(map(dense_rows, mul_cells)), unit, alpha)
-        return with_tables(cls, fields, mul_cells=mul_cells, alpha_inverse=alpha_inverse)
+    @property
+    def mul(self) -> Tensor3:
+        """``mul[i][j][k]``, the ``e_k``-coefficient of ``e_i . e_j``, made dense."""
+        return dense_cells(self.mul_cells)
 
     @cached_property
     def op(self) -> HomAlgebra:
         """The opposite algebra, ``e_i . e_j = e_j e_i``."""
-        return HomAlgebra.from_cells(transpose(self.mul_cells), self.unit, self.alpha, self.alpha_inverse)
-
-    @cached_property
-    def mul_cells(self) -> SparseTensor3:
-        return cells(self.mul)
+        cells_op = transpose(self.mul_cells)
+        return HomAlgebra(self.dim, cells_op, self.unit, self.alpha, alpha_inverse=self.alpha_inverse)
 
     @cached_property
     def mul_map(self) -> SparseMatrix:
@@ -270,37 +272,31 @@ class HomAlgebra(_HomSpace):
 class HomCoalgebra(_HomSpace):
     """A counital Hom-coassociative coalgebra by structure constants.
 
-    ``comul[i][j][k]`` is the ``e_j (x) e_k``-coefficient of ``delta(e_i)``;
-    ``counit`` is the counit as a covector.
+    ``comul_rows[i]`` is ``delta(e_i)`` on the flattened pair space, a
+    row-image map ``C -> C (x) C``; ``counit`` is the counit as a covector.
     """
 
     dim: int
-    comul: Tensor3
+    comul_rows: SparseMatrix
     counit: Vector
     alpha: Matrix
 
     def __post_init__(self):
         n = self.dim
-        _require(tensor3_shape(self.comul) == (n, n, n), "comultiplication tensor shape")
+        _require(_shape(self.comul_rows) == (n, n * n), "comultiplication tensor shape")
         _require(len(self.counit) == n, "counit covector length")
         super().__post_init__()
 
-    @classmethod
-    def from_rows(cls, comul_rows: SparseMatrix, counit: Vector, alpha: Matrix, alpha_inverse=None):
-        """The coalgebra whose coproduct table is ``comul_rows``; ``comul`` is made from it."""
-        n = len(comul_rows)
-        fields = (n, tuple(map(dense_rows, pair_cells(comul_rows, n))), counit, alpha)
-        return with_tables(cls, fields, comul_rows=comul_rows, alpha_inverse=alpha_inverse)
+    @property
+    def comul(self) -> Tensor3:
+        """``comul[i][j][k]``, the ``e_j (x) e_k``-coefficient of ``delta(e_i)``, made dense."""
+        return dense_cells(pair_cells(self.comul_rows, self.dim))
 
     @cached_property
     def op(self) -> HomCoalgebra:
         """The co-opposite coalgebra, ``delta(e_i) = sum e_i2 (x) e_i1``."""
-        return HomCoalgebra.from_rows(self.comul_op_rows, self.counit, self.alpha, self.alpha_inverse)
-
-    @cached_property
-    def comul_rows(self) -> SparseMatrix:
-        """The comultiplication as a row-image map ``C -> C (x) C``."""
-        return rows(map(flatten_pair, self.comul))
+        rows_op = self.comul_op_rows
+        return HomCoalgebra(self.dim, rows_op, self.counit, self.alpha, alpha_inverse=self.alpha_inverse)
 
     @cached_property
     def comul_op_rows(self) -> SparseMatrix:
@@ -337,12 +333,14 @@ class HomBialgebra(Record):
 
 
 class HomHopfAlgebra(Record):
+    """A Hom-bialgebra with an antipode, ``antipode_rows[i]`` being ``S(e_i)``."""
+
     bialgebra: HomBialgebra
-    antipode: Matrix
+    antipode_rows: SparseMatrix
 
     def __post_init__(self):
         n = self.bialgebra.dim
-        _require(mat_shape(self.antipode) == (n, n), "antipode shape")
+        _require(_shape(self.antipode_rows) == (n, n), "antipode shape")
 
     dim = _path("bialgebra.algebra.dim")
     mul = _path("bialgebra.algebra.mul")
@@ -356,18 +354,23 @@ class HomHopfAlgebra(Record):
     algebra = _path("bialgebra.algebra")
     coalgebra = _path("bialgebra.coalgebra")
 
-    @classmethod
-    def from_rows(cls, bialgebra: HomBialgebra, antipode_rows: SparseMatrix):
-        """The Hopf algebra whose antipode table is ``antipode_rows``, made dense as ``antipode``."""
-        return with_tables(cls, (bialgebra, dense_rows(antipode_rows)), antipode_rows=antipode_rows)
-
-    @cached_property
-    def antipode_rows(self) -> SparseMatrix:
-        return rows(self.antipode)
+    @property
+    def antipode(self) -> Matrix:
+        """The antipode as a dense row-image matrix."""
+        return dense_rows(self.antipode_rows)
 
     @cached_property
     def antipode_inverse(self) -> Matrix:
         return mat_inverse(self.antipode)
+
+
+def hopf_of_tables(mul_cells, unit, comul_rows, counit, alpha, antipode_rows, alpha_inverse=None):
+    """Assemble a HomHopfAlgebra from its product, coproduct and antipode
+    tables, its algebra and coalgebra sharing one ``alpha_inverse``."""
+    n = len(mul_cells)
+    algebra = HomAlgebra(n, mul_cells, unit, alpha, alpha_inverse=alpha_inverse)
+    coalgebra = HomCoalgebra(n, comul_rows, counit, alpha, alpha_inverse=algebra.alpha_inverse)
+    return HomHopfAlgebra(HomBialgebra(algebra, coalgebra), antipode_rows)
 
 
 def hopf_algebra(
@@ -379,18 +382,10 @@ def hopf_algebra(
     alpha: Matrix,
     antipode: Matrix,
 ) -> HomHopfAlgebra:
-    """Assemble a HomHopfAlgebra from flat structure constants."""
-    algebra = HomAlgebra(dim, mul, unit, alpha)
-    coalgebra = with_tables(HomCoalgebra, (dim, comul, counit, alpha), alpha_inverse=algebra.alpha_inverse)
-    return HomHopfAlgebra(HomBialgebra(algebra, coalgebra), antipode)
-
-
-def hopf_of_tables(mul_cells, unit, comul_rows, counit, alpha, antipode_rows, alpha_inverse=None):
-    """Assemble a HomHopfAlgebra from its product, coproduct and antipode
-    tables, kept as its views; the dense fields are made from them."""
-    algebra = HomAlgebra.from_cells(mul_cells, unit, alpha, alpha_inverse)
-    coalgebra = HomCoalgebra.from_rows(comul_rows, counit, alpha, algebra.alpha_inverse)
-    return HomHopfAlgebra.from_rows(HomBialgebra(algebra, coalgebra), antipode_rows)
+    """Assemble a HomHopfAlgebra from dense structure constants, each
+    converted to its table once."""
+    _require(len(mul) == dim, "multiplication tensor shape")
+    return hopf_of_tables(cells(mul), unit, rows(map(flatten_pair, comul)), counit, alpha, rows(antipode))
 
 
 def algebra_of(obj) -> HomAlgebra:
@@ -424,61 +419,43 @@ def bialgebra_of(obj) -> HomBialgebra:
 
 
 class ModuleAction(Record):
-    """A left action of ``actor`` on ``carrier``: ``act[h][m][m']``."""
+    """A left action of ``actor`` on ``carrier``: ``act_cells[h][m]`` is ``e_h . e_m``."""
 
     actor: object
     carrier: object
-    act: Tensor3
+    act_cells: SparseTensor3
 
     def __post_init__(self):
         na, nc = self.actor.dim, self.carrier.dim
-        _require(tensor3_shape(self.act) == (na, nc, nc), "action tensor shape")
+        _require(_shape(self.act_cells) == (na, nc, nc), "action tensor shape")
 
-    @classmethod
-    def from_cells(cls, actor, carrier, act_cells: SparseTensor3) -> ModuleAction:
-        """The action whose table is ``act_cells``; ``act`` is made from it."""
-        return with_tables(cls, (actor, carrier, tuple(map(dense_rows, act_cells))), act_cells=act_cells)
-
-    @cached_property
-    def act_cells(self) -> SparseTensor3:
-        return cells(self.act)
+    @property
+    def act(self) -> Tensor3:
+        """``act[h][m][m']``, the ``e_m'``-coefficient of ``e_h . e_m``, made dense."""
+        return dense_cells(self.act_cells)
 
 
 class ComoduleCoaction(Record):
-    """A right coaction ``rho: M -> M (x) C`` of ``coactor`` on ``carrier``.
-
-    ``coact[m][m'][c]`` is the ``e_m' (x) e_c``-coefficient of ``rho(e_m)``.
-    """
+    """A right coaction ``rho: M -> M (x) C`` of ``coactor`` on ``carrier``:
+    ``coact_rows[m]`` is ``rho(e_m)`` on the flattened pair space."""
 
     coactor: object
     carrier: object
-    coact: Tensor3
+    coact_rows: SparseMatrix
 
     def __post_init__(self):
         nc, nm = self.coactor.dim, self.carrier.dim
-        _require(tensor3_shape(self.coact) == (nm, nm, nc), "coaction tensor shape")
+        _require(_shape(self.coact_rows) == (nm, nm * nc), "coaction tensor shape")
 
-    @classmethod
-    def from_rows(cls, coactor, carrier, coact_rows: SparseMatrix) -> ComoduleCoaction:
-        """The coaction whose table is ``coact_rows``; ``coact`` is made from it."""
-        coact = tuple(map(dense_rows, pair_cells(coact_rows, coactor.dim)))
-        return with_tables(cls, (coactor, carrier, coact), coact_rows=coact_rows)
-
-    @cached_property
-    def _coproduct(self) -> HomCoalgebra | None:
-        """The coactor's coalgebra if ``coact`` is its coproduct tensor: its tables are shared."""
-        own = self.coact is getattr(self.coactor, "comul", None)
-        return coalgebra_of(self.coactor) if own else None
-
-    @cached_property
-    def coact_rows(self) -> SparseMatrix:
-        """The coaction as a row-image map ``M -> M (x) C``."""
-        return self._coproduct.comul_rows if self._coproduct else rows(map(flatten_pair, self.coact))
+    @property
+    def coact(self) -> Tensor3:
+        """``coact[m][m'][c]``, the ``e_m' (x) e_c``-coefficient of ``rho(e_m)``, made dense."""
+        return dense_cells(pair_cells(self.coact_rows, self.coactor.dim))
 
     @cached_property
     def coact_terms(self):
         """The terms ``(m_(0), c_(1), coefficient)`` of each ``rho(e_m)``."""
-        return self._coproduct.comul_terms if self._coproduct else terms(self.coact_rows, self.coactor.dim)
+        return terms(self.coact_rows, self.coactor.dim)
 
 
 class _GramForm(Record):
@@ -566,40 +543,31 @@ class RMatrix(Record):
 class MatchedPairData(Record):
     """Two Hom-bialgebras acting on each other.
 
-    ``left_action[h][a][a']`` is the A-valued action of H on A and
-    ``right_action[h][a][h']`` the H-valued action of A on H.
+    ``left_cells[h][a]`` is the A-valued action ``h -> a`` of H on A and
+    ``right_cells[h][a]`` the H-valued action ``h <- a`` of A on H.
     """
 
     A: object
     H: object
-    left_action: Tensor3
-    right_action: Tensor3
+    left_cells: SparseTensor3
+    right_cells: SparseTensor3
 
     def __post_init__(self):
         na, nh = self.A.dim, self.H.dim
-        _require(tensor3_shape(self.left_action) == (nh, na, na), "left action shape")
-        _require(tensor3_shape(self.right_action) == (nh, na, nh), "right action shape")
+        _require(_shape(self.left_cells) == (nh, na, na), "left action shape")
+        _require(_shape(self.right_cells) == (nh, na, nh), "right action shape")
 
     @cached_property
     def left_module(self) -> ModuleAction:
-        """The left action as a ``ModuleAction`` of H on A; it holds ``left_cells``."""
-        return ModuleAction(self.H, self.A, self.left_action)
-
-    @cached_property
-    def left_cells(self) -> SparseTensor3:
-        return self.left_module.act_cells
+        """The left action as a ``ModuleAction`` of H on A."""
+        return ModuleAction(self.H, self.A, self.left_cells)
 
     @cached_property
     def right_module(self) -> ModuleAction:
         """The right action as a left action ``a . h = h <- a`` of ``A_op`` on H."""
         A = bialgebra_of(self.A)
         a_op = HomBialgebra(A.algebra.op, A.coalgebra)
-        return ModuleAction(a_op, self.H, transpose(self.right_action))
-
-    @cached_property
-    def right_cells(self) -> SparseTensor3:
-        """``right_cells[h][a]`` is the cell ``right_module.act_cells[a][h]``."""
-        return transpose(self.right_module.act_cells)
+        return ModuleAction(a_op, self.H, transpose(self.right_cells))
 
 
 class Witness(Record):
@@ -1226,5 +1194,5 @@ def check_left_comodule_algebra(A, coactor) -> CheckReport:
     prefixed ``left-``."""
     co = bialgebra_of(coactor)
     cop = HomBialgebra(co.algebra, co.coalgebra.op)
-    report = check_comodule_algebra(A, ComoduleCoaction(cop, A, cop.comul))
+    report = check_comodule_algebra(A, ComoduleCoaction(cop, A, cop.coalgebra.comul_rows))
     return CheckReport(tuple(_prefixed("left-", report.checks)))

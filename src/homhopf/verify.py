@@ -307,7 +307,7 @@ def verify_prop_4_7(A: HomHopfAlgebra) -> SuiteResult:
     tilde = drinfeld_double_tilde(A)
     sigma, eta = canonical_cocycles(A, double, tilde)
     left_twist = cocycle_twist(double.bialgebra, sigma, check=False)
-    coaction = ComoduleCoaction(double.bialgebra, left_twist, double.comul)
+    coaction = ComoduleCoaction(double.bialgebra, left_twist, double.coalgebra.comul_rows)
     steps = [
         SuiteStep(
             "right comodule-algebra over the double",

@@ -5,8 +5,10 @@ from __future__ import annotations
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
+from fractions import Fraction
 
 from homhopf.cli import main
+from homhopf.exactlin import cells
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,19 @@ def replaced(obj, **changes):
     replaced, built by its constructor as ``dataclasses.replace`` builds one;
     ``obj.__match_args__`` names the fields of a ``homhopf`` value type."""
     return type(obj)(**{**{f: getattr(obj, f) for f in obj.__match_args__}, **changes})
+
+
+def matrix_from_rows(rows):
+    """The dense matrix of the rows ``rows``, each entry an exact scalar: an
+    ``int`` when it is integral, else a ``Fraction``."""
+    return tuple(
+        tuple(q.numerator if q.denominator == 1 else q for q in map(Fraction, row)) for row in rows
+    )
+
+
+def cells_from_entries(shape, entries):
+    """The cells of ``tensor3_from_entries(shape, entries)``: an action table."""
+    return cells(tensor3_from_entries(shape, entries))
 
 
 def tensor3_from_entries(shape, entries):

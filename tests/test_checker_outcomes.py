@@ -48,6 +48,7 @@ from homhopf.constructions import (
     self_bicross_data,
 )
 from homhopf.errors import HomHopfError
+from homhopf.exactlin import cells, dense_cells, flatten_pair, rows
 from homhopf.structures import (
     ComoduleCoaction,
     MatchedPairData,
@@ -137,6 +138,11 @@ def _run(checks) -> dict[str, list]:
         return {"error": type(exc).__name__}
 
 
+def _rows(t):
+    """The rows of a dense coaction tensor, a map to the flattened pair space."""
+    return rows(map(flatten_pair, t))
+
+
 def _action_checks(act: ModuleAction):
     return [
         ("check_module", lambda: check_module(act)),
@@ -161,12 +167,12 @@ def _inputs():
         yield (
             f"{name} action",
             act.act,
-            lambda t, act=act: _action_checks(ModuleAction(act.actor, act.carrier, t)),
+            lambda t, act=act: _action_checks(ModuleAction(act.actor, act.carrier, cells(t))),
         )
         yield (
             f"{name} coaction",
             co.coact,
-            lambda t, co=co: _coaction_checks(ComoduleCoaction(co.coactor, co.carrier, t)),
+            lambda t, co=co: _coaction_checks(ComoduleCoaction(co.coactor, co.carrier, _rows(t))),
         )
         phi = comodule_cotwist(co, check=False)
         yield (
@@ -180,8 +186,8 @@ def _inputs():
             source = act.act if field == "act" else co.coact
 
             def bicross(t, A=A, H=H, act=act, co=co, field=field):
-                a = ModuleAction(act.actor, act.carrier, t) if field == "act" else act
-                c = ComoduleCoaction(co.coactor, co.carrier, t) if field == "coact" else co
+                a = ModuleAction(act.actor, act.carrier, cells(t)) if field == "act" else act
+                c = ComoduleCoaction(co.coactor, co.carrier, _rows(t)) if field == "coact" else co
                 return [("bicross_hypotheses", lambda: bicross_hypotheses(A, H, a, c))]
 
             yield f"{name} bicross {field}", source, bicross
@@ -191,12 +197,13 @@ def _inputs():
         for field in ("left_action", "right_action"):
 
             def matched(t, mp=mp, field=field):
-                left = t if field == "left_action" else mp.left_action
-                right = t if field == "right_action" else mp.right_action
+                left = cells(t) if field == "left_action" else mp.left_cells
+                right = cells(t) if field == "right_action" else mp.right_cells
                 data = MatchedPairData(mp.A, mp.H, left, right)
                 return [("check_matched_pair", lambda: check_matched_pair(data))]
 
-            yield f"{name} matched-pair {field}", getattr(mp, field), matched
+            table = mp.left_cells if field == "left_action" else mp.right_cells
+            yield f"{name} matched-pair {field}", dense_cells(table), matched
     for name in ("s3_inner", "sweedler_hom"):
         p = evaluation_pairing(get_entry(name).hopf)
         yield (

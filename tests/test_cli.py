@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from conftest import replaced, run_cli, tensor3_from_entries
+from conftest import cells_from_entries, replaced, run_cli
 from homhopf.catalog import get_entry
+from homhopf.exactlin import rows_from_entries
 from homhopf.fileformat import bundle_of_entry, parse, serialize
 from homhopf.structures import ComoduleCoaction, ModuleAction
 
@@ -355,8 +356,8 @@ class TestVerifyCommand:
 
         entry, n = get_entry("cyclic:12"), 12
         shape = (n, n, n)
-        trivial = tensor3_from_entries(shape, {(i, j, j): 1 for i in range(n) for j in range(n)})
-        coact = tensor3_from_entries(shape, {(j, j, 0): 1 for j in range(n)})
+        trivial = cells_from_entries(shape, {(i, j, j): 1 for i in range(n) for j in range(n)})
+        coact = rows_from_entries(shape, {(j, j, 0): 1 for j in range(n)})
         h = entry.hopf
         entry = replaced(
             entry,
@@ -443,6 +444,27 @@ class TestUnwritableOutput:
         result = invoke("export", "ax1", "--out", str(tmp_path / "missing" / "ax1.alg"))
         assert result.exit_code == 2
         assert "error:" in result.output
+
+
+class TestUnreadableInput:
+    """An input path that cannot be read is an input error (exit 2) reported
+    as ``cannot read <path>: <reason>``, the form of a failed write.  A
+    directory is the unreadable input every platform and user can make."""
+
+    def assert_unreadable(self, result, path) -> None:
+        assert result.exit_code == 2
+        assert result.stderr == f"error: cannot read {path}: Is a directory\n"
+        assert result.stdout == ""
+
+    def test_check(self, tmp_path):
+        self.assert_unreadable(invoke("check", str(tmp_path)), tmp_path)
+
+    def test_verify_algebra(self, tmp_path):
+        self.assert_unreadable(invoke("verify", "cor2.9", "--algebra", str(tmp_path)), tmp_path)
+
+    def test_construct_twist_cocycle(self, tmp_path):
+        result = invoke("construct", "twist", "cyclic:2", "--cocycle", str(tmp_path))
+        self.assert_unreadable(result, tmp_path)
 
 
 class TestExportCommand:

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from conftest import run_cli, tensor3_from_entries
+from conftest import cells_from_entries, run_cli
 from homhopf import constructions
 from homhopf.catalog import (
     catalog_ax1,
@@ -51,6 +51,7 @@ from homhopf.exactlin import (
     identity,
     matrix_from_entries,
     rows,
+    rows_from_entries,
     sparse,
 )
 from homhopf.structures import (
@@ -146,7 +147,7 @@ class TestSmashProduct:
         act = ModuleAction(
             h,
             h,
-            tensor3_from_entries(
+            cells_from_entries(
                 (2, 2, 2), {(0, 0, 0): O, (0, 1, 1): O, (1, 0, 0): O, (1, 1, 1): O}
             ),
         )
@@ -163,7 +164,7 @@ class TestSmashProduct:
         bad = ModuleAction(
             ax.partner,
             ax.hopf,
-            tensor3_from_entries(
+            cells_from_entries(
                 (2, 2, 2), {(0, 0, 0): O, (0, 1, 1): O, (1, 0, 0): O, (1, 1, 1): O}
             ),
         )
@@ -183,7 +184,7 @@ class TestComoduleCotwist:
         sw = catalog_sweedler_hom().hopf
         kz = catalog_kz2().hopf
         triv = ComoduleCoaction(
-            sw, kz, tensor3_from_entries((2, 2, 4), {(0, 0, 0): O, (1, 1, 0): O})
+            sw, kz, rows_from_entries((2, 2, 4), {(0, 0, 0): O, (1, 1, 0): O})
         )
         phi = comodule_cotwist(triv)
         flip = matrix_from_entries(
@@ -267,7 +268,7 @@ class TestBicrossproduct:
         trivial_co = ComoduleCoaction(
             sw,
             hop,
-            tensor3_from_entries(
+            rows_from_entries(
                 (4, 4, 4),
                 {
                     (i, j, 0): hop.alpha[i][j]
@@ -286,12 +287,12 @@ class TestBicrossproduct:
         act = ModuleAction(
             h,
             h,
-            tensor3_from_entries(
+            cells_from_entries(
                 (2, 2, 2), {(0, 0, 0): O, (0, 1, 1): O, (1, 0, 0): O, (1, 1, 1): O}
             ),
         )
         co = ComoduleCoaction(
-            h, h, tensor3_from_entries((2, 2, 2), {(0, 0, 0): O, (1, 1, 0): O})
+            h, h, rows_from_entries((2, 2, 2), {(0, 0, 0): O, (1, 1, 0): O})
         )
         built = bicrossproduct(h, h, act, co)
         assert run_hopf_suite(built).ok
@@ -346,10 +347,10 @@ class TestMatchedPairRoute:
         from homhopf.structures import MatchedPairData
 
         h = catalog_kz2().hopf
-        left = tensor3_from_entries(
+        left = cells_from_entries(
             (2, 2, 2), {(0, 0, 0): O, (0, 1, 1): O, (1, 0, 0): O, (1, 1, 1): O}
         )
-        right = tensor3_from_entries(
+        right = cells_from_entries(
             (2, 2, 2), {(0, 0, 0): O, (1, 0, 1): O, (0, 1, 0): O, (1, 1, 1): O}
         )
         mp = MatchedPairData(h, h, left, right)
@@ -373,9 +374,9 @@ class TestDrinfeldDouble:
         entry = get_entry("s3_inner")
         g6 = entry.group
         n = 6
-        d = drinfeld_double(entry.hopf)
+        mul = drinfeld_double(entry.hopf).mul
         for g, h, p, q in product(range(n), repeat=4):
-            row = d.mul[g * n + h][p * n + q]
+            row = mul[g * n + h][p * n + q]
             phi_p = g6.automorphism[p]
             matches = g6.table[g6.table[phi_p][h]][g6.inverse[phi_p]] == q
             expected = [Z] * (n * n)
@@ -397,6 +398,7 @@ class TestDrinfeldDouble:
         hst = dual(h)
         hop = opposite(h)
         n = 4
+        d_cells = cells(d.mul)
 
         def emb_h(i):
             out = [Z] * 16
@@ -413,13 +415,13 @@ class TestDrinfeldDouble:
             return tuple(out)
 
         for i, j in product(range(n), repeat=2):
-            got = dense(bilinear_apply(cells(d.mul), sparse(emb_h(i)), sparse(emb_h(j))))
+            got = dense(bilinear_apply(d_cells, sparse(emb_h(i)), sparse(emb_h(j))))
             want = [Z] * 16
             for t, c in enumerate(hop.mul[i][j]):
                 for p, cp in enumerate(hst.unit):
                     want[t * n + p] += c * cp
             assert got == tuple(want)
-            got = dense(bilinear_apply(cells(d.mul), sparse(emb_f(i)), sparse(emb_f(j))))
+            got = dense(bilinear_apply(d_cells, sparse(emb_f(i)), sparse(emb_f(j))))
             want = [Z] * 16
             for t, c in enumerate(hst.mul[i][j]):
                 for p, cp in enumerate(h.unit):
@@ -497,12 +499,12 @@ class TestDualPairDouble:
 class TestHeisenbergDouble:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_cyclic_closed_form(self, n):
-        h = heisenberg_double(opposite(catalog_cyclic(n).hopf))
+        mul = heisenberg_double(opposite(catalog_cyclic(n).hopf)).mul
         for i, j, m, k in product(range(n), repeat=4):
             expected = [Z] * (n * n)
             if (j + m) % n == k:
                 expected[((-(i + m)) % n) * n + ((n - k) % n)] = O
-            assert h.mul[i * n + j][m * n + k] == tuple(expected)
+            assert mul[i * n + j][m * n + k] == tuple(expected)
 
     def test_unit_law_even_without_bialgebra_input(self):
         h = heisenberg_double(catalog_ax1().hopf)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tensor3_from_entries
+from conftest import matrix_from_rows, tensor3_from_entries
 from homhopf import exactlin
 from homhopf.catalog import catalog_ax1, catalog_cyclic, get_entry
 from homhopf.errors import DimensionMismatch, SingularMatrixError
@@ -31,7 +31,6 @@ from homhopf.exactlin import (
     linear_combination,
     mat_compose,
     mat_inverse,
-    matrix_from_rows,
     nonzeros,
     pair_cells,
     parse_scalar,
@@ -178,7 +177,7 @@ class TestInverse:
 def zero_product(m):
     """A Hom-algebra with the zero product on the structure map ``m``, for its ``power`` views."""
     n = len(m)
-    return HomAlgebra(n, (((ZERO,) * n,) * n,) * n, (ZERO,) * n, m)
+    return HomAlgebra(n, cells((((ZERO,) * n,) * n,) * n), (ZERO,) * n, m)
 
 
 class TestAlphaPower:

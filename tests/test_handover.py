@@ -1,30 +1,29 @@
-"""Table handover: a builder hands the sparse tables it made to the object
-it builds, and the object's dense fields are made from them.
+"""One representation: the sparse tables are the domain objects' fields, and
+the dense tensors are made from them on each read.
 
 The outputs are those of every construction the construction digests lock,
 on the inputs there and on catalog entries, of ``dual``, ``opposite_hopf``,
 ``co_opposite`` and ``heisenberg_double`` on the same inputs, of
 ``cocycle_twist`` by both canonical cocycles, the catalog entries
-themselves, and the objects parsed from their files.  For each output and
-its ``op`` views:
+themselves, and the objects parsed from their files.
 
-- *consistency*: the handed tables equal, made dense, the tables that the
-  dense constructors convert from the same object rebuilt through
-  ``replaced``;
-- *spy*: reading ``mul_cells``, ``comul_rows``, ``comul_op_rows``,
-  ``comul_terms`` or ``antipode_rows`` converts nothing: it calls neither
-  ``cells`` nor ``rows``.
+- *consistency*: each output, rebuilt from its dense properties through the
+  dense entry point (``hopf_algebra``, or the conversion ``hopf_algebra``
+  makes for an algebra, a coalgebra or a bialgebra), is ``==`` to it with an
+  equal ``hash``, and so are their ``op`` views;
+- *one copy*: after the s3_inner double, its dual, its Heisenberg double,
+  ``self_bicross`` and ``dual_pair_double`` are built and checked, no domain
+  object's ``__dict__`` holds a dense structure tensor or antipode.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
-from conftest import replaced
 from test_construction_digests import CONSTRUCTIONS, INPUTS
 
-from homhopf import exactlin, structures
 from homhopf.catalog import get_entry
 from homhopf.constructions import (
     canonical_cocycles,
@@ -33,18 +32,30 @@ from homhopf.constructions import (
     drinfeld_double,
     drinfeld_double_tilde,
     dual,
+    dual_matched_pair,
+    dual_pair_double,
+    evaluation_pairing,
     heisenberg_double,
     opposite_hopf,
+    self_bicross,
+    self_bicross_data,
 )
-from homhopf.errors import MissingStructure
-from homhopf.exactlin import Sparse, dense
+from homhopf.exactlin import cells, flatten_pair, rows
 from homhopf.fileformat import bundle_of_entry, parse, serialize
 from homhopf.structures import (
+    ComoduleCoaction,
     HomAlgebra,
+    HomBialgebra,
     HomCoalgebra,
     HomHopfAlgebra,
-    algebra_of,
-    coalgebra_of,
+    ModuleAction,
+    Record,
+    check_comodule_coalgebra,
+    check_hom_algebra,
+    check_matched_pair,
+    check_module_algebra,
+    hopf_algebra,
+    run_hopf_suite,
 )
 
 CATALOG = ("one", "ax1", "kz2", "sweedler_hom", "cyclic:3")
@@ -66,11 +77,7 @@ SOURCES = {
     **{name: (lambda name=name: get_entry(name).hopf) for name in CATALOG},
 }
 CASES = [(b, s) for b in BUILDERS for s in SOURCES]
-VIEWS = {
-    HomAlgebra: ("mul_cells",),
-    HomCoalgebra: ("comul_rows", "comul_op_rows", "comul_terms"),
-    HomHopfAlgebra: ("antipode_rows",),
-}
+DENSE = ("mul", "comul", "antipode", "act", "coact", "left_action", "right_action")
 
 
 @lru_cache(maxsize=None)
@@ -84,87 +91,80 @@ def parsed(name: str):
     return parse(serialize(bundle_of_entry(get_entry(name)))).object().hom_hopf()
 
 
-def handed(obj) -> list:
-    """The Hopf object ``obj`` (if it is one), its algebra and its coalgebra
-    (those it has), and their ``op`` views: each object that holds tables."""
-    parts = [obj] if isinstance(obj, HomHopfAlgebra) else []
-    for part_of in (algebra_of, coalgebra_of):
-        try:
-            part = part_of(obj)
-        except MissingStructure:
-            continue
-        parts += [part, part.op]
-    return parts
-
-
 def rebuilt(x):
-    """``x`` built again by its dense constructors: it holds no handed table."""
+    """``x`` built again from its dense properties through the dense entry point."""
     if isinstance(x, HomHopfAlgebra):
-        parts = {"algebra": replaced(x.algebra), "coalgebra": replaced(x.coalgebra)}
-        return replaced(x, bialgebra=replaced(x.bialgebra, **parts))
-    return replaced(x)
+        return hopf_algebra(x.dim, x.mul, x.unit, x.comul, x.counit, x.alpha, x.antipode)
+    if isinstance(x, HomBialgebra):
+        return HomBialgebra(rebuilt(x.algebra), rebuilt(x.coalgebra))
+    if isinstance(x, HomAlgebra):
+        return HomAlgebra(x.dim, cells(x.mul), x.unit, x.alpha)
+    if isinstance(x, HomCoalgebra):
+        return HomCoalgebra(x.dim, rows(map(flatten_pair, x.comul)), x.counit, x.alpha)
+    if isinstance(x, ModuleAction):
+        return ModuleAction(x.actor, x.carrier, cells(x.act))
+    return ComoduleCoaction(x.coactor, x.carrier, rows(map(flatten_pair, x.coact)))
 
 
-def views(x) -> dict:
-    """The views of ``x`` that a builder hands over or makes from handed tables."""
-    names = [name for cls, names in VIEWS.items() if isinstance(x, cls) for name in names]
-    return {name: getattr(x, name) for name in names}
-
-
-def as_dense(table):
-    """A table with every sparse vector made dense, so vector lengths count too."""
-    if isinstance(table, Sparse):
-        return dense(table)
-    if isinstance(table, tuple):
-        return tuple(as_dense(x) for x in table)
-    return table
-
-
-def read_without_conversion(monkeypatch, outputs) -> list:
-    """Every object of ``outputs`` that holds tables, each ``op`` view built
-    and every view read with ``cells`` and ``rows`` refused."""
-
-    def refused(*args):
-        raise AssertionError("a handed-over view converted a dense field")
-
-    for module in (exactlin, structures):
-        monkeypatch.setattr(module, "cells", refused)
-        monkeypatch.setattr(module, "rows", refused)
-    objects = [x for out in outputs for x in handed(out)]
-    for x in objects:
-        assert views(x)
-    monkeypatch.undo()
-    return objects
-
-
-def assert_handed_tables_match(objects) -> None:
+def assert_rebuilt_equal(objects) -> None:
     for x in objects:
         twin = rebuilt(x)
-        assert twin == x and twin is not x
-        for name, table in views(x).items():
-            assert name not in vars(twin)
-            assert as_dense(table) == as_dense(getattr(twin, name)), name
+        assert twin == x and x == twin and twin is not x
+        assert hash(twin) == hash(x)
+        for part in ("algebra", "coalgebra"):
+            if hasattr(x, part):
+                assert getattr(twin, part).op == getattr(x, part).op
 
 
 @pytest.mark.parametrize("case", CASES, ids=" ".join)
-def test_constructions_hand_over_their_tables(monkeypatch, case):
-    assert_handed_tables_match(read_without_conversion(monkeypatch, built(*case)))
+def test_constructions_hand_over_their_tables(case):
+    assert_rebuilt_equal(built(*case))
 
 
 @pytest.mark.parametrize("name", (*CATALOG, "s3_inner"))
-def test_catalog_and_parsed_objects_hand_over_their_tables(monkeypatch, name):
-    outputs = (get_entry(name).hopf, parsed(name))
-    assert_handed_tables_match(read_without_conversion(monkeypatch, outputs))
+def test_catalog_and_parsed_objects_hand_over_their_tables(name):
+    entry = get_entry(name)
+    outputs = (entry.hopf, parsed(name))
+    assert_rebuilt_equal(outputs)
+    assert outputs[0] == outputs[1] and hash(outputs[0]) == hash(outputs[1])
     assert all(h.algebra.alpha_inverse is h.coalgebra.alpha_inverse for h in outputs)
+    assert_rebuilt_equal(x for x in (entry.action, entry.coaction) if x is not None)
 
 
 def test_a_relabelled_record_holds_no_stale_table():
-    """A record rebuilt with ``dataclasses.replace`` keeps no table of the
-    record it came from, so its objects convert their own dense fields."""
-    from dataclasses import replace
-
+    """A record rebuilt with ``dataclasses.replace`` builds its objects from
+    its own dense fields: a file record holds no table."""
     rec = parse(serialize(bundle_of_entry(get_entry("cyclic:3")))).object()
-    assert "mul_cells" in vars(rec)
     swapped = replace(rec, mul=tuple(plane[::-1] for plane in rec.mul))
-    assert "mul_cells" not in vars(swapped)
-    assert as_dense(swapped.hom_algebra().mul_cells) == swapped.mul
+    assert swapped.hom_algebra().mul == swapped.mul != rec.mul
+    assert rec.hom_algebra().mul == rec.mul
+
+
+def domain_objects(roots) -> list:
+    """Every ``Record`` reachable from ``roots`` through instance ``__dict__``
+    values: fields and cached views such as ``op`` or ``left_module``."""
+    seen, stack = {}, list(roots)
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Record) and id(x) not in seen:
+            seen[id(x)] = x
+            stack += vars(x).values()
+    return list(seen.values())
+
+
+def test_no_domain_object_holds_a_dense_structure_tensor():
+    h = get_entry("s3_inner").hopf
+    double, h_dual, heisenberg = drinfeld_double(h), dual(h), heisenberg_double(h)
+    bicross = self_bicross(h, check=False)
+    paired = dual_pair_double(evaluation_pairing(h), check=False)
+    for hopf in (double, h_dual, bicross, paired.hopf):
+        run_hopf_suite(hopf)
+    check_hom_algebra(heisenberg)
+    hop, act, co = self_bicross_data(h)
+    check_module_algebra(act)
+    check_comodule_coalgebra(co)
+    mp = dual_matched_pair(h, hop, act, co, check=False)
+    check_matched_pair(mp)
+    objects = domain_objects((h, double, h_dual, heisenberg, bicross, paired, act, co, mp))
+    assert len(objects) > 20
+    assert [(type(x).__name__, k) for x in objects for k in DENSE if k in vars(x)] == []

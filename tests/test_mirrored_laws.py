@@ -42,6 +42,7 @@ from homhopf.constructions import (
     dual_matched_pair,
     self_bicross_data,
 )
+from homhopf.exactlin import cells, dense_cells, flatten_pair, rows
 from homhopf.structures import (
     HomAlgebra,
     HomBialgebra,
@@ -108,14 +109,14 @@ def mirrored_outcomes() -> dict[str, dict]:
         rng = random.Random(f"mirrored {name}")
         mp = matched_pair(name)
         for case in range(CASES):
-            action, at = _perturbed(mp.right_action, rng, case)
-            report = check_matched_pair(MatchedPairData(mp.A, mp.H, mp.left_action, action))
+            action, at = _perturbed(dense_cells(mp.right_cells), rng, case)
+            report = check_matched_pair(MatchedPairData(mp.A, mp.H, mp.left_cells, cells(action)))
             verdicts = [c.passed for c in report.checks if c.axiom_id.startswith(RIGHT_ACTION)]
             out[f"{name} right_action {case:02d}"] = {"at": at, "passed": verdicts}
         tilde, twist = right_twist(name)
         for case in range(CASES):
             mul, at = _perturbed(twist.mul, rng, case)
-            algebra = HomAlgebra(twist.dim, mul, twist.unit, twist.alpha)
+            algebra = HomAlgebra(twist.dim, cells(mul), twist.unit, twist.alpha)
             out[f"{name} twist_product {case:02d}"] = {
                 "at": at,
                 "first_failure": _left_comodule(algebra, tilde),
@@ -123,7 +124,8 @@ def mirrored_outcomes() -> dict[str, dict]:
         co = tilde.coalgebra
         for case in range(CASES):
             comul, at = _perturbed(co.comul, rng, case)
-            coactor = HomBialgebra(tilde.algebra, HomCoalgebra(co.dim, comul, co.counit, co.alpha))
+            comul_rows = rows(map(flatten_pair, comul))
+            coactor = HomBialgebra(tilde.algebra, HomCoalgebra(co.dim, comul_rows, co.counit, co.alpha))
             out[f"{name} twist_coaction {case:02d}"] = {
                 "at": at,
                 "first_failure": _left_comodule(twist, coactor),

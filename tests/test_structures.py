@@ -7,7 +7,7 @@ from functools import reduce
 
 import pytest
 
-from conftest import replaced, tensor3_from_entries
+from conftest import matrix_from_rows, replaced, tensor3_from_entries
 from homhopf.catalog import (
     BicrossGolden,
     CatalogEntry,
@@ -41,8 +41,8 @@ from homhopf.exactlin import (
     mat_compose,
     mat_inverse,
     matrix_from_entries,
-    matrix_from_rows,
     rows,
+    rows_from_entries,
     sparse,
     transpose,
 )
@@ -137,7 +137,7 @@ class TestHomCoalgebra:
 
     def test_flipped_comul_sign_fails_counit(self):
         h = catalog_ax1().hopf
-        comul = tensor3_from_entries(
+        comul = rows_from_entries(
             (2, 2, 2), {(0, 0, 0): ONE, (1, 1, 0): ONE, (1, 0, 1): -ONE}
         )
         broken = HomCoalgebra(2, comul, h.counit, h.alpha)
@@ -155,7 +155,7 @@ class TestHomBialgebra:
 
     def test_doubled_coefficient_fails(self):
         h = catalog_sweedler_hom().hopf
-        comul = tensor3_from_entries(
+        comul = rows_from_entries(
             (4, 4, 4),
             {
                 (0, 0, 0): ONE,
@@ -190,7 +190,7 @@ class TestAntipode:
         bad = matrix_from_entries(
             4, 4, {(0, 0): ONE, (1, 1): ONE, (2, 2): -ONE, (3, 2): ONE}
         )
-        report = check_antipode(HomHopfAlgebra(h.bialgebra, bad))
+        report = check_antipode(HomHopfAlgebra(h.bialgebra, rows(bad)))
         entry = report.entry("antipode.left")
         assert not entry.passed
         assert entry.witness.index == (2,)
@@ -213,7 +213,7 @@ class TestModule:
             (2, 2, 2),
             {(0, 0, 0): ONE, (0, 1, 1): ONE, (1, 0, 0): ONE, (1, 1, 1): ONE},
         )
-        assert check_module(ModuleAction(h, h, act)).ok
+        assert check_module(ModuleAction(h, h, cells(act))).ok
 
     def test_counit_action_is_always_valid(self):
         # g . x = -x turns the bundled action into h . m = counit(h) beta(m),
@@ -224,7 +224,7 @@ class TestModule:
             (2, 2, 2),
             {(0, 0, 0): ONE, (0, 1, 1): -ONE, (1, 0, 0): ONE, (1, 1, 1): -ONE},
         )
-        assert check_module_algebra(ModuleAction(ax.partner, ax.hopf, act)).ok
+        assert check_module_algebra(ModuleAction(ax.partner, ax.hopf, cells(act))).ok
 
     def test_flipped_unit_action_fails(self):
         ax = catalog_ax1()
@@ -232,7 +232,7 @@ class TestModule:
             (2, 2, 2),
             {(0, 0, 0): ONE, (0, 1, 1): ONE, (1, 0, 0): ONE, (1, 1, 1): ONE},
         )
-        report = check_module_algebra(ModuleAction(ax.partner, ax.hopf, act))
+        report = check_module_algebra(ModuleAction(ax.partner, ax.hopf, cells(act)))
         assert not report.entry("module.unit-acts-as-alpha").passed
 
 
@@ -252,7 +252,7 @@ class TestComodule:
 
     def test_trivial_coaction(self):
         h = catalog_kz2().hopf
-        coact = tensor3_from_entries((2, 2, 2), {(0, 0, 0): ONE, (1, 1, 0): ONE})
+        coact = rows_from_entries((2, 2, 2), {(0, 0, 0): ONE, (1, 1, 0): ONE})
         assert check_comodule(ComoduleCoaction(h, h, coact)).ok
 
     def test_opposite_coaction_on_sweedler(self):
@@ -277,7 +277,7 @@ class TestModuleCoalgebra:
 
         ax = catalog_ax1()
         mp = dual_matched_pair(ax.hopf, ax.partner, ax.action, ax.coaction, check=False)
-        act = ModuleAction(mp.H, mp.A, mp.left_action)
+        act = ModuleAction(mp.H, mp.A, mp.left_cells)
         assert check_module_coalgebra(act).ok
 
     def test_perturbed_action_fails(self):
@@ -286,7 +286,7 @@ class TestModuleCoalgebra:
             (2, 2, 2),
             {(0, 0, 0): ONE, (0, 1, 1): -ONE, (1, 0, 0): ONE, (1, 1, 1): F(2)},
         )
-        report = check_module_coalgebra(ModuleAction(ax.partner, ax.partner, act))
+        report = check_module_coalgebra(ModuleAction(ax.partner, ax.partner, cells(act)))
         assert not report.ok
 
 
@@ -372,9 +372,9 @@ class TestStructuralInvariants:
     def test_singular_matrix_messages(self):
         ax1, singular = catalog_ax1().hopf, matrix_from_rows([[1, 0], [0, 0]])
         with pytest.raises(SingularMatrixError, match="^structure map must be invertible$"):
-            HomAlgebra(2, ax1.mul, ax1.unit, singular)
+            HomAlgebra(2, ax1.algebra.mul_cells, ax1.unit, singular)
         with pytest.raises(SingularMatrixError, match="^structure map must be invertible$"):
-            HomCoalgebra(2, ax1.comul, ax1.counit, singular)
+            HomCoalgebra(2, ax1.coalgebra.comul_rows, ax1.counit, singular)
         with pytest.raises(SingularMatrixError, match="^pairing must be non-degenerate$"):
             PairingForm(ax1, ax1, singular)
 
@@ -382,7 +382,7 @@ class TestStructuralInvariants:
         with pytest.raises(SingularMatrixError):
             HomAlgebra(
                 2,
-                catalog_ax1().hopf.mul,
+                catalog_ax1().hopf.algebra.mul_cells,
                 catalog_ax1().hopf.unit,
                 matrix_from_rows([[1, 0], [0, 0]]),
             )
@@ -399,11 +399,12 @@ class TestStructuralInvariants:
 
 H1 = catalog_one().hopf
 T1, M1 = (((1,),),), ((1,),)
+C1, R1 = cells(T1), rows(M1)  # the tables of T1 and M1
 W1 = Witness((0,), (1,), (0,))
-ALG = "HomAlgebra(dim=1, mul=(((1,),),), unit=(1,), alpha=((1,),))"
-COALG = "HomCoalgebra(dim=1, comul=(((1,),),), counit=(1,), alpha=((1,),))"
+ALG = "HomAlgebra(dim=1, mul_cells=(({0: 1},),), unit=(1,), alpha=((1,),))"
+COALG = "HomCoalgebra(dim=1, comul_rows=({0: 1},), counit=(1,), alpha=((1,),))"
 BIALG = f"HomBialgebra(algebra={ALG}, coalgebra={COALG})"
-HOPF = f"HomHopfAlgebra(bialgebra={BIALG}, antipode=((1,),))"
+HOPF = f"HomHopfAlgebra(bialgebra={BIALG}, antipode_rows=({{0: 1}},))"
 WIT = "Witness(index=(0,), lhs=(1,), rhs=(0,))"
 PASSED = "CheckEntry(axiom_id='a', passed=True, witness=None)"
 STEP = "SuiteStep(name='s', report=CheckReport(checks=()), note='n')"
@@ -413,10 +414,13 @@ RECORDS = [
     (H1.coalgebra, COALG),
     (H1.bialgebra, BIALG),
     (H1, HOPF),
-    (ModuleAction(H1, H1, T1), f"ModuleAction(actor={HOPF}, carrier={HOPF}, act=(((1,),),))"),
     (
-        ComoduleCoaction(H1, H1, T1),
-        f"ComoduleCoaction(coactor={HOPF}, carrier={HOPF}, coact=(((1,),),))",
+        ModuleAction(H1, H1, C1),
+        f"ModuleAction(actor={HOPF}, carrier={HOPF}, act_cells=(({{0: 1}},),))",
+    ),
+    (
+        ComoduleCoaction(H1, H1, R1),
+        f"ComoduleCoaction(coactor={HOPF}, carrier={HOPF}, coact_rows=({{0: 1}},))",
     ),
     (PairingForm(H1, H1, M1), f"PairingForm(left={HOPF}, right={HOPF}, gram=((1,),))"),
     (
@@ -425,8 +429,8 @@ RECORDS = [
     ),
     (RMatrix(H1.bialgebra, M1), f"RMatrix(host={BIALG}, entries=((1,),))"),
     (
-        MatchedPairData(H1, H1, T1, T1),
-        f"MatchedPairData(A={HOPF}, H={HOPF}, left_action=(((1,),),), right_action=(((1,),),))",
+        MatchedPairData(H1, H1, C1, C1),
+        f"MatchedPairData(A={HOPF}, H={HOPF}, left_cells=(({{0: 1}},),), right_cells=(({{0: 1}},),))",
     ),
     (W1, WIT),
     (CheckEntry("a", False, W1), f"CheckEntry(axiom_id='a', passed=False, witness={WIT})"),
@@ -486,7 +490,7 @@ class TestRecordValues:
 
 class TestRecord:
     def test_fields_are_the_annotated_names_in_order(self):
-        assert HomAlgebra.__match_args__ == ("dim", "mul", "unit", "alpha")
+        assert HomAlgebra.__match_args__ == ("dim", "mul_cells", "unit", "alpha")
         assert PairingForm.__match_args__ == ("left", "right", "gram")
         assert CheckEntry.__match_args__ == ("axiom_id", "passed", "witness")
 
@@ -520,14 +524,14 @@ class TestRecord:
         with pytest.raises(ValueError, match="witness exactly when it fails"):
             CheckEntry("a", passed=False)
         with pytest.raises(DimensionMismatch, match="multiplication tensor shape"):
-            HomAlgebra(2, T1, (1,), M1)
+            HomAlgebra(2, C1, (1,), M1)
         with pytest.raises(ValueError, match="cocycle side"):
             TwoCocycle(H1.bialgebra, M1, side="middle")
 
     def test_types_with_equal_fields_are_unequal(self):
-        algebra, coalgebra = HomAlgebra(1, T1, (1,), M1), HomCoalgebra(1, T1, (1,), M1)
+        algebra, coalgebra = HomAlgebra(1, C1, (1,), M1), HomCoalgebra(1, R1, (1,), M1)
         assert algebra != coalgebra and coalgebra != algebra
-        assert algebra == H1.algebra and algebra != HomAlgebra(1, T1, (1,), ((-1,),))
+        assert algebra == H1.algebra and algebra != HomAlgebra(1, C1, (1,), ((-1,),))
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +643,9 @@ class TestViews:
             hopf_views(H)
             assert [(hash(x), repr(x)) for x in objects] == before
             assert H == twin and twin == H and hash(H) == hash(twin)
-            assert "mul_cells" not in replaced(H.algebra).__dict__
-            assert H.algebra.__match_args__ == ("dim", "mul", "unit", "alpha")
-            assert H.coalgebra.__match_args__ == ("dim", "comul", "counit", "alpha")
+            assert "mul_map" not in replaced(H.algebra).__dict__
+            assert H.algebra.__match_args__ == ("dim", "mul_cells", "unit", "alpha")
+            assert H.coalgebra.__match_args__ == ("dim", "comul_rows", "counit", "alpha")
 
     def test_opposites_are_views_and_involutions(self, name):
         for H in objects_of(name).values():
@@ -650,7 +654,8 @@ class TestViews:
             assert A.op.op == A and C.op.op == C
             assert opposite(opposite(H)) == H and co_opposite(co_opposite(H)) == H
             assert opposite(H).algebra is A.op and co_opposite(H).coalgebra is C.op
-            assert all(A.op.mul[i][j] == A.mul[j][i] for i in range(n) for j in range(n))
+            mul, mul_op = A.mul, A.op.mul  # each read makes the dense tensor anew
+            assert all(mul_op[i][j] == mul[j][i] for i in range(n) for j in range(n))
             assert as_dense(C.op.comul_rows) == as_dense(C.comul_op_rows)
             assert "op" not in A.__match_args__ + C.__match_args__
 
@@ -674,9 +679,15 @@ class TestViews:
             assert as_dense(act.act_cells) == act.act
             assert as_dense(co.coact_rows) == as_dense(flat_rows(co.coact))
             assert co.coact_terms == dense_terms(co.coact)
+            # e^j > e_g is the sum of coact[g][g0][j] e_g0, and <e^j < e_g, e_a> is
+            # the e_j-coefficient of e_g . alpha^-2(e_a)
             mp = dual_matched_pair(h, entry.partner, act, co, check=False)
-            assert as_dense(mp.left_cells) == mp.left_action
-            assert as_dense(mp.right_cells) == mp.right_action
+            na, nh = h.dim, entry.partner.dim
+            acted = [mat_compose(dense_power(h.alpha, -2), plane) for plane in act.act]
+            left = [[[co.coact[g][g0][j] for g0 in range(nh)] for g in range(nh)] for j in range(na)]
+            right = [[[acted[g][a][j] for a in range(na)] for g in range(nh)] for j in range(na)]
+            assert as_dense(mp.left_cells) == as_dense(tuple(map(rows, left)))
+            assert as_dense(mp.right_cells) == as_dense(tuple(map(rows, right)))
 
 
 def test_thm26_golden_gate_still_matches_after_views_are_read():

@@ -45,6 +45,7 @@ from homhopf.exactlin import (
     apply_map,
     basis,
     bilinear_apply,
+    cells,
     dense,
     rows,
     sparse,
@@ -247,7 +248,7 @@ def test_perturbed_actions(name):
     act = bicross_data(name)[2]
     rng = random.Random(f"{name} act")
     for case in range(1, PERTURBED + 1):
-        bent = ModuleAction(act.actor, act.carrier, _perturbed(act.act, rng, case)[0])
+        bent = ModuleAction(act.actor, act.carrier, cells(_perturbed(act.act, rng, case)[0]))
         assert check_module(bent).entry("module.hom-associative") == module_hom_associative(bent)
 
 
@@ -314,10 +315,10 @@ dims = st.integers(1, 4)
 def test_generated_inputs(n, m, side, data):
     H = data.draw(hom_hopf_algebras(n))
     assert_product_laws_match(H)
-    Y = HomAlgebra(m, data.draw(tensors(m, m, m)), (0,) * m, data.draw(unitriangular(m)))
+    Y = HomAlgebra(m, cells(data.draw(tensors(m, m, m))), (0,) * m, data.draw(unitriangular(m)))
     phi = rows(data.draw(matrices(n, m)))  # zero rows included
     assert check_morphism("phi", H, Y, phi).entry("phi.mul") == morphism_mul("phi", H, Y, phi)
-    act = ModuleAction(H, Y, data.draw(tensors(n, m, m)))
+    act = ModuleAction(H, Y, cells(data.draw(tensors(n, m, m))))
     assert check_module(act).entry("module.hom-associative") == module_hom_associative(act)
     sigma = TwoCocycle(H.bialgebra, data.draw(matrices(n, n)), side)
     entry = check_cocycle(sigma).entry(f"cocycle.{side}-condition")

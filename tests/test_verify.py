@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import replaced, tensor3_from_entries
+from conftest import cells_from_entries, replaced
 from homhopf.catalog import (
     catalog_ax1,
     catalog_ex27_expected,
@@ -22,7 +22,7 @@ from homhopf.constructions import (
     dual,
     heisenberg_double,
 )
-from homhopf.exactlin import basis, basis_vector, kron
+from homhopf.exactlin import basis, basis_vector, kron, rows_from_entries
 from homhopf.structures import ComoduleCoaction, ModuleAction, Witness, check_morphism
 from homhopf.verify import (
     verify_cor_2_9,
@@ -80,12 +80,12 @@ class TestBicrossSuite:
         act = ModuleAction(
             h,
             h,
-            tensor3_from_entries(
+            cells_from_entries(
                 (2, 2, 2), {(0, 0, 0): O, (0, 1, 1): O, (1, 0, 0): O, (1, 1, 1): O}
             ),
         )
         co = ComoduleCoaction(
-            h, h, tensor3_from_entries((2, 2, 2), {(0, 0, 0): O, (1, 1, 0): O})
+            h, h, rows_from_entries((2, 2, 2), {(0, 0, 0): O, (1, 1, 0): O})
         )
         assert verify_thm_2_6(h, h, act, co).passed
 
@@ -94,7 +94,7 @@ class TestBicrossSuite:
         bad = ModuleAction(
             ax.partner,
             ax.hopf,
-            tensor3_from_entries(
+            cells_from_entries(
                 (2, 2, 2), {(0, 0, 0): O, (0, 1, 1): O, (1, 0, 0): O, (1, 1, 1): O}
             ),
         )
