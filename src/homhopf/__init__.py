@@ -15,20 +15,24 @@ _HOME = {
     **dict.fromkeys((
         "CheckEntry", "CheckReport", "ComoduleCoaction", "HomAlgebra", "HomBialgebra",
         "HomCoalgebra", "HomHopfAlgebra", "MatchedPairData", "ModuleAction", "PairingForm",
-        "RMatrix", "TwoCocycle", "Witness", "check_antipode", "check_cocycle",
-        "check_comodule", "check_comodule_algebra", "check_comodule_coalgebra",
-        "check_cotwisting", "check_dual_pair", "check_hom_algebra", "check_hom_bialgebra",
-        "check_hom_coalgebra", "check_matched_pair", "check_module", "check_module_algebra",
-        "check_module_coalgebra", "check_quasitriangular", "check_twisting", "hopf_algebra",
+        "RMatrix", "TwoCocycle", "Witness", "check_antipode", "check_hom_algebra",
+        "check_hom_bialgebra", "check_hom_coalgebra", "check_quasitriangular", "hopf_algebra",
         "run_hopf_suite",
     ), "structures"),
     **dict.fromkeys((
-        "bicrossproduct", "canonical_cocycles", "canonical_r_matrix", "cocycle_twist",
-        "comodule_cotwist", "cotwist_coproduct", "double_cross_product", "drinfeld_double",
-        "drinfeld_double_tilde", "dual", "dual_matched_pair", "dual_pair_double",
-        "evaluation_pairing", "heisenberg_double", "opposite", "self_bicross",
+        "check_cocycle", "check_comodule", "check_comodule_algebra", "check_comodule_coalgebra",
+        "check_cotwisting", "check_dual_pair", "check_matched_pair", "check_module",
+        "check_module_algebra", "check_module_coalgebra", "check_twisting",
+    ), "laws"),
+    **dict.fromkeys((
+        "canonical_cocycles", "canonical_r_matrix", "cocycle_twist", "comodule_cotwist",
+        "cotwist_coproduct", "drinfeld_double", "drinfeld_double_tilde", "dual",
+        "dual_pair_double", "evaluation_pairing", "heisenberg_double", "opposite",
         "smash_product", "yau_twist",
     ), "constructions"),
+    **dict.fromkeys((
+        "bicrossproduct", "double_cross_product", "dual_matched_pair", "self_bicross",
+    ), "bicross"),
     **dict.fromkeys((
         "CatalogEntry", "catalog_ax1", "catalog_cyclic", "catalog_ex27_expected",
         "catalog_group", "catalog_kz2", "catalog_one", "catalog_sweedler_hom", "get_entry",

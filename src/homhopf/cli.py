@@ -223,7 +223,6 @@ KINDS = (
 def construct(kind, source, cocycle_path, side, out_path, force, report_path):
     """Build the KIND construction from SOURCE and write it in file format."""
     from .constructions import (
-        bicrossproduct,
         cocycle_twist,
         drinfeld_double,
         drinfeld_double_tilde,
@@ -232,7 +231,6 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
         evaluation_pairing,
         heisenberg_double,
         opposite,
-        self_bicross,
     )
     from .errors import HomHopfError, PreconditionFailed
     from .fileformat import SCHEMA_VERSION, AlgebraFile, object_record, parse, serialize
@@ -256,8 +254,12 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
         elif kind == "heisenberg":
             result = object_record(f"heisenberg_{base}", heisenberg_double(rec.hom_hopf()))
         elif kind == "self-bicross":
+            from .bicross import self_bicross
+
             result = object_record(f"self_bicross_{base}", self_bicross(rec.hom_hopf(), check=check_flag))
         elif kind == "bicross":
+            from .bicross import bicrossproduct
+
             act, co = bundle.module_action(), bundle.comodule_coaction()
             built = bicrossproduct(act.carrier, act.actor, act, co, check=check_flag)
             result = object_record(f"bicross_{base}", built)

@@ -2,9 +2,12 @@
 
 Each construction assembles exact structure constants for a composite object:
 linear duals, opposites, Yau twists, smash products, cotwist coproducts,
-bicrossproducts, double crossed products, Drinfel'd doubles (via the closed
-multiplication formula, via matched pairs, and via dual pairs), Heisenberg
-doubles, and cocycle twists.
+Drinfel'd doubles (via the closed multiplication formula and via dual
+pairs), Heisenberg doubles, and cocycle twists.  The bicrossproducts and
+the double crossed product of a matched pair are built in ``bicross``, and
+the preconditions are checked by ``laws``; each is compiled only by a
+command that runs it, and the bicrossproduct names here load ``bicross`` on
+first use.
 
 Tensor-factor ordering is fixed per construction: a double lives on
 ``H_op (x) H_dual``, the tilde variant on ``(A_op)_dual (x) A``, a double
@@ -21,13 +24,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .errors import (
-    CrossCheckFailed,
-    HypothesisFailed,
-    InvalidParameter,
-    NotAMorphism,
-    PreconditionFailed,
-)
+from .errors import InvalidParameter, NotAMorphism, PreconditionFailed
 from .exactlin import (
     Matrix,
     SparseMatrix,
@@ -60,26 +57,15 @@ from .structures import (
     HomBialgebra,
     HomCoalgebra,
     HomHopfAlgebra,
-    MatchedPairData,
     ModuleAction,
     PairingForm,
     Record,
     RMatrix,
     TwoCocycle,
-    _flat,
-    _legs,
-    _sweep,
     algebra_of,
     bialgebra_of,
-    check_cocycle,
-    check_comodule_coalgebra,
-    check_cotwisting,
-    check_dual_pair,
-    check_matched_pair,
-    check_module_algebra,
     coalgebra_of,
     hopf_of_tables,
-    merge_reports,
 )
 
 def _product_dim(n1: int, n2: int) -> int:
@@ -210,6 +196,8 @@ def smash_product(A, H, act: ModuleAction, check: bool = True) -> HomAlgebra:
     na, nh = alg.dim, bi.dim
     _product_dim(na, nh)
     if check:
+        from .laws import check_module_algebra
+
         report = check_module_algebra(act)
         if not report.ok:
             raise PreconditionFailed("action is not a module-algebra action", report)
@@ -241,6 +229,8 @@ def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> Matrix:
     second = [tuple(bilinear_apply(hmul, x, y) for y in ah_i2) for x in ah_i1]
     phi = tuple(chain.from_iterable(dense_rows(compose(rho, (ac_i1, s))) for s in second))
     if check:
+        from .laws import check_cotwisting
+
         report = check_cotwisting(coactor, carrier, phi)
         if not report.ok:
             raise PreconditionFailed("induced map is not a cotwisting map", report)
@@ -255,6 +245,8 @@ def cotwist_coproduct(C, D, phi: Matrix, check: bool = True) -> HomCoalgebra:
     nc, nd = Cc.dim, Dc.dim
     _product_dim(nc, nd)
     if check:
+        from .laws import check_cotwisting
+
         report = check_cotwisting(Cc, Dc, phi)
         if not report.ok:
             raise PreconditionFailed("not a cotwisting map", report)
@@ -269,259 +261,7 @@ def cotwist_coproduct(C, D, phi: Matrix, check: bool = True) -> HomCoalgebra:
 
 
 # ---------------------------------------------------------------------------
-# bicrossproduct
-
-
-def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckReport:
-    """The three compatibility hypotheses between the action of H on A and
-    the coaction of A on H, each reported separately."""
-    alg = algebra_of(A)
-    coa = coalgebra_of(A)
-    bi = bialgebra_of(H)
-    na, nh = alg.dim, bi.dim
-    ah_i1, aa_i1 = bi.power(-1), alg.power(-1)
-    action, amul, hmul = act.act_cells, alg.mul_cells, bi.algebra.mul_cells
-    h_terms, co_terms = bi.coalgebra.comul_terms, co.coact_terms
-    delta_a, rho, eps_a = coa.comul_rows, co.coact_rows, coa.counit_map
-    acts, e_h = _flat(action), basis(nh)  # acts maps h (x) b to h . b
-    eps_h, hm = bi.coalgebra.counit_map, bi.algebra.mul_map
-    # Legs as maps of a basis vector: acted[h] is b -> alpha^-1(h) . b,
-    # times[h] is g -> alpha^-1(h) g, and twisted[a * nh + h] is
-    # b -> alpha^-1(a) (alpha^-1(h) . alpha^-1(b)).
-    acted = transpose(tuple(compose(ah_i1, rm) for rm in transpose(action)))
-    times = transpose(tuple(compose(ah_i1, rm) for rm in transpose(hmul)))
-    acted_twice = [[bilinear_apply(action, h, b) for b in aa_i1] for h in ah_i1]
-    twisted = [tuple(bilinear_apply(amul, a, x) for x in row) for a in aa_i1 for row in acted_twice]
-    # at x * na + b, acted_then is a -> (x . b) a and then_acted is a -> a (x . b)
-    acted_then = transpose(tuple(compose(acts, rm) for rm in transpose(amul)))
-    then_acted = transpose(tuple(compose(acts, lm) for lm in amul))
-
-    # the terms (h_1(0), (h_1(1), h_2), v) of each h, whose legs are read from acted
-    # or times and from twisted
-    dressed = [
-        [(h10, h11 * nh + h2, vh * vco) for h1, h2, vh in sw for h10, h11, vco in co_terms[h1]]
-        for sw in h_terms
-    ]
-    # (alpha^-1(h_1(0)) . b_1) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(b_2))
-    hyp1 = tuple(_legs(terms, acted, twisted, delta_a[b]) for terms in dressed for b in range(na))
-    # alpha^-1(h_1(0)) g_(0) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(g_(1)))
-    hyp2 = tuple(_legs(terms, times, twisted, rho[g]) for terms in dressed for g in range(nh))
-    # h_2(0) (x) (h_1 . b) h_2(1) against h_1(0) (x) h_1(1) (h_2 . b)
-    flipped = [[(h2, h1, v) for h1, h2, v in sweedler] for sweedler in h_terms]
-    exchange = [
-        tuple(
-            linear_combination(
-                nh * na, ((v, apply_kron(e_h, legs[x * na + b], rho[y])) for x, y, v in terms)
-            )
-            for terms in sweedlers
-            for b in range(na)
-        )
-        for legs, sweedlers in ((acted_then, h_terms), (then_acted, flipped))
-    ]
-
-    checks = (
-        _sweep("bicross.action-comultiplicative", (nh, na), compose(acts, delta_a), hyp1),
-        _sweep("bicross.action-counit", (nh, na), compose(acts, eps_a), kron(eps_h, eps_a)),
-        _sweep("bicross.coaction-multiplicative", (nh, nh), compose(hm, rho), hyp2),
-        _sweep("bicross.action-coaction-exchange", (nh, na), *exchange),
-    )
-    return CheckReport(checks)
-
-
-def bicrossproduct(
-    A: HomHopfAlgebra, H: HomHopfAlgebra, act: ModuleAction, co: ComoduleCoaction, check: bool = True
-) -> HomHopfAlgebra:
-    """The bicrossproduct Hom-Hopf algebra on ``A (x) H`` built from a
-    module-algebra action of H on A and a comodule-coalgebra coaction of A on
-    H satisfying the three compatibility hypotheses.
-
-    Its coproduct is the cotwist coproduct of the cotwisting map the coaction
-    induces: ``a_1 (x) alpha_H^-1(h_1(0)) (x) alpha_A^-1(a_2) alpha_A^-2(h_1(1)) (x) h_2``.
-    """
-    na, nh = A.dim, H.dim
-    nd = _product_dim(na, nh)
-    if check:
-        mod_report = check_module_algebra(act)
-        if not mod_report.ok:
-            raise PreconditionFailed("action is not a module-algebra action", mod_report)
-        co_report = check_comodule_coalgebra(co)
-        if not co_report.ok:
-            raise PreconditionFailed("coaction is not a comodule-coalgebra coaction", co_report)
-        hyp = bicross_hypotheses(A, H, act, co)
-        for label, entry in zip(("1", "1", "2", "3"), hyp.checks):
-            if not entry.passed:
-                raise HypothesisFailed(label, CheckReport((entry,)))
-
-    aa_i2, aa_i3 = A.power(-2), A.power(-3)
-    smash = smash_product(A, H, act, check=False)
-    coalg = cotwist_coproduct(A, H, comodule_cotwist(co, check=False), check=False)
-
-    # S(a (x) h) = (1 (x) S_H alpha_H^-2(h_(0))) (S_A(alpha_A^-2(a) alpha_A^-3(h_(1))) (x) 1)
-    co_terms, mc, amul = co.coact_terms, smash.mul_cells, A.algebra.mul_cells
-    # h -> 1 (x) S_H(alpha_H^-2(h)) and a -> S_A(a) (x) 1
-    sh_i2 = compose(H.power(-2), H.antipode_rows)
-    s_h = kron((A.algebra.unit_vector,), sh_i2)
-    s_then_1 = kron(A.antipode_rows, (H.algebra.unit_vector,))
-    s_a = [[apply_map(s_then_1, bilinear_apply(amul, a, x)) for x in aa_i3] for a in aa_i2]
-    antipode = tuple(
-        linear_combination(
-            nd, ((v, bilinear_apply(mc, s_h[h0], s_a[a][h1])) for h0, h1, v in co_terms[hh])
-        )
-        for a in range(na)
-        for hh in range(nh)
-    )
-    return HomHopfAlgebra(HomBialgebra(smash, coalg), antipode)
-
-
-def self_bicross_data(H: HomHopfAlgebra) -> tuple[HomHopfAlgebra, ModuleAction, ComoduleCoaction]:
-    """The canonical bicrossproduct data on ``(H, H_op)``: the opposite acts
-    by ``h . a = (S(alpha^-2(h_1)) alpha^-1(a)) alpha^-1(h_2)`` and H coacts
-    by ``rho(h) = alpha^-1(h_12) (x) S(alpha^-2(h_11)) alpha^-1(h_2)``."""
-    n = H.dim
-    _product_dim(n, n)  # the bicrossproduct these data build
-    hop = opposite_hopf(H)
-    ainv1 = H.power(-1)
-    s_ainv2 = compose(H.power(-2), H.antipode_rows)  # S(alpha^-2(e_h))
-    hmul, h_terms = H.algebra.mul_cells, H.coalgebra.comul_terms
-
-    def acts(h, a):
-        return linear_combination(
-            n,
-            (
-                (c, bilinear_apply(hmul, bilinear_apply(hmul, s_ainv2[h1], ainv1[a]), ainv1[h2]))
-                for h1, h2, c in h_terms[h]
-            ),
-        )
-
-    act = tuple(tuple(acts(h, a) for a in range(n)) for h in range(n))
-
-    # rho(h) applies alpha^-1 (x) second[h_2] to h_12 (x) h_11, the co-opposite
-    # coproduct of h_1; second[h_2] maps h_11 to S(alpha^-2(h_11)) alpha^-1(h_2)
-    op_delta = H.coalgebra.comul_op_rows
-    second = [tuple(bilinear_apply(hmul, x, y) for x in s_ainv2) for y in ainv1]
-    coact = tuple(
-        linear_combination(
-            n * n, ((c, apply_kron(ainv1, second[h2], op_delta[h1])) for h1, h2, c in h_terms[h])
-        )
-        for h in range(n)
-    )
-    return hop, ModuleAction(hop, H, act), ComoduleCoaction(H, hop, coact)
-
-
-def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
-    """The bicrossproduct on ``H (x) H_op``, cross-checked against the
-    closed product and coproduct formulas stated for it."""
-    n = H.dim
-    nd = _product_dim(n, n)
-    hop, act, co = self_bicross_data(H)
-    built = bicrossproduct(H, hop, act, co, check=check)
-
-    ainv1, ainv2, ainv3 = (H.power(-k) for k in (1, 2, 3))
-    s_ainv4 = compose(H.power(-4), H.antipode_rows)  # S(alpha^-4(e_h))
-    e, hmul, Hc = basis(n), H.algebra.mul_cells, H.coalgebra
-    h_terms, delta, op_delta = Hc.comul_terms, Hc.comul_rows, Hc.comul_op_rows
-
-    # closed form of the product:
-    # (a x h)(b x k) = a[(S(alpha^-4(h_11)) alpha^-2(b)) alpha^-3(h_12)] x k alpha^-1(h_2);
-    # dressed[b] maps h_11 (x) h_12 to the bracket, and tau[h][b] is
-    # [(S(alpha^-4(h_11)) alpha^-2(b)) alpha^-3(h_12)] (x) alpha^-1(h_2)
-    dressed = [
-        [bilinear_apply(hmul, bilinear_apply(hmul, x, b), y) for x in s_ainv4 for y in ainv3]
-        for b in ainv2
-    ]
-    twice = compose(delta, (delta, e))  # h_11 (x) h_12 (x) h_2
-    tau = [[apply_kron(row, ainv1, v) for row in dressed] for v in twice]
-    if _pair_product(hmul, hmul, tau) != built.algebra.mul_cells:
-        raise CrossCheckFailed("closed-form product disagrees with the generic route")
-
-    # closed form of the coproduct:
-    # delta(a x h) = a_1 x alpha^-2(h_112)
-    #   (x) alpha^-1(a_2)(S(alpha^-4(h_111)) alpha^-3(h_12)) x h_2,
-    # the cotwist coproduct of the map closed_phi from a_2 (x) h_1 to the middle two
-    # legs: alpha^-2 (x) third[a_2][h_12] applied to h_112 (x) h_111, the co-opposite
-    # coproduct of h_11, where third[a_2][h_12] maps h_111 to the last leg
-    inner = [[bilinear_apply(hmul, x, y) for x in s_ainv4] for y in ainv3]
-    third = [[tuple(bilinear_apply(hmul, a, v) for v in row) for row in inner] for a in ainv1]
-    closed_phi = tuple(
-        dense(
-            linear_combination(
-                nd,
-                (
-                    (v, apply_kron(ainv2, third[a2][h12], op_delta[h11]))
-                    for h11, h12, v in h_terms[h1]
-                ),
-            )
-        )
-        for a2 in range(n)
-        for h1 in range(n)
-    )
-    closed_comul = cotwist_coproduct(H, H, closed_phi, check=False).comul_rows
-    if closed_comul != built.coalgebra.comul_rows:
-        raise CrossCheckFailed("closed-form coproduct disagrees with the generic route")
-    return built
-
-
-# ---------------------------------------------------------------------------
-# matched pairs and doubles
-
-
-def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlgebra:
-    """The double crossed product on ``A (x) H`` of a matched pair, with the
-    tensor coproduct and the antipode
-    ``S(a (x) h) = (1 (x) S_H alpha_H^-1(h)) (S_A alpha_A^-1(a) (x) 1)``."""
-    A = mp.A
-    H = mp.H
-    na, nh = A.dim, H.dim
-    _product_dim(na, nh)
-    if check:
-        report = check_matched_pair(mp)
-        if not report.ok:
-            raise PreconditionFailed("not a matched pair", report)
-    ah_i2, aa_i2 = H.power(-2), A.power(-2)
-    left, right = mp.left_cells, mp.right_cells
-    h_terms, delta_a = H.coalgebra.comul_terms, A.coalgebra.comul_rows
-
-    # (a (x) h)(b (x) g)
-    #   = a (alpha^-2(h_1) -> alpha^-2(b_1)) (x) (alpha^-2(h_2) <- alpha^-2(b_2)) g;
-    # lefts[h_1] and rights[h_2] map b_1 and b_2 to the two legs of tau[h][b]
-    lefts = [[bilinear_apply(left, x, y) for y in aa_i2] for x in ah_i2]
-    rights = [[bilinear_apply(right, x, y) for y in aa_i2] for x in ah_i2]
-    tau = [[_legs(terms, lefts, rights, v) for v in delta_a] for terms in h_terms]
-    mul = _pair_product(A.algebra.mul_cells, transpose(H.algebra.mul_cells), tau)
-    coalg = _tensor_coalgebra(A, H)
-    unit = _dense_kron((A.unit,), (H.unit,))[0]
-    alg = HomAlgebra(coalg.dim, mul, unit, coalg.alpha, alpha_inverse=coalg.alpha_inverse)
-
-    # the two antipode factors as maps: h -> 1 (x) S_H alpha_H^-1(h), a -> S_A alpha_A^-1(a) (x) 1
-    s_h = kron((A.algebra.unit_vector,), compose(H.power(-1), H.antipode_rows))
-    s_a = kron(compose(A.power(-1), A.antipode_rows), (H.algebra.unit_vector,))
-    antipode = tuple(
-        bilinear_apply(alg.mul_cells, s_h[h], s_a[a]) for a in range(na) for h in range(nh)
-    )
-    return HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
-
-
-def dual_matched_pair(
-    A: HomHopfAlgebra, H: HomHopfAlgebra, act: ModuleAction, co: ComoduleCoaction, check: bool = True
-) -> MatchedPairData:
-    """Dualize bicrossproduct data into a matched pair ``(H, A_dual)``:
-    the dual acts by ``f > h = f(h_(1)) h_(0)`` and is acted on by
-    ``<f < h, a> = <f, h . alpha^-2(a)>``."""
-    if check:
-        mod_report = check_module_algebra(act)
-        co_report = check_comodule_coalgebra(co)
-        hyp = bicross_hypotheses(A, H, act, co)
-        combined = merge_reports(mod_report, co_report, hyp)
-        if not combined.ok:
-            raise PreconditionFailed("bicrossproduct preconditions fail", combined)
-    na, nh = A.dim, H.dim
-    # e^j > e_h is the sum of c e_h0 over the terms (h0, j, c) of rho(e_h)
-    entries = {(j, h, h0): c for h, terms in enumerate(co.coact_terms) for h0, j, c in terms}
-    left = pair_cells(rows_from_entries((na, nh, nh), entries), nh)
-    # column j of alpha^-2 followed by the action of h is <e^j < h, .>
-    acted = [transpose_rows(compose(A.power(-2), plane)) for plane in act.act_cells]
-    right = tuple(tuple(columns[j] for columns in acted) for j in range(na))
-    return MatchedPairData(H, dual(A), left, right)
+# doubles
 
 
 def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
@@ -616,6 +356,8 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
     na, nb = A.dim, B.dim
     _product_dim(na, nb)
     if check:
+        from .laws import check_dual_pair
+
         report = check_dual_pair(P)
         required = [c for c in report.checks if c.axiom_id != "pairing.mul-comul-right-swapped"]
         if not all(c.passed for c in required):
@@ -732,6 +474,8 @@ def cocycle_twist(B, sigma: TwoCocycle, check: bool = True) -> HomAlgebra:
     if sigma.algebra != bi:
         raise PreconditionFailed("cocycle host differs from the algebra being twisted")
     if check:
+        from .laws import check_cocycle
+
         report = check_cocycle(sigma)
         if not report.ok:
             raise PreconditionFailed("not a normal cocycle", report)
@@ -766,3 +510,19 @@ def canonical_cocycles(
         for a in rng
     )
     return TwoCocycle(double.bialgebra, sigma, "left"), TwoCocycle(double_tilde, eta, "right")
+
+
+# The bicrossproduct constructions live in ``bicross``; their old paths here
+# load it on first use (PEP 562), so importing this module compiles none of them.
+_BICROSS = frozenset((
+    "bicross_hypotheses", "bicrossproduct", "double_cross_product", "dual_matched_pair",
+    "self_bicross", "self_bicross_data",
+))
+
+
+def __getattr__(name):
+    if name not in _BICROSS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import bicross
+
+    return getattr(bicross, name)

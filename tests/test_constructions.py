@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from conftest import cells_from_entries, run_cli
-from homhopf import constructions
+from homhopf import bicross, constructions, laws
 from homhopf.catalog import (
     catalog_ax1,
     catalog_cyclic,
@@ -605,12 +605,16 @@ def _bounded_constructions():
 def test_constructions_refuse_outputs_above_max_dim_before_checking(name, monkeypatch):
     """Every product-space construction checks its output dimension first: a
     4-dim output is built with the limit at 4, and with the limit at 3 it is
-    refused before any precondition check runs."""
+    refused before any precondition check runs.  The checks are read from
+    ``laws`` by the constructions and from ``bicross``'s globals by the
+    bicrossproducts."""
     build = _bounded_constructions()[name]
     monkeypatch.setattr(constructions, "MAX_DIM", 4)
     assert build().dim == 4
     monkeypatch.setattr(constructions, "MAX_DIM", 3)
     for check in ("check_module_algebra", "check_cotwisting", "check_matched_pair", "check_dual_pair"):
-        monkeypatch.setattr(constructions, check, None)
+        monkeypatch.setattr(laws, check, None)
+    for check in ("check_module_algebra", "check_matched_pair"):
+        monkeypatch.setattr(bicross, check, None)
     with pytest.raises(InvalidParameter, match="4-dim, above the limit of 3"):
         build()

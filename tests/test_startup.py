@@ -8,6 +8,7 @@ standard library.  The import-graph tests run each command in a fresh
 interpreter and read ``sys.modules`` after ``main`` exits.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -17,10 +18,25 @@ from pathlib import Path
 import pytest
 
 import homhopf
+from homhopf import bicross, constructions, laws, structures
 from homhopf.catalog import get_entry
-from homhopf.fileformat import bundle_of_entry, serialize
+from homhopf.fileformat import AlgebraFile, block_record, bundle_of_entry, serialize
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "homhopf"
+
+# The data-law checkers that moved from ``structures`` to ``laws``, and the
+# bicrossproduct constructions that moved from ``constructions`` to ``bicross``.
+MOVED_TO_LAWS = (
+    "_partial_forms", "_prefixed", "check_cocycle", "check_comodule", "check_comodule_algebra",
+    "check_comodule_coalgebra", "check_cotwisting", "check_dual_pair",
+    "check_left_comodule_algebra", "check_matched_pair", "check_module", "check_module_algebra",
+    "check_module_coalgebra", "check_twisting",
+)
+MOVED_TO_BICROSS = (
+    "bicross_hypotheses", "bicrossproduct", "double_cross_product", "dual_matched_pair",
+    "self_bicross", "self_bicross_data",
+)
 
 ALL = (
     "CatalogEntry", "CheckEntry", "CheckReport", "ComoduleCoaction", "HomAlgebra",
@@ -85,6 +101,46 @@ class TestPackageNames:
         assert _fresh(code).split() == ["False", "True", "True"]
 
 
+class TestMovedNames:
+    """The old paths ``structures.<name>`` and ``constructions.<name>`` of the
+    moved functions load their new module on first use (PEP 562)."""
+
+    @pytest.mark.parametrize(
+        "old, new, name",
+        [(structures, laws, name) for name in MOVED_TO_LAWS]
+        + [(constructions, bicross, name) for name in MOVED_TO_BICROSS],
+    )
+    def test_old_path_is_the_moved_object(self, old, new, name):
+        moved = getattr(old, name)
+        assert moved is getattr(new, name)
+        assert moved.__module__ == new.__name__
+        namespace = {}
+        exec(f"from {old.__name__} import {name}", namespace)
+        assert namespace[name] is moved
+
+    def test_package_names_come_from_the_new_modules(self):
+        from homhopf import bicrossproduct, check_cocycle
+
+        assert check_cocycle is laws.check_cocycle
+        assert bicrossproduct is bicross.bicrossproduct
+
+    @pytest.mark.parametrize("module", [structures, constructions])
+    def test_unknown_name(self, module):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            module.no_such_name
+
+    def test_old_modules_load_neither_new_module(self):
+        code = (
+            "import sys, homhopf.structures, homhopf.constructions\n"
+            "print('homhopf.laws' in sys.modules, 'homhopf.bicross' in sys.modules)\n"
+            "homhopf.structures.check_cocycle\n"
+            "print('homhopf.laws' in sys.modules, 'homhopf.bicross' in sys.modules)\n"
+            "homhopf.constructions.bicrossproduct\n"
+            "print('homhopf.bicross' in sys.modules)\n"
+        )
+        assert _fresh(code).split() == ["False", "False", "True", "False", "True"]
+
+
 # Prints every class that a ``homhopf`` module defines as a dataclass.
 DATACLASSES = """
 import dataclasses, sys
@@ -129,13 +185,20 @@ import json
 print(json.dumps([status, loaded]))
 """
 WATCHED = ("homhopf.verify", "homhopf.catalog", "hashlib")
+MOVED = ("homhopf.laws", "homhopf.bicross")
 
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """A directory holding ``c2.alg``, the ``cyclic:2`` export."""
+    """A directory holding ``c2.alg``, the ``cyclic:2`` export, and
+    ``sigma.alg``, the trivial cocycle ``counit (x) counit`` on it."""
     path = tmp_path_factory.mktemp("startup")
-    (path / "c2.alg").write_bytes(serialize(bundle_of_entry(get_entry("cyclic:2"))))
+    bundle = bundle_of_entry(get_entry("cyclic:2"))
+    (path / "c2.alg").write_bytes(serialize(bundle))
+    c2 = bundle.object()
+    trivial = tuple(tuple(a * b for b in c2.counit) for a in c2.counit)
+    cocycle = block_record("cocycle", "sigma", (c2.name, "left"), trivial)
+    (path / "sigma.alg").write_bytes(serialize(AlgebraFile(bundle.schema_version, (c2,), (cocycle,))))
     return path
 
 
@@ -149,6 +212,38 @@ def modules(workdir, *args: str, status: int = 0) -> set[str]:
 def loaded(workdir, *args: str) -> list[str]:
     names = modules(workdir, *args)
     return [name for name in WATCHED if name in names]
+
+
+def moved(workdir, *args: str, status: int = 0) -> list[str]:
+    """Which of ``laws`` and ``bicross`` one command loads."""
+    names = modules(workdir, *args, status=status)
+    return [name for name in MOVED if name in names]
+
+
+def module_level_imports(path: Path):
+    """The import statements that run when the module at ``path`` is
+    imported: every one outside a function body."""
+    stack = list(ast.parse(path.read_text()).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def imported(node) -> set[str]:
+    """The package modules an import statement loads, by their short names."""
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[1] for a in node.names if a.name.startswith("homhopf.")}
+    if node.level and node.module:
+        return {node.module.split(".")[0]}
+    if node.level:
+        return {a.name for a in node.names}
+    if node.module == "homhopf":
+        return {a.name for a in node.names}
+    return {node.module.split(".")[1]} if node.module.startswith("homhopf.") else set()
 
 
 class TestImportGraph:
@@ -186,6 +281,50 @@ class TestImportGraph:
     def test_check_and_export_load_no_constructions(self, workdir, args, status):
         assert "homhopf.constructions" not in modules(workdir, *args, status=status)
 
+    @pytest.mark.parametrize(
+        "args, status",
+        [
+            (("check", "c2.alg"), 0),
+            (("check", "ax1"), 1),
+            (("export", "ax1"), 0),
+            *(
+                (("construct", kind, "c2.alg", "--out", f"{kind}_c2.alg"), 0)
+                for kind in ("dual", "op", "double", "double-tilde", "heisenberg")
+            ),
+        ],
+        ids=lambda v: v if isinstance(v, int) else "-".join(v[:2]),
+    )
+    def test_check_export_and_closed_constructions_load_neither_moved_module(
+        self, workdir, args, status
+    ):
+        assert moved(workdir, *args, status=status) == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            *(("verify", suite, "--algebra", "c2.alg") for suite in ("thm4.5", "prop4.7")),
+            *(("verify", suite, "--algebra", "c2.alg") for suite in ("dual-pair", "prop2.19")),
+            ("construct", "twist", "c2.alg", "--cocycle", "sigma.alg", "--out", "t_c2.alg"),
+            ("construct", "dual-pair-double", "c2.alg", "--out", "p_c2.alg"),
+        ],
+        ids=lambda v: "-".join(v[:2]),
+    )
+    def test_checked_constructions_and_other_suites_load_no_bicross(self, workdir, args):
+        assert moved(workdir, *args) == ["homhopf.laws"]
+
+    @pytest.mark.parametrize(
+        "args, status",
+        [
+            (("construct", "bicross", "ax1", "--out", "b_ax1.alg"), 0),
+            (("construct", "self-bicross", "c2.alg", "--out", "sb_c2.alg"), 0),
+            (("verify", "thm2.6", "--algebra", "ax1"), 1),
+            (("verify", "cor2.9", "--algebra", "c2.alg"), 0),
+        ],
+        ids=lambda v: v if isinstance(v, int) else "-".join(v[:2]),
+    )
+    def test_bicrossproduct_commands_load_both(self, workdir, args, status):
+        assert moved(workdir, *args, status=status) == list(MOVED)
+
     def test_version_loads_nothing_of_the_package_beyond_init(self, workdir):
         names = modules(workdir, "--version")
         assert sorted(n for n in names if n.startswith("homhopf")) == ["homhopf", "homhopf.cli"]
@@ -203,6 +342,30 @@ class TestImportGraph:
     )
     def test_no_command_loads_click(self, workdir, args):
         assert not any(n == "click" or n.startswith("click.") for n in modules(workdir, *args))
+
+
+class TestImportBoundaries:
+    """No module that a command loads on its way to a lighter route imports
+    ``bicross`` or ``laws`` when it is itself imported."""
+
+    @pytest.mark.parametrize(
+        "module", ["structures", "constructions", "fileformat", "catalog", "cli", "verify"]
+    )
+    def test_no_module_level_import_of_bicross(self, module):
+        path = PACKAGE / f"{module}.py"
+        assert not [n.lineno for n in module_level_imports(path) if "bicross" in imported(n)]
+
+    @pytest.mark.parametrize("module", ["structures", "constructions", "fileformat", "catalog", "cli"])
+    def test_no_module_level_import_of_laws_or_a_moved_name(self, module):
+        old_paths = {"structures": set(MOVED_TO_LAWS), "constructions": set(MOVED_TO_BICROSS)}
+        found = []
+        for node in module_level_imports(PACKAGE / f"{module}.py"):
+            names = {a.name for a in node.names}
+            if "laws" in imported(node) or any(
+                names & old_paths.get(m, set()) for m in imported(node)
+            ):
+                found.append(node.lineno)
+        assert found == []
 
 
 # Runs five commands with ``import click`` refused, and prints their exit codes.

@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_checker_outcomes import _perturbed, bicross_data
 
-from homhopf import exactlin, structures
+from homhopf import exactlin, laws, structures
 from homhopf.catalog import get_entry
 from homhopf.constructions import (
     canonical_cocycles,
@@ -331,7 +331,9 @@ def test_generated_inputs(n, m, side, data):
 
 def visited(monkeypatch, run) -> Counter:
     """How many cases the case streams held that ``_sweep`` was given while
-    ``run()`` ran, by axiom; the streams are read to the end."""
+    ``run()`` ran, by axiom; the streams are read to the end.  The Hopf-level
+    checkers read ``_sweep`` from ``structures``, the data-law checkers from
+    ``laws``."""
     counts: Counter = Counter()
     sweep = structures._sweep
 
@@ -341,7 +343,8 @@ def visited(monkeypatch, run) -> Counter:
             counts[axiom_id] += len(shape)
         return sweep(axiom_id, shape, lhs, rhs)
 
-    monkeypatch.setattr(structures, "_sweep", counting)
+    for module in (structures, laws):
+        monkeypatch.setattr(module, "_sweep", counting)
     run()
     return counts
 
