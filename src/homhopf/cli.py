@@ -7,8 +7,8 @@ computed over the document with wall-time fields removed.
 
 Each command imports the modules it runs when it runs, so a process compiles
 only those: ``--version`` none of the package beyond ``__init__``, ``check``
-the file format and the checkers, ``construct`` also the constructions, and
-``verify`` also the suites.
+the file format (``algfile``) and the checkers, ``construct`` also the
+constructions, and ``verify`` also the suites.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ def _load_input(source: str):
     """Resolve a path or catalog name to (bundle, raw-bytes, catalog-entry)."""
     from pathlib import Path
 
+    from .algfile import bundle_of_entry, read, write
     from .errors import InvalidParameter
-    from .fileformat import bundle_of_entry, parse, serialize
 
     if Path(source).exists():
         raw = _read(source)
-        return parse(raw), raw, None
+        return read(raw), raw, None
     from .catalog import catalog_names, get_entry
 
     try:
@@ -43,7 +43,7 @@ def _load_input(source: str):
             f"(catalog: {', '.join(catalog_names())})"
         ) from None
     bundle = bundle_of_entry(entry)
-    return bundle, serialize(bundle), entry
+    return bundle, write(bundle), entry
 
 
 def _scalars(v) -> list[str]:
@@ -116,7 +116,7 @@ def _write_report(path, command: str, inputs, results, status: int) -> None:
     import hashlib
     import json
 
-    from .fileformat import SCHEMA_VERSION
+    from .algfile import SCHEMA_VERSION
 
     doc = {
         "tool": "homhopf",
@@ -195,7 +195,6 @@ def check(source, level, report_path, jobs):
             tasks.append(partial(check_quasitriangular, bia, bundle.rmatrix(blocks[0])))
     except (HomHopfError, OSError) as exc:
         _fail_usage(str(exc))
-    del bundle, rec  # the record's dense tensors are not read again: free them before the sweeps
 
     combined = merge_reports(*(t() for t in tasks))
     _print_report(combined)
@@ -232,8 +231,8 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
         heisenberg_double,
         opposite,
     )
+    from .algfile import SCHEMA_VERSION, AlgebraFile, object_record, read, write
     from .errors import HomHopfError, PreconditionFailed
-    from .fileformat import SCHEMA_VERSION, AlgebraFile, object_record, parse, serialize
     from .structures import TwoCocycle
 
     check_flag = not force
@@ -274,7 +273,7 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
                 _fail_usage("twist needs --cocycle <file>")
             craw = _read(cocycle_path)
             inputs.append((cocycle_path, craw))
-            given = parse(craw).cocycle()
+            given = read(craw).cocycle()
             host = rec.hom_bialgebra()
             if given.algebra.dim != host.dim:
                 _fail_usage("cocycle host dimension differs from the input algebra")
@@ -294,8 +293,7 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
     except (HomHopfError, OSError) as exc:
         _fail_usage(str(exc))
 
-    out_file = AlgebraFile(SCHEMA_VERSION, (result,), ())
-    data = serialize(out_file)
+    data = write(AlgebraFile(SCHEMA_VERSION, (result,), ()))
     if out_path:
         _write(out_path, data)
         print(f"wrote {result.name} (dim {result.dim}) to {out_path}")
@@ -353,15 +351,15 @@ def verify(suite, source, report_path, jobs):
 
 def export(name, out_path):
     """Write a catalog entry (with its bundled blocks) in file format."""
+    from .algfile import bundle_of_entry, write
     from .catalog import get_entry
     from .errors import InvalidParameter
-    from .fileformat import bundle_of_entry, serialize
 
     try:
         entry = get_entry(name)
     except InvalidParameter as exc:
         _fail_usage(str(exc))
-    data = serialize(bundle_of_entry(entry))
+    data = write(bundle_of_entry(entry))
     if out_path:
         _write(out_path, data)
         print(f"wrote {name} to {out_path}")

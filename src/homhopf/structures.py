@@ -40,8 +40,8 @@ tables of the ``exactlin`` kernels, in its fields: ``HomAlgebra.mul_cells``,
 units, counits and two-index blocks (Gram matrices, R-matrix entries) stay
 dense.  ``==``, ``hash``, ``repr`` and ``__match_args__`` read the fields.  The
 dense tensors ``mul``, ``comul``, ``antipode``, ``act`` and ``coact`` are
-made from the tables on each read, for a file record or a caller that wants
-them; ``hopf_algebra`` is the one constructor from dense constants.  Derived
+made from the tables on each read, for a caller that wants them;
+``hopf_algebra`` is the one constructor from dense constants.  Derived
 views are cached in the instance ``__dict__`` (``functools.cached_property``;
 ``power`` keeps one dict of powers), so they are freed with the object:
 ``mul_map`` and ``unit_vector``; ``comul_op_rows``, ``comul_terms`` and
@@ -96,8 +96,7 @@ from .exactlin import (
 )
 
 # Largest dimension of an object: the definition-file reader, the catalog and
-# the constructions refuse anything larger before they allocate it.  A file
-# record of dimension n holds dense n^3 tensors.
+# the constructions refuse anything larger before they allocate it.
 MAX_DIM = 128
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,14 @@ from itertools import product
 import pytest
 
 from conftest import run_cli, tensor3_from_entries
+from homhopf.algfile import (
+    SCHEMA_VERSION,
+    AlgebraFile,
+    bundle_of_entry,
+    object_record,
+    read,
+    write,
+)
 from homhopf.catalog import (
     catalog_ax1,
     catalog_cyclic,
@@ -54,14 +62,6 @@ from homhopf.exactlin import (
     nonzeros,
     rows,
     sparse,
-)
-from homhopf.fileformat import (
-    SCHEMA_VERSION,
-    AlgebraFile,
-    bundle_of_entry,
-    object_record,
-    parse,
-    serialize,
 )
 from homhopf.structures import (
     ComoduleCoaction,
@@ -473,7 +473,7 @@ def test_criterion_11_round_trips():
              "cyclic:4", "cyclic:5", "cyclic:6", "s3_inner"]
     for name in names:
         bundle = bundle_of_entry(get_entry(name))
-        assert parse(serialize(bundle)) == bundle, name
+        assert read(write(bundle)) == bundle, name
     constructed = []
     for name in ["ax1", "cyclic:2", "cyclic:3"]:
         h = get_entry(name).hopf
@@ -496,7 +496,7 @@ def test_criterion_11_round_trips():
         )
     for k, obj in enumerate(constructed):
         bundle = AlgebraFile(SCHEMA_VERSION, (object_record(f"c{k}", obj),), ())
-        assert parse(serialize(bundle)) == bundle, k
+        assert read(write(bundle)) == bundle, k
     announce(
         "criterion 11",
         f"round trips: {len(names)} catalog bundles + {len(constructed)} construction outputs",

@@ -28,7 +28,7 @@ from homhopf.exactlin import (
     rows,
     sparse,
 )
-from homhopf.fileformat import MAX_DIM
+from homhopf.structures import MAX_DIM
 from homhopf.structures import run_hopf_suite
 
 F = Fraction

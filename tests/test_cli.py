@@ -5,9 +5,9 @@ import json
 import pytest
 
 from conftest import cells_from_entries, replaced, run_cli
+from homhopf.algfile import bundle_of_entry, read, write
 from homhopf.catalog import get_entry
 from homhopf.exactlin import rows_from_entries
-from homhopf.fileformat import bundle_of_entry, parse, serialize
 from homhopf.structures import ComoduleCoaction, ModuleAction
 
 
@@ -90,18 +90,18 @@ class TestCheckCommand:
         assert result.exit_code == 2
 
     def test_declared_dim_over_the_limit_exits_two(self, tmp_path, monkeypatch):
-        from homhopf import fileformat
+        from homhopf import algfile
 
-        monkeypatch.setattr(fileformat, "MAX_DIM", 3)
+        monkeypatch.setattr(algfile, "MAX_DIM", 3)
         (tmp_path / "big.alg").write_text("homhopf 1\nchar 0\nobject big\ndim 4\nalpha 0 0 1\nend\n")
         result = invoke("check", str(tmp_path / "big.alg"))
         assert result.exit_code == 2
         assert "exceeds the limit" in result.output
 
     def test_declared_dims_together_over_the_limit_exits_two(self, tmp_path, monkeypatch):
-        from homhopf import fileformat
+        from homhopf import algfile
 
-        monkeypatch.setattr(fileformat, "MAX_DIM", 3)
+        monkeypatch.setattr(algfile, "MAX_DIM", 3)
         obj = "object {}\ndim 3\nalpha 0 0 1\nend\n"
         (tmp_path / "one.alg").write_text("homhopf 1\nchar 0\n" + obj.format("a"))
         (tmp_path / "two.alg").write_text("homhopf 1\nchar 0\n" + obj.format("a") + obj.format("b"))
@@ -115,12 +115,12 @@ class TestCheckCommand:
 
     def test_quasitriangular_reads_the_rmatrix_of_the_checked_object(self, tmp_path):
         from homhopf.catalog import get_entry
-        from homhopf.fileformat import (
+        from homhopf.algfile import (
             SCHEMA_VERSION,
             AlgebraFile,
             block_record,
             object_record,
-            serialize,
+            write,
         )
 
         sweedler, cyclic = get_entry("sweedler_hom"), get_entry("cyclic:3")
@@ -129,13 +129,13 @@ class TestCheckCommand:
         sw, c3 = object_record("sw", sweedler.hopf), object_record("c3", cyclic.hopf)
         # the first rmatrix block is hosted by the other, 3-dim object
         (tmp_path / "sw.alg").write_bytes(
-            serialize(AlgebraFile(SCHEMA_VERSION, (sw, c3), (other_r, own_r)))
+            write(AlgebraFile(SCHEMA_VERSION, (sw, c3), (other_r, own_r)))
         )
         result = invoke("check", str(tmp_path / "sw.alg"), "--level", "quasitriangular")
         assert result.exit_code == 0
         # no rmatrix block is hosted by the checked 3-dim object
         (tmp_path / "c3.alg").write_bytes(
-            serialize(AlgebraFile(SCHEMA_VERSION, (c3, sw), (own_r,)))
+            write(AlgebraFile(SCHEMA_VERSION, (c3, sw), (own_r,)))
         )
         result = invoke("check", str(tmp_path / "c3.alg"), "--level", "quasitriangular")
         assert result.exit_code == 2
@@ -153,7 +153,7 @@ class TestConstructCommand:
         out = tmp_path / "d.alg"
         result = invoke("construct", "double", "cyclic:3", "--out", str(out))
         assert result.exit_code == 0
-        bundle = parse(out.read_bytes())
+        bundle = read(out.read_bytes())
         d = bundle.object().hom_hopf()
         assert d.dim == 9
         from homhopf.constructions import drinfeld_double
@@ -165,17 +165,17 @@ class TestConstructCommand:
         out = tmp_path / "dual.alg"
         result = invoke("construct", "dual", "one", "--out", str(out))
         assert result.exit_code == 0
-        assert parse(out.read_bytes()).object().dim == 1
+        assert read(out.read_bytes()).object().dim == 1
 
     def test_twist_equals_heisenberg_of_opposite(self, tmp_path):
         from homhopf.catalog import get_entry
         from homhopf.constructions import canonical_cocycles, drinfeld_double
-        from homhopf.fileformat import (
+        from homhopf.algfile import (
             AlgebraFile,
             SCHEMA_VERSION,
             block_record,
             object_record,
-            serialize,
+            write,
         )
 
         a = get_entry("ax1").hopf
@@ -183,11 +183,11 @@ class TestConstructCommand:
         sigma, _ = canonical_cocycles(a, double)
         d_path = tmp_path / "dax1.alg"
         d_path.write_bytes(
-            serialize(AlgebraFile(SCHEMA_VERSION, (object_record("dax1", double),), ()))
+            write(AlgebraFile(SCHEMA_VERSION, (object_record("dax1", double),), ()))
         )
         sig_path = tmp_path / "sigma.alg"
         sig_path.write_bytes(
-            serialize(
+            write(
                 AlgebraFile(
                     SCHEMA_VERSION,
                     (object_record("dax1", double),),
@@ -209,9 +209,9 @@ class TestConstructCommand:
             invoke("construct", "heisenberg", str(op_out), "--out", str(heis_out)).exit_code
             == 0
         )
-        twisted = parse(twist_out.read_bytes()).object()
-        heis = parse(heis_out.read_bytes()).object()
-        assert twisted.mul == heis.mul
+        twisted = read(twist_out.read_bytes()).object()
+        heis = read(heis_out.read_bytes()).object()
+        assert twisted.mul_cells == heis.mul_cells
         assert twisted.unit == heis.unit
         assert twisted.alpha == heis.alpha
 
@@ -219,14 +219,14 @@ class TestConstructCommand:
         out = tmp_path / "bi.alg"
         result = invoke("construct", "bicross", "ax1", "--out", str(out))
         assert result.exit_code == 0
-        assert parse(out.read_bytes()).object().dim == 4
+        assert read(out.read_bytes()).object().dim == 4
 
     def test_self_bicross(self, tmp_path):
         out = tmp_path / "sb.alg"
         result = invoke("construct", "self-bicross", "cyclic:3", "--out", str(out))
         assert result.exit_code == 0
-        rec = parse(out.read_bytes()).object()
-        assert rec.dim == 9 and rec.antipode is not None
+        rec = read(out.read_bytes()).object()
+        assert rec.dim == 9 and rec.antipode_rows is not None
 
     def test_dual_pair_double_from_catalog_name(self, tmp_path):
         out = tmp_path / "pd.alg"
@@ -235,15 +235,15 @@ class TestConstructCommand:
         from homhopf.catalog import get_entry
         from homhopf.constructions import drinfeld_double
 
-        built = parse(out.read_bytes()).object().hom_hopf()
+        built = read(out.read_bytes()).object().hom_hopf()
         assert built.mul == drinfeld_double(get_entry("cyclic:2").hopf).mul
 
     def test_double_tilde(self, tmp_path):
         out = tmp_path / "dt.alg"
         result = invoke("construct", "double-tilde", "cyclic:2", "--out", str(out))
         assert result.exit_code == 0
-        rec = parse(out.read_bytes()).object()
-        assert rec.dim == 4 and rec.comul is not None and rec.antipode is None
+        rec = read(out.read_bytes()).object()
+        assert rec.dim == 4 and rec.comul_rows is not None and rec.antipode_rows is None
 
     def test_bicross_precondition_failure_exits_one(self, tmp_path):
         export = invoke("export", "ax1", "--out", str(tmp_path / "ax1.alg"))
@@ -266,12 +266,12 @@ class TestConstructCommand:
 
     def test_twist_with_cocycle_on_a_non_bialgebra_is_usage_error(self, tmp_path):
         from homhopf.catalog import get_entry
-        from homhopf.fileformat import (
+        from homhopf.algfile import (
             SCHEMA_VERSION,
             AlgebraFile,
             block_record,
             object_record,
-            serialize,
+            write,
         )
 
         h = get_entry("cyclic:2").hopf
@@ -281,7 +281,7 @@ class TestConstructCommand:
             (object_record("c2", h.bialgebra.algebra),),
             (block_record("cocycle", "sigma", ("c2", "left"), trivial),),
         )
-        (tmp_path / "sigma.alg").write_bytes(serialize(bundle))
+        (tmp_path / "sigma.alg").write_bytes(write(bundle))
         result = invoke("construct", "twist", "cyclic:2", "--cocycle", str(tmp_path / "sigma.alg"))
         assert result.exit_code == 2
         assert "has no coalgebra structure" in result.output
@@ -303,7 +303,7 @@ class TestConstructCommand:
         out = tmp_path / "double_c11.alg"
         result = invoke("construct", "double", "cyclic:11", "--out", str(out))
         assert result.exit_code == 0
-        assert parse(out.read_bytes()).object().dim == 121
+        assert read(out.read_bytes()).object().dim == 121
 
     def test_unknown_kind_is_usage_error(self):
         result = invoke("construct", "frobnicate", "ax1")
@@ -349,7 +349,7 @@ class TestVerifyCommand:
     def test_bicross_suite_above_the_dimension_limit_is_refused_before_any_sweep(
         self, tmp_path, monkeypatch
     ):
-        from homhopf import verify
+        from homhopf import laws
 
         def no_sweep(act):
             raise AssertionError("the module-algebra sweep was started")
@@ -366,8 +366,8 @@ class TestVerifyCommand:
             action=ModuleAction(h, h, trivial),
             coaction=ComoduleCoaction(h, h, coact),
         )
-        (tmp_path / "c12.alg").write_bytes(serialize(bundle_of_entry(entry)))
-        monkeypatch.setattr(verify, "check_module_algebra", no_sweep)
+        (tmp_path / "c12.alg").write_bytes(write(bundle_of_entry(entry)))
+        monkeypatch.setattr(laws, "check_module_algebra", no_sweep)
         result = invoke("verify", "thm2.6", "--algebra", str(tmp_path / "c12.alg"))
         assert result.exit_code == 2
         assert "144-dim, above the limit of 128" in result.stderr
@@ -470,12 +470,12 @@ class TestUnreadableInput:
 class TestExportCommand:
     def test_round_trip(self, tmp_path):
         from homhopf.catalog import get_entry
-        from homhopf.fileformat import bundle_of_entry
+        from homhopf.algfile import bundle_of_entry
 
         out = tmp_path / "sw.alg"
         result = invoke("export", "sweedler_hom", "--out", str(out))
         assert result.exit_code == 0
-        assert parse(out.read_bytes()) == bundle_of_entry(get_entry("sweedler_hom"))
+        assert read(out.read_bytes()) == bundle_of_entry(get_entry("sweedler_hom"))
 
     def test_unknown_name(self):
         assert invoke("export", "zilch").exit_code == 2
@@ -535,6 +535,6 @@ class TestArgumentGrammar:
         assert before.output == after.output == joined.output
         out = tmp_path / "d.alg"
         assert invoke("construct", "--out", str(out), "--force", "dual", "cyclic:2").exit_code == 0
-        assert parse(out.read_bytes()).object().name == "dual_cyclic2"
+        assert read(out.read_bytes()).object().name == "dual_cyclic2"
         result = invoke("verify", "--algebra", "cyclic:2", "prop2.19", "--jobs", "2")
         assert result.exit_code == 0

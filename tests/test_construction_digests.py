@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from homhopf.algfile import SCHEMA_VERSION, AlgebraFile, object_record, write
 from homhopf.catalog import catalog_group, cyclic_table, get_entry
 from homhopf.constructions import (
     co_opposite,
@@ -33,7 +34,6 @@ from homhopf.constructions import (
     self_bicross,
     self_bicross_data,
 )
-from homhopf.fileformat import SCHEMA_VERSION, AlgebraFile, object_record, serialize
 
 FIXTURE = Path(__file__).with_name("construction_digests.json")
 
@@ -65,7 +65,7 @@ def _key(case: tuple[str, str]) -> str:
 
 def digest(construction: str, name: str) -> str:
     obj = CONSTRUCTIONS[construction](INPUTS[name]())
-    data = serialize(AlgebraFile(SCHEMA_VERSION, (object_record("x", obj),), ()))
+    data = write(AlgebraFile(SCHEMA_VERSION, (object_record("x", obj),), ()))
     return hashlib.sha256(data).hexdigest()
 
 

@@ -24,6 +24,7 @@ from functools import lru_cache
 import pytest
 from test_construction_digests import CONSTRUCTIONS, INPUTS
 
+from homhopf import algfile
 from homhopf.catalog import get_entry
 from homhopf.constructions import (
     canonical_cocycles,
@@ -87,8 +88,15 @@ def built(builder: str, source: str) -> tuple:
 
 
 def parsed(name: str):
-    """The Hopf object of the catalog entry ``name``, read back from its file."""
+    """The Hopf object of the catalog entry ``name``, read back from its file
+    into the dense records of ``fileformat``."""
     return parse(serialize(bundle_of_entry(get_entry(name)))).object().hom_hopf()
+
+
+def read_back(name: str):
+    """The Hopf object of the catalog entry ``name``, read back from its file
+    as a command reads it."""
+    return algfile.read(algfile.write(algfile.bundle_of_entry(get_entry(name)))).object().hom_hopf()
 
 
 def rebuilt(x):
@@ -124,9 +132,9 @@ def test_constructions_hand_over_their_tables(case):
 @pytest.mark.parametrize("name", (*CATALOG, "s3_inner"))
 def test_catalog_and_parsed_objects_hand_over_their_tables(name):
     entry = get_entry(name)
-    outputs = (entry.hopf, parsed(name))
+    outputs = (entry.hopf, parsed(name), read_back(name))
     assert_rebuilt_equal(outputs)
-    assert outputs[0] == outputs[1] and hash(outputs[0]) == hash(outputs[1])
+    assert all(h == entry.hopf and hash(h) == hash(entry.hopf) for h in outputs)
     assert all(h.algebra.alpha_inverse is h.coalgebra.alpha_inverse for h in outputs)
     assert_rebuilt_equal(x for x in (entry.action, entry.coaction) if x is not None)
 

@@ -4,8 +4,10 @@ Every ``homhopf`` command is a fresh process, so what it imports is compiled
 and executed on every run.  ``homhopf`` loads each of its public names on
 first use; ``cli`` imports the package modules, ``hashlib`` and ``json`` only
 in the commands and options that use them, and needs nothing outside the
-standard library.  The import-graph tests run each command in a fresh
-interpreter and read ``sys.modules`` after ``main`` exits.
+standard library.  No command loads ``dataclasses`` or the dense file records
+of ``fileformat``, and none makes a dense structure tensor.  The import-graph
+tests run each command in a fresh interpreter and read ``sys.modules`` after
+``main`` exits.
 """
 
 import ast
@@ -19,8 +21,8 @@ import pytest
 
 import homhopf
 from homhopf import bicross, constructions, laws, structures
+from homhopf.algfile import AlgebraFile, block_record, bundle_of_entry, write
 from homhopf.catalog import get_entry
-from homhopf.fileformat import AlgebraFile, block_record, bundle_of_entry, serialize
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "homhopf"
@@ -184,21 +186,26 @@ loaded = sorted(sys.modules)
 import json
 print(json.dumps([status, loaded]))
 """
-WATCHED = ("homhopf.verify", "homhopf.catalog", "hashlib")
+DENSE_RECORDS = ("dataclasses", "homhopf.fileformat")
+WATCHED = ("homhopf.verify", "homhopf.catalog", "hashlib", *DENSE_RECORDS)
 MOVED = ("homhopf.laws", "homhopf.bicross")
+# Every module a command may load: all of the package but ``fileformat``.
+COMMAND_MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "fileformat")
 
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """A directory holding ``c2.alg``, the ``cyclic:2`` export, and
-    ``sigma.alg``, the trivial cocycle ``counit (x) counit`` on it."""
+    """A directory holding ``c2.alg``, the ``cyclic:2`` export, ``sigma.alg``,
+    the trivial cocycle ``counit (x) counit`` on it, and ``sw.alg``, the
+    ``sweedler_hom`` export with its R-matrix."""
     path = tmp_path_factory.mktemp("startup")
     bundle = bundle_of_entry(get_entry("cyclic:2"))
-    (path / "c2.alg").write_bytes(serialize(bundle))
+    (path / "c2.alg").write_bytes(write(bundle))
     c2 = bundle.object()
     trivial = tuple(tuple(a * b for b in c2.counit) for a in c2.counit)
     cocycle = block_record("cocycle", "sigma", (c2.name, "left"), trivial)
-    (path / "sigma.alg").write_bytes(serialize(AlgebraFile(bundle.schema_version, (c2,), (cocycle,))))
+    (path / "sigma.alg").write_bytes(write(AlgebraFile(bundle.schema_version, (c2,), (cocycle,))))
+    (path / "sw.alg").write_bytes(write(bundle_of_entry(get_entry("sweedler_hom"))))
     return path
 
 
@@ -231,6 +238,13 @@ def module_level_imports(path: Path):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             yield node
         stack.extend(ast.iter_child_nodes(node))
+
+
+def standard(node) -> set[str]:
+    """The top-level modules outside the package an import statement loads."""
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[0] for a in node.names}
+    return set() if node.level else {node.module.split(".")[0]}
 
 
 def imported(node) -> set[str]:
@@ -287,6 +301,7 @@ class TestImportGraph:
             (("check", "c2.alg"), 0),
             (("check", "ax1"), 1),
             (("export", "ax1"), 0),
+            (("verify", "prop2.19", "--algebra", "c2.alg"), 0),
             *(
                 (("construct", kind, "c2.alg", "--out", f"{kind}_c2.alg"), 0)
                 for kind in ("dual", "op", "double", "double-tilde", "heisenberg")
@@ -303,7 +318,7 @@ class TestImportGraph:
         "args",
         [
             *(("verify", suite, "--algebra", "c2.alg") for suite in ("thm4.5", "prop4.7")),
-            *(("verify", suite, "--algebra", "c2.alg") for suite in ("dual-pair", "prop2.19")),
+            ("verify", "dual-pair", "--algebra", "c2.alg"),
             ("construct", "twist", "c2.alg", "--cocycle", "sigma.alg", "--out", "t_c2.alg"),
             ("construct", "dual-pair-double", "c2.alg", "--out", "p_c2.alg"),
         ],
@@ -343,19 +358,41 @@ class TestImportGraph:
     def test_no_command_loads_click(self, workdir, args):
         assert not any(n == "click" or n.startswith("click.") for n in modules(workdir, *args))
 
+    @pytest.mark.parametrize(
+        "args, status",
+        [
+            (("check", "c2.alg"), 0),
+            (("check", "cyclic:3", "--level", "bialgebra"), 0),
+            (("check", "sw.alg", "--level", "quasitriangular"), 0),
+            (("construct", "double", "c2.alg", "--out", "dd_c2.alg"), 0),
+            (("construct", "twist", "cyclic:2", "--cocycle", "sigma.alg", "--out", "tw_c2.alg"), 0),
+            (("construct", "bicross", "ax1", "--out", "bx_ax1.alg"), 0),
+            (("verify", "prop2.19", "--algebra", "c2.alg"), 0),
+            (("verify", "thm2.6", "--algebra", "ax1"), 1),
+            (("verify", "cor2.9", "--algebra", "cyclic:2"), 0),
+        ],
+        ids=lambda v: v if isinstance(v, int) else "-".join(v[:3]),
+    )
+    def test_no_command_loads_dataclasses_or_the_dense_records(self, workdir, args, status):
+        names = modules(workdir, *args, "--report", "r.json", status=status)
+        assert [n for n in DENSE_RECORDS if n in names] == []
+
 
 class TestImportBoundaries:
     """No module that a command loads on its way to a lighter route imports
-    ``bicross`` or ``laws`` when it is itself imported."""
+    ``bicross`` or ``laws`` when it is itself imported, and no module a
+    command loads imports ``fileformat`` or ``dataclasses``."""
 
     @pytest.mark.parametrize(
-        "module", ["structures", "constructions", "fileformat", "catalog", "cli", "verify"]
+        "module", ["structures", "constructions", "algfile", "fileformat", "catalog", "cli", "verify"]
     )
     def test_no_module_level_import_of_bicross(self, module):
         path = PACKAGE / f"{module}.py"
         assert not [n.lineno for n in module_level_imports(path) if "bicross" in imported(n)]
 
-    @pytest.mark.parametrize("module", ["structures", "constructions", "fileformat", "catalog", "cli"])
+    @pytest.mark.parametrize(
+        "module", ["structures", "constructions", "algfile", "fileformat", "catalog", "cli", "verify"]
+    )
     def test_no_module_level_import_of_laws_or_a_moved_name(self, module):
         old_paths = {"structures": set(MOVED_TO_LAWS), "constructions": set(MOVED_TO_BICROSS)}
         found = []
@@ -366,6 +403,48 @@ class TestImportBoundaries:
             ):
                 found.append(node.lineno)
         assert found == []
+
+    @pytest.mark.parametrize("module", COMMAND_MODULES)
+    def test_no_module_level_import_of_fileformat_or_dataclasses(self, module):
+        found = [
+            n.lineno
+            for n in module_level_imports(PACKAGE / f"{module}.py")
+            if "fileformat" in imported(n) or "dataclasses" in standard(n)
+        ]
+        assert found == []
+
+
+# Runs five commands with ``exactlin.dense_cells`` refused, so that making a
+# dense rank-3 tensor crashes the process, and prints their exit codes.
+NO_DENSE = """
+from homhopf import exactlin
+
+
+def refused(cells):
+    raise AssertionError("a dense rank-3 tensor was made")
+
+
+exactlin.dense_cells = refused  # before any module binds the name
+from homhopf.cli import main
+
+codes = []
+for args in (
+    ["check", "cyclic:8"],
+    ["check", "sw.alg", "--level", "quasitriangular"],
+    ["construct", "double", "c2.alg", "--out", "nd_c2.alg"],
+    ["verify", "prop2.19", "--algebra", "c2.alg"],
+    ["export", "s3_inner", "--out", "nd_s3.alg"],
+):
+    try:
+        main(args=args, prog_name="homhopf")
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(codes)
+"""
+
+
+def test_no_command_makes_a_dense_tensor(workdir):
+    assert _fresh(NO_DENSE, cwd=workdir).splitlines()[-1] == "[0, 0, 0, 0, 0]"
 
 
 # Runs five commands with ``import click`` refused, and prints their exit codes.

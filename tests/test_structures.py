@@ -8,6 +8,7 @@ from functools import reduce
 import pytest
 
 from conftest import matrix_from_rows, replaced, tensor3_from_entries
+from homhopf.algfile import bundle_of_entry, read, write
 from homhopf.catalog import (
     BicrossGolden,
     CatalogEntry,
@@ -46,7 +47,6 @@ from homhopf.exactlin import (
     sparse,
     transpose,
 )
-from homhopf.fileformat import bundle_of_entry, parse, serialize
 from homhopf.structures import (
     CheckEntry,
     CheckReport,
@@ -693,7 +693,7 @@ class TestViews:
 def test_thm26_golden_gate_still_matches_after_views_are_read():
     """``verify thm2.6`` compares the parsed carrier with the catalog's by ``==``."""
     ax1 = get_entry("ax1")
-    act = parse(serialize(bundle_of_entry(ax1))).module_action()
+    act = read(write(bundle_of_entry(ax1))).module_action()
     check_module_algebra(act)  # reads the views of the action, its actor and its carrier
     run_hopf_suite(act.carrier)
     assert act.carrier == ax1.hopf and act.actor == ax1.partner
