@@ -29,9 +29,10 @@ sorted by index tuple, zero entries omitted, fractions reduced, so equal
 objects produce byte-identical files and ``read(write(x)) == x`` exactly.
 
 ``read`` puts the entries straight into the sparse tables the domain
-objects take (``mul_cells``, ``comul_rows``, ``antipode_rows``, a block's
-sorted entries), and ``write`` emits them from those tables, so neither
-makes a dense tensor.  The records are ``structures.Record`` value types.
+objects take (``mul_cells``, ``comul_rows``, the rows of ``alpha`` and of
+the antipode, a block's sorted entries), and ``write`` emits them from those
+tables, so neither makes a dense tensor or matrix.  The records are
+``structures.Record`` value types.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import re
 
 from .errors import DuplicateEntry, ParseError, RangeError
 from .exactlin import (
-    Matrix, Scalar, SparseMatrix, SparseTensor3, Vector, format_scalar, matrix_from_entries,
-    pair_cells, parse_scalar, rows_from_entries, vector_from_entries,
+    Scalar, SparseMatrix, SparseTensor3, Vector, format_scalar, pair_cells, parse_scalar,
+    rows_from_entries, vector_from_entries,
 )
 from .structures import (
     MAX_DIM, ComoduleCoaction, HomAlgebra, HomBialgebra, HomCoalgebra, HomHopfAlgebra,
@@ -56,17 +57,28 @@ SCHEMA_VERSION = 1
 # tensors have cells.
 
 
-class Realized:
-    """The structures an object record realizes from its tables ``mul_cells``,
-    ``unit``, ``comul_rows``, ``counit`` and ``antipode_rows`` (``None`` where
-    the object has no such structure) and its ``dim``, ``alpha`` and ``name``."""
+class ObjectRecord(Record):
+    """An object of a file, and the structures it realizes from its tables
+    ``mul_cells``, ``unit``, ``comul_rows``, ``counit`` and ``antipode_rows``
+    (``None`` where the object has no such structure), its ``dim``, the rows
+    ``alpha`` of its structure map and its ``name``."""
+
+    name: str
+    dim: int
+    basis: tuple[str, ...]
+    alpha: SparseMatrix
+    mul_cells: SparseTensor3 | None = None
+    unit: Vector | None = None
+    comul_rows: SparseMatrix | None = None
+    counit: Vector | None = None
+    antipode_rows: SparseMatrix | None = None
 
     def hom_algebra(self) -> HomAlgebra:
         if self.mul_cells is None or self.unit is None:
             raise ParseError(f"object {self.name!r} has no algebra structure")
         return HomAlgebra(self.dim, self.mul_cells, self.unit, self.alpha)
 
-    def hom_coalgebra(self, alpha_inverse: Matrix | None = None) -> HomCoalgebra:
+    def hom_coalgebra(self, alpha_inverse: SparseMatrix | None = None) -> HomCoalgebra:
         """The coalgebra, with the inverse of its structure map if it is known."""
         if self.comul_rows is None or self.counit is None:
             raise ParseError(f"object {self.name!r} has no coalgebra structure")
@@ -88,18 +100,6 @@ class Realized:
         if algebra and coalgebra:
             return self.hom_bialgebra() if self.antipode_rows is None else self.hom_hopf()
         return self.hom_algebra() if algebra else self.hom_coalgebra()
-
-
-class ObjectRecord(Realized, Record):
-    name: str
-    dim: int
-    basis: tuple[str, ...]
-    alpha: Matrix
-    mul_cells: SparseTensor3 | None = None
-    unit: Vector | None = None
-    comul_rows: SparseMatrix | None = None
-    counit: Vector | None = None
-    antipode_rows: SparseMatrix | None = None
 
 
 class BlockRecord(Record):
@@ -142,7 +142,7 @@ class Sections:
 
     def _block(self, kind: str, block):
         """``block`` (by default the first of ``kind``), the objects it names
-        and its entries as a dense matrix or the rows of a rank-3 tensor."""
+        and its entries as the rows of a matrix or of a rank-3 tensor."""
         if block is None:
             blocks = self.blocks_of(kind)
             if not blocks:
@@ -151,10 +151,7 @@ class Sections:
         positions = _BLOCK_POSITIONS[kind]
         objs = tuple(self.object(ref) for ref in block.refs[: max(positions) + 1])
         shape = tuple(objs[p].dim for p in positions)
-        entries = dict(block.entries)
-        if len(shape) == 3:
-            return block, objs, rows_from_entries(shape, entries)
-        return block, objs, matrix_from_entries(*shape, entries)
+        return block, objs, rows_from_entries(shape, dict(block.entries))
 
     def module_action(self, block=None) -> ModuleAction:
         _, (actor, carrier), act = self._block("action", block)
@@ -330,7 +327,7 @@ def read(data: bytes | str) -> AlgebraFile:
             cube = (dim,) * 3
             unit, counit = ({i: v for (i,), v in nz[key].items()} for key in ("unit", "counit"))
             record = ObjectRecord(
-                name, dim, basis, matrix_from_entries(dim, dim, nz["alpha"]),
+                name, dim, basis, rows_from_entries((dim, dim), nz["alpha"]),
                 pair_cells(rows_from_entries(cube, nz["mul"]), dim) if algebra else None,
                 vector_from_entries(dim, unit) if algebra else None,
                 rows_from_entries(cube, nz["comul"]) if coalgebra else None,
@@ -371,7 +368,8 @@ def read(data: bytes | str) -> AlgebraFile:
 
 def _entries(table, index=()) -> list:
     """The nonzero entries of a dense vector, matrix or rank-3 tensor, or of a
-    sparse vector, rows or cells, with their index tuples, in sorted order."""
+    sparse vector, rows or cells, with their index tuples, in sorted order
+    (the dense ones are a ``fileformat`` record's)."""
     if isinstance(table, dict):
         return [((*index, i), c) for i, c in sorted(table.items()) if c]
     if table and isinstance(table[0], (tuple, dict)):

@@ -9,12 +9,12 @@ conventions and product-space helpers are those of ``constructions``.
 from __future__ import annotations
 
 from .constructions import (
-    _dense_kron, _pair_product, _product_dim, _tensor_coalgebra, comodule_cotwist,
+    _pair_product, _pair_vector, _product_dim, _tensor_coalgebra, comodule_cotwist,
     cotwist_coproduct, dual, opposite_hopf, smash_product,
 )
 from .errors import CrossCheckFailed, HypothesisFailed, PreconditionFailed
 from .exactlin import (
-    apply_kron, apply_map, basis, bilinear_apply, compose, dense, kron, linear_combination,
+    apply_kron, apply_map, basis, bilinear_apply, compose, kron, linear_combination,
     pair_cells, rows_from_entries, transpose, transpose_rows,
 )
 from .laws import check_comodule_coalgebra, check_matched_pair, check_module_algebra
@@ -195,14 +195,9 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
     inner = [[bilinear_apply(hmul, x, y) for x in s_ainv4] for y in ainv3]
     third = [[tuple(bilinear_apply(hmul, a, v) for v in row) for row in inner] for a in ainv1]
     closed_phi = tuple(
-        dense(
-            linear_combination(
-                nd,
-                (
-                    (v, apply_kron(ainv2, third[a2][h12], op_delta[h11]))
-                    for h11, h12, v in h_terms[h1]
-                ),
-            )
+        linear_combination(
+            nd,
+            ((v, apply_kron(ainv2, third[a2][h12], op_delta[h11])) for h11, h12, v in h_terms[h1]),
         )
         for a2 in range(n)
         for h1 in range(n)
@@ -237,7 +232,7 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     tau = [[_legs(terms, lefts, rights, v) for v in delta_a] for terms in h_terms]
     mul = _pair_product(A.algebra.mul_cells, transpose(H.algebra.mul_cells), tau)
     coalg = _tensor_coalgebra(A, H)
-    unit = _dense_kron((A.unit,), (H.unit,))[0]
+    unit = _pair_vector(A.unit, H.unit)
     alg = HomAlgebra(coalg.dim, mul, unit, coalg.alpha, alpha_inverse=coalg.alpha_inverse)
 
     # the two antipode factors as maps: h -> 1 (x) S_H alpha_H^-1(h), a -> S_A alpha_A^-1(a) (x) 1

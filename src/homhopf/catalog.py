@@ -17,10 +17,10 @@ from .errors import InvalidParameter, NotAGroup, NotAnAutomorphism
 from .exactlin import (
     ONE,
     ZERO,
+    SparseMatrix,
+    SparseTensor3,
     Vector,
     basis,
-    identity,
-    matrix_from_entries,
     pair_cells,
     rows_from_entries,
     vector_from_entries,
@@ -61,18 +61,20 @@ class CatalogEntry(Record):
 
 
 def _hopf(n: int, mul, unit: Vector, comul, counit: Vector, alpha, antipode) -> HomHopfAlgebra:
-    """The Hom-Hopf algebra of dimension ``n`` whose product, coproduct and
-    antipode have the nonzero entries ``mul``, ``comul`` and ``antipode``,
-    ``{index tuple: scalar}``; its tables are built from them."""
-    cube = (n, n, n)
+    """The Hom-Hopf algebra of dimension ``n`` whose product, coproduct,
+    structure map and antipode have the nonzero entries ``mul``, ``comul``,
+    ``alpha`` and ``antipode``, ``{index tuple: scalar}``; its tables are
+    built from them."""
+    cube, square = (n, n, n), (n, n)
     mul, comul = pair_cells(rows_from_entries(cube, mul), n), rows_from_entries(cube, comul)
-    return hopf_of_tables(mul, unit, comul, counit, alpha, rows_from_entries((n, n), antipode))
+    alpha, antipode = rows_from_entries(square, alpha), rows_from_entries(square, antipode)
+    return hopf_of_tables(mul, unit, comul, counit, alpha, antipode)
 
 
 def catalog_one() -> CatalogEntry:
     """The one-dimensional Hom-Hopf algebra (the ground field)."""
     e = basis(1)
-    one = hopf_of_tables((e,), (ONE,), e, (ONE,), identity(1), e)
+    one = hopf_of_tables((e,), (ONE,), e, (ONE,), e, e)
     return CatalogEntry("one", one, ("1",))
 
 
@@ -84,8 +86,7 @@ def catalog_ax1() -> CatalogEntry:
     mul = {(0, 0, 0): ONE, (0, 1, 1): -ONE, (1, 0, 1): -ONE}
     comul = {(0, 0, 0): ONE, (1, 1, 0): -ONE, (1, 0, 1): -ONE}
     sign = {(0, 0): ONE, (1, 1): -ONE}
-    beta = matrix_from_entries(n, n, sign)
-    ax1 = _hopf(n, mul, (ONE, ZERO), comul, (ONE, ZERO), beta, sign)
+    ax1 = _hopf(n, mul, (ONE, ZERO), comul, (ONE, ZERO), sign, sign)
 
     kz2 = catalog_kz2().hopf
     acting = {(0, 0, 0): ONE, (0, 1, 1): -ONE, (1, 0, 0): ONE, (1, 1, 1): ONE}
@@ -102,7 +103,8 @@ def catalog_kz2() -> CatalogEntry:
     the identity, involutive group-like generator)."""
     mul = {(0, 0, 0): ONE, (0, 1, 1): ONE, (1, 0, 1): ONE, (1, 1, 0): ONE}
     comul = {(0, 0, 0): ONE, (1, 1, 1): ONE}
-    h = _hopf(2, mul, (ONE, ZERO), comul, (ONE, ONE), identity(2), {(0, 0): ONE, (1, 1): ONE})
+    ident = {(0, 0): ONE, (1, 1): ONE}
+    h = _hopf(2, mul, (ONE, ZERO), comul, (ONE, ONE), ident, ident)
     return CatalogEntry("kz2", h, ("1", "g"))
 
 
@@ -123,9 +125,7 @@ def catalog_sweedler_hom() -> CatalogEntry:
         (2, 2, 1): -ONE, (2, 0, 2): -ONE,
         (3, 3, 0): -ONE, (3, 1, 3): -ONE,
     }
-    alpha = matrix_from_entries(
-        n, n, {(0, 0): ONE, (1, 1): ONE, (2, 2): -ONE, (3, 3): -ONE}
-    )
+    alpha = {(0, 0): ONE, (1, 1): ONE, (2, 2): -ONE, (3, 3): -ONE}
     antipode = {(0, 0): ONE, (1, 1): ONE, (2, 3): -ONE, (3, 2): ONE}
     h = _hopf(
         n, e, vector_from_entries(n, {0: ONE}), comul, (ONE, ONE, ZERO, ZERO), alpha, antipode
@@ -133,7 +133,7 @@ def catalog_sweedler_hom() -> CatalogEntry:
     half = F(1, 2)
     r = RMatrix(
         h.bialgebra,
-        matrix_from_entries(n, n, {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): -half}),
+        rows_from_entries((n, n), {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): -half}),
     )
     return CatalogEntry("sweedler_hom", h, ("1", "g", "x", "gx"), rmatrix=r)
 
@@ -182,7 +182,7 @@ def catalog_group(table, automorphism, name: str = "group") -> CatalogEntry:
 
     mul = {(a, b, phi[table[a][b]]): ONE for a in range(n) for b in range(n)}
     comul = {(a, phi[a], phi[a]): ONE for a in range(n)}
-    alpha = matrix_from_entries(n, n, {(a, phi[a]): ONE for a in range(n)})
+    alpha = {(a, phi[a]): ONE for a in range(n)}
     antipode = {(a, inverse[a]): ONE for a in range(n)}
     h = _hopf(
         n,
@@ -237,38 +237,37 @@ def symmetric3_data() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
 class BicrossGolden(Record):
     """Expected multiplication, comultiplication and antipode tables for the
     bicrossproduct built from the ``ax1`` data, on the ordered basis
-    (1#1, 1#g, x#1, x#g).
+    (1#1, 1#g, x#1, x#g): the product cells, the coproduct rows on the pair
+    space and the antipode rows.
 
     Both terms of the coproduct of x#g carry the sign forced by the
     Hom-counit law ``(counit (x) id) delta = alpha``.
     """
 
-    products: tuple[tuple[Vector, ...], ...]
-    coproducts: tuple[Vector, ...]
-    antipodes: tuple[Vector, ...]
+    products: SparseTensor3
+    coproducts: SparseMatrix
+    antipodes: SparseMatrix
 
 
 def catalog_ex27_expected() -> BicrossGolden:
-    def vec(*pairs):
-        return vector_from_entries(4, dict(pairs))
-
-    def vec16(*pairs):
-        return vector_from_entries(16, dict(pairs))
-
-    products = (
-        (vec((0, ONE)), vec((1, ONE)), vec((2, -ONE)), vec((3, -ONE))),
-        (vec((1, ONE)), vec((0, ONE)), vec((3, ONE)), vec((2, ONE))),
-        (vec((2, -ONE)), vec((3, -ONE)), vec(), vec()),
-        (vec((3, -ONE)), vec((2, -ONE)), vec(), vec()),
+    products = {
+        (0, 0, 0): ONE, (0, 1, 1): ONE, (0, 2, 2): -ONE, (0, 3, 3): -ONE,
+        (1, 0, 1): ONE, (1, 1, 0): ONE, (1, 2, 3): ONE, (1, 3, 2): ONE,
+        (2, 0, 2): -ONE, (2, 1, 3): -ONE,
+        (3, 0, 3): -ONE, (3, 1, 2): -ONE,
+    }
+    coproducts = {
+        (0, 0): ONE,
+        (1, 5): ONE,
+        (2, 8): -ONE, (2, 2): -ONE,
+        (3, 13): -ONE, (3, 7): -ONE,
+    }
+    antipodes = {(0, 0): ONE, (1, 1): ONE, (2, 2): -ONE, (3, 3): ONE}
+    return BicrossGolden(
+        pair_cells(rows_from_entries((4, 4, 4), products), 4),
+        rows_from_entries((4, 16), coproducts),
+        rows_from_entries((4, 4), antipodes),
     )
-    coproducts = (
-        vec16((0, ONE)),
-        vec16((5, ONE)),
-        vec16((8, -ONE), (2, -ONE)),
-        vec16((13, -ONE), (7, -ONE)),
-    )
-    antipodes = (vec((0, ONE)), vec((1, ONE)), vec((2, -ONE)), vec((3, ONE)))
-    return BicrossGolden(products, coproducts, antipodes)
 
 
 def catalog_names() -> tuple[str, ...]:

@@ -165,8 +165,6 @@ LEVELS = ("algebra", "coalgebra", "bialgebra", "hopf", "quasitriangular")
 def check(source, level, report_path, jobs):
     """Run the axiom checkers for LEVEL on SOURCE (file or catalog name)."""
     del jobs
-    from functools import partial
-
     from .errors import HomHopfError
     from .structures import (
         HomBialgebra,
@@ -186,17 +184,20 @@ def check(source, level, report_path, jobs):
         coa = rec.hom_coalgebra(alg and alg.alpha_inverse) if level != "algebra" else None
         bia = HomBialgebra(alg, coa) if alg and coa else None
         hopf = rec.hom_hopf(bia) if level in ("hopf", "quasitriangular") else None
-        checkers = (check_hom_algebra, check_hom_coalgebra, check_hom_bialgebra, check_antipode)
-        tasks = [partial(f, obj) for f, obj in zip(checkers, (alg, coa, bia, hopf)) if obj]
+        rmatrix = None
         if level == "quasitriangular":
             blocks = [b for b in bundle.blocks_of("rmatrix") if b.refs[0] == rec.name]
             if not blocks:
                 _fail_usage(f"quasitriangular level needs an rmatrix block on {rec.name!r}")
-            tasks.append(partial(check_quasitriangular, bia, bundle.rmatrix(blocks[0])))
+            rmatrix = bundle.rmatrix(blocks[0])
     except (HomHopfError, OSError) as exc:
         _fail_usage(str(exc))
 
-    combined = merge_reports(*(t() for t in tasks))
+    checkers = (check_hom_algebra, check_hom_coalgebra, check_hom_bialgebra, check_antipode)
+    reports = [checker(obj) for checker, obj in zip(checkers, (alg, coa, bia, hopf)) if obj]
+    if rmatrix is not None:
+        reports.append(check_quasitriangular(bia, rmatrix))
+    combined = merge_reports(*reports)
     _print_report(combined)
     status = EXIT_PASS if combined.ok else EXIT_FAIL
     print("all checks passed" if combined.ok else "some checks failed")
@@ -306,9 +307,8 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
 SUITES = ("thm2.6", "cor2.9", "prop2.19", "thm4.5", "dual-pair", "prop4.7")
 
 
-def verify(suite, source, report_path, jobs):
+def verify(suite, source, report_path):
     """Run a named verification suite on an algebra."""
-    del jobs
     from .errors import HomHopfError
     from .verify import verify_cor_2_9, verify_dual_pair_route, verify_prop_2_19, verify_prop_4_7
     from .verify import verify_thm_2_6, verify_thm_4_5
@@ -415,7 +415,6 @@ def _parser(prog: str | None) -> argparse.ArgumentParser:
     sub.add_argument("suite", choices=SUITES)
     sub.add_argument("--algebra", dest="source", required=True, help="catalog name or definition file")
     sub.add_argument("--report", dest="report_path", metavar="PATH")
-    sub.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
 
     sub = command(export)
     sub.add_argument("name", metavar="NAME")

@@ -26,7 +26,6 @@ from itertools import chain
 
 from .errors import InvalidParameter, NotAMorphism, PreconditionFailed
 from .exactlin import (
-    Matrix,
     SparseMatrix,
     SparseTensor3,
     Vector,
@@ -36,16 +35,13 @@ from .exactlin import (
     bilinear_apply,
     compose,
     dense,
-    dense_rows,
     flip,
-    identity,
     kron,
     linear_combination,
-    mat_compose,
     mat_inverse,
     pair_cells,
-    rows,
     rows_from_entries,
+    sparse,
     transpose,
     transpose_rows,
 )
@@ -78,16 +74,15 @@ def _product_dim(n1: int, n2: int) -> int:
     return n1 * n2
 
 
-def _dense_kron(f: Matrix, g: Matrix) -> Matrix:
-    """The Kronecker product of two dense matrices as a dense matrix, for the
-    structure map and the unit of a product space."""
-    return dense_rows(kron(rows(f), rows(g)))
+def _pair_vector(u: Vector, v: Vector) -> Vector:
+    """The vector ``u (x) v`` of a product space: its unit or its counit."""
+    return dense(kron((sparse(u),), (sparse(v),))[0])
 
 
-def _product_alpha(X, Y) -> tuple[Matrix, Matrix]:
+def _product_alpha(X, Y) -> tuple[SparseMatrix, SparseMatrix]:
     """The structure map ``alpha_X (x) alpha_Y`` of a product space and its
     inverse, the product of the inverses."""
-    return tuple(dense_rows(kron(X.power(k), Y.power(k))) for k in (1, -1))
+    return kron(X.alpha, Y.alpha), kron(X.alpha_inverse, Y.alpha_inverse)
 
 
 def _pair_product(left, right, tau) -> SparseTensor3:
@@ -108,22 +103,22 @@ def _pair_product(left, right, tau) -> SparseTensor3:
 def _tensor_coalgebra(C, D) -> HomCoalgebra:
     """The tensor-product coalgebra ``delta(c (x) d) = c_1 (x) d_1 (x) c_2 (x) d_2``:
     the cotwist coproduct of the flip."""
-    return cotwist_coproduct(C, D, dense_rows(flip(C.dim, D.dim)), check=False)
+    return cotwist_coproduct(C, D, flip(C.dim, D.dim), check=False)
 
 
 # ---------------------------------------------------------------------------
 # elementary constructions
 
 
-def yau_twist(classical: HomHopfAlgebra, endo: Matrix) -> HomHopfAlgebra:
+def yau_twist(classical: HomHopfAlgebra, endo: SparseMatrix) -> HomHopfAlgebra:
     """Twist a classical Hopf algebra (structure map = identity) along a
     bialgebra endomorphism: the product becomes endo(ab), the coproduct
     becomes delta(endo(a)), and endo is the new structure map."""
     n = classical.dim
-    if classical.alpha != identity(n):
+    if classical.alpha != basis(n):
         raise PreconditionFailed("input must be classical: its structure map must be the identity")
     A, C = classical.algebra, classical.coalgebra
-    er, m, sr, su = rows(endo), A.mul_map, classical.antipode_rows, (A.unit_vector,)
+    er, m, sr, su = endo, A.mul_map, classical.antipode_rows, (A.unit_vector,)
     dr, eps = C.comul_rows, C.counit_map
     twisted_mul, twisted_delta = compose(m, er), compose(er, dr)  # endo(ab), delta(endo(a))
     laws = (
@@ -150,13 +145,13 @@ def opposite(h: HomHopfAlgebra) -> HomHopfAlgebra:
 
 def opposite_hopf(h: HomHopfAlgebra) -> HomHopfAlgebra:
     """The opposite with the inverse antipode, which is again Hom-Hopf."""
-    return HomHopfAlgebra(opposite(h).bialgebra, rows(h.antipode_inverse))
+    return HomHopfAlgebra(opposite(h).bialgebra, h.antipode_inverse)
 
 
 def co_opposite(h: HomHopfAlgebra) -> HomHopfAlgebra:
     """The co-opposite ``delta(a) = a_2 (x) a_1`` (``h.coalgebra.op``) with the
     inverse antipode, which is again Hom-Hopf."""
-    return HomHopfAlgebra(HomBialgebra(h.algebra, h.coalgebra.op), rows(h.antipode_inverse))
+    return HomHopfAlgebra(HomBialgebra(h.algebra, h.coalgebra.op), h.antipode_inverse)
 
 
 def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
@@ -178,9 +173,9 @@ def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
         h.counit,
         coproducts,
         h.unit,
-        transpose(h.alpha_inverse),
+        transpose_rows(h.alpha_inverse),
         transpose_rows(h.antipode_rows),
-        transpose(h.alpha),
+        transpose_rows(h.alpha),
     )
 
 
@@ -208,12 +203,12 @@ def smash_product(A, H, act: ModuleAction, check: bool = True) -> HomAlgebra:
     acted = [[bilinear_apply(action, x, y) for x in ah_i2] for y in aa_i1]
     tau = [[apply_kron(row, ah_i1, v) for row in acted] for v in delta]
     mul = _pair_product(alg.mul_cells, transpose(bi.algebra.mul_cells), tau)
-    unit = _dense_kron((alg.unit,), (bi.unit,))[0]
+    unit = _pair_vector(alg.unit, bi.unit)
     alpha, inverse = _product_alpha(alg, bi)
     return HomAlgebra(na * nh, mul, unit, alpha, alpha_inverse=inverse)
 
 
-def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> Matrix:
+def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> SparseMatrix:
     """The cotwisting map induced by a comodule Hom-coalgebra structure:
     ``phi(h (x) c) = alpha_C^-1(c_(0)) (x) alpha_H^-1(h) alpha_H^-2(c_(1))``.
 
@@ -227,7 +222,7 @@ def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> Matrix:
     hmul, rho = coactor.algebra.mul_cells, co.coact_rows
     # second[h] maps c_(1) to alpha_H^-1(h) alpha_H^-2(c_(1))
     second = [tuple(bilinear_apply(hmul, x, y) for y in ah_i2) for x in ah_i1]
-    phi = tuple(chain.from_iterable(dense_rows(compose(rho, (ac_i1, s))) for s in second))
+    phi = tuple(chain.from_iterable(compose(rho, (ac_i1, s)) for s in second))
     if check:
         from .laws import check_cotwisting
 
@@ -237,7 +232,7 @@ def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> Matrix:
     return phi
 
 
-def cotwist_coproduct(C, D, phi: Matrix, check: bool = True) -> HomCoalgebra:
+def cotwist_coproduct(C, D, phi: SparseMatrix, check: bool = True) -> HomCoalgebra:
     """The twisted coproduct on ``C (x) D``:
     ``delta(c (x) d) = c_1 (x) d_1^phi (x) c_2^phi (x) d_2``."""
     Cc = coalgebra_of(C)
@@ -250,12 +245,12 @@ def cotwist_coproduct(C, D, phi: Matrix, check: bool = True) -> HomCoalgebra:
         report = check_cotwisting(Cc, Dc, phi)
         if not report.ok:
             raise PreconditionFailed("not a cotwisting map", report)
-    ec, ed, phi_rows = basis(nc), basis(nd), rows(phi)
+    ec, ed = basis(nc), basis(nd)
     # (id (x) phi (x) id)(delta_C (x) delta_D) in two steps: phi_d maps
     # c_2 (x) d to phi(c_2 (x) d_1) (x) d_2, and c (x) d goes to c_1 (x) phi_d(c_2 (x) d)
-    phi_d = compose(kron(ec, Dc.comul_rows), (phi_rows, ed))
+    phi_d = compose(kron(ec, Dc.comul_rows), (phi, ed))
     comul = compose(kron(Cc.comul_rows, ed), (ec, phi_d))
-    counit = _dense_kron((Cc.counit,), (Dc.counit,))[0]
+    counit = _pair_vector(Cc.counit, Dc.counit)
     alpha, inverse = _product_alpha(Cc, Dc)
     return HomCoalgebra(nc * nd, comul, counit, alpha, alpha_inverse=inverse)
 
@@ -304,13 +299,13 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     tau = [[dressed(j, sweedler) for sweedler in h_terms] for j in range(n)]
     mul = _pair_product(shifted, times, tau)
     coalg = _tensor_coalgebra(H, hst)
-    unit = _dense_kron((H.unit,), (hst.unit,))[0]
+    unit = _pair_vector(H.unit, hst.unit)
     alg = HomAlgebra(coalg.dim, mul, unit, coalg.alpha, alpha_inverse=coalg.alpha_inverse)
 
     # S(h (x) f) = (1 (x) S*(alpha*(f))) (S^-1(alpha^-1(h)) (x) counit), factor by factor
     counit = hst.algebra.unit_vector  # the counit of H is the unit of its dual
     s_f = kron((H.algebra.unit_vector,), compose(hst.power(-1), hst.antipode_rows))
-    s_h = kron(compose(H.power(-1), rows(H.antipode_inverse)), (counit,))
+    s_h = kron(compose(H.power(-1), H.antipode_inverse), (counit,))
     mc = alg.mul_cells
     antipode = tuple(bilinear_apply(mc, s_f[j], s_h[h]) for h in range(n) for j in range(n))
     return HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
@@ -321,15 +316,16 @@ def canonical_r_matrix(H: HomHopfAlgebra, double: HomHopfAlgebra | None = None) 
     ``R = sum_i (1 (x) (alpha^-1)*(e^i)) (x) (S^-1(e_i) (x) counit)``."""
     if double is None:
         double = drinfeld_double(H)
-    first = _dense_kron((H.unit,), transpose(H.alpha_inverse))
-    second = _dense_kron(H.antipode_inverse, (H.counit,))
-    return RMatrix(double.bialgebra, mat_compose(transpose(first), second))
+    # row i of first is 1 (x) (alpha^-1)*(e^i), row i of second S^-1(e_i) (x) counit
+    first = kron((H.algebra.unit_vector,), transpose_rows(H.alpha_inverse))
+    second = kron(H.antipode_inverse, (sparse(H.counit),))
+    return RMatrix(double.bialgebra, compose(transpose_rows(first), second))
 
 
 def evaluation_pairing(H: HomHopfAlgebra) -> PairingForm:
     """The evaluation pairing on ``(H_op, H_dual)``; the opposite carries the
     inverse antipode so both sides are Hom-Hopf."""
-    return PairingForm(opposite_hopf(H), dual(H), identity(H.dim))
+    return PairingForm(opposite_hopf(H), dual(H), basis(H.dim))
 
 
 class PairedDouble(Record):
@@ -338,7 +334,7 @@ class PairedDouble(Record):
     half-braidings against their exact matrix inverses."""
 
     hopf: HomHopfAlgebra
-    twisting: Matrix
+    twisting: SparseMatrix
     closed_form_inverses_match: tuple[bool, bool]
 
 
@@ -366,21 +362,19 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
     sa_inv, sb_inv = A.antipode_inverse, B.antipode_inverse
     e_a, e_b = basis(na), basis(nb)
 
-    def paired(weight: Matrix, first: bool, a_then: SparseMatrix, b_then: SparseMatrix) -> Matrix:
+    def paired(weight: SparseMatrix, first: bool, a_then, b_then) -> SparseMatrix:
         """The map on ``A (x) B`` that pairs one Sweedler leg of ``a`` with one of
         ``b`` through ``weight`` and keeps the other two, then applies
         ``a_then (x) b_then``: ``a_1 (x) <a_2, b_1> b_2`` if ``first``, else
         ``a_2 (x) <a_1, b_2> b_1``, the same through the co-opposites."""
         ca, cb = (A.coalgebra, B.coalgebra) if first else (A.coalgebra.op, B.coalgebra.op)
-        legs, w = ca.comul_rows, rows(weight)
+        legs = ca.comul_rows
         # through[b] maps the paired leg of a to the kept leg of b
-        through = [compose(w, plane, b_then) for plane in pair_cells(cb.comul_rows, nb)]
-        return tuple(
-            dense(apply_kron(a_then, through[b], legs[a])) for a in range(na) for b in range(nb)
-        )
+        through = [compose(weight, plane, b_then) for plane in pair_cells(cb.comul_rows, nb)]
+        return tuple(apply_kron(a_then, t, legs[a]) for a in range(na) for t in through)
 
     # <alpha_A(a), b> and <S_A^-1 alpha_A(a), b>
-    plain, inverse = mat_compose(A.alpha, gram), mat_compose(mat_compose(A.alpha, sa_inv), gram)
+    plain, inverse = compose(A.alpha, gram), compose(A.alpha, sa_inv, gram)
     r1 = paired(plain, True, aa_i1, bb_i1)
     r2 = paired(plain, False, aa_i1, bb_i1)
     r1_inv = mat_inverse(r1)
@@ -388,20 +382,20 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
     closed_r1_inv = paired(inverse, True, aa_i1, bb_i1)
     closed_r2_inv = paired(inverse, False, aa_i1, bb_i1)
     inverses_match = (closed_r1_inv == r1_inv, closed_r2_inv == r2_inv)
-    twisting = mat_compose(mat_compose(dense_rows(flip(nb, na)), r2_inv), r1)
+    twisting = compose(flip(nb, na), r2_inv, r1)
 
     # a' (x) b goes to <S^-1 alpha_A(a'_1), b_2> a'_2 (x) b_1, and then a'_2 (x) b_1 to
     # <a'_22, alpha_B^-1(b_11)> a'_21 (x) b_12
-    weight2 = mat_compose(gram, transpose(B.alpha_inverse))  # <a, alpha_B^-1(b)>
-    middles = rows(mat_compose(paired(inverse, False, e_a, e_b), paired(weight2, True, e_a, e_b)))
+    weight2 = compose(gram, transpose_rows(B.alpha_inverse))  # <a, alpha_B^-1(b)>
+    middles = compose(paired(inverse, False, e_a, e_b), paired(weight2, True, e_a, e_b))
     # first[a] maps a'_21 to a alpha_A^-2(a'_21), second[b'] maps b_12 to alpha_B^-2(b_12) b'
     first = [compose(aa_i2, lm) for lm in A.algebra.mul_cells]
     second = [compose(bb_i2, rm) for rm in transpose(B.algebra.mul_cells)]
     tau = [[middles[ap * nb + b] for ap in range(na)] for b in range(nb)]
     # a_1 (x) b_2 (x) a_2 (x) b_1: the tensor coproduct with B's co-opposite
     coalg = _tensor_coalgebra(A, B.coalgebra.op)
-    antipode = compose(kron(A.antipode_rows, rows(sb_inv)), flip(na, nb), rows(twisting))
-    unit = _dense_kron((A.unit,), (B.unit,))[0]
+    antipode = compose(kron(A.antipode_rows, sb_inv), flip(na, nb), twisting)
+    unit = _pair_vector(A.unit, B.unit)
     mul = _pair_product(first, second, tau)
     alg = HomAlgebra(coalg.dim, mul, unit, coalg.alpha, alpha_inverse=coalg.alpha_inverse)
     hopf = HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
@@ -459,7 +453,7 @@ def drinfeld_double_tilde(A: HomHopfAlgebra) -> HomBialgebra:
     op = transpose(d.algebra.mul_cells)
     mul = tuple(compose([op[pr][pc] for pc in order], f) for pr in order)
     comul = compose([d.coalgebra.comul_op_rows[p] for p in order], (f, f))
-    alpha, alpha_inverse = (tuple(moved(m[p]) for p in order) for m in (d.alpha, d.alpha_inverse))
+    alpha, alpha_inverse = (compose([m[p] for p in order], f) for m in (d.alpha, d.alpha_inverse))
     return HomBialgebra(
         HomAlgebra(d.dim, mul, moved(d.unit), alpha, alpha_inverse=alpha_inverse),
         HomCoalgebra(d.dim, comul, moved(d.counit), alpha, alpha_inverse=alpha_inverse),
@@ -493,22 +487,15 @@ def canonical_cocycles(
     ``sigma(h (x) f, k (x) g) = counit(h) g(1) <f, alpha(k)>``, and the
     canonical right cocycle on the mirrored double,
     ``eta(f (x) a, g (x) b) = counit(b) f(1) <g, alpha(a)>``."""
-    n = A.dim
     if double is None:
         double = drinfeld_double(A)
     if double_tilde is None:
         double_tilde = drinfeld_double_tilde(A)
-    rng = range(n)
-    sigma = tuple(
-        tuple(A.counit[h] * A.alpha[k][j] * A.unit[l] for k in rng for l in rng)
-        for h in rng
-        for j in rng
-    )
-    eta = tuple(
-        tuple(A.unit[j] * A.alpha[a][l] * A.counit[b] for l in rng for b in rng)
-        for j in rng
-        for a in rng
-    )
+    # rows of the forms: e_h (x) e^j -> counit(e_h) <e^j, alpha(.)> (.)(1) and
+    # e^j (x) e_a -> e^j(1) <., alpha(e_a)> counit(.)
+    unit, counit = A.algebra.unit_vector, sparse(A.counit)
+    sigma = kron(A.coalgebra.counit_map, kron(transpose_rows(A.alpha), (unit,)))
+    eta = kron(transpose_rows((unit,)), kron(A.alpha, (counit,)))
     return TwoCocycle(double.bialgebra, sigma, "left"), TwoCocycle(double_tilde, eta, "right")
 
 

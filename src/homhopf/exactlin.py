@@ -1,36 +1,35 @@
-"""Exact rational linear and multilinear algebra on dense nested tuples and
-sparse coefficient dicts.
+"""Exact rational linear and multilinear algebra on sparse coefficient dicts.
 
 Every value is built from exact rational scalars, ``int | Fraction``:
 integral scalars are Python ``int`` and only proper fractions are
 ``Fraction`` (arithmetic mixes the two exactly, and ``==`` and ``hash``
-agree across them).  Vectors are tuples of scalars, matrices are tuples of
-row tuples, rank-3 tensors are tuples of matrices.  Three conventions are
-fixed package-wide:
+agree across them).  A sparse vector (``Sparse``) is the dict ``{index:
+scalar}`` of the nonzero coefficients of a vector, with the vector's length
+as ``dim``.  Every linear map is a ``SparseMatrix``, the tuple of the sparse
+images of the basis vectors (its rows), and a bilinear map is a
+``SparseTensor3``, the tuple of the sparse matrices of its first-index
+planes (its cells).  Three conventions are fixed package-wide:
 
-* matrices are row-image maps: ``m[i][j]`` is the ``e_j``-coefficient of the
-  image of basis vector ``e_i``; maps therefore compose left to right, and
-  ``dense(apply_map(rows(m), sparse(v)))[j] == sum_i v[i] * m[i][j]``;
-* a multiplication tensor stores ``e_i . e_j = sum_k t[i][j][k] e_k`` and a
-  comultiplication tensor stores ``delta(e_i) = sum t[i][j][k] e_j (x) e_k``;
+* maps are row-image maps: ``m[i]`` is the image of basis vector ``e_i``,
+  and ``m[i][j]`` its ``e_j``-coefficient; maps therefore compose left to
+  right (``compose``);
+* a multiplication table stores ``e_i . e_j`` as the cell ``t[i][j]`` and a
+  comultiplication ``delta(e_i)`` as the row ``t[i]`` on the pair space;
 * tensor-product indices flatten row-major: the pair ``(i, j)`` with a
   second factor of dimension ``m`` becomes ``i * m + j``.
 
-The four kernels ``apply_map``, ``apply_kron``, ``bilinear_apply`` and
-``tensor_power_products``, and ``linear_combination`` and ``kron`` with them,
-take sparse operands and return sparse results.  A sparse vector
-(``Sparse``) is the dict ``{index: scalar}`` of the nonzero coefficients of
-a vector, with the vector's length as ``dim``; a sparse matrix (``rows``) is
-the tuple of its sparse rows, and a sparse rank-3 tensor (``cells``) the
-tuple of the sparse matrices of its first-index planes.  No result keeps a
-coefficient that cancelled to zero, so two sparse vectors of the same
-length are equal exactly when their dense vectors (``dense``) are.  The
-tables of structure constants are built sparse (``rows_from_entries``, the
-kernels) and are the fields of the domain types of ``structures``; a dense
-tensor is made from a table (``dense_rows``, ``pair_cells``) where a dense
-value is wanted, and a table from dense constants (``rows``, ``cells``) only
-where they come in dense.  The kernels check only that the lengths of their
-operands fit together.
+The kernels ``apply_map``, ``apply_kron``, ``bilinear_apply`` and
+``tensor_power_products``, and ``linear_combination``, ``kron``,
+``transpose_rows`` and ``mat_inverse`` with them, take sparse operands and
+return sparse results.  No result keeps a coefficient that cancelled to
+zero, so two sparse vectors of the same length are equal exactly when their
+dense vectors (``dense``) are.  Tables are built sparse
+(``rows_from_entries``, the kernels) and are the fields of the domain types
+of ``structures``.  Only vectors (units, counits, the two sides of a
+failure witness) are dense tuples; the dense tensors of the
+``structures`` views are made by ``dense_rows`` and ``dense_cells``, and
+``rows`` and ``cells`` read dense constants where they come in dense.  The
+kernels check only that the lengths of their operands fit together.
 
 Sweedler sums and tensor legs are enumerated here and nowhere else:
 ``terms`` lists the nonzero Sweedler terms of the rows of a comultiplication
@@ -67,7 +66,7 @@ ZERO = 0
 ONE = 1
 
 
-def _normal(q: Fraction) -> Scalar:
+def _normal(q: Scalar) -> Scalar:
     """``q`` as an ``int`` when it is integral."""
     return q.numerator if q.denominator == 1 else q
 
@@ -106,10 +105,6 @@ def format_scalar(value: Scalar) -> str:
 
 # ---------------------------------------------------------------------------
 # vectors
-
-
-def basis_vector(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def vector_from_entries(n: int, entries: dict[int, Scalar]) -> Vector:
@@ -241,20 +236,9 @@ def _mismatch(what: str, *lengths: int) -> DimensionMismatch:
 # matrices
 
 
-def identity(n: int) -> Matrix:
-    return tuple(basis_vector(n, i) for i in range(n))
-
-
-def matrix_from_entries(rows: int, cols: int, entries: dict[tuple[int, int], Scalar]) -> Matrix:
-    return tuple(tuple(entries.get((i, j), ZERO) for j in range(cols)) for i in range(rows))
-
-
-def mat_shape(m: Matrix) -> tuple[int, int]:
-    return len(m), len(m[0]) if m else 0
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
+def transpose(t: SparseTensor3) -> SparseTensor3:
+    """The cells ``t`` with the first two indices exchanged: ``transpose(t)[j][i] is t[i][j]``."""
+    return tuple(zip(*t)) if t else ()
 
 
 def transpose_rows(m: SparseMatrix) -> SparseMatrix:
@@ -280,46 +264,34 @@ def apply_map(m: SparseMatrix, v: Sparse) -> Sparse:
     return _zero_free(out)
 
 
-def mat_compose(f: Matrix, g: Matrix) -> Matrix:
-    """Row-image composition: apply ``f`` first, then ``g`` (matrix product f.g)."""
-    if len(f[0]) != len(g):
-        raise DimensionMismatch(
-            f"cannot compose {mat_shape(f)} with {mat_shape(g)}: inner dimensions differ"
-        )
-    gr = rows(g)
-    return tuple(dense(apply_map(gr, row)) for row in rows(f))
-
-
-def mat_inverse(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination over the rationals.
+def mat_inverse(m: SparseMatrix) -> SparseMatrix:
+    """Exact inverse by Gauss-Jordan elimination over the rationals, on sparse rows.
 
     Raises SingularMatrixError carrying the rank found when no inverse exists.
     """
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise DimensionMismatch(f"cannot invert non-square {mat_shape(m)} matrix")
-    a = [list(row) for row in m]
-    inv = [list(row) for row in identity(n)]
-    rank = 0
+    if any(row.dim != n for row in m):
+        raise DimensionMismatch(f"cannot invert non-square ({n}, {m[0].dim}) matrix")
+    a, inv, rank = list(m), list(basis(n)), 0  # row r of the elimination is a[r] | inv[r]
     for col in range(n):
-        pivot = next((r for r in range(rank, n) if a[r][col]), None)
+        pivot = next((r for r in range(rank, n) if col in a[r]), None)
         if pivot is None:
             continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv[rank], inv[pivot] = inv[pivot], inv[rank]
-        p = a[rank][col]
-        if p != ONE:
-            a[rank] = [_quotient(x, p) if x else ZERO for x in a[rank]]
-            inv[rank] = [_quotient(x, p) if x else ZERO for x in inv[rank]]
+        for rs in (a, inv):
+            rs[rank], rs[pivot] = rs[pivot], rs[rank]
+        scale = _quotient(ONE, a[rank][col])
+        a[rank], inv[rank] = (linear_combination(n, ((scale, v),)) for v in (a[rank], inv[rank]))
         for r in range(n):
-            if r != rank and a[r][col]:
-                c = a[r][col]
-                a[r] = [x - c * y for x, y in zip(a[r], a[rank])]
-                inv[r] = [x - c * y for x, y in zip(inv[r], inv[rank])]
+            if r != rank and col in a[r]:
+                c = -a[r][col]
+                a[r], inv[r] = (
+                    linear_combination(n, ((ONE, rs[r]), (c, rs[rank]))) for rs in (a, inv)
+                )
         rank += 1
     if rank != n:
         raise SingularMatrixError(f"singular matrix: rank {rank} of {n}", rank=rank)
-    return tuple(tuple(row) for row in inv)
+    entries = {(i, j): _normal(x) for i, v in enumerate(inv) for j, x in v.items()}
+    return rows_from_entries((n, n), entries)
 
 
 def kron(f: SparseMatrix, g: SparseMatrix) -> SparseMatrix:
@@ -394,11 +366,12 @@ def bilinear_apply(t: SparseTensor3, x: Sparse, y: Sparse) -> Sparse:
     return _zero_free(out)
 
 
-def tensor_power_products(mul: SparseTensor3, legs: int, us, vs, pairs=None) -> SparseMatrix:
+def tensor_power_products(mul: SparseTensor3, legs: int, us, vs, pairs=None) -> Iterator[Sparse]:
     """The componentwise products ``(x_1 (x) x_2 ...)(y_1 (x) y_2 ...) = x_1 y_1 (x) x_2 y_2 ...``
     on the ``legs``-fold tensor power of the algebra with multiplication ``mul``:
     each vector of ``us`` times each of ``vs``, row-major, or only at the index
-    pairs ``pairs``.  Each vector is grouped by legs once, not once per product.
+    pairs ``pairs``, each made as it is read.  Each vector is grouped by legs
+    once, not once per product.
     """
     n = len(mul)
     size, weight = n**legs, n ** (legs - 1)
@@ -407,7 +380,7 @@ def tensor_power_products(mul: SparseTensor3, legs: int, us, vs, pairs=None) -> 
     us, vs = ([_by_first_leg(w.items(), weight, n) for w in ws] for ws in (us, vs))
     pairs = product(range(len(us)), range(len(vs))) if pairs is None else pairs
     products = (_power_product(mul, weight, us[a], vs[b], _empty(size)) for a, b in pairs)
-    return tuple(map(_zero_free, products))
+    return map(_zero_free, products)
 
 
 Pairs = Iterable[tuple[int, Scalar]]

@@ -2,23 +2,24 @@
 generator: ``perfbench/inputs.py`` relabels the dense fields of a catalog
 entry's ``bundle_of_entry`` with ``dataclasses.replace`` and writes it with
 ``serialize``.  The grammar, the writer and the records' methods are
-``algfile``'s; an object record hands ``algfile`` its tables, made from its
-dense fields on each read.  No command loads this module or ``dataclasses``;
-ROADMAP directions 10 and 11 delete it once the generator builds ``algfile``
-records by constructor.
+``algfile``'s; an object record hands ``algfile`` its tables and the rows of
+its structure map, made from its dense fields once (``tables``).  No command
+loads this module or ``dataclasses``; ROADMAP directions 10 and 11 delete it
+once the generator builds ``algfile`` records by constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import algfile
-from .algfile import Realized, Sections
+from .algfile import Sections
 from .exactlin import Matrix, Scalar, Tensor3, Vector, cells, dense_cells, dense_rows, flatten_pair, pair_cells, rows
 
 
 @dataclass(frozen=True)
-class ObjectRecord(Realized):
+class ObjectRecord:
     name: str
     dim: int
     basis: tuple[str, ...]
@@ -29,17 +30,22 @@ class ObjectRecord(Realized):
     counit: Vector | None = None
     antipode: Matrix | None = None
 
-    @property
-    def mul_cells(self):
-        return None if self.mul is None else cells(self.mul)
+    @cached_property
+    def tables(self) -> algfile.ObjectRecord:
+        """The ``algfile`` record of the same object."""
+        return algfile.ObjectRecord(
+            self.name, self.dim, self.basis, rows(self.alpha),
+            None if self.mul is None else cells(self.mul), self.unit,
+            None if self.comul is None else rows(map(flatten_pair, self.comul)), self.counit,
+            None if self.antipode is None else rows(self.antipode),
+        )
 
-    @property
-    def comul_rows(self):
-        return None if self.comul is None else rows(map(flatten_pair, self.comul))
-
-    @property
-    def antipode_rows(self):
-        return None if self.antipode is None else rows(self.antipode)
+    def __getattr__(self, name):
+        """``mul_cells``, ``comul_rows``, ``antipode_rows`` and the realized
+        structures, read from ``tables``."""
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.tables, name)
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,7 @@ def _dense(file: algfile.AlgebraFile) -> AlgebraFile:
     """The bundle of dense records of an ``algfile`` bundle."""
     objects = tuple(
         ObjectRecord(
-            r.name, r.dim, r.basis, r.alpha,
+            r.name, r.dim, r.basis, dense_rows(r.alpha),
             r.mul_cells and dense_cells(r.mul_cells), r.unit,
             r.comul_rows and dense_cells(pair_cells(r.comul_rows, r.dim)), r.counit,
             r.antipode_rows and dense_rows(r.antipode_rows),

@@ -16,23 +16,22 @@ from __future__ import annotations
 from itertools import product
 
 from .exactlin import (
-    Matrix, SparseMatrix, SparseTensor3, apply_kron, apply_map, basis, bilinear_apply, compose,
-    dense, dense_rows, kron, linear_combination, mat_compose, mat_shape, product_cases, rows,
-    transpose,
+    SparseMatrix, SparseTensor3, apply_kron, apply_map, basis, bilinear_apply, compose, kron,
+    linear_combination, product_cases, sparse, transpose, transpose_rows,
 )
 from .structures import (
     CheckEntry, CheckReport, ComoduleCoaction, HomBialgebra, MatchedPairData, ModuleAction,
-    PairingForm, TwoCocycle, _as_map, _flat, _legs, _require, _sweep, algebra_of, bialgebra_of,
+    PairingForm, TwoCocycle, _flat, _legs, _require, _shape, _sweep, algebra_of, bialgebra_of,
     coalgebra_of, make_entry,
 )
 
 
-def _partial_forms(gram: Matrix, alpha_left: Matrix, alpha_right: Matrix):
+def _partial_forms(gram: SparseMatrix, alpha_left: SparseMatrix, alpha_right: SparseMatrix):
     """For a bilinear form ``<,>`` with Gram matrix ``gram``, the maps
     ``x -> <alpha_left(e_i), x>`` (one per ``i``) and ``x -> <x, alpha_right(e_j)>``
     (one per ``j``) to the one-dimensional space."""
-    first = tuple(_as_map(row) for row in mat_compose(alpha_left, gram))
-    second = tuple(_as_map(row) for row in mat_compose(alpha_right, transpose(gram)))
+    first = tuple(transpose_rows((row,)) for row in compose(alpha_left, gram))
+    second = tuple(transpose_rows((row,)) for row in compose(alpha_right, transpose_rows(gram)))
     return first, second
 
 
@@ -40,8 +39,8 @@ def check_module(m: ModuleAction) -> CheckReport:
     """Left module axioms for an action of a Hom-algebra."""
     actor = algebra_of(m.actor)
     na, nm = actor.dim, m.carrier.dim
-    act, am, e = m.act_cells, m.carrier.alpha_rows, basis(nm)
-    aa, amul, unit = actor.alpha_rows, actor.mul_cells, (actor.unit_vector,)
+    act, am, e = m.act_cells, m.carrier.alpha, basis(nm)
+    aa, amul, unit = actor.alpha, actor.mul_cells, (actor.unit_vector,)
     acts = _flat(act)  # h (x) x -> h . x
     associative = (
         ((a, b, i), bilinear_apply(act, aa[a], act[b][i]), bilinear_apply(act, amul[a][b], am[i]))
@@ -89,7 +88,7 @@ def check_comodule(c: ComoduleCoaction) -> CheckReport:
     """Right comodule axioms for a coaction ``rho: M -> M (x) C``."""
     coactor = coalgebra_of(c.coactor)
     nm = c.carrier.dim
-    am, ac, e = c.carrier.alpha_rows, coactor.alpha_rows, basis(nm)
+    am, ac, e = c.carrier.alpha, coactor.alpha, basis(nm)
     eps, rho, cm = coactor.counit_map, c.coact_rows, coactor.comul_rows
     checks = (
         _sweep("comodule.counit-reduces-to-alpha", (nm,), compose(rho, (e, eps)), am),
@@ -152,7 +151,7 @@ def check_module_coalgebra(m: ModuleAction) -> CheckReport:
     return CheckReport(checks)
 
 
-def check_cotwisting(C, D, phi: Matrix) -> CheckReport:
+def check_cotwisting(C, D, phi: SparseMatrix) -> CheckReport:
     """The four coherence conditions of a cotwisting map ``C (x) D -> D (x) C``.
 
     Each side is a chain of row-image maps on ``C (x) D``, the left one
@@ -162,28 +161,29 @@ def check_cotwisting(C, D, phi: Matrix) -> CheckReport:
     C = coalgebra_of(C)
     D = coalgebra_of(D)
     nc, nd = C.dim, D.dim
-    _require(mat_shape(phi) == (nc * nd, nd * nc), "cotwisting map shape")
+    _require(_shape(phi) == (nc * nd, nd * nc), "cotwisting map shape")
 
-    cm, dm, ac, ad = C.comul_rows, D.comul_rows, C.alpha_rows, D.alpha_rows
-    ec, ed = basis(nc), basis(nd)
+    cm, dm, ac, ad = C.comul_rows, D.comul_rows, C.alpha, D.alpha
+    ec, ed, cd = basis(nc), basis(nd), (nc, nd)
     eps_c, eps_d = C.counit_map, D.counit_map
-    ph, cd = rows(phi), (nc, nd)
     # alpha_C (x) delta_D, then phi (x) id_D, then id_D (x) phi
-    second = compose(kron(ac, dm), (ph, ed), (ed, ph))
+    second = compose(kron(ac, dm), (phi, ed), (ed, phi))
     # delta_C (x) alpha_D, then id_C (x) phi, then phi (x) id_C
-    first = compose(kron(cm, ad), (ec, ph), (ph, ec))
+    first = compose(kron(cm, ad), (ec, phi), (phi, ec))
     checks = (
-        _sweep("cotwisting.comul-second-factor", cd, compose(ph, (dm, ac)), second),
-        _sweep("cotwisting.comul-first-factor", cd, compose(ph, (ad, cm)), first),
-        _sweep("cotwisting.alpha-compatible", cd, compose(ph, (ad, ac)), compose(kron(ac, ad), ph)),
+        _sweep("cotwisting.comul-second-factor", cd, compose(phi, (dm, ac)), second),
+        _sweep("cotwisting.comul-first-factor", cd, compose(phi, (ad, cm)), first),
+        _sweep(
+            "cotwisting.alpha-compatible", cd, compose(phi, (ad, ac)), compose(kron(ac, ad), phi)
+        ),
         # kill the C-leg of the output: eps_C(c^phi) d^phi = eps_C(c) d
-        _sweep("cotwisting.counit-first-factor", cd, compose(ph, (ed, eps_c)), kron(eps_c, ed)),
-        _sweep("cotwisting.counit-second-factor", cd, compose(ph, (eps_d, ec)), kron(ec, eps_d)),
+        _sweep("cotwisting.counit-first-factor", cd, compose(phi, (ed, eps_c)), kron(eps_c, ed)),
+        _sweep("cotwisting.counit-second-factor", cd, compose(phi, (eps_d, ec)), kron(ec, eps_d)),
     )
     return CheckReport(checks)
 
 
-def check_twisting(A, B, t: Matrix) -> CheckReport:
+def check_twisting(A, B, t: SparseMatrix) -> CheckReport:
     """The three conditions of a twisting map ``B (x) A -> A (x) B``.
 
     Each side is a chain of row-image maps applied leg by leg, so no map on
@@ -193,22 +193,22 @@ def check_twisting(A, B, t: Matrix) -> CheckReport:
     A = algebra_of(A)
     B = algebra_of(B)
     na, nb = A.dim, B.dim
-    _require(mat_shape(t) == (nb * na, na * nb), "twisting map shape")
+    _require(_shape(t) == (nb * na, na * nb), "twisting map shape")
 
-    am, bm, aa, ba = A.mul_map, B.mul_map, A.alpha_rows, B.alpha_rows
+    am, bm, aa, ba = A.mul_map, B.mul_map, A.alpha, B.alpha
     ia, ib = basis(na), basis(nb)
-    tr, n = rows(t), nb * na
-    alphas = compose(kron(ba, aa), tr)  # alpha_B (x) alpha_A, then t
+    n = nb * na
+    alphas = compose(kron(ba, aa), t)  # alpha_B (x) alpha_A, then t
     # on B (x) B (x) A: id_B (x) t, then t (x) id_B, then alpha_A (x) mu_B
-    second = compose(kron(ib, tr), (tr, ib), (aa, bm))
+    second = compose(kron(ib, t), (t, ib), (aa, bm))
     # on B (x) A (x) A: t (x) id_A, then id_A (x) t, then mu_A (x) alpha_B
-    first = compose(kron(tr, ia), (ia, tr), (am, ba))
+    first = compose(kron(t, ia), (ia, t), (am, ba))
     checks = (
-        _sweep("twisting.alpha-compatible", (n,), compose(tr, (aa, ba)), alphas),
+        _sweep("twisting.alpha-compatible", (n,), compose(t, (aa, ba)), alphas),
         # mu_B (x) alpha_A, then t
-        _sweep("twisting.second-factor-product", (nb * n,), compose(kron(bm, aa), tr), second),
+        _sweep("twisting.second-factor-product", (nb * n,), compose(kron(bm, aa), t), second),
         # alpha_B (x) mu_A, then t
-        _sweep("twisting.first-factor-product", (n * na,), compose(kron(ba, am), tr), first),
+        _sweep("twisting.first-factor-product", (n * na,), compose(kron(ba, am), t), first),
     )
     return CheckReport(checks)
 
@@ -299,15 +299,15 @@ def check_dual_pair(P: PairingForm) -> CheckReport:
     """
     A, B, gram = P.left, P.right, P.gram
     na, nb = A.dim, B.dim
-    e_a, e_b, a_alpha, b_alpha = basis(na), basis(nb), A.alpha_rows, B.alpha_rows
+    e_a, e_b, a_alpha, b_alpha = basis(na), basis(nb), A.alpha, B.alpha
     eps_a, eps_b = A.coalgebra.counit_map, B.coalgebra.counit_map
     a_mul, b_mul = A.algebra.mul_cells, B.algebra.mul_cells
     a_unit, b_unit, s_a = (A.algebra.unit_vector,), (B.algebra.unit_vector,), A.antipode_rows
     form = P.form
     pair = _flat(form)  # a (x) b -> <a, b>
-    s_b_inverse = compose(kron(e_a, rows(B.antipode_inverse)), pair)
+    s_b_inverse = compose(kron(e_a, B.antipode_inverse), pair)
     # x -> <alpha^2(a_i), x> on B and x -> <x, alpha^2(b_j)> on A
-    with_a, with_b = _partial_forms(gram, dense_rows(A.power(2)), dense_rows(B.power(2)))
+    with_a, with_b = _partial_forms(gram, A.power(2), B.power(2))
     delta_a, delta_b = A.coalgebra.comul_rows, B.coalgebra.comul_rows
 
     def mul_comul_right(swapped: bool):
@@ -353,7 +353,7 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
     gram = sigma.gram
     n = B.dim
     form = sigma.form
-    alpha, pair, a2 = B.alpha_rows, _flat(form), B.power(2)
+    alpha, pair, a2 = B.alpha, _flat(form), B.power(2)
     # left: sigma(l_1, k_1) l_2 k_2; right: sigma(l_2, k_2) l_1 k_1
     w = sigma.products
     # sigma(alpha^2(e_h), w[l][k]) against sigma(w[h][l], alpha^2(e_k))
@@ -363,8 +363,8 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
         for k in ks
     )
     # h -> (sigma(1, h), sigma(h, 1)) against h -> (counit(h), counit(h))
-    unit = B.algebra.unit_vector
-    normal = (dense(apply_map(rows(gram), unit)), dense(apply_map(rows(transpose(gram)), unit)))
+    unit, counit = B.algebra.unit_vector, sparse(B.counit)
+    normal = transpose_rows((apply_map(gram, unit), apply_map(transpose_rows(gram), unit)))
 
     checks = (
         _sweep("cocycle.alpha-invariant", (n, n), compose(kron(alpha, alpha), pair), pair),
@@ -373,7 +373,7 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
         # right: sigma(alpha^2(h), l_1 k_1) sigma(l_2, k_2)
         #          = sigma(h_1 l_1, alpha^2(k)) sigma(h_2, l_2)
         _sweep(f"cocycle.{sigma.side}-condition", condition),
-        _sweep("cocycle.normal", (n,), rows(transpose(normal)), rows(transpose((B.counit,) * 2))),
+        _sweep("cocycle.normal", (n,), normal, transpose_rows((counit, counit))),
     )
     return CheckReport(checks)
 

@@ -21,7 +21,9 @@ differing row is the first failing index.  Laws over three basis indices
 (Hom-associativity, module-algebra multiplicativity, the cocycle condition,
 two matched-pair laws and the pairing's product-coproduct laws) are instead
 a lazy stream of per-case sides through the same ``_sweep``, which stops at
-the first failure; as whole maps they would hold n^3 rows.  A product law
+the first failure; as whole maps they would hold n^3 rows.  So are the
+multiplicativity laws of the structure map, the coproduct and the counit
+of ``check`` (n^2 cases each), so that no n^2-row map is held.  A product law
 (Hom-associativity, module Hom-associativity, the cocycle condition and the
 product laws of a morphism and of the antipode) visits only the cases where
 a side has a nonzero term (``exactlin.product_cases``): both sides of every
@@ -36,28 +38,31 @@ Each domain type holds its structure constants as sparse tables, the operand
 tables of the ``exactlin`` kernels, in its fields: ``HomAlgebra.mul_cells``,
 ``HomCoalgebra.comul_rows``, ``HomHopfAlgebra.antipode_rows``,
 ``ModuleAction.act_cells``, ``ComoduleCoaction.coact_rows`` and the
-``left_cells`` and ``right_cells`` of a ``MatchedPairData``; structure maps,
-units, counits and two-index blocks (Gram matrices, R-matrix entries) stay
-dense.  ``==``, ``hash``, ``repr`` and ``__match_args__`` read the fields.  The
-dense tensors ``mul``, ``comul``, ``antipode``, ``act`` and ``coact`` are
-made from the tables on each read, for a caller that wants them;
-``hopf_algebra`` is the one constructor from dense constants.  Derived
-views are cached in the instance ``__dict__`` (``functools.cached_property``;
-``power`` keeps one dict of powers), so they are freed with the object:
-``mul_map`` and ``unit_vector``; ``comul_op_rows``, ``comul_terms`` and
-``counit_map``; ``alpha_rows``, ``alpha_inverse`` and ``power(k)``, the rows
-of ``alpha^k``; the dense ``antipode_inverse``; ``coact_terms``; the ``form``
-of a ``PairingForm`` or ``TwoCocycle`` and ``TwoCocycle.products``;
-``RMatrix.vector``; and the ``left_module`` and ``right_module`` of a
-``MatchedPairData``.  ``HomAlgebra.op`` and ``HomCoalgebra.op`` are objects
-built from transposed or leg-swapped tables.  A builder that knows the inverse of a structure map
-hands it over (``alpha_inverse=``) instead of having it inverted again.
+``left_cells`` and ``right_cells`` of a ``MatchedPairData``.  Every map is
+sparse rows too: the structure map ``alpha`` and its inverse, the antipode
+inverse, the ``gram`` of a pairing or a cocycle and the ``entries`` of an
+R-matrix.  Only vectors are dense: units, counits and the sides of a
+failure witness.  ``==``, ``hash``, ``repr`` and ``__match_args__`` read the
+fields.  The dense tensors ``mul``, ``comul``, ``antipode``, ``act`` and
+``coact`` are made from the tables on each read, for a caller that wants
+them; ``hopf_algebra`` is the one constructor from those dense tensors.
+Derived views are cached in the instance ``__dict__``
+(``functools.cached_property``; ``power`` keeps one dict of powers), so they
+are freed with the object: ``mul_map`` and ``unit_vector``;
+``comul_op_rows``, ``comul_terms`` and ``counit_map``; ``alpha_inverse`` and
+``power(k)``, the rows of ``alpha^k``; ``antipode_inverse``;
+``coact_terms``; the ``form`` of a ``PairingForm`` or ``TwoCocycle`` and
+``TwoCocycle.products``; ``RMatrix.vector``; and the ``left_module`` and
+``right_module`` of a ``MatchedPairData``.  ``HomAlgebra.op`` and
+``HomCoalgebra.op`` are objects built from transposed or leg-swapped
+tables.  A builder that knows the inverse of a structure map hands it over
+(``alpha_inverse=``) instead of having it inverted again.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, product, tee
 from math import prod
 from operator import attrgetter
 
@@ -80,19 +85,19 @@ from .exactlin import (
     dense_rows,
     flatten_pair,
     flip,
-    identity,
     kron,
     linear_combination,
     mat_inverse,
-    mat_shape,
     pair_cells,
     product_cases,
     rows,
+    rows_from_entries,
     sparse,
     square_cases,
     tensor_power_products,
     terms,
     transpose,
+    transpose_rows,
 )
 
 # Largest dimension of an object: the definition-file reader, the catalog and
@@ -172,11 +177,6 @@ def _path(dotted: str) -> property:
     return property(attrgetter(dotted))
 
 
-def _as_map(covector: Vector) -> SparseMatrix:
-    """A covector as a row-image map to the one-dimensional space."""
-    return rows(transpose((covector,)))
-
-
 def _shape(t) -> tuple[int, ...]:
     """The shape of a sparse table, read from its first entries: rows as
     ``(len, dim)``, cells as ``(len, len, dim)``."""
@@ -185,7 +185,7 @@ def _shape(t) -> tuple[int, ...]:
     return (len(t), *_shape(t[0])) if isinstance(t[0], tuple) else (len(t), t[0].dim)
 
 
-def _inverse(m: Matrix, message: str = "structure map must be invertible") -> Matrix:
+def _inverse(m: SparseMatrix, message: str = "structure map must be invertible") -> SparseMatrix:
     """The inverse of ``m``; ``SingularMatrixError(message)`` if there is none."""
     try:
         return mat_inverse(m)
@@ -198,34 +198,29 @@ class _HomSpace(Record):
     map ``alpha`` of a ``dim``-dimensional space, its inverse and its powers.
     A builder that knows the inverse hands it over as ``alpha_inverse``."""
 
-    def __init__(self, *args, alpha_inverse: Matrix | None = None, **kwargs):
+    def __init__(self, *args, alpha_inverse: SparseMatrix | None = None, **kwargs):
         if alpha_inverse is not None:
             self.__dict__["alpha_inverse"] = alpha_inverse
         super().__init__(*args, **kwargs)
 
     def __post_init__(self):
-        _require(mat_shape(self.alpha) == (self.dim, self.dim), "structure map shape")
-        # kept, not a field: its rows are power(-1)
+        _require(_shape(self.alpha) == (self.dim, self.dim), "structure map shape")
+        # kept, not a field: it is power(-1)
         if "alpha_inverse" not in self.__dict__:
             self.__dict__["alpha_inverse"] = _inverse(self.alpha)
-
-    @cached_property
-    def alpha_rows(self) -> SparseMatrix:
-        return rows(self.alpha)
 
     @cached_property
     def _powers(self) -> dict[int, SparseMatrix]:
         return {}
 
     def power(self, k: int) -> SparseMatrix:
-        """The rows of ``alpha^k``, composed from the rows of ``alpha`` or of
-        ``alpha_inverse`` (``power(0)`` as ``alpha`` then ``alpha^-1``); each
-        power is built once."""
+        """The rows of ``alpha^k``, composed from ``alpha`` or ``alpha_inverse``
+        (``power(0)`` as ``alpha`` then ``alpha^-1``); each power is built once."""
         powers = self._powers
         if k not in powers:
             step = 1 if k > 0 else -1
             if k == step:
-                powers[k] = self.alpha_rows if k == 1 else rows(self.alpha_inverse)
+                powers[k] = self.alpha if k == 1 else self.alpha_inverse
             else:
                 powers[k] = compose(self.power(k - step), self.power(step))
         return powers[k]
@@ -235,14 +230,14 @@ class HomAlgebra(_HomSpace):
     """A unital Hom-associative algebra by structure constants.
 
     ``mul_cells[i][j]`` is the product ``e_i . e_j``; ``unit`` is the
-    coordinate vector of the unit element; ``alpha`` is the (invertible)
-    structure map as a row-image matrix.
+    coordinate vector of the unit element; ``alpha`` is the rows of the
+    (invertible) structure map.
     """
 
     dim: int
     mul_cells: SparseTensor3
     unit: Vector
-    alpha: Matrix
+    alpha: SparseMatrix
 
     def __post_init__(self):
         n = self.dim
@@ -281,7 +276,7 @@ class HomCoalgebra(_HomSpace):
     dim: int
     comul_rows: SparseMatrix
     counit: Vector
-    alpha: Matrix
+    alpha: SparseMatrix
 
     def __post_init__(self):
         n = self.dim
@@ -312,7 +307,8 @@ class HomCoalgebra(_HomSpace):
 
     @cached_property
     def counit_map(self) -> SparseMatrix:
-        return _as_map(self.counit)
+        """The counit as a row-image map to the one-dimensional space."""
+        return transpose_rows((sparse(self.counit),))
 
 
 class HomBialgebra(Record):
@@ -329,7 +325,6 @@ class HomBialgebra(Record):
     comul = _path("coalgebra.comul")
     counit = _path("coalgebra.counit")
     alpha = _path("algebra.alpha")
-    alpha_rows = _path("algebra.alpha_rows")
     alpha_inverse = _path("algebra.alpha_inverse")
     power = _path("algebra.power")
 
@@ -350,7 +345,6 @@ class HomHopfAlgebra(Record):
     comul = _path("bialgebra.coalgebra.comul")
     counit = _path("bialgebra.coalgebra.counit")
     alpha = _path("bialgebra.algebra.alpha")
-    alpha_rows = _path("bialgebra.algebra.alpha_rows")
     alpha_inverse = _path("bialgebra.algebra.alpha_inverse")
     power = _path("bialgebra.algebra.power")
     algebra = _path("bialgebra.algebra")
@@ -362,8 +356,8 @@ class HomHopfAlgebra(Record):
         return dense_rows(self.antipode_rows)
 
     @cached_property
-    def antipode_inverse(self) -> Matrix:
-        return mat_inverse(self.antipode)
+    def antipode_inverse(self) -> SparseMatrix:
+        return mat_inverse(self.antipode_rows)
 
 
 def hopf_of_tables(mul_cells, unit, comul_rows, counit, alpha, antipode_rows, alpha_inverse=None):
@@ -381,11 +375,12 @@ def hopf_algebra(
     unit: Vector,
     comul: Tensor3,
     counit: Vector,
-    alpha: Matrix,
+    alpha: SparseMatrix,
     antipode: Matrix,
 ) -> HomHopfAlgebra:
-    """Assemble a HomHopfAlgebra from dense structure constants, each
-    converted to its table once."""
+    """Assemble a HomHopfAlgebra from the dense tensors ``mul``, ``comul`` and
+    ``antipode`` (as its views give them), each converted to its table once,
+    and the rows of its structure map."""
     _require(len(mul) == dim, "multiplication tensor shape")
     return hopf_of_tables(cells(mul), unit, rows(map(flatten_pair, comul)), counit, alpha, rows(antipode))
 
@@ -461,12 +456,12 @@ class ComoduleCoaction(Record):
 
 
 class _GramForm(Record):
-    """The ``form`` view of a Gram matrix field ``gram``."""
+    """The ``form`` view of a Gram matrix field ``gram``, the rows ``gram[i]``."""
 
     @cached_property
     def form(self) -> SparseTensor3:
         """The bilinear form as a bilinear map to the one-dimensional space."""
-        return cells(tuple(tuple((g,) for g in row) for row in self.gram))
+        return pair_cells(self.gram, 1)
 
 
 class PairingForm(_GramForm):
@@ -478,10 +473,10 @@ class PairingForm(_GramForm):
 
     left: HomHopfAlgebra
     right: HomHopfAlgebra
-    gram: Matrix
+    gram: SparseMatrix
 
     def __post_init__(self):
-        _require(mat_shape(self.gram) == (self.left.dim, self.right.dim), "gram shape")
+        _require(_shape(self.gram) == (self.left.dim, self.right.dim), "gram shape")
         _inverse(self.gram, "pairing must be non-degenerate")
 
 
@@ -489,12 +484,12 @@ class TwoCocycle(_GramForm):
     """A bilinear form on a Hom-bialgebra, tagged left or right."""
 
     algebra: HomBialgebra
-    gram: Matrix
+    gram: SparseMatrix
     side: str
 
     def __post_init__(self):
         n = self.algebra.dim
-        _require(mat_shape(self.gram) == (n, n), "cocycle gram shape")
+        _require(_shape(self.gram) == (n, n), "cocycle gram shape")
         if self.side not in ("left", "right"):
             raise ValueError(f"cocycle side must be 'left' or 'right', got {self.side!r}")
 
@@ -515,7 +510,7 @@ class TwoCocycle(_GramForm):
                 linear_combination(
                     n,
                     (
-                        (vh * vk * gram[h1][k1], mc[h2][k2])
+                        (vh * vk * gram[h1].get(k1, 0), mc[h2][k2])
                         for h1, h2, vh in sw[h]
                         for k1, k2, vk in sw[k]
                     ),
@@ -527,19 +522,21 @@ class TwoCocycle(_GramForm):
 
 
 class RMatrix(Record):
-    """An element ``R = sum entries[i][j] e_i (x) e_j`` of ``H (x) H``."""
+    """An element ``R = sum entries[i][j] e_i (x) e_j`` of ``H (x) H``, by its rows."""
 
     host: HomBialgebra
-    entries: Matrix
+    entries: SparseMatrix
 
     def __post_init__(self):
         n = self.host.dim
-        _require(mat_shape(self.entries) == (n, n), "R-matrix shape")
+        _require(_shape(self.entries) == (n, n), "R-matrix shape")
 
     @cached_property
     def vector(self) -> Sparse:
         """``R`` as a sparse vector on the flattened pair space."""
-        return sparse(flatten_pair(self.entries))
+        n = self.host.dim
+        entries = {(0, i, j): c for i, row in enumerate(self.entries) for j, c in row.items()}
+        return rows_from_entries((1, n, n), entries)[0]
 
 
 class MatchedPairData(Record):
@@ -681,14 +678,19 @@ def check_hom_algebra(obj) -> CheckReport:
     the Hom-associative law alpha(a)(bc) = (ab)alpha(c)."""
     A = algebra_of(obj)
     n = A.dim
-    mc, m, ar, e, unit = A.mul_cells, A.mul_map, A.alpha_rows, basis(n), (A.unit_vector,)
+    mc, m, ar, e, unit = A.mul_cells, A.mul_map, A.alpha, basis(n), (A.unit_vector,)
+    # alpha(e_i e_j) against alpha(e_i) alpha(e_j)
+    multiplicative = (
+        ((i, j), apply_map(ar, m[i * n + j]), bilinear_apply(mc, ar[i], ar[j]))
+        for i, j in product(range(n), range(n))
+    )
     associative = (
         ((i, j, k), bilinear_apply(mc, ar[i], mc[j][k]), bilinear_apply(mc, mc[i][j], ar[k]))
         for (i, j), ks in product_cases((mc, ar, mc), (mc, mc, ar))
         for k in ks
     )
     checks = (
-        _sweep("algebra.alpha-multiplicative", (n, n), compose(m, ar), compose(kron(ar, ar), m)),
+        _sweep("algebra.alpha-multiplicative", multiplicative),
         _sweep("algebra.alpha-fixes-unit", (), compose(unit, ar), unit),
         _sweep("algebra.left-unit", (n,), compose(kron(unit, e), m), ar),
         _sweep("algebra.right-unit", (n,), compose(kron(e, unit), m), ar),
@@ -701,7 +703,7 @@ def check_hom_coalgebra(obj) -> CheckReport:
     """Counital Hom-coassociativity of a coalgebra."""
     C = coalgebra_of(obj)
     n = C.dim
-    ar, e, eps, cm = C.alpha_rows, basis(n), C.counit_map, C.comul_rows
+    ar, e, eps, cm = C.alpha, basis(n), C.counit_map, C.comul_rows
     checks = (
         _sweep("coalgebra.counit-alpha", (n,), compose(ar, eps), eps),
         _sweep("coalgebra.alpha-comultiplicative", (n,), compose(ar, cm), compose(cm, (ar, ar))),
@@ -718,14 +720,20 @@ def check_hom_bialgebra(obj) -> CheckReport:
     n = B.dim
     mc, m, unit = B.algebra.mul_cells, B.algebra.mul_map, (B.algebra.unit_vector,)
     delta, eps = B.coalgebra.comul_rows, B.coalgebra.counit_map
-    # delta(e_i e_j) against delta(e_i) delta(e_j) in the tensor-square algebra
-    cases = list(square_cases(mc, delta))
-    products = tensor_power_products(mc, 2, delta, delta, cases)
+    # delta(e_i e_j) against delta(e_i) delta(e_j) in the tensor-square algebra,
+    # each product formed as the sweep reads its case
+    cases, pairs = tee(square_cases(mc, delta))
+    products = tensor_power_products(mc, 2, delta, delta, pairs)
     multiplicative = (((i, j), apply_map(delta, mc[i][j]), w) for (i, j), w in zip(cases, products))
+    # counit(e_i e_j) against counit(e_i) counit(e_j)
+    counit_products = (
+        ((i, j), apply_map(eps, m[i * n + j]), kron((eps[i],), (eps[j],))[0])
+        for i, j in product(range(n), range(n))
+    )
     checks = (
         _sweep("bialgebra.comul-multiplicative", multiplicative),
         _sweep("bialgebra.comul-unit", (), compose(unit, delta), kron(unit, unit)),
-        _sweep("bialgebra.counit-multiplicative", (n, n), compose(m, eps), kron(eps, eps)),
+        _sweep("bialgebra.counit-multiplicative", counit_products),
         _sweep("bialgebra.counit-unit", (), compose(unit, eps), basis(1)),
     )
     return CheckReport(checks)
@@ -735,7 +743,7 @@ def check_antipode(H: HomHopfAlgebra) -> CheckReport:
     """Antipode identities plus the derived anti-(co)morphism properties."""
     n = H.dim
     A, C = H.algebra, H.coalgebra
-    mc, m, ar, S, e = A.mul_cells, A.mul_map, A.alpha_rows, H.antipode_rows, basis(n)
+    mc, m, ar, S, e = A.mul_cells, A.mul_map, A.alpha, H.antipode_rows, basis(n)
     cm, cm_op, eps, eta = C.comul_rows, C.comul_op_rows, C.counit_map, (A.unit_vector,)
     counit_unit = compose(eps, eta)  # h -> counit(h) 1
     checks = (
@@ -773,12 +781,12 @@ def check_morphism(prefix: str, X, Y, phi: SparseMatrix) -> CheckReport:
     checks = [
         _sweep(prefix + ".mul", _morphism_products(phi, A.mul_cells, B.mul_cells)),
         _sweep(prefix + ".unit", (), compose((A.unit_vector,), phi), (B.unit_vector,)),
-        _sweep(prefix + ".alpha", (n,), compose(A.alpha_rows, phi), compose(phi, B.alpha_rows)),
+        _sweep(prefix + ".alpha", (n,), compose(A.alpha, phi), compose(phi, B.alpha)),
     ]
     if isinstance(X, HomHopfAlgebra) and isinstance(Y, HomHopfAlgebra):
         xd, yd, e = X.coalgebra.comul_rows, Y.coalgebra.comul_rows, basis(m)
         # (picks[j] (x) id)(v) is the first-leg slice j of v: picks[j] is the covector e_j^*
-        picks = [_as_map(row) for row in identity(m)]
+        picks = [transpose_rows((row,)) for row in e]
         images = ((i, apply_kron(phi, phi, xd[i]), apply_map(yd, phi[i])) for i in range(n))
         coproducts = (
             ((i, j), apply_kron(pick, e, lhs), apply_kron(pick, e, rhs))
@@ -798,7 +806,7 @@ def check_quasitriangular(H, R: RMatrix) -> CheckReport:
     in the tensor-square and tensor-cube Hom-algebras."""
     B = bialgebra_of(H)
     n = B.dim
-    mc, alpha, rvec, r = B.algebra.mul_cells, B.alpha_rows, R.vector, (R.vector,)
+    mc, alpha, rvec, r = B.algebra.mul_cells, B.alpha, R.vector, (R.vector,)
     e, unit = basis(n), (B.algebra.unit_vector,)
     cm, cm_op = B.coalgebra.comul_rows, B.coalgebra.comul_op_rows
     with_unit = kron(e, unit)  # x -> x (x) 1
@@ -807,8 +815,8 @@ def check_quasitriangular(H, R: RMatrix) -> CheckReport:
     r23 = apply_kron(unit_with, e, rvec)
     r12 = apply_kron(e, with_unit, rvec)
     # delta^op(h) R against R delta(h), and R_13 R_23 and R_13 R_12
-    op_r = tensor_power_products(mc, 2, cm_op, r)
-    r_comul = tensor_power_products(mc, 2, r, cm)
+    op_r = tuple(tensor_power_products(mc, 2, cm_op, r))
+    r_comul = tuple(tensor_power_products(mc, 2, r, cm))
     r13_r23, r13_r12 = tensor_power_products(mc, 3, (r13,), (r23, r12))
     checks = (
         _sweep("quasitriangular.intertwines-comul", (n,), op_r, r_comul),

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from homhopf.cli import main
+from homhopf.errors import SingularMatrixError
 from homhopf.exactlin import cells
 
 
@@ -74,4 +75,45 @@ def tensor3_from_entries(shape, entries):
     return tuple(
         tuple(tuple(entries.get((i, j, k), 0) for k in range(n3)) for j in range(n2))
         for i in range(n1)
+    )
+
+
+def basis_vector(n: int, i: int):
+    """The dense ``i``-th standard basis vector of length ``n``."""
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def dense_inverse(m):
+    """The reference inverse of a dense square matrix: Gauss-Jordan elimination
+    on dense rows over the rationals, integral entries as ``int``.  Raises
+    ``SingularMatrixError`` with the rank found when there is none."""
+    n = len(m)
+    a = [list(row) for row in m]
+    inv = [list(basis_vector(n, i)) for i in range(n)]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv[rank], inv[pivot] = inv[pivot], inv[rank]
+        p = Fraction(a[rank][col])
+        if p != 1:
+            a[rank] = [x / p for x in a[rank]]
+            inv[rank] = [x / p for x in inv[rank]]
+        for r in range(n):
+            if r != rank and a[r][col]:
+                c = a[r][col]
+                a[r] = [x - c * y for x, y in zip(a[r], a[rank])]
+                inv[r] = [x - c * y for x, y in zip(inv[r], inv[rank])]
+        rank += 1
+    if rank != n:
+        raise SingularMatrixError(f"singular matrix: rank {rank} of {n}", rank=rank)
+    return matrix_from_rows(inv)
+
+
+def dense_compose(f, g):
+    """The reference row-image composition of two dense matrices: ``f`` first, then ``g``."""
+    return tuple(
+        tuple(sum((row[k] * g[k][j] for k in range(len(g))), 0) for j in range(len(g[0]))) for row in f
     )

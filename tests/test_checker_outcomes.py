@@ -48,7 +48,7 @@ from homhopf.constructions import (
     self_bicross_data,
 )
 from homhopf.errors import HomHopfError
-from homhopf.exactlin import cells, dense_cells, flatten_pair, rows
+from homhopf.exactlin import cells, dense_cells, dense_rows, flatten_pair, rows
 from homhopf.structures import (
     ComoduleCoaction,
     MatchedPairData,
@@ -177,9 +177,9 @@ def _inputs():
         phi = comodule_cotwist(co, check=False)
         yield (
             f"{name} cotwisting",
-            phi,
+            dense_rows(phi),
             lambda m, co=co: [
-                ("check_cotwisting", lambda: check_cotwisting(co.coactor, co.carrier, m))
+                ("check_cotwisting", lambda: check_cotwisting(co.coactor, co.carrier, rows(m)))
             ],
         )
         for field in ("act", "coact"):
@@ -208,17 +208,17 @@ def _inputs():
         p = evaluation_pairing(get_entry(name).hopf)
         yield (
             f"{name} dual-pair gram",
-            p.gram,
+            dense_rows(p.gram),
             lambda g, p=p: [
-                ("check_dual_pair", lambda: check_dual_pair(PairingForm(p.left, p.right, g)))
+                ("check_dual_pair", lambda: check_dual_pair(PairingForm(p.left, p.right, rows(g))))
             ],
         )
     for sigma in canonical_cocycles(get_entry("sweedler_hom").hopf):
         yield (
             f"sweedler_hom {sigma.side}-cocycle gram",
-            sigma.gram,
+            dense_rows(sigma.gram),
             lambda g, s=sigma: [
-                ("check_cocycle", lambda: check_cocycle(TwoCocycle(s.algebra, g, s.side)))
+                ("check_cocycle", lambda: check_cocycle(TwoCocycle(s.algebra, rows(g), s.side)))
             ],
         )
 

@@ -496,6 +496,7 @@ class TestArgumentGrammar:
             ("construct", "twist", "cyclic:2", "--cocycle", "no_such_cocycle.alg"),
             ("construct", "dual", "cyclic:2", "--cocycle", "no_such_cocycle.alg"),
             ("check", "cyclic:2", "--jobs", "two"),
+            ("verify", "prop2.19", "--algebra", "cyclic:2", "--jobs", "2"),
             ("check", "cyclic:2", "--lev", "hopf"),
             ("verify", "thm4.5", "--alg", "cyclic:2"),
             ("check", "cyclic:2", "-h"),
@@ -504,7 +505,8 @@ class TestArgumentGrammar:
         ],
         ids=[
             "unknown-kind", "unknown-suite", "bad-level", "bad-side", "missing-algebra",
-            "missing-cocycle-file", "missing-cocycle-file-any-kind", "non-integer-jobs", "abbreviated-option",
+            "missing-cocycle-file", "missing-cocycle-file-any-kind", "non-integer-jobs", "verify-jobs",
+            "abbreviated-option",
             "abbreviated-required-option", "short-help", "unknown-command", "no-command",
         ],
     )
@@ -536,5 +538,6 @@ class TestArgumentGrammar:
         out = tmp_path / "d.alg"
         assert invoke("construct", "--out", str(out), "--force", "dual", "cyclic:2").exit_code == 0
         assert read(out.read_bytes()).object().name == "dual_cyclic2"
-        result = invoke("verify", "--algebra", "cyclic:2", "prop2.19", "--jobs", "2")
-        assert result.exit_code == 0
+        report = tmp_path / "r.json"
+        result = invoke("verify", "--algebra", "cyclic:2", "prop2.19", "--report", str(report))
+        assert result.exit_code == 0 and report.exists()

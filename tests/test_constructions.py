@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from conftest import cells_from_entries, run_cli
+from conftest import basis_vector, cells_from_entries, dense_compose, dense_inverse, run_cli
 from homhopf import bicross, constructions, laws
 from homhopf.catalog import (
     catalog_ax1,
@@ -20,6 +20,7 @@ from homhopf.catalog import (
     get_entry,
 )
 from homhopf.constructions import (
+    PairedDouble,
     bicrossproduct,
     canonical_cocycles,
     canonical_r_matrix,
@@ -43,20 +44,24 @@ from homhopf.constructions import (
 )
 from homhopf.errors import HypothesisFailed, InvalidParameter, NotAMorphism, PreconditionFailed
 from homhopf.exactlin import (
+    Sparse,
     apply_map,
-    basis_vector,
+    basis,
     bilinear_apply,
     cells,
     dense,
-    identity,
-    matrix_from_entries,
+    dense_rows,
     rows,
     rows_from_entries,
     sparse,
 )
 from homhopf.structures import (
     ComoduleCoaction,
+    HomHopfAlgebra,
     ModuleAction,
+    PairingForm,
+    RMatrix,
+    TwoCocycle,
     check_hom_algebra,
     check_hom_coalgebra,
     check_matched_pair,
@@ -72,7 +77,7 @@ Z, O = F(0), F(1)
 class TestYauTwist:
     def test_identity_endomorphism_is_identity(self):
         h = catalog_kz2().hopf
-        assert yau_twist(h, identity(2)) == h
+        assert yau_twist(h, basis(2)) == h
 
     def test_cyclic_twist_values(self):
         h = catalog_cyclic(4).hopf
@@ -83,13 +88,13 @@ class TestYauTwist:
 
     def test_swap_is_not_a_morphism(self):
         h = catalog_kz2().hopf
-        swap = matrix_from_entries(2, 2, {(0, 1): O, (1, 0): O})
+        swap = rows_from_entries((2, 2), {(0, 1): O, (1, 0): O})
         with pytest.raises(NotAMorphism):
             yau_twist(h, swap)
 
     def test_requires_classical_input(self):
         with pytest.raises(PreconditionFailed):
-            yau_twist(catalog_cyclic(3).hopf, identity(3))
+            yau_twist(catalog_cyclic(3).hopf, basis(3))
 
 
 class TestOpposite:
@@ -122,7 +127,7 @@ class TestDual:
         # with the identity structure map every twist insertion collapses
         h = catalog_kz2().hopf
         hst = dual(h)
-        assert hst.alpha == identity(2)
+        assert hst.alpha == basis(2)
         for i, j in product(range(2), repeat=2):
             for k in range(2):
                 assert hst.mul[i][j][k] == h.comul[k][i][j]
@@ -175,9 +180,7 @@ class TestSmashProduct:
 class TestComoduleCotwist:
     def test_ax1_data_gives_sign_corrected_flip(self):
         phi = comodule_cotwist(catalog_ax1().coaction)
-        expected = matrix_from_entries(
-            4, 4, {(0, 0): O, (1, 2): O, (2, 1): O, (3, 3): O}
-        )
+        expected = rows_from_entries((4, 4), {(0, 0): O, (1, 2): O, (2, 1): O, (3, 3): O})
         assert phi == expected
 
     def test_trivial_coaction_gives_flip(self):
@@ -187,13 +190,12 @@ class TestComoduleCotwist:
             sw, kz, rows_from_entries((2, 2, 4), {(0, 0, 0): O, (1, 1, 0): O})
         )
         phi = comodule_cotwist(triv)
-        flip = matrix_from_entries(
-            8, 8, {(h * 2 + c, c * 4 + h): O for h in range(4) for c in range(2)}
-        )
+        swapped = {(h * 2 + c, c * 4 + h): O for h in range(4) for c in range(2)}
+        flip = rows_from_entries((8, 8), swapped)
         assert phi == flip
 
     def test_opposite_coaction_matches_direct_formula(self):
-        from homhopf.exactlin import mat_compose, mat_inverse, nonzeros
+        from homhopf.exactlin import nonzeros
 
         sw = catalog_sweedler_hom().hopf
         _, _, co = self_bicross_data(sw)
@@ -202,7 +204,7 @@ class TestComoduleCotwist:
 
         def inverse_power(k):
             """alpha^-k as a dense matrix, independent of ``power``."""
-            return reduce(mat_compose, [mat_inverse(sw.alpha)] * k)
+            return reduce(dense_compose, [dense_inverse(dense_rows(sw.alpha))] * k)
 
         ai = rows(inverse_power(1))
         ai2 = inverse_power(2)
@@ -225,15 +227,14 @@ class TestComoduleCotwist:
                                     for q, cq in second.items():
                                         key = (r, p * n + q)
                                         entries[key] = entries.get(key, Z) + c * c2 * cp * cq
-        assert phi == matrix_from_entries(n * n, n * n, entries)
+        assert phi == rows_from_entries((n * n, n * n), entries)
 
 
 class TestCotwistCoproduct:
     def test_flip_gives_tensor_coalgebra(self):
         h = catalog_kz2().hopf
-        flip = matrix_from_entries(
-            4, 4, {(i * 2 + j, j * 2 + i): O for i in range(2) for j in range(2)}
-        )
+        swapped = {(i * 2 + j, j * 2 + i): O for i in range(2) for j in range(2)}
+        flip = rows_from_entries((4, 4), swapped)
         cop = cotwist_coproduct(h, h, flip)
         assert check_hom_coalgebra(cop).ok
         for c, d in product(range(2), repeat=2):
@@ -256,7 +257,7 @@ class TestCotwistCoproduct:
 
     def test_rejects_non_cotwisting_map(self):
         ax = catalog_ax1()
-        bad = matrix_from_entries(4, 4, {(0, 0): O, (1, 2): O, (2, 1): -O, (3, 3): -O})
+        bad = rows_from_entries((4, 4), {(0, 0): O, (1, 2): O, (2, 1): -O, (3, 3): -O})
         with pytest.raises(PreconditionFailed):
             cotwist_coproduct(ax.hopf, ax.partner, bad)
 
@@ -270,12 +271,7 @@ class TestBicrossproduct:
             hop,
             rows_from_entries(
                 (4, 4, 4),
-                {
-                    (i, j, 0): hop.alpha[i][j]
-                    for i in range(4)
-                    for j in range(4)
-                    if hop.alpha[i][j]
-                },
+                {(i, j, 0): c for i, row in enumerate(hop.alpha) for j, c in row.items()},
             ),
         )
         with pytest.raises(HypothesisFailed) as err:
@@ -388,7 +384,7 @@ class TestDrinfeldDouble:
         d = drinfeld_double(catalog_ax1().hopf)
         for t in range(4):
             v = basis_vector(4, t)
-            mul, alpha, unit, v = cells(d.mul), rows(d.alpha), sparse(d.unit), sparse(v)
+            mul, alpha, unit, v = cells(d.mul), d.alpha, sparse(d.unit), sparse(v)
             assert bilinear_apply(mul, unit, v) == apply_map(alpha, v)
             assert bilinear_apply(mul, v, unit) == apply_map(alpha, v)
 
@@ -462,7 +458,7 @@ class TestCanonicalRMatrix:
     def test_one_dimensional(self):
         one = catalog_one().hopf
         r = canonical_r_matrix(one)
-        assert r.entries == ((O,),)
+        assert dense_rows(r.entries) == ((O,),)
 
     def test_sweedler_double_is_quasitriangular(self):
         h = catalog_sweedler_hom().hopf
@@ -511,7 +507,7 @@ class TestHeisenbergDouble:
         for t in range(4):
             v = basis_vector(4, t)
             v = sparse(v)
-            assert bilinear_apply(cells(h.mul), sparse(h.unit), v) == apply_map(rows(h.alpha), v)
+            assert bilinear_apply(cells(h.mul), sparse(h.unit), v) == apply_map(h.alpha, v)
 
     def test_hom_associative_on_genuine_inputs(self):
         for name in ("kz2", "sweedler_hom", "cyclic:3"):
@@ -531,7 +527,7 @@ class TestDoubleTilde:
         for t in range(4):
             v = basis_vector(4, t)
             v = sparse(v)
-            assert bilinear_apply(cells(dt.mul), sparse(dt.unit), v) == apply_map(rows(dt.alpha), v)
+            assert bilinear_apply(cells(dt.mul), sparse(dt.unit), v) == apply_map(dt.alpha, v)
 
     @pytest.mark.parametrize(
         "name, sha256",
@@ -552,9 +548,8 @@ class TestCocycleTwist:
         from homhopf.structures import TwoCocycle
 
         h = catalog_sweedler_hom().hopf
-        gram = matrix_from_entries(
-            4, 4, {(i, j): h.counit[i] * h.counit[j] for i in range(4) for j in range(4)}
-        )
+        counits = {(i, j): h.counit[i] * h.counit[j] for i in range(4) for j in range(4)}
+        gram = rows_from_entries((4, 4), counits)
         for side in ("left", "right"):
             twisted = cocycle_twist(h.bialgebra, TwoCocycle(h.bialgebra, gram, side))
             assert twisted.mul == h.mul
@@ -563,7 +558,7 @@ class TestCocycleTwist:
         from homhopf.structures import TwoCocycle
 
         h = catalog_sweedler_hom().hopf
-        zero = matrix_from_entries(4, 4, {})
+        zero = rows_from_entries((4, 4), {})
         with pytest.raises(PreconditionFailed):
             cocycle_twist(h.bialgebra, TwoCocycle(h.bialgebra, zero, "left"))
 
@@ -573,7 +568,7 @@ class TestCocycleTwist:
         sigma, eta = canonical_cocycles(a)
         for i, j, m, k in product(range(n), repeat=4):
             want = O if (k == 0 and j == (n - m) % n) else Z
-            assert sigma.gram[i * n + j][m * n + k] == want
+            assert sigma.gram[i * n + j].get(m * n + k, Z) == want
         # normality of both canonical cocycles
         from homhopf.structures import check_cocycle
 
@@ -587,7 +582,7 @@ def _bounded_constructions():
     h = get_entry("cyclic:2").hopf
     hop, act, co = self_bicross_data(h)
     mp = dual_matched_pair(h, hop, act, co, check=False)
-    flip = matrix_from_entries(4, 4, {(0, 0): O, (1, 2): O, (2, 1): O, (3, 3): O})
+    flip = rows_from_entries((4, 4), {(0, 0): O, (1, 2): O, (2, 1): O, (3, 3): O})
     return {
         "smash_product": lambda: smash_product(ax.hopf, ax.partner, ax.action),
         "cotwist_coproduct": lambda: cotwist_coproduct(h, h, flip),
@@ -618,3 +613,49 @@ def test_constructions_refuse_outputs_above_max_dim_before_checking(name, monkey
         monkeypatch.setattr(bicross, check, None)
     with pytest.raises(InvalidParameter, match="4-dim, above the limit of 3"):
         build()
+
+
+def _maps(obj) -> dict:
+    """Every map-valued field and kept inverse of ``obj``, by name."""
+    if isinstance(obj, RMatrix):
+        return {"entries": obj.entries}
+    if isinstance(obj, (TwoCocycle, PairingForm)):
+        return {"gram": obj.gram}
+    if isinstance(obj, PairedDouble):
+        return {"twisting": obj.twisting, **_maps(obj.hopf)}
+    maps = {}
+    for part in (obj.algebra, obj.coalgebra):
+        name = type(part).__name__
+        maps.update({f"{name}.alpha": part.alpha, f"{name}.alpha_inverse": part.alpha_inverse})
+    maps["comul_rows"] = obj.coalgebra.comul_rows
+    if isinstance(obj, HomHopfAlgebra):
+        maps.update(antipode_rows=obj.antipode_rows, antipode_inverse=obj.antipode_inverse)
+    return maps
+
+
+@pytest.mark.parametrize("name", ["one", "ax1", "kz2", "sweedler_hom", "cyclic:3", "s3_inner"])
+def test_every_map_is_sparse_rows(name):
+    """A structure map, its inverse, an antipode inverse, a Gram matrix, an
+    R-matrix and a twisting map are each a tuple of ``Sparse`` rows, on the
+    catalog entries and on every construction made from them."""
+    entry = get_entry(name)
+    h = entry.hopf
+    double = drinfeld_double(h)
+    objects = {
+        "entry": h,
+        "dual": dual(h),
+        "double": double,
+        "double_tilde": drinfeld_double_tilde(h),
+        "pair_double": dual_pair_double(evaluation_pairing(h), check=False),
+        "evaluation_pairing": evaluation_pairing(h),
+        "r_matrix": canonical_r_matrix(h, double),
+        **dict(zip(("left_cocycle", "right_cocycle"), canonical_cocycles(h, double))),
+    }
+    if entry.partner is not None:
+        objects["partner"] = entry.partner
+    if entry.rmatrix is not None:
+        objects["catalog_r_matrix"] = entry.rmatrix
+    for label, obj in objects.items():
+        for field, m in _maps(obj).items():
+            assert isinstance(m, tuple) and all(type(row) is Sparse for row in m), (label, field)
+            assert m and all(row.dim == m[0].dim for row in m), (label, field)

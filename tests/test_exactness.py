@@ -41,7 +41,7 @@ from homhopf.constructions import (
     opposite_hopf,
     self_bicross_data,
 )
-from homhopf.exactlin import identity, mat_compose, mat_inverse, nonzeros
+from homhopf.exactlin import basis, compose, mat_inverse, nonzeros
 from homhopf.structures import (
     ComoduleCoaction,
     check_comodule_algebra,
@@ -57,9 +57,9 @@ FIELDS = ("mul", "unit", "comul", "counit", "alpha", "antipode")
 
 
 def scalars(value):
-    """The leaves of a nested tuple."""
-    if isinstance(value, tuple):
-        for x in value:
+    """The leaves of a nested tuple, the coefficients of a sparse vector included."""
+    if isinstance(value, (tuple, dict)):
+        for x in value.values() if isinstance(value, dict) else value:
             yield from scalars(x)
     else:
         yield value
@@ -286,14 +286,14 @@ def test_structure_maps_are_inverted_once_per_object(monkeypatch):
     assert len(inverted) == 2
     for obj in (h, double):
         assert obj.algebra.alpha_inverse is obj.coalgebra.alpha_inverse
-        assert mat_compose(obj.alpha, obj.alpha_inverse) == identity(obj.dim)
+        assert compose(obj.alpha, obj.alpha_inverse) == basis(obj.dim)
 
 
 def test_the_antipode_is_inverted_once_per_object(monkeypatch):
     """``HomHopfAlgebra.antipode_inverse`` is found on first use and kept:
     the double, the opposite and co-opposite Hopf algebras and the canonical
-    R-matrix of one object invert its antipode once between them.  The dense
-    antipode is made anew on each read, so inversions are counted by value."""
+    R-matrix of one object invert its antipode once between them: the rows
+    ``antipode_rows``, counted by value."""
     h = get_entry("s3_inner").hopf
     inverted = []
 
@@ -307,7 +307,7 @@ def test_the_antipode_is_inverted_once_per_object(monkeypatch):
     opposite_hopf(h)
     co_opposite(h)
     canonical_r_matrix(h, double)
-    assert [m for m in inverted if m == h.antipode] == [h.antipode]
+    assert [m for m in inverted if m == h.antipode_rows] == [h.antipode_rows]
 
 
 def _name(target) -> str:
@@ -356,8 +356,8 @@ def test_powers_and_the_inverse_antipode_are_views():
     """A power of a structure map is ``power(k)`` and the inverse of an
     antipode is ``HomHopfAlgebra.antipode_inverse``, each built once per
     object: no module defines or calls ``alpha_power``, and no module but
-    ``structures`` calls ``mat_inverse`` on an attribute ``antipode`` or
-    ``alpha``."""
+    ``structures`` calls ``mat_inverse`` on an attribute ``antipode``,
+    ``antipode_rows`` or ``alpha``."""
     found = []
     for path in sorted(Path(homhopf.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -366,7 +366,8 @@ def test_powers_and_the_inverse_antipode_are_views():
             elif isinstance(node, ast.Call) and _name(node.func) == "alpha_power":
                 found.append((path.stem, ast.unparse(node)))
             elif isinstance(node, ast.Call) and _name(node.func) == "mat_inverse":
-                inverts = [a for a in node.args if getattr(a, "attr", "") in ("antipode", "alpha")]
+                inverted = ("antipode", "antipode_rows", "alpha")
+                inverts = [a for a in node.args if getattr(a, "attr", "") in inverted]
                 if inverts and path.stem != "structures":
                     found.append((path.stem, ast.unparse(node)))
     assert found == []
@@ -435,3 +436,64 @@ def test_dense_round_trip_helpers_are_gone():
             elif isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in gone:
                 found.append((path.stem, ast.unparse(node)))
     assert found == []
+
+
+class _Uses(ast.NodeVisitor):
+    """Collects ``(module, enclosing function, name)`` of each definition,
+    import or call of one of ``names``, and of each ``.alpha_rows`` read."""
+
+    def __init__(self, module: str, names):
+        self.module, self.names = module, names
+        self.scope: list[str] = []
+        self.found: list[tuple[str, str, str]] = []
+
+    def visit_FunctionDef(self, node):
+        if node.name in self.names:
+            self.found.append((self.module, "def", node.name))
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_ImportFrom(self, node):
+        self.found += [(self.module, "import", a.name) for a in node.names if a.name in self.names]
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id in self.names:
+            self.found.append((self.module, ".".join(self.scope), node.func.id))
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        if node.attr == "alpha_rows":
+            self.found.append((self.module, ".".join(self.scope), ast.unparse(node)))
+        self.generic_visit(node)
+
+
+def _uses(names) -> list[tuple[str, str, str]]:
+    found = []
+    for path in sorted(Path(homhopf.__file__).parent.glob("*.py")):
+        visitor = _Uses(path.stem, names)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        found += visitor.found
+    return found
+
+
+def test_every_map_is_sparse_rows_in_the_source():
+    """One matrix type: no module defines, imports or calls the dense matrix
+    layer (``mat_compose``, ``identity``, ``matrix_from_entries``,
+    ``mat_shape``, ``basis_vector``, ``_dense_kron``) or reads an
+    ``alpha_rows`` view.  ``rows`` and ``dense_rows`` are called only by
+    ``fileformat``, by the dense views ``antipode``, ``mul``, ``comul``,
+    ``act`` and ``coact``, and by ``hopf_algebra``, the constructor from
+    their dense tensors."""
+    dense = ("mat_compose", "identity", "matrix_from_entries", "mat_shape", "basis_vector")
+    assert _uses({*dense, "_dense_kron"}) == []
+    views = {"antipode", "mul", "comul", "act", "coact", "hopf_algebra"}
+    conversions = [
+        (module, scope, name)
+        for module, scope, name in _uses({"rows", "dense_rows"})
+        if module != "exactlin" and scope not in ("def", "import")
+    ]
+    assert conversions and all(
+        module == "fileformat" or (module == "structures" and scope in views)
+        for module, scope, _ in conversions
+    ), conversions

@@ -19,7 +19,6 @@ from homhopf.algfile import (
     SCHEMA_VERSION,
     AlgebraFile,
     BlockRecord,
-    ObjectRecord,
     bundle_of_entry,
     object_record,
     read,
@@ -50,14 +49,10 @@ def relabel_bundle(monkeypatch):
 
 def as_tables(bundle) -> AlgebraFile:
     """The ``algfile`` bundle of the tables of a dense ``fileformat`` bundle:
-    its records hand over every ``algfile`` field by name."""
-
-    def record(cls, dense):
-        return cls(*(getattr(dense, field) for field in cls.__match_args__))
-
-    objects = tuple(record(ObjectRecord, r) for r in bundle.objects)
-    blocks = tuple(record(BlockRecord, b) for b in bundle.blocks)
-    return AlgebraFile(bundle.schema_version, objects, blocks)
+    each object record's ``tables``, and each block record's fields by name."""
+    fields = BlockRecord.__match_args__
+    blocks = tuple(BlockRecord(*(getattr(b, f) for f in fields)) for b in bundle.blocks)
+    return AlgebraFile(bundle.schema_version, tuple(r.tables for r in bundle.objects), blocks)
 
 
 class TestRoundTrip:

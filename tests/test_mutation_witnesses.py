@@ -28,7 +28,7 @@ from homhopf.constructions import (
     dual_pair_double,
     evaluation_pairing,
 )
-from homhopf.exactlin import format_scalar
+from homhopf.exactlin import Sparse, dense, format_scalar, sparse
 from homhopf.structures import (
     RMatrix,
     check_antipode,
@@ -64,9 +64,12 @@ def pair_double(name: str):
 
 
 def bump(value, index, delta):
-    """``value`` (a nested tuple) with ``delta`` added at ``index``."""
+    """``value`` (a nested tuple, or the sparse rows of a map) with ``delta``
+    added at ``index``."""
     if not index:
         return value + delta
+    if isinstance(value, Sparse):
+        return sparse(bump(dense(value), index, delta))
     head, rest = index[0], index[1:]
     return tuple(bump(x, rest, delta) if i == head else x for i, x in enumerate(value))
 

@@ -414,17 +414,20 @@ class TestImportBoundaries:
         assert found == []
 
 
-# Runs five commands with ``exactlin.dense_cells`` refused, so that making a
-# dense rank-3 tensor crashes the process, and prints their exit codes.
+# Runs seven commands with ``exactlin.dense_cells`` and ``exactlin.dense_rows``
+# refused, so that making a dense rank-3 tensor or a dense matrix crashes the
+# process, and prints their exit codes.  ``verify dual-pair`` runs through
+# ``dual_pair_double``, and ``verify cor2.9`` through ``comodule_cotwist`` and
+# ``cotwist_coproduct``.
 NO_DENSE = """
 from homhopf import exactlin
 
 
-def refused(cells):
-    raise AssertionError("a dense rank-3 tensor was made")
+def refused(table):
+    raise AssertionError("a dense tensor or matrix was made")
 
 
-exactlin.dense_cells = refused  # before any module binds the name
+exactlin.dense_cells = exactlin.dense_rows = refused  # before any module binds the names
 from homhopf.cli import main
 
 codes = []
@@ -433,6 +436,8 @@ for args in (
     ["check", "sw.alg", "--level", "quasitriangular"],
     ["construct", "double", "c2.alg", "--out", "nd_c2.alg"],
     ["verify", "prop2.19", "--algebra", "c2.alg"],
+    ["verify", "dual-pair", "--algebra", "c2.alg"],
+    ["verify", "cor2.9", "--algebra", "c2.alg"],
     ["export", "s3_inner", "--out", "nd_s3.alg"],
 ):
     try:
@@ -444,7 +449,7 @@ print(codes)
 
 
 def test_no_command_makes_a_dense_tensor(workdir):
-    assert _fresh(NO_DENSE, cwd=workdir).splitlines()[-1] == "[0, 0, 0, 0, 0]"
+    assert _fresh(NO_DENSE, cwd=workdir).splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0]"
 
 
 # Runs five commands with ``import click`` refused, and prints their exit codes.

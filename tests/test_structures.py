@@ -7,7 +7,7 @@ from functools import reduce
 
 import pytest
 
-from conftest import matrix_from_rows, replaced, tensor3_from_entries
+from conftest import dense_compose, dense_inverse, matrix_from_rows, replaced, tensor3_from_entries
 from homhopf.algfile import bundle_of_entry, read, write
 from homhopf.catalog import (
     BicrossGolden,
@@ -36,12 +36,11 @@ from homhopf.constructions import (
 from homhopf.errors import DimensionMismatch, SingularMatrixError
 from homhopf.exactlin import (
     Sparse,
+    basis,
     cells,
+    compose,
     dense,
-    identity,
-    mat_compose,
-    mat_inverse,
-    matrix_from_entries,
+    dense_rows,
     rows,
     rows_from_entries,
     sparse,
@@ -187,10 +186,8 @@ class TestAntipode:
 
     def test_sweedler_wrong_antipode_fails(self):
         h = catalog_sweedler_hom().hopf
-        bad = matrix_from_entries(
-            4, 4, {(0, 0): ONE, (1, 1): ONE, (2, 2): -ONE, (3, 2): ONE}
-        )
-        report = check_antipode(HomHopfAlgebra(h.bialgebra, rows(bad)))
+        bad = rows_from_entries((4, 4), {(0, 0): ONE, (1, 1): ONE, (2, 2): -ONE, (3, 2): ONE})
+        report = check_antipode(HomHopfAlgebra(h.bialgebra, bad))
         entry = report.entry("antipode.left")
         assert not entry.passed
         assert entry.witness.index == (2,)
@@ -298,19 +295,14 @@ class TestCotwisting:
 
     def test_flip_on_group_likes(self):
         h = catalog_kz2().hopf
-        flip = matrix_from_entries(
-            4, 4, {(i * 2 + j, j * 2 + i): ONE for i in range(2) for j in range(2)}
-        )
+        swapped = {(i * 2 + j, j * 2 + i): ONE for i in range(2) for j in range(2)}
+        flip = rows_from_entries((4, 4), swapped)
         assert check_cotwisting(h, h, flip).ok
 
     def test_sign_flipped_map_fails_counit_condition(self):
         # negating the x-legs violates the counit condition of a cotwisting map
         ax = catalog_ax1()
-        phi = matrix_from_entries(
-            4,
-            4,
-            {(0, 0): ONE, (1, 2): ONE, (2, 1): -ONE, (3, 3): -ONE},
-        )
+        phi = rows_from_entries((4, 4), {(0, 0): ONE, (1, 2): ONE, (2, 1): -ONE, (3, 3): -ONE})
         report = check_cotwisting(ax.hopf, ax.partner, phi)
         assert not report.entry("cotwisting.counit-second-factor").passed
 
@@ -318,7 +310,7 @@ class TestCotwisting:
 class TestDualPair:
     def test_trivial_pair(self):
         one = catalog_one().hopf
-        pairing = PairingForm(one, one, identity(1))
+        pairing = PairingForm(one, one, basis(1))
         assert check_dual_pair(pairing).ok
 
     def test_perturbed_gram_fails(self):
@@ -326,7 +318,7 @@ class TestDualPair:
 
         pairing = evaluation_pairing(catalog_cyclic(2).hopf)
         bad = PairingForm(
-            pairing.left, pairing.right, matrix_from_rows([[1, 0], [1, 1]])
+            pairing.left, pairing.right, rows(matrix_from_rows([[1, 0], [1, 1]]))
         )
         report = check_dual_pair(bad)
         assert not report.entry("pairing.mul-comul-left").passed
@@ -335,9 +327,8 @@ class TestDualPair:
 class TestCocycle:
     def test_trivial_cocycle(self):
         h = catalog_sweedler_hom().hopf
-        gram = matrix_from_entries(
-            4, 4, {(i, j): h.counit[i] * h.counit[j] for i in range(4) for j in range(4)}
-        )
+        counits = {(i, j): h.counit[i] * h.counit[j] for i in range(4) for j in range(4)}
+        gram = rows_from_entries((4, 4), counits)
         for side in ("left", "right"):
             assert check_cocycle(TwoCocycle(h.bialgebra, gram, side)).ok
 
@@ -345,7 +336,7 @@ class TestCocycle:
 class TestMorphism:
     def test_identity_entries_on_algebras_and_on_hopf_algebras(self):
         h = get_entry("s3_inner").hopf
-        e = rows(identity(6))
+        e = basis(6)
         ids = ["id.mul", "id.unit", "id.alpha"]
         assert [c.axiom_id for c in check_morphism("id", h.algebra, h.algebra, e).checks] == ids
         report = check_morphism("id", h, h, e)
@@ -354,7 +345,7 @@ class TestMorphism:
 
     def test_structure_map_is_a_morphism(self):
         h = catalog_sweedler_hom().hopf
-        assert check_morphism("alpha", h, h, h.alpha_rows).ok
+        assert check_morphism("alpha", h, h, h.alpha).ok
 
     def test_zero_map_fails_only_the_unit(self):
         h = catalog_sweedler_hom().hopf
@@ -365,12 +356,12 @@ class TestMorphism:
     def test_map_shape_is_checked(self):
         h = catalog_sweedler_hom().hopf
         with pytest.raises(DimensionMismatch):
-            check_morphism("short", h, h, rows(identity(4))[:3])
+            check_morphism("short", h, h, basis(4)[:3])
 
 
 class TestStructuralInvariants:
     def test_singular_matrix_messages(self):
-        ax1, singular = catalog_ax1().hopf, matrix_from_rows([[1, 0], [0, 0]])
+        ax1, singular = catalog_ax1().hopf, rows(matrix_from_rows([[1, 0], [0, 0]]))
         with pytest.raises(SingularMatrixError, match="^structure map must be invertible$"):
             HomAlgebra(2, ax1.algebra.mul_cells, ax1.unit, singular)
         with pytest.raises(SingularMatrixError, match="^structure map must be invertible$"):
@@ -384,7 +375,7 @@ class TestStructuralInvariants:
                 2,
                 catalog_ax1().hopf.algebra.mul_cells,
                 catalog_ax1().hopf.unit,
-                matrix_from_rows([[1, 0], [0, 0]]),
+                rows(matrix_from_rows([[1, 0], [0, 0]])),
             )
 
     def test_checker_determinism(self):
@@ -401,8 +392,8 @@ H1 = catalog_one().hopf
 T1, M1 = (((1,),),), ((1,),)
 C1, R1 = cells(T1), rows(M1)  # the tables of T1 and M1
 W1 = Witness((0,), (1,), (0,))
-ALG = "HomAlgebra(dim=1, mul_cells=(({0: 1},),), unit=(1,), alpha=((1,),))"
-COALG = "HomCoalgebra(dim=1, comul_rows=({0: 1},), counit=(1,), alpha=((1,),))"
+ALG = "HomAlgebra(dim=1, mul_cells=(({0: 1},),), unit=(1,), alpha=({0: 1},))"
+COALG = "HomCoalgebra(dim=1, comul_rows=({0: 1},), counit=(1,), alpha=({0: 1},))"
 BIALG = f"HomBialgebra(algebra={ALG}, coalgebra={COALG})"
 HOPF = f"HomHopfAlgebra(bialgebra={BIALG}, antipode_rows=({{0: 1}},))"
 WIT = "Witness(index=(0,), lhs=(1,), rhs=(0,))"
@@ -422,12 +413,12 @@ RECORDS = [
         ComoduleCoaction(H1, H1, R1),
         f"ComoduleCoaction(coactor={HOPF}, carrier={HOPF}, coact_rows=({{0: 1}},))",
     ),
-    (PairingForm(H1, H1, M1), f"PairingForm(left={HOPF}, right={HOPF}, gram=((1,),))"),
+    (PairingForm(H1, H1, R1), f"PairingForm(left={HOPF}, right={HOPF}, gram=({{0: 1}},))"),
     (
-        TwoCocycle(H1.bialgebra, M1, "left"),
-        f"TwoCocycle(algebra={BIALG}, gram=((1,),), side='left')",
+        TwoCocycle(H1.bialgebra, R1, "left"),
+        f"TwoCocycle(algebra={BIALG}, gram=({{0: 1}},), side='left')",
     ),
-    (RMatrix(H1.bialgebra, M1), f"RMatrix(host={BIALG}, entries=((1,),))"),
+    (RMatrix(H1.bialgebra, R1), f"RMatrix(host={BIALG}, entries=({{0: 1}},))"),
     (
         MatchedPairData(H1, H1, C1, C1),
         f"MatchedPairData(A={HOPF}, H={HOPF}, left_cells=(({{0: 1}},),), right_cells=(({{0: 1}},),))",
@@ -451,12 +442,12 @@ RECORDS = [
         " action=None, coaction=None, rmatrix=None, group=None)",
     ),
     (
-        BicrossGolden(T1, M1, M1),
-        "BicrossGolden(products=(((1,),),), coproducts=((1,),), antipodes=((1,),))",
+        BicrossGolden(C1, R1, R1),
+        "BicrossGolden(products=(({0: 1},),), coproducts=({0: 1},), antipodes=({0: 1},))",
     ),
     (
-        PairedDouble(H1, M1, (True, False)),
-        f"PairedDouble(hopf={HOPF}, twisting=((1,),), closed_form_inverses_match=(True, False))",
+        PairedDouble(H1, R1, (True, False)),
+        f"PairedDouble(hopf={HOPF}, twisting=({{0: 1}},), closed_form_inverses_match=(True, False))",
     ),
 ]
 
@@ -524,14 +515,14 @@ class TestRecord:
         with pytest.raises(ValueError, match="witness exactly when it fails"):
             CheckEntry("a", passed=False)
         with pytest.raises(DimensionMismatch, match="multiplication tensor shape"):
-            HomAlgebra(2, C1, (1,), M1)
+            HomAlgebra(2, C1, (1,), R1)
         with pytest.raises(ValueError, match="cocycle side"):
-            TwoCocycle(H1.bialgebra, M1, side="middle")
+            TwoCocycle(H1.bialgebra, R1, side="middle")
 
     def test_types_with_equal_fields_are_unequal(self):
-        algebra, coalgebra = HomAlgebra(1, C1, (1,), M1), HomCoalgebra(1, R1, (1,), M1)
+        algebra, coalgebra = HomAlgebra(1, C1, (1,), R1), HomCoalgebra(1, R1, (1,), R1)
         assert algebra != coalgebra and coalgebra != algebra
-        assert algebra == H1.algebra and algebra != HomAlgebra(1, C1, (1,), ((-1,),))
+        assert algebra == H1.algebra and algebra != HomAlgebra(1, C1, (1,), rows(((-1,),)))
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +547,8 @@ def hopf_views(H):
     """Every view of a Hopf object and of its algebra and coalgebra, by name."""
     A, C = H.algebra, H.coalgebra
     names = {
-        A: ("mul_cells", "mul_map", "alpha_rows", "unit_vector"),
-        C: ("comul_rows", "comul_op_rows", "comul_terms", "counit_map", "alpha_rows"),
+        A: ("mul_cells", "mul_map", "unit_vector"),
+        C: ("comul_rows", "comul_op_rows", "comul_terms", "counit_map"),
         H: ("antipode_rows", "antipode_inverse"),
     }
     views = {(type(obj).__name__, name): getattr(obj, name) for obj, ns in names.items() for name in ns}
@@ -566,8 +557,8 @@ def hopf_views(H):
 
 
 def dense_power(alpha, k):
-    """``alpha^k`` for a nonzero ``k`` as a dense matrix, by ``mat_inverse`` and ``mat_compose``."""
-    return reduce(mat_compose, [alpha if k > 0 else mat_inverse(alpha)] * abs(k))
+    """``alpha^k`` for a nonzero ``k`` of the dense matrix ``alpha``, by the dense references."""
+    return reduce(dense_compose, [alpha if k > 0 else dense_inverse(alpha)] * abs(k))
 
 
 def flat_rows(t):
@@ -586,20 +577,18 @@ def dense_terms(t):
 def hopf_conversions(H):
     """The conversions of the dense fields that the views of ``hopf_views`` replace."""
     co_opposite = tuple(transpose(plane) for plane in H.comul)
-    powers = {f"power({k})": rows(dense_power(H.alpha, k)) for k in POWERS}
+    powers = {f"power({k})": rows(dense_power(dense_rows(H.alpha), k)) for k in POWERS}
     return {
         **{("HomAlgebra", name): power for name, power in powers.items()},
         **{("HomCoalgebra", name): power for name, power in powers.items()},
-        ("HomHopfAlgebra", "antipode_inverse"): mat_inverse(H.antipode),
+        ("HomHopfAlgebra", "antipode_inverse"): rows(dense_inverse(H.antipode)),
         ("HomAlgebra", "mul_cells"): cells(H.mul),
         ("HomAlgebra", "mul_map"): rows(tuple(row for plane in H.mul for row in plane)),
-        ("HomAlgebra", "alpha_rows"): rows(H.alpha),
         ("HomAlgebra", "unit_vector"): sparse(H.unit),
         ("HomCoalgebra", "comul_rows"): flat_rows(H.comul),
         ("HomCoalgebra", "comul_op_rows"): flat_rows(co_opposite),
         ("HomCoalgebra", "comul_terms"): dense_terms(H.comul),
         ("HomCoalgebra", "counit_map"): rows(transpose((H.counit,))),
-        ("HomCoalgebra", "alpha_rows"): rows(H.alpha),
         ("HomHopfAlgebra", "antipode_rows"): rows(H.antipode),
     }
 
@@ -624,9 +613,10 @@ class TestViews:
         A = H.algebra
         assert A.mul_cells is A.mul_cells and algebra_of(H).mul_cells is A.mul_cells
         assert coalgebra_of(H).comul_rows is bialgebra_of(H).coalgebra.comul_rows
-        assert H.alpha_rows is A.alpha_rows
         C, B = H.coalgebra, H.bialgebra
-        assert A.power(1) is A.alpha_rows and C.power(1) is C.alpha_rows
+        assert H.alpha is A.alpha and B.alpha is A.alpha
+        assert A.power(1) is A.alpha and C.power(1) is C.alpha
+        assert A.power(-1) is A.alpha_inverse and C.power(-1) is C.alpha_inverse
         for k in POWERS:
             assert A.power(k) is A.power(k) and C.power(k) is C.power(k)
             assert H.power(k) is A.power(k) and B.power(k) is A.power(k)
@@ -662,7 +652,7 @@ class TestViews:
     def test_structure_map_inverse_is_kept(self, name):
         for H in objects_of(name).values():
             for obj in (H.algebra, H.coalgebra):
-                assert mat_compose(obj.alpha, obj.alpha_inverse) == identity(H.dim)
+                assert compose(obj.alpha, obj.alpha_inverse) == basis(H.dim)
                 assert replaced(obj).alpha_inverse == obj.alpha_inverse
 
     def test_block_views(self, name):
@@ -671,9 +661,9 @@ class TestViews:
         sigma, eta = canonical_cocycles(h)
         for form in (pairing, sigma, eta):
             gram = form.gram
-            assert as_dense(form.form) == tuple(tuple((g,) for g in row) for row in gram)
+            assert as_dense(form.form) == tuple(tuple((g,) for g in row) for row in dense_rows(gram))
         r = canonical_r_matrix(h)
-        assert dense(r.vector) == tuple(c for row in r.entries for c in row)
+        assert dense(r.vector) == tuple(c for row in dense_rows(r.entries) for c in row)
         if entry.action is not None:
             act, co = entry.action, entry.coaction
             assert as_dense(act.act_cells) == act.act
@@ -683,7 +673,7 @@ class TestViews:
             # the e_j-coefficient of e_g . alpha^-2(e_a)
             mp = dual_matched_pair(h, entry.partner, act, co, check=False)
             na, nh = h.dim, entry.partner.dim
-            acted = [mat_compose(dense_power(h.alpha, -2), plane) for plane in act.act]
+            acted = [dense_compose(dense_power(dense_rows(h.alpha), -2), plane) for plane in act.act]
             left = [[[co.coact[g][g0][j] for g0 in range(nh)] for g in range(nh)] for j in range(na)]
             right = [[[acted[g][a][j] for a in range(na)] for g in range(nh)] for j in range(na)]
             assert as_dense(mp.left_cells) == as_dense(tuple(map(rows, left)))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cells_from_entries, replaced
+from conftest import basis_vector, cells_from_entries, replaced
 from homhopf.catalog import (
     catalog_ax1,
     catalog_ex27_expected,
@@ -22,7 +22,7 @@ from homhopf.constructions import (
     dual,
     heisenberg_double,
 )
-from homhopf.exactlin import basis, basis_vector, kron, rows_from_entries
+from homhopf.exactlin import basis, dense, kron, rows_from_entries, sparse
 from homhopf.structures import ComoduleCoaction, ModuleAction, Witness, check_morphism
 from homhopf.verify import (
     verify_cor_2_9,
@@ -53,9 +53,9 @@ def bumped(v):
 
 
 def bumped_at(rows, index):
-    """``rows`` with the vector at the nested ``index`` bumped."""
+    """The sparse ``rows`` with the vector at the nested ``index`` bumped."""
     i, *rest = index
-    inner = bumped_at(rows[i], rest) if rest else bumped(rows[i])
+    inner = bumped_at(rows[i], rest) if rest else sparse(bumped(dense(rows[i])))
     return rows[:i] + (inner,) + rows[i + 1 :]
 
 
@@ -113,7 +113,7 @@ class TestBicrossSuite:
         ax = catalog_ax1()
         golden = catalog_ex27_expected()
         rows = getattr(golden, table)
-        want = rows[index[0]] if len(index) == 1 else rows[index[0]][index[1]]
+        want = dense(rows[index[0]] if len(index) == 1 else rows[index[0]][index[1]])
         result = verify_thm_2_6(
             ax.hopf,
             ax.partner,
