@@ -16,8 +16,7 @@ _HOME = {
         "CheckEntry", "CheckReport", "ComoduleCoaction", "HomAlgebra", "HomBialgebra",
         "HomCoalgebra", "HomHopfAlgebra", "MatchedPairData", "ModuleAction", "PairingForm",
         "RMatrix", "TwoCocycle", "Witness", "check_antipode", "check_hom_algebra",
-        "check_hom_bialgebra", "check_hom_coalgebra", "check_quasitriangular", "hopf_algebra",
-        "run_hopf_suite",
+        "check_hom_bialgebra", "check_hom_coalgebra", "check_quasitriangular", "run_hopf_suite",
     ), "structures"),
     **dict.fromkeys((
         "check_cocycle", "check_comodule", "check_comodule_algebra", "check_comodule_coalgebra",

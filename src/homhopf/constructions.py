@@ -6,8 +6,7 @@ Drinfel'd doubles (via the closed multiplication formula and via dual
 pairs), Heisenberg doubles, and cocycle twists.  The bicrossproducts and
 the double crossed product of a matched pair are built in ``bicross``, and
 the preconditions are checked by ``laws``; each is compiled only by a
-command that runs it, and the bicrossproduct names here load ``bicross`` on
-first use.
+command that runs it.
 
 Tensor-factor ordering is fixed per construction: a double lives on
 ``H_op (x) H_dual``, the tilde variant on ``(A_op)_dual (x) A``, a double
@@ -497,19 +496,3 @@ def canonical_cocycles(
     sigma = kron(A.coalgebra.counit_map, kron(transpose_rows(A.alpha), (unit,)))
     eta = kron(transpose_rows((unit,)), kron(A.alpha, (counit,)))
     return TwoCocycle(double.bialgebra, sigma, "left"), TwoCocycle(double_tilde, eta, "right")
-
-
-# The bicrossproduct constructions live in ``bicross``; their old paths here
-# load it on first use (PEP 562), so importing this module compiles none of them.
-_BICROSS = frozenset((
-    "bicross_hypotheses", "bicrossproduct", "double_cross_product", "dual_matched_pair",
-    "self_bicross", "self_bicross_data",
-))
-
-
-def __getattr__(name):
-    if name not in _BICROSS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import bicross
-
-    return getattr(bicross, name)

@@ -25,11 +25,11 @@ return sparse results.  No result keeps a coefficient that cancelled to
 zero, so two sparse vectors of the same length are equal exactly when their
 dense vectors (``dense``) are.  Tables are built sparse
 (``rows_from_entries``, the kernels) and are the fields of the domain types
-of ``structures``.  Only vectors (units, counits, the two sides of a
-failure witness) are dense tuples; the dense tensors of the
-``structures`` views are made by ``dense_rows`` and ``dense_cells``, and
-``rows`` and ``cells`` read dense constants where they come in dense.  The
-kernels check only that the lengths of their operands fit together.
+of ``structures``.  Only vectors (units, counits, the two sides of a failure
+witness) are dense tuples.  ``rows``, ``cells``, ``dense_rows``,
+``dense_cells`` and ``flatten_pair`` convert between tables and dense
+tensors for the dense file records of ``fileformat``.  The kernels check
+only that the lengths of their operands fit together.
 
 Sweedler sums and tensor legs are enumerated here and nowhere else:
 ``terms`` lists the nonzero Sweedler terms of the rows of a comultiplication

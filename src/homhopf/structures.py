@@ -6,7 +6,7 @@ and ``check_morphism``, which compares two objects through a map.  The
 laws of the data a construction is built from (modules, comodules,
 twisting and cotwisting maps, matched pairs, pairings, cocycles, comodule
 algebras) are checked by ``laws``, which only a command that runs them
-compiles; their names here load it on first use.
+compiles; they are names of ``laws`` only.
 
 Every checker quantifies over basis multi-indices (multilinearity reduces the
 universally quantified identities to basis cases), compares exact vectors,
@@ -41,22 +41,20 @@ tables of the ``exactlin`` kernels, in its fields: ``HomAlgebra.mul_cells``,
 ``left_cells`` and ``right_cells`` of a ``MatchedPairData``.  Every map is
 sparse rows too: the structure map ``alpha`` and its inverse, the antipode
 inverse, the ``gram`` of a pairing or a cocycle and the ``entries`` of an
-R-matrix.  Only vectors are dense: units, counits and the sides of a
-failure witness.  ``==``, ``hash``, ``repr`` and ``__match_args__`` read the
-fields.  The dense tensors ``mul``, ``comul``, ``antipode``, ``act`` and
-``coact`` are made from the tables on each read, for a caller that wants
-them; ``hopf_algebra`` is the one constructor from those dense tensors.
-Derived views are cached in the instance ``__dict__``
+R-matrix.  Only vectors are dense: units, counits and the sides of a failure
+witness.  ``==``, ``hash``, ``repr`` and ``__match_args__`` read the fields.
+No domain type makes a dense tensor: the dense records of a definition file
+are ``fileformat``'s.  Derived views are cached in the instance ``__dict__``
 (``functools.cached_property``; ``power`` keeps one dict of powers), so they
-are freed with the object: ``mul_map`` and ``unit_vector``;
-``comul_op_rows``, ``comul_terms`` and ``counit_map``; ``alpha_inverse`` and
-``power(k)``, the rows of ``alpha^k``; ``antipode_inverse``;
-``coact_terms``; the ``form`` of a ``PairingForm`` or ``TwoCocycle`` and
-``TwoCocycle.products``; ``RMatrix.vector``; and the ``left_module`` and
-``right_module`` of a ``MatchedPairData``.  ``HomAlgebra.op`` and
-``HomCoalgebra.op`` are objects built from transposed or leg-swapped
-tables.  A builder that knows the inverse of a structure map hands it over
-(``alpha_inverse=``) instead of having it inverted again.
+are freed with the object: ``mul_map`` and ``unit_vector``; ``comul_op_rows``,
+``comul_terms`` and ``counit_map``; ``alpha_inverse`` and ``power(k)``, the
+rows of ``alpha^k``; ``antipode_inverse``; ``coact_terms``; the ``form`` of a
+``PairingForm`` or ``TwoCocycle`` and ``TwoCocycle.products``;
+``RMatrix.vector``; and the ``left_module`` and ``right_module`` of a
+``MatchedPairData``.  ``HomAlgebra.op`` and ``HomCoalgebra.op`` are objects
+built from transposed or leg-swapped tables.  A builder that knows the inverse
+of a structure map hands it over (``alpha_inverse=``) instead of having it
+inverted again.
 """
 
 from __future__ import annotations
@@ -68,29 +66,21 @@ from operator import attrgetter
 
 from .errors import DimensionMismatch, MissingStructure, SingularMatrixError
 from .exactlin import (
-    Matrix,
     Sparse,
     SparseMatrix,
     SparseTensor3,
-    Tensor3,
     Vector,
     apply_kron,
     apply_map,
     basis,
     bilinear_apply,
-    cells,
     compose,
     dense,
-    dense_cells,
-    dense_rows,
-    flatten_pair,
-    flip,
     kron,
     linear_combination,
     mat_inverse,
     pair_cells,
     product_cases,
-    rows,
     rows_from_entries,
     sparse,
     square_cases,
@@ -245,11 +235,6 @@ class HomAlgebra(_HomSpace):
         _require(len(self.unit) == n, "unit vector length")
         super().__post_init__()
 
-    @property
-    def mul(self) -> Tensor3:
-        """``mul[i][j][k]``, the ``e_k``-coefficient of ``e_i . e_j``, made dense."""
-        return dense_cells(self.mul_cells)
-
     @cached_property
     def op(self) -> HomAlgebra:
         """The opposite algebra, ``e_i . e_j = e_j e_i``."""
@@ -284,11 +269,6 @@ class HomCoalgebra(_HomSpace):
         _require(len(self.counit) == n, "counit covector length")
         super().__post_init__()
 
-    @property
-    def comul(self) -> Tensor3:
-        """``comul[i][j][k]``, the ``e_j (x) e_k``-coefficient of ``delta(e_i)``, made dense."""
-        return dense_cells(pair_cells(self.comul_rows, self.dim))
-
     @cached_property
     def op(self) -> HomCoalgebra:
         """The co-opposite coalgebra, ``delta(e_i) = sum e_i2 (x) e_i1``."""
@@ -297,8 +277,11 @@ class HomCoalgebra(_HomSpace):
 
     @cached_property
     def comul_op_rows(self) -> SparseMatrix:
-        """``op.comul_rows``: ``comul_rows``, then the flip of the two legs."""
-        return compose(self.comul_rows, flip(self.dim, self.dim))
+        """``op.comul_rows``: each ``delta(e_i)`` with its two legs swapped, the
+        coefficient of ``e_j (x) e_k`` moved to ``e_k (x) e_j``."""
+        n, delta = self.dim, self.comul_rows
+        swapped = {(i, p % n, p // n): c for i, row in enumerate(delta) for p, c in row.items()}
+        return rows_from_entries((n, n, n), swapped)
 
     @cached_property
     def comul_terms(self):
@@ -320,9 +303,7 @@ class HomBialgebra(Record):
         _require(self.algebra.alpha == self.coalgebra.alpha, "bialgebra structure maps")
 
     dim = _path("algebra.dim")
-    mul = _path("algebra.mul")
     unit = _path("algebra.unit")
-    comul = _path("coalgebra.comul")
     counit = _path("coalgebra.counit")
     alpha = _path("algebra.alpha")
     alpha_inverse = _path("algebra.alpha_inverse")
@@ -340,20 +321,13 @@ class HomHopfAlgebra(Record):
         _require(_shape(self.antipode_rows) == (n, n), "antipode shape")
 
     dim = _path("bialgebra.algebra.dim")
-    mul = _path("bialgebra.algebra.mul")
     unit = _path("bialgebra.algebra.unit")
-    comul = _path("bialgebra.coalgebra.comul")
     counit = _path("bialgebra.coalgebra.counit")
     alpha = _path("bialgebra.algebra.alpha")
     alpha_inverse = _path("bialgebra.algebra.alpha_inverse")
     power = _path("bialgebra.algebra.power")
     algebra = _path("bialgebra.algebra")
     coalgebra = _path("bialgebra.coalgebra")
-
-    @property
-    def antipode(self) -> Matrix:
-        """The antipode as a dense row-image matrix."""
-        return dense_rows(self.antipode_rows)
 
     @cached_property
     def antipode_inverse(self) -> SparseMatrix:
@@ -367,22 +341,6 @@ def hopf_of_tables(mul_cells, unit, comul_rows, counit, alpha, antipode_rows, al
     algebra = HomAlgebra(n, mul_cells, unit, alpha, alpha_inverse=alpha_inverse)
     coalgebra = HomCoalgebra(n, comul_rows, counit, alpha, alpha_inverse=algebra.alpha_inverse)
     return HomHopfAlgebra(HomBialgebra(algebra, coalgebra), antipode_rows)
-
-
-def hopf_algebra(
-    dim: int,
-    mul: Tensor3,
-    unit: Vector,
-    comul: Tensor3,
-    counit: Vector,
-    alpha: SparseMatrix,
-    antipode: Matrix,
-) -> HomHopfAlgebra:
-    """Assemble a HomHopfAlgebra from the dense tensors ``mul``, ``comul`` and
-    ``antipode`` (as its views give them), each converted to its table once,
-    and the rows of its structure map."""
-    _require(len(mul) == dim, "multiplication tensor shape")
-    return hopf_of_tables(cells(mul), unit, rows(map(flatten_pair, comul)), counit, alpha, rows(antipode))
 
 
 def algebra_of(obj) -> HomAlgebra:
@@ -426,11 +384,6 @@ class ModuleAction(Record):
         na, nc = self.actor.dim, self.carrier.dim
         _require(_shape(self.act_cells) == (na, nc, nc), "action tensor shape")
 
-    @property
-    def act(self) -> Tensor3:
-        """``act[h][m][m']``, the ``e_m'``-coefficient of ``e_h . e_m``, made dense."""
-        return dense_cells(self.act_cells)
-
 
 class ComoduleCoaction(Record):
     """A right coaction ``rho: M -> M (x) C`` of ``coactor`` on ``carrier``:
@@ -443,11 +396,6 @@ class ComoduleCoaction(Record):
     def __post_init__(self):
         nc, nm = self.coactor.dim, self.carrier.dim
         _require(_shape(self.coact_rows) == (nm, nm * nc), "coaction tensor shape")
-
-    @property
-    def coact(self) -> Tensor3:
-        """``coact[m][m'][c]``, the ``e_m' (x) e_c``-coefficient of ``rho(e_m)``, made dense."""
-        return dense_cells(pair_cells(self.coact_rows, self.coactor.dim))
 
     @cached_property
     def coact_terms(self):
@@ -824,21 +772,3 @@ def check_quasitriangular(H, R: RMatrix) -> CheckReport:
         _sweep("quasitriangular.right-hexagon", (), compose(r, (alpha, cm)), (r13_r12,)),
     )
     return CheckReport(checks)
-
-
-# The data-law checkers live in ``laws``; their old paths here load it on
-# first use (PEP 562), so importing this module compiles none of them.
-_LAWS = frozenset((
-    "_partial_forms", "_prefixed", "check_cocycle", "check_comodule", "check_comodule_algebra",
-    "check_comodule_coalgebra", "check_cotwisting", "check_dual_pair",
-    "check_left_comodule_algebra", "check_matched_pair", "check_module", "check_module_algebra",
-    "check_module_coalgebra", "check_twisting",
-))
-
-
-def __getattr__(name):
-    if name not in _LAWS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import laws
-
-    return getattr(laws, name)

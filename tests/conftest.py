@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from homhopf.cli import main
 from homhopf.errors import SingularMatrixError
-from homhopf.exactlin import cells
+from homhopf.exactlin import cells, dense_cells, dense_rows, flatten_pair, pair_cells, rows
+from homhopf.structures import HomHopfAlgebra, _require, algebra_of, coalgebra_of, hopf_of_tables
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,36 @@ def replaced(obj, **changes):
     replaced, built by its constructor as ``dataclasses.replace`` builds one;
     ``obj.__match_args__`` names the fields of a ``homhopf`` value type."""
     return type(obj)(**{**{f: getattr(obj, f) for f in obj.__match_args__}, **changes})
+
+
+def hopf_algebra(dim, mul, unit, comul, counit, alpha, antipode) -> HomHopfAlgebra:
+    """Assemble a HomHopfAlgebra from the dense tensors ``mul``, ``comul`` and
+    ``antipode`` (as ``dense_field`` gives them), each converted to its table
+    once, and the rows of its structure map: the tests' dense constructor."""
+    _require(len(mul) == dim, "multiplication tensor shape")
+    return hopf_of_tables(cells(mul), unit, rows(map(flatten_pair, comul)), counit, alpha, rows(antipode))
+
+
+# The dense tensor of each table, by the name of the tensor: ``mul[i][j][k]`` is
+# the ``e_k``-coefficient of ``e_i . e_j``, ``comul[i][j][k]`` the ``e_j (x) e_k``-
+# coefficient of ``delta(e_i)``, ``antipode[i]`` is ``S(e_i)``, ``act[h][m][m']``
+# the ``e_m'``-coefficient of ``e_h . e_m`` and ``coact[m][m'][c]`` the
+# ``e_m' (x) e_c``-coefficient of ``rho(e_m)``.
+_DENSE = {
+    "mul": lambda x: dense_cells(algebra_of(x).mul_cells),
+    "comul": lambda x: dense_cells(pair_cells(coalgebra_of(x).comul_rows, x.dim)),
+    "antipode": lambda x: dense_rows(x.antipode_rows),
+    "act": lambda x: dense_cells(x.act_cells),
+    "coact": lambda x: dense_cells(pair_cells(x.coact_rows, x.coactor.dim)),
+}
+
+
+def dense_field(obj, name: str):
+    """The dense tensor ``name`` (``mul``, ``comul``, ``antipode``, ``act`` or
+    ``coact``) of the domain object ``obj``, made from its table; any other
+    field (``unit``, ``counit``, ``alpha``) is read as it is, so the
+    arguments of ``hopf_algebra`` are ``dense_field`` of each of its names."""
+    return _DENSE[name](obj) if name in _DENSE else getattr(obj, name)
 
 
 def matrix_from_rows(rows):

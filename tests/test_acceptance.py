@@ -19,7 +19,7 @@ from itertools import product
 
 import pytest
 
-from conftest import basis_vector, run_cli, tensor3_from_entries
+from conftest import basis_vector, dense_field, hopf_algebra, run_cli, tensor3_from_entries
 from homhopf.algfile import (
     SCHEMA_VERSION,
     AlgebraFile,
@@ -28,6 +28,7 @@ from homhopf.algfile import (
     read,
     write,
 )
+from homhopf.bicross import bicrossproduct, self_bicross
 from homhopf.catalog import (
     catalog_ax1,
     catalog_cyclic,
@@ -45,13 +46,10 @@ from homhopf.constructions import (
     evaluation_pairing,
     heisenberg_double,
     opposite,
-    self_bicross,
-    bicrossproduct,
 )
 from homhopf.exactlin import (
     apply_map,
     bilinear_apply,
-    cells,
     dense,
     dense_cells,
     dense_rows,
@@ -62,15 +60,8 @@ from homhopf.exactlin import (
     rows_from_entries,
     sparse,
 )
-from homhopf.structures import (
-    ComoduleCoaction,
-    check_cocycle,
-    check_comodule_algebra,
-    check_dual_pair,
-    check_quasitriangular,
-    hopf_algebra,
-    run_hopf_suite,
-)
+from homhopf.laws import check_cocycle, check_comodule_algebra, check_dual_pair
+from homhopf.structures import ComoduleCoaction, check_quasitriangular, run_hopf_suite
 
 F = Fraction
 Z, O = F(0), F(1)
@@ -128,13 +119,14 @@ def test_criterion_02_golden_tables():
     ax = catalog_ax1()
     built = bicrossproduct(ax.hopf, ax.partner, ax.action, ax.coaction, check=False)
     golden = catalog_ex27_expected()
-    products = dense_cells(golden.products)
+    products, mul = dense_cells(golden.products), dense_field(built, "mul")
+    comul, antipode = dense_field(built, "comul"), dense_field(built, "antipode")
     for i in range(4):
         for j in range(4):
-            assert built.mul[i][j] == products[i][j], (i, j)
+            assert mul[i][j] == products[i][j], (i, j)
     for i in range(4):
-        assert flatten_pair(built.comul[i]) == dense(golden.coproducts[i]), i
-        assert built.antipode[i] == dense(golden.antipodes[i]), i
+        assert flatten_pair(comul[i]) == dense(golden.coproducts[i]), i
+        assert antipode[i] == dense(golden.antipodes[i]), i
     announce("criterion 2", "16 products, 4 coproducts, 4 antipodes", True)
 
 
@@ -167,7 +159,7 @@ def test_criterion_02_coproduct_sign_is_forced():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_criterion_03_double_closed_form(n):
     started = time.perf_counter()
-    mul = drinfeld_double(catalog_cyclic(n).hopf).mul
+    mul = dense_field(drinfeld_double(catalog_cyclic(n).hopf), "mul")
     for i, j, m, k in product(range(n), repeat=4):
         expected = [Z] * (n * n)
         if j == k:
@@ -231,16 +223,16 @@ def test_criterion_05_twist_theorem(name):
     h_dual = heisenberg_double(dual(a))
     elapsed = time.perf_counter() - started
     ok = (
-        left.mul == h_op.mul
+        left.mul_cells == h_op.mul_cells
         and left.unit == h_op.unit
         and left.alpha == h_op.alpha
-        and right.mul == h_dual.mul
+        and right.mul_cells == h_dual.mul_cells
         and right.unit == h_dual.unit
         and right.alpha == h_dual.alpha
     )
     announce("criterion 5", name, ok, f"{elapsed:.2f}s")
-    assert left.mul == h_op.mul
-    assert right.mul == h_dual.mul
+    assert left.mul_cells == h_op.mul_cells
+    assert right.mul_cells == h_dual.mul_cells
     assert (left.unit, left.alpha) == (h_op.unit, h_op.alpha)
     assert (right.unit, right.alpha) == (h_dual.unit, h_dual.alpha)
     assert elapsed < 5.0
@@ -286,7 +278,7 @@ def test_criterion_07_self_bicross_hopf_suite(name):
 def test_criterion_07_group_like_closed_form(n):
     entry = catalog_cyclic(n)
     g = entry.group
-    mul = self_bicross(entry.hopf, check=False).mul
+    mul = dense_field(self_bicross(entry.hopf, check=False), "mul")
     for a, h, b, k in product(range(n), repeat=4):
         p = g.automorphism[g.table[g.table[g.table[a][g.inverse[h]]][b]][h]]
         q = g.automorphism[g.table[k][h]]
@@ -338,7 +330,7 @@ def test_criterion_08_embedding_identity(name):
         v = [Z] * nd
         for p, c in nonzeros(A.unit):
             v[p * nb + b] = c
-        w = apply_map(alpha_inv, bilinear_apply(cells(paired.hopf.mul), sparse(u), sparse(v)))
+        w = apply_map(alpha_inv, bilinear_apply(paired.hopf.algebra.mul_cells, sparse(u), sparse(v)))
         assert dense(w) == basis_vector(nd, a * nb + b), (a, b)
     announce("criterion 8", f"embedding identity for {name}", True)
 
@@ -385,9 +377,10 @@ def test_criterion_10_mutation_sensitivity():
     def matrix_entries(m):
         return {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v}
 
+    mul, comul, antipode = (dense_field(ax, f) for f in ("mul", "comul", "antipode"))
     mutations = []
-    for idx, v in tensor_entries(ax.mul).items():
-        entries = tensor_entries(ax.mul)
+    for idx, v in tensor_entries(mul).items():
+        entries = tensor_entries(mul)
         entries[idx] = -v
         mutations.append(
             (
@@ -396,27 +389,27 @@ def test_criterion_10_mutation_sensitivity():
                     2,
                     tensor3_from_entries((2, 2, 2), entries),
                     ax.unit,
-                    ax.comul,
+                    comul,
                     ax.counit,
                     ax.alpha,
-                    ax.antipode,
+                    antipode,
                 ),
             )
         )
-    for idx, v in tensor_entries(ax.comul).items():
-        entries = tensor_entries(ax.comul)
+    for idx, v in tensor_entries(comul).items():
+        entries = tensor_entries(comul)
         entries[idx] = -v
         mutations.append(
             (
                 f"comul{idx}",
                 hopf_algebra(
                     2,
-                    ax.mul,
+                    mul,
                     ax.unit,
                     tensor3_from_entries((2, 2, 2), entries),
                     ax.counit,
                     ax.alpha,
-                    ax.antipode,
+                    antipode,
                 ),
             )
         )
@@ -428,26 +421,26 @@ def test_criterion_10_mutation_sensitivity():
                 f"alpha{idx}",
                 hopf_algebra(
                     2,
-                    ax.mul,
+                    mul,
                     ax.unit,
-                    ax.comul,
+                    comul,
                     ax.counit,
                     rows_from_entries((2, 2), entries),
-                    ax.antipode,
+                    antipode,
                 ),
             )
         )
-    for idx, v in matrix_entries(ax.antipode).items():
-        entries = matrix_entries(ax.antipode)
+    for idx, v in matrix_entries(antipode).items():
+        entries = matrix_entries(antipode)
         entries[idx] = -v
         mutations.append(
             (
                 f"antipode{idx}",
                 hopf_algebra(
                     2,
-                    ax.mul,
+                    mul,
                     ax.unit,
-                    ax.comul,
+                    comul,
                     ax.counit,
                     ax.alpha,
                     dense_rows(rows_from_entries((2, 2), entries)),

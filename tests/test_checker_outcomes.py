@@ -38,23 +38,13 @@ from pathlib import Path
 
 from test_mutation_witnesses import pin
 
+from conftest import dense_field
+from homhopf.bicross import bicross_hypotheses, dual_matched_pair, self_bicross_data
 from homhopf.catalog import get_entry
-from homhopf.constructions import (
-    bicross_hypotheses,
-    canonical_cocycles,
-    comodule_cotwist,
-    dual_matched_pair,
-    evaluation_pairing,
-    self_bicross_data,
-)
+from homhopf.constructions import canonical_cocycles, comodule_cotwist, evaluation_pairing
 from homhopf.errors import HomHopfError
 from homhopf.exactlin import cells, dense_cells, dense_rows, flatten_pair, rows
-from homhopf.structures import (
-    ComoduleCoaction,
-    MatchedPairData,
-    ModuleAction,
-    PairingForm,
-    TwoCocycle,
+from homhopf.laws import (
     check_cocycle,
     check_comodule,
     check_comodule_algebra,
@@ -65,6 +55,13 @@ from homhopf.structures import (
     check_module,
     check_module_algebra,
     check_module_coalgebra,
+)
+from homhopf.structures import (
+    ComoduleCoaction,
+    MatchedPairData,
+    ModuleAction,
+    PairingForm,
+    TwoCocycle,
 )
 
 OUTCOMES = Path(__file__).with_name("checker_outcomes.json")
@@ -166,12 +163,12 @@ def _inputs():
         A, H, act, co = bicross_data(name)
         yield (
             f"{name} action",
-            act.act,
+            dense_field(act, "act"),
             lambda t, act=act: _action_checks(ModuleAction(act.actor, act.carrier, cells(t))),
         )
         yield (
             f"{name} coaction",
-            co.coact,
+            dense_field(co, "coact"),
             lambda t, co=co: _coaction_checks(ComoduleCoaction(co.coactor, co.carrier, _rows(t))),
         )
         phi = comodule_cotwist(co, check=False)
@@ -183,7 +180,7 @@ def _inputs():
             ],
         )
         for field in ("act", "coact"):
-            source = act.act if field == "act" else co.coact
+            source = dense_field(act, "act") if field == "act" else dense_field(co, "coact")
 
             def bicross(t, A=A, H=H, act=act, co=co, field=field):
                 a = ModuleAction(act.actor, act.carrier, cells(t)) if field == "act" else act

@@ -236,7 +236,8 @@ class TestConstructCommand:
         from homhopf.constructions import drinfeld_double
 
         built = read(out.read_bytes()).object().hom_hopf()
-        assert built.mul == drinfeld_double(get_entry("cyclic:2").hopf).mul
+        double = drinfeld_double(get_entry("cyclic:2").hopf)
+        assert built.algebra.mul_cells == double.algebra.mul_cells
 
     def test_double_tilde(self, tmp_path):
         out = tmp_path / "dt.alg"

@@ -20,19 +20,21 @@ from pathlib import Path
 import pytest
 
 from homhopf.algfile import SCHEMA_VERSION, AlgebraFile, object_record, write
+from homhopf.bicross import (
+    double_cross_product,
+    dual_matched_pair,
+    self_bicross,
+    self_bicross_data,
+)
 from homhopf.catalog import catalog_group, cyclic_table, get_entry
 from homhopf.constructions import (
     co_opposite,
-    double_cross_product,
     drinfeld_double,
     drinfeld_double_tilde,
     dual,
-    dual_matched_pair,
     dual_pair_double,
     evaluation_pairing,
     heisenberg_double,
-    self_bicross,
-    self_bicross_data,
 )
 
 FIXTURE = Path(__file__).with_name("construction_digests.json")

@@ -19,6 +19,7 @@ keep the helpers of the old dense round trip out of the source.
 from __future__ import annotations
 
 import ast
+import importlib
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -26,7 +27,9 @@ from pathlib import Path
 import pytest
 
 import homhopf
+from conftest import dense_field, hopf_algebra
 from homhopf import constructions, exactlin, structures, verify
+from homhopf.bicross import dual_matched_pair, self_bicross_data
 from homhopf.catalog import get_entry
 from homhopf.constructions import (
     canonical_r_matrix,
@@ -34,23 +37,14 @@ from homhopf.constructions import (
     drinfeld_double,
     drinfeld_double_tilde,
     dual,
-    dual_matched_pair,
     dual_pair_double,
     evaluation_pairing,
     heisenberg_double,
     opposite_hopf,
-    self_bicross_data,
 )
 from homhopf.exactlin import basis, compose, mat_inverse, nonzeros
-from homhopf.structures import (
-    ComoduleCoaction,
-    check_comodule_algebra,
-    check_hom_algebra,
-    check_left_comodule_algebra,
-    check_matched_pair,
-    hopf_algebra,
-    run_hopf_suite,
-)
+from homhopf.laws import check_comodule_algebra, check_left_comodule_algebra, check_matched_pair
+from homhopf.structures import ComoduleCoaction, Record, check_hom_algebra, run_hopf_suite
 
 ENTRIES = ("one", "ax1", "kz2", "sweedler_hom", *(f"cyclic:{n}" for n in range(2, 7)), "s3_inner")
 FIELDS = ("mul", "unit", "comul", "counit", "alpha", "antipode")
@@ -169,7 +163,7 @@ def test_second_hopf_suite_converts_no_structure_tensor(monkeypatch):
     monkeypatch.setattr(exactlin, "nonzeros", counted)
     assert run_hopf_suite(double).ok
     assert not [n for n in lengths if n >= double.dim]
-    fresh = hopf_algebra(double.dim, *(getattr(double, field) for field in FIELDS))
+    fresh = hopf_algebra(double.dim, *(dense_field(double, field) for field in FIELDS))
     lengths.clear()
     assert run_hopf_suite(fresh).ok
     assert max(lengths) >= double.dim
@@ -481,19 +475,37 @@ def test_every_map_is_sparse_rows_in_the_source():
     """One matrix type: no module defines, imports or calls the dense matrix
     layer (``mat_compose``, ``identity``, ``matrix_from_entries``,
     ``mat_shape``, ``basis_vector``, ``_dense_kron``) or reads an
-    ``alpha_rows`` view.  ``rows`` and ``dense_rows`` are called only by
-    ``fileformat``, by the dense views ``antipode``, ``mul``, ``comul``,
-    ``act`` and ``coact``, and by ``hopf_algebra``, the constructor from
-    their dense tensors."""
+    ``alpha_rows`` view.  The dense conversions ``rows``, ``cells``,
+    ``dense_rows``, ``dense_cells`` and ``flatten_pair`` are defined in
+    ``exactlin`` and imported and called only by ``fileformat``, which reads
+    and writes the dense file records.  No module but the package's
+    ``__init__`` resolves names on demand (a module-level ``__getattr__``),
+    and no domain type has a dense view ``mul``, ``comul``, ``antipode``,
+    ``act`` or ``coact``."""
     dense = ("mat_compose", "identity", "matrix_from_entries", "mat_shape", "basis_vector")
     assert _uses({*dense, "_dense_kron"}) == []
-    views = {"antipode", "mul", "comul", "act", "coact", "hopf_algebra"}
+    names = {"rows", "cells", "dense_rows", "dense_cells", "flatten_pair"}
     conversions = [
         (module, scope, name)
-        for module, scope, name in _uses({"rows", "dense_rows"})
-        if module != "exactlin" and scope not in ("def", "import")
+        for module, scope, name in _uses(names)
+        if module != "exactlin" and scope != "def"
     ]
-    assert conversions and all(
-        module == "fileformat" or (module == "structures" and scope in views)
-        for module, scope, _ in conversions
-    ), conversions
+    assert conversions and {module for module, _, _ in conversions} == {"fileformat"}, conversions
+    hooks = [
+        path.name
+        for path in sorted(Path(homhopf.__file__).parent.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+    ]
+    assert hooks == ["__init__.py"]
+    views = {"mul", "comul", "antipode", "act", "coact"}
+    types = {
+        value
+        for path in Path(homhopf.__file__).parent.glob("[!_]*.py")
+        for value in vars(importlib.import_module(f"homhopf.{path.stem}")).values()
+        if isinstance(value, type) and issubclass(value, Record)
+    }
+    assert len(types) > 15
+    assert [
+        (t.__name__, v) for t in types for v in views if hasattr(t, v) or v in t.__match_args__
+    ] == []

@@ -7,8 +7,17 @@ from functools import reduce
 
 import pytest
 
-from conftest import dense_compose, dense_inverse, matrix_from_rows, replaced, tensor3_from_entries
+from conftest import (
+    dense_compose,
+    dense_field,
+    dense_inverse,
+    hopf_algebra,
+    matrix_from_rows,
+    replaced,
+    tensor3_from_entries,
+)
 from homhopf.algfile import bundle_of_entry, read, write
+from homhopf.bicross import dual_matched_pair, self_bicross_data
 from homhopf.catalog import (
     BicrossGolden,
     CatalogEntry,
@@ -27,11 +36,10 @@ from homhopf.constructions import (
     co_opposite,
     comodule_cotwist,
     drinfeld_double,
+    drinfeld_double_tilde,
     dual,
-    dual_matched_pair,
     evaluation_pairing,
     opposite,
-    self_bicross_data,
 )
 from homhopf.errors import DimensionMismatch, SingularMatrixError
 from homhopf.exactlin import (
@@ -41,10 +49,21 @@ from homhopf.exactlin import (
     compose,
     dense,
     dense_rows,
+    flip,
     rows,
     rows_from_entries,
     sparse,
     transpose,
+)
+from homhopf.laws import (
+    check_comodule,
+    check_comodule_coalgebra,
+    check_cotwisting,
+    check_dual_pair,
+    check_cocycle,
+    check_module,
+    check_module_algebra,
+    check_module_coalgebra,
 )
 from homhopf.structures import (
     CheckEntry,
@@ -63,20 +82,11 @@ from homhopf.structures import (
     algebra_of,
     bialgebra_of,
     check_antipode,
-    check_comodule,
-    check_comodule_coalgebra,
-    check_cotwisting,
-    check_dual_pair,
     check_hom_algebra,
     check_hom_bialgebra,
     check_hom_coalgebra,
-    check_cocycle,
-    check_module,
-    check_module_algebra,
-    check_module_coalgebra,
     check_morphism,
     coalgebra_of,
-    hopf_algebra,
     run_hopf_suite,
 )
 from homhopf.verify import SuiteResult, SuiteStep
@@ -87,14 +97,15 @@ ONE = F(1)
 
 def with_mul_entry(h, i, j, k, value):
     entries = {}
-    for a, plane in enumerate(h.mul):
+    for a, plane in enumerate(dense_field(h, "mul")):
         for b, row in enumerate(plane):
             for c, v in enumerate(row):
                 if v:
                     entries[a, b, c] = v
     entries[i, j, k] = value
     mul = tensor3_from_entries((h.dim,) * 3, entries)
-    return hopf_algebra(h.dim, mul, h.unit, h.comul, h.counit, h.alpha, h.antipode)
+    comul, antipode = dense_field(h, "comul"), dense_field(h, "antipode")
+    return hopf_algebra(h.dim, mul, h.unit, comul, h.counit, h.alpha, antipode)
 
 
 class TestHomAlgebra:
@@ -270,7 +281,7 @@ class TestComoduleCoalgebra:
 
 class TestModuleCoalgebra:
     def test_dual_action_on_ax1_data(self):
-        from homhopf.constructions import dual_matched_pair
+        from homhopf.bicross import dual_matched_pair
 
         ax = catalog_ax1()
         mp = dual_matched_pair(ax.hopf, ax.partner, ax.action, ax.coaction, check=False)
@@ -575,21 +586,22 @@ def dense_terms(t):
 
 
 def hopf_conversions(H):
-    """The conversions of the dense fields that the views of ``hopf_views`` replace."""
-    co_opposite = tuple(transpose(plane) for plane in H.comul)
+    """The conversions of the dense tensors that the views of ``hopf_views`` replace."""
+    mul, comul, antipode = (dense_field(H, f) for f in ("mul", "comul", "antipode"))
+    co_opposite = tuple(transpose(plane) for plane in comul)
     powers = {f"power({k})": rows(dense_power(dense_rows(H.alpha), k)) for k in POWERS}
     return {
         **{("HomAlgebra", name): power for name, power in powers.items()},
         **{("HomCoalgebra", name): power for name, power in powers.items()},
-        ("HomHopfAlgebra", "antipode_inverse"): rows(dense_inverse(H.antipode)),
-        ("HomAlgebra", "mul_cells"): cells(H.mul),
-        ("HomAlgebra", "mul_map"): rows(tuple(row for plane in H.mul for row in plane)),
+        ("HomHopfAlgebra", "antipode_inverse"): rows(dense_inverse(antipode)),
+        ("HomAlgebra", "mul_cells"): cells(mul),
+        ("HomAlgebra", "mul_map"): rows(tuple(row for plane in mul for row in plane)),
         ("HomAlgebra", "unit_vector"): sparse(H.unit),
-        ("HomCoalgebra", "comul_rows"): flat_rows(H.comul),
+        ("HomCoalgebra", "comul_rows"): flat_rows(comul),
         ("HomCoalgebra", "comul_op_rows"): flat_rows(co_opposite),
-        ("HomCoalgebra", "comul_terms"): dense_terms(H.comul),
+        ("HomCoalgebra", "comul_terms"): dense_terms(comul),
         ("HomCoalgebra", "counit_map"): rows(transpose((H.counit,))),
-        ("HomHopfAlgebra", "antipode_rows"): rows(H.antipode),
+        ("HomHopfAlgebra", "antipode_rows"): rows(antipode),
     }
 
 
@@ -644,7 +656,7 @@ class TestViews:
             assert A.op.op == A and C.op.op == C
             assert opposite(opposite(H)) == H and co_opposite(co_opposite(H)) == H
             assert opposite(H).algebra is A.op and co_opposite(H).coalgebra is C.op
-            mul, mul_op = A.mul, A.op.mul  # each read makes the dense tensor anew
+            mul, mul_op = dense_field(A, "mul"), dense_field(A.op, "mul")
             assert all(mul_op[i][j] == mul[j][i] for i in range(n) for j in range(n))
             assert as_dense(C.op.comul_rows) == as_dense(C.comul_op_rows)
             assert "op" not in A.__match_args__ + C.__match_args__
@@ -666,18 +678,28 @@ class TestViews:
         assert dense(r.vector) == tuple(c for row in dense_rows(r.entries) for c in row)
         if entry.action is not None:
             act, co = entry.action, entry.coaction
-            assert as_dense(act.act_cells) == act.act
-            assert as_dense(co.coact_rows) == as_dense(flat_rows(co.coact))
-            assert co.coact_terms == dense_terms(co.coact)
+            dense_act, dense_coact = dense_field(act, "act"), dense_field(co, "coact")
+            assert as_dense(co.coact_rows) == as_dense(flat_rows(dense_coact))
+            assert co.coact_terms == dense_terms(dense_coact)
             # e^j > e_g is the sum of coact[g][g0][j] e_g0, and <e^j < e_g, e_a> is
             # the e_j-coefficient of e_g . alpha^-2(e_a)
             mp = dual_matched_pair(h, entry.partner, act, co, check=False)
             na, nh = h.dim, entry.partner.dim
-            acted = [dense_compose(dense_power(dense_rows(h.alpha), -2), plane) for plane in act.act]
-            left = [[[co.coact[g][g0][j] for g0 in range(nh)] for g in range(nh)] for j in range(na)]
+            acted = [dense_compose(dense_power(dense_rows(h.alpha), -2), plane) for plane in dense_act]
+            left = [[[dense_coact[g][g0][j] for g0 in range(nh)] for g in range(nh)] for j in range(na)]
             right = [[[acted[g][a][j] for a in range(na)] for g in range(nh)] for j in range(na)]
             assert as_dense(mp.left_cells) == as_dense(tuple(map(rows, left)))
             assert as_dense(mp.right_cells) == as_dense(tuple(map(rows, right)))
+
+
+@pytest.mark.parametrize("name", VIEW_ENTRIES)
+def test_co_opposite_rows_are_the_flip_of_the_coproduct(name):
+    """``comul_op_rows`` swaps the legs of each ``delta(e_i)`` in place of
+    composing with the n^2-row flip, on a catalog entry and its two doubles."""
+    h = get_entry(name).hopf
+    for C in (h.coalgebra, drinfeld_double(h).coalgebra, drinfeld_double_tilde(h).coalgebra):
+        n = C.dim
+        assert as_dense(C.comul_op_rows) == as_dense(compose(C.comul_rows, flip(n, n)))
 
 
 def test_thm26_golden_gate_still_matches_after_views_are_read():

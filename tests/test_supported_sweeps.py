@@ -29,7 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_checker_outcomes import _perturbed, bicross_data
 
+from conftest import dense_field, hopf_algebra
 from homhopf import exactlin, laws, structures
+from homhopf.bicross import self_bicross
 from homhopf.catalog import get_entry
 from homhopf.constructions import (
     canonical_cocycles,
@@ -38,7 +40,6 @@ from homhopf.constructions import (
     dual_pair_double,
     evaluation_pairing,
     heisenberg_double,
-    self_bicross,
 )
 from homhopf.errors import SingularMatrixError
 from homhopf.exactlin import (
@@ -52,6 +53,7 @@ from homhopf.exactlin import (
     sparse,
     tensor_power_products,
 )
+from homhopf.laws import check_cocycle, check_module
 from homhopf.structures import (
     CheckEntry,
     HomAlgebra,
@@ -61,12 +63,9 @@ from homhopf.structures import (
     Witness,
     algebra_of,
     check_antipode,
-    check_cocycle,
     check_hom_algebra,
     check_hom_bialgebra,
-    check_module,
     check_morphism,
-    hopf_algebra,
 )
 from homhopf.verify import verify_thm_4_5
 
@@ -232,10 +231,8 @@ PERTURBED = 8  # seeded single-entry perturbations per input and field
 def test_perturbed_hopf_algebras(name, field):
     h = get_entry(name).hopf
     rng = random.Random(f"{name} {field}")
-    alpha = dense_rows(h.alpha)
-    parts = dict(
-        mul=h.mul, unit=h.unit, comul=h.comul, counit=h.counit, alpha=alpha, antipode=h.antipode
-    )
+    parts = {f: dense_field(h, f) for f in ("mul", "unit", "comul", "counit", "antipode")}
+    parts["alpha"] = dense_rows(h.alpha)
     for case in range(1, PERTURBED + 1):
         value, _ = _perturbed(parts[field], rng, case)
         bent_parts = {**parts, field: value}
@@ -251,7 +248,8 @@ def test_perturbed_actions(name):
     act = bicross_data(name)[2]
     rng = random.Random(f"{name} act")
     for case in range(1, PERTURBED + 1):
-        bent = ModuleAction(act.actor, act.carrier, cells(_perturbed(act.act, rng, case)[0]))
+        bent_cells = cells(_perturbed(dense_field(act, "act"), rng, case)[0])
+        bent = ModuleAction(act.actor, act.carrier, bent_cells)
         assert check_module(bent).entry("module.hom-associative") == module_hom_associative(bent)
 
 
