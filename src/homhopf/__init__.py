@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 # Every public name loads its module on first use (PEP 562), so a command
 # compiles only the modules it runs: ``--version`` compiles none of them.
-_SUBMODULES = ("catalog", "constructions", "errors", "exactlin", "structures")
+_SUBMODULES = ("bicross", "catalog", "constructions", "errors", "exactlin", "laws", "structures")
 _HOME = {
     **dict.fromkeys((
         "CheckEntry", "CheckReport", "ComoduleCoaction", "HomAlgebra", "HomBialgebra",

@@ -1,7 +1,8 @@
 """Command-line interface: check, construct, verify, export.
 
 Exit codes: 0 every check passed, 1 a verified failure (a red axiom, a
-failed precondition, a failed comparison), 2 an input or usage error.
+failed precondition, a failed comparison), 2 an input or usage error or a
+failed write to standard output.
 Reports written with ``--report`` are deterministic: the embedded digest is
 computed over the document with wall-time fields removed.
 
@@ -14,6 +15,8 @@ constructions, and ``verify`` also the suites.
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 
 from . import __version__
@@ -372,8 +375,6 @@ JOBS_HELP = "accepted for compatibility and ignored: checks run serially"
 
 
 def _existing_path(path: str) -> str:
-    import os
-
     if not os.path.exists(path):
         raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
     return path
@@ -433,5 +434,25 @@ def main(args=None, prog_name=None):
     namespace.pop("command")(**namespace)
 
 
+def run():
+    """Run one command as a whole process (``homhopf`` and ``python -m``).
+
+    A failed write to standard output exits 2; stdout then points at
+    ``os.devnull``, so the interpreter's last flush cannot change the status.
+    On the way out ``gc.freeze()`` moves every live object to the permanent
+    generation, which the exit-time collections skip; ``main()`` never freezes.
+    """
+    try:
+        try:
+            main()
+        finally:
+            sys.stdout.flush()
+    except OSError as exc:  # every other file a command opens reports its own errors
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _fail_usage(f"cannot write standard output: {exc.strerror or exc}")
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

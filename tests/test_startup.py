@@ -11,10 +11,14 @@ tests run each command in a fresh interpreter and read ``sys.modules`` after
 """
 
 import ast
+import errno
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -23,6 +27,7 @@ import homhopf
 from homhopf import bicross, constructions, laws, structures
 from homhopf.algfile import AlgebraFile, block_record, bundle_of_entry, write
 from homhopf.catalog import get_entry
+from homhopf.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "homhopf"
@@ -43,28 +48,33 @@ MOVED_TO_BICROSS = (
 ALL = (
     "CatalogEntry", "CheckEntry", "CheckReport", "ComoduleCoaction", "HomAlgebra",
     "HomBialgebra", "HomCoalgebra", "HomHopfAlgebra", "MatchedPairData", "ModuleAction",
-    "PairingForm", "RMatrix", "TwoCocycle", "Witness", "bicrossproduct", "canonical_cocycles",
-    "canonical_r_matrix", "catalog", "catalog_ax1", "catalog_cyclic", "catalog_ex27_expected",
-    "catalog_group", "catalog_kz2", "catalog_one", "catalog_sweedler_hom", "check_antipode",
-    "check_cocycle", "check_comodule", "check_comodule_algebra", "check_comodule_coalgebra",
-    "check_cotwisting", "check_dual_pair", "check_hom_algebra", "check_hom_bialgebra",
-    "check_hom_coalgebra", "check_matched_pair", "check_module", "check_module_algebra",
-    "check_module_coalgebra", "check_quasitriangular", "check_twisting", "cocycle_twist",
-    "comodule_cotwist", "constructions", "cotwist_coproduct", "double_cross_product",
-    "drinfeld_double", "drinfeld_double_tilde", "dual", "dual_matched_pair", "dual_pair_double",
-    "errors", "evaluation_pairing", "exactlin", "get_entry", "heisenberg_double",
-    "opposite", "run_hopf_suite", "self_bicross", "smash_product", "structures",
-    "yau_twist",
+    "PairingForm", "RMatrix", "TwoCocycle", "Witness", "bicross", "bicrossproduct",
+    "canonical_cocycles", "canonical_r_matrix", "catalog", "catalog_ax1", "catalog_cyclic",
+    "catalog_ex27_expected", "catalog_group", "catalog_kz2", "catalog_one",
+    "catalog_sweedler_hom", "check_antipode", "check_cocycle", "check_comodule",
+    "check_comodule_algebra", "check_comodule_coalgebra", "check_cotwisting",
+    "check_dual_pair", "check_hom_algebra", "check_hom_bialgebra", "check_hom_coalgebra",
+    "check_matched_pair", "check_module", "check_module_algebra", "check_module_coalgebra",
+    "check_quasitriangular", "check_twisting", "cocycle_twist", "comodule_cotwist",
+    "constructions", "cotwist_coproduct", "double_cross_product", "drinfeld_double",
+    "drinfeld_double_tilde", "dual", "dual_matched_pair", "dual_pair_double", "errors",
+    "evaluation_pairing", "exactlin", "get_entry", "heisenberg_double", "laws", "opposite",
+    "run_hopf_suite", "self_bicross", "smash_product", "structures", "yau_twist",
 )
+
+
+def _env(**extra) -> dict:
+    """This environment with this source tree first on ``PYTHONPATH``."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def _fresh(code: str, *args: str, cwd=None) -> str:
     """The stdout of ``code`` run in a fresh interpreter on this source tree."""
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
         cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -195,8 +205,9 @@ COMMAND_MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "file
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """A directory holding ``c2.alg``, the ``cyclic:2`` export, ``sigma.alg``,
-    the trivial cocycle ``counit (x) counit`` on it, and ``sw.alg``, the
-    ``sweedler_hom`` export with its R-matrix."""
+    the trivial cocycle ``counit (x) counit`` on it, ``sw.alg``, the
+    ``sweedler_hom`` export with its R-matrix, and ``bad.alg``, a file with
+    no valid header."""
     path = tmp_path_factory.mktemp("startup")
     bundle = bundle_of_entry(get_entry("cyclic:2"))
     (path / "c2.alg").write_bytes(write(bundle))
@@ -205,6 +216,7 @@ def workdir(tmp_path_factory):
     cocycle = block_record("cocycle", "sigma", (c2.name, "left"), trivial)
     (path / "sigma.alg").write_bytes(write(AlgebraFile(bundle.schema_version, (c2,), (cocycle,))))
     (path / "sw.alg").write_bytes(write(bundle_of_entry(get_entry("sweedler_hom"))))
+    (path / "bad.alg").write_text("homhopf-algebra 1\nobject nonsense\n")
     return path
 
 
@@ -489,3 +501,97 @@ def test_commands_run_with_click_refused(workdir):
 def test_version_of_the_module_run_as_a_script():
     code = "import runpy; runpy.run_module('homhopf.cli', run_name='__main__', alter_sys=True)"
     assert _fresh(code, "--version") == "python -m homhopf.cli, version 0.1.0\n"
+
+
+# One command of each way a process can end, with its exit status.
+EXITS = {
+    "pass": (("check", "c2.alg"), 0),
+    "fail": (("check", "ax1", "--level", "bialgebra"), 1),
+    "usage": (("check", "c2.alg", "--level", "bogus"), 2),
+    "malformed": (("check", "bad.alg"), 2),
+    "version": (("--version",), 0),
+    "help": (("--help",), 0),
+}
+
+
+def _process(args, cwd, stdout=subprocess.PIPE, flags=()):
+    """Exit status, stdout and stderr bytes of ``args`` run as a fresh
+    ``python -m homhopf.cli`` process in ``cwd``, its stdout buffered unless
+    ``flags`` holds ``-u``."""
+    env = _env(COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "homhopf.cli", *args],
+        cwd=cwd,
+        env=env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(args, cwd, monkeypatch):
+    """The same three of ``args`` run by ``main()`` in this process."""
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(args=list(args), prog_name="python -m homhopf.cli")
+    return exc.value.code, out.getvalue().encode(), err.getvalue().encode()
+
+
+class TestProcessExit:
+    """A process runs its command through ``cli.run``, which adds only a
+    flushed stdout and ``gc.freeze()`` on the way out: what a process
+    prints and its exit status are those of ``main()`` in this process,
+    and ``main()`` itself never freezes."""
+
+    @pytest.mark.parametrize("kind", EXITS)
+    def test_process_matches_main(self, workdir, monkeypatch, kind):
+        args, status = EXITS[kind]
+        got = _process(args, workdir)
+        assert got[0] == status
+        assert got == _in_process(args, workdir, monkeypatch)
+
+    def test_main_never_freezes(self, workdir, monkeypatch):
+        frozen = gc.get_freeze_count()
+        for args, _ in EXITS.values():
+            _in_process(args, workdir, monkeypatch)
+        assert gc.get_freeze_count() == frozen
+        assert gc.isenabled()
+
+    def test_run_freezes_on_the_way_out(self, workdir):
+        code = (
+            "import gc\n"
+            "from homhopf.cli import run\n"
+            "try:\n"
+            "    run()\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count() > 0)\n"
+        )
+        assert _fresh(code, "check", "c2.alg", cwd=workdir).splitlines()[-1] == "0 True"
+
+
+@pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+class TestUnwritableStdout:
+    """A failed write to standard output is an input/output error: exit 2
+    with one line on stderr, and no traceback.  Buffered, the write fails
+    in ``run``'s flush, and the interpreter's last flush must not fail again."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device(self, workdir, flags):
+        with open("/dev/full", "wb") as full:
+            status, _, err = _process(("check", "c2.alg"), workdir, stdout=full, flags=flags)
+        assert status == 2
+        assert err == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n".encode()
+
+    def test_closed_pipe(self, workdir, flags):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            status, _, err = _process(("check", "c2.alg"), workdir, stdout=write_end, flags=flags)
+        finally:
+            os.close(write_end)
+        assert status == 2
+        assert err == f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n".encode()
