@@ -31,7 +31,10 @@ objects produce byte-identical files and ``read(write(x)) == x`` exactly.
 ``read`` puts the entries straight into the sparse tables the domain
 objects take (``mul_cells``, ``comul_rows``, the rows of ``alpha`` and of
 the antipode, a block's sorted entries), and ``write`` emits them from those
-tables, so neither makes a dense tensor or matrix.  The records are
+tables, so neither makes a dense tensor or matrix.  A record keeps the
+``unit`` and ``counit`` lines as sparse vectors; ``hom_algebra`` and
+``hom_coalgebra`` make them the maps ``eta: k -> A`` and ``eps: C -> k``,
+and ``object_record`` takes them back from the maps.  The records are
 ``structures.Record`` value types.
 """
 
@@ -41,8 +44,8 @@ import re
 
 from .errors import DuplicateEntry, ParseError, RangeError
 from .exactlin import (
-    Scalar, SparseMatrix, SparseTensor3, Vector, format_scalar, pair_cells, parse_scalar,
-    rows_from_entries, vector_from_entries,
+    Scalar, Sparse, SparseMatrix, SparseTensor3, format_scalar, pair_cells, parse_scalar,
+    rows_from_entries, transpose_rows,
 )
 from .structures import (
     MAX_DIM, ComoduleCoaction, HomAlgebra, HomBialgebra, HomCoalgebra, HomHopfAlgebra,
@@ -52,9 +55,12 @@ from .structures import (
 SCHEMA_VERSION = 1
 
 # The declared ``dim`` is checked against ``MAX_DIM`` before anything is
-# allocated.  The objects of one file together may declare at most MAX_DIM^3
-# (the sum of dim^3), so a file holds no more entries than one largest object's
-# tensors have cells.
+# allocated.  An object holds at most as many entries as its tables have cells
+# (indices are range-checked and never repeated), and the objects of one file
+# together may declare at most MAX_DIM^3 (the sum of dim^3).  The entries of
+# all the blocks of one file count against one more budget of MAX_DIM^3, so a
+# file holds at most 7 * MAX_DIM^3 entries (two tables of n^3 cells, two of
+# n^2 and two of n per object, and the blocks).
 
 
 class ObjectRecord(Record):
@@ -68,21 +74,22 @@ class ObjectRecord(Record):
     basis: tuple[str, ...]
     alpha: SparseMatrix
     mul_cells: SparseTensor3 | None = None
-    unit: Vector | None = None
+    unit: Sparse | None = None
     comul_rows: SparseMatrix | None = None
-    counit: Vector | None = None
+    counit: Sparse | None = None
     antipode_rows: SparseMatrix | None = None
 
     def hom_algebra(self) -> HomAlgebra:
         if self.mul_cells is None or self.unit is None:
             raise ParseError(f"object {self.name!r} has no algebra structure")
-        return HomAlgebra(self.dim, self.mul_cells, self.unit, self.alpha)
+        return HomAlgebra(self.dim, self.mul_cells, (self.unit,), self.alpha)
 
     def hom_coalgebra(self, alpha_inverse: SparseMatrix | None = None) -> HomCoalgebra:
         """The coalgebra, with the inverse of its structure map if it is known."""
         if self.comul_rows is None or self.counit is None:
             raise ParseError(f"object {self.name!r} has no coalgebra structure")
-        return HomCoalgebra(self.dim, self.comul_rows, self.counit, self.alpha, alpha_inverse=alpha_inverse)
+        counit = transpose_rows((self.counit,))
+        return HomCoalgebra(self.dim, self.comul_rows, counit, self.alpha, alpha_inverse=alpha_inverse)
 
     def hom_bialgebra(self) -> HomBialgebra:
         algebra = self.hom_algebra()
@@ -93,13 +100,6 @@ class ObjectRecord(Record):
         if self.antipode_rows is None:
             raise ParseError(f"object {self.name!r} has no antipode")
         return HomHopfAlgebra(bialgebra or self.hom_bialgebra(), self.antipode_rows)
-
-    def richest(self):
-        """The most structured realization the record supports."""
-        algebra, coalgebra = self.mul_cells is not None, self.comul_rows is not None
-        if algebra and coalgebra:
-            return self.hom_bialgebra() if self.antipode_rows is None else self.hom_hopf()
-        return self.hom_algebra() if algebra else self.hom_coalgebra()
 
 
 class BlockRecord(Record):
@@ -125,7 +125,10 @@ _BLOCK_POSITIONS = {
 
 class Sections:
     """A bundle's objects and blocks by name and kind, and the structures
-    its blocks realize, read from its ``objects`` and ``blocks``."""
+    its blocks realize, read from its ``objects`` and ``blocks``: an action
+    or a coaction on the Hom-Hopf objects it names (the bicrossproduct data),
+    a pairing of two Hom-Hopf objects, a cocycle or an R-matrix on a
+    Hom-bialgebra."""
 
     def object(self, name: str | None = None):
         if name is None:
@@ -155,11 +158,11 @@ class Sections:
 
     def module_action(self, block=None) -> ModuleAction:
         _, (actor, carrier), act = self._block("action", block)
-        return ModuleAction(actor.richest(), carrier.richest(), pair_cells(act, carrier.dim))
+        return ModuleAction(actor.hom_hopf(), carrier.hom_hopf(), pair_cells(act, carrier.dim))
 
     def comodule_coaction(self, block=None) -> ComoduleCoaction:
         _, (coactor, carrier), coact = self._block("coaction", block)
-        return ComoduleCoaction(coactor.richest(), carrier.richest(), coact)
+        return ComoduleCoaction(coactor.hom_hopf(), carrier.hom_hopf(), coact)
 
     def pairing(self, block=None) -> PairingForm:
         _, (left, right), gram = self._block("pairing", block)
@@ -274,6 +277,7 @@ def read(data: bytes | str) -> AlgebraFile:
     blocks: list[BlockRecord] = []
     dims: dict[str, int] = {}
     declared = 0  # the sum of dim^3 over the objects so far
+    block_entries = 0  # the entries of every block so far
 
     for line in stream:
         lineno, _, (head, *args) = line
@@ -325,13 +329,16 @@ def read(data: bytes | str) -> AlgebraFile:
             algebra = nz["mul"] or nz["unit"]
             coalgebra = nz["comul"] or nz["counit"]
             cube = (dim,) * 3
-            unit, counit = ({i: v for (i,), v in nz[key].items()} for key in ("unit", "counit"))
+            unit, counit = (
+                rows_from_entries((1, dim), {(0, i): v for (i,), v in nz[key].items()})[0]
+                for key in ("unit", "counit")
+            )
             record = ObjectRecord(
                 name, dim, basis, rows_from_entries((dim, dim), nz["alpha"]),
                 pair_cells(rows_from_entries(cube, nz["mul"]), dim) if algebra else None,
-                vector_from_entries(dim, unit) if algebra else None,
+                unit if algebra else None,
                 rows_from_entries(cube, nz["comul"]) if coalgebra else None,
-                vector_from_entries(dim, counit) if coalgebra else None,
+                counit if coalgebra else None,
                 rows_from_entries((dim, dim), nz["antipode"]) if nz["antipode"] else None,
             )
             objects.append(record)
@@ -353,6 +360,9 @@ def read(data: bytes | str) -> AlgebraFile:
             for item in body(f"{head} block {name!r}", lineno):
                 if item[2][0] != "entry":
                     fail(f"expected 'entry' or 'end' in {head} block", item, 0)
+                block_entries += 1
+                if block_entries > MAX_DIM**3:
+                    fail(f"block entries exceed the limit of {MAX_DIM}^3", item, 0)
                 entry(item, bounds, table, f"'{head}' entries take", "duplicate entry")
             entries = tuple(sorted((idx, v) for idx, v in table.items() if v))
             blocks.append(BlockRecord(head, name, refs, entries))
@@ -415,9 +425,9 @@ def object_record(name: str, obj, basis: tuple[str, ...] | None = None) -> Objec
         basis = tuple(f"e{i}" for i in range(obj.dim))
     mul_cells = unit = comul_rows = counit = None
     if isinstance(obj, (HomAlgebra, HomBialgebra, HomHopfAlgebra)):
-        mul_cells, unit = algebra_of(obj).mul_cells, obj.unit
+        mul_cells, unit = algebra_of(obj).mul_cells, obj.unit[0]
     if isinstance(obj, (HomCoalgebra, HomBialgebra, HomHopfAlgebra)):
-        comul_rows, counit = coalgebra_of(obj).comul_rows, obj.counit
+        comul_rows, counit = coalgebra_of(obj).comul_rows, transpose_rows(obj.counit)[0]
     antipode_rows = obj.antipode_rows if isinstance(obj, HomHopfAlgebra) else None
     return ObjectRecord(name, obj.dim, basis, obj.alpha, mul_cells, unit, comul_rows, counit, antipode_rows)
 

@@ -9,7 +9,7 @@ conventions and product-space helpers are those of ``constructions``.
 from __future__ import annotations
 
 from .constructions import (
-    _pair_product, _pair_vector, _product_dim, _tensor_coalgebra, comodule_cotwist,
+    _pair_product, _product_dim, _tensor_coalgebra, comodule_cotwist,
     cotwist_coproduct, dual, opposite_hopf, smash_product,
 )
 from .errors import CrossCheckFailed, HypothesisFailed, PreconditionFailed
@@ -34,9 +34,9 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
     ah_i1, aa_i1 = bi.power(-1), alg.power(-1)
     action, amul, hmul = act.act_cells, alg.mul_cells, bi.algebra.mul_cells
     h_terms, co_terms = bi.coalgebra.comul_terms, co.coact_terms
-    delta_a, rho, eps_a = coa.comul_rows, co.coact_rows, coa.counit_map
+    delta_a, rho, eps_a = coa.comul_rows, co.coact_rows, coa.counit
     acts, e_h = _flat(action), basis(nh)  # acts maps h (x) b to h . b
-    eps_h, hm = bi.coalgebra.counit_map, bi.algebra.mul_map
+    eps_h, hm = bi.coalgebra.counit, bi.algebra.mul_map
     # Legs as maps of a basis vector: acted[h] is b -> alpha^-1(h) . b,
     # times[h] is g -> alpha^-1(h) g, and twisted[a * nh + h] is
     # b -> alpha^-1(a) (alpha^-1(h) . alpha^-1(b)).
@@ -112,8 +112,8 @@ def bicrossproduct(
     co_terms, mc, amul = co.coact_terms, smash.mul_cells, A.algebra.mul_cells
     # h -> 1 (x) S_H(alpha_H^-2(h)) and a -> S_A(a) (x) 1
     sh_i2 = compose(H.power(-2), H.antipode_rows)
-    s_h = kron((A.algebra.unit_vector,), sh_i2)
-    s_then_1 = kron(A.antipode_rows, (H.algebra.unit_vector,))
+    s_h = kron(A.unit, sh_i2)
+    s_then_1 = kron(A.antipode_rows, H.unit)
     s_a = [[apply_map(s_then_1, bilinear_apply(amul, a, x)) for x in aa_i3] for a in aa_i2]
     antipode = tuple(
         linear_combination(
@@ -232,12 +232,12 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
     tau = [[_legs(terms, lefts, rights, v) for v in delta_a] for terms in h_terms]
     mul = _pair_product(A.algebra.mul_cells, transpose(H.algebra.mul_cells), tau)
     coalg = _tensor_coalgebra(A, H)
-    unit = _pair_vector(A.unit, H.unit)
+    unit = kron(A.unit, H.unit)
     alg = HomAlgebra(coalg.dim, mul, unit, coalg.alpha, alpha_inverse=coalg.alpha_inverse)
 
     # the two antipode factors as maps: h -> 1 (x) S_H alpha_H^-1(h), a -> S_A alpha_A^-1(a) (x) 1
-    s_h = kron((A.algebra.unit_vector,), compose(H.power(-1), H.antipode_rows))
-    s_a = kron(compose(A.power(-1), A.antipode_rows), (H.algebra.unit_vector,))
+    s_h = kron(A.unit, compose(H.power(-1), H.antipode_rows))
+    s_a = kron(compose(A.power(-1), A.antipode_rows), H.unit)
     antipode = tuple(
         bilinear_apply(alg.mul_cells, s_h[h], s_a[a]) for a in range(na) for h in range(nh)
     )

@@ -16,14 +16,11 @@ from fractions import Fraction
 from .errors import InvalidParameter, NotAGroup, NotAnAutomorphism
 from .exactlin import (
     ONE,
-    ZERO,
     SparseMatrix,
     SparseTensor3,
-    Vector,
     basis,
     pair_cells,
     rows_from_entries,
-    vector_from_entries,
 )
 from .structures import (
     MAX_DIM,
@@ -60,13 +57,14 @@ class CatalogEntry(Record):
     group: GroupData | None = None
 
 
-def _hopf(n: int, mul, unit: Vector, comul, counit: Vector, alpha, antipode) -> HomHopfAlgebra:
-    """The Hom-Hopf algebra of dimension ``n`` whose product, coproduct,
-    structure map and antipode have the nonzero entries ``mul``, ``comul``,
-    ``alpha`` and ``antipode``, ``{index tuple: scalar}``; its tables are
-    built from them."""
+def _hopf(n: int, mul, unit, comul, counit, alpha, antipode) -> HomHopfAlgebra:
+    """The Hom-Hopf algebra of dimension ``n`` whose product, unit ``k -> H``,
+    coproduct, counit ``H -> k``, structure map and antipode have the nonzero
+    entries ``mul``, ``unit``, ``comul``, ``counit``, ``alpha`` and
+    ``antipode``, ``{index tuple: scalar}``; its tables are built from them."""
     cube, square = (n, n, n), (n, n)
     mul, comul = pair_cells(rows_from_entries(cube, mul), n), rows_from_entries(cube, comul)
+    unit, counit = rows_from_entries((1, n), unit), rows_from_entries((n, 1), counit)
     alpha, antipode = rows_from_entries(square, alpha), rows_from_entries(square, antipode)
     return hopf_of_tables(mul, unit, comul, counit, alpha, antipode)
 
@@ -74,7 +72,7 @@ def _hopf(n: int, mul, unit: Vector, comul, counit: Vector, alpha, antipode) -> 
 def catalog_one() -> CatalogEntry:
     """The one-dimensional Hom-Hopf algebra (the ground field)."""
     e = basis(1)
-    one = hopf_of_tables((e,), (ONE,), e, (ONE,), e, e)
+    one = hopf_of_tables((e,), e, e, e, e, e)
     return CatalogEntry("one", one, ("1",))
 
 
@@ -86,7 +84,7 @@ def catalog_ax1() -> CatalogEntry:
     mul = {(0, 0, 0): ONE, (0, 1, 1): -ONE, (1, 0, 1): -ONE}
     comul = {(0, 0, 0): ONE, (1, 1, 0): -ONE, (1, 0, 1): -ONE}
     sign = {(0, 0): ONE, (1, 1): -ONE}
-    ax1 = _hopf(n, mul, (ONE, ZERO), comul, (ONE, ZERO), sign, sign)
+    ax1 = _hopf(n, mul, {(0, 0): ONE}, comul, {(0, 0): ONE}, sign, sign)
 
     kz2 = catalog_kz2().hopf
     acting = {(0, 0, 0): ONE, (0, 1, 1): -ONE, (1, 0, 0): ONE, (1, 1, 1): ONE}
@@ -104,7 +102,7 @@ def catalog_kz2() -> CatalogEntry:
     mul = {(0, 0, 0): ONE, (0, 1, 1): ONE, (1, 0, 1): ONE, (1, 1, 0): ONE}
     comul = {(0, 0, 0): ONE, (1, 1, 1): ONE}
     ident = {(0, 0): ONE, (1, 1): ONE}
-    h = _hopf(2, mul, (ONE, ZERO), comul, (ONE, ONE), ident, ident)
+    h = _hopf(2, mul, {(0, 0): ONE}, comul, {(0, 0): ONE, (1, 0): ONE}, ident, ident)
     return CatalogEntry("kz2", h, ("1", "g"))
 
 
@@ -127,9 +125,8 @@ def catalog_sweedler_hom() -> CatalogEntry:
     }
     alpha = {(0, 0): ONE, (1, 1): ONE, (2, 2): -ONE, (3, 3): -ONE}
     antipode = {(0, 0): ONE, (1, 1): ONE, (2, 3): -ONE, (3, 2): ONE}
-    h = _hopf(
-        n, e, vector_from_entries(n, {0: ONE}), comul, (ONE, ONE, ZERO, ZERO), alpha, antipode
-    )
+    counit = {(0, 0): ONE, (1, 0): ONE}
+    h = _hopf(n, e, {(0, 0): ONE}, comul, counit, alpha, antipode)
     half = F(1, 2)
     r = RMatrix(
         h.bialgebra,
@@ -184,15 +181,8 @@ def catalog_group(table, automorphism, name: str = "group") -> CatalogEntry:
     comul = {(a, phi[a], phi[a]): ONE for a in range(n)}
     alpha = {(a, phi[a]): ONE for a in range(n)}
     antipode = {(a, inverse[a]): ONE for a in range(n)}
-    h = _hopf(
-        n,
-        mul,
-        vector_from_entries(n, {ident: ONE}),
-        comul,
-        (ONE,) * n,
-        alpha,
-        antipode,
-    )
+    counit = {(a, 0): ONE for a in range(n)}
+    h = _hopf(n, mul, {(0, ident): ONE}, comul, counit, alpha, antipode)
     labels = tuple(f"g{a}" for a in range(n))
     group = GroupData(n, tuple(tuple(row) for row in table), ident, inverse, phi)
     return CatalogEntry(name, h, labels, group=group)

@@ -380,6 +380,17 @@ def _existing_path(path: str) -> str:
     return path
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of ``--help`` or
+    ``--version`` to standard output raises (argparse ignores it), so it exits 2."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _parser(prog: str | None) -> argparse.ArgumentParser:
     """The command grammar: options by their full name only, and ``--help`` without ``-h``."""
 
@@ -387,7 +398,7 @@ def _parser(prog: str | None) -> argparse.ArgumentParser:
         p.add_argument("--help", action="help", help="show this message and exit")
         return p
 
-    top = with_help(argparse.ArgumentParser(prog, description=main.__doc__, add_help=False, allow_abbrev=False))
+    top = with_help(_Parser(prog, description=main.__doc__, add_help=False, allow_abbrev=False))
     top.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
     commands = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
 

@@ -27,20 +27,17 @@ from .errors import InvalidParameter, NotAMorphism, PreconditionFailed
 from .exactlin import (
     SparseMatrix,
     SparseTensor3,
-    Vector,
     apply_kron,
     apply_map,
     basis,
     bilinear_apply,
     compose,
-    dense,
     flip,
     kron,
     linear_combination,
     mat_inverse,
     pair_cells,
     rows_from_entries,
-    sparse,
     transpose,
     transpose_rows,
 )
@@ -71,11 +68,6 @@ def _product_dim(n1: int, n2: int) -> int:
             f"the construction would be {n1 * n2}-dim, above the limit of {MAX_DIM}"
         )
     return n1 * n2
-
-
-def _pair_vector(u: Vector, v: Vector) -> Vector:
-    """The vector ``u (x) v`` of a product space: its unit or its counit."""
-    return dense(kron((sparse(u),), (sparse(v),))[0])
 
 
 def _product_alpha(X, Y) -> tuple[SparseMatrix, SparseMatrix]:
@@ -117,8 +109,8 @@ def yau_twist(classical: HomHopfAlgebra, endo: SparseMatrix) -> HomHopfAlgebra:
     if classical.alpha != basis(n):
         raise PreconditionFailed("input must be classical: its structure map must be the identity")
     A, C = classical.algebra, classical.coalgebra
-    er, m, sr, su = endo, A.mul_map, classical.antipode_rows, (A.unit_vector,)
-    dr, eps = C.comul_rows, C.counit_map
+    er, m, sr, su = endo, A.mul_map, classical.antipode_rows, A.unit
+    dr, eps = C.comul_rows, C.counit
     twisted_mul, twisted_delta = compose(m, er), compose(er, dr)  # endo(ab), delta(endo(a))
     laws = (
         ("endo(1) = 1", compose(su, er), su),
@@ -158,7 +150,8 @@ def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
 
     Multiplication pairs against the twisted coproduct,
     ``(f.g)(h) = f(alpha^-2(h_1)) g(alpha^-2(h_2))``, the coproduct against
-    the twisted product, ``<delta(f), h (x) k> = f(alpha^-2(hk))``, the
+    the twisted product, ``<delta(f), h (x) k> = f(alpha^-2(hk))``, the unit
+    and the counit are the transposes of the counit and the unit, the
     structure map is the transpose of the inverse structure map (its inverse
     the transpose of alpha), and the antipode is the transpose of the antipode.
     """
@@ -169,9 +162,9 @@ def dual(h: HomHopfAlgebra) -> HomHopfAlgebra:
     coproducts = transpose_rows(compose(h.algebra.mul_map, a2))
     return hopf_of_tables(
         tuple(products[i * n : (i + 1) * n] for i in range(n)),
-        h.counit,
+        transpose_rows(h.counit),
         coproducts,
-        h.unit,
+        transpose_rows(h.unit),
         transpose_rows(h.alpha_inverse),
         transpose_rows(h.antipode_rows),
         transpose_rows(h.alpha),
@@ -202,9 +195,8 @@ def smash_product(A, H, act: ModuleAction, check: bool = True) -> HomAlgebra:
     acted = [[bilinear_apply(action, x, y) for x in ah_i2] for y in aa_i1]
     tau = [[apply_kron(row, ah_i1, v) for row in acted] for v in delta]
     mul = _pair_product(alg.mul_cells, transpose(bi.algebra.mul_cells), tau)
-    unit = _pair_vector(alg.unit, bi.unit)
     alpha, inverse = _product_alpha(alg, bi)
-    return HomAlgebra(na * nh, mul, unit, alpha, alpha_inverse=inverse)
+    return HomAlgebra(na * nh, mul, kron(alg.unit, bi.unit), alpha, alpha_inverse=inverse)
 
 
 def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> SparseMatrix:
@@ -249,9 +241,8 @@ def cotwist_coproduct(C, D, phi: SparseMatrix, check: bool = True) -> HomCoalgeb
     # c_2 (x) d to phi(c_2 (x) d_1) (x) d_2, and c (x) d goes to c_1 (x) phi_d(c_2 (x) d)
     phi_d = compose(kron(ec, Dc.comul_rows), (phi, ed))
     comul = compose(kron(Cc.comul_rows, ed), (ec, phi_d))
-    counit = _pair_vector(Cc.counit, Dc.counit)
     alpha, inverse = _product_alpha(Cc, Dc)
-    return HomCoalgebra(nc * nd, comul, counit, alpha, alpha_inverse=inverse)
+    return HomCoalgebra(nc * nd, comul, kron(Cc.counit, Dc.counit), alpha, alpha_inverse=inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +289,13 @@ def drinfeld_double(H: HomHopfAlgebra) -> HomHopfAlgebra:
     tau = [[dressed(j, sweedler) for sweedler in h_terms] for j in range(n)]
     mul = _pair_product(shifted, times, tau)
     coalg = _tensor_coalgebra(H, hst)
-    unit = _pair_vector(H.unit, hst.unit)
+    unit = kron(H.unit, hst.unit)
     alg = HomAlgebra(coalg.dim, mul, unit, coalg.alpha, alpha_inverse=coalg.alpha_inverse)
 
-    # S(h (x) f) = (1 (x) S*(alpha*(f))) (S^-1(alpha^-1(h)) (x) counit), factor by factor
-    counit = hst.algebra.unit_vector  # the counit of H is the unit of its dual
-    s_f = kron((H.algebra.unit_vector,), compose(hst.power(-1), hst.antipode_rows))
-    s_h = kron(compose(H.power(-1), H.antipode_inverse), (counit,))
+    # S(h (x) f) = (1 (x) S*(alpha*(f))) (S^-1(alpha^-1(h)) (x) counit), factor by factor;
+    # the counit of H is the unit of its dual
+    s_f = kron(H.unit, compose(hst.power(-1), hst.antipode_rows))
+    s_h = kron(compose(H.power(-1), H.antipode_inverse), hst.unit)
     mc = alg.mul_cells
     antipode = tuple(bilinear_apply(mc, s_f[j], s_h[h]) for h in range(n) for j in range(n))
     return HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
@@ -316,8 +307,8 @@ def canonical_r_matrix(H: HomHopfAlgebra, double: HomHopfAlgebra | None = None) 
     if double is None:
         double = drinfeld_double(H)
     # row i of first is 1 (x) (alpha^-1)*(e^i), row i of second S^-1(e_i) (x) counit
-    first = kron((H.algebra.unit_vector,), transpose_rows(H.alpha_inverse))
-    second = kron(H.antipode_inverse, (sparse(H.counit),))
+    first = kron(H.unit, transpose_rows(H.alpha_inverse))
+    second = kron(H.antipode_inverse, transpose_rows(H.counit))
     return RMatrix(double.bialgebra, compose(transpose_rows(first), second))
 
 
@@ -394,7 +385,7 @@ def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
     # a_1 (x) b_2 (x) a_2 (x) b_1: the tensor coproduct with B's co-opposite
     coalg = _tensor_coalgebra(A, B.coalgebra.op)
     antipode = compose(kron(A.antipode_rows, sb_inv), flip(na, nb), twisting)
-    unit = _pair_vector(A.unit, B.unit)
+    unit = kron(A.unit, B.unit)
     mul = _pair_product(first, second, tau)
     alg = HomAlgebra(coalg.dim, mul, unit, coalg.alpha, alpha_inverse=coalg.alpha_inverse)
     hopf = HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
@@ -445,17 +436,14 @@ def drinfeld_double_tilde(A: HomHopfAlgebra) -> HomBialgebra:
     # basis vector q here is the double's order[q]; the flip f is an involution
     f = flip(n, n)
     order = [q % n * n + q // n for q in range(n * n)]
-
-    def moved(v: Vector) -> Vector:
-        return tuple(v[p] for p in order)
-
     op = transpose(d.algebra.mul_cells)
     mul = tuple(compose([op[pr][pc] for pc in order], f) for pr in order)
     comul = compose([d.coalgebra.comul_op_rows[p] for p in order], (f, f))
     alpha, alpha_inverse = (compose([m[p] for p in order], f) for m in (d.alpha, d.alpha_inverse))
+    counit = tuple(d.counit[p] for p in order)
     return HomBialgebra(
-        HomAlgebra(d.dim, mul, moved(d.unit), alpha, alpha_inverse=alpha_inverse),
-        HomCoalgebra(d.dim, comul, moved(d.counit), alpha, alpha_inverse=alpha_inverse),
+        HomAlgebra(d.dim, mul, compose(d.unit, f), alpha, alpha_inverse=alpha_inverse),
+        HomCoalgebra(d.dim, comul, counit, alpha, alpha_inverse=alpha_inverse),
     )
 
 
@@ -492,7 +480,6 @@ def canonical_cocycles(
         double_tilde = drinfeld_double_tilde(A)
     # rows of the forms: e_h (x) e^j -> counit(e_h) <e^j, alpha(.)> (.)(1) and
     # e^j (x) e_a -> e^j(1) <., alpha(e_a)> counit(.)
-    unit, counit = A.algebra.unit_vector, sparse(A.counit)
-    sigma = kron(A.coalgebra.counit_map, kron(transpose_rows(A.alpha), (unit,)))
-    eta = kron(transpose_rows((unit,)), kron(A.alpha, (counit,)))
+    sigma = kron(A.counit, kron(transpose_rows(A.alpha), A.unit))
+    eta = kron(transpose_rows(A.unit), kron(A.alpha, transpose_rows(A.counit)))
     return TwoCocycle(double.bialgebra, sigma, "left"), TwoCocycle(double_tilde, eta, "right")

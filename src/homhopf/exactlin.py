@@ -25,10 +25,12 @@ return sparse results.  No result keeps a coefficient that cancelled to
 zero, so two sparse vectors of the same length are equal exactly when their
 dense vectors (``dense``) are.  Tables are built sparse
 (``rows_from_entries``, the kernels) and are the fields of the domain types
-of ``structures``.  Only vectors (units, counits, the two sides of a failure
-witness) are dense tuples.  ``rows``, ``cells``, ``dense_rows``,
-``dense_cells`` and ``flatten_pair`` convert between tables and dense
-tensors for the dense file records of ``fileformat``.  The kernels check
+of ``structures``; a unit and a counit are maps too, from and to the
+one-dimensional space.  Only the two sides of a failure witness are dense
+tuples.  ``rows``, ``cells``, ``dense_rows``, ``dense_cells`` and
+``flatten_pair`` convert between tables and the dense tensors of the file
+records of ``fileformat``, and ``sparse`` and ``dense`` between sparse and
+dense vectors.  The kernels check
 only that the lengths of their operands fit together.
 
 Sweedler sums and tensor legs are enumerated here and nowhere else:
@@ -105,10 +107,6 @@ def format_scalar(value: Scalar) -> str:
 
 # ---------------------------------------------------------------------------
 # vectors
-
-
-def vector_from_entries(n: int, entries: dict[int, Scalar]) -> Vector:
-    return tuple(entries.get(i, ZERO) for i in range(n))
 
 
 def nonzeros(v: Iterable[Scalar]) -> Iterator[tuple[int, Scalar]]:

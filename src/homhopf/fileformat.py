@@ -2,8 +2,9 @@
 generator: ``perfbench/inputs.py`` relabels the dense fields of a catalog
 entry's ``bundle_of_entry`` with ``dataclasses.replace`` and writes it with
 ``serialize``.  The grammar, the writer and the records' methods are
-``algfile``'s; an object record hands ``algfile`` its tables and the rows of
-its structure map, made from its dense fields once (``tables``).  No command
+``algfile``'s; an object record hands ``algfile`` its tables, the rows of
+its structure map and its unit and counit as sparse vectors, made from its
+dense fields once (``tables``).  No command
 loads this module or ``dataclasses``; ROADMAP directions 10 and 11 delete it
 once the generator builds ``algfile`` records by constructor.
 """
@@ -15,7 +16,10 @@ from functools import cached_property
 
 from . import algfile
 from .algfile import Sections
-from .exactlin import Matrix, Scalar, Tensor3, Vector, cells, dense_cells, dense_rows, flatten_pair, pair_cells, rows
+from .exactlin import (
+    Matrix, Scalar, Tensor3, Vector, cells, dense, dense_cells, dense_rows, flatten_pair, pair_cells,
+    rows, sparse,
+)
 
 
 @dataclass(frozen=True)
@@ -35,8 +39,10 @@ class ObjectRecord:
         """The ``algfile`` record of the same object."""
         return algfile.ObjectRecord(
             self.name, self.dim, self.basis, rows(self.alpha),
-            None if self.mul is None else cells(self.mul), self.unit,
-            None if self.comul is None else rows(map(flatten_pair, self.comul)), self.counit,
+            None if self.mul is None else cells(self.mul),
+            None if self.unit is None else sparse(self.unit),
+            None if self.comul is None else rows(map(flatten_pair, self.comul)),
+            None if self.counit is None else sparse(self.counit),
             None if self.antipode is None else rows(self.antipode),
         )
 
@@ -68,8 +74,10 @@ def _dense(file: algfile.AlgebraFile) -> AlgebraFile:
     objects = tuple(
         ObjectRecord(
             r.name, r.dim, r.basis, dense_rows(r.alpha),
-            r.mul_cells and dense_cells(r.mul_cells), r.unit,
-            r.comul_rows and dense_cells(pair_cells(r.comul_rows, r.dim)), r.counit,
+            r.mul_cells and dense_cells(r.mul_cells),
+            None if r.unit is None else dense(r.unit),
+            r.comul_rows and dense_cells(pair_cells(r.comul_rows, r.dim)),
+            None if r.counit is None else dense(r.counit),
             r.antipode_rows and dense_rows(r.antipode_rows),
         )
         for r in file.objects

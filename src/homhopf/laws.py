@@ -17,7 +17,7 @@ from itertools import product
 
 from .exactlin import (
     SparseMatrix, SparseTensor3, apply_kron, apply_map, basis, bilinear_apply, compose, kron,
-    linear_combination, product_cases, sparse, transpose, transpose_rows,
+    linear_combination, product_cases, transpose, transpose_rows,
 )
 from .structures import (
     CheckEntry, CheckReport, ComoduleCoaction, HomBialgebra, MatchedPairData, ModuleAction,
@@ -40,7 +40,7 @@ def check_module(m: ModuleAction) -> CheckReport:
     actor = algebra_of(m.actor)
     na, nm = actor.dim, m.carrier.dim
     act, am, e = m.act_cells, m.carrier.alpha, basis(nm)
-    aa, amul, unit = actor.alpha, actor.mul_cells, (actor.unit_vector,)
+    aa, amul, unit = actor.alpha, actor.mul_cells, actor.unit
     acts = _flat(act)  # h (x) x -> h . x
     associative = (
         ((a, b, i), bilinear_apply(act, aa[a], act[b][i]), bilinear_apply(act, amul[a][b], am[i]))
@@ -64,8 +64,8 @@ def check_module_algebra(m: ModuleAction) -> CheckReport:
     na, nc = actor.dim, carrier.dim
     act, cmc, cmul = m.act_cells, carrier.mul_cells, carrier.mul_map
     alpha2 = actor.power(2)
-    e, eta = basis(na), (carrier.unit_vector,)
-    eps, delta = actor.coalgebra.counit_map, actor.coalgebra.comul_rows
+    e, eta = basis(na), carrier.unit
+    eps, delta = actor.coalgebra.counit, actor.coalgebra.comul_rows
     acting_on = transpose(act)  # acting_on[a] is the map h -> h . e_a
     multiplicative = (
         (
@@ -89,7 +89,7 @@ def check_comodule(c: ComoduleCoaction) -> CheckReport:
     coactor = coalgebra_of(c.coactor)
     nm = c.carrier.dim
     am, ac, e = c.carrier.alpha, coactor.alpha, basis(nm)
-    eps, rho, cm = coactor.counit_map, c.coact_rows, coactor.comul_rows
+    eps, rho, cm = coactor.counit, c.coact_rows, coactor.comul_rows
     checks = (
         _sweep("comodule.counit-reduces-to-alpha", (nm,), compose(rho, (e, eps)), am),
         _sweep("comodule.alpha-equivariant", (nm,), compose(rho, (am, ac)), compose(am, rho)),
@@ -107,8 +107,8 @@ def check_comodule_coalgebra(c: ComoduleCoaction) -> CheckReport:
     nm, nh = carrier.dim, coactor.dim
     alpha2 = coactor.power(2)
     rho, rho_terms, hmul = c.coact_rows, c.coact_terms, coactor.algebra.mul_cells
-    comul_terms, cm, eps = carrier.comul_terms, carrier.comul_rows, carrier.counit_map
-    eta = (coactor.algebra.unit_vector,)
+    comul_terms, cm, eps = carrier.comul_terms, carrier.comul_rows, carrier.counit
+    eta = coactor.algebra.unit
     e, em = basis(nh), basis(nm)
     embed = tuple(kron((row,), em) for row in em)  # embed[d] is m -> e_d (x) m
     # c_1(0) (x) c_2(0) (x) c_1(1) c_2(1)
@@ -140,7 +140,7 @@ def check_module_coalgebra(m: ModuleAction) -> CheckReport:
     carrier = coalgebra_of(m.carrier)
     nh, nc = actor.dim, carrier.dim
     act, acts, actor_terms = m.act_cells, _flat(m.act_cells), actor.coalgebra.comul_terms
-    cm, eps, actor_eps = carrier.comul_rows, carrier.counit_map, actor.coalgebra.counit_map
+    cm, eps, actor_eps = carrier.comul_rows, carrier.counit, actor.coalgebra.counit
     # h_1 . c_1 (x) h_2 . c_2
     coproducts = tuple(_legs(actor_terms[h], act, act, cm[c]) for h in range(nh) for c in range(nc))
     checks = (
@@ -165,7 +165,7 @@ def check_cotwisting(C, D, phi: SparseMatrix) -> CheckReport:
 
     cm, dm, ac, ad = C.comul_rows, D.comul_rows, C.alpha, D.alpha
     ec, ed, cd = basis(nc), basis(nd), (nc, nd)
-    eps_c, eps_d = C.counit_map, D.counit_map
+    eps_c, eps_d = C.counit, D.counit
     # alpha_C (x) delta_D, then phi (x) id_D, then id_D (x) phi
     second = compose(kron(ac, dm), (phi, ed), (ed, phi))
     # delta_C (x) alpha_D, then id_C (x) phi, then phi (x) id_C
@@ -300,9 +300,9 @@ def check_dual_pair(P: PairingForm) -> CheckReport:
     A, B, gram = P.left, P.right, P.gram
     na, nb = A.dim, B.dim
     e_a, e_b, a_alpha, b_alpha = basis(na), basis(nb), A.alpha, B.alpha
-    eps_a, eps_b = A.coalgebra.counit_map, B.coalgebra.counit_map
+    eps_a, eps_b = A.coalgebra.counit, B.coalgebra.counit
     a_mul, b_mul = A.algebra.mul_cells, B.algebra.mul_cells
-    a_unit, b_unit, s_a = (A.algebra.unit_vector,), (B.algebra.unit_vector,), A.antipode_rows
+    a_unit, b_unit, s_a = A.algebra.unit, B.algebra.unit, A.antipode_rows
     form = P.form
     pair = _flat(form)  # a (x) b -> <a, b>
     s_b_inverse = compose(kron(e_a, B.antipode_inverse), pair)
@@ -363,8 +363,8 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
         for k in ks
     )
     # h -> (sigma(1, h), sigma(h, 1)) against h -> (counit(h), counit(h))
-    unit, counit = B.algebra.unit_vector, sparse(B.counit)
-    normal = transpose_rows((apply_map(gram, unit), apply_map(transpose_rows(gram), unit)))
+    eta, counit = B.unit, transpose_rows(B.counit)
+    normal = transpose_rows(compose(eta, gram) + compose(eta, transpose_rows(gram)))
 
     checks = (
         _sweep("cocycle.alpha-invariant", (n, n), compose(kron(alpha, alpha), pair), pair),
@@ -373,7 +373,7 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
         # right: sigma(alpha^2(h), l_1 k_1) sigma(l_2, k_2)
         #          = sigma(h_1 l_1, alpha^2(k)) sigma(h_2, l_2)
         _sweep(f"cocycle.{sigma.side}-condition", condition),
-        _sweep("cocycle.normal", (n,), normal, transpose_rows((counit, counit))),
+        _sweep("cocycle.normal", (n,), normal, transpose_rows(counit + counit)),
     )
     return CheckReport(checks)
 
@@ -388,7 +388,7 @@ def check_comodule_algebra(A, c: ComoduleCoaction) -> CheckReport:
     amul, hmul = alg.mul_cells, coactor.algebra.mul_cells
     # a_(0) b_(0) (x) a_(1) b_(1)
     products = tuple(_legs(rho_terms[i], amul, hmul, rho[j]) for i in range(nm) for j in range(nm))
-    unit, coactor_unit = (alg.unit_vector,), (coactor.algebra.unit_vector,)
+    unit, coactor_unit = alg.unit, coactor.algebra.unit
     checks = (
         *check_comodule(c).checks,
         _sweep("comodule-algebra.multiplicative", (nm, nm), compose(alg.mul_map, rho), products),

@@ -41,20 +41,21 @@ tables of the ``exactlin`` kernels, in its fields: ``HomAlgebra.mul_cells``,
 ``left_cells`` and ``right_cells`` of a ``MatchedPairData``.  Every map is
 sparse rows too: the structure map ``alpha`` and its inverse, the antipode
 inverse, the ``gram`` of a pairing or a cocycle and the ``entries`` of an
-R-matrix.  Only vectors are dense: units, counits and the sides of a failure
-witness.  ``==``, ``hash``, ``repr`` and ``__match_args__`` read the fields.
-No domain type makes a dense tensor: the dense records of a definition file
-are ``fileformat``'s.  Derived views are cached in the instance ``__dict__``
-(``functools.cached_property``; ``power`` keeps one dict of powers), so they
-are freed with the object: ``mul_map`` and ``unit_vector``; ``comul_op_rows``,
-``comul_terms`` and ``counit_map``; ``alpha_inverse`` and ``power(k)``, the
-rows of ``alpha^k``; ``antipode_inverse``; ``coact_terms``; the ``form`` of a
-``PairingForm`` or ``TwoCocycle`` and ``TwoCocycle.products``;
-``RMatrix.vector``; and the ``left_module`` and ``right_module`` of a
-``MatchedPairData``.  ``HomAlgebra.op`` and ``HomCoalgebra.op`` are objects
-built from transposed or leg-swapped tables.  A builder that knows the inverse
-of a structure map hands it over (``alpha_inverse=``) instead of having it
-inverted again.
+R-matrix, and the unit ``eta: k -> A`` (one row) and the counit
+``eps: C -> k`` (rows of length one).  Only the two sides of a failure
+witness are dense vectors.  ``==``, ``hash``, ``repr`` and
+``__match_args__`` read the fields.  No domain type makes a dense tensor:
+the dense records of a definition file are ``fileformat``'s.  Derived views
+are cached in the instance ``__dict__`` (``functools.cached_property``;
+``power`` keeps one dict of powers), so they are freed with the object:
+``mul_map``; ``comul_op_rows`` and ``comul_terms``; ``alpha_inverse`` and
+``power(k)``, the rows of ``alpha^k``; ``antipode_inverse``;
+``coact_terms``; the ``form`` of a ``PairingForm`` or ``TwoCocycle`` and
+``TwoCocycle.products``; ``RMatrix.vector``; and the ``left_module`` and
+``right_module`` of a ``MatchedPairData``.  ``HomAlgebra.op`` and
+``HomCoalgebra.op`` are objects built from transposed or leg-swapped tables.
+A builder that knows the inverse of a structure map hands it over
+(``alpha_inverse=``) instead of having it inverted again.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ from .exactlin import (
     pair_cells,
     product_cases,
     rows_from_entries,
-    sparse,
     square_cases,
     tensor_power_products,
     terms,
@@ -169,10 +169,10 @@ def _path(dotted: str) -> property:
 
 def _shape(t) -> tuple[int, ...]:
     """The shape of a sparse table, read from its first entries: rows as
-    ``(len, dim)``, cells as ``(len, len, dim)``."""
+    ``(len, dim)``, cells as ``(len, len, dim)``; a dense vector has no ``dim``."""
     if not t:
         return (0,)
-    return (len(t), *_shape(t[0])) if isinstance(t[0], tuple) else (len(t), t[0].dim)
+    return (len(t), *_shape(t[0])) if isinstance(t[0], tuple) else (len(t), getattr(t[0], "dim", None))
 
 
 def _inverse(m: SparseMatrix, message: str = "structure map must be invertible") -> SparseMatrix:
@@ -219,20 +219,20 @@ class _HomSpace(Record):
 class HomAlgebra(_HomSpace):
     """A unital Hom-associative algebra by structure constants.
 
-    ``mul_cells[i][j]`` is the product ``e_i . e_j``; ``unit`` is the
-    coordinate vector of the unit element; ``alpha`` is the rows of the
-    (invertible) structure map.
+    ``mul_cells[i][j]`` is the product ``e_i . e_j``; ``unit`` is the map
+    ``eta: k -> A``, its one row the unit element; ``alpha`` is the rows of
+    the (invertible) structure map.
     """
 
     dim: int
     mul_cells: SparseTensor3
-    unit: Vector
+    unit: SparseMatrix
     alpha: SparseMatrix
 
     def __post_init__(self):
         n = self.dim
         _require(_shape(self.mul_cells) == (n, n, n), "multiplication tensor shape")
-        _require(len(self.unit) == n, "unit vector length")
+        _require(_shape(self.unit) == (1, n), "unit shape")
         super().__post_init__()
 
     @cached_property
@@ -246,27 +246,24 @@ class HomAlgebra(_HomSpace):
         """The multiplication as a row-image map ``H (x) H -> H``."""
         return _flat(self.mul_cells)
 
-    @cached_property
-    def unit_vector(self) -> Sparse:
-        return sparse(self.unit)
-
 
 class HomCoalgebra(_HomSpace):
     """A counital Hom-coassociative coalgebra by structure constants.
 
     ``comul_rows[i]`` is ``delta(e_i)`` on the flattened pair space, a
-    row-image map ``C -> C (x) C``; ``counit`` is the counit as a covector.
+    row-image map ``C -> C (x) C``; ``counit`` is the map ``eps: C -> k``,
+    ``counit[i]`` being ``eps(e_i)`` on the one-dimensional space.
     """
 
     dim: int
     comul_rows: SparseMatrix
-    counit: Vector
+    counit: SparseMatrix
     alpha: SparseMatrix
 
     def __post_init__(self):
         n = self.dim
         _require(_shape(self.comul_rows) == (n, n * n), "comultiplication tensor shape")
-        _require(len(self.counit) == n, "counit covector length")
+        _require(_shape(self.counit) == (n, 1), "counit shape")
         super().__post_init__()
 
     @cached_property
@@ -287,11 +284,6 @@ class HomCoalgebra(_HomSpace):
     def comul_terms(self):
         """The Sweedler terms of each ``delta(e_i)`` (see ``exactlin.terms``)."""
         return terms(self.comul_rows, self.dim)
-
-    @cached_property
-    def counit_map(self) -> SparseMatrix:
-        """The counit as a row-image map to the one-dimensional space."""
-        return transpose_rows((sparse(self.counit),))
 
 
 class HomBialgebra(Record):
@@ -626,7 +618,7 @@ def check_hom_algebra(obj) -> CheckReport:
     the Hom-associative law alpha(a)(bc) = (ab)alpha(c)."""
     A = algebra_of(obj)
     n = A.dim
-    mc, m, ar, e, unit = A.mul_cells, A.mul_map, A.alpha, basis(n), (A.unit_vector,)
+    mc, m, ar, e, unit = A.mul_cells, A.mul_map, A.alpha, basis(n), A.unit
     # alpha(e_i e_j) against alpha(e_i) alpha(e_j)
     multiplicative = (
         ((i, j), apply_map(ar, m[i * n + j]), bilinear_apply(mc, ar[i], ar[j]))
@@ -651,7 +643,7 @@ def check_hom_coalgebra(obj) -> CheckReport:
     """Counital Hom-coassociativity of a coalgebra."""
     C = coalgebra_of(obj)
     n = C.dim
-    ar, e, eps, cm = C.alpha, basis(n), C.counit_map, C.comul_rows
+    ar, e, eps, cm = C.alpha, basis(n), C.counit, C.comul_rows
     checks = (
         _sweep("coalgebra.counit-alpha", (n,), compose(ar, eps), eps),
         _sweep("coalgebra.alpha-comultiplicative", (n,), compose(ar, cm), compose(cm, (ar, ar))),
@@ -666,8 +658,8 @@ def check_hom_bialgebra(obj) -> CheckReport:
     """Comultiplication and counit are morphisms of Hom-algebras."""
     B = bialgebra_of(obj)
     n = B.dim
-    mc, m, unit = B.algebra.mul_cells, B.algebra.mul_map, (B.algebra.unit_vector,)
-    delta, eps = B.coalgebra.comul_rows, B.coalgebra.counit_map
+    mc, m, unit = B.algebra.mul_cells, B.algebra.mul_map, B.algebra.unit
+    delta, eps = B.coalgebra.comul_rows, B.coalgebra.counit
     # delta(e_i e_j) against delta(e_i) delta(e_j) in the tensor-square algebra,
     # each product formed as the sweep reads its case
     cases, pairs = tee(square_cases(mc, delta))
@@ -692,7 +684,7 @@ def check_antipode(H: HomHopfAlgebra) -> CheckReport:
     n = H.dim
     A, C = H.algebra, H.coalgebra
     mc, m, ar, S, e = A.mul_cells, A.mul_map, A.alpha, H.antipode_rows, basis(n)
-    cm, cm_op, eps, eta = C.comul_rows, C.comul_op_rows, C.counit_map, (A.unit_vector,)
+    cm, cm_op, eps, eta = C.comul_rows, C.comul_op_rows, C.counit, A.unit
     counit_unit = compose(eps, eta)  # h -> counit(h) 1
     checks = (
         _sweep("antipode.commutes-with-alpha", (n,), compose(ar, S), compose(S, ar)),
@@ -728,7 +720,7 @@ def check_morphism(prefix: str, X, Y, phi: SparseMatrix) -> CheckReport:
     _require(len(phi) == n and phi[0].dim == m, "morphism shape")
     checks = [
         _sweep(prefix + ".mul", _morphism_products(phi, A.mul_cells, B.mul_cells)),
-        _sweep(prefix + ".unit", (), compose((A.unit_vector,), phi), (B.unit_vector,)),
+        _sweep(prefix + ".unit", (), compose(A.unit, phi), B.unit),
         _sweep(prefix + ".alpha", (n,), compose(A.alpha, phi), compose(phi, B.alpha)),
     ]
     if isinstance(X, HomHopfAlgebra) and isinstance(Y, HomHopfAlgebra):
@@ -755,7 +747,7 @@ def check_quasitriangular(H, R: RMatrix) -> CheckReport:
     B = bialgebra_of(H)
     n = B.dim
     mc, alpha, rvec, r = B.algebra.mul_cells, B.alpha, R.vector, (R.vector,)
-    e, unit = basis(n), (B.algebra.unit_vector,)
+    e, unit = basis(n), B.algebra.unit
     cm, cm_op = B.coalgebra.comul_rows, B.coalgebra.comul_op_rows
     with_unit = kron(e, unit)  # x -> x (x) 1
     unit_with = kron(unit, e)  # x -> 1 (x) x

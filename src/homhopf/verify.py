@@ -262,8 +262,8 @@ def verify_dual_pair_route(H: HomHopfAlgebra) -> SuiteResult:
 
     A, B = pairing.left, pairing.right
     na, nb = A.dim, B.dim
-    embed_a = kron(basis(na), (B.algebra.unit_vector,))  # a -> a (x) 1
-    embed_b = kron((A.algebra.unit_vector,), basis(nb))  # b -> 1 (x) b
+    embed_a = kron(basis(na), B.algebra.unit)  # a -> a (x) 1
+    embed_b = kron(A.algebra.unit, basis(nb))  # b -> 1 (x) b
 
     mul = paired.hopf.algebra.mul_map
     embeddings = (

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from homhopf.cli import main
 from homhopf.errors import SingularMatrixError
-from homhopf.exactlin import cells, dense_cells, dense_rows, flatten_pair, pair_cells, rows
+from homhopf.exactlin import cells, dense, dense_cells, dense_rows, flatten_pair, pair_cells, rows, transpose_rows
 from homhopf.structures import HomHopfAlgebra, _require, algebra_of, coalgebra_of, hopf_of_tables
 
 
@@ -58,18 +58,23 @@ def replaced(obj, **changes):
 
 def hopf_algebra(dim, mul, unit, comul, counit, alpha, antipode) -> HomHopfAlgebra:
     """Assemble a HomHopfAlgebra from the dense tensors ``mul``, ``comul`` and
-    ``antipode`` (as ``dense_field`` gives them), each converted to its table
-    once, and the rows of its structure map: the tests' dense constructor."""
+    ``antipode`` and the dense vectors ``unit`` and ``counit`` (as
+    ``dense_field`` gives them), each converted to its table or map once, and
+    the rows of its structure map: the tests' dense constructor."""
     _require(len(mul) == dim, "multiplication tensor shape")
-    return hopf_of_tables(cells(mul), unit, rows(map(flatten_pair, comul)), counit, alpha, rows(antipode))
+    eta, eps = rows((unit,)), rows(tuple((c,) for c in counit))
+    return hopf_of_tables(cells(mul), eta, rows(map(flatten_pair, comul)), eps, alpha, rows(antipode))
 
 
 # The dense tensor of each table, by the name of the tensor: ``mul[i][j][k]`` is
 # the ``e_k``-coefficient of ``e_i . e_j``, ``comul[i][j][k]`` the ``e_j (x) e_k``-
 # coefficient of ``delta(e_i)``, ``antipode[i]`` is ``S(e_i)``, ``act[h][m][m']``
 # the ``e_m'``-coefficient of ``e_h . e_m`` and ``coact[m][m'][c]`` the
-# ``e_m' (x) e_c``-coefficient of ``rho(e_m)``.
+# ``e_m' (x) e_c``-coefficient of ``rho(e_m)``; ``unit`` is the unit element
+# and ``counit[i]`` is ``counit(e_i)``.
 _DENSE = {
+    "unit": lambda x: dense(x.unit[0]),
+    "counit": lambda x: dense(transpose_rows(x.counit)[0]),
     "mul": lambda x: dense_cells(algebra_of(x).mul_cells),
     "comul": lambda x: dense_cells(pair_cells(coalgebra_of(x).comul_rows, x.dim)),
     "antipode": lambda x: dense_rows(x.antipode_rows),
@@ -79,10 +84,11 @@ _DENSE = {
 
 
 def dense_field(obj, name: str):
-    """The dense tensor ``name`` (``mul``, ``comul``, ``antipode``, ``act`` or
-    ``coact``) of the domain object ``obj``, made from its table; any other
-    field (``unit``, ``counit``, ``alpha``) is read as it is, so the
-    arguments of ``hopf_algebra`` are ``dense_field`` of each of its names."""
+    """The dense tensor or vector ``name`` (``mul``, ``unit``, ``comul``,
+    ``counit``, ``antipode``, ``act`` or ``coact``) of the domain object
+    ``obj``, made from its table; any other field (``alpha``) is read as it
+    is, so the arguments of ``hopf_algebra`` are ``dense_field`` of each of
+    its names."""
     return _DENSE[name](obj) if name in _DENSE else getattr(obj, name)
 
 

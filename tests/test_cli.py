@@ -1,13 +1,16 @@
 """Command-line interface: exit codes, outputs, report determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from conftest import cells_from_entries, replaced, run_cli
-from homhopf.algfile import bundle_of_entry, read, write
+from conftest import cells_from_entries, dense_field, replaced, run_cli
+from homhopf.algfile import SCHEMA_VERSION, AlgebraFile, block_record, bundle_of_entry, read, write
 from homhopf.catalog import get_entry
-from homhopf.exactlin import rows_from_entries
+from homhopf.cli import KINDS, LEVELS, SUITES, main
+from homhopf.exactlin import compose, rows_from_entries, transpose_rows
 from homhopf.structures import ComoduleCoaction, ModuleAction
 
 
@@ -25,6 +28,24 @@ def _ax1_with_coalgebra_partner() -> str:
         if line.split()[0] not in ("mul", "unit", "antipode")
     ]
     return head + "object ax1_partner\n" + "".join(kept)
+
+
+def _without(text: str, obj: str, kind: str) -> str:
+    """The definition file ``text`` with the ``kind`` lines of object ``obj`` dropped."""
+    kept, current = [], None
+    for line in text.splitlines(keepends=True):
+        head, *rest = line.split()
+        if head == "object":
+            current = rest[0]
+        elif head == "end":
+            current = None
+        if not (current == obj and head == kind):
+            kept.append(line)
+    return "".join(kept)
+
+
+def _ax1_without(obj: str, kind: str) -> str:
+    return _without(invoke("export", "ax1").output, obj, kind)
 
 
 class TestCheckCommand:
@@ -276,7 +297,8 @@ class TestConstructCommand:
         )
 
         h = get_entry("cyclic:2").hopf
-        trivial = tuple(tuple(a * b for b in h.counit) for a in h.counit)
+        counit = dense_field(h, "counit")
+        trivial = tuple(tuple(a * b for b in counit) for a in counit)
         bundle = AlgebraFile(
             SCHEMA_VERSION,
             (object_record("c2", h.bialgebra.algebra),),
@@ -291,7 +313,15 @@ class TestConstructCommand:
         (tmp_path / "ax1.alg").write_text(_ax1_with_coalgebra_partner())
         result = invoke("construct", "bicross", str(tmp_path / "ax1.alg"))
         assert result.exit_code == 2
-        assert "error: no bialgebra structure on HomCoalgebra" in result.output
+        assert result.stderr == "error: object 'ax1_partner' has no antipode\n"
+
+    @pytest.mark.parametrize("obj", ["ax1", "ax1_partner"])
+    @pytest.mark.parametrize("force", [(), ("--force",)])
+    def test_bicross_on_an_object_without_antipode_is_usage_error(self, tmp_path, obj, force):
+        (tmp_path / "ax1.alg").write_text(_ax1_without(obj, "antipode"))
+        result = invoke("construct", "bicross", str(tmp_path / "ax1.alg"), *force)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: object {obj!r} has no antipode\n"
 
     def test_double_above_the_dimension_limit_exits_two_and_writes_no_file(self, tmp_path):
         out = tmp_path / "double_c12.alg"
@@ -334,7 +364,14 @@ class TestVerifyCommand:
         (tmp_path / "ax1.alg").write_text(_ax1_with_coalgebra_partner())
         result = invoke("verify", "thm2.6", "--algebra", str(tmp_path / "ax1.alg"))
         assert result.exit_code == 2
-        assert "error: no bialgebra structure on HomCoalgebra" in result.output
+        assert result.stderr == "error: object 'ax1_partner' has no antipode\n"
+
+    @pytest.mark.parametrize("obj", ["ax1", "ax1_partner"])
+    def test_bicross_suite_on_an_object_without_antipode_is_usage_error(self, tmp_path, obj):
+        (tmp_path / "ax1.alg").write_text(_ax1_without(obj, "antipode"))
+        result = invoke("verify", "thm2.6", "--algebra", str(tmp_path / "ax1.alg"))
+        assert result.exit_code == 2
+        assert result.stderr == f"error: object {obj!r} has no antipode\n"
 
     def test_double_above_the_dimension_limit_is_refused_before_it_is_built(self, monkeypatch):
         from homhopf import constructions
@@ -386,6 +423,54 @@ class TestVerifyCommand:
     def test_dual_pair_on_cyclic2(self):
         result = invoke("verify", "dual-pair", "--algebra", "cyclic:2")
         assert result.exit_code == 0
+
+
+def _status(args) -> object:
+    """How ``main(args)`` ended: the code of its ``SystemExit``, or what else happened."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            main(args=list(args), prog_name="homhopf")
+        except SystemExit as exc:
+            return exc.code
+        except Exception as exc:  # any other exception breaks the contract
+            return f"{type(exc).__name__}: {exc}"
+    return "returned"
+
+
+class TestIncompleteFiles:
+    """The 0/1/2 exit-code contract on files that lack one kind of line on one
+    object: every ``check`` level, ``construct`` kind (``twist`` with the
+    trivial cocycle ``counit (x) counit`` of the complete object, and the
+    three kinds with preconditions also under ``--force``) and ``verify``
+    suite ends in ``SystemExit`` 0, 1 or 2."""
+
+    @pytest.mark.parametrize("name", ["ax1", "sweedler_hom", "cyclic:3"])
+    def test_every_command_exits_0_1_or_2(self, tmp_path, name):
+        text = invoke("export", name).output
+        rec = read(text).object()
+        eps = rec.hom_coalgebra().counit
+        trivial = block_record("cocycle", "sigma", (rec.name, "left"), compose(eps, transpose_rows(eps)))
+        cocycle = tmp_path / "sigma.alg"
+        cocycle.write_bytes(write(AlgebraFile(SCHEMA_VERSION, (rec,), (trivial,))))
+        commands = [
+            *(("check", "{}", "--level", level) for level in LEVELS),
+            *(("construct", kind, "{}") for kind in KINDS if kind != "twist"),
+            ("construct", "twist", "{}", "--cocycle", str(cocycle)),
+            *(("construct", kind, "{}", "--force") for kind in ("bicross", "self-bicross", "dual-pair-double")),
+            *(("verify", suite, "--algebra", "{}") for suite in SUITES),
+        ]
+        objects = [line.split()[1] for line in text.splitlines() if line.startswith("object ")]
+        assert len(objects) == (2 if name == "ax1" else 1)
+        broken = {}
+        for obj in objects:
+            for kind in ("mul", "comul", "unit", "counit", "antipode"):
+                path = tmp_path / f"{obj}-{kind}.alg"
+                path.write_text(_without(text, obj, kind))
+                for command in commands:
+                    status = _status([str(path) if a == "{}" else a for a in command])
+                    if status not in (0, 1, 2):
+                        broken[obj, kind, command] = status
+        assert broken == {}
 
 
 class TestReports:

@@ -206,7 +206,7 @@ def zero_product(m):
     """A Hom-algebra with the zero product on the structure map with rows ``m``,
     for its ``power`` views."""
     n = len(m)
-    return HomAlgebra(n, cells((((ZERO,) * n,) * n,) * n), (ZERO,) * n, m)
+    return HomAlgebra(n, cells((((ZERO,) * n,) * n,) * n), rows(((ZERO,) * n,)), m)
 
 
 class TestAlphaPower:
@@ -434,7 +434,7 @@ class TestBilinear:
 
     def test_unit_acts_by_alpha(self):
         ax1 = catalog_ax1().hopf
-        mul, alpha, unit = ax1.algebra.mul_cells, ax1.alpha, sparse(ax1.unit)
+        mul, alpha, (unit,) = ax1.algebra.mul_cells, ax1.alpha, ax1.unit
         for v in basis(2):
             assert bilinear_apply(mul, unit, v) == apply_map(alpha, v)
             assert bilinear_apply(mul, v, unit) == apply_map(alpha, v)

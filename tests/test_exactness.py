@@ -147,26 +147,19 @@ def test_exactlin_kernels_allocate_no_dense_accumulator():
 
 
 def test_second_hopf_suite_converts_no_structure_tensor(monkeypatch):
-    """Operand tables belong to the domain objects: a second run of the Hopf
-    suite on the same 36-dim double reads them and converts nothing of length
-    36 or more.  Every dense-to-sparse conversion goes through ``nonzeros``,
-    so the first suite on a fresh copy of the double does convert its tables."""
+    """Operand tables and maps, units and counits included, belong to the
+    domain objects: no run of the Hopf suite on the 36-dim double converts a
+    dense vector to a sparse one (every such conversion goes through
+    ``nonzeros``), neither the first run nor the second, nor the first run on
+    a copy built by the tests' dense constructor.  The one conversion made
+    after them shows that the count is live."""
     double = drinfeld_double(get_entry("s3_inner").hopf)
-    assert run_hopf_suite(double).ok
-    lengths = []
-
-    def counted(v):
-        v = tuple(v)
-        lengths.append(len(v))
-        return nonzeros(v)
-
-    monkeypatch.setattr(exactlin, "nonzeros", counted)
-    assert run_hopf_suite(double).ok
-    assert not [n for n in lengths if n >= double.dim]
     fresh = hopf_algebra(double.dim, *(dense_field(double, field) for field in FIELDS))
-    lengths.clear()
-    assert run_hopf_suite(fresh).ok
-    assert max(lengths) >= double.dim
+    seen = _converted(monkeypatch)
+    for hopf in (double, double, fresh):
+        assert run_hopf_suite(hopf).ok
+    exactlin.sparse((1,))
+    assert seen == [(1,)]
 
 
 def _converted(monkeypatch) -> list:
@@ -474,16 +467,19 @@ def _uses(names) -> list[tuple[str, str, str]]:
 def test_every_map_is_sparse_rows_in_the_source():
     """One matrix type: no module defines, imports or calls the dense matrix
     layer (``mat_compose``, ``identity``, ``matrix_from_entries``,
-    ``mat_shape``, ``basis_vector``, ``_dense_kron``) or reads an
+    ``mat_shape``, ``basis_vector``, ``_dense_kron``), the dense vector
+    helpers ``_pair_vector`` and ``vector_from_entries``, or reads an
     ``alpha_rows`` view.  The dense conversions ``rows``, ``cells``,
     ``dense_rows``, ``dense_cells`` and ``flatten_pair`` are defined in
     ``exactlin`` and imported and called only by ``fileformat``, which reads
     and writes the dense file records.  No module but the package's
     ``__init__`` resolves names on demand (a module-level ``__getattr__``),
-    and no domain type has a dense view ``mul``, ``comul``, ``antipode``,
-    ``act`` or ``coact``."""
+    no domain type has a dense view ``mul``, ``comul``, ``antipode``, ``act``
+    or ``coact`` or a view ``unit_vector`` or ``counit_map`` of a unit or a
+    counit, and no field but the two sides of a ``Witness`` is a dense
+    ``Vector``: units and counits are maps."""
     dense = ("mat_compose", "identity", "matrix_from_entries", "mat_shape", "basis_vector")
-    assert _uses({*dense, "_dense_kron"}) == []
+    assert _uses({*dense, "_dense_kron", "_pair_vector", "vector_from_entries"}) == []
     names = {"rows", "cells", "dense_rows", "dense_cells", "flatten_pair"}
     conversions = [
         (module, scope, name)
@@ -498,7 +494,7 @@ def test_every_map_is_sparse_rows_in_the_source():
         if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
     ]
     assert hooks == ["__init__.py"]
-    views = {"mul", "comul", "antipode", "act", "coact"}
+    views = {"mul", "comul", "antipode", "act", "coact", "unit_vector", "counit_map"}
     types = {
         value
         for path in Path(homhopf.__file__).parent.glob("[!_]*.py")
@@ -509,3 +505,10 @@ def test_every_map_is_sparse_rows_in_the_source():
     assert [
         (t.__name__, v) for t in types for v in views if hasattr(t, v) or v in t.__match_args__
     ] == []
+    vectors = {
+        (t.__name__, field)
+        for t in types
+        for field, annotation in vars(t).get("__annotations__", {}).items()
+        if "Vector" in str(annotation)
+    }
+    assert vectors == {("Witness", "lhs"), ("Witness", "rhs")}

@@ -76,7 +76,7 @@ class TestRoundTrip:
         back = read(data)
         assert back == tables and hash(back) == hash(tables)
         for got, want in zip(back.objects, dense.objects):
-            assert got.richest() == want.richest() and hash(got.richest()) == hash(want.richest())
+            assert got.hom_hopf() == want.hom_hopf() and hash(got.hom_hopf()) == hash(want.hom_hopf())
         if dense.blocks_of("action"):
             assert back.module_action() == dense.module_action()
             assert back.comodule_coaction() == dense.comodule_coaction()
@@ -269,6 +269,28 @@ class TestParsing:
                 read(text)
             # refused at the second object's dim line, before its tensors exist
             assert (err.value.line, err.value.column) == (8, 5)
+
+    def test_block_entries_together_over_the_limit(self, monkeypatch):
+        from homhopf import algfile
+
+        monkeypatch.setattr(algfile, "MAX_DIM", 3)
+        head = "homhopf 1\nchar 0\nobject a\ndim 3\nalpha 0 0 1\nalpha 1 1 1\nalpha 2 2 1\nend\n"
+        cells = [f"entry {h} {m} {k} 1\n" for h, m, k in product(range(3), repeat=3)]
+
+        def actions(counts):
+            blocks = (f"action act{i} a a\n" + "".join(cells[:c]) + "end\n" for i, c in enumerate(counts))
+            return head + "".join(blocks)
+
+        # the blocks of one file may hold MAX_DIM^3 = 27 entries together
+        assert len(read(actions((27,))).blocks) == 1
+        assert len(read(actions((9, 9, 9))).blocks) == 3
+        for counts in ((27, 1), (10, 10, 8), (1, 27), (27,) * 5):
+            text = actions(counts)
+            with pytest.raises(ParseError, match=r"^block entries exceed the limit of 3\^3") as err:
+                read(text)
+            # refused at the 28th entry line
+            lines = [n for n, line in enumerate(text.splitlines(), 1) if line.startswith("entry")]
+            assert (err.value.line, err.value.column) == (lines[27], 1)
 
     def test_not_utf8(self):
         with pytest.raises(ParseError):

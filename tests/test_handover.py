@@ -99,8 +99,8 @@ def read_back(name: str):
 def rebuilt(x):
     """``x`` built again from the dense tensors of its tables through the dense constructor."""
     if isinstance(x, HomHopfAlgebra):
-        mul, comul, antipode = (dense_field(x, f) for f in ("mul", "comul", "antipode"))
-        return hopf_algebra(x.dim, mul, x.unit, comul, x.counit, x.alpha, antipode)
+        dense = (dense_field(x, f) for f in ("mul", "unit", "comul", "counit", "alpha", "antipode"))
+        return hopf_algebra(x.dim, *dense)
     if isinstance(x, HomBialgebra):
         return HomBialgebra(rebuilt(x.algebra), rebuilt(x.coalgebra))
     if isinstance(x, HomAlgebra):

@@ -28,6 +28,7 @@ from homhopf import bicross, constructions, laws, structures
 from homhopf.algfile import AlgebraFile, block_record, bundle_of_entry, write
 from homhopf.catalog import get_entry
 from homhopf.cli import main
+from homhopf.exactlin import dense
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "homhopf"
@@ -212,7 +213,8 @@ def workdir(tmp_path_factory):
     bundle = bundle_of_entry(get_entry("cyclic:2"))
     (path / "c2.alg").write_bytes(write(bundle))
     c2 = bundle.object()
-    trivial = tuple(tuple(a * b for b in c2.counit) for a in c2.counit)
+    counit = dense(c2.counit)
+    trivial = tuple(tuple(a * b for b in counit) for a in counit)
     cocycle = block_record("cocycle", "sigma", (c2.name, "left"), trivial)
     (path / "sigma.alg").write_bytes(write(AlgebraFile(bundle.schema_version, (c2,), (cocycle,))))
     (path / "sw.alg").write_bytes(write(bundle_of_entry(get_entry("sweedler_hom"))))
@@ -576,22 +578,28 @@ class TestProcessExit:
 @pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
 class TestUnwritableStdout:
     """A failed write to standard output is an input/output error: exit 2
-    with one line on stderr, and no traceback.  Buffered, the write fails
-    in ``run``'s flush, and the interpreter's last flush must not fail again."""
+    with one line on stderr, and no traceback, for a command's output and
+    for ``--version`` and ``--help`` alike.  Buffered, the write fails in
+    ``run``'s flush, and the interpreter's last flush must not fail again;
+    unbuffered, it fails where it is made, also inside argparse."""
+
+    COMMANDS = (("check", "c2.alg"), ("--version",), ("--help",))
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_full_device(self, workdir, flags):
-        with open("/dev/full", "wb") as full:
-            status, _, err = _process(("check", "c2.alg"), workdir, stdout=full, flags=flags)
-        assert status == 2
-        assert err == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n".encode()
+        for args in self.COMMANDS:
+            with open("/dev/full", "wb") as full:
+                status, _, err = _process(args, workdir, stdout=full, flags=flags)
+            assert status == 2, args
+            assert err == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n".encode()
 
     def test_closed_pipe(self, workdir, flags):
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            status, _, err = _process(("check", "c2.alg"), workdir, stdout=write_end, flags=flags)
-        finally:
-            os.close(write_end)
-        assert status == 2
-        assert err == f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n".encode()
+        for args in self.COMMANDS:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                status, _, err = _process(args, workdir, stdout=write_end, flags=flags)
+            finally:
+                os.close(write_end)
+            assert status == 2, args
+            assert err == f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n".encode()

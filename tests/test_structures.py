@@ -104,8 +104,8 @@ def with_mul_entry(h, i, j, k, value):
                     entries[a, b, c] = v
     entries[i, j, k] = value
     mul = tensor3_from_entries((h.dim,) * 3, entries)
-    comul, antipode = dense_field(h, "comul"), dense_field(h, "antipode")
-    return hopf_algebra(h.dim, mul, h.unit, comul, h.counit, h.alpha, antipode)
+    unit, comul, counit, antipode = (dense_field(h, f) for f in ("unit", "comul", "counit", "antipode"))
+    return hopf_algebra(h.dim, mul, unit, comul, counit, h.alpha, antipode)
 
 
 class TestHomAlgebra:
@@ -338,7 +338,8 @@ class TestDualPair:
 class TestCocycle:
     def test_trivial_cocycle(self):
         h = catalog_sweedler_hom().hopf
-        counits = {(i, j): h.counit[i] * h.counit[j] for i in range(4) for j in range(4)}
+        counit = dense_field(h, "counit")
+        counits = {(i, j): counit[i] * counit[j] for i in range(4) for j in range(4)}
         gram = rows_from_entries((4, 4), counits)
         for side in ("left", "right"):
             assert check_cocycle(TwoCocycle(h.bialgebra, gram, side)).ok
@@ -362,7 +363,7 @@ class TestMorphism:
         h = catalog_sweedler_hom().hopf
         zero = tuple(sparse((0,) * 4) for _ in range(4))
         (entry,) = check_morphism("zero", h, h, zero).failures()
-        assert entry == CheckEntry("zero.unit", False, Witness((), (0,) * 4, h.unit))
+        assert entry == CheckEntry("zero.unit", False, Witness((), (0,) * 4, dense_field(h, "unit")))
 
     def test_map_shape_is_checked(self):
         h = catalog_sweedler_hom().hopf
@@ -379,6 +380,16 @@ class TestStructuralInvariants:
             HomCoalgebra(2, ax1.coalgebra.comul_rows, ax1.counit, singular)
         with pytest.raises(SingularMatrixError, match="^pairing must be non-degenerate$"):
             PairingForm(ax1, ax1, singular)
+
+    def test_dense_unit_and_counit_are_refused(self):
+        """A unit and a counit are maps; their dense vectors are refused by shape."""
+        h = catalog_kz2().hopf
+        with pytest.raises(DimensionMismatch, match="^unit shape$"):
+            HomAlgebra(2, h.algebra.mul_cells, (1, 0), h.alpha)
+        with pytest.raises(DimensionMismatch, match="^counit shape$"):
+            HomCoalgebra(2, h.coalgebra.comul_rows, (1, 1), h.alpha)
+        with pytest.raises(DimensionMismatch, match="^unit shape$"):
+            HomAlgebra(2, h.algebra.mul_cells, h.counit, h.alpha)
 
     def test_singular_structure_map_rejected(self):
         with pytest.raises(SingularMatrixError):
@@ -403,8 +414,8 @@ H1 = catalog_one().hopf
 T1, M1 = (((1,),),), ((1,),)
 C1, R1 = cells(T1), rows(M1)  # the tables of T1 and M1
 W1 = Witness((0,), (1,), (0,))
-ALG = "HomAlgebra(dim=1, mul_cells=(({0: 1},),), unit=(1,), alpha=({0: 1},))"
-COALG = "HomCoalgebra(dim=1, comul_rows=({0: 1},), counit=(1,), alpha=({0: 1},))"
+ALG = "HomAlgebra(dim=1, mul_cells=(({0: 1},),), unit=({0: 1},), alpha=({0: 1},))"
+COALG = "HomCoalgebra(dim=1, comul_rows=({0: 1},), counit=({0: 1},), alpha=({0: 1},))"
 BIALG = f"HomBialgebra(algebra={ALG}, coalgebra={COALG})"
 HOPF = f"HomHopfAlgebra(bialgebra={BIALG}, antipode_rows=({{0: 1}},))"
 WIT = "Witness(index=(0,), lhs=(1,), rhs=(0,))"
@@ -531,9 +542,9 @@ class TestRecord:
             TwoCocycle(H1.bialgebra, R1, side="middle")
 
     def test_types_with_equal_fields_are_unequal(self):
-        algebra, coalgebra = HomAlgebra(1, C1, (1,), R1), HomCoalgebra(1, R1, (1,), R1)
+        algebra, coalgebra = HomAlgebra(1, C1, R1, R1), HomCoalgebra(1, R1, R1, R1)
         assert algebra != coalgebra and coalgebra != algebra
-        assert algebra == H1.algebra and algebra != HomAlgebra(1, C1, (1,), rows(((-1,),)))
+        assert algebra == H1.algebra and algebra != HomAlgebra(1, C1, R1, rows(((-1,),)))
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +569,8 @@ def hopf_views(H):
     """Every view of a Hopf object and of its algebra and coalgebra, by name."""
     A, C = H.algebra, H.coalgebra
     names = {
-        A: ("mul_cells", "mul_map", "unit_vector"),
-        C: ("comul_rows", "comul_op_rows", "comul_terms", "counit_map"),
+        A: ("mul_cells", "mul_map"),
+        C: ("comul_rows", "comul_op_rows", "comul_terms"),
         H: ("antipode_rows", "antipode_inverse"),
     }
     views = {(type(obj).__name__, name): getattr(obj, name) for obj, ns in names.items() for name in ns}
@@ -596,11 +607,9 @@ def hopf_conversions(H):
         ("HomHopfAlgebra", "antipode_inverse"): rows(dense_inverse(antipode)),
         ("HomAlgebra", "mul_cells"): cells(mul),
         ("HomAlgebra", "mul_map"): rows(tuple(row for plane in mul for row in plane)),
-        ("HomAlgebra", "unit_vector"): sparse(H.unit),
         ("HomCoalgebra", "comul_rows"): flat_rows(comul),
         ("HomCoalgebra", "comul_op_rows"): flat_rows(co_opposite),
         ("HomCoalgebra", "comul_terms"): dense_terms(comul),
-        ("HomCoalgebra", "counit_map"): rows(transpose((H.counit,))),
         ("HomHopfAlgebra", "antipode_rows"): rows(antipode),
     }
 

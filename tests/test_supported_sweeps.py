@@ -317,7 +317,8 @@ dims = st.integers(1, 4)
 def test_generated_inputs(n, m, side, data):
     H = data.draw(hom_hopf_algebras(n))
     assert_product_laws_match(H)
-    Y = HomAlgebra(m, cells(data.draw(tensors(m, m, m))), (0,) * m, rows(data.draw(unitriangular(m))))
+    zero = rows(((0,) * m,))
+    Y = HomAlgebra(m, cells(data.draw(tensors(m, m, m))), zero, rows(data.draw(unitriangular(m))))
     phi = rows(data.draw(matrices(n, m)))  # zero rows included
     assert check_morphism("phi", H, Y, phi).entry("phi.mul") == morphism_mul("phi", H, Y, phi)
     act = ModuleAction(H, Y, cells(data.draw(tensors(n, m, m))))
