@@ -41,6 +41,7 @@ and ``object_record`` takes them back from the maps.  The records are
 from __future__ import annotations
 
 import re
+from functools import cached_property
 
 from .errors import DuplicateEntry, ParseError, RangeError
 from .exactlin import (
@@ -92,14 +93,23 @@ class ObjectRecord(Record):
         return HomCoalgebra(self.dim, self.comul_rows, counit, self.alpha, alpha_inverse=alpha_inverse)
 
     def hom_bialgebra(self) -> HomBialgebra:
+        """The bialgebra, built once and kept with the record, as ``hom_hopf()``
+        is: every block naming the object shares them."""
+        return self._bialgebra
+
+    def hom_hopf(self) -> HomHopfAlgebra:
+        return self._hopf
+
+    @cached_property
+    def _bialgebra(self) -> HomBialgebra:
         algebra = self.hom_algebra()
         return HomBialgebra(algebra, self.hom_coalgebra(algebra.alpha_inverse))
 
-    def hom_hopf(self, bialgebra: HomBialgebra | None = None) -> HomHopfAlgebra:
-        """The Hopf object, on ``bialgebra`` if given (built from this record)."""
+    @cached_property
+    def _hopf(self) -> HomHopfAlgebra:
         if self.antipode_rows is None:
             raise ParseError(f"object {self.name!r} has no antipode")
-        return HomHopfAlgebra(bialgebra or self.hom_bialgebra(), self.antipode_rows)
+        return HomHopfAlgebra(self.hom_bialgebra(), self.antipode_rows)
 
 
 class BlockRecord(Record):

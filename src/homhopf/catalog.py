@@ -11,8 +11,6 @@ twisted group algebras, and the expected bicrossproduct tables for the
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InvalidParameter, NotAGroup, NotAnAutomorphism
 from .exactlin import (
     ONE,
@@ -31,8 +29,6 @@ from .structures import (
     RMatrix,
     hopf_of_tables,
 )
-
-F = Fraction
 
 
 class GroupData(Record):
@@ -127,7 +123,8 @@ def catalog_sweedler_hom() -> CatalogEntry:
     antipode = {(0, 0): ONE, (1, 1): ONE, (2, 3): -ONE, (3, 2): ONE}
     counit = {(0, 0): ONE, (1, 0): ONE}
     h = _hopf(n, e, {(0, 0): ONE}, comul, counit, alpha, antipode)
-    half = F(1, 2)
+    from fractions import Fraction  # the catalog's only proper fraction
+    half = Fraction(1, 2)
     r = RMatrix(
         h.bialgebra,
         rows_from_entries((n, n), {(0, 0): half, (0, 1): half, (1, 0): half, (1, 1): -half}),

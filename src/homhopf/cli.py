@@ -170,7 +170,6 @@ def check(source, level, report_path, jobs):
     del jobs
     from .errors import HomHopfError
     from .structures import (
-        HomBialgebra,
         check_antipode,
         check_hom_algebra,
         check_hom_bialgebra,
@@ -183,10 +182,10 @@ def check(source, level, report_path, jobs):
         bundle, raw, _ = _load_input(source)
         rec = bundle.object()
         # one algebra and one coalgebra, so every checker shares their sparse tables
-        alg = rec.hom_algebra() if level != "coalgebra" else None
-        coa = rec.hom_coalgebra(alg and alg.alpha_inverse) if level != "algebra" else None
-        bia = HomBialgebra(alg, coa) if alg and coa else None
-        hopf = rec.hom_hopf(bia) if level in ("hopf", "quasitriangular") else None
+        bia = rec.hom_bialgebra() if level not in ("algebra", "coalgebra") else None
+        alg = bia.algebra if bia else rec.hom_algebra() if level == "algebra" else None
+        coa = bia.coalgebra if bia else rec.hom_coalgebra() if level == "coalgebra" else None
+        hopf = rec.hom_hopf() if level in ("hopf", "quasitriangular") else None
         rmatrix = None
         if level == "quasitriangular":
             blocks = [b for b in bundle.blocks_of("rmatrix") if b.refs[0] == rec.name]

@@ -3,8 +3,9 @@
 Every value is built from exact rational scalars, ``int | Fraction``:
 integral scalars are Python ``int`` and only proper fractions are
 ``Fraction`` (arithmetic mixes the two exactly, and ``==`` and ``hash``
-agree across them).  A sparse vector (``Sparse``) is the dict ``{index:
-scalar}`` of the nonzero coefficients of a vector, with the vector's length
+agree across them; ``fractions`` is loaded only where one is made).  A
+sparse vector (``Sparse``) is the dict ``{index: scalar}`` of the nonzero
+coefficients of a vector, with the vector's length
 as ``dim``.  Every linear map is a ``SparseMatrix``, the tuple of the sparse
 images of the basis vectors (its rows), and a bilinear map is a
 ``SparseTensor3``, the tuple of the sparse matrices of its first-index
@@ -37,7 +38,8 @@ Sweedler sums and tensor legs are enumerated here and nowhere else:
 ``terms`` lists the nonzero Sweedler terms of the rows of a comultiplication
 or coaction, ``apply_kron`` applies one map to each leg of a vector on a pair
 space, and ``tensor_power_products`` multiplies vectors of a tensor power leg by
-leg.  ``compose`` chains ``apply_map`` and ``apply_kron`` over the
+leg, with a multiplication table per leg (a coaction's target has the
+carrier's and the coactor's).  ``compose`` chains ``apply_map`` and ``apply_kron`` over the
 rows of a map, so a composite such as ``mu o (S (x) id) o delta`` is one
 call.  ``product_cases`` and ``square_cases`` read, from the supports alone,
 at which basis indices the sides of a law can be nonzero, so that it is
@@ -50,16 +52,18 @@ dicts that hash by their items.  Both are hashable.
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, product
 from math import prod
 from operator import or_
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DimensionMismatch, SingularMatrixError
 
-Scalar = int | Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = "int | Fraction"
 Vector = tuple[Scalar, ...]
 Matrix = tuple[Vector, ...]
 Tensor3 = tuple[Matrix, ...]
@@ -74,7 +78,11 @@ def _normal(q: Scalar) -> Scalar:
 
 
 def _quotient(x: Scalar, p: Scalar) -> Scalar:
-    """``x / p``, exactly: the package's only division (``int / int`` would be a float)."""
+    """``x / p``, exactly: the package's only division (``int / int`` would be a float).
+    An exact quotient, such as the inverse of a unit pivot, stays an ``int``."""
+    if not x % p:
+        return x // p
+    from fractions import Fraction
     return _normal(Fraction(x) / p)
 
 
@@ -94,6 +102,7 @@ def parse_scalar(text: str) -> Scalar:
         d = _integer(den)
         if d == 0:
             raise ValueError(f"zero denominator in scalar {text!r}")
+        from fractions import Fraction
         return _normal(Fraction(_integer(num), d))
     return _integer(text)
 
@@ -364,35 +373,37 @@ def bilinear_apply(t: SparseTensor3, x: Sparse, y: Sparse) -> Sparse:
     return _zero_free(out)
 
 
-def tensor_power_products(mul: SparseTensor3, legs: int, us, vs, pairs=None) -> Iterator[Sparse]:
+def tensor_power_products(muls, us, vs, pairs=None) -> Iterator[Sparse]:
     """The componentwise products ``(x_1 (x) x_2 ...)(y_1 (x) y_2 ...) = x_1 y_1 (x) x_2 y_2 ...``
-    on the ``legs``-fold tensor power of the algebra with multiplication ``mul``:
+    in the tensor product of the algebras whose multiplications are ``muls``,
+    one per leg (``(mul,) * k`` for the ``k``-fold tensor power of one algebra):
     each vector of ``us`` times each of ``vs``, row-major, or only at the index
     pairs ``pairs``, each made as it is read.  Each vector is grouped by legs
     once, not once per product.
     """
-    n = len(mul)
-    size, weight = n**legs, n ** (legs - 1)
+    dims = tuple(map(len, muls))
+    size = prod(dims)
     if bad := [w.dim for w in chain(us, vs) if w.dim != size]:
-        raise _mismatch(f"{legs}-leg tensor power of dimension {n}", *bad)
-    us, vs = ([_by_first_leg(w.items(), weight, n) for w in ws] for ws in (us, vs))
+        raise _mismatch(f"tensor product of dimensions {' x '.join(map(str, dims))}", *bad)
+    us, vs = ([_by_first_leg(w.items(), dims) for w in ws] for ws in (us, vs))
     pairs = product(range(len(us)), range(len(vs))) if pairs is None else pairs
-    products = (_power_product(mul, weight, us[a], vs[b], _empty(size)) for a, b in pairs)
+    products = (_power_product(muls, us[a], vs[b], _empty(size)) for a, b in pairs)
     return map(_zero_free, products)
 
 
 Pairs = Iterable[tuple[int, Scalar]]
 
 
-def _power_product(mul: SparseTensor3, weight: int, u, v, out: dict) -> dict[int, Scalar]:
-    """``out`` plus the product of ``u`` and ``v``, grouped by ``_by_first_leg``
-    on a tensor power whose first leg has place value ``weight``, as
-    ``{index: coefficient}``.
+def _power_product(muls, u, v, out: dict) -> dict[int, Scalar]:
+    """``out`` plus the product of ``u`` and ``v``, grouped by ``_by_first_leg``,
+    in the tensor product of the algebras whose multiplications are ``muls``,
+    as ``{index: coefficient}``.
 
     The rest of the legs multiply once per pair of first legs with a nonzero
     product, not once per pair of terms.
     """
-    if weight == 1:
+    mul, rest_muls = muls[0], muls[1:]
+    if not rest_muls:
         for a, cu in u:
             row = mul[a]
             for b, cv in v:
@@ -400,13 +411,13 @@ def _power_product(mul: SparseTensor3, weight: int, u, v, out: dict) -> dict[int
                 for k, ck in row[b].items():
                     out[k] = out.get(k, ZERO) + c * ck
         return out
-    v_legs = v.items()
+    weight, v_legs = prod(map(len, rest_muls)), v.items()
     for a, u_rest in u.items():
         row = mul[a]
         for b, v_rest in v_legs:
             if not row[b]:
                 continue
-            rest = _power_product(mul, weight // len(mul), u_rest, v_rest, {})
+            rest = _power_product(rest_muls, u_rest, v_rest, {})
             for k, ck in row[b].items():
                 base = k * weight
                 for r, cr in rest.items():
@@ -414,19 +425,20 @@ def _power_product(mul: SparseTensor3, weight: int, u, v, out: dict) -> dict[int
     return out
 
 
-def _by_first_leg(pairs: Pairs, weight: int, n: int):
-    """``pairs`` of a vector on a tensor power of dimension ``n`` whose first
-    leg has place value ``weight``, grouped leg by leg: ``{first leg: the rest,
-    grouped}``, down to ``(last leg, coefficient)`` pairs."""
-    if weight == 1:
+def _by_first_leg(pairs: Pairs, dims: tuple[int, ...]):
+    """``pairs`` of a vector on a tensor product whose legs have the dimensions
+    ``dims``, grouped leg by leg: ``{first leg: the rest, grouped}``, down to
+    ``(last leg, coefficient)`` pairs."""
+    if len(dims) == 1:
         return pairs
+    weight = prod(dims[1:])
     groups: dict[int, list[tuple[int, Scalar]]] = {}
     for p, c in pairs:
         a, r = divmod(p, weight)
         groups.setdefault(a, []).append((r, c))
-    if weight == n:
+    if len(dims) == 2:
         return groups
-    return {a: _by_first_leg(rest, weight // n, n) for a, rest in groups.items()}
+    return {a: _by_first_leg(rest, dims[1:]) for a, rest in groups.items()}
 
 
 def _union(masks, indices) -> int:
@@ -474,17 +486,19 @@ def product_cases(left, right):
             yield (a, b), range(n) if cs == full else _bits(cs)
 
 
-def square_cases(mul: SparseTensor3, delta: SparseMatrix):
-    """The cases ``(i, j)`` of ``delta(e_i e_j) = delta(e_i) delta(e_j)``, in
-    lexicographic order, where a side has a nonzero term: where ``mul[i][j]`` is
-    filled, or terms ``e_x1 (x) e_x2`` of ``delta[i]`` and ``e_y1 (x) e_y2`` of
-    ``delta[j]`` fill ``mul[x1][y1]`` and ``mul[x2][y2]``; both sides are zero elsewhere."""
-    n = len(mul)
-    filled = [sum(1 << y for y, cell in enumerate(row) if cell) for row in mul]
+def square_cases(muls, delta: SparseMatrix):
+    """The cases ``(i, j)`` of ``delta(e_i e_j) = delta(e_i) delta(e_j)``, for
+    ``delta`` from the algebra ``mul`` to the tensor product of ``muls = (mul, mul2)``
+    (a coproduct has ``mul2 = mul``), in lexicographic order, where a side has a
+    nonzero term: where ``mul[i][j]`` is filled, or terms ``e_x1 (x) e_x2`` of
+    ``delta[i]`` and ``e_y1 (x) e_y2`` of ``delta[j]`` fill ``mul[x1][y1]`` and
+    ``mul2[x2][y2]``; both sides are zero elsewhere."""
+    filled, filled2 = ([sum(1 << y for y, c in enumerate(row) if c) for row in m] for m in muls)
+    n = len(muls[1])
     supports = [sum(1 << p for p in v) for v in delta]
     for i, u in enumerate(delta):
         # the bit set of the pair-space terms e_y1 (x) e_y2 whose products with a term of u fill cells
-        reach = reduce(or_, (filled[p % n] << y * n for p in u for y in _bits(filled[p // n])), 0)
+        reach = reduce(or_, (filled2[p % n] << y * n for p in u for y in _bits(filled[p // n])), 0)
         js = filled[i] | sum(1 << j for j, s in enumerate(supports) if reach & s)
         yield from ((i, j) for j in _bits(js))
 

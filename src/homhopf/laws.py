@@ -17,12 +17,12 @@ from itertools import product
 
 from .exactlin import (
     SparseMatrix, SparseTensor3, apply_kron, apply_map, basis, bilinear_apply, compose, kron,
-    linear_combination, product_cases, transpose, transpose_rows,
+    linear_combination, product_cases, sparse, transpose, transpose_rows,
 )
 from .structures import (
     CheckEntry, CheckReport, ComoduleCoaction, HomBialgebra, MatchedPairData, ModuleAction,
-    PairingForm, TwoCocycle, _flat, _legs, _require, _shape, _sweep, algebra_of, bialgebra_of,
-    coalgebra_of, make_entry,
+    PairingForm, TwoCocycle, _flat, _legs, _multiplicative_cases, _require, _shape, _sweep,
+    algebra_of, bialgebra_of, coalgebra_of, make_entry,
 )
 
 
@@ -348,12 +348,15 @@ def check_dual_pair(P: PairingForm) -> CheckReport:
 
 def check_cocycle(sigma: TwoCocycle) -> CheckReport:
     """Structure-map invariance, the (left or right) cocycle law, and
-    normality, each as a separate verdict."""
-    B = sigma.algebra
-    gram = sigma.gram
-    n = B.dim
-    form = sigma.form
-    alpha, pair, a2 = B.alpha, _flat(form), B.power(2)
+    normality, each as a separate verdict.  Invariance reads ``alpha G alpha^T``
+    (``n`` rows, not the ``n^2`` of ``alpha (x) alpha``) at the one-entry cases
+    ``(i, j)`` where it or ``G`` is nonzero: both sides of the others are zero."""
+    B, gram, form = sigma.algebra, sigma.gram, sigma.form
+    n, alpha, a2 = B.dim, B.alpha, B.power(2)
+    # sigma(alpha(e_i), alpha(e_j)) against sigma(e_i, e_j), read from alpha G alpha^T
+    invariant = compose(alpha, gram, transpose_rows(alpha))
+    cases = ((i, j) for i in range(n) for j in sorted(invariant[i].keys() | gram[i].keys()))
+    invariance = (((i, j), sparse((invariant[i].get(j, 0),)), form[i][j]) for i, j in cases)
     # left: sigma(l_1, k_1) l_2 k_2; right: sigma(l_2, k_2) l_1 k_1
     w = sigma.products
     # sigma(alpha^2(e_h), w[l][k]) against sigma(w[h][l], alpha^2(e_k))
@@ -367,7 +370,7 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
     normal = transpose_rows(compose(eta, gram) + compose(eta, transpose_rows(gram)))
 
     checks = (
-        _sweep("cocycle.alpha-invariant", (n, n), compose(kron(alpha, alpha), pair), pair),
+        _sweep("cocycle.alpha-invariant", invariance),
         # left:  sigma(alpha^2(h), l_2 k_2) sigma(l_1, k_1)
         #          = sigma(h_2 l_2, alpha^2(k)) sigma(h_1, l_1)
         # right: sigma(alpha^2(h), l_1 k_1) sigma(l_2, k_2)
@@ -380,18 +383,17 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
 
 def check_comodule_algebra(A, c: ComoduleCoaction) -> CheckReport:
     """Right comodule axioms plus multiplicativity and unitality of the
-    coaction on a Hom-algebra carrier."""
+    coaction on a Hom-algebra carrier.  Multiplicativity is swept only where a
+    side has a nonzero term (``square_cases`` with the carrier's table on the
+    first leg and the coactor's on the second): both sides of the others are zero."""
     alg = algebra_of(A)
     coactor = bialgebra_of(c.coactor)
-    nm, nh = alg.dim, coactor.dim
-    rho, rho_terms = c.coact_rows, c.coact_terms
-    amul, hmul = alg.mul_cells, coactor.algebra.mul_cells
-    # a_(0) b_(0) (x) a_(1) b_(1)
-    products = tuple(_legs(rho_terms[i], amul, hmul, rho[j]) for i in range(nm) for j in range(nm))
+    rho, legs = c.coact_rows, (alg.mul_cells, coactor.algebra.mul_cells)
     unit, coactor_unit = alg.unit, coactor.algebra.unit
     checks = (
         *check_comodule(c).checks,
-        _sweep("comodule-algebra.multiplicative", (nm, nm), compose(alg.mul_map, rho), products),
+        # rho(a b) against a_(0) b_(0) (x) a_(1) b_(1)
+        _sweep("comodule-algebra.multiplicative", _multiplicative_cases(legs, rho)),
         _sweep("comodule-algebra.unit", (), compose(unit, rho), kron(unit, coactor_unit)),
     )
     return CheckReport(checks)

@@ -15,7 +15,6 @@ constructions (``bicross``) it runs, so ``prop2.19`` compiles neither.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .constructions import (
@@ -169,7 +168,7 @@ def verify_prop_2_19(H: HomHopfAlgebra, group: GroupData | None = None) -> Suite
     steps = [SuiteStep("quasitriangular axioms on the double", check_quasitriangular(double, r))]
     if group is not None:
         n = group.order
-        expected: dict[tuple[int, int], Fraction] = {}
+        expected: dict[tuple[int, int], int] = {}
         for g in range(n):
             p = group.identity * n + group.automorphism[g]
             for s in range(n):

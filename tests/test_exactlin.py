@@ -40,6 +40,7 @@ from homhopf.exactlin import (
     rows,
     rows_from_entries,
     sparse,
+    square_cases,
     tensor_power_products,
     terms,
     transpose,
@@ -484,7 +485,7 @@ catalog_muls = st.sampled_from(["ax1", "kz2", "sweedler_hom", "cyclic:3"]).map(
 
 def tensor_power_product(mul, legs, u, v):
     """The one componentwise product of ``u`` and ``v``."""
-    (out,) = tensor_power_products(mul, legs, (u,), (v,))
+    (out,) = tensor_power_products((mul,) * legs, (u,), (v,))
     return out
 
 
@@ -536,7 +537,7 @@ class TestTensorPowerProduct:
         with pytest.raises(DimensionMismatch):
             tensor_power_product(mul, 2, basis(4)[0], basis(2)[0])
         with pytest.raises(DimensionMismatch, match="lengths 2$"):
-            tensor_power_products(mul, 2, basis(4), (basis(4)[1], basis(2)[0]))
+            tensor_power_products((mul, mul), basis(4), (basis(4)[1], basis(2)[0]))
 
     @given(st.sampled_from(["kz2", "cyclic:3"]), st.integers(1, 2), st.data())
     @settings(max_examples=10, deadline=None)
@@ -547,9 +548,43 @@ class TestTensorPowerProduct:
             [data.draw(sparse_vectors(size)) for _ in range(data.draw(st.integers(0, 2)))]
             for _ in range(2)
         )
-        out = tensor_power_products(cells(mul), legs, [*map(sparse, us)], [*map(sparse, vs)])
+        out = tensor_power_products((cells(mul),) * legs, [*map(sparse, us)], [*map(sparse, vs)])
         expected = [dense_power_product(mul, legs, u, v) for u in us for v in vs]
         assert [dense(w) for w in out] == expected
+
+    @given(catalog_muls, catalog_muls, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_each_leg_multiplies_in_its_own_table(self, first, second, data):
+        a, b = cells(first), cells(second)
+        nb, size = len(second), len(first) * len(second)
+        u, v = (data.draw(sparse_vectors(size)) for _ in range(2))
+        (out,) = tensor_power_products((a, b), (sparse(u),), (sparse(v),))
+        expected = linear_combination(
+            size,
+            (
+                (u[p] * v[q], kron((a[p // nb][q // nb],), (b[p % nb][q % nb],))[0])
+                for p, q in product(range(size), repeat=2)
+            ),
+        )
+        assert out == expected and zero_free(out)
+
+
+class TestSquareCases:
+    @given(catalog_muls, catalog_muls, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_both_sides_of_every_skipped_case_are_zero(self, first, second, data):
+        """For ``delta: A -> A (x) B``, with ``A`` and ``B`` of different
+        dimensions, the cases left out have ``delta(e_i e_j)`` and
+        ``delta(e_i) delta(e_j)`` both zero."""
+        a, b = cells(first), cells(second)
+        n = len(first)
+        delta = rows(data.draw(sparse_rect(n, n * len(second))))
+        cases = list(square_cases((a, b), delta))
+        assert cases == sorted(set(cases))
+        products = tensor_power_products((a, b), delta, delta)
+        for (i, j), w in zip(product(range(n), repeat=2), products):
+            if (i, j) not in cases:
+                assert apply_map(delta, a[i][j]) == {} and w == {}
 
 
 class TestTerms:

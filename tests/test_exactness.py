@@ -28,7 +28,7 @@ import pytest
 
 import homhopf
 from conftest import dense_field, hopf_algebra
-from homhopf import constructions, exactlin, structures, verify
+from homhopf import algfile, constructions, exactlin, structures, verify
 from homhopf.bicross import dual_matched_pair, self_bicross_data
 from homhopf.catalog import get_entry
 from homhopf.constructions import (
@@ -274,6 +274,27 @@ def test_structure_maps_are_inverted_once_per_object(monkeypatch):
     for obj in (h, double):
         assert obj.algebra.alpha_inverse is obj.coalgebra.alpha_inverse
         assert compose(obj.alpha, obj.alpha_inverse) == basis(obj.dim)
+
+
+def test_a_file_realizes_each_named_object_once(monkeypatch):
+    """The blocks of a definition file that name one object share the object
+    its record realizes: on the ax1 bundle, the action's carrier is the
+    coaction's coactor, and ax1 and its partner invert their structure maps
+    once each however many blocks name them."""
+    bundle = algfile.read(algfile.write(algfile.bundle_of_entry(get_entry("ax1"))))
+    inverted = []
+
+    def counted(m):
+        inverted.append(len(m))
+        return mat_inverse(m)
+
+    for module in (exactlin, structures):
+        monkeypatch.setattr(module, "mat_inverse", counted)
+    act, co = bundle.module_action(), bundle.comodule_coaction()
+    assert act.carrier is co.coactor and act.actor is co.carrier
+    assert bundle.object().hom_hopf() is act.carrier
+    assert act.carrier.bialgebra is bundle.object().hom_bialgebra()
+    assert len(inverted) == len(bundle.objects) == 2
 
 
 def test_the_antipode_is_inverted_once_per_object(monkeypatch):

@@ -43,6 +43,14 @@ COMMANDS = (
     + [("verify", suite, "--algebra", name) for name in ("cyclic:2", "cyclic:3") for suite in _SUITES]
     # two suites whose comparisons fail on a noncommutative input
     + [("verify", suite, "--algebra", "s3_inner") for suite in ("thm4.5", "dual-pair")]
+    # the twist suites on noncommutative doubles, where the legs of a
+    # tensor-product algebra cannot be exchanged unnoticed
+    + [
+        ("verify", suite, "--algebra", name)
+        for name in ("sweedler_hom", "cyclic:8")
+        for suite in ("thm4.5", "prop4.7")
+    ]
+    + [("verify", "prop4.7", "--algebra", "s3_inner")]
 )
 
 

@@ -5,7 +5,8 @@ and executed on every run.  ``homhopf`` loads each of its public names on
 first use; ``cli`` imports the package modules, ``hashlib`` and ``json`` only
 in the commands and options that use them, and needs nothing outside the
 standard library.  No command loads ``dataclasses`` or the dense file records
-of ``fileformat``, and none makes a dense structure tensor.  The import-graph
+of ``fileformat``, and none makes a dense structure tensor.  A command whose
+scalars are all integers loads neither ``fractions`` nor ``decimal``.  The import-graph
 tests run each command in a fresh interpreter and read ``sys.modules`` after
 ``main`` exits.
 """
@@ -287,6 +288,19 @@ class TestImportGraph:
 
     def test_export_loads_no_verify(self, workdir):
         assert loaded(workdir, "export", "cyclic:2") == ["homhopf.catalog"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [("check", "cyclic:3"), ("check", "c2.alg"), ("verify", "thm4.5", "--algebra", "cyclic:3")],
+        ids=["check-cyclic", "check-file", "verify-thm4.5"],
+    )
+    def test_integral_inputs_load_no_fractions(self, workdir, args):
+        names = modules(workdir, *args)
+        assert [n for n in ("fractions", "decimal") if n in names] == []
+
+    def test_a_proper_fraction_loads_fractions(self, workdir):
+        # the R-matrix block of sw.alg holds 1/2
+        assert "fractions" in modules(workdir, "check", "sw.alg", "--level", "quasitriangular")
 
     def test_only_a_report_loads_hashlib(self, workdir):
         names = loaded(workdir, "check", "c2.alg", "--report", "report.json")

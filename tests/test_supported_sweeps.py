@@ -8,8 +8,13 @@ visits every basis multi-index and skips nothing. The two must give the same
 ``CheckEntry``: the same verdict and the same witness. The laws are
 ``algebra.hom-associative``, ``module.hom-associative``, the cocycle
 condition, ``antipode.anti-multiplicative`` and ``check_morphism``'s
-``.mul``.  ``bialgebra.comul-multiplicative`` is read the same way from
-``exactlin.square_cases`` and compared with the full product table.
+``.mul``.  ``bialgebra.comul-multiplicative`` and
+``comodule-algebra.multiplicative`` are read the same way from
+``exactlin.square_cases`` and compared with the full product table, and
+``cocycle.alpha-invariant``, swept on the support of two Gram matrices, with
+every one-entry case.  ``TwoCocycle.products``, which multiplies only the
+Sweedler terms that meet the Gram support, is compared with the expansion
+that pairs every term with every term.
 
 Also pinned: how many cases the sweeps visit and how many products they
 form, how often a tensor-power product groups an operand, and that a
@@ -35,7 +40,9 @@ from homhopf.bicross import self_bicross
 from homhopf.catalog import get_entry
 from homhopf.constructions import (
     canonical_cocycles,
+    cocycle_twist,
     drinfeld_double,
+    drinfeld_double_tilde,
     dual,
     dual_pair_double,
     evaluation_pairing,
@@ -49,14 +56,24 @@ from homhopf.exactlin import (
     cells,
     dense,
     dense_rows,
+    kron,
+    linear_combination,
     rows,
     sparse,
     tensor_power_products,
+    terms,
 )
-from homhopf.laws import check_cocycle, check_module
+from homhopf.laws import (
+    check_cocycle,
+    check_comodule_algebra,
+    check_left_comodule_algebra,
+    check_module,
+)
 from homhopf.structures import (
     CheckEntry,
+    ComoduleCoaction,
     HomAlgebra,
+    HomBialgebra,
     HomHopfAlgebra,
     ModuleAction,
     TwoCocycle,
@@ -148,11 +165,74 @@ def morphism_mul(prefix: str, X, Y, phi) -> CheckEntry:
 def comul_multiplicative(obj) -> CheckEntry:
     """delta(e_i e_j) against delta(e_i) delta(e_j), from the full product table."""
     mc, delta, n = obj.algebra.mul_cells, obj.coalgebra.comul_rows, obj.dim
-    products = tuple(tensor_power_products(mc, 2, delta, delta))
+    products = tuple(tensor_power_products((mc, mc), delta, delta))
     return full_sweep(
         "bialgebra.comul-multiplicative",
         (n, n),
         lambda i, j: (apply_map(delta, mc[i][j]), products[i * n + j]),
+    )
+
+
+def comodule_multiplicative(A, c: ComoduleCoaction) -> CheckEntry:
+    """rho(e_i e_j) against rho(e_i) rho(e_j), each pair of terms of the two
+    coactions multiplied leg by leg: in the carrier ``A`` on the first leg and
+    in the coactor on the second."""
+    amul, hmul, rho = algebra_of(A).mul_cells, algebra_of(c.coactor).mul_cells, c.coact_rows
+    nh = len(hmul)
+
+    def times(u, v):
+        return linear_combination(
+            u.dim,
+            (
+                (cu * cv, kron((amul[p // nh][q // nh],), (hmul[p % nh][q % nh],))[0])
+                for p, cu in u.items()
+                for q, cv in v.items()
+            ),
+        )
+
+    return full_sweep(
+        "comodule-algebra.multiplicative",
+        (len(amul),) * 2,
+        lambda i, j: (apply_map(rho, amul[i][j]), times(rho[i], rho[j])),
+    )
+
+
+def alpha_invariant(sigma: TwoCocycle) -> CheckEntry:
+    """sigma(alpha(e_i), alpha(e_j)) against sigma(e_i, e_j), summed from the Gram matrix."""
+    alpha, gram = sigma.algebra.alpha, sigma.gram
+
+    def lhs(i, j):
+        pairs = ((a, b) for a in alpha[i].items() for b in alpha[j].items())
+        return sparse((sum(ca * cb * gram[p].get(q, 0) for (p, ca), (q, cb) in pairs),))
+
+    return full_sweep(
+        "cocycle.alpha-invariant",
+        (sigma.algebra.dim,) * 2,
+        lambda i, j: (lhs(i, j), sparse((gram[i].get(j, 0),))),
+    )
+
+
+def all_pairs_products(sigma: TwoCocycle):
+    """sigma(h_1, k_1) h_2 k_2 for a left cocycle and sigma(h_2, k_2) h_1 k_1 for
+    a right one, every Sweedler term of ``h`` paired with every term of ``k``."""
+    B = sigma.algebra
+    n, mc, gram = B.dim, B.algebra.mul_cells, dense_rows(sigma.gram)
+    sw = terms(B.coalgebra.comul_rows, n)
+    # (paired leg, multiplied leg, coefficient) of each term
+    legs = [[(x, y, c) if sigma.side == "left" else (y, x, c) for x, y, c in t] for t in sw]
+    return tuple(
+        tuple(
+            linear_combination(
+                n,
+                (
+                    (vh * vk * gram[h1][k1], mc[h2][k2])
+                    for h1, h2, vh in legs[h]
+                    for k1, k2, vk in legs[k]
+                ),
+            )
+            for k in range(n)
+        )
+        for h in range(n)
     )
 
 
@@ -226,6 +306,75 @@ def test_modules_and_cocycles_of_the_catalog():
 PERTURBED = 8  # seeded single-entry perturbations per input and field
 
 
+@lru_cache(maxsize=None)
+def twisted_doubles(name: str):
+    """``verify prop4.7``'s inputs on ``name``: the double, its twist by the
+    canonical left cocycle, the mirrored double and its twist by the
+    canonical right cocycle."""
+    h = get_entry(name).hopf
+    double, tilde = drinfeld_double(h), drinfeld_double_tilde(h)
+    sigma, eta = canonical_cocycles(h, double, tilde)
+    left = cocycle_twist(double.bialgebra, sigma, check=False)
+    return double, left, tilde, cocycle_twist(tilde, eta, check=False)
+
+
+def coactions(kind: str, name: str):
+    """``(carrier, coaction)`` pairs: the coaction of the bicrossproduct data of
+    ``name``, or the two of ``verify prop4.7``: the double's coproduct on the
+    left twist and, as the right coaction of the co-opposite that
+    ``check_left_comodule_algebra`` checks, the mirrored double's on the right
+    twist."""
+    if kind == "bicross":
+        co = bicross_data(name)[3]
+        return [(co.carrier, co)]
+    double, left, tilde, right = twisted_doubles(name)
+    cop = HomBialgebra(tilde.algebra, tilde.coalgebra.op)
+    return [
+        (left, ComoduleCoaction(double.bialgebra, left, double.coalgebra.comul_rows)),
+        (right, ComoduleCoaction(cop, right, cop.coalgebra.comul_rows)),
+    ]
+
+
+COACTIONS = [
+    *(("bicross", name) for name in ("ax1", "cyclic:3", "sweedler_hom")),
+    *(("prop4.7", name) for name in ("cyclic:3", "sweedler_hom", "s3_inner")),
+]
+
+
+def test_coaction_multiplicativity_matches_the_full_sweep():
+    """On catalog coactions and seeded one-entry perturbations of their rows
+    and of the carrier's product, the supported sweep gives the full sweep's
+    entry; some perturbations first fail where one side is zero, others where
+    both sides are nonzero."""
+    first_failures = Counter()
+    for kind, name in COACTIONS:
+        for number, (A, c) in enumerate(coactions(kind, name)):
+            alg = algebra_of(A)
+            rng = random.Random(f"{kind} {name} {number}")
+            coact, mul = dense_rows(c.coact_rows), dense_field(alg, "mul")
+            for case in range(PERTURBED + 1):
+                bent_rows = rows(_perturbed(coact, rng, case)[0])
+                bent_mul = cells(_perturbed(mul, rng, case)[0])
+                for carrier, coaction in (
+                    (A, ComoduleCoaction(c.coactor, c.carrier, bent_rows)),
+                    (HomAlgebra(alg.dim, bent_mul, alg.unit, alg.alpha), c),
+                ):
+                    got = check_comodule_algebra(carrier, coaction)
+                    entry = got.entry("comodule-algebra.multiplicative")
+                    assert entry == comodule_multiplicative(carrier, coaction)
+                    if not entry.passed:
+                        w = entry.witness
+                        first_failures[any(w.lhs) and any(w.rhs)] += 1
+    assert first_failures[False] > 0 and first_failures[True] > 0
+
+
+@pytest.mark.parametrize("name", (*CATALOG, "cyclic:4"))
+def test_cocycle_products_are_the_all_pairs_expansion(name):
+    for sigma in canonical_cocycles(get_entry(name).hopf):
+        assert sigma.products == all_pairs_products(sigma)
+        assert check_cocycle(sigma).entry("cocycle.alpha-invariant") == alpha_invariant(sigma)
+
+
 @pytest.mark.parametrize("name", ("sweedler_hom", "cyclic:3", "s3_inner"))
 @pytest.mark.parametrize("field", ("mul", "comul", "alpha", "antipode"))
 def test_perturbed_hopf_algebras(name, field):
@@ -260,8 +409,10 @@ def test_perturbed_cocycle_forms(name):
         for case in range(1, PERTURBED + 1):
             gram = rows(_perturbed(dense_rows(sigma.gram), rng, case)[0])
             bent = TwoCocycle(sigma.algebra, gram, sigma.side)
-            entry = check_cocycle(bent).entry(f"cocycle.{sigma.side}-condition")
-            assert entry == cocycle_condition(bent)
+            report = check_cocycle(bent)
+            assert report.entry(f"cocycle.{sigma.side}-condition") == cocycle_condition(bent)
+            assert report.entry("cocycle.alpha-invariant") == alpha_invariant(bent)
+            assert bent.products == all_pairs_products(bent)
 
 
 # generated inputs: sparse random tables and unitriangular structure maps,
@@ -388,6 +539,34 @@ def test_comul_multiplicativity_forms_only_the_products_a_side_needs(monkeypatch
     counts = visited(monkeypatch, lambda: check_hom_bialgebra(double))
     assert formed == [216] and counts["bialgebra.comul-multiplicative"] == 216
     assert sum(1 for plane in double.algebra.mul_cells for cell in plane if cell) == 216
+
+
+def test_coaction_multiplicativity_forms_only_the_products_a_side_needs(monkeypatch):
+    """On the 36-dim twisted doubles of s3_inner, 216 of the 1,296 pairs of
+    each of ``verify prop4.7``'s two coactions have a filled product cell of
+    the carrier or Sweedler terms whose leg products are both filled: exactly
+    the 216 filled cells of the twisted product.  Only their products are
+    formed and swept."""
+    double, left, tilde, right = twisted_doubles("s3_inner")
+    coaction = ComoduleCoaction(double.bialgebra, left, double.coalgebra.comul_rows)
+    formed = []
+    products = structures.tensor_power_products
+
+    def counting(*args):
+        out = tuple(products(*args))
+        formed.append(len(out))
+        return iter(out)
+
+    monkeypatch.setattr(structures, "tensor_power_products", counting)
+
+    def run():
+        assert check_comodule_algebra(left, coaction).ok
+        assert check_left_comodule_algebra(right, tilde).ok
+
+    counts = visited(monkeypatch, run)
+    assert formed == [216, 216] and counts["comodule-algebra.multiplicative"] == 2 * 216
+    for twist in (left, right):
+        assert sum(1 for plane in algebra_of(twist).mul_cells for cell in plane if cell) == 216
 
 
 def test_comul_multiplicativity_groups_each_coproduct_row_once(monkeypatch):
