@@ -450,7 +450,8 @@ def drinfeld_double_tilde(A: HomHopfAlgebra) -> HomBialgebra:
 def cocycle_twist(B, sigma: TwoCocycle, check: bool = True) -> HomAlgebra:
     """Deform the multiplication by a normal cocycle:
     left twist ``h . k = sigma(h_1, k_1) alpha^-1(h_2 k_2)``, right twist
-    ``h . k = alpha^-1(h_1 k_1) sigma(h_2, k_2)``."""
+    ``h . k = alpha^-1(h_1 k_1) sigma(h_2, k_2)``.  ``alpha^-1`` is applied only
+    to the nonempty products: an empty one is already the zero of the twist."""
     bi = bialgebra_of(B)
     if sigma.algebra != bi:
         raise PreconditionFailed("cocycle host differs from the algebra being twisted")
@@ -461,7 +462,7 @@ def cocycle_twist(B, sigma: TwoCocycle, check: bool = True) -> HomAlgebra:
         if not report.ok:
             raise PreconditionFailed("not a normal cocycle", report)
     ainv1 = bi.power(-1)
-    mul = tuple(tuple(apply_map(ainv1, w) for w in row) for row in sigma.products)
+    mul = tuple(tuple(apply_map(ainv1, w) if w else w for w in row) for row in sigma.products)
     return HomAlgebra(bi.dim, mul, bi.unit, bi.alpha, alpha_inverse=bi.alpha_inverse)
 
 

@@ -17,12 +17,12 @@ from itertools import product
 
 from .exactlin import (
     SparseMatrix, SparseTensor3, apply_kron, apply_map, basis, bilinear_apply, compose, kron,
-    linear_combination, product_cases, sparse, transpose, transpose_rows,
+    linear_combination, sparse, transpose, transpose_rows,
 )
 from .structures import (
     CheckEntry, CheckReport, ComoduleCoaction, HomBialgebra, MatchedPairData, ModuleAction,
-    PairingForm, TwoCocycle, _flat, _legs, _multiplicative_cases, _require, _shape, _sweep,
-    algebra_of, bialgebra_of, coalgebra_of, make_entry,
+    PairingForm, TwoCocycle, _flat, _legs, _multiplicative_cases, _product_law, _require, _shape,
+    _sweep, algebra_of, bialgebra_of, coalgebra_of, make_entry,
 )
 
 
@@ -42,17 +42,13 @@ def check_module(m: ModuleAction) -> CheckReport:
     act, am, e = m.act_cells, m.carrier.alpha, basis(nm)
     aa, amul, unit = actor.alpha, actor.mul_cells, actor.unit
     acts = _flat(act)  # h (x) x -> h . x
-    associative = (
-        ((a, b, i), bilinear_apply(act, aa[a], act[b][i]), bilinear_apply(act, amul[a][b], am[i]))
-        for (a, b), cs in product_cases((act, aa, act), (act, amul, am))
-        for i in cs
-    )
     checks = (
         _sweep("module.unit-acts-as-alpha", (nm,), compose(kron(unit, e), acts), am),
         _sweep(
             "module.alpha-equivariant", (na, nm), compose(acts, am), compose(kron(aa, am), acts)
         ),
-        _sweep("module.hom-associative", associative),
+        # alpha(e_a) . (e_b . e_i) against (e_a e_b) . alpha(e_i)
+        _sweep("module.hom-associative", _product_law((act, aa, act), (act, amul, am))),
     )
     return CheckReport(checks)
 
@@ -357,14 +353,8 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
     invariant = compose(alpha, gram, transpose_rows(alpha))
     cases = ((i, j) for i in range(n) for j in sorted(invariant[i].keys() | gram[i].keys()))
     invariance = (((i, j), sparse((invariant[i].get(j, 0),)), form[i][j]) for i, j in cases)
-    # left: sigma(l_1, k_1) l_2 k_2; right: sigma(l_2, k_2) l_1 k_1
+    # w[l][k]: sigma(l_1, k_1) l_2 k_2 (left) or sigma(l_2, k_2) l_1 k_1 (right)
     w = sigma.products
-    # sigma(alpha^2(e_h), w[l][k]) against sigma(w[h][l], alpha^2(e_k))
-    condition = (
-        ((h, l, k), bilinear_apply(form, a2[h], w[l][k]), bilinear_apply(form, w[h][l], a2[k]))
-        for (h, l), ks in product_cases((form, a2, w), (form, w, a2))
-        for k in ks
-    )
     # h -> (sigma(1, h), sigma(h, 1)) against h -> (counit(h), counit(h))
     eta, counit = B.unit, transpose_rows(B.counit)
     normal = transpose_rows(compose(eta, gram) + compose(eta, transpose_rows(gram)))
@@ -375,7 +365,8 @@ def check_cocycle(sigma: TwoCocycle) -> CheckReport:
         #          = sigma(h_2 l_2, alpha^2(k)) sigma(h_1, l_1)
         # right: sigma(alpha^2(h), l_1 k_1) sigma(l_2, k_2)
         #          = sigma(h_1 l_1, alpha^2(k)) sigma(h_2, l_2)
-        _sweep(f"cocycle.{sigma.side}-condition", condition),
+        # that is, sigma(alpha^2(e_h), w[l][k]) against sigma(w[h][l], alpha^2(e_k))
+        _sweep(f"cocycle.{sigma.side}-condition", _product_law((form, a2, w), (form, w, a2))),
         _sweep("cocycle.normal", (n,), normal, transpose_rows(counit + counit)),
     )
     return CheckReport(checks)

@@ -23,12 +23,15 @@ two matched-pair laws and the pairing's product-coproduct laws) are instead
 a lazy stream of per-case sides through the same ``_sweep``, which stops at
 the first failure; as whole maps they would hold n^3 rows.  So are the
 multiplicativity laws of the structure map, the coproduct and the counit
-of ``check`` (n^2 cases each), so that no n^2-row map is held.  A product law
-(Hom-associativity, module Hom-associativity, the cocycle condition and the
-product laws of a morphism and of the antipode) visits only the cases where
-a side has a nonzero term (``exactlin.product_cases``): both sides of every
-other case are zero.  ``check_morphism`` compares two objects through a map
-``phi: X -> Y`` by the same sweeps.
+of ``check`` (n^2 cases each), so that no n^2-row map is held.  Every product
+law (Hom-associativity, module Hom-associativity, the cocycle condition and,
+by ``_morphism_products``, the multiplicativity of alpha, of the counit into
+``k``, of the antipode into the opposite product and of a morphism) comes
+from ``_product_law``, which reads its cases and sides from the same operands
+and visits only the cases where a side has a nonzero term
+(``exactlin.product_cases``): both sides of every other case are zero.
+``check_morphism`` compares two objects through a map ``phi: X -> Y`` by the
+same sweeps.
 
 Structural invariants (shapes, invertibility of structure maps) are enforced
 at construction; algebraic axioms are only ever checker verdicts, so broken
@@ -87,7 +90,6 @@ from .exactlin import (
     tensor_power_products,
     terms,
     transpose,
-    transpose_rows,
 )
 
 # Largest dimension of an object: the definition-file reader, the catalog and
@@ -335,34 +337,26 @@ def hopf_of_tables(mul_cells, unit, comul_rows, counit, alpha, antipode_rows, al
     return HomHopfAlgebra(HomBialgebra(algebra, coalgebra), antipode_rows)
 
 
+def _part(obj, kind: type, name: str):
+    """``obj`` if it is a ``kind``, else its ``name`` part if that is a ``kind``."""
+    for part in (obj, getattr(obj, name, None)):
+        if isinstance(part, kind):
+            return part
+    raise MissingStructure(f"no {name} structure on {type(obj).__name__}")
+
+
 def algebra_of(obj) -> HomAlgebra:
     """Coerce any of the structure types to its underlying Hom-algebra."""
-    if isinstance(obj, HomAlgebra):
-        return obj
-    if isinstance(obj, HomBialgebra):
-        return obj.algebra
-    if isinstance(obj, HomHopfAlgebra):
-        return obj.bialgebra.algebra
-    raise MissingStructure(f"no algebra structure on {type(obj).__name__}")
+    return _part(obj, HomAlgebra, "algebra")
 
 
 def coalgebra_of(obj) -> HomCoalgebra:
     """Coerce any of the structure types to its underlying Hom-coalgebra."""
-    if isinstance(obj, HomCoalgebra):
-        return obj
-    if isinstance(obj, HomBialgebra):
-        return obj.coalgebra
-    if isinstance(obj, HomHopfAlgebra):
-        return obj.bialgebra.coalgebra
-    raise MissingStructure(f"no coalgebra structure on {type(obj).__name__}")
+    return _part(obj, HomCoalgebra, "coalgebra")
 
 
 def bialgebra_of(obj) -> HomBialgebra:
-    if isinstance(obj, HomBialgebra):
-        return obj
-    if isinstance(obj, HomHopfAlgebra):
-        return obj.bialgebra
-    raise MissingStructure(f"no bialgebra structure on {type(obj).__name__}")
+    return _part(obj, HomBialgebra, "bialgebra")
 
 
 class ModuleAction(Record):
@@ -608,16 +602,25 @@ def _multiplicative_cases(muls, delta: SparseMatrix):
     return (((i, j), apply_map(delta, muls[0][i][j]), w) for (i, j), w in zip(cases, products))
 
 
-def _morphism_products(phi: SparseMatrix, xc: SparseTensor3, yc: SparseTensor3):
-    """The cases ``((i, j), phi(x_i x_j), phi(x_i) phi(x_j))`` of a product law,
-    products read from ``xc`` and ``yc``, where a side has a nonzero term:
-    ``phi(w)`` is the bilinear map ``(phi,)`` at ``(e_0, w)``."""
-    cases = product_cases(((phi,), [(0,)], xc), (yc, [phi], phi))
+def _product_law(left, right):
+    """The cases ``((a, b, c), s(f[a], u[b][c]), t(v[a][b], g[c]))`` of the law
+    with ``left = (s, f, u)`` and ``right = (t, v, g)``, ``s`` and ``t`` bilinear
+    maps, at the cases of ``exactlin.product_cases``: both sides of the others
+    are zero.  Cases and sides are read from the same operands."""
+    (s, f, u), (t, v, g) = left, right
     return (
-        ((i, j), apply_map(phi, xc[i][j]), bilinear_apply(yc, phi[i], phi[j]))
-        for (_, i), js in cases
-        for j in js
+        ((a, b, c), bilinear_apply(s, f[a], u[b][c]), bilinear_apply(t, v[a][b], g[c]))
+        for (a, b), cs in product_cases(left, right)
+        for c in cs
     )
+
+
+def _morphism_products(phi: SparseMatrix, xc: SparseTensor3, yc: SparseTensor3):
+    """The cases ``((i, j), phi(x_i x_j), phi(x_i) phi(x_j))`` of the law that
+    ``phi`` is multiplicative, products read from ``xc`` and ``yc``: the product
+    law of the bilinear map ``(phi,)`` at ``(e_0, x_i x_j)``."""
+    law = _product_law(((phi,), basis(1), xc), (yc, (phi,), phi))
+    return (((i, j), lhs, rhs) for (_, i, j), lhs, rhs in law)
 
 
 # ---------------------------------------------------------------------------
@@ -630,22 +633,13 @@ def check_hom_algebra(obj) -> CheckReport:
     A = algebra_of(obj)
     n = A.dim
     mc, m, ar, e, unit = A.mul_cells, A.mul_map, A.alpha, basis(n), A.unit
-    # alpha(e_i e_j) against alpha(e_i) alpha(e_j)
-    multiplicative = (
-        ((i, j), apply_map(ar, m[i * n + j]), bilinear_apply(mc, ar[i], ar[j]))
-        for i, j in product(range(n), range(n))
-    )
-    associative = (
-        ((i, j, k), bilinear_apply(mc, ar[i], mc[j][k]), bilinear_apply(mc, mc[i][j], ar[k]))
-        for (i, j), ks in product_cases((mc, ar, mc), (mc, mc, ar))
-        for k in ks
-    )
     checks = (
-        _sweep("algebra.alpha-multiplicative", multiplicative),
+        # alpha(e_i e_j) against alpha(e_i) alpha(e_j)
+        _sweep("algebra.alpha-multiplicative", _morphism_products(ar, mc, mc)),
         _sweep("algebra.alpha-fixes-unit", (), compose(unit, ar), unit),
         _sweep("algebra.left-unit", (n,), compose(kron(unit, e), m), ar),
         _sweep("algebra.right-unit", (n,), compose(kron(e, unit), m), ar),
-        _sweep("algebra.hom-associative", associative),
+        _sweep("algebra.hom-associative", _product_law((mc, ar, mc), (mc, mc, ar))),
     )
     return CheckReport(checks)
 
@@ -666,21 +660,16 @@ def check_hom_coalgebra(obj) -> CheckReport:
 
 
 def check_hom_bialgebra(obj) -> CheckReport:
-    """Comultiplication and counit are morphisms of Hom-algebras."""
+    """Comultiplication and counit are morphisms of Hom-algebras (the counit into ``k``)."""
     B = bialgebra_of(obj)
-    n = B.dim
-    mc, m, unit = B.algebra.mul_cells, B.algebra.mul_map, B.algebra.unit
+    mc, unit = B.algebra.mul_cells, B.algebra.unit
     delta, eps = B.coalgebra.comul_rows, B.coalgebra.counit
-    # counit(e_i e_j) against counit(e_i) counit(e_j)
-    counit_products = (
-        ((i, j), apply_map(eps, m[i * n + j]), kron((eps[i],), (eps[j],))[0])
-        for i, j in product(range(n), range(n))
-    )
     checks = (
         # delta(e_i e_j) against delta(e_i) delta(e_j) in the tensor-square algebra
         _sweep("bialgebra.comul-multiplicative", _multiplicative_cases((mc, mc), delta)),
         _sweep("bialgebra.comul-unit", (), compose(unit, delta), kron(unit, unit)),
-        _sweep("bialgebra.counit-multiplicative", counit_products),
+        # counit(e_i e_j) against counit(e_i) counit(e_j)
+        _sweep("bialgebra.counit-multiplicative", _morphism_products(eps, mc, (basis(1),))),
         _sweep("bialgebra.counit-unit", (), compose(unit, eps), basis(1)),
     )
     return CheckReport(checks)
@@ -731,15 +720,9 @@ def check_morphism(prefix: str, X, Y, phi: SparseMatrix) -> CheckReport:
         _sweep(prefix + ".alpha", (n,), compose(A.alpha, phi), compose(phi, B.alpha)),
     ]
     if isinstance(X, HomHopfAlgebra) and isinstance(Y, HomHopfAlgebra):
-        xd, yd, e = X.coalgebra.comul_rows, Y.coalgebra.comul_rows, basis(m)
-        # (picks[j] (x) id)(v) is the first-leg slice j of v: picks[j] is the covector e_j^*
-        picks = [transpose_rows((row,)) for row in e]
-        images = ((i, apply_kron(phi, phi, xd[i]), apply_map(yd, phi[i])) for i in range(n))
-        coproducts = (
-            ((i, j), apply_kron(pick, e, lhs), apply_kron(pick, e, rhs))
-            for i, lhs, rhs in images
-            for j, pick in enumerate(picks)
-        )
+        xd, yd = X.coalgebra.comul_rows, Y.coalgebra.comul_rows
+        cut = (pair_cells((apply_kron(phi, phi, xd[i]), apply_map(yd, phi[i])), m) for i in range(n))
+        coproducts = (((i, j), lhs[j], rhs[j]) for i, (lhs, rhs) in enumerate(cut) for j in range(m))
         S, T = X.antipode_rows, Y.antipode_rows
         checks += (
             _sweep(prefix + ".comul", coproducts),

@@ -579,6 +579,25 @@ class TestCocycleTwist:
         with pytest.raises(PreconditionFailed):
             cocycle_twist(h.bialgebra, TwoCocycle(h.bialgebra, zero, "left"))
 
+    def test_alpha_inverse_is_applied_to_the_nonempty_products_only(self, monkeypatch):
+        """On the 16-dim double of cyclic:4, 64 of the 256 products of each
+        canonical cocycle are nonempty; the others are the twist's zero cells."""
+        calls = []
+        apply = constructions.apply_map
+
+        def counting(m, v):
+            calls.append(v)
+            return apply(m, v)
+
+        monkeypatch.setattr(constructions, "apply_map", counting)
+        h = catalog_cyclic(4).hopf
+        for sigma, host in zip(canonical_cocycles(h), (drinfeld_double(h), drinfeld_double_tilde(h))):
+            calls.clear()
+            twisted = cocycle_twist(host, sigma, check=False)
+            assert len(calls) == 64 and all(calls)
+            zero = [w for row in twisted.mul_cells for w in row if not w]
+            assert len(zero) == 256 - 64 and all(w.dim == 16 for w in zero)
+
     def test_canonical_sigma_closed_form_on_cyclic(self):
         n = 4
         a = catalog_cyclic(n).hopf

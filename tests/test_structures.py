@@ -41,7 +41,7 @@ from homhopf.constructions import (
     evaluation_pairing,
     opposite,
 )
-from homhopf.errors import DimensionMismatch, SingularMatrixError
+from homhopf.errors import DimensionMismatch, MissingStructure, SingularMatrixError
 from homhopf.exactlin import (
     Sparse,
     basis,
@@ -369,6 +369,34 @@ class TestMorphism:
         h = catalog_sweedler_hom().hopf
         with pytest.raises(DimensionMismatch):
             check_morphism("short", h, h, basis(4)[:3])
+
+
+class TestCoercion:
+    def test_each_part_is_read_from_the_types_that_have_it(self):
+        H = catalog_ax1().hopf
+        B, A, C = H.bialgebra, H.algebra, H.coalgebra
+        assert algebra_of(H) is algebra_of(B) is algebra_of(A) is A
+        assert coalgebra_of(H) is coalgebra_of(B) is coalgebra_of(C) is C
+        assert bialgebra_of(H) is bialgebra_of(B) is B
+
+    def test_types_without_the_part_are_refused(self):
+        H = catalog_ax1().hopf
+        B, A, C = H.bialgebra, H.algebra, H.coalgebra
+        # a cocycle's ``algebra`` field is a bialgebra, not an algebra
+        sigma = TwoCocycle(B, rows(matrix_from_rows([[1, 0], [0, 1]])), "left")
+        refused = [
+            (algebra_of, C, "no algebra structure on HomCoalgebra"),
+            (algebra_of, sigma, "no algebra structure on TwoCocycle"),
+            (algebra_of, None, "no algebra structure on NoneType"),
+            (coalgebra_of, A, "no coalgebra structure on HomAlgebra"),
+            (coalgebra_of, sigma, "no coalgebra structure on TwoCocycle"),
+            (bialgebra_of, A, "no bialgebra structure on HomAlgebra"),
+            (bialgebra_of, C, "no bialgebra structure on HomCoalgebra"),
+            (bialgebra_of, sigma, "no bialgebra structure on TwoCocycle"),
+        ]
+        for coerce, obj, message in refused:
+            with pytest.raises(MissingStructure, match=f"^{message}$"):
+                coerce(obj)
 
 
 class TestStructuralInvariants:

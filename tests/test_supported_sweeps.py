@@ -7,8 +7,10 @@ case are zero. Each law that reads it is compared here with a reference that
 visits every basis multi-index and skips nothing. The two must give the same
 ``CheckEntry``: the same verdict and the same witness. The laws are
 ``algebra.hom-associative``, ``module.hom-associative``, the cocycle
-condition, ``antipode.anti-multiplicative`` and ``check_morphism``'s
-``.mul``.  ``bialgebra.comul-multiplicative`` and
+condition, and the laws that a map is multiplicative:
+``algebra.alpha-multiplicative``, ``bialgebra.counit-multiplicative``,
+``antipode.anti-multiplicative`` and ``check_morphism``'s ``.mul``.
+``bialgebra.comul-multiplicative`` and
 ``comodule-algebra.multiplicative`` are read the same way from
 ``exactlin.square_cases`` and compared with the full product table, and
 ``cocycle.alpha-invariant``, swept on the support of two Gram matrices, with
@@ -110,6 +112,27 @@ def hom_associative(obj) -> CheckEntry:
         "algebra.hom-associative",
         (A.dim,) * 3,
         lambda i, j, k: (bilinear_apply(mc, ar[i], mc[j][k]), bilinear_apply(mc, mc[i][j], ar[k])),
+    )
+
+
+def alpha_multiplicative(obj) -> CheckEntry:
+    """alpha(e_i e_j) against alpha(e_i) alpha(e_j)."""
+    A = algebra_of(obj)
+    mc, ar = A.mul_cells, A.alpha
+    return full_sweep(
+        "algebra.alpha-multiplicative",
+        (A.dim,) * 2,
+        lambda i, j: (apply_map(ar, mc[i][j]), bilinear_apply(mc, ar[i], ar[j])),
+    )
+
+
+def counit_multiplicative(obj) -> CheckEntry:
+    """counit(e_i e_j) against counit(e_i) counit(e_j), on the one-dimensional space."""
+    mc, eps = obj.algebra.mul_cells, obj.coalgebra.counit
+    return full_sweep(
+        "bialgebra.counit-multiplicative",
+        (obj.dim,) * 2,
+        lambda i, j: (apply_map(eps, mc[i][j]), kron((eps[i],), (eps[j],))[0]),
     )
 
 
@@ -238,10 +261,13 @@ def all_pairs_products(sigma: TwoCocycle):
 
 def assert_product_laws_match(obj) -> None:
     """Every product law of ``obj`` that applies gives the reference's entry."""
-    assert check_hom_algebra(obj).entry("algebra.hom-associative") == hom_associative(obj)
+    report = check_hom_algebra(obj)
+    assert report.entry("algebra.hom-associative") == hom_associative(obj)
+    assert report.entry("algebra.alpha-multiplicative") == alpha_multiplicative(obj)
     if isinstance(obj, HomHopfAlgebra):
-        entry = check_hom_bialgebra(obj).entry("bialgebra.comul-multiplicative")
-        assert entry == comul_multiplicative(obj)
+        report = check_hom_bialgebra(obj)
+        assert report.entry("bialgebra.comul-multiplicative") == comul_multiplicative(obj)
+        assert report.entry("bialgebra.counit-multiplicative") == counit_multiplicative(obj)
     for prefix, phi in (("id", basis(obj.dim)), ("alpha", obj.alpha)):
         got = check_morphism(prefix, obj, obj, phi).entry(prefix + ".mul")
         assert got == morphism_mul(prefix, obj, obj, phi)
@@ -376,7 +402,7 @@ def test_cocycle_products_are_the_all_pairs_expansion(name):
 
 
 @pytest.mark.parametrize("name", ("sweedler_hom", "cyclic:3", "s3_inner"))
-@pytest.mark.parametrize("field", ("mul", "comul", "alpha", "antipode"))
+@pytest.mark.parametrize("field", ("mul", "counit", "comul", "alpha", "antipode"))
 def test_perturbed_hopf_algebras(name, field):
     h = get_entry(name).hopf
     rng = random.Random(f"{name} {field}")
@@ -507,6 +533,17 @@ def test_hom_associativity_on_the_s3_inner_double_visits_one_case_per_pair(monke
     double = derived("double", "s3_inner")
     counts = visited(monkeypatch, lambda: check_hom_algebra(double))
     assert 0 < counts["algebra.hom-associative"] <= 1296  # 14,256 nonempty-cell cases
+
+
+def test_alpha_and_counit_multiplicativity_visit_only_supported_pairs(monkeypatch):
+    """On the 36-dim s3_inner double, alpha multiplicativity visits the 216
+    filled product cells of the 1,296 pairs (alpha is a signed permutation
+    there), and counit multiplicativity the 36 pairs of the 6 basis vectors
+    on which the counit is nonzero."""
+    double = derived("double", "s3_inner")
+    counts = visited(monkeypatch, lambda: (check_hom_algebra(double), check_hom_bialgebra(double)))
+    assert counts["algebra.alpha-multiplicative"] == 216
+    assert counts["bialgebra.counit-multiplicative"] == 36 == sum(1 for r in double.counit if r) ** 2
 
 
 @pytest.mark.parametrize("name, most", [("sweedler_hom", 40), ("cyclic:4", 64)])
