@@ -10,7 +10,8 @@ __version__ = "0.1.0"
 
 # Every public name loads its module on first use (PEP 562), so a command
 # compiles only the modules it runs: ``--version`` compiles none of them.
-_SUBMODULES = ("bicross", "catalog", "constructions", "errors", "exactlin", "laws", "structures")
+_SUBMODULES = ("bicross", "catalog", "constructions", "errors", "exactlin", "laws", "pairing",
+               "structures", "twist")
 _HOME = {
     **dict.fromkeys((
         "CheckEntry", "CheckReport", "ComoduleCoaction", "HomAlgebra", "HomBialgebra",
@@ -18,16 +19,15 @@ _HOME = {
         "RMatrix", "TwoCocycle", "Witness", "check_antipode", "check_hom_algebra",
         "check_hom_bialgebra", "check_hom_coalgebra", "check_quasitriangular", "run_hopf_suite",
     ), "structures"),
-    **dict.fromkeys((
-        "check_cocycle", "check_comodule", "check_comodule_algebra", "check_comodule_coalgebra",
-        "check_cotwisting", "check_dual_pair", "check_matched_pair", "check_module",
-        "check_module_algebra", "check_module_coalgebra", "check_twisting",
-    ), "laws"),
+    **dict.fromkeys(("check_comodule_coalgebra", "check_cotwisting", "check_matched_pair",
+                     "check_module", "check_module_algebra", "check_module_coalgebra"), "laws"),
+    **dict.fromkeys(("check_cocycle", "check_comodule", "check_comodule_algebra"), "twist"),
+    **dict.fromkeys(("check_dual_pair", "check_twisting", "dual_pair_double",
+                     "evaluation_pairing"), "pairing"),
     **dict.fromkeys((
         "canonical_cocycles", "canonical_r_matrix", "cocycle_twist", "comodule_cotwist",
         "cotwist_coproduct", "drinfeld_double", "drinfeld_double_tilde", "dual",
-        "dual_pair_double", "evaluation_pairing", "heisenberg_double", "opposite",
-        "smash_product", "yau_twist",
+        "heisenberg_double", "opposite", "smash_product", "yau_twist",
     ), "constructions"),
     **dict.fromkeys((
         "bicrossproduct", "double_cross_product", "dual_matched_pair", "self_bicross",

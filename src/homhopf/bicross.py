@@ -1,5 +1,6 @@
-"""Majid's bicrossproduct, the canonical bicrossproduct on ``H (x) H_op``,
-and the double crossed product of a matched pair.
+"""Section 2 of the paper, Majid's bicrossproduct: the bicrossproduct, the
+canonical bicrossproduct on ``H (x) H_op``, the double crossed product of a
+matched pair, and the ``thm2.6`` and ``cor2.9`` suites that verify them.
 
 Only ``construct bicross``, ``construct self-bicross`` and the ``thm2.6``
 and ``cor2.9`` suites run this code, so only they compile it.  Its
@@ -7,6 +8,9 @@ conventions and product-space helpers are those of ``constructions``.
 """
 
 from __future__ import annotations
+
+import time
+from typing import TYPE_CHECKING
 
 from .constructions import (
     _pair_product, _product_dim, _tensor_coalgebra, comodule_cotwist,
@@ -20,8 +24,13 @@ from .exactlin import (
 from .laws import check_comodule_coalgebra, check_matched_pair, check_module_algebra
 from .structures import (
     CheckReport, ComoduleCoaction, HomAlgebra, HomBialgebra, HomHopfAlgebra, MatchedPairData,
-    ModuleAction, _flat, _legs, _sweep, algebra_of, bialgebra_of, coalgebra_of, merge_reports,
+    ModuleAction, _flat, _legs, _sweep, algebra_of, bialgebra_of, coalgebra_of, make_entry,
+    merge_reports, run_hopf_suite,
 )
+
+if TYPE_CHECKING:
+    from .catalog import BicrossGolden, GroupData
+    from .verify import SuiteResult
 
 
 def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckReport:
@@ -265,3 +274,84 @@ def dual_matched_pair(
     acted = [transpose_rows(compose(A.power(-2), plane)) for plane in act.act_cells]
     right = tuple(tuple(columns[j] for columns in acted) for j in range(na))
     return MatchedPairData(H, dual(A), left, right)
+
+
+def verify_thm_2_6(
+    A: HomHopfAlgebra,
+    H: HomHopfAlgebra,
+    act: ModuleAction,
+    co: ComoduleCoaction,
+    golden: BicrossGolden | None = None,
+) -> SuiteResult:
+    """Verify the bicrossproduct theorem on concrete data: hypotheses, the
+    construction, its full Hopf suite, and optionally a diff against golden
+    tables."""
+    from .verify import SuiteStep, _timed  # here, so that no construct command compiles verify
+
+    started = time.perf_counter()
+    _product_dim(A.dim, H.dim)  # refused before the O(n^3) precondition sweeps
+    steps = [
+        SuiteStep("module-algebra action", check_module_algebra(act)),
+        SuiteStep("comodule-coalgebra coaction", check_comodule_coalgebra(co)),
+        SuiteStep("compatibility hypotheses", bicross_hypotheses(A, H, act, co)),
+    ]
+    built = bicrossproduct(A, H, act, co, check=False)
+    steps.append(SuiteStep("hopf suite on the bicrossproduct", run_hopf_suite(built)))
+    if golden is not None:
+        n = built.dim
+        golden_checks = (
+            _sweep("golden.products", (n, n), built.algebra.mul_map, _flat(golden.products)),
+            _sweep("golden.coproducts", (n,), built.coalgebra.comul_rows, golden.coproducts),
+            _sweep("golden.antipodes", (n,), built.antipode_rows, golden.antipodes),
+        )
+        steps.append(
+            SuiteStep(
+                "golden tables",
+                CheckReport(golden_checks),
+                note="expected tables on the basis (a, h) -> a * dim_H + h",
+            )
+        )
+    return _timed("bicrossproduct-theorem", steps, started)
+
+
+def verify_cor_2_9(H: HomHopfAlgebra, group: GroupData | None = None) -> SuiteResult:
+    """Verify the canonical bicrossproduct on H (x) H_op: preconditions, the
+    closed-form cross-check, the full Hopf suite, and on twisted group
+    algebras the group-like product formula
+    ``(a x h)(b x k) = phi(a h^-1 b h) x phi(k h)``."""
+    from .verify import SuiteStep, _timed
+
+    started = time.perf_counter()
+    steps: list[SuiteStep] = []
+    hop, act, co = self_bicross_data(H)
+    steps.append(SuiteStep("module-algebra action", check_module_algebra(act)))
+    steps.append(SuiteStep("comodule-coalgebra coaction", check_comodule_coalgebra(co)))
+    steps.append(SuiteStep("compatibility hypotheses", bicross_hypotheses(H, hop, act, co)))
+    try:
+        built = self_bicross(H, check=False)
+        cross = CheckReport((make_entry("self-bicross.closed-forms-agree", True),))
+    except CrossCheckFailed:
+        built = bicrossproduct(H, hop, act, co, check=False)
+        cross = CheckReport((make_entry("self-bicross.closed-forms-agree", False),))
+    steps.append(SuiteStep("closed-form cross-check", cross))
+    steps.append(SuiteStep("hopf suite on the bicrossproduct", run_hopf_suite(built)))
+    if group is not None:
+        n, mul, inv, phi = group.order, group.table, group.inverse, group.automorphism
+        e, g = basis(n * n), range(n)
+        # row (a, h, b, k) of the product map is (a x h)(b x k)
+        closed = tuple(
+            e[phi[mul[mul[mul[a][inv[h]]][b]][h]] * n + phi[mul[k][h]]]
+            for a in g
+            for h in g
+            for b in g
+            for k in g
+        )
+        entry = _sweep("self-bicross.group-like-product", (n,) * 4, built.algebra.mul_map, closed)
+        steps.append(
+            SuiteStep(
+                "group-like closed form",
+                CheckReport((entry,)),
+                note="evaluated on every basis quadruple of group-likes",
+            )
+        )
+    return _timed("self-bicrossproduct", steps, started)

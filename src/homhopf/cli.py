@@ -9,7 +9,7 @@ computed over the document with wall-time fields removed.
 Each command imports the modules it runs when it runs, so a process compiles
 only those: ``--version`` none of the package beyond ``__init__``, ``check``
 the file format (``algfile``) and the checkers, ``construct`` also the
-constructions, and ``verify`` also the suites.
+constructions, and ``verify`` also ``verify`` and the suite's own section.
 """
 
 from __future__ import annotations
@@ -229,8 +229,6 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
         drinfeld_double,
         drinfeld_double_tilde,
         dual,
-        dual_pair_double,
-        evaluation_pairing,
         heisenberg_double,
         opposite,
     )
@@ -266,6 +264,8 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
             built = bicrossproduct(act.carrier, act.actor, act, co, check=check_flag)
             result = object_record(f"bicross_{base}", built)
         elif kind == "dual-pair-double":
+            from .pairing import dual_pair_double, evaluation_pairing
+
             pair_blocks = bundle.blocks_of("pairing")
             pairing = bundle.pairing(pair_blocks[0]) if pair_blocks else evaluation_pairing(rec.hom_hopf())
             result = object_record(
@@ -311,10 +311,10 @@ SUITES = ("thm2.6", "cor2.9", "prop2.19", "thm4.5", "dual-pair", "prop4.7")
 
 def verify(suite, source, report_path):
     """Run a named verification suite on an algebra."""
+    from . import verify as suites
     from .errors import HomHopfError
-    from .verify import verify_cor_2_9, verify_dual_pair_route, verify_prop_2_19, verify_prop_4_7
-    from .verify import verify_thm_2_6, verify_thm_4_5
 
+    run = getattr(suites, suites.SUITES[suite][1])  # compiles the suite's own section
     try:
         bundle, raw, entry = _load_input(source)
         rec = bundle.object()
@@ -331,17 +331,11 @@ def verify(suite, source, report_path):
             given = (act.carrier, act.actor, act.act_cells, co.coactor.dim, co.coact_rows)
             want = (ax1.hopf, ax1.partner, ax1.action.act_cells, ax1.hopf.dim, ax1.coaction.coact_rows)
             golden = catalog_ex27_expected() if given == want else None
-            result = verify_thm_2_6(act.carrier, act.actor, act, co, golden)
-        elif suite == "cor2.9":
-            result = verify_cor_2_9(hopf, group)
-        elif suite == "prop2.19":
-            result = verify_prop_2_19(hopf, group)
-        elif suite == "thm4.5":
-            result = verify_thm_4_5(hopf)
-        elif suite == "dual-pair":
-            result = verify_dual_pair_route(hopf)
+            result = run(act.carrier, act.actor, act, co, golden)
+        elif suite in ("cor2.9", "prop2.19"):
+            result = run(hopf, group)
         else:
-            result = verify_prop_4_7(hopf)
+            result = run(hopf)
     except (HomHopfError, OSError) as exc:
         _fail_usage(str(exc))
 

@@ -1,22 +1,20 @@
 """Builders for derived Hom-Hopf objects.
 
 Each construction assembles exact structure constants for a composite object:
-linear duals, opposites, Yau twists, smash products, cotwist coproducts,
-Drinfel'd doubles (via the closed multiplication formula and via dual
-pairs), Heisenberg doubles, and cocycle twists.  The bicrossproducts and
-the double crossed product of a matched pair are built in ``bicross``, and
-the preconditions are checked by ``laws``; each is compiled only by a
-command that runs it.
+linear duals, opposites, Yau twists, smash products, cotwist coproducts, the
+closed-form Drinfel'd double, Heisenberg doubles, and cocycle twists.  The
+bicrossproducts and the double of a dual pair (``bicross``, ``pairing``) and
+the precondition laws (``laws``, ``pairing``, ``twist``) live apart, each
+compiled only by a command that runs it.
 
 Tensor-factor ordering is fixed per construction: a double lives on
-``H_op (x) H_dual``, the tilde variant on ``(A_op)_dual (x) A``, a double
-built from a pairing on ``A (x) B``, and every product space flattens
-row-major (first factor major).  Preconditions are verified before building
-unless ``check=False`` (outputs are then unvalidated); an output above
-``MAX_DIM`` dimensions is refused before either.  A product on a pair space
-comes from ``_pair_product`` and an exchange map that swaps the two inner
-legs; a coproduct on a pair space comes from ``cotwist_coproduct`` and a
-cotwisting map.
+``H_op (x) H_dual``, the tilde variant on ``(A_op)_dual (x) A``, and every
+product space flattens row-major (first factor major).  Preconditions are
+verified before building unless ``check=False`` (outputs are then
+unvalidated); an output above ``MAX_DIM`` dimensions is refused before
+either.  A product on a pair space comes from ``_pair_product`` and an
+exchange map that swaps the two inner legs; a coproduct on a pair space
+comes from ``cotwist_coproduct`` and a cotwisting map.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from .exactlin import (
     flip,
     kron,
     linear_combination,
-    mat_inverse,
     pair_cells,
     rows_from_entries,
     transpose,
@@ -43,15 +40,12 @@ from .exactlin import (
 )
 from .structures import (
     MAX_DIM,
-    CheckReport,
     ComoduleCoaction,
     HomAlgebra,
     HomBialgebra,
     HomCoalgebra,
     HomHopfAlgebra,
     ModuleAction,
-    PairingForm,
-    Record,
     RMatrix,
     TwoCocycle,
     algebra_of,
@@ -312,86 +306,6 @@ def canonical_r_matrix(H: HomHopfAlgebra, double: HomHopfAlgebra | None = None) 
     return RMatrix(double.bialgebra, compose(transpose_rows(first), second))
 
 
-def evaluation_pairing(H: HomHopfAlgebra) -> PairingForm:
-    """The evaluation pairing on ``(H_op, H_dual)``; the opposite carries the
-    inverse antipode so both sides are Hom-Hopf."""
-    return PairingForm(opposite_hopf(H), dual(H), basis(H.dim))
-
-
-class PairedDouble(Record):
-    """A double built from a dual pairing, with its twisting map and the
-    outcome of comparing the closed-form antipode inverses of the two
-    half-braidings against their exact matrix inverses."""
-
-    hopf: HomHopfAlgebra
-    twisting: SparseMatrix
-    closed_form_inverses_match: tuple[bool, bool]
-
-
-def dual_pair_double(P: PairingForm, check: bool = True) -> PairedDouble:
-    """The double on ``A (x) B`` of a dual pair, with multiplication
-
-    ``(a (x) b)(a' (x) b') = (S^-1 alpha_A(a'_1), b_2)(a'_22, alpha_B^-1(b_11))
-        a alpha_A^-2(a'_21) (x) alpha_B^-2(b_12) b'``,
-
-    coproduct ``a_1 (x) b_2 (x) a_2 (x) b_1``, and antipode built from the
-    twisting map.  The antipode-based closed forms for the half-braiding
-    inverses are evaluated and compared against exact matrix inverses; a
-    mismatch is recorded, never fatal."""
-    A, B, gram = P.left, P.right, P.gram
-    na, nb = A.dim, B.dim
-    _product_dim(na, nb)
-    if check:
-        from .laws import check_dual_pair
-
-        report = check_dual_pair(P)
-        required = [c for c in report.checks if c.axiom_id != "pairing.mul-comul-right-swapped"]
-        if not all(c.passed for c in required):
-            raise PreconditionFailed("not a dual pair", CheckReport(tuple(required)))
-    aa_i1, aa_i2, bb_i1, bb_i2 = A.power(-1), A.power(-2), B.power(-1), B.power(-2)
-    sa_inv, sb_inv = A.antipode_inverse, B.antipode_inverse
-    e_a, e_b = basis(na), basis(nb)
-
-    def paired(weight: SparseMatrix, first: bool, a_then, b_then) -> SparseMatrix:
-        """The map on ``A (x) B`` that pairs one Sweedler leg of ``a`` with one of
-        ``b`` through ``weight`` and keeps the other two, then applies
-        ``a_then (x) b_then``: ``a_1 (x) <a_2, b_1> b_2`` if ``first``, else
-        ``a_2 (x) <a_1, b_2> b_1``, the same through the co-opposites."""
-        ca, cb = (A.coalgebra, B.coalgebra) if first else (A.coalgebra.op, B.coalgebra.op)
-        legs = ca.comul_rows
-        # through[b] maps the paired leg of a to the kept leg of b
-        through = [compose(weight, plane, b_then) for plane in pair_cells(cb.comul_rows, nb)]
-        return tuple(apply_kron(a_then, t, legs[a]) for a in range(na) for t in through)
-
-    # <alpha_A(a), b> and <S_A^-1 alpha_A(a), b>
-    plain, inverse = compose(A.alpha, gram), compose(A.alpha, sa_inv, gram)
-    r1 = paired(plain, True, aa_i1, bb_i1)
-    r2 = paired(plain, False, aa_i1, bb_i1)
-    r1_inv = mat_inverse(r1)
-    r2_inv = mat_inverse(r2)
-    closed_r1_inv = paired(inverse, True, aa_i1, bb_i1)
-    closed_r2_inv = paired(inverse, False, aa_i1, bb_i1)
-    inverses_match = (closed_r1_inv == r1_inv, closed_r2_inv == r2_inv)
-    twisting = compose(flip(nb, na), r2_inv, r1)
-
-    # a' (x) b goes to <S^-1 alpha_A(a'_1), b_2> a'_2 (x) b_1, and then a'_2 (x) b_1 to
-    # <a'_22, alpha_B^-1(b_11)> a'_21 (x) b_12
-    weight2 = compose(gram, transpose_rows(B.alpha_inverse))  # <a, alpha_B^-1(b)>
-    middles = compose(paired(inverse, False, e_a, e_b), paired(weight2, True, e_a, e_b))
-    # first[a] maps a'_21 to a alpha_A^-2(a'_21), second[b'] maps b_12 to alpha_B^-2(b_12) b'
-    first = [compose(aa_i2, lm) for lm in A.algebra.mul_cells]
-    second = [compose(bb_i2, rm) for rm in transpose(B.algebra.mul_cells)]
-    tau = [[middles[ap * nb + b] for ap in range(na)] for b in range(nb)]
-    # a_1 (x) b_2 (x) a_2 (x) b_1: the tensor coproduct with B's co-opposite
-    coalg = _tensor_coalgebra(A, B.coalgebra.op)
-    antipode = compose(kron(A.antipode_rows, sb_inv), flip(na, nb), twisting)
-    unit = kron(A.unit, B.unit)
-    mul = _pair_product(first, second, tau)
-    alg = HomAlgebra(coalg.dim, mul, unit, coalg.alpha, alpha_inverse=coalg.alpha_inverse)
-    hopf = HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
-    return PairedDouble(hopf, twisting, inverses_match)
-
-
 # ---------------------------------------------------------------------------
 # Heisenberg doubles and cocycle twists
 
@@ -456,7 +370,7 @@ def cocycle_twist(B, sigma: TwoCocycle, check: bool = True) -> HomAlgebra:
     if sigma.algebra != bi:
         raise PreconditionFailed("cocycle host differs from the algebra being twisted")
     if check:
-        from .laws import check_cocycle
+        from .twist import check_cocycle
 
         report = check_cocycle(sigma)
         if not report.ok:

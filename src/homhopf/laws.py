@@ -1,13 +1,16 @@
-"""The data-law checkers: modules, comodules, twisting and cotwisting maps,
-matched pairs, dual pairings, 2-cocycles and comodule algebras.
+"""Section 2 of the paper, the data laws of Majid's bicrossproduct: modules
+(plain, algebra- and coalgebra-valued), comodule coalgebras, cotwisting
+maps and matched pairs.
 
 ``check`` runs none of them, so they live apart from ``structures`` (the
 domain types, the reports, ``_sweep`` and the Hopf-level checkers), and only
-a command that checks construction data or verifies a suite compiles them.
-Each law is swept by ``structures._sweep``.
+a command that checks bicrossproduct data compiles them.  The laws of the
+other sections live with their suites: dual pairs and twisting maps in
+``pairing``, 2-cocycles and comodule algebras in ``twist``, which also holds
+the comodule axioms every comodule law starts from.  Each law is swept by
+``structures._sweep``.
 
-A mirrored law is checked as the one-sided law of an opposite: a left
-comodule algebra over ``C`` as a right one over ``C^cop``, and a right
+A mirrored law is checked as the one-sided law of an opposite: a right
 action of ``A`` as a left action of ``A_op``.
 """
 
@@ -15,24 +18,15 @@ from __future__ import annotations
 
 from itertools import product
 
+from . import twist
 from .exactlin import (
     SparseMatrix, SparseTensor3, apply_kron, apply_map, basis, bilinear_apply, compose, kron,
-    linear_combination, sparse, transpose, transpose_rows,
+    linear_combination, transpose,
 )
 from .structures import (
-    CheckEntry, CheckReport, ComoduleCoaction, HomBialgebra, MatchedPairData, ModuleAction,
-    PairingForm, TwoCocycle, _flat, _legs, _multiplicative_cases, _product_law, _require, _shape,
-    _sweep, algebra_of, bialgebra_of, coalgebra_of, make_entry,
+    CheckReport, ComoduleCoaction, MatchedPairData, ModuleAction, _flat, _legs, _product_law,
+    _require, _shape, _sweep, algebra_of, bialgebra_of, coalgebra_of,
 )
-
-
-def _partial_forms(gram: SparseMatrix, alpha_left: SparseMatrix, alpha_right: SparseMatrix):
-    """For a bilinear form ``<,>`` with Gram matrix ``gram``, the maps
-    ``x -> <alpha_left(e_i), x>`` (one per ``i``) and ``x -> <x, alpha_right(e_j)>``
-    (one per ``j``) to the one-dimensional space."""
-    first = tuple(transpose_rows((row,)) for row in compose(alpha_left, gram))
-    second = tuple(transpose_rows((row,)) for row in compose(alpha_right, transpose_rows(gram)))
-    return first, second
 
 
 def check_module(m: ModuleAction) -> CheckReport:
@@ -80,22 +74,6 @@ def check_module_algebra(m: ModuleAction) -> CheckReport:
     return CheckReport(checks)
 
 
-def check_comodule(c: ComoduleCoaction) -> CheckReport:
-    """Right comodule axioms for a coaction ``rho: M -> M (x) C``."""
-    coactor = coalgebra_of(c.coactor)
-    nm = c.carrier.dim
-    am, ac, e = c.carrier.alpha, coactor.alpha, basis(nm)
-    eps, rho, cm = coactor.counit, c.coact_rows, coactor.comul_rows
-    checks = (
-        _sweep("comodule.counit-reduces-to-alpha", (nm,), compose(rho, (e, eps)), am),
-        _sweep("comodule.alpha-equivariant", (nm,), compose(rho, (am, ac)), compose(am, rho)),
-        _sweep(
-            "comodule.hom-coassociative", (nm,), compose(rho, (rho, ac)), compose(rho, (am, cm))
-        ),
-    )
-    return CheckReport(checks)
-
-
 def check_comodule_coalgebra(c: ComoduleCoaction) -> CheckReport:
     """Comodule axioms plus the comodule Hom-coalgebra compatibilities."""
     coactor = bialgebra_of(c.coactor)
@@ -120,7 +98,7 @@ def check_comodule_coalgebra(c: ComoduleCoaction) -> CheckReport:
         for i in range(nm)
     )
     checks = (
-        *check_comodule(c).checks,
+        *twist.check_comodule(c).checks,
         _sweep("comodule-coalgebra.counit", (nm,), compose(rho, (eps, e)), compose(eps, eta)),
         # c_(0)1 (x) c_(0)2 (x) alpha_H^2(c_(1))
         _sweep(
@@ -175,36 +153,6 @@ def check_cotwisting(C, D, phi: SparseMatrix) -> CheckReport:
         # kill the C-leg of the output: eps_C(c^phi) d^phi = eps_C(c) d
         _sweep("cotwisting.counit-first-factor", cd, compose(phi, (ed, eps_c)), kron(eps_c, ed)),
         _sweep("cotwisting.counit-second-factor", cd, compose(phi, (eps_d, ec)), kron(ec, eps_d)),
-    )
-    return CheckReport(checks)
-
-
-def check_twisting(A, B, t: SparseMatrix) -> CheckReport:
-    """The three conditions of a twisting map ``B (x) A -> A (x) B``.
-
-    Each side is a chain of row-image maps applied leg by leg, so no map on
-    a triple tensor product is built; a case ``(i,)`` is the ``i``-th basis
-    vector of the domain.
-    """
-    A = algebra_of(A)
-    B = algebra_of(B)
-    na, nb = A.dim, B.dim
-    _require(_shape(t) == (nb * na, na * nb), "twisting map shape")
-
-    am, bm, aa, ba = A.mul_map, B.mul_map, A.alpha, B.alpha
-    ia, ib = basis(na), basis(nb)
-    n = nb * na
-    alphas = compose(kron(ba, aa), t)  # alpha_B (x) alpha_A, then t
-    # on B (x) B (x) A: id_B (x) t, then t (x) id_B, then alpha_A (x) mu_B
-    second = compose(kron(ib, t), (t, ib), (aa, bm))
-    # on B (x) A (x) A: t (x) id_A, then id_A (x) t, then mu_A (x) alpha_B
-    first = compose(kron(t, ia), (ia, t), (am, ba))
-    checks = (
-        _sweep("twisting.alpha-compatible", (n,), compose(t, (aa, ba)), alphas),
-        # mu_B (x) alpha_A, then t
-        _sweep("twisting.second-factor-product", (nb * n,), compose(kron(bm, aa), t), second),
-        # alpha_B (x) mu_A, then t
-        _sweep("twisting.first-factor-product", (n * na,), compose(kron(ba, am), t), first),
     )
     return CheckReport(checks)
 
@@ -272,131 +220,10 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
         for terms, comul in ((h_terms, delta_a), (flipped, delta_a_op))
     ]
     checks = (
-        *_prefixed("matched-pair.left-action.", check_module_coalgebra(mp.left_module).checks),
-        *_prefixed("matched-pair.right-action.", check_module_coalgebra(mp.right_module).checks),
+        *twist._prefixed("matched-pair.left-action.", check_module_coalgebra(mp.left_module).checks),
+        *twist._prefixed("matched-pair.right-action.", check_module_coalgebra(mp.right_module).checks),
         _sweep("matched-pair.product-acts-right", products_act),
         _sweep("matched-pair.acts-on-product", acting_on_products),
         _sweep("matched-pair.exchange-symmetry", (nh, na), *exchange),
     )
     return CheckReport(checks)
-
-
-def _prefixed(prefix: str, checks) -> list[CheckEntry]:
-    return [CheckEntry(prefix + c.axiom_id, c.passed, c.witness) for c in checks]
-
-
-def check_dual_pair(P: PairingForm) -> CheckReport:
-    """Compatibility of a non-degenerate pairing with units, products,
-    coproducts, structure maps and antipodes.
-
-    The coproduct-side condition whose printed form is type-inconsistent is
-    checked in the reading symmetric to the product-side one; the swapped
-    alternative is reported as an extra informational entry.
-    """
-    A, B, gram = P.left, P.right, P.gram
-    na, nb = A.dim, B.dim
-    e_a, e_b, a_alpha, b_alpha = basis(na), basis(nb), A.alpha, B.alpha
-    eps_a, eps_b = A.coalgebra.counit, B.coalgebra.counit
-    a_mul, b_mul = A.algebra.mul_cells, B.algebra.mul_cells
-    a_unit, b_unit, s_a = A.algebra.unit, B.algebra.unit, A.antipode_rows
-    form = P.form
-    pair = _flat(form)  # a (x) b -> <a, b>
-    s_b_inverse = compose(kron(e_a, B.antipode_inverse), pair)
-    # x -> <alpha^2(a_i), x> on B and x -> <x, alpha^2(b_j)> on A
-    with_a, with_b = _partial_forms(gram, A.power(2), B.power(2))
-    delta_a, delta_b = A.coalgebra.comul_rows, B.coalgebra.comul_rows
-
-    def mul_comul_right(swapped: bool):
-        """``<a, b b'>`` against ``<a_1, alpha^2(b)> <a_2, alpha^2(b')>``, or
-        with ``b`` and ``b'`` exchanged on the right if ``swapped``."""
-        return (
-            (
-                (i, j, jp),
-                bilinear_apply(form, e_a[i], b_mul[j][jp]),
-                apply_kron(with_b[x], with_b[y], delta_a[i]),
-            )
-            for i, j, jp in product(range(na), range(nb), range(nb))
-            for x, y in [(jp, j) if swapped else (j, jp)]
-        )
-
-    mul_comul_left = (
-        (
-            (i, ip, j),
-            bilinear_apply(form, a_mul[i][ip], e_b[j]),
-            apply_kron(with_a[i], with_a[ip], delta_b[j]),
-        )
-        for i, ip, j in product(range(na), range(na), range(nb))
-    )
-    checks = (
-        # a PairingForm with a singular gram is refused when it is built
-        make_entry("pairing.non-degenerate", True),
-        _sweep("pairing.unit-right", (na,), compose(kron(e_a, b_unit), pair), eps_a),
-        _sweep("pairing.unit-left", (nb,), compose(kron(a_unit, e_b), pair), eps_b),
-        _sweep("pairing.alpha-invariant", (na, nb), compose(kron(a_alpha, b_alpha), pair), pair),
-        _sweep("pairing.mul-comul-left", mul_comul_left),
-        _sweep("pairing.mul-comul-right", mul_comul_right(False)),
-        _sweep("pairing.mul-comul-right-swapped", mul_comul_right(True)),
-        # <S_A(a), b> against <a, S_B^-1(b)>
-        _sweep("pairing.antipode", (na, nb), compose(kron(s_a, e_b), pair), s_b_inverse),
-    )
-    return CheckReport(checks)
-
-
-def check_cocycle(sigma: TwoCocycle) -> CheckReport:
-    """Structure-map invariance, the (left or right) cocycle law, and
-    normality, each as a separate verdict.  Invariance reads ``alpha G alpha^T``
-    (``n`` rows, not the ``n^2`` of ``alpha (x) alpha``) at the one-entry cases
-    ``(i, j)`` where it or ``G`` is nonzero: both sides of the others are zero."""
-    B, gram, form = sigma.algebra, sigma.gram, sigma.form
-    n, alpha, a2 = B.dim, B.alpha, B.power(2)
-    # sigma(alpha(e_i), alpha(e_j)) against sigma(e_i, e_j), read from alpha G alpha^T
-    invariant = compose(alpha, gram, transpose_rows(alpha))
-    cases = ((i, j) for i in range(n) for j in sorted(invariant[i].keys() | gram[i].keys()))
-    invariance = (((i, j), sparse((invariant[i].get(j, 0),)), form[i][j]) for i, j in cases)
-    # w[l][k]: sigma(l_1, k_1) l_2 k_2 (left) or sigma(l_2, k_2) l_1 k_1 (right)
-    w = sigma.products
-    # h -> (sigma(1, h), sigma(h, 1)) against h -> (counit(h), counit(h))
-    eta, counit = B.unit, transpose_rows(B.counit)
-    normal = transpose_rows(compose(eta, gram) + compose(eta, transpose_rows(gram)))
-
-    checks = (
-        _sweep("cocycle.alpha-invariant", invariance),
-        # left:  sigma(alpha^2(h), l_2 k_2) sigma(l_1, k_1)
-        #          = sigma(h_2 l_2, alpha^2(k)) sigma(h_1, l_1)
-        # right: sigma(alpha^2(h), l_1 k_1) sigma(l_2, k_2)
-        #          = sigma(h_1 l_1, alpha^2(k)) sigma(h_2, l_2)
-        # that is, sigma(alpha^2(e_h), w[l][k]) against sigma(w[h][l], alpha^2(e_k))
-        _sweep(f"cocycle.{sigma.side}-condition", _product_law((form, a2, w), (form, w, a2))),
-        _sweep("cocycle.normal", (n,), normal, transpose_rows(counit + counit)),
-    )
-    return CheckReport(checks)
-
-
-def check_comodule_algebra(A, c: ComoduleCoaction) -> CheckReport:
-    """Right comodule axioms plus multiplicativity and unitality of the
-    coaction on a Hom-algebra carrier.  Multiplicativity is swept only where a
-    side has a nonzero term (``square_cases`` with the carrier's table on the
-    first leg and the coactor's on the second): both sides of the others are zero."""
-    alg = algebra_of(A)
-    coactor = bialgebra_of(c.coactor)
-    rho, legs = c.coact_rows, (alg.mul_cells, coactor.algebra.mul_cells)
-    unit, coactor_unit = alg.unit, coactor.algebra.unit
-    checks = (
-        *check_comodule(c).checks,
-        # rho(a b) against a_(0) b_(0) (x) a_(1) b_(1)
-        _sweep("comodule-algebra.multiplicative", _multiplicative_cases(legs, rho)),
-        _sweep("comodule-algebra.unit", (), compose(unit, rho), kron(unit, coactor_unit)),
-    )
-    return CheckReport(checks)
-
-
-def check_left_comodule_algebra(A, coactor) -> CheckReport:
-    """Mirrored, left-sided comodule Hom-algebra conditions on the algebra
-    ``A`` for the coaction ``rho: A -> C (x) A`` that is the coproduct of
-    ``coactor`` (so both have one dimension): the right-sided conditions for
-    the coaction ``A -> A (x) C^cop`` with the legs exchanged, each id
-    prefixed ``left-``."""
-    co = bialgebra_of(coactor)
-    cop = HomBialgebra(co.algebra, co.coalgebra.op)
-    report = check_comodule_algebra(A, ComoduleCoaction(cop, A, cop.coalgebra.comul_rows))
-    return CheckReport(tuple(_prefixed("left-", report.checks)))

@@ -42,8 +42,6 @@ from homhopf.constructions import (
     drinfeld_double,
     drinfeld_double_tilde,
     dual,
-    dual_pair_double,
-    evaluation_pairing,
     heisenberg_double,
     opposite,
 )
@@ -60,8 +58,9 @@ from homhopf.exactlin import (
     rows_from_entries,
     sparse,
 )
-from homhopf.laws import check_cocycle, check_comodule_algebra, check_dual_pair
+from homhopf.pairing import check_dual_pair, dual_pair_double, evaluation_pairing
 from homhopf.structures import ComoduleCoaction, check_quasitriangular, run_hopf_suite
+from homhopf.twist import check_cocycle, check_comodule_algebra
 
 F = Fraction
 Z, O = F(0), F(1)

@@ -41,21 +41,18 @@ from test_mutation_witnesses import pin
 from conftest import dense_field
 from homhopf.bicross import bicross_hypotheses, dual_matched_pair, self_bicross_data
 from homhopf.catalog import get_entry
-from homhopf.constructions import canonical_cocycles, comodule_cotwist, evaluation_pairing
+from homhopf.constructions import canonical_cocycles, comodule_cotwist
 from homhopf.errors import HomHopfError
 from homhopf.exactlin import cells, dense_cells, dense_rows, flatten_pair, rows
 from homhopf.laws import (
-    check_cocycle,
-    check_comodule,
-    check_comodule_algebra,
     check_comodule_coalgebra,
     check_cotwisting,
-    check_dual_pair,
     check_matched_pair,
     check_module,
     check_module_algebra,
     check_module_coalgebra,
 )
+from homhopf.pairing import check_dual_pair, evaluation_pairing
 from homhopf.structures import (
     ComoduleCoaction,
     MatchedPairData,
@@ -63,6 +60,7 @@ from homhopf.structures import (
     PairingForm,
     TwoCocycle,
 )
+from homhopf.twist import check_cocycle, check_comodule, check_comodule_algebra
 
 OUTCOMES = Path(__file__).with_name("checker_outcomes.json")
 BICROSS_HOSTS = ("ax1", "cyclic:3", "sweedler_hom")

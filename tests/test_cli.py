@@ -387,7 +387,7 @@ class TestVerifyCommand:
     def test_bicross_suite_above_the_dimension_limit_is_refused_before_any_sweep(
         self, tmp_path, monkeypatch
     ):
-        from homhopf import laws
+        from homhopf import bicross
 
         def no_sweep(act):
             raise AssertionError("the module-algebra sweep was started")
@@ -405,7 +405,7 @@ class TestVerifyCommand:
             coaction=ComoduleCoaction(h, h, coact),
         )
         (tmp_path / "c12.alg").write_bytes(write(bundle_of_entry(entry)))
-        monkeypatch.setattr(laws, "check_module_algebra", no_sweep)
+        monkeypatch.setattr(bicross, "check_module_algebra", no_sweep)
         result = invoke("verify", "thm2.6", "--algebra", str(tmp_path / "c12.alg"))
         assert result.exit_code == 2
         assert "144-dim, above the limit of 128" in result.stderr

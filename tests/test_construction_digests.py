@@ -32,10 +32,9 @@ from homhopf.constructions import (
     drinfeld_double,
     drinfeld_double_tilde,
     dual,
-    dual_pair_double,
-    evaluation_pairing,
     heisenberg_double,
 )
+from homhopf.pairing import dual_pair_double, evaluation_pairing
 
 FIXTURE = Path(__file__).with_name("construction_digests.json")
 

@@ -15,7 +15,7 @@ from conftest import (
     dense_inverse,
     run_cli,
 )
-from homhopf import bicross, constructions, laws
+from homhopf import bicross, constructions, laws, pairing
 from homhopf.bicross import (
     bicrossproduct,
     double_cross_product,
@@ -34,7 +34,6 @@ from homhopf.catalog import (
     get_entry,
 )
 from homhopf.constructions import (
-    PairedDouble,
     canonical_cocycles,
     canonical_r_matrix,
     co_opposite,
@@ -44,8 +43,6 @@ from homhopf.constructions import (
     drinfeld_double,
     drinfeld_double_tilde,
     dual,
-    dual_pair_double,
-    evaluation_pairing,
     heisenberg_double,
     opposite,
     smash_product,
@@ -63,7 +60,8 @@ from homhopf.exactlin import (
     rows_from_entries,
     sparse,
 )
-from homhopf.laws import check_matched_pair, check_twisting
+from homhopf.laws import check_matched_pair
+from homhopf.pairing import PairedDouble, check_twisting, dual_pair_double, evaluation_pairing
 from homhopf.structures import (
     ComoduleCoaction,
     HomHopfAlgebra,
@@ -457,7 +455,7 @@ class TestClosure:
         # for a noncommutative algebra the evaluation form on the opposite
         # and the dual pairs the reversed product, so the product-side
         # compatibility fails and the construction must refuse the input
-        from homhopf.laws import check_dual_pair
+        from homhopf.pairing import check_dual_pair
 
         pairing = evaluation_pairing(get_entry("sweedler_hom").hopf)
         report = check_dual_pair(pairing)
@@ -606,7 +604,7 @@ class TestCocycleTwist:
             want = O if (k == 0 and j == (n - m) % n) else Z
             assert sigma.gram[i * n + j].get(m * n + k, Z) == want
         # normality of both canonical cocycles
-        from homhopf.laws import check_cocycle
+        from homhopf.twist import check_cocycle
 
         assert check_cocycle(sigma).entry("cocycle.normal").passed
         assert check_cocycle(eta).entry("cocycle.normal").passed
@@ -637,14 +635,15 @@ def test_constructions_refuse_outputs_above_max_dim_before_checking(name, monkey
     """Every product-space construction checks its output dimension first: a
     4-dim output is built with the limit at 4, and with the limit at 3 it is
     refused before any precondition check runs.  The checks are read from
-    ``laws`` by the constructions and from ``bicross``'s globals by the
-    bicrossproducts."""
+    ``laws`` by the constructions, from ``pairing``'s globals by the double
+    of a dual pair and from ``bicross``'s globals by the bicrossproducts."""
     build = _bounded_constructions()[name]
     monkeypatch.setattr(constructions, "MAX_DIM", 4)
     assert build().dim == 4
     monkeypatch.setattr(constructions, "MAX_DIM", 3)
-    for check in ("check_module_algebra", "check_cotwisting", "check_matched_pair", "check_dual_pair"):
+    for check in ("check_module_algebra", "check_cotwisting", "check_matched_pair"):
         monkeypatch.setattr(laws, check, None)
+    monkeypatch.setattr(pairing, "check_dual_pair", None)
     for check in ("check_module_algebra", "check_matched_pair"):
         monkeypatch.setattr(bicross, check, None)
     with pytest.raises(InvalidParameter, match="4-dim, above the limit of 3"):

@@ -28,7 +28,7 @@ import pytest
 
 import homhopf
 from conftest import dense_field, hopf_algebra
-from homhopf import algfile, constructions, exactlin, structures, verify
+from homhopf import algfile, exactlin, structures, twist
 from homhopf.bicross import dual_matched_pair, self_bicross_data
 from homhopf.catalog import get_entry
 from homhopf.constructions import (
@@ -37,14 +37,14 @@ from homhopf.constructions import (
     drinfeld_double,
     drinfeld_double_tilde,
     dual,
-    dual_pair_double,
-    evaluation_pairing,
     heisenberg_double,
     opposite_hopf,
 )
 from homhopf.exactlin import basis, compose, mat_inverse, nonzeros
-from homhopf.laws import check_comodule_algebra, check_left_comodule_algebra, check_matched_pair
+from homhopf.laws import check_matched_pair
+from homhopf.pairing import dual_pair_double, evaluation_pairing
 from homhopf.structures import ComoduleCoaction, Record, check_hom_algebra, run_hopf_suite
+from homhopf.twist import check_comodule_algebra, check_left_comodule_algebra
 
 ENTRIES = ("one", "ax1", "kz2", "sweedler_hom", *(f"cyclic:{n}" for n in range(2, 7)), "s3_inner")
 FIELDS = ("mul", "unit", "comul", "counit", "alpha", "antipode")
@@ -241,11 +241,11 @@ def test_second_prop_4_7_on_the_same_objects_converts_nothing_of_the_double(monk
     constructions hand back the same objects, a second run converts nothing
     of the double's dimension or more."""
     for name in ("drinfeld_double", "drinfeld_double_tilde", "cocycle_twist"):
-        monkeypatch.setattr(verify, name, lru_cache(maxsize=None)(getattr(verify, name)))
+        monkeypatch.setattr(twist, name, lru_cache(maxsize=None)(getattr(twist, name)))
     h = get_entry("cyclic:3").hopf
-    first = verify.verify_prop_4_7(h)
+    first = twist.verify_prop_4_7(h)
     seen = _converted(monkeypatch)
-    assert verify.verify_prop_4_7(h).steps == first.steps
+    assert twist.verify_prop_4_7(h).steps == first.steps
     assert all(len(v) < h.dim**2 for v in seen)
 
 
@@ -264,7 +264,7 @@ def test_structure_maps_are_inverted_once_per_object(monkeypatch):
         inverted.append(len(m))
         return mat_inverse(m)
 
-    for module in (exactlin, structures, constructions):
+    for module in (exactlin, structures):  # the modules that invert on this path
         monkeypatch.setattr(module, "mat_inverse", counted)
     h = get_entry("s3_inner").hopf
     double = drinfeld_double(h)
@@ -309,7 +309,7 @@ def test_the_antipode_is_inverted_once_per_object(monkeypatch):
         inverted.append(m)
         return mat_inverse(m)
 
-    for module in (exactlin, structures, constructions):
+    for module in (exactlin, structures):  # the modules that invert on this path
         monkeypatch.setattr(module, "mat_inverse", counted)
     double = drinfeld_double(h)
     opposite_hopf(h)
@@ -388,20 +388,36 @@ def _dense_field(node) -> bool:
     return isinstance(node, ast.Attribute) and node.attr in ("mul", "comul", "antipode")
 
 
+def _suite_modules() -> list[Path]:
+    """Every package module that defines a ``verify_*`` suite."""
+    return [
+        path
+        for path in sorted(Path(homhopf.__file__).parent.glob("*.py"))
+        if any(
+            isinstance(node, ast.FunctionDef) and node.name.startswith("verify_")
+            for node in ast.parse(path.read_text()).body
+        )
+    ]
+
+
+def test_every_suite_module_is_scanned():
+    assert [p.stem for p in _suite_modules()] == ["bicross", "pairing", "twist", "verify"]
+
+
 def test_identifications_are_checked_by_structures():
-    """``verify`` compares two objects through ``structures.check_morphism``
-    or ``_sweep``: it defines none of the dense comparison helpers it once
-    had and imports no ``comul_matrix``, and no module but ``structures``
-    compares two objects' dense product, coproduct or antipode fields with
-    ``!=``."""
+    """Every module that defines a suite compares two objects through
+    ``structures.check_morphism`` or ``_sweep``: none defines the dense
+    comparison helpers ``verify`` once had or imports ``comul_matrix``, and
+    no module but ``structures`` compares two objects' dense product,
+    coproduct or antipode fields with ``!=``."""
     helpers = ("_dense_sweep", "_tensor_equal", "_matrix_equal", "_algebra_agrees")
     found = []
-    tree = ast.parse(Path(verify.__file__).read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in helpers:
-            found.append(("verify", f"def {node.name}"))
-        elif isinstance(node, ast.ImportFrom) and "comul_matrix" in [a.name for a in node.names]:
-            found.append(("verify", "import comul_matrix"))
+    for path in _suite_modules():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in helpers:
+                found.append((path.stem, f"def {node.name}"))
+            elif isinstance(node, ast.ImportFrom) and "comul_matrix" in [a.name for a in node.names]:
+                found.append((path.stem, "import comul_matrix"))
     for path in sorted(Path(homhopf.__file__).parent.glob("*.py")):
         if path.stem == "structures":
             continue
@@ -494,8 +510,8 @@ def test_every_map_is_sparse_rows_in_the_source():
     ``dense_rows``, ``dense_cells`` and ``flatten_pair`` are defined in
     ``exactlin`` and imported and called only by ``fileformat``, which reads
     and writes the dense file records.  No module but the package's
-    ``__init__`` resolves names on demand (a module-level ``__getattr__``),
-    no domain type has a dense view ``mul``, ``comul``, ``antipode``, ``act``
+    ``__init__`` and ``verify`` (each suite from its section's module)
+    resolves names on demand (a module-level ``__getattr__``), no domain type has a dense view ``mul``, ``comul``, ``antipode``, ``act``
     or ``coact`` or a view ``unit_vector`` or ``counit_map`` of a unit or a
     counit, and no field but the two sides of a ``Witness`` is a dense
     ``Vector``: units and counits are maps."""
@@ -514,7 +530,7 @@ def test_every_map_is_sparse_rows_in_the_source():
         for node in ast.parse(path.read_text(), filename=str(path)).body
         if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
     ]
-    assert hooks == ["__init__.py"]
+    assert hooks == ["__init__.py", "verify.py"]
     views = {"mul", "comul", "antipode", "act", "coact", "unit_vector", "counit_map"}
     types = {
         value

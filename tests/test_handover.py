@@ -36,14 +36,13 @@ from homhopf.constructions import (
     drinfeld_double,
     drinfeld_double_tilde,
     dual,
-    dual_pair_double,
-    evaluation_pairing,
     heisenberg_double,
     opposite_hopf,
 )
 from homhopf.exactlin import cells, flatten_pair, rows
 from homhopf.fileformat import bundle_of_entry, parse, serialize
 from homhopf.laws import check_comodule_coalgebra, check_matched_pair, check_module_algebra
+from homhopf.pairing import dual_pair_double, evaluation_pairing
 from homhopf.structures import (
     ComoduleCoaction,
     HomAlgebra,

@@ -39,8 +39,9 @@ from homhopf.bicross import dual_matched_pair, self_bicross_data
 from homhopf.catalog import get_entry
 from homhopf.constructions import canonical_cocycles, cocycle_twist, drinfeld_double_tilde
 from homhopf.exactlin import cells, dense_cells, flatten_pair, rows
-from homhopf.laws import check_left_comodule_algebra, check_matched_pair
+from homhopf.laws import check_matched_pair
 from homhopf.structures import HomAlgebra, HomBialgebra, HomCoalgebra, MatchedPairData
+from homhopf.twist import check_left_comodule_algebra
 
 OUTCOMES = Path(__file__).with_name("mirrored_outcomes.json")
 HOSTS = ("cyclic:3", "sweedler_hom")

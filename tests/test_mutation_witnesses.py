@@ -23,14 +23,9 @@ import pytest
 
 from conftest import dense_field, hopf_algebra
 from homhopf.catalog import get_entry
-from homhopf.constructions import (
-    canonical_r_matrix,
-    drinfeld_double,
-    dual_pair_double,
-    evaluation_pairing,
-)
+from homhopf.constructions import canonical_r_matrix, drinfeld_double
 from homhopf.exactlin import Sparse, dense, format_scalar, sparse
-from homhopf.laws import check_twisting
+from homhopf.pairing import check_twisting, dual_pair_double, evaluation_pairing
 from homhopf.structures import (
     RMatrix,
     check_antipode,

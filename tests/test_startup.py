@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import homhopf
-from homhopf import bicross, constructions, laws, structures
+from homhopf import bicross, constructions, laws, pairing, structures, twist
 from homhopf.algfile import AlgebraFile, block_record, bundle_of_entry, write
 from homhopf.catalog import get_entry
 from homhopf.cli import main
@@ -34,18 +34,27 @@ from homhopf.exactlin import dense
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "homhopf"
 
-# The data-law checkers that moved from ``structures`` to ``laws``, and the
-# bicrossproduct constructions that moved from ``constructions`` to ``bicross``.
-MOVED_TO_LAWS = (
-    "_partial_forms", "_prefixed", "check_cocycle", "check_comodule", "check_comodule_algebra",
-    "check_comodule_coalgebra", "check_cotwisting", "check_dual_pair",
-    "check_left_comodule_algebra", "check_matched_pair", "check_module", "check_module_algebra",
-    "check_module_coalgebra", "check_twisting",
-)
-MOVED_TO_BICROSS = (
-    "bicross_hypotheses", "bicrossproduct", "double_cross_product", "dual_matched_pair",
-    "self_bicross", "self_bicross_data",
-)
+# The names that left each module: the data-law checkers left ``structures``
+# for ``laws``, and the laws of sections 3 and 4 then left ``laws`` for
+# ``pairing`` and ``twist``; the bicrossproduct constructions left
+# ``constructions`` for ``bicross``, and the double of a dual pair for ``pairing``.
+MOVED_FROM = {
+    structures: (
+        "_partial_forms", "_prefixed", "check_cocycle", "check_comodule",
+        "check_comodule_algebra", "check_comodule_coalgebra", "check_cotwisting",
+        "check_dual_pair", "check_left_comodule_algebra", "check_matched_pair", "check_module",
+        "check_module_algebra", "check_module_coalgebra", "check_twisting",
+    ),
+    laws: (
+        "_partial_forms", "_prefixed", "check_cocycle", "check_comodule", "check_comodule_algebra",
+        "check_dual_pair", "check_left_comodule_algebra", "check_twisting",
+    ),
+    constructions: (
+        "PairedDouble", "bicross_hypotheses", "bicrossproduct", "double_cross_product",
+        "dual_matched_pair", "dual_pair_double", "evaluation_pairing", "self_bicross",
+        "self_bicross_data",
+    ),
+}
 
 ALL = (
     "CatalogEntry", "CheckEntry", "CheckReport", "ComoduleCoaction", "HomAlgebra",
@@ -61,7 +70,8 @@ ALL = (
     "constructions", "cotwist_coproduct", "double_cross_product", "drinfeld_double",
     "drinfeld_double_tilde", "dual", "dual_matched_pair", "dual_pair_double", "errors",
     "evaluation_pairing", "exactlin", "get_entry", "heisenberg_double", "laws", "opposite",
-    "run_hopf_suite", "self_bicross", "smash_product", "structures", "yau_twist",
+    "pairing", "run_hopf_suite", "self_bicross", "smash_product", "structures", "twist",
+    "yau_twist",
 )
 
 
@@ -116,15 +126,17 @@ class TestPackageNames:
 
 
 class TestMovedNames:
-    """The moved functions have one path each: the data-law checkers are
-    names of ``laws`` and the bicrossproduct constructions names of
-    ``bicross``, not of ``structures`` and ``constructions``; the package
-    still loads each of them on first use."""
+    """The moved functions have one path each: the section-2 data laws are
+    names of ``laws``, the bicrossproduct constructions names of
+    ``bicross``, the dual-pair laws and constructions names of ``pairing``
+    and the cocycle and comodule-algebra laws names of ``twist``, not of
+    ``structures``, ``constructions`` or ``laws``; the package still loads
+    each of them on first use."""
 
     @pytest.mark.parametrize(
         "old, name",
-        [(structures, name) for name in MOVED_TO_LAWS]
-        + [(constructions, name) for name in MOVED_TO_BICROSS],
+        [(old, name) for old, names in MOVED_FROM.items() for name in names],
+        ids=lambda v: v if isinstance(v, str) else v.__name__.split(".")[-1],
     )
     def test_old_path_is_gone(self, old, name):
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
@@ -133,25 +145,28 @@ class TestMovedNames:
             exec(f"from {old.__name__} import {name}", {})
 
     def test_package_names_come_from_the_new_modules(self):
-        from homhopf import bicrossproduct, check_cocycle
+        from homhopf import bicrossproduct, check_cocycle, check_module, evaluation_pairing
 
-        assert check_cocycle is laws.check_cocycle
+        assert check_module is laws.check_module
+        assert check_cocycle is twist.check_cocycle
+        assert evaluation_pairing is pairing.evaluation_pairing
         assert bicrossproduct is bicross.bicrossproduct
 
-    @pytest.mark.parametrize("module", [structures, constructions])
+    @pytest.mark.parametrize("module", [structures, constructions, laws])
     def test_unknown_name(self, module):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             module.no_such_name
 
-    def test_old_modules_load_neither_new_module(self):
+    def test_old_modules_load_no_new_module(self):
         code = (
             "import sys, homhopf.structures, homhopf.constructions\n"
             "for module, name in ((homhopf.structures, 'check_cocycle'),\n"
-            "                     (homhopf.constructions, 'bicrossproduct')):\n"
+            "                     (homhopf.constructions, 'bicrossproduct'),\n"
+            "                     (homhopf.constructions, 'dual_pair_double')):\n"
             "    print(hasattr(module, name))\n"
-            "print('homhopf.laws' in sys.modules, 'homhopf.bicross' in sys.modules)\n"
+            "print(*(f'homhopf.{m}' in sys.modules for m in ('laws', 'bicross', 'pairing', 'twist')))\n"
         )
-        assert _fresh(code).split() == ["False", "False", "False", "False"]
+        assert _fresh(code).split() == ["False"] * 7
 
 
 # Prints every class that a ``homhopf`` module defines as a dataclass.
@@ -199,7 +214,9 @@ print(json.dumps([status, loaded]))
 """
 DENSE_RECORDS = ("dataclasses", "homhopf.fileformat")
 WATCHED = ("homhopf.verify", "homhopf.catalog", "hashlib", *DENSE_RECORDS)
-MOVED = ("homhopf.laws", "homhopf.bicross")
+# The modules that hold one section of the paper each: the bicrossproduct
+# (``bicross`` and its data laws, ``laws``), dual pairs and the twists.
+SECTIONS = ("homhopf.bicross", "homhopf.laws", "homhopf.pairing", "homhopf.twist")
 # Every module a command may load: all of the package but ``fileformat``.
 COMMAND_MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "fileformat")
 
@@ -208,8 +225,9 @@ COMMAND_MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "file
 def workdir(tmp_path_factory):
     """A directory holding ``c2.alg``, the ``cyclic:2`` export, ``sigma.alg``,
     the trivial cocycle ``counit (x) counit`` on it, ``sw.alg``, the
-    ``sweedler_hom`` export with its R-matrix, and ``bad.alg``, a file with
-    no valid header."""
+    ``sweedler_hom`` export with its R-matrix, ``ax1.alg``, the ``ax1``
+    export with its action and coaction, and ``bad.alg``, a file with no
+    valid header."""
     path = tmp_path_factory.mktemp("startup")
     bundle = bundle_of_entry(get_entry("cyclic:2"))
     (path / "c2.alg").write_bytes(write(bundle))
@@ -219,6 +237,7 @@ def workdir(tmp_path_factory):
     cocycle = block_record("cocycle", "sigma", (c2.name, "left"), trivial)
     (path / "sigma.alg").write_bytes(write(AlgebraFile(bundle.schema_version, (c2,), (cocycle,))))
     (path / "sw.alg").write_bytes(write(bundle_of_entry(get_entry("sweedler_hom"))))
+    (path / "ax1.alg").write_bytes(write(bundle_of_entry(get_entry("ax1"))))
     (path / "bad.alg").write_text("homhopf-algebra 1\nobject nonsense\n")
     return path
 
@@ -235,19 +254,22 @@ def loaded(workdir, *args: str) -> list[str]:
     return [name for name in WATCHED if name in names]
 
 
-def moved(workdir, *args: str, status: int = 0) -> list[str]:
-    """Which of ``laws`` and ``bicross`` one command loads."""
+def sections(workdir, *args: str, status: int = 0) -> list[str]:
+    """Which of the section modules one command loads."""
     names = modules(workdir, *args, status=status)
-    return [name for name in MOVED if name in names]
+    return [name for name in SECTIONS if name in names]
 
 
 def module_level_imports(path: Path):
     """The import statements that run when the module at ``path`` is
-    imported: every one outside a function body."""
+    imported: every one outside a function body and an ``if TYPE_CHECKING:``
+    block."""
     stack = list(ast.parse(path.read_text()).body)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             yield node
@@ -336,23 +358,30 @@ class TestImportGraph:
         ],
         ids=lambda v: v if isinstance(v, int) else "-".join(v[:2]),
     )
-    def test_check_export_and_closed_constructions_load_neither_moved_module(
-        self, workdir, args, status
-    ):
-        assert moved(workdir, *args, status=status) == []
+    def test_check_export_and_closed_constructions_load_no_section(self, workdir, args, status):
+        assert sections(workdir, *args, status=status) == []
 
     @pytest.mark.parametrize(
         "args",
         [
             *(("verify", suite, "--algebra", "c2.alg") for suite in ("thm4.5", "prop4.7")),
-            ("verify", "dual-pair", "--algebra", "c2.alg"),
             ("construct", "twist", "c2.alg", "--cocycle", "sigma.alg", "--out", "t_c2.alg"),
+        ],
+        ids=lambda v: "-".join(v[:2]),
+    )
+    def test_twist_commands_load_only_the_twists(self, workdir, args):
+        assert sections(workdir, *args) == ["homhopf.twist"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "dual-pair", "--algebra", "c2.alg"),
             ("construct", "dual-pair-double", "c2.alg", "--out", "p_c2.alg"),
         ],
         ids=lambda v: "-".join(v[:2]),
     )
-    def test_checked_constructions_and_other_suites_load_no_bicross(self, workdir, args):
-        assert moved(workdir, *args) == ["homhopf.laws"]
+    def test_dual_pair_commands_load_only_the_dual_pairs(self, workdir, args):
+        assert sections(workdir, *args) == ["homhopf.pairing"]
 
     @pytest.mark.parametrize(
         "args, status",
@@ -364,8 +393,35 @@ class TestImportGraph:
         ],
         ids=lambda v: v if isinstance(v, int) else "-".join(v[:2]),
     )
-    def test_bicrossproduct_commands_load_both(self, workdir, args, status):
-        assert moved(workdir, *args, status=status) == list(MOVED)
+    def test_bicrossproduct_commands_load_its_laws_and_the_comodule_axioms(
+        self, workdir, args, status
+    ):
+        # ``laws`` reads the comodule axioms of its comodule coalgebras from ``twist``
+        assert sections(workdir, *args, status=status) == [
+            "homhopf.bicross", "homhopf.laws", "homhopf.twist"
+        ]
+
+    # suite -> its input file, its exit status and its own modules beyond the base
+    OWN = {
+        "thm2.6": ("ax1.alg", 1, ("bicross", "catalog", "laws", "twist")),
+        "cor2.9": ("c2.alg", 0, ("bicross", "laws", "twist")),
+        "prop2.19": ("c2.alg", 0, ()),
+        "thm4.5": ("c2.alg", 0, ("twist",)),
+        "dual-pair": ("c2.alg", 0, ("pairing",)),
+        "prop4.7": ("c2.alg", 0, ("twist",)),
+    }
+
+    @pytest.mark.parametrize("suite", OWN)
+    def test_a_suite_on_a_file_loads_its_own_section(self, workdir, suite):
+        """Every suite loads the file reader, the checkers, the constructions
+        and ``verify``, and of the rest only its own section; ``thm2.6`` also
+        the catalog, for its golden tables."""
+        source, status, own = self.OWN[suite]
+        base = ("algfile", "cli", "constructions", "errors", "exactlin", "structures", "verify")
+        names = modules(workdir, "verify", suite, "--algebra", source, status=status)
+        assert sorted(n for n in names if n.startswith("homhopf.")) == sorted(
+            f"homhopf.{m}" for m in (*base, *own)
+        )
 
     def test_version_loads_nothing_of_the_package_beyond_init(self, workdir):
         names = modules(workdir, "--version")
@@ -406,30 +462,21 @@ class TestImportGraph:
 
 
 class TestImportBoundaries:
-    """No module that a command loads on its way to a lighter route imports
-    ``bicross`` or ``laws`` when it is itself imported, and no module a
-    command loads imports ``fileformat`` or ``dataclasses``."""
+    """A module imports a section of the paper (``bicross``, ``laws``,
+    ``pairing``, ``twist``) or the suite module ``verify`` when it is itself
+    imported only where every command that loads it runs that code, and no
+    module a command loads imports ``fileformat`` or ``dataclasses``."""
 
-    @pytest.mark.parametrize(
-        "module", ["structures", "constructions", "algfile", "fileformat", "catalog", "cli", "verify"]
-    )
-    def test_no_module_level_import_of_bicross(self, module):
-        path = PACKAGE / f"{module}.py"
-        assert not [n.lineno for n in module_level_imports(path) if "bicross" in imported(n)]
+    # the bicrossproduct runs its data laws, and they the comodule axioms of ``twist``
+    ALLOWED = {"bicross": {"laws"}, "laws": {"twist"}}
 
-    @pytest.mark.parametrize(
-        "module", ["structures", "constructions", "algfile", "fileformat", "catalog", "cli", "verify"]
-    )
-    def test_no_module_level_import_of_laws_or_a_moved_name(self, module):
-        old_paths = {"structures": set(MOVED_TO_LAWS), "constructions": set(MOVED_TO_BICROSS)}
-        found = []
+    @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+    def test_module_level_imports_of_sections_and_suites(self, module):
+        watched = {"bicross", "laws", "pairing", "twist", "verify"}
+        found = set()
         for node in module_level_imports(PACKAGE / f"{module}.py"):
-            names = {a.name for a in node.names}
-            if "laws" in imported(node) or any(
-                names & old_paths.get(m, set()) for m in imported(node)
-            ):
-                found.append(node.lineno)
-        assert found == []
+            found |= imported(node) & watched
+        assert found == self.ALLOWED.get(module, set())
 
     @pytest.mark.parametrize("module", COMMAND_MODULES)
     def test_no_module_level_import_of_fileformat_or_dataclasses(self, module):

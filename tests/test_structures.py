@@ -30,7 +30,6 @@ from homhopf.catalog import (
     get_entry,
 )
 from homhopf.constructions import (
-    PairedDouble,
     canonical_cocycles,
     canonical_r_matrix,
     co_opposite,
@@ -38,7 +37,6 @@ from homhopf.constructions import (
     drinfeld_double,
     drinfeld_double_tilde,
     dual,
-    evaluation_pairing,
     opposite,
 )
 from homhopf.errors import DimensionMismatch, MissingStructure, SingularMatrixError
@@ -56,15 +54,13 @@ from homhopf.exactlin import (
     transpose,
 )
 from homhopf.laws import (
-    check_comodule,
     check_comodule_coalgebra,
     check_cotwisting,
-    check_dual_pair,
-    check_cocycle,
     check_module,
     check_module_algebra,
     check_module_coalgebra,
 )
+from homhopf.pairing import PairedDouble, check_dual_pair, evaluation_pairing
 from homhopf.structures import (
     CheckEntry,
     CheckReport,
@@ -89,6 +85,7 @@ from homhopf.structures import (
     coalgebra_of,
     run_hopf_suite,
 )
+from homhopf.twist import check_cocycle, check_comodule
 from homhopf.verify import SuiteResult, SuiteStep
 
 F = Fraction
@@ -325,7 +322,7 @@ class TestDualPair:
         assert check_dual_pair(pairing).ok
 
     def test_perturbed_gram_fails(self):
-        from homhopf.constructions import evaluation_pairing
+        from homhopf.pairing import evaluation_pairing
 
         pairing = evaluation_pairing(catalog_cyclic(2).hopf)
         bad = PairingForm(

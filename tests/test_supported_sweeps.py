@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 from test_checker_outcomes import _perturbed, bicross_data
 
 from conftest import dense_field, hopf_algebra
-from homhopf import exactlin, laws, structures
+from homhopf import exactlin, laws, pairing, structures, twist
 from homhopf.bicross import self_bicross
 from homhopf.catalog import get_entry
 from homhopf.constructions import (
@@ -46,8 +46,6 @@ from homhopf.constructions import (
     drinfeld_double,
     drinfeld_double_tilde,
     dual,
-    dual_pair_double,
-    evaluation_pairing,
     heisenberg_double,
 )
 from homhopf.errors import SingularMatrixError
@@ -65,12 +63,8 @@ from homhopf.exactlin import (
     tensor_power_products,
     terms,
 )
-from homhopf.laws import (
-    check_cocycle,
-    check_comodule_algebra,
-    check_left_comodule_algebra,
-    check_module,
-)
+from homhopf.laws import check_module
+from homhopf.pairing import dual_pair_double, evaluation_pairing
 from homhopf.structures import (
     CheckEntry,
     ComoduleCoaction,
@@ -86,7 +80,12 @@ from homhopf.structures import (
     check_hom_bialgebra,
     check_morphism,
 )
-from homhopf.verify import verify_thm_4_5
+from homhopf.twist import (
+    check_cocycle,
+    check_comodule_algebra,
+    check_left_comodule_algebra,
+    verify_thm_4_5,
+)
 
 F = Fraction
 
@@ -513,7 +512,7 @@ def visited(monkeypatch, run) -> Counter:
     """How many cases the case streams held that ``_sweep`` was given while
     ``run()`` ran, by axiom; the streams are read to the end.  The Hopf-level
     checkers read ``_sweep`` from ``structures``, the data-law checkers from
-    ``laws``."""
+    ``laws``, ``pairing`` and ``twist``."""
     counts: Counter = Counter()
     sweep = structures._sweep
 
@@ -523,7 +522,7 @@ def visited(monkeypatch, run) -> Counter:
             counts[axiom_id] += len(shape)
         return sweep(axiom_id, shape, lhs, rhs)
 
-    for module in (structures, laws):
+    for module in (structures, laws, pairing, twist):
         monkeypatch.setattr(module, "_sweep", counting)
     run()
     return counts

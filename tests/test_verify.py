@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import basis_vector, cells_from_entries, replaced
+from homhopf.bicross import verify_cor_2_9, verify_thm_2_6
 from homhopf.catalog import (
     catalog_ax1,
     catalog_ex27_expected,
@@ -23,15 +24,10 @@ from homhopf.constructions import (
     heisenberg_double,
 )
 from homhopf.exactlin import basis, dense, kron, rows_from_entries, sparse
+from homhopf.pairing import verify_dual_pair_route
 from homhopf.structures import ComoduleCoaction, ModuleAction, Witness, check_morphism
-from homhopf.verify import (
-    verify_cor_2_9,
-    verify_dual_pair_route,
-    verify_prop_2_19,
-    verify_prop_4_7,
-    verify_thm_2_6,
-    verify_thm_4_5,
-)
+from homhopf.twist import verify_prop_4_7, verify_thm_4_5
+from homhopf.verify import verify_prop_2_19
 
 O = Fraction(1)
 
@@ -303,3 +299,16 @@ class TestDeterminism:
         b = verify_thm_4_5(h)
         assert a.steps == b.steps
         assert a.passed == b.passed
+
+
+class TestSuiteTable:
+    def test_the_table_holds_the_command_line_suites_in_order(self):
+        from homhopf import cli, verify
+
+        assert tuple(verify.SUITES) == cli.SUITES
+
+    def test_an_unknown_name_is_no_suite(self):
+        from homhopf import verify
+
+        with pytest.raises(AttributeError, match="no attribute 'verify_thm_9_9'"):
+            verify.verify_thm_9_9
