@@ -68,7 +68,6 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
     # alpha^-1(h_1(0)) g_(0) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(g_(1)))
     hyp2 = tuple(_legs(terms, times, twisted, rho[g]) for terms in dressed for g in range(nh))
     # h_2(0) (x) (h_1 . b) h_2(1) against h_1(0) (x) h_1(1) (h_2 . b)
-    flipped = [[(h2, h1, v) for h1, h2, v in sweedler] for sweedler in h_terms]
     exchange = [
         tuple(
             linear_combination(
@@ -77,7 +76,7 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
             for terms in sweedlers
             for b in range(na)
         )
-        for legs, sweedlers in ((acted_then, h_terms), (then_acted, flipped))
+        for legs, sweedlers in ((acted_then, h_terms), (then_acted, bi.coalgebra.op.comul_terms))
     ]
 
     checks = (

@@ -16,8 +16,6 @@ action of ``A`` as a left action of ``A_op``.
 
 from __future__ import annotations
 
-from itertools import product
-
 from . import twist
 from .exactlin import (
     SparseMatrix, SparseTensor3, apply_kron, apply_map, basis, bilinear_apply, compose, kron,
@@ -52,23 +50,21 @@ def check_module_algebra(m: ModuleAction) -> CheckReport:
     actor = bialgebra_of(m.actor)
     carrier = algebra_of(m.carrier)
     na, nc = actor.dim, carrier.dim
-    act, cmc, cmul = m.act_cells, carrier.mul_cells, carrier.mul_map
+    act, cmc = m.act_cells, carrier.mul_cells
     alpha2 = actor.power(2)
     e, eta = basis(na), carrier.unit
     eps, delta = actor.coalgebra.counit, actor.coalgebra.comul_rows
     acting_on = transpose(act)  # acting_on[a] is the map h -> h . e_a
-    multiplicative = (
-        (
-            (h, a, b),
-            bilinear_apply(act, alpha2[h], cmc[a][b]),
-            # (h_1 . a)(h_2 . b)
-            apply_map(cmul, apply_kron(acting_on[a], acting_on[b], delta[h])),
-        )
-        for h, a, b in product(range(na), range(nc), range(nc))
-    )
+    # at [h][a], h_1 . e_a (x) h_2, and at [x * na + y][b], e_x (e_y . e_b)
+    acted = [[apply_kron(on_a, e, delta[h]) for on_a in acting_on] for h in range(na)]
+    times = [compose(plane, cmc[x]) for x in range(nc) for plane in act]
     checks = (
         *check_module(m).checks,
-        _sweep("module-algebra.multiplicative", multiplicative),
+        # alpha^2(h) . (a b) against (h_1 . a)(h_2 . b)
+        _sweep(
+            "module-algebra.multiplicative",
+            _product_law((act, alpha2, cmc), (times, acted, basis(nc))),
+        ),
         _sweep("module-algebra.unit", (na,), compose(kron(e, eta), _flat(act)), compose(eps, eta)),
     )
     return CheckReport(checks)
@@ -168,9 +164,8 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
     ah_i1, ah_i2, ah_i3 = (H.power(-k) for k in (1, 2, 3))
     aa_i1, aa_i2, aa_i3 = (A.power(-k) for k in (1, 2, 3))
     amul, hmul = A.algebra.mul_cells, H.algebra.mul_cells
-    h_terms, a_terms = H.coalgebra.comul_terms, A.coalgebra.comul_terms
-    delta_a, delta_a_op = A.coalgebra.comul_rows, A.coalgebra.comul_op_rows
-    e_a, rh, ra = basis(na), range(nh), range(na)
+    h_terms, delta_a, hmul_right = H.coalgebra.comul_terms, A.coalgebra.comul_rows, transpose(hmul)
+    e_a, e_h, rh, ra = basis(na), basis(nh), range(nh), range(na)
 
     def acted(t: SparseTensor3, hs: SparseMatrix, xs: SparseMatrix):
         """``acted(t, hs, xs)[h][a]`` is ``t`` applied to ``hs[h]`` and ``xs[a]``."""
@@ -180,50 +175,27 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
     # and alpha^-3(h) <- alpha^-2(a), at [g][a] or [h][a]
     l23, r12 = acted(left, ah_i2, aa_i3), acted(right, ah_i1, aa_i2)
     l21, r32 = acted(left, ah_i2, aa_i1), acted(right, ah_i3, aa_i2)
-    acts_on = transpose(left)  # acts_on[b] is x -> (x -> e_b)
     # (h g) <- a  against  (h <- (g_1 -> a_1)) (g_2 <- a_2), and
-    # h -> (a b)  against  (h_1 -> a_1) ((h_2 <- a_2) -> b), up to structure-map powers
-    products_act = (
-        (
-            (h, g, a),
-            bilinear_apply(right, hmul[h][g], e_a[a]),
-            linear_combination(
-                nh,
-                (
-                    (vg * va, bilinear_apply(hmul, apply_map(right[h], l23[g1][a1]), r12[g2][a2]))
-                    for g1, g2, vg in h_terms[g]
-                    for a1, a2, va in a_terms[a]
-                ),
-            ),
-        )
-        for h, g, a in product(rh, rh, ra)
-    )
-    acting_on_products = (
-        (
-            (h, a, b),
-            apply_map(left[h], amul[a][b]),
-            linear_combination(
-                na,
-                (
-                    (vh * va, bilinear_apply(amul, l21[h1][a1], apply_map(acts_on[b], r32[h2][a2])))
-                    for h1, h2, vh in h_terms[h]
-                    for a1, a2, va in a_terms[a]
-                ),
-            ),
-        )
-        for h, a, b in product(rh, ra, ra)
-    )
+    # h -> (a b)  against  (h_1 -> a_1) ((h_2 <- a_2) -> b), up to structure-map powers:
+    # at [g][a], (g_1 -> a_1) (x) (g_2 <- a_2), and at [h][a], (h_1 -> a_1) (x) (h_2 <- a_2)
+    pushed = [[_legs(h_terms[g], l23, r12, delta_a[a]) for a in ra] for g in rh]
+    pulled = [[_legs(h_terms[h], l21, r32, delta_a[a]) for a in ra] for h in rh]
+    # at [h][x * nh + y], (h <- e_x) e_y, and at [x * nh + y][b], e_x (e_y -> e_b)
+    times_after = [[apply_map(r, hx) for hx in row for r in hmul_right] for row in right]
+    times_acted = [compose(plane, amul[x]) for x in ra for plane in left]
+    # the paper's left side of the first law is _product_law's right triple
+    products_act = _product_law((times_after, e_h, pushed), (right, hmul, e_a))
+    acts_on_product = _product_law((left, e_h, amul), (times_acted, pulled, e_a))
     # h_1 <- a_1 (x) h_2 -> a_2  against  h_2 <- a_2 (x) h_1 -> a_1
-    flipped = [[(h2, h1, v) for h1, h2, v in t] for t in h_terms]
     exchange = [
-        tuple(_legs(terms[h], right, left, comul[a]) for h in rh for a in ra)
-        for terms, comul in ((h_terms, delta_a), (flipped, delta_a_op))
+        tuple(_legs(hc.comul_terms[h], right, left, ac.comul_rows[a]) for h in rh for a in ra)
+        for hc, ac in ((H.coalgebra, A.coalgebra), (H.coalgebra.op, A.coalgebra.op))
     ]
     checks = (
         *twist._prefixed("matched-pair.left-action.", check_module_coalgebra(mp.left_module).checks),
         *twist._prefixed("matched-pair.right-action.", check_module_coalgebra(mp.right_module).checks),
-        _sweep("matched-pair.product-acts-right", products_act),
-        _sweep("matched-pair.acts-on-product", acting_on_products),
+        _sweep("matched-pair.product-acts-right", ((i, t, s) for i, s, t in products_act)),
+        _sweep("matched-pair.acts-on-product", acts_on_product),
         _sweep("matched-pair.exchange-symmetry", (nh, na), *exchange),
     )
     return CheckReport(checks)

@@ -10,7 +10,6 @@ are those of ``constructions``: the double of a pair lives on ``A (x) B``.
 from __future__ import annotations
 
 import time
-from itertools import product
 from typing import TYPE_CHECKING
 
 from .constructions import (
@@ -18,12 +17,13 @@ from .constructions import (
 )
 from .errors import PreconditionFailed
 from .exactlin import (
-    SparseMatrix, apply_kron, basis, bilinear_apply, compose, flip, kron, mat_inverse,
-    pair_cells, transpose, transpose_rows,
+    SparseMatrix, apply_kron, basis, compose, flip, kron, mat_inverse, pair_cells, transpose,
+    transpose_rows,
 )
 from .structures import (
     CheckReport, HomAlgebra, HomBialgebra, HomHopfAlgebra, PairingForm, Record, _flat,
-    _require, _shape, _sweep, algebra_of, check_morphism, make_entry, run_hopf_suite,
+    _product_law, _require, _shape, _sweep, algebra_of, check_morphism, make_entry,
+    run_hopf_suite,
 )
 
 if TYPE_CHECKING:
@@ -90,36 +90,29 @@ def check_dual_pair(P: PairingForm) -> CheckReport:
     with_a, with_b = _partial_forms(gram, A.power(2), B.power(2))
     delta_a, delta_b = A.coalgebra.comul_rows, B.coalgebra.comul_rows
 
-    def mul_comul_right(swapped: bool):
-        """``<a, b b'>`` against ``<a_1, alpha^2(b)> <a_2, alpha^2(b')>``, or
-        with ``b`` and ``b'`` exchanged on the right if ``swapped``."""
-        return (
-            (
-                (i, j, jp),
-                bilinear_apply(form, e_a[i], b_mul[j][jp]),
-                apply_kron(with_b[x], with_b[y], delta_a[i]),
-            )
-            for i, j, jp in product(range(na), range(nb), range(nb))
-            for x, y in [(jp, j) if swapped else (j, jp)]
-        )
-
-    mul_comul_left = (
-        (
-            (i, ip, j),
-            bilinear_apply(form, a_mul[i][ip], e_b[j]),
-            apply_kron(with_a[i], with_a[ip], delta_b[j]),
-        )
-        for i, ip, j in product(range(na), range(na), range(nb))
-    )
+    # on_first[i][j] is <a_1, alpha^2(b_j)> a_2 and on_second[i][j] is a_1 <a_2, alpha^2(b_j)>,
+    # for a = e_i; then_paired[x][j] is <e_x, alpha^2(b_j)>
+    on_first = [[apply_kron(with_b[j], e_a, delta_a[i]) for j in range(nb)] for i in range(na)]
+    on_second = [[apply_kron(e_a, with_b[j], delta_a[i]) for j in range(nb)] for i in range(na)]
+    then_paired = transpose(with_b)
+    # b_paired[i][j] is b_1 <alpha^2(a_i), b_2> for b = e_j, and with_a[i][y] is <alpha^2(a_i), e_y>
+    b_paired = [[apply_kron(e_b, with_a[i], delta_b[j]) for j in range(nb)] for i in range(na)]
+    # <a a', b> against <alpha^2(a), b_1> <alpha^2(a'), b_2>, the right triple against the left
+    mul_comul_left = _product_law((with_a, e_a, b_paired), (form, a_mul, e_b))
+    times_b = (form, e_a, b_mul)  # <a, b b'>
     checks = (
         # a PairingForm with a singular gram is refused when it is built
         make_entry("pairing.non-degenerate", True),
         _sweep("pairing.unit-right", (na,), compose(kron(e_a, b_unit), pair), eps_a),
         _sweep("pairing.unit-left", (nb,), compose(kron(a_unit, e_b), pair), eps_b),
         _sweep("pairing.alpha-invariant", (na, nb), compose(kron(a_alpha, b_alpha), pair), pair),
-        _sweep("pairing.mul-comul-left", mul_comul_left),
-        _sweep("pairing.mul-comul-right", mul_comul_right(False)),
-        _sweep("pairing.mul-comul-right-swapped", mul_comul_right(True)),
+        _sweep("pairing.mul-comul-left", ((i, t, s) for i, s, t in mul_comul_left)),
+        # <a, b b'> against <a_1, alpha^2(b)> <a_2, alpha^2(b')>, and with b and b'
+        # exchanged on the right
+        _sweep("pairing.mul-comul-right", _product_law(times_b, (then_paired, on_first, e_b))),
+        _sweep(
+            "pairing.mul-comul-right-swapped", _product_law(times_b, (then_paired, on_second, e_b))
+        ),
         # <S_A(a), b> against <a, S_B^-1(b)>
         _sweep("pairing.antipode", (na, nb), compose(kron(s_a, e_b), pair), s_b_inverse),
     )

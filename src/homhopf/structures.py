@@ -3,10 +3,10 @@
 The checkers here are the Hopf-level ones: the algebra, coalgebra,
 bialgebra and antipode laws and quasitriangularity, which ``check`` runs,
 and ``check_morphism``, which compares two objects through a map.  The
-laws of the data a construction is built from (modules, comodules,
-twisting and cotwisting maps, matched pairs, pairings, cocycles, comodule
-algebras) are checked by ``laws``, which only a command that runs them
-compiles; they are names of ``laws`` only.
+data laws live with their section of the paper, compiled only where run:
+modules, comodule coalgebras, cotwisting maps and matched pairs in ``laws``,
+pairings and twisting maps in ``pairing``, and comodules, cocycles and
+comodule algebras in ``twist``.
 
 Every checker quantifies over basis multi-indices (multilinearity reduces the
 universally quantified identities to basis cases), compares exact vectors,
@@ -23,13 +23,13 @@ two matched-pair laws and the pairing's product-coproduct laws) are instead
 a lazy stream of per-case sides through the same ``_sweep``, which stops at
 the first failure; as whole maps they would hold n^3 rows.  So are the
 multiplicativity laws of the structure map, the coproduct and the counit
-of ``check`` (n^2 cases each), so that no n^2-row map is held.  Every product
-law (Hom-associativity, module Hom-associativity, the cocycle condition and,
-by ``_morphism_products``, the multiplicativity of alpha, of the counit into
-``k``, of the antipode into the opposite product and of a morphism) comes
-from ``_product_law``, which reads its cases and sides from the same operands
-and visits only the cases where a side has a nonzero term
-(``exactlin.product_cases``): both sides of every other case are zero.
+of ``check`` (n^2 cases each), so that no n^2-row map is held.  Every
+three-index law, and by ``_morphism_products`` the multiplicativity of
+alpha, of the counit into ``k``, of the antipode and of a morphism, comes
+from ``_product_law``, which reads its cases and sides from the same
+operands (a Sweedler sum from a table built once) and visits only the
+cases where a side has a nonzero term (``exactlin.product_cases``): both
+sides of every other case are zero.
 ``check_morphism`` compares two objects through a map ``phi: X -> Y`` by the
 same sweeps.
 

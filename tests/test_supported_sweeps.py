@@ -7,9 +7,14 @@ case are zero. Each law that reads it is compared here with a reference that
 visits every basis multi-index and skips nothing. The two must give the same
 ``CheckEntry``: the same verdict and the same witness. The laws are
 ``algebra.hom-associative``, ``module.hom-associative``, the cocycle
-condition, and the laws that a map is multiplicative:
+condition, ``module-algebra.multiplicative``, the matched-pair laws
+``product-acts-right`` and ``acts-on-product``, the pairing's
+``mul-comul-left``, ``mul-comul-right`` and ``mul-comul-right-swapped``,
+and the laws that a map is multiplicative:
 ``algebra.alpha-multiplicative``, ``bialgebra.counit-multiplicative``,
-``antipode.anti-multiplicative`` and ``check_morphism``'s ``.mul``.
+``antipode.anti-multiplicative`` and ``check_morphism``'s ``.mul``.  The
+references of the laws with a Sweedler sum on one side sum every pair of
+terms, case by case.
 ``bialgebra.comul-multiplicative`` and
 ``comodule-algebra.multiplicative`` are read the same way from
 ``exactlin.square_cases`` and compared with the full product table, and
@@ -38,7 +43,7 @@ from test_checker_outcomes import _perturbed, bicross_data
 
 from conftest import dense_field, hopf_algebra
 from homhopf import exactlin, laws, pairing, structures, twist
-from homhopf.bicross import self_bicross
+from homhopf.bicross import dual_matched_pair, self_bicross
 from homhopf.catalog import get_entry
 from homhopf.constructions import (
     canonical_cocycles,
@@ -55,6 +60,7 @@ from homhopf.exactlin import (
     bilinear_apply,
     cells,
     dense,
+    dense_cells,
     dense_rows,
     kron,
     linear_combination,
@@ -63,15 +69,17 @@ from homhopf.exactlin import (
     tensor_power_products,
     terms,
 )
-from homhopf.laws import check_module
-from homhopf.pairing import dual_pair_double, evaluation_pairing
+from homhopf.laws import check_matched_pair, check_module, check_module_algebra
+from homhopf.pairing import check_dual_pair, dual_pair_double, evaluation_pairing
 from homhopf.structures import (
     CheckEntry,
     ComoduleCoaction,
     HomAlgebra,
     HomBialgebra,
     HomHopfAlgebra,
+    MatchedPairData,
     ModuleAction,
+    PairingForm,
     TwoCocycle,
     Witness,
     algebra_of,
@@ -258,6 +266,113 @@ def all_pairs_products(sigma: TwoCocycle):
     )
 
 
+def module_algebra_multiplicative(m: ModuleAction) -> CheckEntry:
+    """alpha^2(e_h) . (e_a e_b) against the sum of (h_1 . e_a)(h_2 . e_b) over
+    the Sweedler terms of ``e_h``."""
+    actor, mc, act = m.actor, algebra_of(m.carrier).mul_cells, m.act_cells
+    a2, sw, nc = actor.power(2), terms(actor.coalgebra.comul_rows, actor.dim), m.carrier.dim
+    return full_sweep(
+        "module-algebra.multiplicative",
+        (actor.dim, nc, nc),
+        lambda h, a, b: (
+            bilinear_apply(act, a2[h], mc[a][b]),
+            linear_combination(
+                nc, ((c, bilinear_apply(mc, act[h1][a], act[h2][b])) for h1, h2, c in sw[h])
+            ),
+        ),
+    )
+
+
+def matched_pair_laws(mp: MatchedPairData) -> tuple[CheckEntry, CheckEntry]:
+    """``(h g) <- a`` against ``(h <- (g_1 -> a_1)) (g_2 <- a_2)``, and ``h -> (a b)``
+    against ``(h_1 -> a_1) ((h_2 <- a_2) -> b)``, up to the powers of the structure
+    maps that ``check_matched_pair`` states, each Sweedler pair of terms summed."""
+    A, H = mp.A, mp.H
+    na, nh, left, right = A.dim, H.dim, mp.left_cells, mp.right_cells
+    amul, hmul, e_a, e_h = A.algebra.mul_cells, H.algebra.mul_cells, basis(na), basis(nh)
+    ah1, ah2, ah3 = (H.power(-k) for k in (1, 2, 3))
+    aa1, aa2, aa3 = (A.power(-k) for k in (1, 2, 3))
+    h_sw, a_sw = terms(H.coalgebra.comul_rows, nh), terms(A.coalgebra.comul_rows, na)
+
+    def summed(n, g, a, term):
+        pairs = ((vg * va, term(g1, g2, a1, a2)) for g1, g2, vg in h_sw[g] for a1, a2, va in a_sw[a])
+        return linear_combination(n, pairs)
+
+    def after(h, g1, g2, a1, a2):
+        x = bilinear_apply(right, e_h[h], bilinear_apply(left, ah2[g1], aa3[a1]))
+        return bilinear_apply(hmul, x, bilinear_apply(right, ah1[g2], aa2[a2]))
+
+    def on(b, h1, h2, a1, a2):
+        y = bilinear_apply(left, bilinear_apply(right, ah3[h2], aa2[a2]), e_a[b])
+        return bilinear_apply(amul, bilinear_apply(left, ah2[h1], aa1[a1]), y)
+
+    return (
+        full_sweep(
+            "matched-pair.product-acts-right",
+            (nh, nh, na),
+            lambda h, g, a: (
+                bilinear_apply(right, hmul[h][g], e_a[a]),
+                summed(nh, g, a, lambda *legs: after(h, *legs)),
+            ),
+        ),
+        full_sweep(
+            "matched-pair.acts-on-product",
+            (nh, na, na),
+            lambda h, a, b: (
+                bilinear_apply(left, e_h[h], amul[a][b]),
+                summed(na, h, a, lambda *legs: on(b, *legs)),
+            ),
+        ),
+    )
+
+
+def dual_pair_laws(P: PairingForm) -> tuple[CheckEntry, CheckEntry, CheckEntry]:
+    """``<a a', b>`` against ``<alpha^2(a), b_1> <alpha^2(a'), b_2>``, and ``<a, b b'>``
+    against ``<a_1, alpha^2(b)> <a_2, alpha^2(b')>`` and against the same with
+    ``b`` and ``b'`` exchanged, each summed from the Gram matrix."""
+    A, B, gram = P.left, P.right, P.gram
+    na, nb = A.dim, B.dim
+    e_a, e_b, a2, b2 = basis(na), basis(nb), A.power(2), B.power(2)
+    a_sw, b_sw = terms(A.coalgebra.comul_rows, na), terms(B.coalgebra.comul_rows, nb)
+
+    def pair(x, y):
+        return sum(cx * cy * gram[p].get(q, 0) for p, cx in x.items() for q, cy in y.items())
+
+    def comul_left(i, ip, j):
+        value = sum(c * pair(a2[i], e_b[x]) * pair(a2[ip], e_b[y]) for x, y, c in b_sw[j])
+        return sparse((pair(A.algebra.mul_cells[i][ip], e_b[j]),)), sparse((value,))
+
+    def comul_right(swapped):
+        def sides(i, j, jp):
+            first, second = (jp, j) if swapped else (j, jp)
+            value = sum(c * pair(e_a[x], b2[first]) * pair(e_a[y], b2[second]) for x, y, c in a_sw[i])
+            return sparse((pair(e_a[i], B.algebra.mul_cells[j][jp]),)), sparse((value,))
+
+        return sides
+
+    return (
+        full_sweep("pairing.mul-comul-left", (na, na, nb), comul_left),
+        full_sweep("pairing.mul-comul-right", (na, nb, nb), comul_right(False)),
+        full_sweep("pairing.mul-comul-right-swapped", (na, nb, nb), comul_right(True)),
+    )
+
+
+def assert_data_laws_match(mp=None, act=None, pairing=None) -> None:
+    """The converted three-index laws of a matched pair, a module algebra and
+    a dual pair give the references' entries."""
+    if mp is not None:
+        report = check_matched_pair(mp)
+        ids = ("matched-pair.product-acts-right", "matched-pair.acts-on-product")
+        assert tuple(map(report.entry, ids)) == matched_pair_laws(mp)
+    if act is not None:
+        entry = check_module_algebra(act).entry("module-algebra.multiplicative")
+        assert entry == module_algebra_multiplicative(act)
+    if pairing is not None:
+        report = check_dual_pair(pairing)
+        ids = ("pairing.mul-comul-left", "pairing.mul-comul-right", "pairing.mul-comul-right-swapped")
+        assert tuple(map(report.entry, ids)) == dual_pair_laws(pairing)
+
+
 def assert_product_laws_match(obj) -> None:
     """Every product law of ``obj`` that applies gives the reference's entry."""
     report = check_hom_algebra(obj)
@@ -326,6 +441,20 @@ def test_modules_and_cocycles_of_the_catalog():
         for sigma in canonical_cocycles(get_entry(name).hopf):
             entry = check_cocycle(sigma).entry(f"cocycle.{sigma.side}-condition")
             assert entry == cocycle_condition(sigma)
+
+
+@lru_cache(maxsize=None)
+def matched_pair(name: str) -> MatchedPairData:
+    """The matched pair ``dual_matched_pair`` makes of the bicrossproduct data
+    of ``name``: the catalog's ax1 data, or the self-bicrossproduct data."""
+    return dual_matched_pair(*bicross_data(name), check=False)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_matched_pairs_module_algebras_and_pairings_of_the_catalog(name):
+    assert_data_laws_match(
+        matched_pair(name), bicross_data(name)[2], evaluation_pairing(get_entry(name).hopf)
+    )
 
 
 PERTURBED = 8  # seeded single-entry perturbations per input and field
@@ -425,6 +554,42 @@ def test_perturbed_actions(name):
         bent_cells = cells(_perturbed(dense_field(act, "act"), rng, case)[0])
         bent = ModuleAction(act.actor, act.carrier, bent_cells)
         assert check_module(bent).entry("module.hom-associative") == module_hom_associative(bent)
+        assert_data_laws_match(act=bent)
+
+
+@pytest.mark.parametrize("name", ("cyclic:3", "sweedler_hom"))
+@pytest.mark.parametrize("field", ("left_cells", "right_cells"))
+def test_perturbed_matched_pairs(name, field):
+    mp = matched_pair(name)
+    rng = random.Random(f"{name} {field}")
+    for case in range(1, PERTURBED + 1):
+        bent = cells(_perturbed(dense_cells(getattr(mp, field)), rng, case)[0])
+        tables = {"left_cells": mp.left_cells, "right_cells": mp.right_cells, field: bent}
+        assert_data_laws_match(MatchedPairData(mp.A, mp.H, **tables))
+
+
+@pytest.mark.parametrize("name", ("sweedler_hom", "s3_inner"))
+@pytest.mark.parametrize("field", ("gram", "left comul", "right mul"))
+def test_perturbed_pairings(name, field):
+    """Seeded one-entry perturbations of the Gram matrix, of the coproduct of
+    the left algebra and of the product of the right one; a singular Gram
+    matrix is refused when the pairing is built."""
+    p = evaluation_pairing(get_entry(name).hopf)
+    rng = random.Random(f"{name} {field}")
+    for case in range(1, PERTURBED + 1):
+        if field == "gram":
+            try:
+                bent = PairingForm(p.left, p.right, rows(_perturbed(dense_rows(p.gram), rng, case)[0]))
+            except SingularMatrixError:
+                continue
+        else:
+            side, part = field.split()
+            h = getattr(p, side)
+            parts = {f: dense_field(h, f) for f in ("mul", "unit", "comul", "counit", "antipode")}
+            parts[part] = _perturbed(parts[part], rng, case)[0]
+            sides = {"left": p.left, "right": p.right, side: hopf_algebra(h.dim, alpha=h.alpha, **parts)}
+            bent = PairingForm(gram=p.gram, **sides)
+        assert_data_laws_match(pairing=bent)
 
 
 @pytest.mark.parametrize("name", ("sweedler_hom", "cyclic:3"))
@@ -472,8 +637,10 @@ def unitriangular(draw, n):
 
 
 @st.composite
-def hom_hopf_algebras(draw, n):
-    """Random parts in the shape of a Hom-Hopf algebra; no law needs to hold."""
+def hom_hopf_algebras(draw, n, invertible_antipode=False):
+    """Random parts in the shape of a Hom-Hopf algebra; no law needs to hold.
+    The antipode is unitriangular if ``invertible_antipode``, as the right
+    side of a pairing needs."""
     return hopf_algebra(
         n,
         draw(tensors(n, n, n)),
@@ -481,7 +648,7 @@ def hom_hopf_algebras(draw, n):
         draw(tensors(n, n, n)),
         tuple(draw(entries) for _ in range(n)),
         rows(draw(unitriangular(n))),
-        draw(matrices(n, n)),
+        draw(unitriangular(n) if invertible_antipode else matrices(n, n)),
     )
 
 
@@ -502,6 +669,21 @@ def test_generated_inputs(n, m, side, data):
     sigma = TwoCocycle(H.bialgebra, rows(data.draw(matrices(n, n))), side)
     entry = check_cocycle(sigma).entry(f"cocycle.{side}-condition")
     assert entry == cocycle_condition(sigma)
+
+
+@given(dims, dims, st.data())
+@settings(max_examples=15, deadline=None)
+def test_generated_data_laws(n, m, data):
+    """Random matched pairs, module algebras and pairings (a unitriangular
+    Gram matrix, so that the pairing is non-degenerate)."""
+    A, H = data.draw(hom_hopf_algebras(n)), data.draw(hom_hopf_algebras(m))
+    left, right = cells(data.draw(tensors(m, n, n))), cells(data.draw(tensors(m, n, m)))
+    B = data.draw(hom_hopf_algebras(n, invertible_antipode=True))
+    assert_data_laws_match(
+        MatchedPairData(A, H, left, right),
+        ModuleAction(H, A, left),
+        PairingForm(A, B, rows(data.draw(unitriangular(n)))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +708,22 @@ def visited(monkeypatch, run) -> Counter:
         monkeypatch.setattr(module, "_sweep", counting)
     run()
     return counts
+
+
+def test_data_laws_of_s3_inner_visit_only_supported_cases(monkeypatch):
+    """On the s3_inner self-bicrossproduct data, 36 of the 216 cases of each
+    matched-pair product law and 54, 6 and 6 of the 216 of the evaluation
+    pairing's product-coproduct laws have a nonzero side.  The module-algebra
+    law's action is a dense table: every case is visited."""
+    h = get_entry("s3_inner").hopf
+    act, mp, p = bicross_data("s3_inner")[2], matched_pair("s3_inner"), evaluation_pairing(h)
+    counts = visited(
+        monkeypatch, lambda: (check_matched_pair(mp), check_module_algebra(act), check_dual_pair(p))
+    )
+    assert counts["matched-pair.product-acts-right"] == counts["matched-pair.acts-on-product"] == 36
+    assert counts["module-algebra.multiplicative"] == 216 == h.dim**3
+    mul_comul = ("pairing.mul-comul-left", "pairing.mul-comul-right", "pairing.mul-comul-right-swapped")
+    assert [counts[i] for i in mul_comul] == [54, 6, 6]
 
 
 def test_hom_associativity_on_the_s3_inner_double_visits_one_case_per_pair(monkeypatch):
