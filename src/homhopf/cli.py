@@ -9,12 +9,14 @@ computed over the document with wall-time fields removed.
 Each command imports the modules it runs when it runs, so a process compiles
 only those: ``--version`` none of the package beyond ``__init__``, ``check``
 the file format (``algfile``) and the checkers, ``construct`` also the
-constructions, and ``verify`` also ``verify`` and the suite's own section.
+constructions, and ``verify`` also ``verify`` and the suite's own section;
+the reader (``algread``) only where a file is read.  The arguments are
+parsed by the command table ``COMMANDS``, not by ``argparse``, whose import
+and parser set-up cost every process about 4.5 ms.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
@@ -28,12 +30,12 @@ EXIT_USAGE = 2
 
 def _load_input(source: str):
     """Resolve a path or catalog name to (bundle, raw-bytes, catalog-entry)."""
-    from pathlib import Path
-
-    from .algfile import bundle_of_entry, read, write
+    from .algfile import bundle_of_entry, write
     from .errors import InvalidParameter
 
-    if Path(source).exists():
+    if os.path.exists(source):
+        from .algread import read
+
         raw = _read(source)
         return read(raw), raw, None
     from .catalog import catalog_names, get_entry
@@ -114,7 +116,7 @@ def _strip_wall_time(node):
 
 
 def _write_report(path, command: str, inputs, results, status: int) -> None:
-    if not path:
+    if path is None:
         return
     import hashlib
     import json
@@ -139,20 +141,19 @@ def _write_report(path, command: str, inputs, results, status: int) -> None:
 
 def _read(path) -> bytes:
     """Read an input file; an unreadable path is an input error (exit 2)."""
-    from pathlib import Path
-
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         _fail_usage(f"cannot read {path}: {exc.strerror or exc}")
 
 
 def _write(path, data: bytes) -> None:
-    """Write an output file; an unwritable path is an input error (exit 2)."""
-    from pathlib import Path
-
+    """Write an output file; an unwritable path, the empty one included, is
+    an input error (exit 2)."""
     try:
-        Path(path).write_bytes(data)
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         _fail_usage(f"cannot write {path}: {exc.strerror or exc}")
 
@@ -232,7 +233,7 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
         heisenberg_double,
         opposite,
     )
-    from .algfile import SCHEMA_VERSION, AlgebraFile, object_record, read, write
+    from .algfile import SCHEMA_VERSION, AlgebraFile, object_record, write
     from .errors import HomHopfError, PreconditionFailed
     from .structures import TwoCocycle
 
@@ -274,6 +275,8 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
         elif kind == "twist":
             if cocycle_path is None:
                 _fail_usage("twist needs --cocycle <file>")
+            from .algread import read
+
             craw = _read(cocycle_path)
             inputs.append((cocycle_path, craw))
             given = read(craw).cocycle()
@@ -297,11 +300,11 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
         _fail_usage(str(exc))
 
     data = write(AlgebraFile(SCHEMA_VERSION, (result,), ()))
-    if out_path:
+    if out_path is None:
+        sys.stdout.write(data.decode())
+    else:
         _write(out_path, data)
         print(f"wrote {result.name} (dim {result.dim}) to {out_path}")
-    else:
-        sys.stdout.write(data.decode())
     _write_report(report_path, f"construct {kind}", inputs, [], EXIT_PASS)
     sys.exit(EXIT_PASS)
 
@@ -356,86 +359,217 @@ def export(name, out_path):
     except InvalidParameter as exc:
         _fail_usage(str(exc))
     data = write(bundle_of_entry(entry))
-    if out_path:
+    if out_path is None:
+        sys.stdout.write(data.decode())
+    else:
         _write(out_path, data)
         print(f"wrote {name} to {out_path}")
-    else:
-        sys.stdout.write(data.decode())
     sys.exit(EXIT_PASS)
 
 
-JOBS_HELP = "accepted for compatibility and ignored: checks run serially"
+REQUIRED = object()  # the default of an option that must be given
+EXISTING = "FILE"  # the kind of a path that must exist when it is read
+
+# The command table: each command's positionals, as (name, kind), and its
+# options, as {option: (name, kind, default)}; the command function takes a
+# keyword argument of each name.  A kind is a tuple of choices, ``int``,
+# ``bool`` (a flag, which takes no value), EXISTING, or the metavar of any
+# other value.
+COMMANDS = {
+    "check": (
+        (("source", "SOURCE"),),
+        {
+            "--level": ("level", LEVELS, "hopf"),
+            "--report": ("report_path", "PATH", None),
+            "--jobs": ("jobs", int, 1),
+        },
+    ),
+    "construct": (
+        (("kind", KINDS), ("source", "SOURCE")),
+        {
+            "--cocycle": ("cocycle_path", EXISTING, None),
+            "--side": ("side", ("left", "right"), None),
+            "--out": ("out_path", "PATH", None),
+            "--force": ("force", bool, False),
+            "--report": ("report_path", "PATH", None),
+        },
+    ),
+    "verify": (
+        (("suite", SUITES),),
+        {"--algebra": ("source", "SOURCE", REQUIRED), "--report": ("report_path", "PATH", None)},
+    ),
+    "export": ((("name", "NAME"),), {"--out": ("out_path", "PATH", None)}),
+}
+OPTION_HELP = {
+    "--help": "show this message and exit",
+    "--version": "show the version and exit",
+    "--algebra": "catalog name or definition file",
+    "--force": "skip precondition verification",
+    "--jobs": "accepted for compatibility and ignored: checks run serially",
+}
 
 
-def _existing_path(path: str) -> str:
-    if not os.path.exists(path):
-        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
-    return path
+def _metavar(kind) -> str:
+    if isinstance(kind, tuple):
+        return "{" + ",".join(kind) + "}"
+    return "N" if kind is int else kind
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, except that a failed write of ``--help`` or
-    ``--version`` to standard output raises (argparse ignores it), so it exits 2."""
+def _usage(prog: str, command: str | None) -> str:
+    if command is None:
+        return f"usage: {prog} [--help] [--version] COMMAND ..."
+    positionals, options = COMMANDS[command]
+    words = ["[--help]"]
+    for option, (_, kind, default) in options.items():
+        word = option if kind is bool else f"{option} {_metavar(kind)}"
+        words.append(word if default is REQUIRED else f"[{word}]")
+    words += (_metavar(kind) for _, kind in positionals)
+    return f"usage: {prog} {command} {' '.join(words)}"
 
-    def _print_message(self, message, file=None):
-        if file is sys.stdout:
-            file.write(message)
+
+def _help(prog: str, command: str | None) -> str:
+    """The usage line, the docstring and one line for each command or option
+    that has a help text."""
+    if command is None:
+        doc = main.__doc__
+        rows = [(name, globals()[name].__doc__) for name in COMMANDS]
+        rows += [(option, OPTION_HELP[option]) for option in ("--help", "--version")]
+    else:
+        doc = globals()[command].__doc__
+        names = ("--help", *COMMANDS[command][1])
+        rows = [(option, OPTION_HELP[option]) for option in names if option in OPTION_HELP]
+    width = max(len(name) for name, _ in rows)
+    lines = (f"  {name:<{width}}  {text}" for name, text in rows)
+    return f"{_usage(prog, command)}\n\n{doc}\n\n" + "\n".join(lines) + "\n"
+
+
+def _show(text: str) -> None:
+    """Write ``--help`` or ``--version`` text and exit 0; a failed write
+    raises, so ``run`` exits 2."""
+    sys.stdout.write(text)
+    sys.exit(EXIT_PASS)
+
+
+def _refuse(prog: str, command: str | None, message: str) -> None:
+    print(_usage(prog, command), file=sys.stderr)
+    _fail_usage(message)
+
+
+def _is_option(token: str, names) -> bool:
+    """Whether ``token`` reads as an option (argparse's rule): it starts with
+    ``-``, and unless it is one of ``names``, or one of them with ``=value``,
+    it is neither ``-``, a negative number nor a word holding a space."""
+    if not token.startswith("-") or token == "-":
+        return False
+    if token.partition("=")[0] in names:
+        return True
+    whole, dot, fraction = token[1:].partition(".")
+    number = fraction.isdecimal() and (whole == "" or whole.isdecimal()) if dot else whole.isdecimal()
+    return not number and " " not in token
+
+
+def _arguments(prog: str, command: str, tokens) -> dict:
+    """``command``'s keyword arguments, read from the iterator ``tokens`` by
+    the command table.  Options come by their full name only, as ``--opt
+    value`` or ``--opt=value``, before or after the positionals, and the last
+    of a repeated option wins; ``--`` ends the options.  ``--help`` (exit 0)
+    and a refused value (exit 2) end the process where they are read; an
+    unknown option or an extra positional is refused once every other token
+    has been read, as argparse does."""
+    positionals, options = COMMANDS[command]
+    names = ("--help", *options)
+    values = {name: default for name, _, default in options.values()}
+    given, stray = [], []
+
+    def convert(label: str, kind, text: str):
+        if isinstance(kind, tuple) and text not in kind:
+            _refuse(prog, command, f"argument {label}: invalid choice: {text!r} (choose from {', '.join(kind)})")
+        if kind is int:
+            try:
+                return int(text)
+            except ValueError:
+                _refuse(prog, command, f"argument {label}: invalid int value: {text!r}")
+        if kind == EXISTING and not os.path.exists(text):
+            _refuse(prog, command, f"argument {label}: path {text!r} does not exist")
+        return text
+
+    def positional(token: str) -> None:
+        if len(given) == len(positionals):
+            stray.append(token)
         else:
-            super()._print_message(message, file)
+            name, kind = positionals[len(given)]
+            given.append(convert(name.upper(), kind, token))
+
+    for token in tokens:
+        if token == "--":
+            for token in tokens:
+                positional(token)
+        elif not _is_option(token, names):
+            positional(token)
+        else:
+            option, explicit, text = token.partition("=")
+            if option not in names:
+                stray.append(token)
+                continue
+            name, kind, _ = options.get(option, (None, bool, None))
+            if kind is bool:
+                if explicit:
+                    _refuse(prog, command, f"argument {option}: ignored explicit argument {text!r}")
+                if option == "--help":
+                    _show(_help(prog, command))
+                values[name] = True
+                continue
+            if not explicit:
+                text = next(tokens, "--")
+                if text == "--" or _is_option(text, names):
+                    _refuse(prog, command, f"argument {option}: expected one argument")
+            values[name] = convert(option, kind, text)
+
+    missing = [name.upper() for name, _ in positionals[len(given) :]]
+    missing += [option for option, (name, _, _) in options.items() if values[name] is REQUIRED]
+    if missing:
+        _refuse(prog, command, f"the following arguments are required: {', '.join(missing)}")
+    if stray:
+        _refuse(prog, command, f"unrecognized arguments: {' '.join(stray)}")
+    values.update(zip((name for name, _ in positionals), given))
+    return values
 
 
-def _parser(prog: str | None) -> argparse.ArgumentParser:
-    """The command grammar: options by their full name only, and ``--help`` without ``-h``."""
-
-    def with_help(p):
-        p.add_argument("--help", action="help", help="show this message and exit")
-        return p
-
-    top = with_help(_Parser(prog, description=main.__doc__, add_help=False, allow_abbrev=False))
-    top.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
-    commands = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
-
-    def command(fn):
-        doc = fn.__doc__
-        sub = commands.add_parser(fn.__name__, help=doc, description=doc, add_help=False, allow_abbrev=False)
-        sub.set_defaults(command=fn)
-        return with_help(sub)
-
-    sub = command(check)
-    sub.add_argument("source", metavar="SOURCE")
-    sub.add_argument("--level", choices=LEVELS, default="hopf")
-    sub.add_argument("--report", dest="report_path", metavar="PATH")
-    sub.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-
-    sub = command(construct)
-    sub.add_argument("kind", choices=KINDS)
-    sub.add_argument("source", metavar="SOURCE")
-    sub.add_argument("--cocycle", dest="cocycle_path", metavar="PATH", type=_existing_path)
-    sub.add_argument("--side", choices=("left", "right"))
-    sub.add_argument("--out", dest="out_path", metavar="PATH")
-    sub.add_argument("--force", action="store_true", help="skip precondition verification")
-    sub.add_argument("--report", dest="report_path", metavar="PATH")
-
-    sub = command(verify)
-    sub.add_argument("suite", choices=SUITES)
-    sub.add_argument("--algebra", dest="source", required=True, help="catalog name or definition file")
-    sub.add_argument("--report", dest="report_path", metavar="PATH")
-
-    sub = command(export)
-    sub.add_argument("name", metavar="NAME")
-    sub.add_argument("--out", dest="out_path", metavar="PATH")
-    return top
+def _parse(prog: str, args) -> tuple[str, dict]:
+    """The command ``args`` name and its keyword arguments.  Before the
+    command come only ``--help`` and ``--version``, each of which exits 0
+    where it is read."""
+    tokens = iter(args)
+    stray = []
+    for token in tokens:
+        if not _is_option(token, ("--help", "--version")):
+            break
+        option, explicit, text = token.partition("=")
+        if option not in ("--help", "--version"):
+            stray.append(token)
+        elif explicit:
+            _refuse(prog, None, f"argument {option}: ignored explicit argument {text!r}")
+        else:
+            _show(_help(prog, None) if option == "--help" else f"{prog}, version {__version__}\n")
+    else:
+        _refuse(prog, None, "the following arguments are required: COMMAND")
+    if token not in COMMANDS:
+        _refuse(prog, None, f"argument COMMAND: invalid choice: {token!r} (choose from {', '.join(COMMANDS)})")
+    values = _arguments(prog, token, tokens)
+    if stray:
+        _refuse(prog, None, f"unrecognized arguments: {' '.join(stray)}")
+    return token, values
 
 
 def main(args=None, prog_name=None):
     """Exact axiom checking and constructions for Hom-Hopf algebras."""
-    if prog_name is None and __name__ == "__main__":
-        prog_name = f"python -m {__spec__.name}"
-    namespace = vars(_parser(prog_name).parse_args(args))
+    if prog_name is None:
+        prog_name = f"python -m {__spec__.name}" if __name__ == "__main__" else os.path.basename(sys.argv[0])
+    command, values = _parse(prog_name, sys.argv[1:] if args is None else args)
     # Every command runs on `structures`, the largest module. Compiling it
     # first, while the heap is smallest, lowers a command's peak RSS.
     from . import structures  # noqa: F401
-    namespace.pop("command")(**namespace)
+    globals()[command](**values)
 
 
 def run():

@@ -1,12 +1,12 @@
 """Definition-file records of dense fields, kept for the benchmark's input
 generator: ``perfbench/inputs.py`` relabels the dense fields of a catalog
 entry's ``bundle_of_entry`` with ``dataclasses.replace`` and writes it with
-``serialize``.  The grammar, the writer and the records' methods are
-``algfile``'s; an object record hands ``algfile`` its tables, the rows of
-its structure map and its unit and counit as sparse vectors, made from its
-dense fields once (``tables``).  No command
-loads this module or ``dataclasses``; ROADMAP directions 10 and 11 delete it
-once the generator builds ``algfile`` records by constructor.
+``serialize``.  The reader is ``algread``'s, and the writer and the
+records' methods are ``algfile``'s; an object record hands ``algfile`` its
+tables, the rows of its structure map and its unit and counit as sparse
+vectors, made from its dense fields once (``tables``).  No command loads
+this module or ``dataclasses``; ROADMAP directions 10 and 11 delete it once
+the generator builds ``algfile`` records by constructor.
 """
 
 from __future__ import annotations
@@ -87,7 +87,9 @@ def _dense(file: algfile.AlgebraFile) -> AlgebraFile:
 
 
 def parse(data: bytes | str) -> AlgebraFile:
-    return _dense(algfile.read(data))
+    from .algread import read
+
+    return _dense(read(data))
 
 
 def serialize(file: AlgebraFile) -> bytes:

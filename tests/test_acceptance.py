@@ -25,9 +25,9 @@ from homhopf.algfile import (
     AlgebraFile,
     bundle_of_entry,
     object_record,
-    read,
     write,
 )
+from homhopf.algread import read
 from homhopf.bicross import bicrossproduct, self_bicross
 from homhopf.catalog import (
     catalog_ax1,

@@ -2,14 +2,17 @@
 
 import io
 import json
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from conftest import cells_from_entries, dense_field, replaced, run_cli
-from homhopf.algfile import SCHEMA_VERSION, AlgebraFile, block_record, bundle_of_entry, read, write
+from homhopf.algfile import SCHEMA_VERSION, AlgebraFile, block_record, bundle_of_entry, write
+from homhopf.algread import read
 from homhopf.catalog import get_entry
-from homhopf.cli import KINDS, LEVELS, SUITES, main
+from homhopf import cli
+from homhopf.cli import COMMANDS, KINDS, LEVELS, SUITES, main
 from homhopf.exactlin import compose, rows_from_entries, transpose_rows
 from homhopf.structures import ComoduleCoaction, ModuleAction
 
@@ -111,18 +114,18 @@ class TestCheckCommand:
         assert result.exit_code == 2
 
     def test_declared_dim_over_the_limit_exits_two(self, tmp_path, monkeypatch):
-        from homhopf import algfile
+        from homhopf import algread
 
-        monkeypatch.setattr(algfile, "MAX_DIM", 3)
+        monkeypatch.setattr(algread, "MAX_DIM", 3)
         (tmp_path / "big.alg").write_text("homhopf 1\nchar 0\nobject big\ndim 4\nalpha 0 0 1\nend\n")
         result = invoke("check", str(tmp_path / "big.alg"))
         assert result.exit_code == 2
         assert "exceeds the limit" in result.output
 
     def test_declared_dims_together_over_the_limit_exits_two(self, tmp_path, monkeypatch):
-        from homhopf import algfile
+        from homhopf import algread
 
-        monkeypatch.setattr(algfile, "MAX_DIM", 3)
+        monkeypatch.setattr(algread, "MAX_DIM", 3)
         obj = "object {}\ndim 3\nalpha 0 0 1\nend\n"
         (tmp_path / "one.alg").write_text("homhopf 1\nchar 0\n" + obj.format("a"))
         (tmp_path / "two.alg").write_text("homhopf 1\nchar 0\n" + obj.format("a") + obj.format("b"))
@@ -531,6 +534,29 @@ class TestUnwritableOutput:
         assert result.exit_code == 2
         assert "error:" in result.output
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("check", "cyclic:2", "--report", ""),
+            ("check", "cyclic:2", "--report="),
+            ("construct", "dual", "cyclic:2", "--out", ""),
+            ("construct", "dual", "cyclic:2", "--out="),
+            ("construct", "dual", "cyclic:2", "--out", "d.alg", "--report", ""),
+            ("verify", "prop2.19", "--algebra", "cyclic:2", "--report", ""),
+            ("verify", "prop2.19", "--algebra", "cyclic:2", "--report="),
+            ("export", "ax1", "--out", ""),
+        ],
+        ids=" ".join,
+    )
+    def test_empty_path(self, tmp_path, monkeypatch, args):
+        """An empty path is a path that cannot be written, not a missing
+        option: no report is skipped and no file goes to standard output."""
+        monkeypatch.chdir(tmp_path)
+        result = invoke(*args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: cannot write : ")
+        assert "homhopf 1" not in result.stdout
+
 
 class TestUnreadableInput:
     """An input path that cannot be read is an input error (exit 2) reported
@@ -627,3 +653,166 @@ class TestArgumentGrammar:
         report = tmp_path / "r.json"
         result = invoke("verify", "--algebra", "cyclic:2", "prop2.19", "--report", str(report))
         assert result.exit_code == 0 and report.exists()
+
+
+def _check(source="cyclic:2", **given):
+    return "check", {"source": source, "level": "hopf", "report_path": None, "jobs": 1, **given}
+
+
+def _construct(kind, **given):
+    defaults = {"cocycle_path": None, "side": None, "out_path": None, "force": False, "report_path": None}
+    return "construct", {"kind": kind, "source": "cyclic:2", **defaults, **given}
+
+
+def _verify(suite, source="cyclic:2", report_path=None):
+    return "verify", {"suite": suite, "source": source, "report_path": report_path}
+
+
+TOP_HELP, VERSION = "usage: homhopf [--help]", "homhopf, version 0.1.0\n"
+
+# Each spelling, split as a shell splits it, and what the parser makes of it:
+# the command it calls with its keyword arguments, 2 (a refusal: an error on
+# stderr and nothing on stdout), or the start of what an exit 0 printed.
+# Every outcome is the one the argparse parser gave before the command table
+# replaced it; an empty ``--report`` or ``--out`` still parses as it did, and
+# the command then refuses the path (``TestUnwritableOutput.test_empty_path``).
+GRAMMAR = {
+    # refusals
+    "": 2,
+    "frobnicate": 2,
+    "export": 2,
+    "construct": 2,
+    "construct dual": 2,
+    "construct frobnicate ax1": 2,
+    "verify thm9.9 --algebra cyclic:2": 2,
+    "verify thm4.5": 2,
+    "check cyclic:2 --level bogus": 2,
+    "check cyclic:2 --level": 2,
+    "check cyclic:2 --level=": 2,
+    "check cyclic:2 --level ''": 2,
+    "check cyclic:2 --level -1": 2,
+    "check cyclic:2 --level=-x": 2,
+    "check --level=hopf=x cyclic:2": 2,
+    "check --level hopf": 2,
+    "construct twist cyclic:2 --side middle": 2,
+    "construct twist cyclic:2 --cocycle no_such_cocycle.alg": 2,
+    "construct dual cyclic:2 --cocycle no_such_cocycle.alg": 2,
+    "construct dual cyclic:2 --cocycle ''": 2,
+    "check cyclic:2 --jobs two": 2,
+    "check cyclic:2 --jobs": 2,
+    "check --jobs '' cyclic:2": 2,
+    "check --jobs 3 --jobs x cyclic:2": 2,
+    "verify prop2.19 --algebra cyclic:2 --jobs 2": 2,
+    "check cyclic:2 --lev hopf": 2,
+    "verify thm4.5 --alg cyclic:2": 2,
+    "check cyclic:2 -h": 2,
+    "check cyclic:2 extra": 2,
+    "check cyclic:2 -1": 2,
+    "check cyclic:2 -- --level": 2,
+    "construct dual cyclic:2 --force=1": 2,
+    "check cyclic:2 --force": 2,
+    "export ax1 --report r.json": 2,
+    "check cyclic:2 --version": 2,
+    "check cyclic:2 --report -r.json": 2,
+    "check cyclic:2 --report --": 2,
+    "check --": 2,
+    "check -x": 2,
+    "check cyclic:2 -x": 2,
+    "check --=x cyclic:2": 2,
+    "check cyclic:2 ---level hopf": 2,
+    "-- check cyclic:2": 2,
+    "check --help=x": 2,
+    "--version=x": 2,
+    # --help and --version, read where they stand
+    "--help": TOP_HELP,
+    "--help bogus": TOP_HELP,
+    "--help --version": TOP_HELP,
+    "--version": VERSION,
+    "--version --help": VERSION,
+    "--version check cyclic:2": VERSION,
+    "check --help": "usage: homhopf check ",
+    "construct --help": "usage: homhopf construct ",
+    "verify --help": "usage: homhopf verify ",
+    "export --help": "usage: homhopf export ",
+    "check cyclic:2 --help": "usage: homhopf check ",
+    "check '' --help": "usage: homhopf check ",
+    "check --help --level bogus": "usage: homhopf check ",
+    "check --level bogus --help": 2,
+    "construct dual --help": "usage: homhopf construct ",
+    "construct frobnicate --help": 2,
+    "verify --help thm9.9": "usage: homhopf verify ",
+    "verify thm9.9 --help": 2,
+    "bogus --help": 2,
+    # an unknown option or an extra positional is refused only after the rest
+    "check a b --help": "usage: homhopf check ",
+    "check --bogus --help": "usage: homhopf check ",
+    "--bogus check --help": "usage: homhopf check ",
+    # accepted spellings
+    "check cyclic:2": _check(),
+    "check --level algebra cyclic:2": _check(level="algebra"),
+    "check cyclic:2 --level algebra": _check(level="algebra"),
+    "check cyclic:2 --level=algebra": _check(level="algebra"),
+    "check --level hopf --level algebra cyclic:2": _check(level="algebra"),
+    "check cyclic:2 --report a --report b": _check(report_path="b"),
+    "check -- cyclic:2": _check(),
+    "check cyclic:2 --": _check(),
+    "check -- -- ": _check("--"),
+    "check -1": _check("-1"),
+    "check -2.5": _check("-2.5"),
+    "check -": _check("-"),
+    "check ''": _check(""),
+    "check '-a b'": _check("-a b"),
+    "check cyclic:2 --report=": _check(report_path=""),
+    "check cyclic:2 --report ''": _check(report_path=""),
+    "check cyclic:2 --report -": _check(report_path="-"),
+    "check cyclic:2 --report -1": _check(report_path="-1"),
+    "check cyclic:2 --report '-a b'": _check(report_path="-a b"),
+    "check cyclic:2 --report=--x": _check(report_path="--x"),
+    "check cyclic:2 --jobs -3": _check(jobs=-3),
+    "check --jobs=-3 cyclic:2": _check(jobs=-3),
+    "check cyclic:2 --jobs +3": _check(jobs=3),
+    "check cyclic:2 --jobs 1_0": _check(jobs=10),
+    "check cyclic:2 --jobs ' 7'": _check(jobs=7),
+    "construct --out d.alg --force dual cyclic:2": _construct("dual", out_path="d.alg", force=True),
+    "construct dual cyclic:2 --out=": _construct("dual", out_path=""),
+    "construct dual cyclic:2 --cocycle=sigma.alg": _construct("dual", cocycle_path="sigma.alg"),
+    "construct twist cyclic:2 --cocycle sigma.alg --side left": _construct(
+        "twist", cocycle_path="sigma.alg", side="left"
+    ),
+    "construct twist cyclic:2 --cocycle=sigma.alg --side=right --force --report r.json --out o.alg": (
+        _construct(
+            "twist", cocycle_path="sigma.alg", side="right", force=True, report_path="r.json", out_path="o.alg"
+        )
+    ),
+    "verify --algebra cyclic:2 prop2.19 --report r.json": _verify("prop2.19", report_path="r.json"),
+    "verify thm4.5 --algebra=cyclic:2": _verify("thm4.5"),
+    "verify thm4.5 --algebra a --algebra b": _verify("thm4.5", "b"),
+    "export ax1 --out x.alg": ("export", {"name": "ax1", "out_path": "x.alg"}),
+}
+
+
+class TestGrammarReference:
+    """The command table's parser gives every spelling of ``GRAMMAR`` the
+    outcome argparse gave it."""
+
+    @pytest.mark.parametrize("spelling", GRAMMAR, ids=lambda s: s or "no-arguments")
+    def test_outcome(self, tmp_path, monkeypatch, spelling):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sigma.alg").write_text("")  # the existing ``--cocycle`` path
+        calls = []
+
+        def recorder(name):
+            return lambda **values: calls.append((name, values))
+
+        for name in COMMANDS:
+            monkeypatch.setattr(cli, name, recorder(name))
+        result = invoke(*shlex.split(spelling))
+        want = GRAMMAR[spelling]
+        if isinstance(want, tuple):
+            assert (result.exit_code, calls) == (0, [want])
+        elif want == 2:
+            assert (result.exit_code, result.stdout, calls) == (2, "", [])
+            assert result.stderr
+        else:
+            assert (result.exit_code, result.stderr, calls) == (0, "", [])
+            assert result.stdout.startswith(want)

@@ -28,7 +28,7 @@ import pytest
 
 import homhopf
 from conftest import dense_field, hopf_algebra
-from homhopf import algfile, exactlin, structures, twist
+from homhopf import algfile, algread, exactlin, structures, twist
 from homhopf.bicross import dual_matched_pair, self_bicross_data
 from homhopf.catalog import get_entry
 from homhopf.constructions import (
@@ -281,7 +281,7 @@ def test_a_file_realizes_each_named_object_once(monkeypatch):
     its record realizes: on the ax1 bundle, the action's carrier is the
     coaction's coactor, and ax1 and its partner invert their structure maps
     once each however many blocks name them."""
-    bundle = algfile.read(algfile.write(algfile.bundle_of_entry(get_entry("ax1"))))
+    bundle = algread.read(algfile.write(algfile.bundle_of_entry(get_entry("ax1"))))
     inverted = []
 
     def counted(m):

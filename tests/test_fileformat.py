@@ -1,8 +1,9 @@
 """Definition files: round trips, canonical form, parse errors, and a lock
 on what ``read`` does with a thousand mutated files.
 
-``algfile`` reads and writes the files; ``fileformat``'s dense records (the
-benchmark's input generator relabels them) are read and written through it."""
+``algread`` reads the files and ``algfile`` writes them; ``fileformat``'s
+dense records (the benchmark's input generator relabels them) are read and
+written through them."""
 
 import hashlib
 import importlib.util
@@ -22,9 +23,9 @@ from homhopf.algfile import (
     BlockRecord,
     bundle_of_entry,
     object_record,
-    read,
     write,
 )
+from homhopf.algread import read
 from homhopf.catalog import get_entry
 from homhopf.constructions import (
     drinfeld_double,
@@ -240,9 +241,9 @@ class TestParsing:
             read(bad)
 
     def test_declared_dim_over_the_limit(self, monkeypatch):
-        from homhopf import algfile
+        from homhopf import algread
 
-        monkeypatch.setattr(algfile, "MAX_DIM", 3)
+        monkeypatch.setattr(algread, "MAX_DIM", 3)
         head = "homhopf 1\nchar 0\nobject big\ndim {}\nalpha 0 0 1\nend\n"
         assert read(head.format(3)).object().dim == 3
         assert read(head.format("003")).object().dim == 3
@@ -254,9 +255,9 @@ class TestParsing:
                 read(head.format(malformed))
 
     def test_declared_dims_together_over_the_limit(self, monkeypatch):
-        from homhopf import algfile
+        from homhopf import algread
 
-        monkeypatch.setattr(algfile, "MAX_DIM", 3)
+        monkeypatch.setattr(algread, "MAX_DIM", 3)
         head = "homhopf 1\nchar 0\n"
         obj = "object {}\ndim {}\nalpha 0 0 1\nend\n"
         assert read(head + obj.format("a", 3)).object().dim == 3
@@ -271,9 +272,9 @@ class TestParsing:
             assert (err.value.line, err.value.column) == (8, 5)
 
     def test_block_entries_together_over_the_limit(self, monkeypatch):
-        from homhopf import algfile
+        from homhopf import algread
 
-        monkeypatch.setattr(algfile, "MAX_DIM", 3)
+        monkeypatch.setattr(algread, "MAX_DIM", 3)
         head = "homhopf 1\nchar 0\nobject a\ndim 3\nalpha 0 0 1\nalpha 1 1 1\nalpha 2 2 1\nend\n"
         cells = [f"entry {h} {m} {k} 1\n" for h, m, k in product(range(3), repeat=3)]
 

@@ -26,7 +26,7 @@ import pytest
 from test_construction_digests import CONSTRUCTIONS, INPUTS
 
 from conftest import dense_field, hopf_algebra
-from homhopf import algfile
+from homhopf import algfile, algread
 from homhopf.bicross import dual_matched_pair, self_bicross, self_bicross_data
 from homhopf.catalog import get_entry
 from homhopf.constructions import (
@@ -92,7 +92,7 @@ def parsed(name: str):
 def read_back(name: str):
     """The Hopf object of the catalog entry ``name``, read back from its file
     as a command reads it."""
-    return algfile.read(algfile.write(algfile.bundle_of_entry(get_entry(name)))).object().hom_hopf()
+    return algread.read(algfile.write(algfile.bundle_of_entry(get_entry(name)))).object().hom_hopf()
 
 
 def rebuilt(x):

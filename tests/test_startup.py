@@ -4,7 +4,9 @@ Every ``homhopf`` command is a fresh process, so what it imports is compiled
 and executed on every run.  ``homhopf`` loads each of its public names on
 first use; ``cli`` imports the package modules, ``hashlib`` and ``json`` only
 in the commands and options that use them, and needs nothing outside the
-standard library.  No command loads ``dataclasses`` or the dense file records
+standard library: it parses its arguments by its own command table, without
+``argparse``, and only a command that reads a file loads the reader
+``algread``.  No command loads ``dataclasses`` or the dense file records
 of ``fileformat``, and none makes a dense structure tensor.  A command whose
 scalars are all integers loads neither ``fractions`` nor ``decimal``.  The import-graph
 tests run each command in a fresh interpreter and read ``sys.modules`` after
@@ -417,11 +419,45 @@ class TestImportGraph:
         and ``verify``, and of the rest only its own section; ``thm2.6`` also
         the catalog, for its golden tables."""
         source, status, own = self.OWN[suite]
-        base = ("algfile", "cli", "constructions", "errors", "exactlin", "structures", "verify")
+        base = ("algfile", "algread", "cli", "constructions", "errors", "exactlin", "structures", "verify")
         names = modules(workdir, "verify", suite, "--algebra", source, status=status)
         assert sorted(n for n in names if n.startswith("homhopf.")) == sorted(
             f"homhopf.{m}" for m in (*base, *own)
         )
+
+    @pytest.mark.parametrize(
+        "args, status",
+        [
+            (("--version",), 0),
+            (("--help",), 0),
+            (("check", "c2.alg", "--level", "bogus"), 2),
+            (("check", "c2.alg"), 0),
+            (("construct", "dual", "c2.alg", "--out", "ap_c2.alg"), 0),
+            (("verify", "thm4.5", "--algebra", "cyclic:4"), 0),
+            (("export", "ax1"), 0),
+        ],
+        ids=["version", "help", "usage-error", "check", "construct", "verify", "export"],
+    )
+    def test_no_command_loads_argparse(self, workdir, args, status):
+        names = modules(workdir, *args, status=status)
+        assert [n for n in ("argparse", "gettext") if n in names] == []
+
+    @pytest.mark.parametrize(
+        "args, reads",
+        [
+            (("check", "cyclic:3"), False),
+            (("verify", "thm4.5", "--algebra", "cyclic:4"), False),
+            (("construct", "double", "cyclic:2", "--out", "rd_c2.alg"), False),
+            (("export", "ax1"), False),
+            (("check", "c2.alg"), True),
+            (("verify", "thm4.5", "--algebra", "c2.alg"), True),
+            (("construct", "double", "c2.alg", "--out", "rf_c2.alg"), True),
+            (("construct", "twist", "cyclic:2", "--cocycle", "sigma.alg", "--out", "rt_c2.alg"), True),
+        ],
+        ids=lambda v: v if isinstance(v, bool) else "-".join(v[:3]),
+    )
+    def test_only_a_command_that_reads_a_file_loads_the_reader(self, workdir, args, reads):
+        assert ("homhopf.algread" in modules(workdir, *args)) is reads
 
     def test_version_loads_nothing_of_the_package_beyond_init(self, workdir):
         names = modules(workdir, "--version")
@@ -642,7 +678,8 @@ class TestUnwritableStdout:
     with one line on stderr, and no traceback, for a command's output and
     for ``--version`` and ``--help`` alike.  Buffered, the write fails in
     ``run``'s flush, and the interpreter's last flush must not fail again;
-    unbuffered, it fails where it is made, also inside argparse."""
+    unbuffered, it fails where it is made, ``--help`` and ``--version``
+    included."""
 
     COMMANDS = (("check", "c2.alg"), ("--version",), ("--help",))
 

@@ -16,7 +16,8 @@ from conftest import (
     replaced,
     tensor3_from_entries,
 )
-from homhopf.algfile import bundle_of_entry, read, write
+from homhopf.algfile import bundle_of_entry, write
+from homhopf.algread import read
 from homhopf.bicross import dual_matched_pair, self_bicross_data
 from homhopf.catalog import (
     BicrossGolden,
