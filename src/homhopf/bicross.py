@@ -19,13 +19,13 @@ from .constructions import (
 from .errors import CrossCheckFailed, HypothesisFailed, PreconditionFailed
 from .exactlin import (
     apply_kron, apply_map, basis, bilinear_apply, compose, kron, linear_combination,
-    pair_cells, rows_from_entries, transpose, transpose_rows,
+    pair_cells, rows_from_entries, tensor_power_products, transpose, transpose_rows,
 )
 from .laws import check_comodule_coalgebra, check_matched_pair, check_module_algebra
 from .structures import (
     CheckReport, ComoduleCoaction, HomAlgebra, HomBialgebra, HomHopfAlgebra, MatchedPairData,
-    ModuleAction, _flat, _legs, _sweep, algebra_of, bialgebra_of, coalgebra_of, make_entry,
-    merge_reports, run_hopf_suite,
+    ModuleAction, _flat, _grid, _multiplicative_cases, _require, _sweep, algebra_of,
+    bialgebra_of, coalgebra_of, make_entry, merge_reports, run_hopf_suite,
 )
 
 if TYPE_CHECKING:
@@ -33,40 +33,37 @@ if TYPE_CHECKING:
     from .verify import SuiteResult
 
 
+def _require_roles(A, H, act: ModuleAction, co: ComoduleCoaction) -> None:
+    """Refuse data that is not an action of ``H`` on ``A`` and a coaction of ``A`` on ``H``."""
+    roles = (act.actor, act.carrier, co.coactor, co.carrier) == (H, A, A, H)
+    _require(roles, "bicrossproduct data must be an action of H on A and a coaction of A on H")
+
+
 def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckReport:
     """The three compatibility hypotheses between the action of H on A and
     the coaction of A on H, each reported separately."""
+    _require_roles(A, H, act, co)
     alg = algebra_of(A)
     coa = coalgebra_of(A)
     bi = bialgebra_of(H)
     na, nh = alg.dim, bi.dim
     ah_i1, aa_i1 = bi.power(-1), alg.power(-1)
-    action, amul, hmul = act.act_cells, alg.mul_cells, bi.algebra.mul_cells
-    h_terms, co_terms = bi.coalgebra.comul_terms, co.coact_terms
-    delta_a, rho, eps_a = coa.comul_rows, co.coact_rows, coa.counit
+    action, amul, hmul, hc = act.act_cells, alg.mul_cells, bi.algebra.mul_cells, bi.coalgebra
+    delta_a, rho, eps_a, eps_h = coa.comul_rows, co.coact_rows, coa.counit, hc.counit
     acts, e_h = _flat(action), basis(nh)  # acts maps h (x) b to h . b
-    eps_h, hm = bi.coalgebra.counit, bi.algebra.mul_map
-    # Legs as maps of a basis vector: acted[h] is b -> alpha^-1(h) . b,
-    # times[h] is g -> alpha^-1(h) g, and twisted[a * nh + h] is
-    # b -> alpha^-1(a) (alpha^-1(h) . alpha^-1(b)).
-    acted = transpose(tuple(compose(ah_i1, rm) for rm in transpose(action)))
-    times = transpose(tuple(compose(ah_i1, rm) for rm in transpose(hmul)))
+    # twisted[a * nh + h] is the map b -> alpha^-1(a) (alpha^-1(h) . alpha^-1(b))
     acted_twice = [[bilinear_apply(action, h, b) for b in aa_i1] for h in ah_i1]
     twisted = [tuple(bilinear_apply(amul, a, x) for x in row) for a in aa_i1 for row in acted_twice]
     # at x * na + b, acted_then is a -> (x . b) a and then_acted is a -> a (x . b)
     acted_then = transpose(tuple(compose(acts, rm) for rm in transpose(amul)))
     then_acted = transpose(tuple(compose(acts, lm) for lm in amul))
 
-    # the terms (h_1(0), (h_1(1), h_2), v) of each h, whose legs are read from acted
-    # or times and from twisted
-    dressed = [
-        [(h10, h11 * nh + h2, vh * vco) for h1, h2, vh in sw for h10, h11, vco in co_terms[h1]]
-        for sw in h_terms
-    ]
-    # (alpha^-1(h_1(0)) . b_1) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(b_2))
-    hyp1 = tuple(_legs(terms, acted, twisted, delta_a[b]) for terms in dressed for b in range(na))
-    # alpha^-1(h_1(0)) g_(0) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(g_(1)))
-    hyp2 = tuple(_legs(terms, times, twisted, rho[g]) for terms in dressed for g in range(nh))
+    # alpha^-1(h_1(0)) (x) (h_1(1) (x) h_2), its legs read from the action or H's product and twisted
+    dressed = compose(hc.comul_rows, (compose(rho, (ah_i1, basis(na))), e_h))
+    # delta(h . b) against (alpha^-1(h_1(0)) . b_1) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(b_2))
+    hyp1 = _multiplicative_cases(action, delta_a, (action, twisted), dressed, delta_a)
+    # rho(h g) against alpha^-1(h_1(0)) g_(0) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(g_(1)))
+    hyp2 = _multiplicative_cases(hmul, rho, (hmul, twisted), dressed, rho)
     # h_2(0) (x) (h_1 . b) h_2(1) against h_1(0) (x) h_1(1) (h_2 . b)
     exchange = [
         tuple(
@@ -76,13 +73,13 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
             for terms in sweedlers
             for b in range(na)
         )
-        for legs, sweedlers in ((acted_then, h_terms), (then_acted, bi.coalgebra.op.comul_terms))
+        for legs, sweedlers in ((acted_then, hc.comul_terms), (then_acted, hc.op.comul_terms))
     ]
 
     checks = (
-        _sweep("bicross.action-comultiplicative", (nh, na), compose(acts, delta_a), hyp1),
+        _sweep("bicross.action-comultiplicative", hyp1),
         _sweep("bicross.action-counit", (nh, na), compose(acts, eps_a), kron(eps_h, eps_a)),
-        _sweep("bicross.coaction-multiplicative", (nh, nh), compose(hm, rho), hyp2),
+        _sweep("bicross.coaction-multiplicative", hyp2),
         _sweep("bicross.action-coaction-exchange", (nh, na), *exchange),
     )
     return CheckReport(checks)
@@ -98,6 +95,7 @@ def bicrossproduct(
     Its coproduct is the cotwist coproduct of the cotwisting map the coaction
     induces: ``a_1 (x) alpha_H^-1(h_1(0)) (x) alpha_A^-1(a_2) alpha_A^-2(h_1(1)) (x) h_2``.
     """
+    _require_roles(A, H, act, co)
     na, nh = A.dim, H.dim
     nd = _product_dim(na, nh)
     if check:
@@ -228,16 +226,11 @@ def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlge
         report = check_matched_pair(mp)
         if not report.ok:
             raise PreconditionFailed("not a matched pair", report)
-    ah_i2, aa_i2 = H.power(-2), A.power(-2)
-    left, right = mp.left_cells, mp.right_cells
-    h_terms, delta_a = H.coalgebra.comul_terms, A.coalgebra.comul_rows
-
     # (a (x) h)(b (x) g)
-    #   = a (alpha^-2(h_1) -> alpha^-2(b_1)) (x) (alpha^-2(h_2) <- alpha^-2(b_2)) g;
-    # lefts[h_1] and rights[h_2] map b_1 and b_2 to the two legs of tau[h][b]
-    lefts = [[bilinear_apply(left, x, y) for y in aa_i2] for x in ah_i2]
-    rights = [[bilinear_apply(right, x, y) for y in aa_i2] for x in ah_i2]
-    tau = [[_legs(terms, lefts, rights, v) for v in delta_a] for terms in h_terms]
+    #   = a (alpha^-2(h_1) -> alpha^-2(b_1)) (x) (alpha^-2(h_2) <- alpha^-2(b_2)) g,
+    # the middle two legs tau[h][b] read from the coproducts with alpha^-2 on both legs
+    delta_h, delta_a = (compose(X.coalgebra.comul_rows, (X.power(-2),) * 2) for X in (H, A))
+    tau = _grid(tensor_power_products((mp.left_cells, mp.right_cells), delta_h, delta_a), na)
     mul = _pair_product(A.algebra.mul_cells, transpose(H.algebra.mul_cells), tau)
     coalg = _tensor_coalgebra(A, H)
     unit = kron(A.unit, H.unit)
@@ -258,6 +251,7 @@ def dual_matched_pair(
     """Dualize bicrossproduct data into a matched pair ``(H, A_dual)``:
     the dual acts by ``f > h = f(h_(1)) h_(0)`` and is acted on by
     ``<f < h, a> = <f, h . alpha^-2(a)>``."""
+    _require_roles(A, H, act, co)
     if check:
         mod_report = check_module_algebra(act)
         co_report = check_comodule_coalgebra(co)
@@ -289,6 +283,7 @@ def verify_thm_2_6(
 
     started = time.perf_counter()
     _product_dim(A.dim, H.dim)  # refused before the O(n^3) precondition sweeps
+    _require_roles(A, H, act, co)
     steps = [
         SuiteStep("module-algebra action", check_module_algebra(act)),
         SuiteStep("comodule-coalgebra coaction", check_comodule_coalgebra(co)),

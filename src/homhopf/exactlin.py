@@ -34,16 +34,20 @@ records of ``fileformat``, and ``sparse`` and ``dense`` between sparse and
 dense vectors.  The kernels check
 only that the lengths of their operands fit together.
 
-Sweedler sums and tensor legs are enumerated here and nowhere else:
-``terms`` lists the nonzero Sweedler terms of the rows of a comultiplication
-or coaction, ``apply_kron`` applies one map to each leg of a vector on a pair
-space, and ``tensor_power_products`` multiplies vectors of a tensor power leg by
-leg, with a multiplication table per leg (a coaction's target has the
-carrier's and the coactor's).  ``compose`` chains ``apply_map`` and ``apply_kron`` over the
-rows of a map, so a composite such as ``mu o (S (x) id) o delta`` is one
-call.  ``product_cases`` and ``square_cases`` read, from the supports alone,
-at which basis indices the sides of a law can be nonzero, so that it is
-swept only there.
+Tensor legs are enumerated here: ``terms`` lists the nonzero Sweedler terms
+of the rows of a comultiplication or coaction, ``apply_kron`` applies one map
+to each leg of a vector on a pair space, and ``tensor_power_products``
+multiplies vectors leg by leg in a tensor product of bilinear maps, each leg
+with its own left, right and output dimension.  So is each two-leg Sweedler
+sum ``sum c (F[x] (x) G[y])(v)``: the product of ``sum c e_x (x) e_y`` and
+``v`` for the legs ``(F, G)``.  Summed term by term elsewhere are only
+``comodule-coalgebra.comultiplicative``, ``bicross.action-coaction-exchange``,
+``TwoCocycle.products`` and the closed forms of the self-bicrossproduct, the
+double and the bicrossproduct antipode.  ``compose`` chains ``apply_map`` and
+``apply_kron`` over the rows of a map, so a composite such as
+``mu o (S (x) id) o delta`` is one call.  ``product_cases`` and
+``square_cases`` read, from the supports alone, at which basis indices the
+sides of a law can be nonzero, so that it is swept only there.
 
 All functions are pure.  Dense values are nested tuples; sparse vectors are
 dicts that hash by their items.  Both are hashable.
@@ -374,20 +378,21 @@ def bilinear_apply(t: SparseTensor3, x: Sparse, y: Sparse) -> Sparse:
 
 
 def tensor_power_products(muls, us, vs, pairs=None) -> Iterator[Sparse]:
-    """The componentwise products ``(x_1 (x) x_2 ...)(y_1 (x) y_2 ...) = x_1 y_1 (x) x_2 y_2 ...``
-    in the tensor product of the algebras whose multiplications are ``muls``,
-    one per leg (``(mul,) * k`` for the ``k``-fold tensor power of one algebra):
-    each vector of ``us`` times each of ``vs``, row-major, or only at the index
-    pairs ``pairs``, each made as it is read.  Each vector is grouped by legs
-    once, not once per product.
+    """The componentwise products ``(x_1 (x) x_2 ...)(y_1 (x) y_2 ...) = m_1(x_1, y_1) (x) ...``
+    in the tensor product of the bilinear maps ``muls = (m_1, m_2, ...)``, one per leg, each
+    with its own left, right and output dimension (``(mul,) * k`` for a tensor power of one
+    algebra): each vector of ``us`` times each of ``vs``, row-major, or only at the index
+    pairs ``pairs``, each made as it is read.  Each vector is grouped by legs once, not
+    once per product.
     """
-    dims = tuple(map(len, muls))
-    size = prod(dims)
-    if bad := [w.dim for w in chain(us, vs) if w.dim != size]:
-        raise _mismatch(f"tensor product of dimensions {' x '.join(map(str, dims))}", *bad)
-    us, vs = ([_by_first_leg(w.items(), dims) for w in ws] for ws in (us, vs))
+    sides = ((us, tuple(map(len, muls))), (vs, tuple(len(m[0]) for m in muls)))
+    for ws, dims in sides:
+        if bad := [w.dim for w in ws if w.dim != prod(dims)]:
+            raise _mismatch(f"tensor product of dimensions {' x '.join(map(str, dims))}", *bad)
+    us, vs = ([_by_first_leg(w.items(), dims) for w in ws] for ws, dims in sides)
+    out_dim = prod(m[0][0].dim for m in muls)
     pairs = product(range(len(us)), range(len(vs))) if pairs is None else pairs
-    products = (_power_product(muls, us[a], vs[b], _empty(size)) for a, b in pairs)
+    products = (_power_product(muls, us[a], vs[b], _empty(out_dim)) for a, b in pairs)
     return map(_zero_free, products)
 
 
@@ -396,8 +401,7 @@ Pairs = Iterable[tuple[int, Scalar]]
 
 def _power_product(muls, u, v, out: dict) -> dict[int, Scalar]:
     """``out`` plus the product of ``u`` and ``v``, grouped by ``_by_first_leg``,
-    in the tensor product of the algebras whose multiplications are ``muls``,
-    as ``{index: coefficient}``.
+    in the tensor product of the bilinear maps ``muls``, as ``{index: coefficient}``.
 
     The rest of the legs multiply once per pair of first legs with a nonzero
     product, not once per pair of terms.
@@ -411,7 +415,7 @@ def _power_product(muls, u, v, out: dict) -> dict[int, Scalar]:
                 for k, ck in row[b].items():
                     out[k] = out.get(k, ZERO) + c * ck
         return out
-    weight, v_legs = prod(map(len, rest_muls)), v.items()
+    weight, v_legs = prod(m[0][0].dim for m in rest_muls), v.items()
     for a, u_rest in u.items():
         row = mul[a]
         for b, v_rest in v_legs:
@@ -486,20 +490,27 @@ def product_cases(left, right):
             yield (a, b), range(n) if cs == full else _bits(cs)
 
 
-def square_cases(muls, delta: SparseMatrix):
-    """The cases ``(i, j)`` of ``delta(e_i e_j) = delta(e_i) delta(e_j)``, for
-    ``delta`` from the algebra ``mul`` to the tensor product of ``muls = (mul, mul2)``
-    (a coproduct has ``mul2 = mul``), in lexicographic order, where a side has a
-    nonzero term: where ``mul[i][j]`` is filled, or terms ``e_x1 (x) e_x2`` of
-    ``delta[i]`` and ``e_y1 (x) e_y2`` of ``delta[j]`` fill ``mul[x1][y1]`` and
-    ``mul2[x2][y2]``; both sides are zero elsewhere."""
-    filled, filled2 = ([sum(1 << y for y, c in enumerate(row) if c) for row in m] for m in muls)
-    n = len(muls[1])
-    supports = [sum(1 << p for p in v) for v in delta]
-    for i, u in enumerate(delta):
-        # the bit set of the pair-space terms e_y1 (x) e_y2 whose products with a term of u fill cells
-        reach = reduce(or_, (filled2[p % n] << y * n for p in u for y in _bits(filled[p // n])), 0)
-        js = filled[i] | sum(1 << j for j, s in enumerate(supports) if reach & s)
+def _filled(t) -> list[int]:
+    """The bit sets ``{j : t[i][j] is nonzero}`` of the rows ``i`` of the cells ``t``."""
+    return [sum(1 << j for j, cell in enumerate(row) if cell) for row in t]
+
+
+def square_cases(product, muls, us, vs):
+    """The cases ``(i, j)`` of a law ``out(product[i][j]) = us[i] vs[j]``, its right
+    side a product in the tensor product of the bilinear maps ``muls = (m1, m2)``,
+    in lexicographic order, where a side has a nonzero term: where
+    ``product[i][j]`` is filled, or terms ``e_x1 (x) e_x2`` of ``us[i]`` and
+    ``e_y1 (x) e_y2`` of ``vs[j]`` fill ``m1[x1][y1]`` and ``m2[x2][y2]``; both
+    sides are zero elsewhere."""
+    filled = _filled(muls[0])  # each table's filled cells are read once
+    filled2 = filled if muls[1] is muls[0] else _filled(muls[1])
+    lhs_filled = filled if product is muls[0] else _filled(product)
+    n, q = len(muls[1]), len(muls[1][0])  # the second leg's left and right dimensions
+    supports = [sum(1 << p for p in v) for v in vs]
+    for i, u in enumerate(us):
+        # the bit set of the terms e_y1 (x) e_y2 whose products with a term of u fill cells
+        reach = reduce(or_, (filled2[p % n] << y * q for p in u for y in _bits(filled[p // n])), 0)
+        js = lhs_filled[i] | sum(1 << j for j, s in enumerate(supports) if reach & s)
         yield from ((i, j) for j in _bits(js))
 
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from . import twist
 from .exactlin import (
-    SparseMatrix, SparseTensor3, apply_kron, apply_map, basis, bilinear_apply, compose, kron,
-    linear_combination, transpose,
+    SparseMatrix, apply_kron, apply_map, basis, compose, kron, linear_combination,
+    tensor_power_products, transpose,
 )
 from .structures import (
-    CheckReport, ComoduleCoaction, MatchedPairData, ModuleAction, _flat, _legs, _product_law,
-    _require, _shape, _sweep, algebra_of, bialgebra_of, coalgebra_of,
+    CheckReport, ComoduleCoaction, MatchedPairData, ModuleAction, _flat, _grid,
+    _multiplicative_cases, _product_law, _require, _shape, _sweep, algebra_of, bialgebra_of,
+    coalgebra_of,
 )
 
 
@@ -109,13 +110,12 @@ def check_module_coalgebra(m: ModuleAction) -> CheckReport:
     actor = bialgebra_of(m.actor)
     carrier = coalgebra_of(m.carrier)
     nh, nc = actor.dim, carrier.dim
-    act, acts, actor_terms = m.act_cells, _flat(m.act_cells), actor.coalgebra.comul_terms
+    act, acts, hd = m.act_cells, _flat(m.act_cells), actor.coalgebra.comul_rows
     cm, eps, actor_eps = carrier.comul_rows, carrier.counit, actor.coalgebra.counit
-    # h_1 . c_1 (x) h_2 . c_2
-    coproducts = tuple(_legs(actor_terms[h], act, act, cm[c]) for h in range(nh) for c in range(nc))
     checks = (
         *check_module(m).checks,
-        _sweep("module-coalgebra.comultiplicative", (nh, nc), compose(acts, cm), coproducts),
+        # delta(h . c) against h_1 . c_1 (x) h_2 . c_2
+        _sweep("module-coalgebra.comultiplicative", _multiplicative_cases(act, cm, (act, act), hd, cm)),
         _sweep("module-coalgebra.counit", (nh, nc), compose(acts, eps), kron(actor_eps, eps)),
     )
     return CheckReport(checks)
@@ -164,22 +164,16 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
     ah_i1, ah_i2, ah_i3 = (H.power(-k) for k in (1, 2, 3))
     aa_i1, aa_i2, aa_i3 = (A.power(-k) for k in (1, 2, 3))
     amul, hmul = A.algebra.mul_cells, H.algebra.mul_cells
-    h_terms, delta_a, hmul_right = H.coalgebra.comul_terms, A.coalgebra.comul_rows, transpose(hmul)
-    e_a, e_h, rh, ra = basis(na), basis(nh), range(nh), range(na)
-
-    def acted(t: SparseTensor3, hs: SparseMatrix, xs: SparseMatrix):
-        """``acted(t, hs, xs)[h][a]`` is ``t`` applied to ``hs[h]`` and ``xs[a]``."""
-        return [[bilinear_apply(t, x, y) for y in xs] for x in hs]
-
-    # alpha^-2(g) -> alpha^-3(a), alpha^-1(g) <- alpha^-2(a), alpha^-2(h) -> alpha^-1(a)
-    # and alpha^-3(h) <- alpha^-2(a), at [g][a] or [h][a]
-    l23, r12 = acted(left, ah_i2, aa_i3), acted(right, ah_i1, aa_i2)
-    l21, r32 = acted(left, ah_i2, aa_i1), acted(right, ah_i3, aa_i2)
+    delta_h, delta_a, hmul_right = H.coalgebra.comul_rows, A.coalgebra.comul_rows, transpose(hmul)
+    e_a, e_h, ra = basis(na), basis(nh), range(na)
     # (h g) <- a  against  (h <- (g_1 -> a_1)) (g_2 <- a_2), and
     # h -> (a b)  against  (h_1 -> a_1) ((h_2 <- a_2) -> b), up to structure-map powers:
-    # at [g][a], (g_1 -> a_1) (x) (g_2 <- a_2), and at [h][a], (h_1 -> a_1) (x) (h_2 <- a_2)
-    pushed = [[_legs(h_terms[g], l23, r12, delta_a[a]) for a in ra] for g in rh]
-    pulled = [[_legs(h_terms[h], l21, r32, delta_a[a]) for a in ra] for h in rh]
+    # at [g][a], (alpha^-2(g_1) -> alpha^-3(a_1)) (x) (alpha^-1(g_2) <- alpha^-2(a_2)), and
+    # at [h][a], (alpha^-2(h_1) -> alpha^-1(a_1)) (x) (alpha^-3(h_2) <- alpha^-2(a_2))
+    g21, h23 = compose(delta_h, (ah_i2, ah_i1)), compose(delta_h, (ah_i2, ah_i3))
+    a32, a12 = compose(delta_a, (aa_i3, aa_i2)), compose(delta_a, (aa_i1, aa_i2))
+    pushed = _grid(tensor_power_products((left, right), g21, a32), na)
+    pulled = _grid(tensor_power_products((left, right), h23, a12), na)
     # at [h][x * nh + y], (h <- e_x) e_y, and at [x * nh + y][b], e_x (e_y -> e_b)
     times_after = [[apply_map(r, hx) for hx in row for r in hmul_right] for row in right]
     times_acted = [compose(plane, amul[x]) for x in ra for plane in left]
@@ -188,8 +182,8 @@ def check_matched_pair(mp: MatchedPairData) -> CheckReport:
     acts_on_product = _product_law((left, e_h, amul), (times_acted, pulled, e_a))
     # h_1 <- a_1 (x) h_2 -> a_2  against  h_2 <- a_2 (x) h_1 -> a_1
     exchange = [
-        tuple(_legs(hc.comul_terms[h], right, left, ac.comul_rows[a]) for h in rh for a in ra)
-        for hc, ac in ((H.coalgebra, A.coalgebra), (H.coalgebra.op, A.coalgebra.op))
+        tuple(tensor_power_products((right, left), hd, ad))
+        for hd, ad in ((delta_h, delta_a), (H.coalgebra.comul_op_rows, A.coalgebra.comul_op_rows))
     ]
     checks = (
         *twist._prefixed("matched-pair.left-action.", check_module_coalgebra(mp.left_module).checks),

@@ -17,21 +17,21 @@ both sides' full coefficient vectors.
 An axiom is two composed maps (``exactlin.compose``) compared row by row by
 ``_sweep``: row ``r`` of each side is the basis case at the ``r``-th
 multi-index of the law's index space in row-major order, so the first
-differing row is the first failing index.  Laws over three basis indices
-(Hom-associativity, module-algebra multiplicativity, the cocycle condition,
-two matched-pair laws and the pairing's product-coproduct laws) are instead
-a lazy stream of per-case sides through the same ``_sweep``, which stops at
-the first failure; as whole maps they would hold n^3 rows.  So are the
-multiplicativity laws of the structure map, the coproduct and the counit
-of ``check`` (n^2 cases each), so that no n^2-row map is held.  Every
-three-index law, and by ``_morphism_products`` the multiplicativity of
-alpha, of the counit into ``k``, of the antipode and of a morphism, comes
-from ``_product_law``, which reads its cases and sides from the same
-operands (a Sweedler sum from a table built once) and visits only the
-cases where a side has a nonzero term (``exactlin.product_cases``): both
-sides of every other case are zero.
-``check_morphism`` compares two objects through a map ``phi: X -> Y`` by the
-same sweeps.
+differing row is the first failing index.  A product law is instead a lazy
+stream of per-case sides through the same ``_sweep``, which stops at the
+first failure and holds no n^3- or n^2-row map.  It reads its cases and
+sides from the same operands (a Sweedler sum from a table built once) and
+visits only the cases where a side has a nonzero term: both sides of every
+other case are zero.  Every three-index law, and by ``_morphism_products``
+the multiplicativity of alpha, of the counit into ``k``, of the antipode and
+of a morphism, comes from ``_product_law`` (``exactlin.product_cases``).
+Every law ``out(x y) = u(x) v(y)`` with a product in a tensor product of
+bilinear maps on the right comes from ``_multiplicative_cases``
+(``exactlin.square_cases``): comultiplicativity, comodule-algebra
+multiplicativity, ``module-coalgebra.comultiplicative`` and the
+bicrossproduct hypotheses ``action-comultiplicative`` and
+``coaction-multiplicative``.  ``check_morphism`` compares two objects
+through a map ``phi: X -> Y`` by the same sweeps.
 
 Structural invariants (shapes, invertibility of structure maps) are enforced
 at construction; algebraic axioms are only ever checker verdicts, so broken
@@ -586,20 +586,19 @@ def _flat(t: SparseTensor3) -> SparseMatrix:
     return tuple(chain.from_iterable(t))
 
 
-def _legs(terms, first, second, v: Sparse) -> Sparse:
-    """``sum c * (first[x] (x) second[y])(v)`` over the terms ``(x, y, c)``: a
-    Sweedler sum that picks the maps applied to the two legs of ``v``."""
-    n = first[0][0].dim * second[0][0].dim
-    return linear_combination(n, ((c, apply_kron(first[x], second[y], v)) for x, y, c in terms))
+def _grid(cells, n: int) -> tuple[tuple, ...]:
+    """The row-major stream ``cells`` as rows of ``n``: ``[i][j]`` is the cell ``i * n + j``."""
+    return tuple(zip(*[iter(cells)] * n))
 
 
-def _multiplicative_cases(muls, delta: SparseMatrix):
-    """The cases ``((i, j), delta(e_i e_j), delta(e_i) delta(e_j))`` of ``delta``
-    from the algebra ``muls[0]`` to the tensor product of the algebras ``muls``
-    (``exactlin.square_cases``), each product formed as the sweep reads it."""
-    cases, pairs = tee(square_cases(muls, delta))
-    products = tensor_power_products(muls, delta, delta, pairs)
-    return (((i, j), apply_map(delta, muls[0][i][j]), w) for (i, j), w in zip(cases, products))
+def _multiplicative_cases(product, out, muls, us, vs):
+    """The cases ``((i, j), out(product[i][j]), us[i] vs[j])`` of a law whose right
+    side is a product in the tensor product of the bilinear maps ``muls``, at
+    the cases of ``exactlin.square_cases``, each product formed as the sweep
+    reads it.  A coproduct is multiplicative by ``(mul, delta, (mul, mul), delta, delta)``."""
+    cases, pairs = tee(square_cases(product, muls, us, vs))
+    products = tensor_power_products(muls, us, vs, pairs)
+    return (((i, j), apply_map(out, product[i][j]), w) for (i, j), w in zip(cases, products))
 
 
 def _product_law(left, right):
@@ -663,11 +662,11 @@ def check_hom_bialgebra(obj) -> CheckReport:
     """Comultiplication and counit are morphisms of Hom-algebras (the counit into ``k``)."""
     B = bialgebra_of(obj)
     mc, unit = B.algebra.mul_cells, B.algebra.unit
-    delta, eps = B.coalgebra.comul_rows, B.coalgebra.counit
+    cm, eps = B.coalgebra.comul_rows, B.coalgebra.counit
     checks = (
         # delta(e_i e_j) against delta(e_i) delta(e_j) in the tensor-square algebra
-        _sweep("bialgebra.comul-multiplicative", _multiplicative_cases((mc, mc), delta)),
-        _sweep("bialgebra.comul-unit", (), compose(unit, delta), kron(unit, unit)),
+        _sweep("bialgebra.comul-multiplicative", _multiplicative_cases(mc, cm, (mc, mc), cm, cm)),
+        _sweep("bialgebra.comul-unit", (), compose(unit, cm), kron(unit, unit)),
         # counit(e_i e_j) against counit(e_i) counit(e_j)
         _sweep("bialgebra.counit-multiplicative", _morphism_products(eps, mc, (basis(1),))),
         _sweep("bialgebra.counit-unit", (), compose(unit, eps), basis(1)),

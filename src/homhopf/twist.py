@@ -81,12 +81,12 @@ def check_comodule_algebra(A, c: ComoduleCoaction) -> CheckReport:
     first leg and the coactor's on the second): both sides of the others are zero."""
     alg = algebra_of(A)
     coactor = bialgebra_of(c.coactor)
-    rho, legs = c.coact_rows, (alg.mul_cells, coactor.algebra.mul_cells)
+    rho, am, hm = c.coact_rows, alg.mul_cells, coactor.algebra.mul_cells
     unit, coactor_unit = alg.unit, coactor.algebra.unit
     checks = (
         *check_comodule(c).checks,
         # rho(a b) against a_(0) b_(0) (x) a_(1) b_(1)
-        _sweep("comodule-algebra.multiplicative", _multiplicative_cases(legs, rho)),
+        _sweep("comodule-algebra.multiplicative", _multiplicative_cases(am, rho, (am, hm), rho, rho)),
         _sweep("comodule-algebra.unit", (), compose(unit, rho), kron(unit, coactor_unit)),
     )
     return CheckReport(checks)

@@ -51,6 +51,17 @@ def _ax1_without(obj: str, kind: str) -> str:
     return _without(invoke("export", "ax1").output, obj, kind)
 
 
+# the ax1 export with the roles of its coaction block swapped: a coaction of
+# the partner on ax1, where the bicrossproduct needs one of ax1 on the partner
+SWAPPED_ROLES = "error: bicrossproduct data must be an action of H on A and a coaction of A on H\n"
+
+
+def _ax1_with_swapped_coaction() -> str:
+    text = invoke("export", "ax1").output
+    assert "coaction coact ax1 ax1_partner\n" in text
+    return text.replace("coaction coact ax1 ax1_partner\n", "coaction coact ax1_partner ax1\n")
+
+
 class TestCheckCommand:
     def test_passing_catalog_entry(self):
         result = invoke("check", "cyclic:3", "--level", "hopf")
@@ -318,6 +329,14 @@ class TestConstructCommand:
         assert result.exit_code == 2
         assert result.stderr == "error: object 'ax1_partner' has no antipode\n"
 
+    @pytest.mark.parametrize("force", [(), ("--force",)])
+    def test_bicross_with_swapped_coaction_roles_is_usage_error(self, tmp_path, force):
+        (tmp_path / "ax1.alg").write_text(_ax1_with_swapped_coaction())
+        out = tmp_path / "x.alg"
+        result = invoke("construct", "bicross", str(tmp_path / "ax1.alg"), "--out", str(out), *force)
+        assert (result.exit_code, result.stderr) == (2, SWAPPED_ROLES)
+        assert not out.exists()
+
     @pytest.mark.parametrize("obj", ["ax1", "ax1_partner"])
     @pytest.mark.parametrize("force", [(), ("--force",)])
     def test_bicross_on_an_object_without_antipode_is_usage_error(self, tmp_path, obj, force):
@@ -368,6 +387,19 @@ class TestVerifyCommand:
         result = invoke("verify", "thm2.6", "--algebra", str(tmp_path / "ax1.alg"))
         assert result.exit_code == 2
         assert result.stderr == "error: object 'ax1_partner' has no antipode\n"
+
+    def test_bicross_suite_with_swapped_coaction_roles_is_refused_before_any_sweep(
+        self, tmp_path, monkeypatch
+    ):
+        from homhopf import bicross
+
+        def no_sweep(act):
+            raise AssertionError("the module-algebra sweep was started")
+
+        (tmp_path / "ax1.alg").write_text(_ax1_with_swapped_coaction())
+        monkeypatch.setattr(bicross, "check_module_algebra", no_sweep)
+        result = invoke("verify", "thm2.6", "--algebra", str(tmp_path / "ax1.alg"))
+        assert (result.exit_code, result.stderr) == (2, SWAPPED_ROLES)
 
     @pytest.mark.parametrize("obj", ["ax1", "ax1_partner"])
     def test_bicross_suite_on_an_object_without_antipode_is_usage_error(self, tmp_path, obj):

@@ -17,6 +17,7 @@ from conftest import (
 )
 from homhopf import bicross, constructions, laws, pairing
 from homhopf.bicross import (
+    bicross_hypotheses,
     bicrossproduct,
     double_cross_product,
     dual_matched_pair,
@@ -48,7 +49,13 @@ from homhopf.constructions import (
     smash_product,
     yau_twist,
 )
-from homhopf.errors import HypothesisFailed, InvalidParameter, NotAMorphism, PreconditionFailed
+from homhopf.errors import (
+    DimensionMismatch,
+    HypothesisFailed,
+    InvalidParameter,
+    NotAMorphism,
+    PreconditionFailed,
+)
 from homhopf.exactlin import (
     Sparse,
     apply_map,
@@ -273,6 +280,21 @@ class TestCotwistCoproduct:
 
 
 class TestBicrossproduct:
+    @pytest.mark.parametrize("check", [True, False])
+    def test_data_in_the_wrong_roles_is_refused(self, check):
+        """ax1 and its partner are both 2-dim, so a coaction of the partner on ax1,
+        or an action of ax1 on the partner, has the shapes of bicrossproduct data
+        for ``(ax1, partner)`` without being such data."""
+        ax = catalog_ax1()
+        swapped_co = ComoduleCoaction(ax.partner, ax.hopf, ax.coaction.coact_rows)
+        swapped_act = ModuleAction(ax.hopf, ax.partner, ax.action.act_cells)
+        for act, co in ((ax.action, swapped_co), (swapped_act, ax.coaction)):
+            for build in (bicrossproduct, dual_matched_pair):
+                with pytest.raises(DimensionMismatch, match="an action of H on A and a coaction"):
+                    build(ax.hopf, ax.partner, act, co, check=check)
+            with pytest.raises(DimensionMismatch):
+                bicross_hypotheses(ax.hopf, ax.partner, act, co)
+
     def test_hypothesis_failure_is_identified(self):
         sw = catalog_sweedler_hom().hopf
         hop, act, _ = self_bicross_data(sw)

@@ -507,6 +507,19 @@ def dense_power_product(mul, legs, u, v):
     return tuple(out)
 
 
+def dense_leg_product(f, g, u, v):
+    """The reference product of the dense vectors ``u`` and ``v`` in the tensor
+    product of the dense bilinear maps ``f`` and ``g``: every pair of basis
+    tensors, leg by leg, summed."""
+    l2, r2, o2 = len(g), len(g[0]), len(g[0][0])
+    out = [ZERO] * (len(f[0][0]) * o2)
+    for p, q in product(range(len(u)), range(len(v))):
+        for k, fk in enumerate(f[p // l2][q // r2]):
+            for m, gm in enumerate(g[p % l2][q % r2]):
+                out[k * o2 + m] += u[p] * v[q] * fk * gm
+    return tuple(out)
+
+
 class TestTensorPowerProduct:
     @given(catalog_muls, st.data())
     @settings(max_examples=30)
@@ -539,6 +552,16 @@ class TestTensorPowerProduct:
         with pytest.raises(DimensionMismatch, match="lengths 2$"):
             tensor_power_products((mul, mul), basis(4), (basis(4)[1], basis(2)[0]))
 
+    def test_us_and_vs_are_checked_against_their_own_spaces(self):
+        """Legs ``2 x 3 -> 1`` and ``2 x 1 -> 1``: ``us`` lives on the 4-dim product
+        of the left spaces and ``vs`` on the 3-dim product of the right ones."""
+        legs = (cells(((((1,),) * 3,) * 2)), cells(((((1,),),) * 2)))
+        assert len(list(tensor_power_products(legs, basis(4), basis(3)))) == 12
+        with pytest.raises(DimensionMismatch, match="dimensions 2 x 2 applied to lengths 3$"):
+            tensor_power_products(legs, (basis(4)[0], basis(3)[0]), basis(3))
+        with pytest.raises(DimensionMismatch, match="dimensions 3 x 1 applied to lengths 4$"):
+            tensor_power_products(legs, basis(4), (basis(4)[0],))
+
     @given(st.sampled_from(["kz2", "cyclic:3"]), st.integers(1, 2), st.data())
     @settings(max_examples=10, deadline=None)
     def test_products_are_the_pairwise_products_row_major(self, name, legs, data):
@@ -568,6 +591,25 @@ class TestTensorPowerProduct:
         )
         assert out == expected and zero_free(out)
 
+    @given(
+        st.one_of(st.just((2, 3, 4, 3, 2, 1)), st.tuples(*[st.integers(1, 3)] * 6)),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_legs_of_their_own_dimensions(self, shape, nu, nv, data):
+        """Legs ``f: l1 x r1 -> o1`` and ``g: l2 x r2 -> o2``, such as a
+        ``2 x 3 -> 4`` leg and a ``3 x 2 -> 1`` leg, whose left, right and
+        output dimensions all differ."""
+        l1, r1, o1, l2, r2, o2 = shape
+        f, g = data.draw(sparse_tensors(l1, r1, o1)), data.draw(sparse_tensors(l2, r2, o2))
+        us = [data.draw(sparse_vectors(l1 * l2)) for _ in range(nu)]
+        vs = [data.draw(sparse_vectors(r1 * r2)) for _ in range(nv)]
+        out = list(tensor_power_products((cells(f), cells(g)), [*map(sparse, us)], [*map(sparse, vs)]))
+        assert [dense(w) for w in out] == [dense_leg_product(f, g, u, v) for u in us for v in vs]
+        assert all(w.dim == o1 * o2 and zero_free(w) for w in out)
+
 
 class TestSquareCases:
     @given(catalog_muls, catalog_muls, st.data())
@@ -579,12 +621,36 @@ class TestSquareCases:
         a, b = cells(first), cells(second)
         n = len(first)
         delta = rows(data.draw(sparse_rect(n, n * len(second))))
-        cases = list(square_cases((a, b), delta))
+        cases = list(square_cases(a, (a, b), delta, delta))
         assert cases == sorted(set(cases))
         products = tensor_power_products((a, b), delta, delta)
         for (i, j), w in zip(product(range(n), repeat=2), products):
             if (i, j) not in cases:
                 assert apply_map(delta, a[i][j]) == {} and w == {}
+
+    @given(st.tuples(*[st.integers(1, 3)] * 9), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_table_apart_from_the_legs_and_non_square_legs(self, shape, data):
+        """The law ``out(table[i][j]) = us[i] vs[j]`` with legs ``m1: l1 x r1 -> o1``
+        and ``m2: l2 x r2 -> o2`` and a ``table`` of its own: every case left out
+        has both sides zero, and every case kept has a nonzero table cell or a
+        pair of terms of ``us[i]`` and ``vs[j]`` that fill a cell of each leg."""
+        ni, nj, no, l1, r1, o1, l2, r2, o2 = shape
+        table = cells(data.draw(sparse_tensors(ni, nj, no)))
+        muls = (cells(data.draw(sparse_tensors(l1, r1, o1))), cells(data.draw(sparse_tensors(l2, r2, o2))))
+        us, vs = rows(data.draw(sparse_rect(ni, l1 * l2))), rows(data.draw(sparse_rect(nj, r1 * r2)))
+        out = rows(data.draw(sparse_rect(no, o1 * o2)))
+        cases = list(square_cases(table, muls, us, vs))
+        assert cases == sorted(set(cases))
+        products = tensor_power_products(muls, us, vs)
+        for (i, j), w in zip(product(range(ni), range(nj)), products):
+            if (i, j) not in cases:
+                assert apply_map(out, table[i][j]) == {} and w == {}
+            else:
+                filled = (
+                    muls[0][p // l2][q // r2] and muls[1][p % l2][q % r2] for p in us[i] for q in vs[j]
+                )
+                assert table[i][j] or any(filled)
 
 
 class TestTerms:

@@ -1,5 +1,7 @@
 """Source hygiene that no installed linter checks: every name a module of
-``src/homhopf`` imports is used in it.
+``src/homhopf`` imports is used in it, and every private name (``_x``) a
+module of ``src/homhopf`` defines at its top level is read somewhere in
+``src/homhopf``, so that no helper outlives its last caller.
 
 A name counts as used where it is read (``ast.Name``, the root of an
 attribute chain included) or named inside a string that parses as a type
@@ -9,6 +11,11 @@ and constants.  Other strings name nothing: an axiom id such as
 ``"matched-pair.acts-on-product"`` parses as a subtraction, but uses neither
 ``product`` nor ``pair``.  An import kept for its side effect says so with
 ``# noqa: F401`` on its line.
+
+A private name counts as read where it is loaded (``ast.Name``), named as an
+attribute (``twist._prefixed``), imported from a module (``from .structures
+import _flat``) or named in a type-expression string; being assigned is not
+being read.
 """
 
 from __future__ import annotations
@@ -62,6 +69,68 @@ def _used(tree: ast.Module) -> set[str]:
             if _is_type_expression(expr):
                 names |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
     return names
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """The private names, neither public nor dunder, that a module binds at its
+    top level by ``def``, ``class`` or assignment, each with its first line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in bound:
+            if name[:1] == "_" and name[:2] != "__":
+                names.setdefault(name, node.lineno)
+    return names
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """The names a module reads: loaded names, attribute names, names it
+    imports from a module and names in its type-expression strings."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    stored = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+    return names | (_used(tree) - stored)
+
+
+def _unread_private(trees: dict[str, ast.Module]) -> dict[str, int]:
+    """``module:name`` of each top-level private name that no module reads, with its line."""
+    read = set().union(*map(_read, trees.values()))
+    return {
+        f"{module}:{name}": line
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    }
+
+
+def test_every_private_name_is_read():
+    unread = _unread_private({p.name: ast.parse(p.read_text()) for p in SOURCES})
+    assert not unread, f"private names defined but never read in src/homhopf: {unread}"
+
+
+def test_the_check_sees_an_unread_private_helper():
+    first = (
+        "_TABLE = {}\n"
+        "_STALE: dict = {}\n"
+        "_STALE = {}\n"
+        "def _shared():\n    return _TABLE\n"
+        "def _left_behind():\n    pass\n"
+        "class _Kept:\n    pass\n"
+        "def __getattr__(name):\n    pass\n"
+    )
+    second = "from .first import _shared\nfrom . import first\nX = first._Kept\n_shared()\n"
+    trees = {name: ast.parse(text) for name, text in (("first.py", first), ("second.py", second))}
+    assert _unread_private(trees) == {"first.py:_STALE": 2, "first.py:_left_behind": 6}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])

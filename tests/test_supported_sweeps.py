@@ -1,27 +1,30 @@
 """Product laws are swept only where a side can be nonzero.
 
-``exactlin.product_cases`` picks the basis multi-indices of a product law
-at which one side has a nonzero term. It reads them from the filled cells of
-the law's tables and the supports of its vectors. Both sides of every other
-case are zero. Each law that reads it is compared here with a reference that
-visits every basis multi-index and skips nothing. The two must give the same
-``CheckEntry``: the same verdict and the same witness. The laws are
-``algebra.hom-associative``, ``module.hom-associative``, the cocycle
+``exactlin.product_cases`` picks the basis multi-indices of a product law at
+which one side has a nonzero term.  It reads them from the filled cells of
+the law's tables and the supports of its vectors.  Both sides of every other
+case are zero.  Each law that reads it is compared here with a reference
+that visits every basis multi-index and skips nothing.  The two must give
+the same ``CheckEntry``: the same verdict and the same witness.  The laws
+are ``algebra.hom-associative``, ``module.hom-associative``, the cocycle
 condition, ``module-algebra.multiplicative``, the matched-pair laws
 ``product-acts-right`` and ``acts-on-product``, the pairing's
-``mul-comul-left``, ``mul-comul-right`` and ``mul-comul-right-swapped``,
-and the laws that a map is multiplicative:
-``algebra.alpha-multiplicative``, ``bialgebra.counit-multiplicative``,
-``antipode.anti-multiplicative`` and ``check_morphism``'s ``.mul``.  The
-references of the laws with a Sweedler sum on one side sum every pair of
-terms, case by case.
-``bialgebra.comul-multiplicative`` and
-``comodule-algebra.multiplicative`` are read the same way from
-``exactlin.square_cases`` and compared with the full product table, and
-``cocycle.alpha-invariant``, swept on the support of two Gram matrices, with
-every one-entry case.  ``TwoCocycle.products``, which multiplies only the
-Sweedler terms that meet the Gram support, is compared with the expansion
-that pairs every term with every term.
+``mul-comul-left``, ``mul-comul-right`` and ``mul-comul-right-swapped``, and
+the laws that a map is multiplicative: ``algebra.alpha-multiplicative``,
+``bialgebra.counit-multiplicative``, ``antipode.anti-multiplicative`` and
+``check_morphism``'s ``.mul``.  The references of the laws with a Sweedler
+sum on one side sum every pair of terms, case by case.
+``bialgebra.comul-multiplicative`` and ``comodule-algebra.multiplicative``
+are read the same way from ``exactlin.square_cases`` and compared with the
+full product table.  ``module-coalgebra.comultiplicative`` and the
+bicrossproduct hypotheses ``bicross.action-comultiplicative`` and
+``bicross.coaction-multiplicative`` are read from ``exactlin.square_cases``
+too, and their references sum the Sweedler terms one by one, as does that of
+``matched-pair.exchange-symmetry``, which is swept in full.
+``cocycle.alpha-invariant``, swept on the support of two Gram matrices, is
+compared with every one-entry case.  ``TwoCocycle.products``, which
+multiplies only the Sweedler terms that meet the Gram support, is compared
+with the expansion that pairs every term with every term.
 
 Also pinned: how many cases the sweeps visit and how many products they
 form, how often a tensor-power product groups an operand, and that a
@@ -42,8 +45,8 @@ from hypothesis import strategies as st
 from test_checker_outcomes import _perturbed, bicross_data
 
 from conftest import dense_field, hopf_algebra
-from homhopf import exactlin, laws, pairing, structures, twist
-from homhopf.bicross import dual_matched_pair, self_bicross
+from homhopf import bicross, exactlin, laws, pairing, structures, twist
+from homhopf.bicross import bicross_hypotheses, dual_matched_pair, self_bicross
 from homhopf.catalog import get_entry
 from homhopf.constructions import (
     canonical_cocycles,
@@ -69,7 +72,7 @@ from homhopf.exactlin import (
     tensor_power_products,
     terms,
 )
-from homhopf.laws import check_matched_pair, check_module, check_module_algebra
+from homhopf.laws import check_matched_pair, check_module, check_module_algebra, check_module_coalgebra
 from homhopf.pairing import check_dual_pair, dual_pair_double, evaluation_pairing
 from homhopf.structures import (
     CheckEntry,
@@ -83,10 +86,12 @@ from homhopf.structures import (
     TwoCocycle,
     Witness,
     algebra_of,
+    bialgebra_of,
     check_antipode,
     check_hom_algebra,
     check_hom_bialgebra,
     check_morphism,
+    coalgebra_of,
 )
 from homhopf.twist import (
     check_cocycle,
@@ -326,6 +331,95 @@ def matched_pair_laws(mp: MatchedPairData) -> tuple[CheckEntry, CheckEntry]:
     )
 
 
+def module_coalgebra_comultiplicative(m: ModuleAction, axiom_id: str) -> CheckEntry:
+    """delta(e_h . e_c) against the sum of (h_1 . c_1) (x) (h_2 . c_2) over every
+    pair of Sweedler terms of ``e_h`` and ``e_c``."""
+    actor, carrier, act = bialgebra_of(m.actor), coalgebra_of(m.carrier), m.act_cells
+    nc, cm = carrier.dim, carrier.comul_rows
+    h_sw, c_sw = terms(actor.coalgebra.comul_rows, actor.dim), terms(cm, nc)
+
+    def coproduct(h, c):
+        pairs = (
+            (vh * vc, kron((act[h1][c1],), (act[h2][c2],))[0])
+            for h1, h2, vh in h_sw[h]
+            for c1, c2, vc in c_sw[c]
+        )
+        return linear_combination(nc * nc, pairs)
+
+    return full_sweep(
+        axiom_id, (actor.dim, nc), lambda h, c: (apply_map(cm, act[h][c]), coproduct(h, c))
+    )
+
+
+def exchange_symmetry(mp: MatchedPairData) -> CheckEntry:
+    """``h_1 <- a_1 (x) h_2 -> a_2`` against ``h_2 <- a_2 (x) h_1 -> a_1``, each pair of
+    Sweedler terms of ``e_h`` and ``e_a`` summed."""
+    na, nh, left, right = mp.A.dim, mp.H.dim, mp.left_cells, mp.right_cells
+    h_sw, a_sw = terms(mp.H.coalgebra.comul_rows, nh), terms(mp.A.coalgebra.comul_rows, na)
+
+    def exchanged(h, a, swapped):
+        pairs = []
+        for h1, h2, vh in h_sw[h]:
+            for a1, a2, va in a_sw[a]:
+                (x, y), (b, c) = ((h2, h1), (a2, a1)) if swapped else ((h1, h2), (a1, a2))
+                pairs.append((vh * va, kron((right[x][b],), (left[y][c],))[0]))
+        return linear_combination(nh * na, pairs)
+
+    return full_sweep(
+        "matched-pair.exchange-symmetry",
+        (nh, na),
+        lambda h, a: (exchanged(h, a, False), exchanged(h, a, True)),
+    )
+
+
+def bicross_laws(A, H, act: ModuleAction, co: ComoduleCoaction) -> tuple[CheckEntry, CheckEntry]:
+    """``delta(h . b)`` against the sum of
+    ``(alpha^-1(h_1(0)) . b_1) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(b_2))``, and
+    ``rho(h g)`` against the sum of
+    ``alpha^-1(h_1(0)) g_(0) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(g_(1)))``,
+    over every Sweedler term of ``e_h``, of ``rho(h_1)`` and of ``delta(b)`` or ``rho(g)``."""
+    na, nh, action, rho = A.dim, H.dim, act.act_cells, co.coact_rows
+    amul, hmul, delta_a = A.algebra.mul_cells, H.algebra.mul_cells, A.coalgebra.comul_rows
+    ah, aa, e_a, e_h = H.power(-1), A.power(-1), basis(na), basis(nh)
+    h_sw, co_sw, a_sw = terms(H.coalgebra.comul_rows, nh), terms(rho, na), terms(delta_a, na)
+
+    def summed(h, v_terms, first, n):
+        """The sum of ``first(alpha^-1(h_1(0)), x) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(y))``
+        over the terms ``x (x) y`` of ``v_terms`` and those of ``e_h``."""
+        pairs = (
+            (
+                vh * vc * v,
+                kron(
+                    (first(ah[h10], x),),
+                    (bilinear_apply(amul, aa[h11], bilinear_apply(action, ah[h2], aa[y])),),
+                )[0],
+            )
+            for h1, h2, vh in h_sw[h]
+            for h10, h11, vc in co_sw[h1]
+            for x, y, v in v_terms
+        )
+        return linear_combination(n, pairs)
+
+    def acts(h, x):
+        return bilinear_apply(action, h, e_a[x])
+
+    def times(h, x):
+        return bilinear_apply(hmul, h, e_h[x])
+
+    return (
+        full_sweep(
+            "bicross.action-comultiplicative",
+            (nh, na),
+            lambda h, b: (apply_map(delta_a, action[h][b]), summed(h, a_sw[b], acts, na * na)),
+        ),
+        full_sweep(
+            "bicross.coaction-multiplicative",
+            (nh, nh),
+            lambda h, g: (apply_map(rho, hmul[h][g]), summed(h, co_sw[g], times, nh * na)),
+        ),
+    )
+
+
 def dual_pair_laws(P: PairingForm) -> tuple[CheckEntry, CheckEntry, CheckEntry]:
     """``<a a', b>`` against ``<alpha^2(a), b_1> <alpha^2(a'), b_2>``, and ``<a, b b'>``
     against ``<a_1, alpha^2(b)> <a_2, alpha^2(b')>`` and against the same with
@@ -357,16 +451,29 @@ def dual_pair_laws(P: PairingForm) -> tuple[CheckEntry, CheckEntry, CheckEntry]:
     )
 
 
-def assert_data_laws_match(mp=None, act=None, pairing=None) -> None:
-    """The converted three-index laws of a matched pair, a module algebra and
-    a dual pair give the references' entries."""
+def assert_data_laws_match(mp=None, act=None, pairing=None, bicross_input=None) -> None:
+    """The converted laws of a matched pair, a module algebra (with its
+    coproduct law, where the carrier has one), a dual pair and bicrossproduct
+    data ``(A, H, action, coaction)`` give the references' entries."""
     if mp is not None:
         report = check_matched_pair(mp)
         ids = ("matched-pair.product-acts-right", "matched-pair.acts-on-product")
         assert tuple(map(report.entry, ids)) == matched_pair_laws(mp)
+        assert report.entry("matched-pair.exchange-symmetry") == exchange_symmetry(mp)
+        for side, module in (("left", mp.left_module), ("right", mp.right_module)):
+            axiom = f"matched-pair.{side}-action.module-coalgebra.comultiplicative"
+            assert report.entry(axiom) == module_coalgebra_comultiplicative(module, axiom)
     if act is not None:
         entry = check_module_algebra(act).entry("module-algebra.multiplicative")
         assert entry == module_algebra_multiplicative(act)
+        axiom = "module-coalgebra.comultiplicative"
+        if isinstance(act.carrier, HomHopfAlgebra):
+            entry = check_module_coalgebra(act).entry(axiom)
+            assert entry == module_coalgebra_comultiplicative(act, axiom)
+    if bicross_input is not None:
+        report = bicross_hypotheses(*bicross_input)
+        ids = ("bicross.action-comultiplicative", "bicross.coaction-multiplicative")
+        assert tuple(map(report.entry, ids)) == bicross_laws(*bicross_input)
     if pairing is not None:
         report = check_dual_pair(pairing)
         ids = ("pairing.mul-comul-left", "pairing.mul-comul-right", "pairing.mul-comul-right-swapped")
@@ -452,9 +559,8 @@ def matched_pair(name: str) -> MatchedPairData:
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_matched_pairs_module_algebras_and_pairings_of_the_catalog(name):
-    assert_data_laws_match(
-        matched_pair(name), bicross_data(name)[2], evaluation_pairing(get_entry(name).hopf)
-    )
+    data = bicross_data(name)
+    assert_data_laws_match(matched_pair(name), data[2], evaluation_pairing(get_entry(name).hopf), data)
 
 
 PERTURBED = 8  # seeded single-entry perturbations per input and field
@@ -548,13 +654,22 @@ def test_perturbed_hopf_algebras(name, field):
 
 @pytest.mark.parametrize("name", ("ax1", "cyclic:3", "sweedler_hom"))
 def test_perturbed_actions(name):
-    act = bicross_data(name)[2]
+    A, H, act, co = bicross_data(name)
     rng = random.Random(f"{name} act")
     for case in range(1, PERTURBED + 1):
         bent_cells = cells(_perturbed(dense_field(act, "act"), rng, case)[0])
         bent = ModuleAction(act.actor, act.carrier, bent_cells)
         assert check_module(bent).entry("module.hom-associative") == module_hom_associative(bent)
-        assert_data_laws_match(act=bent)
+        assert_data_laws_match(act=bent, bicross_input=(A, H, bent, co))
+
+
+@pytest.mark.parametrize("name", ("ax1", "cyclic:3", "sweedler_hom"))
+def test_perturbed_coactions(name):
+    A, H, act, co = bicross_data(name)
+    rng = random.Random(f"{name} coact")
+    for case in range(1, PERTURBED + 1):
+        bent_rows = rows(_perturbed(dense_rows(co.coact_rows), rng, case)[0])
+        assert_data_laws_match(bicross_input=(A, H, act, ComoduleCoaction(A, H, bent_rows)))
 
 
 @pytest.mark.parametrize("name", ("cyclic:3", "sweedler_hom"))
@@ -674,15 +789,18 @@ def test_generated_inputs(n, m, side, data):
 @given(dims, dims, st.data())
 @settings(max_examples=15, deadline=None)
 def test_generated_data_laws(n, m, data):
-    """Random matched pairs, module algebras and pairings (a unitriangular
-    Gram matrix, so that the pairing is non-degenerate)."""
+    """Random matched pairs, module algebras, pairings (a unitriangular Gram
+    matrix, so that the pairing is non-degenerate) and bicrossproduct data
+    with a random coaction."""
     A, H = data.draw(hom_hopf_algebras(n)), data.draw(hom_hopf_algebras(m))
     left, right = cells(data.draw(tensors(m, n, n))), cells(data.draw(tensors(m, n, m)))
     B = data.draw(hom_hopf_algebras(n, invertible_antipode=True))
+    act, co = ModuleAction(H, A, left), ComoduleCoaction(A, H, rows(data.draw(matrices(m, m * n))))
     assert_data_laws_match(
         MatchedPairData(A, H, left, right),
-        ModuleAction(H, A, left),
+        act,
         PairingForm(A, B, rows(data.draw(unitriangular(n)))),
+        (A, H, act, co),
     )
 
 
@@ -694,7 +812,7 @@ def visited(monkeypatch, run) -> Counter:
     """How many cases the case streams held that ``_sweep`` was given while
     ``run()`` ran, by axiom; the streams are read to the end.  The Hopf-level
     checkers read ``_sweep`` from ``structures``, the data-law checkers from
-    ``laws``, ``pairing`` and ``twist``."""
+    ``laws``, ``pairing``, ``twist`` and ``bicross``."""
     counts: Counter = Counter()
     sweep = structures._sweep
 
@@ -704,7 +822,7 @@ def visited(monkeypatch, run) -> Counter:
             counts[axiom_id] += len(shape)
         return sweep(axiom_id, shape, lhs, rhs)
 
-    for module in (structures, laws, pairing, twist):
+    for module in (structures, laws, pairing, twist, bicross):
         monkeypatch.setattr(module, "_sweep", counting)
     run()
     return counts
@@ -724,6 +842,26 @@ def test_data_laws_of_s3_inner_visit_only_supported_cases(monkeypatch):
     assert counts["module-algebra.multiplicative"] == 216 == h.dim**3
     mul_comul = ("pairing.mul-comul-left", "pairing.mul-comul-right", "pairing.mul-comul-right-swapped")
     assert [counts[i] for i in mul_comul] == [54, 6, 6]
+
+
+@pytest.mark.parametrize("name, left, right", [("s3_inner", 6, 36), ("sweedler_hom", 6, 12)])
+def test_module_coalgebra_law_visits_only_supported_cases(monkeypatch, name, left, right):
+    """On the matched pair of the self-bicrossproduct data, the left action's
+    coproduct law has a nonzero side at 6 of its 36 (s3_inner) or 16
+    (sweedler_hom) cases, the right action's at 36 of 36 or 12 of 16."""
+    mp = matched_pair(name)
+    visits = [
+        visited(monkeypatch, lambda m=m: check_module_coalgebra(m))["module-coalgebra.comultiplicative"]
+        for m in (mp.left_module, mp.right_module)
+    ]
+    assert visits == [left, right]
+    counts = visited(monkeypatch, lambda: check_matched_pair(mp))
+    assert counts["module-coalgebra.comultiplicative"] == left + right
+
+
+def test_bicross_hypotheses_on_dense_tables_visit_every_case(monkeypatch):
+    counts = visited(monkeypatch, lambda: bicross_hypotheses(*bicross_data("s3_inner")))
+    assert counts["bicross.action-comultiplicative"] == counts["bicross.coaction-multiplicative"] == 36
 
 
 def test_hom_associativity_on_the_s3_inner_double_visits_one_case_per_pair(monkeypatch):
