@@ -61,9 +61,9 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
     # alpha^-1(h_1(0)) (x) (h_1(1) (x) h_2), its legs read from the action or H's product and twisted
     dressed = compose(hc.comul_rows, (compose(rho, (ah_i1, basis(na))), e_h))
     # delta(h . b) against (alpha^-1(h_1(0)) . b_1) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(b_2))
-    hyp1 = _multiplicative_cases(action, delta_a, (action, twisted), dressed, delta_a)
+    hyp1 = _multiplicative_cases((action, twisted), dressed, delta_a)
     # rho(h g) against alpha^-1(h_1(0)) g_(0) (x) alpha^-1(h_1(1)) (alpha^-1(h_2) . alpha^-1(g_(1)))
-    hyp2 = _multiplicative_cases(hmul, rho, (hmul, twisted), dressed, rho)
+    hyp2 = _multiplicative_cases((hmul, twisted), dressed, rho)
     # h_2(0) (x) (h_1 . b) h_2(1) against h_1(0) (x) h_1(1) (h_2 . b)
     exchange = [
         tuple(

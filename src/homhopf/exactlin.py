@@ -495,22 +495,20 @@ def _filled(t) -> list[int]:
     return [sum(1 << j for j, cell in enumerate(row) if cell) for row in t]
 
 
-def square_cases(product, muls, us, vs):
-    """The cases ``(i, j)`` of a law ``out(product[i][j]) = us[i] vs[j]``, its right
+def square_cases(muls, us, vs):
+    """The cases ``(i, j)`` of a law ``vs(m1[i][j]) = us[i] vs[j]``, its right
     side a product in the tensor product of the bilinear maps ``muls = (m1, m2)``,
-    in lexicographic order, where a side has a nonzero term: where
-    ``product[i][j]`` is filled, or terms ``e_x1 (x) e_x2`` of ``us[i]`` and
-    ``e_y1 (x) e_y2`` of ``vs[j]`` fill ``m1[x1][y1]`` and ``m2[x2][y2]``; both
-    sides are zero elsewhere."""
+    in lexicographic order, where a side has a nonzero term: where ``m1[i][j]``
+    is filled, or terms ``e_x1 (x) e_x2`` of ``us[i]`` and ``e_y1 (x) e_y2`` of
+    ``vs[j]`` fill ``m1[x1][y1]`` and ``m2[x2][y2]``; both sides are zero elsewhere."""
     filled = _filled(muls[0])  # each table's filled cells are read once
     filled2 = filled if muls[1] is muls[0] else _filled(muls[1])
-    lhs_filled = filled if product is muls[0] else _filled(product)
     n, q = len(muls[1]), len(muls[1][0])  # the second leg's left and right dimensions
     supports = [sum(1 << p for p in v) for v in vs]
     for i, u in enumerate(us):
         # the bit set of the terms e_y1 (x) e_y2 whose products with a term of u fill cells
         reach = reduce(or_, (filled2[p % n] << y * q for p in u for y in _bits(filled[p // n])), 0)
-        js = lhs_filled[i] | sum(1 << j for j, s in enumerate(supports) if reach & s)
+        js = filled[i] | sum(1 << j for j, s in enumerate(supports) if reach & s)
         yield from ((i, j) for j in _bits(js))
 
 

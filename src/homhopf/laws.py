@@ -115,7 +115,7 @@ def check_module_coalgebra(m: ModuleAction) -> CheckReport:
     checks = (
         *check_module(m).checks,
         # delta(h . c) against h_1 . c_1 (x) h_2 . c_2
-        _sweep("module-coalgebra.comultiplicative", _multiplicative_cases(act, cm, (act, act), hd, cm)),
+        _sweep("module-coalgebra.comultiplicative", _multiplicative_cases((act, act), hd, cm)),
         _sweep("module-coalgebra.counit", (nh, nc), compose(acts, eps), kron(actor_eps, eps)),
     )
     return CheckReport(checks)

@@ -591,14 +591,14 @@ def _grid(cells, n: int) -> tuple[tuple, ...]:
     return tuple(zip(*[iter(cells)] * n))
 
 
-def _multiplicative_cases(product, out, muls, us, vs):
-    """The cases ``((i, j), out(product[i][j]), us[i] vs[j])`` of a law whose right
-    side is a product in the tensor product of the bilinear maps ``muls``, at
-    the cases of ``exactlin.square_cases``, each product formed as the sweep
-    reads it.  A coproduct is multiplicative by ``(mul, delta, (mul, mul), delta, delta)``."""
-    cases, pairs = tee(square_cases(product, muls, us, vs))
+def _multiplicative_cases(muls, us, vs):
+    """The cases ``((i, j), vs(m1[i][j]), us[i] vs[j])`` of a law whose right side
+    is a product in the tensor product of the bilinear maps ``muls = (m1, m2)``,
+    at the cases of ``exactlin.square_cases``, each product formed as the sweep
+    reads it.  A coproduct is multiplicative by ``((mul, mul), delta, delta)``."""
+    cases, pairs = tee(square_cases(muls, us, vs))
     products = tensor_power_products(muls, us, vs, pairs)
-    return (((i, j), apply_map(out, product[i][j]), w) for (i, j), w in zip(cases, products))
+    return (((i, j), apply_map(vs, muls[0][i][j]), w) for (i, j), w in zip(cases, products))
 
 
 def _product_law(left, right):
@@ -665,7 +665,7 @@ def check_hom_bialgebra(obj) -> CheckReport:
     cm, eps = B.coalgebra.comul_rows, B.coalgebra.counit
     checks = (
         # delta(e_i e_j) against delta(e_i) delta(e_j) in the tensor-square algebra
-        _sweep("bialgebra.comul-multiplicative", _multiplicative_cases(mc, cm, (mc, mc), cm, cm)),
+        _sweep("bialgebra.comul-multiplicative", _multiplicative_cases((mc, mc), cm, cm)),
         _sweep("bialgebra.comul-unit", (), compose(unit, cm), kron(unit, unit)),
         # counit(e_i e_j) against counit(e_i) counit(e_j)
         _sweep("bialgebra.counit-multiplicative", _morphism_products(eps, mc, (basis(1),))),

@@ -86,7 +86,7 @@ def check_comodule_algebra(A, c: ComoduleCoaction) -> CheckReport:
     checks = (
         *check_comodule(c).checks,
         # rho(a b) against a_(0) b_(0) (x) a_(1) b_(1)
-        _sweep("comodule-algebra.multiplicative", _multiplicative_cases(am, rho, (am, hm), rho, rho)),
+        _sweep("comodule-algebra.multiplicative", _multiplicative_cases((am, hm), rho, rho)),
         _sweep("comodule-algebra.unit", (), compose(unit, rho), kron(unit, coactor_unit)),
     )
     return CheckReport(checks)
