@@ -25,7 +25,7 @@ visits only the cases where a side has a nonzero term: both sides of every
 other case are zero.  Every three-index law, and by ``_morphism_products``
 the multiplicativity of alpha, of the counit into ``k``, of the antipode and
 of a morphism, comes from ``_product_law`` (``exactlin.product_cases``).
-Every law ``out(x y) = u(x) v(y)`` with a product in a tensor product of
+Every law ``v(x y) = u(x) v(y)`` with a product in a tensor product of
 bilinear maps on the right comes from ``_multiplicative_cases``
 (``exactlin.square_cases``): comultiplicativity, comodule-algebra
 multiplicativity, ``module-coalgebra.comultiplicative`` and the
