@@ -1,0 +1,152 @@
+"""What the command bodies share: the exit codes, loading an input, reading
+and writing files, and printing and writing reports.  No module imports
+``cli``: run as ``python -m homhopf.cli``, it is ``__main__``, and importing
+it as ``homhopf.cli`` would compile it a second time."""
+
+from __future__ import annotations
+
+import os
+import sys
+
+from . import __version__
+
+EXIT_PASS = 0
+EXIT_FAIL = 1
+EXIT_USAGE = 2
+
+
+def _load_input(source: str):
+    """Resolve a path or catalog name to (bundle, raw-bytes, catalog-entry)."""
+    from .algfile import bundle_of_entry, write
+    from .errors import InvalidParameter
+
+    if os.path.exists(source):
+        from .algread import read
+
+        raw = _read(source)
+        return read(raw), raw, None
+    from .catalog import catalog_names, get_entry
+
+    try:
+        entry = get_entry(source)
+    except InvalidParameter as exc:
+        raise InvalidParameter(
+            f"{source!r} is neither an existing file nor a catalog name: {exc} "
+            f"(catalog: {', '.join(catalog_names())})"
+        ) from None
+    bundle = bundle_of_entry(entry)
+    return bundle, write(bundle), entry
+
+
+def _scalars(v) -> list[str]:
+    from .exactlin import format_scalar
+
+    return [format_scalar(c) for c in v]
+
+
+def _print_report(report, indent: str = "") -> None:
+    for entry in report.checks:
+        if entry.passed:
+            print(f"{indent}PASS {entry.axiom_id}")
+        else:
+            w = entry.witness
+            print(f"{indent}FAIL {entry.axiom_id} at index {w.index}")
+            print(f"{indent}     lhs = ({', '.join(_scalars(w.lhs))})")
+            print(f"{indent}     rhs = ({', '.join(_scalars(w.rhs))})")
+
+
+def _print_suite(result) -> None:
+    print(f"suite {result.suite}")
+    for step in result.steps:
+        status = "PASS" if step.passed else "FAIL"
+        note = f"  [{step.note}]" if step.note else ""
+        print(f"  {status} {step.name}{note}")
+        if not step.passed:
+            _print_report(step.report, indent="    ")
+    verdict = "PASS" if result.passed else "FAIL"
+    print(f"overall {verdict} ({result.wall_time:.3f}s)")
+
+
+def _witness_json(w):
+    if w is None:
+        return None
+    return {"index": list(w.index), "lhs": _scalars(w.lhs), "rhs": _scalars(w.rhs)}
+
+
+def _report_json(report):
+    return {
+        "checks": [
+            {"axiom": c.axiom_id, "passed": c.passed, "witness": _witness_json(c.witness)}
+            for c in report.checks
+        ]
+    }
+
+
+def _suite_json(result):
+    return {
+        "suite": result.suite,
+        "passed": result.passed,
+        "wall_time": result.wall_time,
+        "steps": [
+            {"name": s.name, "note": s.note, "report": _report_json(s.report)}
+            for s in result.steps
+        ],
+    }
+
+
+def _strip_wall_time(node):
+    if isinstance(node, dict):
+        return {k: _strip_wall_time(v) for k, v in node.items() if k != "wall_time"}
+    if isinstance(node, list):
+        return [_strip_wall_time(v) for v in node]
+    return node
+
+
+def _write_report(path, command: str, inputs, results, status: int) -> None:
+    if path is None:
+        return
+    import json
+
+    try:  # CPython's own SHA-256: `hashlib` would also load OpenSSL's `_hashlib`
+        from _sha256 import sha256
+    except ImportError:  # no such module from Python 3.12 on
+        from hashlib import sha256
+
+    from .algfile import SCHEMA_VERSION
+
+    doc = {
+        "tool": "homhopf",
+        "version": __version__,
+        "schema": SCHEMA_VERSION,
+        "command": command,
+        "inputs": [{"source": src, "sha256": sha256(raw).hexdigest()} for src, raw in inputs],
+        "results": results,
+        "status": status,
+    }
+    canonical = json.dumps(_strip_wall_time(doc), sort_keys=True, separators=(",", ":"))
+    doc["digest"] = sha256(canonical.encode()).hexdigest()
+    _write(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
+
+
+def _read(path) -> bytes:
+    """Read an input file; an unreadable path is an input error (exit 2)."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        _fail_usage(f"cannot read {path}: {exc.strerror or exc}")
+
+
+def _write(path, data: bytes) -> None:
+    """Write an output file; an unwritable path, the empty one included, is
+    an input error (exit 2)."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        _fail_usage(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _fail_usage(message: str) -> None:
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(EXIT_USAGE)

@@ -8,16 +8,21 @@ axiom checkers, and two objects are compared through an identification
 ``phi: X -> Y`` (``structures.check_morphism``) named in the step note, so a
 failed comparison tells a wrong identity from a wrong identification.  A
 suite lives with the laws it runs, in its section of the paper, so a
-``verify`` process compiles only that section.
+``verify`` process compiles only that section.  The function ``verify`` is
+the body of the ``verify`` command, so only a ``verify`` process compiles
+this module.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from importlib import import_module
 from typing import TYPE_CHECKING
 
+from .cliio import EXIT_FAIL, EXIT_PASS, _fail_usage, _load_input, _print_suite, _suite_json, _write_report
 from .constructions import canonical_r_matrix, drinfeld_double
+from .errors import HomHopfError
 from .exactlin import ONE, ZERO, sparse
 from .structures import CheckReport, HomHopfAlgebra, Record, check_quasitriangular, _sweep
 
@@ -89,3 +94,36 @@ def verify_prop_2_19(H: HomHopfAlgebra, group: GroupData | None = None) -> Suite
         entry = _sweep("canonical-r.group-closed-form", cases)
         steps.append(SuiteStep("closed-form R", CheckReport((entry,))))
     return _timed("canonical-r-matrix", steps, started)
+
+
+def verify(suite, source, report_path):
+    module, function = SUITES[suite]
+    run = getattr(import_module(f".{module}", __package__), function)  # compiles the suite's own section
+    try:
+        bundle, raw, entry = _load_input(source)
+        rec = bundle.object()
+        hopf = rec.hom_hopf()
+        group = entry.group if entry is not None else None
+        if suite == "thm2.6":
+            act = bundle.module_action()
+            co = bundle.comodule_coaction()
+            from .catalog import catalog_ex27_expected, get_entry
+
+            # the golden tables are those of the catalog's ax1 data (a coaction's
+            # rows fix its shape with the coactor's dimension)
+            ax1 = get_entry("ax1")
+            given = (act.carrier, act.actor, act.act_cells, co.coactor.dim, co.coact_rows)
+            want = (ax1.hopf, ax1.partner, ax1.action.act_cells, ax1.hopf.dim, ax1.coaction.coact_rows)
+            golden = catalog_ex27_expected() if given == want else None
+            result = run(act.carrier, act.actor, act, co, golden)
+        elif suite in ("cor2.9", "prop2.19"):
+            result = run(hopf, group)
+        else:
+            result = run(hopf)
+    except (HomHopfError, OSError) as exc:
+        _fail_usage(str(exc))
+
+    _print_suite(result)
+    status = EXIT_PASS if result.passed else EXIT_FAIL
+    _write_report(report_path, f"verify {suite}", [(source, raw)], [_suite_json(result)], status)
+    sys.exit(status)

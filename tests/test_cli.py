@@ -4,6 +4,7 @@ import io
 import json
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from importlib import import_module
 
 import pytest
 
@@ -11,7 +12,6 @@ from conftest import cells_from_entries, dense_field, replaced, run_cli
 from homhopf.algfile import SCHEMA_VERSION, AlgebraFile, block_record, bundle_of_entry, write
 from homhopf.algread import read
 from homhopf.catalog import get_entry
-from homhopf import cli
 from homhopf.cli import COMMANDS, KINDS, LEVELS, SUITES, main
 from homhopf.exactlin import compose, rows_from_entries, transpose_rows
 from homhopf.structures import ComoduleCoaction, ModuleAction
@@ -825,7 +825,8 @@ GRAMMAR = {
 
 class TestGrammarReference:
     """The command table's parser gives every spelling of ``GRAMMAR`` the
-    outcome argparse gave it."""
+    outcome argparse gave it; each command's body, the function of its name
+    in the module of its name, is replaced by a recorder."""
 
     @pytest.mark.parametrize("spelling", GRAMMAR, ids=lambda s: s or "no-arguments")
     def test_outcome(self, tmp_path, monkeypatch, spelling):
@@ -837,7 +838,7 @@ class TestGrammarReference:
             return lambda **values: calls.append((name, values))
 
         for name in COMMANDS:
-            monkeypatch.setattr(cli, name, recorder(name))
+            monkeypatch.setattr(import_module(f"homhopf.{name}"), name, recorder(name))
         result = invoke(*shlex.split(spelling))
         want = GRAMMAR[spelling]
         if isinstance(want, tuple):

@@ -2,12 +2,18 @@
 
 Every ``homhopf`` command is a fresh process, so what it imports is compiled
 and executed on every run.  ``homhopf`` loads each of its public names on
-first use; ``cli`` imports the package modules, ``hashlib`` and ``json`` only
-in the commands and options that use them, and needs nothing outside the
-standard library: it parses its arguments by its own command table, without
-``argparse``, and only a command that reads a file loads the reader
-``algread``.  No command loads ``dataclasses`` or the dense file records
-of ``fileformat``, and none makes a dense structure tensor.  A command whose
+first use; ``cli`` holds the parser and no command body, and imports the
+package modules only in the commands that use them: each command loads the
+module of its own body (``check``, ``construct``, ``verify``, ``export``)
+and none of the other three, and the helpers they share, ``cliio``.  No
+module imports ``cli``, so a ``python -m homhopf.cli`` process compiles it
+once.  Only ``--report`` loads ``json`` and a SHA-256: CPython's built-in
+``_sha256`` where it exists, and then never OpenSSL's ``_hashlib``.
+``cli`` needs nothing outside the standard library: it parses its arguments
+by its own command table, without ``argparse``, and only a command that
+reads a file loads the reader ``algread``.  No command loads
+``dataclasses`` or the dense file records of ``fileformat``, and none makes
+a dense structure tensor.  A command whose
 scalars are all integers loads neither ``fractions`` nor ``decimal``.  The import-graph
 tests run each command in a fresh interpreter and read ``sys.modules`` after
 ``main`` exits.
@@ -16,9 +22,12 @@ tests run each command in a fresh interpreter and read ``sys.modules`` after
 import ast
 import errno
 import gc
+import hashlib
+import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -30,7 +39,8 @@ import homhopf
 from homhopf import bicross, constructions, laws, pairing, structures, twist
 from homhopf.algfile import AlgebraFile, block_record, bundle_of_entry, write
 from homhopf.catalog import get_entry
-from homhopf.cli import main
+from homhopf.cli import COMMANDS, main
+from homhopf.cliio import _write_report
 from homhopf.exactlin import dense
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -219,6 +229,8 @@ WATCHED = ("homhopf.verify", "homhopf.catalog", "hashlib", *DENSE_RECORDS)
 # The modules that hold one section of the paper each: the bicrossproduct
 # (``bicross`` and its data laws, ``laws``), dual pairs and the twists.
 SECTIONS = ("homhopf.bicross", "homhopf.laws", "homhopf.pairing", "homhopf.twist")
+# Whether this interpreter has CPython's built-in SHA-256 module (renamed from Python 3.12 on).
+HAS_SHA256 = importlib.util.find_spec("_sha256") is not None
 # Every module a command may load: all of the package but ``fileformat``.
 COMMAND_MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "fileformat")
 
@@ -326,11 +338,28 @@ class TestImportGraph:
         # the R-matrix block of sw.alg holds 1/2
         assert "fractions" in modules(workdir, "check", "sw.alg", "--level", "quasitriangular")
 
-    def test_only_a_report_loads_hashlib(self, workdir):
-        names = loaded(workdir, "check", "c2.alg", "--report", "report.json")
-        assert names == ["hashlib"]
-        assert json.loads((workdir / "report.json").read_text())["status"] == 0
+    @pytest.mark.parametrize("report", [False, True], ids=["plain", "report"])
+    def test_only_a_report_loads_json_and_a_sha256(self, workdir, report):
+        """``--report`` loads ``json`` and CPython's built-in SHA-256, and
+        OpenSSL's ``_hashlib`` only where there is no ``_sha256``, through
+        ``hashlib``; a command without ``--report`` loads none of them."""
+        args = ("check", "c2.alg", *(("--report", "report.json") if report else ()))
+        names = modules(workdir, *args)
+        digests = [n for n in ("json", "_sha256", "hashlib", "_hashlib") if n in names]
+        if not report:
+            assert digests == []
+        elif HAS_SHA256:
+            assert digests == ["json", "_sha256"]
+        else:
+            assert digests[:1] == ["json"] and "hashlib" in digests
 
+    def test_a_report_digests_its_input_file(self, workdir):
+        modules(workdir, "check", "c2.alg", "--report", "digest.json")
+        report = json.loads((workdir / "digest.json").read_text())
+        assert report["status"] == 0
+        assert report["inputs"] == [
+            {"source": "c2.alg", "sha256": hashlib.sha256((workdir / "c2.alg").read_bytes()).hexdigest()}
+        ]
 
     @pytest.mark.parametrize(
         "args, status",
@@ -419,11 +448,28 @@ class TestImportGraph:
         and ``verify``, and of the rest only its own section; ``thm2.6`` also
         the catalog, for its golden tables."""
         source, status, own = self.OWN[suite]
-        base = ("algfile", "algread", "cli", "constructions", "errors", "exactlin", "structures", "verify")
+        base = (
+            "algfile", "algread", "cli", "cliio", "constructions", "errors", "exactlin", "structures", "verify"
+        )
         names = modules(workdir, "verify", suite, "--algebra", source, status=status)
         assert sorted(n for n in names if n.startswith("homhopf.")) == sorted(
             f"homhopf.{m}" for m in (*base, *own)
         )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("check", "c2.alg"),
+            ("construct", "dual", "c2.alg", "--out", "body_c2.alg"),
+            ("verify", "prop2.19", "--algebra", "c2.alg"),
+            ("export", "ax1"),
+        ],
+        ids=lambda v: v[0],
+    )
+    def test_a_command_loads_its_own_body_only(self, workdir, args):
+        names = modules(workdir, *args)
+        assert [c for c in COMMANDS if f"homhopf.{c}" in names] == [args[0]]
+        assert "homhopf.cliio" in names
 
     @pytest.mark.parametrize(
         "args, status",
@@ -595,6 +641,60 @@ print(codes)
 
 def test_commands_run_with_click_refused(workdir):
     assert _fresh(WITHOUT_CLICK, cwd=workdir).splitlines()[-1] == "[0, 0, 0, 0, 2]"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--version",),
+        ("check", "c2.alg", "--report", "r.json"),
+        ("construct", "double", "cyclic:2", "--out", "once_c2.alg"),
+        ("verify", "thm4.5", "--algebra", "c2.alg"),
+        ("export", "cyclic:3"),
+    ],
+    ids=lambda v: v[0].strip("-"),
+)
+def test_a_process_compiles_cli_once(workdir, args):
+    """``python -m homhopf.cli`` runs ``cli`` as ``__main__``; a module that
+    imported ``homhopf.cli`` would compile it a second time.  The import
+    log (``-X importtime``) names a module imported by an import statement
+    of its own name, and ``-v`` logs every source file compiled."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-v", "-m", "homhopf.cli", *args],
+        cwd=workdir,
+        env=_env(PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert [line for line in lines if line.startswith("import time:") and line.endswith(" homhopf.cli")] == []
+    # each line names a source file, or its cached bytecode where a cache exists
+    code = [Path(line[len("# code object from ") :].strip("'")) for line in lines if line.startswith("# code object from ")]
+    assert len([p for p in code if p.name.split(".")[0] == "cli" and "homhopf" in p.parts]) == 1
+
+
+CATALOG_EXPORTS = ("one", "ax1", "kz2", "sweedler_hom", "s3_inner", *(f"cyclic:{n}" for n in range(2, 9)))
+
+
+@pytest.mark.parametrize("builtin", [True, False], ids=["_sha256", "hashlib"])
+def test_a_report_digest_is_hashlib_sha256(tmp_path, monkeypatch, builtin):
+    """Whichever SHA-256 ``_write_report`` takes, the built-in ``_sha256`` or
+    its ``hashlib`` fallback, each input's digest and the report's own are
+    ``hashlib.sha256``'s, on every catalog export and on random byte strings
+    around the 64-byte block size."""
+    if not builtin:
+        monkeypatch.setitem(sys.modules, "_sha256", None)  # its import now raises ImportError
+    rng = random.Random(0)
+    inputs = [(name, write(bundle_of_entry(get_entry(name)))) for name in CATALOG_EXPORTS]
+    inputs += [(f"random:{n}", rng.randbytes(n)) for n in (*range(130), 1000, 4096, 100_003)]
+    _write_report(tmp_path / "r.json", "digest", inputs, [], 0)
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert [i["sha256"] for i in doc["inputs"]] == [hashlib.sha256(raw).hexdigest() for _, raw in inputs]
+    digest = doc.pop("digest")
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    assert digest == hashlib.sha256(canonical).hexdigest()
 
 
 def test_version_of_the_module_run_as_a_script():
