@@ -342,9 +342,12 @@ class TestImportGraph:
     def test_only_a_report_loads_json_and_a_sha256(self, workdir, report):
         """``--report`` loads ``json`` and CPython's built-in SHA-256, and
         OpenSSL's ``_hashlib`` only where there is no ``_sha256``, through
-        ``hashlib``; a command without ``--report`` loads none of them."""
+        ``hashlib``; a command without ``--report`` loads none of them.
+        Either way it loads neither ``verify`` nor ``catalog``."""
         args = ("check", "c2.alg", *(("--report", "report.json") if report else ()))
         names = modules(workdir, *args)
+        via_hashlib = ["hashlib"] if report and not HAS_SHA256 else []
+        assert [n for n in WATCHED if n in names] == via_hashlib
         digests = [n for n in ("json", "_sha256", "hashlib", "_hashlib") if n in names]
         if not report:
             assert digests == []
