@@ -16,25 +16,25 @@ _HOME = {
     **dict.fromkeys((
         "CheckEntry", "CheckReport", "ComoduleCoaction", "HomAlgebra", "HomBialgebra",
         "HomCoalgebra", "HomHopfAlgebra", "MatchedPairData", "ModuleAction", "PairingForm",
-        "RMatrix", "TwoCocycle", "Witness", "check_antipode", "check_hom_algebra",
-        "check_hom_bialgebra", "check_hom_coalgebra", "check_quasitriangular", "run_hopf_suite",
+        "RMatrix", "TwoCocycle", "Witness",
     ), "structures"),
-    **dict.fromkeys(("check_comodule_coalgebra", "check_cotwisting", "check_matched_pair",
-                     "check_module", "check_module_algebra", "check_module_coalgebra"), "laws"),
+    **dict.fromkeys(("check_antipode", "check_hom_algebra", "check_hom_bialgebra", "check_hom_coalgebra",
+                     "check_quasitriangular", "run_hopf_suite"), "checkers"),
+    **dict.fromkeys(("check_comodule_coalgebra", "check_module", "check_module_algebra"), "laws"),
+    **dict.fromkeys(("check_cotwisting", "check_matched_pair", "check_module_coalgebra",
+                     "double_cross_product", "dual_matched_pair"), "matchedpair"),
     **dict.fromkeys(("check_cocycle", "check_comodule", "check_comodule_algebra"), "twist"),
     **dict.fromkeys(("check_dual_pair", "check_twisting", "dual_pair_double",
                      "evaluation_pairing"), "pairing"),
     **dict.fromkeys((
-        "canonical_cocycles", "canonical_r_matrix", "cocycle_twist", "comodule_cotwist",
-        "cotwist_coproduct", "drinfeld_double", "drinfeld_double_tilde", "dual",
-        "heisenberg_double", "opposite", "smash_product", "yau_twist",
+        "canonical_cocycles", "canonical_r_matrix", "cocycle_twist", "cotwist_coproduct",
+        "drinfeld_double", "drinfeld_double_tilde", "dual", "heisenberg_double", "opposite",
+        "smash_product", "yau_twist",
     ), "constructions"),
+    **dict.fromkeys(("bicrossproduct", "catalog_ex27_expected", "comodule_cotwist", "self_bicross"), "bicross"),
     **dict.fromkeys((
-        "bicrossproduct", "double_cross_product", "dual_matched_pair", "self_bicross",
-    ), "bicross"),
-    **dict.fromkeys((
-        "CatalogEntry", "catalog_ax1", "catalog_cyclic", "catalog_ex27_expected",
-        "catalog_group", "catalog_kz2", "catalog_one", "catalog_sweedler_hom", "get_entry",
+        "CatalogEntry", "catalog_ax1", "catalog_cyclic", "catalog_group", "catalog_kz2",
+        "catalog_one", "catalog_sweedler_hom", "get_entry",
     ), "catalog"),
     **{name: name for name in _SUBMODULES},
 }

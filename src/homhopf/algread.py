@@ -10,7 +10,7 @@ import re
 
 from .algfile import _BLOCK_POSITIONS, SCHEMA_VERSION, AlgebraFile, BlockRecord, ObjectRecord
 from .errors import DuplicateEntry, ParseError, RangeError
-from .exactlin import pair_cells, parse_scalar, rows_from_entries
+from .exactlin import Scalar, _normal, pair_cells, rows_from_entries
 from .structures import MAX_DIM
 
 # The declared ``dim`` is checked against ``MAX_DIM`` before anything is
@@ -44,6 +44,27 @@ def _natural(token: str) -> int:
     if not (token.isascii() and token.isdigit()):
         raise ValueError(token)
     return int(token)
+
+
+def _integer(text: str) -> int:
+    """``int(text)`` for ASCII digits after an optional ``-`` (``int`` also takes ``+``, ``_``)."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def parse_scalar(text: str) -> Scalar:
+    """Parse an exact rational written as ``p`` or ``p/q`` (q > 0 after reduction)."""
+    text = text.strip()
+    if "/" in text:
+        num, _, den = text.partition("/")
+        d = _integer(den)
+        if d == 0:
+            raise ValueError(f"zero denominator in scalar {text!r}")
+        from fractions import Fraction
+        return _normal(Fraction(_integer(num), d))
+    return _integer(text)
 
 
 def read(data: bytes | str) -> AlgebraFile:

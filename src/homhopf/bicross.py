@@ -1,35 +1,35 @@
 """Section 2 of the paper, Majid's bicrossproduct: the bicrossproduct, the
-canonical bicrossproduct on ``H (x) H_op``, the double crossed product of a
-matched pair, and the ``thm2.6`` and ``cor2.9`` suites that verify them.
+cotwisting map a coaction induces, the canonical bicrossproduct on
+``H (x) H_op``, and the ``thm2.6`` and ``cor2.9`` suites that verify them,
+with the golden tables of ``thm2.6`` on the ``ax1`` data.
 
 Only ``construct bicross``, ``construct self-bicross`` and the ``thm2.6``
 and ``cor2.9`` suites run this code, so only they compile it.  Its
-conventions and product-space helpers are those of ``constructions``.
+conventions and product-space helpers are those of ``constructions``; the
+matched-pair route, which no command runs, is ``matchedpair``'s.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import chain
 from typing import TYPE_CHECKING
 
-from .constructions import (
-    _pair_product, _product_dim, _tensor_coalgebra, comodule_cotwist,
-    cotwist_coproduct, dual, opposite_hopf, smash_product,
-)
+from .checkers import _multiplicative_cases, _sweep, make_entry, run_hopf_suite
+from .constructions import _pair_product, _product_dim, cotwist_coproduct, opposite_hopf, smash_product
 from .errors import CrossCheckFailed, HypothesisFailed, PreconditionFailed
 from .exactlin import (
-    apply_kron, apply_map, basis, bilinear_apply, compose, kron, linear_combination,
-    pair_cells, rows_from_entries, tensor_power_products, transpose, transpose_rows,
+    ONE, SparseMatrix, SparseTensor3, apply_kron, apply_map, basis, bilinear_apply, compose, kron,
+    linear_combination, pair_cells, rows_from_entries, transpose,
 )
-from .laws import check_comodule_coalgebra, check_matched_pair, check_module_algebra
+from .laws import check_comodule_coalgebra, check_module_algebra
 from .structures import (
-    CheckReport, ComoduleCoaction, HomAlgebra, HomBialgebra, HomHopfAlgebra, MatchedPairData,
-    ModuleAction, _flat, _grid, _multiplicative_cases, _require, _sweep, algebra_of,
-    bialgebra_of, coalgebra_of, make_entry, merge_reports, run_hopf_suite,
+    CheckReport, ComoduleCoaction, HomBialgebra, HomHopfAlgebra, ModuleAction, Record, _flat,
+    _require, algebra_of, bialgebra_of, coalgebra_of,
 )
 
 if TYPE_CHECKING:
-    from .catalog import BicrossGolden, GroupData
+    from .catalog import GroupData
     from .verify import SuiteResult
 
 
@@ -83,6 +83,30 @@ def bicross_hypotheses(A, H, act: ModuleAction, co: ComoduleCoaction) -> CheckRe
         _sweep("bicross.action-coaction-exchange", (nh, na), *exchange),
     )
     return CheckReport(checks)
+
+
+def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> SparseMatrix:
+    """The cotwisting map induced by a comodule Hom-coalgebra structure:
+    ``phi(h (x) c) = alpha_C^-1(c_(0)) (x) alpha_H^-1(h) alpha_H^-2(c_(1))``.
+
+    The structure-map power applied to ``c_(1)`` must be the coactor's (a
+    carrier power there would not typecheck when the two maps differ).
+    """
+    coactor = bialgebra_of(co.coactor)
+    carrier = coalgebra_of(co.carrier)
+    nh, nc = coactor.dim, carrier.dim
+    ac_i1, ah_i1, ah_i2 = carrier.power(-1), coactor.power(-1), coactor.power(-2)
+    hmul, rho = coactor.algebra.mul_cells, co.coact_rows
+    # second[h] maps c_(1) to alpha_H^-1(h) alpha_H^-2(c_(1))
+    second = [tuple(bilinear_apply(hmul, x, y) for y in ah_i2) for x in ah_i1]
+    phi = tuple(chain.from_iterable(compose(rho, (ac_i1, s)) for s in second))
+    if check:
+        from .matchedpair import check_cotwisting
+
+        report = check_cotwisting(coactor, carrier, phi)
+        if not report.ok:
+            raise PreconditionFailed("induced map is not a cotwisting map", report)
+    return phi
 
 
 def bicrossproduct(
@@ -214,59 +238,40 @@ def self_bicross(H: HomHopfAlgebra, check: bool = True) -> HomHopfAlgebra:
     return built
 
 
-def double_cross_product(mp: MatchedPairData, check: bool = True) -> HomHopfAlgebra:
-    """The double crossed product on ``A (x) H`` of a matched pair, with the
-    tensor coproduct and the antipode
-    ``S(a (x) h) = (1 (x) S_H alpha_H^-1(h)) (S_A alpha_A^-1(a) (x) 1)``."""
-    A = mp.A
-    H = mp.H
-    na, nh = A.dim, H.dim
-    _product_dim(na, nh)
-    if check:
-        report = check_matched_pair(mp)
-        if not report.ok:
-            raise PreconditionFailed("not a matched pair", report)
-    # (a (x) h)(b (x) g)
-    #   = a (alpha^-2(h_1) -> alpha^-2(b_1)) (x) (alpha^-2(h_2) <- alpha^-2(b_2)) g,
-    # the middle two legs tau[h][b] read from the coproducts with alpha^-2 on both legs
-    delta_h, delta_a = (compose(X.coalgebra.comul_rows, (X.power(-2),) * 2) for X in (H, A))
-    tau = _grid(tensor_power_products((mp.left_cells, mp.right_cells), delta_h, delta_a), na)
-    mul = _pair_product(A.algebra.mul_cells, transpose(H.algebra.mul_cells), tau)
-    coalg = _tensor_coalgebra(A, H)
-    unit = kron(A.unit, H.unit)
-    alg = HomAlgebra(coalg.dim, mul, unit, coalg.alpha, alpha_inverse=coalg.alpha_inverse)
+class BicrossGolden(Record):
+    """Expected multiplication, comultiplication and antipode tables for the
+    bicrossproduct built from the ``ax1`` data, on the ordered basis
+    (1#1, 1#g, x#1, x#g): the product cells, the coproduct rows on the pair
+    space and the antipode rows.
 
-    # the two antipode factors as maps: h -> 1 (x) S_H alpha_H^-1(h), a -> S_A alpha_A^-1(a) (x) 1
-    s_h = kron(A.unit, compose(H.power(-1), H.antipode_rows))
-    s_a = kron(compose(A.power(-1), A.antipode_rows), H.unit)
-    antipode = tuple(
-        bilinear_apply(alg.mul_cells, s_h[h], s_a[a]) for a in range(na) for h in range(nh)
+    Both terms of the coproduct of x#g carry the sign forced by the
+    Hom-counit law ``(counit (x) id) delta = alpha``.
+    """
+
+    products: SparseTensor3
+    coproducts: SparseMatrix
+    antipodes: SparseMatrix
+
+
+def catalog_ex27_expected() -> BicrossGolden:
+    products = {
+        (0, 0, 0): ONE, (0, 1, 1): ONE, (0, 2, 2): -ONE, (0, 3, 3): -ONE,
+        (1, 0, 1): ONE, (1, 1, 0): ONE, (1, 2, 3): ONE, (1, 3, 2): ONE,
+        (2, 0, 2): -ONE, (2, 1, 3): -ONE,
+        (3, 0, 3): -ONE, (3, 1, 2): -ONE,
+    }
+    coproducts = {
+        (0, 0): ONE,
+        (1, 5): ONE,
+        (2, 8): -ONE, (2, 2): -ONE,
+        (3, 13): -ONE, (3, 7): -ONE,
+    }
+    antipodes = {(0, 0): ONE, (1, 1): ONE, (2, 2): -ONE, (3, 3): ONE}
+    return BicrossGolden(
+        pair_cells(rows_from_entries((4, 4, 4), products), 4),
+        rows_from_entries((4, 16), coproducts),
+        rows_from_entries((4, 4), antipodes),
     )
-    return HomHopfAlgebra(HomBialgebra(alg, coalg), antipode)
-
-
-def dual_matched_pair(
-    A: HomHopfAlgebra, H: HomHopfAlgebra, act: ModuleAction, co: ComoduleCoaction, check: bool = True
-) -> MatchedPairData:
-    """Dualize bicrossproduct data into a matched pair ``(H, A_dual)``:
-    the dual acts by ``f > h = f(h_(1)) h_(0)`` and is acted on by
-    ``<f < h, a> = <f, h . alpha^-2(a)>``."""
-    _require_roles(A, H, act, co)
-    if check:
-        mod_report = check_module_algebra(act)
-        co_report = check_comodule_coalgebra(co)
-        hyp = bicross_hypotheses(A, H, act, co)
-        combined = merge_reports(mod_report, co_report, hyp)
-        if not combined.ok:
-            raise PreconditionFailed("bicrossproduct preconditions fail", combined)
-    na, nh = A.dim, H.dim
-    # e^j > e_h is the sum of c e_h0 over the terms (h0, j, c) of rho(e_h)
-    entries = {(j, h, h0): c for h, terms in enumerate(co.coact_terms) for h0, j, c in terms}
-    left = pair_cells(rows_from_entries((na, nh, nh), entries), nh)
-    # column j of alpha^-2 followed by the action of h is <e^j < h, .>
-    acted = [transpose_rows(compose(A.power(-2), plane)) for plane in act.act_cells]
-    right = tuple(tuple(columns[j] for columns in acted) for j in range(na))
-    return MatchedPairData(H, dual(A), left, right)
 
 
 def verify_thm_2_6(

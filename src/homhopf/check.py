@@ -1,13 +1,11 @@
 """The body of the ``check`` command, which only a ``check`` process compiles:
-the axiom checkers of one level on one input."""
+the axiom checkers of one level on one input.  The checkers are imported
+once the input has loaded, so a refused input compiles none of them."""
 
 import sys
 
 from .cliio import EXIT_FAIL, EXIT_PASS, _fail_usage, _load_input, _print_report, _report_json, _write_report
 from .errors import HomHopfError
-from .structures import (
-    check_antipode, check_hom_algebra, check_hom_bialgebra, check_hom_coalgebra, check_quasitriangular, merge_reports
-)
 
 
 def check(source, level, report_path, jobs):
@@ -28,6 +26,11 @@ def check(source, level, report_path, jobs):
             rmatrix = bundle.rmatrix(blocks[0])
     except (HomHopfError, OSError) as exc:
         _fail_usage(str(exc))
+
+    from .checkers import (
+        check_antipode, check_hom_algebra, check_hom_bialgebra, check_hom_coalgebra, check_quasitriangular,
+        merge_reports,
+    )
 
     checkers = (check_hom_algebra, check_hom_coalgebra, check_hom_bialgebra, check_antipode)
     reports = [checker(obj) for checker, obj in zip(checkers, (alg, coa, bia, hopf)) if obj]

@@ -6,21 +6,23 @@ failed write to standard output.
 Reports written with ``--report`` are deterministic: the embedded digest is
 computed over the document with wall-time fields removed.
 
-This module is the parser, the help texts and ``--version``; each command's
-body is the function of its name in the module of its name (``check``,
-``construct``, ``verify``, ``export``), and the helpers the bodies share are
-in ``cliio``.  A process compiles only the modules its command runs:
+This module is the parser and ``--version``; each command's body is the
+function of its name in the module of its name (``check``, ``construct``,
+``verify``, ``export``), the helpers the bodies share are in ``cliio``, and
+the help and usage texts in ``clihelp``, which only ``--help`` and a refused
+command line load.  A process compiles only the modules its command runs:
 ``--version`` none of the package beyond ``__init__``, ``check`` its body,
-``cliio``, the file format (``algfile``) and the checkers, ``construct``
-also the constructions, and ``verify`` also the suite's own section; the
-reader (``algread``) only where a file is read.  The arguments are parsed by
+``cliio``, the file format (``algfile``) and, once its input has loaded,
+the checkers (``checkers``), ``construct`` also the constructions, and
+``verify`` also the suite's own section; the reader (``algread``) only where
+a file is read.  The arguments are parsed by
 the command table ``COMMANDS``, not by ``argparse``, whose import and parser
 set-up cost every process about 4.5 ms.
 """
 
 from __future__ import annotations
 
-import gc
+import atexit
 import os
 import sys
 from importlib import import_module
@@ -74,51 +76,6 @@ COMMANDS = {
     ),
     "export": ((("name", "NAME"),), {"--out": ("out_path", "PATH", None)}),
 }
-# The help line of each command and option; a command's line also heads its own ``--help``.
-HELP = {
-    "check": "Run the axiom checkers for LEVEL on SOURCE (file or catalog name).",
-    "construct": "Build the KIND construction from SOURCE and write it in file format.",
-    "verify": "Run a named verification suite on an algebra.",
-    "export": "Write a catalog entry (with its bundled blocks) in file format.",
-    "--help": "show this message and exit",
-    "--version": "show the version and exit",
-    "--algebra": "catalog name or definition file",
-    "--force": "skip precondition verification",
-    "--jobs": "accepted for compatibility and ignored: checks run serially",
-}
-
-
-def _metavar(kind) -> str:
-    if isinstance(kind, tuple):
-        return "{" + ",".join(kind) + "}"
-    return "N" if kind is int else kind
-
-
-def _usage(prog: str, command: str | None) -> str:
-    if command is None:
-        return f"usage: {prog} [--help] [--version] COMMAND ..."
-    positionals, options = COMMANDS[command]
-    words = ["[--help]"]
-    for option, (_, kind, default) in options.items():
-        word = option if kind is bool else f"{option} {_metavar(kind)}"
-        words.append(word if default is REQUIRED else f"[{word}]")
-    words += (_metavar(kind) for _, kind in positionals)
-    return f"usage: {prog} {command} {' '.join(words)}"
-
-
-def _help(prog: str, command: str | None) -> str:
-    """The usage line, the help text and one line for each command or option
-    that has a help text."""
-    if command is None:
-        doc = main.__doc__
-        names = (*COMMANDS, "--help", "--version")
-    else:
-        doc = HELP[command]
-        names = ("--help", *COMMANDS[command][1])
-    rows = [(name, HELP[name]) for name in names if name in HELP]
-    width = max(len(name) for name, _ in rows)
-    lines = (f"  {name:<{width}}  {text}" for name, text in rows)
-    return f"{_usage(prog, command)}\n\n{doc}\n\n" + "\n".join(lines) + "\n"
 
 
 def _show(text: str) -> None:
@@ -128,11 +85,16 @@ def _show(text: str) -> None:
     sys.exit(0)
 
 
-def _refuse(prog: str, command: str | None, message: str) -> None:
-    from .cliio import _fail_usage
+def _help(prog: str, command: str | None) -> str:
+    from .clihelp import help_text
 
-    print(_usage(prog, command), file=sys.stderr)
-    _fail_usage(message)
+    return help_text(sys.modules[__name__], prog, command)
+
+
+def _refuse(prog: str, command: str | None, message: str) -> None:
+    from .clihelp import refuse
+
+    refuse(sys.modules[__name__], prog, command, message)
 
 
 def _is_option(token: str, names) -> bool:
@@ -246,7 +208,7 @@ def main(args=None, prog_name=None):
     if prog_name is None:
         prog_name = f"python -m {__spec__.name}" if __name__ == "__main__" else os.path.basename(sys.argv[0])
     command, values = _parse(prog_name, sys.argv[1:] if args is None else args)
-    # Every command runs on `structures`, the largest module. Compiling it
+    # Every command runs on `structures`, the domain types. Compiling it
     # first, while the heap is smallest, lowers a command's peak RSS.
     from . import structures  # noqa: F401
     getattr(import_module(f".{command}", __package__), command)(**values)
@@ -256,22 +218,31 @@ def run():
     """Run one command as a whole process (``homhopf`` and ``python -m``).
 
     A failed write to standard output exits 2; stdout then points at
-    ``os.devnull``, so the interpreter's last flush cannot change the status.
-    On the way out ``gc.freeze()`` moves every live object to the permanent
-    generation, which the exit-time collections skip; ``main()`` never freezes.
+    ``os.devnull``, so no later flush can change the status.  The process
+    then ends without the interpreter's teardown, which frees what the OS
+    frees anyway: ``run`` calls the ``atexit`` handlers, flushes both
+    streams and ends with ``os._exit`` and the status of ``main()``.  An
+    uncaught exception takes the interpreter's own way out.
     """
     try:
         try:
-            main()
-        finally:
-            sys.stdout.flush()
-    except OSError as exc:  # every other file a command opens reports its own errors
-        from .cliio import _fail_usage
+            try:
+                main()
+            finally:
+                sys.stdout.flush()
+        except OSError as exc:  # every other file a command opens reports its own errors
+            from .cliio import _fail_usage
 
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        _fail_usage(f"cannot write standard output: {exc.strerror or exc}")
-    finally:
-        gc.freeze()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _fail_usage(f"cannot write standard output: {exc.strerror or exc}")
+    except SystemExit as exc:  # every command ends in ``sys.exit`` with an int status
+        status = exc.code
+    else:
+        status = 0
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -16,8 +16,9 @@ EXIT_USAGE = 2
 
 
 def _load_input(source: str):
-    """Resolve a path or catalog name to (bundle, raw-bytes, catalog-entry)."""
-    from .algfile import bundle_of_entry, write
+    """Resolve a path or catalog name to (bundle, input, catalog-entry).  The
+    input is what a report digests: a file's bytes, or a catalog entry's
+    bundle, which ``_write_report`` serializes only when a report is written."""
     from .errors import InvalidParameter
 
     if os.path.exists(source):
@@ -25,6 +26,7 @@ def _load_input(source: str):
 
         raw = _read(source)
         return read(raw), raw, None
+    from .algfile import bundle_of_entry
     from .catalog import catalog_names, get_entry
 
     try:
@@ -35,7 +37,7 @@ def _load_input(source: str):
             f"(catalog: {', '.join(catalog_names())})"
         ) from None
     bundle = bundle_of_entry(entry)
-    return bundle, write(bundle), entry
+    return bundle, bundle, entry
 
 
 def _scalars(v) -> list[str]:
@@ -55,18 +57,6 @@ def _print_report(report, indent: str = "") -> None:
             print(f"{indent}     rhs = ({', '.join(_scalars(w.rhs))})")
 
 
-def _print_suite(result) -> None:
-    print(f"suite {result.suite}")
-    for step in result.steps:
-        status = "PASS" if step.passed else "FAIL"
-        note = f"  [{step.note}]" if step.note else ""
-        print(f"  {status} {step.name}{note}")
-        if not step.passed:
-            _print_report(step.report, indent="    ")
-    verdict = "PASS" if result.passed else "FAIL"
-    print(f"overall {verdict} ({result.wall_time:.3f}s)")
-
-
 def _witness_json(w):
     if w is None:
         return None
@@ -82,18 +72,6 @@ def _report_json(report):
     }
 
 
-def _suite_json(result):
-    return {
-        "suite": result.suite,
-        "passed": result.passed,
-        "wall_time": result.wall_time,
-        "steps": [
-            {"name": s.name, "note": s.note, "report": _report_json(s.report)}
-            for s in result.steps
-        ],
-    }
-
-
 def _strip_wall_time(node):
     if isinstance(node, dict):
         return {k: _strip_wall_time(v) for k, v in node.items() if k != "wall_time"}
@@ -103,6 +81,9 @@ def _strip_wall_time(node):
 
 
 def _write_report(path, command: str, inputs, results, status: int) -> None:
+    """Write the report of ``command`` to ``path``, if one is asked for: each
+    input as ``(source, data)``, its data the bytes read or a bundle to
+    serialize (``_load_input``)."""
     if path is None:
         return
     import json
@@ -112,8 +93,9 @@ def _write_report(path, command: str, inputs, results, status: int) -> None:
     except ImportError:  # no such module from Python 3.12 on
         from hashlib import sha256
 
-    from .algfile import SCHEMA_VERSION
+    from .algfile import SCHEMA_VERSION, write
 
+    inputs = [(src, data if isinstance(data, bytes) else write(data)) for src, data in inputs]
     doc = {
         "tool": "homhopf",
         "version": __version__,
@@ -145,6 +127,21 @@ def _write(path, data: bytes) -> None:
             fh.write(data)
     except OSError as exc:
         _fail_usage(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _write_stdout(data: bytes) -> None:
+    """Write ``data`` to standard output, every byte of it.  Unbuffered (``-u``),
+    ``sys.stdout.buffer`` is the raw file, which may take only part of a
+    write, and the text layer would drop the rest: so the bytes go to it
+    until it has taken them all, and a failed write raises (``run`` exits 2)."""
+    sys.stdout.flush()
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text stream, such as an in-process capture
+        sys.stdout.write(data.decode())
+        return
+    view = memoryview(data)
+    while view:
+        view = view[out.write(view) :]
 
 
 def _fail_usage(message: str) -> None:

@@ -6,7 +6,8 @@ import sys
 
 from .algfile import SCHEMA_VERSION, AlgebraFile, object_record, write
 from .cliio import (
-    EXIT_FAIL, EXIT_PASS, _fail_usage, _load_input, _print_report, _read, _report_json, _write, _write_report
+    EXIT_FAIL, EXIT_PASS, _fail_usage, _load_input, _print_report, _read, _report_json, _write, _write_report,
+    _write_stdout,
 )
 from .constructions import (
     cocycle_twist, drinfeld_double, drinfeld_double_tilde, dual, heisenberg_double, opposite
@@ -80,7 +81,7 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
 
     data = write(AlgebraFile(SCHEMA_VERSION, (result,), ()))
     if out_path is None:
-        sys.stdout.write(data.decode())
+        _write_stdout(data)
     else:
         _write(out_path, data)
         print(f"wrote {result.name} (dim {result.dim}) to {out_path}")

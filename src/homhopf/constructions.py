@@ -3,9 +3,9 @@
 Each construction assembles exact structure constants for a composite object:
 linear duals, opposites, Yau twists, smash products, cotwist coproducts, the
 closed-form Drinfel'd double, Heisenberg doubles, and cocycle twists.  The
-bicrossproducts and the double of a dual pair (``bicross``, ``pairing``) and
-the precondition laws (``laws``, ``pairing``, ``twist``) live apart, each
-compiled only by a command that runs it.
+bicrossproducts (``bicross``), the double crossed product of a matched pair
+(``matchedpair``), the double of a dual pair (``pairing``) and the
+precondition laws live apart, each compiled only by a command that runs it.
 
 Tensor-factor ordering is fixed per construction: a double lives on
 ``H_op (x) H_dual``, the tilde variant on ``(A_op)_dual (x) A``, and every
@@ -19,39 +19,14 @@ comes from ``cotwist_coproduct`` and a cotwisting map.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .errors import InvalidParameter, NotAMorphism, PreconditionFailed
 from .exactlin import (
-    SparseMatrix,
-    SparseTensor3,
-    apply_kron,
-    apply_map,
-    basis,
-    bilinear_apply,
-    compose,
-    flip,
-    kron,
-    linear_combination,
-    pair_cells,
-    rows_from_entries,
-    transpose,
-    transpose_rows,
+    SparseMatrix, SparseTensor3, apply_kron, apply_map, basis, bilinear_apply, compose, flip, kron,
+    linear_combination, pair_cells, rows_from_entries, transpose, transpose_rows,
 )
 from .structures import (
-    MAX_DIM,
-    ComoduleCoaction,
-    HomAlgebra,
-    HomBialgebra,
-    HomCoalgebra,
-    HomHopfAlgebra,
-    ModuleAction,
-    RMatrix,
-    TwoCocycle,
-    algebra_of,
-    bialgebra_of,
-    coalgebra_of,
-    hopf_of_tables,
+    MAX_DIM, HomAlgebra, HomBialgebra, HomCoalgebra, HomHopfAlgebra, ModuleAction, RMatrix,
+    TwoCocycle, algebra_of, bialgebra_of, coalgebra_of, hopf_of_tables,
 )
 
 def _product_dim(n1: int, n2: int) -> int:
@@ -193,30 +168,6 @@ def smash_product(A, H, act: ModuleAction, check: bool = True) -> HomAlgebra:
     return HomAlgebra(na * nh, mul, kron(alg.unit, bi.unit), alpha, alpha_inverse=inverse)
 
 
-def comodule_cotwist(co: ComoduleCoaction, check: bool = True) -> SparseMatrix:
-    """The cotwisting map induced by a comodule Hom-coalgebra structure:
-    ``phi(h (x) c) = alpha_C^-1(c_(0)) (x) alpha_H^-1(h) alpha_H^-2(c_(1))``.
-
-    The structure-map power applied to ``c_(1)`` must be the coactor's (a
-    carrier power there would not typecheck when the two maps differ).
-    """
-    coactor = bialgebra_of(co.coactor)
-    carrier = coalgebra_of(co.carrier)
-    nh, nc = coactor.dim, carrier.dim
-    ac_i1, ah_i1, ah_i2 = carrier.power(-1), coactor.power(-1), coactor.power(-2)
-    hmul, rho = coactor.algebra.mul_cells, co.coact_rows
-    # second[h] maps c_(1) to alpha_H^-1(h) alpha_H^-2(c_(1))
-    second = [tuple(bilinear_apply(hmul, x, y) for y in ah_i2) for x in ah_i1]
-    phi = tuple(chain.from_iterable(compose(rho, (ac_i1, s)) for s in second))
-    if check:
-        from .laws import check_cotwisting
-
-        report = check_cotwisting(coactor, carrier, phi)
-        if not report.ok:
-            raise PreconditionFailed("induced map is not a cotwisting map", report)
-    return phi
-
-
 def cotwist_coproduct(C, D, phi: SparseMatrix, check: bool = True) -> HomCoalgebra:
     """The twisted coproduct on ``C (x) D``:
     ``delta(c (x) d) = c_1 (x) d_1^phi (x) c_2^phi (x) d_2``."""
@@ -225,7 +176,7 @@ def cotwist_coproduct(C, D, phi: SparseMatrix, check: bool = True) -> HomCoalgeb
     nc, nd = Cc.dim, Dc.dim
     _product_dim(nc, nd)
     if check:
-        from .laws import check_cotwisting
+        from .matchedpair import check_cotwisting
 
         report = check_cotwisting(Cc, Dc, phi)
         if not report.ok:

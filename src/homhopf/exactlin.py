@@ -19,35 +19,27 @@ planes (its cells).  Three conventions are fixed package-wide:
 * tensor-product indices flatten row-major: the pair ``(i, j)`` with a
   second factor of dimension ``m`` becomes ``i * m + j``.
 
-The kernels ``apply_map``, ``apply_kron``, ``bilinear_apply`` and
-``tensor_power_products``, and ``linear_combination``, ``kron``,
-``transpose_rows`` and ``mat_inverse`` with them, take sparse operands and
-return sparse results.  No result keeps a coefficient that cancelled to
-zero, so two sparse vectors of the same length are equal exactly when their
-dense vectors (``dense``) are.  Tables are built sparse
-(``rows_from_entries``, the kernels) and are the fields of the domain types
-of ``structures``; a unit and a counit are maps too, from and to the
-one-dimensional space.  Only the two sides of a failure witness are dense
-tuples.  ``rows``, ``cells``, ``dense_rows``, ``dense_cells`` and
+The kernels ``apply_map``, ``apply_kron`` and ``bilinear_apply``, and
+``linear_combination``, ``kron``, ``transpose_rows`` and ``mat_inverse``
+with them, take sparse operands and return sparse results.  No result keeps
+a coefficient that cancelled to zero, so two sparse vectors of the same
+length are equal exactly when their dense vectors (``dense``) are.  Tables
+are built sparse (``rows_from_entries``, the kernels) and are the fields of
+the domain types of ``structures``; a unit and a counit are maps too, from
+and to the one-dimensional space.  Only the two sides of a failure witness
+are dense tuples.  ``rows``, ``cells``, ``dense_rows``, ``dense_cells`` and
 ``flatten_pair`` convert between tables and the dense tensors of the file
 records of ``fileformat``, and ``sparse`` and ``dense`` between sparse and
-dense vectors.  The kernels check
-only that the lengths of their operands fit together.
+dense vectors.  The kernels check only that the lengths of their operands
+fit together.
 
-Tensor legs are enumerated here: ``terms`` lists the nonzero Sweedler terms
-of the rows of a comultiplication or coaction, ``apply_kron`` applies one map
-to each leg of a vector on a pair space, and ``tensor_power_products``
-multiplies vectors leg by leg in a tensor product of bilinear maps, each leg
-with its own left, right and output dimension.  So is each two-leg Sweedler
-sum ``sum c (F[x] (x) G[y])(v)``: the product of ``sum c e_x (x) e_y`` and
-``v`` for the legs ``(F, G)``.  Summed term by term elsewhere are only
-``comodule-coalgebra.comultiplicative``, ``bicross.action-coaction-exchange``,
-``TwoCocycle.products`` and the closed forms of the self-bicrossproduct, the
-double and the bicrossproduct antipode.  ``compose`` chains ``apply_map`` and
-``apply_kron`` over the rows of a map, so a composite such as
-``mu o (S (x) id) o delta`` is one call.  ``product_cases`` and
-``square_cases`` read, from the supports alone, at which basis indices the
-sides of a law can be nonzero, so that it is swept only there.
+``terms`` lists the nonzero Sweedler terms of the rows of a comultiplication
+or coaction, and ``apply_kron`` applies one map to each leg of a vector on a
+pair space.  ``compose`` chains ``apply_map`` and ``apply_kron`` over the
+rows of a map, so a composite such as ``mu o (S (x) id) o delta`` is one
+call.  The case streams of the sweeps, and the products in a tensor product
+of bilinear maps (``tensor_power_products``), are ``checkers``'; the
+scalar reader is ``algread``'s.
 
 All functions are pure.  Dense values are nested tuples; sparse vectors are
 dicts that hash by their items.  Both are hashable.
@@ -55,11 +47,9 @@ dicts that hash by their items.  Both are hashable.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from functools import partial, reduce
-from itertools import chain, product
+from functools import partial
+from itertools import chain
 from math import prod
-from operator import or_
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DimensionMismatch, SingularMatrixError
@@ -88,27 +78,6 @@ def _quotient(x: Scalar, p: Scalar) -> Scalar:
         return x // p
     from fractions import Fraction
     return _normal(Fraction(x) / p)
-
-
-def _integer(text: str) -> int:
-    """``int(text)`` for ASCII digits after an optional ``-`` (``int`` also takes ``+``, ``_``)."""
-    digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)
-
-
-def parse_scalar(text: str) -> Scalar:
-    """Parse an exact rational written as ``p`` or ``p/q`` (q > 0 after reduction)."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        d = _integer(den)
-        if d == 0:
-            raise ValueError(f"zero denominator in scalar {text!r}")
-        from fractions import Fraction
-        return _normal(Fraction(_integer(num), d))
-    return _integer(text)
 
 
 def format_scalar(value: Scalar) -> str:
@@ -375,141 +344,6 @@ def bilinear_apply(t: SparseTensor3, x: Sparse, y: Sparse) -> Sparse:
             for k, a in ti[j].items():
                 out[k] = out.get(k, ZERO) + c * a
     return _zero_free(out)
-
-
-def tensor_power_products(muls, us, vs, pairs=None) -> Iterator[Sparse]:
-    """The componentwise products ``(x_1 (x) x_2 ...)(y_1 (x) y_2 ...) = m_1(x_1, y_1) (x) ...``
-    in the tensor product of the bilinear maps ``muls = (m_1, m_2, ...)``, one per leg, each
-    with its own left, right and output dimension (``(mul,) * k`` for a tensor power of one
-    algebra): each vector of ``us`` times each of ``vs``, row-major, or only at the index
-    pairs ``pairs``, each made as it is read.  Each vector is grouped by legs once, not
-    once per product.
-    """
-    sides = ((us, tuple(map(len, muls))), (vs, tuple(len(m[0]) for m in muls)))
-    for ws, dims in sides:
-        if bad := [w.dim for w in ws if w.dim != prod(dims)]:
-            raise _mismatch(f"tensor product of dimensions {' x '.join(map(str, dims))}", *bad)
-    us, vs = ([_by_first_leg(w.items(), dims) for w in ws] for ws, dims in sides)
-    out_dim = prod(m[0][0].dim for m in muls)
-    pairs = product(range(len(us)), range(len(vs))) if pairs is None else pairs
-    products = (_power_product(muls, us[a], vs[b], _empty(out_dim)) for a, b in pairs)
-    return map(_zero_free, products)
-
-
-Pairs = Iterable[tuple[int, Scalar]]
-
-
-def _power_product(muls, u, v, out: dict) -> dict[int, Scalar]:
-    """``out`` plus the product of ``u`` and ``v``, grouped by ``_by_first_leg``,
-    in the tensor product of the bilinear maps ``muls``, as ``{index: coefficient}``.
-
-    The rest of the legs multiply once per pair of first legs with a nonzero
-    product, not once per pair of terms.
-    """
-    mul, rest_muls = muls[0], muls[1:]
-    if not rest_muls:
-        for a, cu in u:
-            row = mul[a]
-            for b, cv in v:
-                c = cu * cv
-                for k, ck in row[b].items():
-                    out[k] = out.get(k, ZERO) + c * ck
-        return out
-    weight, v_legs = prod(m[0][0].dim for m in rest_muls), v.items()
-    for a, u_rest in u.items():
-        row = mul[a]
-        for b, v_rest in v_legs:
-            if not row[b]:
-                continue
-            rest = _power_product(rest_muls, u_rest, v_rest, {})
-            for k, ck in row[b].items():
-                base = k * weight
-                for r, cr in rest.items():
-                    out[base + r] = out.get(base + r, ZERO) + ck * cr
-    return out
-
-
-def _by_first_leg(pairs: Pairs, dims: tuple[int, ...]):
-    """``pairs`` of a vector on a tensor product whose legs have the dimensions
-    ``dims``, grouped leg by leg: ``{first leg: the rest, grouped}``, down to
-    ``(last leg, coefficient)`` pairs."""
-    if len(dims) == 1:
-        return pairs
-    weight = prod(dims[1:])
-    groups: dict[int, list[tuple[int, Scalar]]] = {}
-    for p, c in pairs:
-        a, r = divmod(p, weight)
-        groups.setdefault(a, []).append((r, c))
-    if len(dims) == 2:
-        return groups
-    return {a: _by_first_leg(rest, dims[1:]) for a, rest in groups.items()}
-
-
-def _union(masks, indices) -> int:
-    """The union of the bit sets ``masks[i]`` over ``indices``."""
-    return reduce(or_, map(masks.__getitem__, indices), 0)
-
-
-def _bits(mask: int):
-    """The members of the bit set ``mask``, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _hits(filled, ys: SparseMatrix) -> list[int]:
-    """The bit sets ``{c : t(e_x, ys[c]) has a nonzero term}``, one per ``x``, of
-    a bilinear map ``t`` whose row ``x`` has nonzero cells exactly at ``filled[x]``."""
-    cols: defaultdict[int, int] = defaultdict(int)  # the c with y in the support of ys[c]
-    for c, v in enumerate(ys):
-        for y in v:
-            cols[y] |= 1 << c
-    return [_union(cols, ys_of_x) for ys_of_x in filled]
-
-
-def product_cases(left, right):
-    """The cases ``(a, b, c)`` of a law with sides ``s(f[a], u[b][c])`` and
-    ``t(v[a][b], g[c])``, for ``left = (s, f, u)`` and ``right = (t, v, g)``,
-    where a side has a nonzero term, read from the filled cells of ``s`` and
-    ``t`` and the supports of the vectors: in lexicographic order, as pairs
-    ``((a, b), cs)``, a full ``cs`` as ``range``.  Both sides of every other
-    case are zero."""
-    (s, f, u), (t, v, g) = left, right
-    t_filled = [[y for y, cell in enumerate(row) if cell] for row in t]
-    s_filled = t_filled if s is t else [[y for y, cell in enumerate(row) if cell] for row in s]
-    right_hits, left_hits, n = _hits(t_filled, g), {}, len(g)
-    full = (1 << n) - 1
-    for a, b in product(range(len(v)), range(len(u))):
-        cs = _union(right_hits, v[a][b])
-        if cs != full:
-            if b not in left_hits:  # built only where the right side leaves a gap
-                left_hits[b] = _hits(s_filled, u[b])
-            cs |= _union(left_hits[b], f[a])
-        if cs:
-            yield (a, b), range(n) if cs == full else _bits(cs)
-
-
-def _filled(t) -> list[int]:
-    """The bit sets ``{j : t[i][j] is nonzero}`` of the rows ``i`` of the cells ``t``."""
-    return [sum(1 << j for j, cell in enumerate(row) if cell) for row in t]
-
-
-def square_cases(muls, us, vs):
-    """The cases ``(i, j)`` of a law ``vs(m1[i][j]) = us[i] vs[j]``, its right
-    side a product in the tensor product of the bilinear maps ``muls = (m1, m2)``,
-    in lexicographic order, where a side has a nonzero term: where ``m1[i][j]``
-    is filled, or terms ``e_x1 (x) e_x2`` of ``us[i]`` and ``e_y1 (x) e_y2`` of
-    ``vs[j]`` fill ``m1[x1][y1]`` and ``m2[x2][y2]``; both sides are zero elsewhere."""
-    filled = _filled(muls[0])  # each table's filled cells are read once
-    filled2 = filled if muls[1] is muls[0] else _filled(muls[1])
-    n, q = len(muls[1]), len(muls[1][0])  # the second leg's left and right dimensions
-    supports = [sum(1 << p for p in v) for v in vs]
-    for i, u in enumerate(us):
-        # the bit set of the terms e_y1 (x) e_y2 whose products with a term of u fill cells
-        reach = reduce(or_, (filled2[p % n] << y * q for p in u for y in _bits(filled[p // n])), 0)
-        js = filled[i] | sum(1 << j for j, s in enumerate(supports) if reach & s)
-        yield from ((i, j) for j in _bits(js))
 
 
 def terms(m: SparseMatrix, n2: int) -> tuple[tuple[tuple[int, int, Scalar], ...], ...]:

@@ -5,7 +5,7 @@ import sys
 
 from .algfile import bundle_of_entry, write
 from .catalog import get_entry
-from .cliio import EXIT_PASS, _fail_usage, _write
+from .cliio import EXIT_PASS, _fail_usage, _write, _write_stdout
 from .errors import InvalidParameter
 
 
@@ -16,7 +16,7 @@ def export(name, out_path):
         _fail_usage(str(exc))
     data = write(bundle_of_entry(entry))
     if out_path is None:
-        sys.stdout.write(data.decode())
+        _write_stdout(data)
     else:
         _write(out_path, data)
         print(f"wrote {name} to {out_path}")

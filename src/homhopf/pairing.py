@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING
 
+from .checkers import _product_law, _sweep, check_morphism, make_entry, run_hopf_suite
 from .constructions import (
     _pair_product, _product_dim, _tensor_coalgebra, drinfeld_double, dual, opposite_hopf,
 )
@@ -21,9 +22,8 @@ from .exactlin import (
     transpose_rows,
 )
 from .structures import (
-    CheckReport, HomAlgebra, HomBialgebra, HomHopfAlgebra, PairingForm, Record, _flat,
-    _product_law, _require, _shape, _sweep, algebra_of, check_morphism, make_entry,
-    run_hopf_suite,
+    CheckReport, HomAlgebra, HomBialgebra, HomHopfAlgebra, PairingForm, Record, _flat, _require,
+    _shape, algebra_of,
 )
 
 if TYPE_CHECKING:

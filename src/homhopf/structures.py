@@ -1,37 +1,14 @@
-"""Hom-algebraic domain types, check reports and the Hopf-level checkers.
+"""Hom-algebraic domain types and check reports.
 
-The checkers here are the Hopf-level ones: the algebra, coalgebra,
-bialgebra and antipode laws and quasitriangularity, which ``check`` runs,
-and ``check_morphism``, which compares two objects through a map.  The
-data laws live with their section of the paper, compiled only where run:
-modules, comodule coalgebras, cotwisting maps and matched pairs in ``laws``,
-pairings and twisting maps in ``pairing``, and comodules, cocycles and
-comodule algebras in ``twist``.
-
-Every checker quantifies over basis multi-indices (multilinearity reduces the
-universally quantified identities to basis cases), compares exact vectors,
-and returns a CheckReport.  A failing identity is data, not an error: the
-report entry records the lexicographically first failing index together with
-both sides' full coefficient vectors.
-
-An axiom is two composed maps (``exactlin.compose``) compared row by row by
-``_sweep``: row ``r`` of each side is the basis case at the ``r``-th
-multi-index of the law's index space in row-major order, so the first
-differing row is the first failing index.  A product law is instead a lazy
-stream of per-case sides through the same ``_sweep``, which stops at the
-first failure and holds no n^3- or n^2-row map.  It reads its cases and
-sides from the same operands (a Sweedler sum from a table built once) and
-visits only the cases where a side has a nonzero term: both sides of every
-other case are zero.  Every three-index law, and by ``_morphism_products``
-the multiplicativity of alpha, of the counit into ``k``, of the antipode and
-of a morphism, comes from ``_product_law`` (``exactlin.product_cases``).
-Every law ``v(x y) = u(x) v(y)`` with a product in a tensor product of
-bilinear maps on the right comes from ``_multiplicative_cases``
-(``exactlin.square_cases``): comultiplicativity, comodule-algebra
-multiplicativity, ``module-coalgebra.comultiplicative`` and the
-bicrossproduct hypotheses ``action-comultiplicative`` and
-``coaction-multiplicative``.  ``check_morphism`` compares two objects
-through a map ``phi: X -> Y`` by the same sweeps.
+The checkers that produce the reports live in ``checkers`` (the sweeps and
+the Hopf-level laws, which ``check`` runs, and ``check_morphism``) and with
+their section of the paper: modules, module algebras and comodule
+coalgebras in ``laws``, coalgebra-valued modules, cotwisting maps and
+matched pairs in ``matchedpair``, pairings and twisting maps in ``pairing``,
+and comodules, cocycles and comodule algebras in ``twist``.  So a command
+that builds but checks nothing compiles none of them.  The six
+Hopf-level checkers that the benchmark's tracer spans as ``structures.*``
+still resolve here, from ``checkers`` on first use (``__getattr__``).
 
 Structural invariants (shapes, invertibility of structure maps) are enforced
 at construction; algebraic axioms are only ever checker verdicts, so broken
@@ -64,33 +41,28 @@ A builder that knows the inverse of a structure map hands it over
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, product, tee
-from math import prod
+from importlib import import_module
+from itertools import chain
 from operator import attrgetter
 
 from .errors import DimensionMismatch, MissingStructure, SingularMatrixError
 from .exactlin import (
-    Sparse,
-    SparseMatrix,
-    SparseTensor3,
-    Vector,
-    apply_kron,
-    apply_map,
-    basis,
-    bilinear_apply,
-    compose,
-    dense,
-    kron,
-    linear_combination,
-    mat_inverse,
-    pair_cells,
-    product_cases,
-    rows_from_entries,
-    square_cases,
-    tensor_power_products,
-    terms,
-    transpose,
+    Sparse, SparseMatrix, SparseTensor3, Vector, compose, linear_combination, mat_inverse, pair_cells,
+    rows_from_entries, terms, transpose,
 )
+
+# The checkers the benchmark's tracer spans by their ``structures`` paths.
+_SPANNED = (
+    "check_hom_algebra", "check_hom_coalgebra", "check_hom_bialgebra", "check_antipode",
+    "run_hopf_suite", "check_quasitriangular",
+)
+
+
+def __getattr__(name):  # PEP 562: a spanned checker, imported from ``checkers`` on first use
+    if name in _SPANNED:
+        return getattr(import_module(".checkers", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Largest dimension of an object: the definition-file reader, the catalog and
 # the constructions refuse anything larger before they allocate it.
@@ -521,13 +493,6 @@ class CheckEntry(Record):
             raise ValueError("a check entry carries a witness exactly when it fails")
 
 
-def make_entry(axiom_id: str, passed: bool, index=(), lhs=(), rhs=()) -> CheckEntry:
-    """A report entry; failures always carry a witness (possibly empty)."""
-    if passed:
-        return CheckEntry(axiom_id, True)
-    return CheckEntry(axiom_id, False, Witness(tuple(index), tuple(lhs), tuple(rhs)))
-
-
 class CheckReport(Record):
     checks: tuple[CheckEntry, ...]
 
@@ -545,211 +510,6 @@ class CheckReport(Record):
         raise KeyError(axiom_id)
 
 
-def merge_reports(*reports: CheckReport) -> CheckReport:
-    checks: list[CheckEntry] = []
-    for r in reports:
-        checks.extend(r.checks)
-    return CheckReport(tuple(checks))
-
-
-def _sweep(axiom_id: str, shape, lhs=None, rhs=None) -> CheckEntry:
-    """Compare the two sides of a law case by case, recording the first
-    failure with both sides made dense.
-
-    Either ``lhs`` and ``rhs`` are two maps on the index space ``shape``: row
-    ``r`` of each is the case at the ``r``-th multi-index of ``shape`` in
-    row-major order, so on ``(n, n)`` row ``i * n + j`` is the case ``(i, j)``,
-    and on ``()`` a one-row map is the one case ``()``.  Or ``shape`` is a
-    stream of ``(index, lhs, rhs)`` cases, read up to the first failure.
-    """
-    if lhs is None:
-        cases = shape
-    else:
-        size = prod(shape)
-        if len(lhs) != size or len(rhs) != size:
-            raise DimensionMismatch(
-                f"{axiom_id}: maps of {len(lhs)} and {len(rhs)} rows on {size} cases"
-            )
-        cases = zip(product(*map(range, shape)), lhs, rhs)
-    for idx, left, right in cases:
-        if left.dim != right.dim:
-            raise DimensionMismatch(
-                f"{axiom_id} at {idx}: sides of lengths {left.dim} and {right.dim}"
-            )
-        if left != right:
-            return CheckEntry(axiom_id, False, Witness(idx, dense(left), dense(right)))
-    return CheckEntry(axiom_id, True)
-
-
 def _flat(t: SparseTensor3) -> SparseMatrix:
     """The bilinear map ``t`` as a row-image map on the pair space: its cells, flattened."""
     return tuple(chain.from_iterable(t))
-
-
-def _grid(cells, n: int) -> tuple[tuple, ...]:
-    """The row-major stream ``cells`` as rows of ``n``: ``[i][j]`` is the cell ``i * n + j``."""
-    return tuple(zip(*[iter(cells)] * n))
-
-
-def _multiplicative_cases(muls, us, vs):
-    """The cases ``((i, j), vs(m1[i][j]), us[i] vs[j])`` of a law whose right side
-    is a product in the tensor product of the bilinear maps ``muls = (m1, m2)``,
-    at the cases of ``exactlin.square_cases``, each product formed as the sweep
-    reads it.  A coproduct is multiplicative by ``((mul, mul), delta, delta)``."""
-    cases, pairs = tee(square_cases(muls, us, vs))
-    products = tensor_power_products(muls, us, vs, pairs)
-    return (((i, j), apply_map(vs, muls[0][i][j]), w) for (i, j), w in zip(cases, products))
-
-
-def _product_law(left, right):
-    """The cases ``((a, b, c), s(f[a], u[b][c]), t(v[a][b], g[c]))`` of the law
-    with ``left = (s, f, u)`` and ``right = (t, v, g)``, ``s`` and ``t`` bilinear
-    maps, at the cases of ``exactlin.product_cases``: both sides of the others
-    are zero.  Cases and sides are read from the same operands."""
-    (s, f, u), (t, v, g) = left, right
-    return (
-        ((a, b, c), bilinear_apply(s, f[a], u[b][c]), bilinear_apply(t, v[a][b], g[c]))
-        for (a, b), cs in product_cases(left, right)
-        for c in cs
-    )
-
-
-def _morphism_products(phi: SparseMatrix, xc: SparseTensor3, yc: SparseTensor3):
-    """The cases ``((i, j), phi(x_i x_j), phi(x_i) phi(x_j))`` of the law that
-    ``phi`` is multiplicative, products read from ``xc`` and ``yc``: the product
-    law of the bilinear map ``(phi,)`` at ``(e_0, x_i x_j)``."""
-    law = _product_law(((phi,), basis(1), xc), (yc, (phi,), phi))
-    return (((i, j), lhs, rhs) for (_, i, j), lhs, rhs in law)
-
-
-# ---------------------------------------------------------------------------
-# checkers
-
-
-def check_hom_algebra(obj) -> CheckReport:
-    """Unital Hom-associativity: alpha multiplicativity, twisted units and
-    the Hom-associative law alpha(a)(bc) = (ab)alpha(c)."""
-    A = algebra_of(obj)
-    n = A.dim
-    mc, m, ar, e, unit = A.mul_cells, A.mul_map, A.alpha, basis(n), A.unit
-    checks = (
-        # alpha(e_i e_j) against alpha(e_i) alpha(e_j)
-        _sweep("algebra.alpha-multiplicative", _morphism_products(ar, mc, mc)),
-        _sweep("algebra.alpha-fixes-unit", (), compose(unit, ar), unit),
-        _sweep("algebra.left-unit", (n,), compose(kron(unit, e), m), ar),
-        _sweep("algebra.right-unit", (n,), compose(kron(e, unit), m), ar),
-        _sweep("algebra.hom-associative", _product_law((mc, ar, mc), (mc, mc, ar))),
-    )
-    return CheckReport(checks)
-
-
-def check_hom_coalgebra(obj) -> CheckReport:
-    """Counital Hom-coassociativity of a coalgebra."""
-    C = coalgebra_of(obj)
-    n = C.dim
-    ar, e, eps, cm = C.alpha, basis(n), C.counit, C.comul_rows
-    checks = (
-        _sweep("coalgebra.counit-alpha", (n,), compose(ar, eps), eps),
-        _sweep("coalgebra.alpha-comultiplicative", (n,), compose(ar, cm), compose(cm, (ar, ar))),
-        _sweep("coalgebra.left-counit", (n,), compose(cm, (eps, e)), ar),
-        _sweep("coalgebra.right-counit", (n,), compose(cm, (e, eps)), ar),
-        _sweep("coalgebra.hom-coassociative", (n,), compose(cm, (cm, ar)), compose(cm, (ar, cm))),
-    )
-    return CheckReport(checks)
-
-
-def check_hom_bialgebra(obj) -> CheckReport:
-    """Comultiplication and counit are morphisms of Hom-algebras (the counit into ``k``)."""
-    B = bialgebra_of(obj)
-    mc, unit = B.algebra.mul_cells, B.algebra.unit
-    cm, eps = B.coalgebra.comul_rows, B.coalgebra.counit
-    checks = (
-        # delta(e_i e_j) against delta(e_i) delta(e_j) in the tensor-square algebra
-        _sweep("bialgebra.comul-multiplicative", _multiplicative_cases((mc, mc), cm, cm)),
-        _sweep("bialgebra.comul-unit", (), compose(unit, cm), kron(unit, unit)),
-        # counit(e_i e_j) against counit(e_i) counit(e_j)
-        _sweep("bialgebra.counit-multiplicative", _morphism_products(eps, mc, (basis(1),))),
-        _sweep("bialgebra.counit-unit", (), compose(unit, eps), basis(1)),
-    )
-    return CheckReport(checks)
-
-
-def check_antipode(H: HomHopfAlgebra) -> CheckReport:
-    """Antipode identities plus the derived anti-(co)morphism properties."""
-    n = H.dim
-    A, C = H.algebra, H.coalgebra
-    mc, m, ar, S, e = A.mul_cells, A.mul_map, A.alpha, H.antipode_rows, basis(n)
-    cm, cm_op, eps, eta = C.comul_rows, C.comul_op_rows, C.counit, A.unit
-    counit_unit = compose(eps, eta)  # h -> counit(h) 1
-    checks = (
-        _sweep("antipode.commutes-with-alpha", (n,), compose(ar, S), compose(S, ar)),
-        _sweep("antipode.left", (n,), compose(cm, (S, e), m), counit_unit),  # S(h_1) h_2
-        _sweep("antipode.right", (n,), compose(cm, (e, S), m), counit_unit),  # h_1 S(h_2)
-        # delta(S(h)) against S(h_2) (x) S(h_1)
-        _sweep("antipode.anti-comultiplicative", (n,), compose(S, cm), compose(cm_op, (S, S))),
-        # S(e_i e_j) against S(e_j) S(e_i), from the transposed table (H.op inverts alpha)
-        _sweep("antipode.anti-multiplicative", _morphism_products(S, mc, transpose(mc))),
-        _sweep("antipode.preserves-counit", (n,), compose(S, eps), eps),
-    )
-    return CheckReport(checks)
-
-
-def run_hopf_suite(H: HomHopfAlgebra) -> CheckReport:
-    """Full chain: algebra, coalgebra, bialgebra compatibility, antipode."""
-    return merge_reports(
-        check_hom_algebra(H),
-        check_hom_coalgebra(H),
-        check_hom_bialgebra(H),
-        check_antipode(H),
-    )
-
-
-def check_morphism(prefix: str, X, Y, phi: SparseMatrix) -> CheckReport:
-    """The row-image map ``phi: X -> Y`` as a morphism: ``phi(x y) = phi(x) phi(y)``,
-    ``phi(1) = 1``, ``phi alpha_X = alpha_Y phi`` and, of two Hom-Hopf algebras,
-    ``(phi (x) phi) delta_X = delta_Y phi`` and ``phi S_X = S_Y phi``.  Products
-    and coproducts are made as the sweep reads them; a coproduct case ``(i, j)``
-    is the first-leg slice ``j`` of both sides on ``e_i``."""
-    A, B = algebra_of(X), algebra_of(Y)
-    n, m = A.dim, B.dim
-    _require(len(phi) == n and phi[0].dim == m, "morphism shape")
-    checks = [
-        _sweep(prefix + ".mul", _morphism_products(phi, A.mul_cells, B.mul_cells)),
-        _sweep(prefix + ".unit", (), compose(A.unit, phi), B.unit),
-        _sweep(prefix + ".alpha", (n,), compose(A.alpha, phi), compose(phi, B.alpha)),
-    ]
-    if isinstance(X, HomHopfAlgebra) and isinstance(Y, HomHopfAlgebra):
-        xd, yd = X.coalgebra.comul_rows, Y.coalgebra.comul_rows
-        cut = (pair_cells((apply_kron(phi, phi, xd[i]), apply_map(yd, phi[i])), m) for i in range(n))
-        coproducts = (((i, j), lhs[j], rhs[j]) for i, (lhs, rhs) in enumerate(cut) for j in range(m))
-        S, T = X.antipode_rows, Y.antipode_rows
-        checks += (
-            _sweep(prefix + ".comul", coproducts),
-            _sweep(prefix + ".antipode", (n,), compose(S, phi), compose(phi, T)),
-        )
-    return CheckReport(tuple(checks))
-
-
-def check_quasitriangular(H, R: RMatrix) -> CheckReport:
-    """The three quasitriangularity axioms; products are taken componentwise
-    in the tensor-square and tensor-cube Hom-algebras."""
-    B = bialgebra_of(H)
-    n = B.dim
-    mc, alpha, rvec, r = B.algebra.mul_cells, B.alpha, R.vector, (R.vector,)
-    e, unit = basis(n), B.algebra.unit
-    cm, cm_op = B.coalgebra.comul_rows, B.coalgebra.comul_op_rows
-    with_unit = kron(e, unit)  # x -> x (x) 1
-    unit_with = kron(unit, e)  # x -> 1 (x) x
-    r13 = apply_kron(with_unit, e, rvec)
-    r23 = apply_kron(unit_with, e, rvec)
-    r12 = apply_kron(e, with_unit, rvec)
-    # delta^op(h) R against R delta(h), and R_13 R_23 and R_13 R_12
-    op_r = tuple(tensor_power_products((mc, mc), cm_op, r))
-    r_comul = tuple(tensor_power_products((mc, mc), r, cm))
-    r13_r23, r13_r12 = tensor_power_products((mc, mc, mc), (r13,), (r23, r12))
-    checks = (
-        _sweep("quasitriangular.intertwines-comul", (n,), op_r, r_comul),
-        _sweep("quasitriangular.left-hexagon", (), compose(r, (cm, alpha)), (r13_r23,)),
-        _sweep("quasitriangular.right-hexagon", (), compose(r, (alpha, cm)), (r13_r12,)),
-    )
-    return CheckReport(checks)

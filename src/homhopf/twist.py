@@ -9,15 +9,15 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING
 
+from .checkers import _multiplicative_cases, _product_law, _sweep, check_morphism
 from .constructions import (
     canonical_cocycles, cocycle_twist, drinfeld_double, drinfeld_double_tilde, dual,
     heisenberg_double, opposite,
 )
 from .exactlin import basis, compose, kron, sparse, transpose_rows
 from .structures import (
-    CheckEntry, CheckReport, ComoduleCoaction, HomBialgebra, HomHopfAlgebra, TwoCocycle,
-    _multiplicative_cases, _product_law, _sweep, algebra_of, bialgebra_of, check_morphism,
-    coalgebra_of,
+    CheckEntry, CheckReport, ComoduleCoaction, HomBialgebra, HomHopfAlgebra, TwoCocycle, algebra_of,
+    bialgebra_of, coalgebra_of,
 )
 
 if TYPE_CHECKING:

@@ -5,12 +5,13 @@ A suite composes constructions with the generic checkers and returns a
 SuiteResult: one named CheckReport per step, the verdict and the wall time.
 It never trusts construction code: every object it builds goes through the
 axiom checkers, and two objects are compared through an identification
-``phi: X -> Y`` (``structures.check_morphism``) named in the step note, so a
+``phi: X -> Y`` (``checkers.check_morphism``) named in the step note, so a
 failed comparison tells a wrong identity from a wrong identification.  A
 suite lives with the laws it runs, in its section of the paper, so a
 ``verify`` process compiles only that section.  The function ``verify`` is
-the body of the ``verify`` command, so only a ``verify`` process compiles
-this module.
+the body of the ``verify`` command, which prints a suite result and writes
+its report (``_print_suite``, ``_suite_json``), so only a ``verify`` process
+compiles this module.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ import time
 from importlib import import_module
 from typing import TYPE_CHECKING
 
-from .cliio import EXIT_FAIL, EXIT_PASS, _fail_usage, _load_input, _print_suite, _suite_json, _write_report
+from .checkers import _sweep, check_quasitriangular
+from .cliio import EXIT_FAIL, EXIT_PASS, _fail_usage, _load_input, _print_report, _report_json, _write_report
 from .constructions import canonical_r_matrix, drinfeld_double
 from .errors import HomHopfError
 from .exactlin import ONE, ZERO, sparse
-from .structures import CheckReport, HomHopfAlgebra, Record, check_quasitriangular, _sweep
+from .structures import CheckReport, HomHopfAlgebra, Record
 
 if TYPE_CHECKING:
     from .catalog import GroupData
@@ -96,6 +98,30 @@ def verify_prop_2_19(H: HomHopfAlgebra, group: GroupData | None = None) -> Suite
     return _timed("canonical-r-matrix", steps, started)
 
 
+def _print_suite(result) -> None:
+    print(f"suite {result.suite}")
+    for step in result.steps:
+        status = "PASS" if step.passed else "FAIL"
+        note = f"  [{step.note}]" if step.note else ""
+        print(f"  {status} {step.name}{note}")
+        if not step.passed:
+            _print_report(step.report, indent="    ")
+    verdict = "PASS" if result.passed else "FAIL"
+    print(f"overall {verdict} ({result.wall_time:.3f}s)")
+
+
+def _suite_json(result):
+    return {
+        "suite": result.suite,
+        "passed": result.passed,
+        "wall_time": result.wall_time,
+        "steps": [
+            {"name": s.name, "note": s.note, "report": _report_json(s.report)}
+            for s in result.steps
+        ],
+    }
+
+
 def verify(suite, source, report_path):
     module, function = SUITES[suite]
     run = getattr(import_module(f".{module}", __package__), function)  # compiles the suite's own section
@@ -107,7 +133,8 @@ def verify(suite, source, report_path):
         if suite == "thm2.6":
             act = bundle.module_action()
             co = bundle.comodule_coaction()
-            from .catalog import catalog_ex27_expected, get_entry
+            from .bicross import catalog_ex27_expected
+            from .catalog import get_entry
 
             # the golden tables are those of the catalog's ax1 data (a coaction's
             # rows fix its shape with the coactor's dimension)

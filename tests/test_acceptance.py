@@ -28,13 +28,9 @@ from homhopf.algfile import (
     write,
 )
 from homhopf.algread import read
-from homhopf.bicross import bicrossproduct, self_bicross
-from homhopf.catalog import (
-    catalog_ax1,
-    catalog_cyclic,
-    catalog_ex27_expected,
-    get_entry,
-)
+from homhopf.bicross import bicrossproduct, catalog_ex27_expected, self_bicross
+from homhopf.catalog import catalog_ax1, catalog_cyclic, get_entry
+from homhopf.checkers import check_quasitriangular, run_hopf_suite
 from homhopf.constructions import (
     canonical_cocycles,
     canonical_r_matrix,
@@ -59,7 +55,7 @@ from homhopf.exactlin import (
     sparse,
 )
 from homhopf.pairing import check_dual_pair, dual_pair_double, evaluation_pairing
-from homhopf.structures import ComoduleCoaction, check_quasitriangular, run_hopf_suite
+from homhopf.structures import ComoduleCoaction
 from homhopf.twist import check_cocycle, check_comodule_algebra
 
 F = Fraction

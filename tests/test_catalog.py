@@ -6,10 +6,10 @@ import pytest
 
 from conftest import basis_vector, dense_field
 from homhopf import catalog
+from homhopf.bicross import catalog_ex27_expected
 from homhopf.catalog import (
     catalog_ax1,
     catalog_cyclic,
-    catalog_ex27_expected,
     catalog_group,
     catalog_kz2,
     catalog_sweedler_hom,
@@ -17,6 +17,7 @@ from homhopf.catalog import (
     get_entry,
     symmetric3_data,
 )
+from homhopf.checkers import run_hopf_suite
 from homhopf.constructions import dual, yau_twist
 from homhopf.errors import InvalidParameter, NotAGroup, NotAnAutomorphism
 from homhopf.exactlin import (
@@ -29,7 +30,6 @@ from homhopf.exactlin import (
     sparse,
 )
 from homhopf.structures import MAX_DIM
-from homhopf.structures import run_hopf_suite
 
 F = Fraction
 

@@ -39,18 +39,14 @@ from pathlib import Path
 from test_mutation_witnesses import pin
 
 from conftest import dense_field
-from homhopf.bicross import bicross_hypotheses, dual_matched_pair, self_bicross_data
+from homhopf.bicross import bicross_hypotheses, comodule_cotwist, self_bicross_data
 from homhopf.catalog import get_entry
-from homhopf.constructions import canonical_cocycles, comodule_cotwist
+from homhopf.constructions import canonical_cocycles
 from homhopf.errors import HomHopfError
 from homhopf.exactlin import cells, dense_cells, dense_rows, flatten_pair, rows
-from homhopf.laws import (
-    check_comodule_coalgebra,
-    check_cotwisting,
-    check_matched_pair,
-    check_module,
-    check_module_algebra,
-    check_module_coalgebra,
+from homhopf.laws import check_comodule_coalgebra, check_module, check_module_algebra
+from homhopf.matchedpair import (
+    check_cotwisting, check_matched_pair, check_module_coalgebra, dual_matched_pair,
 )
 from homhopf.pairing import check_dual_pair, evaluation_pairing
 from homhopf.structures import (

@@ -20,12 +20,7 @@ from pathlib import Path
 import pytest
 
 from homhopf.algfile import SCHEMA_VERSION, AlgebraFile, object_record, write
-from homhopf.bicross import (
-    double_cross_product,
-    dual_matched_pair,
-    self_bicross,
-    self_bicross_data,
-)
+from homhopf.bicross import self_bicross, self_bicross_data
 from homhopf.catalog import catalog_group, cyclic_table, get_entry
 from homhopf.constructions import (
     co_opposite,
@@ -34,6 +29,7 @@ from homhopf.constructions import (
     dual,
     heisenberg_double,
 )
+from homhopf.matchedpair import double_cross_product, dual_matched_pair
 from homhopf.pairing import dual_pair_double, evaluation_pairing
 
 FIXTURE = Path(__file__).with_name("construction_digests.json")

@@ -15,12 +15,11 @@ from conftest import (
     dense_inverse,
     run_cli,
 )
-from homhopf import bicross, constructions, laws, pairing
+from homhopf import bicross, constructions, laws, matchedpair, pairing
 from homhopf.bicross import (
     bicross_hypotheses,
     bicrossproduct,
-    double_cross_product,
-    dual_matched_pair,
+    comodule_cotwist,
     self_bicross,
     self_bicross_data,
 )
@@ -34,12 +33,17 @@ from homhopf.catalog import (
     cyclic_table,
     get_entry,
 )
+from homhopf.checkers import (
+    check_hom_algebra,
+    check_hom_coalgebra,
+    check_quasitriangular,
+    run_hopf_suite,
+)
 from homhopf.constructions import (
     canonical_cocycles,
     canonical_r_matrix,
     co_opposite,
     cocycle_twist,
-    comodule_cotwist,
     cotwist_coproduct,
     drinfeld_double,
     drinfeld_double_tilde,
@@ -67,7 +71,7 @@ from homhopf.exactlin import (
     rows_from_entries,
     sparse,
 )
-from homhopf.laws import check_matched_pair
+from homhopf.matchedpair import check_matched_pair, double_cross_product, dual_matched_pair
 from homhopf.pairing import PairedDouble, check_twisting, dual_pair_double, evaluation_pairing
 from homhopf.structures import (
     ComoduleCoaction,
@@ -76,10 +80,6 @@ from homhopf.structures import (
     PairingForm,
     RMatrix,
     TwoCocycle,
-    check_hom_algebra,
-    check_hom_coalgebra,
-    check_quasitriangular,
-    run_hopf_suite,
 )
 
 F = Fraction
@@ -657,17 +657,18 @@ def test_constructions_refuse_outputs_above_max_dim_before_checking(name, monkey
     """Every product-space construction checks its output dimension first: a
     4-dim output is built with the limit at 4, and with the limit at 3 it is
     refused before any precondition check runs.  The checks are read from
-    ``laws`` by the constructions, from ``pairing``'s globals by the double
-    of a dual pair and from ``bicross``'s globals by the bicrossproducts."""
+    ``laws`` and ``matchedpair`` by the constructions, from ``pairing``'s
+    globals by the double of a dual pair, from ``bicross``'s globals by the
+    bicrossproducts and from ``matchedpair``'s by the double crossed product."""
     build = _bounded_constructions()[name]
     monkeypatch.setattr(constructions, "MAX_DIM", 4)
     assert build().dim == 4
     monkeypatch.setattr(constructions, "MAX_DIM", 3)
-    for check in ("check_module_algebra", "check_cotwisting", "check_matched_pair"):
-        monkeypatch.setattr(laws, check, None)
+    for module in (laws, bicross):
+        monkeypatch.setattr(module, "check_module_algebra", None)
+    for check in ("check_cotwisting", "check_matched_pair"):
+        monkeypatch.setattr(matchedpair, check, None)
     monkeypatch.setattr(pairing, "check_dual_pair", None)
-    for check in ("check_module_algebra", "check_matched_pair"):
-        monkeypatch.setattr(bicross, check, None)
     with pytest.raises(InvalidParameter, match="4-dim, above the limit of 3"):
         build()
 

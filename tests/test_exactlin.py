@@ -16,7 +16,9 @@ from conftest import (
     tensor3_from_entries,
 )
 from homhopf import exactlin
+from homhopf.algread import parse_scalar
 from homhopf.catalog import catalog_ax1, catalog_cyclic, get_entry
+from homhopf.checkers import _sweep, square_cases, tensor_power_products
 from homhopf.errors import DimensionMismatch, SingularMatrixError
 from homhopf.exactlin import (
     ZERO,
@@ -36,17 +38,14 @@ from homhopf.exactlin import (
     mat_inverse,
     nonzeros,
     pair_cells,
-    parse_scalar,
     rows,
     rows_from_entries,
     sparse,
-    square_cases,
-    tensor_power_products,
     terms,
     transpose,
     transpose_rows,
 )
-from homhopf.structures import HomAlgebra, _sweep
+from homhopf.structures import HomAlgebra
 
 F = Fraction
 

@@ -27,8 +27,9 @@ from test_construction_digests import CONSTRUCTIONS, INPUTS
 
 from conftest import dense_field, hopf_algebra
 from homhopf import algfile, algread
-from homhopf.bicross import dual_matched_pair, self_bicross, self_bicross_data
+from homhopf.bicross import self_bicross, self_bicross_data
 from homhopf.catalog import get_entry
+from homhopf.checkers import check_hom_algebra, run_hopf_suite
 from homhopf.constructions import (
     canonical_cocycles,
     co_opposite,
@@ -41,7 +42,8 @@ from homhopf.constructions import (
 )
 from homhopf.exactlin import cells, flatten_pair, rows
 from homhopf.fileformat import bundle_of_entry, parse, serialize
-from homhopf.laws import check_comodule_coalgebra, check_matched_pair, check_module_algebra
+from homhopf.laws import check_comodule_coalgebra, check_module_algebra
+from homhopf.matchedpair import check_matched_pair, dual_matched_pair
 from homhopf.pairing import dual_pair_double, evaluation_pairing
 from homhopf.structures import (
     ComoduleCoaction,
@@ -51,8 +53,6 @@ from homhopf.structures import (
     HomHopfAlgebra,
     ModuleAction,
     Record,
-    check_hom_algebra,
-    run_hopf_suite,
 )
 
 CATALOG = ("one", "ax1", "kz2", "sweedler_hom", "cyclic:3")

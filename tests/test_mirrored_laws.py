@@ -35,11 +35,11 @@ from pathlib import Path
 
 import homhopf
 from conftest import dense_field
-from homhopf.bicross import dual_matched_pair, self_bicross_data
+from homhopf.bicross import self_bicross_data
 from homhopf.catalog import get_entry
 from homhopf.constructions import canonical_cocycles, cocycle_twist, drinfeld_double_tilde
 from homhopf.exactlin import cells, dense_cells, flatten_pair, rows
-from homhopf.laws import check_matched_pair
+from homhopf.matchedpair import check_matched_pair, dual_matched_pair
 from homhopf.structures import HomAlgebra, HomBialgebra, HomCoalgebra, MatchedPairData
 from homhopf.twist import check_left_comodule_algebra
 

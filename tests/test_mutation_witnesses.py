@@ -23,17 +23,17 @@ import pytest
 
 from conftest import dense_field, hopf_algebra
 from homhopf.catalog import get_entry
-from homhopf.constructions import canonical_r_matrix, drinfeld_double
-from homhopf.exactlin import Sparse, dense, format_scalar, sparse
-from homhopf.pairing import check_twisting, dual_pair_double, evaluation_pairing
-from homhopf.structures import (
-    RMatrix,
+from homhopf.checkers import (
     check_antipode,
     check_hom_algebra,
     check_hom_bialgebra,
     check_hom_coalgebra,
     check_quasitriangular,
 )
+from homhopf.constructions import canonical_r_matrix, drinfeld_double
+from homhopf.exactlin import Sparse, dense, format_scalar, sparse
+from homhopf.pairing import check_twisting, dual_pair_double, evaluation_pairing
+from homhopf.structures import RMatrix
 
 HALF = Fraction(1, 2)
 FIELDS = ("mul", "unit", "comul", "counit", "alpha", "antipode")

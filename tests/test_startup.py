@@ -10,8 +10,11 @@ module imports ``cli``, so a ``python -m homhopf.cli`` process compiles it
 once.  Only ``--report`` loads ``json`` and a SHA-256: CPython's built-in
 ``_sha256`` where it exists, and then never OpenSSL's ``_hashlib``.
 ``cli`` needs nothing outside the standard library: it parses its arguments
-by its own command table, without ``argparse``, and only a command that
-reads a file loads the reader ``algread``.  No command loads
+by its own command table, without ``argparse``, and only ``--help`` and a
+refused command line load its help texts (``clihelp``).  Only a command that
+reads a file loads the reader ``algread``, only a command that runs a
+checker loads ``checkers``, and no command loads the matched-pair route
+(``matchedpair``).  No command loads
 ``dataclasses`` or the dense file records of ``fileformat``, and none makes
 a dense structure tensor.  A command whose
 scalars are all integers loads neither ``fractions`` nor ``decimal``.  The import-graph
@@ -36,7 +39,10 @@ from pathlib import Path
 import pytest
 
 import homhopf
-from homhopf import bicross, constructions, laws, pairing, structures, twist
+from homhopf import (
+    algfile, bicross, catalog, checkers, cli, cliio, constructions, exactlin, laws, matchedpair, pairing,
+    structures, twist,
+)
 from homhopf.algfile import AlgebraFile, block_record, bundle_of_entry, write
 from homhopf.catalog import get_entry
 from homhopf.cli import COMMANDS, main
@@ -49,24 +55,44 @@ PACKAGE = SRC / "homhopf"
 # The names that left each module: the data-law checkers left ``structures``
 # for ``laws``, and the laws of sections 3 and 4 then left ``laws`` for
 # ``pairing`` and ``twist``; the bicrossproduct constructions left
-# ``constructions`` for ``bicross``, and the double of a dual pair for ``pairing``.
+# ``constructions`` for ``bicross``, and the double of a dual pair for
+# ``pairing``.  The sweeps and the Hopf-level checkers left ``structures`` and
+# ``exactlin`` for ``checkers`` (the six the benchmark's tracer spans still
+# resolve through ``structures``), the matched-pair route left ``laws`` and
+# ``bicross`` for ``matchedpair``, the help texts left ``cli`` for
+# ``clihelp``, and each helper with one caller moved to it.
 MOVED_FROM = {
     structures: (
-        "_partial_forms", "_prefixed", "check_cocycle", "check_comodule",
-        "check_comodule_algebra", "check_comodule_coalgebra", "check_cotwisting",
-        "check_dual_pair", "check_left_comodule_algebra", "check_matched_pair", "check_module",
-        "check_module_algebra", "check_module_coalgebra", "check_twisting",
+        "_grid", "_morphism_products", "_multiplicative_cases", "_partial_forms", "_prefixed",
+        "_product_law", "_sweep", "check_cocycle", "check_comodule", "check_comodule_algebra",
+        "check_comodule_coalgebra", "check_cotwisting", "check_dual_pair", "check_left_comodule_algebra",
+        "check_matched_pair", "check_module", "check_module_algebra", "check_module_coalgebra",
+        "check_morphism", "check_twisting", "make_entry", "merge_reports",
+    ),
+    exactlin: (
+        "_by_first_leg", "_integer", "_power_product", "parse_scalar", "product_cases", "square_cases",
+        "tensor_power_products",
     ),
     laws: (
         "_partial_forms", "_prefixed", "check_cocycle", "check_comodule", "check_comodule_algebra",
-        "check_dual_pair", "check_left_comodule_algebra", "check_twisting",
+        "check_cotwisting", "check_dual_pair", "check_left_comodule_algebra", "check_matched_pair",
+        "check_module_coalgebra", "check_twisting",
     ),
     constructions: (
-        "PairedDouble", "bicross_hypotheses", "bicrossproduct", "double_cross_product",
+        "PairedDouble", "bicross_hypotheses", "bicrossproduct", "comodule_cotwist", "double_cross_product",
         "dual_matched_pair", "dual_pair_double", "evaluation_pairing", "self_bicross",
         "self_bicross_data",
     ),
+    bicross: ("double_cross_product", "dual_matched_pair"),
+    catalog: ("BicrossGolden", "catalog_ex27_expected"),
+    cliio: ("_print_suite", "_suite_json"),
+    cli: ("HELP", "_metavar", "_usage"),
 }
+# The checkers the benchmark's tracer spans as ``structures.<name>``.
+SPANNED = (
+    "check_antipode", "check_hom_algebra", "check_hom_bialgebra", "check_hom_coalgebra",
+    "check_quasitriangular", "run_hopf_suite",
+)
 
 ALL = (
     "CatalogEntry", "CheckEntry", "CheckReport", "ComoduleCoaction", "HomAlgebra",
@@ -157,28 +183,49 @@ class TestMovedNames:
             exec(f"from {old.__name__} import {name}", {})
 
     def test_package_names_come_from_the_new_modules(self):
-        from homhopf import bicrossproduct, check_cocycle, check_module, evaluation_pairing
+        from homhopf import (
+            bicrossproduct, check_cocycle, check_hom_algebra, check_matched_pair, check_module,
+            comodule_cotwist, evaluation_pairing,
+        )
 
         assert check_module is laws.check_module
         assert check_cocycle is twist.check_cocycle
         assert evaluation_pairing is pairing.evaluation_pairing
         assert bicrossproduct is bicross.bicrossproduct
+        assert check_hom_algebra is checkers.check_hom_algebra
+        assert check_matched_pair is matchedpair.check_matched_pair
+        assert comodule_cotwist is bicross.comodule_cotwist
 
-    @pytest.mark.parametrize("module", [structures, constructions, laws])
+    @pytest.mark.parametrize("name", SPANNED)
+    def test_a_spanned_checker_resolves_through_structures(self, name):
+        assert getattr(structures, name) is getattr(checkers, name)
+
+    def test_structures_loads_the_checkers_on_first_use(self):
+        code = (
+            "import sys, homhopf.structures\n"
+            "print('homhopf.checkers' in sys.modules)\n"
+            "run = homhopf.structures.run_hopf_suite\n"
+            "print('homhopf.checkers' in sys.modules, run is sys.modules['homhopf.checkers'].run_hopf_suite)\n"
+        )
+        assert _fresh(code).split() == ["False", "True", "True"]
+
+    @pytest.mark.parametrize("module", [structures, constructions, laws, checkers, matchedpair])
     def test_unknown_name(self, module):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             module.no_such_name
 
     def test_old_modules_load_no_new_module(self):
         code = (
-            "import sys, homhopf.structures, homhopf.constructions\n"
+            "import sys, homhopf.structures, homhopf.constructions, homhopf.catalog\n"
             "for module, name in ((homhopf.structures, 'check_cocycle'),\n"
+            "                     (homhopf.structures, 'check_morphism'),\n"
             "                     (homhopf.constructions, 'bicrossproduct'),\n"
             "                     (homhopf.constructions, 'dual_pair_double')):\n"
             "    print(hasattr(module, name))\n"
-            "print(*(f'homhopf.{m}' in sys.modules for m in ('laws', 'bicross', 'pairing', 'twist')))\n"
+            "new = ('laws', 'bicross', 'pairing', 'twist', 'checkers', 'matchedpair')\n"
+            "print(*(f'homhopf.{m}' in sys.modules for m in new))\n"
         )
-        assert _fresh(code).split() == ["False"] * 7
+        assert _fresh(code).split() == ["False"] * 10
 
 
 # Prints every class that a ``homhopf`` module defines as a dataclass.
@@ -227,8 +274,9 @@ print(json.dumps([status, loaded]))
 DENSE_RECORDS = ("dataclasses", "homhopf.fileformat")
 WATCHED = ("homhopf.verify", "homhopf.catalog", "hashlib", *DENSE_RECORDS)
 # The modules that hold one section of the paper each: the bicrossproduct
-# (``bicross`` and its data laws, ``laws``), dual pairs and the twists.
-SECTIONS = ("homhopf.bicross", "homhopf.laws", "homhopf.pairing", "homhopf.twist")
+# (``bicross`` and its data laws, ``laws``), the matched-pair route, dual
+# pairs and the twists.
+SECTIONS = ("homhopf.bicross", "homhopf.laws", "homhopf.matchedpair", "homhopf.pairing", "homhopf.twist")
 # Whether this interpreter has CPython's built-in SHA-256 module (renamed from Python 3.12 on).
 HAS_SHA256 = importlib.util.find_spec("_sha256") is not None
 # Every module a command may load: all of the package but ``fileformat``.
@@ -449,10 +497,11 @@ class TestImportGraph:
     def test_a_suite_on_a_file_loads_its_own_section(self, workdir, suite):
         """Every suite loads the file reader, the checkers, the constructions
         and ``verify``, and of the rest only its own section; ``thm2.6`` also
-        the catalog, for its golden tables."""
+        the catalog, for its golden tables.  None loads the help texts."""
         source, status, own = self.OWN[suite]
         base = (
-            "algfile", "algread", "cli", "cliio", "constructions", "errors", "exactlin", "structures", "verify"
+            "algfile", "algread", "checkers", "cli", "cliio", "constructions", "errors", "exactlin",
+            "structures", "verify",
         )
         names = modules(workdir, "verify", suite, "--algebra", source, status=status)
         assert sorted(n for n in names if n.startswith("homhopf.")) == sorted(
@@ -545,19 +594,133 @@ class TestImportGraph:
         names = modules(workdir, *args, "--report", "r.json", status=status)
         assert [n for n in DENSE_RECORDS if n in names] == []
 
+    @pytest.mark.parametrize(
+        "args, status",
+        [
+            (("export", "cyclic:3"), 0),
+            (("export", "ax1", "--out", "nc_ax1.alg"), 0),
+            *(
+                (("construct", kind, "cyclic:3", "--out", f"nc_{kind}_c3.alg"), 0)
+                for kind in ("dual", "op", "double", "heisenberg")
+            ),
+            (("check", "bad.alg"), 2),
+        ],
+        ids=lambda v: v if isinstance(v, int) else "-".join(v[:2]),
+    )
+    def test_a_command_that_runs_no_checker_loads_none(self, workdir, args, status):
+        """An export and a closed construction check nothing, and a file the
+        reader refuses ends the command before a checker runs."""
+        assert "homhopf.checkers" not in modules(workdir, *args, status=status)
+
+    @pytest.mark.parametrize(
+        "args, status",
+        [
+            *(
+                (("verify", suite, "--algebra", source), status)
+                for suite, (source, status, _) in OWN.items()
+            ),
+            (("construct", "bicross", "ax1", "--out", "mp_b_ax1.alg"), 0),
+            (("construct", "self-bicross", "c2.alg", "--out", "mp_sb_c2.alg"), 0),
+            (("construct", "twist", "c2.alg", "--cocycle", "sigma.alg", "--out", "mp_t_c2.alg"), 0),
+            (("check", "c2.alg"), 0),
+        ],
+        ids=lambda v: v if isinstance(v, int) else "-".join(v[:2]),
+    )
+    def test_no_command_loads_the_matched_pair_route(self, workdir, args, status):
+        assert "homhopf.matchedpair" not in modules(workdir, *args, status=status)
+
+    @pytest.mark.parametrize(
+        "args, status, helps",
+        [
+            (("--help",), 0, True),
+            (("check", "--help"), 0, True),
+            (("check", "c2.alg", "--level", "bogus"), 2, True),
+            (("frobnicate",), 2, True),
+            (("--version",), 0, False),
+            (("check", "c2.alg"), 0, False),
+            (("check", "bad.alg"), 2, False),
+            (("export", "ax1"), 0, False),
+            (("verify", "prop2.19", "--algebra", "c2.alg"), 0, False),
+        ],
+        ids=lambda v: v if isinstance(v, (int, bool)) else "-".join(v[:3]),
+    )
+    def test_only_help_and_a_refused_command_line_load_the_help_texts(self, workdir, args, status, helps):
+        assert ("homhopf.clihelp" in modules(workdir, *args, status=status)) is helps
+
+
+# The package source lines a fresh ``python -m homhopf.cli`` process may
+# compile, by command, with its exit status; ``c2.alg`` is the ``cyclic:2``
+# export.  Each ceiling is the count when it was set, rounded up to the next
+# 50 lines.
+COMPILE_BUDGET = {
+    ("--version",): (0, 350),
+    ("--help",): (0, 400),
+    ("check", "c2.alg", "--level", "bogus"): (2, 550),
+    ("check", "bad.alg"): (2, 2000),
+    ("check", "c2.alg"): (0, 2400),
+    ("check", "cyclic:3"): (0, 2400),
+    ("export", "cyclic:3"): (0, 1950),
+    ("construct", "op", "cyclic:3", "--out", "cb_op_c3.alg"): (0, 2400),
+    ("construct", "double", "c2.alg", "--out", "cb_d_c2.alg"): (0, 2400),
+    ("construct", "bicross", "ax1", "--out", "cb_b_ax1.alg"): (0, 3400),
+    ("verify", "thm4.5", "--algebra", "cyclic:4"): (0, 3000),
+    ("verify", "prop2.19", "--algebra", "c2.alg"): (0, 2850),
+    ("verify", "dual-pair", "--algebra", "c2.alg"): (0, 3100),
+    ("verify", "cor2.9", "--algebra", "c2.alg"): (0, 3450),
+}
+
+
+def compiled(workdir, *args: str, status: int) -> list[Path]:
+    """The package source files one ``python -m homhopf.cli`` process compiles
+    or loads from a bytecode cache, from its ``-v`` log, as
+    ``test_a_process_compiles_cli_once`` reads it."""
+    proc = subprocess.run(
+        [sys.executable, "-v", "-m", "homhopf.cli", *args],
+        cwd=workdir,
+        env=_env(PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == status, proc.stderr[-2000:]
+    lines = proc.stderr.splitlines()
+    # each line names a source file, or its cached bytecode where a cache exists
+    code = [Path(line[len("# code object from ") :].strip("'")) for line in lines if line.startswith("# code object from ")]
+    return [PACKAGE / f"{p.name.split('.')[0]}.py" for p in code if "homhopf" in p.parts]
+
+
+@pytest.mark.parametrize("args", COMPILE_BUDGET, ids=lambda v: "-".join(v[:3]))
+def test_a_command_compiles_within_its_line_budget(workdir, args):
+    """Compiling the package's source is most of a short command's own cost
+    (about 10 us a line), so each command has a ceiling on the lines it
+    compiles: code a command never runs lives in a module it does not load."""
+    status, ceiling = COMPILE_BUDGET[args]
+    lines = sum(len(p.read_text().splitlines()) for p in compiled(workdir, *args, status=status))
+    assert lines <= ceiling
+
 
 class TestImportBoundaries:
     """A module imports a section of the paper (``bicross``, ``laws``,
-    ``pairing``, ``twist``) or the suite module ``verify`` when it is itself
+    ``matchedpair``, ``pairing``, ``twist``), the sweeps (``checkers``), the
+    help texts (``clihelp``) or the suite module ``verify`` when it is itself
     imported only where every command that loads it runs that code, and no
     module a command loads imports ``fileformat`` or ``dataclasses``."""
 
-    # the bicrossproduct runs its data laws, and they the comodule axioms of ``twist``
-    ALLOWED = {"bicross": {"laws"}, "laws": {"twist"}}
+    # the bicrossproduct runs its data laws, and they the comodule axioms of
+    # ``twist``; the matched-pair route runs the bicrossproduct hypotheses and
+    # its laws; every section and ``verify`` run the sweeps of ``checkers``
+    ALLOWED = {
+        "bicross": {"checkers", "laws"},
+        "laws": {"checkers", "twist"},
+        "matchedpair": {"bicross", "checkers", "laws", "twist"},
+        "pairing": {"checkers"},
+        "twist": {"checkers"},
+        "verify": {"checkers"},
+    }
 
     @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
     def test_module_level_imports_of_sections_and_suites(self, module):
-        watched = {"bicross", "laws", "pairing", "twist", "verify"}
+        watched = {"bicross", "checkers", "clihelp", "laws", "matchedpair", "pairing", "twist", "verify"}
         found = set()
         for node in module_level_imports(PACKAGE / f"{module}.py"):
             found |= imported(node) & watched
@@ -745,9 +908,9 @@ def _in_process(args, cwd, monkeypatch):
 
 class TestProcessExit:
     """A process runs its command through ``cli.run``, which adds only a
-    flushed stdout and ``gc.freeze()`` on the way out: what a process
-    prints and its exit status are those of ``main()`` in this process,
-    and ``main()`` itself never freezes."""
+    flushed stdout, the ``atexit`` handlers and ``os._exit`` with the status
+    on the way out: what a process prints and its exit status are those of
+    ``main()`` in this process, and ``main()`` itself never freezes the heap."""
 
     @pytest.mark.parametrize("kind", EXITS)
     def test_process_matches_main(self, workdir, monkeypatch, kind):
@@ -763,16 +926,30 @@ class TestProcessExit:
         assert gc.get_freeze_count() == frozen
         assert gc.isenabled()
 
-    def test_run_freezes_on_the_way_out(self, workdir):
+    @pytest.mark.parametrize("kind", EXITS)
+    def test_run_calls_the_atexit_handlers_and_skips_the_teardown(self, workdir, monkeypatch, kind):
+        """``run`` skips the interpreter's teardown, not the ``atexit``
+        handlers: one registered before it runs after the command, an object
+        that only the teardown would finalize is left to the OS, and the
+        process's status and output are still those of ``main()``."""
+        args, status = EXITS[kind]
         code = (
-            "import gc\n"
-            "from homhopf.cli import run\n"
-            "try:\n"
-            "    run()\n"
-            "except SystemExit as exc:\n"
-            "    print(exc.code, gc.get_freeze_count() > 0)\n"
+            "import atexit, os, runpy, sys\n"
+            "class Late:\n"
+            "    def __del__(self):\n"
+            "        os.write(2, b'finalized in the teardown\\n')\n"
+            "late = Late()\n"
+            "atexit.register(print, 'atexit handler ran', file=sys.stderr)\n"
+            "runpy.run_module('homhopf.cli', run_name='__main__', alter_sys=True)\n"
         )
-        assert _fresh(code, "check", "c2.alg", cwd=workdir).splitlines()[-1] == "0 True"
+        env = _env(COLUMNS="80")
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args], cwd=workdir, env=env, capture_output=True, timeout=120
+        )
+        main_status, out, err = _in_process(args, workdir, monkeypatch)
+        assert main_status == status
+        assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, err + b"atexit handler ran\n")
 
 
 @pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
@@ -804,3 +981,90 @@ class TestUnwritableStdout:
                 os.close(write_end)
             assert status == 2, args
             assert err == f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n".encode()
+
+
+class _ShortWrites(io.RawIOBase):
+    """A raw file that takes at most ``CHUNK`` bytes per write, as a pipe or a
+    socket may."""
+
+    CHUNK = 4096
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        taken = bytes(b[: self.CHUNK])
+        self.data += taken
+        return len(taken)
+
+
+class TestShortWrites:
+    """Unbuffered (``-u``, ``PYTHONUNBUFFERED``), ``sys.stdout.buffer`` is the
+    raw file, and its text layer drops what a short write leaves; ``export``
+    and ``construct`` write their bytes until every one is taken, so the tail
+    either goes out or fails the command (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "args", [("export", "cyclic:64"), ("construct", "op", "cyclic:64")], ids=lambda v: v[0]
+    )
+    def test_a_short_write_delivers_every_byte(self, monkeypatch, args):
+        captured = io.StringIO()
+        with redirect_stdout(captured), pytest.raises(SystemExit):
+            main(args=list(args), prog_name="homhopf")
+        raw = _ShortWrites()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+        with pytest.raises(SystemExit) as exc:
+            main(args=list(args), prog_name="homhopf")
+        assert exc.value.code == 0
+        assert len(raw.data) > 4 * _ShortWrites.CHUNK
+        assert bytes(raw.data) == captured.getvalue().encode()
+
+    @pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+    def test_a_reader_that_stops_early_fails_the_command(self, workdir, flags):
+        """``export cyclic:128`` (261 KB) into a pipe whose reader takes 10
+        bytes and closes it: the write that the closed pipe cuts short is
+        finished or refused, so the command exits 2."""
+        env = _env()
+        env.pop("PYTHONUNBUFFERED", None)
+        command = [sys.executable, *flags, "-m", "homhopf.cli", "export", "cyclic:128"]
+        pipes = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        with subprocess.Popen(command, cwd=workdir, env=env, **pipes) as proc:
+            assert os.read(proc.stdout.fileno(), 10)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 2
+        assert err == f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n".encode()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check", "cyclic:3"),
+        ("verify", "prop2.19", "--algebra", "cyclic:2"),
+        ("construct", "dual", "cyclic:3"),
+    ],
+    ids=lambda v: v[0],
+)
+def test_a_catalog_input_is_serialized_only_for_a_report(tmp_path, monkeypatch, args):
+    """A catalog entry's bytes are only the ``--report`` input digest, so
+    ``algfile.write`` writes the entry's bundle only when a report is asked
+    for; ``construct`` writes its own output either way."""
+    monkeypatch.chdir(tmp_path)
+    bundle = bundle_of_entry(get_entry(args[-1]))
+    written = []
+    real = algfile.write
+
+    def recording(file):
+        written.append(file)
+        return real(file)
+
+    monkeypatch.setattr(algfile, "write", recording)
+    for report in ((), ("--report", "r.json")):
+        written.clear()
+        with redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exc:
+            main(args=[*args, *report], prog_name="homhopf")
+        assert exc.value.code == 0
+        assert [file for file in written if file == bundle] == ([bundle] if report else [])

@@ -18,9 +18,8 @@ from conftest import (
 )
 from homhopf.algfile import bundle_of_entry, write
 from homhopf.algread import read
-from homhopf.bicross import dual_matched_pair, self_bicross_data
+from homhopf.bicross import BicrossGolden, comodule_cotwist, self_bicross_data
 from homhopf.catalog import (
-    BicrossGolden,
     CatalogEntry,
     GroupData,
     catalog_ax1,
@@ -30,11 +29,18 @@ from homhopf.catalog import (
     catalog_sweedler_hom,
     get_entry,
 )
+from homhopf.checkers import (
+    check_antipode,
+    check_hom_algebra,
+    check_hom_bialgebra,
+    check_hom_coalgebra,
+    check_morphism,
+    run_hopf_suite,
+)
 from homhopf.constructions import (
     canonical_cocycles,
     canonical_r_matrix,
     co_opposite,
-    comodule_cotwist,
     drinfeld_double,
     drinfeld_double_tilde,
     dual,
@@ -54,13 +60,8 @@ from homhopf.exactlin import (
     sparse,
     transpose,
 )
-from homhopf.laws import (
-    check_comodule_coalgebra,
-    check_cotwisting,
-    check_module,
-    check_module_algebra,
-    check_module_coalgebra,
-)
+from homhopf.laws import check_comodule_coalgebra, check_module, check_module_algebra
+from homhopf.matchedpair import check_cotwisting, check_module_coalgebra, dual_matched_pair
 from homhopf.pairing import PairedDouble, check_dual_pair, evaluation_pairing
 from homhopf.structures import (
     CheckEntry,
@@ -78,13 +79,7 @@ from homhopf.structures import (
     Witness,
     algebra_of,
     bialgebra_of,
-    check_antipode,
-    check_hom_algebra,
-    check_hom_bialgebra,
-    check_hom_coalgebra,
-    check_morphism,
     coalgebra_of,
-    run_hopf_suite,
 )
 from homhopf.twist import check_cocycle, check_comodule
 from homhopf.verify import SuiteResult, SuiteStep
@@ -279,7 +274,7 @@ class TestComoduleCoalgebra:
 
 class TestModuleCoalgebra:
     def test_dual_action_on_ax1_data(self):
-        from homhopf.bicross import dual_matched_pair
+        from homhopf.matchedpair import dual_matched_pair
 
         ax = catalog_ax1()
         mp = dual_matched_pair(ax.hopf, ax.partner, ax.action, ax.coaction, check=False)

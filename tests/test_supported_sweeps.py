@@ -1,6 +1,6 @@
 """Product laws are swept only where a side can be nonzero.
 
-``exactlin.product_cases`` picks the basis multi-indices of a product law at
+``checkers.product_cases`` picks the basis multi-indices of a product law at
 which one side has a nonzero term.  It reads them from the filled cells of
 the law's tables and the supports of its vectors.  Both sides of every other
 case are zero.  Each law that reads it is compared here with a reference
@@ -15,10 +15,10 @@ the laws that a map is multiplicative: ``algebra.alpha-multiplicative``,
 ``check_morphism``'s ``.mul``.  The references of the laws with a Sweedler
 sum on one side sum every pair of terms, case by case.
 ``bialgebra.comul-multiplicative`` and ``comodule-algebra.multiplicative``
-are read the same way from ``exactlin.square_cases`` and compared with the
+are read the same way from ``checkers.square_cases`` and compared with the
 full product table.  ``module-coalgebra.comultiplicative`` and the
 bicrossproduct hypotheses ``bicross.action-comultiplicative`` and
-``bicross.coaction-multiplicative`` are read from ``exactlin.square_cases``
+``bicross.coaction-multiplicative`` are read from ``checkers.square_cases``
 too, and their references sum the Sweedler terms one by one, as does that of
 ``matched-pair.exchange-symmetry``, which is swept in full.
 ``cocycle.alpha-invariant``, swept on the support of two Gram matrices, is
@@ -45,9 +45,16 @@ from hypothesis import strategies as st
 from test_checker_outcomes import _perturbed, bicross_data
 
 from conftest import dense_field, hopf_algebra
-from homhopf import bicross, exactlin, laws, pairing, structures, twist
-from homhopf.bicross import bicross_hypotheses, dual_matched_pair, self_bicross
+from homhopf import bicross, checkers, laws, matchedpair, pairing, twist
+from homhopf.bicross import bicross_hypotheses, self_bicross
 from homhopf.catalog import get_entry
+from homhopf.checkers import (
+    check_antipode,
+    check_hom_algebra,
+    check_hom_bialgebra,
+    check_morphism,
+    tensor_power_products,
+)
 from homhopf.constructions import (
     canonical_cocycles,
     cocycle_twist,
@@ -69,10 +76,10 @@ from homhopf.exactlin import (
     linear_combination,
     rows,
     sparse,
-    tensor_power_products,
     terms,
 )
-from homhopf.laws import check_matched_pair, check_module, check_module_algebra, check_module_coalgebra
+from homhopf.laws import check_module, check_module_algebra
+from homhopf.matchedpair import check_matched_pair, check_module_coalgebra, dual_matched_pair
 from homhopf.pairing import check_dual_pair, dual_pair_double, evaluation_pairing
 from homhopf.structures import (
     CheckEntry,
@@ -87,10 +94,6 @@ from homhopf.structures import (
     Witness,
     algebra_of,
     bialgebra_of,
-    check_antipode,
-    check_hom_algebra,
-    check_hom_bialgebra,
-    check_morphism,
     coalgebra_of,
 )
 from homhopf.twist import (
@@ -811,10 +814,10 @@ def test_generated_data_laws(n, m, data):
 def visited(monkeypatch, run) -> Counter:
     """How many cases the case streams held that ``_sweep`` was given while
     ``run()`` ran, by axiom; the streams are read to the end.  The Hopf-level
-    checkers read ``_sweep`` from ``structures``, the data-law checkers from
-    ``laws``, ``pairing``, ``twist`` and ``bicross``."""
+    checkers read ``_sweep`` from ``checkers``, the data-law checkers from
+    ``laws``, ``matchedpair``, ``pairing``, ``twist`` and ``bicross``."""
     counts: Counter = Counter()
-    sweep = structures._sweep
+    sweep = checkers._sweep
 
     def counting(axiom_id, shape, lhs=None, rhs=None):
         if lhs is None:
@@ -822,7 +825,7 @@ def visited(monkeypatch, run) -> Counter:
             counts[axiom_id] += len(shape)
         return sweep(axiom_id, shape, lhs, rhs)
 
-    for module in (structures, laws, pairing, twist, bicross):
+    for module in (checkers, laws, matchedpair, pairing, twist, bicross):
         monkeypatch.setattr(module, "_sweep", counting)
     run()
     return counts
@@ -900,14 +903,14 @@ def test_comul_multiplicativity_forms_only_the_products_a_side_needs(monkeypatch
     exactly the 216 filled cells.  Only their products are formed and swept."""
     double = derived("double", "s3_inner")
     formed = []
-    products = structures.tensor_power_products
+    products = checkers.tensor_power_products
 
     def counting(*args):
         out = tuple(products(*args))
         formed.append(len(out))
         return iter(out)
 
-    monkeypatch.setattr(structures, "tensor_power_products", counting)
+    monkeypatch.setattr(checkers, "tensor_power_products", counting)
     counts = visited(monkeypatch, lambda: check_hom_bialgebra(double))
     assert formed == [216] and counts["bialgebra.comul-multiplicative"] == 216
     assert sum(1 for plane in double.algebra.mul_cells for cell in plane if cell) == 216
@@ -922,14 +925,14 @@ def test_coaction_multiplicativity_forms_only_the_products_a_side_needs(monkeypa
     double, left, tilde, right = twisted_doubles("s3_inner")
     coaction = ComoduleCoaction(double.bialgebra, left, double.coalgebra.comul_rows)
     formed = []
-    products = structures.tensor_power_products
+    products = checkers.tensor_power_products
 
     def counting(*args):
         out = tuple(products(*args))
         formed.append(len(out))
         return iter(out)
 
-    monkeypatch.setattr(structures, "tensor_power_products", counting)
+    monkeypatch.setattr(checkers, "tensor_power_products", counting)
 
     def run():
         assert check_comodule_algebra(left, coaction).ok
@@ -944,13 +947,13 @@ def test_coaction_multiplicativity_forms_only_the_products_a_side_needs(monkeypa
 def test_comul_multiplicativity_groups_each_coproduct_row_once(monkeypatch):
     double = derived("double", "s3_inner")
     calls = []
-    group = exactlin._by_first_leg
+    group = checkers._by_first_leg
 
     def counting(*args):
         calls.append(args)
         return group(*args)
 
-    monkeypatch.setattr(exactlin, "_by_first_leg", counting)
+    monkeypatch.setattr(checkers, "_by_first_leg", counting)
     assert check_hom_bialgebra(double).entry("bialgebra.comul-multiplicative").passed
     assert len(calls) <= 2 * double.dim  # each of the 36 rows as left and as right factor
 

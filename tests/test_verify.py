@@ -5,16 +5,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import basis_vector, cells_from_entries, replaced
-from homhopf.bicross import verify_cor_2_9, verify_thm_2_6
+from homhopf.bicross import catalog_ex27_expected, verify_cor_2_9, verify_thm_2_6
 from homhopf.catalog import (
     catalog_ax1,
-    catalog_ex27_expected,
     catalog_group,
     catalog_kz2,
     cyclic_table,
     get_entry,
     symmetric3_data,
 )
+from homhopf.checkers import check_morphism
 from homhopf.constructions import (
     canonical_cocycles,
     cocycle_twist,
@@ -25,7 +25,7 @@ from homhopf.constructions import (
 )
 from homhopf.exactlin import basis, dense, kron, rows_from_entries, sparse
 from homhopf.pairing import verify_dual_pair_route
-from homhopf.structures import ComoduleCoaction, ModuleAction, Witness, check_morphism
+from homhopf.structures import ComoduleCoaction, ModuleAction, Witness
 from homhopf.twist import verify_prop_4_7, verify_thm_4_5
 from homhopf.verify import verify_prop_2_19
 
