@@ -15,22 +15,22 @@ _SUBMODULES = ("bicross", "catalog", "constructions", "errors", "exactlin", "law
 _HOME = {
     **dict.fromkeys((
         "CheckEntry", "CheckReport", "ComoduleCoaction", "HomAlgebra", "HomBialgebra",
-        "HomCoalgebra", "HomHopfAlgebra", "MatchedPairData", "ModuleAction", "PairingForm",
-        "RMatrix", "TwoCocycle", "Witness",
+        "HomCoalgebra", "HomHopfAlgebra", "ModuleAction", "PairingForm", "RMatrix", "Witness",
     ), "structures"),
-    **dict.fromkeys(("check_antipode", "check_hom_algebra", "check_hom_bialgebra", "check_hom_coalgebra",
-                     "check_quasitriangular", "run_hopf_suite"), "checkers"),
+    **dict.fromkeys(("check_antipode", "check_comodule", "check_hom_algebra", "check_hom_bialgebra",
+                     "check_hom_coalgebra", "check_quasitriangular", "run_hopf_suite"), "checkers"),
     **dict.fromkeys(("check_comodule_coalgebra", "check_module", "check_module_algebra"), "laws"),
-    **dict.fromkeys(("check_cotwisting", "check_matched_pair", "check_module_coalgebra",
+    **dict.fromkeys(("MatchedPairData", "check_cotwisting", "check_matched_pair", "check_module_coalgebra",
                      "double_cross_product", "dual_matched_pair"), "matchedpair"),
-    **dict.fromkeys(("check_cocycle", "check_comodule", "check_comodule_algebra"), "twist"),
+    **dict.fromkeys(("TwoCocycle", "canonical_cocycles", "check_cocycle", "check_comodule_algebra",
+                     "cocycle_twist"), "twist"),
     **dict.fromkeys(("check_dual_pair", "check_twisting", "dual_pair_double",
                      "evaluation_pairing"), "pairing"),
     **dict.fromkeys((
-        "canonical_cocycles", "canonical_r_matrix", "cocycle_twist", "cotwist_coproduct",
-        "drinfeld_double", "drinfeld_double_tilde", "dual", "heisenberg_double", "opposite",
-        "smash_product", "yau_twist",
+        "canonical_r_matrix", "cotwist_coproduct", "drinfeld_double", "drinfeld_double_tilde", "dual",
+        "heisenberg_double", "opposite", "smash_product",
     ), "constructions"),
+    "yau_twist": "yau",
     **dict.fromkeys(("bicrossproduct", "catalog_ex27_expected", "comodule_cotwist", "self_bicross"), "bicross"),
     **dict.fromkeys((
         "CatalogEntry", "catalog_ax1", "catalog_cyclic", "catalog_group", "catalog_kz2",

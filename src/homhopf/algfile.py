@@ -43,6 +43,7 @@ and ``object_record`` takes them back from the maps.  The records are
 from __future__ import annotations
 
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import ParseError
 from .exactlin import (
@@ -51,8 +52,11 @@ from .exactlin import (
 )
 from .structures import (
     ComoduleCoaction, HomAlgebra, HomBialgebra, HomCoalgebra, HomHopfAlgebra,
-    ModuleAction, PairingForm, Record, RMatrix, TwoCocycle, algebra_of, coalgebra_of,
+    ModuleAction, PairingForm, Record, RMatrix, algebra_of, coalgebra_of,
 )
+
+if TYPE_CHECKING:
+    from .twist import TwoCocycle
 
 SCHEMA_VERSION = 1
 
@@ -172,6 +176,8 @@ class Sections:
         return PairingForm(left.hom_hopf(), right.hom_hopf(), gram)
 
     def cocycle(self, block=None) -> TwoCocycle:
+        from .twist import TwoCocycle  # here: only a command that twists compiles the twists
+
         block, (host,), gram = self._block("cocycle", block)
         return TwoCocycle(host.hom_bialgebra(), gram, block.refs[1])
 

@@ -1,9 +1,10 @@
 """The sweeps and the Hopf-level checkers: the algebra, coalgebra, bialgebra
-and antipode laws and quasitriangularity, which ``check`` runs, and
-``check_morphism``, which compares two objects through a map.  The data laws
-live with their section of the paper and sweep by ``_sweep`` too.  A command
-that runs no checker (``export``, the closed constructions) compiles none of
-this module.
+and antipode laws and quasitriangularity, which ``check`` runs,
+``check_morphism``, which compares two objects through a map, and the
+comodule axioms (``check_comodule``), which the comodule laws of sections 2
+(``laws``) and 4 (``twist``) both start from.  The data laws live with their
+section of the paper and sweep by ``_sweep`` too.  A command that runs no
+checker (``export``, the closed constructions) compiles none of this module.
 
 Every checker quantifies over basis multi-indices (multilinearity reduces the
 universally quantified identities to basis cases), compares exact vectors,
@@ -50,8 +51,8 @@ from .exactlin import (
     bilinear_apply, compose, dense, kron, pair_cells, transpose,
 )
 from .structures import (
-    CheckEntry, CheckReport, HomHopfAlgebra, RMatrix, Witness, _require, algebra_of, bialgebra_of,
-    coalgebra_of,
+    CheckEntry, CheckReport, ComoduleCoaction, HomHopfAlgebra, RMatrix, Witness, _require, algebra_of,
+    bialgebra_of, coalgebra_of,
 )
 
 # ---------------------------------------------------------------------------
@@ -397,5 +398,21 @@ def check_quasitriangular(H, R: RMatrix) -> CheckReport:
         _sweep("quasitriangular.intertwines-comul", (n,), op_r, r_comul),
         _sweep("quasitriangular.left-hexagon", (), compose(r, (cm, alpha)), (r13_r23,)),
         _sweep("quasitriangular.right-hexagon", (), compose(r, (alpha, cm)), (r13_r12,)),
+    )
+    return CheckReport(checks)
+
+
+def check_comodule(c: ComoduleCoaction) -> CheckReport:
+    """Right comodule axioms for a coaction ``rho: M -> M (x) C``."""
+    coactor = coalgebra_of(c.coactor)
+    nm = c.carrier.dim
+    am, ac, e = c.carrier.alpha, coactor.alpha, basis(nm)
+    eps, rho, cm = coactor.counit, c.coact_rows, coactor.comul_rows
+    checks = (
+        _sweep("comodule.counit-reduces-to-alpha", (nm,), compose(rho, (e, eps)), am),
+        _sweep("comodule.alpha-equivariant", (nm,), compose(rho, (am, ac)), compose(am, rho)),
+        _sweep(
+            "comodule.hom-coassociative", (nm,), compose(rho, (rho, ac)), compose(rho, (am, cm))
+        ),
     )
     return CheckReport(checks)

@@ -1,7 +1,8 @@
 """What the command bodies share: the exit codes, loading an input, reading
 and writing files, and printing and writing reports.  No module imports
 ``cli``: run as ``python -m homhopf.cli``, it is ``__main__``, and importing
-it as ``homhopf.cli`` would compile it a second time."""
+it as ``homhopf.cli`` would compile it a second time.  A report only
+encodes, so ``_json_text`` writes it without importing ``json``."""
 
 from __future__ import annotations
 
@@ -72,12 +73,40 @@ def _report_json(report):
     }
 
 
-def _strip_wall_time(node):
-    if isinstance(node, dict):
-        return {k: _strip_wall_time(v) for k, v in node.items() if k != "wall_time"}
-    if isinstance(node, list):
-        return [_strip_wall_time(v) for v in node]
-    return node
+def _json_text(doc, canonical: bool) -> str:
+    """The text of ``json.dumps(doc, sort_keys=True, indent=2)``, or, if
+    ``canonical``, of the compact ``separators=(",", ":")`` dump with no
+    ``wall_time`` key, which a report digests; strings go through CPython's
+    C escaper, without the rest of ``json``.  Any other type, a key that is
+    not a ``str`` and a non-finite float raise ``TypeError``."""
+    try:
+        from _json import encode_basestring_ascii as quote
+    except ImportError:  # an interpreter without the C accelerator
+        from json.encoder import encode_basestring_ascii as quote
+    from math import isfinite
+
+    def text(node, pad: str) -> str:
+        if isinstance(node, str):
+            return quote(node)
+        if node is None or isinstance(node, bool):
+            return "null" if node is None else "true" if node else "false"
+        if isinstance(node, int):
+            return int.__repr__(node)
+        if isinstance(node, float) and isfinite(node):
+            return float.__repr__(node)
+        inner = pad if canonical else pad + "  "
+        if isinstance(node, (list, tuple)):
+            brackets, items = "[]", [text(value, inner) for value in node]
+        elif isinstance(node, dict) and all(isinstance(key, str) for key in node):
+            colon = ":" if canonical else ": "
+            kept = (kv for kv in sorted(node.items()) if not (canonical and kv[0] == "wall_time"))
+            brackets, items = "{}", [quote(key) + colon + text(value, inner) for key, value in kept]
+        else:
+            raise TypeError(f"{node!r} has no JSON text")
+        lead = "" if canonical or not items else "\n" + inner
+        return brackets[0] + lead + ("," + lead).join(items) + (lead and "\n" + pad) + brackets[1]
+
+    return text(doc, "")
 
 
 def _write_report(path, command: str, inputs, results, status: int) -> None:
@@ -86,8 +115,6 @@ def _write_report(path, command: str, inputs, results, status: int) -> None:
     serialize (``_load_input``)."""
     if path is None:
         return
-    import json
-
     try:  # CPython's own SHA-256: `hashlib` would also load OpenSSL's `_hashlib`
         from _sha256 import sha256
     except ImportError:  # no such module from Python 3.12 on
@@ -105,9 +132,8 @@ def _write_report(path, command: str, inputs, results, status: int) -> None:
         "results": results,
         "status": status,
     }
-    canonical = json.dumps(_strip_wall_time(doc), sort_keys=True, separators=(",", ":"))
-    doc["digest"] = sha256(canonical.encode()).hexdigest()
-    _write(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
+    doc["digest"] = sha256(_json_text(doc, canonical=True).encode()).hexdigest()
+    _write(path, (_json_text(doc, canonical=False) + "\n").encode())
 
 
 def _read(path) -> bytes:

@@ -9,11 +9,8 @@ from .cliio import (
     EXIT_FAIL, EXIT_PASS, _fail_usage, _load_input, _print_report, _read, _report_json, _write, _write_report,
     _write_stdout,
 )
-from .constructions import (
-    cocycle_twist, drinfeld_double, drinfeld_double_tilde, dual, heisenberg_double, opposite
-)
+from .constructions import drinfeld_double, drinfeld_double_tilde, dual, heisenberg_double, opposite
 from .errors import HomHopfError, PreconditionFailed
-from .structures import TwoCocycle
 
 
 def construct(kind, source, cocycle_path, side, out_path, force, report_path):
@@ -56,6 +53,7 @@ def construct(kind, source, cocycle_path, side, out_path, force, report_path):
             if cocycle_path is None:
                 _fail_usage("twist needs --cocycle <file>")
             from .algread import read
+            from .twist import TwoCocycle, cocycle_twist
 
             craw = _read(cocycle_path)
             inputs.append((cocycle_path, craw))

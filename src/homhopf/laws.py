@@ -7,14 +7,15 @@ coalgebras.
 them.  The laws no command runs, of coalgebra-valued modules, cotwisting
 maps and matched pairs, are ``matchedpair``'s.  The laws of the other
 sections live with their suites: dual pairs and twisting maps in
-``pairing``, 2-cocycles and comodule algebras in ``twist``, which also holds
-the comodule axioms every comodule law starts from.  Each law is swept by
+``pairing``, 2-cocycles and comodule algebras in ``twist``.  The comodule
+axioms that every comodule law starts from are ``checkers.check_comodule``,
+so a bicrossproduct command compiles no twist.  Each law is swept by
 ``checkers._sweep``.
 """
 
 from __future__ import annotations
 
-from . import twist
+from . import checkers
 from .checkers import _product_law, _sweep
 from .exactlin import apply_kron, basis, compose, kron, linear_combination, transpose
 from .structures import (
@@ -89,7 +90,7 @@ def check_comodule_coalgebra(c: ComoduleCoaction) -> CheckReport:
         for i in range(nm)
     )
     checks = (
-        *twist.check_comodule(c).checks,
+        *checkers.check_comodule(c).checks,
         _sweep("comodule-coalgebra.counit", (nm,), compose(rho, (eps, e)), compose(eps, eta)),
         # c_(0)1 (x) c_(0)2 (x) alpha_H^2(c_(1))
         _sweep(

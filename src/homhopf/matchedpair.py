@@ -1,7 +1,7 @@
-"""Section 2 of the paper, the matched-pair route to the double: the laws of
-coalgebra-valued modules, cotwisting maps and matched pairs, the double
-crossed product of a matched pair, and the matched pair dual to
-bicrossproduct data.
+"""Section 2 of the paper, the matched-pair route to the double: the data of
+a matched pair (``MatchedPairData``), the laws of coalgebra-valued modules,
+cotwisting maps and matched pairs, the double crossed product of a matched
+pair, and the matched pair dual to bicrossproduct data.
 
 No command runs this route, so no command compiles it; the bicrossproduct
 (``bicross``) checks only its own data laws (``laws``).  A mirrored law is
@@ -11,20 +11,52 @@ left action of ``A_op``.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import twist
 from .bicross import _require_roles, bicross_hypotheses
 from .checkers import _multiplicative_cases, _product_law, _sweep, merge_reports, tensor_power_products
 from .constructions import _pair_product, _product_dim, _tensor_coalgebra, dual
 from .errors import PreconditionFailed
 from .exactlin import (
-    SparseMatrix, apply_map, basis, bilinear_apply, compose, kron, pair_cells, rows_from_entries,
+    SparseMatrix, SparseTensor3, apply_map, basis, bilinear_apply, compose, kron, pair_cells, rows_from_entries,
     transpose, transpose_rows,
 )
 from .laws import check_comodule_coalgebra, check_module, check_module_algebra
 from .structures import (
-    CheckReport, ComoduleCoaction, HomAlgebra, HomBialgebra, HomHopfAlgebra, MatchedPairData,
-    ModuleAction, _flat, _require, _shape, bialgebra_of, coalgebra_of,
+    CheckReport, ComoduleCoaction, HomAlgebra, HomBialgebra, HomHopfAlgebra, ModuleAction, Record, _flat,
+    _require, _shape, bialgebra_of, coalgebra_of,
 )
+
+
+class MatchedPairData(Record):
+    """Two Hom-bialgebras acting on each other.
+
+    ``left_cells[h][a]`` is the A-valued action ``h -> a`` of H on A and
+    ``right_cells[h][a]`` the H-valued action ``h <- a`` of A on H.
+    """
+
+    A: object
+    H: object
+    left_cells: SparseTensor3
+    right_cells: SparseTensor3
+
+    def __post_init__(self):
+        na, nh = self.A.dim, self.H.dim
+        _require(_shape(self.left_cells) == (nh, na, na), "left action shape")
+        _require(_shape(self.right_cells) == (nh, na, nh), "right action shape")
+
+    @cached_property
+    def left_module(self) -> ModuleAction:
+        """The left action as a ``ModuleAction`` of H on A."""
+        return ModuleAction(self.H, self.A, self.left_cells)
+
+    @cached_property
+    def right_module(self) -> ModuleAction:
+        """The right action as a left action ``a . h = h <- a`` of ``A_op`` on H."""
+        A = bialgebra_of(self.A)
+        a_op = HomBialgebra(A.algebra.op, A.coalgebra)
+        return ModuleAction(a_op, self.H, transpose(self.right_cells))
 
 
 def _grid(cells, n: int) -> tuple[tuple, ...]:

@@ -1,14 +1,17 @@
 """Hom-algebraic domain types and check reports.
 
-The checkers that produce the reports live in ``checkers`` (the sweeps and
-the Hopf-level laws, which ``check`` runs, and ``check_morphism``) and with
-their section of the paper: modules, module algebras and comodule
-coalgebras in ``laws``, coalgebra-valued modules, cotwisting maps and
-matched pairs in ``matchedpair``, pairings and twisting maps in ``pairing``,
-and comodules, cocycles and comodule algebras in ``twist``.  So a command
-that builds but checks nothing compiles none of them.  The six
-Hopf-level checkers that the benchmark's tracer spans as ``structures.*``
-still resolve here, from ``checkers`` on first use (``__getattr__``).
+The checkers that produce the reports live in ``checkers`` (the sweeps, the
+Hopf-level laws, which ``check`` runs, ``check_morphism`` and the comodule
+axioms that every comodule law starts from) and with their section of the
+paper: modules, module algebras and comodule coalgebras in ``laws``,
+coalgebra-valued modules, cotwisting maps and matched pairs in
+``matchedpair``, pairings and twisting maps in ``pairing``, and cocycles
+and comodule algebras in ``twist``.  So a command that builds but checks
+nothing compiles none of them.  The types of one section live with it too:
+the 2-cocycle (``TwoCocycle``) in ``twist`` and the matched-pair data
+(``MatchedPairData``) in ``matchedpair``.  The six Hopf-level checkers that
+the benchmark's tracer spans as ``structures.*`` still resolve here, from
+``checkers`` on first use (``__getattr__``).
 
 Structural invariants (shapes, invertibility of structure maps) are enforced
 at construction; algebraic axioms are only ever checker verdicts, so broken
@@ -17,25 +20,23 @@ objects can be built deliberately to exercise the checkers.
 Each domain type holds its structure constants as sparse tables, the operand
 tables of the ``exactlin`` kernels, in its fields: ``HomAlgebra.mul_cells``,
 ``HomCoalgebra.comul_rows``, ``HomHopfAlgebra.antipode_rows``,
-``ModuleAction.act_cells``, ``ComoduleCoaction.coact_rows`` and the
-``left_cells`` and ``right_cells`` of a ``MatchedPairData``.  Every map is
-sparse rows too: the structure map ``alpha`` and its inverse, the antipode
-inverse, the ``gram`` of a pairing or a cocycle and the ``entries`` of an
-R-matrix, and the unit ``eta: k -> A`` (one row) and the counit
-``eps: C -> k`` (rows of length one).  Only the two sides of a failure
-witness are dense vectors.  ``==``, ``hash``, ``repr`` and
+``ModuleAction.act_cells`` and ``ComoduleCoaction.coact_rows``.  Every map
+is sparse rows too: the structure map ``alpha`` and its inverse, the
+antipode inverse, the ``gram`` of a pairing or a cocycle and the
+``entries`` of an R-matrix, and the unit ``eta: k -> A`` (one row) and the
+counit ``eps: C -> k`` (rows of length one).  Only the two sides of a
+failure witness are dense vectors.  ``==``, ``hash``, ``repr`` and
 ``__match_args__`` read the fields.  No domain type makes a dense tensor:
 the dense records of a definition file are ``fileformat``'s.  Derived views
 are cached in the instance ``__dict__`` (``functools.cached_property``;
 ``power`` keeps one dict of powers), so they are freed with the object:
 ``mul_map``; ``comul_op_rows`` and ``comul_terms``; ``alpha_inverse`` and
 ``power(k)``, the rows of ``alpha^k``; ``antipode_inverse``;
-``coact_terms``; the ``form`` of a ``PairingForm`` or ``TwoCocycle`` and
-``TwoCocycle.products``; ``RMatrix.vector``; and the ``left_module`` and
-``right_module`` of a ``MatchedPairData``.  ``HomAlgebra.op`` and
-``HomCoalgebra.op`` are objects built from transposed or leg-swapped tables.
-A builder that knows the inverse of a structure map hands it over
-(``alpha_inverse=``) instead of having it inverted again.
+``coact_terms``; the ``form`` of a pairing or a cocycle; and
+``RMatrix.vector``.  ``HomAlgebra.op`` and ``HomCoalgebra.op`` are objects
+built from transposed or leg-swapped tables.  A builder that knows the
+inverse of a structure map hands it over (``alpha_inverse=``) instead of
+having it inverted again.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from operator import attrgetter
 
 from .errors import DimensionMismatch, MissingStructure, SingularMatrixError
 from .exactlin import (
-    Sparse, SparseMatrix, SparseTensor3, Vector, compose, linear_combination, mat_inverse, pair_cells,
+    Sparse, SparseMatrix, SparseTensor3, Vector, compose, mat_inverse, pair_cells,
     rows_from_entries, terms, transpose,
 )
 
@@ -386,49 +387,6 @@ class PairingForm(_GramForm):
         _inverse(self.gram, "pairing must be non-degenerate")
 
 
-class TwoCocycle(_GramForm):
-    """A bilinear form on a Hom-bialgebra, tagged left or right."""
-
-    algebra: HomBialgebra
-    gram: SparseMatrix
-    side: str
-
-    def __post_init__(self):
-        n = self.algebra.dim
-        _require(_shape(self.gram) == (n, n), "cocycle gram shape")
-        if self.side not in ("left", "right"):
-            raise ValueError(f"cocycle side must be 'left' or 'right', got {self.side!r}")
-
-    @cached_property
-    def products(self) -> SparseTensor3:
-        """``sigma(h_1, k_1) h_2 k_2`` for a left cocycle and ``sigma(h_2, k_2) h_1 k_1``
-        for a right one, at every basis pair ``(h, k)``.
-
-        Both sides of the cocycle condition pair these with ``alpha^2`` of the
-        third argument, and the cocycle twist applies ``alpha^-1`` to them.
-        A term ``h1 (x) h2`` is multiplied only with the terms ``k1 (x) k2`` whose
-        ``k1`` is in the support of ``gram[h1]``: the other pairs have weight zero,
-        and a product that no pair reaches is zero without a sum.
-        """
-        B, gram = self.algebra, self.gram
-        # a right cocycle pairs the second Sweedler legs: the first legs of the co-opposite
-        coalgebra = B.coalgebra.op if self.side == "right" else B.coalgebra
-        n, mc, sw = B.dim, B.algebra.mul_cells, coalgebra.comul_terms
-        heads = [[] for _ in range(n)]  # heads[k1]: the terms (k, k2, coefficient) of each delta(k)
-        for k, k_terms in enumerate(sw):
-            for k1, k2, vk in k_terms:
-                heads[k1].append((k, k2, vk))
-        products = []
-        for h in range(n):
-            scaled = [[] for _ in range(n)]  # scaled[k]: the weighted products summed at (h, k)
-            for h1, h2, vh in sw[h]:
-                for k1, g in gram[h1].items():
-                    for k, k2, vk in heads[k1]:
-                        scaled[k].append((vh * g * vk, mc[h2][k2]))
-            products.append(tuple(linear_combination(n, pairs) for pairs in scaled))
-        return tuple(products)
-
-
 class RMatrix(Record):
     """An element ``R = sum entries[i][j] e_i (x) e_j`` of ``H (x) H``, by its rows."""
 
@@ -445,36 +403,6 @@ class RMatrix(Record):
         n = self.host.dim
         entries = {(0, i, j): c for i, row in enumerate(self.entries) for j, c in row.items()}
         return rows_from_entries((1, n, n), entries)[0]
-
-
-class MatchedPairData(Record):
-    """Two Hom-bialgebras acting on each other.
-
-    ``left_cells[h][a]`` is the A-valued action ``h -> a`` of H on A and
-    ``right_cells[h][a]`` the H-valued action ``h <- a`` of A on H.
-    """
-
-    A: object
-    H: object
-    left_cells: SparseTensor3
-    right_cells: SparseTensor3
-
-    def __post_init__(self):
-        na, nh = self.A.dim, self.H.dim
-        _require(_shape(self.left_cells) == (nh, na, na), "left action shape")
-        _require(_shape(self.right_cells) == (nh, na, nh), "right action shape")
-
-    @cached_property
-    def left_module(self) -> ModuleAction:
-        """The left action as a ``ModuleAction`` of H on A."""
-        return ModuleAction(self.H, self.A, self.left_cells)
-
-    @cached_property
-    def right_module(self) -> ModuleAction:
-        """The right action as a left action ``a . h = h <- a`` of ``A_op`` on H."""
-        A = bialgebra_of(self.A)
-        a_op = HomBialgebra(A.algebra.op, A.coalgebra)
-        return ModuleAction(a_op, self.H, transpose(self.right_cells))
 
 
 class Witness(Record):

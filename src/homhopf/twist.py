@@ -1,43 +1,111 @@
-"""Section 4 of the paper, the twists: the 2-cocycle and comodule-algebra
-laws, and the suites ``thm4.5`` (the twisted doubles are Heisenberg doubles)
-and ``prop4.7`` (they are comodule algebras over the doubles).  The comodule
-laws of section 2 (``laws``) share ``check_comodule``, kept here so that a
-twist command compiles no other section."""
+"""Section 4 of the paper, the twists: 2-cocycles, the cocycle twist, the
+canonical cocycles, the cocycle and comodule-algebra laws (over the
+comodule axioms of ``checkers``), and the suites ``thm4.5`` (the twisted
+doubles are Heisenberg doubles) and ``prop4.7`` (they are comodule algebras
+over the doubles).  Only a command that twists or reads a cocycle block
+compiles this module.  The benchmark's tracer spans ``canonical_cocycles``
+and ``cocycle_twist`` as ``constructions.*``, which resolves them here."""
 
 from __future__ import annotations
 
 import time
+from functools import cached_property
 from typing import TYPE_CHECKING
 
+from . import checkers
 from .checkers import _multiplicative_cases, _product_law, _sweep, check_morphism
-from .constructions import (
-    canonical_cocycles, cocycle_twist, drinfeld_double, drinfeld_double_tilde, dual,
-    heisenberg_double, opposite,
+from .constructions import drinfeld_double, drinfeld_double_tilde, dual, heisenberg_double, opposite
+from .errors import PreconditionFailed
+from .exactlin import (
+    SparseMatrix, SparseTensor3, apply_map, basis, compose, kron, linear_combination, sparse, transpose_rows,
 )
-from .exactlin import basis, compose, kron, sparse, transpose_rows
 from .structures import (
-    CheckEntry, CheckReport, ComoduleCoaction, HomBialgebra, HomHopfAlgebra, TwoCocycle, algebra_of,
-    bialgebra_of, coalgebra_of,
+    CheckEntry, CheckReport, ComoduleCoaction, HomAlgebra, HomBialgebra, HomHopfAlgebra, _GramForm, _require,
+    _shape, algebra_of, bialgebra_of,
 )
 
 if TYPE_CHECKING:
     from .verify import SuiteResult
 
 
-def check_comodule(c: ComoduleCoaction) -> CheckReport:
-    """Right comodule axioms for a coaction ``rho: M -> M (x) C``."""
-    coactor = coalgebra_of(c.coactor)
-    nm = c.carrier.dim
-    am, ac, e = c.carrier.alpha, coactor.alpha, basis(nm)
-    eps, rho, cm = coactor.counit, c.coact_rows, coactor.comul_rows
-    checks = (
-        _sweep("comodule.counit-reduces-to-alpha", (nm,), compose(rho, (e, eps)), am),
-        _sweep("comodule.alpha-equivariant", (nm,), compose(rho, (am, ac)), compose(am, rho)),
-        _sweep(
-            "comodule.hom-coassociative", (nm,), compose(rho, (rho, ac)), compose(rho, (am, cm))
-        ),
-    )
-    return CheckReport(checks)
+class TwoCocycle(_GramForm):
+    """A bilinear form on a Hom-bialgebra, tagged left or right."""
+
+    algebra: HomBialgebra
+    gram: SparseMatrix
+    side: str
+
+    def __post_init__(self):
+        n = self.algebra.dim
+        _require(_shape(self.gram) == (n, n), "cocycle gram shape")
+        if self.side not in ("left", "right"):
+            raise ValueError(f"cocycle side must be 'left' or 'right', got {self.side!r}")
+
+    @cached_property
+    def products(self) -> SparseTensor3:
+        """``sigma(h_1, k_1) h_2 k_2`` for a left cocycle and ``sigma(h_2, k_2) h_1 k_1``
+        for a right one, at every basis pair ``(h, k)``.
+
+        Both sides of the cocycle condition pair these with ``alpha^2`` of the
+        third argument, and the cocycle twist applies ``alpha^-1`` to them.
+        A term ``h1 (x) h2`` is multiplied only with the terms ``k1 (x) k2`` whose
+        ``k1`` is in the support of ``gram[h1]``: the other pairs have weight zero,
+        and a product that no pair reaches is zero without a sum.
+        """
+        B, gram = self.algebra, self.gram
+        # a right cocycle pairs the second Sweedler legs: the first legs of the co-opposite
+        coalgebra = B.coalgebra.op if self.side == "right" else B.coalgebra
+        n, mc, sw = B.dim, B.algebra.mul_cells, coalgebra.comul_terms
+        heads = [[] for _ in range(n)]  # heads[k1]: the terms (k, k2, coefficient) of each delta(k)
+        for k, k_terms in enumerate(sw):
+            for k1, k2, vk in k_terms:
+                heads[k1].append((k, k2, vk))
+        products = []
+        for h in range(n):
+            scaled = [[] for _ in range(n)]  # scaled[k]: the weighted products summed at (h, k)
+            for h1, h2, vh in sw[h]:
+                for k1, g in gram[h1].items():
+                    for k, k2, vk in heads[k1]:
+                        scaled[k].append((vh * g * vk, mc[h2][k2]))
+            products.append(tuple(linear_combination(n, pairs) for pairs in scaled))
+        return tuple(products)
+
+
+def cocycle_twist(B, sigma: TwoCocycle, check: bool = True) -> HomAlgebra:
+    """Deform the multiplication by a normal cocycle:
+    left twist ``h . k = sigma(h_1, k_1) alpha^-1(h_2 k_2)``, right twist
+    ``h . k = alpha^-1(h_1 k_1) sigma(h_2, k_2)``.  ``alpha^-1`` is applied only
+    to the nonempty products: an empty one is already the zero of the twist."""
+    bi = bialgebra_of(B)
+    if sigma.algebra != bi:
+        raise PreconditionFailed("cocycle host differs from the algebra being twisted")
+    if check:
+        report = check_cocycle(sigma)
+        if not report.ok:
+            raise PreconditionFailed("not a normal cocycle", report)
+    ainv1 = bi.power(-1)
+    mul = tuple(tuple(apply_map(ainv1, w) if w else w for w in row) for row in sigma.products)
+    return HomAlgebra(bi.dim, mul, bi.unit, bi.alpha, alpha_inverse=bi.alpha_inverse)
+
+
+def canonical_cocycles(
+    A: HomHopfAlgebra,
+    double: HomHopfAlgebra | None = None,
+    double_tilde: HomBialgebra | None = None,
+) -> tuple[TwoCocycle, TwoCocycle]:
+    """The canonical left cocycle on the double,
+    ``sigma(h (x) f, k (x) g) = counit(h) g(1) <f, alpha(k)>``, and the
+    canonical right cocycle on the mirrored double,
+    ``eta(f (x) a, g (x) b) = counit(b) f(1) <g, alpha(a)>``."""
+    if double is None:
+        double = drinfeld_double(A)
+    if double_tilde is None:
+        double_tilde = drinfeld_double_tilde(A)
+    # rows of the forms: e_h (x) e^j -> counit(e_h) <e^j, alpha(.)> (.)(1) and
+    # e^j (x) e_a -> e^j(1) <., alpha(e_a)> counit(.)
+    sigma = kron(A.counit, kron(transpose_rows(A.alpha), A.unit))
+    eta = kron(transpose_rows(A.unit), kron(A.alpha, transpose_rows(A.counit)))
+    return TwoCocycle(double.bialgebra, sigma, "left"), TwoCocycle(double_tilde, eta, "right")
 
 
 def _prefixed(prefix: str, checks) -> list[CheckEntry]:
@@ -84,7 +152,7 @@ def check_comodule_algebra(A, c: ComoduleCoaction) -> CheckReport:
     rho, am, hm = c.coact_rows, alg.mul_cells, coactor.algebra.mul_cells
     unit, coactor_unit = alg.unit, coactor.algebra.unit
     checks = (
-        *check_comodule(c).checks,
+        *checkers.check_comodule(c).checks,
         # rho(a b) against a_(0) b_(0) (x) a_(1) b_(1)
         _sweep("comodule-algebra.multiplicative", _multiplicative_cases((am, hm), rho, rho)),
         _sweep("comodule-algebra.unit", (), compose(unit, rho), kron(unit, coactor_unit)),

@@ -11,7 +11,9 @@ suite lives with the laws it runs, in its section of the paper, so a
 ``verify`` process compiles only that section.  The function ``verify`` is
 the body of the ``verify`` command, which prints a suite result and writes
 its report (``_print_suite``, ``_suite_json``), so only a ``verify`` process
-compiles this module.
+compiles this module.  It looks its suite up once the input has loaded, and
+``prop2.19`` imports the checkers and the constructions when it runs, so a
+file the reader refuses compiles neither and no section.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ import time
 from importlib import import_module
 from typing import TYPE_CHECKING
 
-from .checkers import _sweep, check_quasitriangular
 from .cliio import EXIT_FAIL, EXIT_PASS, _fail_usage, _load_input, _print_report, _report_json, _write_report
-from .constructions import canonical_r_matrix, drinfeld_double
 from .errors import HomHopfError
 from .exactlin import ONE, ZERO, sparse
 from .structures import CheckReport, HomHopfAlgebra, Record
@@ -76,6 +76,9 @@ def verify_prop_2_19(H: HomHopfAlgebra, group: GroupData | None = None) -> Suite
     """Build the double and its canonical R-matrix and check the three
     quasitriangularity axioms; on twisted group algebras also diff R against
     the closed form ``sum_g (1 x e_phi(g)) (x) (g^-1 x counit)``."""
+    from .checkers import _sweep, check_quasitriangular  # here, so that a refused input compiles neither
+    from .constructions import canonical_r_matrix, drinfeld_double
+
     started = time.perf_counter()
     double = drinfeld_double(H)
     r = canonical_r_matrix(H, double)
@@ -123,10 +126,10 @@ def _suite_json(result):
 
 
 def verify(suite, source, report_path):
-    module, function = SUITES[suite]
-    run = getattr(import_module(f".{module}", __package__), function)  # compiles the suite's own section
     try:
         bundle, raw, entry = _load_input(source)
+        module, function = SUITES[suite]
+        run = getattr(import_module(f".{module}", __package__), function)  # compiles the suite's own section
         rec = bundle.object()
         hopf = rec.hom_hopf()
         group = entry.group if entry is not None else None

@@ -41,22 +41,20 @@ from test_mutation_witnesses import pin
 from conftest import dense_field
 from homhopf.bicross import bicross_hypotheses, comodule_cotwist, self_bicross_data
 from homhopf.catalog import get_entry
-from homhopf.constructions import canonical_cocycles
+from homhopf.checkers import check_comodule
 from homhopf.errors import HomHopfError
 from homhopf.exactlin import cells, dense_cells, dense_rows, flatten_pair, rows
 from homhopf.laws import check_comodule_coalgebra, check_module, check_module_algebra
 from homhopf.matchedpair import (
-    check_cotwisting, check_matched_pair, check_module_coalgebra, dual_matched_pair,
+    MatchedPairData, check_cotwisting, check_matched_pair, check_module_coalgebra, dual_matched_pair,
 )
 from homhopf.pairing import check_dual_pair, evaluation_pairing
 from homhopf.structures import (
     ComoduleCoaction,
-    MatchedPairData,
     ModuleAction,
     PairingForm,
-    TwoCocycle,
 )
-from homhopf.twist import check_cocycle, check_comodule, check_comodule_algebra
+from homhopf.twist import TwoCocycle, canonical_cocycles, check_cocycle, check_comodule_algebra
 
 OUTCOMES = Path(__file__).with_name("checker_outcomes.json")
 BICROSS_HOSTS = ("ax1", "cyclic:3", "sweedler_hom")

@@ -15,7 +15,7 @@ from conftest import (
     dense_inverse,
     run_cli,
 )
-from homhopf import bicross, constructions, laws, matchedpair, pairing
+from homhopf import bicross, constructions, laws, matchedpair, pairing, twist
 from homhopf.bicross import (
     bicross_hypotheses,
     bicrossproduct,
@@ -79,8 +79,8 @@ from homhopf.structures import (
     ModuleAction,
     PairingForm,
     RMatrix,
-    TwoCocycle,
 )
+from homhopf.twist import TwoCocycle
 
 F = Fraction
 Z, O = F(0), F(1)
@@ -373,7 +373,7 @@ class TestMatchedPairRoute:
             assert dense_field(built, "antipode") == dense_field(closed, "antipode")
 
     def test_trivial_matched_pair_gives_tensor_hopf(self):
-        from homhopf.structures import MatchedPairData
+        from homhopf.matchedpair import MatchedPairData
 
         h = catalog_kz2().hopf
         left = cells_from_entries(
@@ -581,8 +581,6 @@ class TestDoubleTilde:
 
 class TestCocycleTwist:
     def test_trivial_cocycle_returns_original_multiplication(self):
-        from homhopf.structures import TwoCocycle
-
         h = catalog_sweedler_hom().hopf
         counit = dense_field(h, "counit")
         counits = {(i, j): counit[i] * counit[j] for i in range(4) for j in range(4)}
@@ -592,8 +590,6 @@ class TestCocycleTwist:
             assert dense_field(twisted, "mul") == dense_field(h, "mul")
 
     def test_rejects_non_cocycle(self):
-        from homhopf.structures import TwoCocycle
-
         h = catalog_sweedler_hom().hopf
         zero = rows_from_entries((4, 4), {})
         with pytest.raises(PreconditionFailed):
@@ -603,13 +599,13 @@ class TestCocycleTwist:
         """On the 16-dim double of cyclic:4, 64 of the 256 products of each
         canonical cocycle are nonempty; the others are the twist's zero cells."""
         calls = []
-        apply = constructions.apply_map
+        apply = twist.apply_map
 
         def counting(m, v):
             calls.append(v)
             return apply(m, v)
 
-        monkeypatch.setattr(constructions, "apply_map", counting)
+        monkeypatch.setattr(twist, "apply_map", counting)
         h = catalog_cyclic(4).hopf
         for sigma, host in zip(canonical_cocycles(h), (drinfeld_double(h), drinfeld_double_tilde(h))):
             calls.clear()

@@ -511,11 +511,13 @@ def test_every_map_is_sparse_rows_in_the_source():
     ``dense_rows``, ``dense_cells`` and ``flatten_pair`` are defined in
     ``exactlin`` and imported and called only by ``fileformat``, which reads
     and writes the dense file records.  No module but the package's
-    ``__init__``, ``verify`` (each suite from its section's module) and
+    ``__init__``, ``verify`` (each suite from its section's module),
     ``structures`` (the Hopf-level checkers the benchmark's tracer spans
-    there, from ``checkers``) resolves names on demand (a module-level
-    ``__getattr__``), no domain type has a dense view ``mul``, ``comul``, ``antipode``, ``act``
-    or ``coact`` or a view ``unit_vector`` or ``counit_map`` of a unit or a
+    there, from ``checkers``) and ``constructions`` (the cocycle twist, the
+    canonical cocycles and the Yau twist it spans there, from ``twist`` and
+    ``yau``) resolves names on demand (a module-level ``__getattr__``), no
+    domain type has a dense view ``mul``, ``comul``, ``antipode``, ``act`` or
+    ``coact`` or a view ``unit_vector`` or ``counit_map`` of a unit or a
     counit, and no field but the two sides of a ``Witness`` is a dense
     ``Vector``: units and counits are maps."""
     dense = ("mat_compose", "identity", "matrix_from_entries", "mat_shape", "basis_vector")
@@ -533,7 +535,7 @@ def test_every_map_is_sparse_rows_in_the_source():
         for node in ast.parse(path.read_text(), filename=str(path)).body
         if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
     ]
-    assert hooks == ["__init__.py", "structures.py", "verify.py"]
+    assert hooks == ["__init__.py", "constructions.py", "structures.py", "verify.py"]
     views = {"mul", "comul", "antipode", "act", "coact", "unit_vector", "counit_map"}
     types = {
         value

@@ -39,8 +39,8 @@ from homhopf.bicross import self_bicross_data
 from homhopf.catalog import get_entry
 from homhopf.constructions import canonical_cocycles, cocycle_twist, drinfeld_double_tilde
 from homhopf.exactlin import cells, dense_cells, flatten_pair, rows
-from homhopf.matchedpair import check_matched_pair, dual_matched_pair
-from homhopf.structures import HomAlgebra, HomBialgebra, HomCoalgebra, MatchedPairData
+from homhopf.matchedpair import MatchedPairData, check_matched_pair, dual_matched_pair
+from homhopf.structures import HomAlgebra, HomBialgebra, HomCoalgebra
 from homhopf.twist import check_left_comodule_algebra
 
 OUTCOMES = Path(__file__).with_name("mirrored_outcomes.json")

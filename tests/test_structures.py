@@ -31,6 +31,7 @@ from homhopf.catalog import (
 )
 from homhopf.checkers import (
     check_antipode,
+    check_comodule,
     check_hom_algebra,
     check_hom_bialgebra,
     check_hom_coalgebra,
@@ -61,7 +62,7 @@ from homhopf.exactlin import (
     transpose,
 )
 from homhopf.laws import check_comodule_coalgebra, check_module, check_module_algebra
-from homhopf.matchedpair import check_cotwisting, check_module_coalgebra, dual_matched_pair
+from homhopf.matchedpair import MatchedPairData, check_cotwisting, check_module_coalgebra, dual_matched_pair
 from homhopf.pairing import PairedDouble, check_dual_pair, evaluation_pairing
 from homhopf.structures import (
     CheckEntry,
@@ -71,17 +72,15 @@ from homhopf.structures import (
     HomBialgebra,
     HomCoalgebra,
     HomHopfAlgebra,
-    MatchedPairData,
     ModuleAction,
     PairingForm,
     RMatrix,
-    TwoCocycle,
     Witness,
     algebra_of,
     bialgebra_of,
     coalgebra_of,
 )
-from homhopf.twist import check_cocycle, check_comodule
+from homhopf.twist import TwoCocycle, check_cocycle
 from homhopf.verify import SuiteResult, SuiteStep
 
 F = Fraction

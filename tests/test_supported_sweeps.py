@@ -79,7 +79,7 @@ from homhopf.exactlin import (
     terms,
 )
 from homhopf.laws import check_module, check_module_algebra
-from homhopf.matchedpair import check_matched_pair, check_module_coalgebra, dual_matched_pair
+from homhopf.matchedpair import MatchedPairData, check_matched_pair, check_module_coalgebra, dual_matched_pair
 from homhopf.pairing import check_dual_pair, dual_pair_double, evaluation_pairing
 from homhopf.structures import (
     CheckEntry,
@@ -87,16 +87,15 @@ from homhopf.structures import (
     HomAlgebra,
     HomBialgebra,
     HomHopfAlgebra,
-    MatchedPairData,
     ModuleAction,
     PairingForm,
-    TwoCocycle,
     Witness,
     algebra_of,
     bialgebra_of,
     coalgebra_of,
 )
 from homhopf.twist import (
+    TwoCocycle,
     check_cocycle,
     check_comodule_algebra,
     check_left_comodule_algebra,
